@@ -1,8 +1,9 @@
-//! Index-construction scaling: wall time of `TreePiIndex::build_with_threads`
-//! at 1/2/4/8 worker threads over a fixed synthetic database. The parallel
-//! miner and center-extraction stage are bit-for-bit deterministic at any
-//! thread count (test-enforced in `crates/treepi/tests/build_prop.rs`,
-//! `crates/treepi/tests/pool_prop.rs`, and `crates/mining/tests/prop.rs`);
+//! Index-construction scaling: wall time of
+//! `TreePiIndex::build_with_threads_obs` at 1/2/4/8 worker threads over a
+//! fixed synthetic database. The parallel miner and center-extraction stage
+//! are bit-for-bit deterministic at any thread count (test-enforced in
+//! `crates/treepi/tests/build_prop.rs`, `crates/treepi/tests/pool_prop.rs`,
+//! and `crates/mining/tests/prop.rs`);
 //! this group measures the speedup that determinism contract is not allowed
 //! to cost — the ISSUE acceptance bar is ≥ 2× at 8 threads over 1.
 //!
@@ -24,8 +25,12 @@ fn bench_build_parallel(c: &mut Criterion) {
     for threads in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::new("build", threads), &db, |b, db| {
             b.iter(|| {
-                let idx =
-                    TreePiIndex::build_with_threads(db.clone(), TreePiParams::default(), threads);
+                let idx = TreePiIndex::build_with_threads_obs(
+                    db.clone(),
+                    TreePiParams::default(),
+                    threads,
+                    &obs::Shard::disabled(),
+                );
                 idx.feature_count()
             })
         });
@@ -51,6 +56,7 @@ fn bench_build_parallel(c: &mut Criterion) {
                     TreePiParams::default(),
                     &pool,
                     &obs::Shard::disabled(),
+                    &obs::series::Sampler::disabled(),
                 );
                 idx.feature_count()
             })

@@ -4,21 +4,19 @@
 //! (`treepi::engine`, `crates/treepi/tests/pool_prop.rs`); this group
 //! measures the speedup the determinism contract is not allowed to cost.
 //!
-//! Series:
-//! - `treepi_batch`: the default entry point (transient pool per batch);
+//! Series (all on one persistent [`treepi::Engine`] per worker count, its
+//! pool threads spawned once outside the timed loop — the per-batch cost a
+//! long-lived serving process sees):
+//! - `treepi_batch_pooled`: `Engine::query_batch`;
 //! - `treepi_batch_metered`: same with an enabled `obs::Registry`, bounding
 //!   instrumentation overhead;
-//! - `treepi_batch_scoped`: the retired scoped-thread implementation
-//!   (`treepi::scoped_ref`), the pre-pool baseline;
-//! - `treepi_batch_pooled`: a persistent [`treepi::Engine`] reused across
-//!   iterations — what a serving process pays per batch;
-//! - `gindex_batch`: the gIndex baseline on the shared pool path.
+//! - `gindex_batch`: the gIndex baseline on the engine's pool.
 //!
 //! Besides the human-readable criterion report, a measurement run (not
-//! `cargo test`'s `--test` smoke mode) re-times the scoped/pooled/gindex
-//! series standalone and rewrites `BENCH_query_parallel.json` at the repo
-//! root with per-series median ns/query, so pooled-vs-scoped numbers are
-//! machine-checkable without parsing bench stdout.
+//! `cargo test`'s `--test` smoke mode) re-times the pooled/gindex series
+//! standalone and rewrites `BENCH_query_parallel.json` at the repo root
+//! with per-series median ns/query, so the numbers are machine-checkable
+//! without parsing bench stdout.
 
 use bench::{chem_db, gindex_index, queries, treepi_index};
 use criterion::{criterion_group, BenchmarkId, Criterion};
@@ -42,44 +40,6 @@ fn bench_query_parallel(c: &mut Criterion) {
     let mut group = c.benchmark_group("query_parallel");
     group.sample_size(10);
     for threads in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("treepi_batch", threads), &qs, |b, qs| {
-            b.iter(|| {
-                let (results, _) = tp.query_batch(qs, QueryOptions::default(), threads, 9);
-                results.iter().map(|r| r.matches.len()).sum::<usize>()
-            })
-        });
-        group.bench_with_input(
-            BenchmarkId::new("treepi_batch_metered", threads),
-            &qs,
-            |b, qs| {
-                b.iter(|| {
-                    let registry = obs::Registry::new();
-                    let (results, _) =
-                        tp.query_batch_obs(qs, QueryOptions::default(), threads, 9, &registry);
-                    let set = registry.drain();
-                    results.iter().map(|r| r.matches.len()).sum::<usize>()
-                        + set.counter(obs::names::ANSWERS) as usize
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("treepi_batch_scoped", threads),
-            &qs,
-            |b, qs| {
-                b.iter(|| {
-                    let (results, _) = treepi::scoped_ref::query_batch_scoped(
-                        &tp,
-                        qs,
-                        QueryOptions::default(),
-                        threads,
-                        9,
-                    );
-                    results.iter().map(|r| r.matches.len()).sum::<usize>()
-                })
-            },
-        );
-        // Persistent engine: pool threads spawned once, outside the timed
-        // loop — the per-batch cost a long-lived serving process sees.
         let engine = treepi::Engine::new(tp, threads);
         group.bench_with_input(
             BenchmarkId::new("treepi_batch_pooled", threads),
@@ -91,15 +51,29 @@ fn bench_query_parallel(c: &mut Criterion) {
                 })
             },
         );
-        tp = engine.into_index();
+        group.bench_with_input(
+            BenchmarkId::new("treepi_batch_metered", threads),
+            &qs,
+            |b, qs| {
+                b.iter(|| {
+                    let registry = obs::Registry::new();
+                    let (results, _) =
+                        engine.query_batch_obs(qs, QueryOptions::default(), 9, &registry);
+                    let set = registry.drain();
+                    results.iter().map(|r| r.matches.len()).sum::<usize>()
+                        + set.counter(obs::names::ANSWERS) as usize
+                })
+            },
+        );
         group.bench_with_input(BenchmarkId::new("gindex_batch", threads), &qs, |b, qs| {
             b.iter(|| {
-                gi.query_batch(qs, threads)
+                gi.query_batch_pool_obs(qs, engine.pool(), &obs::Registry::disabled())
                     .iter()
                     .map(|r| r.matches.len())
                     .sum::<usize>()
             })
         });
+        tp = engine.into_index();
     }
     group.finish();
 }
@@ -130,20 +104,6 @@ fn emit_json() {
 
     let mut rows = Vec::new();
     for threads in [1usize, 2, 4, 8] {
-        rows.push((
-            "treepi_batch_scoped",
-            threads,
-            median_ns_per_query(RUNS, qs.len(), || {
-                let (r, _) = treepi::scoped_ref::query_batch_scoped(
-                    &tp,
-                    &qs,
-                    QueryOptions::default(),
-                    threads,
-                    9,
-                );
-                criterion::black_box(r.len());
-            }),
-        ));
         let engine = treepi::Engine::new(tp, threads);
         rows.push((
             "treepi_batch_pooled",
@@ -153,14 +113,15 @@ fn emit_json() {
                 criterion::black_box(r.len());
             }),
         ));
-        tp = engine.into_index();
         rows.push((
             "gindex_batch",
             threads,
             median_ns_per_query(RUNS, qs.len(), || {
-                criterion::black_box(gi.query_batch(&qs, threads).len());
+                let off = obs::Registry::disabled();
+                criterion::black_box(gi.query_batch_pool_obs(&qs, engine.pool(), &off).len());
             }),
         ));
+        tp = engine.into_index();
     }
 
     let mut json = String::new();

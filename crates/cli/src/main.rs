@@ -120,6 +120,16 @@ fn read_graphs_file(path: &str) -> Result<Vec<graph_core::Graph>, String> {
     parse_graphs(&text).map_err(|e| format!("{path}: {e}"))
 }
 
+/// [`read_graphs_file`] for query files: the pipeline asserts that a query
+/// has at least one edge, so reject edgeless graphs here, naming the query.
+fn read_queries_file(path: &str) -> Result<Vec<graph_core::Graph>, String> {
+    let queries = read_graphs_file(path)?;
+    match queries.iter().position(|q| q.edge_count() == 0) {
+        Some(i) => Err(format!("{path}: query {i} must contain at least one edge")),
+        None => Ok(queries),
+    }
+}
+
 /// A registry enabled only when `--metrics` or `--trace` was given, so the
 /// pipeline's instrumented entry points cost one predicted branch otherwise.
 /// Tracing implies metric collection (both ride the same shards).
@@ -183,7 +193,7 @@ fn run() -> Result<(), String> {
                 gamma: parse_flag(&args, "--gamma", defaults.gamma)?,
                 ..defaults
             };
-            let threads = treepi::resolve_threads(parse_flag(&args, "--threads", 0usize)?);
+            let threads = parse_flag(&args, "--threads", 0usize)?;
             let metrics_path = flag_value(&args, "--metrics");
             let trace_path = flag_value(&args, "--trace");
             let series_path = flag_value(&args, "--timeseries");
@@ -197,10 +207,9 @@ fn run() -> Result<(), String> {
             let t = std::time::Instant::now();
             let n = db.len();
             let index = {
-                let pool = graph_core::par::Pool::new(threads.max(1));
+                let pool = graph_core::par::Pool::new(threads);
                 let shard = registry.shard();
-                let index =
-                    TreePiIndex::build_with_pool_obs_sampled(db, params, &pool, &shard, &sampler);
+                let index = TreePiIndex::build_with_pool_obs(db, params, &pool, &shard, &sampler);
                 registry.absorb(shard);
                 index
             };
@@ -232,7 +241,7 @@ fn run() -> Result<(), String> {
             };
             let mut f = std::fs::File::open(idx_path).map_err(|e| e.to_string())?;
             let index = TreePiIndex::load(&mut f).map_err(|e| e.to_string())?;
-            let queries = read_graphs_file(q_path)?;
+            let queries = read_queries_file(q_path)?;
             let seed = parse_flag(&args, "--seed", 2007u64)?;
             // 0 = available parallelism (the default); results are
             // identical at any pool size (per-query seeded RNGs). The
@@ -281,7 +290,7 @@ fn run() -> Result<(), String> {
                 return Err("gquery needs <db.gspan> <queries.gspan>".into());
             };
             let db = read_graphs_file(db_path)?;
-            let queries = read_graphs_file(q_path)?;
+            let queries = read_queries_file(q_path)?;
             let threads = parse_flag(&args, "--threads", 0usize)?;
             let metrics_path = flag_value(&args, "--metrics");
             let n = db.len();
@@ -293,7 +302,8 @@ fn run() -> Result<(), String> {
                 t.elapsed()
             );
             let registry = metrics_registry(&metrics_path, &None);
-            let results = index.query_batch_obs(&queries, threads, &registry);
+            let pool = graph_core::par::Pool::new(threads);
+            let results = index.query_batch_pool_obs(&queries, &pool, &registry);
             for (i, r) in results.iter().enumerate() {
                 let ids: Vec<String> = r.matches.iter().map(|g| g.to_string()).collect();
                 println!("q{i}: {}", ids.join(" "));
@@ -528,7 +538,7 @@ fn run() -> Result<(), String> {
             let server = serve::Server::bind(&addr, config).map_err(|e| format!("{addr}: {e}"))?;
             eprintln!(
                 "serving {} graphs on {} ({} worker threads)",
-                engine.index().active_count(),
+                engine.pin().active_count(),
                 server.local_addr().map_err(|e| e.to_string())?,
                 engine.parallelism()
             );
@@ -566,7 +576,7 @@ fn run() -> Result<(), String> {
                 );
             }
             if let Some(path) = &metrics_path {
-                engine.index().record_mem_gauges(&registry);
+                engine.pin().record_mem_gauges(&registry);
                 obs::alloc::record_gauges(&registry);
                 write_metrics(&registry, path)?;
             }
@@ -608,7 +618,7 @@ fn run() -> Result<(), String> {
             let db = read_graphs_file(db_path)?;
             let queries = read_graphs_file(q_path)?;
             let threads = parse_flag(&args, "--threads", 0usize)?;
-            let all = graph_core::par::ordered_map(&queries, threads, |q| {
+            let all = graph_core::par::Pool::new(threads).ordered_map(&queries, |q| {
                 db.iter()
                     .enumerate()
                     .filter(|(_, g)| graph_core::is_subgraph_isomorphic(q, g))

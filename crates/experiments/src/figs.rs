@@ -9,7 +9,7 @@ use crate::common::*;
 use datagen::extract_queries;
 use gindex::{GIndex, GIndexParams};
 use graph_core::Graph;
-use treepi::{QueryOptions, SfMode, TreePiIndex, TreePiParams};
+use treepi::{Engine, QueryOptions, SfMode, TreePiIndex, TreePiParams};
 
 /// Build both indexes over one database (timed).
 fn build_both(db: &[Graph]) -> (TreePiIndex, f64, GIndex, f64) {
@@ -26,7 +26,7 @@ fn build_both(db: &[Graph]) -> (TreePiIndex, f64, GIndex, f64) {
 fn stage_breakdown(
     opts: &Opts,
     dataset: &str,
-    tp: &TreePiIndex,
+    tp: &Engine,
     gi: &GIndex,
     queries: &[Graph],
     seed: u64,
@@ -35,10 +35,10 @@ fn stage_breakdown(
         return;
     }
     let tp_reg = obs::Registry::new();
-    let _ = tp.query_batch_obs(queries, QueryOptions::default(), 0, seed, &tp_reg);
+    let _ = tp.query_batch_obs(queries, QueryOptions::default(), seed, &tp_reg);
     let tp_m = tp_reg.drain();
     let gi_reg = obs::Registry::new();
-    let _ = gi.query_batch_obs(queries, 0, &gi_reg);
+    let _ = gi.query_batch_pool_obs(queries, tp.pool(), &gi_reg);
     let gi_m = gi_reg.drain();
     println!(
         "-- stage breakdown over {} queries of size {} (obs spans, both systems) --",
@@ -388,8 +388,14 @@ pub fn buildscale(opts: &Opts, dataset: &str) {
     let mut base_ms = 0.0f64;
     let mut base_bytes: Vec<u8> = Vec::new();
     for threads in [1usize, 2, 4, 8] {
-        let (idx, t) =
-            timed(|| TreePiIndex::build_with_threads(db.clone(), TreePiParams::default(), threads));
+        let (idx, t) = timed(|| {
+            TreePiIndex::build_with_threads_obs(
+                db.clone(),
+                TreePiParams::default(),
+                threads,
+                &obs::Shard::disabled(),
+            )
+        });
         let t = ms(t);
         let bytes = save_bytes(&idx);
         let identical = if threads == 1 {
@@ -442,6 +448,10 @@ pub fn fig_query_time(opts: &Opts, dataset: &str) {
         ),
     };
     let (tp, _, gi, _) = build_both(&db);
+    // The batch series runs on an engine at full available parallelism; the
+    // sequential series reads the same index through its pinned snapshot.
+    let engine = Engine::new(tp, 0);
+    let tp = engine.pin();
     let per_size = opts.scale.queries(paper_queries);
     let mut rng = rng_for(opts, "figquery");
     let mut rows = Vec::new();
@@ -471,7 +481,7 @@ pub fn fig_query_time(opts: &Opts, dataset: &str) {
         // set — so the totals must agree.
         let (answers_par, t_par) = timed(|| {
             let (results, _) =
-                tp.query_batch(&queries, QueryOptions::default(), 0, opts.seed ^ m as u64);
+                engine.query_batch(&queries, QueryOptions::default(), opts.seed ^ m as u64);
             results.iter().map(|r| r.matches.len()).sum::<usize>()
         });
         assert_eq!(
@@ -506,7 +516,7 @@ pub fn fig_query_time(opts: &Opts, dataset: &str) {
         &csv,
     );
     if let Some(queries) = &breakdown_queries {
-        stage_breakdown(opts, dataset, &tp, &gi, queries, opts.seed ^ 0x5747);
+        stage_breakdown(opts, dataset, &engine, &gi, queries, opts.seed ^ 0x5747);
     }
 }
 

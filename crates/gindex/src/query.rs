@@ -150,34 +150,14 @@ impl GIndex {
         GQueryResult { matches, stats }
     }
 
-    /// Batch entry point mirroring `TreePiIndex::query_batch` so
+    /// Batch entry point mirroring `treepi::Engine::query_batch_obs` so
     /// cross-system comparisons run both sides with the same work
-    /// distribution (`threads = 0` means available parallelism). gIndex
-    /// queries consume no randomness, so results are trivially identical
-    /// at any thread count; queries are self-scheduled off a shared
-    /// counter and returned in query order.
-    pub fn query_batch(&self, queries: &[Graph], threads: usize) -> Vec<GQueryResult> {
-        self.query_batch_obs(queries, threads, &obs::Registry::disabled())
-    }
-
-    /// [`Self::query_batch`] recording metrics into `registry`: per-worker
-    /// shards merged at batch end (`engine.*` describes execution shape;
-    /// everything else is thread-count invariant, exactly as for TreePi).
-    /// Spins up a transient worker pool; callers issuing repeated batches
-    /// should hold a [`graph_core::par::Pool`] and use
-    /// [`Self::query_batch_pool_obs`].
-    pub fn query_batch_obs(
-        &self,
-        queries: &[Graph],
-        threads: usize,
-        registry: &obs::Registry,
-    ) -> Vec<GQueryResult> {
-        let pool = graph_core::par::Pool::new(threads);
-        self.query_batch_pool_obs(queries, &pool, registry)
-    }
-
-    /// [`Self::query_batch_obs`] on a caller-owned worker pool, reusing its
-    /// threads instead of spawning per batch.
+    /// distribution on a caller-owned worker pool. gIndex queries consume
+    /// no randomness, so results are trivially identical at any pool size;
+    /// queries are self-scheduled off a shared counter and returned in
+    /// query order. Metrics go to `registry`: per-seat shards merged at
+    /// batch end (`engine.*` describes execution shape; everything else is
+    /// pool-size invariant, exactly as for TreePi).
     pub fn query_batch_pool_obs(
         &self,
         queries: &[Graph],
@@ -268,7 +248,8 @@ mod tests {
         ];
         let run = |threads: usize| {
             let reg = obs::Registry::new();
-            let results = idx.query_batch_obs(&queries, threads, &reg);
+            let pool = graph_core::par::Pool::new(threads);
+            let results = idx.query_batch_pool_obs(&queries, &pool, &reg);
             (results, reg.drain())
         };
         let (results, m) = run(1);
@@ -309,7 +290,8 @@ mod tests {
         ];
         let seq: Vec<Vec<u32>> = queries.iter().map(|q| idx.query(q).matches).collect();
         for threads in [1, 2, 8] {
-            let batch = idx.query_batch(&queries, threads);
+            let pool = graph_core::par::Pool::new(threads);
+            let batch = idx.query_batch_pool_obs(&queries, &pool, &obs::Registry::disabled());
             assert_eq!(batch.len(), queries.len());
             for (i, r) in batch.iter().enumerate() {
                 assert_eq!(r.matches, seq[i], "query {i}, threads {threads}");

@@ -41,7 +41,7 @@ pub use iso::{
     for_each_embedding_rooted, is_isomorphic, is_subgraph_isomorphic, is_subgraph_isomorphic_obs,
     Embedding,
 };
-pub use par::{ordered_map, ordered_map_obs, resolve_threads};
+pub use par::resolve_threads;
 pub use stats::{component_count, db_stats, edge_label_histogram, vertex_label_histogram, DbStats};
 pub use subgraph::{
     edge_components, edge_subgraph, for_each_connected_edge_subset, for_each_subtree_edge_subset,

@@ -1,27 +1,25 @@
-//! Shared parallelism primitives: a persistent worker [`Pool`] plus the
-//! scoped-thread reference implementations it replaced.
+//! Shared parallelism primitives: a persistent worker [`Pool`], the only
+//! way compute is parallelised in the pipeline crates.
 //!
-//! The pipeline crates dispatch through three entry points — available both
-//! as methods on a long-lived [`Pool`] (the production path: worker threads
-//! are spawned once and parked on a condvar between jobs) and as free
-//! functions over `std::thread::scope` (the spawn-per-call reference the
-//! equivalence suites and benches compare against):
+//! Worker threads are spawned once and parked on a condvar between jobs;
+//! callers dispatch through three methods:
 //!
-//! - [`ordered_map`]/[`ordered_map_obs`]: run an independent function over
-//!   every item of a slice and return results in item order (the query
-//!   engine's primitive). Workers self-schedule off a shared atomic
+//! - [`Pool::ordered_map`]/[`Pool::ordered_map_obs`]: run an independent
+//!   function over every item of a slice and return results in item order
+//!   (the query engine's primitive). Seats self-schedule off a shared atomic
 //!   counter, so one slow item does not stall a statically assigned chunk.
-//! - [`fork_join_obs`]: run one closure per worker rank with a forked
+//! - [`Pool::fork_join_obs`]: run one closure per worker rank with a forked
 //!   [`obs::Shard`] each, joining results and merging shards in rank order
 //!   (the parallel miner's primitive — the closure does its own
 //!   self-scheduling over whatever work units it partitions).
-//! - [`for_each_mut`]: run a mutation over every element of a mutable
-//!   slice on statically chunked workers (parallel post-processing of
+//! - [`Pool::for_each_mut`]: run a mutation over every element of a mutable
+//!   slice on statically chunked seats (parallel post-processing of
 //!   per-pattern data).
 //!
-//! Both implementations share the chunking/merging discipline, so results
-//! (and every metric outside the `engine.*`/`pool.*` namespaces) are
-//! bit-identical between them and across worker counts.
+//! Chunking and merge order depend only on the inputs, so results (and every
+//! metric outside the `engine.*`/`pool.*` namespaces) are bit-identical
+//! across worker counts. A 1-seat pool spawns no threads and runs every
+//! method inline: the serial path is the parallel path with one worker.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -40,148 +38,6 @@ pub fn resolve_threads(threads: usize) -> usize {
     } else {
         threads
     }
-}
-
-/// Apply `f` to every item on up to `threads` workers (`0` = available
-/// parallelism); the output preserves item order. `f` must be independent
-/// per item — nothing orders cross-item side effects.
-pub fn ordered_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    ordered_map_obs(items, threads, &obs::Registry::disabled(), |item, _| {
-        f(item)
-    })
-}
-
-/// [`ordered_map`] with per-worker metric shards: `f` receives the item and
-/// the worker's [`obs::Shard`]; shards merge into `registry` as each worker
-/// finishes. The pool itself records `engine.workers`, per-item
-/// `engine.items`, and an `engine.worker_wall` span per worker — all under
-/// the `engine.` namespace because they describe execution shape, not work
-/// done (see `obs::MetricSet::deterministic_counters`).
-pub fn ordered_map_obs<T, R, F>(
-    items: &[T],
-    threads: usize,
-    registry: &obs::Registry,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T, &obs::Shard) -> R + Sync,
-{
-    let threads = resolve_threads(threads).min(items.len().max(1));
-    if threads <= 1 {
-        let shard = registry.shard();
-        shard.add("engine.workers", 1);
-        shard.add("engine.items", items.len() as u64);
-        let out = {
-            let _wall = shard.span("engine.worker_wall");
-            items.iter().map(|item| f(item, &shard)).collect()
-        };
-        registry.absorb(shard);
-        return out;
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let next = &next;
-            let slots = &slots;
-            let f = &f;
-            s.spawn(move || {
-                let shard = registry.shard();
-                let mut served = 0u64;
-                {
-                    let _wall = shard.span("engine.worker_wall");
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        *slots[i].lock().expect("slot") = Some(f(&items[i], &shard));
-                        served += 1;
-                    }
-                }
-                shard.add("engine.workers", 1);
-                shard.add("engine.items", served);
-                registry.absorb(shard);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("slot").expect("every item mapped"))
-        .collect()
-}
-
-/// Run `f(rank, shard)` once per worker on `workers` scoped threads and
-/// return the results in rank order. Each worker records into a
-/// [`obs::Shard::fork`] of `shard`; forks are merged back in rank order
-/// after the join, so counter totals are independent of scheduling. With
-/// `workers <= 1` the closure runs inline on `shard` itself — the serial
-/// path is the parallel path with one worker, not a separate code path.
-///
-/// `f` receives only its rank: work distribution (an atomic chunk counter,
-/// a precomputed partition, …) is the caller's business.
-pub fn fork_join_obs<R, F>(workers: usize, shard: &obs::Shard, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, &obs::Shard) -> R + Sync,
-{
-    if workers <= 1 {
-        return vec![f(0, shard)];
-    }
-    let mut out = Vec::with_capacity(workers);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|rank| {
-                let worker = shard.fork();
-                let f = &f;
-                s.spawn(move || {
-                    let r = f(rank, &worker);
-                    (r, worker)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (r, worker) = h.join().expect("fork_join worker panicked");
-            shard.merge(worker);
-            out.push(r);
-        }
-    });
-    out
-}
-
-/// Apply `f` to every element of `items` in place, on up to `threads`
-/// statically chunked scoped workers (`0` = available parallelism). `f`
-/// must be independent per element.
-pub fn for_each_mut<T, F>(items: &mut [T], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(&mut T) + Sync,
-{
-    let threads = resolve_threads(threads).min(items.len().max(1));
-    if threads <= 1 {
-        for item in items {
-            f(item);
-        }
-        return;
-    }
-    let chunk = items.len().div_ceil(threads);
-    std::thread::scope(|s| {
-        for c in items.chunks_mut(chunk) {
-            let f = &f;
-            s.spawn(move || {
-                for item in c {
-                    f(item);
-                }
-            });
-        }
-    });
 }
 
 /// State shared between a job's dispatcher and every thread that claims
@@ -282,10 +138,9 @@ fn pool_worker(shared: Arc<PoolShared>, idx: usize) {
 ///
 /// A job is a closure run once per *seat*; seats are handed out through an
 /// atomic cursor, and the pool's entry points ([`Pool::ordered_map_obs`],
-/// [`Pool::fork_join_obs`], [`Pool::for_each_mut`]) assign work to seats
-/// with the same chunking discipline as the scoped free functions in this
-/// module, so outputs are bit-identical between the two and across any
-/// worker count.
+/// [`Pool::fork_join_obs`], [`Pool::for_each_mut`]) assign work to seats by
+/// a chunking discipline that depends only on the input, so outputs are
+/// bit-identical across any worker count.
 ///
 /// **Re-entrancy:** a seat body may dispatch back into the same pool. The
 /// dispatcher of every job claims that job's seats in a loop before
@@ -401,8 +256,9 @@ impl Pool {
         }
     }
 
-    /// Pool-backed [`ordered_map`]: apply `f` to every item, output in item
-    /// order, seats self-scheduling off an atomic cursor.
+    /// Apply `f` to every item, output in item order, seats self-scheduling
+    /// off an atomic cursor. `f` must be independent per item — nothing
+    /// orders cross-item side effects.
     pub fn ordered_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -412,9 +268,13 @@ impl Pool {
         self.ordered_map_obs(items, &obs::Registry::disabled(), |item, _| f(item))
     }
 
-    /// Pool-backed [`ordered_map_obs`]: per-seat shards, absorbed into
-    /// `registry` as each seat retires, with the same `engine.*` execution
-    /// shape metrics as the scoped version.
+    /// [`Pool::ordered_map`] with per-seat metric shards: `f` receives the
+    /// item and the seat's [`obs::Shard`]; shards are absorbed into
+    /// `registry` as each seat retires. The pool itself records
+    /// `engine.workers`, per-item `engine.items`, and an `engine.worker_wall`
+    /// span per seat — all under the `engine.` namespace because they
+    /// describe execution shape, not work done (see
+    /// `obs::MetricSet::deterministic_counters`).
     pub fn ordered_map_obs<T, R, F>(&self, items: &[T], registry: &obs::Registry, f: F) -> Vec<R>
     where
         T: Sync,
@@ -459,9 +319,15 @@ impl Pool {
             .collect()
     }
 
-    /// Pool-backed [`fork_join_obs`]: one seat per rank, results and shard
-    /// merges in rank order. Seats beyond the pool's parallelism are legal
-    /// (they queue); `workers <= 1` runs inline on `shard` itself.
+    /// Run `f(rank, shard)` once per rank in `0..workers` and return the
+    /// results in rank order. Each rank records into a [`obs::Shard::fork`]
+    /// of `shard`; forks are merged back in rank order after the join, so
+    /// counter totals are independent of scheduling. Seats beyond the pool's
+    /// parallelism are legal (they queue); `workers <= 1` runs inline on
+    /// `shard` itself.
+    ///
+    /// `f` receives only its rank: work distribution (an atomic chunk
+    /// counter, a precomputed partition, …) is the caller's business.
     pub fn fork_join_obs<R, F>(&self, workers: usize, shard: &obs::Shard, f: F) -> Vec<R>
     where
         R: Send,
@@ -502,8 +368,8 @@ impl Pool {
         out
     }
 
-    /// Pool-backed [`for_each_mut`]: mutate every element on statically
-    /// chunked seats (chunk boundaries identical to the scoped version).
+    /// Apply `f` to every element of `items` in place, on statically
+    /// chunked seats. `f` must be independent per element.
     pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F)
     where
         T: Send,
@@ -580,92 +446,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn preserves_order() {
-        let items: Vec<usize> = (0..100).collect();
-        for threads in [1, 2, 4, 7] {
-            let out = ordered_map(&items, threads, |&x| x * 2);
-            assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn empty_and_singleton() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(ordered_map(&empty, 4, |&x| x).is_empty());
-        assert_eq!(ordered_map(&[5u32], 4, |&x| x + 1), vec![6]);
-    }
-
-    #[test]
-    fn borrows_environment() {
-        let base = vec![10u32, 20, 30];
-        let out = ordered_map(&[0usize, 1, 2], 2, |&i| base[i]);
-        assert_eq!(out, base);
-    }
-
-    #[test]
-    fn obs_variant_accounts_for_every_item() {
-        let items: Vec<u64> = (0..50).collect();
-        for threads in [1, 3, 8] {
-            let registry = obs::Registry::new();
-            let out = ordered_map_obs(&items, threads, &registry, |&x, shard| {
-                shard.add("work.units", x);
-                x
-            });
-            assert_eq!(out, items);
-            let snap = registry.snapshot();
-            assert_eq!(snap.counter("engine.items"), 50);
-            assert_eq!(snap.counter("work.units"), (0..50).sum::<u64>());
-            assert!(snap.counter("engine.workers") >= 1);
-            assert!(snap.counter("engine.workers") <= threads as u64);
-        }
-    }
-
-    #[test]
     fn zero_resolves_to_available() {
         assert!(resolve_threads(0) >= 1);
         assert_eq!(resolve_threads(5), 5);
     }
 
     #[test]
-    fn fork_join_returns_in_rank_order_and_merges_shards() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        for workers in [1usize, 2, 5] {
-            let shard = obs::Shard::detached(true);
-            let next = AtomicUsize::new(0);
-            let ranks = fork_join_obs(workers, &shard, |rank, w| {
-                // Self-scheduled work units: each adds its index once.
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= 10 {
-                        break;
-                    }
-                    w.add("work.sum", i as u64);
-                }
-                rank
-            });
-            assert_eq!(ranks, (0..workers).collect::<Vec<_>>());
-            let set = shard.into_set();
-            if obs::COMPILED_IN {
-                assert_eq!(set.counter("work.sum"), (0..10).sum::<usize>() as u64);
-            }
-        }
-    }
-
-    #[test]
-    fn for_each_mut_touches_every_element() {
-        for threads in [1usize, 2, 4, 9] {
-            let mut items: Vec<u64> = (0..37).collect();
-            for_each_mut(&mut items, threads, |x| *x *= 3);
-            assert_eq!(items, (0..37).map(|x| x * 3).collect::<Vec<_>>());
-        }
-        let mut empty: Vec<u64> = Vec::new();
-        for_each_mut(&mut empty, 4, |_| unreachable!());
-    }
-
-    #[test]
-    fn pool_ordered_map_matches_scoped_at_any_worker_count() {
+    fn pool_ordered_map_matches_plain_iterator_at_any_worker_count() {
         let items: Vec<usize> = (0..211).collect();
-        let expected = ordered_map(&items, 1, |&x| x * x + 1);
+        let expected: Vec<usize> = items.iter().map(|&x| x * x + 1).collect();
         for workers in [1usize, 2, 8] {
             let pool = Pool::new(workers);
             assert_eq!(pool.parallelism(), workers);

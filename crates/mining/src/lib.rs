@@ -17,8 +17,6 @@ pub use graph_miner::{mine_frequent_subgraphs, MinedGraph, PsiFn};
 pub use support::{intersect, intersect_into, intersect_many, SigmaFn, SupportSet};
 pub use tree_miner::{
     leaf_removal_canons, mine_frequent_trees, mine_frequent_trees_apriori,
-    mine_frequent_trees_enum, mine_frequent_trees_levelwise, mine_frequent_trees_levelwise_obs,
-    mine_frequent_trees_obs, mine_frequent_trees_pool_obs, mine_frequent_trees_threads,
-    mine_frequent_trees_threads_obs, shrink_features, shrink_features_pool,
-    shrink_features_threads, MinedTree, MiningLimits, MiningStats,
+    mine_frequent_trees_enum, mine_frequent_trees_pool_obs, shrink_features, shrink_features_pool,
+    MinedTree, MiningLimits, MiningStats,
 };

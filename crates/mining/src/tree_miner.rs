@@ -192,11 +192,8 @@ pub fn leaf_removal_canons(t: &Tree) -> Vec<CanonString> {
     out
 }
 
-/// Mine all σ-frequent subtrees of `db`.
-///
-/// Dispatches to the single-threaded [`mine_frequent_trees_levelwise`];
-/// use [`mine_frequent_trees_threads`] to fan the level-wise scan out over
-/// worker threads (bit-for-bit identical output at any thread count).
+/// Mine all σ-frequent subtrees of `db`: [`mine_frequent_trees_pool_obs`]
+/// on a 1-seat pool with metrics disabled.
 /// [`mine_frequent_trees_enum`] and [`mine_frequent_trees_apriori`] are
 /// kept as cross-checking oracles and for high-threshold configurations.
 pub fn mine_frequent_trees(
@@ -204,39 +201,18 @@ pub fn mine_frequent_trees(
     sigma: &SigmaFn,
     limits: &MiningLimits,
 ) -> (Vec<MinedTree>, MiningStats) {
-    mine_frequent_trees_levelwise(db, sigma, limits)
+    let pool = graph_core::par::Pool::new(1);
+    mine_frequent_trees_pool_obs(db, sigma, limits, &pool, &obs::Shard::disabled())
 }
 
-/// [`mine_frequent_trees`] with the level-wise scan parallelized over up to
-/// `threads` workers. The mined patterns, their representative trees,
-/// support sets, and [`MiningStats`] are **bit-for-bit identical at any
-/// thread count** — see [`mine_frequent_trees_threads_obs`] for the merge
-/// contract.
-pub fn mine_frequent_trees_threads(
-    db: &[Graph],
-    sigma: &SigmaFn,
-    limits: &MiningLimits,
-    threads: usize,
-) -> (Vec<MinedTree>, MiningStats) {
-    mine_frequent_trees_threads_obs(db, sigma, limits, threads, &obs::Shard::disabled())
-}
-
-/// [`mine_frequent_trees`] with per-level metrics recorded on `shard`:
-/// a `mine.level{s}` span per level plus `mine.level{s}.candidates` /
-/// `.patterns` / `.pruned_by_support` counters (distinct candidate
-/// patterns, survivors of the σ(s) filter, and the difference), and the
-/// run totals `mine.candidates` (instances generated) and `mine.patterns`.
-pub fn mine_frequent_trees_obs(
-    db: &[Graph],
-    sigma: &SigmaFn,
-    limits: &MiningLimits,
-    shard: &obs::Shard,
-) -> (Vec<MinedTree>, MiningStats) {
-    mine_frequent_trees_levelwise_obs(db, sigma, limits, shard)
-}
-
-/// Occurrence-list level-wise mining — the default engine, and the "level
-/// wise edge-increasing" method the paper prescribes.
+/// Occurrence-list level-wise mining — the "level wise edge-increasing"
+/// method the paper prescribes — with every parallel pass (the per-level
+/// extension scans, the canonical-string pass, occurrence materialization)
+/// dispatched as seats on `pool`, so a multi-level run reuses one set of
+/// worker threads and a caller can share the pool with center extraction
+/// and query serving. The canonical-string pass runs *from inside* the
+/// level loop on whatever thread dispatched the build — re-entrant dispatch
+/// is safe because the pool's dispatcher claims its own job's seats.
 ///
 /// Level s holds every frequent s-edge tree together with **all** of its
 /// occurrence instances: `(graph, mapping)` pairs where the mapping embeds
@@ -256,35 +232,20 @@ pub fn mine_frequent_trees_obs(
 /// removing a leaf edge) to an instance of a frequent s-tree (σ is
 /// non-decreasing), which is present at level s, so all instances and all
 /// supports are complete.
-pub fn mine_frequent_trees_levelwise(
-    db: &[Graph],
-    sigma: &SigmaFn,
-    limits: &MiningLimits,
-) -> (Vec<MinedTree>, MiningStats) {
-    mine_frequent_trees_levelwise_obs(db, sigma, limits, &obs::Shard::disabled())
-}
-
-/// [`mine_frequent_trees_levelwise`] with per-level metrics on `shard`
-/// (see [`mine_frequent_trees_obs`] for the metric names).
-pub fn mine_frequent_trees_levelwise_obs(
-    db: &[Graph],
-    sigma: &SigmaFn,
-    limits: &MiningLimits,
-    shard: &obs::Shard,
-) -> (Vec<MinedTree>, MiningStats) {
-    mine_frequent_trees_threads_obs(db, sigma, limits, 1, shard)
-}
-
-/// [`mine_frequent_trees_threads`] with per-level metrics on `shard` (see
-/// [`mine_frequent_trees_obs`] for the deterministic metric names; workers
-/// additionally record `engine.mine.workers` and `engine.mine.worker_wall`
-/// spans, which describe execution shape and vary with `threads`).
+///
+/// Metrics on `shard`: a `mine.level{s}` span per level plus
+/// `mine.level{s}.candidates` / `.patterns` / `.pruned_by_support` counters
+/// (distinct candidate patterns, survivors of the σ(s) filter, and the
+/// difference), and the run totals `mine.candidates` (instances generated)
+/// and `mine.patterns`. Seats additionally record `engine.mine.workers` and
+/// `engine.mine.worker_wall` spans, which describe execution shape and vary
+/// with the pool size.
 ///
 /// # Determinism contract
 ///
 /// The output — patterns, representative trees, support sets, instance
 /// lists, [`MiningStats`], and every non-`engine.*` counter — is a pure
-/// function of `(db, sigma, limits)`, independent of `threads` and of
+/// function of `(db, sigma, limits)`, independent of the pool size and of
 /// scheduling. The construction:
 ///
 /// - **Partition by host graph.** Instance dedup is keyed on
@@ -295,8 +256,8 @@ pub fn mine_frequent_trees_levelwise_obs(
 ///   `ExtKey = (pattern idx, rep idx, attach vertex, edge label, leaf
 ///   label)`. The child tree for a kind is derived from the (shared,
 ///   immutable) parent representative, so every worker computes the same
-///   child tree and canonical string for the same key — unlike the serial
-///   first-discovery scheme, no state depends on scan order.
+///   child tree and canonical string for the same key — no state depends
+///   on scan order.
 /// - **Min-reduction for shared instances.** When one `(gid, edge set)`
 ///   instance is reachable via several kinds, all of them are observed by
 ///   the *same* worker (same gid), which keeps the lexicographically
@@ -317,28 +278,6 @@ pub fn mine_frequent_trees_levelwise_obs(
 /// (workers early-stop on their local counts purely as an optimization, and
 /// a discarded level contributes nothing to counters), and `max_patterns`
 /// cuts in `(size, canonical string)` order — see `MiningLimits`.
-pub fn mine_frequent_trees_threads_obs(
-    db: &[Graph],
-    sigma: &SigmaFn,
-    limits: &MiningLimits,
-    threads: usize,
-    shard: &obs::Shard,
-) -> (Vec<MinedTree>, MiningStats) {
-    let pool = graph_core::par::Pool::new(threads.max(1));
-    mine_frequent_trees_pool_obs(db, sigma, limits, &pool, shard)
-}
-
-/// [`mine_frequent_trees_threads_obs`] dispatching every parallel pass —
-/// the per-level extension scans, the canonical-string pass, and occurrence
-/// materialization — as seats on one persistent
-/// [`graph_core::par::Pool`], so a multi-level mining run reuses a single
-/// set of worker threads instead of forking fresh ones per level (and a
-/// caller can share the pool with center extraction and query serving).
-/// The canonical-string pass runs *from inside* the level loop on whatever
-/// thread dispatched the build — re-entrant dispatch is safe because the
-/// pool's dispatcher claims its own job's seats. Determinism contract
-/// identical to the threads version: output and non-`engine.*` counters
-/// depend only on `(db, sigma, limits)`, never on the pool size.
 pub fn mine_frequent_trees_pool_obs(
     db: &[Graph],
     sigma: &SigmaFn,
@@ -1088,25 +1027,14 @@ pub fn mine_frequent_trees_apriori(
 /// the *input* set, so removal order does not matter. Single-edge trees are
 /// always kept (completeness).
 pub fn shrink_features(mined: Vec<MinedTree>, gamma: f64) -> Vec<MinedTree> {
-    shrink_features_threads(mined, gamma, 1)
+    shrink_features_pool(mined, gamma, &graph_core::par::Pool::new(1))
 }
 
-/// [`shrink_features`] with the per-tree keep/drop decisions fanned out
-/// over up to `threads` workers. Every decision reads only the (shared,
-/// immutable) input set and the result preserves input order, so the output
-/// is identical to the sequential pass at any thread count.
-pub fn shrink_features_threads(
-    mined: Vec<MinedTree>,
-    gamma: f64,
-    threads: usize,
-) -> Vec<MinedTree> {
-    let pool = graph_core::par::Pool::new(threads.max(1));
-    shrink_features_pool(mined, gamma, &pool)
-}
-
-/// [`shrink_features_threads`] with the decisions dispatched as seats on a
-/// persistent [`graph_core::par::Pool`] (the same pool a build uses for
-/// mining and center extraction). Output identical at any pool size.
+/// [`shrink_features`] with the per-tree keep/drop decisions dispatched as
+/// seats on `pool` (the same pool a build uses for mining and center
+/// extraction). Every decision reads only the (shared, immutable) input set
+/// and the result preserves input order, so the output is identical at any
+/// pool size.
 pub fn shrink_features_pool(
     mined: Vec<MinedTree>,
     gamma: f64,
@@ -1313,8 +1241,13 @@ mod tests {
     fn obs_counters_match_stats() {
         let db = tiny_db();
         let shard = obs::Shard::detached(true);
-        let (mined, stats) =
-            mine_frequent_trees_obs(&db, &uniform_sigma(3), &MiningLimits::default(), &shard);
+        let (mined, stats) = mine_frequent_trees_pool_obs(
+            &db,
+            &uniform_sigma(3),
+            &MiningLimits::default(),
+            &graph_core::par::Pool::new(1),
+            &shard,
+        );
         let set = shard.into_set();
         assert_eq!(set.counter("mine.patterns"), stats.patterns as u64);
         assert_eq!(set.counter("mine.candidates"), stats.candidates as u64);
@@ -1382,7 +1315,7 @@ mod enum_vs_apriori {
             for sigma in &sigmas {
                 let (a, _) = mine_frequent_trees_enum(db, sigma, &MiningLimits::default());
                 let (b, _) = mine_frequent_trees_apriori(db, sigma, &MiningLimits::default());
-                let (c, _) = mine_frequent_trees_levelwise(db, sigma, &MiningLimits::default());
+                let (c, _) = mine_frequent_trees(db, sigma, &MiningLimits::default());
                 let mut kc: Vec<(CanonString, SupportSet)> =
                     c.into_iter().map(|m| (m.canon, m.support)).collect();
                 kc.sort();

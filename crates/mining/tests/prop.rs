@@ -34,6 +34,17 @@ fn arb_connected_graph(nmax: usize) -> impl Strategy<Value = Graph> {
     })
 }
 
+/// The general miner on an `n`-seat pool, metrics disabled.
+fn mine_on(
+    db: &[Graph],
+    sigma: &SigmaFn,
+    limits: &MiningLimits,
+    threads: usize,
+) -> (Vec<MinedTree>, MiningStats) {
+    let pool = graph_core::par::Pool::new(threads);
+    mine_frequent_trees_pool_obs(db, sigma, limits, &pool, &obs::Shard::disabled())
+}
+
 fn keyed(mined: Vec<MinedTree>) -> Vec<(tree_core::CanonString, Vec<u32>)> {
     let mut out: Vec<_> = mined.into_iter().map(|m| (m.canon, m.support)).collect();
     out.sort();
@@ -53,7 +64,7 @@ proptest! {
         let sigma = SigmaFn { alpha, beta: beta as f64, eta: eta.max(alpha) };
         let limits = MiningLimits::default();
         let a = keyed(mine_frequent_trees_enum(&db, &sigma, &limits).0);
-        let b = keyed(mine_frequent_trees_levelwise(&db, &sigma, &limits).0);
+        let b = keyed(mine_frequent_trees(&db, &sigma, &limits).0);
         let c = keyed(mine_frequent_trees_apriori(&db, &sigma, &limits).0);
         prop_assert_eq!(&a, &b, "enum vs levelwise");
         prop_assert_eq!(&a, &c, "enum vs apriori");
@@ -97,9 +108,9 @@ proptest! {
     ) {
         let sigma = SigmaFn { alpha, beta: beta as f64, eta: eta.max(alpha) };
         let limits = MiningLimits::default();
-        let (base, base_stats) = mine_frequent_trees_threads(&db, &sigma, &limits, 1);
+        let (base, base_stats) = mine_on(&db, &sigma, &limits, 1);
         for threads in [2usize, 3, 8] {
-            let (mined, stats) = mine_frequent_trees_threads(&db, &sigma, &limits, threads);
+            let (mined, stats) = mine_on(&db, &sigma, &limits, threads);
             prop_assert_eq!(stats, base_stats, "stats differ at threads={}", threads);
             prop_assert_eq!(mined.len(), base.len(), "pattern count differs at threads={}", threads);
             for (a, b) in base.iter().zip(&mined) {
@@ -123,7 +134,7 @@ proptest! {
         eta in 2usize..4,
     ) {
         let sigma = SigmaFn { alpha, beta: 1.0, eta: eta.max(alpha) };
-        let (mined, _) = mine_frequent_trees_threads(&db, &sigma, &MiningLimits::default(), 8);
+        let (mined, _) = mine_on(&db, &sigma, &MiningLimits::default(), 8);
 
         // Oracle: enumerate every subtree edge subset of every graph,
         // canonicalize, collect support sets, apply the σ filter.
@@ -163,15 +174,15 @@ proptest! {
         let sigma = SigmaFn { alpha: 2, beta: 1.0, eta: 3 };
         let full_limits = MiningLimits::default();
         let capped = MiningLimits { max_patterns: cap, ..full_limits };
-        let (serial, serial_stats) = mine_frequent_trees_threads(&db, &sigma, &capped, 1);
+        let (serial, serial_stats) = mine_on(&db, &sigma, &capped, 1);
         for threads in [2usize, 8] {
-            let (par, par_stats) = mine_frequent_trees_threads(&db, &sigma, &capped, threads);
+            let (par, par_stats) = mine_on(&db, &sigma, &capped, threads);
             prop_assert_eq!(par_stats, serial_stats, "threads={}", threads);
             prop_assert_eq!(keyed(par), keyed(serial.clone()), "threads={}", threads);
         }
         // The truncated result is a prefix of the untruncated one in the
         // documented (size, canon) order.
-        let (full, full_stats) = mine_frequent_trees_threads(&db, &sigma, &full_limits, 1);
+        let (full, full_stats) = mine_on(&db, &sigma, &full_limits, 1);
         prop_assert!(!full_stats.truncated);
         prop_assert_eq!(serial.len(), full.len().min(cap));
         if full.len() > cap {

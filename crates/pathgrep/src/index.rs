@@ -153,18 +153,11 @@ impl PathGrep {
         PQueryResult { matches, stats }
     }
 
-    /// Batch entry point mirroring `TreePiIndex::query_batch` so
+    /// Batch entry point mirroring `treepi::Engine::query_batch` so
     /// cross-system comparisons run both sides with the same work
-    /// distribution (`threads = 0` means available parallelism). Path
-    /// queries consume no randomness, so results are identical at any
-    /// thread count; queries self-schedule and return in query order.
-    pub fn query_batch(&self, queries: &[Graph], threads: usize) -> Vec<PQueryResult> {
-        let pool = graph_core::par::Pool::new(threads);
-        self.query_batch_pool(queries, &pool)
-    }
-
-    /// [`Self::query_batch`] on a caller-owned worker pool, reusing its
-    /// threads instead of spawning per batch.
+    /// distribution on a caller-owned worker pool. Path queries consume no
+    /// randomness, so results are identical at any pool size; queries
+    /// self-schedule and return in query order.
     pub fn query_batch_pool(
         &self,
         queries: &[Graph],
@@ -264,7 +257,8 @@ mod tests {
         ];
         let seq: Vec<Vec<u32>> = queries.iter().map(|q| idx.query(q).matches).collect();
         for threads in [1, 2, 8] {
-            let batch = idx.query_batch(&queries, threads);
+            let pool = graph_core::par::Pool::new(threads);
+            let batch = idx.query_batch_pool(&queries, &pool);
             assert_eq!(batch.len(), queries.len());
             for (i, r) in batch.iter().enumerate() {
                 assert_eq!(r.matches, seq[i], "query {i}, threads {threads}");

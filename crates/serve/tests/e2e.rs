@@ -133,7 +133,7 @@ fn cache_hits_repeats_and_maintenance_invalidates() {
     assert!(report.cache_hits >= 4, "repeats must hit: {report}");
     assert_eq!(report.maintenance, 2);
     // The post-churn database agrees with the last answer.
-    assert_eq!(scan_support(&engine.index(), &q), first);
+    assert_eq!(scan_support(&engine.pin(), &q), first);
     if obs::COMPILED_IN {
         assert!(metrics.counter(obs::names::CACHE_HIT) >= 4);
         assert_eq!(metrics.counter(obs::names::CACHE_INVALIDATIONS), 2);
@@ -821,7 +821,7 @@ fn concurrent_maintenance_never_tears_or_blocks_queries() {
         ans.sort_unstable();
         ans
     };
-    assert_eq!(scan_support(&engine.index(), &q), expect_final);
+    assert_eq!(scan_support(&engine.pin(), &q), expect_final);
 }
 
 /// Stale-cache regression at the swap boundary: with re-mining after

@@ -2,9 +2,7 @@
 //!
 //! [`Engine`] is the long-lived serving front: an index plus one
 //! [`graph_core::par::Pool`] whose workers are spawned once and reused
-//! across every batch ([`Engine::query_batch`]). The convenience
-//! [`TreePiIndex::query_batch`] entry points build a transient pool per
-//! call — identical results, just without the reuse.
+//! across every batch ([`Engine::query_batch`]).
 //!
 //! The determinism contract (see DESIGN.md, "Parallel query engine"):
 //!
@@ -18,7 +16,7 @@
 //! Together these make batch results bit-identical for any pool size,
 //! including 1 — verified by unit tests here, property tests in
 //! `tests/prop.rs` and `tests/pool_prop.rs` (which also pin equality
-//! against the scoped reference path in [`crate::scoped_ref`]).
+//! against a plain sequential loop of single queries).
 //!
 //! Scheduling is work-stealing-lite: seats pull the next query index from
 //! a shared atomic counter, so long-running queries don't stall a statically
@@ -51,63 +49,9 @@ pub fn query_rng(seed: u64, i: usize) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(z ^ (z >> 31))
 }
 
-/// Resolve a `threads` argument: `0` means all available parallelism.
-pub fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    }
-}
-
-impl TreePiIndex {
-    /// Answer a batch of containment queries on a pool of `threads` workers
-    /// (`0` = available parallelism), returning per-query results in query
-    /// order plus an aggregated [`WorkloadSummary`] (tail percentiles are
-    /// computed over the merged per-query stats, so nothing is lost to
-    /// per-thread pre-aggregation).
-    ///
-    /// Results are bit-identical for any `threads` value: query `i` always
-    /// runs with [`query_rng`]`(seed, i)`.
-    pub fn query_batch(
-        &self,
-        queries: &[Graph],
-        opts: QueryOptions,
-        threads: usize,
-        seed: u64,
-    ) -> (Vec<QueryResult>, WorkloadSummary) {
-        self.query_batch_obs(queries, opts, threads, seed, &obs::Registry::disabled())
-    }
-
-    /// [`Self::query_batch`] recording metrics into `registry`.
-    ///
-    /// Each worker records into its own [`obs::Shard`] — no lock is touched
-    /// on the query path — and the shards are absorbed into the registry
-    /// only when the worker retires. Pipeline spans and `funnel.*` counters
-    /// are pure functions of the per-query outcomes, so their totals are
-    /// bit-identical for any `threads`. The `engine.*` namespace
-    /// (workers spawned, queries served per worker, busy vs wall time)
-    /// describes the execution shape and is explicitly excluded from the
-    /// determinism contract ([`obs::MetricSet::deterministic_counters`]).
-    pub fn query_batch_obs(
-        &self,
-        queries: &[Graph],
-        opts: QueryOptions,
-        threads: usize,
-        seed: u64,
-        registry: &obs::Registry,
-    ) -> (Vec<QueryResult>, WorkloadSummary) {
-        let pool = Pool::new(resolve_threads(threads));
-        batch_on_pool(self, queries, opts, &pool, seed, registry)
-    }
-}
-
 /// The shared batch implementation: fan `queries` across the pool's seats,
 /// each seat pulling indices off an atomic cursor into order-indexed result
-/// slots. Used by both [`Engine::query_batch_obs`] (persistent pool) and
-/// [`TreePiIndex::query_batch_obs`] (transient pool).
+/// slots.
 fn batch_on_pool(
     index: &TreePiIndex,
     queries: &[Graph],
@@ -315,9 +259,8 @@ pub struct MaintStats {
 /// A long-lived serving engine: a copy-on-write snapshot of a
 /// [`TreePiIndex`] plus one persistent worker [`Pool`] reused across every
 /// batch, so serving pays thread spawn/join once per process instead of
-/// once per batch. Construction of the answer is identical to
-/// [`TreePiIndex::query_batch`] — bit-identical results at any pool size,
-/// per the determinism contract in this module's docs.
+/// once per batch. Results are bit-identical at any pool size, per the
+/// determinism contract in this module's docs.
 ///
 /// # Concurrent maintenance (§7.1 under load)
 ///
@@ -376,7 +319,7 @@ impl Engine {
         let next_gid = index.db().len() as u32;
         let shared = Arc::new(EngineShared {
             current: Mutex::new(Arc::new(index)),
-            pool: Pool::new(resolve_threads(threads)),
+            pool: Pool::new(threads),
             maint: Mutex::new(MaintState {
                 queue: Vec::new(),
                 overlay: FxHashMap::default(),
@@ -410,12 +353,6 @@ impl Engine {
     /// caller holds it, regardless of concurrent applies or re-mines.
     pub fn pin(&self) -> Arc<TreePiIndex> {
         self.shared.current.lock().expect("engine snapshot").clone()
-    }
-
-    /// The currently published snapshot ([`Engine::pin`] under its
-    /// historical name — callers read through the `Arc`).
-    pub fn index(&self) -> Arc<TreePiIndex> {
-        self.pin()
     }
 
     /// Queue a §7.1 insert. Returns the gid the graph **will** occupy once
@@ -608,8 +545,14 @@ impl Engine {
         self.shared.pool.parallelism()
     }
 
-    /// [`TreePiIndex::query_batch`] on the engine's persistent pool,
-    /// against a pinned snapshot.
+    /// Answer a batch of containment queries on the engine's pool against a
+    /// pinned snapshot, returning per-query results in query order plus an
+    /// aggregated [`WorkloadSummary`] (tail percentiles are computed over
+    /// the merged per-query stats, so nothing is lost to per-thread
+    /// pre-aggregation).
+    ///
+    /// Results are bit-identical for any pool size: query `i` always runs
+    /// with [`query_rng`]`(seed, i)`.
     pub fn query_batch(
         &self,
         queries: &[Graph],
@@ -619,8 +562,16 @@ impl Engine {
         self.query_batch_obs(queries, opts, seed, &obs::Registry::disabled())
     }
 
-    /// [`TreePiIndex::query_batch_obs`] on the engine's persistent pool,
-    /// against a pinned snapshot.
+    /// [`Self::query_batch`] recording metrics into `registry`.
+    ///
+    /// Each seat records into its own [`obs::Shard`] — no lock is touched
+    /// on the query path — and the shards are absorbed into the registry
+    /// only when the seat retires. Pipeline spans and `funnel.*` counters
+    /// are pure functions of the per-query outcomes, so their totals are
+    /// bit-identical for any pool size. The `engine.*` namespace
+    /// (workers spawned, queries served per worker, busy vs wall time)
+    /// describes the execution shape and is explicitly excluded from the
+    /// determinism contract ([`obs::MetricSet::deterministic_counters`]).
     pub fn query_batch_obs(
         &self,
         queries: &[Graph],
@@ -734,6 +685,18 @@ mod tests {
         TreePiIndex::build(db, TreePiParams::quick())
     }
 
+    /// One batch on a pool created for the call.
+    fn batch(
+        idx: &TreePiIndex,
+        qs: &[Graph],
+        threads: usize,
+        seed: u64,
+        registry: &obs::Registry,
+    ) -> (Vec<QueryResult>, WorkloadSummary) {
+        let pool = Pool::new(threads);
+        batch_on_pool(idx, qs, QueryOptions::default(), &pool, seed, registry)
+    }
+
     fn queries() -> Vec<Graph> {
         vec![
             graph_from(&[0, 0], &[(0, 1, 0)]),
@@ -748,7 +711,7 @@ mod tests {
     fn batch_matches_oracle() {
         let idx = index();
         let qs = queries();
-        let (results, summary) = idx.query_batch(&qs, QueryOptions::default(), 4, 2007);
+        let (results, summary) = batch(&idx, &qs, 4, 2007, &obs::Registry::disabled());
         assert_eq!(results.len(), qs.len());
         assert_eq!(summary.queries, qs.len());
         for (q, r) in qs.iter().zip(&results) {
@@ -761,9 +724,9 @@ mod tests {
     fn identical_across_thread_counts() {
         let idx = index();
         let qs = queries();
-        let (base, base_sum) = idx.query_batch(&qs, QueryOptions::default(), 1, 42);
+        let (base, base_sum) = batch(&idx, &qs, 1, 42, &obs::Registry::disabled());
         for threads in [2, 3, 8] {
-            let (r, sum) = idx.query_batch(&qs, QueryOptions::default(), threads, 42);
+            let (r, sum) = batch(&idx, &qs, threads, 42, &obs::Registry::disabled());
             for (i, (a, b)) in base.iter().zip(&r).enumerate() {
                 assert_eq!(
                     a.matches, b.matches,
@@ -792,7 +755,7 @@ mod tests {
         let idx = index();
         let qs = queries();
         let seed = 7u64;
-        let (batch, _) = idx.query_batch(&qs, QueryOptions::default(), 8, seed);
+        let (batch, _) = batch(&idx, &qs, 8, seed, &obs::Registry::disabled());
         for (i, q) in qs.iter().enumerate() {
             let seq = idx.query_with(q, QueryOptions::default(), &mut query_rng(seed, i));
             assert_eq!(batch[i].matches, seq.matches, "query {i}");
@@ -803,19 +766,19 @@ mod tests {
     #[test]
     fn empty_batch() {
         let idx = index();
-        let (results, summary) = idx.query_batch(&[], QueryOptions::default(), 4, 0);
+        let (results, summary) = batch(&idx, &[], 4, 0, &obs::Registry::disabled());
         assert!(results.is_empty());
         assert_eq!(summary.queries, 0);
     }
 
     #[test]
     fn zero_threads_means_available_parallelism() {
-        assert!(resolve_threads(0) >= 1);
-        assert_eq!(resolve_threads(3), 3);
+        assert!(graph_core::par::resolve_threads(0) >= 1);
+        assert_eq!(graph_core::par::resolve_threads(3), 3);
         let idx = index();
         let qs = queries();
-        let (r0, _) = idx.query_batch(&qs, QueryOptions::default(), 0, 5);
-        let (r1, _) = idx.query_batch(&qs, QueryOptions::default(), 1, 5);
+        let (r0, _) = batch(&idx, &qs, 0, 5, &obs::Registry::disabled());
+        let (r1, _) = batch(&idx, &qs, 1, 5, &obs::Registry::disabled());
         for (a, b) in r0.iter().zip(&r1) {
             assert_eq!(a.matches, b.matches);
         }
@@ -827,7 +790,7 @@ mod tests {
         let qs = queries();
         let run = |threads: usize| {
             let reg = obs::Registry::new();
-            let (results, _) = idx.query_batch_obs(&qs, QueryOptions::default(), threads, 42, &reg);
+            let (results, _) = batch(&idx, &qs, threads, 42, &reg);
             (results, reg.drain())
         };
         let (base_r, base_m) = run(1);
@@ -871,7 +834,7 @@ mod tests {
         let qs = queries();
         for threads in [1usize, 3] {
             let reg = obs::Registry::with_tracing();
-            let (_, _) = idx.query_batch_obs(&qs, QueryOptions::default(), threads, 42, &reg);
+            let (_, _) = batch(&idx, &qs, threads, 42, &reg);
             let events = reg.drain_trace();
             // Every query contributes its four pipeline stages, tagged with
             // its batch position.
@@ -905,7 +868,7 @@ mod tests {
         }
         // Non-tracing registry produces no events for the same batch.
         let reg = obs::Registry::new();
-        let _ = idx.query_batch_obs(&qs, QueryOptions::default(), 2, 42, &reg);
+        let _ = batch(&idx, &qs, 2, 42, &reg);
         assert!(reg.drain_trace().is_empty());
     }
 
@@ -913,7 +876,7 @@ mod tests {
     fn engine_reuses_pool_and_matches_transient_batches() {
         let idx = index();
         let qs = queries();
-        let (base, base_sum) = idx.query_batch(&qs, QueryOptions::default(), 1, 42);
+        let (base, base_sum) = batch(&idx, &qs, 1, 42, &obs::Registry::disabled());
         for threads in [1usize, 2, 8] {
             let engine = Engine::new(index(), threads);
             assert_eq!(engine.parallelism(), threads);
@@ -959,7 +922,7 @@ mod tests {
         let (after, _) = engine.query_batch(std::slice::from_ref(&q), QueryOptions::default(), 9);
         assert!(after[0].matches.contains(&gid));
         assert_ne!(before[0].matches, after[0].matches);
-        assert_eq!(after[0].matches, scan_support(&engine.index(), &q));
+        assert_eq!(after[0].matches, scan_support(&engine.pin(), &q));
 
         // Remove through the engine: epoch bumps again, answer reverts.
         let e1 = engine.epoch();
@@ -990,7 +953,7 @@ mod tests {
             "novel edge must be a feature after the insert"
         );
         assert_eq!(hit[0].matches, vec![gid]);
-        assert_eq!(hit[0].matches, scan_support(&engine.index(), &q));
+        assert_eq!(hit[0].matches, scan_support(&engine.pin(), &q));
     }
 
     #[test]
@@ -1023,7 +986,7 @@ mod tests {
         let (r, _) = engine.query_batch(std::slice::from_ref(&q), QueryOptions::default(), 1);
         assert!(r[0].matches.contains(&g2));
         assert!(!r[0].matches.contains(&g1));
-        assert_eq!(r[0].matches, scan_support(&engine.index(), &q));
+        assert_eq!(r[0].matches, scan_support(&engine.pin(), &q));
         assert!(engine.apply_pending().is_none(), "queue drained");
     }
 
@@ -1033,20 +996,20 @@ mod tests {
         // survive every §7.1 maintenance path: queued inserts/removes, the
         // batched apply, and a background re-mine publishing mid-stream.
         let engine = Engine::with_remine(index(), 2, 3);
-        assert!(engine.index().sigs_consistent());
+        assert!(engine.pin().sigs_consistent());
         let g1 = engine.queue_insert(graph_from(&[0, 1, 2], &[(0, 1, 0), (1, 2, 1)]));
         let _g2 = engine.queue_insert(graph_from(&[0, 0], &[(0, 1, 0)]));
         engine.apply_pending();
-        assert!(engine.index().sigs_consistent(), "after batched inserts");
+        assert!(engine.pin().sigs_consistent(), "after batched inserts");
         assert!(engine.queue_remove(g1));
         engine.queue_insert(graph_from(&[1, 1, 1], &[(0, 1, 1), (1, 2, 1)]));
         engine.apply_pending();
         assert!(
-            engine.index().sigs_consistent(),
+            engine.pin().sigs_consistent(),
             "after remove + insert batch"
         );
         engine.wait_remine_idle();
-        assert!(engine.index().sigs_consistent(), "after background re-mine");
+        assert!(engine.pin().sigs_consistent(), "after background re-mine");
         assert!(engine.into_index().sigs_consistent());
     }
 

@@ -143,78 +143,46 @@ fn extract_feature(
 
 impl TreePiIndex {
     /// Build the index over `db` (paper §4: mine → shrink → store
-    /// supports and center positions). Center extraction fans out over all
-    /// available cores.
+    /// supports and center positions) on all available cores, metrics
+    /// disabled.
     pub fn build(db: Vec<Graph>, params: TreePiParams) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::build_with_threads(db, params, threads)
+        Self::build_with_threads_obs(db, params, 0, &obs::Shard::disabled())
     }
 
-    /// [`Self::build`] with an explicit worker count (1 = fully
-    /// sequential; useful for benchmarking the parallel speedup).
-    pub fn build_with_threads(db: Vec<Graph>, params: TreePiParams, threads: usize) -> Self {
-        Self::build_with_threads_obs(db, params, threads, &obs::Shard::disabled())
-    }
-
-    /// [`Self::build`] recording build metrics into `shard`: `build.mine` /
-    /// `build.shrink` / `build.centers` stage spans, the miner's per-level
-    /// candidate and pruned-by-support counters (`mine.level{N}.*`, via
-    /// [`mining::mine_frequent_trees_obs`]), and final index-shape counters
-    /// (`build.*`). Center extraction fans out over all available cores.
-    pub fn build_obs(db: Vec<Graph>, params: TreePiParams, shard: &obs::Shard) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::build_with_threads_obs(db, params, threads, shard)
-    }
-
-    /// [`Self::build_obs`] with an explicit worker count, used for both the
-    /// mining and the center-extraction stage. Spins up one
-    /// [`graph_core::par::Pool`] and runs the entire build on it via
-    /// [`Self::build_with_pool_obs`].
+    /// [`Self::build_with_pool_obs`] on a pool created for this one build:
+    /// `threads` workers (`0` = available parallelism, `1` = fully
+    /// sequential) shared by the mining and center-extraction stages, no
+    /// time-series sampling.
     pub fn build_with_threads_obs(
         db: Vec<Graph>,
         params: TreePiParams,
         threads: usize,
         shard: &obs::Shard,
     ) -> Self {
-        let pool = graph_core::par::Pool::new(threads.max(1));
-        Self::build_with_pool_obs(db, params, &pool, shard)
+        let pool = graph_core::par::Pool::new(threads);
+        Self::build_with_pool_obs(db, params, &pool, shard, &obs::series::Sampler::disabled())
     }
 
-    /// [`Self::build_obs`] on a caller-owned worker pool: every stage
+    /// The general build, on a caller-owned worker pool: every stage
     /// (mining levels, canonical-string passes, shrinking, center
     /// extraction) dispatches onto `pool`, so one set of worker threads is
     /// reused across the whole build instead of re-spawning per stage.
-    /// Parallel workers record into [`obs::Shard::fork`]s merged after the
-    /// join, and the miner's merge is canonical (see
-    /// [`mining::mine_frequent_trees_pool_obs`]), so the built index and
-    /// every non-`engine.*`/non-`pool.*` counter are identical to the
-    /// sequential build for any pool size.
-    pub fn build_with_pool_obs(
-        db: Vec<Graph>,
-        params: TreePiParams,
-        pool: &graph_core::par::Pool,
-        shard: &obs::Shard,
-    ) -> Self {
-        Self::build_with_pool_obs_sampled(
-            db,
-            params,
-            pool,
-            shard,
-            &obs::series::Sampler::disabled(),
-        )
-    }
-
-    /// [`Self::build_with_pool_obs`] additionally recording one labelled
-    /// time-series sample at every phase boundary (mine → shrink →
-    /// centers) into `sampler` — heap occupancy plus the phase's output
-    /// size, so `treepi build --timeseries` shows where memory and
+    ///
+    /// `shard` receives `build.mine` / `build.shrink` / `build.centers`
+    /// stage spans, the miner's per-level candidate and pruned-by-support
+    /// counters (`mine.level{N}.*`, see
+    /// [`mining::mine_frequent_trees_pool_obs`]), and final index-shape
+    /// counters (`build.*`). Parallel workers record into
+    /// [`obs::Shard::fork`]s merged after the join, and the miner's merge is
+    /// canonical, so the built index and every non-`engine.*`/non-`pool.*`
+    /// counter are identical for any pool size.
+    ///
+    /// `sampler` receives one labelled time-series sample at every phase
+    /// boundary (mine → shrink → centers) — heap occupancy plus the phase's
+    /// output size, so `treepi build --timeseries` shows where memory and
     /// features accrue during construction. Short builds still yield a
     /// useful series because boundary samples bypass the interval gate.
-    pub fn build_with_pool_obs_sampled(
+    pub fn build_with_pool_obs(
         db: Vec<Graph>,
         params: TreePiParams,
         pool: &graph_core::par::Pool,
@@ -552,8 +520,13 @@ impl TreePiIndex {
                 }
             })
             .collect();
-        let mut idx =
-            Self::build_with_pool_obs(db, self.params.clone(), pool, &obs::Shard::disabled());
+        let mut idx = Self::build_with_pool_obs(
+            db,
+            self.params.clone(),
+            pool,
+            &obs::Shard::disabled(),
+            &obs::series::Sampler::disabled(),
+        );
         idx.active = self.active.clone();
         idx.maintenance_epoch = self.maintenance_epoch;
         idx
@@ -1037,8 +1010,9 @@ mod parallel_tests {
             graph_from(&[0, 0, 1, 1], &[(0, 1, 0), (0, 2, 0), (0, 3, 1)]),
             graph_from(&[1, 1, 0, 0], &[(0, 1, 1), (1, 2, 0), (2, 3, 0)]),
         ];
-        let seq = TreePiIndex::build_with_threads(db.clone(), TreePiParams::quick(), 1);
-        let par = TreePiIndex::build_with_threads(db, TreePiParams::quick(), 4);
+        let off = obs::Shard::disabled();
+        let seq = TreePiIndex::build_with_threads_obs(db.clone(), TreePiParams::quick(), 1, &off);
+        let par = TreePiIndex::build_with_threads_obs(db, TreePiParams::quick(), 4, &off);
         assert_eq!(seq.feature_count(), par.feature_count());
         for (a, b) in seq.features().iter().zip(par.features()) {
             assert_eq!(a.canon, b.canon);

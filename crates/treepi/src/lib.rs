@@ -40,14 +40,13 @@ pub mod partition;
 pub mod persist;
 pub mod prune;
 pub mod query;
-pub mod scoped_ref;
 pub mod sig;
 pub mod trie;
 pub mod verify;
 pub mod workload;
 
 pub use directed::DirectedTreePiIndex;
-pub use engine::{query_rng, resolve_threads, ApplyOutcome, Engine, MaintStats, RemineReport};
+pub use engine::{query_rng, ApplyOutcome, Engine, MaintStats, RemineReport};
 pub use filter::enumerate_query_features;
 pub use index::{BuildStats, Feature, IndexMemory, TreePiIndex};
 pub use params::{Delta, TreePiParams};
@@ -58,5 +57,5 @@ pub use partition::{
 pub use query::{QueryOptions, QueryResult, QueryStats, SfMode, INTRA_PAR_THRESHOLD};
 pub use sig::VertexSig;
 pub use trie::{CanonTrie, FeatureId};
-pub use verify::{scan_support, verify_all_threaded_obs};
-pub use workload::{query_batch, summarize, WorkloadSummary};
+pub use verify::scan_support;
+pub use workload::{summarize, WorkloadSummary};

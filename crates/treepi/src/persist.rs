@@ -20,22 +20,21 @@
 //! restored verbatim. Everything is length-prefixed and validated, so a
 //! truncated or corrupted file yields an error, never a bad index.
 //!
-//! Version 2 appends the maintenance epoch. Epoch-keyed result caches
-//! survive across save/load boundaries only if the epoch does too: were a
-//! reloaded index to restart at 0, a cache that saw epoch N before the
-//! reload would conflate pre- and post-reload states (and any maintenance
-//! applied between save and reload would be invisible to invalidation).
+//! The maintenance epoch is part of the format because epoch-keyed result
+//! caches survive across save/load boundaries only if the epoch does too:
+//! were a reloaded index to restart at 0, a cache that saw epoch N before
+//! the reload would conflate pre- and post-reload states (and any
+//! maintenance applied between save and reload would be invisible to
+//! invalidation). The per-vertex neighborhood signatures ([`crate::sig`])
+//! are stored rather than recomputed so a load is a pure decode.
 //!
-//! Version 3 appends the per-vertex neighborhood signatures
-//! ([`crate::sig`]). Because signatures are a pure function of each stored
-//! graph, version-2 files still load **losslessly**: the missing section
-//! is recomputed from the payload, byte-equivalent to what a v3 save of
-//! the same index would have stored. Version-1 files (`TPI1`) are
-//! rejected with a clear error — rebuild the index file with this version.
+//! Only version 3 loads. Files of the earlier versions (`TPI1`: no epoch;
+//! `TPI2`: no signature section) are rejected with an error naming the
+//! version — rebuild the index file with this version.
 
 use crate::index::{BuildStats, Feature, TreePiIndex};
 use crate::params::{Delta, TreePiParams};
-use crate::sig::{self, VertexSig};
+use crate::sig::VertexSig;
 use crate::trie::{CanonTrie, FeatureId};
 use bytes::{Buf, BufMut};
 use graph_core::{EdgeId, Graph, GraphBuilder, VertexId};
@@ -45,10 +44,9 @@ use std::io::{self, Read, Write};
 use tree_core::{CanonString, CenterPos, Tree};
 
 const MAGIC: &[u8; 4] = b"TPI3";
-/// Version 2 (no signature section): accepted, signatures recomputed.
-const MAGIC_V2: &[u8; 4] = b"TPI2";
-/// Version 1, recognized only to produce a better error.
+/// Earlier versions, recognized only to produce a better error.
 const MAGIC_V1: &[u8; 4] = b"TPI1";
+const MAGIC_V2: &[u8; 4] = b"TPI2";
 
 fn bad(msg: &str) -> io::Error {
     io::Error::new(
@@ -227,19 +225,23 @@ impl TreePiIndex {
         let mut data = Vec::new();
         r.read_to_end(&mut data)?;
         let mut buf: &[u8] = &data;
-        if buf.remaining() >= 4 && &buf[..4] == MAGIC_V1 {
-            return Err(bad(
-                "version-1 file (no maintenance epoch); rebuild the index file",
-            ));
-        }
         if buf.remaining() < 4 {
             return Err(bad("bad magic"));
         }
-        let version = match &buf[..4] {
-            m if m == MAGIC => 3u8,
-            m if m == MAGIC_V2 => 2,
+        match &buf[..4] {
+            m if m == MAGIC => {}
+            m if m == MAGIC_V1 => {
+                return Err(bad(
+                    "version-1 file (no maintenance epoch); rebuild the index file",
+                ));
+            }
+            m if m == MAGIC_V2 => {
+                return Err(bad(
+                    "version-2 file (no signature section); rebuild the index file",
+                ));
+            }
             _ => return Err(bad("bad magic")),
-        };
+        }
         buf.advance(4);
         if buf.remaining() < 4 + 8 + 4 + 8 + 9 + 16 {
             return Err(bad("truncated params"));
@@ -340,35 +342,28 @@ impl TreePiIndex {
             return Err(bad("truncated maintenance epoch"));
         }
         let maintenance_epoch = buf.get_u64_le();
-        let sigs: Vec<Vec<VertexSig>> = if version >= 3 {
-            let mut sigs = Vec::with_capacity(n_db);
-            for g in &db {
-                if buf.remaining() < 4 {
-                    return Err(bad("truncated signature header"));
-                }
-                let n = buf.get_u32_le() as usize;
-                if n != g.vertex_count() {
-                    return Err(bad("signature count does not match graph"));
-                }
-                if buf.remaining() < n * 16 {
-                    return Err(bad("truncated signatures"));
-                }
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    v.push(VertexSig {
-                        label: buf.get_u32_le(),
-                        degree: buf.get_u32_le(),
-                        mask: buf.get_u64_le(),
-                    });
-                }
-                sigs.push(v);
+        let mut sigs: Vec<Vec<VertexSig>> = Vec::with_capacity(n_db);
+        for g in &db {
+            if buf.remaining() < 4 {
+                return Err(bad("truncated signature header"));
             }
-            sigs
-        } else {
-            // v2 predates the signature section; signatures are a pure
-            // function of the payload, so recomputing is lossless.
-            db.iter().map(sig::graph_sigs).collect()
-        };
+            let n = buf.get_u32_le() as usize;
+            if n != g.vertex_count() {
+                return Err(bad("signature count does not match graph"));
+            }
+            if buf.remaining() < n * 16 {
+                return Err(bad("truncated signatures"));
+            }
+            let mut v = Vec::with_capacity(n);
+            for _ in 0..n {
+                v.push(VertexSig {
+                    label: buf.get_u32_le(),
+                    degree: buf.get_u32_le(),
+                    mask: buf.get_u64_le(),
+                });
+            }
+            sigs.push(v);
+        }
         if buf.has_remaining() {
             return Err(bad("trailing bytes"));
         }
@@ -471,31 +466,6 @@ mod tests {
     }
 
     #[test]
-    fn version_2_files_load_with_recomputed_signatures() {
-        // Synthesize a v2 file from a v3 one: the signature section is the
-        // final section, so chop it off and patch the magic. The load must
-        // succeed and recompute signatures identical to the stored ones.
-        let idx = sample_index();
-        let mut bytes = Vec::new();
-        idx.save(&mut bytes).unwrap();
-        let sig_section: usize = idx.db().iter().map(|g| 4 + 16 * g.vertex_count()).sum();
-        bytes.truncate(bytes.len() - sig_section);
-        bytes[..4].copy_from_slice(b"TPI2");
-        let loaded = TreePiIndex::load(&mut bytes.as_slice()).unwrap();
-        assert!(loaded.sigs_consistent());
-        for gid in 0..idx.db().len() as u32 {
-            assert_eq!(loaded.vertex_sigs(gid), idx.vertex_sigs(gid));
-        }
-        // And a re-save of the v2-loaded index is byte-identical to the
-        // original v3 file (the "lossless recompute" claim).
-        let mut resaved = Vec::new();
-        loaded.save(&mut resaved).unwrap();
-        let mut original = Vec::new();
-        idx.save(&mut original).unwrap();
-        assert_eq!(resaved, original);
-    }
-
-    #[test]
     fn rejects_signature_count_mismatch() {
         let idx = sample_index();
         let mut bytes = Vec::new();
@@ -523,6 +493,23 @@ mod tests {
             Ok(_) => panic!("v1 accepted"),
         };
         assert!(err.to_string().contains("version-1"), "{err}");
+    }
+
+    #[test]
+    fn rejects_version_2_files() {
+        // The shape a v2 writer produced: a v3 file minus its final
+        // (signature) section, under the old magic.
+        let idx = sample_index();
+        let mut bytes = Vec::new();
+        idx.save(&mut bytes).unwrap();
+        let sig_section: usize = idx.db().iter().map(|g| 4 + 16 * g.vertex_count()).sum();
+        bytes.truncate(bytes.len() - sig_section);
+        bytes[..4].copy_from_slice(b"TPI2");
+        let err = match TreePiIndex::load(&mut bytes.as_slice()) {
+            Err(e) => e,
+            Ok(_) => panic!("v2 accepted"),
+        };
+        assert!(err.to_string().contains("version-2"), "{err}");
     }
 
     #[test]

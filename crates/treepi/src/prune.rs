@@ -209,26 +209,9 @@ pub fn satisfies_cdc_obs(
     ok
 }
 
-/// Algorithm 2: reduce the filtered set `P_q` to `P'_q`.
-pub fn center_prune(
-    index: &TreePiIndex,
-    q: &Graph,
-    pq: &[u32],
-    parts: &[Part],
-    dq: &[Vec<u32>],
-) -> Vec<u32> {
-    center_prune_obs(
-        index,
-        &sig::graph_sigs(q),
-        pq,
-        parts,
-        dq,
-        &obs::Shard::disabled(),
-    )
-}
-
-/// [`center_prune`] over precomputed query signatures, recording
-/// per-candidate CDC metrics into `shard`.
+/// Algorithm 2: reduce the filtered set `P_q` to `P'_q` — the serial inner
+/// loop, over precomputed query signatures, recording per-candidate CDC
+/// metrics into `shard`.
 pub fn center_prune_obs(
     index: &TreePiIndex,
     qsigs: &[VertexSig],
@@ -243,73 +226,13 @@ pub fn center_prune_obs(
         .collect()
 }
 
-/// [`center_prune`] split across `threads` workers. Each candidate's CDC
-/// test is independent (every worker builds its own `DistanceOracle` per
-/// graph), so the set is chunked contiguously and the per-chunk results are
-/// concatenated in chunk order — the output is exactly `center_prune`'s.
-pub fn center_prune_threaded(
-    index: &TreePiIndex,
-    q: &Graph,
-    pq: &[u32],
-    parts: &[Part],
-    dq: &[Vec<u32>],
-    threads: usize,
-) -> Vec<u32> {
-    center_prune_threaded_obs(index, q, pq, parts, dq, threads, &obs::Shard::disabled())
-}
-
-/// [`center_prune_threaded`] with metrics: each worker records into a
-/// [`obs::Shard::fork`] of `shard`, merged back after the join, so counter
-/// totals are identical to the sequential run for any `threads`.
-///
-/// This is the *scoped reference* implementation (spawn per stage); the
-/// serving path dispatches through [`center_prune_pool_obs`] instead. The
-/// two share chunking and merge order, so their outputs are identical.
-pub fn center_prune_threaded_obs(
-    index: &TreePiIndex,
-    q: &Graph,
-    pq: &[u32],
-    parts: &[Part],
-    dq: &[Vec<u32>],
-    threads: usize,
-    shard: &obs::Shard,
-) -> Vec<u32> {
-    // Query signatures are computed once and shared read-only by every
-    // worker — they depend only on q.
-    let qsigs = sig::graph_sigs(q);
-    let threads = threads.clamp(1, pq.len().max(1));
-    if threads == 1 {
-        return center_prune_obs(index, &qsigs, pq, parts, dq, shard);
-    }
-    let chunk_size = pq.len().div_ceil(threads);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = pq
-            .chunks(chunk_size)
-            .map(|chunk| {
-                let worker = shard.fork();
-                let qsigs = &qsigs;
-                s.spawn(move || {
-                    let kept = center_prune_obs(index, qsigs, chunk, parts, dq, &worker);
-                    (kept, worker)
-                })
-            })
-            .collect();
-        let mut out = Vec::new();
-        for h in handles {
-            let (kept, worker) = h.join().expect("prune worker panicked");
-            out.extend(kept);
-            shard.merge(worker);
-        }
-        out
-    })
-}
-
-/// [`center_prune_threaded_obs`] dispatched on a persistent
-/// [`graph_core::par::Pool`] instead of freshly spawned scoped threads:
-/// the candidate set is chunked contiguously into up to `threads` pool
-/// seats (`Pool::fork_join_obs`, shard forks merged in rank order), so the
-/// output and every merged counter are bit-identical to the scoped and
-/// serial paths.
+/// [`center_prune_obs`] split into up to `threads` seats on `pool`. Each
+/// candidate's CDC test is independent (every seat builds its own
+/// `DistanceOracle` per graph), so the set is chunked contiguously and the
+/// per-chunk results concatenated in chunk order; each seat records into a
+/// [`obs::Shard::fork`] of `shard`, merged back in rank order. The output
+/// and every merged counter are therefore identical for any `threads` and
+/// pool size.
 #[allow(clippy::too_many_arguments)]
 pub fn center_prune_pool_obs(
     index: &TreePiIndex,
@@ -321,6 +244,8 @@ pub fn center_prune_pool_obs(
     threads: usize,
     shard: &obs::Shard,
 ) -> Vec<u32> {
+    // Query signatures are computed once and shared read-only by every
+    // seat — they depend only on q.
     let qsigs = sig::graph_sigs(q);
     let threads = threads.clamp(1, pq.len().max(1));
     if threads == 1 {
@@ -344,6 +269,18 @@ mod tests {
     use graph_core::graph_from;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// Algorithm 2 on one inline chunk, metrics disabled.
+    fn prune(
+        idx: &TreePiIndex,
+        q: &Graph,
+        pq: &[u32],
+        parts: &[Part],
+        dq: &[Vec<u32>],
+    ) -> Vec<u32> {
+        let off = obs::Shard::disabled();
+        center_prune_obs(idx, &sig::graph_sigs(q), pq, parts, dq, &off)
+    }
 
     /// Figure 7's scenario in miniature: the query is two labeled edges at
     /// distance 1; one database graph places them adjacently, the other
@@ -386,7 +323,7 @@ mod tests {
         let pq = crate::filter::filter(&idx, &sf);
         assert_eq!(pq, vec![0, 1], "filtering alone keeps the false positive");
         let dq = query_center_distances(&q, &min_partition);
-        let pruned = center_prune(&idx, &q, &pq, &min_partition, &dq);
+        let pruned = prune(&idx, &q, &pq, &min_partition, &dq);
         assert_eq!(pruned, vec![0], "CDC must prune the far-apart graph");
     }
 
@@ -418,7 +355,7 @@ mod tests {
             };
             let pq = crate::filter::filter(&idx, &sf);
             let dq = query_center_distances(&q, &min_partition);
-            let pruned = center_prune(&idx, &q, &pq, &min_partition, &dq);
+            let pruned = prune(&idx, &q, &pq, &min_partition, &dq);
             for t in &truth {
                 assert!(pruned.contains(t), "true positive {t} was pruned");
             }

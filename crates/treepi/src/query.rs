@@ -8,9 +8,9 @@
 use crate::filter::filter;
 use crate::index::TreePiIndex;
 use crate::partition::{partition_runs_with, PartitionRuns};
-use crate::prune::{center_prune_pool_obs, center_prune_threaded_obs, query_center_distances};
+use crate::prune::{center_prune_pool_obs, query_center_distances};
 use crate::sig;
-use crate::verify::{verify_all_pool_obs, verify_all_threaded_obs};
+use crate::verify::verify_all_pool_obs;
 use graph_core::par::Pool;
 use graph_core::Graph;
 use rand::Rng;
@@ -20,25 +20,6 @@ use std::time::{Duration, Instant};
 /// split across workers. Below this, per-candidate work is too small to
 /// amortize the dispatch; see DESIGN.md ("Parallel query engine").
 pub const INTRA_PAR_THRESHOLD: usize = 64;
-
-/// How a query's intra-stage parallelism is dispatched. Both variants carry
-/// a worker budget and produce bit-identical results; only the execution
-/// substrate differs.
-pub(crate) enum Par<'p> {
-    /// Spawn scoped threads per stage (the legacy reference path).
-    Scoped(usize),
-    /// Dispatch stage chunks as seats on a persistent [`Pool`] — possibly
-    /// re-entrantly, when the query itself runs on a pool seat.
-    Pool(&'p Pool, usize),
-}
-
-impl Par<'_> {
-    fn budget(&self) -> usize {
-        match *self {
-            Par::Scoped(n) | Par::Pool(_, n) => n.max(1),
-        }
-    }
-}
 
 /// How the filter set `SF_q` is assembled.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -188,50 +169,24 @@ impl TreePiIndex {
         self.query_with(q, QueryOptions::default(), rng)
     }
 
-    /// [`Self::query`] with ablation switches.
+    /// [`Self::query`] with ablation switches: [`Self::query_with_pool_obs`]
+    /// on a 1-seat pool (no threads, every stage inline) with metrics
+    /// disabled.
     pub fn query_with<R: Rng>(&self, q: &Graph, opts: QueryOptions, rng: &mut R) -> QueryResult {
-        self.query_with_threads(q, opts, rng, 1)
+        self.query_with_pool_obs(q, opts, rng, &Pool::new(1), 1, &obs::Shard::disabled())
     }
 
-    /// [`Self::query_with`] with intra-query candidate parallelism: when a
-    /// stage's candidate set reaches [`INTRA_PAR_THRESHOLD`], CDC pruning
-    /// and reconstruction verification are split across up to `threads`
-    /// workers. Results are identical at any thread count — candidates are
-    /// chunked in order and neither stage consumes randomness.
-    pub fn query_with_threads<R: Rng>(
-        &self,
-        q: &Graph,
-        opts: QueryOptions,
-        rng: &mut R,
-        threads: usize,
-    ) -> QueryResult {
-        self.query_with_threads_obs(q, opts, rng, threads, &obs::Shard::disabled())
-    }
-
-    /// [`Self::query_with_threads`] recording stage spans and funnel
-    /// counters into `shard` (see [`QueryStats::record_into`] for the
-    /// determinism contract). With a disabled shard every record is a single
-    /// predicted branch, so the uninstrumented entry points cost nothing.
-    pub fn query_with_threads_obs<R: Rng>(
-        &self,
-        q: &Graph,
-        opts: QueryOptions,
-        rng: &mut R,
-        threads: usize,
-        shard: &obs::Shard,
-    ) -> QueryResult {
-        let r = self.query_impl(q, opts, rng, Par::Scoped(threads), shard);
-        r.stats.record_into(shard);
-        r.stats.trace_into(shard, std::time::Instant::now());
-        r
-    }
-
-    /// [`Self::query_with_threads_obs`] with intra-query stages dispatched
-    /// on a persistent [`Pool`] (up to `intra` seats per stage) instead of
-    /// freshly spawned scoped threads. Safe to call from inside a pool seat
-    /// — the batch engine does exactly that — because [`Pool::run`] lets the
-    /// dispatcher claim its own job's seats. Results are bit-identical to
-    /// the scoped and serial paths at any `intra`/pool size.
+    /// The general query: when a stage's candidate set reaches
+    /// [`INTRA_PAR_THRESHOLD`], CDC pruning and reconstruction verification
+    /// are split into up to `intra` chunks dispatched as seats on `pool`.
+    /// Safe to call from inside a pool seat — the batch engine does exactly
+    /// that — because [`Pool::run`] lets the dispatcher claim its own job's
+    /// seats. Results are identical at any `intra`/pool size — candidates
+    /// are chunked in order and neither stage consumes randomness.
+    ///
+    /// Stage spans and funnel counters are recorded into `shard` (see
+    /// [`QueryStats::record_into`] for the determinism contract). With a
+    /// disabled shard every record is a single predicted branch.
     pub fn query_with_pool_obs<R: Rng>(
         &self,
         q: &Graph,
@@ -241,7 +196,7 @@ impl TreePiIndex {
         intra: usize,
         shard: &obs::Shard,
     ) -> QueryResult {
-        let r = self.query_impl(q, opts, rng, Par::Pool(pool, intra), shard);
+        let r = self.query_impl(q, opts, rng, pool, intra, shard);
         r.stats.record_into(shard);
         r.stats.trace_into(shard, std::time::Instant::now());
         r
@@ -252,7 +207,8 @@ impl TreePiIndex {
         q: &Graph,
         opts: QueryOptions,
         rng: &mut R,
-        par: Par<'_>,
+        pool: &Pool,
+        intra: usize,
         shard: &obs::Shard,
     ) -> QueryResult {
         assert!(q.edge_count() > 0, "queries must have at least one edge");
@@ -331,7 +287,7 @@ impl TreePiIndex {
         stats.filtered = pq.len();
 
         // Intra-query parallelism only pays off on large candidate sets.
-        let budget = par.budget();
+        let budget = intra.max(1);
         let stage_threads = |candidates: usize| {
             if candidates >= INTRA_PAR_THRESHOLD {
                 budget
@@ -365,27 +321,16 @@ impl TreePiIndex {
         let t = Instant::now();
         let dq = query_center_distances(q, &parts);
         let pruned = if opts.use_cdc {
-            match par {
-                Par::Scoped(_) => center_prune_threaded_obs(
-                    self,
-                    q,
-                    &pq,
-                    &parts,
-                    &dq,
-                    stage_threads(pq.len()),
-                    shard,
-                ),
-                Par::Pool(pool, _) => center_prune_pool_obs(
-                    self,
-                    q,
-                    &pq,
-                    &parts,
-                    &dq,
-                    pool,
-                    stage_threads(pq.len()),
-                    shard,
-                ),
-            }
+            center_prune_pool_obs(
+                self,
+                q,
+                &pq,
+                &parts,
+                &dq,
+                pool,
+                stage_threads(pq.len()),
+                shard,
+            )
         } else {
             pq
         };
@@ -395,27 +340,16 @@ impl TreePiIndex {
         // ---- Verify (Algorithm 3) ----
         let t = Instant::now();
         let matches = if opts.use_reconstruction {
-            match par {
-                Par::Scoped(_) => verify_all_threaded_obs(
-                    self,
-                    q,
-                    &pruned,
-                    &parts,
-                    &dq,
-                    stage_threads(pruned.len()),
-                    shard,
-                ),
-                Par::Pool(pool, _) => verify_all_pool_obs(
-                    self,
-                    q,
-                    &pruned,
-                    &parts,
-                    &dq,
-                    pool,
-                    stage_threads(pruned.len()),
-                    shard,
-                ),
-            }
+            verify_all_pool_obs(
+                self,
+                q,
+                &pruned,
+                &parts,
+                &dq,
+                pool,
+                stage_threads(pruned.len()),
+                shard,
+            )
         } else {
             pruned
                 .into_iter()

@@ -386,7 +386,8 @@ pub(crate) fn verify_with_boundaries_obs(
     ok
 }
 
-/// Verify every graph in `pruned`, returning the exact answer set.
+/// Verify every graph in `pruned`, returning the exact answer set:
+/// [`verify_all_pool_obs`] as one inline chunk with metrics disabled.
 pub fn verify_all(
     index: &TreePiIndex,
     q: &Graph,
@@ -394,123 +395,26 @@ pub fn verify_all(
     parts: &[Part],
     dq: &[Vec<u32>],
 ) -> Vec<u32> {
-    verify_all_threaded(index, q, pruned, parts, dq, 1)
-}
-
-/// [`verify_all`] split across `threads` workers. Boundary flags and
-/// centered matchers are computed once and shared read-only; each worker
-/// reconstructs its contiguous chunk of candidates (every `JoinState` is
-/// worker-local), and chunk results concatenate in order — the output is
-/// exactly `verify_all`'s regardless of thread count.
-pub fn verify_all_threaded(
-    index: &TreePiIndex,
-    q: &Graph,
-    pruned: &[u32],
-    parts: &[Part],
-    dq: &[Vec<u32>],
-    threads: usize,
-) -> Vec<u32> {
-    verify_all_threaded_obs(
+    let pool = graph_core::par::Pool::new(1);
+    verify_all_pool_obs(
         index,
         q,
         pruned,
         parts,
         dq,
-        threads,
+        &pool,
+        1,
         &obs::Shard::disabled(),
     )
 }
 
-/// [`verify_all_threaded`] with metrics: records `verify.tests` per
-/// candidate and the reconstruction oracle's `graph.bfs` runs. Parallel
-/// workers record into [`obs::Shard::fork`]s merged after the join, so the
-/// totals match the sequential run for any `threads`.
-///
-/// This is the *scoped reference* implementation (spawn per stage); the
-/// serving path dispatches through [`verify_all_pool_obs`] instead. The
-/// two share chunking and merge order, so their outputs are identical.
-pub fn verify_all_threaded_obs(
-    index: &TreePiIndex,
-    q: &Graph,
-    pruned: &[u32],
-    parts: &[Part],
-    dq: &[Vec<u32>],
-    threads: usize,
-    shard: &obs::Shard,
-) -> Vec<u32> {
-    let boundaries = part_boundaries(q, parts);
-    let matchers: Vec<CenteredMatcher<'_>> = parts
-        .iter()
-        .map(|p| CenteredMatcher::new(&p.tree))
-        .collect();
-    let threads = threads.clamp(1, pruned.len().max(1));
-    if threads == 1 {
-        let mut scratch = VerifyScratch::for_query(q);
-        return pruned
-            .iter()
-            .copied()
-            .filter(|&gid| {
-                verify_with_boundaries_obs(
-                    index,
-                    q,
-                    gid,
-                    parts,
-                    dq,
-                    &boundaries,
-                    &matchers,
-                    &mut scratch,
-                    shard,
-                )
-            })
-            .collect();
-    }
-    let chunk_size = pruned.len().div_ceil(threads);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = pruned
-            .chunks(chunk_size)
-            .map(|chunk| {
-                let boundaries = &boundaries;
-                let matchers = &matchers;
-                let worker = shard.fork();
-                s.spawn(move || {
-                    let mut scratch = VerifyScratch::for_query(q);
-                    let kept = chunk
-                        .iter()
-                        .copied()
-                        .filter(|&gid| {
-                            verify_with_boundaries_obs(
-                                index,
-                                q,
-                                gid,
-                                parts,
-                                dq,
-                                boundaries,
-                                matchers,
-                                &mut scratch,
-                                &worker,
-                            )
-                        })
-                        .collect::<Vec<u32>>();
-                    (kept, worker)
-                })
-            })
-            .collect();
-        let mut out = Vec::new();
-        for h in handles {
-            let (kept, worker) = h.join().expect("verify worker panicked");
-            out.extend(kept);
-            shard.merge(worker);
-        }
-        out
-    })
-}
-
-/// [`verify_all_threaded_obs`] dispatched on a persistent
-/// [`graph_core::par::Pool`]: boundary flags and centered matchers are
-/// computed once and shared read-only, candidates are chunked contiguously
-/// into up to `threads` pool seats, and chunk results concatenate in rank
-/// order — output and merged counters are bit-identical to the scoped and
-/// serial paths.
+/// The general verifier: boundary flags and centered matchers are computed
+/// once and shared read-only; candidates are chunked contiguously into up
+/// to `threads` seats on `pool` (every `JoinState` is seat-local), and chunk
+/// results concatenate in rank order. Records `verify.tests` per candidate
+/// and the reconstruction oracle's `graph.bfs` runs; seats record into
+/// [`obs::Shard::fork`]s merged in rank order, so the output and every
+/// merged counter are identical for any `threads` and pool size.
 #[allow(clippy::too_many_arguments)]
 pub fn verify_all_pool_obs(
     index: &TreePiIndex,
@@ -617,7 +521,14 @@ mod tests {
             PartitionRuns::Ok { min_partition, sf } => {
                 let pq = crate::filter::filter(idx, &sf);
                 let dq = query_center_distances(q, &min_partition);
-                let pruned = crate::prune::center_prune(idx, q, &pq, &min_partition, &dq);
+                let pruned = crate::prune::center_prune_obs(
+                    idx,
+                    &crate::sig::graph_sigs(q),
+                    &pq,
+                    &min_partition,
+                    &dq,
+                    &obs::Shard::disabled(),
+                );
                 verify_all(idx, q, &pruned, &min_partition, &dq)
             }
         }

@@ -3,10 +3,7 @@
 //! evaluation plots (average candidate-set sizes, average processing time)
 //! plus tail behavior the averages hide.
 
-use crate::index::TreePiIndex;
-use crate::query::{QueryResult, QueryStats};
-use graph_core::Graph;
-use rand::Rng;
+use crate::query::QueryStats;
 use std::time::Duration;
 
 /// Aggregated statistics over a query workload.
@@ -91,22 +88,6 @@ pub fn summarize(stats: &[QueryStats]) -> WorkloadSummary {
             1.0
         },
     }
-}
-
-/// Run a whole query workload sequentially on a caller-supplied RNG and
-/// summarize it in one call. For multi-threaded execution with per-query
-/// deterministic RNGs, use [`TreePiIndex::query_batch`] (the parallel
-/// engine aggregates through [`summarize`] too, so tail metrics are
-/// computed over the full merged batch either way).
-pub fn query_batch<R: Rng>(
-    index: &TreePiIndex,
-    queries: &[Graph],
-    rng: &mut R,
-) -> (Vec<QueryResult>, WorkloadSummary) {
-    let results: Vec<QueryResult> = queries.iter().map(|q| index.query(q, rng)).collect();
-    let stats: Vec<QueryStats> = results.iter().map(|r| r.stats).collect();
-    let summary = summarize(&stats);
-    (results, summary)
 }
 
 impl std::fmt::Display for WorkloadSummary {
@@ -248,27 +229,6 @@ mod tests {
         assert!(s.p50_time <= s.p95_time);
         assert!(s.p95_time <= s.max_time);
         assert_eq!(s.max_time, Duration::from_millis(100));
-    }
-
-    #[test]
-    fn batch_api_matches_individual_queries() {
-        let db = vec![
-            graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]),
-            graph_from(&[0, 1], &[(0, 1, 1)]),
-        ];
-        let idx = TreePiIndex::build(db, TreePiParams::quick());
-        let queries = vec![
-            graph_from(&[0, 0], &[(0, 1, 0)]),
-            graph_from(&[0, 1], &[(0, 1, 1)]),
-        ];
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let (results, summary) = query_batch(&idx, &queries, &mut rng);
-        assert_eq!(results.len(), 2);
-        assert_eq!(summary.queries, 2);
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        for (r, q) in results.iter().zip(&queries) {
-            assert_eq!(r.matches, idx.query(q, &mut rng).matches);
-        }
     }
 
     #[test]

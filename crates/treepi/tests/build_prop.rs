@@ -43,6 +43,10 @@ fn arb_db(graphs: usize, nmax: usize) -> impl Strategy<Value = Vec<Graph>> {
     proptest::collection::vec(arb_connected_graph(nmax), 1..=graphs)
 }
 
+fn build(db: Vec<Graph>, threads: usize) -> TreePiIndex {
+    TreePiIndex::build_with_threads_obs(db, TreePiParams::quick(), threads, &obs::Shard::disabled())
+}
+
 fn save_bytes(idx: &TreePiIndex) -> Vec<u8> {
     let mut out = Vec::new();
     idx.save(&mut out).expect("in-memory save");
@@ -56,10 +60,10 @@ proptest! {
     /// report identical shape counters.
     #[test]
     fn build_is_thread_count_invariant(db in arb_db(10, 8)) {
-        let base = TreePiIndex::build_with_threads(db.clone(), TreePiParams::quick(), 1);
+        let base = build(db.clone(), 1);
         let base_bytes = save_bytes(&base);
         for threads in [2usize, 8] {
-            let idx = TreePiIndex::build_with_threads(db.clone(), TreePiParams::quick(), threads);
+            let idx = build(db.clone(), threads);
             prop_assert_eq!(
                 &save_bytes(&idx),
                 &base_bytes,
@@ -80,8 +84,8 @@ proptest! {
     /// against transient fields — e.g. timings — leaking into the format).
     #[test]
     fn save_is_deterministic_across_runs(db in arb_db(6, 6)) {
-        let a = TreePiIndex::build_with_threads(db.clone(), TreePiParams::quick(), 1);
-        let b = TreePiIndex::build_with_threads(db, TreePiParams::quick(), 1);
+        let a = build(db.clone(), 1);
+        let b = build(db, 1);
         prop_assert_eq!(save_bytes(&a), save_bytes(&b));
     }
 }

@@ -79,7 +79,7 @@ fn run_churn(workers: usize, seed: u64) {
         }
 
         let queries: Vec<Graph> = (0..2).map(|_| random_graph(&mut rng, 4)).collect();
-        let snapshot = engine.index();
+        let snapshot = engine.pin();
         let (results, _) = engine.query_batch(&queries, QueryOptions::default(), seed ^ step);
         for (q, r) in queries.iter().zip(&results) {
             assert_eq!(
@@ -92,7 +92,7 @@ fn run_churn(workers: usize, seed: u64) {
 
     // Final-state equivalence: re-mine the churned index and compare with
     // a fresh build on the survivors.
-    let churned = engine.index();
+    let churned = engine.pin();
     let remined = churned.remine_with_pool(engine.pool());
     let mut rank: Vec<Option<u32>> = vec![None; churned.db().len()];
     let mut fresh_db = Vec::new();
@@ -233,7 +233,7 @@ fn background_remine_keeps_answers_exact_under_churn() {
             assert!(engine.remove(gid));
         }
         let q = random_graph(&mut rng, 4);
-        let snapshot = engine.index();
+        let snapshot = engine.pin();
         let (results, _) =
             engine.query_batch(std::slice::from_ref(&q), QueryOptions::default(), step);
         assert_eq!(

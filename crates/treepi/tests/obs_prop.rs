@@ -12,7 +12,7 @@
 
 use graph_core::{ELabel, Graph, GraphBuilder, VLabel, VertexId};
 use proptest::prelude::*;
-use treepi::{QueryOptions, TreePiIndex, TreePiParams};
+use treepi::{Engine, QueryOptions, TreePiIndex, TreePiParams};
 
 /// A random connected labeled graph: random tree plus a few extra edges.
 fn arb_connected_graph(nmax: usize) -> impl Strategy<Value = Graph> {
@@ -55,8 +55,8 @@ fn run_metered(
     seed: u64,
 ) -> (Vec<treepi::QueryResult>, obs::MetricSet) {
     let registry = obs::Registry::new();
-    let (results, _) =
-        idx.query_batch_obs(queries, QueryOptions::default(), threads, seed, &registry);
+    let engine = Engine::new(idx.clone(), threads);
+    let (results, _) = engine.query_batch_obs(queries, QueryOptions::default(), seed, &registry);
     (results, registry.drain())
 }
 
@@ -161,7 +161,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let idx = TreePiIndex::build(db, TreePiParams::quick());
-        let (plain, _) = idx.query_batch(&queries, QueryOptions::default(), 2, seed);
+        let (plain, _) =
+            Engine::new(idx.clone(), 2).query_batch(&queries, QueryOptions::default(), seed);
         let (metered, _) = run_metered(&idx, &queries, 2, seed);
         for (a, b) in plain.iter().zip(&metered) {
             prop_assert_eq!(&a.matches, &b.matches);

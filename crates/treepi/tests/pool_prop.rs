@@ -2,9 +2,8 @@
 //! invisible in every output. On arbitrary databases and query batches, a
 //! long-lived [`treepi::Engine`] must return bit-identical results and
 //! deterministic funnel counters at 1, 2, and 8 pool workers **and**
-//! against the retired scoped-thread implementation preserved in
-//! [`treepi::scoped_ref`]; index builds dispatched onto a pool must
-//! serialize to the same bytes at any pool size. A deterministic
+//! against a plain sequential loop of single queries; index builds
+//! dispatched onto a pool must serialize to the same bytes at any pool size. A deterministic
 //! re-entrancy test drives the nested-dispatch path (a pool-run query
 //! fanning its prune/verify stages back into the same pool) that the
 //! random cases rarely reach.
@@ -12,7 +11,7 @@
 use graph_core::par::Pool;
 use graph_core::{graph_from, ELabel, Graph, GraphBuilder, VLabel, VertexId};
 use proptest::prelude::*;
-use treepi::{Engine, QueryOptions, TreePiIndex, TreePiParams, INTRA_PAR_THRESHOLD};
+use treepi::{query_rng, Engine, QueryOptions, TreePiIndex, TreePiParams, INTRA_PAR_THRESHOLD};
 
 /// A random connected labeled graph: random tree plus a few extra edges.
 fn arb_connected_graph(nmax: usize) -> impl Strategy<Value = Graph> {
@@ -68,32 +67,37 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Engine batches return identical matches, stats, and deterministic
-    /// counters at 1, 2, and 8 pool workers, and match the scoped-thread
-    /// reference implementation exactly.
+    /// counters at 1, 2, and 8 pool workers, and match a plain sequential
+    /// loop of single queries exactly.
     #[test]
-    fn engine_is_pool_size_invariant_and_matches_scoped(
+    fn engine_is_pool_size_invariant_and_matches_sequential(
         db in arb_db(8, 7),
         queries in proptest::collection::vec(arb_connected_graph(5), 1..=6),
         seed in any::<u64>(),
     ) {
         let idx = TreePiIndex::build(db, TreePiParams::quick());
 
-        // Scoped reference (the pre-pool implementation, kept for exactly
-        // this comparison).
-        let scoped_registry = obs::Registry::new();
-        let (scoped, _) = treepi::scoped_ref::query_batch_scoped_obs(
-            &idx,
-            &queries,
-            QueryOptions::default(),
-            1,
-            seed,
-            &scoped_registry,
-        );
-        let scoped_det = scoped_registry.drain().deterministic_counters();
+        // Reference: one query at a time, no batch engine involved. Matches
+        // and stats come from the plain entry point; the same loop on a
+        // recording shard yields the reference counters.
+        let opts = QueryOptions::default();
+        let seq: Vec<treepi::QueryResult> = queries
+            .iter()
+            .enumerate()
+            .map(|(i, q)| idx.query_with(q, opts, &mut query_rng(seed, i)))
+            .collect();
+        let seq_registry = obs::Registry::new();
+        let shard = seq_registry.shard();
+        let inline = Pool::new(1);
+        for (i, q) in queries.iter().enumerate() {
+            idx.query_with_pool_obs(q, opts, &mut query_rng(seed, i), &inline, 1, &shard);
+        }
+        seq_registry.absorb(shard);
+        let seq_det = seq_registry.drain().deterministic_counters();
 
         let mut engine = Engine::new(idx, 1);
         let (base, base_metrics) = run_engine(&engine, &queries, seed);
-        for (a, b) in scoped.iter().zip(&base) {
+        for (a, b) in seq.iter().zip(&base) {
             prop_assert_eq!(&a.matches, &b.matches);
             prop_assert_eq!(a.stats.filtered, b.stats.filtered);
             prop_assert_eq!(a.stats.pruned, b.stats.pruned);
@@ -102,7 +106,7 @@ proptest! {
         }
         let base_det = base_metrics.deterministic_counters();
         if obs::COMPILED_IN {
-            prop_assert_eq!(&base_det, &scoped_det);
+            prop_assert_eq!(&base_det, &seq_det);
         }
 
         for workers in [2usize, 8] {
@@ -126,7 +130,8 @@ proptest! {
     /// at 1, 2, and 8 workers (and match the thread-count entry point).
     #[test]
     fn pooled_build_is_pool_size_invariant(db in arb_db(10, 8)) {
-        let base = TreePiIndex::build_with_threads(db.clone(), TreePiParams::quick(), 1);
+        let off = obs::Shard::disabled();
+        let base = TreePiIndex::build_with_threads_obs(db.clone(), TreePiParams::quick(), 1, &off);
         let base_bytes = save_bytes(&base);
         for workers in [1usize, 2, 8] {
             let pool = Pool::new(workers);
@@ -134,7 +139,8 @@ proptest! {
                 db.clone(),
                 TreePiParams::quick(),
                 &pool,
-                &obs::Shard::disabled(),
+                &off,
+                &obs::series::Sampler::disabled(),
             );
             prop_assert_eq!(
                 &save_bytes(&idx),

@@ -7,8 +7,8 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use treepi::{
-    partition_runs, query_rng, scan_support, PartitionRuns, QueryOptions, SfMode, TreePiIndex,
-    TreePiParams,
+    partition_runs, query_rng, scan_support, Engine, PartitionRuns, QueryOptions, SfMode,
+    TreePiIndex, TreePiParams,
 };
 
 /// A random connected labeled graph: random tree plus a few extra edges.
@@ -147,7 +147,8 @@ proptest! {
             .map(|(i, q)| idx.query_with(q, opts, &mut query_rng(seed, i)))
             .collect();
         for threads in [1usize, 2, 8] {
-            let (batch, summary) = idx.query_batch(&queries, opts, threads, seed);
+            let engine = Engine::new(idx.clone(), threads);
+            let (batch, summary) = engine.query_batch(&queries, opts, seed);
             prop_assert_eq!(batch.len(), queries.len());
             prop_assert_eq!(summary.queries, queries.len());
             for (i, (b, s)) in batch.iter().zip(&seq).enumerate() {

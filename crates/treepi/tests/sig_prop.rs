@@ -54,7 +54,7 @@ fn run_soundness(workers: usize, seed: u64) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let db: Vec<Graph> = (0..10).map(|_| random_graph(&mut rng, 8)).collect();
     let engine = Engine::new(TreePiIndex::build(db, TreePiParams::quick()), workers);
-    assert!(engine.index().sigs_consistent(), "sigs wrong at build");
+    assert!(engine.pin().sigs_consistent(), "sigs wrong at build");
 
     let queries: Vec<Graph> = (0..12).map(|_| random_graph(&mut rng, 5)).collect();
     let on = QueryOptions {
@@ -69,7 +69,7 @@ fn run_soundness(workers: usize, seed: u64) {
     // so the funnels are comparable stage-for-stage, not just answer-level.
     let (r_on, _) = engine.query_batch(&queries, on, seed);
     let (r_off, _) = engine.query_batch(&queries, off, seed);
-    let snapshot = engine.index();
+    let snapshot = engine.pin();
     for (i, q) in queries.iter().enumerate() {
         let truth = scan_support(&snapshot, q);
         assert_eq!(
@@ -148,7 +148,7 @@ fn run_churn_sigs(workers: usize, seed: u64) {
             assert!(engine.queue_remove(gid), "step {step}: gid {gid} was live");
         }
         engine.apply_pending();
-        let snapshot = engine.index();
+        let snapshot = engine.pin();
         assert!(
             snapshot.sigs_consistent(),
             "step {step}, {workers} workers: sigs diverged from payload"
@@ -168,7 +168,7 @@ fn run_churn_sigs(workers: usize, seed: u64) {
 
     engine.wait_remine_idle();
     assert!(
-        engine.index().sigs_consistent(),
+        engine.pin().sigs_consistent(),
         "re-mine published inconsistent sigs"
     );
     assert!(engine.into_index().sigs_consistent());
