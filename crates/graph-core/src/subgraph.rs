@@ -162,7 +162,7 @@ where
         return ControlFlow::Continue(());
     }
     let ecount = g.edge_count();
-    let mut current: Vec<EdgeId> = Vec::with_capacity(max_edges);
+    let mut current: Vec<EdgeId> = Vec::with_capacity(max_edges.min(ecount));
     let mut in_set = vec![false; ecount];
     let mut excluded = vec![false; ecount];
 
@@ -284,7 +284,7 @@ where
     let mut in_vertices = vec![false; g.vertex_count()];
     let mut in_set = vec![false; ecount];
     let mut excluded = vec![false; ecount];
-    let mut current: Vec<EdgeId> = Vec::with_capacity(max_edges);
+    let mut current: Vec<EdgeId> = Vec::with_capacity(max_edges.min(ecount));
 
     #[allow(clippy::too_many_arguments)]
     fn recurse<F>(
@@ -463,6 +463,24 @@ mod tests {
             ControlFlow::Continue(())
         });
         assert_eq!(n, 3);
+    }
+
+    #[test]
+    fn unbounded_max_edges_allocates_by_graph_size() {
+        // `max_edges` can come from an untrusted η; the scratch buffer must
+        // be sized by the graph, not by the caller's bound.
+        let tri = graph_from(&[0, 0, 0], &[(0, 1, 0), (1, 2, 0), (2, 0, 0)]);
+        let (mut connected, mut subtrees) = (0, 0);
+        let _ = for_each_connected_edge_subset(&tri, usize::MAX, |_| {
+            connected += 1;
+            ControlFlow::Continue(())
+        });
+        let _ = for_each_subtree_edge_subset(&tri, usize::MAX, |_| {
+            subtrees += 1;
+            ControlFlow::Continue(())
+        });
+        assert_eq!(connected, 7);
+        assert_eq!(subtrees, 6); // everything but the full triangle
     }
 
     #[test]

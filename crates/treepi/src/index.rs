@@ -2,20 +2,33 @@
 //! and §7.1 "Insert/Delete Maintenance").
 //!
 //! Construction mines the σ-frequent subtrees, shrinks them by γ, and for
-//! every surviving feature records (a) its support set and (b) its **center
-//! positions** in every supporting graph — the location information that
-//! prior indexes had to discard and that powers TreePi's pruning and
-//! verification.
+//! every surviving feature records one **posting list**: its support set
+//! and, rank-aligned to it, its **center positions** in every supporting
+//! graph — the location information that prior indexes had to discard and
+//! that powers TreePi's pruning and verification.
+//!
+//! The posting layout (see [`Feature`]) is owned by this module: everything
+//! else reads it through [`Feature::support`] and
+//! [`TreePiIndex::center_positions_of`], and [`crate::persist`] moves the
+//! columns in and out through [`Feature::columns`] /
+//! [`Feature::from_columns`].
 
 use crate::params::TreePiParams;
 use crate::sig::{self, VertexSig};
 use crate::trie::{CanonTrie, FeatureId};
-use graph_core::Graph;
+use graph_core::{EdgeId, Graph, VertexId};
 use mining::{shrink_features_pool, SupportSet};
 use rustc_hash::FxHashMap;
 use tree_core::{center, center_positions, CanonString, Center, CenterPos, Tree};
 
-/// One indexed feature tree.
+/// One indexed feature tree and its posting list (paper §4.2.1).
+///
+/// The support set *is* the key set of the center-location table, so the
+/// two are one structure: `support` holds the sorted graph ids and the
+/// private columns hold, for the graph at rank `r` of `support`, the
+/// positions `positions[offsets[r - 1]..offsets[r]]` (from 0 for `r = 0`)
+/// where an embedding of the tree is centered. Every supporting graph has
+/// at least one position, so the offsets are strictly increasing.
 #[derive(Clone, Debug)]
 pub struct Feature {
     /// The pattern tree.
@@ -26,17 +39,122 @@ pub struct Feature {
     pub support: SupportSet,
     /// The center of the pattern itself (vertex or edge; Theorem 1).
     pub center: Center,
+    /// End offset into `positions` per rank of `support`.
+    offsets: Vec<u32>,
+    /// Center positions of all supporting graphs, in rank order.
+    positions: Vec<CenterPos>,
 }
 
 impl Feature {
+    /// A feature with an empty posting list.
+    fn new(tree: Tree, canon: CanonString) -> Self {
+        Self {
+            center: center(&tree),
+            tree,
+            canon,
+            support: Vec::new(),
+            offsets: Vec::new(),
+            positions: Vec::new(),
+        }
+    }
+
     /// Edge size of the feature.
     pub fn size(&self) -> usize {
         self.tree.edge_count()
     }
+
+    /// Center positions of the graph at `rank` of `support`.
+    fn positions_at(&self, rank: usize) -> &[CenterPos] {
+        let start = rank.checked_sub(1).map_or(0, |r| self.offsets[r]);
+        &self.positions[start as usize..self.offsets[rank] as usize]
+    }
+
+    /// Append graph `gid` — larger than every id already listed — with its
+    /// (non-empty) center positions.
+    fn push_graph(&mut self, gid: u32, pos: &[CenterPos]) {
+        debug_assert!(!pos.is_empty() && self.support.last().is_none_or(|&g| g < gid));
+        self.support.push(gid);
+        self.positions.extend_from_slice(pos);
+        let end = u32::try_from(self.positions.len()).expect("under 2^32 positions per feature");
+        self.offsets.push(end);
+    }
+
+    /// Drop graph `gid` from the posting list, if listed.
+    fn remove_graph(&mut self, gid: u32) {
+        let Ok(r) = self.support.binary_search(&gid) else {
+            return;
+        };
+        let n = self.positions_at(r).len();
+        let end = self.offsets.remove(r) as usize;
+        self.positions.drain(end - n..end);
+        for o in &mut self.offsets[r..] {
+            *o -= n as u32;
+        }
+        self.support.remove(r);
+    }
+
+    /// The position columns `(offsets, position ids)` behind `support`, for
+    /// the writer. Ids are vertex or edge ids according to [`Self::center`].
+    pub(crate) fn columns(&self) -> (&[u32], impl Iterator<Item = u32> + '_) {
+        let ids = self.positions.iter().map(|p| match *p {
+            CenterPos::Vertex(v) => v.0,
+            CenterPos::Edge(e) => e.0,
+        });
+        (&self.offsets, ids)
+    }
+
+    /// Rebuild a feature from stored columns over `db`, checking everything
+    /// a query relies on: [`Self::postings_consistent`], and every position
+    /// id inside its graph.
+    pub(crate) fn from_columns(
+        tree: Tree,
+        support: SupportSet,
+        offsets: Vec<u32>,
+        ids: Vec<u32>,
+        db: &[Graph],
+    ) -> Result<Self, &'static str> {
+        let canon = tree_core::canonical_string(&tree);
+        let mut f = Self::new(tree, canon);
+        let wrap: fn(u32) -> CenterPos = match f.center {
+            Center::Vertex(_) => |v| CenterPos::Vertex(VertexId(v)),
+            Center::Edge(_) => |e| CenterPos::Edge(EdgeId(e)),
+        };
+        (f.support, f.offsets) = (support, offsets);
+        f.positions = ids.into_iter().map(wrap).collect();
+        if !f.postings_consistent(db.len()) {
+            return Err("posting list columns are inconsistent");
+        }
+        let inside = |g: &Graph, p: &CenterPos| match *p {
+            CenterPos::Vertex(v) => v.idx() < g.vertex_count(),
+            CenterPos::Edge(e) => e.idx() < g.edge_count(),
+        };
+        let in_graph = |(r, &gid)| {
+            let g = &db[gid as usize];
+            f.positions_at(r).iter().all(|p| inside(g, p))
+        };
+        if !f.support.iter().enumerate().all(in_graph) {
+            return Err("center position outside its graph");
+        }
+        Ok(f)
+    }
+
+    /// Supports strictly increasing and below `n_db`; offsets strictly
+    /// increasing, one per supporting graph, the last covering `positions`.
+    fn postings_consistent(&self, n_db: usize) -> bool {
+        let mut end = 0u32;
+        self.support.windows(2).all(|w| w[0] < w[1])
+            && self.support.last().is_none_or(|&g| (g as usize) < n_db)
+            && self.offsets.len() == self.support.len()
+            && self
+                .offsets
+                .iter()
+                .all(|&o| std::mem::replace(&mut end, o) < o)
+            && end as usize == self.positions.len()
+    }
 }
 
-/// Statistics of an index build.
-#[derive(Clone, Copy, Debug, Default)]
+/// Shape of an index: what was mined, and what the posting lists hold now.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BuildStats {
     /// Frequent trees before shrinking.
     pub mined: usize,
@@ -46,10 +164,6 @@ pub struct BuildStats {
     pub center_entries: usize,
     /// Total stored center positions.
     pub center_positions: usize,
-    /// Milliseconds spent mining.
-    pub t_mine_ms: u128,
-    /// Milliseconds spent computing center positions.
-    pub t_centers_ms: u128,
     /// Whether mining hit a hard limit.
     pub truncated: bool,
 }
@@ -64,81 +178,49 @@ pub struct BuildStats {
 /// snapshots: readers pin an `Arc<TreePiIndex>` while writers clone the
 /// current version, apply §7.1 maintenance to the copy, and atomically
 /// swap it in (see [`crate::Engine`]).
+///
+/// Primary facts — what [`Self::save`] writes — are `params`, `db`,
+/// `active`, each feature's tree and posting list, `mined`/`truncated` and
+/// the epoch. The trie, the canonical strings, feature centers, `sigs` and
+/// the [`Self::stats`] counters are functions of those and are recomputed
+/// when a file is loaded.
 #[derive(Clone)]
 pub struct TreePiIndex {
-    pub(crate) db: Vec<Graph>,
-    pub(crate) active: Vec<bool>,
-    pub(crate) features: Vec<Feature>,
-    pub(crate) trie: CanonTrie,
-    /// centers[feature][graph id] = positions where an embedding of the
-    /// feature is centered (paper §4.2.1 bit-per-vertex/edge store).
-    pub(crate) centers: Vec<FxHashMap<u32, Vec<CenterPos>>>,
+    db: Vec<Graph>,
+    active: Vec<bool>,
+    features: Vec<Feature>,
+    trie: CanonTrie,
     /// sigs[graph id] = per-vertex neighborhood signatures (see
     /// [`crate::sig`]). Invariant: always equal to
     /// [`sig::graph_sigs`] of the stored payload — a pure function of
     /// `db[gid]`, maintained through build, §7.1 repairs, and re-mining.
-    pub(crate) sigs: Vec<Vec<VertexSig>>,
-    pub(crate) params: TreePiParams,
-    pub(crate) stats: BuildStats,
+    sigs: Vec<Vec<VertexSig>>,
+    params: TreePiParams,
+    /// Frequent trees mined before shrinking, and whether mining hit a
+    /// hard limit (the two build facts [`Self::stats`] cannot recount).
+    pub(crate) mined: usize,
+    pub(crate) truncated: bool,
     /// Bumped by every successful [`Self::insert`] / [`Self::remove`]
     /// (§7.1 maintenance). Epoch-keyed caches of query answers compare
     /// this to decide whether their entries are still valid.
     pub(crate) maintenance_epoch: u64,
 }
 
-/// Per-feature center store: graph id → positions.
-type CenterTable = FxHashMap<u32, Vec<CenterPos>>;
-
-/// Per-vertex signatures of every graph, computed on `pool` in contiguous
-/// chunks placed back in rank order — identical at any pool size because
-/// [`sig::graph_sigs`] is a pure function of each graph.
-fn compute_sigs_pool(
-    db: &[Graph],
-    pool: &graph_core::par::Pool,
-    shard: &obs::Shard,
-) -> Vec<Vec<VertexSig>> {
-    let threads = pool.parallelism().max(1).min(db.len().max(1));
-    if threads <= 1 {
-        return db.iter().map(sig::graph_sigs).collect();
-    }
-    let chunk = db.len().div_ceil(threads);
-    let outs = pool.fork_join_obs(threads, shard, |rank, _wshard| {
-        let lo = (rank * chunk).min(db.len());
-        let hi = ((rank + 1) * chunk).min(db.len());
-        db[lo..hi].iter().map(sig::graph_sigs).collect::<Vec<_>>()
-    });
-    outs.into_iter().flatten().collect()
-}
-
 /// Center extraction for one mined tree: re-validate each supporting graph
 /// (mining may over-approximate under truncation) and collect the center
 /// positions. Returns `None` only when every support entry was spurious.
-fn extract_feature(
-    db: &[Graph],
-    mut m: mining::MinedTree,
-    shard: &obs::Shard,
-) -> Option<(Feature, CenterTable)> {
-    let mut per_graph = FxHashMap::default();
-    m.support.retain(|&gid| {
-        let pos = tree_core::center_positions_obs(&m.tree, &db[gid as usize], shard);
-        if pos.is_empty() {
-            return false;
+fn extract_feature(db: &[Graph], m: mining::MinedTree, shard: &obs::Shard) -> Option<Feature> {
+    let mut f = Feature::new(m.tree, m.canon);
+    f.support.reserve_exact(m.support.len());
+    f.offsets.reserve_exact(m.support.len());
+    for &gid in &m.support {
+        let pos = tree_core::center_positions_obs(&f.tree, &db[gid as usize], shard);
+        if !pos.is_empty() {
+            f.push_graph(gid, &pos);
         }
-        per_graph.insert(gid, pos);
-        true
-    });
-    if m.support.is_empty() {
-        return None; // only possible under mining truncation
     }
-    Some((
-        Feature {
-            center: center(&m.tree),
-            tree: m.tree,
-            canon: m.canon,
-            support: m.support,
-        },
-        per_graph,
-    ))
+    // Empty only under mining truncation.
+    (!f.support.is_empty()).then_some(f)
 }
 
 impl TreePiIndex {
@@ -197,7 +279,6 @@ impl TreePiIndex {
             sampler.sample(Some(label), &values);
         };
         sample_phase("build.start", db.len());
-        let t0 = std::time::Instant::now();
         let mine_span = shard.span("build.mine");
         let (mined, mstats) =
             mining::mine_frequent_trees_pool_obs(&db, &params.sigma, &params.limits, pool, shard);
@@ -210,7 +291,6 @@ impl TreePiIndex {
         sample_phase("build.shrink", kept.len());
         shard.add("build.mined", mined_count as u64);
         shard.add("build.features_kept", kept.len() as u64);
-        let t_mine = t0.elapsed().as_millis();
 
         // Center extraction is independent per feature: workers self-schedule
         // single features off an atomic counter. Features are ordered by
@@ -220,10 +300,9 @@ impl TreePiIndex {
         // chunk. Results are placed back by feature index, so the output
         // (and every table derived from it) is identical to the sequential
         // pass.
-        let t1 = std::time::Instant::now();
         let centers_span = shard.span("build.centers");
         let threads = pool.parallelism().max(1).min(kept.len().max(1));
-        let extracted: Vec<Option<(Feature, CenterTable)>> = if threads == 1 {
+        let extracted: Vec<Option<Feature>> = if threads == 1 {
             kept.into_iter()
                 .map(|m| extract_feature(&db, m, shard))
                 .collect()
@@ -233,7 +312,7 @@ impl TreePiIndex {
             let next = std::sync::atomic::AtomicUsize::new(0);
             let outs = pool.fork_join_obs(threads, shard, |_rank, wshard| {
                 let _wall = wshard.span("engine.centers.worker_wall");
-                let mut out: Vec<(usize, Option<(Feature, CenterTable)>)> = Vec::new();
+                let mut out: Vec<(usize, Option<Feature>)> = Vec::new();
                 loop {
                     let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     if i >= kept_ref.len() {
@@ -243,8 +322,7 @@ impl TreePiIndex {
                 }
                 out
             });
-            let mut extracted: Vec<Option<(Feature, CenterTable)>> =
-                (0..kept.len()).map(|_| None).collect();
+            let mut extracted: Vec<Option<Feature>> = (0..kept.len()).map(|_| None).collect();
             for (i, item) in outs.into_iter().flatten() {
                 extracted[i] = item;
             }
@@ -252,25 +330,12 @@ impl TreePiIndex {
         };
         drop(centers_span);
 
-        let mut features = Vec::with_capacity(extracted.len());
-        let mut trie = CanonTrie::new();
-        let mut centers: Vec<FxHashMap<u32, Vec<CenterPos>>> = Vec::with_capacity(extracted.len());
-        let mut center_entries = 0usize;
-        let mut n_positions = 0usize;
-        for item in extracted.into_iter().flatten() {
-            let (feature, per_graph) = item;
-            let fid = FeatureId(features.len() as u32);
-            center_entries += per_graph.len();
-            n_positions += per_graph.values().map(|v| v.len()).sum::<usize>();
-            trie.insert(&feature.canon, fid);
-            centers.push(per_graph);
-            features.push(feature);
-        }
+        let features: Vec<Feature> = extracted.into_iter().flatten().collect();
         // Per-vertex neighborhood signatures (see `crate::sig`): a pure
-        // function of each graph, so contiguous chunks + rank-order
-        // placement make the result identical at any pool size.
+        // function of each graph, placed back in gid order, so the result
+        // is identical at any pool size.
         let sigs_span = shard.span("build.sigs");
-        let sigs = compute_sigs_pool(&db, pool, shard);
+        let sigs = pool.ordered_map(&db, sig::graph_sigs);
         drop(sigs_span);
         shard.add(
             "build.sig_vertices",
@@ -278,30 +343,45 @@ impl TreePiIndex {
         );
 
         sample_phase("build.centers", features.len());
-        shard.add("build.features", features.len() as u64);
-        shard.add("build.center_entries", center_entries as u64);
-        shard.add("build.center_positions", n_positions as u64);
-        let stats = BuildStats {
-            mined: mined_count,
-            features: features.len(),
-            center_entries,
-            center_positions: n_positions,
-            t_mine_ms: t_mine,
-            t_centers_ms: t1.elapsed().as_millis(),
-            truncated: mstats.truncated,
-        };
         let active = vec![true; db.len()];
-        Self {
+        let mut idx = Self::assemble(params, db, active, features, sigs)
+            .expect("mined canonical strings are distinct");
+        (idx.mined, idx.truncated) = (mined_count, mstats.truncated);
+        let stats = idx.stats();
+        shard.add("build.features", stats.features as u64);
+        shard.add("build.center_entries", stats.center_entries as u64);
+        shard.add("build.center_positions", stats.center_positions as u64);
+        idx
+    }
+
+    /// Put an index together from its parts, deriving the trie from the
+    /// features' canonical strings; `sigs` must be [`sig::graph_sigs`] of
+    /// each `db` entry. Fails if two features share a canonical string. The
+    /// mining facts and the epoch start at zero for the caller to set.
+    pub(crate) fn assemble(
+        params: TreePiParams,
+        db: Vec<Graph>,
+        active: Vec<bool>,
+        features: Vec<Feature>,
+        sigs: Vec<Vec<VertexSig>>,
+    ) -> Result<Self, &'static str> {
+        let mut trie = CanonTrie::new();
+        for (i, f) in features.iter().enumerate() {
+            if trie.insert(&f.canon, FeatureId(i as u32)).is_some() {
+                return Err("two features share a canonical string");
+            }
+        }
+        Ok(Self {
             db,
             active,
             features,
             trie,
-            centers,
             sigs,
             params,
-            stats,
+            mined: 0,
+            truncated: false,
             maintenance_epoch: 0,
-        }
+        })
     }
 
     /// The database (including inactive tombstones; see [`Self::is_active`]).
@@ -334,9 +414,16 @@ impl TreePiIndex {
         &self.params
     }
 
-    /// Build statistics.
-    pub fn stats(&self) -> &BuildStats {
-        &self.stats
+    /// Index shape: the two mining facts recorded at build time plus
+    /// counts of what the posting lists hold now.
+    pub fn stats(&self) -> BuildStats {
+        BuildStats {
+            mined: self.mined,
+            features: self.features.len(),
+            center_entries: self.features.iter().map(|f| f.support.len()).sum(),
+            center_positions: self.features.iter().map(|f| f.positions.len()).sum(),
+            truncated: self.truncated,
+        }
     }
 
     /// The maintenance epoch: starts at 0 and is bumped by every
@@ -361,10 +448,11 @@ impl TreePiIndex {
     /// Stored center positions of feature `fid` in graph `gid` (empty slice
     /// if the graph does not support the feature).
     pub fn center_positions_of(&self, fid: FeatureId, gid: u32) -> &[CenterPos] {
-        self.centers[fid.idx()]
-            .get(&gid)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        let f = &self.features[fid.idx()];
+        match f.support.binary_search(&gid) {
+            Ok(rank) => f.positions_at(rank),
+            Err(_) => &[],
+        }
     }
 
     /// Per-vertex neighborhood signatures of graph `gid` (see
@@ -376,7 +464,7 @@ impl TreePiIndex {
 
     /// Does every stored signature vector equal a fresh recompute from its
     /// graph payload? This is the invariant §7.1 maintenance and re-mining
-    /// must preserve (and what lets v2 index files reload losslessly);
+    /// must preserve (and what lets index files leave signatures out);
     /// exposed for tests and debug assertions.
     pub fn sigs_consistent(&self) -> bool {
         self.sigs.len() == self.db.len()
@@ -387,10 +475,21 @@ impl TreePiIndex {
                 .all(|(g, s)| sig::graph_sigs(g) == *s)
     }
 
+    /// Is every posting list well formed — supports strictly increasing and
+    /// inside the database, offsets strictly increasing with one end per
+    /// supporting graph, so that [`Self::center_positions_of`]`(f, g)` is
+    /// non-empty exactly when `g` supports `f`? The invariant build, §7.1
+    /// maintenance and [`Self::load`] must all preserve; exposed for tests.
+    pub fn postings_consistent(&self) -> bool {
+        let n_db = self.db.len();
+        self.features.iter().all(|f| f.postings_consistent(n_db))
+    }
+
     /// Insert a graph (paper §7.1): "we simply update the support sets and
     /// center positions of the existing feature trees". Returns the new
-    /// graph's id. The feature set itself is not re-mined — call
-    /// [`Self::rebuild`] after bulk changes — with one exception: any
+    /// graph's id. The feature set itself is not re-mined — the serving
+    /// layer's [`Self::remine_with_pool`] does that in the background
+    /// after bulk changes — with one exception: any
     /// single-edge tree of `g` that is not yet indexed becomes a new
     /// feature, because query completeness (the `MissingFeature` empty-
     /// support proof and worst-case partitioning) relies on the σ(1) = 1
@@ -407,8 +506,7 @@ impl TreePiIndex {
         let mut order: Vec<u32> = (0..self.features.len() as u32).collect();
         order.sort_by_key(|&i| self.features[i as usize].size());
         for &i in &order {
-            let i = i as usize;
-            let f = &mut self.features[i];
+            let f = &mut self.features[i as usize];
             if !may_contain(&g, f.tree.graph()) {
                 continue;
             }
@@ -416,9 +514,7 @@ impl TreePiIndex {
             if pos.is_empty() {
                 continue;
             }
-            // Supports are sorted; gid is larger than any existing id.
-            f.support.push(gid);
-            self.centers[i].insert(gid, pos);
+            f.push_graph(gid, &pos);
         }
         // Register novel single-edge trees as fresh features.
         for e in g.edges() {
@@ -435,18 +531,10 @@ impl TreePiIndex {
                 continue;
             }
             let fid = FeatureId(self.features.len() as u32);
-            let pos = center_positions(&t, &g);
-            debug_assert!(!pos.is_empty(), "g contains its own edges");
-            let mut per_graph = FxHashMap::default();
-            per_graph.insert(gid, pos);
             self.trie.insert(&canon, fid);
-            self.centers.push(per_graph);
-            self.features.push(Feature {
-                center: center(&t),
-                tree: t,
-                canon,
-                support: vec![gid],
-            });
+            let mut f = Feature::new(t, canon);
+            f.push_graph(gid, &center_positions(&f.tree, &g));
+            self.features.push(f);
         }
         self.sigs.push(sig::graph_sigs(&g));
         self.db.push(g);
@@ -462,11 +550,8 @@ impl TreePiIndex {
             return false;
         }
         self.active[gid as usize] = false;
-        for (i, f) in self.features.iter_mut().enumerate() {
-            if let Ok(pos) = f.support.binary_search(&gid) {
-                f.support.remove(pos);
-                self.centers[i].remove(&gid);
-            }
+        for f in &mut self.features {
+            f.remove_graph(gid);
         }
         self.maintenance_epoch += 1;
         true
@@ -536,17 +621,7 @@ impl TreePiIndex {
     /// when moving the real index out of shared state (see
     /// [`crate::Engine::into_index`]).
     pub(crate) fn empty_like(params: TreePiParams) -> Self {
-        Self {
-            db: Vec::new(),
-            active: Vec::new(),
-            features: Vec::new(),
-            trie: CanonTrie::new(),
-            centers: Vec::new(),
-            sigs: Vec::new(),
-            params,
-            stats: BuildStats::default(),
-            maintenance_epoch: 0,
-        }
+        Self::assemble(params, vec![], vec![], vec![], vec![]).expect("no features to collide")
     }
 
     /// Per-structure heap estimate of the whole index (database, feature
@@ -581,13 +656,10 @@ impl TreePiIndex {
             .map(|f| f.support.len() * size_of::<u32>())
             .sum();
         let centers_bytes = self
-            .centers
+            .features
             .iter()
-            .map(|m| {
-                m.len() * size_of::<(u32, Vec<CenterPos>)>()
-                    + m.values()
-                        .map(|v| v.len() * size_of::<CenterPos>())
-                        .sum::<usize>()
+            .map(|f| {
+                f.offsets.len() * size_of::<u32>() + f.positions.len() * size_of::<CenterPos>()
             })
             .sum();
         let sigs_bytes = self.sigs.len() * size_of::<Vec<VertexSig>>()
@@ -653,7 +725,7 @@ pub struct IndexMemory {
     pub features_bytes: usize,
     /// Per-feature support sets.
     pub supports_bytes: usize,
-    /// Center-position tables (graph id → positions, per feature).
+    /// Center-position columns (offsets and positions, per feature).
     pub centers_bytes: usize,
     /// Per-vertex neighborhood signatures ([`crate::sig`]).
     pub sigs_bytes: usize,
@@ -715,6 +787,7 @@ mod tests {
         let idx = quick_index();
         assert!(idx.feature_count() > 0);
         assert_eq!(idx.active_count(), 3);
+        assert!(idx.postings_consistent());
         for (i, f) in idx.features().iter().enumerate() {
             assert!(!f.support.is_empty());
             for &gid in &f.support {
@@ -754,6 +827,7 @@ mod tests {
         assert_eq!(gid, 3);
         assert!(idx.is_active(gid));
         assert_eq!(idx.active_count(), 4);
+        assert!(idx.postings_consistent());
         // every feature supported by db[1] must now also list gid
         for (i, f) in idx.features().iter().enumerate() {
             if f.support.contains(&1) {
@@ -858,13 +932,23 @@ mod tests {
 
     #[test]
     fn remove_clears_graph_everywhere() {
-        let mut idx = quick_index();
+        let built = quick_index();
+        let mut idx = built.clone();
         assert!(idx.remove(1));
         assert!(!idx.is_active(1));
         assert!(!idx.remove(1), "double remove must be a no-op");
+        assert!(idx.postings_consistent());
         for (i, f) in idx.features().iter().enumerate() {
+            let fid = FeatureId(i as u32);
             assert!(!f.support.contains(&1));
-            assert!(idx.center_positions_of(FeatureId(i as u32), 1).is_empty());
+            assert!(idx.center_positions_of(fid, 1).is_empty());
+            // Dropping the middle graph leaves its neighbours' runs intact.
+            for gid in [0, 2] {
+                assert_eq!(
+                    idx.center_positions_of(fid, gid),
+                    built.center_positions_of(fid, gid)
+                );
+            }
         }
     }
 

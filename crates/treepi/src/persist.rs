@@ -3,56 +3,137 @@
 //! extraction) is paid once and reloaded instantly, the way the paper's
 //! motivating "search and registration systems" operate.
 //!
-//! Layout (version 3):
+//! A file holds the index's primary facts, each exactly once (version 4):
 //!
 //! ```text
-//! magic "TPI3"
-//! params   σ(α, β, η) γ δ limits
-//! database |db| × graph, active bitmap
-//! features |F| × { tree-graph, canon, support, center }
-//! centers  |F| × { entries × (gid, positions) }
-//! stats    shape counters
-//! epoch    maintenance epoch (u64)
-//! sigs     |db| × { n × (label u32, degree u32, mask u64) }
+//! magic    "TPI4"
+//! params   α u32, β f64, η u32, γ f64, δ (tag u8, runs u64), limits 2 × u64
+//! database |db| u32, |db| × graph, |db| × active flag u8
+//! features |F| u32, |F| × { tree graph, posting list }
+//! mining   mined u64, truncated u8
+//! epoch    maintenance epoch u64
+//! checksum FNV-1a 64 of every byte between the magic and here
+//!
+//! graph         n u32, n × vertex label u32, m u32, m × (u, v, label) u32
+//! posting list  k u32, k × graph id u32, k × end offset u32,
+//!               (last end offset) × center position id u32
 //! ```
 //!
-//! The trie is rebuilt from the canonical strings on load; build stats are
-//! restored verbatim. Everything is length-prefixed and validated, so a
-//! truncated or corrupted file yields an error, never a bad index.
+//! A posting list is the feature's support set with, rank-aligned to it,
+//! the end offset of each graph's run of center positions — the heap
+//! layout of [`Feature`], written column by column. Position ids are vertex
+//! or edge ids according to the center of the feature's tree. Everything
+//! else an index holds — canonical strings, the trie, feature centers, the
+//! per-vertex signatures ([`crate::sig`]) and the [`TreePiIndex::stats`]
+//! counters — is a function of these facts and is recomputed on load, so
+//! no two parts of a file can disagree.
+//!
+//! [`TreePiIndex::load`] returns an error or a sound index, never a bad
+//! one. The checksum catches accidental damage (any single changed byte,
+//! any truncation). Independently of it — a checksum can be recomputed —
+//! every count is bounded by the bytes that remain before anything is
+//! allocated for it, and everything a query indexes with is checked:
+//! supports strictly increasing and inside the database, offsets strictly
+//! increasing, every center position inside its graph, no two features
+//! with one canonical string. A file crafted past those checks can make
+//! answers wrong, but cannot make a query panic. (δ and the mining limits
+//! only scale work and are taken as written.)
 //!
 //! The maintenance epoch is part of the format because epoch-keyed result
 //! caches survive across save/load boundaries only if the epoch does too:
 //! were a reloaded index to restart at 0, a cache that saw epoch N before
 //! the reload would conflate pre- and post-reload states (and any
 //! maintenance applied between save and reload would be invisible to
-//! invalidation). The per-vertex neighborhood signatures ([`crate::sig`])
-//! are stored rather than recomputed so a load is a pure decode.
+//! invalidation).
 //!
-//! Only version 3 loads. Files of the earlier versions (`TPI1`: no epoch;
-//! `TPI2`: no signature section) are rejected with an error naming the
-//! version — rebuild the index file with this version.
+//! Only version 4 loads. Files of the earlier versions (`TPI1`–`TPI3`,
+//! which stored derived data next to the facts and carried no checksum)
+//! are rejected with an error naming the version — rebuild the index file
+//! with this version.
 
-use crate::index::{BuildStats, Feature, TreePiIndex};
+use crate::index::{Feature, TreePiIndex};
 use crate::params::{Delta, TreePiParams};
-use crate::sig::VertexSig;
-use crate::trie::{CanonTrie, FeatureId};
-use bytes::{Buf, BufMut};
-use graph_core::{EdgeId, Graph, GraphBuilder, VertexId};
+use bytes::BufMut;
+use graph_core::{ELabel, Graph, GraphBuilder, VLabel, VertexId};
 use mining::{MiningLimits, SigmaFn};
-use rustc_hash::FxHashMap;
 use std::io::{self, Read, Write};
-use tree_core::{CanonString, CenterPos, Tree};
+use tree_core::Tree;
 
-const MAGIC: &[u8; 4] = b"TPI3";
-/// Earlier versions, recognized only to produce a better error.
-const MAGIC_V1: &[u8; 4] = b"TPI1";
-const MAGIC_V2: &[u8; 4] = b"TPI2";
+const MAGIC: &[u8; 4] = b"TPI4";
 
 fn bad(msg: &str) -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidData,
         format!("treepi index file: {msg}"),
     )
+}
+
+/// FNV-1a, 64 bit. Every step is a bijection of the running state, so any
+/// single changed byte changes the sum.
+fn checksum(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Checked little-endian cursor: every read fails on a short buffer instead
+/// of panicking, and counts are bounded by what can still follow.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take<const N: usize>(&mut self) -> io::Result<[u8; N]> {
+        let (head, tail) = self
+            .0
+            .split_first_chunk::<N>()
+            .ok_or_else(|| bad("unexpected end of data"))?;
+        self.0 = tail;
+        Ok(*head)
+    }
+
+    fn u8(&mut self) -> io::Result<u8> {
+        Ok(self.take::<1>()?[0])
+    }
+
+    fn u32(&mut self) -> io::Result<u32> {
+        self.take().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> io::Result<u64> {
+        self.take().map(u64::from_le_bytes)
+    }
+
+    fn f64(&mut self) -> io::Result<f64> {
+        self.take().map(f64::from_le_bytes)
+    }
+
+    fn flag(&mut self) -> io::Result<bool> {
+        match self.u8()? {
+            flag @ 0..=1 => Ok(flag == 1),
+            _ => Err(bad("flag is not 0 or 1")),
+        }
+    }
+
+    /// Fail — before anything is allocated for them — unless `n` records of
+    /// at least `min_size` bytes each can still follow.
+    fn bound(&self, n: usize, min_size: usize) -> io::Result<usize> {
+        if n > self.0.len() / min_size {
+            return Err(bad("count exceeds the data that follows"));
+        }
+        Ok(n)
+    }
+
+    /// A `u32` count of records of at least `min_size` bytes each.
+    fn count(&mut self, min_size: usize) -> io::Result<usize> {
+        let n = self.u32()? as usize;
+        self.bound(n, min_size)
+    }
+
+    fn u32s(&mut self, n: usize) -> io::Result<Vec<u32>> {
+        let (head, tail) = self.0.split_at(4 * self.bound(n, 4)?);
+        self.0 = tail;
+        let word = |c: &[u8]| u32::from_le_bytes(c.try_into().expect("4-byte chunk"));
+        Ok(head.chunks_exact(4).map(word).collect())
+    }
 }
 
 fn put_graph(buf: &mut Vec<u8>, g: &Graph) {
@@ -68,198 +149,113 @@ fn put_graph(buf: &mut Vec<u8>, g: &Graph) {
     }
 }
 
-fn get_graph(buf: &mut &[u8]) -> io::Result<Graph> {
-    if buf.remaining() < 4 {
-        return Err(bad("truncated graph header"));
-    }
-    let n = buf.get_u32_le() as usize;
-    if buf.remaining() < n * 4 {
-        return Err(bad("truncated vertex labels"));
-    }
+fn get_graph(r: &mut Reader) -> io::Result<Graph> {
+    let n = r.count(4)?;
     let mut b = GraphBuilder::with_capacity(n, 0);
     for _ in 0..n {
-        b.add_vertex(graph_core::VLabel(buf.get_u32_le()));
+        b.add_vertex(VLabel(r.u32()?));
     }
-    if buf.remaining() < 4 {
-        return Err(bad("truncated edge count"));
-    }
-    let m = buf.get_u32_le() as usize;
-    if buf.remaining() < m * 12 {
-        return Err(bad("truncated edges"));
-    }
-    for _ in 0..m {
-        let u = VertexId(buf.get_u32_le());
-        let v = VertexId(buf.get_u32_le());
-        let l = graph_core::ELabel(buf.get_u32_le());
+    for _ in 0..r.count(12)? {
+        let (u, v, l) = (VertexId(r.u32()?), VertexId(r.u32()?), ELabel(r.u32()?));
         b.add_edge(u, v, l).map_err(|e| bad(&e.to_string()))?;
     }
     Ok(b.build())
 }
 
-fn put_u32s(buf: &mut Vec<u8>, xs: impl ExactSizeIterator<Item = u32>) {
-    buf.put_u32_le(xs.len() as u32);
-    for x in xs {
+fn put_feature(buf: &mut Vec<u8>, f: &Feature) {
+    put_graph(buf, f.tree.graph());
+    let (offsets, ids) = f.columns();
+    buf.put_u32_le(f.support.len() as u32);
+    for x in f.support.iter().chain(offsets).copied().chain(ids) {
         buf.put_u32_le(x);
     }
 }
 
-fn get_u32s(buf: &mut &[u8]) -> io::Result<Vec<u32>> {
-    if buf.remaining() < 4 {
-        return Err(bad("truncated length"));
-    }
-    let n = buf.get_u32_le() as usize;
-    if buf.remaining() < n * 4 {
-        return Err(bad("truncated u32 array"));
-    }
-    Ok((0..n).map(|_| buf.get_u32_le()).collect())
-}
-
-fn put_center_pos(buf: &mut Vec<u8>, p: CenterPos) {
-    match p {
-        CenterPos::Vertex(v) => {
-            buf.put_u8(0);
-            buf.put_u32_le(v.0);
-        }
-        CenterPos::Edge(e) => {
-            buf.put_u8(1);
-            buf.put_u32_le(e.0);
-        }
-    }
-}
-
-fn get_center_pos(buf: &mut &[u8]) -> io::Result<CenterPos> {
-    if buf.remaining() < 5 {
-        return Err(bad("truncated center position"));
-    }
-    let tag = buf.get_u8();
-    let id = buf.get_u32_le();
-    match tag {
-        0 => Ok(CenterPos::Vertex(VertexId(id))),
-        1 => Ok(CenterPos::Edge(EdgeId(id))),
-        _ => Err(bad("unknown center-position tag")),
-    }
+fn get_feature(r: &mut Reader, db: &[Graph]) -> io::Result<Feature> {
+    let tree = Tree::from_graph(get_graph(r)?).map_err(|_| bad("feature is not a tree"))?;
+    let k = r.u32()? as usize;
+    let support = r.u32s(k)?;
+    let offsets = r.u32s(k)?;
+    let ids = r.u32s(offsets.last().map_or(0, |&end| end as usize))?;
+    Feature::from_columns(tree, support, offsets, ids, db).map_err(bad)
 }
 
 impl TreePiIndex {
-    /// Serialize the index.
+    /// Serialize the index. Equal indexes serialize to equal bytes (nothing
+    /// transient — timings, capacities, hash order — reaches the file).
     pub fn save<W: Write>(&self, w: &mut W) -> io::Result<()> {
         let mut buf: Vec<u8> = Vec::with_capacity(1 << 16);
         buf.put_slice(MAGIC);
-        // params
-        buf.put_u32_le(self.params.sigma.alpha as u32);
-        buf.put_f64_le(self.params.sigma.beta);
-        buf.put_u32_le(self.params.sigma.eta as u32);
-        buf.put_f64_le(self.params.gamma);
-        match self.params.delta {
-            Delta::Fixed(n) => {
-                buf.put_u8(0);
-                buf.put_u64_le(n as u64);
-            }
-            Delta::QuerySize => {
-                buf.put_u8(1);
-                buf.put_u64_le(0);
-            }
-        }
-        buf.put_u64_le(self.params.limits.max_patterns as u64);
-        buf.put_u64_le(self.params.limits.max_candidates_per_level as u64);
-        // database
-        buf.put_u32_le(self.db.len() as u32);
-        for g in &self.db {
+        let p = self.params();
+        buf.put_u32_le(p.sigma.alpha as u32);
+        buf.put_f64_le(p.sigma.beta);
+        buf.put_u32_le(p.sigma.eta as u32);
+        buf.put_f64_le(p.gamma);
+        let (tag, runs) = match p.delta {
+            Delta::Fixed(n) => (0, n as u64),
+            Delta::QuerySize => (1, 0),
+        };
+        buf.put_u8(tag);
+        buf.put_u64_le(runs);
+        buf.put_u64_le(p.limits.max_patterns as u64);
+        buf.put_u64_le(p.limits.max_candidates_per_level as u64);
+        buf.put_u32_le(self.db().len() as u32);
+        for g in self.db() {
             put_graph(&mut buf, g);
         }
-        for &a in &self.active {
-            buf.put_u8(a as u8);
+        for gid in 0..self.db().len() as u32 {
+            buf.put_u8(self.is_active(gid) as u8);
         }
-        // features
-        buf.put_u32_le(self.features.len() as u32);
-        for f in &self.features {
-            put_graph(&mut buf, f.tree.graph());
-            put_u32s(&mut buf, f.canon.tokens().iter().copied());
-            put_u32s(&mut buf, f.support.iter().copied());
+        buf.put_u32_le(self.feature_count() as u32);
+        for f in self.features() {
+            put_feature(&mut buf, f);
         }
-        // centers
-        for per_graph in &self.centers {
-            buf.put_u32_le(per_graph.len() as u32);
-            let mut entries: Vec<(&u32, &Vec<CenterPos>)> = per_graph.iter().collect();
-            entries.sort_by_key(|(gid, _)| **gid); // deterministic files
-            for (gid, positions) in entries {
-                buf.put_u32_le(*gid);
-                buf.put_u32_le(positions.len() as u32);
-                for &p in positions {
-                    put_center_pos(&mut buf, p);
-                }
-            }
-        }
-        // stats — shape counters only. The stage timings are transient
-        // build diagnostics; writing them would make the serialized bytes
-        // differ between otherwise identical builds, breaking the
-        // "equal indexes serialize to equal bytes" guarantee the parallel
-        // build-equivalence tests rely on. The two slots stay in the format
-        // as zeros for compatibility.
-        buf.put_u64_le(self.stats.mined as u64);
-        buf.put_u64_le(self.stats.center_entries as u64);
-        buf.put_u64_le(self.stats.center_positions as u64);
-        buf.put_u64_le(0); // was t_mine_ms
-        buf.put_u64_le(0); // was t_centers_ms
-        buf.put_u8(self.stats.truncated as u8);
-        // maintenance epoch (v2): carried across save/load so epoch-keyed
-        // caches never see the version counter move backwards.
-        buf.put_u64_le(self.maintenance_epoch);
-        // neighborhood signatures (v3), one vector per db slot in gid
-        // order. The per-graph count always equals the graph's vertex
-        // count (the sigs-are-a-pure-function invariant) and is validated
-        // against it on load.
-        for sigs in &self.sigs {
-            buf.put_u32_le(sigs.len() as u32);
-            for s in sigs {
-                buf.put_u32_le(s.label);
-                buf.put_u32_le(s.degree);
-                buf.put_u64_le(s.mask);
-            }
-        }
+        let stats = self.stats();
+        buf.put_u64_le(stats.mined as u64);
+        buf.put_u8(stats.truncated as u8);
+        buf.put_u64_le(self.maintenance_epoch());
+        let sum = checksum(&buf[MAGIC.len()..]);
+        buf.put_u64_le(sum);
         w.write_all(&buf)
     }
 
-    /// Deserialize an index previously written by [`Self::save`].
+    /// Deserialize an index previously written by [`Self::save`]: an error,
+    /// or an index equal to the saved one (see the module documentation for
+    /// what is checked).
     pub fn load<R: Read>(r: &mut R) -> io::Result<Self> {
         let mut data = Vec::new();
         r.read_to_end(&mut data)?;
-        let mut buf: &[u8] = &data;
-        if buf.remaining() < 4 {
-            return Err(bad("bad magic"));
-        }
-        match &buf[..4] {
-            m if m == MAGIC => {}
-            m if m == MAGIC_V1 => {
-                return Err(bad(
-                    "version-1 file (no maintenance epoch); rebuild the index file",
-                ));
-            }
-            m if m == MAGIC_V2 => {
-                return Err(bad(
-                    "version-2 file (no signature section); rebuild the index file",
-                ));
+        let body = match data.split_first_chunk::<4>() {
+            Some((magic, rest)) if magic == MAGIC => rest,
+            Some(([b'T', b'P', b'I', v @ b'1'..=b'3'], _)) => {
+                return Err(bad(&format!(
+                    "version-{} file (stores derived data, no checksum); rebuild the index file",
+                    char::from(*v)
+                )));
             }
             _ => return Err(bad("bad magic")),
-        }
-        buf.advance(4);
-        if buf.remaining() < 4 + 8 + 4 + 8 + 9 + 16 {
-            return Err(bad("truncated params"));
-        }
-        let sigma = SigmaFn {
-            alpha: buf.get_u32_le() as usize,
-            beta: buf.get_f64_le(),
-            eta: buf.get_u32_le() as usize,
         };
-        let gamma = buf.get_f64_le();
-        let delta = match (buf.get_u8(), buf.get_u64_le()) {
+        let (body, sum) = body
+            .split_last_chunk::<8>()
+            .ok_or_else(|| bad("unexpected end of data"))?;
+        if checksum(body) != u64::from_le_bytes(*sum) {
+            return Err(bad("checksum mismatch (corrupt or truncated)"));
+        }
+        let mut r = Reader(body);
+        let sigma = SigmaFn {
+            alpha: r.u32()? as usize,
+            beta: r.f64()?,
+            eta: r.u32()? as usize,
+        };
+        let gamma = r.f64()?;
+        let delta = match (r.u8()?, r.u64()?) {
             (0, n) => Delta::Fixed(n as usize),
-            (1, _) => Delta::QuerySize,
-            _ => return Err(bad("unknown delta tag")),
+            (1, 0) => Delta::QuerySize,
+            _ => return Err(bad("unknown delta encoding")),
         };
         let limits = MiningLimits {
-            max_patterns: buf.get_u64_le() as usize,
-            max_candidates_per_level: buf.get_u64_le() as usize,
+            max_patterns: r.u64()? as usize,
+            max_candidates_per_level: r.u64()? as usize,
         };
         let params = TreePiParams {
             sigma,
@@ -267,126 +263,41 @@ impl TreePiIndex {
             delta,
             limits,
         };
-        if buf.remaining() < 4 {
-            return Err(bad("truncated db count"));
-        }
-        let n_db = buf.get_u32_le() as usize;
-        let mut db = Vec::with_capacity(n_db);
-        for _ in 0..n_db {
-            db.push(get_graph(&mut buf)?);
-        }
-        if buf.remaining() < n_db {
-            return Err(bad("truncated active bitmap"));
-        }
-        let active: Vec<bool> = (0..n_db).map(|_| buf.get_u8() != 0).collect();
-
-        if buf.remaining() < 4 {
-            return Err(bad("truncated feature count"));
-        }
-        let n_features = buf.get_u32_le() as usize;
-        let mut features = Vec::with_capacity(n_features);
-        let mut trie = CanonTrie::new();
-        for i in 0..n_features {
-            let tg = get_graph(&mut buf)?;
-            let tree = Tree::from_graph(tg).map_err(|_| bad("feature is not a tree"))?;
-            let canon = CanonString(get_u32s(&mut buf)?);
-            if tree_core::canonical_string(&tree) != canon {
-                return Err(bad("feature canonical string mismatch"));
-            }
-            let support = get_u32s(&mut buf)?;
-            if support.iter().any(|&gid| gid as usize >= n_db) {
-                return Err(bad("support references unknown graph"));
-            }
-            trie.insert(&canon, FeatureId(i as u32));
-            features.push(Feature {
-                center: tree_core::center(&tree),
-                tree,
-                canon,
-                support,
-            });
-        }
-        let mut centers = Vec::with_capacity(n_features);
-        for _ in 0..n_features {
-            if buf.remaining() < 4 {
-                return Err(bad("truncated center table"));
-            }
-            let n_entries = buf.get_u32_le() as usize;
-            let mut per_graph = FxHashMap::default();
-            for _ in 0..n_entries {
-                if buf.remaining() < 8 {
-                    return Err(bad("truncated center entry"));
-                }
-                let gid = buf.get_u32_le();
-                let n_pos = buf.get_u32_le() as usize;
-                let mut positions = Vec::with_capacity(n_pos);
-                for _ in 0..n_pos {
-                    positions.push(get_center_pos(&mut buf)?);
-                }
-                per_graph.insert(gid, positions);
-            }
-            centers.push(per_graph);
-        }
-        if buf.remaining() < 5 * 8 + 1 {
-            return Err(bad("truncated stats"));
-        }
-        let stats = BuildStats {
-            mined: buf.get_u64_le() as usize,
-            features: n_features,
-            center_entries: buf.get_u64_le() as usize,
-            center_positions: buf.get_u64_le() as usize,
-            t_mine_ms: buf.get_u64_le() as u128,
-            t_centers_ms: buf.get_u64_le() as u128,
-            truncated: buf.get_u8() != 0,
-        };
-        if buf.remaining() < 8 {
-            return Err(bad("truncated maintenance epoch"));
-        }
-        let maintenance_epoch = buf.get_u64_le();
-        let mut sigs: Vec<Vec<VertexSig>> = Vec::with_capacity(n_db);
-        for g in &db {
-            if buf.remaining() < 4 {
-                return Err(bad("truncated signature header"));
-            }
-            let n = buf.get_u32_le() as usize;
-            if n != g.vertex_count() {
-                return Err(bad("signature count does not match graph"));
-            }
-            if buf.remaining() < n * 16 {
-                return Err(bad("truncated signatures"));
-            }
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(VertexSig {
-                    label: buf.get_u32_le(),
-                    degree: buf.get_u32_le(),
-                    mask: buf.get_u64_le(),
-                });
-            }
-            sigs.push(v);
-        }
-        if buf.has_remaining() {
+        // A graph is at least two counts, plus its active flag.
+        let n_db = r.count(9)?;
+        let db = (0..n_db)
+            .map(|_| get_graph(&mut r))
+            .collect::<io::Result<Vec<_>>>()?;
+        let active = (0..n_db)
+            .map(|_| r.flag())
+            .collect::<io::Result<Vec<_>>>()?;
+        // A feature is at least a tree's two counts and a posting count.
+        let n_features = r.count(12)?;
+        let features = (0..n_features)
+            .map(|_| get_feature(&mut r, &db))
+            .collect::<io::Result<Vec<_>>>()?;
+        let mined = r.u64()? as usize;
+        let truncated = r.flag()?;
+        let maintenance_epoch = r.u64()?;
+        if !r.0.is_empty() {
             return Err(bad("trailing bytes"));
         }
-        Ok(TreePiIndex {
-            db,
-            active,
-            features,
-            trie,
-            centers,
-            sigs,
-            params,
-            stats,
-            maintenance_epoch,
-        })
+        let sigs = db.iter().map(crate::sig::graph_sigs).collect();
+        let mut idx = TreePiIndex::assemble(params, db, active, features, sigs).map_err(bad)?;
+        (idx.mined, idx.truncated) = (mined, truncated);
+        idx.maintenance_epoch = maintenance_epoch;
+        Ok(idx)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trie::FeatureId;
     use graph_core::graph_from;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn sample_index() -> TreePiIndex {
         let db = vec![
@@ -397,43 +308,86 @@ mod tests {
         TreePiIndex::build(db, TreePiParams::quick())
     }
 
-    #[test]
-    fn round_trip_preserves_everything() {
-        let idx = sample_index();
-        let mut bytes = Vec::new();
-        idx.save(&mut bytes).unwrap();
-        let loaded = TreePiIndex::load(&mut bytes.as_slice()).unwrap();
-        assert_eq!(loaded.db(), idx.db());
-        assert_eq!(loaded.feature_count(), idx.feature_count());
-        for gid in 0..idx.db().len() as u32 {
-            assert_eq!(loaded.vertex_sigs(gid), idx.vertex_sigs(gid));
-        }
-        assert!(loaded.sigs_consistent());
-        for (a, b) in idx.features().iter().zip(loaded.features()) {
-            assert_eq!(a.canon, b.canon);
-            assert_eq!(a.support, b.support);
-            assert_eq!(a.center, b.center);
-        }
-        // queries behave identically
-        let q = graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]);
-        let mut r1 = ChaCha8Rng::seed_from_u64(5);
-        let mut r2 = ChaCha8Rng::seed_from_u64(5);
-        assert_eq!(
-            idx.query(&q, &mut r1).matches,
-            loaded.query(&q, &mut r2).matches
-        );
-    }
-
-    #[test]
-    fn round_trip_after_maintenance() {
+    /// §7.1 maintenance on top of [`sample_index`]: a novel single-edge
+    /// feature appended behind the mined ones, and a tombstone.
+    fn churned_index() -> TreePiIndex {
         let mut idx = sample_index();
         idx.insert(graph_from(&[5, 5], &[(0, 1, 9)]));
         idx.remove(0);
+        idx
+    }
+
+    fn saved(idx: &TreePiIndex) -> Vec<u8> {
         let mut bytes = Vec::new();
         idx.save(&mut bytes).unwrap();
-        let loaded = TreePiIndex::load(&mut bytes.as_slice()).unwrap();
+        bytes
+    }
+
+    fn load(bytes: &[u8]) -> io::Result<TreePiIndex> {
+        TreePiIndex::load(&mut &bytes[..])
+    }
+
+    fn queries() -> Vec<Graph> {
+        vec![
+            graph_from(&[0, 0], &[(0, 1, 0)]),
+            graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]),
+            graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 0, 1)]),
+            graph_from(&[0, 1, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 0, 0)]),
+            graph_from(&[5, 5], &[(0, 1, 9)]),
+            graph_from(&[7, 8], &[(0, 1, 0)]),
+        ]
+    }
+
+    fn answers(idx: &TreePiIndex) -> Vec<Vec<u32>> {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        queries()
+            .iter()
+            .map(|q| idx.query(q, &mut rng).matches)
+            .collect()
+    }
+
+    /// Everything observable about `a` equals `b`: primary facts and every
+    /// structure derived from them.
+    fn assert_same_index(a: &TreePiIndex, b: &TreePiIndex) {
+        assert_eq!(a.db(), b.db());
+        assert_eq!(a.feature_count(), b.feature_count());
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.maintenance_epoch(), b.maintenance_epoch());
+        for gid in 0..a.db().len() as u32 {
+            assert_eq!(a.is_active(gid), b.is_active(gid));
+            assert_eq!(a.vertex_sigs(gid), b.vertex_sigs(gid));
+        }
+        for (i, (fa, fb)) in a.features().iter().zip(b.features()).enumerate() {
+            let fid = FeatureId(i as u32);
+            assert_eq!(fa.tree, fb.tree);
+            assert_eq!(fa.canon, fb.canon);
+            assert_eq!(fa.support, fb.support);
+            assert_eq!(fa.center, fb.center);
+            assert_eq!(b.feature_by_canon(&fa.canon), Some(fid));
+            for gid in 0..a.db().len() as u32 {
+                assert_eq!(
+                    a.center_positions_of(fid, gid),
+                    b.center_positions_of(fid, gid)
+                );
+            }
+        }
+        assert_eq!(answers(a), answers(b));
+    }
+
+    #[test]
+    fn round_trip_is_lossless_and_canonical() {
+        // Before and after maintenance: the loaded index equals the saved
+        // one, and saving it again reproduces the file byte for byte.
+        for idx in [sample_index(), churned_index()] {
+            let bytes = saved(&idx);
+            let loaded = load(&bytes).unwrap();
+            assert_same_index(&idx, &loaded);
+            assert!(loaded.sigs_consistent() && loaded.postings_consistent());
+            assert_eq!(saved(&loaded), bytes);
+        }
+        let loaded = load(&saved(&churned_index())).unwrap();
         assert!(!loaded.is_active(0));
-        assert_eq!(loaded.active_count(), idx.active_count());
+        assert_eq!(loaded.active_count(), 3);
         let q = graph_from(&[5, 5], &[(0, 1, 9)]);
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         assert_eq!(loaded.query(&q, &mut rng).matches, vec![3]);
@@ -445,105 +399,94 @@ mod tests {
         // epoch-keyed cache that saw epoch N before the reload must not be
         // able to conflate pre- and post-reload states), and further
         // maintenance must keep counting from there, never from 0.
-        let mut idx = sample_index();
-        idx.insert(graph_from(&[5, 5], &[(0, 1, 9)]));
-        idx.remove(0);
+        let idx = churned_index();
         let epoch = idx.maintenance_epoch();
         assert_eq!(epoch, 2);
-        let mut bytes = Vec::new();
-        idx.save(&mut bytes).unwrap();
-        let mut loaded = TreePiIndex::load(&mut bytes.as_slice()).unwrap();
+        let mut loaded = load(&saved(&idx)).unwrap();
         assert_eq!(loaded.maintenance_epoch(), epoch);
         let gid = loaded.insert(graph_from(&[6, 6], &[(0, 1, 9)]));
         assert_eq!(loaded.maintenance_epoch(), epoch + 1);
         assert!(loaded.remove(gid));
         assert_eq!(loaded.maintenance_epoch(), epoch + 2);
         // And a second round trip carries the advanced epoch onward.
-        let mut bytes2 = Vec::new();
-        loaded.save(&mut bytes2).unwrap();
-        let again = TreePiIndex::load(&mut bytes2.as_slice()).unwrap();
+        let again = load(&saved(&loaded)).unwrap();
         assert_eq!(again.maintenance_epoch(), epoch + 2);
     }
 
     #[test]
-    fn rejects_signature_count_mismatch() {
-        let idx = sample_index();
-        let mut bytes = Vec::new();
-        idx.save(&mut bytes).unwrap();
-        // Corrupt the first signature-vector length (first 4 bytes of the
-        // final section).
-        let sig_section: usize = idx.db().iter().map(|g| 4 + 16 * g.vertex_count()).sum();
-        let at = bytes.len() - sig_section;
-        bytes[at] ^= 0x01;
-        let err = match TreePiIndex::load(&mut bytes.as_slice()) {
-            Ok(_) => panic!("corrupt signature section must not load"),
-            Err(e) => e,
-        };
-        assert!(err.to_string().contains("signature count"), "{err}");
-    }
-
-    #[test]
-    fn rejects_version_1_files() {
-        let idx = sample_index();
-        let mut bytes = Vec::new();
-        idx.save(&mut bytes).unwrap();
-        bytes[..4].copy_from_slice(b"TPI1");
-        let err = match TreePiIndex::load(&mut bytes.as_slice()) {
-            Err(e) => e,
-            Ok(_) => panic!("v1 accepted"),
-        };
-        assert!(err.to_string().contains("version-1"), "{err}");
-    }
-
-    #[test]
-    fn rejects_version_2_files() {
-        // The shape a v2 writer produced: a v3 file minus its final
-        // (signature) section, under the old magic.
-        let idx = sample_index();
-        let mut bytes = Vec::new();
-        idx.save(&mut bytes).unwrap();
-        let sig_section: usize = idx.db().iter().map(|g| 4 + 16 * g.vertex_count()).sum();
-        bytes.truncate(bytes.len() - sig_section);
-        bytes[..4].copy_from_slice(b"TPI2");
-        let err = match TreePiIndex::load(&mut bytes.as_slice()) {
-            Err(e) => e,
-            Ok(_) => panic!("v2 accepted"),
-        };
-        assert!(err.to_string().contains("version-2"), "{err}");
-    }
-
-    #[test]
-    fn rejects_bad_magic() {
-        let err = match TreePiIndex::load(&mut &b"NOPE"[..]) {
-            Err(e) => e,
-            Ok(_) => panic!("bad magic accepted"),
-        };
-        assert!(err.to_string().contains("bad magic"));
-    }
-
-    #[test]
-    fn rejects_truncation_everywhere() {
-        let idx = sample_index();
-        let mut bytes = Vec::new();
-        idx.save(&mut bytes).unwrap();
-        // chopping at any prefix must error, never panic or yield Ok
-        for cut in (0..bytes.len()).step_by(7) {
-            let r = TreePiIndex::load(&mut &bytes[..cut]);
-            assert!(r.is_err(), "accepted a {cut}-byte prefix");
+    fn rejects_earlier_versions() {
+        for version in ['1', '2', '3'] {
+            let mut bytes = saved(&sample_index());
+            bytes[3] = version as u8;
+            let err = load(&bytes).err().expect("old version accepted");
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("version-{version}")), "{msg}");
+            assert!(msg.contains("rebuild the index file"), "{msg}");
         }
     }
 
     #[test]
-    fn rejects_corrupted_canon() {
-        let idx = sample_index();
-        let mut bytes = Vec::new();
-        idx.save(&mut bytes).unwrap();
-        // flip a byte somewhere in the middle; accept either an error or —
-        // if the flip landed in padding-free numeric data that stays
-        // structurally consistent — detection via the canon re-check
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        let _ = TreePiIndex::load(&mut bytes.as_slice());
-        // must not panic (result may be Ok only if the flip hit stats)
+    fn rejects_bad_magic() {
+        let err = load(b"NOPE").err().expect("bad magic accepted");
+        assert!(err.to_string().contains("bad magic"));
+    }
+
+    /// Every single-byte mutation under three masks, then every truncation.
+    fn mutants(bytes: &[u8]) -> impl Iterator<Item = (String, Vec<u8>)> + '_ {
+        let flips = (0..bytes.len()).flat_map(move |at| {
+            [0x01u8, 0x80, 0xFF].into_iter().map(move |mask| {
+                let mut m = bytes.to_vec();
+                m[at] ^= mask;
+                (format!("byte {at} ^ {mask:#04x}"), m)
+            })
+        });
+        let cuts = (0..bytes.len()).map(|cut| (format!("cut at {cut}"), bytes[..cut].to_vec()));
+        flips.chain(cuts)
+    }
+
+    /// Make the trailing checksum match again, as a hostile writer would.
+    fn reseal(bytes: &mut [u8]) {
+        if let Some((body, sum)) = bytes.split_last_chunk_mut::<8>() {
+            *sum = checksum(body.get(MAGIC.len()..).unwrap_or(&[])).to_le_bytes();
+        }
+    }
+
+    #[test]
+    fn mutation_sweep_never_yields_a_bad_index() {
+        let bytes = saved(&churned_index());
+        let mut resealed_loads = 0;
+        for (what, mut m) in mutants(&bytes) {
+            // Accidental damage: the checksum rejects it.
+            assert!(load(&m).is_err(), "{what}: damaged file loaded");
+            // Hostile damage (checksum recomputed): rejected by validation,
+            // or an index whose invariants hold and that answers queries
+            // without panicking — wrong answers are the writer's business.
+            reseal(&mut m);
+            let Ok(idx) = load(&m) else { continue };
+            resealed_loads += 1;
+            assert!(idx.postings_consistent(), "{what}: bad postings loaded");
+            assert!(idx.sigs_consistent(), "{what}: bad signatures loaded");
+            let ran = catch_unwind(AssertUnwindSafe(|| (answers(&idx), idx.heap_bytes())));
+            assert!(ran.is_ok(), "{what}: loaded index panicked a query");
+        }
+        assert!(resealed_loads > 0, "hostile leg never got past the loader");
+    }
+
+    #[test]
+    fn oversized_counts_and_eta_do_not_allocate() {
+        // Byte 56 is the high byte of |db|; η is the u32 at offset 16. Both
+        // used to reach `Vec::with_capacity` unchecked (308 GB on load,
+        // 17 GB on the first query).
+        let bytes = saved(&sample_index());
+        let mut m = bytes.clone();
+        m[56] ^= 0xFF;
+        reseal(&mut m);
+        assert!(load(&m).is_err());
+        let mut m = bytes.clone();
+        m[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        reseal(&mut m);
+        let idx = load(&m).unwrap();
+        assert_eq!(idx.params().sigma.eta, u32::MAX as usize);
+        assert_eq!(answers(&idx), answers(&sample_index()));
     }
 }

@@ -22,8 +22,7 @@
 //! Signatures are a pure function of the stored graph payload — the index
 //! keeps `sigs[gid] == graph_sigs(&db[gid])` as an invariant across
 //! build, §7.1 insert/remove repairs, and re-mining — which is what lets
-//! version-2 index files (predating the signature section) reload with a
-//! lossless recompute.
+//! index files leave them out: [`crate::TreePiIndex::load`] recomputes them.
 
 use graph_core::{Graph, VertexId};
 

@@ -80,6 +80,10 @@ fn run_churn(workers: usize, seed: u64) {
 
         let queries: Vec<Graph> = (0..2).map(|_| random_graph(&mut rng, 4)).collect();
         let snapshot = engine.pin();
+        assert!(
+            snapshot.postings_consistent(),
+            "step {step}, {workers} workers: posting lists out of step"
+        );
         let (results, _) = engine.query_batch(&queries, QueryOptions::default(), seed ^ step);
         for (q, r) in queries.iter().zip(&results) {
             assert_eq!(
@@ -94,6 +98,16 @@ fn run_churn(workers: usize, seed: u64) {
     // a fresh build on the survivors.
     let churned = engine.pin();
     let remined = churned.remine_with_pool(engine.pool());
+    assert!(remined.postings_consistent());
+    // The churned index survives a file round trip unchanged: saving the
+    // loaded copy reproduces the file byte for byte.
+    let mut file = Vec::new();
+    churned.save(&mut file).expect("in-memory save");
+    let loaded = TreePiIndex::load(&mut file.as_slice()).expect("own file loads");
+    assert_eq!(loaded.stats(), churned.stats());
+    let mut again = Vec::new();
+    loaded.save(&mut again).expect("in-memory save");
+    assert_eq!(again, file, "save(load(save(x))) differs from save(x)");
     let mut rank: Vec<Option<u32>> = vec![None; churned.db().len()];
     let mut fresh_db = Vec::new();
     for (i, g) in churned.db().iter().enumerate() {
@@ -234,6 +248,7 @@ fn background_remine_keeps_answers_exact_under_churn() {
         }
         let q = random_graph(&mut rng, 4);
         let snapshot = engine.pin();
+        assert!(snapshot.postings_consistent(), "step {step}");
         let (results, _) =
             engine.query_batch(std::slice::from_ref(&q), QueryOptions::default(), step);
         assert_eq!(

@@ -31,9 +31,10 @@ fn main() -> std::io::Result<()> {
     index.save(&mut file)?;
     let bytes = std::fs::metadata(&path)?.len();
     println!(
-        "saved to {} ({} KiB) in {:.2?}",
+        "saved to {} ({} KiB on disk, {} KiB on the heap) in {:.2?}",
         path.display(),
         bytes / 1024,
+        index.heap_bytes() / 1024,
         t.elapsed()
     );
 
@@ -51,6 +52,16 @@ fn main() -> std::io::Result<()> {
         );
     }
     println!("10 queries: identical answers from the reloaded index");
+
+    // A damaged copy is refused by the loader, not handed to queries.
+    let mut damaged = std::fs::read(&path)?;
+    let mid = damaged.len() / 2;
+    damaged[mid] ^= 0x01;
+    let err = TreePiIndex::load(&mut damaged.as_slice()).err();
+    println!(
+        "one flipped byte: {}",
+        err.map_or("loaded?!".into(), |e| e.to_string())
+    );
     std::fs::remove_file(&path)?;
     Ok(())
 }
