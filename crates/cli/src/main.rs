@@ -421,7 +421,7 @@ fn run() -> Result<(), String> {
             println!("  feature trees:   {} KiB", m.features_bytes / 1024);
             println!("  support sets:    {} KiB", m.supports_bytes / 1024);
             println!("  center tables:   {} KiB", m.centers_bytes / 1024);
-            println!("  canon trie:      {} KiB", m.trie_bytes / 1024);
+            println!("  canon directory: {} KiB", m.trie_bytes / 1024);
             println!(
                 "  tombstones:      {} KiB (excluded)",
                 m.tombstones_bytes / 1024

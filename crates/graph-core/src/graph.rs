@@ -27,6 +27,13 @@ pub struct VLabel(pub u32);
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ELabel(pub u32);
 
+/// Largest vertex or edge label accepted from outside the program (gSpan
+/// text, index files). Canonical forms add a small tag offset to every
+/// label (`tree_core::canonical`, [`crate::canon`]); keeping labels at or
+/// below this bound keeps those sums inside `u32`, so no label can alias a
+/// tag or another label.
+pub const MAX_LABEL: u32 = u32::MAX - 4;
+
 impl VertexId {
     /// The id as a usize, for indexing.
     #[inline]

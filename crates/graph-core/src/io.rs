@@ -9,8 +9,12 @@
 //! t # 1
 //! ...
 //! ```
+//!
+//! Labels are decimal `u32`s no larger than [`MAX_LABEL`]; this is where
+//! graphs from files and from the wire enter the program, so the bound is
+//! enforced here.
 
-use crate::graph::{ELabel, Graph, GraphBuilder, VLabel, VertexId};
+use crate::graph::{ELabel, Graph, GraphBuilder, VLabel, VertexId, MAX_LABEL};
 use rustc_hash::FxHashMap;
 use std::fmt::Write as _;
 
@@ -69,6 +73,8 @@ pub enum ParseError {
     NoCurrentGraph(usize),
     /// An edge referenced a vertex that does not exist.
     BadEdge(usize, String),
+    /// A vertex or edge label above [`MAX_LABEL`].
+    LabelTooLarge(usize, u32),
 }
 
 impl std::fmt::Display for ParseError {
@@ -77,6 +83,9 @@ impl std::fmt::Display for ParseError {
             ParseError::Malformed(n, l) => write!(f, "line {n}: malformed: {l}"),
             ParseError::NoCurrentGraph(n) => write!(f, "line {n}: v/e before first t"),
             ParseError::BadEdge(n, l) => write!(f, "line {n}: bad edge: {l}"),
+            ParseError::LabelTooLarge(n, l) => {
+                write!(f, "line {n}: label {l} exceeds the maximum {MAX_LABEL}")
+            }
         }
     }
 }
@@ -116,6 +125,9 @@ pub fn parse_graphs(text: &str) -> Result<Vec<Graph>, ParseError> {
                 if _id as usize != b.vertex_count() {
                     return Err(ParseError::Malformed(lineno, line.to_owned()));
                 }
+                if label > MAX_LABEL {
+                    return Err(ParseError::LabelTooLarge(lineno, label));
+                }
                 b.add_vertex(VLabel(label));
             }
             Some("e") => {
@@ -132,6 +144,9 @@ pub fn parse_graphs(text: &str) -> Result<Vec<Graph>, ParseError> {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| ParseError::Malformed(lineno, line.to_owned()))?;
+                if label > MAX_LABEL {
+                    return Err(ParseError::LabelTooLarge(lineno, label));
+                }
                 b.add_edge(VertexId(u), VertexId(v), ELabel(label))
                     .map_err(|e| ParseError::BadEdge(lineno, e.to_string()))?;
             }
@@ -194,6 +209,24 @@ mod tests {
     fn parse_rejects_bad_edge() {
         let r = parse_graphs("t # 0\nv 0 1\ne 0 5 0\n");
         assert!(matches!(r, Err(ParseError::BadEdge(3, _))));
+    }
+
+    #[test]
+    fn parse_bounds_labels() {
+        // The largest label parses; one above it is refused on a vertex
+        // line and on an edge line.
+        let ok = format!("t # 0\nv 0 {MAX_LABEL}\nv 1 0\ne 0 1 {MAX_LABEL}\n");
+        let gs = parse_graphs(&ok).unwrap();
+        assert_eq!(gs[0].vlabel(VertexId(0)), VLabel(MAX_LABEL));
+        let over = MAX_LABEL + 1;
+        assert_eq!(
+            parse_graphs(&format!("t # 0\nv 0 {over}\n")),
+            Err(ParseError::LabelTooLarge(2, over))
+        );
+        assert_eq!(
+            parse_graphs(&format!("t # 0\nv 0 1\nv 1 1\ne 0 1 {}\n", u32::MAX)),
+            Err(ParseError::LabelTooLarge(4, u32::MAX))
+        );
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub use dist::{
     bfs_distances, bfs_distances_obs, distance, eccentricity, DistanceOracle, UNREACHABLE,
 };
 pub use graph::{
-    graph_from, BuildError, ELabel, Edge, EdgeId, Graph, GraphBuilder, VLabel, VertexId,
+    graph_from, BuildError, ELabel, Edge, EdgeId, Graph, GraphBuilder, VLabel, VertexId, MAX_LABEL,
 };
 pub use iso::{
     all_embeddings, automorphisms, find_embedding, for_each_embedding, for_each_embedding_pinned,

@@ -11,6 +11,7 @@
 use crate::support::{intersect_many, SupportSet};
 use graph_core::{canonical_code, CanonCode, ELabel, Graph, GraphBuilder, VLabel};
 use rustc_hash::{FxHashMap, FxHashSet};
+use tree_core::Tree;
 
 /// gIndex's size-increasing support function ψ(l) (§6.1): 1 below 4 edges,
 /// `√(l / maxL) · Θ` above, capped at Θ.
@@ -66,15 +67,6 @@ impl MinedGraph {
 /// Reuse the tree miner's limits.
 pub use crate::tree_miner::{MiningLimits, MiningStats};
 
-fn single_edge_graph(a: VLabel, el: ELabel, b: VLabel) -> Graph {
-    let (a, b) = (a.min(b), a.max(b));
-    let mut gb = GraphBuilder::with_capacity(2, 1);
-    let u = gb.add_vertex(a);
-    let v = gb.add_vertex(b);
-    gb.add_edge(u, v, el).expect("single edge");
-    gb.build()
-}
-
 fn copy_builder(g: &Graph) -> GraphBuilder {
     let mut b = GraphBuilder::with_capacity(g.vertex_count() + 1, g.edge_count() + 1);
     for v in g.vertices() {
@@ -118,7 +110,7 @@ pub fn mine_frequent_subgraphs(
     for (gid, g) in db.iter().enumerate() {
         let mut seen_here: FxHashSet<CanonCode> = FxHashSet::default();
         for e in g.edges() {
-            let p = single_edge_graph(g.vlabel(e.u), e.label, g.vlabel(e.v));
+            let p = Tree::single_edge(g.vlabel(e.u), e.label, g.vlabel(e.v)).into_graph();
             let code = canonical_code(&p);
             if !seen_here.insert(code.clone()) {
                 continue;

@@ -134,16 +134,6 @@ impl GraphSummary {
     }
 }
 
-/// Build the canonical single-edge tree for a labeled edge.
-fn single_edge_tree(a: VLabel, el: ELabel, b: VLabel) -> Tree {
-    let (a, b) = (a.min(b), a.max(b));
-    let mut gb = GraphBuilder::with_capacity(2, 1);
-    let u = gb.add_vertex(a);
-    let v = gb.add_vertex(b);
-    gb.add_edge(u, v, el).expect("single edge");
-    Tree::from_graph(gb.build()).expect("an edge is a tree")
-}
-
 /// Extend `t` with a new leaf labeled `leaf` attached to vertex `at` via an
 /// edge labeled `el`.
 fn extend_with_leaf(t: &Tree, at: VertexId, el: ELabel, leaf: VLabel) -> Tree {
@@ -401,11 +391,11 @@ pub fn mine_frequent_trees_pool_obs(
                     let triple = (lu.min(lv).0, edge.label.0, lu.max(lv).0);
                     let canon = canon_cache
                         .entry(triple)
-                        .or_insert_with(|| canonical_string(&single_edge_tree(lu, edge.label, lv)))
+                        .or_insert_with(|| canonical_string(&Tree::single_edge(lu, edge.label, lv)))
                         .clone();
                     local
                         .entry(canon)
-                        .or_insert_with(|| (single_edge_tree(lu, edge.label, lv), Vec::new()))
+                        .or_insert_with(|| (Tree::single_edge(lu, edge.label, lv), Vec::new()))
                         .1
                         .push(Instance {
                             gid,
@@ -880,7 +870,7 @@ pub fn mine_frequent_trees_apriori(
     for (gid, g) in db.iter().enumerate() {
         let mut seen_here: FxHashSet<CanonString> = FxHashSet::default();
         for e in g.edges() {
-            let t = single_edge_tree(g.vlabel(e.u), e.label, g.vlabel(e.v));
+            let t = Tree::single_edge(g.vlabel(e.u), e.label, g.vlabel(e.v));
             let canon = canonical_string(&t);
             if !seen_here.insert(canon.clone()) {
                 continue;

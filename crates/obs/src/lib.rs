@@ -812,7 +812,8 @@ pub mod names {
     pub const GAUGE_INDEX_CENTERS: &str = "mem.index.centers_bytes";
     /// Gauge: heap bytes of the per-vertex neighborhood signatures.
     pub const GAUGE_INDEX_SIGS: &str = "mem.index.sigs_bytes";
-    /// Gauge: heap bytes of the canonical-code trie.
+    /// Gauge: heap bytes of the canonical-string directory (one feature id
+    /// per feature; the name dates from the prefix trie it replaced).
     pub const GAUGE_INDEX_TRIE: &str = "mem.index.trie_bytes";
     /// Gauge: heap bytes still held by removed (tombstoned) graphs —
     /// reclaimable by a rebuild, excluded from `mem.index.bytes`.

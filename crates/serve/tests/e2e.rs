@@ -88,6 +88,37 @@ fn served_answers_match_the_scan_oracle() {
 }
 
 #[test]
+fn oversized_label_is_refused_and_the_connection_survives() {
+    // `v 0 4294967295` on the wire: canonical forms offset labels past
+    // their tags, so a label above `MAX_LABEL` used to overflow inside the
+    // server (killing its thread in debug builds). It is a parse error now,
+    // on a vertex and on an edge, and the connection keeps working.
+    let (addr, handle) = spawn_server(ServeConfig {
+        batch_window: Duration::from_micros(200),
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect_retry(&addr.to_string(), Duration::from_secs(5)).unwrap();
+    let hostile = [
+        graph_from(&[u32::MAX, 0], &[(0, 1, 0)]),
+        graph_from(&[0, 0], &[(0, 1, graph_core::MAX_LABEL + 1)]),
+    ];
+    for g in &hostile {
+        for resp in [client.query(g), client.insert(g)] {
+            match resp.unwrap().body {
+                ResponseBody::Error(msg) => assert!(msg.contains("label"), "{msg}"),
+                other => panic!("expected error for oversized label, got {other:?}"),
+            }
+        }
+    }
+    let q = &queries()[0];
+    let ids = expect_matches(client.query(q).unwrap());
+    assert_eq!(ids, scan_support(&build_index(), q));
+    client.shutdown().unwrap();
+    let (report, _, _) = handle.join().unwrap();
+    assert_eq!(report.errors, 4);
+}
+
+#[test]
 fn cache_hits_repeats_and_maintenance_invalidates() {
     let (addr, handle) = spawn_server(ServeConfig {
         batch_window: Duration::from_micros(200),

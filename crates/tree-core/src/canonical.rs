@@ -42,6 +42,10 @@ const VERTEX_ROOTED: u32 = 2;
 const EDGE_ROOTED: u32 = 3;
 const LABEL_BASE: u32 = 4;
 
+// Labels enter the program bounded (`graph_core::io::parse_graphs`, index
+// files), so `label + LABEL_BASE` below cannot wrap into the tags.
+const _: () = assert!(graph_core::MAX_LABEL <= u32::MAX - LABEL_BASE);
+
 /// Recursive canonical encoding of the subtree rooted at `v`, entered via
 /// edge label `le` (`None` for the root), excluding `parent`.
 ///

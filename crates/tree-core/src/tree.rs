@@ -5,7 +5,7 @@
 //! information, yet with polynomial-time canonical forms and a unique
 //! center (Theorem 1).
 
-use graph_core::{Graph, VertexId};
+use graph_core::{ELabel, Graph, GraphBuilder, VLabel, VertexId};
 use std::fmt;
 
 /// Error returned when a graph is not a free tree.
@@ -38,6 +38,16 @@ impl Tree {
         } else {
             Err(NotATree)
         }
+    }
+
+    /// The single-edge tree `a —el— b`, smaller endpoint label first: one
+    /// representative per labeled edge, whichever way the edge is read.
+    pub fn single_edge(a: VLabel, el: ELabel, b: VLabel) -> Self {
+        let mut gb = GraphBuilder::with_capacity(2, 1);
+        let u = gb.add_vertex(a.min(b));
+        let v = gb.add_vertex(a.max(b));
+        gb.add_edge(u, v, el).expect("two distinct fresh vertices");
+        Self { graph: gb.build() }
     }
 
     /// The underlying graph.
@@ -107,6 +117,13 @@ mod tests {
         assert_eq!(Tree::from_graph(forest), Err(NotATree));
         let empty = graph_from(&[], &[]);
         assert_eq!(Tree::from_graph(empty), Err(NotATree));
+    }
+
+    #[test]
+    fn single_edge_is_orientation_independent() {
+        let t = Tree::single_edge(VLabel(7), ELabel(3), VLabel(2));
+        assert_eq!(t, Tree::single_edge(VLabel(2), ELabel(3), VLabel(7)));
+        assert_eq!(t, tree_from(&[2, 7], &[(0, 1, 3)]));
     }
 
     #[test]

@@ -68,74 +68,46 @@ fn batch_on_pool(
     } else {
         threads / queries.len()
     };
-    let results: Vec<QueryResult> = if threads == 1 || queries.len() <= 1 {
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<QueryResult>>> = queries.iter().map(|_| Mutex::new(None)).collect();
+    // One seat (a 1-worker pool, a batch of one or none) runs inline on the
+    // caller: `Pool::run` floors seats at 1 and spawns nothing for it.
+    let workers = threads.min(queries.len());
+    pool.run(workers, |_seat| {
         let shard = registry.shard();
-        let results = {
+        let mut served = 0u64;
+        {
             let _wall = shard.span("engine.worker_wall");
-            let results: Vec<QueryResult> = queries
-                .iter()
-                .enumerate()
-                .map(|(i, q)| {
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= queries.len() {
+                    break;
+                }
+                let r = {
                     shard.set_trace_query(Some(i as u64));
                     let _busy = shard.span("engine.worker_busy");
                     index.query_with_pool_obs(
-                        q,
+                        &queries[i],
                         opts,
                         &mut query_rng(seed, i),
                         pool,
-                        threads,
+                        intra,
                         &shard,
                     )
-                })
-                .collect();
-            shard.set_trace_query(None);
-            results
-        };
-        shard.add("engine.workers", 1);
-        shard.add("engine.queries", queries.len() as u64);
-        registry.absorb(shard);
-        results
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<QueryResult>>> =
-            queries.iter().map(|_| Mutex::new(None)).collect();
-        let workers = threads.min(queries.len());
-        pool.run(workers, |_seat| {
-            let shard = registry.shard();
-            let mut served = 0u64;
-            {
-                let _wall = shard.span("engine.worker_wall");
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= queries.len() {
-                        break;
-                    }
-                    let r = {
-                        shard.set_trace_query(Some(i as u64));
-                        let _busy = shard.span("engine.worker_busy");
-                        index.query_with_pool_obs(
-                            &queries[i],
-                            opts,
-                            &mut query_rng(seed, i),
-                            pool,
-                            intra,
-                            &shard,
-                        )
-                    };
-                    served += 1;
-                    *slots[i].lock().expect("slot") = Some(r);
-                }
-                shard.set_trace_query(None);
+                };
+                served += 1;
+                *slots[i].lock().expect("slot") = Some(r);
             }
-            shard.add("engine.workers", 1);
-            shard.add("engine.queries", served);
-            registry.absorb(shard);
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("slot").expect("every query ran"))
-            .collect()
-    };
+            shard.set_trace_query(None);
+        }
+        shard.add("engine.workers", 1);
+        shard.add("engine.queries", served);
+        registry.absorb(shard);
+    });
+    let results: Vec<QueryResult> = slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("slot").expect("every query ran"))
+        .collect();
     // Batch-end delta of the pool's scheduling metrics (pool.* namespace,
     // exempt from the determinism contract like engine.*).
     let shard = registry.shard();

@@ -3,8 +3,7 @@
 //! `P_q = ⋂_{t ∈ SF_q} D_t`: a graph can only contain the query if it
 //! contains every feature subtree of the query.
 
-use crate::index::TreePiIndex;
-use crate::trie::FeatureId;
+use crate::index::{FeatureId, TreePiIndex};
 use graph_core::Graph;
 use mining::{intersect_many, SupportSet};
 use std::ops::ControlFlow;
@@ -15,9 +14,9 @@ use std::ops::ControlFlow;
 ///
 /// Every connected acyclic edge subset of `q` up to the index's η is
 /// canonicalized (polynomial time — the reason trees were chosen) and
-/// looked up in the trie; distinct hits form `SF_q`. Returns `None` if a
-/// single edge of `q` is not a feature, which proves the support is empty
-/// (σ(1) = 1 indexes every edge the database contains).
+/// looked up in the directory; distinct hits form `SF_q`. Returns `None` if
+/// a single edge of `q` is not a feature, which proves the support is
+/// empty (σ(1) = 1 indexes every edge the database contains).
 pub fn enumerate_query_features(index: &TreePiIndex, q: &Graph) -> Option<Vec<FeatureId>> {
     let eta = index.params().sigma.eta;
     let mut sf: Vec<FeatureId> = Vec::new();

@@ -41,14 +41,13 @@ pub mod persist;
 pub mod prune;
 pub mod query;
 pub mod sig;
-pub mod trie;
 pub mod verify;
 pub mod workload;
 
 pub use directed::DirectedTreePiIndex;
 pub use engine::{query_rng, ApplyOutcome, Engine, MaintStats, RemineReport};
 pub use filter::enumerate_query_features;
-pub use index::{BuildStats, Feature, IndexMemory, TreePiIndex};
+pub use index::{BuildStats, Feature, FeatureId, IndexMemory, TreePiIndex};
 pub use params::{Delta, TreePiParams};
 pub use partition::{
     partition_runs, partition_runs_with, random_partition, random_partition_collecting, Part,
@@ -56,6 +55,5 @@ pub use partition::{
 };
 pub use query::{QueryOptions, QueryResult, QueryStats, SfMode, INTRA_PAR_THRESHOLD};
 pub use sig::VertexSig;
-pub use trie::{CanonTrie, FeatureId};
 pub use verify::scan_support;
 pub use workload::{summarize, WorkloadSummary};

@@ -14,8 +14,7 @@
 //! partition whose worst case is all single-edge parts — with the same
 //! termination guarantee (single-edge trees are always features, σ(1) = 1).
 
-use crate::index::TreePiIndex;
-use crate::trie::FeatureId;
+use crate::index::{FeatureId, TreePiIndex};
 use graph_core::{EdgeId, Graph, VertexId};
 use rand::Rng;
 use smallvec::SmallVec;
@@ -83,8 +82,8 @@ impl Growth {
 /// `extra_features`, when provided, collects every *intermediate* feature
 /// tree observed while growing parts — the "group of additional feature
 /// subtrees of the query graph" that §5.1 says RP generates as a byproduct.
-/// They cost nothing (each growth step already performed the trie lookup)
-/// and sharpen the filter intersection.
+/// They cost nothing (each growth step already performed the directory
+/// lookup) and sharpen the filter intersection.
 pub fn random_partition<R: Rng>(q: &Graph, index: &TreePiIndex, rng: &mut R) -> PartitionOutcome {
     random_partition_collecting(q, index, rng, &mut Vec::new())
 }
@@ -238,11 +237,7 @@ pub fn partition_runs_with<R: Rng>(
     // `collect_sf`; only the bookkeeping is conditional.
     for e in q.edge_ids() {
         let edge = q.edge(e);
-        let mut b = graph_core::GraphBuilder::with_capacity(2, 1);
-        let u = b.add_vertex(q.vlabel(edge.u));
-        let v = b.add_vertex(q.vlabel(edge.v));
-        b.add_edge(u, v, edge.label).expect("single edge");
-        let t = Tree::from_graph(b.build()).expect("an edge is a tree");
+        let t = Tree::single_edge(q.vlabel(edge.u), edge.label, q.vlabel(edge.v));
         let c = canonical_string(&t);
         match index.feature_by_canon(&c) {
             Some(fid) => {

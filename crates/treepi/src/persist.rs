@@ -22,11 +22,12 @@
 //! A posting list is the feature's support set with, rank-aligned to it,
 //! the end offset of each graph's run of center positions — the heap
 //! layout of [`Feature`], written column by column. Position ids are vertex
-//! or edge ids according to the center of the feature's tree. Everything
-//! else an index holds — canonical strings, the trie, feature centers, the
-//! per-vertex signatures ([`crate::sig`]) and the [`TreePiIndex::stats`]
-//! counters — is a function of these facts and is recomputed on load, so
-//! no two parts of a file can disagree.
+//! or edge ids according to the center of the feature's tree; the heap
+//! keeps the same 4-byte ids, so the columns move in and out verbatim.
+//! Everything else an index holds — canonical strings and their sorted
+//! directory, feature centers, the per-vertex signatures ([`crate::sig`])
+//! and the [`TreePiIndex::stats`] counters — is a function of these facts
+//! and is recomputed on load, so no two parts of a file can disagree.
 //!
 //! [`TreePiIndex::load`] returns an error or a sound index, never a bad
 //! one. The checksum catches accidental damage (any single changed byte,
@@ -34,10 +35,11 @@
 //! every count is bounded by the bytes that remain before anything is
 //! allocated for it, and everything a query indexes with is checked:
 //! supports strictly increasing and inside the database, offsets strictly
-//! increasing, every center position inside its graph, no two features
-//! with one canonical string. A file crafted past those checks can make
-//! answers wrong, but cannot make a query panic. (δ and the mining limits
-//! only scale work and are taken as written.)
+//! increasing, every center position inside its graph, every label at most
+//! [`graph_core::MAX_LABEL`] (canonical strings offset labels past their
+//! tags), no two features with one canonical string. A file crafted past
+//! those checks can make answers wrong, but cannot make a query panic. (δ
+//! and the mining limits only scale work and are taken as written.)
 //!
 //! The maintenance epoch is part of the format because epoch-keyed result
 //! caches survive across save/load boundaries only if the epoch does too:
@@ -54,7 +56,7 @@
 use crate::index::{Feature, TreePiIndex};
 use crate::params::{Delta, TreePiParams};
 use bytes::BufMut;
-use graph_core::{ELabel, Graph, GraphBuilder, VLabel, VertexId};
+use graph_core::{ELabel, Graph, GraphBuilder, VLabel, VertexId, MAX_LABEL};
 use mining::{MiningLimits, SigmaFn};
 use std::io::{self, Read, Write};
 use tree_core::Tree;
@@ -113,6 +115,13 @@ impl<'a> Reader<'a> {
         }
     }
 
+    fn label(&mut self) -> io::Result<u32> {
+        match self.u32()? {
+            label @ 0..=MAX_LABEL => Ok(label),
+            _ => Err(bad("label exceeds the maximum")),
+        }
+    }
+
     /// Fail — before anything is allocated for them — unless `n` records of
     /// at least `min_size` bytes each can still follow.
     fn bound(&self, n: usize, min_size: usize) -> io::Result<usize> {
@@ -153,10 +162,10 @@ fn get_graph(r: &mut Reader) -> io::Result<Graph> {
     let n = r.count(4)?;
     let mut b = GraphBuilder::with_capacity(n, 0);
     for _ in 0..n {
-        b.add_vertex(VLabel(r.u32()?));
+        b.add_vertex(VLabel(r.label()?));
     }
     for _ in 0..r.count(12)? {
-        let (u, v, l) = (VertexId(r.u32()?), VertexId(r.u32()?), ELabel(r.u32()?));
+        let (u, v, l) = (VertexId(r.u32()?), VertexId(r.u32()?), ELabel(r.label()?));
         b.add_edge(u, v, l).map_err(|e| bad(&e.to_string()))?;
     }
     Ok(b.build())
@@ -164,9 +173,9 @@ fn get_graph(r: &mut Reader) -> io::Result<Graph> {
 
 fn put_feature(buf: &mut Vec<u8>, f: &Feature) {
     put_graph(buf, f.tree.graph());
-    let (offsets, ids) = f.columns();
+    let (offsets, positions) = f.columns();
     buf.put_u32_le(f.support.len() as u32);
-    for x in f.support.iter().chain(offsets).copied().chain(ids) {
+    for &x in f.support.iter().chain(offsets).chain(positions) {
         buf.put_u32_le(x);
     }
 }
@@ -176,8 +185,8 @@ fn get_feature(r: &mut Reader, db: &[Graph]) -> io::Result<Feature> {
     let k = r.u32()? as usize;
     let support = r.u32s(k)?;
     let offsets = r.u32s(k)?;
-    let ids = r.u32s(offsets.last().map_or(0, |&end| end as usize))?;
-    Feature::from_columns(tree, support, offsets, ids, db).map_err(bad)
+    let positions = r.u32s(offsets.last().map_or(0, |&end| end as usize))?;
+    Feature::from_columns(tree, support, offsets, positions, db).map_err(bad)
 }
 
 impl TreePiIndex {
@@ -293,7 +302,7 @@ impl TreePiIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trie::FeatureId;
+    use crate::index::FeatureId;
     use graph_core::graph_from;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -365,10 +374,9 @@ mod tests {
             assert_eq!(fa.center, fb.center);
             assert_eq!(b.feature_by_canon(&fa.canon), Some(fid));
             for gid in 0..a.db().len() as u32 {
-                assert_eq!(
-                    a.center_positions_of(fid, gid),
-                    b.center_positions_of(fid, gid)
-                );
+                assert!(a
+                    .center_positions_of(fid, gid)
+                    .eq(b.center_positions_of(fid, gid)));
             }
         }
         assert_eq!(answers(a), answers(b));
@@ -383,6 +391,7 @@ mod tests {
             let loaded = load(&bytes).unwrap();
             assert_same_index(&idx, &loaded);
             assert!(loaded.sigs_consistent() && loaded.postings_consistent());
+            assert!(loaded.directory_consistent());
             assert_eq!(saved(&loaded), bytes);
         }
         let loaded = load(&saved(&churned_index())).unwrap();
@@ -470,6 +479,54 @@ mod tests {
             assert!(ran.is_ok(), "{what}: loaded index panicked a query");
         }
         assert!(resealed_loads > 0, "hostile leg never got past the loader");
+    }
+
+    #[test]
+    fn rejects_a_feature_tree_stored_twice() {
+        // Append a second copy of feature 0 behind the last feature and
+        // raise |F|: every column is valid and the copies are not
+        // neighbours in the file — only the sorted directory can tell.
+        let idx = sample_index();
+        let bytes = saved(&idx);
+        let mut db_part = Vec::new();
+        idx.db().iter().for_each(|g| put_graph(&mut db_part, g));
+        // |F| follows the 57-byte head, the graphs and their active flags;
+        // mined, truncated and the epoch (17 bytes) precede the checksum.
+        let count_at = 57 + db_part.len() + idx.db().len();
+        let n = idx.feature_count() as u32;
+        assert_eq!(bytes[count_at..count_at + 4], n.to_le_bytes());
+        let tail_at = bytes.len() - 8 - 17;
+        let mut m = bytes[..count_at].to_vec();
+        m.put_u32_le(n + 1);
+        m.extend_from_slice(&bytes[count_at + 4..tail_at]);
+        put_feature(&mut m, &idx.features()[0]);
+        m.extend_from_slice(&bytes[tail_at..]);
+        reseal(&mut m);
+        let err = load(&m).err().expect("duplicate feature accepted");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("two features share a canonical string"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn bounds_labels() {
+        // Bytes 61..65 are the first vertex label of graph 0, 89..93 its
+        // first edge label. A label above the bound would overflow the tag
+        // offset of canonical strings (a panic in debug builds, a forged
+        // tag token in release builds).
+        let bytes = saved(&sample_index());
+        for at in [61, 89] {
+            let mut m = bytes.clone();
+            m[at..at + 4].copy_from_slice(&MAX_LABEL.to_le_bytes());
+            reseal(&mut m);
+            assert!(load(&m).is_ok(), "largest label at {at} refused");
+            m[at..at + 4].copy_from_slice(&(MAX_LABEL + 1).to_le_bytes());
+            reseal(&mut m);
+            let err = load(&m).err().expect("oversized label accepted");
+            assert!(err.to_string().contains("label exceeds the maximum"));
+        }
     }
 
     #[test]

@@ -121,13 +121,13 @@ pub fn satisfies_cdc_obs(
     // with. Incompatible positions are skipped inside the backtracking loop
     // rather than materialized into filtered lists — no allocation, and
     // each position's compatibility is evaluated at most once per level.
-    let mut cands: Vec<&[CenterPos]> = Vec::with_capacity(parts.len());
+    let mut cands = Vec::with_capacity(parts.len());
     let mut compat: Vec<usize> = Vec::with_capacity(parts.len());
     for p in parts {
         let c = index.center_positions_of(p.feature, gid);
         let n = c
-            .iter()
-            .filter(|&&cp| sig::center_compatible(qsigs, hsigs, &p.center_reps_in_q, cp, g))
+            .clone()
+            .filter(|&cp| sig::center_compatible(qsigs, hsigs, &p.center_reps_in_q, cp, g))
             .count();
         if n == 0 {
             shard.add("prune.center_sig_kills", 1);
@@ -145,10 +145,10 @@ pub fn satisfies_cdc_obs(
     let mut assigned: Vec<(usize, CenterPos)> = Vec::with_capacity(parts.len());
 
     #[allow(clippy::too_many_arguments)]
-    fn backtrack(
+    fn backtrack<I: Iterator<Item = CenterPos> + Clone>(
         order: &[usize],
         k: usize,
-        cands: &[&[CenterPos]],
+        cands: &[I],
         parts: &[Part],
         qsigs: &[VertexSig],
         hsigs: &[VertexSig],
@@ -161,7 +161,7 @@ pub fn satisfies_cdc_obs(
             return true;
         }
         let part_i = order[k];
-        'cand: for &c in cands[part_i] {
+        'cand: for c in cands[part_i].clone() {
             if !sig::center_compatible(qsigs, hsigs, &parts[part_i].center_reps_in_q, c, g) {
                 continue 'cand;
             }

@@ -155,7 +155,7 @@ fn search(
     let pi = st.order[k];
     let part = &parts[pi];
     let centers = index.center_positions_of(part.feature, gid);
-    'center: for &c in centers {
+    'center: for c in centers {
         // Signature gate: no embedding of the full query can land the
         // part's center representatives on this position's representatives
         // unless they are signature-compatible (see `crate::sig`).
@@ -326,7 +326,7 @@ pub(crate) fn verify_with_boundaries_obs(
 
     // Every part needs at least one stored center.
     for p in parts {
-        if index.center_positions_of(p.feature, gid).is_empty() {
+        if index.center_positions_of(p.feature, gid).next().is_none() {
             return false;
         }
     }
@@ -344,8 +344,7 @@ pub(crate) fn verify_with_boundaries_obs(
     for p in parts {
         let n = index
             .center_positions_of(p.feature, gid)
-            .iter()
-            .filter(|&&c| sig::center_compatible(&scratch.qsigs, hsigs, &p.center_reps_in_q, c, g))
+            .filter(|&c| sig::center_compatible(&scratch.qsigs, hsigs, &p.center_reps_in_q, c, g))
             .count();
         if n == 0 {
             shard.add("verify.center_sig_kills", 1);

@@ -63,7 +63,7 @@ proptest! {
     #[test]
     fn build_is_thread_count_invariant(db in arb_db(10, 8)) {
         let base = build(db.clone(), 1);
-        prop_assert!(base.postings_consistent());
+        prop_assert!(base.postings_consistent() && base.directory_consistent());
         let base_bytes = save_bytes(&base);
         for threads in [2usize, 8] {
             let idx = build(db.clone(), threads);
@@ -75,6 +75,7 @@ proptest! {
             );
             prop_assert_eq!(base.stats(), idx.stats());
             prop_assert!(idx.postings_consistent(), "threads={}", threads);
+            prop_assert!(idx.directory_consistent(), "threads={}", threads);
             prop_assert!(idx.sigs_consistent(), "threads={}", threads);
         }
     }

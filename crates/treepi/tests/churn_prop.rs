@@ -5,7 +5,10 @@
 //!
 //! - **Every step**: a query batch dispatched right after each mutation
 //!   must equal the brute-force scan oracle over the snapshot it ran
-//!   against — §7.1 maintenance never costs exactness, at any pool size.
+//!   against — §7.1 maintenance never costs exactness, at any pool size —
+//!   and the canonical-string directory must find exactly what a linear
+//!   scan of the features finds, also across the inserts that register a
+//!   novel single-edge feature.
 //! - **Final state**: the churned index is equivalent to a fresh build on
 //!   the surviving graphs *modulo §7.1 repair*. The bound is explicit:
 //!   repairs patch support sets but never mine new features or retire old
@@ -20,7 +23,8 @@
 use graph_core::{ELabel, Graph, GraphBuilder, VLabel, VertexId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use treepi::{scan_support, Engine, QueryOptions, TreePiIndex, TreePiParams};
+use tree_core::CanonString;
+use treepi::{scan_support, Engine, FeatureId, QueryOptions, TreePiIndex, TreePiParams};
 
 /// Random connected labeled graph: a random tree plus a few extra edges
 /// (same shape as the proptest generator in `prop.rs`, but driven by a
@@ -50,7 +54,30 @@ fn random_graph(rng: &mut ChaCha8Rng, nmax: usize) -> Graph {
     b.build()
 }
 
-fn sorted_canons(idx: &TreePiIndex) -> Vec<tree_core::CanonString> {
+/// The directory is well formed and `feature_by_canon` agrees with a linear
+/// scan of `features()` on every stored string and on near misses of each:
+/// its proper prefix, an extension, and every one-token change.
+fn assert_directory(idx: &TreePiIndex, what: &str) {
+    assert!(idx.directory_consistent(), "{what}: directory out of order");
+    let scan = |c: &CanonString| {
+        let at = idx.features().iter().position(|f| f.canon == *c);
+        at.map(|i| FeatureId(i as u32))
+    };
+    for f in idx.features() {
+        let t = f.canon.tokens();
+        let mut probes = vec![t.to_vec(), t[..t.len() - 1].to_vec(), [t, &t[..1]].concat()];
+        probes.extend((0..t.len()).map(|i| {
+            let mut p = t.to_vec();
+            p[i] ^= 1;
+            p
+        }));
+        for p in probes.into_iter().map(CanonString) {
+            assert_eq!(idx.feature_by_canon(&p), scan(&p), "{what}: {p:?}");
+        }
+    }
+}
+
+fn sorted_canons(idx: &TreePiIndex) -> Vec<CanonString> {
     let mut v: Vec<_> = idx.features().iter().map(|f| f.canon.clone()).collect();
     v.sort();
     v
@@ -58,11 +85,14 @@ fn sorted_canons(idx: &TreePiIndex) -> Vec<tree_core::CanonString> {
 
 /// One seeded churn schedule: 30 mutations (60% insert / 40% remove of a
 /// random live gid), an oracle-checked query batch after every step, and
-/// the final fresh-build equivalence described in the module docs.
-fn run_churn(workers: usize, seed: u64) {
+/// the final fresh-build equivalence described in the module docs. Returns
+/// whether some insert registered a novel single-edge feature.
+fn run_churn(workers: usize, seed: u64) -> bool {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let initial: Vec<Graph> = (0..6).map(|_| random_graph(&mut rng, 7)).collect();
     let engine = Engine::new(TreePiIndex::build(initial, TreePiParams::quick()), workers);
+    let built_features = engine.pin().feature_count();
+    assert_directory(&engine.pin(), "fresh build");
     let mut live: Vec<u32> = (0..6).collect();
     let mut expected_next = 6u32;
 
@@ -84,6 +114,7 @@ fn run_churn(workers: usize, seed: u64) {
             snapshot.postings_consistent(),
             "step {step}, {workers} workers: posting lists out of step"
         );
+        assert_directory(&snapshot, &format!("step {step}, {workers} workers"));
         let (results, _) = engine.query_batch(&queries, QueryOptions::default(), seed ^ step);
         for (q, r) in queries.iter().zip(&results) {
             assert_eq!(
@@ -98,13 +129,14 @@ fn run_churn(workers: usize, seed: u64) {
     // a fresh build on the survivors.
     let churned = engine.pin();
     let remined = churned.remine_with_pool(engine.pool());
-    assert!(remined.postings_consistent());
+    assert!(remined.postings_consistent() && remined.directory_consistent());
     // The churned index survives a file round trip unchanged: saving the
     // loaded copy reproduces the file byte for byte.
     let mut file = Vec::new();
     churned.save(&mut file).expect("in-memory save");
     let loaded = TreePiIndex::load(&mut file.as_slice()).expect("own file loads");
     assert_eq!(loaded.stats(), churned.stats());
+    assert_directory(&loaded, "loaded");
     let mut again = Vec::new();
     loaded.save(&mut again).expect("in-memory save");
     assert_eq!(again, file, "save(load(save(x))) differs from save(x)");
@@ -144,15 +176,19 @@ fn run_churn(workers: usize, seed: u64) {
     let final_idx = engine.into_index();
     assert_eq!(final_idx.maintenance_epoch(), churned.maintenance_epoch());
     assert_eq!(final_idx.active_count(), live.len());
+    // Repairs never retire a feature, so growth means a directory splice.
+    final_idx.feature_count() > built_features
 }
 
 const SEEDS: [u64; 3] = [7, 2007, 0x00C0_FFEE];
 
 #[test]
 fn churn_schedules_1_worker() {
-    for seed in SEEDS {
-        run_churn(1, seed);
-    }
+    let spliced = SEEDS.map(|seed| run_churn(1, seed));
+    assert!(
+        spliced.contains(&true),
+        "no schedule registered a novel single-edge feature: the directory splice went untested"
+    );
 }
 
 #[test]
