@@ -16,7 +16,7 @@ pub const UNREACHABLE: u32 = u32::MAX;
 /// disconnected).
 pub fn bfs_distances(g: &Graph, src: VertexId) -> Vec<u32> {
     let mut dist = vec![UNREACHABLE; g.vertex_count()];
-    let mut queue = std::collections::VecDeque::new();
+    let mut queue = std::collections::VecDeque::with_capacity(g.vertex_count());
     dist[src.idx()] = 0;
     queue.push_back(src);
     while let Some(v) = queue.pop_front() {
@@ -44,7 +44,7 @@ pub fn distance(g: &Graph, a: VertexId, b: VertexId) -> u32 {
     }
     // Early-exit BFS from a.
     let mut dist = vec![UNREACHABLE; g.vertex_count()];
-    let mut queue = std::collections::VecDeque::new();
+    let mut queue = std::collections::VecDeque::with_capacity(g.vertex_count());
     dist[a.idx()] = 0;
     queue.push_back(a);
     while let Some(v) = queue.pop_front() {

@@ -93,8 +93,11 @@ impl Edge {
 pub struct Graph {
     vlabels: Vec<VLabel>,
     edges: Vec<Edge>,
-    /// adjacency: per vertex, (neighbor, edge id) pairs.
-    adj: Vec<SmallVec<[(VertexId, EdgeId); 6]>>,
+    /// CSR adjacency: the (neighbor, edge id) pairs of vertex `v` are
+    /// `adj[off[v]..off[v + 1]]`, in edge-id order. `off` has one entry per
+    /// vertex plus one, and none at all for the empty graph.
+    off: Vec<u32>,
+    adj: Vec<(VertexId, EdgeId)>,
 }
 
 impl Graph {
@@ -141,13 +144,13 @@ impl Graph {
     /// Neighbors of `v` as (neighbor, edge id) pairs.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[(VertexId, EdgeId)] {
-        &self.adj[v.idx()]
+        &self.adj[self.off[v.idx()] as usize..self.off[v.idx() + 1] as usize]
     }
 
     /// Degree of `v`.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        self.adj[v.idx()].len()
+        (self.off[v.idx() + 1] - self.off[v.idx()]) as usize
     }
 
     /// The edge between `u` and `v`, if any.
@@ -157,7 +160,7 @@ impl Graph {
         } else {
             (v, u)
         };
-        self.adj[small.idx()]
+        self.neighbors(small)
             .iter()
             .find(|(n, _)| *n == target)
             .map(|&(_, e)| e)
@@ -209,12 +212,8 @@ impl Graph {
         use std::mem::size_of;
         self.vlabels.len() * size_of::<VLabel>()
             + self.edges.len() * size_of::<Edge>()
-            + self.adj.len() * size_of::<SmallVec<[(VertexId, EdgeId); 6]>>()
-            + self
-                .adj
-                .iter()
-                .map(|a| a.len() * size_of::<(VertexId, EdgeId)>())
-                .sum::<usize>()
+            + self.off.len() * size_of::<u32>()
+            + self.adj.len() * size_of::<(VertexId, EdgeId)>()
     }
 
     /// Multiset of `(min endpoint label, edge label, max endpoint label)`
@@ -360,12 +359,24 @@ impl GraphBuilder {
         self.adj[v.idx()].len()
     }
 
-    /// Finish building.
+    /// Finish building: the per-vertex lists, each already in edge-id
+    /// order, are laid end to end.
     pub fn build(self) -> Graph {
+        let mut off = Vec::new();
+        let mut adj = Vec::with_capacity(2 * self.edges.len());
+        if !self.adj.is_empty() {
+            off.reserve_exact(self.adj.len() + 1);
+            off.push(0);
+            for list in &self.adj {
+                adj.extend_from_slice(list);
+                off.push(u32::try_from(adj.len()).expect("adjacency offsets fit u32"));
+            }
+        }
         Graph {
             vlabels: self.vlabels,
             edges: self.edges,
-            adj: self.adj,
+            off,
+            adj,
         }
     }
 }
@@ -467,6 +478,13 @@ mod tests {
         assert!(g.is_connected());
         // but not a tree: a tree needs at least one vertex
         assert!(!g.is_tree());
+    }
+
+    #[test]
+    fn empty_graph_holds_no_heap() {
+        // A tombstoned database slot is an empty graph and must weigh 0.
+        assert_eq!(graph_from(&[], &[]).heap_bytes(), 0);
+        assert_eq!(GraphBuilder::new().build(), graph_from(&[], &[]));
     }
 
     #[test]

@@ -263,22 +263,14 @@ impl<'p> PreparedPattern<'p> {
             "first pin must match the prepared root"
         );
         let mut pinned = vec![UNMAPPED; p.vertex_count()];
-        for &(pv, gv) in pins {
-            // Conflicting pins (same pattern vertex twice, or two pattern
-            // vertices on one target vertex) can never be satisfied.
-            if pinned[pv.idx()] != UNMAPPED && pinned[pv.idx()] != gv {
+        for (i, &(pv, gv)) in pins.iter().enumerate() {
+            // Two pins that send one pattern vertex to two targets, or two
+            // pattern vertices to one target, can never be satisfied; the
+            // same pair twice is one pin.
+            if pins[..i].iter().any(|&(qv, hv)| (qv == pv) != (hv == gv)) {
                 return ControlFlow::Continue(());
             }
             pinned[pv.idx()] = gv;
-        }
-        {
-            let mut images: Vec<VertexId> = pins.iter().map(|&(_, gv)| gv).collect();
-            images.sort_unstable();
-            images.dedup();
-            let distinct_pins = pinned.iter().filter(|&&x| x != UNMAPPED).count();
-            if images.len() != distinct_pins {
-                return ControlFlow::Continue(());
-            }
         }
         let mut st = SearchState {
             p,
@@ -430,6 +422,30 @@ mod tests {
             ControlFlow::Continue(())
         });
         assert_eq!(n, 0);
+    }
+
+    #[test]
+    fn conflicting_pins_yield_nothing_and_repeated_pins_are_one() {
+        // Pattern a-a on target path a-a-a: every vertex pair is label-feasible.
+        let p = graph_from(&[5, 5], &[(0, 1, 0)]);
+        let g = graph_from(&[5, 5, 5], &[(0, 1, 0), (1, 2, 0)]);
+        let count = |pins: &[(VertexId, VertexId)]| {
+            let mut n = 0;
+            let _ = for_each_embedding_pinned(&p, &g, pins, |_| {
+                n += 1;
+                ControlFlow::Continue(())
+            });
+            n
+        };
+        let (p0, p1) = (VertexId(0), VertexId(1));
+        let (g0, g1) = (VertexId(0), VertexId(1));
+        assert_eq!(count(&[(p0, g0), (p1, g1)]), 1);
+        // The same pair twice is one pin.
+        assert_eq!(count(&[(p0, g1)]), 2);
+        assert_eq!(count(&[(p0, g1), (p0, g1)]), 2);
+        // One pattern vertex on two targets; two pattern vertices on one.
+        assert_eq!(count(&[(p0, g0), (p0, g1)]), 0);
+        assert_eq!(count(&[(p0, g1), (p1, g1)]), 0);
     }
 
     #[test]

@@ -145,6 +145,29 @@ proptest! {
         }
     }
 
+    /// The flat adjacency is a pure function of the edge list: `neighbors(v)`
+    /// is the (other endpoint, id) of each incident edge in id order —
+    /// beyond the builder's inline degree of 6 too — and the byte count is
+    /// the four columns' lengths.
+    #[test]
+    fn adjacency_is_the_incident_edges_in_id_order(g in arb_graph(12)) {
+        for v in g.vertices() {
+            let incident: Vec<(VertexId, EdgeId)> = g
+                .edge_ids()
+                .filter(|&e| g.edge(e).touches(v))
+                .map(|e| (g.edge(e).other(v), e))
+                .collect();
+            prop_assert_eq!(g.neighbors(v), incident.as_slice());
+            prop_assert_eq!(g.degree(v), incident.len());
+            for u in g.vertices() {
+                let between = incident.iter().find(|(w, _)| *w == u).map(|&(_, e)| e);
+                prop_assert_eq!(g.edge_between(v, u), between);
+            }
+        }
+        let (n, m) = (g.vertex_count(), g.edge_count());
+        prop_assert_eq!(g.heap_bytes(), 4 * n + 12 * m + 4 * (n + 1) + 8 * 2 * m);
+    }
+
     #[test]
     fn io_round_trip(g in arb_graph(7)) {
         let text = io::write_graphs(std::slice::from_ref(&g));

@@ -10,7 +10,7 @@
 
 use crate::center::{center, Center};
 use crate::tree::Tree;
-use graph_core::{for_each_embedding_pinned, for_each_embedding_rooted, EdgeId, Graph, VertexId};
+use graph_core::{EdgeId, Graph, VertexId};
 use std::ops::ControlFlow;
 
 /// A position in a *host graph* where a feature-tree embedding is centered.
@@ -51,52 +51,31 @@ pub fn center_positions(t: &Tree, g: &Graph) -> Vec<CenterPos> {
 /// rooted search actually ran, `tree.embed.centers_found` counts positions
 /// returned. Both are per-(tree, graph) work, independent of threading.
 pub fn center_positions_obs(t: &Tree, g: &Graph, shard: &obs::Shard) -> Vec<CenterPos> {
+    // Every probe pins the same root (the center vertex, or the center
+    // edge's `u` in both orientations): one search plan serves them all.
+    let matcher = CenteredMatcher::new(t);
+    let centered_at = |pos| {
+        matcher
+            .for_each_embedding_centered(g, pos, |_| ControlFlow::Break(()))
+            .is_break()
+    };
     let mut out = Vec::new();
     let mut probes = 0u64;
-    match center(t) {
+    match matcher.center {
         Center::Vertex(c) => {
             let want = t.graph().vlabel(c);
-            for v in g.vertices() {
-                if g.vlabel(v) != want {
-                    continue;
-                }
+            for v in g.vertices().filter(|&v| g.vlabel(v) == want) {
                 probes += 1;
-                let mut hit = false;
-                let _ = for_each_embedding_rooted(t.graph(), g, c, v, |_| {
-                    hit = true;
-                    ControlFlow::Break(())
-                });
-                if hit {
+                if centered_at(CenterPos::Vertex(v)) {
                     out.push(CenterPos::Vertex(v));
                 }
             }
         }
         Center::Edge(ce) => {
-            let cedge = t.graph().edge(ce);
-            for ge in g.edge_ids() {
-                let gedge = g.edge(ge);
-                if gedge.label != cedge.label {
-                    continue;
-                }
+            let want = t.graph().edge(ce).label;
+            for ge in g.edge_ids().filter(|&ge| g.edge(ge).label == want) {
                 probes += 1;
-                let mut hit = false;
-                // Try both orientations of the center edge onto the host
-                // edge; the host edge is the center image either way.
-                for (a, b) in [(gedge.u, gedge.v), (gedge.v, gedge.u)] {
-                    let _ = for_each_embedding_pinned(
-                        t.graph(),
-                        g,
-                        &[(cedge.u, a), (cedge.v, b)],
-                        |_| {
-                            hit = true;
-                            ControlFlow::Break(())
-                        },
-                    );
-                    if hit {
-                        break;
-                    }
-                }
-                if hit {
+                if centered_at(CenterPos::Edge(ge)) {
                     out.push(CenterPos::Edge(ge));
                 }
             }
