@@ -182,14 +182,7 @@ fn serve_mixed_session(db: &[Graph], qs: &[Graph]) -> (u64, std::time::Duration,
     const OPS: usize = 30;
     const ROUNDS: usize = 6;
 
-    let server = serve::Server::bind(
-        "127.0.0.1:0",
-        serve::ServeConfig {
-            batch_window: std::time::Duration::from_micros(200),
-            ..serve::ServeConfig::default()
-        },
-    )
-    .expect("bind");
+    let server = serve::Server::bind("127.0.0.1:0", serve::ServeConfig::default()).expect("bind");
     let addr = server.local_addr().expect("local addr").to_string();
     let index = treepi_index(db);
     let handle = std::thread::spawn(move || {

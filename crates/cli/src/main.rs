@@ -10,7 +10,7 @@
 //! treepi dbstats <db.gspan>
 //! treepi gen    <out.gspan> --chem N | --synthetic N L
 //! treepi scan   <db.gspan> <queries.gspan> [--threads N]   (index-free baseline)
-//! treepi serve  <index.tpi> [--addr HOST:PORT] [--threads N] [--batch-window-us U] [--max-batch N]
+//! treepi serve  <index.tpi> [--addr HOST:PORT] [--threads N] [--max-batch N]
 //!               [--queue-cap N] [--cache-cap N] [--max-requests N] [--seed N] [--metrics out.json]
 //!               [--timeseries out.json] [--sample-interval-ms M] [--slow-query-us U] [--slow-log out.json]
 //!               [--http-addr HOST:PORT] [--stall-threshold-us U] [--access-log out.jsonl]
@@ -29,7 +29,7 @@
 //!
 //! `--trace out.json` (query, build) additionally collects a trace
 //! timeline — per-query pipeline stages for `query`, build phases
-//! (`build.mine` / `mine.levelN` / `build.shrink` / `build.centers`) for
+//! (`build.mine` / `mine.levelN` / `build.shrink` / `build.sigs`) for
 //! `build` — and writes it as Chrome trace-event JSON, loadable in
 //! `chrome://tracing` or <https://ui.perfetto.dev>.
 //!
@@ -95,7 +95,7 @@ fn usage() -> ExitCode {
          treepi dbstats <db.gspan>\n  \
          treepi gen    <out.gspan> (--chem N | --synthetic N L) [--seed N]\n  \
          treepi scan   <db.gspan> <queries.gspan> [--threads N]\n  \
-         treepi serve  <index.tpi> [--addr 127.0.0.1:7878] [--threads N] [--batch-window-us 1000] [--max-batch 64] [--queue-cap 1024] [--cache-cap 4096] [--max-requests 0] [--seed N] [--metrics out.json] [--timeseries out.json] [--sample-interval-ms 100] [--slow-query-us 0] [--slow-log out.json] [--http-addr HOST:PORT] [--stall-threshold-us 100000] [--access-log out.jsonl] [--remine-threshold 0]\n  \
+         treepi serve  <index.tpi> [--addr 127.0.0.1:7878] [--threads N] [--max-batch 64] [--queue-cap 1024] [--cache-cap 4096] [--max-requests 0] [--seed N] [--metrics out.json] [--timeseries out.json] [--sample-interval-ms 100] [--slow-query-us 0] [--slow-log out.json] [--http-addr HOST:PORT] [--stall-threshold-us 100000] [--access-log out.jsonl] [--remine-threshold 0]\n  \
          treepi loadgen <addr> <queries.gspan> [--connections 4] [--requests 1000] [--rate R] [--zipf 0.0] [--seed N] [--shutdown] [--metrics out.json]\n  \
          treepi prom   <metrics.json>"
     );
@@ -493,11 +493,6 @@ fn run() -> Result<(), String> {
             let threads = parse_flag(&args, "--threads", 0usize)?;
             let stall_us = parse_flag(&args, "--stall-threshold-us", 100_000u64)?;
             let config = serve::ServeConfig {
-                batch_window: std::time::Duration::from_micros(parse_flag(
-                    &args,
-                    "--batch-window-us",
-                    1000u64,
-                )?),
                 max_batch: parse_flag(&args, "--max-batch", 64usize)?,
                 queue_cap: parse_flag(&args, "--queue-cap", 1024usize)?,
                 cache_cap: parse_flag(&args, "--cache-cap", 4096usize)?,

@@ -31,9 +31,6 @@ fn stage_breakdown(
     queries: &[Graph],
     seed: u64,
 ) {
-    if !obs::COMPILED_IN {
-        return;
-    }
     let tp_reg = obs::Registry::new();
     let _ = tp.query_batch_obs(queries, QueryOptions::default(), seed, &tp_reg);
     let tp_m = tp_reg.drain();

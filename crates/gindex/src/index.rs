@@ -262,14 +262,12 @@ mod tests {
         assert!(idx.fragments_heap_bytes() > 0);
         assert!(idx.lookup_heap_bytes() > 0);
         assert!(idx.heap_bytes() > idx.fragments_heap_bytes() + idx.lookup_heap_bytes());
-        if obs::COMPILED_IN {
-            let r = obs::Registry::new();
-            idx.record_mem_gauges(&r);
-            assert_eq!(
-                r.snapshot().gauge(obs::names::GAUGE_GINDEX_TOTAL),
-                Some(idx.heap_bytes() as u64)
-            );
-        }
+        let r = obs::Registry::new();
+        idx.record_mem_gauges(&r);
+        assert_eq!(
+            r.snapshot().gauge(obs::names::GAUGE_GINDEX_TOTAL),
+            Some(idx.heap_bytes() as u64)
+        );
     }
 
     #[test]

@@ -16,7 +16,6 @@ pub mod tree_miner;
 pub use graph_miner::{mine_frequent_subgraphs, MinedGraph, PsiFn};
 pub use support::{intersect, intersect_into, intersect_many, SigmaFn, SupportSet};
 pub use tree_miner::{
-    leaf_removal_canons, mine_frequent_trees, mine_frequent_trees_apriori,
-    mine_frequent_trees_enum, mine_frequent_trees_pool_obs, shrink_features, shrink_features_pool,
-    MinedTree, MiningLimits, MiningStats,
+    leaf_removal_canons, mine_frequent_trees, mine_frequent_trees_pool_obs, shrink_features,
+    shrink_features_pool, MinedTree, MiningLimits, MiningStats,
 };

@@ -1,21 +1,27 @@
-//! Level-wise frequent subtree mining (paper §4.1.3).
+//! Level-wise frequent subtree mining (paper §4.1.3) and the shrinking
+//! step (§4.1.2).
 //!
 //! "First, all the frequent trees according to the σ function are
 //! discovered by any level wise edge-increasing graph mining method."
 //!
-//! We use an apriori-style pattern-growth:
+//! The method here is occurrence-list pattern growth
+//! ([`mine_frequent_trees_pool_obs`]):
 //!
-//! 1. level 1 = all distinct single-edge trees, with exact support sets
-//!    from one database scan;
-//! 2. level s+1 candidates = each level-s tree extended by one leaf edge
-//!    using a globally observed `(attach label, edge label, leaf label)`
-//!    triple, deduplicated by canonical string;
-//! 3. apriori pruning: every leaf-removal subtree of a candidate must be
-//!    frequent at the previous level (sound because σ is non-decreasing),
-//!    and the candidate's support is a subset of the intersection of those
-//!    subtrees' supports;
-//! 4. exact support counting by subtree-embedding tests over that
-//!    intersection.
+//! 1. level 1 = every distinct single-edge tree with **all** of its
+//!    occurrences, one per host edge, from one database scan;
+//! 2. level s+1 = every occurrence of a frequent level-s tree extended by
+//!    one adjacent acyclic host edge, deduplicated by `(graph, edge set)`
+//!    and grouped by the child's canonical string — computed once per
+//!    extension kind, not per occurrence;
+//! 3. a pattern's support is the set of graphs its occurrences lie in, so
+//!    no embedding test ever runs; patterns below σ(s+1) are dropped with
+//!    their occurrences and never extended (sound because σ is
+//!    non-decreasing).
+//!
+//! Because every occurrence of every frequent tree is visited, the walk
+//! that counts support also knows where each occurrence is *centered*:
+//! every [`MinedTree`] leaves the miner with its center positions per
+//! supporting graph — the index's posting list (§4.2.1), ready to store.
 //!
 //! This is deliberately complete: with σ(s) = 1 for s ≤ α (the paper's
 //! completeness requirement) *every* distinct subtree up to α edges is
@@ -23,10 +29,18 @@
 
 use crate::support::{intersect_many, SigmaFn, SupportSet};
 use graph_core::{ELabel, Graph, GraphBuilder, VLabel, VertexId};
-use rustc_hash::{FxHashMap, FxHashSet};
-use tree_core::{canonical_string, CanonString, Tree};
+use rustc_hash::FxHashMap;
+use tree_core::{canonical_string, CanonString, Center, Tree};
 
-/// A mined frequent tree with its exact support set.
+/// A mined frequent tree with its posting list: the exact support set and,
+/// rank-aligned to it, where the tree's embeddings are centered.
+///
+/// For the graph at rank `r` of `support` the center positions are
+/// `positions[offsets[r - 1]..offsets[r]]` (from 0 for `r = 0`): ascending,
+/// distinct ids of host vertices when the tree's center is a vertex, of host
+/// edges when it is an edge. They are exhaustive — the miner visits every
+/// occurrence of a frequent tree (see [`mine_frequent_trees_pool_obs`]), and
+/// an occurrence's center is the image of the tree's center.
 #[derive(Clone, Debug)]
 pub struct MinedTree {
     /// The pattern.
@@ -35,6 +49,10 @@ pub struct MinedTree {
     pub canon: CanonString,
     /// Sorted ids of database graphs containing the pattern.
     pub support: SupportSet,
+    /// End offset into `positions` per rank of `support`.
+    pub offsets: Vec<u32>,
+    /// Center position ids of all supporting graphs, in rank order.
+    pub positions: Vec<u32>,
 }
 
 impl MinedTree {
@@ -81,57 +99,6 @@ pub struct MiningStats {
     pub embed_tests: usize,
     /// Whether a hard limit stopped mining early.
     pub truncated: bool,
-}
-
-/// Cheap per-graph summaries used to skip hopeless embedding tests.
-struct GraphSummary {
-    vlabel_counts: FxHashMap<VLabel, u32>,
-    triple_counts: FxHashMap<(VLabel, ELabel, VLabel), u32>,
-}
-
-impl GraphSummary {
-    fn new(g: &Graph) -> Self {
-        let mut vlabel_counts = FxHashMap::default();
-        for v in g.vertices() {
-            *vlabel_counts.entry(g.vlabel(v)).or_insert(0) += 1;
-        }
-        let mut triple_counts = FxHashMap::default();
-        for e in g.edges() {
-            let a = g.vlabel(e.u);
-            let b = g.vlabel(e.v);
-            *triple_counts
-                .entry((a.min(b), e.label, a.max(b)))
-                .or_insert(0) += 1;
-        }
-        Self {
-            vlabel_counts,
-            triple_counts,
-        }
-    }
-
-    fn may_contain(&self, p: &Graph) -> bool {
-        let mut need_v: FxHashMap<VLabel, u32> = FxHashMap::default();
-        for v in p.vertices() {
-            *need_v.entry(p.vlabel(v)).or_insert(0) += 1;
-        }
-        for (l, n) in need_v {
-            if self.vlabel_counts.get(&l).copied().unwrap_or(0) < n {
-                return false;
-            }
-        }
-        let mut need_e: FxHashMap<(VLabel, ELabel, VLabel), u32> = FxHashMap::default();
-        for e in p.edges() {
-            let a = p.vlabel(e.u);
-            let b = p.vlabel(e.v);
-            *need_e.entry((a.min(b), e.label, a.max(b))).or_insert(0) += 1;
-        }
-        for (t, n) in need_e {
-            if self.triple_counts.get(&t).copied().unwrap_or(0) < n {
-                return false;
-            }
-        }
-        true
-    }
 }
 
 /// Extend `t` with a new leaf labeled `leaf` attached to vertex `at` via an
@@ -184,8 +151,8 @@ pub fn leaf_removal_canons(t: &Tree) -> Vec<CanonString> {
 
 /// Mine all σ-frequent subtrees of `db`: [`mine_frequent_trees_pool_obs`]
 /// on a 1-seat pool with metrics disabled.
-/// [`mine_frequent_trees_enum`] and [`mine_frequent_trees_apriori`] are
-/// kept as cross-checking oracles and for high-threshold configurations.
+/// `tests/reference` keeps an enumeration miner and an apriori miner as
+/// cross-checking oracles.
 pub fn mine_frequent_trees(
     db: &[Graph],
     sigma: &SigmaFn,
@@ -199,8 +166,8 @@ pub fn mine_frequent_trees(
 /// method the paper prescribes — with every parallel pass (the per-level
 /// extension scans, the canonical-string pass, occurrence materialization)
 /// dispatched as seats on `pool`, so a multi-level run reuses one set of
-/// worker threads and a caller can share the pool with center extraction
-/// and query serving. The canonical-string pass runs *from inside* the
+/// worker threads and a caller can share the pool with the rest of a build
+/// and with query serving. The canonical-string pass runs *from inside* the
 /// level loop on whatever thread dispatched the build — re-entrant dispatch
 /// is safe because the pool's dispatcher claims its own job's seats.
 ///
@@ -221,7 +188,12 @@ pub fn mine_frequent_trees(
 /// Exactness: every instance of a frequent (s+1)-tree restricts (by
 /// removing a leaf edge) to an instance of a frequent s-tree (σ is
 /// non-decreasing), which is present at level s, so all instances and all
-/// supports are complete.
+/// supports are complete. So are the center columns every [`MinedTree`]
+/// carries: an embedding's image is one of the pattern's instances, every
+/// isomorphism onto an instance maps the pattern's center (unique by
+/// Theorem 1) onto the instance's, and the columns are read off *all*
+/// instances of all representatives — the same positions an exhaustive
+/// `tree_core::center_positions` search finds, without the search.
 ///
 /// Metrics on `shard`: a `mine.level{s}` span per level plus
 /// `mine.level{s}.candidates` / `.patterns` / `.pruned_by_support` counters
@@ -233,8 +205,9 @@ pub fn mine_frequent_trees(
 ///
 /// # Determinism contract
 ///
-/// The output — patterns, representative trees, support sets, instance
-/// lists, [`MiningStats`], and every non-`engine.*` counter — is a pure
+/// The output — patterns, representative trees, support sets, center
+/// columns, instance lists, [`MiningStats`], and every non-`engine.*`
+/// counter — is a pure
 /// function of `(db, sigma, limits)`, independent of the pool size and of
 /// scheduling. The construction:
 ///
@@ -351,6 +324,69 @@ pub fn mine_frequent_trees_pool_obs(
         s.dedup();
         s
     }
+    /// The center columns `(offsets, positions)` of one pattern (see
+    /// [`MinedTree`]) with support set `support`, read off the instances of
+    /// all its representatives, which are sorted by graph: one walk down
+    /// `support`, gathering each graph's run from every representative.
+    /// Representatives number their vertices differently, so each locates its
+    /// own center; an edge center lands on the host edge between the images
+    /// of its two ends; many instances share a center, so a graph's ids are
+    /// de-duplicated.
+    fn center_columns<'a>(
+        db: &[Graph],
+        reps: impl Iterator<Item = (&'a Tree, &'a [Instance])>,
+        support: &[u32],
+    ) -> (Vec<u32>, Vec<u32>) {
+        /// A representative being read: the pattern vertices of its center
+        /// (one, or the two ends of the center edge) and its instances not
+        /// yet consumed.
+        struct Unread<'a> {
+            u: VertexId,
+            v: Option<VertexId>,
+            occs: &'a [Instance],
+        }
+        let mut reps: SmallVec<[Unread; 2]> = reps
+            .map(|(tree, occs)| match tree_core::center(tree) {
+                Center::Vertex(u) => Unread { u, v: None, occs },
+                Center::Edge(e) => {
+                    let e = tree.graph().edge(e);
+                    Unread {
+                        u: e.u,
+                        v: Some(e.v),
+                        occs,
+                    }
+                }
+            })
+            .collect();
+        let mut offsets = Vec::with_capacity(support.len());
+        let mut positions = Vec::new();
+        let mut ids: Vec<u32> = Vec::new();
+        for &gid in support {
+            let g = &db[gid as usize];
+            ids.clear();
+            for rep in reps.iter_mut() {
+                let run = rep.occs.iter().take_while(|o| o.gid == gid).count();
+                ids.extend(rep.occs[..run].iter().map(|o| match rep.v {
+                    None => o.mapping[rep.u.idx()],
+                    Some(v) => {
+                        let (hu, hv) = (o.mapping[rep.u.idx()], o.mapping[v.idx()]);
+                        g.edge_between(VertexId(hu), VertexId(hv))
+                            .expect("an instance maps tree edges onto host edges")
+                            .0
+                    }
+                }));
+                rep.occs = &rep.occs[run..];
+            }
+            debug_assert!(!ids.is_empty(), "a supporting graph holds an instance");
+            ids.sort_unstable();
+            ids.dedup();
+            positions.extend_from_slice(&ids);
+            offsets.push(positions.len() as u32);
+        }
+        debug_assert!(reps.iter().all(|rep| rep.occs.is_empty()));
+        positions.shrink_to_fit();
+        (offsets, positions)
+    }
 
     // Worker/block layout. Workers self-schedule gid-blocks off an atomic
     // counter; a few blocks per worker evens out per-graph skew without
@@ -435,10 +471,14 @@ pub fn mine_frequent_trees_pool_obs(
         if support.len() < t1 {
             continue;
         }
+        let (offsets, positions) =
+            center_columns(db, std::iter::once((&tree, &occs[..])), &support);
         result.push(MinedTree {
             tree: tree.clone(),
             canon,
             support,
+            offsets,
+            positions,
         });
         level.push(vec![Rep { tree, occs }]);
     }
@@ -646,6 +686,11 @@ pub fn mine_frequent_trees_pool_obs(
         order.sort_by(|&a, &b| groups[a as usize].canon.cmp(&groups[b as usize].canon));
 
         let mut level_candidates = 0u64;
+        // Survivors of the support filter go to `result[level_start..]`,
+        // their representatives — rank for rank — to `next_build`; the
+        // materialization pass below fills in the occurrences and, from
+        // those, the center columns left empty here.
+        let level_start = result.len();
         let mut next_build: Vec<Vec<RepBuild>> = Vec::new();
         let mut i = 0usize;
         while i < order.len() {
@@ -688,6 +733,8 @@ pub fn mine_frequent_trees_pool_obs(
                     tree: reps[0].tree.clone(),
                     canon,
                     support,
+                    offsets: Vec::new(),
+                    positions: Vec::new(),
                 });
                 next_build.push(reps);
             }
@@ -697,8 +744,13 @@ pub fn mine_frequent_trees_pool_obs(
         // Materialize the survivors' occurrence lists in parallel: rebuild
         // each child mapping from its parent occurrence plus the new leaf,
         // then sort by (gid, edges) — worker gid ranges interleave, so the
-        // span concatenation is not globally ordered by itself.
-        pool.for_each_mut(&mut next_build, |reps| {
+        // span concatenation is not globally ordered by itself. The last
+        // level's lists are never extended, only read for their centers.
+        let mut survivors: Vec<(&mut MinedTree, &mut Vec<RepBuild>)> = result[level_start..]
+            .iter_mut()
+            .zip(&mut next_build)
+            .collect();
+        pool.for_each_mut(&mut survivors, |(mined, reps)| {
             for rb in reps.iter_mut() {
                 let grp = &groups[rb.gidx as usize];
                 let total: usize = grp.spans.iter().map(|&(_, s, e)| (e - s) as usize).sum();
@@ -718,6 +770,11 @@ pub fn mine_frequent_trees_pool_obs(
                 }
                 sort_occs(&mut rb.occs);
             }
+            (mined.offsets, mined.positions) = center_columns(
+                db,
+                reps.iter().map(|rb| (&rb.tree, &rb.occs[..])),
+                &mined.support,
+            );
         });
         drop(outs);
         let next: Vec<Vec<Rep>> = next_build
@@ -759,254 +816,6 @@ pub fn mine_frequent_trees_pool_obs(
     (result, stats)
 }
 
-/// Enumeration-based mining: for every graph, enumerate all subtree edge
-/// subsets up to η edges (each exactly once), canonicalize, and accumulate
-/// support sets directly. No candidate generation, no embedding tests —
-/// supports are exact by construction.
-pub fn mine_frequent_trees_enum(
-    db: &[Graph],
-    sigma: &SigmaFn,
-    limits: &MiningLimits,
-) -> (Vec<MinedTree>, MiningStats) {
-    assert!(sigma.is_monotone(), "σ(s) must be non-decreasing");
-    let mut stats = MiningStats::default();
-    struct Entry {
-        tree: Tree,
-        support: SupportSet,
-    }
-    let mut patterns: FxHashMap<CanonString, Entry> = FxHashMap::default();
-    // Graphs whose enumeration hit the per-graph cap: their membership in
-    // any pattern is unknown, so they are added to *every* support set.
-    // That over-approximation is sound — the index build re-validates each
-    // (feature, graph) pair when computing center positions.
-    let mut overflow: Vec<u32> = Vec::new();
-    for (gid, g) in db.iter().enumerate() {
-        let gid = gid as u32;
-        let mut enumerated = 0usize;
-        let flow = graph_core::for_each_subtree_edge_subset(g, sigma.eta, |edges| {
-            enumerated += 1;
-            stats.candidates += 1;
-            let sub = graph_core::edge_subgraph(g, edges);
-            let tree = Tree::from_graph(sub.graph).expect("subtree enumeration yields trees");
-            let canon = canonical_string(&tree);
-            match patterns.get_mut(&canon) {
-                Some(e) => {
-                    if e.support.last() != Some(&gid) {
-                        e.support.push(gid);
-                    }
-                }
-                None => {
-                    patterns.insert(
-                        canon,
-                        Entry {
-                            tree,
-                            support: vec![gid],
-                        },
-                    );
-                }
-            }
-            if enumerated >= limits.max_candidates_per_level {
-                stats.truncated = true;
-                std::ops::ControlFlow::Break(())
-            } else {
-                std::ops::ControlFlow::Continue(())
-            }
-        });
-        if flow.is_break() {
-            overflow.push(gid);
-        }
-    }
-    let mut result: Vec<MinedTree> = patterns
-        .into_iter()
-        .filter_map(|(canon, e)| {
-            let thr = sigma.threshold(e.tree.edge_count())? as usize;
-            let mut support = e.support;
-            if !overflow.is_empty() {
-                support.extend(overflow.iter().copied());
-                support.sort_unstable();
-                support.dedup();
-            }
-            (support.len() >= thr).then_some(MinedTree {
-                tree: e.tree,
-                canon,
-                support,
-            })
-        })
-        .collect();
-    if result.len() > limits.max_patterns {
-        stats.truncated = true;
-        // Keep the most frequent patterns of each size (deterministic).
-        result.sort_by(|a, b| {
-            (a.size(), std::cmp::Reverse(a.support.len()), &a.canon).cmp(&(
-                b.size(),
-                std::cmp::Reverse(b.support.len()),
-                &b.canon,
-            ))
-        });
-        result.truncate(limits.max_patterns);
-    }
-    result.sort_by(|a, b| (a.size(), &a.canon).cmp(&(b.size(), &b.canon)));
-    stats.patterns = result.len();
-    (result, stats)
-}
-
-/// Level-wise apriori mining (candidate generation + embedding-test support
-/// counting). Kept as an oracle for [`mine_frequent_trees_enum`] and for
-/// high-threshold settings where candidate pruning pays off.
-pub fn mine_frequent_trees_apriori(
-    db: &[Graph],
-    sigma: &SigmaFn,
-    limits: &MiningLimits,
-) -> (Vec<MinedTree>, MiningStats) {
-    assert!(
-        sigma.is_monotone(),
-        "σ(s) must be non-decreasing for apriori mining"
-    );
-    let mut stats = MiningStats::default();
-    let summaries: Vec<GraphSummary> = db.iter().map(GraphSummary::new).collect();
-
-    // ---- Level 1: single-edge trees by direct scan. ----
-    let mut level: FxHashMap<CanonString, MinedTree> = FxHashMap::default();
-    for (gid, g) in db.iter().enumerate() {
-        let mut seen_here: FxHashSet<CanonString> = FxHashSet::default();
-        for e in g.edges() {
-            let t = Tree::single_edge(g.vlabel(e.u), e.label, g.vlabel(e.v));
-            let canon = canonical_string(&t);
-            if !seen_here.insert(canon.clone()) {
-                continue;
-            }
-            level
-                .entry(canon.clone())
-                .or_insert_with(|| MinedTree {
-                    tree: t,
-                    canon,
-                    support: Vec::new(),
-                })
-                .support
-                .push(gid as u32);
-        }
-    }
-    let t1 = sigma.threshold(1).expect("σ(1) must be finite") as usize;
-    level.retain(|_, m| m.support.len() >= t1);
-
-    // Global extension alphabet: (attach vertex label, edge label, leaf
-    // vertex label), both directions of every observed edge.
-    let mut triples: FxHashSet<(VLabel, ELabel, VLabel)> = FxHashSet::default();
-    for g in db {
-        for e in g.edges() {
-            let a = g.vlabel(e.u);
-            let b = g.vlabel(e.v);
-            triples.insert((a, e.label, b));
-            triples.insert((b, e.label, a));
-        }
-    }
-    let mut triples: Vec<_> = triples.into_iter().collect();
-    triples.sort_unstable();
-
-    let mut result: Vec<MinedTree> = level.values().cloned().collect();
-    stats.patterns = result.len();
-
-    // ---- Levels 2..=eta ----
-    let mut size = 1usize;
-    while size < sigma.eta {
-        let Some(next_threshold) = sigma.threshold(size + 1) else {
-            break;
-        };
-        let next_threshold = next_threshold as usize;
-        let mut candidates: FxHashMap<CanonString, Tree> = FxHashMap::default();
-        'outer: for m in level.values() {
-            let g = m.tree.graph();
-            for at in g.vertices() {
-                let at_label = g.vlabel(at);
-                for &(a, el, leaf) in triples.iter() {
-                    if a != at_label {
-                        continue;
-                    }
-                    let cand = extend_with_leaf(&m.tree, at, el, leaf);
-                    let canon = canonical_string(&cand);
-                    if candidates.contains_key(&canon) {
-                        continue;
-                    }
-                    stats.candidates += 1;
-                    candidates.insert(canon, cand);
-                    if candidates.len() >= limits.max_candidates_per_level {
-                        stats.truncated = true;
-                        break 'outer;
-                    }
-                }
-            }
-        }
-
-        let mut next_level: FxHashMap<CanonString, MinedTree> = FxHashMap::default();
-        for (canon, cand) in candidates {
-            // Apriori: all maximal proper subtrees must be frequent.
-            let subs = leaf_removal_canons(&cand);
-            let mut sub_supports: Vec<&[u32]> = Vec::with_capacity(subs.len());
-            let mut pruned = false;
-            for s in &subs {
-                match level.get(s) {
-                    Some(m) => sub_supports.push(&m.support),
-                    None => {
-                        pruned = true;
-                        break;
-                    }
-                }
-            }
-            if pruned {
-                stats.apriori_pruned += 1;
-                continue;
-            }
-            let candidates_set = intersect_many(&sub_supports, db.len());
-            if candidates_set.len() < next_threshold {
-                continue;
-            }
-            // Exact support by embedding tests.
-            let mut support: SupportSet = Vec::new();
-            let remaining = candidates_set.len();
-            for (i, &gid) in candidates_set.iter().enumerate() {
-                // Not enough graphs left to reach the threshold: bail.
-                if support.len() + (remaining - i) < next_threshold {
-                    break;
-                }
-                let g = &db[gid as usize];
-                if !summaries[gid as usize].may_contain(cand.graph()) {
-                    continue;
-                }
-                stats.embed_tests += 1;
-                if graph_core::is_subgraph_isomorphic(cand.graph(), g) {
-                    support.push(gid);
-                }
-            }
-            if support.len() >= next_threshold {
-                next_level.insert(
-                    canon.clone(),
-                    MinedTree {
-                        tree: cand,
-                        canon,
-                        support,
-                    },
-                );
-            }
-        }
-
-        if next_level.is_empty() {
-            break;
-        }
-        result.extend(next_level.values().cloned());
-        stats.patterns = result.len();
-        if result.len() >= limits.max_patterns {
-            stats.truncated = true;
-            break;
-        }
-        level = next_level;
-        size += 1;
-    }
-
-    // Deterministic output order: by size then canonical string.
-    result.sort_by(|a, b| (a.size(), &a.canon).cmp(&(b.size(), &b.canon)));
-    (result, stats)
-}
-
 /// Shrink a mined feature set (paper §4.1.2): remove every tree `r` with
 /// `|⋂ᵢ D_rᵢ| / |D_r| ≤ γ`, where the `rᵢ` are `r`'s proper subtrees —
 /// such an `r` adds little beyond its subtrees' intersection.
@@ -1021,10 +830,9 @@ pub fn shrink_features(mined: Vec<MinedTree>, gamma: f64) -> Vec<MinedTree> {
 }
 
 /// [`shrink_features`] with the per-tree keep/drop decisions dispatched as
-/// seats on `pool` (the same pool a build uses for mining and center
-/// extraction). Every decision reads only the (shared, immutable) input set
-/// and the result preserves input order, so the output is identical at any
-/// pool size.
+/// seats on `pool` (the same pool a build mines on). Every decision reads
+/// only the (shared, immutable) input set and the result preserves input
+/// order, so the output is identical at any pool size.
 pub fn shrink_features_pool(
     mined: Vec<MinedTree>,
     gamma: f64,
@@ -1132,7 +940,8 @@ mod tests {
         let db = tiny_db();
         let eta = 3;
         let (mined, _) = mine_frequent_trees(&db, &uniform_sigma(eta), &MiningLimits::default());
-        let mined_canons: FxHashSet<CanonString> = mined.iter().map(|m| m.canon.clone()).collect();
+        let mined_canons: rustc_hash::FxHashSet<CanonString> =
+            mined.iter().map(|m| m.canon.clone()).collect();
         for g in &db {
             let _ = graph_core::for_each_subtree_edge_subset(g, eta, |edges| {
                 let sub = graph_core::edge_subgraph(g, edges);
@@ -1263,91 +1072,5 @@ mod tests {
         // The cap stops mining after the first level that crosses it, so at
         // most two levels were produced.
         assert!(mined.iter().all(|m| m.size() <= 2));
-    }
-}
-
-#[cfg(test)]
-mod enum_vs_apriori {
-    use super::*;
-    use graph_core::graph_from;
-
-    #[test]
-    fn miners_agree_on_small_databases() {
-        let dbs = vec![
-            vec![
-                graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 0, 1)]),
-                graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]),
-                graph_from(&[0, 0, 1, 1], &[(0, 1, 0), (0, 2, 0), (0, 3, 1)]),
-            ],
-            vec![
-                graph_from(&[2, 1, 0, 1], &[(0, 1, 0), (1, 2, 1), (2, 3, 0), (3, 0, 1)]),
-                graph_from(&[1, 1, 2], &[(0, 1, 1), (1, 2, 0)]),
-            ],
-        ];
-        let sigmas = vec![
-            SigmaFn {
-                alpha: 3,
-                beta: 1.0,
-                eta: 3,
-            },
-            SigmaFn {
-                alpha: 1,
-                beta: 1.0,
-                eta: 4,
-            },
-            SigmaFn {
-                alpha: 0,
-                beta: 2.0,
-                eta: 2,
-            },
-        ];
-        for db in &dbs {
-            for sigma in &sigmas {
-                let (a, _) = mine_frequent_trees_enum(db, sigma, &MiningLimits::default());
-                let (b, _) = mine_frequent_trees_apriori(db, sigma, &MiningLimits::default());
-                let (c, _) = mine_frequent_trees(db, sigma, &MiningLimits::default());
-                let mut kc: Vec<(CanonString, SupportSet)> =
-                    c.into_iter().map(|m| (m.canon, m.support)).collect();
-                kc.sort();
-                let mut ka: Vec<(CanonString, SupportSet)> =
-                    a.into_iter().map(|m| (m.canon, m.support)).collect();
-                let mut kb: Vec<(CanonString, SupportSet)> =
-                    b.into_iter().map(|m| (m.canon, m.support)).collect();
-                ka.sort();
-                kb.sort();
-                assert_eq!(ka, kb, "enum vs apriori disagree for sigma {sigma:?}");
-                assert_eq!(ka, kc, "enum vs levelwise disagree for sigma {sigma:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn enum_truncation_overapproximates_but_never_undercounts() {
-        let db = vec![
-            graph_from(&[0, 0, 0, 0], &[(0, 1, 0), (1, 2, 0), (2, 3, 0)]),
-            graph_from(&[0, 0], &[(0, 1, 0)]),
-        ];
-        let limits = MiningLimits {
-            max_patterns: usize::MAX,
-            max_candidates_per_level: 3, // graph 0 will overflow
-        };
-        let sigma = SigmaFn {
-            alpha: 3,
-            beta: 1.0,
-            eta: 3,
-        };
-        let (mined, stats) = mine_frequent_trees_enum(&db, &sigma, &limits);
-        assert!(stats.truncated);
-        // every pattern's true support must be a subset of the reported one
-        for m in &mined {
-            for (gid, g) in db.iter().enumerate() {
-                if graph_core::is_subgraph_isomorphic(m.tree.graph(), g) {
-                    assert!(
-                        m.support.contains(&(gid as u32)),
-                        "undercounted support under truncation"
-                    );
-                }
-            }
-        }
     }
 }

@@ -1,9 +1,13 @@
-//! Property tests for mining: the three subtree-mining engines agree on
-//! arbitrary databases, supports are exact, and σ thresholds are honored.
+//! Property tests for mining: the miner agrees with the two reference
+//! miners on arbitrary databases, supports are exact, σ thresholds are
+//! honored, and the center columns equal an exhaustive VF2 search.
 
-use graph_core::{ELabel, Graph, GraphBuilder, VLabel, VertexId};
+mod reference;
+
+use graph_core::{graph_from, ELabel, Graph, GraphBuilder, VLabel, VertexId};
 use mining::*;
 use proptest::prelude::*;
+use tree_core::{center_positions, Center, CenterPos};
 
 fn arb_connected_graph(nmax: usize) -> impl Strategy<Value = Graph> {
     (2..=nmax).prop_flat_map(move |n| {
@@ -51,6 +55,116 @@ fn keyed(mined: Vec<MinedTree>) -> Vec<(tree_core::CanonString, Vec<u32>)> {
     out
 }
 
+/// Every tree's columns are a well-formed posting list holding, for every
+/// graph of its support, exactly the positions `center_positions` finds.
+/// Returns whether a (vertex-, edge-)centered tree was seen.
+fn assert_columns_equal_vf2(db: &[Graph], mined: &[MinedTree]) -> [bool; 2] {
+    let mut kinds = [false; 2];
+    for m in mined {
+        let what = format!("{:?} over {:?}", m.tree, m.support);
+        assert_eq!(
+            m.offsets.len(),
+            m.support.len(),
+            "one end per graph: {what}"
+        );
+        assert_eq!(
+            m.offsets.last(),
+            Some(&(m.positions.len() as u32)),
+            "{what}"
+        );
+        kinds[matches!(tree_core::center(&m.tree), Center::Edge(_)) as usize] = true;
+        let mut start = 0usize;
+        for (&gid, &end) in m.support.iter().zip(&m.offsets) {
+            assert!(start < end as usize, "offsets strictly increase: {what}");
+            let found: Vec<u32> = center_positions(&m.tree, &db[gid as usize])
+                .into_iter()
+                .map(|p| match p {
+                    CenterPos::Vertex(v) => v.0,
+                    CenterPos::Edge(e) => e.0,
+                })
+                .collect();
+            assert!(found.windows(2).all(|w| w[0] < w[1]), "reference ascends");
+            assert_eq!(
+                &m.positions[start..end as usize],
+                &found[..],
+                "graph {gid} of {what}"
+            );
+            start = end as usize;
+        }
+    }
+    kinds
+}
+
+#[test]
+fn miners_agree_on_small_databases() {
+    let dbs = [
+        vec![
+            graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 0, 1)]),
+            graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]),
+            graph_from(&[0, 0, 1, 1], &[(0, 1, 0), (0, 2, 0), (0, 3, 1)]),
+        ],
+        vec![
+            graph_from(&[2, 1, 0, 1], &[(0, 1, 0), (1, 2, 1), (2, 3, 0), (3, 0, 1)]),
+            graph_from(&[1, 1, 2], &[(0, 1, 1), (1, 2, 0)]),
+        ],
+    ];
+    let sigmas = [(3, 1.0, 3), (1, 1.0, 4), (0, 2.0, 2)];
+    for db in &dbs {
+        for (alpha, beta, eta) in sigmas {
+            let sigma = SigmaFn { alpha, beta, eta };
+            let a = reference::mine_enum(db, &sigma);
+            let b = reference::mine_apriori(db, &sigma);
+            let c = keyed(mine_frequent_trees(db, &sigma, &MiningLimits::default()).0);
+            assert_eq!(a, b, "enum vs apriori disagree for sigma {sigma:?}");
+            assert_eq!(a, c, "enum vs levelwise disagree for sigma {sigma:?}");
+        }
+    }
+}
+
+/// Databases chosen for what the center columns must get right. In the
+/// first two a 2-edge path with two equal end labels is reached by
+/// extending the symmetric single edge at either end, so (whichever label
+/// order sorts that edge first) one pattern has two representatives whose
+/// centers are *different* pattern vertices: the columns are the union of
+/// each representative's own. The star has three occurrences of one
+/// pattern centered on one vertex: the columns hold it once.
+#[test]
+fn columns_on_fixed_databases() {
+    let two_reps = |a: u32, b: u32| {
+        vec![
+            graph_from(&[a, a, b], &[(0, 1, 0), (1, 2, 0)]),
+            graph_from(&[a, a, b], &[(0, 1, 0), (0, 2, 0)]),
+            graph_from(&[a, a, b, b], &[(1, 0, 0), (1, 2, 0), (0, 3, 0)]),
+        ]
+    };
+    let star = vec![graph_from(
+        &[0, 1, 1, 1, 2],
+        &[(0, 1, 0), (0, 2, 0), (0, 3, 0), (3, 4, 1)],
+    )];
+    let sigma = SigmaFn {
+        alpha: 4,
+        beta: 1.0,
+        eta: 4,
+    };
+    for db in [two_reps(0, 1), two_reps(1, 0), star] {
+        let mut kinds = [false; 2];
+        for cap in [usize::MAX, 3, 2] {
+            let limits = MiningLimits {
+                max_patterns: cap,
+                ..MiningLimits::default()
+            };
+            for threads in [1, 2, 8] {
+                let (mined, stats) = mine_on(&db, &sigma, &limits, threads);
+                assert_eq!(stats.truncated, cap != usize::MAX, "cap {cap}");
+                assert!(mined.len() <= cap);
+                let seen = assert_columns_equal_vf2(&db, &mined);
+                kinds = [kinds[0] | seen[0], kinds[1] | seen[1]];
+            }
+        }
+        assert_eq!(kinds, [true; 2], "vertex- and edge-centered trees");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -62,10 +176,9 @@ proptest! {
         eta in 2usize..4,
     ) {
         let sigma = SigmaFn { alpha, beta: beta as f64, eta: eta.max(alpha) };
-        let limits = MiningLimits::default();
-        let a = keyed(mine_frequent_trees_enum(&db, &sigma, &limits).0);
-        let b = keyed(mine_frequent_trees(&db, &sigma, &limits).0);
-        let c = keyed(mine_frequent_trees_apriori(&db, &sigma, &limits).0);
+        let a = reference::mine_enum(&db, &sigma);
+        let b = keyed(mine_frequent_trees(&db, &sigma, &MiningLimits::default()).0);
+        let c = reference::mine_apriori(&db, &sigma);
         prop_assert_eq!(&a, &b, "enum vs levelwise");
         prop_assert_eq!(&a, &c, "enum vs apriori");
     }
@@ -98,7 +211,8 @@ proptest! {
 
     /// The parallel miner is bit-for-bit identical to the serial miner at
     /// any thread count: same patterns in the same order, same
-    /// representative trees, same support sets, same stats.
+    /// representative trees, same support sets and center columns, same
+    /// stats.
     #[test]
     fn parallel_mine_is_thread_count_invariant(
         db in proptest::collection::vec(arb_connected_graph(7), 1..8),
@@ -116,6 +230,10 @@ proptest! {
             for (a, b) in base.iter().zip(&mined) {
                 prop_assert_eq!(&a.canon, &b.canon, "canon order differs at threads={}", threads);
                 prop_assert_eq!(&a.support, &b.support, "supports differ at threads={}", threads);
+                prop_assert_eq!(
+                    (&a.offsets, &a.positions), (&b.offsets, &b.positions),
+                    "center columns differ at threads={}", threads
+                );
                 prop_assert_eq!(
                     a.tree.graph(), b.tree.graph(),
                     "representative tree differs at threads={}", threads
@@ -136,30 +254,26 @@ proptest! {
         let sigma = SigmaFn { alpha, beta: 1.0, eta: eta.max(alpha) };
         let (mined, _) = mine_on(&db, &sigma, &MiningLimits::default(), 8);
 
-        // Oracle: enumerate every subtree edge subset of every graph,
-        // canonicalize, collect support sets, apply the σ filter.
-        let mut oracle: std::collections::BTreeMap<tree_core::CanonString, (usize, Vec<u32>)> =
-            std::collections::BTreeMap::new();
-        for (gid, g) in db.iter().enumerate() {
-            let _ = graph_core::for_each_subtree_edge_subset(g, sigma.eta, |edges| {
-                let sub = graph_core::edge_subgraph(g, edges);
-                let t = tree_core::Tree::from_graph(sub.graph).expect("subtree");
-                let c = tree_core::canonical_string(&t);
-                let entry = oracle.entry(c).or_insert((edges.len(), Vec::new()));
-                if entry.1.last() != Some(&(gid as u32)) {
-                    entry.1.push(gid as u32);
-                }
-                std::ops::ControlFlow::<()>::Continue(())
-            });
+        prop_assert_eq!(keyed(mined), reference::mine_enum(&db, &sigma));
+    }
+
+    /// The miner's center columns are the posting lists an exhaustive VF2
+    /// search would produce — at any pool size, truncated or not.
+    #[test]
+    fn columns_equal_vf2_center_positions(
+        db in proptest::collection::vec(arb_connected_graph(7), 1..8),
+        alpha in 1usize..4,
+        eta in 2usize..5,
+        cap in 0usize..12,
+    ) {
+        let sigma = SigmaFn { alpha, beta: 1.0, eta: eta.max(alpha) };
+        // Every third case or so runs uncapped.
+        let max_patterns = if cap < 4 { usize::MAX } else { cap - 3 };
+        let limits = MiningLimits { max_patterns, ..MiningLimits::default() };
+        for threads in [1usize, 2, 8] {
+            let (mined, _) = mine_on(&db, &sigma, &limits, threads);
+            assert_columns_equal_vf2(&db, &mined);
         }
-        let expected: Vec<(tree_core::CanonString, Vec<u32>)> = oracle
-            .into_iter()
-            .filter_map(|(c, (size, support))| {
-                let thr = sigma.threshold(size)? as usize;
-                (support.len() >= thr).then_some((c, support))
-            })
-            .collect();
-        prop_assert_eq!(keyed(mined), expected);
     }
 
     /// `max_patterns` truncation is deterministic under parallelism: the

@@ -51,10 +51,6 @@
 //! at that moment), and with a single allocating thread is never above it.
 //! (With several, a sample sums cells that are being written, each read at
 //! a slightly different instant — a statistic, not a snapshot.)
-//!
-//! Under the crate's `off` feature the wrapper forwards without touching any
-//! counter, so the instrumented binary is bit-for-bit a plain
-//! `System`-allocated one; the public API is unchanged.
 
 use std::alloc::{GlobalAlloc, Layout};
 use std::cell::Cell;
@@ -124,9 +120,6 @@ fn bump(counter: &AtomicU64, by: u64, owned: bool) -> u64 {
 
 #[inline]
 fn on_alloc(bytes: u64) {
-    if !crate::COMPILED_IN {
-        return;
-    }
     let (slot, owned) = my_slot();
     bump(&slot.allocs, 1, owned);
     let before = bump(&slot.alloc_bytes, bytes, owned);
@@ -137,9 +130,6 @@ fn on_alloc(bytes: u64) {
 
 #[inline]
 fn on_dealloc(bytes: u64) {
-    if !crate::COMPILED_IN {
-        return;
-    }
     let (slot, owned) = my_slot();
     bump(&slot.free_bytes, bytes, owned);
 }
@@ -226,7 +216,7 @@ pub fn allocation_count() -> u64 {
 }
 
 /// Whether a [`TrackingAlloc`] has observed any allocation — i.e. one is
-/// installed as the global allocator and instrumentation is compiled in.
+/// installed as the global allocator.
 pub fn installed() -> bool {
     allocation_count() > 0
 }
@@ -262,7 +252,6 @@ mod tests {
     /// Exercise the GlobalAlloc impl directly (a test binary cannot install
     /// a second global allocator, but the counters are instance-free).
     #[test]
-    #[cfg(not(feature = "off"))]
     fn counting_tracks_alloc_realloc_dealloc() {
         let _guard = TEST_LOCK.lock().unwrap();
         let a = TrackingAlloc::new(std::alloc::System);
@@ -286,7 +275,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "off"))]
     fn reset_peak_lowers_to_live() {
         let _guard = TEST_LOCK.lock().unwrap();
         let a = TrackingAlloc::new(std::alloc::System);
@@ -306,7 +294,6 @@ mod tests {
     /// Allocate and free `pairs` blocks through the `GlobalAlloc` impl on
     /// each of `threads` threads; every second block is freed by the next
     /// thread instead of its allocator. Returns the bytes requested.
-    #[cfg(not(feature = "off"))]
     fn churn_across_threads(threads: usize, pairs: usize) -> u64 {
         use std::sync::mpsc;
         static A: TrackingAlloc<std::alloc::System> = TrackingAlloc::new(std::alloc::System);
@@ -349,7 +336,6 @@ mod tests {
     /// cells. One test, so the first phase is known to run before the
     /// second uses the table up.
     #[test]
-    #[cfg(not(feature = "off"))]
     fn exact_across_threads_on_owned_cells_and_on_overflow() {
         let _guard = TEST_LOCK.lock().unwrap();
         for (threads, pairs) in [(8, 10_000), (CELLS + 8, 200)] {
@@ -369,7 +355,6 @@ mod tests {
     /// it, within one sample interval below it (one allocating thread), and
     /// exact for a block of at least the interval.
     #[test]
-    #[cfg(not(feature = "off"))]
     fn sampled_peak_is_within_its_bound() {
         let _guard = TEST_LOCK.lock().unwrap();
         let a = TrackingAlloc::new(std::alloc::System);
@@ -403,21 +388,5 @@ mod tests {
             unsafe { a.dealloc(p, layout) };
         }
         assert_eq!(live_bytes(), base);
-    }
-
-    #[test]
-    #[cfg(feature = "off")]
-    fn off_feature_counts_nothing() {
-        let a = TrackingAlloc::new(std::alloc::System);
-        let layout = Layout::from_size_align(64, 8).unwrap();
-        unsafe {
-            let p = a.alloc(layout);
-            assert!(!p.is_null());
-            a.dealloc(p, layout);
-        }
-        assert_eq!(live_bytes(), 0);
-        assert_eq!(total_allocated_bytes(), 0);
-        assert_eq!(allocation_count(), 0);
-        assert!(!installed());
     }
 }

@@ -23,10 +23,6 @@
 //!   human-readable text table and the versioned JSON schema
 //!   ([`JSON_SCHEMA`]); see EXPERIMENTS.md for the schema reference.
 //!
-//! Compile-time off switch: building with the `off` feature pins
-//! [`COMPILED_IN`] to `false`, so even [`Registry::new`] yields a disabled
-//! registry and the instrumented hot paths cost one predictable branch.
-//!
 //! ```
 //! let registry = obs::Registry::new();
 //! let shard = registry.shard();
@@ -36,10 +32,8 @@
 //! } // span records its elapsed time on drop
 //! registry.absorb(shard);
 //! let snap = registry.snapshot();
-//! # if obs::COMPILED_IN {
 //! assert_eq!(snap.counter("funnel.filtered"), 42);
 //! assert_eq!(snap.span("query.filter").unwrap().count, 1);
-//! # }
 //! ```
 
 #![warn(missing_docs)]
@@ -56,9 +50,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// Whether instrumentation is compiled in (`false` under the `off` feature).
-pub const COMPILED_IN: bool = !cfg!(feature = "off");
 
 /// Version tag embedded in every JSON rendering of a [`MetricSet`].
 pub const JSON_SCHEMA: &str = "treepi.obs/v1";
@@ -468,7 +459,7 @@ impl Shard {
     /// merged into another shard ([`Shard::merge`]) or absorbed later.
     pub fn detached(enabled: bool) -> Self {
         Self {
-            enabled: enabled && COMPILED_IN,
+            enabled,
             set: RefCell::new(MetricSet::new()),
             trace: None,
         }
@@ -478,7 +469,7 @@ impl Shard {
     /// tracing [`Registry`]).
     fn traced(enabled: bool, trace: Option<trace::TraceShard>) -> Self {
         Self {
-            enabled: enabled && COMPILED_IN,
+            enabled,
             set: RefCell::new(MetricSet::new()),
             trace,
         }
@@ -648,10 +639,10 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// An enabled registry (disabled anyway when compiled with `off`).
+    /// An enabled registry.
     pub fn new() -> Self {
         Self {
-            enabled: COMPILED_IN,
+            enabled: true,
             agg: Mutex::new(MetricSet::new()),
             trace: None,
         }
@@ -660,14 +651,12 @@ impl Registry {
     /// An enabled registry that additionally collects a trace timeline:
     /// shards it hands out buffer begin/end events for every span (and the
     /// retroactive pipeline-stage records, [`Shard::trace_complete`]),
-    /// merged at absorb time and exported via [`Self::drain_trace`]. Under
-    /// the `off` feature this is [`Registry::disabled`] — tracing compiles
-    /// out with the rest of the instrumentation.
+    /// merged at absorb time and exported via [`Self::drain_trace`].
     pub fn with_tracing() -> Self {
         Self {
-            enabled: COMPILED_IN,
+            enabled: true,
             agg: Mutex::new(MetricSet::new()),
-            trace: COMPILED_IN.then(trace::TraceSink::new),
+            trace: Some(trace::TraceSink::new()),
         }
     }
 
@@ -768,6 +757,10 @@ pub mod names {
     pub const SPAN_SIG_FILTER: &str = "query.sig_filter";
     /// Verification stage (Algorithm 3 / naive isomorphism).
     pub const SPAN_VERIFY: &str = "query.verify";
+    /// Within [`SPAN_PARTITION`]: the δ randomized partition runs.
+    pub const SPAN_PARTITION_RUNS: &str = "query.partition.runs";
+    /// Within [`SPAN_PARTITION`]: enumeration of the query's indexed subtrees.
+    pub const SPAN_PARTITION_ENUMERATE: &str = "query.partition.enumerate";
     /// The five pipeline stages in funnel order.
     pub const PIPELINE_SPANS: [&str; 5] = [
         SPAN_PARTITION,
@@ -951,7 +944,6 @@ mod tests {
     use super::*;
 
     #[test]
-    #[cfg(not(feature = "off"))]
     fn counters_and_spans_round_trip() {
         let r = Registry::new();
         assert!(r.is_enabled());
@@ -1010,7 +1002,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "off"))]
     fn fork_and_merge_shards() {
         let parent = Shard::detached(true);
         parent.add("x", 1);
@@ -1311,7 +1302,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "off"))]
     fn tracing_registry_collects_span_timeline() {
         let r = Registry::with_tracing();
         assert!(r.is_tracing());
@@ -1369,7 +1359,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "off"))]
     fn registry_add_and_drain() {
         let r = Registry::new();
         r.add("direct", 2);
@@ -1381,7 +1370,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "off"))]
     fn absorb_from_worker_threads_sums_deterministically() {
         let totals: Vec<u64> = [1usize, 2, 8]
             .iter()

@@ -147,7 +147,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "off"))]
     fn counter_total_suffix_is_not_doubled() {
         let mut set = MetricSet::new();
         set.add("loadgen.requests_total", 3);

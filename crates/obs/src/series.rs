@@ -13,7 +13,7 @@
 //!   poll iteration and records when the configured interval has elapsed,
 //!   so sampling costs one `Instant::now` comparison per loop;
 //! - **phase-driven** — the index build records one labelled sample at each
-//!   phase boundary (`build.mine`, `build.shrink`, `build.centers`),
+//!   phase boundary (`build.mine`, `build.shrink`, `build.sigs`),
 //!   bypassing `due` so short builds still produce a useful series.
 //!
 //! The ring is bounded: when full, the oldest sample is evicted and
@@ -62,7 +62,7 @@ impl Sampler {
     /// recent `cap` samples (older ones are evicted and counted).
     pub fn new(interval: Duration, cap: usize) -> Self {
         Self {
-            enabled: crate::COMPILED_IN,
+            enabled: true,
             epoch: Instant::now(),
             interval,
             cap: cap.max(1),
@@ -190,7 +190,6 @@ mod tests {
     use crate::json;
 
     #[test]
-    #[cfg(not(feature = "off"))]
     fn records_and_renders_monotone_series() {
         let s = Sampler::new(Duration::ZERO, 16);
         assert!(s.due(), "first sample is always due");
@@ -230,7 +229,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "off"))]
     fn ring_evicts_oldest_and_counts_drops() {
         let s = Sampler::new(Duration::ZERO, 3);
         for i in 0..5u64 {
@@ -244,7 +242,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "off"))]
     fn interval_gates_due() {
         let s = Sampler::new(Duration::from_secs(3600), 4);
         assert!(s.due());
@@ -268,7 +265,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "off"))]
     fn empty_and_escaped_rendering() {
         let s = Sampler::new(Duration::ZERO, 4);
         assert!(json::parse(&s.render_json()).is_ok());

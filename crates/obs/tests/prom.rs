@@ -5,8 +5,6 @@
 //! The property tests use a local splitmix64 — `obs` deliberately has no
 //! dev-dependencies (same pattern as the histogram tests in `src/lib.rs`).
 
-#![cfg(not(feature = "off"))]
-
 use obs::prom::{render, sanitize};
 use obs::MetricSet;
 

@@ -11,13 +11,12 @@
 //!    overload degrades into explicit sheds, never into unbounded
 //!    buffering. Per-connection read/write buffers are capped too, so
 //!    total memory is `O(max_conns · buffer caps + queue_cap · query)`.
-//! 2. **Micro-batching.** Queued queries are dispatched to
-//!    [`treepi::Engine::query_batch_obs`] as soon as the batch fills
-//!    ([`ServeConfig::max_batch`]) or the oldest entry has waited
-//!    [`ServeConfig::batch_window`] — the latency budget a query may be
-//!    held in exchange for batching efficiency. The poll timeout is the
-//!    oldest entry's remaining budget, so a sleepy server still honors
-//!    the window.
+//! 2. **Micro-batching.** Whatever is queued when the loop comes round is
+//!    dispatched to [`treepi::Engine::query_batch_obs`], at most
+//!    [`ServeConfig::max_batch`] queries at a time. Nothing is held back to
+//!    let a batch fill: a batch executes inline on this thread, so the
+//!    queries decoded from the sockets while it ran *are* the next batch —
+//!    batches grow with load and a lone query leaves at once.
 //! 3. **Maintenance.** Insert/remove requests are *queued* on the engine
 //!    ([`treepi::Engine::queue_insert`] / `queue_remove`) and acked
 //!    immediately from its shadow view — no index copy, no epoch bump,
@@ -89,8 +88,6 @@ const WBUF_CAP: usize = 8 << 20;
 /// Server configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Latency budget a queued query may wait for its batch to fill.
-    pub batch_window: Duration,
     /// Maximum queries per engine micro-batch.
     pub max_batch: usize,
     /// Admission queue bound; beyond it queries are shed with `Busy`.
@@ -119,7 +116,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            batch_window: Duration::from_millis(1),
             max_batch: 64,
             queue_cap: 1024,
             cache_cap: 4096,
@@ -395,20 +391,17 @@ impl EventLoop<'_> {
         let mut events = Events::with_capacity(256);
         self.watchdog.begin_work();
         loop {
-            while self.batch_due() {
+            while !self.pending.is_empty() {
                 self.run_batch(registry);
             }
             if self.telemetry.sampler.due() {
                 self.sample_tick();
             }
-            if self.shutdown && self.pending.is_empty() {
+            if self.shutdown {
                 break;
             }
-            let timeout = self.pending.front().map(|p| {
-                (p.admitted + self.config.batch_window).saturating_duration_since(Instant::now())
-            });
             self.note_loop_stall();
-            self.poll.poll(&mut events, timeout)?;
+            self.poll.poll(&mut events, None)?;
             self.watchdog.begin_work();
             for ev in &events {
                 match ev.token() {
@@ -512,17 +505,6 @@ impl EventLoop<'_> {
         live.set_gauge(obs::names::GAUGE_MAINT_REPAIRS, maint.repairs_since_mine);
         set.merge(&live);
         set
-    }
-
-    /// Dispatch when the batch is full, the oldest query's latency budget
-    /// is spent, or the server is draining for shutdown.
-    fn batch_due(&self) -> bool {
-        match self.pending.front() {
-            None => false,
-            Some(_) if self.shutdown => true,
-            Some(_) if self.pending.len() >= self.config.max_batch.max(1) => true,
-            Some(p) => p.admitted.elapsed() >= self.config.batch_window,
-        }
     }
 
     fn run_batch(&mut self, registry: &obs::Registry) {

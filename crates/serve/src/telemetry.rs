@@ -439,6 +439,7 @@ mod tests {
             t_prune: Duration::from_micros(5),
             t_sig: Duration::from_micros(2),
             t_verify: Duration::from_micros(500),
+            ..QueryStats::default()
         }
     }
 

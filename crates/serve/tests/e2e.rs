@@ -1,7 +1,7 @@
 //! End-to-end serving tests: a real server thread, real sockets.
 
 use graph_core::{graph_from, Graph};
-use serve::protocol::{RequestBody, ResponseBody};
+use serve::protocol::{decode_response, encode_request, Request, RequestBody, ResponseBody};
 use serve::{Client, LoadgenConfig, ServeConfig, ServeReport, Server};
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
@@ -61,10 +61,7 @@ fn expect_matches(resp: serve::Response) -> Vec<u32> {
 
 #[test]
 fn served_answers_match_the_scan_oracle() {
-    let (addr, handle) = spawn_server(ServeConfig {
-        batch_window: Duration::from_micros(200),
-        ..ServeConfig::default()
-    });
+    let (addr, handle) = spawn_server(ServeConfig::default());
     let mut client = Client::connect_retry(&addr.to_string(), Duration::from_secs(5)).unwrap();
     let oracle = build_index();
     for q in queries() {
@@ -93,10 +90,7 @@ fn oversized_label_is_refused_and_the_connection_survives() {
     // their tags, so a label above `MAX_LABEL` used to overflow inside the
     // server (killing its thread in debug builds). It is a parse error now,
     // on a vertex and on an edge, and the connection keeps working.
-    let (addr, handle) = spawn_server(ServeConfig {
-        batch_window: Duration::from_micros(200),
-        ..ServeConfig::default()
-    });
+    let (addr, handle) = spawn_server(ServeConfig::default());
     let mut client = Client::connect_retry(&addr.to_string(), Duration::from_secs(5)).unwrap();
     let hostile = [
         graph_from(&[u32::MAX, 0], &[(0, 1, 0)]),
@@ -120,10 +114,7 @@ fn oversized_label_is_refused_and_the_connection_survives() {
 
 #[test]
 fn cache_hits_repeats_and_maintenance_invalidates() {
-    let (addr, handle) = spawn_server(ServeConfig {
-        batch_window: Duration::from_micros(200),
-        ..ServeConfig::default()
-    });
+    let (addr, handle) = spawn_server(ServeConfig::default());
     let mut client = Client::connect_retry(&addr.to_string(), Duration::from_secs(5)).unwrap();
     let q = graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]);
     let first = expect_matches(client.query(&q).unwrap());
@@ -165,11 +156,9 @@ fn cache_hits_repeats_and_maintenance_invalidates() {
     assert_eq!(report.maintenance, 2);
     // The post-churn database agrees with the last answer.
     assert_eq!(scan_support(&engine.pin(), &q), first);
-    if obs::COMPILED_IN {
-        assert!(metrics.counter(obs::names::CACHE_HIT) >= 4);
-        assert_eq!(metrics.counter(obs::names::CACHE_INVALIDATIONS), 2);
-        assert_eq!(metrics.counter(obs::names::SERVE_MAINTENANCE), 2);
-    }
+    assert!(metrics.counter(obs::names::CACHE_HIT) >= 4);
+    assert_eq!(metrics.counter(obs::names::CACHE_INVALIDATIONS), 2);
+    assert_eq!(metrics.counter(obs::names::SERVE_MAINTENANCE), 2);
 }
 
 #[test]
@@ -178,10 +167,7 @@ fn novel_edge_insert_is_queryable_over_the_wire() {
     // an edge (7-7 labeled 3) no database graph has; querying that edge
     // afterwards must find the new graph instead of short-circuiting on
     // a stale missing-feature proof.
-    let (addr, handle) = spawn_server(ServeConfig {
-        batch_window: Duration::from_micros(200),
-        ..ServeConfig::default()
-    });
+    let (addr, handle) = spawn_server(ServeConfig::default());
     let mut client = Client::connect_retry(&addr.to_string(), Duration::from_secs(5)).unwrap();
     let q = graph_from(&[7, 7], &[(0, 1, 3)]);
     assert_eq!(expect_matches(client.query(&q).unwrap()), Vec::<u32>::new());
@@ -200,29 +186,41 @@ fn novel_edge_insert_is_queryable_over_the_wire() {
 
 #[test]
 fn overload_sheds_with_busy_and_the_queue_stays_bounded() {
-    // A long batch window plus a tiny queue: pipelined queries can't be
-    // dispatched (window not expired) so all but `queue_cap` are shed
-    // immediately with Busy — and the queue provably never exceeds cap.
+    // A tiny queue and a flood that arrives in one piece: the whole write
+    // is one loopback segment, the server decodes every frame of it in one
+    // readable event — before any batch can run — so all but `queue_cap`
+    // queries are shed immediately with Busy, and the queue provably never
+    // exceeds cap.
     const FLOOD: usize = 20;
     const CAP: usize = 2;
     let (addr, handle) = spawn_server(ServeConfig {
-        batch_window: Duration::from_secs(5),
         max_batch: 64,
         queue_cap: CAP,
         cache_cap: 0, // every query must take the admission path
         ..ServeConfig::default()
     });
-    let mut client = Client::connect_retry(&addr.to_string(), Duration::from_secs(5)).unwrap();
+    use std::io::{Read, Write};
     let q = queries()[0].clone();
-    for _ in 0..FLOOD {
-        client.send(RequestBody::Query(q.clone())).unwrap();
-    }
-    // Shutdown drains the queue, so the held queries answer immediately
-    // instead of waiting out the 5s window.
-    client.send(RequestBody::Shutdown).unwrap();
+    // Shutdown drains the queue and ends the run.
+    let bodies = (0..FLOOD)
+        .map(|_| RequestBody::Query(q.clone()))
+        .chain([RequestBody::Shutdown]);
+    let flood: Vec<u8> = (0u32..)
+        .zip(bodies)
+        .flat_map(|(tag, body)| encode_request(&Request { tag, body }))
+        .collect();
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream.write_all(&flood).expect("send the flood");
+    let mut recv = || {
+        let mut len = [0u8; 4];
+        stream.read_exact(&mut len).expect("frame length");
+        let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
+        stream.read_exact(&mut payload).expect("frame payload");
+        decode_response(&payload).expect("well-formed response")
+    };
     let (mut busy, mut matched, mut acked) = (0, 0, 0);
     for _ in 0..FLOOD + 1 {
-        match client.recv().unwrap().body {
+        match recv().body {
             ResponseBody::Busy => busy += 1,
             ResponseBody::Matches(ids) => {
                 assert_eq!(ids, scan_support(&build_index(), &q));
@@ -241,20 +239,15 @@ fn overload_sheds_with_busy_and_the_queue_stays_bounded() {
         report.queue_peak <= CAP,
         "admission queue exceeded its bound: {report}"
     );
-    if obs::COMPILED_IN {
-        assert_eq!(
-            metrics.counter(obs::names::SERVE_SHED) as usize,
-            FLOOD - CAP
-        );
-    }
+    assert_eq!(
+        metrics.counter(obs::names::SERVE_SHED) as usize,
+        FLOOD - CAP
+    );
 }
 
 #[test]
 fn loadgen_drives_the_server_and_reports_latency() {
-    let (addr, handle) = spawn_server(ServeConfig {
-        batch_window: Duration::from_micros(500),
-        ..ServeConfig::default()
-    });
+    let (addr, handle) = spawn_server(ServeConfig::default());
     let registry = obs::Registry::new();
     let cfg = LoadgenConfig {
         connections: 2,
@@ -282,20 +275,15 @@ fn loadgen_drives_the_server_and_reports_latency() {
         server_report.cache_hits > 0,
         "zipf repeats never hit the cache: {server_report}"
     );
-    if obs::COMPILED_IN {
-        let m = registry.drain();
-        assert_eq!(m.counter(obs::names::LOADGEN_OK), 60);
-        let span = m.span(obs::names::SPAN_LOADGEN_REQUEST).expect("span");
-        assert_eq!(span.count, 60);
-    }
+    let m = registry.drain();
+    assert_eq!(m.counter(obs::names::LOADGEN_OK), 60);
+    let span = m.span(obs::names::SPAN_LOADGEN_REQUEST).expect("span");
+    assert_eq!(span.count, 60);
 }
 
 #[test]
 fn stats_op_returns_live_parseable_snapshot() {
-    let (addr, handle) = spawn_server(ServeConfig {
-        batch_window: Duration::from_micros(200),
-        ..ServeConfig::default()
-    });
+    let (addr, handle) = spawn_server(ServeConfig::default());
     let mut client = Client::connect_retry(&addr.to_string(), Duration::from_secs(5)).unwrap();
     // Work first, so the live snapshot has counters to show.
     for q in queries() {
@@ -308,51 +296,38 @@ fn stats_op_returns_live_parseable_snapshot() {
         other => panic!("expected stats, got {other:?}"),
     };
     let snap = obs::json::parse_metric_set(&json).expect("snapshot is valid treepi.obs/v1");
-    if obs::COMPILED_IN {
-        // Live serve counters — recorded in the loop's shard, which is only
-        // absorbed at shutdown: a snapshot built from the registry alone
-        // would show zeros here.
-        assert_eq!(snap.counter(obs::names::SERVE_QUERIES), 6);
-        assert!(snap.counter(obs::names::CACHE_HIT) >= 1);
-        assert_eq!(snap.counter(obs::names::SERVE_STATS), 1);
-        assert!(
-            snap.gauge(obs::names::GAUGE_SERVE_QUEUE_PEAK).is_some(),
-            "queue peak gauge missing"
-        );
-        assert!(
-            snap.gauge(obs::names::GAUGE_SERVE_QUEUE_DEPTH).is_some(),
-            "queue depth gauge missing"
-        );
-        // Pipeline spans from executed batches are visible mid-run too.
-        assert!(snap.span(obs::names::SPAN_VERIFY).is_some());
-    }
+    // Live serve counters — recorded in the loop's shard, which is only
+    // absorbed at shutdown: a snapshot built from the registry alone
+    // would show zeros here.
+    assert_eq!(snap.counter(obs::names::SERVE_QUERIES), 6);
+    assert!(snap.counter(obs::names::CACHE_HIT) >= 1);
+    assert_eq!(snap.counter(obs::names::SERVE_STATS), 1);
+    assert!(
+        snap.gauge(obs::names::GAUGE_SERVE_QUEUE_PEAK).is_some(),
+        "queue peak gauge missing"
+    );
+    assert!(
+        snap.gauge(obs::names::GAUGE_SERVE_QUEUE_DEPTH).is_some(),
+        "queue depth gauge missing"
+    );
+    // Pipeline spans from executed batches are visible mid-run too.
+    assert!(snap.span(obs::names::SPAN_VERIFY).is_some());
+
     // The server keeps serving after a snapshot.
     let again = expect_matches(client.query(&repeat).unwrap());
     assert_eq!(again, scan_support(&build_index(), &repeat));
     client.shutdown().unwrap();
     let (report, metrics, _) = handle.join().unwrap();
     assert_eq!(report.requests, 9); // 7 queries + stats + shutdown
-    if obs::COMPILED_IN {
-        // The final drained metrics also carry the stats-op counter.
-        assert_eq!(metrics.counter(obs::names::SERVE_STATS), 1);
-    }
+                                    // The final drained metrics also carry the stats-op counter.
+    assert_eq!(metrics.counter(obs::names::SERVE_STATS), 1);
 }
 
 #[test]
 fn telemetry_captures_slow_queries_and_samples_series() {
     use serve::telemetry::ServeTelemetry;
 
-    if !obs::COMPILED_IN {
-        return; // sampler and slow-log capture are compiled out
-    }
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServeConfig {
-            batch_window: Duration::from_micros(200),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind");
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
     let addr = server.local_addr().expect("local addr");
     let handle = std::thread::spawn(move || {
         let engine = Engine::new(build_index(), 2);
@@ -475,13 +450,7 @@ fn prom_inf_bucket(text: &str, family: &str) -> Option<f64> {
 
 #[test]
 fn http_metrics_agree_with_the_stats_snapshot() {
-    if !obs::COMPILED_IN {
-        return; // nothing to scrape
-    }
-    let (addr, http, handle) = spawn_http_server(ServeConfig {
-        batch_window: Duration::from_micros(200),
-        ..ServeConfig::default()
-    });
+    let (addr, http, handle) = spawn_http_server(ServeConfig::default());
     let mut client = Client::connect_retry(&addr.to_string(), Duration::from_secs(5)).unwrap();
     for q in queries() {
         expect_matches(client.query(&q).unwrap());
@@ -558,7 +527,6 @@ fn healthz_degrades_under_injected_stall() {
     // A 1 ns threshold makes every event-loop work period a "stall": the
     // watchdog trips on real measurements, no special test hooks.
     let (addr, http, handle) = spawn_http_server(ServeConfig {
-        batch_window: Duration::from_micros(200),
         stall_threshold: Some(Duration::from_nanos(1)),
         ..ServeConfig::default()
     });
@@ -567,15 +535,14 @@ fn healthz_degrades_under_injected_stall() {
     let (status, body) = http_get(&http, "/healthz");
     assert_eq!(status, 503, "{body}");
     assert!(body.contains("\"status\": \"degraded\""), "{body}");
-    if obs::COMPILED_IN {
-        let (_, metrics) = http_get(&http, "/metrics");
-        let stalls = prom_value(&metrics, "serve_loop_stall_count_total").unwrap_or(0.0);
-        assert!(stalls >= 1.0, "no stalls exported:\n{metrics}");
-        assert!(
-            prom_value(&metrics, "serve_loop_max_stall_us").unwrap_or(0.0) >= 0.0,
-            "max-stall gauge missing"
-        );
-    }
+    let (_, metrics) = http_get(&http, "/metrics");
+    let stalls = prom_value(&metrics, "serve_loop_stall_count_total").unwrap_or(0.0);
+    assert!(stalls >= 1.0, "no stalls exported:\n{metrics}");
+    assert!(
+        prom_value(&metrics, "serve_loop_max_stall_us").unwrap_or(0.0) >= 0.0,
+        "max-stall gauge missing"
+    );
+
     client.shutdown().unwrap();
     let (report, _) = handle.join().unwrap();
     assert!(report.stalls >= 1, "watchdog never tripped: {report}");
@@ -597,14 +564,7 @@ fn access_log_writes_one_record_per_request() {
 
     let buf = SharedBuf::default();
     let sink = buf.clone();
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServeConfig {
-            batch_window: Duration::from_micros(200),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind");
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
     let addr = server.local_addr().expect("local addr");
     let handle = std::thread::spawn(move || {
         let engine = Engine::new(build_index(), 2);
@@ -724,13 +684,7 @@ fn spawn_remine_server(
 #[test]
 fn concurrent_maintenance_never_tears_or_blocks_queries() {
     const OPS: usize = 12;
-    let (addr, handle) = spawn_remine_server(
-        3,
-        ServeConfig {
-            batch_window: Duration::from_micros(200),
-            ..ServeConfig::default()
-        },
-    );
+    let (addr, handle) = spawn_remine_server(3, ServeConfig::default());
     let q = graph_from(&[0, 0], &[(0, 1, 0)]);
     let extra = graph_from(&[0, 0, 0], &[(0, 1, 0), (1, 2, 0)]);
 
@@ -822,18 +776,16 @@ fn concurrent_maintenance_never_tears_or_blocks_queries() {
         "{stats:?}"
     );
     assert_eq!(report.maintenance, OPS as u64);
-    if obs::COMPILED_IN {
-        assert_eq!(metrics.counter(obs::names::MAINT_QUEUED), OPS as u64);
-        assert_eq!(metrics.counter(obs::names::MAINT_APPLIED), OPS as u64);
-        assert_eq!(
-            metrics.counter(obs::names::MAINT_APPLY_BATCHES),
-            stats.apply_batches
-        );
-        let span = metrics
-            .span(obs::names::SPAN_MAINT_APPLY)
-            .expect("apply span");
-        assert_eq!(span.count, stats.apply_batches);
-    }
+    assert_eq!(metrics.counter(obs::names::MAINT_QUEUED), OPS as u64);
+    assert_eq!(metrics.counter(obs::names::MAINT_APPLIED), OPS as u64);
+    assert_eq!(
+        metrics.counter(obs::names::MAINT_APPLY_BATCHES),
+        stats.apply_batches
+    );
+    let span = metrics
+        .span(obs::names::SPAN_MAINT_APPLY)
+        .expect("apply span");
+    assert_eq!(span.count, stats.apply_batches);
 
     // The final database agrees with the last prefix oracle.
     let expect_final: Vec<u32> = {
@@ -861,13 +813,7 @@ fn concurrent_maintenance_never_tears_or_blocks_queries() {
 /// (apply or re-mine publication) breaks read-your-writes here.
 #[test]
 fn no_stale_cache_hits_across_remine_swaps() {
-    let (addr, handle) = spawn_remine_server(
-        1,
-        ServeConfig {
-            batch_window: Duration::from_micros(200),
-            ..ServeConfig::default()
-        },
-    );
+    let (addr, handle) = spawn_remine_server(1, ServeConfig::default());
     let mut client = Client::connect_retry(&addr.to_string(), Duration::from_secs(5)).unwrap();
     let q = graph_from(&[0, 0], &[(0, 1, 0)]);
     let extra = graph_from(&[0, 0], &[(0, 1, 0)]);

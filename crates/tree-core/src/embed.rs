@@ -7,6 +7,12 @@
 //! centered. The pruning and verification stages never need full
 //! embeddings, only these centers — which is what makes the location store
 //! fit in memory where gIndex had to discard occurrence information.
+//!
+//! Two things here search: [`center_positions`] finds all centers of one
+//! tree in one graph from scratch (for a graph inserted after the build,
+//! and as the reference the miner's posting lists are tested against — the
+//! build itself never searches), and [`CenteredMatcher`] retrieves the
+//! embeddings centered at one *stored* position (the verification stage).
 
 use crate::center::{center, Center};
 use crate::tree::Tree;
@@ -37,20 +43,13 @@ impl CenterPos {
     }
 }
 
-/// All positions in `g` at which some embedding of `t` is centered.
+/// All positions in `g` at which some embedding of `t` is centered, in
+/// ascending id order, by a rooted search from every label-matched anchor.
 ///
 /// Exhaustive (every position is found): soundness of Center Distance
 /// Constraint pruning requires that the center of the *true* embedding of
 /// each partitioned feature tree is among the stored positions.
 pub fn center_positions(t: &Tree, g: &Graph) -> Vec<CenterPos> {
-    center_positions_obs(t, g, &obs::Shard::disabled())
-}
-
-/// [`center_positions`] with the enumeration work tallied on `shard`:
-/// `tree.embed.anchor_probes` counts label-matched anchor candidates whose
-/// rooted search actually ran, `tree.embed.centers_found` counts positions
-/// returned. Both are per-(tree, graph) work, independent of threading.
-pub fn center_positions_obs(t: &Tree, g: &Graph, shard: &obs::Shard) -> Vec<CenterPos> {
     // Every probe pins the same root (the center vertex, or the center
     // edge's `u` in both orientations): one search plan serves them all.
     let matcher = CenteredMatcher::new(t);
@@ -60,12 +59,10 @@ pub fn center_positions_obs(t: &Tree, g: &Graph, shard: &obs::Shard) -> Vec<Cent
             .is_break()
     };
     let mut out = Vec::new();
-    let mut probes = 0u64;
     match matcher.center {
         Center::Vertex(c) => {
             let want = t.graph().vlabel(c);
             for v in g.vertices().filter(|&v| g.vlabel(v) == want) {
-                probes += 1;
                 if centered_at(CenterPos::Vertex(v)) {
                     out.push(CenterPos::Vertex(v));
                 }
@@ -74,15 +71,12 @@ pub fn center_positions_obs(t: &Tree, g: &Graph, shard: &obs::Shard) -> Vec<Cent
         Center::Edge(ce) => {
             let want = t.graph().edge(ce).label;
             for ge in g.edge_ids().filter(|&ge| g.edge(ge).label == want) {
-                probes += 1;
                 if centered_at(CenterPos::Edge(ge)) {
                     out.push(CenterPos::Edge(ge));
                 }
             }
         }
     }
-    shard.add("tree.embed.anchor_probes", probes);
-    shard.add("tree.embed.centers_found", out.len() as u64);
     out
 }
 
@@ -259,22 +253,6 @@ mod tests {
             ControlFlow::Continue(())
         });
         assert_eq!(count, 2);
-    }
-
-    #[test]
-    fn obs_variant_counts_probes_and_centers() {
-        let t = tree_from(&[1, 2, 1], &[(0, 1, 0), (1, 2, 0)]);
-        let g = graph_from(
-            &[1, 2, 1, 2, 1],
-            &[(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 4, 0)],
-        );
-        let shard = obs::Shard::detached(true);
-        let pos = center_positions_obs(&t, &g, &shard);
-        assert_eq!(pos.len(), 2);
-        let set = shard.into_set();
-        // Hosts 1 and 3 carry the center label 2.
-        assert_eq!(set.counter("tree.embed.anchor_probes"), 2);
-        assert_eq!(set.counter("tree.embed.centers_found"), 2);
     }
 
     #[test]

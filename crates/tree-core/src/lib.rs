@@ -17,7 +17,6 @@ pub mod tree;
 pub use canonical::{canonical_string, canonical_string_rooted, CanonString};
 pub use center::{center, center_by_eccentricity, Center};
 pub use embed::{
-    center_positions, center_positions_obs, for_each_embedding_centered, is_subtree_of, CenterPos,
-    CenteredMatcher,
+    center_positions, for_each_embedding_centered, is_subtree_of, CenterPos, CenteredMatcher,
 };
 pub use tree::{tree_from, NotATree, Tree};

@@ -364,11 +364,6 @@ impl Engine {
         self.shared.maint.lock().expect("maint state").queue.len()
     }
 
-    /// Whether any queued op awaits [`Engine::apply_pending`].
-    pub fn has_pending(&self) -> bool {
-        self.pending_len() > 0
-    }
-
     /// Fold every queued op into one successor snapshot and publish it:
     /// clone the current index once, apply the ops in queue order, swap
     /// the `Arc`. Readers pinned to the old snapshot are unaffected; new
@@ -766,9 +761,6 @@ mod tests {
             (results, reg.drain())
         };
         let (base_r, base_m) = run(1);
-        if !obs::COMPILED_IN {
-            return;
-        }
         // Counters reconcile exactly with the per-query stats.
         assert_eq!(base_m.counter(obs::names::QUERIES), qs.len() as u64);
         type Field = fn(&crate::QueryStats) -> usize;
@@ -799,9 +791,6 @@ mod tests {
 
     #[test]
     fn tracing_batch_emits_stage_timeline_per_query() {
-        if !obs::COMPILED_IN {
-            return;
-        }
         let idx = index();
         let qs = queries();
         for threads in [1usize, 3] {
@@ -868,9 +857,6 @@ mod tests {
 
     #[test]
     fn engine_obs_flushes_pool_metrics() {
-        if !obs::COMPILED_IN {
-            return;
-        }
         let engine = Engine::new(index(), 2);
         let reg = obs::Registry::new();
         let (_, _) = engine.query_batch_obs(&queries(), QueryOptions::default(), 7, &reg);

@@ -2,10 +2,10 @@
 //! and §7.1 "Insert/Delete Maintenance").
 //!
 //! Construction mines the σ-frequent subtrees, shrinks them by γ, and for
-//! every surviving feature records one **posting list**: its support set
-//! and, rank-aligned to it, its **center positions** in every supporting
-//! graph — the location information that prior indexes had to discard and
-//! that powers TreePi's pruning and verification.
+//! every surviving feature keeps the **posting list** the miner hands over:
+//! its support set and, rank-aligned to it, its **center positions** in
+//! every supporting graph — the location information that prior indexes had
+//! to discard and that powers TreePi's pruning and verification.
 //!
 //! The posting layout (see [`Feature`]) is owned by this module: everything
 //! else reads it through [`Feature::support`] and
@@ -24,7 +24,7 @@ use crate::sig::{self, VertexSig};
 use graph_core::{EdgeId, Graph, VertexId};
 use mining::{shrink_features_pool, SupportSet};
 use rustc_hash::FxHashMap;
-use tree_core::{center, center_positions, CanonString, Center, CenterPos, Tree};
+use tree_core::{center, CanonString, Center, CenterPos, Tree};
 
 /// Identifier of a feature tree inside a [`TreePiIndex`]: its position in
 /// [`TreePiIndex::features`].
@@ -75,6 +75,13 @@ impl Feature {
             offsets: Vec::new(),
             positions: Vec::new(),
         }
+    }
+
+    /// A mined tree as a feature: the miner's posting list is the feature's.
+    fn from_mined(m: mining::MinedTree) -> Self {
+        let mut f = Self::new(m.tree, m.canon);
+        (f.support, f.offsets, f.positions) = (m.support, m.offsets, m.positions);
+        f
     }
 
     /// Edge size of the feature.
@@ -226,26 +233,9 @@ pub struct TreePiIndex {
     pub(crate) maintenance_epoch: u64,
 }
 
-/// Center extraction for one mined tree: re-validate each supporting graph
-/// (mining may over-approximate under truncation) and collect the center
-/// positions. Returns `None` only when every support entry was spurious.
-fn extract_feature(db: &[Graph], m: mining::MinedTree, shard: &obs::Shard) -> Option<Feature> {
-    let mut f = Feature::new(m.tree, m.canon);
-    f.support.reserve_exact(m.support.len());
-    f.offsets.reserve_exact(m.support.len());
-    for &gid in &m.support {
-        let pos = tree_core::center_positions_obs(&f.tree, &db[gid as usize], shard);
-        if !pos.is_empty() {
-            f.push_graph(gid, &pos);
-        }
-    }
-    // Empty only under mining truncation.
-    (!f.support.is_empty()).then_some(f)
-}
-
 impl TreePiIndex {
-    /// Build the index over `db` (paper §4: mine → shrink → store
-    /// supports and center positions) on all available cores, metrics
+    /// Build the index over `db` (paper §4: mine, with supports and center
+    /// positions → shrink → assemble) on all available cores, metrics
     /// disabled.
     pub fn build(db: Vec<Graph>, params: TreePiParams) -> Self {
         Self::build_with_threads_obs(db, params, 0, &obs::Shard::disabled())
@@ -253,8 +243,7 @@ impl TreePiIndex {
 
     /// [`Self::build_with_pool_obs`] on a pool created for this one build:
     /// `threads` workers (`0` = available parallelism, `1` = fully
-    /// sequential) shared by the mining and center-extraction stages, no
-    /// time-series sampling.
+    /// sequential) shared by every stage, no time-series sampling.
     pub fn build_with_threads_obs(
         db: Vec<Graph>,
         params: TreePiParams,
@@ -266,11 +255,13 @@ impl TreePiIndex {
     }
 
     /// The general build, on a caller-owned worker pool: every stage
-    /// (mining levels, canonical-string passes, shrinking, center
-    /// extraction) dispatches onto `pool`, so one set of worker threads is
-    /// reused across the whole build instead of re-spawning per stage.
+    /// (mining levels, canonical-string passes, shrinking, signatures)
+    /// dispatches onto `pool`, so one set of worker threads is reused across
+    /// the whole build instead of re-spawning per stage. Posting lists are
+    /// not a stage: each kept tree's support set and center columns arrive
+    /// from the miner and are moved into its [`Feature`].
     ///
-    /// `shard` receives `build.mine` / `build.shrink` / `build.centers`
+    /// `shard` receives `build.mine` / `build.shrink` / `build.sigs`
     /// stage spans, the miner's per-level candidate and pruned-by-support
     /// counters (`mine.level{N}.*`, see
     /// [`mining::mine_frequent_trees_pool_obs`]), and final index-shape
@@ -280,7 +271,7 @@ impl TreePiIndex {
     /// counter are identical for any pool size.
     ///
     /// `sampler` receives one labelled time-series sample at every phase
-    /// boundary (mine → shrink → centers) — heap occupancy plus the phase's
+    /// boundary (mine → shrink → sigs) — heap occupancy plus the phase's
     /// output size, so `treepi build --timeseries` shows where memory and
     /// features accrue during construction. Short builds still yield a
     /// useful series because boundary samples bypass the interval gate.
@@ -312,45 +303,7 @@ impl TreePiIndex {
         shard.add("build.mined", mined_count as u64);
         shard.add("build.features_kept", kept.len() as u64);
 
-        // Center extraction is independent per feature: workers self-schedule
-        // single features off an atomic counter. Features are ordered by
-        // (size, canon) and their costs are wildly skewed — small features
-        // have huge support sets to scan, large ones pricey embeddings — so
-        // static contiguous chunks leave most workers idle behind one hot
-        // chunk. Results are placed back by feature index, so the output
-        // (and every table derived from it) is identical to the sequential
-        // pass.
-        let centers_span = shard.span("build.centers");
-        let threads = pool.parallelism().max(1).min(kept.len().max(1));
-        let extracted: Vec<Option<Feature>> = if threads == 1 {
-            kept.into_iter()
-                .map(|m| extract_feature(&db, m, shard))
-                .collect()
-        } else {
-            let db_ref = &db;
-            let kept_ref = &kept;
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let outs = pool.fork_join_obs(threads, shard, |_rank, wshard| {
-                let _wall = wshard.span("engine.centers.worker_wall");
-                let mut out: Vec<(usize, Option<Feature>)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= kept_ref.len() {
-                        break;
-                    }
-                    out.push((i, extract_feature(db_ref, kept_ref[i].clone(), wshard)));
-                }
-                out
-            });
-            let mut extracted: Vec<Option<Feature>> = (0..kept.len()).map(|_| None).collect();
-            for (i, item) in outs.into_iter().flatten() {
-                extracted[i] = item;
-            }
-            extracted
-        };
-        drop(centers_span);
-
-        let features: Vec<Feature> = extracted.into_iter().flatten().collect();
+        let features: Vec<Feature> = kept.into_iter().map(Feature::from_mined).collect();
         // Per-vertex neighborhood signatures (see `crate::sig`): a pure
         // function of each graph, placed back in gid order, so the result
         // is identical at any pool size.
@@ -362,10 +315,14 @@ impl TreePiIndex {
             sigs.iter().map(|s| s.len() as u64).sum(),
         );
 
-        sample_phase("build.centers", features.len());
+        sample_phase("build.sigs", sigs.len());
         let active = vec![true; db.len()];
         let mut idx = Self::assemble(params, db, active, features, sigs)
             .expect("mined canonical strings are distinct");
+        debug_assert!(
+            idx.postings_consistent(),
+            "the miner's columns are posting lists"
+        );
         (idx.mined, idx.truncated) = (mined_count, mstats.truncated);
         let stats = idx.stats();
         shard.add("build.features", stats.features as u64);
@@ -546,18 +503,13 @@ impl TreePiIndex {
     /// support proof and worst-case partitioning) relies on the σ(1) = 1
     /// invariant that *every* edge in the database is a feature.
     pub fn insert(&mut self, g: Graph) -> u32 {
+        // No occurrence lists outlive the miner, so a graph arriving later is
+        // searched: the only place outside tests this VF2 search runs.
+        use tree_core::center_positions;
         let gid = self.db.len() as u32;
-        // Update existing features, cheapest (smallest) trees first, with a
-        // label pre-check. Storage order is NOT size-sorted once earlier
-        // inserts have appended novel single-edge features behind larger
-        // mined trees, so scan through an explicitly size-ordered view
-        // (stable: ties keep storage order). The result is order-
-        // independent — every matching feature gets the same support/center
-        // update — this only front-loads the cheap embeddings.
-        let mut order: Vec<u32> = (0..self.features.len() as u32).collect();
-        order.sort_by_key(|&i| self.features[i as usize].size());
-        for &i in &order {
-            let f = &mut self.features[i as usize];
+        // Update existing features, with a label pre-check. Every matching
+        // feature gets the same support/center update whatever the order.
+        for f in &mut self.features {
             if !may_contain(&g, f.tree.graph()) {
                 continue;
             }
@@ -812,7 +764,7 @@ pub(crate) fn may_contain(g: &Graph, p: &Graph) -> bool {
 mod tests {
     use super::*;
     use graph_core::graph_from;
-    use tree_core::canonical_string;
+    use tree_core::{canonical_string, center_positions};
 
     fn tiny_db() -> Vec<Graph> {
         vec![
@@ -895,7 +847,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_scans_features_size_ordered_and_pins_supports() {
+    fn insert_pins_supports_when_storage_is_not_size_ordered() {
         // First insert appends a novel single-edge feature (size 1) AFTER
         // the larger mined trees, so storage order is no longer
         // size-sorted...
@@ -963,23 +915,21 @@ mod tests {
         assert_eq!(after.tombstones_bytes, removed_bytes);
         assert!(after.total() < before.total());
         assert_eq!(idx.heap_bytes(), after.total());
-        if obs::COMPILED_IN {
-            let r = obs::Registry::new();
-            idx.record_mem_gauges(&r);
-            let snap = r.snapshot();
-            assert_eq!(
-                snap.gauge(obs::names::GAUGE_INDEX_DB),
-                Some(after.db_bytes as u64)
-            );
-            assert_eq!(
-                snap.gauge(obs::names::GAUGE_INDEX_TOMBSTONES),
-                Some(removed_bytes as u64)
-            );
-            assert_eq!(
-                snap.gauge(obs::names::GAUGE_INDEX_TOTAL),
-                Some(after.total() as u64)
-            );
-        }
+        let r = obs::Registry::new();
+        idx.record_mem_gauges(&r);
+        let snap = r.snapshot();
+        assert_eq!(
+            snap.gauge(obs::names::GAUGE_INDEX_DB),
+            Some(after.db_bytes as u64)
+        );
+        assert_eq!(
+            snap.gauge(obs::names::GAUGE_INDEX_TOMBSTONES),
+            Some(removed_bytes as u64)
+        );
+        assert_eq!(
+            snap.gauge(obs::names::GAUGE_INDEX_TOTAL),
+            Some(after.total() as u64)
+        );
     }
 
     #[test]
@@ -1095,19 +1045,17 @@ mod tests {
         );
         // Deterministic for the same build.
         assert_eq!(quick_index().memory_breakdown(), m);
-        if obs::COMPILED_IN {
-            let r = obs::Registry::new();
-            idx.record_mem_gauges(&r);
-            let snap = r.snapshot();
-            assert_eq!(
-                snap.gauge(obs::names::GAUGE_INDEX_TOTAL),
-                Some(m.total() as u64)
-            );
-            assert_eq!(
-                snap.gauge(obs::names::GAUGE_INDEX_TRIE),
-                Some(m.trie_bytes as u64)
-            );
-        }
+        let r = obs::Registry::new();
+        idx.record_mem_gauges(&r);
+        let snap = r.snapshot();
+        assert_eq!(
+            snap.gauge(obs::names::GAUGE_INDEX_TOTAL),
+            Some(m.total() as u64)
+        );
+        assert_eq!(
+            snap.gauge(obs::names::GAUGE_INDEX_TRIE),
+            Some(m.trie_bytes as u64)
+        );
     }
 
     #[test]

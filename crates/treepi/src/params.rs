@@ -11,6 +11,11 @@ pub enum Delta {
     QuerySize,
 }
 
+/// Largest [`Delta::Fixed`] run count an index file may carry. Every run is
+/// a full partition pass per query and no caller asks for more than |q|, so
+/// a larger value can only be a forged one meant to make every query spin.
+pub(crate) const MAX_FIXED_DELTA: usize = 1 << 16;
+
 impl Delta {
     /// Resolve to a run count for a query with `q_edges` edges.
     pub fn resolve(&self, q_edges: usize) -> usize {

@@ -37,9 +37,10 @@
 //! supports strictly increasing and inside the database, offsets strictly
 //! increasing, every center position inside its graph, every label at most
 //! [`graph_core::MAX_LABEL`] (canonical strings offset labels past their
-//! tags), no two features with one canonical string. A file crafted past
-//! those checks can make answers wrong, but cannot make a query panic. (δ
-//! and the mining limits only scale work and are taken as written.)
+//! tags), no two features with one canonical string, a fixed δ at most
+//! `MAX_FIXED_DELTA` (every query loops over it). A file crafted past those
+//! checks can make answers wrong, but cannot make a query panic or spin.
+//! (The mining limits only bound a re-mine and are taken as written.)
 //!
 //! The maintenance epoch is part of the format because epoch-keyed result
 //! caches survive across save/load boundaries only if the epoch does too:
@@ -54,7 +55,7 @@
 //! with this version.
 
 use crate::index::{Feature, TreePiIndex};
-use crate::params::{Delta, TreePiParams};
+use crate::params::{Delta, TreePiParams, MAX_FIXED_DELTA};
 use bytes::BufMut;
 use graph_core::{ELabel, Graph, GraphBuilder, VLabel, VertexId, MAX_LABEL};
 use mining::{MiningLimits, SigmaFn};
@@ -258,7 +259,8 @@ impl TreePiIndex {
         };
         let gamma = r.f64()?;
         let delta = match (r.u8()?, r.u64()?) {
-            (0, n) => Delta::Fixed(n as usize),
+            (0, n) if n <= MAX_FIXED_DELTA as u64 => Delta::Fixed(n as usize),
+            (0, _) => return Err(bad("delta exceeds the maximum")),
             (1, 0) => Delta::QuerySize,
             _ => return Err(bad("unknown delta encoding")),
         };
@@ -545,5 +547,24 @@ mod tests {
         let idx = load(&m).unwrap();
         assert_eq!(idx.params().sigma.eta, u32::MAX as usize);
         assert_eq!(answers(&idx), answers(&sample_index()));
+    }
+
+    #[test]
+    fn bounds_fixed_delta() {
+        // Byte 28 is δ's tag (0 = fixed), 29..37 its run count, which every
+        // query loops over: u64::MAX runs would never return.
+        let bytes = saved(&sample_index());
+        let mut m = bytes.clone();
+        m[28] = 0;
+        m[29..37].copy_from_slice(&(MAX_FIXED_DELTA as u64).to_le_bytes());
+        reseal(&mut m);
+        let idx = load(&m).expect("largest fixed delta refused");
+        assert_eq!(idx.params().delta.resolve(4), MAX_FIXED_DELTA);
+        for runs in [MAX_FIXED_DELTA as u64 + 1, u64::MAX] {
+            m[29..37].copy_from_slice(&runs.to_le_bytes());
+            reseal(&mut m);
+            let err = load(&m).err().expect("oversized delta accepted");
+            assert!(err.to_string().contains("delta exceeds the maximum"));
+        }
     }
 }

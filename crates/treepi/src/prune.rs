@@ -244,14 +244,13 @@ pub fn center_prune_pool_obs(
     threads: usize,
     shard: &obs::Shard,
 ) -> Vec<u32> {
+    if pq.is_empty() {
+        return Vec::new();
+    }
     // Query signatures are computed once and shared read-only by every
     // seat — they depend only on q.
     let qsigs = sig::graph_sigs(q);
-    let threads = threads.clamp(1, pq.len().max(1));
-    if threads == 1 {
-        return center_prune_obs(index, &qsigs, pq, parts, dq, shard);
-    }
-    let chunk_size = pq.len().div_ceil(threads);
+    let chunk_size = pq.len().div_ceil(threads.clamp(1, pq.len()));
     let chunks: Vec<&[u32]> = pq.chunks(chunk_size).collect();
     pool.fork_join_obs(chunks.len(), shard, |rank, worker| {
         center_prune_obs(index, &qsigs, chunks[rank], parts, dq, worker)
@@ -358,6 +357,15 @@ mod tests {
             let pruned = prune(&idx, &q, &pq, &min_partition, &dq);
             for t in &truth {
                 assert!(pruned.contains(t), "true positive {t} was pruned");
+            }
+            // The pooled entry point agrees — with more seats asked for
+            // than candidates, and with no candidates at all.
+            let pool = graph_core::par::Pool::new(2);
+            let off = obs::Shard::disabled();
+            for (cands, want) in [(&pq[..], &pruned[..]), (&[][..], &[][..])] {
+                let got =
+                    center_prune_pool_obs(&idx, &q, cands, &min_partition, &dq, &pool, 8, &off);
+                assert_eq!(got, want);
             }
         }
     }

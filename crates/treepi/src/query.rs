@@ -85,8 +85,14 @@ pub struct QueryStats {
     /// The query contained an edge that is not a feature (empty support
     /// proven without touching the database).
     pub missing_feature: bool,
-    /// Time in the partition stage.
+    /// Time in the partition stage: the feature-tree shortcut, the δ runs
+    /// and the enumeration.
     pub t_partition: Duration,
+    /// Of `t_partition`, the δ randomized partition runs.
+    pub t_runs: Duration,
+    /// Of `t_partition`, enumerating the query's indexed subtrees (`SF_q`
+    /// under [`SfMode::FullEnumeration`]).
+    pub t_enumerate: Duration,
     /// Time in the filter stage.
     pub t_filter: Duration,
     /// Time in the prune stage.
@@ -105,10 +111,11 @@ impl QueryStats {
 
     /// Record this query's funnel counters and stage timings into `shard`.
     ///
-    /// All five pipeline spans ([`obs::names::PIPELINE_SPANS`]) are observed
-    /// unconditionally — short-circuited queries (feature-tree shortcut,
-    /// missing feature) contribute zero-duration observations — so a metrics
-    /// snapshot always carries the full stage breakdown. Everything recorded
+    /// All five pipeline spans ([`obs::names::PIPELINE_SPANS`]) and the two
+    /// halves of the partition stage are observed unconditionally —
+    /// short-circuited queries (feature-tree shortcut, missing feature)
+    /// contribute zero-duration observations — so a metrics snapshot always
+    /// carries the full stage breakdown. Everything recorded
     /// here is a pure function of the query outcome, so batch totals are
     /// bit-identical at any thread count.
     pub fn record_into(&self, shard: &obs::Shard) {
@@ -121,6 +128,8 @@ impl QueryStats {
         shard.add("funnel.partition_parts", self.partition_size as u64);
         shard.add("funnel.sf_features", self.sf_size as u64);
         shard.observe(obs::names::SPAN_PARTITION, self.t_partition);
+        shard.observe(obs::names::SPAN_PARTITION_RUNS, self.t_runs);
+        shard.observe(obs::names::SPAN_PARTITION_ENUMERATE, self.t_enumerate);
         shard.observe(obs::names::SPAN_FILTER, self.t_filter);
         shard.observe(obs::names::SPAN_SIG_FILTER, self.t_sig);
         shard.observe(obs::names::SPAN_PRUNE, self.t_prune);
@@ -251,7 +260,9 @@ impl TreePiIndex {
         // Under FullEnumeration the partition-run SF_q is replaced below, so
         // don't collect it at all.
         let collect_sf = opts.sf_mode == SfMode::PartitionOnly;
+        let t_runs = Instant::now();
         let runs = partition_runs_with(q, self, delta, rng, collect_sf);
+        stats.t_runs = t_runs.elapsed();
         let (parts, mut sf) = match runs {
             PartitionRuns::MissingFeature(_) => {
                 stats.t_partition = t.elapsed();
@@ -264,7 +275,10 @@ impl TreePiIndex {
             PartitionRuns::Ok { min_partition, sf } => (min_partition, sf),
         };
         if opts.sf_mode == SfMode::FullEnumeration {
-            match crate::filter::enumerate_query_features(self, q) {
+            let t_enumerate = Instant::now();
+            let full = crate::filter::enumerate_query_features(self, q);
+            stats.t_enumerate = t_enumerate.elapsed();
+            match full {
                 Some(full) => sf = full,
                 None => {
                     stats.t_partition = t.elapsed();

@@ -425,33 +425,15 @@ pub fn verify_all_pool_obs(
     threads: usize,
     shard: &obs::Shard,
 ) -> Vec<u32> {
+    if pruned.is_empty() {
+        return Vec::new();
+    }
     let boundaries = part_boundaries(q, parts);
     let matchers: Vec<CenteredMatcher<'_>> = parts
         .iter()
         .map(|p| CenteredMatcher::new(&p.tree))
         .collect();
-    let threads = threads.clamp(1, pruned.len().max(1));
-    if threads == 1 {
-        let mut scratch = VerifyScratch::for_query(q);
-        return pruned
-            .iter()
-            .copied()
-            .filter(|&gid| {
-                verify_with_boundaries_obs(
-                    index,
-                    q,
-                    gid,
-                    parts,
-                    dq,
-                    &boundaries,
-                    &matchers,
-                    &mut scratch,
-                    shard,
-                )
-            })
-            .collect();
-    }
-    let chunk_size = pruned.len().div_ceil(threads);
+    let chunk_size = pruned.len().div_ceil(threads.clamp(1, pruned.len()));
     let chunks: Vec<&[u32]> = pruned.chunks(chunk_size).collect();
     pool.fork_join_obs(chunks.len(), shard, |rank, worker| {
         let mut scratch = VerifyScratch::for_query(q);
@@ -568,6 +550,8 @@ mod tests {
         let dq = query_center_distances(&q, &min_partition);
         assert!(verify(&idx, &q, 0, &min_partition, &dq));
         assert!(!verify(&idx, &q, 1, &min_partition, &dq));
+        assert_eq!(verify_all(&idx, &q, &[0, 1], &min_partition, &dq), [0]);
+        assert!(verify_all(&idx, &q, &[], &min_partition, &dq).is_empty());
     }
 
     #[test]

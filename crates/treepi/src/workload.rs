@@ -138,6 +138,7 @@ mod tests {
             t_prune: Duration::ZERO,
             t_sig: Duration::ZERO,
             t_verify: Duration::from_millis(ms - ms / 2),
+            ..QueryStats::default()
         }
     }
 

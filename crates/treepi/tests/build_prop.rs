@@ -5,7 +5,9 @@
 //! with identical `BuildStats` shape counters. The per-vertex signatures are
 //! derived data the file leaves out, so they are checked against a fresh
 //! recompute instead. This is the determinism contract of the parallel
-//! miner and the parallel center-extraction and signature stages.
+//! miner (which produces the posting lists) and the parallel signature
+//! stage. One fixed database pins the bytes themselves, so a change that
+//! moves them at every worker count alike is seen too.
 
 use graph_core::{ELabel, Graph, GraphBuilder, VLabel, VertexId};
 use proptest::prelude::*;
@@ -53,6 +55,32 @@ fn save_bytes(idx: &TreePiIndex) -> Vec<u8> {
     let mut out = Vec::new();
     idx.save(&mut out).expect("in-memory save");
     out
+}
+
+/// The database of `treepi gen --chem 40 --seed 11` under the paper's
+/// default parameters builds this file at every worker count: 67 886 bytes
+/// ending — as every `TPI4` file does — in the FNV-1a-64 of everything after
+/// the magic, so the pair pins every byte. Recorded at PR 21, from the build
+/// that still re-found the centers by VF2 (and `cmp`-equal to that CLI's
+/// file); a change that means to alter the index or its format re-records
+/// it and says so.
+#[test]
+fn fixed_input_builds_the_golden_file() {
+    use rand::SeedableRng;
+    const GOLDEN: (usize, u64) = (67_886, 0xfdcd_e2fa_ffa3_0b8d);
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
+    let db = datagen::generate_chem(&datagen::ChemParams::sized(40), &mut rng);
+    for threads in [1usize, 2, 8] {
+        let idx = TreePiIndex::build_with_threads_obs(
+            db.clone(),
+            TreePiParams::default(),
+            threads,
+            &obs::Shard::disabled(),
+        );
+        let bytes = save_bytes(&idx);
+        let sum = u64::from_le_bytes(*bytes.last_chunk().expect("a checksum"));
+        assert_eq!((bytes.len(), sum), GOLDEN, "threads={threads}");
+    }
 }
 
 proptest! {

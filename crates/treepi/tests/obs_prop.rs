@@ -73,11 +73,6 @@ proptest! {
     ) {
         let idx = TreePiIndex::build(db, TreePiParams::quick());
         let (results, base) = run_metered(&idx, &queries, 1, seed);
-        if !obs::COMPILED_IN {
-            // `--features off` build: the registry records nothing and the
-            // reconciliation below is vacuous.
-            return Ok(());
-        }
 
         // Exact reconciliation against the per-query stats.
         prop_assert_eq!(base.counter(obs::names::QUERIES), queries.len() as u64);
@@ -90,9 +85,13 @@ proptest! {
         let missing: u64 = results.iter().filter(|r| r.stats.missing_feature).count() as u64;
         prop_assert_eq!(base.counter(obs::names::MISSING_FEATURE), missing);
 
-        // All four pipeline spans are observed exactly once per query, even
-        // for short-circuited queries.
-        for name in obs::names::PIPELINE_SPANS {
+        // All five pipeline spans, and the two halves of partition, are
+        // observed exactly once per query, even for short-circuited queries.
+        let halves = [
+            obs::names::SPAN_PARTITION_RUNS,
+            obs::names::SPAN_PARTITION_ENUMERATE,
+        ];
+        for name in obs::names::PIPELINE_SPANS.into_iter().chain(halves) {
             let span = base.span(name).expect("pipeline span always present");
             prop_assert_eq!(span.count, queries.len() as u64);
         }
@@ -128,9 +127,6 @@ proptest! {
             (idx, registry.drain())
         };
         let (_, base) = build_metered(1);
-        if !obs::COMPILED_IN {
-            return Ok(());
-        }
         // Sanity: the serial build actually recorded mining/build counters.
         prop_assert!(base.counter("build.mined") > 0);
         prop_assert!(base.counter("mine.level1.candidates") > 0);

@@ -105,9 +105,7 @@ proptest! {
             prop_assert_eq!(a.stats.partition_size, b.stats.partition_size);
         }
         let base_det = base_metrics.deterministic_counters();
-        if obs::COMPILED_IN {
-            prop_assert_eq!(&base_det, &seq_det);
-        }
+        prop_assert_eq!(&base_det, &seq_det);
 
         for workers in [2usize, 8] {
             engine = Engine::new(engine.into_index(), workers);

@@ -75,6 +75,7 @@ proptest! {
                 for recon in [true, false] {
                     for sig in [true, false] {
                         let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                        let wall = std::time::Instant::now();
                         let r = idx.query_with(
                             &q,
                             QueryOptions {
@@ -86,6 +87,12 @@ proptest! {
                             },
                             &mut rng,
                         );
+                        let wall = wall.elapsed();
+                        // The stage clocks nest: the two halves of partition
+                        // inside it, the five stages inside the call.
+                        let s = &r.stats;
+                        prop_assert!(s.t_runs + s.t_enumerate <= s.t_partition, "{:?}", s);
+                        prop_assert!(s.total() <= wall, "{:?} in {:?}", s, wall);
                         prop_assert_eq!(
                             &r.matches,
                             &truth,
