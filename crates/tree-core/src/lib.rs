@@ -14,7 +14,7 @@ pub mod center;
 pub mod embed;
 pub mod tree;
 
-pub use canonical::{canonical_string, canonical_string_rooted, CanonString};
+pub use canonical::{canonical_string, CanonString, SubtreeEncoder};
 pub use center::{center, center_by_eccentricity, Center};
 pub use embed::{
     center_positions, for_each_embedding_centered, is_subtree_of, CenterPos, CenteredMatcher,

@@ -6,42 +6,19 @@
 use crate::index::{FeatureId, TreePiIndex};
 use graph_core::Graph;
 use mining::{intersect_many, SupportSet};
-use std::ops::ControlFlow;
 
 /// Enumerate the indexed feature subtrees of `q` (paper §1: "we enumerate
 /// the frequent subtrees in q and identify the graphs in the database which
 /// contain those subtrees").
 ///
-/// Every connected acyclic edge subset of `q` up to the index's η is
-/// canonicalized (polynomial time — the reason trees were chosen) and
-/// looked up in the directory; distinct hits form `SF_q`. Returns `None` if
-/// a single edge of `q` is not a feature, which proves the support is
-/// empty (σ(1) = 1 indexes every edge the database contains).
+/// Every connected acyclic edge subset of `q` up to the index's η that is a
+/// stored feature is found by the guided walk ([`crate::walk`]); the
+/// distinct features form `SF_q`. Returns `None` if a single edge of `q` is
+/// not a feature, which proves the support is empty (σ(1) = 1 indexes every
+/// edge the database contains).
 pub fn enumerate_query_features(index: &TreePiIndex, q: &Graph) -> Option<Vec<FeatureId>> {
-    let eta = index.params().sigma.eta;
-    let mut sf: Vec<FeatureId> = Vec::new();
-    let mut missing_edge = false;
-    let _ = graph_core::for_each_subtree_edge_subset(q, eta, |edges| {
-        let sub = graph_core::edge_subgraph(q, edges);
-        let tree =
-            tree_core::Tree::from_graph(sub.graph).expect("subtree enumeration yields trees");
-        let canon = tree_core::canonical_string(&tree);
-        match index.feature_by_canon(&canon) {
-            Some(fid) => sf.push(fid),
-            None if edges.len() == 1 => {
-                missing_edge = true;
-                return ControlFlow::Break(());
-            }
-            None => {}
-        }
-        ControlFlow::Continue(())
-    });
-    if missing_edge {
-        return None;
-    }
-    sf.sort_unstable();
-    sf.dedup();
-    Some(sf)
+    let found = crate::walk::QueryFeatures::walk(index, q).ok()?;
+    Some(found.features())
 }
 
 /// Intersect the support sets of the given features (Algorithm 1). The

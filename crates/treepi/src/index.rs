@@ -18,13 +18,18 @@
 //! the directory is a permutation of the feature ids sorted by the strings
 //! the features already own, searched by bisection
 //! ([`TreePiIndex::feature_by_canon`]) — no key is stored a second time.
+//!
+//! Beside the directory sits the features' **downward closure**: a sorted
+//! set of 32-bit fingerprints of every proper subtree of a stored feature,
+//! which is what lets [`crate::walk`] look for features in a graph without
+//! enumerating the graph's subtrees (see [`TreePiIndex::may_grow`]).
 
 use crate::params::TreePiParams;
 use crate::sig::{self, VertexSig};
 use graph_core::{EdgeId, Graph, VertexId};
 use mining::{shrink_features_pool, SupportSet};
-use rustc_hash::FxHashMap;
-use tree_core::{center, CanonString, Center, CenterPos, Tree};
+use rustc_hash::FxHashSet;
+use tree_core::{center, CanonString, Center, CenterPos, SubtreeEncoder, Tree};
 
 /// Identifier of a feature tree inside a [`TreePiIndex`]: its position in
 /// [`TreePiIndex::features`].
@@ -96,19 +101,15 @@ impl Feature {
     }
 
     /// Append graph `gid` — larger than every id already listed — with its
-    /// (non-empty) center positions.
-    fn push_graph(&mut self, gid: u32, pos: &[CenterPos]) {
-        debug_assert!(!pos.is_empty() && self.support.last().is_none_or(|&g| g < gid));
-        // The column keeps bare ids: the tag is this feature's kind of center.
-        let on_edge = matches!(self.center, Center::Edge(_));
-        debug_assert!(pos
-            .iter()
-            .all(|p| matches!(p, CenterPos::Edge(_)) == on_edge));
+    /// (non-empty, ascending) center positions: vertex or edge ids of the
+    /// graph according to this feature's kind of center.
+    fn push_graph(&mut self, gid: u32, pos: impl Iterator<Item = u32>) {
+        debug_assert!(self.support.last().is_none_or(|&g| g < gid));
+        let before = self.positions.len();
         self.support.push(gid);
-        self.positions.extend(pos.iter().map(|p| match *p {
-            CenterPos::Vertex(v) => v.0,
-            CenterPos::Edge(e) => e.0,
-        }));
+        self.positions.extend(pos);
+        debug_assert!(self.positions[before..].windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(self.positions.len() > before);
         let end = u32::try_from(self.positions.len()).expect("under 2^32 positions per feature");
         self.offsets.push(end);
     }
@@ -217,6 +218,14 @@ pub struct TreePiIndex {
     /// The directory: every feature id once, strictly increasing by
     /// `features[id].canon`.
     by_canon: Vec<FeatureId>,
+    /// Ascending fingerprints of every proper subtree (one edge or more) of
+    /// a stored feature: what [`Self::may_grow`] searches. A function of the
+    /// mined features — §7.1 maintenance only ever adds single-edge
+    /// features, which have no proper subtree. `None` if there were too many
+    /// to derive ([`MAX_CLOSURE`]): every tree then counts as a member, as if
+    /// all fingerprints collided, and the walk grows everything the way an
+    /// exhaustive enumeration would.
+    closure: Option<Vec<u32>>,
     /// sigs[graph id] = per-vertex neighborhood signatures (see
     /// [`crate::sig`]). Invariant: always equal to
     /// [`sig::graph_sigs`] of the stored payload — a pure function of
@@ -328,13 +337,15 @@ impl TreePiIndex {
         shard.add("build.features", stats.features as u64);
         shard.add("build.center_entries", stats.center_entries as u64);
         shard.add("build.center_positions", stats.center_positions as u64);
+        release_freed_heap();
         idx
     }
 
-    /// Put an index together from its parts, deriving the directory from
-    /// the features' canonical strings; `sigs` must be [`sig::graph_sigs`]
-    /// of each `db` entry. Fails if two features share a canonical string.
-    /// The mining facts and the epoch start at zero for the caller to set.
+    /// Put an index together from its parts, deriving the directory and
+    /// the downward closure from the features; `sigs` must be
+    /// [`sig::graph_sigs`] of each `db` entry. Fails if two features share a
+    /// canonical string. The mining facts and the epoch start at zero for
+    /// the caller to set.
     pub(crate) fn assemble(
         params: TreePiParams,
         db: Vec<Graph>,
@@ -348,11 +359,13 @@ impl TreePiIndex {
         if by_canon.windows(2).any(|w| canon(&w[0]) == canon(&w[1])) {
             return Err("two features share a canonical string");
         }
+        let closure = derive_closure(&features, MAX_CLOSURE);
         Ok(Self {
             db,
             active,
             features,
             by_canon,
+            closure,
             sigs,
             params,
             mined: 0,
@@ -417,10 +430,30 @@ impl TreePiIndex {
         self.canon_rank(canon).ok().map(|rank| self.by_canon[rank])
     }
 
+    /// [`Self::feature_by_canon`] for canonical tokens still in their
+    /// encoder's buffer.
+    pub(crate) fn feature_by_tokens(&self, tokens: &[u32]) -> Option<FeatureId> {
+        self.token_rank(tokens).ok().map(|rank| self.by_canon[rank])
+    }
+
     /// Rank of `canon` in the directory, or where it would be spliced in.
     fn canon_rank(&self, canon: &CanonString) -> Result<usize, usize> {
+        self.token_rank(canon.tokens())
+    }
+
+    fn token_rank(&self, tokens: &[u32]) -> Result<usize, usize> {
         self.by_canon
-            .binary_search_by(|fid| self.features[fid.idx()].canon.cmp(canon))
+            .binary_search_by(|fid| self.features[fid.idx()].canon.tokens().cmp(tokens))
+    }
+
+    /// Can the tree with these canonical tokens be grown into a stored
+    /// feature, i.e. is it (by fingerprint) a proper subtree of one? Never
+    /// `false` for a tree that is: a fingerprint collision can only say
+    /// `true` of a tree that is not, which costs the walk a wasted step and
+    /// no answer, because hits are decided by the exact directory lookup.
+    pub(crate) fn may_grow(&self, tokens: &[u32]) -> bool {
+        let member = |c: &Vec<u32>| c.binary_search(&fingerprint(tokens)).is_ok();
+        self.closure.as_ref().is_none_or(member)
     }
 
     /// The feature with id `fid`.
@@ -503,35 +536,34 @@ impl TreePiIndex {
     /// support proof and worst-case partitioning) relies on the σ(1) = 1
     /// invariant that *every* edge in the database is a feature.
     pub fn insert(&mut self, g: Graph) -> u32 {
-        // No occurrence lists outlive the miner, so a graph arriving later is
-        // searched: the only place outside tests this VF2 search runs.
-        use tree_core::center_positions;
         let gid = self.db.len() as u32;
-        // Update existing features, with a label pre-check. Every matching
-        // feature gets the same support/center update whatever the order.
-        for f in &mut self.features {
-            if !may_contain(&g, f.tree.graph()) {
-                continue;
-            }
-            let pos = center_positions(&f.tree, &g);
-            if pos.is_empty() {
-                continue;
-            }
-            f.push_graph(gid, &pos);
-        }
-        // Register novel single-edge trees as fresh features, each spliced
-        // into the directory at its rank.
+        // Register novel single-edge trees as fresh (so far empty) features,
+        // each spliced into the directory at its rank: after this every edge
+        // of `g` is a feature, which is what the walk expects of a graph.
         for e in g.edges() {
             let t = Tree::single_edge(g.vlabel(e.u), e.label, g.vlabel(e.v));
             let canon = tree_core::canonical_string(&t);
-            let Err(rank) = self.canon_rank(&canon) else {
-                continue;
-            };
-            let fid = FeatureId(self.features.len() as u32);
-            self.by_canon.insert(rank, fid);
-            let mut f = Feature::new(t, canon);
-            f.push_graph(gid, &center_positions(&f.tree, &g));
-            self.features.push(f);
+            if let Err(rank) = self.canon_rank(&canon) {
+                let fid = FeatureId(self.features.len() as u32);
+                self.by_canon.insert(rank, fid);
+                self.features.push(Feature::new(t, canon));
+            }
+        }
+        // Every occurrence of a feature in `g`, as (feature, center id): a
+        // center is a function of the occurrence, and occurrences sharing
+        // one collapse. A feature's kind of center is its occurrences'.
+        let mut hits: Vec<(FeatureId, u32)> = Vec::new();
+        crate::walk::walk_features(self, &g, |fid, _, center| {
+            hits.push(match center {
+                Center::Vertex(v) => (fid, v.0),
+                Center::Edge(e) => (fid, e.0),
+            })
+        })
+        .expect("every edge of the graph is a feature by now");
+        hits.sort_unstable();
+        hits.dedup();
+        for run in hits.chunk_by(|a, b| a.0 == b.0) {
+            self.features[run[0].0.idx()].push_graph(gid, run.iter().map(|h| h.1));
         }
         self.sigs.push(sig::graph_sigs(&g));
         self.db.push(g);
@@ -614,6 +646,14 @@ impl TreePiIndex {
         idx
     }
 
+    /// The index as if every fingerprint collided, which is how it stands
+    /// when the closure is too large to derive: the walk grows every subtree.
+    #[cfg(test)]
+    pub(crate) fn with_colliding_fingerprints(mut self) -> Self {
+        self.closure = None;
+        self
+    }
+
     /// An index over zero graphs with no features — a placeholder used
     /// when moving the real index out of shared state (see
     /// [`crate::Engine::into_index`]).
@@ -670,7 +710,8 @@ impl TreePiIndex {
             supports_bytes,
             centers_bytes,
             sigs_bytes,
-            trie_bytes: self.by_canon.len() * size_of::<FeatureId>(),
+            trie_bytes: self.by_canon.len() * size_of::<FeatureId>()
+                + self.closure.as_ref().map_or(0, Vec::len) * size_of::<u32>(),
         }
     }
 
@@ -724,8 +765,9 @@ pub struct IndexMemory {
     pub centers_bytes: usize,
     /// Per-vertex neighborhood signatures ([`crate::sig`]).
     pub sigs_bytes: usize,
-    /// The canonical-string directory: one feature id per feature (the
-    /// name predates it — a prefix trie used to stand here).
+    /// The canonical-string directory, one feature id per feature, and the
+    /// features' downward closure, one fingerprint per proper subtree (the
+    /// name predates both — a prefix trie used to stand here).
     pub trie_bytes: usize,
 }
 
@@ -741,23 +783,114 @@ impl IndexMemory {
     }
 }
 
-/// Label-multiset pre-check: can `p` possibly embed in `g`?
-pub(crate) fn may_contain(g: &Graph, p: &Graph) -> bool {
-    if p.vertex_count() > g.vertex_count() || p.edge_count() > g.edge_count() {
-        return false;
-    }
-    let mut counts: FxHashMap<u32, i64> = FxHashMap::default();
-    for v in g.vertices() {
-        *counts.entry(g.vlabel(v).0).or_insert(0) += 1;
-    }
-    for v in p.vertices() {
-        let c = counts.entry(p.vlabel(v).0).or_insert(0);
-        *c -= 1;
-        if *c < 0 {
-            return false;
+/// Hand the heap a finished build has freed back to the operating system.
+///
+/// Mining holds tens of megabytes of occurrence lists at its widest level
+/// for an index well under one (56 MB live against 0.8 MB on a 200-molecule
+/// database). glibc keeps such memory resident once freed — its trim
+/// threshold rises with the largest blocks it has seen — and a secondary
+/// arena never reuses it, so every later allocation of a serving process (or
+/// of a benchmark's client threads) lands on top of a build's ghost, again
+/// after each background re-mine. One call releases it; elsewhere this is a
+/// no-op.
+fn release_freed_heap() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> i32;
+        }
+        // SAFETY: `malloc_trim` is a function of the C library this target
+        // links; it takes no pointer, touches only memory the allocator
+        // holds free (under each arena's own lock, so concurrent allocation
+        // on other threads is fine), and its result — whether anything was
+        // released — is not needed.
+        unsafe {
+            malloc_trim(0);
         }
     }
-    true
+}
+
+/// 32 bits of FNV-1a over canonical tokens: the key of the closure set.
+fn fingerprint(tokens: &[u32]) -> u32 {
+    let h = tokens.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &t| {
+        (h ^ u64::from(t)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    (h ^ (h >> 32)) as u32
+}
+
+/// Most distinct proper subtrees a feature set may have before deriving
+/// them is given up (a 1 MB set). Every one of them is a frequent tree, so
+/// an index mined under the default `MiningLimits::max_patterns` (200 000)
+/// stays below — the 1 425 features of a 200-molecule database have 977 —
+/// but a bushy 30-edge tree in a forged index file has 2³⁰, and loading it
+/// must stay bounded.
+const MAX_CLOSURE: usize = 1 << 18;
+
+/// Fingerprints, ascending, of every proper subtree with at least one edge
+/// of any of `features`; `None` past `cap` distinct ones.
+///
+/// Peels leaves: every proper subtree is some larger subtree less one leaf
+/// edge, so each distinct tree met — told apart by its full canonical
+/// string, a missed one would lose its whole downward cone — is expanded
+/// once, whichever features it was met in.
+fn derive_closure(features: &[Feature], cap: usize) -> Option<Vec<u32>> {
+    let mut enc = SubtreeEncoder::default();
+    let mut seen: FxHashSet<Box<[u32]>> = FxHashSet::default();
+    let mut fps: Vec<u32> = Vec::new();
+    // Subtrees still to peel: `(feature, start, len)` into `edges`.
+    let mut edges: Vec<EdgeId> = Vec::new();
+    let mut todo: Vec<(usize, usize, usize)> = Vec::new();
+    let (mut in_set, mut degree): (Vec<bool>, Vec<u32>) = (Vec::new(), Vec::new());
+    for (fi, f) in features.iter().enumerate() {
+        if f.size() >= 2 {
+            todo.push((fi, edges.len(), f.size()));
+            edges.extend(f.tree.graph().edge_ids());
+        }
+    }
+    let mut next = 0;
+    while let Some(&(fi, start, len)) = todo.get(next) {
+        next += 1;
+        let g = features[fi].tree.graph();
+        in_set.clear();
+        in_set.resize(g.edge_count(), false);
+        degree.clear();
+        degree.resize(g.vertex_count(), 0);
+        for &e in &edges[start..start + len] {
+            in_set[e.idx()] = true;
+            degree[g.edge(e).u.idx()] += 1;
+            degree[g.edge(e).v.idx()] += 1;
+        }
+        for i in start..start + len {
+            let leaf = edges[i];
+            let edge = g.edge(leaf);
+            // With two edges or more, at most one end of an edge is a leaf;
+            // the other stays in the tree when the edge goes.
+            let stays = match (degree[edge.u.idx()], degree[edge.v.idx()]) {
+                (1, _) => edge.v,
+                (_, 1) => edge.u,
+                _ => continue,
+            };
+            in_set[leaf.idx()] = false;
+            let (tokens, _) = enc.encode(g, stays, |e| in_set[e.idx()]);
+            in_set[leaf.idx()] = true;
+            if seen.contains(tokens) {
+                continue;
+            }
+            if seen.len() == cap {
+                return None;
+            }
+            seen.insert(tokens.into());
+            fps.push(fingerprint(tokens));
+            if len > 2 {
+                todo.push((fi, edges.len(), len - 1));
+                edges.extend_from_within(start..i);
+                edges.extend_from_within(i + 1..start + len);
+            }
+        }
+    }
+    fps.sort_unstable();
+    fps.dedup();
+    Some(fps)
 }
 
 #[cfg(test)]
@@ -994,7 +1127,7 @@ mod tests {
             TreePiParams::quick(),
         );
         assert_eq!(remined.feature_count(), fresh.feature_count());
-        let by_canon: FxHashMap<&CanonString, &Feature> =
+        let by_canon: rustc_hash::FxHashMap<&CanonString, &Feature> =
             fresh.features().iter().map(|f| (&f.canon, f)).collect();
         for f in remined.features() {
             let fresh_f = by_canon.get(&f.canon).expect("feature mined in both");
@@ -1056,6 +1189,47 @@ mod tests {
             snap.gauge(obs::names::GAUGE_INDEX_TRIE),
             Some(m.trie_bytes as u64)
         );
+        // One id per feature, one fingerprint per closure entry.
+        let closure = idx.closure.as_ref().expect("derived");
+        assert_eq!(m.trie_bytes, 4 * (idx.feature_count() + closure.len()));
+    }
+
+    #[test]
+    fn closure_is_every_proper_subtree_of_a_feature() {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        let chem = datagen::generate_chem(&datagen::ChemParams::sized(30), &mut rng);
+        let mut molecules = TreePiIndex::build(chem, TreePiParams::default());
+        for idx in [&mut quick_index(), &mut molecules] {
+            let mut brute: Vec<u32> = Vec::new();
+            for f in idx.features().iter().filter(|f| f.size() > 1) {
+                let g = f.tree.graph();
+                let _ = graph_core::for_each_subtree_edge_subset(g, f.size() - 1, |edges| {
+                    let sub = graph_core::edge_subgraph(g, edges).graph;
+                    let sub = Tree::from_graph(sub).expect("a subtree");
+                    brute.push(fingerprint(canonical_string(&sub).tokens()));
+                    std::ops::ControlFlow::Continue(())
+                });
+            }
+            brute.sort_unstable();
+            brute.dedup();
+            assert!(!brute.is_empty());
+            assert_eq!(idx.closure.as_ref(), Some(&brute));
+            // §7.1 maintenance leaves it alone, novel edge label or not.
+            idx.insert(graph_from(&[0, 77, 0], &[(0, 1, 0), (1, 2, 5)]));
+            idx.remove(0);
+            assert_eq!(idx.closure.as_ref(), Some(&brute));
+        }
+    }
+
+    #[test]
+    fn a_closure_past_its_cap_is_given_up() {
+        let idx = quick_index();
+        let n = idx.closure.as_ref().expect("derived").len();
+        assert_eq!(derive_closure(idx.features(), n), idx.closure);
+        assert_eq!(derive_closure(idx.features(), n - 1), None);
+        assert!(!idx.may_grow(&[1, 2, 3]));
+        assert!(idx.with_colliding_fingerprints().may_grow(&[1, 2, 3]));
     }
 
     #[test]
@@ -1067,15 +1241,6 @@ mod tests {
         assert!(s.center_entries > 0);
         assert!(s.center_positions >= s.center_entries);
         assert!(!s.truncated);
-    }
-
-    #[test]
-    fn may_contain_precheck() {
-        let g = graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]);
-        let p_ok = graph_from(&[0, 1], &[(0, 1, 0)]);
-        let p_too_many = graph_from(&[1, 1], &[(0, 1, 0)]);
-        assert!(may_contain(&g, &p_ok));
-        assert!(!may_contain(&g, &p_too_many));
     }
 }
 

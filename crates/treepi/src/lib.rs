@@ -42,6 +42,7 @@ pub mod prune;
 pub mod query;
 pub mod sig;
 pub mod verify;
+mod walk;
 pub mod workload;
 
 pub use directed::DirectedTreePiIndex;
@@ -49,10 +50,7 @@ pub use engine::{query_rng, ApplyOutcome, Engine, MaintStats, RemineReport};
 pub use filter::enumerate_query_features;
 pub use index::{BuildStats, Feature, FeatureId, IndexMemory, TreePiIndex};
 pub use params::{Delta, TreePiParams};
-pub use partition::{
-    partition_runs, partition_runs_with, random_partition, random_partition_collecting, Part,
-    PartitionOutcome, PartitionRuns,
-};
+pub use partition::{partition_runs, partition_runs_with, Part, PartitionRuns};
 pub use query::{QueryOptions, QueryResult, QueryStats, SfMode, INTRA_PAR_THRESHOLD};
 pub use sig::VertexSig;
 pub use verify::scan_support;

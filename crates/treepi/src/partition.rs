@@ -13,8 +13,13 @@
 //! paper's recursive splitting produces — a randomized feature-tree
 //! partition whose worst case is all single-edge parts — with the same
 //! termination guarantee (single-edge trees are always features, σ(1) = 1).
+//!
+//! "Remains an indexed feature" is a table lookup: [`crate::walk`] finds
+//! every feature occurrence in the query once, and all δ runs ask that
+//! table by edge set instead of canonicalising each growth step.
 
 use crate::index::{FeatureId, TreePiIndex};
+use crate::walk::QueryFeatures;
 use graph_core::{EdgeId, Graph, VertexId};
 use rand::Rng;
 use smallvec::SmallVec;
@@ -37,154 +42,39 @@ pub struct Part {
     pub center_reps_in_q: SmallVec<[VertexId; 2]>,
 }
 
-/// Outcome of a partition attempt.
-#[derive(Clone, Debug)]
-pub enum PartitionOutcome {
-    /// A complete feature-tree partition.
-    Partition(Vec<Part>),
-    /// Some single edge of the query is not an indexed feature — no
-    /// database graph contains that edge, so the query's support is empty.
-    MissingFeature(CanonString),
-}
-
-/// Incrementally grown part state.
-struct Growth {
-    edges: Vec<EdgeId>,
-    /// Query vertices in the part, in insertion order (= part tree ids).
-    vertices: Vec<VertexId>,
-}
-
-impl Growth {
-    fn tree_of(&self, q: &Graph) -> Tree {
-        let mut b = graph_core::GraphBuilder::with_capacity(self.vertices.len(), self.edges.len());
-        for &v in &self.vertices {
+impl Part {
+    /// The part of `q` over `edges`, spanning `vertices` — both in the
+    /// order the part was grown, which is the part tree's numbering.
+    fn new(q: &Graph, edges: &[EdgeId], vertices: &[VertexId], feature: FeatureId) -> Self {
+        let mut b = graph_core::GraphBuilder::with_capacity(vertices.len(), edges.len());
+        for &v in vertices {
             b.add_vertex(q.vlabel(v));
         }
         let local = |v: VertexId| {
-            VertexId(
-                self.vertices
-                    .iter()
-                    .position(|&x| x == v)
-                    .expect("part vertex") as u32,
-            )
+            let i = vertices.iter().position(|&x| x == v).expect("part vertex");
+            VertexId(i as u32)
         };
-        for &e in &self.edges {
+        for &e in edges {
             let edge = q.edge(e);
             b.add_edge(local(edge.u), local(edge.v), edge.label)
                 .expect("part edges are simple");
         }
-        Tree::from_graph(b.build()).expect("growth maintains the tree invariant")
-    }
-}
-
-/// One randomized partition run, `RP(q)`.
-///
-/// `extra_features`, when provided, collects every *intermediate* feature
-/// tree observed while growing parts — the "group of additional feature
-/// subtrees of the query graph" that §5.1 says RP generates as a byproduct.
-/// They cost nothing (each growth step already performed the directory
-/// lookup) and sharpen the filter intersection.
-pub fn random_partition<R: Rng>(q: &Graph, index: &TreePiIndex, rng: &mut R) -> PartitionOutcome {
-    random_partition_collecting(q, index, rng, &mut Vec::new())
-}
-
-/// [`random_partition`] that also reports intermediate feature trees.
-pub fn random_partition_collecting<R: Rng>(
-    q: &Graph,
-    index: &TreePiIndex,
-    rng: &mut R,
-    extra_features: &mut Vec<FeatureId>,
-) -> PartitionOutcome {
-    let m = q.edge_count();
-    assert!(m > 0, "queries must have at least one edge");
-    let mut covered = vec![false; m];
-    let mut covered_count = 0usize;
-    let mut parts: Vec<Part> = Vec::new();
-
-    while covered_count < m {
-        // Random uncovered seed edge.
-        let uncovered: Vec<EdgeId> = q.edge_ids().filter(|e| !covered[e.idx()]).collect();
-        let seed = uncovered[rng.gen_range(0..uncovered.len())];
-        let sedge = q.edge(seed);
-        let mut growth = Growth {
-            edges: vec![seed],
-            vertices: vec![sedge.u, sedge.v],
-        };
-        let mut tree = growth.tree_of(q);
-        let mut canon = canonical_string(&tree);
-        let Some(mut fid) = index.feature_by_canon(&canon) else {
-            return PartitionOutcome::MissingFeature(canon);
-        };
-        extra_features.push(fid);
-
-        // Grow while the grown tree stays an indexed feature.
-        loop {
-            // Acyclic, uncovered extension candidates adjacent to the part.
-            let mut cands: Vec<(EdgeId, VertexId, VertexId)> = Vec::new(); // (edge, attach, new vertex)
-            for &v in &growth.vertices {
-                for &(w, e) in q.neighbors(v) {
-                    if covered[e.idx()] || growth.edges.contains(&e) {
-                        continue;
-                    }
-                    if growth.vertices.contains(&w) {
-                        continue; // would close a cycle within the part
-                    }
-                    cands.push((e, v, w));
-                }
-            }
-            if cands.is_empty() {
-                break;
-            }
-            // Random order; accept the first extension that stays a feature.
-            let mut accepted = false;
-            while !cands.is_empty() {
-                let i = rng.gen_range(0..cands.len());
-                let (e, _attach, w) = cands.swap_remove(i);
-                if growth.edges.contains(&e) || growth.vertices.contains(&w) {
-                    continue;
-                }
-                growth.edges.push(e);
-                growth.vertices.push(w);
-                let t2 = growth.tree_of(q);
-                let c2 = canonical_string(&t2);
-                if let Some(f2) = index.feature_by_canon(&c2) {
-                    tree = t2;
-                    canon = c2;
-                    fid = f2;
-                    extra_features.push(f2);
-                    accepted = true;
-                    break;
-                }
-                growth.edges.pop();
-                growth.vertices.pop();
-            }
-            if !accepted {
-                break;
-            }
-        }
-
-        for &e in &growth.edges {
-            covered[e.idx()] = true;
-        }
-        covered_count += growth.edges.len();
-
-        let center_reps_in_q: SmallVec<[VertexId; 2]> = match center(&tree) {
-            Center::Vertex(v) => smallvec::smallvec![growth.vertices[v.idx()]],
+        let tree = Tree::from_graph(b.build()).expect("growth maintains the tree invariant");
+        let center_reps_in_q = match center(&tree) {
+            Center::Vertex(v) => smallvec::smallvec![vertices[v.idx()]],
             Center::Edge(e) => {
                 let edge = tree.graph().edge(e);
-                smallvec::smallvec![growth.vertices[edge.u.idx()], growth.vertices[edge.v.idx()]]
+                smallvec::smallvec![vertices[edge.u.idx()], vertices[edge.v.idx()]]
             }
         };
-        let _ = canon;
-        parts.push(Part {
-            q_edges: growth.edges.clone(),
-            q_vertices: growth.vertices.clone(),
+        Self {
+            q_edges: edges.to_vec(),
+            q_vertices: vertices.to_vec(),
             tree,
-            feature: fid,
+            feature,
             center_reps_in_q,
-        });
+        }
     }
-    PartitionOutcome::Partition(parts)
 }
 
 /// δ partition runs (paper §5.1): returns the minimum partition `TP_q` and
@@ -223,6 +113,9 @@ pub fn partition_runs<R: Rng>(
 /// accumulation and the final sort/dedup. The RNG stream is identical
 /// either way — collection never consumes randomness — so `TP_q` does not
 /// depend on this flag.
+///
+/// Walks `q` for its feature occurrences first; the pipeline, which needs
+/// them for the filter too, walks once and calls [`runs_over`] itself.
 pub fn partition_runs_with<R: Rng>(
     q: &Graph,
     index: &TreePiIndex,
@@ -230,45 +123,144 @@ pub fn partition_runs_with<R: Rng>(
     rng: &mut R,
     collect_sf: bool,
 ) -> PartitionRuns {
-    let mut best: Option<Vec<Part>> = None;
-    let mut sf: Vec<FeatureId> = Vec::new();
-    // Single edges of q: every one must be a feature (σ(1) = 1), or the
-    // support is provably empty. This early-exit check runs regardless of
-    // `collect_sf`; only the bookkeeping is conditional.
-    for e in q.edge_ids() {
-        let edge = q.edge(e);
-        let t = Tree::single_edge(q.vlabel(edge.u), edge.label, q.vlabel(edge.v));
-        let c = canonical_string(&t);
-        match index.feature_by_canon(&c) {
-            Some(fid) => {
-                if collect_sf {
-                    sf.push(fid);
-                }
-            }
-            None => return PartitionRuns::MissingFeature(c),
+    match QueryFeatures::walk(index, q) {
+        Ok(found) => {
+            let (min_partition, sf) = runs_over(q, &found, delta, rng, collect_sf);
+            PartitionRuns::Ok { min_partition, sf }
         }
+        Err(e) => PartitionRuns::MissingFeature(missing_feature(q, e)),
     }
-    let mut scratch: Vec<FeatureId> = Vec::new();
+}
+
+/// Canonical string of edge `e` of `q`, which the index does not hold.
+fn missing_feature(q: &Graph, e: EdgeId) -> CanonString {
+    let edge = q.edge(e);
+    canonical_string(&Tree::single_edge(
+        q.vlabel(edge.u),
+        edge.label,
+        q.vlabel(edge.v),
+    ))
+}
+
+/// The parts of one run, end to end: part `i` covers `edges` and spans
+/// `vertices` up to its two `ends`, from where part `i - 1` stopped.
+#[derive(Default)]
+struct Run {
+    edges: Vec<EdgeId>,
+    vertices: Vec<VertexId>,
+    /// `(end in edges, end in vertices, feature)` per part.
+    ends: Vec<(usize, usize, FeatureId)>,
+}
+
+/// The δ runs over the feature occurrences `found` in `q`: `(TP_q, SF_q)`,
+/// the latter empty unless `collect_sf`.
+///
+/// One run of `RP`: pick a random uncovered edge, then grow a random subtree
+/// from it for as long as the grown tree — its edge set, asked of `found` —
+/// remains an indexed feature, emit the part, repeat. Every growth step is
+/// one more feature subtree of the query ("a group of additional feature
+/// subtrees", §5.1) and goes into `SF_q`. Runs are compared as edge and
+/// vertex lists; only the winner's parts are built.
+pub(crate) fn runs_over<R: Rng>(
+    q: &Graph,
+    found: &QueryFeatures,
+    delta: usize,
+    rng: &mut R,
+    collect_sf: bool,
+) -> (Vec<Part>, Vec<FeatureId>) {
+    let m = q.edge_count();
+    assert!(m > 0, "queries must have at least one edge");
+    let edge_feature = |e: EdgeId| found.get(&[e]).expect("every edge of q is a feature");
+    // Single edges of q are feature subtrees of it whatever the runs pick.
+    let mut sf: Vec<FeatureId> = Vec::new();
+    if collect_sf {
+        sf.extend(q.edge_ids().map(edge_feature));
+    }
+    let (mut run, mut best) = (Run::default(), Run::default());
+    let mut covered = vec![false; m];
+    let mut uncovered: Vec<EdgeId> = Vec::with_capacity(m);
+    let mut in_part = vec![false; q.vertex_count()];
+    // The growing part's edges, ascending: what `found` is asked.
+    let mut key: Vec<EdgeId> = Vec::new();
+    // Acyclic, uncovered extensions of the growing part: (edge, new vertex).
+    let mut cands: Vec<(EdgeId, VertexId)> = Vec::new();
+
     for _ in 0..delta.max(1) {
-        let acc = if collect_sf { &mut sf } else { &mut scratch };
-        match random_partition_collecting(q, index, rng, acc) {
-            PartitionOutcome::MissingFeature(c) => return PartitionRuns::MissingFeature(c),
-            PartitionOutcome::Partition(parts) => {
-                if best.as_ref().is_none_or(|b| parts.len() < b.len()) {
-                    best = Some(parts);
+        covered.fill(false);
+        uncovered.clear();
+        uncovered.extend(q.edge_ids());
+        run.edges.clear();
+        run.vertices.clear();
+        run.ends.clear();
+        while !uncovered.is_empty() {
+            let (e_start, v_start) = (run.edges.len(), run.vertices.len());
+            let seed = uncovered[rng.gen_range(0..uncovered.len())];
+            let sedge = q.edge(seed);
+            run.edges.push(seed);
+            run.vertices.extend([sedge.u, sedge.v]);
+            (in_part[sedge.u.idx()], in_part[sedge.v.idx()]) = (true, true);
+            key.clear();
+            key.push(seed);
+            let mut fid = edge_feature(seed);
+            // Grow while the grown tree stays an indexed feature.
+            loop {
+                cands.clear();
+                for &v in &run.vertices[v_start..] {
+                    for &(w, e) in q.neighbors(v) {
+                        // A vertex already in the part means the part's own
+                        // edge, or one that would close a cycle within it.
+                        if !covered[e.idx()] && !in_part[w.idx()] {
+                            cands.push((e, w));
+                        }
+                    }
+                }
+                // Random order; accept the first extension that stays a feature.
+                let mut accepted = false;
+                while !cands.is_empty() {
+                    let (e, w) = cands.swap_remove(rng.gen_range(0..cands.len()));
+                    let at = key.binary_search(&e).expect_err("not in the part");
+                    key.insert(at, e);
+                    if let Some(grown) = found.get(&key) {
+                        fid = grown;
+                        run.edges.push(e);
+                        run.vertices.push(w);
+                        in_part[w.idx()] = true;
+                        if collect_sf {
+                            sf.push(grown);
+                        }
+                        accepted = true;
+                        break;
+                    }
+                    key.remove(at);
+                }
+                if !accepted {
+                    break;
                 }
             }
+            for &e in &run.edges[e_start..] {
+                covered[e.idx()] = true;
+            }
+            for &v in &run.vertices[v_start..] {
+                in_part[v.idx()] = false;
+            }
+            uncovered.retain(|e| !covered[e.idx()]);
+            run.ends.push((run.edges.len(), run.vertices.len(), fid));
         }
-        scratch.clear();
+        if best.ends.is_empty() || run.ends.len() < best.ends.len() {
+            std::mem::swap(&mut run, &mut best);
+        }
     }
     if collect_sf {
         sf.sort_unstable();
         sf.dedup();
     }
-    PartitionRuns::Ok {
-        min_partition: best.expect("delta >= 1 run"),
-        sf,
-    }
+    let (mut e_start, mut v_start) = (0, 0);
+    let parts = best.ends.iter().map(|&(e_end, v_end, fid)| {
+        let edges = &best.edges[std::mem::replace(&mut e_start, e_end)..e_end];
+        let vertices = &best.vertices[std::mem::replace(&mut v_start, v_end)..v_end];
+        Part::new(q, edges, vertices, fid)
+    });
+    (parts.collect(), sf)
 }
 
 #[cfg(test)]
@@ -313,16 +305,21 @@ mod tests {
         assert!(seen.iter().all(|&s| s), "not all edges covered");
     }
 
+    /// The minimum partition over `delta` runs; panics on a missing feature.
+    fn min_partition(q: &Graph, idx: &TreePiIndex, delta: usize, seed: u64) -> Vec<Part> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        match partition_runs(q, idx, delta, &mut rng) {
+            PartitionRuns::Ok { min_partition, .. } => min_partition,
+            PartitionRuns::MissingFeature(_) => panic!("query edges are all features"),
+        }
+    }
+
     #[test]
     fn partition_covers_query() {
         let idx = index();
         let q = graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 0, 1)]);
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        for _ in 0..20 {
-            match random_partition(&q, &idx, &mut rng) {
-                PartitionOutcome::Partition(parts) => check_partition(&q, &idx, &parts),
-                PartitionOutcome::MissingFeature(_) => panic!("query edges are all features"),
-            }
+        for seed in 0..20 {
+            check_partition(&q, &idx, &min_partition(&q, &idx, 1, seed));
         }
     }
 
@@ -344,26 +341,24 @@ mod tests {
             },
         );
         let q = graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]);
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let mut best = usize::MAX;
-        for _ in 0..20 {
-            if let PartitionOutcome::Partition(p) = random_partition(&q, &idx, &mut rng) {
-                best = best.min(p.len());
-            }
-        }
-        assert_eq!(best, 1);
+        assert_eq!(min_partition(&q, &idx, 20, 2).len(), 1);
     }
 
     #[test]
     fn missing_feature_detected() {
         let idx = index();
         // label 9 never occurs in the database
-        let q = graph_from(&[9, 9], &[(0, 1, 0)]);
+        let q = graph_from(&[0, 0, 9, 9], &[(0, 1, 0), (1, 2, 0), (2, 3, 0)]);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        assert!(matches!(
-            random_partition(&q, &idx, &mut rng),
-            PartitionOutcome::MissingFeature(_)
-        ));
+        let PartitionRuns::MissingFeature(c) = partition_runs(&q, &idx, 4, &mut rng) else {
+            panic!("an edge of the query is in no database graph");
+        };
+        let missing = Tree::single_edge(
+            q.vlabel(VertexId(1)),
+            graph_core::ELabel(0),
+            q.vlabel(VertexId(2)),
+        );
+        assert_eq!(c, canonical_string(&missing), "the first edge not indexed");
     }
 
     #[test]
@@ -384,6 +379,12 @@ mod tests {
                 for p in &min_partition {
                     assert!(sf.contains(&p.feature));
                 }
+                // and so is every single edge of q, seed of a part or not
+                for e in q.edges() {
+                    let t = Tree::single_edge(q.vlabel(e.u), e.label, q.vlabel(e.v));
+                    let fid = idx.feature_by_canon(&canonical_string(&t));
+                    assert!(sf.contains(&fid.expect("indexed")));
+                }
             }
             PartitionRuns::MissingFeature(_) => panic!("unexpected missing feature"),
         }
@@ -393,15 +394,10 @@ mod tests {
     fn single_edge_query() {
         let idx = index();
         let q = graph_from(&[0, 1], &[(0, 1, 0)]);
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        match random_partition(&q, &idx, &mut rng) {
-            PartitionOutcome::Partition(parts) => {
-                assert_eq!(parts.len(), 1);
-                assert_eq!(parts[0].q_edges.len(), 1);
-                // single edge is bicentral: two center reps
-                assert_eq!(parts[0].center_reps_in_q.len(), 2);
-            }
-            _ => panic!(),
-        }
+        let parts = min_partition(&q, &idx, 1, 5);
+        assert_eq!(parts.len(), 1);
+        assert_eq!(parts[0].q_edges.len(), 1);
+        // single edge is bicentral: two center reps
+        assert_eq!(parts[0].center_reps_in_q.len(), 2);
     }
 }

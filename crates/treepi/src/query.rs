@@ -7,10 +7,11 @@
 
 use crate::filter::filter;
 use crate::index::TreePiIndex;
-use crate::partition::{partition_runs_with, PartitionRuns};
+use crate::partition::runs_over;
 use crate::prune::{center_prune_pool_obs, query_center_distances};
 use crate::sig;
 use crate::verify::verify_all_pool_obs;
+use crate::walk::QueryFeatures;
 use graph_core::par::Pool;
 use graph_core::Graph;
 use rand::Rng;
@@ -90,8 +91,8 @@ pub struct QueryStats {
     pub t_partition: Duration,
     /// Of `t_partition`, the δ randomized partition runs.
     pub t_runs: Duration,
-    /// Of `t_partition`, enumerating the query's indexed subtrees (`SF_q`
-    /// under [`SfMode::FullEnumeration`]).
+    /// Of `t_partition`, enumerating the query's indexed subtrees: the
+    /// walk the runs ask and `SF_q` (under [`SfMode::FullEnumeration`]) is.
     pub t_enumerate: Duration,
     /// Time in the filter stage.
     pub t_filter: Duration,
@@ -227,68 +228,54 @@ impl TreePiIndex {
         // itself "is a feature tree in the index list"). Its stored
         // support set *is* the exact answer. ----
         let t = Instant::now();
-        // Only tree-shaped queries (connected ⇒ exactly n-1 edges) can be
-        // feature trees; checking the counts first avoids cloning the query
-        // graph on every cyclic query just to have `from_graph` reject it.
-        let tree_shaped = q.edge_count() + 1 == q.vertex_count();
-        if let Some(qt) = tree_shaped
-            .then(|| tree_core::Tree::from_graph(q.clone()).ok())
-            .flatten()
-        {
-            if let Some(fid) = self.feature_by_canon(&tree_core::canonical_string(&qt)) {
-                let matches: Vec<u32> = self
-                    .feature(fid)
-                    .support
-                    .iter()
-                    .copied()
-                    .filter(|&gid| self.is_active(gid))
-                    .collect();
-                stats.t_partition = t.elapsed();
-                stats.partition_size = 1;
-                stats.sf_size = 1;
-                stats.filtered = matches.len();
-                stats.pruned = matches.len();
-                stats.answers = matches.len();
-                return QueryResult { matches, stats };
-            }
+        // Only tree-shaped queries can be feature trees; the encoder reads
+        // the query as it stands, so nothing is copied to find out.
+        let as_feature = |q: &Graph| {
+            let mut enc = tree_core::SubtreeEncoder::default();
+            let (tokens, _) = enc.encode(q, graph_core::VertexId(0), |_| true);
+            self.feature_by_tokens(tokens)
+        };
+        if let Some(fid) = Some(q).filter(|q| q.is_tree()).and_then(as_feature) {
+            let matches: Vec<u32> = self
+                .feature(fid)
+                .support
+                .iter()
+                .copied()
+                .filter(|&gid| self.is_active(gid))
+                .collect();
+            stats.t_partition = t.elapsed();
+            stats.partition_size = 1;
+            stats.sf_size = 1;
+            stats.filtered = matches.len();
+            stats.pruned = matches.len();
+            stats.answers = matches.len();
+            return QueryResult { matches, stats };
         }
 
-        // ---- Partition (δ randomized runs) ----
+        // ---- Partition: one walk finds every feature occurrence in q;
+        // the δ randomized runs and the filter set both read it. ----
+        let t_enumerate = Instant::now();
+        let found = QueryFeatures::walk(self, q);
+        stats.t_enumerate = t_enumerate.elapsed();
+        let Ok(found) = found else {
+            stats.t_partition = t.elapsed();
+            stats.missing_feature = true;
+            return QueryResult {
+                matches: Vec::new(),
+                stats,
+            };
+        };
         let delta = opts
             .delta_override
             .unwrap_or_else(|| self.params().delta.resolve(q.edge_count()));
-        // Under FullEnumeration the partition-run SF_q is replaced below, so
-        // don't collect it at all.
+        // Under FullEnumeration SF_q is every feature the walk found, so the
+        // runs need not collect theirs.
         let collect_sf = opts.sf_mode == SfMode::PartitionOnly;
         let t_runs = Instant::now();
-        let runs = partition_runs_with(q, self, delta, rng, collect_sf);
+        let (parts, mut sf) = runs_over(q, &found, delta, rng, collect_sf);
         stats.t_runs = t_runs.elapsed();
-        let (parts, mut sf) = match runs {
-            PartitionRuns::MissingFeature(_) => {
-                stats.t_partition = t.elapsed();
-                stats.missing_feature = true;
-                return QueryResult {
-                    matches: Vec::new(),
-                    stats,
-                };
-            }
-            PartitionRuns::Ok { min_partition, sf } => (min_partition, sf),
-        };
         if opts.sf_mode == SfMode::FullEnumeration {
-            let t_enumerate = Instant::now();
-            let full = crate::filter::enumerate_query_features(self, q);
-            stats.t_enumerate = t_enumerate.elapsed();
-            match full {
-                Some(full) => sf = full,
-                None => {
-                    stats.t_partition = t.elapsed();
-                    stats.missing_feature = true;
-                    return QueryResult {
-                        matches: Vec::new(),
-                        stats,
-                    };
-                }
-            }
+            sf = found.features();
         }
         stats.t_partition = t.elapsed();
         stats.partition_size = parts.len();
@@ -503,6 +490,25 @@ mod tests {
             assert!(on.stats.filtered - on.stats.sig_killed >= on.stats.pruned);
             assert!(on.stats.pruned >= on.stats.answers);
         }
+    }
+
+    /// A tree-shaped query far deeper than the thread's stack could recurse
+    /// — the shape a single wire frame can carry — goes through the
+    /// feature-tree shortcut's canonical string and the walk's check of
+    /// every edge; its last edge is in no database graph.
+    #[test]
+    fn long_path_query_fits_a_small_stack() {
+        const N: u32 = 50_000;
+        let idx = index();
+        let worker = std::thread::Builder::new().stack_size(256 * 1024);
+        let answer = worker.spawn(move || {
+            let labels: Vec<u32> = (0..N).map(|i| u32::from(i == N - 1) * 42).collect();
+            let edges: Vec<(u32, u32, u32)> = (1..N).map(|i| (i - 1, i, 0)).collect();
+            let q = graph_from(&labels, &edges);
+            idx.query(&q, &mut ChaCha8Rng::seed_from_u64(1))
+        });
+        let r = answer.expect("thread spawns").join().expect("no overflow");
+        assert!(r.matches.is_empty() && r.stats.missing_feature);
     }
 
     #[test]

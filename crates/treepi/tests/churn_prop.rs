@@ -8,7 +8,9 @@
 //!   against — §7.1 maintenance never costs exactness, at any pool size —
 //!   and the canonical-string directory must find exactly what a linear
 //!   scan of the features finds, also across the inserts that register a
-//!   novel single-edge feature.
+//!   novel single-edge feature; the postings an insert writes — read off
+//!   the guided walk of the new graph — are what searching the graph for
+//!   each feature finds.
 //! - **Final state**: the churned index is equivalent to a fresh build on
 //!   the surviving graphs *modulo §7.1 repair*. The bound is explicit:
 //!   repairs patch support sets but never mine new features or retire old
@@ -77,6 +79,17 @@ fn assert_directory(idx: &TreePiIndex, what: &str) {
     }
 }
 
+/// Graph `gid`'s entry in every posting list is what a search of the graph
+/// for that feature finds (nothing, for a feature it does not contain).
+fn assert_postings_of(idx: &TreePiIndex, gid: u32, what: &str) {
+    let g = &idx.db()[gid as usize];
+    for (i, f) in idx.features().iter().enumerate() {
+        let stored = idx.center_positions_of(FeatureId(i as u32), gid);
+        let found = tree_core::center_positions(&f.tree, g);
+        assert!(stored.eq(found), "{what}: feature {i} in graph {gid}");
+    }
+}
+
 fn sorted_canons(idx: &TreePiIndex) -> Vec<CanonString> {
     let mut v: Vec<_> = idx.features().iter().map(|f| f.canon.clone()).collect();
     v.sort();
@@ -102,6 +115,7 @@ fn run_churn(workers: usize, seed: u64) -> bool {
             assert_eq!(gid, expected_next, "gids assign densely in queue order");
             expected_next += 1;
             live.push(gid);
+            assert_postings_of(&engine.pin(), gid, &format!("step {step}"));
         } else {
             let i = rng.gen_range(0..live.len());
             let gid = live.swap_remove(i);
