@@ -1,5 +1,5 @@
 //! Ablation benches for the design choices DESIGN.md calls out: Center
-//! Distance pruning, reconstruction-based verification, the SF_q
+//! Distance pruning, verification from the stored centers, the SF_q
 //! construction policy, and δ.
 
 use bench::{bench_rng, chem_db, queries, treepi_index};

@@ -1,6 +1,5 @@
 //! Verification benchmark: what the neighborhood-signature kill stage
-//! buys on hard queries, and what selectivity-ordered reconstruction
-//! changes about verify-stage time.
+//! buys on hard queries, and what it saves the prune and verify stages.
 //!
 //! Series:
 //! - `hard_on` vs `hard_off` at 1/2/8 workers: the same hard workload
@@ -13,7 +12,7 @@
 //!   a query vertex is already demanded by support intersection), so
 //!   kills there come only from *infrequent* neighborhoods; the weak
 //!   filter leaves the whole job to the signature stage, which is where
-//!   its kill rate — and the time saved in CDC + reconstruction — shows.
+//!   its kill rate — and the time saved in CDC + verification — shows.
 //!
 //! Answers are asserted identical on/off for both modes before anything
 //! is timed.

@@ -12,7 +12,7 @@
 //! * directed (sub)graph isomorphism holds between two digraphs **iff**
 //!   undirected (sub)graph isomorphism holds between their encodings, and
 //! * the whole TreePi pipeline — mining, centers, partitions, pruning,
-//!   reconstruction — applies unchanged, exactly as §7.2 claims for the
+//!   verification — applies unchanged, exactly as §7.2 claims for the
 //!   query-processing phase.
 
 use crate::graph::{ELabel, Graph, GraphBuilder, VLabel, VertexId};

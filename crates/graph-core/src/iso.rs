@@ -2,8 +2,9 @@
 //!
 //! This is both a substrate (the paper's Definition 2/3 operations, used by
 //! mining, the gIndex baseline's naive verification, and the brute-force
-//! oracle in tests) and the inner loop of TreePi's rooted feature-tree
-//! retrieval, via [`for_each_embedding_rooted`].
+//! oracle in tests) and the inner loop of TreePi's verification, which pins
+//! a [`PreparedPattern`] of the whole query at each stored center position
+//! (paper §5.3.2's search "rooted in the stored center vertices").
 //!
 //! Semantics follow Definition 3: a pattern `p` is subgraph isomorphic to a
 //! target `g` if an injective vertex mapping exists that preserves vertex
@@ -75,30 +76,40 @@ fn make_plan(p: &Graph, root: Option<VertexId>) -> MatchPlan {
     MatchPlan { order, anchor }
 }
 
-struct SearchState<'a, F> {
-    p: &'a Graph,
-    g: &'a Graph,
-    plan: &'a MatchPlan,
-    /// image[pattern vertex] = target vertex (or u32::MAX sentinel)
+/// Caller-owned search state for [`PreparedPattern::for_each_embedding_pinned`]:
+/// the partial mapping, the used-target flags and the pins. A caller that
+/// searches many times (TreePi's verifier, once per stored center position
+/// per candidate) keeps one and pays no allocation per search once the
+/// buffers reach the largest pattern and target; every search leaves them
+/// reset.
+#[derive(Default)]
+pub struct MatchScratch {
+    /// image[pattern vertex] = target vertex, or UNMAPPED.
     image: Vec<VertexId>,
     used: Vec<bool>,
-    on_match: F,
     /// pinned[pattern vertex] = required target vertex, or UNMAPPED.
     pinned: Vec<VertexId>,
 }
 
+struct SearchState<'a, A, F> {
+    p: &'a Graph,
+    g: &'a Graph,
+    plan: &'a MatchPlan,
+    st: &'a mut MatchScratch,
+    /// Extra necessary condition on a (pattern, target) vertex pair.
+    admits: A,
+    on_match: F,
+}
+
 const UNMAPPED: VertexId = VertexId(u32::MAX);
 
-impl<F> SearchState<'_, F>
+impl<A, F> SearchState<'_, A, F>
 where
+    A: Fn(VertexId, VertexId) -> bool,
     F: FnMut(&[VertexId]) -> ControlFlow<()>,
 {
     fn feasible(&self, pv: VertexId, gv: VertexId) -> bool {
-        if self.used[gv.idx()] {
-            return false;
-        }
-        let pin = self.pinned[pv.idx()];
-        if pin != UNMAPPED && pin != gv {
+        if self.st.used[gv.idx()] {
             return false;
         }
         if self.p.vlabel(pv) != self.g.vlabel(gv) {
@@ -107,10 +118,13 @@ where
         if self.p.degree(pv) > self.g.degree(gv) {
             return false;
         }
+        if !(self.admits)(pv, gv) {
+            return false;
+        }
         // Every already-mapped pattern neighbor must be a target neighbor
         // with an equal edge label.
         for &(pw, pe) in self.p.neighbors(pv) {
-            let gw = self.image[pw.idx()];
+            let gw = self.st.image[pw.idx()];
             if gw == UNMAPPED {
                 continue;
             }
@@ -123,22 +137,31 @@ where
     }
 
     fn assign_and_recurse(&mut self, k: usize, pv: VertexId, gv: VertexId) -> ControlFlow<()> {
-        self.image[pv.idx()] = gv;
-        self.used[gv.idx()] = true;
+        self.st.image[pv.idx()] = gv;
+        self.st.used[gv.idx()] = true;
         let r = self.search(k + 1);
-        self.used[gv.idx()] = false;
-        self.image[pv.idx()] = UNMAPPED;
+        self.st.used[gv.idx()] = false;
+        self.st.image[pv.idx()] = UNMAPPED;
         r
     }
 
     fn search(&mut self, k: usize) -> ControlFlow<()> {
         if k == self.plan.order.len() {
-            return (self.on_match)(&self.image);
+            return (self.on_match)(&self.st.image);
         }
         let pv = self.plan.order[k];
+        // A pinned vertex has one candidate; `feasible` checks it against
+        // every mapped neighbour, the anchor included.
+        let pin = self.st.pinned[pv.idx()];
+        if pin != UNMAPPED {
+            if self.feasible(pv, pin) {
+                self.assign_and_recurse(k, pv, pin)?;
+            }
+            return ControlFlow::Continue(());
+        }
         match self.plan.anchor[k] {
             Some(apos) => {
-                let anchor_img = self.image[self.plan.order[apos].idx()];
+                let anchor_img = self.st.image[self.plan.order[apos].idx()];
                 // Candidates: neighbors of the anchor's image.
                 for i in 0..self.g.neighbors(anchor_img).len() {
                     let (gv, _) = self.g.neighbors(anchor_img)[i];
@@ -165,39 +188,19 @@ pub fn for_each_embedding<F>(p: &Graph, g: &Graph, f: F) -> ControlFlow<()>
 where
     F: FnMut(&[VertexId]) -> ControlFlow<()>,
 {
-    if p.vertex_count() == 0 {
+    if p.vertex_count() == 0
+        || p.vertex_count() > g.vertex_count()
+        || p.edge_count() > g.edge_count()
+    {
         return ControlFlow::Continue(());
     }
-    if p.vertex_count() > g.vertex_count() || p.edge_count() > g.edge_count() {
-        return ControlFlow::Continue(());
-    }
-    let plan = make_plan(p, None);
-    let mut st = SearchState {
-        p,
+    PreparedPattern::new(p, None).for_each_embedding_pinned(
         g,
-        plan: &plan,
-        image: vec![UNMAPPED; p.vertex_count()],
-        used: vec![false; g.vertex_count()],
-        on_match: f,
-        pinned: vec![UNMAPPED; p.vertex_count()],
-    };
-    st.search(0)
-}
-
-/// Enumerate embeddings of `p` into `g` with pattern vertex `proot` pinned
-/// to target vertex `groot`. This is the "depth first search … rooted in the
-/// stored center vertices" retrieval of paper §5.3.2.
-pub fn for_each_embedding_rooted<F>(
-    p: &Graph,
-    g: &Graph,
-    proot: VertexId,
-    groot: VertexId,
-    f: F,
-) -> ControlFlow<()>
-where
-    F: FnMut(&[VertexId]) -> ControlFlow<()>,
-{
-    for_each_embedding_pinned(p, g, &[(proot, groot)], f)
+        &[],
+        &mut MatchScratch::default(),
+        |_, _| true,
+        f,
+    )
 }
 
 /// Enumerate embeddings of `p` into `g` with each `(pattern, target)` pair
@@ -215,13 +218,19 @@ where
     if p.vertex_count() == 0 {
         return ControlFlow::Continue(());
     }
-    PreparedPattern::new(p, pins.first().map(|&(pv, _)| pv)).for_each_embedding_pinned(g, pins, f)
+    PreparedPattern::new(p, pins.first().map(|&(pv, _)| pv)).for_each_embedding_pinned(
+        g,
+        pins,
+        &mut MatchScratch::default(),
+        |_, _| true,
+        f,
+    )
 }
 
 /// A pattern with its search order precomputed. Hot callers (TreePi's
-/// verification probes the same feature tree against many candidate graphs
-/// and many center positions) prepare once and reuse; the plan depends only
-/// on the pattern and the root choice.
+/// verification probes the same query against many candidate graphs and
+/// many center positions) prepare once and reuse; the plan depends only on
+/// the pattern and the root choice.
 pub struct PreparedPattern<'p> {
     p: &'p Graph,
     plan: MatchPlan,
@@ -237,21 +246,22 @@ impl<'p> PreparedPattern<'p> {
         }
     }
 
-    /// The pattern graph.
-    pub fn pattern(&self) -> &Graph {
-        self.p
-    }
-
-    /// Enumerate embeddings into `g` with the given pins. The first pin's
-    /// pattern vertex must be the `root` this pattern was prepared with
-    /// (or `None` root and no pins).
-    pub fn for_each_embedding_pinned<F>(
+    /// Enumerate embeddings into `g` with the given pins, in the caller's
+    /// `scratch`, visiting only target vertices `admits(pattern, target)`
+    /// accepts (a necessary condition the caller knows, such as TreePi's
+    /// neighbourhood signatures). The first pin's pattern vertex must be
+    /// the `root` this pattern was prepared with (or `None` root and no
+    /// pins).
+    pub fn for_each_embedding_pinned<A, F>(
         &self,
         g: &Graph,
         pins: &[(VertexId, VertexId)],
+        scratch: &mut MatchScratch,
+        admits: A,
         f: F,
     ) -> ControlFlow<()>
     where
+        A: Fn(VertexId, VertexId) -> bool,
         F: FnMut(&[VertexId]) -> ControlFlow<()>,
     {
         let p = self.p;
@@ -262,26 +272,37 @@ impl<'p> PreparedPattern<'p> {
             pins.first().map(|&(pv, _)| pv) == Some(self.plan.order[0]) || pins.is_empty(),
             "first pin must match the prepared root"
         );
-        let mut pinned = vec![UNMAPPED; p.vertex_count()];
+        // Two pins that send one pattern vertex to two targets, or two
+        // pattern vertices to one target, can never be satisfied; the same
+        // pair twice is one pin.
         for (i, &(pv, gv)) in pins.iter().enumerate() {
-            // Two pins that send one pattern vertex to two targets, or two
-            // pattern vertices to one target, can never be satisfied; the
-            // same pair twice is one pin.
             if pins[..i].iter().any(|&(qv, hv)| (qv == pv) != (hv == gv)) {
                 return ControlFlow::Continue(());
             }
+        }
+        let MatchScratch {
+            image,
+            used,
+            pinned,
+        } = &mut *scratch;
+        image.clear();
+        image.resize(p.vertex_count(), UNMAPPED);
+        used.clear();
+        used.resize(g.vertex_count(), false);
+        pinned.clear();
+        pinned.resize(p.vertex_count(), UNMAPPED);
+        for &(pv, gv) in pins {
             pinned[pv.idx()] = gv;
         }
-        let mut st = SearchState {
+        SearchState {
             p,
             g,
             plan: &self.plan,
-            image: vec![UNMAPPED; p.vertex_count()],
-            used: vec![false; g.vertex_count()],
+            st: scratch,
+            admits,
             on_match: f,
-            pinned,
-        };
-        st.search(0)
+        }
+        .search(0)
     }
 }
 
@@ -410,18 +431,61 @@ mod tests {
         let p = graph_from(&[5, 6], &[(0, 1, 0)]);
         let g = graph_from(&[5, 6, 5], &[(0, 1, 0), (1, 2, 0)]);
         let mut images = Vec::new();
-        let _ = for_each_embedding_rooted(&p, &g, VertexId(0), VertexId(2), |m| {
+        let _ = for_each_embedding_pinned(&p, &g, &[(VertexId(0), VertexId(2))], |m| {
             images.push(m.to_vec());
             ControlFlow::Continue(())
         });
         assert_eq!(images, vec![vec![VertexId(2), VertexId(1)]]);
         // Root with wrong label yields nothing.
         let mut n = 0;
-        let _ = for_each_embedding_rooted(&p, &g, VertexId(0), VertexId(1), |_| {
+        let _ = for_each_embedding_pinned(&p, &g, &[(VertexId(0), VertexId(1))], |_| {
             n += 1;
             ControlFlow::Continue(())
         });
         assert_eq!(n, 0);
+    }
+
+    #[test]
+    fn admits_prunes_targets_and_scratch_is_reusable() {
+        // Path a-b-a in a longer path a-b-a-b-a: rooted at pattern vertex 1,
+        // two host roots, two embeddings each (the flip).
+        let p = graph_from(&[1, 2, 1], &[(0, 1, 0), (1, 2, 0)]);
+        let g = graph_from(
+            &[1, 2, 1, 2, 1],
+            &[(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 4, 0)],
+        );
+        let prepared = PreparedPattern::new(&p, Some(VertexId(1)));
+        let mut scratch = MatchScratch::default();
+        let mut count = |root: u32, admits: &dyn Fn(VertexId, VertexId) -> bool| {
+            let mut n = 0;
+            let pins = [(VertexId(1), VertexId(root))];
+            let _ = prepared.for_each_embedding_pinned(&g, &pins, &mut scratch, admits, |_| {
+                n += 1;
+                ControlFlow::Continue(())
+            });
+            n
+        };
+        assert_eq!(count(1, &|_, _| true), 2);
+        assert_eq!(count(3, &|_, _| true), 2);
+        // Both embeddings at root 1 use host vertex 0; none at root 3 does.
+        assert_eq!(count(1, &|_, h| h != VertexId(0)), 0);
+        assert_eq!(count(3, &|_, h| h != VertexId(0)), 2);
+        // A search into a smaller target after a larger one starts clean.
+        let small = graph_from(&[1, 2, 1], &[(0, 1, 0), (1, 2, 0)]);
+        let mut n = 0;
+        let pins = [(VertexId(1), VertexId(1))];
+        let _ = prepared.for_each_embedding_pinned(
+            &small,
+            &pins,
+            &mut scratch,
+            |_, _| true,
+            |m| {
+                assert_eq!(m[1], VertexId(1));
+                n += 1;
+                ControlFlow::Continue(())
+            },
+        );
+        assert_eq!(n, 2);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! - [`dist`]: BFS distances and the cached [`dist::DistanceOracle`] used by
 //!   Center Distance Constraint pruning;
 //! - [`iso`]: VF2-style subgraph isomorphism, isomorphism, automorphisms,
-//!   and rooted embedding enumeration;
+//!   and pinned embedding enumeration with caller-owned scratch;
 //! - [`canon`]: canonical codes for arbitrary small graphs (the expensive
 //!   operation TreePi avoids and the gIndex baseline must pay for);
 //! - [`subgraph`]: edge-subgraph extraction and connected edge-subset /
@@ -38,8 +38,8 @@ pub use graph::{
 };
 pub use iso::{
     all_embeddings, automorphisms, find_embedding, for_each_embedding, for_each_embedding_pinned,
-    for_each_embedding_rooted, is_isomorphic, is_subgraph_isomorphic, is_subgraph_isomorphic_obs,
-    Embedding,
+    is_isomorphic, is_subgraph_isomorphic, is_subgraph_isomorphic_obs, Embedding, MatchScratch,
+    PreparedPattern,
 };
 pub use par::resolve_threads;
 pub use stats::{component_count, db_stats, edge_label_histogram, vertex_label_histogram, DbStats};

@@ -8,14 +8,14 @@
 //! embeddings, only these centers — which is what makes the location store
 //! fit in memory where gIndex had to discard occurrence information.
 //!
-//! Two things here search: [`center_positions`] finds all centers of one
-//! tree in one graph from scratch (for a graph inserted after the build,
-//! and as the reference the miner's posting lists are tested against — the
-//! build itself never searches), and [`CenteredMatcher`] retrieves the
-//! embeddings centered at one *stored* position (the verification stage).
+//! [`center_positions`] finds all centers of one tree in one graph from
+//! scratch: the reference the miner's posting lists and the guided walk's
+//! `insert` are tested against (the build never searches, and query
+//! verification pins the whole query at a stored position instead).
 
 use crate::center::{center, Center};
 use crate::tree::Tree;
+use graph_core::iso::{MatchScratch, PreparedPattern};
 use graph_core::{EdgeId, Graph, VertexId};
 use std::ops::ControlFlow;
 
@@ -53,9 +53,10 @@ pub fn center_positions(t: &Tree, g: &Graph) -> Vec<CenterPos> {
     // Every probe pins the same root (the center vertex, or the center
     // edge's `u` in both orientations): one search plan serves them all.
     let matcher = CenteredMatcher::new(t);
-    let centered_at = |pos| {
+    let mut scratch = MatchScratch::default();
+    let mut centered_at = |pos| {
         matcher
-            .for_each_embedding_centered(g, pos, |_| ControlFlow::Break(()))
+            .for_each_embedding_centered(g, pos, &mut scratch, |_| ControlFlow::Break(()))
             .is_break()
     };
     let mut out = Vec::new();
@@ -84,28 +85,24 @@ pub fn center_positions(t: &Tree, g: &Graph) -> Vec<CenterPos> {
 /// invoking `f` with the vertex mapping (tree vertex i → `mapping[i]`).
 ///
 /// For an edge position both orientations of the center edge are tried.
-/// This is the verification stage's rooted retrieval (paper §5.3.2). Hot
-/// callers probing one tree against many (graph, position) pairs should
-/// hold a [`CenteredMatcher`] instead.
 pub fn for_each_embedding_centered<F>(t: &Tree, g: &Graph, pos: CenterPos, f: F) -> ControlFlow<()>
 where
     F: FnMut(&[VertexId]) -> ControlFlow<()>,
 {
-    CenteredMatcher::new(t).for_each_embedding_centered(g, pos, f)
+    CenteredMatcher::new(t).for_each_embedding_centered(g, pos, &mut MatchScratch::default(), f)
 }
 
-/// A feature tree prepared for repeated centered-embedding retrieval: the
-/// search plan (rooted at the tree's center) is computed once and reused
-/// for every candidate graph and stored center position.
-pub struct CenteredMatcher<'t> {
+/// A tree prepared for repeated centered-embedding retrieval: the search
+/// plan (rooted at the tree's center) is computed once and reused for every
+/// position [`center_positions`] probes.
+struct CenteredMatcher<'t> {
     tree: &'t Tree,
     center: Center,
-    prepared: graph_core::iso::PreparedPattern<'t>,
+    prepared: PreparedPattern<'t>,
 }
 
 impl<'t> CenteredMatcher<'t> {
-    /// Prepare `t` for centered retrieval.
-    pub fn new(t: &'t Tree) -> Self {
+    fn new(t: &'t Tree) -> Self {
         let c = center(t);
         let root = match c {
             Center::Vertex(v) => v,
@@ -114,21 +111,17 @@ impl<'t> CenteredMatcher<'t> {
         Self {
             tree: t,
             center: c,
-            prepared: graph_core::iso::PreparedPattern::new(t.graph(), Some(root)),
+            prepared: PreparedPattern::new(t.graph(), Some(root)),
         }
-    }
-
-    /// The prepared tree.
-    pub fn tree(&self) -> &Tree {
-        self.tree
     }
 
     /// Enumerate embeddings into `g` centered at `pos` (both orientations
     /// for edge centers).
-    pub fn for_each_embedding_centered<F>(
+    fn for_each_embedding_centered<F>(
         &self,
         g: &Graph,
         pos: CenterPos,
+        scratch: &mut MatchScratch,
         mut f: F,
     ) -> ControlFlow<()>
     where
@@ -136,7 +129,9 @@ impl<'t> CenteredMatcher<'t> {
     {
         match (self.center, pos) {
             (Center::Vertex(c), CenterPos::Vertex(v)) => {
-                self.prepared.for_each_embedding_pinned(g, &[(c, v)], f)
+                let pins = [(c, v)];
+                self.prepared
+                    .for_each_embedding_pinned(g, &pins, scratch, |_, _| true, f)
             }
             (Center::Edge(ce), CenterPos::Edge(ge)) => {
                 let cedge = self.tree.graph().edge(ce);
@@ -145,9 +140,12 @@ impl<'t> CenteredMatcher<'t> {
                     return ControlFlow::Continue(());
                 }
                 for (a, b) in [(gedge.u, gedge.v), (gedge.v, gedge.u)] {
+                    let pins = [(cedge.u, a), (cedge.v, b)];
                     self.prepared.for_each_embedding_pinned(
                         g,
-                        &[(cedge.u, a), (cedge.v, b)],
+                        &pins,
+                        scratch,
+                        |_, _| true,
                         &mut f,
                     )?;
                 }

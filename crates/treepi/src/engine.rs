@@ -9,7 +9,7 @@
 //! - every query gets its own RNG, [`query_rng`]`(seed, i)`, derived only
 //!   from the batch seed and the query's position — never from which worker
 //!   runs it or in what order;
-//! - the pipeline's parallel stages (CDC prune, reconstruction verify)
+//! - the pipeline's parallel stages (CDC prune, verify)
 //!   chunk candidates contiguously and concatenate chunk results in order,
 //!   and neither consumes randomness.
 //!

@@ -11,9 +11,9 @@
 //!    (Algorithm 1) → candidate set `P_q`;
 //! 3. **Prune** ([`prune`]): Center Distance Constraints (Algorithm 2)
 //!    shrink `P_q` to `P'_q` using stored feature-center locations;
-//! 4. **Verify** ([`verify`]): reconstruct the query from feature subtrees
-//!    retrieved at the stored centers (Algorithm 3) — no naive isomorphism
-//!    search.
+//! 4. **Verify** ([`verify`]): one search per candidate, pinned at the
+//!    stored center positions of one part of `TP_q` (Algorithm 3) — not a
+//!    search of the whole candidate graph.
 //!
 //! ```
 //! use graph_core::graph_from;

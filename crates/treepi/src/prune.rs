@@ -58,15 +58,9 @@ pub fn query_center_distances(q: &Graph, parts: &[Part]) -> Vec<Vec<u32>> {
     dq
 }
 
-/// Distance between two center positions in `g` (min over representatives).
-/// Shared by CDC pruning and reconstruction verification — the two must
-/// measure identically or pruning would be unsound relative to the join.
-pub(crate) fn pos_distance(
-    g: &Graph,
-    oracle: &mut DistanceOracle<'_>,
-    a: CenterPos,
-    b: CenterPos,
-) -> u32 {
+/// Distance between two center positions in `g` (min over representatives,
+/// as [`query_center_distances`] measures them in the query).
+fn pos_distance(g: &Graph, oracle: &mut DistanceOracle<'_>, a: CenterPos, b: CenterPos) -> u32 {
     let ra = a.representatives(g);
     let rb = b.representatives(g);
     let mut best = u32::MAX;
@@ -76,6 +70,20 @@ pub(crate) fn pos_distance(
         }
     }
     best
+}
+
+/// Seat-local CDC state, reused across every candidate of a chunk: one
+/// distance oracle [`DistanceOracle::reset`] per graph, and each part's
+/// signature-compatible positions collected once per candidate.
+#[derive(Default)]
+struct CdcScratch<'a> {
+    oracle: Option<DistanceOracle<'a>>,
+    /// Compatible positions of every part, back to back; part `i`'s are
+    /// `positions[ends[i - 1]..ends[i]]`.
+    positions: Vec<CenterPos>,
+    ends: Vec<usize>,
+    order: Vec<usize>,
+    assigned: Vec<(usize, CenterPos)>,
 }
 
 /// Whether graph `gid` admits an assignment of stored center positions to
@@ -89,69 +97,79 @@ pub fn satisfies_cdc(
     parts: &[Part],
     dq: &[Vec<u32>],
 ) -> bool {
+    let qsigs = sig::graph_sigs(q);
+    let mut scratch = CdcScratch::default();
     satisfies_cdc_obs(
         index,
-        &sig::graph_sigs(q),
+        &qsigs,
         gid,
         parts,
         dq,
+        &mut scratch,
         &obs::Shard::disabled(),
     )
 }
 
-/// [`satisfies_cdc`] taking the query's precomputed vertex signatures
-/// (compute them once per query with [`sig::graph_sigs`], not per
-/// candidate) and recording `prune.cdc_tests` and the BFS runs its
+/// [`satisfies_cdc`] over the query's precomputed vertex signatures and the
+/// seat's scratch, recording `prune.cdc_tests` and the BFS runs its
 /// distance oracle performed (`graph.bfs`) into `shard`. Both counts depend
 /// only on the candidate and the partition, never on which worker runs the
 /// test, so batch totals stay thread-count invariant.
-pub fn satisfies_cdc_obs(
-    index: &TreePiIndex,
+fn satisfies_cdc_obs<'a>(
+    index: &'a TreePiIndex,
     qsigs: &[VertexSig],
     gid: u32,
     parts: &[Part],
     dq: &[Vec<u32>],
+    scratch: &mut CdcScratch<'a>,
     shard: &obs::Shard,
 ) -> bool {
     shard.add("prune.cdc_tests", 1);
     let g = &index.db()[gid as usize];
     let hsigs = index.vertex_sigs(gid);
-    // Candidates per part; fail fast when a part has no stored position at
-    // all, or none its center representatives are signature-compatible
-    // with. Incompatible positions are skipped inside the backtracking loop
-    // rather than materialized into filtered lists — no allocation, and
-    // each position's compatibility is evaluated at most once per level.
-    let mut cands = Vec::with_capacity(parts.len());
-    let mut compat: Vec<usize> = Vec::with_capacity(parts.len());
+    let CdcScratch {
+        oracle,
+        positions,
+        ends,
+        order,
+        assigned,
+    } = scratch;
+    // Each part's signature-compatible positions, collected once; fail fast
+    // when a part has none (no stored position at all, or none its center
+    // representatives are compatible with).
+    positions.clear();
+    ends.clear();
     for p in parts {
-        let c = index.center_positions_of(p.feature, gid);
-        let n = c
-            .clone()
-            .filter(|&cp| sig::center_compatible(qsigs, hsigs, &p.center_reps_in_q, cp, g))
-            .count();
-        if n == 0 {
+        let start = positions.len();
+        positions.extend(
+            index
+                .center_positions_of(p.feature, gid)
+                .filter(|&cp| sig::center_compatible(qsigs, hsigs, &p.center_reps_in_q, cp, g)),
+        );
+        if positions.len() == start {
             shard.add("prune.center_sig_kills", 1);
             return false;
         }
-        cands.push(c);
-        compat.push(n);
+        ends.push(positions.len());
     }
-    // Assign most-constrained parts first: fewest *compatible* positions,
-    // the actual branching factor of the search below.
-    let mut order: Vec<usize> = (0..parts.len()).collect();
-    order.sort_by_key(|&i| compat[i]);
+    let of_part = |i: usize| {
+        let lo = if i == 0 { 0 } else { ends[i - 1] };
+        &positions[lo..ends[i]]
+    };
+    // Assign most-constrained parts first: fewest compatible positions, the
+    // actual branching factor of the search below (ties in part order).
+    order.clear();
+    order.extend(0..parts.len());
+    order.sort_by_key(|&i| of_part(i).len());
 
-    let mut oracle = DistanceOracle::new(g);
-    let mut assigned: Vec<(usize, CenterPos)> = Vec::with_capacity(parts.len());
+    let oracle = oracle.get_or_insert_with(|| DistanceOracle::new(g));
+    oracle.reset(g);
+    assigned.clear();
 
-    #[allow(clippy::too_many_arguments)]
-    fn backtrack<I: Iterator<Item = CenterPos> + Clone>(
+    fn backtrack<'p>(
         order: &[usize],
         k: usize,
-        cands: &[I],
-        parts: &[Part],
-        qsigs: &[VertexSig],
-        hsigs: &[VertexSig],
+        of_part: &dyn Fn(usize) -> &'p [CenterPos],
         dq: &[Vec<u32>],
         g: &Graph,
         oracle: &mut DistanceOracle,
@@ -161,10 +179,7 @@ pub fn satisfies_cdc_obs(
             return true;
         }
         let part_i = order[k];
-        'cand: for c in cands[part_i].clone() {
-            if !sig::center_compatible(qsigs, hsigs, &parts[part_i].center_reps_in_q, c, g) {
-                continue 'cand;
-            }
+        'cand: for &c in of_part(part_i) {
             for &(part_j, cj) in assigned.iter() {
                 let limit = dq[part_i][part_j];
                 // BFS from the assigned center: its row is shared by every
@@ -174,18 +189,7 @@ pub fn satisfies_cdc_obs(
                 }
             }
             assigned.push((part_i, c));
-            if backtrack(
-                order,
-                k + 1,
-                cands,
-                parts,
-                qsigs,
-                hsigs,
-                dq,
-                g,
-                oracle,
-                assigned,
-            ) {
+            if backtrack(order, k + 1, of_part, dq, g, oracle, assigned) {
                 return true;
             }
             assigned.pop();
@@ -193,18 +197,7 @@ pub fn satisfies_cdc_obs(
         false
     }
 
-    let ok = backtrack(
-        &order,
-        0,
-        &cands,
-        parts,
-        qsigs,
-        hsigs,
-        dq,
-        g,
-        &mut oracle,
-        &mut assigned,
-    );
+    let ok = backtrack(order, 0, &of_part, dq, g, oracle, assigned);
     shard.add("graph.bfs", oracle.bfs_runs());
     ok
 }
@@ -220,15 +213,16 @@ pub fn center_prune_obs(
     dq: &[Vec<u32>],
     shard: &obs::Shard,
 ) -> Vec<u32> {
+    let mut scratch = CdcScratch::default();
     pq.iter()
         .copied()
-        .filter(|&gid| satisfies_cdc_obs(index, qsigs, gid, parts, dq, shard))
+        .filter(|&gid| satisfies_cdc_obs(index, qsigs, gid, parts, dq, &mut scratch, shard))
         .collect()
 }
 
 /// [`center_prune_obs`] split into up to `threads` seats on `pool`. Each
-/// candidate's CDC test is independent (every seat builds its own
-/// `DistanceOracle` per graph), so the set is chunked contiguously and the
+/// candidate's CDC test is independent (every seat owns its scratch and
+/// distance oracle), so the set is chunked contiguously and the
 /// per-chunk results concatenated in chunk order; each seat records into a
 /// [`obs::Shard::fork`] of `shard`, merged back in rank order. The output
 /// and every merged counter are therefore identical for any `threads` and

@@ -1,9 +1,9 @@
 //! The full TreePi query pipeline (paper §3, "Query Processing"):
 //! partition → filter → signature kill → center-distance prune →
-//! reconstruction verify, with per-stage statistics (the quantities
+//! verify from the stored centers, with per-stage statistics (the quantities
 //! plotted in Figures 10–13). The signature stage sits before CDC
 //! because it is the cheapest per-candidate check in the funnel: a
-//! candidate it kills never pays for distance oracles or reconstruction.
+//! candidate it kills never pays for distance oracles or verification.
 
 use crate::filter::filter;
 use crate::index::TreePiIndex;
@@ -18,8 +18,9 @@ use rand::Rng;
 use std::time::{Duration, Instant};
 
 /// Minimum candidate-set size before a query's prune/verify stages are
-/// split across workers. Below this, per-candidate work is too small to
-/// amortize the dispatch; see DESIGN.md ("Parallel query engine").
+/// split across workers. Measured, not derived: with ≈ 1 µs per verified
+/// candidate a split still pays at 16–64 candidates and less from 128 on;
+/// see DESIGN.md ("Parallel query engine") for the numbers.
 pub const INTRA_PAR_THRESHOLD: usize = 64;
 
 /// How the filter set `SF_q` is assembled.
@@ -42,8 +43,10 @@ pub struct QueryOptions {
     /// Apply Center Distance Constraint pruning (Algorithm 2). Off = filter
     /// only, like gIndex's candidate generation.
     pub use_cdc: bool,
-    /// Verify by reconstruction from stored centers (Algorithm 3). Off =
-    /// naive VF2 subgraph isomorphism per candidate, like gIndex.
+    /// Verify from the stored centers (Algorithm 3: one search per
+    /// candidate, pinned at the root part's stored positions; see
+    /// [`crate::verify`]). Off = naive VF2 subgraph isomorphism of the
+    /// whole query per candidate, like gIndex.
     pub use_reconstruction: bool,
     /// Kill candidates whose vertex signatures cannot host the query
     /// before CDC pruning and verification run (see [`crate::sig`]).
@@ -187,8 +190,8 @@ impl TreePiIndex {
     }
 
     /// The general query: when a stage's candidate set reaches
-    /// [`INTRA_PAR_THRESHOLD`], CDC pruning and reconstruction verification
-    /// are split into up to `intra` chunks dispatched as seats on `pool`.
+    /// [`INTRA_PAR_THRESHOLD`], CDC pruning and verification are split into
+    /// up to `intra` chunks dispatched as seats on `pool`.
     /// Safe to call from inside a pool seat — the batch engine does exactly
     /// that — because [`Pool::run`] lets the dispatcher claim its own job's
     /// seats. Results are identical at any `intra`/pool size — candidates
@@ -301,7 +304,7 @@ impl TreePiIndex {
         // A candidate lacking a signature-compatible host vertex for some
         // query vertex cannot contain q (see `crate::sig` for the
         // soundness argument) — discard it before CDC distance oracles or
-        // reconstruction ever touch it. O(|q| × |g|) branch-free word
+        // verification ever touch it. O(|q| × |g|) branch-free word
         // compares per candidate, versus BFS runs and a search.
         let t = Instant::now();
         let pq = if opts.use_sig_filter {
@@ -405,6 +408,26 @@ mod tests {
             assert!(s.pruned >= s.answers);
             assert_eq!(s.answers, r.matches.len());
             assert!(!s.missing_feature);
+        }
+    }
+
+    /// A query vertex no part covers must still be placed: with one part
+    /// (the 0-0 edge) a stored center for it was taken as proof, and the
+    /// isolated 0 needs a third vertex that graphs 0 and 2 lack.
+    #[test]
+    fn isolated_query_vertex_needs_a_host_vertex() {
+        let db = vec![
+            graph_from(&[0, 0], &[(0, 1, 0)]),
+            graph_from(&[0, 0, 0], &[(0, 1, 0)]),
+            graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]),
+        ];
+        let idx = TreePiIndex::build(db, TreePiParams::quick());
+        let q = graph_from(&[0, 0, 0], &[(0, 1, 0)]);
+        assert_eq!(scan_support(&idx, &q), [1]);
+        for seed in 0..3 {
+            let r = idx.query(&q, &mut ChaCha8Rng::seed_from_u64(seed));
+            assert_eq!(r.matches, [1], "seed {seed}");
+            assert_eq!(r.stats.partition_size, 1);
         }
     }
 

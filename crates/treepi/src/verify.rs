@@ -1,426 +1,161 @@
-//! Reconstruction-based subgraph isomorphism (paper §5.3, Algorithm 3).
+//! Verification from the stored centers (paper §5.3, Algorithm 3): one
+//! search per candidate, anchored where the index says the query can be.
 //!
-//! Instead of a naive isomorphism search over the whole candidate graph,
-//! verification re-finds each part of the query's Feature-Tree-Partition
-//! rooted at its *stored center positions* (a rooted DFS, §5.3.2), then
-//! joins the retrieved subtrees back into the query. The join never runs an
-//! isomorphism test: two retrieved embeddings of the same part are
-//! interchangeable iff they agree on the part's *boundary* (vertices shared
-//! with other parts) and on the *set* of interior images — our realization
-//! of the paper's Canonical Reconstruction Form (§5.3.1; see DESIGN.md
-//! substitution 4). Each equivalence class is explored once per join node,
-//! candidate center assignments are filtered by the Center Distance
-//! Constraints (Algorithm 3's loop header), and the search unwinds on the
-//! first complete reconstruction.
+//! The paper retrieves each part of `TP_q` by a search "rooted in the
+//! stored center vertices" (§5.3.2) and joins the retrieved subtrees under
+//! its Canonical Reconstruction Form (§5.3.1). We keep the anchor and drop
+//! the join: one part of `TP_q` is the *root*, its center representatives
+//! are pinned onto each of its stored positions in turn, and a VF2 search
+//! ([`graph_core::PreparedPattern`]) extends the pin over every query vertex
+//! — including vertices no part covers — admitting a host vertex only if it
+//! is unused, signature-compatible ([`VertexSig::compatible`]: label,
+//! degree, neighbour-pair mask) and joined by an equally labelled edge to
+//! every already-placed neighbour. The first complete embedding answers
+//! yes.
+//!
+//! This is exact. Any embedding `f` of `q` into the candidate restricts to
+//! an embedding of the root part, which maps the part's center onto a
+//! center of that feature in the graph — a stored position, because the
+//! posting lists hold every one — with the part's center representatives
+//! on the position's representatives (both orientations are tried for an
+//! edge). Every feasibility test is a necessary condition, so the search
+//! pinned there finds `f`, or another embedding first. The root is the
+//! part with the fewest signature-compatible positions; a part with none
+//! proves `q ⊄ g` before any search (`verify.center_sig_kills`).
+//!
+//! DESIGN.md (substitution 4) has why no CRF, join or distance oracle is
+//! needed and what that costs.
 
 use crate::index::TreePiIndex;
 use crate::partition::Part;
-use crate::prune::pos_distance;
 use crate::sig::{self, VertexSig};
-use graph_core::{DistanceOracle, Graph, VertexId};
-use rustc_hash::FxHashMap;
-use smallvec::SmallVec;
-use std::hash::{Hash, Hasher};
+use graph_core::{Graph, MatchScratch, PreparedPattern, VertexId};
 use std::ops::ControlFlow;
-use tree_core::{CenterPos, CenteredMatcher};
-
-const UNMAPPED: VertexId = VertexId(u32::MAX);
-
-/// Arena-backed CRF dedup set for one join level. Signatures live
-/// back-to-back in one buffer with a hash → signature-indices map for
-/// membership; inserts compare slices exactly (the hash only narrows
-/// the probe), so the semantics equal a `HashSet<Vec<u32>>` — with zero
-/// steady-state allocations once the buffers reach the query's
-/// high-water mark, instead of one `Vec` clone per distinct signature.
-#[derive(Default)]
-struct LevelDedup {
-    arena: Vec<u32>,
-    /// Prefix ends: signature `i` is `arena[ends[i-1]..ends[i]]`.
-    ends: Vec<u32>,
-    map: FxHashMap<u64, SmallVec<[u32; 2]>>,
-}
-
-impl LevelDedup {
-    fn clear(&mut self) {
-        self.arena.clear();
-        self.ends.clear();
-        self.map.clear();
-    }
-
-    fn slice(&self, i: usize) -> &[u32] {
-        let lo = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        &self.arena[lo..self.ends[i] as usize]
-    }
-
-    /// Insert `sig`; false (and nothing stored) if already present.
-    fn insert_if_new(&mut self, sig: &[u32]) -> bool {
-        let mut h = rustc_hash::FxHasher::default();
-        sig.hash(&mut h);
-        let key = h.finish();
-        if let Some(bucket) = self.map.get(&key) {
-            if bucket.iter().any(|&i| self.slice(i as usize) == sig) {
-                return false;
-            }
-        }
-        let idx = self.ends.len() as u32;
-        self.arena.extend_from_slice(sig);
-        self.ends.push(self.arena.len() as u32);
-        self.map.entry(key).or_default().push(idx);
-        true
-    }
-}
 
 /// Caller-owned verification scratch, reused across every candidate a
-/// worker verifies (the caller-owned-scratch discipline the intersection
-/// paths already follow): join state, per-level CRF dedup arenas,
-/// selectivity ordering, and the query's vertex signatures — all retained
-/// at their high-water marks. The distance oracle is the one piece that
-/// cannot live here: it borrows the candidate graph.
-pub(crate) struct VerifyScratch {
-    /// Signatures of the query's vertices, computed once per query.
+/// seat verifies.
+struct VerifyScratch<'q> {
+    /// Signatures of the query's vertices, computed once per seat.
     qsigs: Vec<VertexSig>,
-    /// query vertex → host vertex
-    m: Vec<VertexId>,
-    /// host vertices already used by the join (injectivity)
-    used: Vec<bool>,
-    assigned_centers: Vec<(usize, CenterPos)>,
-    /// CRF signature assembly scratch, reused across every enumerated
-    /// embedding instead of allocating two fresh `Vec`s per candidate.
-    sig: Vec<u32>,
-    interior: Vec<u32>,
-    /// One CRF dedup set per join level.
-    levels: Vec<LevelDedup>,
-    /// Per-part signature-compatible center counts and the join order
-    /// derived from them.
+    /// Per-part count of signature-compatible stored positions.
     counts: Vec<usize>,
-    order: Vec<usize>,
+    /// The query planned from part `i`'s first center representative,
+    /// made the first time part `i` is the root.
+    plans: Vec<Option<PreparedPattern<'q>>>,
+    search: MatchScratch,
 }
 
-impl VerifyScratch {
-    pub(crate) fn for_query(q: &Graph) -> Self {
+impl<'q> VerifyScratch<'q> {
+    fn for_query(q: &'q Graph, parts: usize) -> Self {
         Self {
             qsigs: sig::graph_sigs(q),
-            m: Vec::new(),
-            used: Vec::new(),
-            assigned_centers: Vec::new(),
-            sig: Vec::with_capacity(q.vertex_count() + 1),
-            interior: Vec::new(),
-            levels: Vec::new(),
-            counts: Vec::new(),
-            order: Vec::new(),
+            counts: Vec::with_capacity(parts),
+            plans: (0..parts).map(|_| None).collect(),
+            search: MatchScratch::default(),
         }
     }
 }
 
-/// Fill `sig` with the embedding's CRF-deduplication signature: boundary
-/// images in vertex order, separator, then the sorted interior image set.
-/// `interior` is scratch; both buffers are cleared first.
-fn signature_into(
-    emb: &[VertexId],
-    boundary: &[bool],
-    sig: &mut Vec<u32>,
-    interior: &mut Vec<u32>,
-) {
-    sig.clear();
-    interior.clear();
-    for (i, &gv) in emb.iter().enumerate() {
-        if boundary[i] {
-            sig.push(gv.0);
-        } else {
-            interior.push(gv.0);
-        }
-    }
-    sig.push(u32::MAX);
-    interior.sort_unstable();
-    sig.extend(interior.iter().copied());
-}
-
-#[allow(clippy::too_many_arguments)]
-fn search(
+/// Is `q` subgraph isomorphic to graph `gid`? The anchored search of the
+/// module docs, rooted at the most selective part of `parts`; records
+/// `verify.tests` and `verify.center_sig_kills`.
+fn verify_anchored_obs<'q>(
     index: &TreePiIndex,
-    g: &Graph,
-    gid: u32,
-    hsigs: &[VertexSig],
-    parts: &[Part],
-    dq: &[Vec<u32>],
-    boundaries: &[Vec<bool>],
-    matchers: &[CenteredMatcher<'_>],
-    st: &mut VerifyScratch,
-    oracle: &mut DistanceOracle<'_>,
-    k: usize,
-) -> bool {
-    if k == st.order.len() {
-        return true;
-    }
-    let pi = st.order[k];
-    let part = &parts[pi];
-    let centers = index.center_positions_of(part.feature, gid);
-    'center: for c in centers {
-        // Signature gate: no embedding of the full query can land the
-        // part's center representatives on this position's representatives
-        // unless they are signature-compatible (see `crate::sig`).
-        if !sig::center_compatible(&st.qsigs, hsigs, &part.center_reps_in_q, c, g) {
-            continue 'center;
-        }
-        // Cheap rejection: the part's center corresponds to known query
-        // vertices (`center_reps_in_q`); if the join has already mapped
-        // one of them, the candidate center must sit on that image.
-        let mut fully_pinned = true;
-        {
-            let reps = c.representatives(g);
-            for &qr in &part.center_reps_in_q {
-                let img = st.m[qr.idx()];
-                if img == UNMAPPED {
-                    fully_pinned = false;
-                } else if !reps.contains(&img) {
-                    continue 'center;
-                }
-            }
-        }
-        // Center Distance Constraints against already-placed parts. When
-        // the join has already forced every center representative onto this
-        // position, the true embedding realizes the distances and the check
-        // is implied — skip the BFS work.
-        if !fully_pinned {
-            for j in 0..st.assigned_centers.len() {
-                let (pj, cj) = st.assigned_centers[j];
-                let limit = dq[pi][pj];
-                // BFS rows are cached per source; source from the *assigned*
-                // center so all candidate centers share one row.
-                if limit != u32::MAX && pos_distance(g, oracle, cj, c) > limit {
-                    continue 'center;
-                }
-            }
-        }
-        st.assigned_centers.push((pi, c));
-        // Lazily enumerate embeddings centered at c; dedupe by CRF
-        // signature in this level's arena; unwind on first success.
-        st.levels[k].clear();
-        let mut found = false;
-        let _ = matchers[pi].for_each_embedding_centered(g, c, |emb| {
-            // Compatibility with the partial join.
-            for (i, &gv) in emb.iter().enumerate() {
-                let qv = part.q_vertices[i];
-                let cur = st.m[qv.idx()];
-                if cur != UNMAPPED {
-                    if cur != gv {
-                        return ControlFlow::Continue(());
-                    }
-                } else if st.used[gv.idx()] {
-                    return ControlFlow::Continue(());
-                }
-            }
-            // CRF dedup: build the signature in the scratch buffers (used
-            // and archived into the arena before the recursion below can
-            // clobber them); nothing is allocated per embedding.
-            {
-                let VerifyScratch {
-                    sig,
-                    interior,
-                    levels,
-                    ..
-                } = &mut *st;
-                signature_into(emb, &boundaries[pi], sig, interior);
-                if !levels[k].insert_if_new(sig) {
-                    return ControlFlow::Continue(());
-                }
-            }
-            // Apply, recurse, undo.
-            let mut newly: SmallVec<[VertexId; 12]> = SmallVec::new();
-            for (i, &gv) in emb.iter().enumerate() {
-                let qv = part.q_vertices[i];
-                if st.m[qv.idx()] == UNMAPPED {
-                    st.m[qv.idx()] = gv;
-                    st.used[gv.idx()] = true;
-                    newly.push(qv);
-                }
-            }
-            if search(
-                index,
-                g,
-                gid,
-                hsigs,
-                parts,
-                dq,
-                boundaries,
-                matchers,
-                st,
-                oracle,
-                k + 1,
-            ) {
-                found = true;
-                return ControlFlow::Break(());
-            }
-            for &qv in &newly {
-                let gv = st.m[qv.idx()];
-                st.used[gv.idx()] = false;
-                st.m[qv.idx()] = UNMAPPED;
-            }
-            ControlFlow::Continue(())
-        });
-        if found {
-            return true;
-        }
-        st.assigned_centers.pop();
-    }
-    false
-}
-
-/// Algorithm 3: is `q` subgraph isomorphic to graph `gid`, reconstructed
-/// from the partition `parts` (with query center-distance matrix `dq`)?
-pub fn verify(index: &TreePiIndex, q: &Graph, gid: u32, parts: &[Part], dq: &[Vec<u32>]) -> bool {
-    let boundaries = part_boundaries(q, parts);
-    let matchers: Vec<CenteredMatcher<'_>> = parts
-        .iter()
-        .map(|p| CenteredMatcher::new(&p.tree))
-        .collect();
-    let mut scratch = VerifyScratch::for_query(q);
-    verify_with_boundaries_obs(
-        index,
-        q,
-        gid,
-        parts,
-        dq,
-        &boundaries,
-        &matchers,
-        &mut scratch,
-        &obs::Shard::disabled(),
-    )
-}
-
-/// Boundary flags per part: a part-tree vertex is boundary iff its query
-/// vertex belongs to more than one part. Computed once per query.
-pub(crate) fn part_boundaries(q: &Graph, parts: &[Part]) -> Vec<Vec<bool>> {
-    let mut owners = vec![0u32; q.vertex_count()];
-    for p in parts {
-        for &qv in &p.q_vertices {
-            owners[qv.idx()] += 1;
-        }
-    }
-    parts
-        .iter()
-        .map(|p| {
-            p.q_vertices
-                .iter()
-                .map(|&qv| owners[qv.idx()] > 1)
-                .collect()
-        })
-        .collect()
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn verify_with_boundaries_obs(
-    index: &TreePiIndex,
-    q: &Graph,
+    q: &'q Graph,
     gid: u32,
     parts: &[Part],
-    dq: &[Vec<u32>],
-    boundaries: &[Vec<bool>],
-    matchers: &[CenteredMatcher<'_>],
-    scratch: &mut VerifyScratch,
+    scratch: &mut VerifyScratch<'q>,
     shard: &obs::Shard,
 ) -> bool {
     shard.add("verify.tests", 1);
     let g = &index.db()[gid as usize];
     let hsigs = index.vertex_sigs(gid);
+    let VerifyScratch {
+        qsigs,
+        counts,
+        plans,
+        search,
+    } = scratch;
+    let compatible = |p: &Part, c| sig::center_compatible(qsigs, hsigs, &p.center_reps_in_q, c, g);
 
-    // Every part needs at least one stored center.
-    for p in parts {
-        if index.center_positions_of(p.feature, gid).next().is_none() {
-            return false;
-        }
-    }
-    // A single-part partition means the query *is* that feature tree and a
-    // stored center position is itself proof of containment.
-    if parts.len() == 1 {
-        return true;
-    }
-
-    // Selectivity order: each part's estimated match count is its number
-    // of signature-compatible stored centers; join the most selective part
-    // first (ascending, ties stable in part order). A part with zero
-    // compatible centers proves non-containment before the search starts.
-    scratch.counts.clear();
+    // Each part's number of signature-compatible stored positions; a part
+    // with none proves non-containment before the search starts.
+    counts.clear();
     for p in parts {
         let n = index
             .center_positions_of(p.feature, gid)
-            .filter(|&c| sig::center_compatible(&scratch.qsigs, hsigs, &p.center_reps_in_q, c, g))
+            .filter(|&c| compatible(p, c))
             .count();
         if n == 0 {
             shard.add("verify.center_sig_kills", 1);
             return false;
         }
-        scratch.counts.push(n);
+        counts.push(n);
     }
-    scratch.order.clear();
-    scratch.order.extend(0..parts.len());
-    {
-        let VerifyScratch { counts, order, .. } = &mut *scratch;
-        order.sort_by_key(|&i| counts[i]);
+    // The root: fewest compatible positions, ties in part order. Without
+    // parts (an edgeless query) there is nothing to anchor at.
+    let Some(root) = (0..parts.len()).min_by_key(|&i| counts[i]) else {
+        return graph_core::is_subgraph_isomorphic(q, g);
+    };
+    let part = &parts[root];
+    let reps = &part.center_reps_in_q;
+    let plan = plans[root].get_or_insert_with(|| PreparedPattern::new(q, Some(reps[0])));
+    let admits = |qv: VertexId, hv: VertexId| qsigs[qv.idx()].compatible(&hsigs[hv.idx()]);
+    let mut found = |pins: &[_]| {
+        plan.for_each_embedding_pinned(g, pins, search, admits, |_| ControlFlow::Break(()))
+            .is_break()
+    };
+    for c in index.center_positions_of(part.feature, gid) {
+        if !compatible(part, c) {
+            continue;
+        }
+        let hit = match (reps.as_slice(), c.representatives(g).as_slice()) {
+            (&[a], &[u]) => found(&[(a, u)]),
+            (&[a, b], &[u, v]) => found(&[(a, u), (b, v)]) || found(&[(a, v), (b, u)]),
+            // A vertex part on an edge position (or the reverse) cannot
+            // come from a consistent index: the part and its feature are
+            // one tree, so they share a center kind.
+            _ => false,
+        };
+        if hit {
+            return true;
+        }
     }
-
-    scratch.m.clear();
-    scratch.m.resize(q.vertex_count(), UNMAPPED);
-    scratch.used.clear();
-    scratch.used.resize(g.vertex_count(), false);
-    scratch.assigned_centers.clear();
-    while scratch.levels.len() < parts.len() {
-        scratch.levels.push(LevelDedup::default());
-    }
-    let mut oracle = DistanceOracle::new(g);
-    let ok = search(
-        index,
-        g,
-        gid,
-        hsigs,
-        parts,
-        dq,
-        boundaries,
-        matchers,
-        scratch,
-        &mut oracle,
-        0,
-    );
-    shard.add("graph.bfs", oracle.bfs_runs());
-    ok
+    false
 }
 
 /// Verify every graph in `pruned`, returning the exact answer set:
 /// [`verify_all_pool_obs`] as one inline chunk with metrics disabled.
-pub fn verify_all(
-    index: &TreePiIndex,
-    q: &Graph,
-    pruned: &[u32],
-    parts: &[Part],
-    dq: &[Vec<u32>],
-) -> Vec<u32> {
+pub fn verify_all(index: &TreePiIndex, q: &Graph, pruned: &[u32], parts: &[Part]) -> Vec<u32> {
     let pool = graph_core::par::Pool::new(1);
     verify_all_pool_obs(
         index,
         q,
         pruned,
         parts,
-        dq,
+        &[],
         &pool,
         1,
         &obs::Shard::disabled(),
     )
 }
 
-/// The general verifier: boundary flags and centered matchers are computed
-/// once and shared read-only; candidates are chunked contiguously into up
-/// to `threads` seats on `pool` (every `JoinState` is seat-local), and chunk
-/// results concatenate in rank order. Records `verify.tests` per candidate
-/// and the reconstruction oracle's `graph.bfs` runs; seats record into
-/// [`obs::Shard::fork`]s merged in rank order, so the output and every
-/// merged counter are identical for any `threads` and pool size.
+/// The general verifier: candidates are chunked contiguously into up to
+/// `threads` seats on `pool`, each with its own scratch, and chunk results
+/// concatenate in rank order. Records `verify.tests` per candidate; seats
+/// record into [`obs::Shard::fork`]s merged in rank order, so the output
+/// and every merged counter are identical for any `threads` and pool size.
+///
+/// `_dq` (the query's center distances) is unused: the anchored search
+/// needs no distance. It stays until ROADMAP item 1's `benchmark` PR
+/// deletes the ledger's replay, which calls this function by name.
 #[allow(clippy::too_many_arguments)]
 pub fn verify_all_pool_obs(
     index: &TreePiIndex,
     q: &Graph,
     pruned: &[u32],
     parts: &[Part],
-    dq: &[Vec<u32>],
+    _dq: &[Vec<u32>],
     pool: &graph_core::par::Pool,
     threads: usize,
     shard: &obs::Shard,
@@ -428,31 +163,14 @@ pub fn verify_all_pool_obs(
     if pruned.is_empty() {
         return Vec::new();
     }
-    let boundaries = part_boundaries(q, parts);
-    let matchers: Vec<CenteredMatcher<'_>> = parts
-        .iter()
-        .map(|p| CenteredMatcher::new(&p.tree))
-        .collect();
     let chunk_size = pruned.len().div_ceil(threads.clamp(1, pruned.len()));
     let chunks: Vec<&[u32]> = pruned.chunks(chunk_size).collect();
     pool.fork_join_obs(chunks.len(), shard, |rank, worker| {
-        let mut scratch = VerifyScratch::for_query(q);
+        let mut scratch = VerifyScratch::for_query(q, parts.len());
         chunks[rank]
             .iter()
             .copied()
-            .filter(|&gid| {
-                verify_with_boundaries_obs(
-                    index,
-                    q,
-                    gid,
-                    parts,
-                    dq,
-                    &boundaries,
-                    &matchers,
-                    &mut scratch,
-                    worker,
-                )
-            })
+            .filter(|&gid| verify_anchored_obs(index, q, gid, parts, &mut scratch, worker))
             .collect::<Vec<u32>>()
     })
     .into_iter()
@@ -482,6 +200,11 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
+    /// Algorithm 3 on one candidate.
+    fn verify(index: &TreePiIndex, q: &Graph, gid: u32, parts: &[Part]) -> bool {
+        verify_all(index, q, &[gid], parts) == [gid]
+    }
+
     fn db() -> Vec<Graph> {
         vec![
             // triangle with tail
@@ -510,7 +233,7 @@ mod tests {
                     &dq,
                     &obs::Shard::disabled(),
                 );
-                verify_all(idx, q, &pruned, &min_partition, &dq)
+                verify_all(idx, q, &pruned, &min_partition)
             }
         }
     }
@@ -525,7 +248,9 @@ mod tests {
             graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 0, 1)]), // cyclic query
             graph_from(&[0, 1, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 0, 0)]),
             graph_from(&[1, 0, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 3, 0)]),
-            graph_from(&[9, 9], &[(0, 1, 0)]), // absent labels
+            graph_from(&[9, 9], &[(0, 1, 0)]),    // absent labels
+            graph_from(&[0, 0, 1], &[(0, 1, 0)]), // an uncovered vertex
+            graph_from(&[0, 0, 0, 1], &[(0, 1, 0), (2, 3, 0)]), // two components
         ];
         for (qi, q) in queries.iter().enumerate() {
             let truth = scan_support(&idx, q);
@@ -537,9 +262,9 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_query_needs_multi_part_join() {
-        // A cyclic query can never be a single feature tree; verification
-        // must reconstruct it from ≥ 2 tree parts.
+    fn cyclic_query_needs_multi_part_search() {
+        // A cyclic query can never be a single feature tree; the search
+        // anchored at one part must close the cycle the other parts cover.
         let idx = TreePiIndex::build(db(), TreePiParams::quick());
         let q = graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 0, 1)]);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
@@ -547,11 +272,10 @@ mod tests {
             panic!()
         };
         assert!(min_partition.len() >= 2);
-        let dq = query_center_distances(&q, &min_partition);
-        assert!(verify(&idx, &q, 0, &min_partition, &dq));
-        assert!(!verify(&idx, &q, 1, &min_partition, &dq));
-        assert_eq!(verify_all(&idx, &q, &[0, 1], &min_partition, &dq), [0]);
-        assert!(verify_all(&idx, &q, &[], &min_partition, &dq).is_empty());
+        assert!(verify(&idx, &q, 0, &min_partition));
+        assert!(!verify(&idx, &q, 1, &min_partition));
+        assert_eq!(verify_all(&idx, &q, &[0, 1], &min_partition), [0]);
+        assert!(verify_all(&idx, &q, &[], &min_partition).is_empty());
     }
 
     #[test]
@@ -567,51 +291,21 @@ mod tests {
     }
 
     #[test]
-    fn crf_signatures_collapse_interchangeable_embeddings() {
-        // Star embeddings that permute interior leaves share a signature;
-        // boundary differences keep signatures distinct.
-        let (mut sig, mut interior) = (Vec::new(), Vec::new());
-        let mut sig_of = |emb: &[VertexId], boundary: &[bool]| {
-            signature_into(emb, boundary, &mut sig, &mut interior);
-            sig.clone()
-        };
-        let e1 = [VertexId(0), VertexId(1), VertexId(2)];
-        let e2 = [VertexId(0), VertexId(2), VertexId(1)];
-        let e3 = [VertexId(3), VertexId(1), VertexId(2)];
-        let boundary = [true, false, false];
-        assert_eq!(sig_of(&e1, &boundary), sig_of(&e2, &boundary));
-        assert_ne!(sig_of(&e1, &boundary), sig_of(&e3, &boundary));
-        // fully-boundary parts keep everything distinct
-        let all = [true, true, true];
-        assert_ne!(sig_of(&e1, &all), sig_of(&e2, &all));
-    }
-
-    #[test]
-    fn level_dedup_matches_exact_set_semantics() {
-        let mut d = LevelDedup::default();
-        assert!(d.insert_if_new(&[1, 2, 3]));
-        assert!(!d.insert_if_new(&[1, 2, 3]), "duplicate must be rejected");
-        assert!(d.insert_if_new(&[1, 2]), "prefix is a distinct signature");
-        assert!(d.insert_if_new(&[3, 2, 1]));
-        assert!(!d.insert_if_new(&[3, 2, 1]));
-        assert!(d.insert_if_new(&[]), "empty signature is a valid member");
-        assert!(!d.insert_if_new(&[]));
-        d.clear();
-        assert!(d.insert_if_new(&[1, 2, 3]), "clear() must forget members");
-    }
-
-    #[test]
-    fn boundary_flags_follow_part_overlap() {
-        let idx = TreePiIndex::build(db(), TreePiParams::quick());
-        let q = graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 0, 1)]);
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let PartitionRuns::Ok { min_partition, .. } = partition_runs(&q, &idx, 5, &mut rng) else {
+    fn edge_centers_are_pinned_in_both_orientations() {
+        // The 0-1 edge is bicentral with distinct ends, so its center
+        // representatives fit a stored 0-1 edge one way round only; graphs
+        // 0 and 1 store that edge in opposite orientations.
+        let db = vec![
+            graph_from(&[0, 1], &[(0, 1, 0)]),
+            graph_from(&[1, 0], &[(0, 1, 0)]),
+        ];
+        let idx = TreePiIndex::build(db, TreePiParams::quick());
+        let q = graph_from(&[0, 1], &[(0, 1, 0)]);
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let PartitionRuns::Ok { min_partition, .. } = partition_runs(&q, &idx, 1, &mut rng) else {
             panic!()
         };
-        let b = part_boundaries(&q, &min_partition);
-        assert_eq!(b.len(), min_partition.len());
-        // in a partition of a triangle, shared vertices exist
-        let shared: usize = b.iter().flatten().filter(|&&x| x).count();
-        assert!(shared >= 2, "triangle partitions must share vertices");
+        assert_eq!(min_partition[0].center_reps_in_q.len(), 2);
+        assert_eq!(verify_all(&idx, &q, &[0, 1], &min_partition), [0, 1]);
     }
 }

@@ -1,11 +1,13 @@
 //! Property tests for the index: on arbitrary databases and queries, the
-//! pipeline is exact (equals the brute-force scan), the candidate funnel
-//! only narrows, and partitions are well-formed.
+//! pipeline is exact (equals the brute-force scan), verification from the
+//! stored centers is VF2 on every candidate, the candidate funnel only
+//! narrows, and partitions are well-formed.
 
 use graph_core::{ELabel, Graph, GraphBuilder, VLabel, VertexId};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use treepi::verify::verify_all;
 use treepi::{
     partition_runs, query_rng, scan_support, Engine, PartitionRuns, QueryOptions, SfMode,
     TreePiIndex, TreePiParams,
@@ -45,13 +47,122 @@ fn arb_db(graphs: usize, nmax: usize) -> impl Strategy<Value = Vec<Graph>> {
     proptest::collection::vec(arb_connected_graph(nmax), 1..=graphs)
 }
 
+/// `gs` side by side, then one isolated vertex per label in `isolated`.
+fn disjoint_union(gs: &[&Graph], isolated: &[u32]) -> Graph {
+    let mut b = GraphBuilder::new();
+    for g in gs {
+        let base = b.vertex_count() as u32;
+        for v in g.vertices() {
+            b.add_vertex(g.vlabel(v));
+        }
+        for e in g.edges() {
+            let (u, v) = (VertexId(base + e.u.0), VertexId(base + e.v.0));
+            b.add_edge(u, v, e.label).expect("copied edge");
+        }
+    }
+    for &l in isolated {
+        b.add_vertex(VLabel(l));
+    }
+    b.build()
+}
+
+/// A query: half the time one connected graph, otherwise with isolated
+/// vertices or a second component beside it — shapes the server and the
+/// CLI accept, in which some query vertex lies in no part of a partition
+/// or two parts are out of each other's reach.
+fn arb_query(nmax: usize) -> impl Strategy<Value = Graph> {
+    let isolated = proptest::collection::vec(0u32..3, 1..=2);
+    (
+        arb_connected_graph(nmax),
+        0u32..4,
+        isolated,
+        arb_connected_graph(3),
+    )
+        .prop_map(|(g, shape, isolated, second)| match shape {
+            0 | 1 => g,
+            2 => disjoint_union(&[&g], &isolated),
+            _ => disjoint_union(&[&g, &second], &isolated[1..]),
+        })
+}
+
+/// Verification from the stored centers against VF2 of the whole query on
+/// every survivor of the filter (the runs' `SF_q`, the weaker one), so
+/// candidates CDC would have pruned are decided too: `(verify, vf2)`, or
+/// `None` when a query edge is no feature.
+fn anchored_and_vf2(idx: &TreePiIndex, q: &Graph, seed: u64) -> Option<(Vec<u32>, Vec<u32>)> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let PartitionRuns::Ok { min_partition, sf } = partition_runs(q, idx, q.edge_count(), &mut rng)
+    else {
+        return None;
+    };
+    let survivors = treepi::filter::filter(idx, &sf);
+    let vf2 = survivors
+        .iter()
+        .copied()
+        .filter(|&gid| graph_core::is_subgraph_isomorphic(q, &idx.db()[gid as usize]))
+        .collect();
+    Some((verify_all(idx, q, &survivors, &min_partition), vf2))
+}
+
+/// Both center kinds root the search somewhere in a sweep, and the
+/// shapes that no partition covers whole (isolated vertices, a second
+/// component) are decided like VF2 decides them — on molecules, at the
+/// default parameters and at `quick()`.
+#[test]
+fn anchored_verify_is_vf2_on_molecules() {
+    let mut rng = ChaCha8Rng::seed_from_u64(25);
+    let db = datagen::generate_chem(&datagen::ChemParams::sized(30), &mut rng);
+    // Isolated vertices carry the query's rarest label, so graphs that
+    // hold the connected part and too few such atoms are among the
+    // candidates.
+    let mut frequency = std::collections::HashMap::new();
+    for v in db
+        .iter()
+        .flat_map(|g| g.vertices().map(move |v| g.vlabel(v).0))
+    {
+        *frequency.entry(v).or_insert(0usize) += 1;
+    }
+    let mut queries = Vec::new();
+    for m in [2, 3, 4, 6, 8] {
+        let qs = datagen::extract_queries(&db, m, 8, &mut rng);
+        for (i, q) in qs.iter().enumerate() {
+            let labels = q.vertices().map(|v| q.vlabel(v).0);
+            let rare = labels.min_by_key(|l| frequency[l]).expect("non-empty");
+            queries.push(q.clone());
+            queries.push(disjoint_union(&[q], &[rare, rare]));
+            queries.push(disjoint_union(&[q, &qs[(i + 1) % qs.len()]], &[]));
+        }
+    }
+    for params in [TreePiParams::default(), TreePiParams::quick()] {
+        let idx = TreePiIndex::build(db.clone(), params);
+        let (mut vertex_parts, mut edge_parts, mut answers) = (0, 0, 0);
+        for (i, q) in queries.iter().enumerate() {
+            let mut rng = ChaCha8Rng::seed_from_u64(i as u64);
+            if let PartitionRuns::Ok { min_partition, .. } =
+                partition_runs(q, &idx, q.edge_count(), &mut rng)
+            {
+                for p in &min_partition {
+                    match p.center_reps_in_q.len() {
+                        1 => vertex_parts += 1,
+                        _ => edge_parts += 1,
+                    }
+                }
+            }
+            let (got, want) = anchored_and_vf2(&idx, q, i as u64).expect("db-derived");
+            assert_eq!(got, want, "query {i}");
+            answers += got.len();
+        }
+        assert!(vertex_parts > 0 && edge_parts > 0 && answers > 0);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn query_is_exact_on_arbitrary_databases(
         db in arb_db(8, 7),
-        q in arb_connected_graph(5),
+        q in arb_query(5),
         seed in any::<u64>(),
     ) {
         let idx = TreePiIndex::build(db, TreePiParams::quick());
@@ -63,9 +174,23 @@ proptest! {
     }
 
     #[test]
+    fn anchored_verify_is_vf2_on_every_filter_survivor(
+        db in arb_db(8, 7),
+        q in arb_query(5),
+        quick in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let params = if quick { TreePiParams::quick() } else { TreePiParams::default() };
+        let idx = TreePiIndex::build(db, params);
+        if let Some((got, want)) = anchored_and_vf2(&idx, &q, seed) {
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
     fn every_ablation_is_exact(
         db in arb_db(6, 6),
-        q in arb_connected_graph(5),
+        q in arb_query(5),
         seed in any::<u64>(),
     ) {
         let idx = TreePiIndex::build(db, TreePiParams::quick());
@@ -142,7 +267,7 @@ proptest! {
     #[test]
     fn query_batch_is_deterministic_across_thread_counts(
         db in arb_db(6, 6),
-        queries in proptest::collection::vec(arb_connected_graph(5), 1..=6),
+        queries in proptest::collection::vec(arb_query(5), 1..=6),
         seed in any::<u64>(),
     ) {
         let idx = TreePiIndex::build(db, TreePiParams::quick());
@@ -180,7 +305,7 @@ proptest! {
     fn insert_remove_preserve_exactness(
         db in arb_db(5, 6),
         extra in arb_connected_graph(6),
-        q in arb_connected_graph(4),
+        q in arb_query(4),
         seed in any::<u64>(),
     ) {
         let mut idx = TreePiIndex::build(db, TreePiParams::quick());
