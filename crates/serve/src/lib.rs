@@ -5,8 +5,8 @@
 //!
 //! - [`protocol`] — the length-prefixed wire format: tagged query /
 //!   insert / remove / shutdown requests, graphs in gSpan text form.
-//! - [`cache`] — an LRU result cache keyed on the query's canonical
-//!   code, invalidated wholesale whenever the index's maintenance epoch
+//! - [`cache`] — an LRU result cache keyed on the query as it was sent,
+//!   invalidated wholesale whenever the index's maintenance epoch
 //!   moves (§7.1 insert/remove), so a cached answer can never outlive
 //!   the database state it was computed against.
 //! - [`server`] — a single-threaded event loop (vendored `minipoll`,

@@ -48,11 +48,11 @@
 //! trips when one loop iteration holds the thread past
 //! [`ServeConfig::stall_threshold`].
 
-use crate::cache::QueryCache;
+use crate::cache::{query_key, QueryCache};
 use crate::http;
 use crate::protocol::{self, Request, RequestBody, Response, ResponseBody, MAX_FRAME};
 use crate::telemetry::{AccessRecord, AccessStages, LoopWatchdog, ServeTelemetry};
-use graph_core::{canonical_code, CanonCode, Graph};
+use graph_core::Graph;
 use minipoll::{Events, Interest, Poll, Token};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -246,7 +246,7 @@ impl Conn {
 struct PendingQuery {
     conn: usize,
     tag: u32,
-    key: Option<CanonCode>,
+    key: Option<Box<[u32]>>,
     graph: Graph,
     /// When the request frame was decoded off the socket.
     recv: Instant,
@@ -928,7 +928,7 @@ impl EventLoop<'_> {
                     // maintenance before consulting the cache or queueing,
                     // so this query observes every op acked before it.
                     self.apply_ready();
-                    let key = (self.config.cache_cap > 0).then(|| canonical_code(&g));
+                    let key = (self.config.cache_cap > 0).then(|| query_key(&g));
                     let mut hit_ids = None;
                     if let Some(key) = &key {
                         // Belt and braces: the cache is synced on every

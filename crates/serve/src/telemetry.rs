@@ -137,7 +137,7 @@ impl LoopWatchdog {
 /// Per-request stage timings attached to executed-query access records.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AccessStages {
-    /// Decode-to-admission time (canonicalization + cache probe), µs.
+    /// Decode-to-admission time (cache key + cache probe), µs.
     pub admit_us: u64,
     /// Admission-to-dispatch wait in the bounded queue, µs.
     pub queue_wait_us: u64,

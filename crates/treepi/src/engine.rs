@@ -250,9 +250,9 @@ pub struct MaintStats {
 /// - **Staleness-triggered re-mine.** Applied §7.1 repairs accumulate;
 ///   past `remine_threshold` a background thread re-mines the feature set
 ///   from the current snapshot on the engine's own pool
-///   ([`TreePiIndex::remine_with_pool`] — gid-stable, unlike
-///   [`TreePiIndex::rebuild`]), replays ops that landed meanwhile, and
-///   swaps the result in under a fresh epoch. Queries keep dispatching
+///   ([`TreePiIndex::remine_with_pool`], gid-stable), replays ops that
+///   landed meanwhile, and swaps the result in under a fresh epoch.
+///   Queries keep dispatching
 ///   onto the same pool throughout — the pool's queue accepts concurrent
 ///   dispatchers, so the re-mine consumes idle seats rather than blocking
 ///   the batch path.

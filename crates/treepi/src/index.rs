@@ -417,10 +417,10 @@ impl TreePiIndex {
     }
 
     /// The maintenance epoch: starts at 0 and is bumped by every
-    /// successful [`Self::insert`] / [`Self::remove`] (and by
-    /// [`Self::rebuild`]). Any cache of query answers keyed on this value
-    /// must drop its entries when the epoch changes — that is the
-    /// invalidation contract the serving result cache relies on.
+    /// successful [`Self::insert`] / [`Self::remove`]. Any cache of query
+    /// answers keyed on this value must drop its entries when the epoch
+    /// changes — that is the invalidation contract the serving result
+    /// cache relies on.
     pub fn maintenance_epoch(&self) -> u64 {
         self.maintenance_epoch
     }
@@ -586,37 +586,20 @@ impl TreePiIndex {
         true
     }
 
-    /// Rebuild the index from the current active graphs (the paper's advice
-    /// when "too many insert/delete operations" have accumulated). Graph
-    /// ids are re-densified; returns the new index. The maintenance epoch
-    /// advances past the old one (a rebuild changes answers for queries
-    /// holding stale graph ids), never resets.
-    pub fn rebuild(self) -> Self {
-        let epoch = self.maintenance_epoch + 1;
-        let graphs: Vec<Graph> = self
-            .db
-            .into_iter()
-            .zip(self.active)
-            .filter_map(|(g, a)| a.then_some(g))
-            .collect();
-        let mut idx = Self::build(graphs, self.params);
-        idx.maintenance_epoch = epoch;
-        idx
-    }
-
-    /// Re-mine the feature set from the current active graphs *without*
-    /// renumbering graph ids (contrast [`Self::rebuild`], which
-    /// re-densifies): tombstoned slots participate in the mining database
-    /// as empty graphs, so every support set and center table in the
-    /// result uses the same positional gids as the source index and live
-    /// traffic can keep resolving ids across a snapshot swap.
+    /// Re-mine the feature set from the current active graphs (the paper's
+    /// advice when "too many insert/delete operations" have accumulated)
+    /// *without* renumbering graph ids: tombstoned slots participate in
+    /// the mining database as empty graphs, so every support set and
+    /// center table in the result uses the same positional gids as the
+    /// source index and live traffic can keep resolving ids across a
+    /// snapshot swap.
     ///
     /// Because σ(s) is an absolute threshold (Eq. 1, not a fraction of
     /// |D|), blanked tombstones contribute nothing to any support set and
     /// the mined feature set equals a fresh [`Self::build`] over just the
     /// active graphs, modulo the gid embedding. Tombstoned graph payloads
-    /// are dropped in the copy, so a re-mine doubles as the tombstone
-    /// memory reclamation `rebuild` would perform.
+    /// are dropped in the copy, so a re-mine doubles as tombstone memory
+    /// reclamation.
     ///
     /// The maintenance epoch carries over unchanged; the caller advances
     /// it when publishing the result (an epoch that moved backwards would
@@ -670,7 +653,8 @@ impl TreePiIndex {
     /// Removed (tombstoned) graphs are reported separately in
     /// [`IndexMemory::tombstones_bytes`] and excluded from `db_bytes` and
     /// [`IndexMemory::total`] — a churn-heavy serving host must see its
-    /// *active* footprint, not bytes a [`Self::rebuild`] would reclaim.
+    /// *active* footprint, not bytes a [`Self::remine_with_pool`] would
+    /// reclaim.
     pub fn memory_breakdown(&self) -> IndexMemory {
         use std::mem::size_of;
         let mut db_bytes = self.active.len() * size_of::<bool>();
@@ -755,7 +739,7 @@ pub struct IndexMemory {
     /// tombstone flag vector.
     pub db_bytes: usize,
     /// Heap bytes still held by removed (tombstoned) graphs — reclaimable
-    /// via [`TreePiIndex::rebuild`], excluded from [`Self::total`].
+    /// via [`TreePiIndex::remine_with_pool`], excluded from [`Self::total`].
     pub tombstones_bytes: usize,
     /// Feature pattern trees and their canonical strings.
     pub features_bytes: usize,
@@ -783,7 +767,8 @@ impl IndexMemory {
     }
 }
 
-/// Hand the heap a finished build has freed back to the operating system.
+/// Hand the heap a finished build has freed back to the operating system,
+/// and keep the large blocks of later allocations returnable.
 ///
 /// Mining holds tens of megabytes of occurrence lists at its widest level
 /// for an index well under one (56 MB live against 0.8 MB on a 200-molecule
@@ -791,21 +776,38 @@ impl IndexMemory {
 /// threshold rises with the largest blocks it has seen — and a secondary
 /// arena never reuses it, so every later allocation of a serving process (or
 /// of a benchmark's client threads) lands on top of a build's ghost, again
-/// after each background re-mine. One call releases it; elsewhere this is a
-/// no-op.
+/// after each background re-mine. `malloc_trim` releases it.
+///
+/// Freeing a block glibc served with `mmap` also raises its `mmap`
+/// threshold to that block's size (up to 32 MiB) for the rest of the
+/// process, and a build frees many such blocks. Below the raised threshold
+/// a growing vector is copied inside an arena at every doubling and the
+/// old copies stay resident: a benchmark client's per-request log peaked
+/// ≈ 30 MB higher for it. Pinning the threshold at glibc's starting value
+/// keeps large blocks in `mmap`, where growth is `mremap` and a free
+/// returns the pages (setting it also stops the raising). Elsewhere this
+/// function is a no-op.
 fn release_freed_heap() {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     {
+        /// `M_MMAP_THRESHOLD` of `<malloc.h>`, and glibc's starting value.
+        const M_MMAP_THRESHOLD: i32 = -3;
+        const MMAP_THRESHOLD_BYTES: i32 = 128 * 1024;
         extern "C" {
             fn malloc_trim(pad: usize) -> i32;
+            fn mallopt(param: i32, value: i32) -> i32;
         }
-        // SAFETY: `malloc_trim` is a function of the C library this target
-        // links; it takes no pointer, touches only memory the allocator
+        // SAFETY: both are functions of the C library this target links and
+        // take no pointer. `malloc_trim` touches only memory the allocator
         // holds free (under each arena's own lock, so concurrent allocation
-        // on other threads is fine), and its result — whether anything was
-        // released — is not needed.
+        // on other threads is fine); `mallopt` sets an allocator parameter
+        // under the allocator's lock, a value glibc itself rewrites on frees
+        // from any thread. Their results — whether anything was released,
+        // whether the value was accepted — are not needed: either way the
+        // heap stays valid.
         unsafe {
             malloc_trim(0);
+            mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES);
         }
     }
 }
@@ -1031,9 +1033,6 @@ mod tests {
         // No-op removes leave the epoch alone (nothing changed).
         assert!(!idx.remove(gid));
         assert_eq!(idx.maintenance_epoch(), 2);
-        // Rebuild advances past the old epoch instead of resetting.
-        let rebuilt = idx.rebuild();
-        assert_eq!(rebuilt.maintenance_epoch(), 3);
     }
 
     #[test]
@@ -1084,25 +1083,6 @@ mod tests {
                     .eq(built.center_positions_of(fid, gid)));
             }
         }
-    }
-
-    #[test]
-    fn rebuild_after_churn_matches_fresh_build() {
-        let mut idx = quick_index();
-        let extra = graph_from(&[1, 1], &[(0, 1, 1)]);
-        idx.insert(extra.clone());
-        idx.remove(0);
-        let rebuilt = idx.rebuild();
-        let fresh = TreePiIndex::build(
-            vec![tiny_db()[1].clone(), tiny_db()[2].clone(), extra],
-            TreePiParams::quick(),
-        );
-        assert_eq!(rebuilt.feature_count(), fresh.feature_count());
-        let mut a: Vec<&CanonString> = rebuilt.features().iter().map(|f| &f.canon).collect();
-        let mut b: Vec<&CanonString> = fresh.features().iter().map(|f| &f.canon).collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Dynamic index maintenance (paper §7.1): insert and delete graphs
-//! without rebuilding, then rebuild once churn gets heavy.
+//! without rebuilding, then re-mine the features once churn gets heavy.
 //!
 //! ```sh
 //! cargo run --release --example dynamic_maintenance
@@ -43,11 +43,11 @@ fn main() {
     }
     println!("10 queries after churn: all exact");
 
-    // The paper: once ~a quarter of the database has changed, rebuild to
-    // restore feature quality.
-    let index = index.rebuild();
+    // The paper: once ~a quarter of the database has changed, re-mine to
+    // restore feature quality. Graph ids stay as they were.
+    let index = index.remine_with_pool(&graph_core::par::Pool::new(2));
     println!(
-        "after rebuild: {} graphs, {} features (ids re-densified)",
+        "after re-mine: {} graphs, {} features (ids kept)",
         index.active_count(),
         index.feature_count()
     );
