@@ -9,7 +9,7 @@
 //! - every query gets its own RNG, [`query_rng`]`(seed, i)`, derived only
 //!   from the batch seed and the query's position — never from which worker
 //!   runs it or in what order;
-//! - the pipeline's parallel stages (CDC prune, verify)
+//! - the pipeline's parallel stages (verify, and CDC prune when on)
 //!   chunk candidates contiguously and concatenate chunk results in order,
 //!   and neither consumes randomness.
 //!
@@ -787,6 +787,37 @@ mod tests {
                 "threads={threads}"
             );
         }
+    }
+
+    /// Algorithm 2 runs only when asked for: a default batch makes no CDC
+    /// test and no distance-oracle BFS, the same batch with `use_cdc` makes
+    /// both, and the answers agree.
+    #[test]
+    fn cdc_runs_only_under_its_toggle() {
+        let idx = index();
+        let qs = queries();
+        let run = |opts: QueryOptions| {
+            let reg = obs::Registry::new();
+            let (results, _) = batch_on_pool(&idx, &qs, opts, &Pool::new(2), 42, &reg);
+            let m = reg.drain();
+            let answers: Vec<Vec<u32>> = results.into_iter().map(|r| r.matches).collect();
+            (
+                answers,
+                m.counter("prune.cdc_tests"),
+                m.counter("graph.bfs"),
+            )
+        };
+        let (default_answers, tests, bfs) = run(QueryOptions::default());
+        assert_eq!((tests, bfs), (0, 0), "CDC ran by default");
+        let (cdc_answers, tests, bfs) = run(QueryOptions {
+            use_cdc: true,
+            ..QueryOptions::default()
+        });
+        assert!(
+            tests > 0 && bfs > 0,
+            "CDC on: {tests} tests, {bfs} BFS runs"
+        );
+        assert_eq!(default_answers, cdc_answers);
     }
 
     #[test]

@@ -9,11 +9,16 @@
 //!    `TP_q`, the union of features `SF_q`);
 //! 2. **Filter** ([`filter`]): intersect the features' support sets
 //!    (Algorithm 1) → candidate set `P_q`;
-//! 3. **Prune** ([`prune`]): Center Distance Constraints (Algorithm 2)
-//!    shrink `P_q` to `P'_q` using stored feature-center locations;
+//! 3. **Signature kill** ([`sig`]): drop candidates with no
+//!    signature-compatible host vertex for some query vertex;
 //! 4. **Verify** ([`verify`]): one search per candidate, pinned at the
 //!    stored center positions of one part of `TP_q` (Algorithm 3) — not a
 //!    search of the whole candidate graph.
+//!
+//! The paper's Center Distance Constraint pruning ([`prune`], Algorithm 2)
+//! shrinks `P_q` to `P'_q` between stages 3 and 4 when
+//! [`QueryOptions::use_cdc`] is on. It is off by default: the search
+//! rejects the same candidates for less than the pruning costs.
 //!
 //! ```
 //! use graph_core::graph_from;

@@ -21,6 +21,12 @@
 //! and kills candidates whose every position for some part is
 //! incompatible — both sound, for the same reason the distance constraint
 //! is.
+//!
+//! The query pipeline runs this stage only under
+//! [`crate::QueryOptions::use_cdc`], which is off by default: verification
+//! rejects every candidate it would, for less than the stage costs
+//! (DESIGN.md, substitution 7). It stays as the paper's toggle, and
+//! Figures 10–11 report `|P'_q|` with it on.
 
 use crate::index::TreePiIndex;
 use crate::partition::Part;
@@ -89,32 +95,10 @@ struct CdcScratch<'a> {
 /// Whether graph `gid` admits an assignment of stored center positions to
 /// the parts that satisfies all Center Distance Constraints (Algorithm 2's
 /// per-graph test), with candidate positions signature-gated against the
-/// query's vertex signatures.
-pub fn satisfies_cdc(
-    index: &TreePiIndex,
-    q: &Graph,
-    gid: u32,
-    parts: &[Part],
-    dq: &[Vec<u32>],
-) -> bool {
-    let qsigs = sig::graph_sigs(q);
-    let mut scratch = CdcScratch::default();
-    satisfies_cdc_obs(
-        index,
-        &qsigs,
-        gid,
-        parts,
-        dq,
-        &mut scratch,
-        &obs::Shard::disabled(),
-    )
-}
-
-/// [`satisfies_cdc`] over the query's precomputed vertex signatures and the
-/// seat's scratch, recording `prune.cdc_tests` and the BFS runs its
-/// distance oracle performed (`graph.bfs`) into `shard`. Both counts depend
-/// only on the candidate and the partition, never on which worker runs the
-/// test, so batch totals stay thread-count invariant.
+/// query's vertex signatures `qsigs`. Records `prune.cdc_tests` and the BFS
+/// runs its distance oracle performed (`graph.bfs`) into `shard`. Both
+/// counts depend only on the candidate and the partition, never on which
+/// worker runs the test, so batch totals stay thread-count invariant.
 fn satisfies_cdc_obs<'a>(
     index: &'a TreePiIndex,
     qsigs: &[VertexSig],
@@ -205,7 +189,7 @@ fn satisfies_cdc_obs<'a>(
 /// Algorithm 2: reduce the filtered set `P_q` to `P'_q` — the serial inner
 /// loop, over precomputed query signatures, recording per-candidate CDC
 /// metrics into `shard`.
-pub fn center_prune_obs(
+pub(crate) fn center_prune_obs(
     index: &TreePiIndex,
     qsigs: &[VertexSig],
     pq: &[u32],
@@ -220,7 +204,7 @@ pub fn center_prune_obs(
         .collect()
 }
 
-/// [`center_prune_obs`] split into up to `threads` seats on `pool`. Each
+/// Algorithm 2's serial loop split into up to `threads` seats on `pool`. Each
 /// candidate's CDC test is independent (every seat owns its scratch and
 /// distance oracle), so the set is chunked contiguously and the
 /// per-chunk results concatenated in chunk order; each seat records into a

@@ -1,9 +1,15 @@
 //! The full TreePi query pipeline (paper §3, "Query Processing"):
-//! partition → filter → signature kill → center-distance prune →
-//! verify from the stored centers, with per-stage statistics (the quantities
-//! plotted in Figures 10–13). The signature stage sits before CDC
-//! because it is the cheapest per-candidate check in the funnel: a
-//! candidate it kills never pays for distance oracles or verification.
+//! partition → filter → signature kill → verify from the stored centers,
+//! with per-stage statistics (the quantities plotted in Figures 10–13).
+//! The signature stage is the cheapest per-candidate check in the funnel:
+//! a candidate it kills never pays for a search.
+//!
+//! Center-distance pruning (Algorithm 2) is the paper's toggle,
+//! [`QueryOptions::use_cdc`], off by default: with verification one
+//! anchored search of ≈ 1 µs per candidate, the few candidates CDC rejects
+//! save far less search time than the distance oracles cost (DESIGN.md,
+//! substitution 7). With it on, it runs between the signature kill and
+//! verification, as in the paper.
 
 use crate::filter::filter;
 use crate::index::TreePiIndex;
@@ -17,11 +23,11 @@ use graph_core::Graph;
 use rand::Rng;
 use std::time::{Duration, Instant};
 
-/// Minimum candidate-set size before a query's prune/verify stages are
-/// split across workers. Measured, not derived: with ≈ 1 µs per verified
-/// candidate a split still pays at 16–64 candidates and less from 128 on;
-/// see DESIGN.md ("Parallel query engine") for the numbers.
-pub const INTRA_PAR_THRESHOLD: usize = 64;
+/// Minimum candidate-set size before a query's verify stage (and prune,
+/// with CDC on) is split across workers. Measured, not derived: with
+/// verification the only stage to split, 32 beats 64 and ties 16; see
+/// DESIGN.md ("Parallel query engine") for the numbers.
+pub const INTRA_PAR_THRESHOLD: usize = 32;
 
 /// How the filter set `SF_q` is assembled.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -35,13 +41,15 @@ pub enum SfMode {
 }
 
 /// Ablation switches (used by the `ablate` experiment; the defaults are the
-/// full paper pipeline).
+/// fastest exact pipeline, which is the paper's with Algorithm 2 off).
 #[derive(Clone, Copy, Debug)]
 pub struct QueryOptions {
     /// Filter-set construction policy.
     pub sf_mode: SfMode,
-    /// Apply Center Distance Constraint pruning (Algorithm 2). Off = filter
-    /// only, like gIndex's candidate generation.
+    /// Apply Center Distance Constraint pruning (Algorithm 2) before
+    /// verification. Off by default: it only narrows what verification
+    /// would reject anyway, and costs more than the searches it saves.
+    /// On reproduces the paper's `|P'_q|` (Figures 10–11).
     pub use_cdc: bool,
     /// Verify from the stored centers (Algorithm 3: one search per
     /// candidate, pinned at the root part's stored positions; see
@@ -49,7 +57,7 @@ pub struct QueryOptions {
     /// whole query per candidate, like gIndex.
     pub use_reconstruction: bool,
     /// Kill candidates whose vertex signatures cannot host the query
-    /// before CDC pruning and verification run (see [`crate::sig`]).
+    /// before verification (and CDC pruning, if on) runs (see [`crate::sig`]).
     /// Sound — the filter only discards non-answers — so turning it off
     /// is purely an ablation/debugging aid.
     pub use_sig_filter: bool,
@@ -62,7 +70,7 @@ impl Default for QueryOptions {
     fn default() -> Self {
         Self {
             sf_mode: SfMode::FullEnumeration,
-            use_cdc: true,
+            use_cdc: false,
             use_reconstruction: true,
             use_sig_filter: true,
             delta_override: None,
@@ -79,7 +87,10 @@ pub struct QueryStats {
     pub sf_size: usize,
     /// `|P_q|` — candidates after filtering (gIndex's `|C_q|` analogue).
     pub filtered: usize,
-    /// `|P'_q|` — candidates after Center Distance pruning.
+    /// `|P'_q|` — candidates after Center Distance pruning. With
+    /// [`QueryOptions::use_cdc`] off (the default) nothing is pruned, and
+    /// this is the number of signature-stage survivors: the candidates
+    /// verification searches.
     pub pruned: usize,
     /// Filter survivors killed by the neighborhood-signature stage before
     /// CDC pruning and verification ran.
@@ -99,7 +110,7 @@ pub struct QueryStats {
     pub t_enumerate: Duration,
     /// Time in the filter stage.
     pub t_filter: Duration,
-    /// Time in the prune stage.
+    /// Time in the prune stage; zero with [`QueryOptions::use_cdc`] off.
     pub t_prune: Duration,
     /// Time in the signature kill stage.
     pub t_sig: Duration,
@@ -190,8 +201,8 @@ impl TreePiIndex {
     }
 
     /// The general query: when a stage's candidate set reaches
-    /// [`INTRA_PAR_THRESHOLD`], CDC pruning and verification are split into
-    /// up to `intra` chunks dispatched as seats on `pool`.
+    /// [`INTRA_PAR_THRESHOLD`], verification (and CDC pruning, if on) is
+    /// split into up to `intra` chunks dispatched as seats on `pool`.
     /// Safe to call from inside a pool seat — the batch engine does exactly
     /// that — because [`Pool::run`] lets the dispatcher claim its own job's
     /// seats. Results are identical at any `intra`/pool size — candidates
@@ -300,12 +311,12 @@ impl TreePiIndex {
             }
         };
 
-        // ---- Signature kill (pre-prune) ----
+        // ---- Signature kill ----
         // A candidate lacking a signature-compatible host vertex for some
         // query vertex cannot contain q (see `crate::sig` for the
-        // soundness argument) — discard it before CDC distance oracles or
-        // verification ever touch it. O(|q| × |g|) branch-free word
-        // compares per candidate, versus BFS runs and a search.
+        // soundness argument) — discard it before verification touches it.
+        // O(|q| × |g|) branch-free word compares per candidate, versus a
+        // search.
         let t = Instant::now();
         let pq = if opts.use_sig_filter {
             let qsigs = sig::graph_sigs(q);
@@ -321,11 +332,11 @@ impl TreePiIndex {
         };
         stats.t_sig = t.elapsed();
 
-        // ---- Prune (Algorithm 2) ----
-        let t = Instant::now();
-        let dq = query_center_distances(q, &parts);
+        // ---- Prune (Algorithm 2; the paper's toggle, off by default) ----
         let pruned = if opts.use_cdc {
-            center_prune_pool_obs(
+            let t = Instant::now();
+            let dq = query_center_distances(q, &parts);
+            let kept = center_prune_pool_obs(
                 self,
                 q,
                 &pq,
@@ -334,11 +345,12 @@ impl TreePiIndex {
                 pool,
                 stage_threads(pq.len()),
                 shard,
-            )
+            );
+            stats.t_prune = t.elapsed();
+            kept
         } else {
             pq
         };
-        stats.t_prune = t.elapsed();
         stats.pruned = pruned.len();
 
         // ---- Verify (Algorithm 3) ----
@@ -349,7 +361,7 @@ impl TreePiIndex {
                 q,
                 &pruned,
                 &parts,
-                &dq,
+                &[],
                 pool,
                 stage_threads(pruned.len()),
                 shard,
@@ -467,18 +479,24 @@ mod tests {
         let idx = index();
         let q = graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 0, 1)]);
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let with = idx.query(&q, &mut rng);
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let without = idx.query_with(
+        let with = idx.query_with(
             &q,
             QueryOptions {
-                use_cdc: false,
+                use_cdc: true,
                 ..QueryOptions::default()
             },
             &mut rng,
         );
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let without = idx.query(&q, &mut rng);
         assert!(with.stats.pruned <= without.stats.pruned);
         assert_eq!(with.matches, without.matches);
+        // Off (the default) prunes nothing and takes no prune time.
+        assert_eq!(
+            without.stats.pruned,
+            without.stats.filtered - without.stats.sig_killed
+        );
+        assert_eq!(without.stats.t_prune, Duration::ZERO);
     }
 
     #[test]

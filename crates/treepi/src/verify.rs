@@ -147,7 +147,8 @@ pub fn verify_all(index: &TreePiIndex, q: &Graph, pruned: &[u32], parts: &[Part]
 /// and every merged counter are identical for any `threads` and pool size.
 ///
 /// `_dq` (the query's center distances) is unused: the anchored search
-/// needs no distance. It stays until ROADMAP item 1's `benchmark` PR
+/// needs no distance, and the query pipeline passes `&[]`. It stays until
+/// ROADMAP item 1's `benchmark` PR
 /// deletes the ledger's replay, which calls this function by name.
 #[allow(clippy::too_many_arguments)]
 pub fn verify_all_pool_obs(

@@ -19,14 +19,15 @@ static ALLOC: TrackingAlloc<std::alloc::System> = TrackingAlloc::new(std::alloc:
 /// Allocations per query on this fixture, measured, × 1.25: edge count of
 /// the queries, ceiling. Lower a ceiling when its path gets cheaper.
 ///
-/// 4 edges: 152 since verification is one search pinned at the stored
-/// centers in seat scratch and CDC keeps one oracle per seat (1 531 with
-/// the reconstruction join and a fresh oracle per candidate, 2 335 before
-/// the δ runs stopped canonicalising every growth step, 6 446 with the
+/// 4 edges: 119 since CDC pruning left the default pipeline and with it
+/// the query's center-distance rows (152 with CDC on; 1 531 with the
+/// reconstruction join and a fresh oracle per candidate, 2 335 before the
+/// δ runs stopped canonicalising every growth step, 6 446 with the
 /// heap-backed `SmallVec`). 16 edges: such a query is nearly all partition,
-/// one candidate to verify: 349 (643 with the join, 58 775 when every
-/// subtree up to η edges was extracted, made a `Tree` and canonicalised).
-const CEILINGS: [(usize, u64); 2] = [(4, 190), (16, 436)];
+/// one candidate to verify: 277 (349 with CDC on, 643 with the join,
+/// 58 775 when every subtree up to η edges was extracted, made a `Tree`
+/// and canonicalised).
+const CEILINGS: [(usize, u64); 2] = [(4, 149), (16, 347)];
 
 #[test]
 fn queries_stay_within_their_allocation_budget() {

@@ -3,7 +3,7 @@
 //!
 //! Generates an AIDS-surrogate molecule database, indexes it, and answers
 //! substructure queries of growing size, printing the candidate funnel
-//! (filtered → pruned → answers) and comparing against a full database
+//! (filtered → searched → answers) and comparing against a full database
 //! scan.
 //!
 //! ```sh
@@ -38,7 +38,7 @@ fn main() {
 
     println!(
         "{:>4} {:>8} {:>8} {:>8} {:>12} {:>12}",
-        "|q|", "|Pq|", "|P'q|", "|Dq|", "treepi", "full scan"
+        "|q|", "|Pq|", "searched", "|Dq|", "treepi", "full scan"
     );
     for m in [4, 8, 12, 16] {
         let queries = extract_queries(&db, m, 20, &mut rng);

@@ -40,7 +40,7 @@ fn main() {
     println!("query answered: graphs {:?}", result.matches);
     println!(
         "pipeline: partition into {} parts, {} candidates after filter, \
-         {} after center-distance pruning, {} verified",
+         {} searched after the signature pass, {} verified",
         result.stats.partition_size,
         result.stats.filtered,
         result.stats.pruned,

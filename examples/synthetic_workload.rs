@@ -49,7 +49,7 @@ fn main() {
 
     println!(
         "{:>4} {:>10} {:>10} {:>8} {:>12} {:>12}",
-        "|q|", "|P'q| (TP)", "|Cq| (gI)", "|Dq|", "treepi", "gindex"
+        "|q|", "searched (TP)", "|Cq| (gI)", "|Dq|", "treepi", "gindex"
     );
     for m in [4, 6, 8, 10] {
         let queries = extract_queries(&db, m, 20, &mut rng);
