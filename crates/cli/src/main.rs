@@ -3,7 +3,7 @@
 //! ```text
 //! treepi build  <db.gspan> <index.tpi> [--alpha A --beta B --eta E --gamma G] [--threads N] [--metrics out.json]
 //!               [--trace out.json] [--timeseries out.json] [--sample-interval-ms M]
-//! treepi query  <index.tpi> <queries.gspan> [--stats] [--seed N] [--threads N] [--metrics out.json] [--trace out.json]
+//! treepi query  <index.tpi> <queries.gspan> [--stats] [--threads N] [--metrics out.json] [--trace out.json]
 //! treepi gquery <db.gspan> <queries.gspan> [--threads N] [--metrics out.json]  (gIndex baseline)
 //! treepi metrics-diff <baseline.json> <current.json> [--max-regress-pct P] [--time] [--include-exempt] [--update-baseline]
 //! treepi stats  <index.tpi> | --addr HOST:PORT     (live server snapshot)
@@ -11,7 +11,7 @@
 //! treepi gen    <out.gspan> --chem N | --synthetic N L
 //! treepi scan   <db.gspan> <queries.gspan> [--threads N]   (index-free baseline)
 //! treepi serve  <index.tpi> [--addr HOST:PORT] [--threads N] [--max-batch N]
-//!               [--queue-cap N] [--cache-cap N] [--max-requests N] [--seed N] [--metrics out.json]
+//!               [--queue-cap N] [--cache-cap N] [--max-requests N] [--metrics out.json]
 //!               [--timeseries out.json] [--sample-interval-ms M] [--slow-query-us U] [--slow-log out.json]
 //!               [--http-addr HOST:PORT] [--stall-threshold-us U] [--access-log out.jsonl]
 //!               [--remine-threshold N]
@@ -88,14 +88,14 @@ static ALLOC: obs::alloc::TrackingAlloc<std::alloc::System> =
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  treepi build  <db.gspan> <index.tpi> [--alpha A] [--beta B] [--eta E] [--gamma G] [--threads N] [--metrics out.json] [--trace out.json] [--timeseries out.json] [--sample-interval-ms 100]\n  \
-         treepi query  <index.tpi> <queries.gspan> [--stats] [--seed N] [--threads N] [--metrics out.json] [--trace out.json]\n  \
+         treepi query  <index.tpi> <queries.gspan> [--stats] [--threads N] [--metrics out.json] [--trace out.json]\n  \
          treepi gquery <db.gspan> <queries.gspan> [--threads N] [--metrics out.json]\n  \
          treepi metrics-diff <baseline.json> <current.json> [--max-regress-pct P] [--time] [--include-exempt] [--update-baseline]\n  \
          treepi stats  (<index.tpi> | --addr HOST:PORT)\n  \
          treepi dbstats <db.gspan>\n  \
          treepi gen    <out.gspan> (--chem N | --synthetic N L) [--seed N]\n  \
          treepi scan   <db.gspan> <queries.gspan> [--threads N]\n  \
-         treepi serve  <index.tpi> [--addr 127.0.0.1:7878] [--threads N] [--max-batch 64] [--queue-cap 1024] [--cache-cap 4096] [--max-requests 0] [--seed N] [--metrics out.json] [--timeseries out.json] [--sample-interval-ms 100] [--slow-query-us 0] [--slow-log out.json] [--http-addr HOST:PORT] [--stall-threshold-us 100000] [--access-log out.jsonl] [--remine-threshold 0]\n  \
+         treepi serve  <index.tpi> [--addr 127.0.0.1:7878] [--threads N] [--max-batch 64] [--queue-cap 1024] [--cache-cap 4096] [--max-requests 0] [--metrics out.json] [--timeseries out.json] [--sample-interval-ms 100] [--slow-query-us 0] [--slow-log out.json] [--http-addr HOST:PORT] [--stall-threshold-us 100000] [--access-log out.jsonl] [--remine-threshold 0]\n  \
          treepi loadgen <addr> <queries.gspan> [--connections 4] [--requests 1000] [--rate R] [--zipf 0.0] [--seed N] [--shutdown] [--metrics out.json]\n  \
          treepi prom   <metrics.json>"
     );
@@ -242,19 +242,18 @@ fn run() -> Result<(), String> {
             let mut f = std::fs::File::open(idx_path).map_err(|e| e.to_string())?;
             let index = TreePiIndex::load(&mut f).map_err(|e| e.to_string())?;
             let queries = read_queries_file(q_path)?;
-            let seed = parse_flag(&args, "--seed", 2007u64)?;
             // 0 = available parallelism (the default); results are
-            // identical at any pool size (per-query seeded RNGs). The
-            // persistent worker pool is sized once here and reused for the
-            // whole serving run.
+            // identical at any pool size (nothing on the query path is
+            // random). The persistent worker pool is sized once here and
+            // reused for the whole serving run.
             let threads = parse_flag(&args, "--threads", 0usize)?;
             let want_stats = args.iter().any(|a| a == "--stats");
             let metrics_path = flag_value(&args, "--metrics");
             let trace_path = flag_value(&args, "--trace");
             let registry = metrics_registry(&metrics_path, &trace_path);
             let engine = treepi::Engine::new(index, threads);
-            let (results, summary) =
-                engine.query_batch_obs(&queries, treepi::QueryOptions::default(), seed, &registry);
+            let (results, summary, _) =
+                engine.query_batch_pinned(&queries, treepi::QueryOptions::default(), &registry);
             let index = engine.into_index();
             for (i, (q, r)) in queries.iter().zip(&results).enumerate() {
                 let ids: Vec<String> = r.matches.iter().map(|g| g.to_string()).collect();
@@ -497,7 +496,6 @@ fn run() -> Result<(), String> {
                 queue_cap: parse_flag(&args, "--queue-cap", 1024usize)?,
                 cache_cap: parse_flag(&args, "--cache-cap", 4096usize)?,
                 max_requests: parse_flag(&args, "--max-requests", 0u64)?,
-                seed: parse_flag(&args, "--seed", 2007u64)?,
                 http_addr: flag_value(&args, "--http-addr"),
                 stall_threshold: (stall_us > 0).then(|| std::time::Duration::from_micros(stall_us)),
                 ..serve::ServeConfig::default()

@@ -33,16 +33,9 @@ fn build_both(db: &[Graph]) -> (TreePiIndex, f64, GIndex, f64) {
 /// pipeline stage) and written to `stages_{dataset}.csv`. gIndex reports
 /// under the same span names; its partition and prune rows are zero by
 /// construction — that empty cell *is* the comparison the paper makes.
-fn stage_breakdown(
-    opts: &Opts,
-    dataset: &str,
-    tp: &Engine,
-    gi: &GIndex,
-    queries: &[Graph],
-    seed: u64,
-) {
+fn stage_breakdown(opts: &Opts, dataset: &str, tp: &Engine, gi: &GIndex, queries: &[Graph]) {
     let tp_reg = obs::Registry::new();
-    let _ = tp.query_batch_obs(queries, QueryOptions::default(), seed, &tp_reg);
+    let _ = tp.query_batch_pinned(queries, QueryOptions::default(), &tp_reg);
     let tp_m = tp_reg.drain();
     let gi_reg = obs::Registry::new();
     let _ = gi.query_batch_pool_obs(queries, tp.pool(), &gi_reg);
@@ -174,7 +167,7 @@ fn measure_queries(
     let mut points = Vec::new();
     for &m in m_values {
         for q in extract_queries(db, m, per_size, &mut rng) {
-            let r = tp.query_with(&q, paper_pipeline(), &mut rng);
+            let r = tp.query_with(&q, paper_pipeline());
             let (cands, _) = gi.candidates(&q);
             points.push(QueryPoint {
                 m,
@@ -472,7 +465,7 @@ pub fn fig_query_time(opts: &Opts, dataset: &str) {
         let (answers_tp, t_tp) = timed(|| {
             queries
                 .iter()
-                .map(|q| tp.query(q, &mut rng).matches.len())
+                .map(|q| tp.query(q).matches.len())
                 .sum::<usize>()
         });
         let (answers_gi, t_gi) = timed(|| {
@@ -483,12 +476,10 @@ pub fn fig_query_time(opts: &Opts, dataset: &str) {
         });
         assert_eq!(answers_tp, answers_gi, "systems disagree at m={m}");
         // Parallel series: the batch engine at full available parallelism.
-        // The per-query RNG streams differ from the sequential loop above,
-        // but randomization only affects partition choice, never the answer
-        // set — so the totals must agree.
         let (answers_par, t_par) = timed(|| {
-            let (results, _) =
-                engine.query_batch(&queries, QueryOptions::default(), opts.seed ^ m as u64);
+            let off = obs::Registry::disabled();
+            let (results, _, _) =
+                engine.query_batch_pinned(&queries, QueryOptions::default(), &off);
             results.iter().map(|r| r.matches.len()).sum::<usize>()
         });
         assert_eq!(
@@ -523,12 +514,12 @@ pub fn fig_query_time(opts: &Opts, dataset: &str) {
         &csv,
     );
     if let Some(queries) = &breakdown_queries {
-        stage_breakdown(opts, dataset, &engine, &gi, queries, opts.seed ^ 0x5747);
+        stage_breakdown(opts, dataset, &engine, &gi, queries);
     }
 }
 
 /// Ablations called out in DESIGN.md: contribution of each pipeline stage
-/// and sensitivity to δ and γ.
+/// and sensitivity to γ.
 pub fn ablate(opts: &Opts) {
     println!("== Ablations (not in the paper; DESIGN.md table `tab-ablate`) ==");
     let n = opts.scale.n(4_000);
@@ -556,13 +547,6 @@ pub fn ablate(opts: &Opts) {
                 ..QueryOptions::default()
             },
         ),
-        (
-            "delta = 1",
-            QueryOptions {
-                delta_override: Some(1),
-                ..QueryOptions::default()
-            },
-        ),
     ];
     let mut rows = Vec::new();
     let mut csv = Vec::new();
@@ -573,7 +557,7 @@ pub fn ablate(opts: &Opts) {
         let mut answers: Vec<usize> = Vec::new();
         let (_, t) = timed(|| {
             for q in &queries {
-                let r = tp.query_with(q, cfg, &mut rng);
+                let r = tp.query_with(q, cfg);
                 filtered += r.stats.filtered;
                 pruned += r.stats.pruned;
                 answers.push(r.stats.answers);
@@ -620,7 +604,7 @@ pub fn ablate(opts: &Opts) {
         let (idx, t_build) = timed(|| TreePiIndex::build(db.clone(), params));
         let mut pruned = 0usize;
         for q in &queries {
-            pruned += idx.query_with(q, paper_pipeline(), &mut rng).stats.pruned;
+            pruned += idx.query_with(q, paper_pipeline()).stats.pruned;
         }
         rows.push(vec![
             format!("{gamma:.1}"),
@@ -684,13 +668,9 @@ pub fn classes(opts: &Opts) {
             f_pg += r.stats.filtered;
             t_pgq += t;
             let answers = r.matches.len();
-            // |P'q| after Algorithm 2, on a copy of the stream the timed
-            // default query then draws the same partition from.
-            f_tp += tp
-                .query_with(q, paper_pipeline(), &mut rng.clone())
-                .stats
-                .pruned;
-            let (r, t) = timed(|| tp.query(q, &mut rng));
+            // |P'q| after Algorithm 2; the timed default query runs without.
+            f_tp += tp.query_with(q, paper_pipeline()).stats.pruned;
+            let (r, t) = timed(|| tp.query(q));
             t_tpq += t;
             assert_eq!(r.matches.len(), answers);
             let (r, t) = timed(|| gi.query(q));

@@ -747,7 +747,8 @@ impl Registry {
 /// Canonical metric names shared across the pipeline layers, so treepi and
 /// the gindex baseline render directly comparable stage breakdowns.
 pub mod names {
-    /// Query partition stage (δ randomized partition runs + SF assembly).
+    /// Query partition stage: the walk for the query's feature occurrences,
+    /// the greedy cover `TP_q` and `SF_q`.
     pub const SPAN_PARTITION: &str = "query.partition";
     /// Query filter stage (support-set intersection, Algorithm 1).
     pub const SPAN_FILTER: &str = "query.filter";
@@ -757,8 +758,6 @@ pub mod names {
     pub const SPAN_SIG_FILTER: &str = "query.sig_filter";
     /// Verification stage (Algorithm 3 / naive isomorphism).
     pub const SPAN_VERIFY: &str = "query.verify";
-    /// Within [`SPAN_PARTITION`]: the δ randomized partition runs.
-    pub const SPAN_PARTITION_RUNS: &str = "query.partition.runs";
     /// Within [`SPAN_PARTITION`]: enumeration of the query's indexed subtrees.
     pub const SPAN_PARTITION_ENUMERATE: &str = "query.partition.enumerate";
     /// The five pipeline stages in funnel order.

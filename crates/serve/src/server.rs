@@ -31,8 +31,8 @@
 //!    Queued queries observe the snapshot current at *execution* time.
 //!
 //! Determinism caveat: which queries share a batch depends on arrival
-//! timing, so `serve.*` / `cache.*` metrics (and batch seeds) are
-//! timing-dependent — exempted namespaces. The *answers* are not:
+//! timing, so `serve.*` / `cache.*` metrics are timing-dependent —
+//! exempted namespaces. The *answers* and per-query counts are not:
 //! every query is answered against the current database regardless of
 //! batch shape.
 //!
@@ -97,8 +97,6 @@ pub struct ServeConfig {
     /// Maximum simultaneously open connections; excess accepts are
     /// dropped immediately.
     pub max_conns: usize,
-    /// Base seed for batch RNGs (batch `b` runs with `seed + b`).
-    pub seed: u64,
     /// Stop after decoding this many request frames (0 = run until a
     /// shutdown request). A safety valve for scripted runs.
     pub max_requests: u64,
@@ -120,7 +118,6 @@ impl Default for ServeConfig {
             queue_cap: 1024,
             cache_cap: 4096,
             max_conns: 1024,
-            seed: 2007,
             max_requests: 0,
             http_addr: None,
             stall_threshold: Some(Duration::from_millis(100)),
@@ -524,12 +521,11 @@ impl EventLoop<'_> {
             })
             .unzip();
         let dispatched = Instant::now();
-        let seed = self.config.seed.wrapping_add(self.report.batches);
         let (results, epoch) = {
             let _span = self.shard.span(obs::names::SPAN_SERVE_BATCH);
             let (results, _, epoch) =
                 self.engine
-                    .query_batch_pinned(&graphs, self.config.opts, seed, registry);
+                    .query_batch_pinned(&graphs, self.config.opts, registry);
             (results, epoch)
         };
         let batch_end = Instant::now();

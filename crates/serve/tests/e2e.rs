@@ -163,20 +163,12 @@ fn cache_hits_repeats_and_maintenance_invalidates() {
     assert_eq!(metrics.counter(obs::names::SERVE_MAINTENANCE), 2);
 }
 
-#[test]
-fn clique_query_does_not_hold_the_event_loop() {
-    // K12 with a vertex label the fixture lacks: the query pipeline stops
-    // at its first edge (missing feature), but a general-graph canonical
-    // form of it is exponential — n! tied vertex orders. A cache keyed on
-    // that form would hold the event loop, and every connection, for
-    // minutes; keyed on the query as sent, a second connection is answered
-    // at once. Read timeouts turn a frozen loop into a failure, not a hang.
+/// Send `heavy` on connection A, then one of the fixture's queries on
+/// connection B: B is answered within its 2 s read timeout while A's query
+/// is in the loop (read timeouts turn a frozen loop into a failure, not a
+/// hang), A gets the scan oracle's answer, and the loop reports no stall.
+fn assert_loop_stays_responsive(heavy: &Graph) {
     use std::io::{Read, Write};
-    const N: u32 = 12;
-    let edges: Vec<(u32, u32, u32)> = (0..N)
-        .flat_map(|u| (u + 1..N).map(move |v| (u, v, 0)))
-        .collect();
-    let clique = graph_from(&[9; N as usize], &edges);
     let (addr, handle) = spawn_server(ServeConfig::default());
     let connect = || {
         let s = std::net::TcpStream::connect(addr).expect("connect");
@@ -205,7 +197,7 @@ fn clique_query_does_not_hold_the_event_loop() {
         expect_matches(recv(&mut a, "A")),
         scan_support(&build_index(), warm)
     );
-    send(&mut a, 1, &clique);
+    send(&mut a, 1, heavy);
     std::thread::sleep(Duration::from_millis(100));
     // B's query is not cached: it runs through the pipeline.
     let mut b = connect();
@@ -214,13 +206,44 @@ fn clique_query_does_not_hold_the_event_loop() {
         expect_matches(recv(&mut b, "B")),
         scan_support(&build_index(), q)
     );
-    assert_eq!(expect_matches(recv(&mut a, "A")), Vec::<u32>::new());
+    assert_eq!(
+        expect_matches(recv(&mut a, "A")),
+        scan_support(&build_index(), heavy)
+    );
 
     let mut client = Client::connect_retry(&addr.to_string(), Duration::from_secs(5)).unwrap();
     client.shutdown().unwrap();
     let (report, metrics, _) = handle.join().unwrap();
     assert_eq!(report.stalls, 0, "{report}");
     assert_eq!(metrics.counter(obs::names::SERVE_LOOP_STALLS), 0);
+}
+
+#[test]
+fn clique_query_does_not_hold_the_event_loop() {
+    // K12 with a vertex label the fixture lacks: the query pipeline stops
+    // at its first edge (missing feature), but a general-graph canonical
+    // form of it is exponential — n! tied vertex orders. A cache keyed on
+    // that form would hold the event loop, and every connection, for
+    // minutes; keyed on the query as sent, a second connection is answered
+    // at once.
+    const N: u32 = 12;
+    let edges: Vec<(u32, u32, u32)> = (0..N)
+        .flat_map(|u| (u + 1..N).map(move |v| (u, v, 0)))
+        .collect();
+    assert_loop_stays_responsive(&graph_from(&[9; N as usize], &edges));
+}
+
+#[test]
+fn long_path_query_does_not_hold_the_event_loop() {
+    // An 8 000-vertex path whose every edge is an indexed feature (the
+    // fixture's 0-1 edge, labels alternating): a frame of ≈ 100 KB, under
+    // the frame cap, that the whole pipeline runs on. A partition
+    // quadratic or worse in the query's size would hold the event loop,
+    // and every connection, for minutes.
+    const N: u32 = 8_000;
+    let labels: Vec<u32> = (0..N).map(|i| i % 2).collect();
+    let edges: Vec<(u32, u32, u32)> = (1..N).map(|i| (i - 1, i, 0)).collect();
+    assert_loop_stays_responsive(&graph_from(&labels, &edges));
 }
 
 #[test]

@@ -18,7 +18,6 @@ use crate::index::TreePiIndex;
 use crate::params::TreePiParams;
 use crate::query::{QueryOptions, QueryResult};
 use graph_core::digraph::DiGraph;
-use rand::Rng;
 
 /// TreePi index over a directed graph database.
 pub struct DirectedTreePiIndex {
@@ -43,13 +42,13 @@ impl DirectedTreePiIndex {
 
     /// Answer a directed containment query: all database digraphs of which
     /// `q` is a directed subgraph.
-    pub fn query<R: Rng>(&self, q: &DiGraph, rng: &mut R) -> QueryResult {
-        self.inner.query(&q.encode(), rng)
+    pub fn query(&self, q: &DiGraph) -> QueryResult {
+        self.inner.query(&q.encode())
     }
 
     /// [`Self::query`] with ablation switches.
-    pub fn query_with<R: Rng>(&self, q: &DiGraph, opts: QueryOptions, rng: &mut R) -> QueryResult {
-        self.inner.query_with(&q.encode(), opts, rng)
+    pub fn query_with(&self, q: &DiGraph, opts: QueryOptions) -> QueryResult {
+        self.inner.query_with(&q.encode(), opts)
     }
 
     /// Insert a digraph (maintenance, §7.1 applied to §7.2).
@@ -72,8 +71,6 @@ impl DirectedTreePiIndex {
 mod tests {
     use super::*;
     use graph_core::digraph::{digraph_from, is_sub_digraph_isomorphic, DiGraph};
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     fn db() -> Vec<DiGraph> {
         vec![
@@ -107,9 +104,8 @@ mod tests {
             digraph_from(&[1, 2], &[(0, 1, 0), (1, 0, 0)]),    // 2-cycle
             digraph_from(&[0, 1, 1], &[(0, 1, 0), (0, 2, 0)]), // out-star
         ];
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
         for (i, q) in queries.iter().enumerate() {
-            let r = idx.query(q, &mut rng);
+            let r = idx.query(q);
             assert_eq!(r.matches, oracle(&database, q), "directed query {i}");
         }
     }
@@ -120,11 +116,10 @@ mod tests {
         // run 1-label→0-label, i.e. graph 1.
         let database = db();
         let idx = DirectedTreePiIndex::build(database.clone(), TreePiParams::quick());
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
         let fwd = digraph_from(&[0, 1], &[(0, 1, 0)]);
         let bwd = digraph_from(&[1, 0], &[(0, 1, 0)]);
-        let rf = idx.query(&fwd, &mut rng).matches;
-        let rb = idx.query(&bwd, &mut rng).matches;
+        let rf = idx.query(&fwd).matches;
+        let rb = idx.query(&bwd).matches;
         assert_ne!(rf, rb, "direction must matter");
         assert_eq!(rf, oracle(&database, &fwd));
         assert_eq!(rb, oracle(&database, &bwd));
@@ -137,11 +132,10 @@ mod tests {
         let extra = digraph_from(&[0, 1, 2], &[(0, 1, 0), (1, 2, 0), (0, 2, 0)]);
         let gid = idx.insert(&extra);
         let q = digraph_from(&[0, 2], &[(0, 1, 0)]); // a→c arc
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let r = idx.query(&q, &mut rng);
+        let r = idx.query(&q);
         assert!(r.matches.contains(&gid));
         idx.remove(gid);
-        let r2 = idx.query(&q, &mut rng);
+        let r2 = idx.query(&q);
         assert!(!r2.matches.contains(&gid));
     }
 }

@@ -4,19 +4,15 @@
 //! [`graph_core::par::Pool`] whose workers are spawned once and reused
 //! across every batch ([`Engine::query_batch`]).
 //!
-//! The determinism contract (see DESIGN.md, "Parallel query engine"):
-//!
-//! - every query gets its own RNG, [`query_rng`]`(seed, i)`, derived only
-//!   from the batch seed and the query's position — never from which worker
-//!   runs it or in what order;
-//! - the pipeline's parallel stages (verify, and CDC prune when on)
-//!   chunk candidates contiguously and concatenate chunk results in order,
-//!   and neither consumes randomness.
-//!
-//! Together these make batch results bit-identical for any pool size,
-//! including 1 — verified by unit tests here, property tests in
-//! `tests/prop.rs` and `tests/pool_prop.rs` (which also pin equality
-//! against a plain sequential loop of single queries).
+//! The determinism contract (see DESIGN.md, "Parallel query engine"): a
+//! query's result is a function of the query and the pinned snapshot
+//! alone. The pipeline draws no random number, and its parallel stages
+//! (verify, and CDC prune when on) chunk candidates contiguously and
+//! concatenate chunk results in order. So batch results are bit-identical
+//! for any pool size, including 1, by construction — verified by unit
+//! tests here, property tests in `tests/prop.rs` and `tests/pool_prop.rs`
+//! (which also pin equality against a plain sequential loop of single
+//! queries).
 //!
 //! Scheduling is work-stealing-lite: seats pull the next query index from
 //! a shared atomic counter, so long-running queries don't stall a statically
@@ -37,7 +33,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// The per-query deterministic RNG: position `i` of a batch with `seed`.
+/// Kept for the ledger's replay until ROADMAP item 1: the RNG stream the
+/// engine once gave query `i` of a batch with `seed`. No query reads it.
 ///
 /// The seed and index are mixed through splitmix64-style finalization so
 /// neighboring queries get unrelated streams (plain `seed + i` would hand
@@ -57,7 +54,6 @@ fn batch_on_pool(
     queries: &[Graph],
     opts: QueryOptions,
     pool: &Pool,
-    seed: u64,
     registry: &obs::Registry,
 ) -> (Vec<QueryResult>, WorkloadSummary) {
     let threads = pool.parallelism();
@@ -86,14 +82,7 @@ fn batch_on_pool(
                 let r = {
                     shard.set_trace_query(Some(i as u64));
                     let _busy = shard.span("engine.worker_busy");
-                    index.query_with_pool_obs(
-                        &queries[i],
-                        opts,
-                        &mut query_rng(seed, i),
-                        pool,
-                        intra,
-                        &shard,
-                    )
+                    index.query_with_pool_obs(&queries[i], opts, pool, intra, &shard)
                 };
                 served += 1;
                 *slots[i].lock().expect("slot") = Some(r);
@@ -518,15 +507,17 @@ impl Engine {
     /// the merged per-query stats, so nothing is lost to per-thread
     /// pre-aggregation).
     ///
-    /// Results are bit-identical for any pool size: query `i` always runs
-    /// with [`query_rng`]`(seed, i)`.
+    /// Results are bit-identical for any pool size. `_seed` is ignored:
+    /// kept for the ledger's replay until ROADMAP item 1.
     pub fn query_batch(
         &self,
         queries: &[Graph],
         opts: QueryOptions,
-        seed: u64,
+        _seed: u64,
     ) -> (Vec<QueryResult>, WorkloadSummary) {
-        self.query_batch_obs(queries, opts, seed, &obs::Registry::disabled())
+        let (results, summary, _) =
+            self.query_batch_pinned(queries, opts, &obs::Registry::disabled());
+        (results, summary)
     }
 
     /// [`Self::query_batch`] recording metrics into `registry`.
@@ -539,14 +530,16 @@ impl Engine {
     /// (workers spawned, queries served per worker, busy vs wall time)
     /// describes the execution shape and is explicitly excluded from the
     /// determinism contract ([`obs::MetricSet::deterministic_counters`]).
+    /// `_seed` is ignored: kept for the ledger's replay until ROADMAP item
+    /// 1.
     pub fn query_batch_obs(
         &self,
         queries: &[Graph],
         opts: QueryOptions,
-        seed: u64,
+        _seed: u64,
         registry: &obs::Registry,
     ) -> (Vec<QueryResult>, WorkloadSummary) {
-        let (results, summary, _) = self.query_batch_pinned(queries, opts, seed, registry);
+        let (results, summary, _) = self.query_batch_pinned(queries, opts, registry);
         (results, summary)
     }
 
@@ -557,12 +550,11 @@ impl Engine {
         &self,
         queries: &[Graph],
         opts: QueryOptions,
-        seed: u64,
         registry: &obs::Registry,
     ) -> (Vec<QueryResult>, WorkloadSummary, u64) {
         let snapshot = self.pin();
         let (results, summary) =
-            batch_on_pool(&snapshot, queries, opts, &self.shared.pool, seed, registry);
+            batch_on_pool(&snapshot, queries, opts, &self.shared.pool, registry);
         (results, summary, snapshot.maintenance_epoch())
     }
 }
@@ -657,11 +649,10 @@ mod tests {
         idx: &TreePiIndex,
         qs: &[Graph],
         threads: usize,
-        seed: u64,
         registry: &obs::Registry,
     ) -> (Vec<QueryResult>, WorkloadSummary) {
         let pool = Pool::new(threads);
-        batch_on_pool(idx, qs, QueryOptions::default(), &pool, seed, registry)
+        batch_on_pool(idx, qs, QueryOptions::default(), &pool, registry)
     }
 
     fn queries() -> Vec<Graph> {
@@ -678,7 +669,7 @@ mod tests {
     fn batch_matches_oracle() {
         let idx = index();
         let qs = queries();
-        let (results, summary) = batch(&idx, &qs, 4, 2007, &obs::Registry::disabled());
+        let (results, summary) = batch(&idx, &qs, 4, &obs::Registry::disabled());
         assert_eq!(results.len(), qs.len());
         assert_eq!(summary.queries, qs.len());
         for (q, r) in qs.iter().zip(&results) {
@@ -691,9 +682,9 @@ mod tests {
     fn identical_across_thread_counts() {
         let idx = index();
         let qs = queries();
-        let (base, base_sum) = batch(&idx, &qs, 1, 42, &obs::Registry::disabled());
+        let (base, base_sum) = batch(&idx, &qs, 1, &obs::Registry::disabled());
         for threads in [2, 3, 8] {
-            let (r, sum) = batch(&idx, &qs, threads, 42, &obs::Registry::disabled());
+            let (r, sum) = batch(&idx, &qs, threads, &obs::Registry::disabled());
             for (i, (a, b)) in base.iter().zip(&r).enumerate() {
                 assert_eq!(
                     a.matches, b.matches,
@@ -718,22 +709,58 @@ mod tests {
     }
 
     #[test]
-    fn batch_equals_sequential_queries_with_same_rng() {
+    fn batch_equals_sequential_queries() {
         let idx = index();
         let qs = queries();
-        let seed = 7u64;
-        let (batch, _) = batch(&idx, &qs, 8, seed, &obs::Registry::disabled());
+        let (batch, _) = batch(&idx, &qs, 8, &obs::Registry::disabled());
         for (i, q) in qs.iter().enumerate() {
-            let seq = idx.query_with(q, QueryOptions::default(), &mut query_rng(seed, i));
+            let seq = idx.query(q);
             assert_eq!(batch[i].matches, seq.matches, "query {i}");
             assert_eq!(batch[i].stats.pruned, seq.stats.pruned, "query {i}");
+            assert_eq!(
+                batch[i].stats.partition_size, seq.stats.partition_size,
+                "query {i}"
+            );
+        }
+    }
+
+    /// No query reads the batch seed: two seeds, and 1, 2 or 8 workers,
+    /// give the same results down to the partition, on molecule queries
+    /// large enough to have many partitions.
+    #[test]
+    fn answers_and_stats_do_not_depend_on_the_seed() {
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let db = datagen::generate_chem(&datagen::ChemParams::sized(30), &mut rng);
+        let qs: Vec<Graph> = [6, 12, 18]
+            .into_iter()
+            .flat_map(|m| datagen::extract_queries(&db, m, 4, &mut rng))
+            .collect();
+        let idx = TreePiIndex::build(db, TreePiParams::default());
+        let key = |r: &QueryResult| {
+            let s = &r.stats;
+            let counts = (s.partition_size, s.sf_size, s.filtered, s.sig_killed);
+            (
+                r.matches.clone(),
+                counts,
+                (s.pruned, s.answers, s.missing_feature),
+            )
+        };
+        let mut base = None;
+        for threads in [1usize, 2, 8] {
+            let engine = Engine::new(idx.clone(), threads);
+            for seed in [7, 2007] {
+                let (r, _) = engine.query_batch(&qs, QueryOptions::default(), seed);
+                let got: Vec<_> = r.iter().map(key).collect();
+                let want = base.get_or_insert_with(|| got.clone());
+                assert_eq!(&got, want, "threads {threads}, seed {seed}");
+            }
         }
     }
 
     #[test]
     fn empty_batch() {
         let idx = index();
-        let (results, summary) = batch(&idx, &[], 4, 0, &obs::Registry::disabled());
+        let (results, summary) = batch(&idx, &[], 4, &obs::Registry::disabled());
         assert!(results.is_empty());
         assert_eq!(summary.queries, 0);
     }
@@ -744,8 +771,8 @@ mod tests {
         assert_eq!(graph_core::par::resolve_threads(3), 3);
         let idx = index();
         let qs = queries();
-        let (r0, _) = batch(&idx, &qs, 0, 5, &obs::Registry::disabled());
-        let (r1, _) = batch(&idx, &qs, 1, 5, &obs::Registry::disabled());
+        let (r0, _) = batch(&idx, &qs, 0, &obs::Registry::disabled());
+        let (r1, _) = batch(&idx, &qs, 1, &obs::Registry::disabled());
         for (a, b) in r0.iter().zip(&r1) {
             assert_eq!(a.matches, b.matches);
         }
@@ -757,7 +784,7 @@ mod tests {
         let qs = queries();
         let run = |threads: usize| {
             let reg = obs::Registry::new();
-            let (results, _) = batch(&idx, &qs, threads, 42, &reg);
+            let (results, _) = batch(&idx, &qs, threads, &reg);
             (results, reg.drain())
         };
         let (base_r, base_m) = run(1);
@@ -798,7 +825,7 @@ mod tests {
         let qs = queries();
         let run = |opts: QueryOptions| {
             let reg = obs::Registry::new();
-            let (results, _) = batch_on_pool(&idx, &qs, opts, &Pool::new(2), 42, &reg);
+            let (results, _) = batch_on_pool(&idx, &qs, opts, &Pool::new(2), &reg);
             let m = reg.drain();
             let answers: Vec<Vec<u32>> = results.into_iter().map(|r| r.matches).collect();
             (
@@ -826,7 +853,7 @@ mod tests {
         let qs = queries();
         for threads in [1usize, 3] {
             let reg = obs::Registry::with_tracing();
-            let (_, _) = batch(&idx, &qs, threads, 42, &reg);
+            let (_, _) = batch(&idx, &qs, threads, &reg);
             let events = reg.drain_trace();
             // Every query contributes its four pipeline stages, tagged with
             // its batch position.
@@ -860,7 +887,7 @@ mod tests {
         }
         // Non-tracing registry produces no events for the same batch.
         let reg = obs::Registry::new();
-        let _ = batch(&idx, &qs, 2, 42, &reg);
+        let _ = batch(&idx, &qs, 2, &reg);
         assert!(reg.drain_trace().is_empty());
     }
 
@@ -868,7 +895,7 @@ mod tests {
     fn engine_reuses_pool_and_matches_transient_batches() {
         let idx = index();
         let qs = queries();
-        let (base, base_sum) = batch(&idx, &qs, 1, 42, &obs::Registry::disabled());
+        let (base, base_sum) = batch(&idx, &qs, 1, &obs::Registry::disabled());
         for threads in [1usize, 2, 8] {
             let engine = Engine::new(index(), threads);
             assert_eq!(engine.parallelism(), threads);
@@ -1036,7 +1063,6 @@ mod tests {
                         let (r, _, epoch) = engine.query_batch_pinned(
                             std::slice::from_ref(&q),
                             QueryOptions::default(),
-                            7,
                             &obs::Registry::disabled(),
                         );
                         seen.push((epoch, r[0].matches.clone()));

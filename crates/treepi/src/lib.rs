@@ -4,9 +4,9 @@
 //! Containment queries over a database of labeled graphs run in four
 //! stages:
 //!
-//! 1. **Partition** ([`partition`]): the query is randomly split into
-//!    indexed feature subtrees (δ runs; the smallest partition becomes
-//!    `TP_q`, the union of features `SF_q`);
+//! 1. **Partition** ([`partition`]): one walk finds every occurrence of an
+//!    indexed feature subtree in the query; their features are `SF_q`, and
+//!    a greedy cover of the query by the largest of them is `TP_q`;
 //! 2. **Filter** ([`filter`]): intersect the features' support sets
 //!    (Algorithm 1) → candidate set `P_q`;
 //! 3. **Signature kill** ([`sig`]): drop candidates with no
@@ -30,8 +30,7 @@
 //! ];
 //! let index = TreePiIndex::build(db, TreePiParams::default());
 //! let q = graph_from(&[0, 0], &[(0, 1, 0)]);
-//! let mut rng = rand::thread_rng();
-//! assert_eq!(index.query(&q, &mut rng).matches, vec![0]);
+//! assert_eq!(index.query(&q).matches, vec![0]);
 //! ```
 
 #![warn(missing_docs)]
@@ -55,7 +54,7 @@ pub use engine::{query_rng, ApplyOutcome, Engine, MaintStats, RemineReport};
 pub use filter::enumerate_query_features;
 pub use index::{BuildStats, Feature, FeatureId, IndexMemory, TreePiIndex};
 pub use params::{Delta, TreePiParams};
-pub use partition::{partition_runs, partition_runs_with, Part, PartitionRuns};
+pub use partition::{feature_tree_partition, partition_runs_with, Part, PartitionRuns};
 pub use query::{QueryOptions, QueryResult, QueryStats, SfMode, INTRA_PAR_THRESHOLD};
 pub use sig::VertexSig;
 pub use verify::scan_support;

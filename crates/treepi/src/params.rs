@@ -1,8 +1,12 @@
-//! TreePi configuration (paper §4.1.3 heuristics and §6.1 settings).
+//! TreePi configuration (paper §4.1.3 heuristics and §6.1 settings). Every
+//! field shapes the index; δ alone is stored and read by no query.
 
 use mining::{MiningLimits, SigmaFn};
 
-/// How many randomized partition runs δ to perform per query (§5.1).
+/// The paper's number of randomized partition runs δ per query (§5.1).
+/// Persisted and validated in the index file, and ignored by queries: the
+/// partition is a deterministic cover ([`crate::partition`]). Kept for the
+/// ledger's replay until ROADMAP item 1.
 #[derive(Clone, Copy, Debug)]
 pub enum Delta {
     /// Fixed number of runs.
@@ -11,13 +15,13 @@ pub enum Delta {
     QuerySize,
 }
 
-/// Largest [`Delta::Fixed`] run count an index file may carry. Every run is
-/// a full partition pass per query and no caller asks for more than |q|, so
-/// a larger value can only be a forged one meant to make every query spin.
+/// Largest [`Delta::Fixed`] run count an index file may carry: no writer
+/// asks for more than |q|, so a larger value can only be a forged one.
 pub(crate) const MAX_FIXED_DELTA: usize = 1 << 16;
 
 impl Delta {
-    /// Resolve to a run count for a query with `q_edges` edges.
+    /// Kept for the ledger's replay until ROADMAP item 1: the run count for
+    /// a query with `q_edges` edges.
     pub fn resolve(&self, q_edges: usize) -> usize {
         match *self {
             Delta::Fixed(n) => n.max(1),
@@ -33,7 +37,8 @@ pub struct TreePiParams {
     pub sigma: SigmaFn,
     /// Shrinking parameter γ (§4.1.2), typically 1..=3.
     pub gamma: f64,
-    /// Partition runs per query (§5.1); the paper uses δ = |q|.
+    /// Partition runs per query (§5.1); the paper uses δ = |q|. Persisted,
+    /// ignored by queries (see [`Delta`]).
     pub delta: Delta,
     /// Mining safety limits.
     pub limits: MiningLimits,

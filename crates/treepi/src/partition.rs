@@ -1,40 +1,34 @@
-//! Randomized Feature-Tree-Partition of a query graph (paper §5.1).
+//! Feature-Tree-Partition of a query graph (paper §5.1), as a deterministic
+//! greedy cover.
 //!
 //! A Feature-Tree-Partition splits the query's edges into non-overlapping
-//! subtrees that are all indexed features (Definitions 4–5). Finding the
-//! *minimum* partition is NP-hard, so the paper runs a randomized procedure
-//! `RP(q)` δ times, keeps the smallest partition found as `TP_q`
-//! (verification input), and unions all parts across runs into the feature
-//! subtree set `SF_q` (filtering input).
+//! subtrees that are all indexed features (Definitions 4–5). The paper
+//! wants the *minimum* one, which is NP-hard, so it runs a randomized
+//! procedure `RP(q)` δ times and keeps the smallest partition found as
+//! `TP_q`.
 //!
-//! Our `RP` grows parts directly: pick a random uncovered edge, then grow a
-//! random subtree from it for as long as the grown tree remains an indexed
-//! feature, emit the part, repeat. This produces exactly the objects the
-//! paper's recursive splitting produces — a randomized feature-tree
-//! partition whose worst case is all single-edge parts — with the same
-//! termination guarantee (single-edge trees are always features, σ(1) = 1).
-//!
-//! "Remains an indexed feature" is a table lookup: [`crate::walk`] finds
-//! every feature occurrence in the query once, and all δ runs ask that
-//! table by edge set instead of canonicalising each growth step.
+//! We take `TP_q` from the occurrences the guided walk ([`crate::walk`])
+//! already found: largest first (most edges, ties by edge set), every
+//! occurrence edge-disjoint from those already taken becomes a part. Single
+//! edges are occurrences (σ(1) = 1), so the cover is always complete, and
+//! it costs one pass over the occurrences. Verification pins one part
+//! ([`crate::verify`]) and CDC pruning ([`crate::prune`]) constrains the
+//! parts' centers; both are sound over *any* set of feature occurrences in
+//! `q`, so neither needs a minimum, nor randomness (DESIGN.md, substitution
+//! 8).
 
 use crate::index::{FeatureId, TreePiIndex};
 use crate::walk::QueryFeatures;
 use graph_core::{EdgeId, Graph, VertexId};
 use rand::Rng;
 use smallvec::SmallVec;
-use tree_core::{canonical_string, center, CanonString, Center, Tree};
+use tree_core::{canonical_string, CanonString, Center, Tree};
 
 /// One part of a Feature-Tree-Partition: a feature subtree of the query.
 #[derive(Clone, Debug)]
 pub struct Part {
-    /// Query edge ids covered by this part.
+    /// Query edge ids covered by this part, ascending.
     pub q_edges: Vec<EdgeId>,
-    /// Query vertex behind each part-tree vertex: part-tree vertex `i`
-    /// corresponds to query vertex `q_vertices[i]`.
-    pub q_vertices: Vec<VertexId>,
-    /// The part as a standalone tree (isomorphic to the covered subgraph).
-    pub tree: Tree,
     /// The indexed feature this part matches.
     pub feature: FeatureId,
     /// Query vertices representing the part's center (one vertex, or the
@@ -42,50 +36,15 @@ pub struct Part {
     pub center_reps_in_q: SmallVec<[VertexId; 2]>,
 }
 
-impl Part {
-    /// The part of `q` over `edges`, spanning `vertices` — both in the
-    /// order the part was grown, which is the part tree's numbering.
-    fn new(q: &Graph, edges: &[EdgeId], vertices: &[VertexId], feature: FeatureId) -> Self {
-        let mut b = graph_core::GraphBuilder::with_capacity(vertices.len(), edges.len());
-        for &v in vertices {
-            b.add_vertex(q.vlabel(v));
-        }
-        let local = |v: VertexId| {
-            let i = vertices.iter().position(|&x| x == v).expect("part vertex");
-            VertexId(i as u32)
-        };
-        for &e in edges {
-            let edge = q.edge(e);
-            b.add_edge(local(edge.u), local(edge.v), edge.label)
-                .expect("part edges are simple");
-        }
-        let tree = Tree::from_graph(b.build()).expect("growth maintains the tree invariant");
-        let center_reps_in_q = match center(&tree) {
-            Center::Vertex(v) => smallvec::smallvec![vertices[v.idx()]],
-            Center::Edge(e) => {
-                let edge = tree.graph().edge(e);
-                smallvec::smallvec![vertices[edge.u.idx()], vertices[edge.v.idx()]]
-            }
-        };
-        Self {
-            q_edges: edges.to_vec(),
-            q_vertices: vertices.to_vec(),
-            tree,
-            feature,
-            center_reps_in_q,
-        }
-    }
-}
-
-/// δ partition runs (paper §5.1): returns the minimum partition `TP_q` and
-/// the union feature set `SF_q`, or the missing feature that proves the
-/// support is empty.
+/// A query's partition `TP_q` and filter set `SF_q`, or the missing feature
+/// that proves the support is empty.
 pub enum PartitionRuns {
     /// `(TP_q, SF_q)`.
     Ok {
-        /// The smallest partition found across the δ runs.
+        /// `TP_q`, the greedy cover (named for the smallest of the paper's
+        /// δ random partitions, which it replaces).
         min_partition: Vec<Part>,
-        /// All distinct features used by any run (the filter set).
+        /// `TP_q`'s features and those of `q`'s single edges, ascending.
         sf: Vec<FeatureId>,
     },
     /// Some query edge is not a feature: empty support, no verification
@@ -93,39 +52,35 @@ pub enum PartitionRuns {
     MissingFeature(CanonString),
 }
 
-/// Run `RP(q)` `delta` times. The filter set `SF_q` unions, across runs,
-/// the final parts, every intermediate growth tree, and all single-edge
-/// trees of `q` (§1: "we enumerate the frequent subtrees in q"; §5.1: RP
-/// "can also generate a group of additional feature subtrees … at the same
-/// time").
-pub fn partition_runs<R: Rng>(
-    q: &Graph,
-    index: &TreePiIndex,
-    delta: usize,
-    rng: &mut R,
-) -> PartitionRuns {
-    partition_runs_with(q, index, delta, rng, true)
+/// `TP_q` and `SF_q` of `q`: one walk of `q`, then [`cover`]. `SF_q` holds
+/// the parts' features and those of `q`'s single edges (the
+/// [`crate::SfMode::PartitionOnly`] filter set).
+pub fn feature_tree_partition(q: &Graph, index: &TreePiIndex) -> PartitionRuns {
+    partition(q, index, true)
 }
 
-/// [`partition_runs`] with control over `SF_q` collection. Callers that
-/// replace the filter set anyway (full feature enumeration) pass
-/// `collect_sf = false` and get `sf: vec![]` back without the per-run
-/// accumulation and the final sort/dedup. The RNG stream is identical
-/// either way — collection never consumes randomness — so `TP_q` does not
-/// depend on this flag.
-///
-/// Walks `q` for its feature occurrences first; the pipeline, which needs
-/// them for the filter too, walks once and calls [`runs_over`] itself.
+/// Kept for the ledger's replay until ROADMAP item 1:
+/// [`feature_tree_partition`] with `sf` left empty unless `collect_sf`;
+/// `delta` and `rng` are ignored.
 pub fn partition_runs_with<R: Rng>(
     q: &Graph,
     index: &TreePiIndex,
-    delta: usize,
-    rng: &mut R,
+    _delta: usize,
+    _rng: &mut R,
     collect_sf: bool,
 ) -> PartitionRuns {
+    partition(q, index, collect_sf)
+}
+
+fn partition(q: &Graph, index: &TreePiIndex, collect_sf: bool) -> PartitionRuns {
     match QueryFeatures::walk(index, q) {
         Ok(found) => {
-            let (min_partition, sf) = runs_over(q, &found, delta, rng, collect_sf);
+            let min_partition = cover(q, &found);
+            let sf = if collect_sf {
+                partition_features(&found, &min_partition)
+            } else {
+                Vec::new()
+            };
             PartitionRuns::Ok { min_partition, sf }
         }
         Err(e) => PartitionRuns::MissingFeature(missing_feature(q, e)),
@@ -142,125 +97,46 @@ fn missing_feature(q: &Graph, e: EdgeId) -> CanonString {
     ))
 }
 
-/// The parts of one run, end to end: part `i` covers `edges` and spans
-/// `vertices` up to its two `ends`, from where part `i - 1` stopped.
-#[derive(Default)]
-struct Run {
-    edges: Vec<EdgeId>,
-    vertices: Vec<VertexId>,
-    /// `(end in edges, end in vertices, feature)` per part.
-    ends: Vec<(usize, usize, FeatureId)>,
+/// `TP_q`: the occurrences `found` in `q` taken largest first, each one
+/// edge-disjoint from those taken before it. Every edge of `q` ends up in
+/// exactly one part, because every single edge is an occurrence.
+pub(crate) fn cover(q: &Graph, found: &QueryFeatures) -> Vec<Part> {
+    assert!(q.edge_count() > 0, "queries must have at least one edge");
+    let mut covered = vec![false; q.edge_count()];
+    let mut uncovered = q.edge_count();
+    let mut parts = Vec::new();
+    for (edges, feature, center) in found.hits() {
+        if uncovered == 0 {
+            break;
+        }
+        if edges.iter().any(|e| covered[e.idx()]) {
+            continue;
+        }
+        for e in edges {
+            covered[e.idx()] = true;
+        }
+        uncovered -= edges.len();
+        let center_reps_in_q = match center {
+            Center::Vertex(v) => smallvec::smallvec![v],
+            Center::Edge(e) => smallvec::smallvec![q.edge(e).u, q.edge(e).v],
+        };
+        parts.push(Part {
+            q_edges: edges.to_vec(),
+            feature,
+            center_reps_in_q,
+        });
+    }
+    parts
 }
 
-/// The δ runs over the feature occurrences `found` in `q`: `(TP_q, SF_q)`,
-/// the latter empty unless `collect_sf`.
-///
-/// One run of `RP`: pick a random uncovered edge, then grow a random subtree
-/// from it for as long as the grown tree — its edge set, asked of `found` —
-/// remains an indexed feature, emit the part, repeat. Every growth step is
-/// one more feature subtree of the query ("a group of additional feature
-/// subtrees", §5.1) and goes into `SF_q`. Runs are compared as edge and
-/// vertex lists; only the winner's parts are built.
-pub(crate) fn runs_over<R: Rng>(
-    q: &Graph,
-    found: &QueryFeatures,
-    delta: usize,
-    rng: &mut R,
-    collect_sf: bool,
-) -> (Vec<Part>, Vec<FeatureId>) {
-    let m = q.edge_count();
-    assert!(m > 0, "queries must have at least one edge");
-    let edge_feature = |e: EdgeId| found.get(&[e]).expect("every edge of q is a feature");
-    // Single edges of q are feature subtrees of it whatever the runs pick.
-    let mut sf: Vec<FeatureId> = Vec::new();
-    if collect_sf {
-        sf.extend(q.edge_ids().map(edge_feature));
-    }
-    let (mut run, mut best) = (Run::default(), Run::default());
-    let mut covered = vec![false; m];
-    let mut uncovered: Vec<EdgeId> = Vec::with_capacity(m);
-    let mut in_part = vec![false; q.vertex_count()];
-    // The growing part's edges, ascending: what `found` is asked.
-    let mut key: Vec<EdgeId> = Vec::new();
-    // Acyclic, uncovered extensions of the growing part: (edge, new vertex).
-    let mut cands: Vec<(EdgeId, VertexId)> = Vec::new();
-
-    for _ in 0..delta.max(1) {
-        covered.fill(false);
-        uncovered.clear();
-        uncovered.extend(q.edge_ids());
-        run.edges.clear();
-        run.vertices.clear();
-        run.ends.clear();
-        while !uncovered.is_empty() {
-            let (e_start, v_start) = (run.edges.len(), run.vertices.len());
-            let seed = uncovered[rng.gen_range(0..uncovered.len())];
-            let sedge = q.edge(seed);
-            run.edges.push(seed);
-            run.vertices.extend([sedge.u, sedge.v]);
-            (in_part[sedge.u.idx()], in_part[sedge.v.idx()]) = (true, true);
-            key.clear();
-            key.push(seed);
-            let mut fid = edge_feature(seed);
-            // Grow while the grown tree stays an indexed feature.
-            loop {
-                cands.clear();
-                for &v in &run.vertices[v_start..] {
-                    for &(w, e) in q.neighbors(v) {
-                        // A vertex already in the part means the part's own
-                        // edge, or one that would close a cycle within it.
-                        if !covered[e.idx()] && !in_part[w.idx()] {
-                            cands.push((e, w));
-                        }
-                    }
-                }
-                // Random order; accept the first extension that stays a feature.
-                let mut accepted = false;
-                while !cands.is_empty() {
-                    let (e, w) = cands.swap_remove(rng.gen_range(0..cands.len()));
-                    let at = key.binary_search(&e).expect_err("not in the part");
-                    key.insert(at, e);
-                    if let Some(grown) = found.get(&key) {
-                        fid = grown;
-                        run.edges.push(e);
-                        run.vertices.push(w);
-                        in_part[w.idx()] = true;
-                        if collect_sf {
-                            sf.push(grown);
-                        }
-                        accepted = true;
-                        break;
-                    }
-                    key.remove(at);
-                }
-                if !accepted {
-                    break;
-                }
-            }
-            for &e in &run.edges[e_start..] {
-                covered[e.idx()] = true;
-            }
-            for &v in &run.vertices[v_start..] {
-                in_part[v.idx()] = false;
-            }
-            uncovered.retain(|e| !covered[e.idx()]);
-            run.ends.push((run.edges.len(), run.vertices.len(), fid));
-        }
-        if best.ends.is_empty() || run.ends.len() < best.ends.len() {
-            std::mem::swap(&mut run, &mut best);
-        }
-    }
-    if collect_sf {
-        sf.sort_unstable();
-        sf.dedup();
-    }
-    let (mut e_start, mut v_start) = (0, 0);
-    let parts = best.ends.iter().map(|&(e_end, v_end, fid)| {
-        let edges = &best.edges[std::mem::replace(&mut e_start, e_end)..e_end];
-        let vertices = &best.vertices[std::mem::replace(&mut v_start, v_end)..v_end];
-        Part::new(q, edges, vertices, fid)
-    });
-    (parts.collect(), sf)
+/// The [`crate::SfMode::PartitionOnly`] filter set: the features of
+/// `parts` and of every single edge in `found`, ascending.
+pub(crate) fn partition_features(found: &QueryFeatures, parts: &[Part]) -> Vec<FeatureId> {
+    let edges = found.hits().filter(|h| h.0.len() == 1).map(|h| h.1);
+    let mut sf: Vec<FeatureId> = parts.iter().map(|p| p.feature).chain(edges).collect();
+    sf.sort_unstable();
+    sf.dedup();
+    sf
 }
 
 #[cfg(test)]
@@ -268,8 +144,6 @@ mod tests {
     use super::*;
     use crate::params::TreePiParams;
     use graph_core::graph_from;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     fn index() -> TreePiIndex {
         let db = vec![
@@ -280,8 +154,9 @@ mod tests {
         TreePiIndex::build(db, TreePiParams::quick())
     }
 
-    /// Check partition invariants: covers all edges exactly once, parts are
-    /// trees matching their feature, centers map into q.
+    /// Check partition invariants: covers all edges exactly once, each
+    /// part's subgraph of q is a tree that is its feature, and its center,
+    /// mapped into q, is the part's center representatives.
     fn check_partition(q: &Graph, idx: &TreePiIndex, parts: &[Part]) {
         let mut seen = vec![false; q.edge_count()];
         for p in parts {
@@ -289,26 +164,27 @@ mod tests {
                 assert!(!seen[e.idx()], "edge covered twice");
                 seen[e.idx()] = true;
             }
-            assert_eq!(p.q_edges.len(), p.tree.edge_count());
-            assert_eq!(p.q_vertices.len(), p.tree.vertex_count());
-            // tree is isomorphic to the indexed feature
-            let f = idx.feature(p.feature);
-            assert_eq!(canonical_string(&p.tree), f.canon);
-            // part-tree labels match the query labels
-            for (i, &qv) in p.q_vertices.iter().enumerate() {
-                assert_eq!(p.tree.graph().vlabel(VertexId(i as u32)), q.vlabel(qv));
-            }
-            for &r in &p.center_reps_in_q {
-                assert!(r.idx() < q.vertex_count());
-            }
+            let sub = graph_core::edge_subgraph(q, &p.q_edges);
+            let tree = Tree::from_graph(sub.graph.clone()).expect("a part is a tree");
+            assert_eq!(canonical_string(&tree), idx.feature(p.feature).canon);
+            let mut reps: Vec<VertexId> = match tree_core::center(&tree) {
+                Center::Vertex(v) => vec![sub.host_vertex(v)],
+                Center::Edge(e) => {
+                    let edge = q.edge(sub.host_edge(e));
+                    vec![edge.u, edge.v]
+                }
+            };
+            let mut want = p.center_reps_in_q.to_vec();
+            reps.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(reps, want, "center of part {:?}", p.q_edges);
         }
         assert!(seen.iter().all(|&s| s), "not all edges covered");
     }
 
-    /// The minimum partition over `delta` runs; panics on a missing feature.
-    fn min_partition(q: &Graph, idx: &TreePiIndex, delta: usize, seed: u64) -> Vec<Part> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        match partition_runs(q, idx, delta, &mut rng) {
+    /// `TP_q`; panics on a missing feature.
+    fn min_partition(q: &Graph, idx: &TreePiIndex) -> Vec<Part> {
+        match feature_tree_partition(q, idx) {
             PartitionRuns::Ok { min_partition, .. } => min_partition,
             PartitionRuns::MissingFeature(_) => panic!("query edges are all features"),
         }
@@ -318,16 +194,14 @@ mod tests {
     fn partition_covers_query() {
         let idx = index();
         let q = graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 0, 1)]);
-        for seed in 0..20 {
-            check_partition(&q, &idx, &min_partition(&q, &idx, 1, seed));
-        }
+        check_partition(&q, &idx, &min_partition(&q, &idx));
     }
 
     #[test]
     fn tree_query_can_be_single_part() {
-        // Query = 2-edge path that is itself a feature: some run should
-        // find the 1-part partition. (γ < 1 disables shrinking, which would
-        // otherwise drop this redundant path from the feature set.)
+        // Query = 2-edge path that is itself a feature: the cover takes it
+        // whole. (γ < 1 disables shrinking, which would otherwise drop this
+        // redundant path from the feature set.)
         let db = vec![
             graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 0, 1)]),
             graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]),
@@ -341,7 +215,49 @@ mod tests {
             },
         );
         let q = graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]);
-        assert_eq!(min_partition(&q, &idx, 20, 2).len(), 1);
+        assert_eq!(min_partition(&q, &idx).len(), 1);
+    }
+
+    /// The largest occurrence goes first even where a smaller one has the
+    /// lower edge ids, and an occurrence overlapping one already taken is
+    /// passed over for smaller ones.
+    #[test]
+    fn largest_occurrence_is_taken_first() {
+        let db = vec![
+            graph_from(&[0, 1, 2, 3], &[(0, 1, 0), (1, 2, 0), (2, 3, 0)]),
+            graph_from(&[4, 5, 6], &[(0, 1, 0), (1, 2, 0)]),
+            graph_from(&[5, 6, 7], &[(0, 1, 0), (1, 2, 0)]),
+        ];
+        let idx = TreePiIndex::build(
+            db,
+            TreePiParams {
+                gamma: 0.5,
+                ..TreePiParams::quick()
+            },
+        );
+        // Edges 0-1: the 2-path 0-1-2. Edges 2-4: the 3-path 0-1-2-3, stored
+        // whole. Edges 5-7: the path 4-5-6-7, stored as no more than its
+        // two overlapping 2-paths.
+        let q = graph_from(
+            &[0, 1, 2, 0, 1, 2, 3, 4, 5, 6, 7],
+            &[
+                (0, 1, 0),
+                (1, 2, 0),
+                (3, 4, 0),
+                (4, 5, 0),
+                (5, 6, 0),
+                (7, 8, 0),
+                (8, 9, 0),
+                (9, 10, 0),
+            ],
+        );
+        let parts = min_partition(&q, &idx);
+        check_partition(&q, &idx, &parts);
+        let edges: Vec<Vec<u32>> = parts
+            .iter()
+            .map(|p| p.q_edges.iter().map(|e| e.0).collect())
+            .collect();
+        assert_eq!(edges, [vec![2, 3, 4], vec![0, 1], vec![5, 6], vec![7]]);
     }
 
     #[test]
@@ -349,8 +265,7 @@ mod tests {
         let idx = index();
         // label 9 never occurs in the database
         let q = graph_from(&[0, 0, 9, 9], &[(0, 1, 0), (1, 2, 0), (2, 3, 0)]);
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let PartitionRuns::MissingFeature(c) = partition_runs(&q, &idx, 4, &mut rng) else {
+        let PartitionRuns::MissingFeature(c) = feature_tree_partition(&q, &idx) else {
             panic!("an edge of the query is in no database graph");
         };
         let missing = Tree::single_edge(
@@ -362,11 +277,10 @@ mod tests {
     }
 
     #[test]
-    fn runs_produce_min_partition_and_sf() {
+    fn partition_and_sf() {
         let idx = index();
         let q = graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 0, 1)]);
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        match partition_runs(&q, &idx, 10, &mut rng) {
+        match feature_tree_partition(&q, &idx) {
             PartitionRuns::Ok { min_partition, sf } => {
                 check_partition(&q, &idx, &min_partition);
                 assert!(!sf.is_empty());
@@ -375,11 +289,11 @@ mod tests {
                 s.sort_unstable();
                 s.dedup();
                 assert_eq!(s, sf);
-                // every part's feature of the min partition is in sf
+                // every part's feature is in sf
                 for p in &min_partition {
                     assert!(sf.contains(&p.feature));
                 }
-                // and so is every single edge of q, seed of a part or not
+                // and so is every single edge of q, in a part of its own or not
                 for e in q.edges() {
                     let t = Tree::single_edge(q.vlabel(e.u), e.label, q.vlabel(e.v));
                     let fid = idx.feature_by_canon(&canonical_string(&t));
@@ -388,13 +302,24 @@ mod tests {
             }
             PartitionRuns::MissingFeature(_) => panic!("unexpected missing feature"),
         }
+        // The ledger's entry point: the same partition, no filter set.
+        let PartitionRuns::Ok {
+            min_partition: parts,
+            sf,
+        } = partition_runs_with(&q, &idx, 7, &mut rand::thread_rng(), false)
+        else {
+            panic!("unexpected missing feature");
+        };
+        assert!(sf.is_empty());
+        let edges = |ps: &[Part]| ps.iter().map(|p| p.q_edges.clone()).collect::<Vec<_>>();
+        assert_eq!(edges(&parts), edges(&min_partition(&q, &idx)));
     }
 
     #[test]
     fn single_edge_query() {
         let idx = index();
         let q = graph_from(&[0, 1], &[(0, 1, 0)]);
-        let parts = min_partition(&q, &idx, 1, 5);
+        let parts = min_partition(&q, &idx);
         assert_eq!(parts.len(), 1);
         assert_eq!(parts[0].q_edges.len(), 1);
         // single edge is bicentral: two center reps

@@ -242,10 +242,8 @@ pub fn center_prune_pool_obs(
 mod tests {
     use super::*;
     use crate::params::TreePiParams;
-    use crate::partition::{partition_runs, PartitionRuns};
+    use crate::partition::{feature_tree_partition, PartitionRuns};
     use graph_core::graph_from;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     /// Algorithm 2 on one inline chunk, metrics disabled.
     fn prune(
@@ -292,8 +290,7 @@ mod tests {
         );
         // With η = 1 only single-edge features exist, so every partition
         // consists of the two query edges.
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let PartitionRuns::Ok { min_partition, sf } = partition_runs(&q, &idx, 4, &mut rng) else {
+        let PartitionRuns::Ok { min_partition, sf } = feature_tree_partition(&q, &idx) else {
             panic!("all query edges are features");
         };
         assert_eq!(min_partition.len(), 2);
@@ -324,27 +321,22 @@ mod tests {
             .filter(|(_, g)| graph_core::is_subgraph_isomorphic(&q, g))
             .map(|(i, _)| i as u32)
             .collect();
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        for _ in 0..10 {
-            let PartitionRuns::Ok { min_partition, sf } = partition_runs(&q, &idx, 3, &mut rng)
-            else {
-                panic!()
-            };
-            let pq = crate::filter::filter(&idx, &sf);
-            let dq = query_center_distances(&q, &min_partition);
-            let pruned = prune(&idx, &q, &pq, &min_partition, &dq);
-            for t in &truth {
-                assert!(pruned.contains(t), "true positive {t} was pruned");
-            }
-            // The pooled entry point agrees — with more seats asked for
-            // than candidates, and with no candidates at all.
-            let pool = graph_core::par::Pool::new(2);
-            let off = obs::Shard::disabled();
-            for (cands, want) in [(&pq[..], &pruned[..]), (&[][..], &[][..])] {
-                let got =
-                    center_prune_pool_obs(&idx, &q, cands, &min_partition, &dq, &pool, 8, &off);
-                assert_eq!(got, want);
-            }
+        let PartitionRuns::Ok { min_partition, sf } = feature_tree_partition(&q, &idx) else {
+            panic!()
+        };
+        let pq = crate::filter::filter(&idx, &sf);
+        let dq = query_center_distances(&q, &min_partition);
+        let pruned = prune(&idx, &q, &pq, &min_partition, &dq);
+        for t in &truth {
+            assert!(pruned.contains(t), "true positive {t} was pruned");
+        }
+        // The pooled entry point agrees — with more seats asked for than
+        // candidates, and with no candidates at all.
+        let pool = graph_core::par::Pool::new(2);
+        let off = obs::Shard::disabled();
+        for (cands, want) in [(&pq[..], &pruned[..]), (&[][..], &[][..])] {
+            let got = center_prune_pool_obs(&idx, &q, cands, &min_partition, &dq, &pool, 8, &off);
+            assert_eq!(got, want);
         }
     }
 
@@ -363,8 +355,7 @@ mod tests {
             },
         );
         let q = graph_from(&[0, 1, 2], &[(0, 1, 0), (1, 2, 1)]);
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let PartitionRuns::Ok { min_partition, .. } = partition_runs(&q, &idx, 1, &mut rng) else {
+        let PartitionRuns::Ok { min_partition, .. } = feature_tree_partition(&q, &idx) else {
             panic!()
         };
         let dq = query_center_distances(&q, &min_partition);

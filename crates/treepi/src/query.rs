@@ -1,8 +1,13 @@
 //! The full TreePi query pipeline (paper §3, "Query Processing"):
 //! partition → filter → signature kill → verify from the stored centers,
 //! with per-stage statistics (the quantities plotted in Figures 10–13).
-//! The signature stage is the cheapest per-candidate check in the funnel:
-//! a candidate it kills never pays for a search.
+//! The partition stage walks the query once for every occurrence of a
+//! stored feature: their features are the filter set `SF_q`, and a greedy
+//! cover by the largest of them is `TP_q` ([`crate::partition`]). Nothing
+//! on the path draws a random number, so a query's answer and statistics
+//! are functions of the query and the index alone. The signature stage is
+//! the cheapest per-candidate check in the funnel: a candidate it kills
+//! never pays for a search.
 //!
 //! Center-distance pruning (Algorithm 2) is the paper's toggle,
 //! [`QueryOptions::use_cdc`], off by default: with verification one
@@ -13,14 +18,13 @@
 
 use crate::filter::filter;
 use crate::index::TreePiIndex;
-use crate::partition::runs_over;
+use crate::partition::{cover, partition_features};
 use crate::prune::{center_prune_pool_obs, query_center_distances};
 use crate::sig;
 use crate::verify::verify_all_pool_obs;
 use crate::walk::QueryFeatures;
 use graph_core::par::Pool;
 use graph_core::Graph;
-use rand::Rng;
 use std::time::{Duration, Instant};
 
 /// Minimum candidate-set size before a query's verify stage (and prune,
@@ -35,8 +39,8 @@ pub enum SfMode {
     /// Enumerate every indexed subtree of `q` (paper §1) — the default and
     /// strongest filter.
     FullEnumeration,
-    /// Only the parts produced by the δ partition runs (cheaper, weaker;
-    /// an ablation point).
+    /// Only `TP_q`'s features and those of `q`'s single edges (weaker; an
+    /// ablation point).
     PartitionOnly,
 }
 
@@ -61,9 +65,6 @@ pub struct QueryOptions {
     /// Sound — the filter only discards non-answers — so turning it off
     /// is purely an ablation/debugging aid.
     pub use_sig_filter: bool,
-    /// Override the index's δ (partition run count); `None` keeps the
-    /// configured policy.
-    pub delta_override: Option<usize>,
 }
 
 impl Default for QueryOptions {
@@ -73,7 +74,6 @@ impl Default for QueryOptions {
             use_cdc: false,
             use_reconstruction: true,
             use_sig_filter: true,
-            delta_override: None,
         }
     }
 }
@@ -81,7 +81,7 @@ impl Default for QueryOptions {
 /// Per-query statistics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct QueryStats {
-    /// Parts in the minimum partition `TP_q`.
+    /// Parts in the partition `TP_q`.
     pub partition_size: usize,
     /// Distinct features in the filter set `SF_q`.
     pub sf_size: usize,
@@ -100,13 +100,12 @@ pub struct QueryStats {
     /// The query contained an edge that is not a feature (empty support
     /// proven without touching the database).
     pub missing_feature: bool,
-    /// Time in the partition stage: the feature-tree shortcut, the δ runs
-    /// and the enumeration.
+    /// Time in the partition stage: the feature-tree shortcut, the walk and
+    /// the cover.
     pub t_partition: Duration,
-    /// Of `t_partition`, the δ randomized partition runs.
-    pub t_runs: Duration,
     /// Of `t_partition`, enumerating the query's indexed subtrees: the
-    /// walk the runs ask and `SF_q` (under [`SfMode::FullEnumeration`]) is.
+    /// walk `TP_q` is covered from and `SF_q` (under
+    /// [`SfMode::FullEnumeration`]) is.
     pub t_enumerate: Duration,
     /// Time in the filter stage.
     pub t_filter: Duration,
@@ -126,8 +125,8 @@ impl QueryStats {
 
     /// Record this query's funnel counters and stage timings into `shard`.
     ///
-    /// All five pipeline spans ([`obs::names::PIPELINE_SPANS`]) and the two
-    /// halves of the partition stage are observed unconditionally —
+    /// All five pipeline spans ([`obs::names::PIPELINE_SPANS`]) and the
+    /// partition stage's enumeration are observed unconditionally —
     /// short-circuited queries (feature-tree shortcut, missing feature)
     /// contribute zero-duration observations — so a metrics snapshot always
     /// carries the full stage breakdown. Everything recorded
@@ -143,7 +142,6 @@ impl QueryStats {
         shard.add("funnel.partition_parts", self.partition_size as u64);
         shard.add("funnel.sf_features", self.sf_size as u64);
         shard.observe(obs::names::SPAN_PARTITION, self.t_partition);
-        shard.observe(obs::names::SPAN_PARTITION_RUNS, self.t_runs);
         shard.observe(obs::names::SPAN_PARTITION_ENUMERATE, self.t_enumerate);
         shard.observe(obs::names::SPAN_FILTER, self.t_filter);
         shard.observe(obs::names::SPAN_SIG_FILTER, self.t_sig);
@@ -189,15 +187,15 @@ pub struct QueryResult {
 impl TreePiIndex {
     /// Answer the containment query `q` (paper §3): all active database
     /// graphs of which `q` is a subgraph.
-    pub fn query<R: Rng>(&self, q: &Graph, rng: &mut R) -> QueryResult {
-        self.query_with(q, QueryOptions::default(), rng)
+    pub fn query(&self, q: &Graph) -> QueryResult {
+        self.query_with(q, QueryOptions::default())
     }
 
     /// [`Self::query`] with ablation switches: [`Self::query_with_pool_obs`]
     /// on a 1-seat pool (no threads, every stage inline) with metrics
     /// disabled.
-    pub fn query_with<R: Rng>(&self, q: &Graph, opts: QueryOptions, rng: &mut R) -> QueryResult {
-        self.query_with_pool_obs(q, opts, rng, &Pool::new(1), 1, &obs::Shard::disabled())
+    pub fn query_with(&self, q: &Graph, opts: QueryOptions) -> QueryResult {
+        self.query_with_pool_obs(q, opts, &Pool::new(1), 1, &obs::Shard::disabled())
     }
 
     /// The general query: when a stage's candidate set reaches
@@ -205,32 +203,30 @@ impl TreePiIndex {
     /// split into up to `intra` chunks dispatched as seats on `pool`.
     /// Safe to call from inside a pool seat — the batch engine does exactly
     /// that — because [`Pool::run`] lets the dispatcher claim its own job's
-    /// seats. Results are identical at any `intra`/pool size — candidates
-    /// are chunked in order and neither stage consumes randomness.
+    /// seats. Results are identical at any `intra`/pool size: candidates
+    /// are chunked in order and chunk results concatenated in order.
     ///
     /// Stage spans and funnel counters are recorded into `shard` (see
     /// [`QueryStats::record_into`] for the determinism contract). With a
     /// disabled shard every record is a single predicted branch.
-    pub fn query_with_pool_obs<R: Rng>(
+    pub fn query_with_pool_obs(
         &self,
         q: &Graph,
         opts: QueryOptions,
-        rng: &mut R,
         pool: &Pool,
         intra: usize,
         shard: &obs::Shard,
     ) -> QueryResult {
-        let r = self.query_impl(q, opts, rng, pool, intra, shard);
+        let r = self.query_impl(q, opts, pool, intra, shard);
         r.stats.record_into(shard);
         r.stats.trace_into(shard, std::time::Instant::now());
         r
     }
 
-    fn query_impl<R: Rng>(
+    fn query_impl(
         &self,
         q: &Graph,
         opts: QueryOptions,
-        rng: &mut R,
         pool: &Pool,
         intra: usize,
         shard: &obs::Shard,
@@ -267,7 +263,7 @@ impl TreePiIndex {
         }
 
         // ---- Partition: one walk finds every feature occurrence in q;
-        // the δ randomized runs and the filter set both read it. ----
+        // the cover TP_q and the filter set both read it. ----
         let t_enumerate = Instant::now();
         let found = QueryFeatures::walk(self, q);
         stats.t_enumerate = t_enumerate.elapsed();
@@ -279,18 +275,11 @@ impl TreePiIndex {
                 stats,
             };
         };
-        let delta = opts
-            .delta_override
-            .unwrap_or_else(|| self.params().delta.resolve(q.edge_count()));
-        // Under FullEnumeration SF_q is every feature the walk found, so the
-        // runs need not collect theirs.
-        let collect_sf = opts.sf_mode == SfMode::PartitionOnly;
-        let t_runs = Instant::now();
-        let (parts, mut sf) = runs_over(q, &found, delta, rng, collect_sf);
-        stats.t_runs = t_runs.elapsed();
-        if opts.sf_mode == SfMode::FullEnumeration {
-            sf = found.features();
-        }
+        let parts = cover(q, &found);
+        let sf = match opts.sf_mode {
+            SfMode::FullEnumeration => found.features(),
+            SfMode::PartitionOnly => partition_features(&found, &parts),
+        };
         stats.t_partition = t.elapsed();
         stats.partition_size = parts.len();
         stats.sf_size = sf.len();
@@ -387,8 +376,6 @@ mod tests {
     use crate::params::TreePiParams;
     use crate::verify::scan_support;
     use graph_core::graph_from;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     fn index() -> TreePiIndex {
         let db = vec![
@@ -403,14 +390,13 @@ mod tests {
     #[test]
     fn query_matches_oracle_and_stats_are_consistent() {
         let idx = index();
-        let mut rng = ChaCha8Rng::seed_from_u64(42);
         let queries = vec![
             graph_from(&[0, 0], &[(0, 1, 0)]),
             graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]),
             graph_from(&[0, 1, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 0, 0)]),
         ];
         for q in &queries {
-            let r = idx.query(q, &mut rng);
+            let r = idx.query(q);
             assert_eq!(r.matches, scan_support(&idx, q));
             let s = &r.stats;
             assert!(s.partition_size >= 1);
@@ -436,19 +422,16 @@ mod tests {
         let idx = TreePiIndex::build(db, TreePiParams::quick());
         let q = graph_from(&[0, 0, 0], &[(0, 1, 0)]);
         assert_eq!(scan_support(&idx, &q), [1]);
-        for seed in 0..3 {
-            let r = idx.query(&q, &mut ChaCha8Rng::seed_from_u64(seed));
-            assert_eq!(r.matches, [1], "seed {seed}");
-            assert_eq!(r.stats.partition_size, 1);
-        }
+        let r = idx.query(&q);
+        assert_eq!(r.matches, [1]);
+        assert_eq!(r.stats.partition_size, 1);
     }
 
     #[test]
     fn missing_feature_short_circuits() {
         let idx = index();
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
         let q = graph_from(&[42, 42], &[(0, 1, 0)]);
-        let r = idx.query(&q, &mut rng);
+        let r = idx.query(&q);
         assert!(r.matches.is_empty());
         assert!(r.stats.missing_feature);
         assert_eq!(r.stats.filtered, 0);
@@ -460,7 +443,6 @@ mod tests {
         let q = graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 0, 1)]);
         let truth = scan_support(&idx, &q);
         for (cdc, recon) in [(true, true), (true, false), (false, true), (false, false)] {
-            let mut rng = ChaCha8Rng::seed_from_u64(9);
             let r = idx.query_with(
                 &q,
                 QueryOptions {
@@ -468,7 +450,6 @@ mod tests {
                     use_reconstruction: recon,
                     ..QueryOptions::default()
                 },
-                &mut rng,
             );
             assert_eq!(r.matches, truth, "cdc={cdc} recon={recon}");
         }
@@ -478,17 +459,14 @@ mod tests {
     fn cdc_prunes_at_least_as_hard_as_filter() {
         let idx = index();
         let q = graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 0, 1)]);
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
         let with = idx.query_with(
             &q,
             QueryOptions {
                 use_cdc: true,
                 ..QueryOptions::default()
             },
-            &mut rng,
         );
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let without = idx.query(&q, &mut rng);
+        let without = idx.query(&q);
         assert!(with.stats.pruned <= without.stats.pruned);
         assert_eq!(with.matches, without.matches);
         // Off (the default) prunes nothing and takes no prune time.
@@ -508,16 +486,13 @@ mod tests {
             graph_from(&[0, 1, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 0, 0)]),
         ];
         for (i, q) in queries.iter().enumerate() {
-            let mut rng = ChaCha8Rng::seed_from_u64(13 + i as u64);
-            let on = idx.query(q, &mut rng);
-            let mut rng = ChaCha8Rng::seed_from_u64(13 + i as u64);
+            let on = idx.query(q);
             let off = idx.query_with(
                 q,
                 QueryOptions {
                     use_sig_filter: false,
                     ..QueryOptions::default()
                 },
-                &mut rng,
             );
             assert_eq!(
                 on.matches, off.matches,
@@ -546,25 +521,29 @@ mod tests {
             let labels: Vec<u32> = (0..N).map(|i| u32::from(i == N - 1) * 42).collect();
             let edges: Vec<(u32, u32, u32)> = (1..N).map(|i| (i - 1, i, 0)).collect();
             let q = graph_from(&labels, &edges);
-            idx.query(&q, &mut ChaCha8Rng::seed_from_u64(1))
+            idx.query(&q)
         });
         let r = answer.expect("thread spawns").join().expect("no overflow");
         assert!(r.matches.is_empty() && r.stats.missing_feature);
     }
 
+    /// The same length with every edge indexed (the 4-cycle's 0-1 edge,
+    /// labels alternating): the whole pipeline runs on it — walk, cover,
+    /// filter, signatures, verification — in time linear in its length.
     #[test]
-    fn delta_override_controls_partition_runs() {
+    fn long_indexed_path_query_fits_a_small_stack() {
+        const N: u32 = 50_000;
         let idx = index();
-        let q = graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]);
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let r = idx.query_with(
-            &q,
-            QueryOptions {
-                delta_override: Some(1),
-                ..QueryOptions::default()
-            },
-            &mut rng,
-        );
+        let labels: Vec<u32> = (0..N).map(|i| i % 2).collect();
+        let edges: Vec<(u32, u32, u32)> = (1..N).map(|i| (i - 1, i, 0)).collect();
+        let q = graph_from(&labels, &edges);
+        let r = std::thread::scope(|s| {
+            let worker = std::thread::Builder::new().stack_size(256 * 1024);
+            let answer = worker.spawn_scoped(s, || idx.query(&q));
+            answer.expect("thread spawns").join().expect("no overflow")
+        });
+        assert!(!r.stats.missing_feature);
+        assert!(r.stats.filtered > 0, "the filter keeps candidates");
         assert_eq!(r.matches, scan_support(&idx, &q));
     }
 
@@ -574,13 +553,12 @@ mod tests {
         let q = graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]);
         let g_new = graph_from(&[0, 0, 1, 0], &[(0, 1, 0), (1, 2, 0), (2, 3, 0)]);
         let gid = idx.insert(g_new);
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let r = idx.query(&q, &mut rng);
+        let r = idx.query(&q);
         assert!(r.matches.contains(&gid), "inserted graph must be found");
         assert_eq!(r.matches, scan_support(&idx, &q));
         idx.remove(gid);
         idx.remove(1);
-        let r2 = idx.query(&q, &mut rng);
+        let r2 = idx.query(&q);
         assert!(!r2.matches.contains(&gid));
         assert!(!r2.matches.contains(&1));
         assert_eq!(r2.matches, scan_support(&idx, &q));

@@ -195,11 +195,9 @@ pub fn scan_support(index: &TreePiIndex, q: &Graph) -> Vec<u32> {
 mod tests {
     use super::*;
     use crate::params::TreePiParams;
-    use crate::partition::{partition_runs, PartitionRuns};
+    use crate::partition::{feature_tree_partition, PartitionRuns};
     use crate::prune::query_center_distances;
     use graph_core::graph_from;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     /// Algorithm 3 on one candidate.
     fn verify(index: &TreePiIndex, q: &Graph, gid: u32, parts: &[Part]) -> bool {
@@ -219,9 +217,8 @@ mod tests {
         ]
     }
 
-    fn run_query(q: &Graph, idx: &TreePiIndex, seed: u64) -> Vec<u32> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        match partition_runs(q, idx, q.edge_count().max(1), &mut rng) {
+    fn run_query(q: &Graph, idx: &TreePiIndex) -> Vec<u32> {
+        match feature_tree_partition(q, idx) {
             PartitionRuns::MissingFeature(_) => Vec::new(),
             PartitionRuns::Ok { min_partition, sf } => {
                 let pq = crate::filter::filter(idx, &sf);
@@ -254,11 +251,7 @@ mod tests {
             graph_from(&[0, 0, 0, 1], &[(0, 1, 0), (2, 3, 0)]), // two components
         ];
         for (qi, q) in queries.iter().enumerate() {
-            let truth = scan_support(&idx, q);
-            for seed in 0..5 {
-                let got = run_query(q, &idx, seed);
-                assert_eq!(got, truth, "query {qi} seed {seed}");
-            }
+            assert_eq!(run_query(q, &idx), scan_support(&idx, q), "query {qi}");
         }
     }
 
@@ -268,8 +261,7 @@ mod tests {
         // anchored at one part must close the cycle the other parts cover.
         let idx = TreePiIndex::build(db(), TreePiParams::quick());
         let q = graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 0, 1)]);
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let PartitionRuns::Ok { min_partition, .. } = partition_runs(&q, &idx, 5, &mut rng) else {
+        let PartitionRuns::Ok { min_partition, .. } = feature_tree_partition(&q, &idx) else {
             panic!()
         };
         assert!(min_partition.len() >= 2);
@@ -285,10 +277,7 @@ mod tests {
         // Graph 1 (path 0-0-1) contains only two 0-vertices.
         let idx = TreePiIndex::build(db(), TreePiParams::quick());
         let q = graph_from(&[0, 0, 0], &[(0, 1, 0), (1, 2, 0)]);
-        let truth = scan_support(&idx, &q);
-        for seed in 0..5 {
-            assert_eq!(run_query(&q, &idx, seed), truth);
-        }
+        assert_eq!(run_query(&q, &idx), scan_support(&idx, &q));
     }
 
     #[test]
@@ -302,8 +291,7 @@ mod tests {
         ];
         let idx = TreePiIndex::build(db, TreePiParams::quick());
         let q = graph_from(&[0, 1], &[(0, 1, 0)]);
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let PartitionRuns::Ok { min_partition, .. } = partition_runs(&q, &idx, 1, &mut rng) else {
+        let PartitionRuns::Ok { min_partition, .. } = feature_tree_partition(&q, &idx) else {
             panic!()
         };
         assert_eq!(min_partition[0].center_reps_in_q.len(), 2);

@@ -181,14 +181,22 @@ pub(crate) fn walk_features(
     Ok(())
 }
 
-/// The occurrences of stored features in one query graph, as a table from
-/// edge set to feature: what the δ partition runs ask at every growth step
-/// and what `SF_q` is read off.
+/// One occurrence of a stored feature in the query: its edge set is
+/// `QueryFeatures::edges[start..end]`.
+struct Hit {
+    start: usize,
+    end: usize,
+    feature: FeatureId,
+    center: Center,
+}
+
+/// The occurrences of stored features in one query graph, largest first:
+/// what `TP_q` is covered from ([`crate::partition`]) and `SF_q` is read off.
 pub(crate) struct QueryFeatures {
     /// The occurrences' edge sets, each ascending, end to end.
     edges: Vec<EdgeId>,
-    /// `(start in edges, end in edges, feature)`, ascending by edge set.
-    hits: Vec<(usize, usize, FeatureId)>,
+    /// Descending by edge count, then ascending by edge set.
+    hits: Vec<Hit>,
 }
 
 impl QueryFeatures {
@@ -196,27 +204,37 @@ impl QueryFeatures {
     /// proves `q`'s support empty.
     pub(crate) fn walk(index: &TreePiIndex, q: &Graph) -> Result<Self, EdgeId> {
         let (mut edges, mut hits) = (Vec::new(), Vec::new());
-        walk_features(index, q, |fid, subset, _| {
+        walk_features(index, q, |feature, subset, center| {
             let start = edges.len();
             edges.extend_from_slice(subset);
             edges[start..].sort_unstable();
-            hits.push((start, edges.len(), fid));
+            let end = edges.len();
+            hits.push(Hit {
+                start,
+                end,
+                feature,
+                center,
+            });
         })?;
-        hits.sort_unstable_by(|a, b| edges[a.0..a.1].cmp(&edges[b.0..b.1]));
+        // The walk reaches each edge set once, so the order is total.
+        hits.sort_unstable_by(|a, b| {
+            let (ea, eb) = (&edges[a.start..a.end], &edges[b.start..b.end]);
+            eb.len().cmp(&ea.len()).then_with(|| ea.cmp(eb))
+        });
         Ok(Self { edges, hits })
     }
 
-    /// The feature the subtree of `q` over `edges` (ascending) is, if any.
-    pub(crate) fn get(&self, edges: &[EdgeId]) -> Option<FeatureId> {
+    /// Every occurrence as `(edge set ascending, feature, center by its id
+    /// in q)`, the most edges first, ties ascending by edge set.
+    pub(crate) fn hits(&self) -> impl Iterator<Item = (&[EdgeId], FeatureId, Center)> {
         self.hits
-            .binary_search_by(|&(s, e, _)| self.edges[s..e].cmp(edges))
-            .ok()
-            .map(|i| self.hits[i].2)
+            .iter()
+            .map(|h| (&self.edges[h.start..h.end], h.feature, h.center))
     }
 
     /// The distinct features occurring in `q`, ascending: `SF_q`.
     pub(crate) fn features(&self) -> Vec<FeatureId> {
-        let mut sf: Vec<FeatureId> = self.hits.iter().map(|h| h.2).collect();
+        let mut sf: Vec<FeatureId> = self.hits.iter().map(|h| h.feature).collect();
         sf.sort_unstable();
         sf.dedup();
         sf
@@ -277,17 +295,16 @@ mod tests {
         missing.map_or(Ok(hits), Err)
     }
 
-    /// Walk ≡ exhaustion on `g`, and the table built from the walk answers
-    /// for every edge set the way the exhaustive list does.
+    /// Walk ≡ exhaustion on `g`, and the table built from the walk holds
+    /// the exhaustive list, centers included, largest occurrence first.
     fn assert_walk_exact(index: &TreePiIndex, g: &Graph, what: &str) {
         let want = exhaustive(index, g);
         assert_eq!(walked(index, g), want, "{what}");
         match (QueryFeatures::walk(index, g), want) {
-            (Ok(table), Ok(want)) => {
-                for (edges, fid, _) in &want {
-                    assert_eq!(table.get(edges), Some(*fid), "{what}: {edges:?}");
-                }
-                assert_eq!(table.hits.len(), want.len(), "{what}");
+            (Ok(table), Ok(mut want)) => {
+                let got: Vec<Hit> = table.hits().map(|(e, f, c)| (e.to_vec(), f, c)).collect();
+                want.sort_by(|a, b| b.0.len().cmp(&a.0.len()).then_with(|| a.0.cmp(&b.0)));
+                assert_eq!(got, want, "{what}");
                 let mut sf: Vec<FeatureId> = want.iter().map(|h| h.1).collect();
                 sf.sort_unstable();
                 sf.dedup();
@@ -426,7 +443,6 @@ mod tests {
             db in arb_db(6, 6),
             extra in arb_connected_graph(6, 3),
             q in arb_connected_graph(5, 3),
-            seed in any::<u64>(),
         ) {
             let mut exact = TreePiIndex::build(db, TreePiParams::quick());
             let mut idx = exact.clone().with_colliding_fingerprints();
@@ -437,10 +453,8 @@ mod tests {
                 prop_assert_eq!(&idx.feature(fid).support, &f.support);
                 prop_assert!(idx.center_positions_of(fid, gid).eq(exact.center_positions_of(fid, gid)));
             }
-            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            let got = idx.query(&q, &mut rng);
-            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            let want = exact.query(&q, &mut rng);
+            let got = idx.query(&q);
+            let want = exact.query(&q);
             prop_assert_eq!(&got.matches, &scan_support(&idx, &q));
             prop_assert_eq!(got.matches, want.matches);
             prop_assert_eq!(got.stats.partition_size, want.stats.partition_size);

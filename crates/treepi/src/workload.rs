@@ -121,8 +121,6 @@ mod tests {
     use crate::params::TreePiParams;
     use crate::TreePiIndex;
     use graph_core::graph_from;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     fn fake(filtered: usize, pruned: usize, answers: usize, ms: u64) -> QueryStats {
         QueryStats {
@@ -245,11 +243,7 @@ mod tests {
             graph_from(&[0, 1], &[(0, 1, 1)]),
             graph_from(&[9, 9], &[(0, 1, 0)]),
         ];
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let stats: Vec<QueryStats> = queries
-            .iter()
-            .map(|q| idx.query(q, &mut rng).stats)
-            .collect();
+        let stats: Vec<QueryStats> = queries.iter().map(|q| idx.query(q).stats).collect();
         let s = summarize(&stats);
         assert_eq!(s.queries, 3);
         assert_eq!(s.missing_feature, 1);

@@ -129,7 +129,7 @@ fn run_churn(workers: usize, seed: u64) -> bool {
             "step {step}, {workers} workers: posting lists out of step"
         );
         assert_directory(&snapshot, &format!("step {step}, {workers} workers"));
-        let (results, _) = engine.query_batch(&queries, QueryOptions::default(), seed ^ step);
+        let (results, _) = engine.query_batch(&queries, QueryOptions::default(), 0);
         for (q, r) in queries.iter().zip(&results) {
             assert_eq!(
                 r.matches,
@@ -171,17 +171,15 @@ fn run_churn(workers: usize, seed: u64) -> bool {
     );
     for k in 0..8u64 {
         let q = random_graph(&mut rng, 5);
-        let mut rng_a = ChaCha8Rng::seed_from_u64(seed ^ (k << 17));
-        let mut rng_b = rng_a.clone();
         let mapped: Vec<u32> = churned
-            .query(&q, &mut rng_a)
+            .query(&q)
             .matches
             .iter()
             .map(|&g| rank[g as usize].expect("churned answers only cite active gids"))
             .collect();
         assert_eq!(
             mapped,
-            fresh.query(&q, &mut rng_b).matches,
+            fresh.query(&q).matches,
             "probe {k}: churned answers must equal fresh build through the gid map"
         );
     }
@@ -245,7 +243,7 @@ fn pinned_reads_stay_consistent_under_concurrent_churn() {
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                     let q = random_graph(&mut rng, 4);
                     let snap = engine.pin();
-                    let got = snap.query(&q, &mut rng).matches;
+                    let got = snap.query(&q).matches;
                     assert_eq!(got, scan_support(&snap, &q), "reader {r}: torn snapshot");
                     checked += 1;
                     progress.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -299,8 +297,7 @@ fn background_remine_keeps_answers_exact_under_churn() {
         let q = random_graph(&mut rng, 4);
         let snapshot = engine.pin();
         assert!(snapshot.postings_consistent(), "step {step}");
-        let (results, _) =
-            engine.query_batch(std::slice::from_ref(&q), QueryOptions::default(), step);
+        let (results, _) = engine.query_batch(std::slice::from_ref(&q), QueryOptions::default(), 0);
         assert_eq!(
             results[0].matches,
             scan_support(&snapshot, &q),

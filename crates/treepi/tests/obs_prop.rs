@@ -52,11 +52,10 @@ fn run_metered(
     idx: &TreePiIndex,
     queries: &[Graph],
     threads: usize,
-    seed: u64,
 ) -> (Vec<treepi::QueryResult>, obs::MetricSet) {
     let registry = obs::Registry::new();
     let engine = Engine::new(idx.clone(), threads);
-    let (results, _) = engine.query_batch_obs(queries, QueryOptions::default(), seed, &registry);
+    let (results, _, _) = engine.query_batch_pinned(queries, QueryOptions::default(), &registry);
     (results, registry.drain())
 }
 
@@ -69,10 +68,9 @@ proptest! {
     fn funnel_counters_reconcile_with_query_stats(
         db in arb_db(8, 7),
         queries in proptest::collection::vec(arb_connected_graph(5), 1..=6),
-        seed in any::<u64>(),
     ) {
         let idx = TreePiIndex::build(db, TreePiParams::quick());
-        let (results, base) = run_metered(&idx, &queries, 1, seed);
+        let (results, base) = run_metered(&idx, &queries, 1);
 
         // Exact reconciliation against the per-query stats.
         prop_assert_eq!(base.counter(obs::names::QUERIES), queries.len() as u64);
@@ -85,13 +83,10 @@ proptest! {
         let missing: u64 = results.iter().filter(|r| r.stats.missing_feature).count() as u64;
         prop_assert_eq!(base.counter(obs::names::MISSING_FEATURE), missing);
 
-        // All five pipeline spans, and the two halves of partition, are
+        // All five pipeline spans, and the partition stage's walk, are
         // observed exactly once per query, even for short-circuited queries.
-        let halves = [
-            obs::names::SPAN_PARTITION_RUNS,
-            obs::names::SPAN_PARTITION_ENUMERATE,
-        ];
-        for name in obs::names::PIPELINE_SPANS.into_iter().chain(halves) {
+        let walk = obs::names::SPAN_PARTITION_ENUMERATE;
+        for name in obs::names::PIPELINE_SPANS.into_iter().chain([walk]) {
             let span = base.span(name).expect("pipeline span always present");
             prop_assert_eq!(span.count, queries.len() as u64);
         }
@@ -99,7 +94,7 @@ proptest! {
         // Thread-count invariance of everything outside `engine.*`.
         let base_det = base.deterministic_counters();
         for threads in [2usize, 8] {
-            let (results_t, m) = run_metered(&idx, &queries, threads, seed);
+            let (results_t, m) = run_metered(&idx, &queries, threads);
             for (a, b) in results.iter().zip(&results_t) {
                 prop_assert_eq!(&a.matches, &b.matches);
             }
@@ -154,12 +149,11 @@ proptest! {
     fn metered_batch_matches_unmetered(
         db in arb_db(6, 6),
         queries in proptest::collection::vec(arb_connected_graph(5), 1..=4),
-        seed in any::<u64>(),
     ) {
         let idx = TreePiIndex::build(db, TreePiParams::quick());
         let (plain, _) =
-            Engine::new(idx.clone(), 2).query_batch(&queries, QueryOptions::default(), seed);
-        let (metered, _) = run_metered(&idx, &queries, 2, seed);
+            Engine::new(idx.clone(), 2).query_batch(&queries, QueryOptions::default(), 0);
+        let (metered, _) = run_metered(&idx, &queries, 2);
         for (a, b) in plain.iter().zip(&metered) {
             prop_assert_eq!(&a.matches, &b.matches);
             prop_assert_eq!(a.stats.filtered, b.stats.filtered);

@@ -11,7 +11,7 @@
 use graph_core::par::Pool;
 use graph_core::{graph_from, ELabel, Graph, GraphBuilder, VLabel, VertexId};
 use proptest::prelude::*;
-use treepi::{query_rng, Engine, QueryOptions, TreePiIndex, TreePiParams, INTRA_PAR_THRESHOLD};
+use treepi::{Engine, QueryOptions, TreePiIndex, TreePiParams, INTRA_PAR_THRESHOLD};
 
 /// A random connected labeled graph: random tree plus a few extra edges.
 fn arb_connected_graph(nmax: usize) -> impl Strategy<Value = Graph> {
@@ -53,13 +53,9 @@ fn save_bytes(idx: &TreePiIndex) -> Vec<u8> {
     out
 }
 
-fn run_engine(
-    engine: &Engine,
-    queries: &[Graph],
-    seed: u64,
-) -> (Vec<treepi::QueryResult>, obs::MetricSet) {
+fn run_engine(engine: &Engine, queries: &[Graph]) -> (Vec<treepi::QueryResult>, obs::MetricSet) {
     let registry = obs::Registry::new();
-    let (results, _) = engine.query_batch_obs(queries, QueryOptions::default(), seed, &registry);
+    let (results, _, _) = engine.query_batch_pinned(queries, QueryOptions::default(), &registry);
     (results, registry.drain())
 }
 
@@ -73,7 +69,6 @@ proptest! {
     fn engine_is_pool_size_invariant_and_matches_sequential(
         db in arb_db(8, 7),
         queries in proptest::collection::vec(arb_connected_graph(5), 1..=6),
-        seed in any::<u64>(),
     ) {
         let idx = TreePiIndex::build(db, TreePiParams::quick());
 
@@ -81,22 +76,18 @@ proptest! {
         // and stats come from the plain entry point; the same loop on a
         // recording shard yields the reference counters.
         let opts = QueryOptions::default();
-        let seq: Vec<treepi::QueryResult> = queries
-            .iter()
-            .enumerate()
-            .map(|(i, q)| idx.query_with(q, opts, &mut query_rng(seed, i)))
-            .collect();
+        let seq: Vec<treepi::QueryResult> = queries.iter().map(|q| idx.query_with(q, opts)).collect();
         let seq_registry = obs::Registry::new();
         let shard = seq_registry.shard();
         let inline = Pool::new(1);
-        for (i, q) in queries.iter().enumerate() {
-            idx.query_with_pool_obs(q, opts, &mut query_rng(seed, i), &inline, 1, &shard);
+        for q in &queries {
+            idx.query_with_pool_obs(q, opts, &inline, 1, &shard);
         }
         seq_registry.absorb(shard);
         let seq_det = seq_registry.drain().deterministic_counters();
 
         let mut engine = Engine::new(idx, 1);
-        let (base, base_metrics) = run_engine(&engine, &queries, seed);
+        let (base, base_metrics) = run_engine(&engine, &queries);
         for (a, b) in seq.iter().zip(&base) {
             prop_assert_eq!(&a.matches, &b.matches);
             prop_assert_eq!(a.stats.filtered, b.stats.filtered);
@@ -109,7 +100,7 @@ proptest! {
 
         for workers in [2usize, 8] {
             engine = Engine::new(engine.into_index(), workers);
-            let (results, metrics) = run_engine(&engine, &queries, seed);
+            let (results, metrics) = run_engine(&engine, &queries);
             for (a, b) in base.iter().zip(&results) {
                 prop_assert_eq!(&a.matches, &b.matches);
                 prop_assert_eq!(a.stats.filtered, b.stats.filtered);

@@ -1,16 +1,17 @@
 //! Property tests for the index: on arbitrary databases and queries, the
 //! pipeline is exact (equals the brute-force scan), verification from the
 //! stored centers is VF2 on every candidate, the candidate funnel only
-//! narrows, and partitions are well-formed.
+//! narrows, and partitions are well-formed covers.
 
 use graph_core::{ELabel, Graph, GraphBuilder, VLabel, VertexId};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use tree_core::{canonical_string, Center, Tree};
 use treepi::verify::verify_all;
 use treepi::{
-    partition_runs, query_rng, scan_support, Engine, PartitionRuns, QueryOptions, SfMode,
-    TreePiIndex, TreePiParams,
+    feature_tree_partition, scan_support, Engine, PartitionRuns, QueryOptions, SfMode, TreePiIndex,
+    TreePiParams,
 };
 
 /// A random connected labeled graph: random tree plus a few extra edges.
@@ -86,13 +87,11 @@ fn arb_query(nmax: usize) -> impl Strategy<Value = Graph> {
 }
 
 /// Verification from the stored centers against VF2 of the whole query on
-/// every survivor of the filter (the runs' `SF_q`, the weaker one), so
-/// candidates CDC would have pruned are decided too: `(verify, vf2)`, or
+/// every survivor of the filter (the partition's `SF_q`, the weaker one),
+/// so candidates CDC would have pruned are decided too: `(verify, vf2)`, or
 /// `None` when a query edge is no feature.
-fn anchored_and_vf2(idx: &TreePiIndex, q: &Graph, seed: u64) -> Option<(Vec<u32>, Vec<u32>)> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let PartitionRuns::Ok { min_partition, sf } = partition_runs(q, idx, q.edge_count(), &mut rng)
-    else {
+fn anchored_and_vf2(idx: &TreePiIndex, q: &Graph) -> Option<(Vec<u32>, Vec<u32>)> {
+    let PartitionRuns::Ok { min_partition, sf } = feature_tree_partition(q, idx) else {
         return None;
     };
     let survivors = treepi::filter::filter(idx, &sf);
@@ -137,10 +136,7 @@ fn anchored_verify_is_vf2_on_molecules() {
         let idx = TreePiIndex::build(db.clone(), params);
         let (mut vertex_parts, mut edge_parts, mut answers) = (0, 0, 0);
         for (i, q) in queries.iter().enumerate() {
-            let mut rng = ChaCha8Rng::seed_from_u64(i as u64);
-            if let PartitionRuns::Ok { min_partition, .. } =
-                partition_runs(q, &idx, q.edge_count(), &mut rng)
-            {
+            if let PartitionRuns::Ok { min_partition, .. } = feature_tree_partition(q, &idx) {
                 for p in &min_partition {
                     match p.center_reps_in_q.len() {
                         1 => vertex_parts += 1,
@@ -148,7 +144,7 @@ fn anchored_verify_is_vf2_on_molecules() {
                     }
                 }
             }
-            let (got, want) = anchored_and_vf2(&idx, q, i as u64).expect("db-derived");
+            let (got, want) = anchored_and_vf2(&idx, q).expect("db-derived");
             assert_eq!(got, want, "query {i}");
             answers += got.len();
         }
@@ -163,11 +159,9 @@ proptest! {
     fn query_is_exact_on_arbitrary_databases(
         db in arb_db(8, 7),
         q in arb_query(5),
-        seed in any::<u64>(),
     ) {
         let idx = TreePiIndex::build(db, TreePiParams::quick());
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let r = idx.query(&q, &mut rng);
+        let r = idx.query(&q);
         prop_assert_eq!(&r.matches, &scan_support(&idx, &q));
         prop_assert!(r.stats.filtered >= r.stats.pruned);
         prop_assert!(r.stats.pruned >= r.stats.answers);
@@ -178,11 +172,10 @@ proptest! {
         db in arb_db(8, 7),
         q in arb_query(5),
         quick in any::<bool>(),
-        seed in any::<u64>(),
     ) {
         let params = if quick { TreePiParams::quick() } else { TreePiParams::default() };
         let idx = TreePiIndex::build(db, params);
-        if let Some((got, want)) = anchored_and_vf2(&idx, &q, seed) {
+        if let Some((got, want)) = anchored_and_vf2(&idx, &q) {
             prop_assert_eq!(got, want);
         }
     }
@@ -191,7 +184,6 @@ proptest! {
     fn every_ablation_is_exact(
         db in arb_db(6, 6),
         q in arb_query(5),
-        seed in any::<u64>(),
     ) {
         let idx = TreePiIndex::build(db, TreePiParams::quick());
         let truth = scan_support(&idx, &q);
@@ -199,7 +191,6 @@ proptest! {
             for cdc in [true, false] {
                 for recon in [true, false] {
                     for sig in [true, false] {
-                        let mut rng = ChaCha8Rng::seed_from_u64(seed);
                         let wall = std::time::Instant::now();
                         let r = idx.query_with(
                             &q,
@@ -208,15 +199,13 @@ proptest! {
                                 use_cdc: cdc,
                                 use_reconstruction: recon,
                                 use_sig_filter: sig,
-                                delta_override: None,
                             },
-                            &mut rng,
                         );
                         let wall = wall.elapsed();
-                        // The stage clocks nest: the two halves of partition
-                        // inside it, the five stages inside the call.
+                        // The stage clocks nest: the walk inside partition,
+                        // the five stages inside the call.
                         let s = &r.stats;
-                        prop_assert!(s.t_runs + s.t_enumerate <= s.t_partition, "{:?}", s);
+                        prop_assert!(s.t_enumerate <= s.t_partition, "{:?}", s);
                         prop_assert!(s.total() <= wall, "{:?} in {:?}", s, wall);
                         prop_assert_eq!(
                             &r.matches,
@@ -237,30 +226,44 @@ proptest! {
     fn partitions_cover_queries_exactly_once(
         db in arb_db(6, 6),
         q in arb_connected_graph(6),
-        seed in any::<u64>(),
     ) {
-        let idx = TreePiIndex::build(db, TreePiParams::quick());
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        match partition_runs(&q, &idx, 3, &mut rng) {
-            PartitionRuns::MissingFeature(_) => {
+        let idx = TreePiIndex::build(db.clone(), TreePiParams::quick());
+        // The database graphs hold every feature: their occurrences overlap.
+        for g in db.iter().chain([&q]) {
+            let PartitionRuns::Ok { min_partition, sf } = feature_tree_partition(g, &idx) else {
                 // then the scan must also be empty
-                prop_assert!(scan_support(&idx, &q).is_empty());
-            }
-            PartitionRuns::Ok { min_partition, sf } => {
-                let mut covered = vec![false; q.edge_count()];
-                for p in &min_partition {
-                    prop_assert!(p.tree.graph().is_tree());
-                    for e in &p.q_edges {
-                        prop_assert!(!covered[e.idx()], "edge covered twice");
-                        covered[e.idx()] = true;
-                    }
-                    // feature lookup is consistent
-                    let f = idx.feature(p.feature);
-                    prop_assert_eq!(&tree_core::canonical_string(&p.tree), &f.canon);
+                prop_assert!(scan_support(&idx, g).is_empty());
+                continue;
+            };
+            let mut covered = vec![false; g.edge_count()];
+            for (i, p) in min_partition.iter().enumerate() {
+                for e in &p.q_edges {
+                    prop_assert!(!covered[e.idx()], "edge covered twice");
+                    covered[e.idx()] = true;
                 }
-                prop_assert!(covered.iter().all(|&c| c));
-                prop_assert!(!sf.is_empty());
+                // The part's subgraph is a tree, its feature, and its center
+                // lands on the part's center representatives.
+                let sub = graph_core::edge_subgraph(g, &p.q_edges);
+                let tree = Tree::from_graph(sub.graph.clone()).expect("a part is a tree");
+                prop_assert_eq!(&canonical_string(&tree), &idx.feature(p.feature).canon);
+                let mut reps = match tree_core::center(&tree) {
+                    Center::Vertex(v) => vec![sub.host_vertex(v)],
+                    Center::Edge(e) => {
+                        let edge = g.edge(sub.host_edge(e));
+                        vec![edge.u, edge.v]
+                    }
+                };
+                let mut want = p.center_reps_in_q.to_vec();
+                reps.sort_unstable();
+                want.sort_unstable();
+                prop_assert_eq!(reps, want, "center of part {}", i);
+                // Largest first: no later part has more edges.
+                if let Some(next) = min_partition.get(i + 1) {
+                    prop_assert!(next.q_edges.len() <= p.q_edges.len());
+                }
             }
+            prop_assert!(covered.iter().all(|&c| c));
+            prop_assert!(!sf.is_empty());
         }
     }
 
@@ -268,19 +271,14 @@ proptest! {
     fn query_batch_is_deterministic_across_thread_counts(
         db in arb_db(6, 6),
         queries in proptest::collection::vec(arb_query(5), 1..=6),
-        seed in any::<u64>(),
     ) {
         let idx = TreePiIndex::build(db, TreePiParams::quick());
         let opts = QueryOptions::default();
-        // Sequential ground truth on the engine's own per-query RNGs.
-        let seq: Vec<_> = queries
-            .iter()
-            .enumerate()
-            .map(|(i, q)| idx.query_with(q, opts, &mut query_rng(seed, i)))
-            .collect();
+        // Sequential ground truth: one query at a time.
+        let seq: Vec<_> = queries.iter().map(|q| idx.query_with(q, opts)).collect();
         for threads in [1usize, 2, 8] {
             let engine = Engine::new(idx.clone(), threads);
-            let (batch, summary) = engine.query_batch(&queries, opts, seed);
+            let (batch, summary) = engine.query_batch(&queries, opts, 0);
             prop_assert_eq!(batch.len(), queries.len());
             prop_assert_eq!(summary.queries, queries.len());
             for (i, (b, s)) in batch.iter().zip(&seq).enumerate() {
@@ -306,16 +304,14 @@ proptest! {
         db in arb_db(5, 6),
         extra in arb_connected_graph(6),
         q in arb_query(4),
-        seed in any::<u64>(),
     ) {
         let mut idx = TreePiIndex::build(db, TreePiParams::quick());
         let gid = idx.insert(extra);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        prop_assert_eq!(idx.query(&q, &mut rng).matches, scan_support(&idx, &q));
+        prop_assert_eq!(idx.query(&q).matches, scan_support(&idx, &q));
         idx.remove(gid);
         if gid > 0 {
             idx.remove(gid - 1);
         }
-        prop_assert_eq!(idx.query(&q, &mut rng).matches, scan_support(&idx, &q));
+        prop_assert_eq!(idx.query(&q).matches, scan_support(&idx, &q));
     }
 }

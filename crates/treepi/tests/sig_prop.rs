@@ -65,10 +65,10 @@ fn run_soundness(workers: usize, seed: u64) {
         use_sig_filter: false,
         ..QueryOptions::default()
     };
-    // Identical batch seed → identical partition randomness on both runs,
-    // so the funnels are comparable stage-for-stage, not just answer-level.
-    let (r_on, _) = engine.query_batch(&queries, on, seed);
-    let (r_off, _) = engine.query_batch(&queries, off, seed);
+    // Both runs cover each query with the same partition, so the funnels
+    // are comparable stage-for-stage, not just answer-level.
+    let (r_on, _) = engine.query_batch(&queries, on, 0);
+    let (r_off, _) = engine.query_batch(&queries, off, 0);
     let snapshot = engine.pin();
     for (i, q) in queries.iter().enumerate() {
         let truth = scan_support(&snapshot, q);
@@ -154,11 +154,7 @@ fn run_churn_sigs(workers: usize, seed: u64) {
             "step {step}, {workers} workers: sigs diverged from payload"
         );
         let q = random_graph(&mut rng, 4);
-        let (results, _) = engine.query_batch(
-            std::slice::from_ref(&q),
-            QueryOptions::default(),
-            seed ^ step,
-        );
+        let (results, _) = engine.query_batch(std::slice::from_ref(&q), QueryOptions::default(), 0);
         assert_eq!(
             results[0].matches,
             scan_support(&snapshot, &q),

@@ -45,7 +45,7 @@ fn main() {
         let (mut pq, mut ppq, mut dq) = (0usize, 0usize, 0usize);
         let t = Instant::now();
         for q in &queries {
-            let r = index.query(q, &mut rng);
+            let r = index.query(q);
             pq += r.stats.filtered;
             ppq += r.stats.pruned;
             dq += r.stats.answers;

@@ -7,8 +7,6 @@
 //! ```
 
 use graph_core::digraph::{digraph_from, DiGraph};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use treepi::{DirectedTreePiIndex, TreePiParams};
 
 fn main() {
@@ -32,7 +30,6 @@ fn main() {
         index.inner().feature_count()
     );
 
-    let mut rng = ChaCha8Rng::seed_from_u64(3);
     let cases = vec![
         ("A→B (forward arc)", digraph_from(&[0, 1], &[(0, 1, 0)])),
         ("B→A (reverse arc)", digraph_from(&[0, 1], &[(1, 0, 0)])),
@@ -43,7 +40,7 @@ fn main() {
         ("C→A closing arc", digraph_from(&[0, 2], &[(1, 0, 0)])),
     ];
     for (name, q) in cases {
-        let r = index.query(&q, &mut rng);
+        let r = index.query(&q);
         // cross-check against the directed brute-force oracle
         let truth: Vec<u32> = db
             .iter()

@@ -6,8 +6,6 @@
 //! ```
 
 use graph_core::graph_from;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use treepi::{TreePiIndex, TreePiParams};
 
 fn main() {
@@ -34,8 +32,7 @@ fn main() {
     // Query: which graphs contain the path C-C-O? (graph 0 directly, and
     // graph 1 via its tail off the ring)
     let query = graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]);
-    let mut rng = ChaCha8Rng::seed_from_u64(7);
-    let result = index.query(&query, &mut rng);
+    let result = index.query(&query);
 
     println!("query answered: graphs {:?}", result.matches);
     println!(

@@ -56,7 +56,7 @@ fn main() {
         let (mut ppq, mut dq_t) = (0usize, 0usize);
         let t = Instant::now();
         for q in &queries {
-            let r = tp.query(q, &mut rng);
+            let r = tp.query(q);
             ppq += r.stats.pruned;
             dq_t += r.stats.answers;
         }

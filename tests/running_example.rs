@@ -8,9 +8,7 @@
 //! feature-tree partition as in Figure 6.
 
 use graph_core::{graph_from, Graph};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use treepi::{partition_runs, scan_support, PartitionRuns, TreePiIndex, TreePiParams};
+use treepi::{feature_tree_partition, scan_support, PartitionRuns, TreePiIndex, TreePiParams};
 
 const A: u32 = 0;
 const B: u32 = 1;
@@ -66,11 +64,7 @@ fn query_support_is_b_and_c() {
         vec![1, 2],
         "example must match Figure 2's support {{b, c}}"
     );
-    let mut rng = ChaCha8Rng::seed_from_u64(1);
-    for _ in 0..5 {
-        let r = idx.query(&q, &mut rng);
-        assert_eq!(r.matches, vec![1, 2]);
-    }
+    assert_eq!(idx.query(&q).matches, vec![1, 2]);
 }
 
 #[test]
@@ -98,8 +92,7 @@ fn feature_tree_partition_exists() {
     let db = example_db();
     let q = example_query();
     let idx = TreePiIndex::build(db, TreePiParams::quick());
-    let mut rng = ChaCha8Rng::seed_from_u64(2);
-    match partition_runs(&q, &idx, 5, &mut rng) {
+    match feature_tree_partition(&q, &idx) {
         PartitionRuns::Ok { min_partition, .. } => {
             assert!(min_partition.len() >= 2);
             let covered: usize = min_partition.iter().map(|p| p.q_edges.len()).sum();
@@ -127,8 +120,7 @@ fn worst_case_partition_is_single_edges() {
             ..TreePiParams::quick()
         },
     );
-    let mut rng = ChaCha8Rng::seed_from_u64(3);
-    match partition_runs(&q, &idx, 3, &mut rng) {
+    match feature_tree_partition(&q, &idx) {
         PartitionRuns::Ok { min_partition, .. } => {
             assert_eq!(min_partition.len(), q.edge_count());
             for p in &min_partition {
@@ -138,6 +130,6 @@ fn worst_case_partition_is_single_edges() {
         PartitionRuns::MissingFeature(_) => panic!("single edges are always features"),
     }
     // and the query still answers exactly
-    let r = idx.query(&q, &mut rng);
+    let r = idx.query(&q);
     assert_eq!(r.matches, vec![1, 2]);
 }

@@ -18,7 +18,7 @@ fn paper_parameters_at_scale() {
     let mut stats = Vec::new();
     for m in [4usize, 8, 12, 16, 20] {
         for q in extract_queries(&db, m, 20, &mut rng) {
-            let r = idx.query(&q, &mut rng);
+            let r = idx.query(&q);
             assert_eq!(r.matches, scan_support(&idx, &q), "m={m}");
             stats.push(r.stats);
         }

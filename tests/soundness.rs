@@ -19,7 +19,7 @@ fn treepi_answers_equal_brute_force_on_chem() {
     let idx = TreePiIndex::build(db.clone(), TreePiParams::quick());
     for m in [1, 3, 5, 8] {
         for q in extract_queries(&db, m, 8, &mut rng) {
-            let got = idx.query(&q, &mut rng);
+            let got = idx.query(&q);
             let truth = scan_support(&idx, &q);
             assert_eq!(got.matches, truth, "query size {m}");
             assert!(got.stats.filtered >= got.stats.pruned);
@@ -43,7 +43,7 @@ fn treepi_answers_equal_brute_force_on_synthetic() {
     let idx = TreePiIndex::build(db.clone(), TreePiParams::quick());
     for m in [2, 4, 6] {
         for q in extract_queries(&db, m, 6, &mut rng) {
-            let got = idx.query(&q, &mut rng);
+            let got = idx.query(&q);
             assert_eq!(got.matches, scan_support(&idx, &q), "query size {m}");
         }
     }
@@ -76,7 +76,7 @@ fn treepi_and_gindex_agree() {
     let gi = GIndex::build(db, GIndexParams::quick(40));
     for m in [2, 4] {
         for q in extract_queries(tp.db(), m, 6, &mut rng) {
-            assert_eq!(tp.query(&q, &mut rng).matches, gi.query(&q).matches);
+            assert_eq!(tp.query(&q).matches, gi.query(&q).matches);
         }
     }
 }
@@ -93,7 +93,7 @@ fn maintenance_keeps_queries_exact() {
     idx.remove(0);
     idx.remove(17);
     for q in extract_queries(&db, 4, 8, &mut rng) {
-        let got = idx.query(&q, &mut rng);
+        let got = idx.query(&q);
         assert_eq!(got.matches, scan_support(&idx, &q));
     }
 }
