@@ -1,5 +1,5 @@
 //! Mixed-workload churn benchmark: what §7.1 maintenance costs a serving
-//! process, and what the copy-on-write snapshot layer buys.
+//! process, and what the pinned-snapshot layer buys.
 //!
 //! Series:
 //! - `query_only` vs `query_under_churn` at 1/2/8 workers: the same
@@ -7,11 +7,13 @@
 //!   one snapshot apply) — the read-path tax of concurrent maintenance;
 //! - `apply_batched` vs `apply_per_op`: 8 queued ops folded by one
 //!   [`treepi::Engine::apply_pending`] against 8 immediate
-//!   insert/remove calls — the N-ops-one-clone win of batched applies.
+//!   insert/remove calls — one snapshot lock and one epoch publication
+//!   per batch instead of per op.
 //!
-//! Tombstoned slots accumulate across iterations (removes never shrink
-//! the database vector), so per-apply clone cost creeps upward over a
-//! long measurement; medians over short samples keep this second-order.
+//! Removed slots accumulate across iterations as blank graphs (removes
+//! never shrink the database vector), so the gid range grows over a long
+//! measurement; an apply no reader pins updates the index in place, so
+//! its cost does not grow with it.
 //! See EXPERIMENTS.md ("Churn benchmark") for methodology and the
 //! single-core parity caveat.
 //!
@@ -51,7 +53,7 @@ fn workload(db: &[Graph]) -> Vec<Graph> {
 
 /// One churn round: queue `ops/2` inserts (clones of database graphs) and
 /// remove each inserted gid again, then fold everything with one apply.
-/// Active count is unchanged; the database keeps its size plus tombstones.
+/// Active count is unchanged; the database keeps its size plus blank slots.
 fn churn_round(engine: &Engine, donors: &[Graph], rng: &mut ChaCha8Rng, ops: usize) {
     let mut inserted = Vec::with_capacity(ops / 2);
     for _ in 0..ops / 2 {

@@ -421,10 +421,6 @@ fn run() -> Result<(), String> {
             println!("  support sets:    {} KiB", m.supports_bytes / 1024);
             println!("  center tables:   {} KiB", m.centers_bytes / 1024);
             println!("  canon directory: {} KiB", m.trie_bytes / 1024);
-            println!(
-                "  tombstones:      {} KiB (excluded)",
-                m.tombstones_bytes / 1024
-            );
             let p = index.params();
             println!(
                 "params:            alpha={} beta={} eta={} gamma={}",

@@ -807,9 +807,6 @@ pub mod names {
     /// Gauge: heap bytes of the canonical-string directory (one feature id
     /// per feature; the name dates from the prefix trie it replaced).
     pub const GAUGE_INDEX_TRIE: &str = "mem.index.trie_bytes";
-    /// Gauge: heap bytes still held by removed (tombstoned) graphs —
-    /// reclaimable by a rebuild, excluded from `mem.index.bytes`.
-    pub const GAUGE_INDEX_TOMBSTONES: &str = "mem.index.tombstones_bytes";
 
     /// Gauge: total estimated heap bytes of the gIndex baseline.
     pub const GAUGE_GINDEX_TOTAL: &str = "mem.gindex.bytes";
@@ -918,8 +915,8 @@ pub mod names {
     pub const MAINT_QUEUED: &str = "maint.queued";
     /// Counter: queued ops folded into published snapshots.
     pub const MAINT_APPLIED: &str = "maint.applied";
-    /// Counter: apply batches — copy-on-write snapshots built by
-    /// `apply_pending` (N queued ops cost one of these, not N).
+    /// Counter: apply batches — snapshot publications by `apply_pending`
+    /// (N queued ops cost one of these, not N).
     pub const MAINT_APPLY_BATCHES: &str = "maint.apply_batches";
     /// Counter: total snapshot publications (apply batches plus background
     /// re-mine swaps).
@@ -928,7 +925,8 @@ pub mod names {
     pub const MAINT_REMINE_TRIGGERS: &str = "maint.remine_triggers";
     /// Counter: background re-mines that completed and were swapped in.
     pub const MAINT_REMINES: &str = "maint.remines_completed";
-    /// Span: latency of one apply batch (clone + §7.1 ops + swap).
+    /// Span: latency of one apply batch (the §7.1 ops, after a copy of the
+    /// index only when a reader held it).
     pub const SPAN_MAINT_APPLY: &str = "maint.apply";
     /// Span: wall time of one background re-mine build.
     pub const SPAN_MAINT_REMINE: &str = "maint.remine";

@@ -19,13 +19,16 @@
 //!    batches grow with load and a lone query leaves at once.
 //! 3. **Maintenance.** Insert/remove requests are *queued* on the engine
 //!    ([`treepi::Engine::queue_insert`] / `queue_remove`) and acked
-//!    immediately from its shadow view — no index copy, no epoch bump,
-//!    no stall of in-flight batches. Queued ops are folded into one
-//!    copy-on-write snapshot ([`treepi::Engine::apply_pending`], the
+//!    immediately from its shadow view — no index change, no epoch bump,
+//!    no stall of in-flight batches. Queued ops are folded into the
+//!    published snapshot ([`treepi::Engine::apply_pending`], the
 //!    `maint.apply` span) at the next query admission and at batch
-//!    dispatch, so a run of N registration ops costs one snapshot, and
-//!    read-your-writes holds: a query admitted after an op's ack always
-//!    sees it. The cache compares epochs on every publication (applies
+//!    dispatch, so a run of N registration ops costs one apply and one
+//!    epoch, and read-your-writes holds: a query admitted after an op's
+//!    ack always sees it. Batches run on this thread and release their pin
+//!    before the next apply, so the apply updates the index in place; it
+//!    copies the index first only while a background re-mine holds the
+//!    snapshot. The cache compares epochs on every publication (applies
 //!    and background re-mine swaps alike) and drops its entries, so no
 //!    answer computed against an old snapshot can be served afterwards.
 //!    Queued queries observe the snapshot current at *execution* time.
@@ -1057,9 +1060,9 @@ impl EventLoop<'_> {
         self.shard.add(obs::names::SERVE_MAINTENANCE, 1);
     }
 
-    /// Fold every queued maintenance op into one published snapshot (the
-    /// batching point: N acked ops cost one copy) and absorb background
-    /// re-mine completions. Both publication kinds re-sync the cache, so
+    /// Fold every queued maintenance op into the published snapshot (the
+    /// batching point: N acked ops cost one apply and one epoch) and absorb
+    /// background re-mine completions. Both publication kinds re-sync the cache, so
     /// an entry computed against a retired snapshot can never be served
     /// after this returns.
     fn apply_ready(&mut self) {

@@ -155,8 +155,10 @@ struct MaintCounters {
 /// State shared between the engine handle and its re-mine thread.
 struct EngineShared {
     /// The published snapshot. Readers pin it by cloning the `Arc` (the
-    /// lock is held only for the pointer copy — never across a query);
-    /// writers install a successor built off to the side.
+    /// lock is held only for the pointer copy — never across a query).
+    /// [`Engine::apply_pending`] holds it for the apply, which mutates the
+    /// snapshot in place unless a pin makes it copy first; a re-mine
+    /// installs a successor built off to the side.
     current: Mutex<Arc<TreePiIndex>>,
     pool: Pool,
     maint: Mutex<MaintState>,
@@ -170,15 +172,16 @@ struct EngineShared {
 }
 
 /// What [`Engine::apply_pending`] did: the epoch of the published
-/// snapshot, how many ops it folded in, and how long the clone-apply-swap
-/// took (recorded as the `maint.apply` span by the serving layer).
+/// snapshot, how many ops it folded in, and how long the apply took
+/// (recorded as the `maint.apply` span by the serving layer).
 #[derive(Clone, Copy, Debug)]
 pub struct ApplyOutcome {
     /// Maintenance epoch of the newly published snapshot.
     pub epoch: u64,
     /// Number of queued ops folded into this snapshot.
     pub ops: usize,
-    /// Wall time of the clone + apply + swap.
+    /// Wall time of the apply, including the copy when a reader held the
+    /// snapshot.
     pub duration: Duration,
 }
 
@@ -217,25 +220,29 @@ pub struct MaintStats {
     pub repairs_since_mine: u64,
 }
 
-/// A long-lived serving engine: a copy-on-write snapshot of a
-/// [`TreePiIndex`] plus one persistent worker [`Pool`] reused across every
-/// batch, so serving pays thread spawn/join once per process instead of
-/// once per batch. Results are bit-identical at any pool size, per the
-/// determinism contract in this module's docs.
+/// A long-lived serving engine: a published snapshot of a [`TreePiIndex`]
+/// plus one persistent worker [`Pool`] reused across every batch, so
+/// serving pays thread spawn/join once per process instead of once per
+/// batch. Results are bit-identical at any pool size, per the determinism
+/// contract in this module's docs.
 ///
 /// # Concurrent maintenance (§7.1 under load)
 ///
-/// The index lives behind an atomically swapped `Arc<TreePiIndex>`:
+/// The index lives behind an `Arc<TreePiIndex>` under a mutex:
 ///
-/// - **Readers never block.** [`Engine::query_batch`] pins the current
-///   snapshot ([`Engine::pin`]) and runs the whole batch against it; a
-///   swap mid-batch retires the old version only when its last pin drops.
-/// - **Writes are queued, then batched.** [`Engine::queue_insert`] /
-///   [`Engine::queue_remove`] record the op and answer immediately from a
-///   shadow view (assigned gid / was-active), touching no index state.
-///   [`Engine::apply_pending`] folds *all* queued ops into one cloned
-///   successor and publishes it with a single swap — N queued mutations
-///   cost one copy, not N.
+/// - **A pin is a fixed version.** [`Engine::query_batch`] pins the
+///   current snapshot ([`Engine::pin`]) and runs the whole batch against
+///   it; no later write changes what a held pin sees.
+/// - **Writes are queued, then applied in place.** [`Engine::queue_insert`]
+///   / [`Engine::queue_remove`] record the op and answer immediately from
+///   a shadow view (assigned gid / was-active), touching no index state.
+///   [`Engine::apply_pending`] folds *all* queued ops into the published
+///   snapshot under the mutex: in place when no reader holds it, which is
+///   the serving loop's case (it pins and releases on one thread), and
+///   into a copy first when one does (a batch on another thread, a
+///   pending re-mine, a caller's long-lived pin). A `pin()` issued during
+///   an apply waits for that one apply; queries already running never
+///   wait.
 /// - **Staleness-triggered re-mine.** Applied §7.1 repairs accumulate;
 ///   past `remine_threshold` a background thread re-mines the feature set
 ///   from the current snapshot on the engine's own pool
@@ -310,8 +317,9 @@ impl Engine {
     }
 
     /// Pin the currently published snapshot. The returned `Arc` keeps that
-    /// version alive (and its answers consistent) for as long as the
-    /// caller holds it, regardless of concurrent applies or re-mines.
+    /// version alive and unchanged for as long as the caller holds it,
+    /// regardless of later applies or re-mines — holding it makes the next
+    /// apply copy the index. Waits while an apply is in progress.
     pub fn pin(&self) -> Arc<TreePiIndex> {
         self.shared.current.lock().expect("engine snapshot").clone()
     }
@@ -353,11 +361,13 @@ impl Engine {
         self.shared.maint.lock().expect("maint state").queue.len()
     }
 
-    /// Fold every queued op into one successor snapshot and publish it:
-    /// clone the current index once, apply the ops in queue order, swap
-    /// the `Arc`. Readers pinned to the old snapshot are unaffected; new
-    /// pins see all queued ops at once (never a prefix — the swap is the
-    /// only publication point). Returns `None` when the queue was empty.
+    /// Fold every queued op, in queue order, into the published snapshot
+    /// under the snapshot lock: in place when the engine holds the only
+    /// reference, into a copy first when a reader still pins it
+    /// (`Arc::make_mut`). Readers pinned before the apply are unaffected;
+    /// a [`Engine::pin`] issued during it waits for it and sees all queued
+    /// ops at once (never a prefix). Returns `None` when the queue was
+    /// empty.
     pub fn apply_pending(&self) -> Option<ApplyOutcome> {
         let mut m = self.shared.maint.lock().expect("maint state");
         if m.queue.is_empty() {
@@ -370,20 +380,22 @@ impl Engine {
             m.journal.extend(ops.iter().cloned());
         }
         let n = ops.len();
-        let mut next = (*self.pin()).clone();
-        for op in ops {
-            match op {
-                PendingOp::Insert(g) => {
-                    next.insert(g);
-                }
-                PendingOp::Remove(gid) => {
-                    next.remove(gid);
+        let epoch = {
+            let mut current = self.shared.current.lock().expect("engine snapshot");
+            let index = Arc::make_mut(&mut current);
+            for op in ops {
+                match op {
+                    PendingOp::Insert(g) => {
+                        index.insert(g);
+                    }
+                    PendingOp::Remove(gid) => {
+                        index.remove(gid);
+                    }
                 }
             }
-        }
-        debug_assert_eq!(next.db().len() as u32, m.next_gid);
-        let epoch = next.maintenance_epoch();
-        *self.shared.current.lock().expect("engine snapshot") = Arc::new(next);
+            debug_assert_eq!(index.db().len() as u32, m.next_gid);
+            index.maintenance_epoch()
+        };
         m.repairs_since_mine += n as u64;
         let c = &self.shared.counters;
         c.applied.fetch_add(n as u64, Ordering::Relaxed);
@@ -1029,18 +1041,86 @@ mod tests {
         assert!(engine.into_index().sigs_consistent());
     }
 
+    /// With no pin held across it, an apply mutates the published index
+    /// itself: pins before and after are the same allocation, and every
+    /// apply still counts as one batch and one swap.
+    #[test]
+    fn apply_is_in_place_when_unpinned() {
+        let q = graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]);
+        let g = graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]);
+        for threads in [1usize, 2, 8] {
+            let engine = Engine::new(index(), threads);
+            let first = Arc::as_ptr(&engine.pin());
+            let gid = engine.insert(g.clone());
+            assert!(engine.remove(0));
+            engine.queue_insert(g.clone());
+            assert!(engine.queue_remove(gid));
+            engine.apply_pending().expect("ops queued");
+            let after = engine.pin();
+            assert_eq!(Arc::as_ptr(&after), first, "{threads} workers: copied");
+            let stats = engine.maint_stats();
+            assert_eq!((stats.apply_batches, stats.snapshot_swaps), (3, 3));
+            let (r, _) = engine.query_batch(std::slice::from_ref(&q), QueryOptions::default(), 0);
+            assert_eq!(r[0].matches, scan_support(&after, &q));
+            assert!(!after.is_active(0) && !after.is_active(gid));
+            assert!(after.sigs_consistent() && after.postings_consistent());
+            // A pin held across the next apply makes it copy, and keeps its
+            // own version.
+            let epoch = after.maintenance_epoch();
+            engine.insert(g.clone());
+            assert!(!Arc::ptr_eq(&after, &engine.pin()));
+            assert_eq!(after.maintenance_epoch(), epoch);
+            assert_eq!(engine.epoch(), epoch + 1);
+        }
+    }
+
+    /// Held and released pins alternate over inserts and removes: a held
+    /// pin answers as it did when taken, however many applies follow, and
+    /// every epoch's answers equal the scan oracle of that epoch.
     #[test]
     fn pinned_snapshot_is_immune_to_later_writes() {
-        let engine = Engine::new(index(), 2);
         let q = graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]);
-        let pinned = engine.pin();
-        let before = scan_support(&pinned, &q);
-        let gid = engine.insert(graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]));
-        // The old pin keeps answering from its version; a new pin sees the
-        // insert.
-        assert_eq!(scan_support(&pinned, &q), before);
-        assert!(scan_support(&engine.pin(), &q).contains(&gid));
-        assert!(!pinned.is_active(gid));
+        let g = graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]);
+        for threads in [1usize, 2, 8] {
+            let engine = Engine::new(index(), threads);
+            let mut held: Vec<(Arc<TreePiIndex>, Vec<u32>, usize)> = Vec::new();
+            for step in 0..12 {
+                let pin = engine.pin();
+                let answer = scan_support(&pin, &q);
+                let (r, _) =
+                    engine.query_batch(std::slice::from_ref(&q), QueryOptions::default(), 0);
+                assert_eq!(r[0].matches, answer, "step {step}, {threads} workers");
+                // Odd steps hold their pin across every later write, even
+                // steps release it before this step's write.
+                if step % 2 == 1 {
+                    let active = pin.active_count();
+                    held.push((pin, answer, active));
+                } else {
+                    drop(pin);
+                }
+                if step % 3 == 2 {
+                    // The lowest active gid: base graphs and inserted copies
+                    // alike, many of them answers to `q`.
+                    let snap = engine.pin();
+                    let gid = (0..snap.db().len() as u32).find(|&g| snap.is_active(g));
+                    drop(snap);
+                    assert!(engine.remove(gid.expect("an active graph")));
+                } else {
+                    let gid = engine.insert(g.clone());
+                    for (pin, _, _) in &held {
+                        assert!(!pin.is_active(gid));
+                    }
+                }
+                for (i, (pin, answer, active)) in held.iter().enumerate() {
+                    let what = format!("pin {i} after step {step}, {threads} workers");
+                    assert_eq!(pin.active_count(), *active, "{what}");
+                    assert_eq!(&scan_support(pin, &q), answer, "{what}");
+                    assert_eq!(&pin.query(&q).matches, answer, "{what}");
+                }
+            }
+            let epochs: Vec<u64> = held.iter().map(|(p, ..)| p.maintenance_epoch()).collect();
+            assert!(epochs.windows(2).all(|w| w[0] < w[1]), "{epochs:?}");
+        }
     }
 
     #[test]

@@ -196,14 +196,17 @@ pub struct BuildStats {
 
 /// The TreePi index over a graph database.
 ///
-/// Graph ids are stable across insertions and deletions; deleted slots
-/// become inactive tombstones (queries never return them because supports
-/// are updated on delete).
+/// Graph ids are stable across insertions and deletions; a deleted slot
+/// stays as an inactive, blank tombstone — an empty graph with no
+/// signatures — so queries never return it (supports are updated on
+/// delete) and it holds no memory. Every index keeps "inactive ⇒ blank":
+/// [`Self::remove`] and [`Self::load`] write the blank, and
+/// [`Self::remine_with_pool`] keeps it.
 ///
-/// The index is `Clone` so the serving layer can publish copy-on-write
-/// snapshots: readers pin an `Arc<TreePiIndex>` while writers clone the
-/// current version, apply §7.1 maintenance to the copy, and atomically
-/// swap it in (see [`crate::Engine`]).
+/// The serving layer publishes it behind an `Arc` (see [`crate::Engine`]):
+/// readers pin a version, and §7.1 maintenance mutates the published
+/// version in place when no reader holds it, or a clone of it when one
+/// does — the index is `Clone` for that case.
 ///
 /// Primary facts — what [`Self::save`] writes — are `params`, `db`,
 /// `active`, each feature's tree and posting list, `mined`/`truncated` and
@@ -374,7 +377,8 @@ impl TreePiIndex {
         })
     }
 
-    /// The database (including inactive tombstones; see [`Self::is_active`]).
+    /// The database, including the blank slots of removed graphs (see
+    /// [`Self::is_active`]).
     pub fn db(&self) -> &[Graph] {
         &self.db
     }
@@ -484,8 +488,8 @@ impl TreePiIndex {
     }
 
     /// Per-vertex neighborhood signatures of graph `gid` (see
-    /// [`crate::sig`]); empty for the blank payload of a re-mined
-    /// tombstone. Indexing a gid ≥ `db.len()` panics, like `db()` would.
+    /// [`crate::sig`]); empty for the blank slot of a removed graph.
+    /// Indexing a gid ≥ `db.len()` panics, like `db()` would.
     pub fn vertex_sigs(&self, gid: u32) -> &[VertexSig] {
         &self.sigs[gid as usize]
     }
@@ -573,12 +577,16 @@ impl TreePiIndex {
     }
 
     /// Delete graph `gid` (paper §7.1): remove it from every feature's
-    /// support set and center store. Returns whether the graph was active.
+    /// support set and center store, and free its payload — the slot keeps
+    /// its id as a blank graph. Returns whether the graph was active.
     pub fn remove(&mut self, gid: u32) -> bool {
         if !self.is_active(gid) {
             return false;
         }
-        self.active[gid as usize] = false;
+        let slot = gid as usize;
+        self.active[slot] = false;
+        self.db[slot] = blank_slot();
+        self.sigs[slot] = Vec::new();
         for f in &mut self.features {
             f.remove_graph(gid);
         }
@@ -588,37 +596,23 @@ impl TreePiIndex {
 
     /// Re-mine the feature set from the current active graphs (the paper's
     /// advice when "too many insert/delete operations" have accumulated)
-    /// *without* renumbering graph ids: tombstoned slots participate in
-    /// the mining database as empty graphs, so every support set and
-    /// center table in the result uses the same positional gids as the
-    /// source index and live traffic can keep resolving ids across a
+    /// *without* renumbering graph ids: the blank slots of removed graphs
+    /// participate in the mining database as empty graphs, so every support
+    /// set and center table in the result uses the same positional gids as
+    /// the source index and live traffic can keep resolving ids across a
     /// snapshot swap.
     ///
     /// Because σ(s) is an absolute threshold (Eq. 1, not a fraction of
-    /// |D|), blanked tombstones contribute nothing to any support set and
-    /// the mined feature set equals a fresh [`Self::build`] over just the
-    /// active graphs, modulo the gid embedding. Tombstoned graph payloads
-    /// are dropped in the copy, so a re-mine doubles as tombstone memory
-    /// reclamation.
+    /// |D|), blank slots contribute nothing to any support set and the
+    /// mined feature set equals a fresh [`Self::build`] over just the
+    /// active graphs, modulo the gid embedding.
     ///
     /// The maintenance epoch carries over unchanged; the caller advances
     /// it when publishing the result (an epoch that moved backwards would
     /// break cache invalidation).
     pub fn remine_with_pool(&self, pool: &graph_core::par::Pool) -> Self {
-        let db: Vec<Graph> = self
-            .db
-            .iter()
-            .zip(&self.active)
-            .map(|(g, &alive)| {
-                if alive {
-                    g.clone()
-                } else {
-                    graph_core::GraphBuilder::with_capacity(0, 0).build()
-                }
-            })
-            .collect();
         let mut idx = Self::build_with_pool_obs(
-            db,
+            self.db.clone(),
             self.params.clone(),
             pool,
             &obs::Shard::disabled(),
@@ -648,24 +642,12 @@ impl TreePiIndex {
     /// trees, support sets, center tables, directory). Length-based, so the
     /// numbers are deterministic for a given index regardless of build
     /// history; recorded as `mem.index.*` gauges by
-    /// [`Self::record_mem_gauges`].
-    ///
-    /// Removed (tombstoned) graphs are reported separately in
-    /// [`IndexMemory::tombstones_bytes`] and excluded from `db_bytes` and
-    /// [`IndexMemory::total`] — a churn-heavy serving host must see its
-    /// *active* footprint, not bytes a [`Self::remine_with_pool`] would
-    /// reclaim.
+    /// [`Self::record_mem_gauges`]. Removed graphs are blank slots and
+    /// weigh nothing.
     pub fn memory_breakdown(&self) -> IndexMemory {
         use std::mem::size_of;
-        let mut db_bytes = self.active.len() * size_of::<bool>();
-        let mut tombstones_bytes = 0usize;
-        for (g, &alive) in self.db.iter().zip(&self.active) {
-            if alive {
-                db_bytes += g.heap_bytes();
-            } else {
-                tombstones_bytes += g.heap_bytes();
-            }
-        }
+        let db_bytes = self.active.len() * size_of::<bool>()
+            + self.db.iter().map(Graph::heap_bytes).sum::<usize>();
         let features_bytes = self
             .features
             .iter()
@@ -689,7 +671,6 @@ impl TreePiIndex {
                 .sum::<usize>();
         IndexMemory {
             db_bytes,
-            tombstones_bytes,
             features_bytes,
             supports_bytes,
             centers_bytes,
@@ -699,8 +680,8 @@ impl TreePiIndex {
         }
     }
 
-    /// Total estimated heap bytes of the *active* index (all parts of
-    /// [`Self::memory_breakdown`]; tombstoned graphs excluded).
+    /// Total estimated heap bytes of the index (all parts of
+    /// [`Self::memory_breakdown`]).
     pub fn heap_bytes(&self) -> usize {
         self.memory_breakdown().total()
     }
@@ -724,10 +705,6 @@ impl TreePiIndex {
         registry.set_gauge(obs::names::GAUGE_INDEX_CENTERS, m.centers_bytes as u64);
         registry.set_gauge(obs::names::GAUGE_INDEX_SIGS, m.sigs_bytes as u64);
         registry.set_gauge(obs::names::GAUGE_INDEX_TRIE, m.trie_bytes as u64);
-        registry.set_gauge(
-            obs::names::GAUGE_INDEX_TOMBSTONES,
-            m.tombstones_bytes as u64,
-        );
     }
 }
 
@@ -735,12 +712,9 @@ impl TreePiIndex {
 /// [`TreePiIndex::memory_breakdown`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IndexMemory {
-    /// The *active* graph database (labels, edges, adjacency) plus the
-    /// tombstone flag vector.
+    /// The graph database (labels, edges, adjacency; a removed graph's
+    /// blank slot holds none) plus the active flag vector.
     pub db_bytes: usize,
-    /// Heap bytes still held by removed (tombstoned) graphs — reclaimable
-    /// via [`TreePiIndex::remine_with_pool`], excluded from [`Self::total`].
-    pub tombstones_bytes: usize,
     /// Feature pattern trees and their canonical strings.
     pub features_bytes: usize,
     /// Per-feature support sets.
@@ -756,7 +730,7 @@ pub struct IndexMemory {
 }
 
 impl IndexMemory {
-    /// Sum of all *active* parts ([`Self::tombstones_bytes`] excluded).
+    /// Sum of all parts.
     pub fn total(&self) -> usize {
         self.db_bytes
             + self.features_bytes
@@ -765,6 +739,12 @@ impl IndexMemory {
             + self.sigs_bytes
             + self.trie_bytes
     }
+}
+
+/// What the slot of a removed graph holds: the empty graph, which owns no
+/// heap and has no signatures.
+pub(crate) fn blank_slot() -> Graph {
+    graph_core::GraphBuilder::new().build()
 }
 
 /// Hand the heap a finished build has freed back to the operating system,
@@ -1036,32 +1016,43 @@ mod tests {
     }
 
     #[test]
-    fn remove_shrinks_reported_database_bytes() {
+    fn removed_slot_is_blank_and_changes_nothing_else() {
         let mut idx = quick_index();
+        let queries = [
+            graph_from(&[0, 0], &[(0, 1, 0)]),
+            graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]),
+            graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 0, 1)]),
+        ];
+        let answers = |idx: &TreePiIndex| -> Vec<Vec<u32>> {
+            queries.iter().map(|q| idx.query(q).matches).collect()
+        };
         let before = idx.memory_breakdown();
-        assert_eq!(before.tombstones_bytes, 0);
         let removed_bytes = idx.db()[1].heap_bytes();
+        let mut expected = answers(&idx);
+        expected.iter_mut().for_each(|a| a.retain(|&g| g != 1));
         assert!(idx.remove(1));
+        // The slot keeps its id and holds nothing.
+        assert_eq!(idx.db().len(), 3);
+        assert_eq!(idx.db()[1], blank_slot());
+        assert!(idx.vertex_sigs(1).is_empty());
+        assert!(idx.sigs_consistent() && idx.postings_consistent());
         let after = idx.memory_breakdown();
         assert_eq!(after.db_bytes, before.db_bytes - removed_bytes);
-        assert_eq!(after.tombstones_bytes, removed_bytes);
-        assert!(after.total() < before.total());
         assert_eq!(idx.heap_bytes(), after.total());
-        let r = obs::Registry::new();
-        idx.record_mem_gauges(&r);
-        let snap = r.snapshot();
-        assert_eq!(
-            snap.gauge(obs::names::GAUGE_INDEX_DB),
-            Some(after.db_bytes as u64)
-        );
-        assert_eq!(
-            snap.gauge(obs::names::GAUGE_INDEX_TOMBSTONES),
-            Some(removed_bytes as u64)
-        );
-        assert_eq!(
-            snap.gauge(obs::names::GAUGE_INDEX_TOTAL),
-            Some(after.total() as u64)
-        );
+        // Answers are those of the graph gone, and a file round trip
+        // changes neither them nor the file.
+        assert_eq!(answers(&idx), expected);
+        for q in &queries {
+            assert_eq!(idx.query(q).matches, crate::scan_support(&idx, q));
+        }
+        let mut file = Vec::new();
+        idx.save(&mut file).unwrap();
+        let loaded = TreePiIndex::load(&mut file.as_slice()).unwrap();
+        assert_eq!(loaded.db(), idx.db());
+        assert_eq!(answers(&loaded), expected);
+        let mut again = Vec::new();
+        loaded.save(&mut again).unwrap();
+        assert_eq!(again, file);
     }
 
     #[test]
@@ -1098,8 +1089,9 @@ mod tests {
         assert!(!remined.is_active(0));
         assert!(remined.is_active(gid));
         assert_eq!(remined.maintenance_epoch(), idx.maintenance_epoch());
-        // Tombstoned payload bytes are reclaimed by the copy.
-        assert_eq!(remined.memory_breakdown().tombstones_bytes, 0);
+        // The removed slot is blank in both, every other payload is kept.
+        assert_eq!(remined.db(), idx.db());
+        assert_eq!(remined.db()[0], blank_slot());
         // Feature set and supports equal a fresh build over the survivors,
         // modulo the gid embedding (fresh gid i ↔ remined gid i+1 here).
         let fresh = TreePiIndex::build(

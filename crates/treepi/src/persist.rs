@@ -27,7 +27,9 @@
 //! Everything else an index holds — canonical strings and their sorted
 //! directory, feature centers, the per-vertex signatures ([`crate::sig`])
 //! and the [`TreePiIndex::stats`] counters — is a function of these facts
-//! and is recomputed on load, so no two parts of a file can disagree.
+//! and is recomputed on load, so no two parts of a file can disagree. A
+//! removed graph's slot is the empty graph in memory and so in the file;
+//! the loader blanks inactive slots whatever the file holds there.
 //!
 //! [`TreePiIndex::load`] returns an error or a sound index, never a bad
 //! one. The checksum catches accidental damage (any single changed byte,
@@ -35,7 +37,8 @@
 //! every count is bounded by the bytes that remain before anything is
 //! allocated for it, and everything a query indexes with is checked:
 //! supports strictly increasing and inside the database, offsets strictly
-//! increasing, every center position inside its graph, every label at most
+//! increasing, every center position inside its graph (a removed graph's
+//! blank slot has none), every label at most
 //! [`graph_core::MAX_LABEL`] (canonical strings offset labels past their
 //! tags), no two features with one canonical string, a fixed δ at most
 //! `MAX_FIXED_DELTA` (every query loops over it). A file crafted past those
@@ -54,7 +57,7 @@
 //! are rejected with an error naming the version — rebuild the index file
 //! with this version.
 
-use crate::index::{Feature, TreePiIndex};
+use crate::index::{blank_slot, Feature, TreePiIndex};
 use crate::params::{Delta, TreePiParams, MAX_FIXED_DELTA};
 use bytes::BufMut;
 use graph_core::{ELabel, Graph, GraphBuilder, VLabel, VertexId, MAX_LABEL};
@@ -276,12 +279,18 @@ impl TreePiIndex {
         };
         // A graph is at least two counts, plus its active flag.
         let n_db = r.count(9)?;
-        let db = (0..n_db)
+        let mut db = (0..n_db)
             .map(|_| get_graph(&mut r))
             .collect::<io::Result<Vec<_>>>()?;
         let active = (0..n_db)
             .map(|_| r.flag())
             .collect::<io::Result<Vec<_>>>()?;
+        // A removed graph's slot is blank, whatever the file holds there —
+        // before the features are checked against the database, so no
+        // posting list can point into a removed graph.
+        for (g, _) in db.iter_mut().zip(&active).filter(|(_, &alive)| !alive) {
+            *g = blank_slot();
+        }
         // A feature is at least a tree's two counts and a posting count.
         let n_features = r.count(12)?;
         let features = (0..n_features)
@@ -474,6 +483,36 @@ mod tests {
             assert!(ran.is_ok(), "{what}: loaded index panicked a query");
         }
         assert!(resealed_loads > 0, "hostile leg never got past the loader");
+    }
+
+    #[test]
+    fn inactive_slots_load_blank() {
+        // Graph 3 is a lone vertex, in no posting list; graph 1 is in many.
+        let mut db = sample_index().db().to_vec();
+        db.push(graph_from(&[4], &[]));
+        let idx = TreePiIndex::build(db, TreePiParams::quick());
+        let bytes = saved(&idx);
+        let mut db_part = Vec::new();
+        idx.db().iter().for_each(|g| put_graph(&mut db_part, g));
+        // The active flags follow the 57-byte head and the graphs.
+        let flags_at = 57 + db_part.len();
+        assert_eq!(bytes[flags_at..flags_at + 4], [1; 4]);
+        // Flagged inactive in a resealed file, the lone vertex loads blank.
+        let mut m = bytes.clone();
+        m[flags_at + 3] = 0;
+        reseal(&mut m);
+        let loaded = load(&m).expect("an unlisted graph flagged inactive");
+        assert!(!loaded.is_active(3));
+        assert_eq!(loaded.db()[3], blank_slot());
+        assert!(loaded.sigs_consistent() && loaded.vertex_sigs(3).is_empty());
+        // Graph 1 flagged inactive leaves posting lists pointing into a
+        // blank slot: refused.
+        let mut m = bytes;
+        m[flags_at + 1] = 0;
+        reseal(&mut m);
+        let err = load(&m).err().expect("posting list into a removed graph");
+        let msg = err.to_string();
+        assert!(msg.contains("center position outside its graph"), "{msg}");
     }
 
     #[test]
