@@ -782,6 +782,13 @@ pub mod names {
     pub const ANSWERS: &str = "funnel.answers";
     /// Queries short-circuited by a missing feature.
     pub const MISSING_FEATURE: &str = "funnel.missing_feature";
+    /// Edge subsets of queries the guided subtree walk visited.
+    pub const WALK_PROBES: &str = "walk.probes";
+    /// Of those, the subsets whose shape invariant may be a feature's,
+    /// canonically encoded and looked up.
+    pub const WALK_ENCODES: &str = "walk.encodes";
+    /// Of those, the subsets that are stored features.
+    pub const WALK_HITS: &str = "walk.hits";
 
     /// Gauge: bytes currently live per the tracking allocator.
     pub const GAUGE_ALLOC_LIVE: &str = "mem.alloc.live_bytes";
@@ -805,7 +812,8 @@ pub mod names {
     /// Gauge: heap bytes of the per-vertex neighborhood signatures.
     pub const GAUGE_INDEX_SIGS: &str = "mem.index.sigs_bytes";
     /// Gauge: heap bytes of the canonical-string directory (one feature id
-    /// per feature; the name dates from the prefix trie it replaced).
+    /// per feature) and the shape filter (whole 8-byte words; the name dates
+    /// from the prefix trie they replaced).
     pub const GAUGE_INDEX_TRIE: &str = "mem.index.trie_bytes";
 
     /// Gauge: total estimated heap bytes of the gIndex baseline.

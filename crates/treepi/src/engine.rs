@@ -803,10 +803,13 @@ mod tests {
         // Counters reconcile exactly with the per-query stats.
         assert_eq!(base_m.counter(obs::names::QUERIES), qs.len() as u64);
         type Field = fn(&crate::QueryStats) -> usize;
-        let fields: [(&str, Field); 3] = [
+        let fields: [(&str, Field); 6] = [
             (obs::names::FILTERED, |s| s.filtered),
             (obs::names::PRUNED, |s| s.pruned),
             (obs::names::ANSWERS, |s| s.answers),
+            (obs::names::WALK_PROBES, |s| s.walk_probes),
+            (obs::names::WALK_ENCODES, |s| s.walk_encodes),
+            (obs::names::WALK_HITS, |s| s.walk_hits),
         ];
         for (name, field) in fields {
             let total: u64 = base_r.iter().map(|r| field(&r.stats) as u64).sum();

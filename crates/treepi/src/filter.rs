@@ -17,7 +17,8 @@ use mining::{intersect_many, SupportSet};
 /// not a feature, which proves the support is empty (σ(1) = 1 indexes every
 /// edge the database contains).
 pub fn enumerate_query_features(index: &TreePiIndex, q: &Graph) -> Option<Vec<FeatureId>> {
-    let found = crate::walk::QueryFeatures::walk(index, q).ok()?;
+    use crate::walk::{QueryFeatures, WalkCounts};
+    let found = QueryFeatures::walk(index, q, &mut WalkCounts::default()).ok()?;
     Some(found.features())
 }
 

@@ -19,12 +19,15 @@
 //! the features already own, searched by bisection
 //! ([`TreePiIndex::feature_by_canon`]) — no key is stored a second time.
 //!
-//! Beside the directory sits the features' **downward closure**: a sorted
-//! set of 32-bit fingerprints of every proper subtree of a stored feature,
-//! which is what lets [`crate::walk`] look for features in a graph without
-//! enumerating the graph's subtrees (see [`TreePiIndex::may_grow`]).
+//! Beside the directory sits a Bloom filter of **shapes** ([`crate::shape`]):
+//! the shape invariant of every stored feature, and of every proper subtree
+//! of one (the features' downward closure). It is what lets [`crate::walk`]
+//! look for features in a graph without enumerating the graph's subtrees,
+//! and without encoding the subsets it passes through that are no feature
+//! (see [`TreePiIndex::may_grow`] and [`TreePiIndex::may_be_feature`]).
 
 use crate::params::TreePiParams;
+use crate::shape::{shape_of, tree_shape, ShapeFilter, Tag};
 use crate::sig::{self, VertexSig};
 use graph_core::{EdgeId, Graph, VertexId};
 use mining::{shrink_features_pool, SupportSet};
@@ -221,14 +224,15 @@ pub struct TreePiIndex {
     /// The directory: every feature id once, strictly increasing by
     /// `features[id].canon`.
     by_canon: Vec<FeatureId>,
-    /// Ascending fingerprints of every proper subtree (one edge or more) of
-    /// a stored feature: what [`Self::may_grow`] searches. A function of the
-    /// mined features — §7.1 maintenance only ever adds single-edge
-    /// features, which have no proper subtree. `None` if there were too many
-    /// to derive ([`MAX_CLOSURE`]): every tree then counts as a member, as if
-    /// all fingerprints collided, and the walk grows everything the way an
-    /// exhaustive enumeration would.
-    closure: Option<Vec<u32>>,
+    /// The shapes of the stored features, tagged [`Tag::Feature`], and of
+    /// every proper subtree (one edge or more) of one, tagged [`Tag::Grow`]:
+    /// what [`Self::may_be_feature`] and [`Self::may_grow`] ask. A function
+    /// of the features — §7.1 maintenance only ever adds single-edge
+    /// features, which have no proper subtree, and sets their feature bits.
+    /// If the proper subtrees were too many to derive ([`MAX_CLOSURE`]) the
+    /// filter holds everything: the walk then encodes every subset and grows
+    /// everything, the way an exhaustive enumeration would.
+    shapes: ShapeFilter,
     /// sigs[graph id] = per-vertex neighborhood signatures (see
     /// [`crate::sig`]). Invariant: always equal to
     /// [`sig::graph_sigs`] of the stored payload — a pure function of
@@ -345,7 +349,7 @@ impl TreePiIndex {
     }
 
     /// Put an index together from its parts, deriving the directory and
-    /// the downward closure from the features; `sigs` must be
+    /// the shape filter from the features; `sigs` must be
     /// [`sig::graph_sigs`] of each `db` entry. Fails if two features share a
     /// canonical string. The mining facts and the epoch start at zero for
     /// the caller to set.
@@ -362,13 +366,13 @@ impl TreePiIndex {
         if by_canon.windows(2).any(|w| canon(&w[0]) == canon(&w[1])) {
             return Err("two features share a canonical string");
         }
-        let closure = derive_closure(&features, MAX_CLOSURE);
+        let shapes = shape_filter(&features, MAX_CLOSURE);
         Ok(Self {
             db,
             active,
             features,
             by_canon,
-            closure,
+            shapes,
             sigs,
             params,
             mined: 0,
@@ -450,14 +454,20 @@ impl TreePiIndex {
             .binary_search_by(|fid| self.features[fid.idx()].canon.tokens().cmp(tokens))
     }
 
-    /// Can the tree with these canonical tokens be grown into a stored
-    /// feature, i.e. is it (by fingerprint) a proper subtree of one? Never
-    /// `false` for a tree that is: a fingerprint collision can only say
-    /// `true` of a tree that is not, which costs the walk a wasted step and
-    /// no answer, because hits are decided by the exact directory lookup.
-    pub(crate) fn may_grow(&self, tokens: &[u32]) -> bool {
-        let member = |c: &Vec<u32>| c.binary_search(&fingerprint(tokens)).is_ok();
-        self.closure.as_ref().is_none_or(member)
+    /// Can a tree with this shape be grown into a stored feature, i.e. may
+    /// it be a proper subtree of one? Never `false` for a tree that is: a
+    /// shared shape or a filter collision can only say `true` of a tree
+    /// that is not, which costs the walk a wasted step and no answer.
+    #[inline]
+    pub(crate) fn may_grow(&self, shape: u64) -> bool {
+        self.shapes.contains(Tag::Grow, shape)
+    }
+
+    /// May a tree with this shape be a stored feature? Never `false` for a
+    /// tree that is; a `true` is confirmed by the exact directory lookup.
+    #[inline]
+    pub(crate) fn may_be_feature(&self, shape: u64) -> bool {
+        self.shapes.contains(Tag::Feature, shape)
     }
 
     /// The feature with id `fid`.
@@ -542,22 +552,35 @@ impl TreePiIndex {
     pub fn insert(&mut self, g: Graph) -> u32 {
         let gid = self.db.len() as u32;
         // Register novel single-edge trees as fresh (so far empty) features,
-        // each spliced into the directory at its rank: after this every edge
-        // of `g` is a feature, which is what the walk expects of a graph.
-        for e in g.edges() {
-            let t = Tree::single_edge(g.vlabel(e.u), e.label, g.vlabel(e.v));
-            let canon = tree_core::canonical_string(&t);
-            if let Err(rank) = self.canon_rank(&canon) {
-                let fid = FeatureId(self.features.len() as u32);
-                self.by_canon.insert(rank, fid);
-                self.features.push(Feature::new(t, canon));
+        // each spliced into the directory at its rank and its shape into the
+        // filter: after this every edge of `g` is a feature, which is what
+        // the walk expects of a graph. Each edge is looked up where it lies;
+        // only a novel one is made a tree.
+        let mut enc = SubtreeEncoder::default();
+        for e in g.edge_ids() {
+            let edge = g.edge(e);
+            if self
+                .feature_by_tokens(enc.encode(&g, edge.u, |x| x == e).0)
+                .is_some()
+            {
+                continue;
             }
+            let t = Tree::single_edge(g.vlabel(edge.u), edge.label, g.vlabel(edge.v));
+            let canon = tree_core::canonical_string(&t);
+            let rank = self
+                .canon_rank(&canon)
+                .expect_err("the edge was just looked up");
+            let fid = FeatureId(self.features.len() as u32);
+            self.by_canon.insert(rank, fid);
+            self.shapes.insert(Tag::Feature, tree_shape(t.graph()));
+            self.features.push(Feature::new(t, canon));
         }
         // Every occurrence of a feature in `g`, as (feature, center id): a
         // center is a function of the occurrence, and occurrences sharing
         // one collapse. A feature's kind of center is its occurrences'.
         let mut hits: Vec<(FeatureId, u32)> = Vec::new();
-        crate::walk::walk_features(self, &g, |fid, _, center| {
+        let counts = &mut crate::walk::WalkCounts::default();
+        crate::walk::walk_features(self, &g, counts, |fid, _, center| {
             hits.push(match center {
                 Center::Vertex(v) => (fid, v.0),
                 Center::Edge(e) => (fid, e.0),
@@ -623,11 +646,12 @@ impl TreePiIndex {
         idx
     }
 
-    /// The index as if every fingerprint collided, which is how it stands
-    /// when the closure is too large to derive: the walk grows every subtree.
+    /// The index as if every shape collided, which is how it stands when the
+    /// closure is too large to derive: the walk encodes every subset and
+    /// grows every subtree.
     #[cfg(test)]
-    pub(crate) fn with_colliding_fingerprints(mut self) -> Self {
-        self.closure = None;
+    pub(crate) fn with_colliding_shapes(mut self) -> Self {
+        self.shapes = ShapeFilter::everything();
         self
     }
 
@@ -675,8 +699,7 @@ impl TreePiIndex {
             supports_bytes,
             centers_bytes,
             sigs_bytes,
-            trie_bytes: self.by_canon.len() * size_of::<FeatureId>()
-                + self.closure.as_ref().map_or(0, Vec::len) * size_of::<u32>(),
+            trie_bytes: self.by_canon.len() * size_of::<FeatureId>() + self.shapes.heap_bytes(),
         }
     }
 
@@ -724,8 +747,9 @@ pub struct IndexMemory {
     /// Per-vertex neighborhood signatures ([`crate::sig`]).
     pub sigs_bytes: usize,
     /// The canonical-string directory, one feature id per feature, and the
-    /// features' downward closure, one fingerprint per proper subtree (the
-    /// name predates both — a prefix trie used to stand here).
+    /// shape filter, 12 bits per feature and per distinct proper subtree of
+    /// one, in whole 8-byte words (the name predates both — a prefix trie
+    /// used to stand here).
     pub trie_bytes: usize,
 }
 
@@ -792,33 +816,43 @@ fn release_freed_heap() {
     }
 }
 
-/// 32 bits of FNV-1a over canonical tokens: the key of the closure set.
-fn fingerprint(tokens: &[u32]) -> u32 {
-    let h = tokens.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &t| {
-        (h ^ u64::from(t)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
-    (h ^ (h >> 32)) as u32
-}
-
 /// Most distinct proper subtrees a feature set may have before deriving
-/// them is given up (a 1 MB set). Every one of them is a frequent tree, so
-/// an index mined under the default `MiningLimits::max_patterns` (200 000)
-/// stays below — the 1 425 features of a 200-molecule database have 977 —
-/// but a bushy 30-edge tree in a forged index file has 2³⁰, and loading it
-/// must stay bounded.
+/// them is given up (a 400 kB filter). Every one of them is a frequent
+/// tree, so an index mined under the default `MiningLimits::max_patterns`
+/// (200 000) stays below — the 1 425 features of a 200-molecule database
+/// have 977 — but a bushy 30-edge tree in a forged index file has 2³⁰, and
+/// loading it must stay bounded.
 const MAX_CLOSURE: usize = 1 << 18;
 
-/// Fingerprints, ascending, of every proper subtree with at least one edge
-/// of any of `features`; `None` past `cap` distinct ones.
+/// The shape filter of `features`: each feature's shape tagged
+/// [`Tag::Feature`], each distinct proper subtree's tagged [`Tag::Grow`] —
+/// or, past `cap` distinct proper subtrees, the filter that holds
+/// everything.
+fn shape_filter(features: &[Feature], cap: usize) -> ShapeFilter {
+    let Some(closure) = derive_closure(features, cap) else {
+        return ShapeFilter::everything();
+    };
+    let mut filter = ShapeFilter::with_keys(closure.len() + features.len());
+    for shape in closure {
+        filter.insert(Tag::Grow, shape);
+    }
+    for f in features {
+        filter.insert(Tag::Feature, tree_shape(f.tree.graph()));
+    }
+    filter
+}
+
+/// The shapes of every distinct proper subtree with at least one edge of
+/// any of `features`, one per tree; `None` past `cap` of them.
 ///
 /// Peels leaves: every proper subtree is some larger subtree less one leaf
 /// edge, so each distinct tree met — told apart by its full canonical
 /// string, a missed one would lose its whole downward cone — is expanded
 /// once, whichever features it was met in.
-fn derive_closure(features: &[Feature], cap: usize) -> Option<Vec<u32>> {
+fn derive_closure(features: &[Feature], cap: usize) -> Option<Vec<u64>> {
     let mut enc = SubtreeEncoder::default();
     let mut seen: FxHashSet<Box<[u32]>> = FxHashSet::default();
-    let mut fps: Vec<u32> = Vec::new();
+    let mut shapes: Vec<u64> = Vec::new();
     // Subtrees still to peel: `(feature, start, len)` into `edges`.
     let mut edges: Vec<EdgeId> = Vec::new();
     let mut todo: Vec<(usize, usize, usize)> = Vec::new();
@@ -854,25 +888,23 @@ fn derive_closure(features: &[Feature], cap: usize) -> Option<Vec<u32>> {
             };
             in_set[leaf.idx()] = false;
             let (tokens, _) = enc.encode(g, stays, |e| in_set[e.idx()]);
+            let novel = !seen.contains(tokens);
+            if novel {
+                if seen.len() == cap {
+                    return None;
+                }
+                seen.insert(tokens.into());
+                shapes.push(shape_of(g, g.vertices(), |e| in_set[e.idx()]));
+            }
             in_set[leaf.idx()] = true;
-            if seen.contains(tokens) {
-                continue;
-            }
-            if seen.len() == cap {
-                return None;
-            }
-            seen.insert(tokens.into());
-            fps.push(fingerprint(tokens));
-            if len > 2 {
+            if novel && len > 2 {
                 todo.push((fi, edges.len(), len - 1));
                 edges.extend_from_within(start..i);
                 edges.extend_from_within(i + 1..start + len);
             }
         }
     }
-    fps.sort_unstable();
-    fps.dedup();
-    Some(fps)
+    Some(shapes)
 }
 
 #[cfg(test)]
@@ -1161,47 +1193,67 @@ mod tests {
             snap.gauge(obs::names::GAUGE_INDEX_TRIE),
             Some(m.trie_bytes as u64)
         );
-        // One id per feature, one fingerprint per closure entry.
-        let closure = idx.closure.as_ref().expect("derived");
-        assert_eq!(m.trie_bytes, 4 * (idx.feature_count() + closure.len()));
+        // One id per feature, 12 bits per feature and per distinct proper
+        // subtree of one, in whole words.
+        let closure = derive_closure(idx.features(), MAX_CLOSURE).expect("derived");
+        let bits = 12 * (idx.feature_count() + closure.len());
+        assert_eq!(
+            m.trie_bytes,
+            4 * idx.feature_count() + 8 * bits.div_ceil(64)
+        );
     }
 
+    /// By brute force: every proper subtree of a feature may grow, every
+    /// feature may be one, before and after §7.1 maintenance (whose novel
+    /// single-edge feature must be found too) — and the filter is no
+    /// "everything".
     #[test]
     fn closure_is_every_proper_subtree_of_a_feature() {
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
         let chem = datagen::generate_chem(&datagen::ChemParams::sized(30), &mut rng);
         let mut molecules = TreePiIndex::build(chem, TreePiParams::default());
-        for idx in [&mut quick_index(), &mut molecules] {
-            let mut brute: Vec<u32> = Vec::new();
-            for f in idx.features().iter().filter(|f| f.size() > 1) {
+        let sound_and_sparse = |idx: &TreePiIndex| {
+            let (grow, feature) = (0..1_000u64)
+                .map(sig::splitmix64)
+                .fold((0, 0), |(g, f), s| {
+                    (g + idx.may_grow(s) as u32, f + idx.may_be_feature(s) as u32)
+                });
+            assert!(grow < 100 && feature < 100, "{grow} / {feature} of 1 000");
+            for f in idx.features() {
                 let g = f.tree.graph();
-                let _ = graph_core::for_each_subtree_edge_subset(g, f.size() - 1, |edges| {
-                    let sub = graph_core::edge_subgraph(g, edges).graph;
-                    let sub = Tree::from_graph(sub).expect("a subtree");
-                    brute.push(fingerprint(canonical_string(&sub).tokens()));
+                assert!(idx.may_be_feature(tree_shape(g)), "{:?}", f.canon);
+                let proper = f.size() - 1;
+                let _ = graph_core::for_each_subtree_edge_subset(g, proper, |edges| {
+                    let shape = shape_of(g, g.vertices(), |e| edges.contains(&e));
+                    assert!(idx.may_grow(shape), "{:?} less some edge", f.canon);
                     std::ops::ControlFlow::Continue(())
                 });
             }
-            brute.sort_unstable();
-            brute.dedup();
-            assert!(!brute.is_empty());
-            assert_eq!(idx.closure.as_ref(), Some(&brute));
-            // §7.1 maintenance leaves it alone, novel edge label or not.
+        };
+        for idx in [&mut quick_index(), &mut molecules] {
+            assert!(idx.features().iter().any(|f| f.size() > 1));
+            sound_and_sparse(idx);
+            let before = idx.feature_count();
             idx.insert(graph_from(&[0, 77, 0], &[(0, 1, 0), (1, 2, 5)]));
+            assert_eq!(idx.feature_count(), before + 2, "two novel edges");
             idx.remove(0);
-            assert_eq!(idx.closure.as_ref(), Some(&brute));
+            sound_and_sparse(idx);
         }
     }
 
     #[test]
     fn a_closure_past_its_cap_is_given_up() {
         let idx = quick_index();
-        let n = idx.closure.as_ref().expect("derived").len();
-        assert_eq!(derive_closure(idx.features(), n), idx.closure);
+        let n = derive_closure(idx.features(), MAX_CLOSURE)
+            .expect("derived")
+            .len();
+        assert!(derive_closure(idx.features(), n).is_some());
         assert_eq!(derive_closure(idx.features(), n - 1), None);
-        assert!(!idx.may_grow(&[1, 2, 3]));
-        assert!(idx.with_colliding_fingerprints().may_grow(&[1, 2, 3]));
+        let everything = shape_filter(idx.features(), n - 1);
+        let unheld = (0..u64::MAX).find(|&s| !idx.may_grow(s)).expect("a shape");
+        assert!(everything.contains(Tag::Grow, unheld));
+        assert!(idx.with_colliding_shapes().may_grow(unheld));
     }
 
     #[test]

@@ -44,6 +44,7 @@ pub mod partition;
 pub mod persist;
 pub mod prune;
 pub mod query;
+mod shape;
 pub mod sig;
 pub mod verify;
 mod walk;

@@ -18,7 +18,7 @@
 //! 8).
 
 use crate::index::{FeatureId, TreePiIndex};
-use crate::walk::QueryFeatures;
+use crate::walk::{QueryFeatures, WalkCounts};
 use graph_core::{EdgeId, Graph, VertexId};
 use rand::Rng;
 use smallvec::SmallVec;
@@ -73,7 +73,7 @@ pub fn partition_runs_with<R: Rng>(
 }
 
 fn partition(q: &Graph, index: &TreePiIndex, collect_sf: bool) -> PartitionRuns {
-    match QueryFeatures::walk(index, q) {
+    match QueryFeatures::walk(index, q, &mut WalkCounts::default()) {
         Ok(found) => {
             let min_partition = cover(q, &found);
             let sf = if collect_sf {

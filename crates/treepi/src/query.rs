@@ -22,7 +22,7 @@ use crate::partition::{cover, partition_features};
 use crate::prune::{center_prune_pool_obs, query_center_distances};
 use crate::sig;
 use crate::verify::verify_all_pool_obs;
-use crate::walk::QueryFeatures;
+use crate::walk::{QueryFeatures, WalkCounts};
 use graph_core::par::Pool;
 use graph_core::Graph;
 use std::time::{Duration, Instant};
@@ -100,6 +100,14 @@ pub struct QueryStats {
     /// The query contained an edge that is not a feature (empty support
     /// proven without touching the database).
     pub missing_feature: bool,
+    /// Edge subsets of the query the walk visited (zero when the query is
+    /// itself a feature tree).
+    pub walk_probes: usize,
+    /// Of those, the subsets whose shape may be a feature's: canonically
+    /// encoded and looked up.
+    pub walk_encodes: usize,
+    /// Of those, the subsets that are features: occurrences found.
+    pub walk_hits: usize,
     /// Time in the partition stage: the feature-tree shortcut, the walk and
     /// the cover.
     pub t_partition: Duration,
@@ -141,6 +149,9 @@ impl QueryStats {
         shard.add(obs::names::MISSING_FEATURE, self.missing_feature as u64);
         shard.add("funnel.partition_parts", self.partition_size as u64);
         shard.add("funnel.sf_features", self.sf_size as u64);
+        shard.add(obs::names::WALK_PROBES, self.walk_probes as u64);
+        shard.add(obs::names::WALK_ENCODES, self.walk_encodes as u64);
+        shard.add(obs::names::WALK_HITS, self.walk_hits as u64);
         shard.observe(obs::names::SPAN_PARTITION, self.t_partition);
         shard.observe(obs::names::SPAN_PARTITION_ENUMERATE, self.t_enumerate);
         shard.observe(obs::names::SPAN_FILTER, self.t_filter);
@@ -265,8 +276,11 @@ impl TreePiIndex {
         // ---- Partition: one walk finds every feature occurrence in q;
         // the cover TP_q and the filter set both read it. ----
         let t_enumerate = Instant::now();
-        let found = QueryFeatures::walk(self, q);
+        let mut walk = WalkCounts::default();
+        let found = QueryFeatures::walk(self, q, &mut walk);
         stats.t_enumerate = t_enumerate.elapsed();
+        (stats.walk_probes, stats.walk_encodes, stats.walk_hits) =
+            (walk.probes, walk.encodes, walk.hits);
         let Ok(found) = found else {
             stats.t_partition = t.elapsed();
             stats.missing_feature = true;

@@ -37,16 +37,22 @@ pub struct VertexSig {
     pub mask: u64,
 }
 
-/// Hash an incident `(edge label, neighbor label)` pair to one of 64 mask
-/// bits. SplitMix64-style finalizer: deterministic, platform-independent,
-/// and cheap — the constant quality requirement here is only that distinct
-/// pairs spread over the mask.
+/// One SplitMix64 step: deterministic, platform-independent, and cheap —
+/// the quality asked of it here is only that distinct inputs spread over
+/// the output bits.
 #[inline]
-fn pair_bit(elabel: u32, nlabel: u32) -> u64 {
-    let mut z = ((elabel as u64) << 32 | nlabel as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+pub(crate) fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    1u64 << ((z ^ (z >> 31)) & 63)
+    z ^ (z >> 31)
+}
+
+/// Hash an incident `(edge label, neighbor label)` pair to one of 64 mask
+/// bits.
+#[inline]
+fn pair_bit(elabel: u32, nlabel: u32) -> u64 {
+    1u64 << (splitmix64((elabel as u64) << 32 | nlabel as u64) & 63)
 }
 
 impl VertexSig {

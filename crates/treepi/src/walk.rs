@@ -8,36 +8,57 @@
 //! The walk grows connected acyclic edge subsets by the seed-and-forbid
 //! scheme of [`graph_core::for_each_subtree_edge_subset`], so each subset is
 //! reached at most once, and along the way every ancestor of a subset is a
-//! subtree of it. A subset is therefore extended only while it is a *proper
-//! subtree of some stored feature* ([`TreePiIndex::may_grow`]): an occurrence
-//! of a feature has nothing but such subsets above it, so none is lost, and
-//! everywhere else the walk stops after one step instead of enumerating
-//! every subtree up to η edges.
+//! subtree of it. A subset is therefore extended only while it may be a
+//! *proper subtree of some stored feature* ([`TreePiIndex::may_grow`]): an
+//! occurrence of a feature has nothing but such subsets above it, so none is
+//! lost, and everywhere else the walk stops after one step instead of
+//! enumerating every subtree up to η edges.
+//!
+//! Both "may it grow?" and "may it be a feature?" are put to the subset's
+//! shape ([`crate::shape`]), which the walk keeps as edges come and go, two
+//! vertex terms per edge. Only a subset whose shape may be a feature's is
+//! canonically encoded; the exact directory lookup then confirms the hit or
+//! drops it, and the encoder yields a hit's center.
 
 use crate::index::{FeatureId, TreePiIndex};
+use crate::shape::{edge_term, vertex_term};
 use graph_core::{EdgeId, Graph, VertexId};
 use tree_core::{Center, SubtreeEncoder};
 
-/// One level of the walk: the subset in `Walk::current` and where it is in
-/// trying its frontier, which is `Walk::frontier[start..]` while the level
-/// is the deepest one.
+/// What walks did: subsets visited, subsets canonically encoded, and
+/// features found.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct WalkCounts {
+    pub(crate) probes: usize,
+    pub(crate) encodes: usize,
+    pub(crate) hits: usize,
+}
+
+/// One level of the walk: where the subset in `Walk::current` is in trying
+/// its frontier, which is `Walk::frontier[start..]` while the level is the
+/// deepest one.
 struct Level {
     start: usize,
     next: usize,
-    /// The vertex the level's last edge added to the subset.
-    added: VertexId,
 }
 
 struct Walk<'a, V> {
     index: &'a TreePiIndex,
     g: &'a Graph,
     visit: V,
+    counts: &'a mut WalkCounts,
     enc: SubtreeEncoder,
     /// The subset, in the order it was grown, and its vertices likewise.
     current: Vec<EdgeId>,
     vertices: Vec<VertexId>,
     in_set: Vec<bool>,
-    in_vertices: Vec<bool>,
+    /// Per vertex of `g`: its degree in the subset (0 if it is not in it),
+    /// and the wrapping sum of [`edge_term`] over its edges in the subset.
+    degree: Vec<u32>,
+    neighbours: Vec<u64>,
+    /// The subset's shape: the wrapping sum of [`vertex_term`] over its
+    /// vertices.
+    shape: u64,
     /// Edges an enclosing level has already tried: subsets with them were
     /// reached there.
     excluded: Vec<bool>,
@@ -46,61 +67,102 @@ struct Walk<'a, V> {
 }
 
 impl<V: FnMut(FeatureId, &[EdgeId], Center)> Walk<'_, V> {
-    /// Look the current subset up and report it if it is a feature. Returns
-    /// whether it is one, and whether the subset may be grown.
+    /// Add edge `e`, and whichever of its ends is new, to the subset.
+    fn push(&mut self, e: EdgeId) {
+        let edge = self.g.edge(e);
+        self.current.push(e);
+        self.in_set[e.idx()] = true;
+        for (x, y) in [(edge.u, edge.v), (edge.v, edge.u)] {
+            let label = self.g.vlabel(x);
+            let (degree, sum) = (&mut self.degree[x.idx()], &mut self.neighbours[x.idx()]);
+            if *degree == 0 {
+                self.vertices.push(x);
+            } else {
+                self.shape = self.shape.wrapping_sub(vertex_term(label, *degree, *sum));
+            }
+            *degree += 1;
+            *sum = sum.wrapping_add(edge_term(edge.label, self.g.vlabel(y)));
+            self.shape = self.shape.wrapping_add(vertex_term(label, *degree, *sum));
+        }
+    }
+
+    /// Undo the last [`Self::push`].
+    fn pop(&mut self) {
+        let e = self.current.pop().expect("a subset to shrink");
+        let edge = self.g.edge(e);
+        self.in_set[e.idx()] = false;
+        let mut gone = 0;
+        for (x, y) in [(edge.u, edge.v), (edge.v, edge.u)] {
+            let label = self.g.vlabel(x);
+            let (degree, sum) = (&mut self.degree[x.idx()], &mut self.neighbours[x.idx()]);
+            self.shape = self.shape.wrapping_sub(vertex_term(label, *degree, *sum));
+            *degree -= 1;
+            *sum = sum.wrapping_sub(edge_term(edge.label, self.g.vlabel(y)));
+            if *degree == 0 {
+                gone += 1;
+            } else {
+                self.shape = self.shape.wrapping_add(vertex_term(label, *degree, *sum));
+            }
+        }
+        // The ends the push added were the last vertices added.
+        self.vertices.truncate(self.vertices.len() - gone);
+    }
+
+    /// Report the current subset if it is a feature. Returns whether it is
+    /// one, and whether the subset may be grown.
     fn probe(&mut self) -> (bool, bool) {
-        let in_set = &self.in_set;
-        let from = self.g.edge(self.current[0]).u;
-        let (tokens, center) = self.enc.encode(self.g, from, |e| in_set[e.idx()]);
-        let found = self.index.feature_by_tokens(tokens);
-        if let Some(fid) = found {
-            (self.visit)(fid, &self.current, center);
+        #[cfg(test)]
+        assert_eq!(
+            self.shape,
+            tests::tree_invariant(self.g, &self.current),
+            "the kept shape is the subset's own"
+        );
+        self.counts.probes += 1;
+        let mut found = false;
+        if self.index.may_be_feature(self.shape) {
+            self.counts.encodes += 1;
+            let in_set = &self.in_set;
+            let from = self.g.edge(self.current[0]).u;
+            let (tokens, center) = self.enc.encode(self.g, from, |e| in_set[e.idx()]);
+            if let Some(fid) = self.index.feature_by_tokens(tokens) {
+                self.counts.hits += 1;
+                found = true;
+                (self.visit)(fid, &self.current, center);
+            }
         }
         let grows =
-            self.current.len() < self.index.params().sigma.eta && self.index.may_grow(tokens);
-        (found.is_some(), grows)
+            self.current.len() < self.index.params().sigma.eta && self.index.may_grow(self.shape);
+        (found, grows)
     }
 
     /// Open a level under the current subset: its frontier is every edge
     /// above the seed, not yet tried, with exactly one end in the subset.
-    fn descend(&mut self, seed: EdgeId, added: VertexId) {
+    fn descend(&mut self, seed: EdgeId) {
         let start = self.frontier.len();
         for &v in &self.vertices {
             for &(w, e) in self.g.neighbors(v) {
-                if e > seed && !self.excluded[e.idx()] && !self.in_vertices[w.idx()] {
+                if e > seed && !self.excluded[e.idx()] && self.degree[w.idx()] == 0 {
                     self.frontier.push(e);
                 }
             }
         }
         self.frontier[start..].sort_unstable();
-        self.levels.push(Level {
-            start,
-            next: start,
-            added,
-        });
+        self.levels.push(Level { start, next: start });
     }
 
     /// Every subset rooted at `seed` (its smallest edge), `seed` itself
     /// already probed.
     fn grow_from(&mut self, seed: EdgeId) {
-        let edge = self.g.edge(seed);
-        self.current.push(seed);
-        self.vertices.extend([edge.u, edge.v]);
-        self.in_set[seed.idx()] = true;
-        self.in_vertices[edge.u.idx()] = true;
-        self.in_vertices[edge.v.idx()] = true;
-        self.descend(seed, edge.v);
+        self.push(seed);
+        self.descend(seed);
         while let Some(level) = self.levels.last_mut() {
             if level.next == self.frontier.len() {
                 // Every extension tried: forget the level and its last edge.
                 for e in self.frontier.drain(level.start..) {
                     self.excluded[e.idx()] = false;
                 }
-                let added = self.levels.pop().expect("the level just read").added;
-                let e = self.current.pop().expect("a level has a last edge");
-                self.vertices.pop();
-                self.in_set[e.idx()] = false;
-                self.in_vertices[added.idx()] = false;
+                self.levels.pop();
+                self.pop();
                 continue;
             }
             // Take the next frontier edge; from here on this level (and all
@@ -108,31 +170,17 @@ impl<V: FnMut(FeatureId, &[EdgeId], Center)> Walk<'_, V> {
             let e = self.frontier[level.next];
             level.next += 1;
             self.excluded[e.idx()] = true;
-            let edge = self.g.edge(e);
             // Exactly one end is in the subset, as when the frontier was
             // drawn: every branch below this level has been undone.
-            let added = if self.in_vertices[edge.u.idx()] {
-                edge.v
-            } else {
-                edge.u
-            };
-            debug_assert!(!self.in_vertices[added.idx()]);
-            self.current.push(e);
-            self.vertices.push(added);
-            self.in_set[e.idx()] = true;
-            self.in_vertices[added.idx()] = true;
+            let edge = self.g.edge(e);
+            debug_assert!((self.degree[edge.u.idx()] == 0) != (self.degree[edge.v.idx()] == 0));
+            self.push(e);
             if self.probe().1 {
-                self.descend(seed, added);
+                self.descend(seed);
             } else {
-                self.current.pop();
-                self.vertices.pop();
-                self.in_set[e.idx()] = false;
-                self.in_vertices[added.idx()] = false;
+                self.pop();
             }
         }
-        // The seed level popped the seed edge and one of its ends.
-        self.vertices.clear();
-        self.in_vertices[edge.u.idx()] = false;
     }
 }
 
@@ -140,7 +188,7 @@ impl<V: FnMut(FeatureId, &[EdgeId], Center)> Walk<'_, V> {
 /// subset of `g` — up to the index's η edges — that is a stored feature:
 /// `edges` in the order the walk added them, `center` the subset's center by
 /// its id in `g`. Each subset is visited once, in no order a caller should
-/// rely on.
+/// rely on. What the walk did is added to `counts`.
 ///
 /// Stops with `Err(e)` at a single edge `e` of `g` that is not a feature
 /// (σ(1) = 1 indexes every edge the database contains, so no database graph
@@ -148,32 +196,34 @@ impl<V: FnMut(FeatureId, &[EdgeId], Center)> Walk<'_, V> {
 pub(crate) fn walk_features(
     index: &TreePiIndex,
     g: &Graph,
+    counts: &mut WalkCounts,
     visit: impl FnMut(FeatureId, &[EdgeId], Center),
 ) -> Result<(), EdgeId> {
     let mut walk = Walk {
         index,
         g,
         visit,
+        counts,
         enc: SubtreeEncoder::default(),
         current: Vec::new(),
         vertices: Vec::new(),
         in_set: vec![false; g.edge_count()],
-        in_vertices: vec![false; g.vertex_count()],
+        degree: vec![0; g.vertex_count()],
+        neighbours: vec![0; g.vertex_count()],
+        shape: 0,
         excluded: vec![false; g.edge_count()],
         frontier: Vec::new(),
         levels: Vec::new(),
     };
     let mut grows = Vec::with_capacity(g.edge_count());
     for e in g.edge_ids() {
-        walk.current.push(e);
-        walk.in_set[e.idx()] = true;
+        walk.push(e);
         let (found, may_grow) = walk.probe();
+        walk.pop();
         if !found {
             return Err(e);
         }
         grows.push(may_grow);
-        walk.in_set[e.idx()] = false;
-        walk.current.clear();
     }
     for (seed, _) in g.edge_ids().zip(grows).filter(|&(_, grows)| grows) {
         walk.grow_from(seed);
@@ -200,11 +250,15 @@ pub(crate) struct QueryFeatures {
 }
 
 impl QueryFeatures {
-    /// Walk `q`. `Err` is an edge of `q` that is not a feature, which
-    /// proves `q`'s support empty.
-    pub(crate) fn walk(index: &TreePiIndex, q: &Graph) -> Result<Self, EdgeId> {
+    /// Walk `q`, adding what the walk did to `counts`. `Err` is an edge of
+    /// `q` that is not a feature, which proves `q`'s support empty.
+    pub(crate) fn walk(
+        index: &TreePiIndex,
+        q: &Graph,
+        counts: &mut WalkCounts,
+    ) -> Result<Self, EdgeId> {
         let (mut edges, mut hits) = (Vec::new(), Vec::new());
-        walk_features(index, q, |feature, subset, center| {
+        walk_features(index, q, counts, |feature, subset, center| {
             let start = edges.len();
             edges.extend_from_slice(subset);
             edges[start..].sort_unstable();
@@ -254,16 +308,41 @@ mod tests {
     /// One occurrence: ascending edge set, feature, center by its id in `g`.
     type Hit = (Vec<EdgeId>, FeatureId, Center);
 
+    /// The shape of the tree `subset` spans in `g`, from scratch: its
+    /// vertices, each with the edges of `subset` at it. Every probe of a
+    /// walk under test holds the shape it kept to this.
+    pub(super) fn tree_invariant(g: &Graph, subset: &[EdgeId]) -> u64 {
+        let mut vertices: Vec<VertexId> = subset
+            .iter()
+            .flat_map(|&e| [g.edge(e).u, g.edge(e).v])
+            .collect();
+        vertices.sort_unstable();
+        vertices.dedup();
+        crate::shape::shape_of(g, vertices, |e| subset.contains(&e))
+    }
+
     /// What the walk reports, ascending by edge set.
     fn walked(index: &TreePiIndex, g: &Graph) -> Result<Vec<Hit>, EdgeId> {
         let mut hits: Vec<Hit> = Vec::new();
-        walk_features(index, g, |fid, edges, center| {
-            let mut edges = edges.to_vec();
-            edges.sort_unstable();
-            hits.push((edges, fid, center));
-        })?;
+        walk_features(
+            index,
+            g,
+            &mut WalkCounts::default(),
+            |fid, edges, center| {
+                let mut edges = edges.to_vec();
+                edges.sort_unstable();
+                hits.push((edges, fid, center));
+            },
+        )?;
         hits.sort_by(|a, b| a.0.cmp(&b.0));
         Ok(hits)
+    }
+
+    /// What a walk of `g` did.
+    fn counted(index: &TreePiIndex, g: &Graph) -> WalkCounts {
+        let mut counts = WalkCounts::default();
+        let _ = walk_features(index, g, &mut counts, |_, _, _| {});
+        counts
     }
 
     /// The same by exhaustion: every subtree of `g` up to η edges, extracted,
@@ -300,7 +379,10 @@ mod tests {
     fn assert_walk_exact(index: &TreePiIndex, g: &Graph, what: &str) {
         let want = exhaustive(index, g);
         assert_eq!(walked(index, g), want, "{what}");
-        match (QueryFeatures::walk(index, g), want) {
+        match (
+            QueryFeatures::walk(index, g, &mut WalkCounts::default()),
+            want,
+        ) {
             (Ok(table), Ok(mut want)) => {
                 let got: Vec<Hit> = table.hits().map(|(e, f, c)| (e.to_vec(), f, c)).collect();
                 want.sort_by(|a, b| b.0.len().cmp(&a.0.len()).then_with(|| a.0.cmp(&b.0)));
@@ -371,6 +453,13 @@ mod tests {
         };
         let mut large = idx.features().iter().filter(|f| f.size() > 1);
         assert!(!large.all(leafless_is_stored), "precondition");
+        // Some subset's shape passes the filter and is no feature: the
+        // encode-and-drop path is taken.
+        let dropped = |q: &Graph| {
+            let c = counted(&idx, q);
+            c.encodes > c.hits
+        };
+        assert!(queries.iter().any(dropped), "precondition");
         for q in &queries {
             assert_walk_exact(&idx, q, "molecule query");
         }
@@ -391,9 +480,9 @@ mod tests {
                 for g in &db {
                     assert_walk_exact(&idx, g, "database graph");
                 }
-                // The degenerate closure (everything collides) walks
-                // everywhere and finds the same.
-                assert_walk_exact(&idx.with_colliding_fingerprints(), &q, "colliding");
+                // The degenerate filter (every shape collides) encodes
+                // everything, walks everywhere and finds the same.
+                assert_walk_exact(&idx.with_colliding_shapes(), &q, "colliding");
             }
         }
 
@@ -439,13 +528,13 @@ mod tests {
         }
 
         #[test]
-        fn colliding_fingerprints_cost_no_answer(
+        fn colliding_shapes_cost_no_answer(
             db in arb_db(6, 6),
             extra in arb_connected_graph(6, 3),
             q in arb_connected_graph(5, 3),
         ) {
             let mut exact = TreePiIndex::build(db, TreePiParams::quick());
-            let mut idx = exact.clone().with_colliding_fingerprints();
+            let mut idx = exact.clone().with_colliding_shapes();
             let gid = idx.insert(extra.clone());
             prop_assert_eq!(exact.insert(extra), gid);
             for (i, f) in exact.features().iter().enumerate() {
@@ -459,6 +548,39 @@ mod tests {
             prop_assert_eq!(got.matches, want.matches);
             prop_assert_eq!(got.stats.partition_size, want.stats.partition_size);
             prop_assert_eq!(got.stats.sf_size, want.stats.sf_size);
+        }
+
+        /// Every probe holds the shape the walk kept to [`tree_invariant`]
+        /// of its subset (the assertion is in `Walk::probe`). Under the
+        /// filter that holds everything the walk probes — and encodes —
+        /// every subtree up to η edges; under the index's own it probes no
+        /// more, and finds the same.
+        #[test]
+        fn every_probe_keeps_the_subsets_shape(
+            db in arb_db(6, 8),
+            q in arb_connected_graph(9, 3),
+        ) {
+            for params in both_params() {
+                let idx = TreePiIndex::build(db.clone(), params);
+                let everything = idx.clone().with_colliding_shapes();
+                for g in db.iter().chain([&q]) {
+                    let mut subsets = 0;
+                    let eta = idx.params().sigma.eta;
+                    let _ = graph_core::for_each_subtree_edge_subset(g, eta, |_| {
+                        subsets += 1;
+                        ControlFlow::Continue(())
+                    });
+                    let (all, own) = (counted(&everything, g), counted(&idx, g));
+                    // A missing edge stops both walks at the same probe.
+                    if let Ok(hits) = exhaustive(&idx, g) {
+                        prop_assert_eq!((all.probes, all.hits), (subsets, hits.len()));
+                    }
+                    prop_assert_eq!(all.encodes, all.probes);
+                    prop_assert_eq!(own.hits, all.hits);
+                    prop_assert!(own.probes <= all.probes);
+                    prop_assert!(own.hits <= own.encodes && own.encodes <= own.probes);
+                }
+            }
         }
     }
 }

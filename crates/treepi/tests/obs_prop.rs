@@ -62,8 +62,9 @@ fn run_metered(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `funnel.*` counters are exact sums of the returned `QueryStats`, and
-    /// deterministic counters are bit-identical at 1, 2, and 8 threads.
+    /// `funnel.*` and `walk.*` counters are exact sums of the returned
+    /// `QueryStats`, and deterministic counters are bit-identical at 1, 2,
+    /// and 8 threads.
     #[test]
     fn funnel_counters_reconcile_with_query_stats(
         db in arb_db(8, 7),
@@ -80,6 +81,9 @@ proptest! {
         prop_assert_eq!(base.counter(obs::names::FILTERED), sums(|s| s.filtered));
         prop_assert_eq!(base.counter(obs::names::PRUNED), sums(|s| s.pruned));
         prop_assert_eq!(base.counter(obs::names::ANSWERS), sums(|s| s.answers));
+        prop_assert_eq!(base.counter(obs::names::WALK_PROBES), sums(|s| s.walk_probes));
+        prop_assert_eq!(base.counter(obs::names::WALK_ENCODES), sums(|s| s.walk_encodes));
+        prop_assert_eq!(base.counter(obs::names::WALK_HITS), sums(|s| s.walk_hits));
         let missing: u64 = results.iter().filter(|r| r.stats.missing_feature).count() as u64;
         prop_assert_eq!(base.counter(obs::names::MISSING_FEATURE), missing);
 
