@@ -1,29 +1,25 @@
-//! Verification benchmark: what the neighborhood-signature kill stage
-//! buys on hard queries, and what it saves the prune and verify stages.
+//! Verification benchmark: the default pipeline (walk → cover → filter →
+//! anchored search) on hard queries, the traffic the search's signature
+//! gate exists for.
 //!
-//! Series:
-//! - `hard_on` vs `hard_off` at 1/2/8 workers: the same hard workload
-//!   (large extracted subgraphs, preferring cyclic ones, plus
-//!   label-perturbed near-misses) under the default full-enumeration
-//!   filter with the signature stage on and off;
-//! - `weakfilter_on` vs `weakfilter_off`: the same workload under the
-//!   `SfMode::PartitionOnly` ablation filter. The full-enumeration
-//!   filter subsumes most signature checks (every frequent star around
-//!   a query vertex is already demanded by support intersection), so
-//!   kills there come only from *infrequent* neighborhoods; the weak
-//!   filter leaves the whole job to the signature stage, which is where
-//!   its kill rate — and the time saved in CDC + verification — shows.
+//! Series, each at 1/2/8 workers, on one workload — large extracted
+//! subgraphs (cyclic ones first), mid and small sizes, plus a
+//! label-perturbed near miss of each:
+//! - `hard`: the default full-enumeration filter;
+//! - `weakfilter`: the `SfMode::PartitionOnly` ablation filter, which
+//!   passes more candidates on to the search and so leaves more of the
+//!   work to its signature gate.
 //!
-//! Answers are asserted identical on/off for both modes before anything
+//! Answers are asserted identical at every worker count before anything
 //! is timed.
 //!
 //! A measurement run (not `cargo test`'s `--test` smoke mode) also:
 //! - rewrites `BENCH_verify.json` at the repo root with the medians and
-//!   per-mode kill rates;
+//!   per-mode funnel rows (filtered, `verify.center_sig_kills`, answers);
 //! - writes a curated `treepi.obs/v1` metrics file (default
 //!   `BENCH_verify_metrics.json`, override with `VERIFY_METRICS_OUT`)
 //!   holding only counters that are deterministic for a fixed
-//!   `VERIFY_BENCH_GRAPHS` (the funnel.* namespace plus the sig-gate
+//!   `VERIFY_BENCH_GRAPHS` (the funnel.* namespace plus the center-gate
 //!   kill counters, summed over one metered batch per mode) — CI's
 //!   verify-filter leg gates it with `metrics-diff --include-exempt`
 //!   against `ci/verify-metrics-baseline.json`.
@@ -46,7 +42,7 @@ fn db_size() -> usize {
 /// in the graph. The multiset of labels barely moves (support-set filters
 /// often still pass) but the neighborhood around the swap changes — the
 /// shape of candidate that survives the funnel yet cannot embed, which
-/// is exactly what the signature stage is for.
+/// is what the search's signature gate rejects.
 fn perturb_labels(g: &Graph, rng: &mut impl Rng) -> Graph {
     let n = g.vertex_count();
     let mut labels: Vec<VLabel> = (0..n)
@@ -87,10 +83,9 @@ fn hard_workload(db: &[Graph]) -> Vec<Graph> {
     qs
 }
 
-fn opts(sf: SfMode, sig: bool) -> QueryOptions {
+fn opts(sf: SfMode) -> QueryOptions {
     QueryOptions {
         sf_mode: sf,
-        use_sig_filter: sig,
         ..QueryOptions::default()
     }
 }
@@ -106,39 +101,25 @@ fn bench_verify(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("verify");
     group.sample_size(10);
+    let mut want = Vec::new();
     for threads in [1usize, 2, 8] {
         let engine = Engine::new(treepi_index(&db), threads);
-        for (mode, sf) in MODES {
-            // The filter is an optimization, never a semantics knob:
-            // identical answers on and off, or the numbers mean nothing.
-            let (on, _) = engine.query_batch(&qs, opts(sf, true), 9);
-            let (off, _) = engine.query_batch(&qs, opts(sf, false), 9);
-            for (i, (a, b)) in on.iter().zip(&off).enumerate() {
-                assert_eq!(
-                    a.matches, b.matches,
-                    "{mode}, query {i}: filter changed answers"
-                );
+        for (m, (mode, sf)) in MODES.into_iter().enumerate() {
+            // A worker count never changes an answer, or the numbers mean
+            // nothing.
+            let (r, _) = engine.query_batch(&qs, opts(sf), 9);
+            let answers: Vec<Vec<u32>> = r.into_iter().map(|x| x.matches).collect();
+            if m == want.len() {
+                want.push(answers);
+            } else {
+                assert_eq!(answers, want[m], "{mode} at {threads} workers");
             }
-            group.bench_with_input(
-                BenchmarkId::new(format!("{mode}_on"), threads),
-                &qs,
-                |b, qs| {
-                    b.iter(|| {
-                        let (r, _) = engine.query_batch(qs, opts(sf, true), 9);
-                        r.iter().map(|x| x.matches.len()).sum::<usize>()
-                    })
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("{mode}_off"), threads),
-                &qs,
-                |b, qs| {
-                    b.iter(|| {
-                        let (r, _) = engine.query_batch(qs, opts(sf, false), 9);
-                        r.iter().map(|x| x.matches.len()).sum::<usize>()
-                    })
-                },
-            );
+            group.bench_with_input(BenchmarkId::new(mode, threads), &qs, |b, qs| {
+                b.iter(|| {
+                    let (r, _) = engine.query_batch(qs, opts(sf), 9);
+                    r.iter().map(|x| x.matches.len()).sum::<usize>()
+                })
+            });
         }
     }
     group.finish();
@@ -159,45 +140,41 @@ fn median_ns(runs: usize, mut f: impl FnMut()) -> u64 {
     (samples[samples.len() / 2]) as u64
 }
 
-/// One metered filter-on batch per mode: the funnel counters
-/// (thread-invariant by the determinism contract) plus the two
-/// center-gate kill counters, summed across both modes for the gate
-/// file; per-mode (killed, filtered) pairs for the kill rates.
+/// One metered batch per mode: the funnel counters (thread-invariant by
+/// the determinism contract) plus the center-gate kill counters, summed
+/// across both modes for the gate file, and each mode's
+/// (filtered, center-gate kills, answers) row.
 fn deterministic_verify_counters(
     db: &[Graph],
     qs: &[Graph],
-) -> (obs::MetricSet, Vec<(String, u64, u64)>) {
-    let registry = obs::Registry::new();
+) -> (obs::MetricSet, Vec<(&'static str, [u64; 3])>) {
     let engine = Engine::new(treepi_index(db), 2);
-    let mut per_mode = Vec::new();
-    let mut prev_killed = 0u64;
-    let mut prev_filtered = 0u64;
-    for (mode, sf) in MODES {
-        let (_, _) = engine.query_batch_obs(qs, opts(sf, true), 9, &registry);
-        let snap = registry.snapshot();
-        let killed = snap.counter(obs::names::SIG_KILLED);
-        let filtered = snap.counter(obs::names::FILTERED);
-        per_mode.push((
-            mode.to_string(),
-            killed - prev_killed,
-            filtered - prev_filtered,
-        ));
-        prev_killed = killed;
-        prev_filtered = filtered;
-    }
-    let drained = registry.drain();
-
     let mut out = obs::MetricSet::new();
-    for (name, v) in drained.counters() {
-        if name.starts_with("funnel.") || name.ends_with("center_sig_kills") {
-            out.add(name, v);
+    let mut rows = Vec::new();
+    for (mode, sf) in MODES {
+        let registry = obs::Registry::new();
+        let (_, _) = engine.query_batch_obs(qs, opts(sf), 9, &registry);
+        let m = registry.drain();
+        rows.push((
+            mode,
+            [
+                obs::names::FILTERED,
+                "verify.center_sig_kills",
+                obs::names::ANSWERS,
+            ]
+            .map(|name| m.counter(name)),
+        ));
+        for (name, v) in m.counters() {
+            if name.starts_with("funnel.") || name.ends_with("center_sig_kills") {
+                out.add(name, v);
+            }
         }
     }
-    (out, per_mode)
+    (out, rows)
 }
 
 /// Re-time the headline series standalone and write `BENCH_verify.json`
-/// (schema `treepi.bench.verify/v1`) plus the curated gate metrics file.
+/// (schema `treepi.bench.verify/v2`) plus the curated gate metrics file.
 fn emit_json() {
     let db = chem_db(db_size());
     let qs = hard_workload(&db);
@@ -207,38 +184,34 @@ fn emit_json() {
     for threads in [1usize, 2, 8] {
         let engine = Engine::new(treepi_index(&db), threads);
         for (mode, sf) in MODES {
-            for (suffix, sig) in [("on", true), ("off", false)] {
-                rows.push((
-                    format!("{mode}_{suffix}/{threads}"),
-                    median_ns(RUNS, || {
-                        let (r, _) = engine.query_batch(&qs, opts(sf, sig), 9);
-                        criterion::black_box(r.len());
-                    }),
-                ));
-            }
+            rows.push((
+                format!("{mode}/{threads}"),
+                median_ns(RUNS, || {
+                    let (r, _) = engine.query_batch(&qs, opts(sf), 9);
+                    criterion::black_box(r.len());
+                }),
+            ));
         }
     }
 
-    let (metrics, per_mode) = deterministic_verify_counters(&db, &qs);
-    let total_killed: u64 = per_mode.iter().map(|(_, k, _)| k).sum();
+    let (metrics, funnel) = deterministic_verify_counters(&db, &qs);
     assert!(
-        total_killed > 0,
-        "hard workload produced zero signature kills — the stage is dead weight here"
+        funnel.iter().all(|(_, [_, kills, _])| *kills > 0),
+        "a mode made zero center-gate kills: the search's signature gate is dead weight here"
     );
 
     let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"treepi.bench.verify/v1\",\n");
+    json.push_str("{\n  \"schema\": \"treepi.bench.verify/v2\",\n");
     json.push_str(&format!(
         "  \"graphs\": {},\n  \"queries\": {},\n",
         db.len(),
         qs.len()
     ));
     json.push_str("  \"funnel\": [\n");
-    for (i, (mode, killed, filtered)) in per_mode.iter().enumerate() {
-        let rate = *killed as f64 / (*filtered).max(1) as f64;
-        let sep = if i + 1 == per_mode.len() { "" } else { "," };
+    for (i, (mode, [filtered, kills, answers])) in funnel.iter().enumerate() {
+        let sep = if i + 1 == funnel.len() { "" } else { "," };
         json.push_str(&format!(
-            "    {{\"mode\": \"{mode}\", \"filtered\": {filtered}, \"sig_killed\": {killed}, \"kill_rate\": {rate:.4}}}{sep}\n"
+            "    {{\"mode\": \"{mode}\", \"filtered\": {filtered}, \"verify.center_sig_kills\": {kills}, \"answers\": {answers}}}{sep}\n"
         ));
     }
     json.push_str("  ],\n");

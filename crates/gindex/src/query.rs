@@ -35,10 +35,10 @@ impl GQueryStats {
 
     /// Record this query's funnel counters and stage timings into `shard`,
     /// under the **same names** TreePi uses so cross-system metric files
-    /// line up column-for-column. gIndex has no partition, CDC-prune, or
-    /// signature-filter stage, so those three spans get zero-duration
-    /// observations and `funnel.pruned` equals `funnel.filtered` (every
-    /// filtered candidate reaches verification).
+    /// line up column-for-column. gIndex has no partition or CDC-prune
+    /// stage, so those two spans get zero-duration observations and
+    /// `funnel.pruned` equals `funnel.filtered` (every filtered candidate
+    /// reaches verification).
     pub fn record_into(&self, shard: &obs::Shard) {
         shard.add(obs::names::QUERIES, 1);
         shard.add(obs::names::FILTERED, self.filtered as u64);
@@ -49,7 +49,6 @@ impl GQueryStats {
         shard.observe(obs::names::SPAN_PARTITION, Duration::ZERO);
         shard.observe(obs::names::SPAN_FILTER, self.t_filter);
         shard.observe(obs::names::SPAN_PRUNE, Duration::ZERO);
-        shard.observe(obs::names::SPAN_SIG_FILTER, Duration::ZERO);
         shard.observe(obs::names::SPAN_VERIFY, self.t_verify);
     }
 }
@@ -258,7 +257,7 @@ mod tests {
         let answers: u64 = results.iter().map(|r| r.stats.answers as u64).sum();
         assert_eq!(m.counter(obs::names::FILTERED), filtered);
         assert_eq!(m.counter(obs::names::ANSWERS), answers);
-        // all five TreePi pipeline spans exist (partition/prune/sig are zeros)
+        // all four TreePi pipeline spans exist (partition/prune are zeros)
         for name in obs::names::PIPELINE_SPANS {
             assert_eq!(
                 m.span(name).expect("span present").count,

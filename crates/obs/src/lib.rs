@@ -752,32 +752,25 @@ pub mod names {
     pub const SPAN_PARTITION: &str = "query.partition";
     /// Query filter stage (support-set intersection, Algorithm 1).
     pub const SPAN_FILTER: &str = "query.filter";
-    /// Center-distance pruning stage (Algorithm 2).
+    /// Center-distance pruning stage (Algorithm 2; zero-duration unless
+    /// the paper's toggle turns it on).
     pub const SPAN_PRUNE: &str = "query.prune";
-    /// Neighborhood-signature kill stage (between filter and prune).
-    pub const SPAN_SIG_FILTER: &str = "query.sig_filter";
-    /// Verification stage (Algorithm 3 / naive isomorphism).
+    /// Verification stage (Algorithm 3's anchored search, whose signature
+    /// gate is the only per-candidate signature check, or naive
+    /// isomorphism).
     pub const SPAN_VERIFY: &str = "query.verify";
     /// Within [`SPAN_PARTITION`]: enumeration of the query's indexed subtrees.
     pub const SPAN_PARTITION_ENUMERATE: &str = "query.partition.enumerate";
-    /// The five pipeline stages in funnel order.
-    pub const PIPELINE_SPANS: [&str; 5] = [
-        SPAN_PARTITION,
-        SPAN_FILTER,
-        SPAN_SIG_FILTER,
-        SPAN_PRUNE,
-        SPAN_VERIFY,
-    ];
+    /// The four pipeline stages in funnel order.
+    pub const PIPELINE_SPANS: [&str; 4] = [SPAN_PARTITION, SPAN_FILTER, SPAN_PRUNE, SPAN_VERIFY];
 
     /// Queries processed.
     pub const QUERIES: &str = "funnel.queries";
     /// Candidates surviving the filter stage (Σ |P_q|).
     pub const FILTERED: &str = "funnel.filtered";
-    /// Candidates surviving CDC pruning (Σ |P'_q|).
+    /// Candidates surviving CDC pruning (Σ |P'_q|); equal to
+    /// [`FILTERED`] with CDC off.
     pub const PRUNED: &str = "funnel.pruned";
-    /// Candidates killed by the neighborhood-signature filter before
-    /// verification ever ran (a subset of `funnel.pruned` survivors).
-    pub const SIG_KILLED: &str = "funnel.sig_killed";
     /// Exact answers (Σ |D_q|).
     pub const ANSWERS: &str = "funnel.answers";
     /// Queries short-circuited by a missing feature.

@@ -268,11 +268,11 @@ impl AccessLog {
 /// Bounded ring of slow-query captures.
 ///
 /// A query is captured when its verify-stage time meets `threshold`
-/// (`None` disables capture entirely). Each capture stores six trace
-/// events: an umbrella `serve.slow_query` slice spanning the whole
-/// pipeline with the funnel counters as `args`, plus the five stage
-/// slices, reconstructed backwards from the completion instant exactly
-/// like [`treepi::QueryStats::trace_into`].
+/// (`None` disables capture entirely). Each capture stores an umbrella
+/// `serve.slow_query` slice spanning the whole pipeline with the funnel
+/// counters as `args`, plus one slice per stage of
+/// [`treepi::QueryStats::stages`], laid end to end up to the completion
+/// instant as the engine's own trace does.
 #[derive(Debug)]
 pub struct SlowQueryLog {
     threshold: Option<Duration>,
@@ -339,13 +339,9 @@ impl SlowQueryLog {
         if self.ring.len() == self.cap {
             self.ring.pop_front();
         }
-        // Stage starts reconstructed backwards from `end`, as in
-        // `QueryStats::trace_into` — the stages run back-to-back.
-        let verify_start = end - stats.t_verify;
-        let prune_start = verify_start - stats.t_prune;
-        let sig_start = prune_start - stats.t_sig;
-        let filter_start = sig_start - stats.t_filter;
-        let partition_start = filter_start - stats.t_partition;
+        // The stages run back-to-back and end at `end`: the first starts
+        // `total()` before it, each where the previous one ended.
+        let query_start = end - stats.total();
         let off = |at: Instant| {
             at.checked_duration_since(self.epoch)
                 .unwrap_or_default()
@@ -364,7 +360,6 @@ impl SlowQueryLog {
         let mut umbrella_args = vec![
             ("funnel.filtered".to_string(), stats.filtered as u64),
             ("funnel.pruned".to_string(), stats.pruned as u64),
-            ("funnel.sig_killed".to_string(), stats.sig_killed as u64),
             ("funnel.answers".to_string(), stats.answers as u64),
             (
                 "funnel.missing_feature".to_string(),
@@ -372,44 +367,18 @@ impl SlowQueryLog {
             ),
         ];
         umbrella_args.extend(extra_args.iter().map(|&(k, v)| (k.to_string(), v)));
-        self.ring.push_back(vec![
-            slice(
-                "serve.slow_query",
-                partition_start,
-                stats.total(),
-                umbrella_args,
-            ),
-            slice(
-                obs::names::SPAN_PARTITION,
-                partition_start,
-                stats.t_partition,
-                Vec::new(),
-            ),
-            slice(
-                obs::names::SPAN_FILTER,
-                filter_start,
-                stats.t_filter,
-                Vec::new(),
-            ),
-            slice(
-                obs::names::SPAN_SIG_FILTER,
-                sig_start,
-                stats.t_sig,
-                Vec::new(),
-            ),
-            slice(
-                obs::names::SPAN_PRUNE,
-                prune_start,
-                stats.t_prune,
-                Vec::new(),
-            ),
-            slice(
-                obs::names::SPAN_VERIFY,
-                verify_start,
-                stats.t_verify,
-                Vec::new(),
-            ),
-        ]);
+        let mut capture = vec![slice(
+            "serve.slow_query",
+            query_start,
+            stats.total(),
+            umbrella_args,
+        )];
+        let mut start = query_start;
+        for (name, t) in stats.stages() {
+            capture.push(slice(name, start, t, Vec::new()));
+            start += t;
+        }
+        self.ring.push_back(capture);
         true
     }
 
@@ -431,13 +400,11 @@ mod tests {
             sf_size: 3,
             filtered: 17,
             pruned: 9,
-            sig_killed: 3,
             answers: 4,
             missing_feature: false,
             t_partition: Duration::from_micros(10),
             t_filter: Duration::from_micros(20),
             t_prune: Duration::from_micros(5),
-            t_sig: Duration::from_micros(2),
             t_verify: Duration::from_micros(500),
             ..QueryStats::default()
         }
@@ -485,8 +452,8 @@ mod tests {
             .iter()
             .filter(|e| e.get("ph").and_then(obs::json::Value::as_str) == Some("X"))
             .collect();
-        // Umbrella + 5 stages.
-        assert_eq!(slices.len(), 6);
+        // Umbrella + 4 stages.
+        assert_eq!(slices.len(), 1 + obs::names::PIPELINE_SPANS.len());
         let umbrella = slices
             .iter()
             .find(|s| s.get("name").and_then(obs::json::Value::as_str) == Some("serve.slow_query"))
@@ -498,9 +465,8 @@ mod tests {
             Some(17)
         );
         assert_eq!(
-            args.get("funnel.sig_killed")
-                .and_then(obs::json::Value::as_u64),
-            Some(3)
+            args.get("funnel.pruned").and_then(obs::json::Value::as_u64),
+            Some(9)
         );
         assert_eq!(
             args.get("query").and_then(obs::json::Value::as_u64),

@@ -169,7 +169,13 @@ fn cache_hits_repeats_and_maintenance_invalidates() {
 /// hang), A gets the scan oracle's answer, and the loop reports no stall.
 fn assert_loop_stays_responsive(heavy: &Graph) {
     use std::io::{Read, Write};
-    let (addr, handle) = spawn_server(ServeConfig::default());
+    // An unoptimised build takes more than the 100 ms default stall
+    // threshold over the 8 000-vertex path; 1 s, below B's 2 s read
+    // timeout, still reports a loop held for seconds.
+    let (addr, handle) = spawn_server(ServeConfig {
+        stall_threshold: Some(Duration::from_secs(1)),
+        ..ServeConfig::default()
+    });
     let connect = || {
         let s = std::net::TcpStream::connect(addr).expect("connect");
         s.set_read_timeout(Some(Duration::from_secs(2)))
@@ -450,7 +456,7 @@ fn telemetry_captures_slow_queries_and_samples_series() {
         .iter()
         .filter(|e| e.get("ph").and_then(obs::json::Value::as_str) == Some("X"))
         .count();
-    assert_eq!(slices, 3 * 6, "3 captures × (umbrella + 5 stages)");
+    assert_eq!(slices, 3 * 5, "3 captures × (umbrella + 4 stages)");
     // The sampler ticked (poll iterations happen even while idle) and its
     // timestamps are monotone.
     assert!(!telemetry.sampler.is_empty(), "sampler never fired");

@@ -750,7 +750,7 @@ mod tests {
         let idx = TreePiIndex::build(db, TreePiParams::default());
         let key = |r: &QueryResult| {
             let s = &r.stats;
-            let counts = (s.partition_size, s.sf_size, s.filtered, s.sig_killed);
+            let counts = (s.partition_size, s.sf_size, s.filtered);
             (
                 r.matches.clone(),
                 counts,

@@ -1,26 +1,25 @@
 //! The full TreePi query pipeline (paper §3, "Query Processing"):
-//! partition → filter → signature kill → verify from the stored centers,
-//! with per-stage statistics (the quantities plotted in Figures 10–13).
-//! The partition stage walks the query once for every occurrence of a
-//! stored feature: their features are the filter set `SF_q`, and a greedy
-//! cover by the largest of them is `TP_q` ([`crate::partition`]). Nothing
-//! on the path draws a random number, so a query's answer and statistics
-//! are functions of the query and the index alone. The signature stage is
-//! the cheapest per-candidate check in the funnel: a candidate it kills
-//! never pays for a search.
+//! partition → filter → verify from the stored centers, with per-stage
+//! statistics (the quantities plotted in Figures 10–13). The partition
+//! stage walks the query once for every occurrence of a stored feature:
+//! their features are the filter set `SF_q`, and a greedy cover by the
+//! largest of them is `TP_q` ([`crate::partition`]). Nothing on the path
+//! draws a random number, so a query's answer and statistics are functions
+//! of the query and the index alone. Each filter survivor gets one test,
+//! the anchored search of [`crate::verify`]; its vertex-signature gate is
+//! the funnel's only per-candidate signature check.
 //!
 //! Center-distance pruning (Algorithm 2) is the paper's toggle,
 //! [`QueryOptions::use_cdc`], off by default: with verification one
 //! anchored search of ≈ 1 µs per candidate, the few candidates CDC rejects
 //! save far less search time than the distance oracles cost (DESIGN.md,
-//! substitution 7). With it on, it runs between the signature kill and
+//! substitution 7). With it on, it runs between the filter and
 //! verification, as in the paper.
 
 use crate::filter::filter;
 use crate::index::TreePiIndex;
 use crate::partition::{cover, partition_features};
 use crate::prune::{center_prune_pool_obs, query_center_distances};
-use crate::sig;
 use crate::verify::verify_all_pool_obs;
 use crate::walk::{QueryFeatures, WalkCounts};
 use graph_core::par::Pool;
@@ -60,11 +59,6 @@ pub struct QueryOptions {
     /// [`crate::verify`]). Off = naive VF2 subgraph isomorphism of the
     /// whole query per candidate, like gIndex.
     pub use_reconstruction: bool,
-    /// Kill candidates whose vertex signatures cannot host the query
-    /// before verification (and CDC pruning, if on) runs (see [`crate::sig`]).
-    /// Sound — the filter only discards non-answers — so turning it off
-    /// is purely an ablation/debugging aid.
-    pub use_sig_filter: bool,
 }
 
 impl Default for QueryOptions {
@@ -73,7 +67,6 @@ impl Default for QueryOptions {
             sf_mode: SfMode::FullEnumeration,
             use_cdc: false,
             use_reconstruction: true,
-            use_sig_filter: true,
         }
     }
 }
@@ -87,14 +80,10 @@ pub struct QueryStats {
     pub sf_size: usize,
     /// `|P_q|` — candidates after filtering (gIndex's `|C_q|` analogue).
     pub filtered: usize,
-    /// `|P'_q|` — candidates after Center Distance pruning. With
-    /// [`QueryOptions::use_cdc`] off (the default) nothing is pruned, and
-    /// this is the number of signature-stage survivors: the candidates
-    /// verification searches.
+    /// `|P'_q|` — candidates after Center Distance pruning: the
+    /// candidates verification searches. With [`QueryOptions::use_cdc`] off
+    /// (the default) nothing is pruned and `pruned == filtered`.
     pub pruned: usize,
-    /// Filter survivors killed by the neighborhood-signature stage before
-    /// CDC pruning and verification ran.
-    pub sig_killed: usize,
     /// `|D_q|` — the exact answer count.
     pub answers: usize,
     /// The query contained an edge that is not a feature (empty support
@@ -119,32 +108,48 @@ pub struct QueryStats {
     pub t_filter: Duration,
     /// Time in the prune stage; zero with [`QueryOptions::use_cdc`] off.
     pub t_prune: Duration,
-    /// Time in the signature kill stage.
-    pub t_sig: Duration,
     /// Time in the verify stage.
     pub t_verify: Duration,
 }
 
 impl QueryStats {
-    /// Total processing time.
-    pub fn total(&self) -> Duration {
-        self.t_partition + self.t_filter + self.t_prune + self.t_sig + self.t_verify
+    /// The pipeline stages in funnel order, as `(span name, time)` pairs —
+    /// [`obs::names::PIPELINE_SPANS`] with this query's clocks. Every
+    /// per-stage report (the total, metrics, traces, the server's
+    /// slow-query capture) iterates this one list.
+    pub fn stages(&self) -> [(&'static str, Duration); 4] {
+        let [partition, filter, prune, verify] = obs::names::PIPELINE_SPANS;
+        [
+            (partition, self.t_partition),
+            (filter, self.t_filter),
+            (prune, self.t_prune),
+            (verify, self.t_verify),
+        ]
     }
 
-    /// Record this query's funnel counters and stage timings into `shard`.
+    /// Total processing time.
+    pub fn total(&self) -> Duration {
+        self.stages().iter().map(|&(_, t)| t).sum()
+    }
+
+    /// Record this query's funnel counters and stage timings into `shard`,
+    /// and, if it is tracing, the stages as timeline events ending at
+    /// `end`, the instant the query finished.
     ///
-    /// All five pipeline spans ([`obs::names::PIPELINE_SPANS`]) and the
-    /// partition stage's enumeration are observed unconditionally —
+    /// Every pipeline span ([`QueryStats::stages`]) and the partition
+    /// stage's enumeration are observed unconditionally —
     /// short-circuited queries (feature-tree shortcut, missing feature)
     /// contribute zero-duration observations — so a metrics snapshot always
     /// carries the full stage breakdown. Everything recorded
     /// here is a pure function of the query outcome, so batch totals are
-    /// bit-identical at any thread count.
-    pub fn record_into(&self, shard: &obs::Shard) {
+    /// bit-identical at any thread count. The stages run back-to-back, so
+    /// the first starts `total()` before `end` and each starts where the
+    /// previous one ended, without instrumenting the hot `query_impl`
+    /// internals.
+    fn record_into(&self, shard: &obs::Shard, end: Instant) {
         shard.add(obs::names::QUERIES, 1);
         shard.add(obs::names::FILTERED, self.filtered as u64);
         shard.add(obs::names::PRUNED, self.pruned as u64);
-        shard.add(obs::names::SIG_KILLED, self.sig_killed as u64);
         shard.add(obs::names::ANSWERS, self.answers as u64);
         shard.add(obs::names::MISSING_FEATURE, self.missing_feature as u64);
         shard.add("funnel.partition_parts", self.partition_size as u64);
@@ -152,37 +157,16 @@ impl QueryStats {
         shard.add(obs::names::WALK_PROBES, self.walk_probes as u64);
         shard.add(obs::names::WALK_ENCODES, self.walk_encodes as u64);
         shard.add(obs::names::WALK_HITS, self.walk_hits as u64);
-        shard.observe(obs::names::SPAN_PARTITION, self.t_partition);
         shard.observe(obs::names::SPAN_PARTITION_ENUMERATE, self.t_enumerate);
-        shard.observe(obs::names::SPAN_FILTER, self.t_filter);
-        shard.observe(obs::names::SPAN_SIG_FILTER, self.t_sig);
-        shard.observe(obs::names::SPAN_PRUNE, self.t_prune);
-        shard.observe(obs::names::SPAN_VERIFY, self.t_verify);
-    }
-
-    /// Emit the five stage intervals as trace timeline events, anchored to
-    /// `end` — the instant the query finished. The stages run back-to-back
-    /// (partition → filter → sig-filter → prune → verify), so their start
-    /// offsets are reconstructed backwards from `end` without instrumenting
-    /// the hot `query_impl` internals. A no-op unless `shard` is tracing.
-    pub fn trace_into(&self, shard: &obs::Shard, end: std::time::Instant) {
-        if !shard.is_tracing() {
-            return;
+        let tracing = shard.is_tracing();
+        let mut start = end - self.total();
+        for (name, t) in self.stages() {
+            shard.observe(name, t);
+            if tracing {
+                shard.trace_complete(name, start, t);
+                start += t;
+            }
         }
-        let verify_start = end - self.t_verify;
-        let prune_start = verify_start - self.t_prune;
-        let sig_start = prune_start - self.t_sig;
-        let filter_start = sig_start - self.t_filter;
-        let partition_start = filter_start - self.t_partition;
-        shard.trace_complete(
-            obs::names::SPAN_PARTITION,
-            partition_start,
-            self.t_partition,
-        );
-        shard.trace_complete(obs::names::SPAN_FILTER, filter_start, self.t_filter);
-        shard.trace_complete(obs::names::SPAN_SIG_FILTER, sig_start, self.t_sig);
-        shard.trace_complete(obs::names::SPAN_PRUNE, prune_start, self.t_prune);
-        shard.trace_complete(obs::names::SPAN_VERIFY, verify_start, self.t_verify);
     }
 }
 
@@ -217,8 +201,9 @@ impl TreePiIndex {
     /// seats. Results are identical at any `intra`/pool size: candidates
     /// are chunked in order and chunk results concatenated in order.
     ///
-    /// Stage spans and funnel counters are recorded into `shard` (see
-    /// [`QueryStats::record_into`] for the determinism contract). With a
+    /// Stage spans and funnel counters are recorded into `shard`; each is
+    /// a pure function of the query outcome, so batch totals are
+    /// bit-identical at any thread count. With a
     /// disabled shard every record is a single predicted branch.
     pub fn query_with_pool_obs(
         &self,
@@ -229,8 +214,7 @@ impl TreePiIndex {
         shard: &obs::Shard,
     ) -> QueryResult {
         let r = self.query_impl(q, opts, pool, intra, shard);
-        r.stats.record_into(shard);
-        r.stats.trace_into(shard, std::time::Instant::now());
+        r.stats.record_into(shard, Instant::now());
         r
     }
 
@@ -314,27 +298,6 @@ impl TreePiIndex {
             }
         };
 
-        // ---- Signature kill ----
-        // A candidate lacking a signature-compatible host vertex for some
-        // query vertex cannot contain q (see `crate::sig` for the
-        // soundness argument) — discard it before verification touches it.
-        // O(|q| × |g|) branch-free word compares per candidate, versus a
-        // search.
-        let t = Instant::now();
-        let pq = if opts.use_sig_filter {
-            let qsigs = sig::graph_sigs(q);
-            let before = pq.len();
-            let kept: Vec<u32> = pq
-                .into_iter()
-                .filter(|&gid| sig::graph_compatible(&qsigs, self.vertex_sigs(gid)))
-                .collect();
-            stats.sig_killed = before - kept.len();
-            kept
-        } else {
-            pq
-        };
-        stats.t_sig = t.elapsed();
-
         // ---- Prune (Algorithm 2; the paper's toggle, off by default) ----
         let pruned = if opts.use_cdc {
             let t = Instant::now();
@@ -415,8 +378,8 @@ mod tests {
             let s = &r.stats;
             assert!(s.partition_size >= 1);
             assert!(s.sf_size >= 1);
-            // the funnel only narrows
-            assert!(s.filtered - s.sig_killed >= s.pruned);
+            // the funnel only narrows; nothing is pruned with CDC off
+            assert_eq!(s.filtered, s.pruned);
             assert!(s.pruned >= s.answers);
             assert_eq!(s.answers, r.matches.len());
             assert!(!s.missing_feature);
@@ -472,53 +435,27 @@ mod tests {
     #[test]
     fn cdc_prunes_at_least_as_hard_as_filter() {
         let idx = index();
-        let q = graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 0, 1)]);
-        let with = idx.query_with(
-            &q,
-            QueryOptions {
-                use_cdc: true,
-                ..QueryOptions::default()
-            },
-        );
-        let without = idx.query(&q);
-        assert!(with.stats.pruned <= without.stats.pruned);
-        assert_eq!(with.matches, without.matches);
-        // Off (the default) prunes nothing and takes no prune time.
-        assert_eq!(
-            without.stats.pruned,
-            without.stats.filtered - without.stats.sig_killed
-        );
-        assert_eq!(without.stats.t_prune, Duration::ZERO);
-    }
-
-    #[test]
-    fn sig_filter_preserves_answers_and_reports_kills() {
-        let idx = index();
         let queries = [
             graph_from(&[0, 0], &[(0, 1, 0)]),
             graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 0, 1)]),
             graph_from(&[0, 1, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 0, 0)]),
         ];
         for (i, q) in queries.iter().enumerate() {
-            let on = idx.query(q);
-            let off = idx.query_with(
+            let with = idx.query_with(
                 q,
                 QueryOptions {
-                    use_sig_filter: false,
+                    use_cdc: true,
                     ..QueryOptions::default()
                 },
             );
-            assert_eq!(
-                on.matches, off.matches,
-                "query {i}: sig filter changed answers"
-            );
-            assert_eq!(off.stats.sig_killed, 0, "filter off must report no kills");
-            assert_eq!(
-                on.stats.filtered, off.stats.filtered,
-                "the kill stage must not change the upstream funnel"
-            );
-            assert!(on.stats.filtered - on.stats.sig_killed >= on.stats.pruned);
-            assert!(on.stats.pruned >= on.stats.answers);
+            let without = idx.query(q);
+            assert_eq!(with.matches, without.matches, "query {i}");
+            assert_eq!(with.stats.filtered, without.stats.filtered, "query {i}");
+            assert!(with.stats.pruned <= without.stats.pruned, "query {i}");
+            assert!(with.stats.pruned >= with.stats.answers, "query {i}");
+            // Off (the default) prunes nothing and takes no prune time.
+            assert_eq!(without.stats.pruned, without.stats.filtered, "query {i}");
+            assert_eq!(without.stats.t_prune, Duration::ZERO, "query {i}");
         }
     }
 
@@ -543,7 +480,7 @@ mod tests {
 
     /// The same length with every edge indexed (the 4-cycle's 0-1 edge,
     /// labels alternating): the whole pipeline runs on it — walk, cover,
-    /// filter, signatures, verification — in time linear in its length.
+    /// filter, verification — in time linear in its length.
     #[test]
     fn long_indexed_path_query_fits_a_small_stack() {
         const N: u32 = 50_000;

@@ -1,6 +1,7 @@
-//! Per-vertex neighborhood signatures: a compact, sound pre-verification
-//! filter in the spirit of l2Match's label-pair / neighboring-label
-//! indexes (see PAPERS.md).
+//! Per-vertex neighborhood signatures: a compact, sound feasibility test
+//! in the spirit of l2Match's label-pair / neighboring-label indexes (see
+//! PAPERS.md), applied inside the matcher as CNI applies its neighbourhood
+//! codes.
 //!
 //! For every vertex `v` of a database graph we precompute a 16-byte
 //! fingerprint of its 1-hop neighborhood: its own label, its degree, and a
@@ -16,8 +17,13 @@
 //! an OR over hashed pairs, which only ever *loses* distinctions (two
 //! pairs may share a bit); a set bit in the query mask that is absent from
 //! the host mask therefore proves a pair the host vertex lacks entirely.
-//! Killing a candidate because some query vertex has **no** compatible
-//! host vertex can consequently never discard a true answer.
+//! Rejecting a host vertex, a stored center position or a whole candidate
+//! on an incompatible signature can consequently never lose a true answer.
+//!
+//! Two consumers read them: the anchored search of [`crate::verify`]
+//! (its per-part count of compatible stored positions, via
+//! [`center_compatible`], and its per-vertex feasibility rule) and CDC
+//! pruning ([`crate::prune`], the paper's toggle).
 //!
 //! Signatures are a pure function of the stored graph payload — the index
 //! keeps `sigs[gid] == graph_sigs(&db[gid])` as an invariant across
@@ -85,9 +91,8 @@ pub fn graph_sigs(g: &Graph) -> Vec<VertexSig> {
 }
 
 /// Does every query vertex have at least one signature-compatible host
-/// vertex? `false` proves `q ⊄ g` (the pre-verification candidate kill);
-/// `true` decides nothing. Quadratic in the small per-graph vertex counts,
-/// all branch-free u64 compares.
+/// vertex? `false` proves `q ⊄ g`; `true` decides nothing. No query runs
+/// it: kept for the ledger's replay until ROADMAP item 1.
 pub fn graph_compatible(qsigs: &[VertexSig], hsigs: &[VertexSig]) -> bool {
     qsigs.iter().all(|q| hsigs.iter().any(|h| q.compatible(h)))
 }

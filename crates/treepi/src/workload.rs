@@ -128,13 +128,11 @@ mod tests {
             sf_size: 3,
             filtered,
             pruned,
-            sig_killed: 0,
             answers,
             missing_feature: false,
             t_partition: Duration::from_millis(ms / 2),
             t_filter: Duration::ZERO,
             t_prune: Duration::ZERO,
-            t_sig: Duration::ZERO,
             t_verify: Duration::from_millis(ms - ms / 2),
             ..QueryStats::default()
         }

@@ -87,7 +87,7 @@ proptest! {
         let missing: u64 = results.iter().filter(|r| r.stats.missing_feature).count() as u64;
         prop_assert_eq!(base.counter(obs::names::MISSING_FEATURE), missing);
 
-        // All five pipeline spans, and the partition stage's walk, are
+        // All four pipeline spans, and the partition stage's walk, are
         // observed exactly once per query, even for short-circuited queries.
         let walk = obs::names::SPAN_PARTITION_ENUMERATE;
         for name in obs::names::PIPELINE_SPANS.into_iter().chain([walk]) {
