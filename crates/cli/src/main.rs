@@ -417,7 +417,7 @@ fn run() -> Result<(), String> {
             let m = index.memory_breakdown();
             println!("heap breakdown:    {} KiB total", m.total() / 1024);
             println!("  database:        {} KiB", m.db_bytes / 1024);
-            println!("  feature trees:   {} KiB", m.features_bytes / 1024);
+            println!("  feature strings: {} KiB", m.features_bytes / 1024);
             println!("  support sets:    {} KiB", m.supports_bytes / 1024);
             println!("  center tables:   {} KiB", m.centers_bytes / 1024);
             println!("  canon directory: {} KiB", m.trie_bytes / 1024);

@@ -39,12 +39,6 @@ fn bfs_into(g: &Graph, src: VertexId, dist: &mut [u32], queue: &mut Vec<VertexId
     }
 }
 
-/// [`bfs_distances`] with the traversal tallied on `shard` as `graph.bfs`.
-pub fn bfs_distances_obs(g: &Graph, src: VertexId, shard: &obs::Shard) -> Vec<u32> {
-    shard.add("graph.bfs", 1);
-    bfs_distances(g, src)
-}
-
 /// Shortest-path distance between two vertices, or [`UNREACHABLE`].
 pub fn distance(g: &Graph, a: VertexId, b: VertexId) -> u32 {
     if a == b {

@@ -5,8 +5,8 @@
 //! - [`graph`]: the immutable labeled graph type and its builder;
 //! - [`dist`]: BFS distances and the cached [`dist::DistanceOracle`] used by
 //!   Center Distance Constraint pruning;
-//! - [`iso`]: VF2-style subgraph isomorphism, isomorphism, automorphisms,
-//!   and pinned embedding enumeration with caller-owned scratch;
+//! - [`iso`]: VF2-style subgraph isomorphism, isomorphism and
+//!   pinned embedding enumeration with caller-owned scratch;
 //! - [`canon`]: canonical codes for arbitrary small graphs (the expensive
 //!   operation TreePi avoids and the gIndex baseline must pay for);
 //! - [`subgraph`]: edge-subgraph extraction and connected edge-subset /
@@ -30,16 +30,13 @@ pub use digraph::{
     digraph_from, is_sub_digraph_isomorphic, Arc, DiBuildError, DiGraph, DiGraphBuilder,
     MIDPOINT_LABEL_BASE,
 };
-pub use dist::{
-    bfs_distances, bfs_distances_obs, distance, eccentricity, DistanceOracle, UNREACHABLE,
-};
+pub use dist::{bfs_distances, distance, eccentricity, DistanceOracle, UNREACHABLE};
 pub use graph::{
     graph_from, BuildError, ELabel, Edge, EdgeId, Graph, GraphBuilder, VLabel, VertexId, MAX_LABEL,
 };
 pub use iso::{
-    all_embeddings, automorphisms, find_embedding, for_each_embedding, for_each_embedding_pinned,
-    is_isomorphic, is_subgraph_isomorphic, is_subgraph_isomorphic_obs, Embedding, MatchScratch,
-    PreparedPattern,
+    all_embeddings, find_embedding, for_each_embedding, for_each_embedding_pinned, is_isomorphic,
+    is_subgraph_isomorphic, is_subgraph_isomorphic_obs, Embedding, MatchScratch, PreparedPattern,
 };
 pub use par::resolve_threads;
 pub use stats::{component_count, db_stats, edge_label_histogram, vertex_label_histogram, DbStats};

@@ -47,7 +47,6 @@ pub mod trace;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -604,30 +603,6 @@ impl Drop for SpanGuard<'_> {
     }
 }
 
-/// A shared atomic tally for the rare cross-thread count where no shard is
-/// in scope (e.g. a scheduler statistic owned by no single worker). Record
-/// its final value into a shard or registry at batch end.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// A counter at zero.
-    pub fn new() -> Self {
-        Self(AtomicU64::new(0))
-    }
-
-    /// Add `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 /// The thread-safe aggregation point: hands out [`Shard`]s and merges them
 /// back. The only lock is taken in [`Registry::absorb`]/[`Registry::snapshot`]
 /// — once per worker per batch, never per event.
@@ -796,7 +771,7 @@ pub mod names {
     pub const GAUGE_INDEX_TOTAL: &str = "mem.index.bytes";
     /// Gauge: heap bytes of the indexed graph database.
     pub const GAUGE_INDEX_DB: &str = "mem.index.db_bytes";
-    /// Gauge: heap bytes of the feature trees + canonical codes.
+    /// Gauge: heap bytes of the features' canonical strings.
     pub const GAUGE_INDEX_FEATURES: &str = "mem.index.features_bytes";
     /// Gauge: heap bytes of the per-feature support sets.
     pub const GAUGE_INDEX_SUPPORTS: &str = "mem.index.supports_bytes";
@@ -1343,17 +1318,6 @@ mod tests {
         assert_eq!(ab.gauge("mem.x"), Some(8), "merge keeps the max");
         assert_eq!(ab.gauge("mem.y"), Some(1));
         assert_eq!(ab.gauge("mem.missing"), None);
-    }
-
-    #[test]
-    fn atomic_counter() {
-        let c = Counter::new();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| c.add(5));
-            }
-        });
-        assert_eq!(c.get(), 20);
     }
 
     #[test]

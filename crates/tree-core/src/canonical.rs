@@ -15,7 +15,7 @@
 
 use crate::center::Center;
 use crate::tree::Tree;
-use graph_core::{EdgeId, Graph, VertexId};
+use graph_core::{ELabel, EdgeId, Graph, GraphBuilder, VLabel, VertexId};
 
 /// Canonical string of a tree: equal iff the trees are isomorphic as free
 /// labeled trees. Used as the feature-index key.
@@ -32,6 +32,57 @@ impl CanonString {
     #[inline]
     pub fn heap_bytes(&self) -> usize {
         self.0.len() * std::mem::size_of::<u32>()
+    }
+
+    /// Whether the tree is bicentral: rooted at its center edge.
+    #[inline]
+    pub fn is_bicentral(&self) -> bool {
+        self.0[0] == EDGE_ROOTED
+    }
+
+    /// Edge count of the tree. Every vertex is four tokens (`OPEN le lv`
+    /// and `CLOSE`); the root adds one or, for an edge root, two.
+    #[inline]
+    pub fn edge_count(&self) -> usize {
+        self.0.len() / 4 - 1
+    }
+
+    /// The tree this string encodes, its vertices numbered in the order the
+    /// string lists them (preorder from the root, the center edge's smaller
+    /// half first) and each edge numbered after the vertex it reaches:
+    /// `canonical_string(&c.decode()) == c`.
+    ///
+    /// # Panics
+    /// Panics if `self` is not a canonical string.
+    pub fn decode(&self) -> Tree {
+        let (edge_root, body) = match self.0.split_first() {
+            Some((&EDGE_ROOTED, [el, body @ ..])) => (Some(ELabel(el - LABEL_BASE)), body),
+            Some((_, body)) => (None, body),
+            None => panic!("an empty string encodes no tree"),
+        };
+        let mut b = GraphBuilder::with_capacity(body.len() / 4, body.len() / 4);
+        // The open vertices, root first.
+        let mut open: Vec<VertexId> = Vec::new();
+        let mut i = 0;
+        while i < body.len() {
+            if body[i] == CLOSE {
+                open.pop();
+                i += 1;
+                continue;
+            }
+            let v = b.add_vertex(VLabel(body[i + 2] - LABEL_BASE));
+            // A root hangs from nothing or, the second of an edge root, from the first.
+            let up = match open.last() {
+                Some(&parent) => Some((parent, ELabel(body[i + 1] - LABEL_BASE))),
+                None => edge_root.filter(|_| v.0 > 0).map(|el| (VertexId(0), el)),
+            };
+            if let Some((parent, el)) = up {
+                b.add_edge(parent, v, el).expect("a fresh vertex");
+            }
+            open.push(v);
+            i += 3;
+        }
+        Tree::from_graph(b.build()).expect("a canonical string encodes a tree")
     }
 }
 

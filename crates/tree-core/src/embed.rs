@@ -157,13 +157,6 @@ impl<'t> CenteredMatcher<'t> {
     }
 }
 
-/// Whether tree `a` is a subtree of tree `b` (used by index shrinking and
-/// delete maintenance; the paper notes tree-in-tree tests are faster than
-/// graph-in-graph).
-pub fn is_subtree_of(a: &Tree, b: &Tree) -> bool {
-    graph_core::is_subgraph_isomorphic(a.graph(), b.graph())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,14 +244,6 @@ mod tests {
             ControlFlow::Continue(())
         });
         assert_eq!(count, 2);
-    }
-
-    #[test]
-    fn subtree_check() {
-        let small = tree_from(&[1, 2], &[(0, 1, 0)]);
-        let big = tree_from(&[2, 1, 3], &[(1, 0, 0), (0, 2, 4)]);
-        assert!(is_subtree_of(&small, &big));
-        assert!(!is_subtree_of(&big, &small));
     }
 
     #[test]

@@ -16,5 +16,5 @@ pub mod tree;
 
 pub use canonical::{canonical_string, CanonString, SubtreeEncoder};
 pub use center::{center, center_by_eccentricity, Center};
-pub use embed::{center_positions, for_each_embedding_centered, is_subtree_of, CenterPos};
+pub use embed::{center_positions, for_each_embedding_centered, CenterPos};
 pub use tree::{tree_from, NotATree, Tree};

@@ -80,12 +80,6 @@ impl Tree {
     pub fn into_graph(self) -> Graph {
         self.graph
     }
-
-    /// Estimated heap bytes (see [`Graph::heap_bytes`]).
-    #[inline]
-    pub fn heap_bytes(&self) -> usize {
-        self.graph.heap_bytes()
-    }
 }
 
 /// Convenience constructor mirroring [`graph_core::graph_from`].

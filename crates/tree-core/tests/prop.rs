@@ -50,8 +50,45 @@ fn permute_tree(t: &Tree, perm: &[u32]) -> Tree {
     Tree::from_graph(b.build()).expect("permutation preserves treeness")
 }
 
+/// A canonical string decodes to a tree with that string, isomorphic to
+/// the one encoded, whose edge count and kind of center the string tells.
+fn assert_decode_round_trips(t: &Tree) {
+    let c = canonical_string(t);
+    let d = c.decode();
+    assert_eq!(canonical_string(&d), c);
+    assert!(graph_core::is_isomorphic(d.graph(), t.graph()), "{t:?}");
+    assert_eq!(c.edge_count(), t.edge_count());
+    assert_eq!(c.is_bicentral(), center(t).is_edge());
+}
+
+#[test]
+fn decode_round_trips_the_smallest_and_bicentral_trees() {
+    let trees = [
+        tree_from(&[3], &[]),
+        tree_from(&[2, 1], &[(0, 1, 5)]),
+        tree_from(&[1, 1], &[(0, 1, 0)]),
+        // Bicentral: paths of three and five edges, halves unequal or equal.
+        tree_from(&[5, 1, 2, 6], &[(0, 1, 0), (1, 2, 9), (2, 3, 0)]),
+        tree_from(&[0; 4], &[(0, 1, 0), (1, 2, 0), (2, 3, 0)]),
+        tree_from(
+            &[0; 6],
+            &[(0, 1, 0), (1, 2, 0), (2, 3, 1), (3, 4, 0), (4, 5, 0)],
+        ),
+        // Unicentral with equal sibling subtrees.
+        tree_from(&[0, 1, 1, 1], &[(0, 1, 0), (0, 2, 0), (0, 3, 0)]),
+    ];
+    for t in &trees {
+        assert_decode_round_trips(t);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn decode_inverts_the_canonical_string(t in arb_tree(14)) {
+        assert_decode_round_trips(&t);
+    }
 
     #[test]
     fn canonical_string_is_permutation_invariant(t in arb_tree(9), seed in any::<u64>()) {

@@ -32,7 +32,7 @@ use crate::sig::{self, VertexSig};
 use graph_core::{EdgeId, Graph, VertexId};
 use mining::{shrink_features_pool, SupportSet};
 use rustc_hash::FxHashSet;
-use tree_core::{center, CanonString, Center, CenterPos, SubtreeEncoder, Tree};
+use tree_core::{CanonString, Center, CenterPos, SubtreeEncoder, Tree};
 
 /// Identifier of a feature tree inside a [`TreePiIndex`]: its position in
 /// [`TreePiIndex::features`].
@@ -53,19 +53,16 @@ impl FeatureId {
 /// two are one structure: `support` holds the sorted graph ids and the
 /// private columns hold, for the graph at rank `r` of `support`, the
 /// positions `positions[offsets[r - 1]..offsets[r]]` (from 0 for `r = 0`)
-/// where an embedding of the tree is centered — vertex ids when `center` is
-/// a vertex, edge ids when it is an edge. Every supporting graph has at
+/// where an embedding of the tree is centered — vertex ids when the center
+/// is a vertex, edge ids when it is an edge. Every supporting graph has at
 /// least one position, so the offsets are strictly increasing.
 #[derive(Clone, Debug)]
 pub struct Feature {
-    /// The pattern tree.
-    pub tree: Tree,
-    /// Its canonical string (the directory key).
+    /// The tree, as its canonical string (the directory key). It names the
+    /// kind of center and the size; [`Self::tree`] decodes it.
     pub canon: CanonString,
     /// Sorted ids of database graphs containing the tree.
     pub support: SupportSet,
-    /// The center of the pattern itself (vertex or edge; Theorem 1).
-    pub center: Center,
     /// End offset into `positions` per rank of `support`.
     offsets: Vec<u32>,
     /// Center position ids of all supporting graphs, in rank order.
@@ -74,10 +71,8 @@ pub struct Feature {
 
 impl Feature {
     /// A feature with an empty posting list.
-    fn new(tree: Tree, canon: CanonString) -> Self {
+    fn new(canon: CanonString) -> Self {
         Self {
-            center: center(&tree),
-            tree,
             canon,
             support: Vec::new(),
             offsets: Vec::new(),
@@ -87,14 +82,20 @@ impl Feature {
 
     /// A mined tree as a feature: the miner's posting list is the feature's.
     fn from_mined(m: mining::MinedTree) -> Self {
-        let mut f = Self::new(m.tree, m.canon);
+        let mut f = Self::new(m.canon);
         (f.support, f.offsets, f.positions) = (m.support, m.offsets, m.positions);
         f
     }
 
     /// Edge size of the feature.
     pub fn size(&self) -> usize {
-        self.tree.edge_count()
+        self.canon.edge_count()
+    }
+
+    /// The feature tree, decoded from its canonical string: its vertices in
+    /// canonical order, not the miner's.
+    pub fn tree(&self) -> Tree {
+        self.canon.decode()
     }
 
     /// Center position ids of the graph at `rank` of `support`.
@@ -132,7 +133,7 @@ impl Feature {
     }
 
     /// The position columns `(offsets, position ids)` behind `support`, for
-    /// the writer. Ids are vertex or edge ids according to [`Self::center`].
+    /// the writer. Ids are vertex or edge ids according to the tree's center.
     pub(crate) fn columns(&self) -> (&[u32], &[u32]) {
         (&self.offsets, &self.positions)
     }
@@ -141,23 +142,23 @@ impl Feature {
     /// a query relies on: [`Self::postings_consistent`], and every position
     /// id inside its graph.
     pub(crate) fn from_columns(
-        tree: Tree,
+        canon: CanonString,
         support: SupportSet,
         offsets: Vec<u32>,
         positions: Vec<u32>,
         db: &[Graph],
     ) -> Result<Self, &'static str> {
-        let canon = tree_core::canonical_string(&tree);
-        let mut f = Self::new(tree, canon);
+        let mut f = Self::new(canon);
         (f.support, f.offsets, f.positions) = (support, offsets, positions);
         if !f.postings_consistent(db.len()) {
             return Err("posting list columns are inconsistent");
         }
         let in_graph = |(r, &gid)| {
             let g: &Graph = &db[gid as usize];
-            let n = match f.center {
-                Center::Vertex(_) => g.vertex_count(),
-                Center::Edge(_) => g.edge_count(),
+            let n = if f.canon.is_bicentral() {
+                g.edge_count()
+            } else {
+                g.vertex_count()
             };
             f.positions_at(r).iter().all(|&id| (id as usize) < n)
         };
@@ -213,9 +214,10 @@ pub struct BuildStats {
 ///
 /// Primary facts — what [`Self::save`] writes — are `params`, `db`,
 /// `active`, each feature's tree and posting list, `mined`/`truncated` and
-/// the epoch. The canonical strings and their directory, feature centers,
-/// `sigs` and the [`Self::stats`] counters are functions of those and are
-/// recomputed when a file is loaded.
+/// the epoch. The directory, the shape filter, `sigs` and the
+/// [`Self::stats`] counters are functions of those and are recomputed when
+/// a file is loaded. A feature's tree is kept as its canonical string, and
+/// written decoded.
 #[derive(Clone)]
 pub struct TreePiIndex {
     db: Vec<Graph>,
@@ -319,7 +321,10 @@ impl TreePiIndex {
         shard.add("build.mined", mined_count as u64);
         shard.add("build.features_kept", kept.len() as u64);
 
-        let features: Vec<Feature> = kept.into_iter().map(Feature::from_mined).collect();
+        // A buffer of their own: `collect` would reuse, and keep alive, the
+        // larger one that held every mined tree.
+        let mut features = Vec::with_capacity(kept.len());
+        features.extend(kept.into_iter().map(Feature::from_mined));
         // Per-vertex neighborhood signatures (see `crate::sig`): a pure
         // function of each graph, placed back in gid order, so the result
         // is identical at any pool size.
@@ -435,7 +440,7 @@ impl TreePiIndex {
 
     /// The feature whose canonical string is `canon`, if indexed.
     pub fn feature_by_canon(&self, canon: &CanonString) -> Option<FeatureId> {
-        self.canon_rank(canon).ok().map(|rank| self.by_canon[rank])
+        self.feature_by_tokens(canon.tokens())
     }
 
     /// [`Self::feature_by_canon`] for canonical tokens still in their
@@ -444,11 +449,7 @@ impl TreePiIndex {
         self.token_rank(tokens).ok().map(|rank| self.by_canon[rank])
     }
 
-    /// Rank of `canon` in the directory, or where it would be spliced in.
-    fn canon_rank(&self, canon: &CanonString) -> Result<usize, usize> {
-        self.token_rank(canon.tokens())
-    }
-
+    /// Rank of `tokens` in the directory, or where they would be spliced in.
     fn token_rank(&self, tokens: &[u32]) -> Result<usize, usize> {
         self.by_canon
             .binary_search_by(|fid| self.features[fid.idx()].canon.tokens().cmp(tokens))
@@ -487,7 +488,7 @@ impl TreePiIndex {
             Ok(rank) => f.positions_at(rank),
             Err(_) => &[],
         };
-        let on_edge = matches!(f.center, Center::Edge(_));
+        let on_edge = f.canon.is_bicentral();
         ids.iter().map(move |&id| {
             if on_edge {
                 CenterPos::Edge(EdgeId(id))
@@ -554,26 +555,21 @@ impl TreePiIndex {
         // Register novel single-edge trees as fresh (so far empty) features,
         // each spliced into the directory at its rank and its shape into the
         // filter: after this every edge of `g` is a feature, which is what
-        // the walk expects of a graph. Each edge is looked up where it lies;
-        // only a novel one is made a tree.
+        // the walk expects of a graph. Each edge is encoded and looked up
+        // where it lies; a novel one keeps the tokens as its string.
         let mut enc = SubtreeEncoder::default();
         for e in g.edge_ids() {
-            let edge = g.edge(e);
-            if self
-                .feature_by_tokens(enc.encode(&g, edge.u, |x| x == e).0)
-                .is_some()
-            {
+            let (u, v) = (g.edge(e).u, g.edge(e).v);
+            let (tokens, _) = enc.encode(&g, u, |x| x == e);
+            let Err(rank) = self.token_rank(tokens) else {
                 continue;
-            }
-            let t = Tree::single_edge(g.vlabel(edge.u), edge.label, g.vlabel(edge.v));
-            let canon = tree_core::canonical_string(&t);
-            let rank = self
-                .canon_rank(&canon)
-                .expect_err("the edge was just looked up");
+            };
+            let canon = CanonString(tokens.to_vec());
             let fid = FeatureId(self.features.len() as u32);
             self.by_canon.insert(rank, fid);
-            self.shapes.insert(Tag::Feature, tree_shape(t.graph()));
-            self.features.push(Feature::new(t, canon));
+            self.shapes
+                .insert(Tag::Feature, shape_of(&g, [u, v], |x| x == e));
+            self.features.push(Feature::new(canon));
         }
         // Every occurrence of a feature in `g`, as (feature, center id): a
         // center is a function of the occurrence, and occurrences sharing
@@ -663,7 +659,7 @@ impl TreePiIndex {
     }
 
     /// Per-structure heap estimate of the whole index (database, feature
-    /// trees, support sets, center tables, directory). Length-based, so the
+    /// strings, support sets, center tables, directory). Length-based, so the
     /// numbers are deterministic for a given index regardless of build
     /// history; recorded as `mem.index.*` gauges by
     /// [`Self::record_mem_gauges`]. Removed graphs are blank slots and
@@ -672,11 +668,7 @@ impl TreePiIndex {
         use std::mem::size_of;
         let db_bytes = self.active.len() * size_of::<bool>()
             + self.db.iter().map(Graph::heap_bytes).sum::<usize>();
-        let features_bytes = self
-            .features
-            .iter()
-            .map(|f| f.tree.heap_bytes() + f.canon.heap_bytes())
-            .sum();
+        let features_bytes = self.features.iter().map(|f| f.canon.heap_bytes()).sum();
         let supports_bytes = self
             .features
             .iter()
@@ -712,7 +704,7 @@ impl TreePiIndex {
     /// Estimated memory footprint of the index *payload* in bytes
     /// (supports + center positions + directory) — the structures the paper's
     /// Figure 9 "index size" metric counts, excluding the database and the
-    /// feature trees themselves. Used by the index-size experiments.
+    /// features' canonical strings. Used by the index-size experiments.
     pub fn memory_estimate(&self) -> usize {
         let m = self.memory_breakdown();
         m.supports_bytes + m.centers_bytes + m.trie_bytes
@@ -738,7 +730,8 @@ pub struct IndexMemory {
     /// The graph database (labels, edges, adjacency; a removed graph's
     /// blank slot holds none) plus the active flag vector.
     pub db_bytes: usize,
-    /// Feature pattern trees and their canonical strings.
+    /// The features' canonical strings, the one form each feature tree is
+    /// kept in.
     pub features_bytes: usize,
     /// Per-feature support sets.
     pub supports_bytes: usize,
@@ -827,46 +820,47 @@ const MAX_CLOSURE: usize = 1 << 18;
 /// The shape filter of `features`: each feature's shape tagged
 /// [`Tag::Feature`], each distinct proper subtree's tagged [`Tag::Grow`] —
 /// or, past `cap` distinct proper subtrees, the filter that holds
-/// everything.
+/// everything. The trees are decoded for it, and dropped after.
 fn shape_filter(features: &[Feature], cap: usize) -> ShapeFilter {
-    let Some(closure) = derive_closure(features, cap) else {
+    let trees: Vec<Tree> = features.iter().map(Feature::tree).collect();
+    let Some(closure) = derive_closure(&trees, cap) else {
         return ShapeFilter::everything();
     };
-    let mut filter = ShapeFilter::with_keys(closure.len() + features.len());
+    let mut filter = ShapeFilter::with_keys(closure.len() + trees.len());
     for shape in closure {
         filter.insert(Tag::Grow, shape);
     }
-    for f in features {
-        filter.insert(Tag::Feature, tree_shape(f.tree.graph()));
+    for t in &trees {
+        filter.insert(Tag::Feature, tree_shape(t.graph()));
     }
     filter
 }
 
 /// The shapes of every distinct proper subtree with at least one edge of
-/// any of `features`, one per tree; `None` past `cap` of them.
+/// any of `trees`, one per tree; `None` past `cap` of them.
 ///
 /// Peels leaves: every proper subtree is some larger subtree less one leaf
 /// edge, so each distinct tree met — told apart by its full canonical
 /// string, a missed one would lose its whole downward cone — is expanded
 /// once, whichever features it was met in.
-fn derive_closure(features: &[Feature], cap: usize) -> Option<Vec<u64>> {
+fn derive_closure(trees: &[Tree], cap: usize) -> Option<Vec<u64>> {
     let mut enc = SubtreeEncoder::default();
     let mut seen: FxHashSet<Box<[u32]>> = FxHashSet::default();
     let mut shapes: Vec<u64> = Vec::new();
-    // Subtrees still to peel: `(feature, start, len)` into `edges`.
+    // Subtrees still to peel: `(tree, start, len)` into `edges`.
     let mut edges: Vec<EdgeId> = Vec::new();
     let mut todo: Vec<(usize, usize, usize)> = Vec::new();
     let (mut in_set, mut degree): (Vec<bool>, Vec<u32>) = (Vec::new(), Vec::new());
-    for (fi, f) in features.iter().enumerate() {
-        if f.size() >= 2 {
-            todo.push((fi, edges.len(), f.size()));
-            edges.extend(f.tree.graph().edge_ids());
+    for (ti, t) in trees.iter().enumerate() {
+        if t.edge_count() >= 2 {
+            todo.push((ti, edges.len(), t.edge_count()));
+            edges.extend(t.graph().edge_ids());
         }
     }
     let mut next = 0;
-    while let Some(&(fi, start, len)) = todo.get(next) {
+    while let Some(&(ti, start, len)) = todo.get(next) {
         next += 1;
-        let g = features[fi].tree.graph();
+        let g = trees[ti].graph();
         in_set.clear();
         in_set.resize(g.edge_count(), false);
         degree.clear();
@@ -898,7 +892,7 @@ fn derive_closure(features: &[Feature], cap: usize) -> Option<Vec<u64>> {
             }
             in_set[leaf.idx()] = true;
             if novel && len > 2 {
-                todo.push((fi, edges.len(), len - 1));
+                todo.push((ti, edges.len(), len - 1));
                 edges.extend_from_within(start..i);
                 edges.extend_from_within(i + 1..start + len);
             }
@@ -925,6 +919,10 @@ mod tests {
         TreePiIndex::build(tiny_db(), TreePiParams::quick())
     }
 
+    fn trees(idx: &TreePiIndex) -> Vec<Tree> {
+        idx.features().iter().map(Feature::tree).collect()
+    }
+
     #[test]
     fn build_produces_features_with_centers() {
         let idx = quick_index();
@@ -934,11 +932,15 @@ mod tests {
         let mut centers = [false; 2];
         for (i, f) in idx.features().iter().enumerate() {
             assert!(!f.support.is_empty());
-            centers[matches!(f.center, Center::Edge(_)) as usize] = true;
+            let tree = f.tree();
+            assert_eq!(f.canon.is_bicentral(), tree_core::center(&tree).is_edge());
+            assert_eq!(f.size(), tree.edge_count());
+            centers[f.canon.is_bicentral() as usize] = true;
             // The id column reads back as exactly the positions a fresh
-            // search finds, tagged by the feature's kind of center.
+            // search of the decoded tree finds, tagged by the feature's
+            // kind of center.
             for &gid in &f.support {
-                let found = center_positions(&f.tree, &idx.db()[gid as usize]);
+                let found = center_positions(&tree, &idx.db()[gid as usize]);
                 assert!(!found.is_empty(), "feature {i} has no centers in {gid}");
                 assert!(idx.center_positions_of(FeatureId(i as u32), gid).eq(found));
             }
@@ -1156,6 +1158,21 @@ mod tests {
         assert!(idx.memory_estimate() > 0);
     }
 
+    /// A feature weighs its canonical string and nothing more, also once
+    /// §7.1 maintenance has added a novel single-edge feature.
+    #[test]
+    fn features_weigh_their_canonical_strings() {
+        let strings = |idx: &TreePiIndex| -> usize {
+            idx.features().iter().map(|f| f.canon.heap_bytes()).sum()
+        };
+        let mut idx = quick_index();
+        assert_eq!(idx.memory_breakdown().features_bytes, strings(&idx));
+        let before = idx.feature_count();
+        idx.insert(graph_from(&[5, 6], &[(0, 1, 2)]));
+        assert_eq!(idx.feature_count(), before + 1, "a novel edge");
+        assert_eq!(idx.memory_breakdown().features_bytes, strings(&idx));
+    }
+
     #[test]
     fn memory_breakdown_sums_and_feeds_gauges() {
         let idx = quick_index();
@@ -1195,7 +1212,7 @@ mod tests {
         );
         // One id per feature, 12 bits per feature and per distinct proper
         // subtree of one, in whole words.
-        let closure = derive_closure(idx.features(), MAX_CLOSURE).expect("derived");
+        let closure = derive_closure(&trees(&idx), MAX_CLOSURE).expect("derived");
         let bits = 12 * (idx.feature_count() + closure.len());
         assert_eq!(
             m.trie_bytes,
@@ -1221,7 +1238,8 @@ mod tests {
                 });
             assert!(grow < 100 && feature < 100, "{grow} / {feature} of 1 000");
             for f in idx.features() {
-                let g = f.tree.graph();
+                let tree = f.tree();
+                let g = tree.graph();
                 assert!(idx.may_be_feature(tree_shape(g)), "{:?}", f.canon);
                 let proper = f.size() - 1;
                 let _ = graph_core::for_each_subtree_edge_subset(g, proper, |edges| {
@@ -1245,11 +1263,10 @@ mod tests {
     #[test]
     fn a_closure_past_its_cap_is_given_up() {
         let idx = quick_index();
-        let n = derive_closure(idx.features(), MAX_CLOSURE)
-            .expect("derived")
-            .len();
-        assert!(derive_closure(idx.features(), n).is_some());
-        assert_eq!(derive_closure(idx.features(), n - 1), None);
+        let trees = trees(&idx);
+        let n = derive_closure(&trees, MAX_CLOSURE).expect("derived").len();
+        assert!(derive_closure(&trees, n).is_some());
+        assert_eq!(derive_closure(&trees, n - 1), None);
         let everything = shape_filter(idx.features(), n - 1);
         let unheld = (0..u64::MAX).find(|&s| !idx.may_grow(s)).expect("a shape");
         assert!(everything.contains(Tag::Grow, unheld));
@@ -1260,6 +1277,8 @@ mod tests {
     fn build_stats_recorded() {
         let idx = quick_index();
         let s = idx.stats();
+        // The features own a buffer of their own size, not the miner's.
+        assert_eq!(idx.features.capacity(), idx.features.len());
         assert!(s.mined >= s.features);
         assert!(s.features == idx.feature_count());
         assert!(s.center_entries > 0);

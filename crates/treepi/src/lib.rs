@@ -1,24 +1,24 @@
 //! **TreePi** (Zhang, Hu & Yang, ICDE 2007): a graph index built from
 //! frequent subtrees, reproduced in Rust.
 //!
-//! Containment queries over a database of labeled graphs run in four
+//! Containment queries over a database of labeled graphs run in three
 //! stages:
 //!
-//! 1. **Partition** ([`partition`]): one walk finds every occurrence of an
-//!    indexed feature subtree in the query; their features are `SF_q`, and
+//! 1. **Walk and cover** ([`partition`]): one walk finds every occurrence of
+//!    an indexed feature subtree in the query (their features are `SF_q`);
 //!    a greedy cover of the query by the largest of them is `TP_q`;
 //! 2. **Filter** ([`filter`]): intersect the features' support sets
 //!    (Algorithm 1) → candidate set `P_q`;
-//! 3. **Signature kill** ([`sig`]): drop candidates with no
-//!    signature-compatible host vertex for some query vertex;
-//! 4. **Verify** ([`verify`]): one search per candidate, pinned at the
-//!    stored center positions of one part of `TP_q` (Algorithm 3) — not a
-//!    search of the whole candidate graph.
+//! 3. **Anchored verify** ([`verify`]): one search per candidate, pinned at
+//!    the stored center positions of one part of `TP_q` (Algorithm 3) and
+//!    gated by vertex signatures ([`sig`]) — not a search of the whole
+//!    candidate graph.
 //!
 //! The paper's Center Distance Constraint pruning ([`prune`], Algorithm 2)
-//! shrinks `P_q` to `P'_q` between stages 3 and 4 when
-//! [`QueryOptions::use_cdc`] is on. It is off by default: the search
-//! rejects the same candidates for less than the pruning costs.
+//! shrinks `P_q` to `P'_q` between stages 2 and 3 when
+//! [`QueryOptions::use_cdc`] is on, the paper's toggle. It is off by
+//! default: the search rejects the same candidates for less than the
+//! pruning costs.
 //!
 //! ```
 //! use graph_core::graph_from;

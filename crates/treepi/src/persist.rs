@@ -23,9 +23,11 @@
 //! the end offset of each graph's run of center positions — the heap
 //! layout of [`Feature`], written column by column. Position ids are vertex
 //! or edge ids according to the center of the feature's tree; the heap
-//! keeps the same 4-byte ids, so the columns move in and out verbatim.
-//! Everything else an index holds — canonical strings and their sorted
-//! directory, feature centers, the per-vertex signatures ([`crate::sig`])
+//! keeps the same 4-byte ids, so the columns move in and out verbatim. A
+//! tree is written decoded from its feature's canonical string, so in
+//! canonical vertex order; any numbering of it (the miner's, in older
+//! files) loads to the same feature. Everything else an index holds — the sorted
+//! directory, the shape filter, the per-vertex signatures ([`crate::sig`])
 //! and the [`TreePiIndex::stats`] counters — is a function of these facts
 //! and is recomputed on load, so no two parts of a file can disagree. A
 //! removed graph's slot is the empty graph in memory and so in the file;
@@ -63,7 +65,7 @@ use bytes::BufMut;
 use graph_core::{ELabel, Graph, GraphBuilder, VLabel, VertexId, MAX_LABEL};
 use mining::{MiningLimits, SigmaFn};
 use std::io::{self, Read, Write};
-use tree_core::Tree;
+use tree_core::{CanonString, SubtreeEncoder, Tree};
 
 const MAGIC: &[u8; 4] = b"TPI4";
 
@@ -176,7 +178,7 @@ fn get_graph(r: &mut Reader) -> io::Result<Graph> {
 }
 
 fn put_feature(buf: &mut Vec<u8>, f: &Feature) {
-    put_graph(buf, f.tree.graph());
+    put_graph(buf, f.tree().graph());
     let (offsets, positions) = f.columns();
     buf.put_u32_le(f.support.len() as u32);
     for &x in f.support.iter().chain(offsets).chain(positions) {
@@ -184,13 +186,14 @@ fn put_feature(buf: &mut Vec<u8>, f: &Feature) {
     }
 }
 
-fn get_feature(r: &mut Reader, db: &[Graph]) -> io::Result<Feature> {
+fn get_feature(r: &mut Reader, db: &[Graph], enc: &mut SubtreeEncoder) -> io::Result<Feature> {
     let tree = Tree::from_graph(get_graph(r)?).map_err(|_| bad("feature is not a tree"))?;
+    let canon = CanonString(enc.encode(tree.graph(), VertexId(0), |_| true).0.to_vec());
     let k = r.u32()? as usize;
     let support = r.u32s(k)?;
     let offsets = r.u32s(k)?;
     let positions = r.u32s(offsets.last().map_or(0, |&end| end as usize))?;
-    Feature::from_columns(tree, support, offsets, positions, db).map_err(bad)
+    Feature::from_columns(canon, support, offsets, positions, db).map_err(bad)
 }
 
 impl TreePiIndex {
@@ -293,8 +296,9 @@ impl TreePiIndex {
         }
         // A feature is at least a tree's two counts and a posting count.
         let n_features = r.count(12)?;
+        let mut enc = SubtreeEncoder::default(); // one for every tree: it keeps its buffers
         let features = (0..n_features)
-            .map(|_| get_feature(&mut r, &db))
+            .map(|_| get_feature(&mut r, &db, &mut enc))
             .collect::<io::Result<Vec<_>>>()?;
         let mined = r.u64()? as usize;
         let truncated = r.flag()?;
@@ -373,10 +377,8 @@ mod tests {
         }
         for (i, (fa, fb)) in a.features().iter().zip(b.features()).enumerate() {
             let fid = FeatureId(i as u32);
-            assert_eq!(fa.tree, fb.tree);
             assert_eq!(fa.canon, fb.canon);
             assert_eq!(fa.support, fb.support);
-            assert_eq!(fa.center, fb.center);
             assert_eq!(b.feature_by_canon(&fa.canon), Some(fid));
             for gid in 0..a.db().len() as u32 {
                 assert!(a
@@ -404,6 +406,54 @@ mod tests {
         assert_eq!(loaded.active_count(), 3);
         let q = graph_from(&[5, 5], &[(0, 1, 9)]);
         assert_eq!(loaded.query(&q).matches, vec![3]);
+    }
+
+    /// A file whose feature trees are numbered otherwise — as the miner
+    /// numbers them, in files written before trees were kept as canonical
+    /// strings — loads to the same index and re-saves in canonical order.
+    #[test]
+    fn trees_in_any_vertex_numbering_load_to_the_same_index() {
+        let idx = churned_index();
+        let bytes = saved(&idx);
+        let mut db_part = Vec::new();
+        idx.db().iter().for_each(|g| put_graph(&mut db_part, g));
+        // The features follow the 57-byte head, the graphs, their active
+        // flags and |F|.
+        let mut at = 57 + db_part.len() + idx.db().len() + 4;
+        let mut m = bytes.clone();
+        let mut renumbered = 0;
+        for f in idx.features() {
+            let tree = f.tree();
+            let g = tree.graph();
+            let mut written = Vec::new();
+            put_graph(&mut written, g);
+            assert_eq!(bytes[at..at + written.len()], written[..]);
+            // The same tree, vertices numbered backwards and edges listed
+            // backwards, each from its other end.
+            let last = g.vertex_count() as u32 - 1;
+            let mut b = GraphBuilder::new();
+            for v in g.vertices().collect::<Vec<_>>().into_iter().rev() {
+                b.add_vertex(g.vlabel(v));
+            }
+            for e in g.edges().iter().rev() {
+                let (u, v) = (VertexId(last - e.v.0), VertexId(last - e.u.0));
+                b.add_edge(u, v, e.label).expect("a tree edge");
+            }
+            let mut other = Vec::new();
+            put_graph(&mut other, &b.build());
+            renumbered += (other != written) as usize;
+            m[at..at + other.len()].copy_from_slice(&other);
+            let mut feature = Vec::new();
+            put_feature(&mut feature, f);
+            at += feature.len();
+        }
+        assert!(renumbered > 1, "{renumbered} trees renumbered");
+        assert_ne!(m, bytes);
+        reseal(&mut m);
+        let loaded = load(&m).unwrap();
+        assert_same_index(&idx, &loaded);
+        assert!(loaded.postings_consistent() && loaded.directory_consistent());
+        assert_eq!(saved(&loaded), bytes);
     }
 
     #[test]

@@ -446,8 +446,9 @@ mod tests {
         // closed, and the walk has to pass through what was shrunk away.
         let mut enc = SubtreeEncoder::default();
         let leafless_is_stored = |f: &crate::Feature| {
-            let g = f.tree.graph();
-            let (stays, cut) = g.neighbors(f.tree.leaves()[0])[0];
+            let tree = f.tree();
+            let g = tree.graph();
+            let (stays, cut) = g.neighbors(tree.leaves()[0])[0];
             idx.feature_by_tokens(enc.encode(g, stays, |e| e != cut).0)
                 .is_some()
         };
@@ -511,7 +512,7 @@ mod tests {
                 for (i, f) in idx.features().iter().enumerate() {
                     let got: Vec<CenterPos> =
                         idx.center_positions_of(FeatureId(i as u32), gid).collect();
-                    prop_assert_eq!(got, center_positions(&f.tree, &novel), "feature {}", i);
+                    prop_assert_eq!(got, center_positions(&f.tree(), &novel), "feature {}", i);
                 }
                 idx.remove(0);
                 let remined = idx.remine_with_pool(&graph_core::par::Pool::new(1));

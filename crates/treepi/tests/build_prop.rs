@@ -60,14 +60,15 @@ fn save_bytes(idx: &TreePiIndex) -> Vec<u8> {
 /// The database of `treepi gen --chem 40 --seed 11` under the paper's
 /// default parameters builds this file at every worker count: 67 886 bytes
 /// ending — as every `TPI4` file does — in the FNV-1a-64 of everything after
-/// the magic, so the pair pins every byte. Recorded at PR 21, from the build
-/// that still re-found the centers by VF2 (and `cmp`-equal to that CLI's
-/// file); a change that means to alter the index or its format re-records
-/// it and says so.
+/// the magic, so the pair pins every byte. Re-recorded once when feature
+/// trees began to be written in canonical vertex order (decoded from their
+/// canonical strings) instead of the miner's: the size is unchanged, and a
+/// file in the earlier order loads and re-saves to these bytes. A change
+/// that means to alter the index or its format re-records it and says so.
 #[test]
 fn fixed_input_builds_the_golden_file() {
     use rand::SeedableRng;
-    const GOLDEN: (usize, u64) = (67_886, 0xfdcd_e2fa_ffa3_0b8d);
+    const GOLDEN: (usize, u64) = (67_886, 0xc6fd_21fc_d532_ee98);
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
     let db = datagen::generate_chem(&datagen::ChemParams::sized(40), &mut rng);
     for threads in [1usize, 2, 8] {

@@ -85,7 +85,7 @@ fn assert_postings_of(idx: &TreePiIndex, gid: u32, what: &str) {
     let g = &idx.db()[gid as usize];
     for (i, f) in idx.features().iter().enumerate() {
         let stored = idx.center_positions_of(FeatureId(i as u32), gid);
-        let found = tree_core::center_positions(&f.tree, g);
+        let found = tree_core::center_positions(&f.tree(), g);
         assert!(stored.eq(found), "{what}: feature {i} in graph {gid}");
     }
 }
