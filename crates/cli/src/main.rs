@@ -5,7 +5,7 @@
 //!               [--trace out.json] [--timeseries out.json] [--sample-interval-ms M]
 //! treepi query  <index.tpi> <queries.gspan> [--stats] [--threads N] [--metrics out.json] [--trace out.json]
 //! treepi gquery <db.gspan> <queries.gspan> [--threads N] [--metrics out.json]  (gIndex baseline)
-//! treepi metrics-diff <baseline.json> <current.json> [--max-regress-pct P] [--time] [--include-exempt] [--update-baseline]
+//! treepi metrics-diff <baseline.json> <current.json> [--max-regress-pct P] [--time] [--update-baseline]
 //! treepi stats  <index.tpi> | --addr HOST:PORT     (live server snapshot)
 //! treepi dbstats <db.gspan>
 //! treepi gen    <out.gspan> --chem N | --synthetic N L
@@ -90,7 +90,7 @@ fn usage() -> ExitCode {
         "usage:\n  treepi build  <db.gspan> <index.tpi> [--alpha A] [--beta B] [--eta E] [--gamma G] [--threads N] [--metrics out.json] [--trace out.json] [--timeseries out.json] [--sample-interval-ms 100]\n  \
          treepi query  <index.tpi> <queries.gspan> [--stats] [--threads N] [--metrics out.json] [--trace out.json]\n  \
          treepi gquery <db.gspan> <queries.gspan> [--threads N] [--metrics out.json]\n  \
-         treepi metrics-diff <baseline.json> <current.json> [--max-regress-pct P] [--time] [--include-exempt] [--update-baseline]\n  \
+         treepi metrics-diff <baseline.json> <current.json> [--max-regress-pct P] [--time] [--update-baseline]\n  \
          treepi stats  (<index.tpi> | --addr HOST:PORT)\n  \
          treepi dbstats <db.gspan>\n  \
          treepi gen    <out.gspan> (--chem N | --synthetic N L) [--seed N]\n  \
@@ -337,7 +337,6 @@ fn run() -> Result<(), String> {
             let opts = obs::diff::DiffOptions {
                 max_regress_pct: parse_flag(&args, "--max-regress-pct", 10.0f64)?,
                 include_timings: args.iter().any(|a| a == "--time"),
-                include_exempt: args.iter().any(|a| a == "--include-exempt"),
             };
             let report = obs::diff::diff(&base, &current, &opts);
             print!("{}", report.render_text());

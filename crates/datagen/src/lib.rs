@@ -5,7 +5,7 @@
 //! - [`chem`]: an AIDS-antiviral-screen surrogate (see DESIGN.md for the
 //!   substitution rationale);
 //! - [`queries`]: random connected m-edge query extraction (the paper's
-//!   `Q_m` query sets).
+//!   `Q_m` query sets) and their label-perturbed near misses.
 
 #![warn(missing_docs)]
 
@@ -17,5 +17,5 @@ pub mod synthetic;
 pub use chem::{
     generate_chem, generate_fragment_pool, generate_molecule, ChemParams, ATOMS, BONDS, MAX_DEGREE,
 };
-pub use queries::extract_queries;
+pub use queries::{extract_queries, perturb_labels};
 pub use synthetic::{generate_seeds, generate_synthetic, SyntheticParams};

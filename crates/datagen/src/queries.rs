@@ -3,8 +3,10 @@
 //! "We randomly select 1,000 graphs from the antiviral screen dataset and
 //! then extract a connected m edge subgraph from each graph randomly. These
 //! 1,000 subgraphs are taken as query set, denoted by Q_m."
+//!
+//! [`perturb_labels`] turns a query into a near miss (not in the paper).
 
-use graph_core::{edge_subgraph, random_connected_edge_subgraph, Graph};
+use graph_core::{edge_subgraph, random_connected_edge_subgraph, Graph, GraphBuilder, VLabel};
 use rand::Rng;
 
 /// Extract `count` random connected `m`-edge query graphs from `db`.
@@ -35,6 +37,31 @@ pub fn extract_queries<R: Rng>(db: &[Graph], m: usize, count: usize, rng: &mut R
         }
     }
     out
+}
+
+/// `g` with one vertex's label swapped to another label present in it: a
+/// near miss of `g`. The label multiset barely moves, so support filters
+/// often still pass, but the neighbourhood around the swap changes, so the
+/// candidates that survive the filter may no longer contain it. A graph
+/// with a single label comes back unchanged.
+pub fn perturb_labels<R: Rng>(g: &Graph, rng: &mut R) -> Graph {
+    let n = g.vertex_count();
+    let mut labels: Vec<VLabel> = g.vertices().map(|v| g.vlabel(v)).collect();
+    for _ in 0..16 {
+        let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        if labels[i] != labels[j] {
+            labels[i] = labels[j];
+            break;
+        }
+    }
+    let mut b = GraphBuilder::new();
+    for &l in &labels {
+        b.add_vertex(l);
+    }
+    for e in g.edges() {
+        b.add_edge(e.u, e.v, e.label).expect("edge copy");
+    }
+    b.build()
 }
 
 #[cfg(test)]
@@ -77,5 +104,20 @@ mod tests {
         let db = vec![graph_core::graph_from(&[0, 0], &[(0, 1, 0)])];
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         extract_queries(&db, 0, 1, &mut rng);
+    }
+
+    #[test]
+    fn near_miss_keeps_edges_and_moves_one_label() {
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        let db = generate_chem(&ChemParams::sized(20), &mut rng);
+        for q in extract_queries(&db, 6, 20, &mut rng) {
+            let p = perturb_labels(&q, &mut rng);
+            assert_eq!(p.edges(), q.edges());
+            let moved = q.vertices().filter(|&v| p.vlabel(v) != q.vlabel(v)).count();
+            assert!(moved <= 1, "{moved} labels moved");
+            assert!(p
+                .vertices()
+                .all(|v| q.vlabel_multiset().contains(&p.vlabel(v))));
+        }
     }
 }

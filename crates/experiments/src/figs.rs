@@ -6,7 +6,7 @@
 //! who wins, by what factor, where curves cross — remain comparable.
 
 use crate::common::*;
-use datagen::extract_queries;
+use datagen::{extract_queries, perturb_labels};
 use gindex::{GIndex, GIndexParams};
 use graph_core::Graph;
 use treepi::{Engine, QueryOptions, SfMode, TreePiIndex, TreePiParams};
@@ -519,7 +519,10 @@ pub fn fig_query_time(opts: &Opts, dataset: &str) {
 }
 
 /// Ablations called out in DESIGN.md: contribution of each pipeline stage
-/// and sensitivity to γ.
+/// and sensitivity to γ. Every pipeline configuration also runs on a near
+/// miss of each query (one vertex label swapped, `datagen::perturb_labels`):
+/// candidates that pass the filter but do not contain the query, the
+/// traffic the anchored search's signature gate exists for.
 pub fn ablate(opts: &Opts) {
     println!("== Ablations (not in the paper; DESIGN.md table `tab-ablate`) ==");
     let n = opts.scale.n(4_000);
@@ -529,6 +532,10 @@ pub fn ablate(opts: &Opts) {
     let mut rng = rng_for(opts, "ablate");
     let mut queries = extract_queries(&db, 8, per_size, &mut rng);
     queries.extend(extract_queries(&db, 16, per_size, &mut rng));
+    let near_miss: Vec<Graph> = queries
+        .iter()
+        .map(|q| perturb_labels(q, &mut rng))
+        .collect();
 
     let configs: Vec<(&str, QueryOptions)> = vec![
         ("default", QueryOptions::default()),
@@ -550,45 +557,57 @@ pub fn ablate(opts: &Opts) {
     ];
     let mut rows = Vec::new();
     let mut csv = Vec::new();
-    let mut reference: Option<Vec<usize>> = None;
-    for (name, cfg) in configs {
-        let mut filtered = 0usize;
-        let mut pruned = 0usize;
-        let mut answers: Vec<usize> = Vec::new();
-        let (_, t) = timed(|| {
-            for q in &queries {
-                let r = tp.query_with(q, cfg);
-                filtered += r.stats.filtered;
-                pruned += r.stats.pruned;
-                answers.push(r.stats.answers);
+    for (set, queries) in [("extracted", &queries), ("near miss", &near_miss)] {
+        let mut reference: Option<Vec<usize>> = None;
+        for &(name, cfg) in &configs {
+            let mut filtered = 0usize;
+            let mut pruned = 0usize;
+            let mut answers: Vec<usize> = Vec::new();
+            let (_, t) = timed(|| {
+                for q in queries {
+                    let r = tp.query_with(q, cfg);
+                    filtered += r.stats.filtered;
+                    pruned += r.stats.pruned;
+                    answers.push(r.stats.answers);
+                }
+            });
+            let k = queries.len() as f64;
+            let avg_answers = answers.iter().sum::<usize>() as f64 / k;
+            match &reference {
+                None => reference = Some(answers),
+                Some(r) => assert_eq!(r, &answers, "ablation '{name}' changed {set} answers"),
             }
-        });
-        match &reference {
-            None => reference = Some(answers),
-            Some(r) => assert_eq!(r, &answers, "ablation '{name}' changed answers"),
+            rows.push(vec![
+                name.to_string(),
+                set.to_string(),
+                format!("{:.1}", filtered as f64 / k),
+                format!("{:.1}", pruned as f64 / k),
+                format!("{avg_answers:.1}"),
+                format!("{:.2}", ms(t) / k),
+            ]);
+            csv.push(format!(
+                "{name},{set},{:.2},{:.2},{avg_answers:.2},{:.3}",
+                filtered as f64 / k,
+                pruned as f64 / k,
+                ms(t) / k
+            ));
         }
-        let k = queries.len() as f64;
-        rows.push(vec![
-            name.to_string(),
-            format!("{:.1}", filtered as f64 / k),
-            format!("{:.1}", pruned as f64 / k),
-            format!("{:.2}", ms(t) / k),
-        ]);
-        csv.push(format!(
-            "{name},{:.2},{:.2},{:.3}",
-            filtered as f64 / k,
-            pruned as f64 / k,
-            ms(t) / k
-        ));
     }
     print_table(
-        &["configuration", "avg |Pq|", "avg |P'q|", "ms/query"],
+        &[
+            "configuration",
+            "queries",
+            "avg |Pq|",
+            "avg |P'q|",
+            "avg |Dq|",
+            "ms/query",
+        ],
         &rows,
     );
     write_csv(
         opts,
         "ablate_pipeline.csv",
-        "config,avg_pq,avg_ppq,ms_per_query",
+        "config,queries,avg_pq,avg_ppq,avg_dq,ms_per_query",
         &csv,
     );
 

@@ -7,9 +7,10 @@
 //! - **Counters** and **span invocation counts** are gated — they are
 //!   deterministic for seeded workloads, so any growth is a real
 //!   algorithmic change (more candidates surviving the filter, more
-//!   verification calls). The `engine.*` namespace is exempt, matching
-//!   [`crate::MetricSet::deterministic_counters`]: those describe
-//!   execution shape and legitimately vary with `--threads`.
+//!   verification calls). The timing-dependent namespaces of
+//!   [`crate::names::EXEMPT_PREFIXES`] are exempt, matching
+//!   [`crate::MetricSet::deterministic_counters`]: they describe execution
+//!   shape or arrival timing and legitimately vary between runs.
 //! - **Gauges** (the `mem.*` family) are gated on *increase only* — a
 //!   peak-memory or index-size regression fails, shrinkage never does.
 //! - **Span p50/p95 latencies** are wall-clock and machine-dependent, so
@@ -19,7 +20,7 @@
 //!   run** is a regression: losing instrumentation must not silently pass.
 //! - Entries new in the current run are reported as informational.
 
-use crate::MetricSet;
+use crate::{names, MetricSet};
 
 /// What kind of value a [`DiffEntry`] compares.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,12 +103,6 @@ pub struct DiffOptions {
     /// Also gate span p50/p95 wall-clock estimates (off by default —
     /// machine-dependent).
     pub include_timings: bool,
-    /// Also gate the timing-dependent namespaces (`engine.`, `pool.`,
-    /// `serve.`, `cache.`, `loadgen.`, `series.`, `maint.`) that are
-    /// exempt by default. Meant for baselines produced by a
-    /// *deterministic* driver (e.g. the churn bench), or committed as
-    /// provable upper bounds — not for live serving runs.
-    pub include_exempt: bool,
 }
 
 impl Default for DiffOptions {
@@ -115,7 +110,6 @@ impl Default for DiffOptions {
         Self {
             max_regress_pct: 10.0,
             include_timings: false,
-            include_exempt: false,
         }
     }
 }
@@ -201,14 +195,9 @@ impl DiffReport {
 
 /// Whether `(name, kind)` is covered by the gate under `opts`.
 fn gated(name: &str, kind: Kind, opts: &DiffOptions) -> bool {
-    // Exempt the timing-dependent namespaces, matching
-    // MetricSet::deterministic_counters: execution shape (engine/pool)
-    // and arrival timing (serve/cache/loadgen/series/maint). The
-    // `include_exempt` opt-in gates them anyway — see its docs.
-    const EXEMPT: [&str; 7] = [
-        "engine.", "pool.", "serve.", "cache.", "loadgen.", "series.", "maint.",
-    ];
-    if !opts.include_exempt && EXEMPT.iter().any(|p| name.starts_with(p)) {
+    // The timing-dependent namespaces are exempt, as in
+    // MetricSet::deterministic_counters.
+    if names::EXEMPT_PREFIXES.iter().any(|p| name.starts_with(p)) {
         return false;
     }
     match kind {
@@ -352,7 +341,6 @@ mod tests {
             &DiffOptions {
                 max_regress_pct: 0.0,
                 include_timings: true,
-                include_exempt: false,
             },
         );
         assert!(!report.regressed(), "{}", report.render_text());
@@ -366,7 +354,6 @@ mod tests {
         let opts = DiffOptions {
             max_regress_pct: 10.0,
             include_timings: false,
-            include_exempt: false,
         };
         let report = diff(&base, &worse, &opts);
         assert!(report.regressed());
@@ -379,7 +366,6 @@ mod tests {
         let strict = DiffOptions {
             max_regress_pct: 0.0,
             include_timings: false,
-            include_exempt: false,
         };
         assert!(!diff(&base, &better, &strict).regressed());
     }
@@ -390,7 +376,6 @@ mod tests {
         let opts = DiffOptions {
             max_regress_pct: 10.0,
             include_timings: false,
-            include_exempt: false,
         };
         assert!(diff(&base, &set(&[], &[("mem.index.bytes", 1200)], &[]), &opts).regressed());
         assert!(!diff(&base, &set(&[], &[("mem.index.bytes", 500)], &[]), &opts).regressed());
@@ -411,7 +396,6 @@ mod tests {
         let opts = DiffOptions {
             max_regress_pct: 0.0,
             include_timings: true,
-            include_exempt: false,
         };
         assert!(!diff(&base, &worse, &opts).regressed());
         // Even disappearing engine metrics don't fail.
@@ -434,7 +418,6 @@ mod tests {
         let opts = DiffOptions {
             max_regress_pct: 0.0,
             include_timings: true,
-            include_exempt: false,
         };
         assert!(!diff(&base, &worse, &opts).regressed());
         assert!(!diff(&base, &MetricSet::new(), &opts).regressed());
@@ -454,7 +437,6 @@ mod tests {
         let opts = DiffOptions {
             max_regress_pct: 0.0,
             include_timings: true,
-            include_exempt: false,
         };
         assert!(!diff(&base, &worse, &opts).regressed());
         assert!(!diff(&base, &MetricSet::new(), &opts).regressed());
@@ -468,13 +450,11 @@ mod tests {
         let lenient = DiffOptions {
             max_regress_pct: 10.0,
             include_timings: false,
-            include_exempt: false,
         };
         assert!(!diff(&base, &slower, &lenient).regressed());
         let timed = DiffOptions {
             max_regress_pct: 10.0,
             include_timings: true,
-            include_exempt: false,
         };
         let report = diff(&base, &slower, &timed);
         assert!(report.regressed());

@@ -16,9 +16,11 @@
 //!   [`Shard::disabled`]) makes every record call a single branch.
 //! - **Deterministic aggregation.** Merging is commutative integer
 //!   addition, so counter totals are bit-identical for any thread count or
-//!   scheduling order. By convention, names under the `engine.` prefix
-//!   describe *execution shape* (worker counts, busy time) and are exempt;
-//!   [`MetricSet::deterministic_counters`] applies the convention.
+//!   scheduling order. By convention, names under the prefixes of
+//!   [`names::EXEMPT_PREFIXES`] describe *execution shape* (worker counts,
+//!   busy time) or *arrival timing* (batching, cache hits) and are exempt;
+//!   [`MetricSet::deterministic_counters`] and the [`diff`] gate apply the
+//!   convention.
 //! - **Stable rendering.** Metric names sort lexicographically in both the
 //!   human-readable text table and the versioned JSON schema
 //!   ([`JSON_SCHEMA`]); see EXPERIMENTS.md for the schema reference.
@@ -301,22 +303,13 @@ impl MetricSet {
         self.spans.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// The counters covered by the determinism contract: everything except
-    /// the `engine.` and `pool.` namespaces, whose values describe
-    /// execution shape (worker counts, scheduling, pool busy/park time)
-    /// and legitimately vary with `--threads` — and the `serve.`,
-    /// `cache.`, `loadgen.`, `series.`, and `maint.` namespaces, whose
-    /// values depend on arrival timing (batch boundaries, cache hits vs.
-    /// in-flight misses, shed decisions, sampler ring evictions, how many
-    /// queued ops each apply batch happens to fold together). Totals
-    /// here must be bit-identical at any thread count.
+    /// The counters covered by the determinism contract: everything outside
+    /// the timing-dependent namespaces of [`names::EXEMPT_PREFIXES`].
+    /// Totals here must be bit-identical at any thread count.
     pub fn deterministic_counters(&self) -> BTreeMap<String, u64> {
-        const EXEMPT: [&str; 7] = [
-            "engine.", "pool.", "serve.", "cache.", "loadgen.", "series.", "maint.",
-        ];
         self.counters
             .iter()
-            .filter(|(k, _)| !EXEMPT.iter().any(|p| k.starts_with(p)))
+            .filter(|(k, _)| !names::EXEMPT_PREFIXES.iter().any(|p| k.starts_with(p)))
             .map(|(k, v)| (k.clone(), *v))
             .collect()
     }
@@ -722,6 +715,17 @@ impl Registry {
 /// Canonical metric names shared across the pipeline layers, so treepi and
 /// the gindex baseline render directly comparable stage breakdowns.
 pub mod names {
+    /// Prefixes of the namespaces exempt from the determinism contract and
+    /// the metrics-diff gate. `engine.` and `pool.` describe execution
+    /// shape (worker counts, scheduling, pool busy/park time) and vary with
+    /// `--threads`; `serve.`, `cache.`, `loadgen.`, `series.` and `maint.`
+    /// depend on arrival timing (batch boundaries, cache hits vs. in-flight
+    /// misses, shed decisions, sampler ring evictions, how many queued ops
+    /// each apply batch happens to fold together).
+    pub const EXEMPT_PREFIXES: [&str; 7] = [
+        "engine.", "pool.", "serve.", "cache.", "loadgen.", "series.", "maint.",
+    ];
+
     /// Query partition stage: the walk for the query's feature occurrences,
     /// the greedy cover `TP_q` and `SF_q`.
     pub const SPAN_PARTITION: &str = "query.partition";

@@ -152,19 +152,6 @@ impl PathGrep {
         stats.answers = matches.len();
         PQueryResult { matches, stats }
     }
-
-    /// Batch entry point mirroring `treepi::Engine::query_batch` so
-    /// cross-system comparisons run both sides with the same work
-    /// distribution on a caller-owned worker pool. Path queries consume no
-    /// randomness, so results are identical at any pool size; queries
-    /// self-schedule and return in query order.
-    pub fn query_batch_pool(
-        &self,
-        queries: &[Graph],
-        pool: &graph_core::par::Pool,
-    ) -> Vec<PQueryResult> {
-        pool.ordered_map(queries, |q| self.query(q))
-    }
 }
 
 #[cfg(test)]
@@ -244,26 +231,6 @@ mod tests {
         let r = idx.query(&q);
         assert!(r.matches.is_empty());
         assert_eq!(r.stats.filtered, 0);
-    }
-
-    #[test]
-    fn batch_matches_sequential_at_any_thread_count() {
-        let idx = index();
-        let queries = vec![
-            graph_from(&[0, 0], &[(0, 1, 0)]),
-            graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]),
-            graph_from(&[0, 1, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 0, 0)]),
-            graph_from(&[9, 9], &[(0, 1, 0)]),
-        ];
-        let seq: Vec<Vec<u32>> = queries.iter().map(|q| idx.query(q).matches).collect();
-        for threads in [1, 2, 8] {
-            let pool = graph_core::par::Pool::new(threads);
-            let batch = idx.query_batch_pool(&queries, &pool);
-            assert_eq!(batch.len(), queries.len());
-            for (i, r) in batch.iter().enumerate() {
-                assert_eq!(r.matches, seq[i], "query {i}, threads {threads}");
-            }
-        }
     }
 
     #[test]

@@ -356,11 +356,6 @@ impl Engine {
         true
     }
 
-    /// Number of queued, not-yet-applied ops.
-    pub fn pending_len(&self) -> usize {
-        self.shared.maint.lock().expect("maint state").queue.len()
-    }
-
     /// Fold every queued op, in queue order, into the published snapshot
     /// under the snapshot lock: in place when the engine holds the only
     /// reference, into a copy first when a reader still pins it
@@ -1001,7 +996,7 @@ mod tests {
             "queued insert visible to the shadow view"
         );
         assert!(!engine.queue_remove(g1), "second remove is a no-op");
-        assert_eq!(engine.pending_len(), 3);
+        assert_eq!(engine.maint_stats().pending, 3);
         assert_eq!(engine.epoch(), e0, "nothing published before apply");
 
         let out = engine.apply_pending().expect("ops queued");

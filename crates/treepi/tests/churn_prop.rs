@@ -21,7 +21,11 @@
 //!   do not shift with churn), and answers agree with the fresh build
 //!   through the survivor-rank gid map (churned gids are stable with
 //!   tombstones; a fresh build densifies).
+//!
+//! A fixed chem schedule with background re-mining pins the exact counts
+//! of the maintenance layer and of the query batch that follows it.
 
+use datagen::{extract_queries, generate_chem, ChemParams};
 use graph_core::{ELabel, Graph, GraphBuilder, VLabel, VertexId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -315,4 +319,76 @@ fn background_remine_keeps_answers_exact_under_churn() {
     assert_eq!(stats.applied, 40);
     let idx = engine.into_index();
     assert_eq!(idx.active_count(), live.len());
+}
+
+/// The maintenance counters after [`deterministic_churn_counters`]'s
+/// schedule, then the funnel counters of its one query batch.
+const CHURN_COUNTS: [(&str, u64); 13] = [
+    (obs::names::MAINT_QUEUED, 24),
+    (obs::names::MAINT_APPLIED, 24),
+    (obs::names::MAINT_APPLY_BATCHES, 24),
+    (obs::names::MAINT_SNAPSHOT_SWAPS, 27),
+    (obs::names::MAINT_REMINE_TRIGGERS, 3),
+    (obs::names::MAINT_REMINES, 3),
+    (obs::names::QUERIES, 20),
+    (obs::names::FILTERED, 41),
+    (obs::names::PRUNED, 41),
+    (obs::names::ANSWERS, 33),
+    ("funnel.partition_parts", 62),
+    ("funnel.sf_features", 149),
+    (obs::names::MISSING_FEATURE, 0),
+];
+
+/// Deterministic engine-level churn on 60 chem graphs: 24 seeded ops
+/// applied one at a time with background re-mining at threshold 8,
+/// waiting out each re-mine so the trigger schedule does not depend on
+/// wall time, then one metered batch of 20 extracted queries.
+fn deterministic_churn_counters() -> obs::MetricSet {
+    let fixture_rng = |salt: u64| ChaCha8Rng::seed_from_u64(0x7ee9 ^ salt);
+    let db = generate_chem(&ChemParams::sized(60), &mut fixture_rng(1));
+    let mut qs = extract_queries(&db, 4, 12, &mut fixture_rng(3 + 4));
+    qs.extend(extract_queries(&db, 8, 8, &mut fixture_rng(3 + 8)));
+
+    let registry = obs::Registry::new();
+    let engine = Engine::with_remine(
+        TreePiIndex::build(db.clone(), TreePiParams::default()),
+        2,
+        8,
+    );
+    let mut rng = ChaCha8Rng::seed_from_u64(2007);
+    let mut live: Vec<u32> = Vec::new();
+    for _ in 0..24 {
+        if live.is_empty() || rng.gen_bool(0.5) {
+            live.push(engine.queue_insert(db[rng.gen_range(0..db.len())].clone()));
+        } else {
+            let i = rng.gen_range(0..live.len());
+            engine.queue_remove(live.swap_remove(i));
+        }
+        engine.apply_pending();
+        // Drain the re-mine after every apply: triggers then fire at
+        // exactly every `threshold` repairs, independent of wall time.
+        engine.wait_remine_idle();
+    }
+    engine.query_batch_obs(&qs, QueryOptions::default(), 9, &registry);
+    let stats = engine.maint_stats();
+    let mut out = obs::MetricSet::new();
+    for (name, v) in registry.drain().counters() {
+        if name.starts_with("funnel.") {
+            out.add(name, v);
+        }
+    }
+    out.add(obs::names::MAINT_QUEUED, stats.queued);
+    out.add(obs::names::MAINT_APPLIED, stats.applied);
+    out.add(obs::names::MAINT_APPLY_BATCHES, stats.apply_batches);
+    out.add(obs::names::MAINT_SNAPSHOT_SWAPS, stats.snapshot_swaps);
+    out.add(obs::names::MAINT_REMINE_TRIGGERS, stats.remine_triggers);
+    out.add(obs::names::MAINT_REMINES, stats.remines_completed);
+    out
+}
+
+#[test]
+fn churn_counts_are_pinned() {
+    let m = deterministic_churn_counters();
+    let got = CHURN_COUNTS.map(|(name, _)| (name, m.counter(name)));
+    assert_eq!(got, CHURN_COUNTS);
 }

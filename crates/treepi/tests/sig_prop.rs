@@ -14,11 +14,17 @@
 //! signatures are a pure function of the stored payload, so
 //! `sigs_consistent()` must hold after every queued insert/remove batch
 //! and after a background re-mine publishes.
+//!
+//! The verification funnel pins the exact counts of one fixed chem
+//! workload of hard queries and their near misses, under both filters, at
+//! 1 and 8 workers: any change to what the filter passes, the gate kills
+//! or the search answers shows as a changed count, up or down.
 
+use datagen::{extract_queries, generate_chem, perturb_labels, ChemParams};
 use graph_core::{ELabel, Graph, GraphBuilder, VLabel, VertexId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use treepi::{scan_support, Engine, QueryOptions, TreePiIndex, TreePiParams};
+use treepi::{scan_support, Engine, QueryOptions, SfMode, TreePiIndex, TreePiParams};
 
 /// Random connected labeled graph (same shape as `churn_prop.rs`): a
 /// random tree plus a few extra edges, replayable from the seed alone.
@@ -43,30 +49,6 @@ fn random_graph(rng: &mut ChaCha8Rng, nmax: usize) -> Graph {
         if u != v && !b.has_edge(u, v) {
             let _ = b.add_edge(u, v, ELabel(rng.gen_range(0..2)));
         }
-    }
-    b.build()
-}
-
-/// `g` with one vertex's label swapped to another label present in it —
-/// the rule of `bench/verify`'s near misses: the label multiset barely
-/// moves, so support filters often still pass, but the neighbourhood
-/// around the swap changes.
-fn perturb_labels(g: &Graph, rng: &mut ChaCha8Rng) -> Graph {
-    let n = g.vertex_count();
-    let mut labels: Vec<VLabel> = g.vertices().map(|v| g.vlabel(v)).collect();
-    for _ in 0..16 {
-        let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
-        if labels[i] != labels[j] {
-            labels[i] = labels[j];
-            break;
-        }
-    }
-    let mut b = GraphBuilder::new();
-    for &l in &labels {
-        b.add_vertex(l);
-    }
-    for e in g.edges() {
-        b.add_edge(e.u, e.v, e.label).expect("edge copy");
     }
     b.build()
 }
@@ -190,5 +172,72 @@ fn sigs_track_churn_1_worker() {
 fn sigs_track_churn_8_workers() {
     for seed in SEEDS {
         run_churn_sigs(8, seed);
+    }
+}
+
+/// The funnel fixture's RNG for one purpose (`salt`).
+fn fixture_rng(salt: u64) -> ChaCha8Rng {
+    ChaCha8Rng::seed_from_u64(0x7ee9 ^ salt)
+}
+
+/// Hard workload: large extracted subgraphs (cyclic ones first), mid and
+/// small sizes, plus a label-perturbed near miss of each: the traffic the
+/// anchored search's signature gate exists for.
+fn hard_workload(db: &[Graph]) -> Vec<Graph> {
+    let queries = |m: usize, count| extract_queries(db, m, count, &mut fixture_rng(3 + m as u64));
+    let mut rng = fixture_rng(41);
+    let big = queries(10, 24);
+    let mut qs: Vec<Graph> = big
+        .iter()
+        .filter(|q| q.edge_count() >= q.vertex_count())
+        .cloned()
+        .collect();
+    qs.extend(big);
+    qs.extend(queries(8, 8));
+    qs.extend(queries(4, 16));
+    let near_miss: Vec<Graph> = qs.iter().map(|q| perturb_labels(q, &mut rng)).collect();
+    qs.extend(near_miss);
+    qs
+}
+
+const CENTER_SIG_KILLS: &str = "verify.center_sig_kills";
+
+/// The funnel counts of [`hard_workload`] on 60 chem graphs, summed over
+/// one batch with the full filter and one with `SfMode::PartitionOnly`.
+const FUNNEL_COUNTS: [(&str, u64); 8] = [
+    (obs::names::QUERIES, 208),
+    (obs::names::FILTERED, 588),
+    (obs::names::PRUNED, 588),
+    (obs::names::ANSWERS, 342),
+    ("funnel.partition_parts", 892),
+    ("funnel.sf_features", 1652),
+    (obs::names::MISSING_FEATURE, 6),
+    (CENTER_SIG_KILLS, 52),
+];
+
+#[test]
+fn verify_funnel_counts_are_pinned() {
+    let db = generate_chem(&ChemParams::sized(60), &mut fixture_rng(1));
+    let qs = hard_workload(&db);
+    let index = TreePiIndex::build(db, TreePiParams::default());
+    for workers in [1, 8] {
+        let engine = Engine::new(index.clone(), workers);
+        let mut total = obs::MetricSet::new();
+        for sf_mode in [SfMode::FullEnumeration, SfMode::PartitionOnly] {
+            let opts = QueryOptions {
+                sf_mode,
+                ..QueryOptions::default()
+            };
+            let registry = obs::Registry::new();
+            engine.query_batch_obs(&qs, opts, 9, &registry);
+            let m = registry.drain();
+            assert!(
+                m.counter(CENTER_SIG_KILLS) > 0,
+                "{sf_mode:?} at {workers} workers: the signature gate rejected nothing"
+            );
+            total.merge(&m);
+        }
+        let got = FUNNEL_COUNTS.map(|(name, _)| (name, total.counter(name)));
+        assert_eq!(got, FUNNEL_COUNTS, "{workers} workers");
     }
 }
