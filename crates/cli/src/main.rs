@@ -5,7 +5,6 @@
 //!               [--trace out.json] [--timeseries out.json] [--sample-interval-ms M]
 //! treepi query  <index.tpi> <queries.gspan> [--stats] [--threads N] [--metrics out.json] [--trace out.json]
 //! treepi gquery <db.gspan> <queries.gspan> [--threads N] [--metrics out.json]  (gIndex baseline)
-//! treepi metrics-diff <baseline.json> <current.json> [--max-regress-pct P] [--time] [--update-baseline]
 //! treepi stats  <index.tpi> | --addr HOST:PORT     (live server snapshot)
 //! treepi dbstats <db.gspan>
 //! treepi gen    <out.gspan> --chem N | --synthetic N L
@@ -61,13 +60,8 @@
 //! Prometheus text `/metrics` serves — useful for pushing one-shot build
 //! or loadgen metrics through a pushgateway.
 //!
-//! `metrics-diff` compares two metrics files and exits non-zero when a
-//! gated value (counters, `mem.*` gauges, span counts; with `--time` also
-//! span p50/p95) regressed by more than `--max-regress-pct` percent — the
-//! CI perf gate. `--update-baseline` instead rewrites `<baseline.json>`
-//! from `<current.json>` (canonically re-rendered) and skips gating — the
-//! convenience for refreshing `ci/*-baseline.json` after an intended
-//! change.
+//! A value-taking flag given last, or followed by another `--` flag, is an
+//! error naming it, never a silent default.
 //!
 //! Graph files use the gSpan transaction format (`t # i` / `v id label` /
 //! `e u v label`); see `graph_core::io`.
@@ -90,7 +84,6 @@ fn usage() -> ExitCode {
         "usage:\n  treepi build  <db.gspan> <index.tpi> [--alpha A] [--beta B] [--eta E] [--gamma G] [--threads N] [--metrics out.json] [--trace out.json] [--timeseries out.json] [--sample-interval-ms 100]\n  \
          treepi query  <index.tpi> <queries.gspan> [--stats] [--threads N] [--metrics out.json] [--trace out.json]\n  \
          treepi gquery <db.gspan> <queries.gspan> [--threads N] [--metrics out.json]\n  \
-         treepi metrics-diff <baseline.json> <current.json> [--max-regress-pct P] [--time] [--update-baseline]\n  \
          treepi stats  (<index.tpi> | --addr HOST:PORT)\n  \
          treepi dbstats <db.gspan>\n  \
          treepi gen    <out.gspan> (--chem N | --synthetic N L) [--seed N]\n  \
@@ -102,14 +95,19 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+/// The value of flag `name`, `None` when the flag is absent.
+fn flag_value(args: &[String], name: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
+        _ => Err(format!("{name} needs a value")),
+    }
 }
 
 fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    match flag_value(args, name) {
+    match flag_value(args, name)? {
         None => Ok(default),
         Some(v) => v.parse().map_err(|_| format!("bad value for {name}: {v}")),
     }
@@ -194,9 +192,9 @@ fn run() -> Result<(), String> {
                 ..defaults
             };
             let threads = parse_flag(&args, "--threads", 0usize)?;
-            let metrics_path = flag_value(&args, "--metrics");
-            let trace_path = flag_value(&args, "--trace");
-            let series_path = flag_value(&args, "--timeseries");
+            let metrics_path = flag_value(&args, "--metrics")?;
+            let trace_path = flag_value(&args, "--trace")?;
+            let series_path = flag_value(&args, "--timeseries")?;
             let interval_ms = parse_flag(&args, "--sample-interval-ms", 100u64)?;
             let registry = metrics_registry(&metrics_path, &trace_path);
             let sampler = if series_path.is_some() {
@@ -248,8 +246,8 @@ fn run() -> Result<(), String> {
             // reused for the whole serving run.
             let threads = parse_flag(&args, "--threads", 0usize)?;
             let want_stats = args.iter().any(|a| a == "--stats");
-            let metrics_path = flag_value(&args, "--metrics");
-            let trace_path = flag_value(&args, "--trace");
+            let metrics_path = flag_value(&args, "--metrics")?;
+            let trace_path = flag_value(&args, "--trace")?;
             let registry = metrics_registry(&metrics_path, &trace_path);
             let engine = treepi::Engine::new(index, threads);
             let (results, summary, _) =
@@ -291,7 +289,7 @@ fn run() -> Result<(), String> {
             let db = read_graphs_file(db_path)?;
             let queries = read_queries_file(q_path)?;
             let threads = parse_flag(&args, "--threads", 0usize)?;
-            let metrics_path = flag_value(&args, "--metrics");
+            let metrics_path = flag_value(&args, "--metrics")?;
             let n = db.len();
             let t = std::time::Instant::now();
             let index = gindex::GIndex::build(db, gindex::GIndexParams::paper_default(n));
@@ -311,38 +309,6 @@ fn run() -> Result<(), String> {
                 index.record_mem_gauges(&registry);
                 obs::alloc::record_gauges(&registry);
                 write_metrics(&registry, path)?;
-            }
-            Ok(())
-        }
-        "metrics-diff" => {
-            let (Some(base_path), Some(cur_path)) = (args.get(1), args.get(2)) else {
-                return Err("metrics-diff needs <baseline.json> <current.json>".into());
-            };
-            let read = |path: &str| -> Result<obs::MetricSet, String> {
-                let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-                obs::json::parse_metric_set(&text).map_err(|e| format!("{path}: {e}"))
-            };
-            if args.iter().any(|a| a == "--update-baseline") {
-                // Re-render (rather than copy) so the baseline is always in
-                // canonical schema form regardless of how current.json was
-                // produced.
-                let current = read(cur_path)?;
-                std::fs::write(base_path, current.render_json())
-                    .map_err(|e| format!("{base_path}: {e}"))?;
-                eprintln!("updated baseline {base_path} from {cur_path}");
-                return Ok(());
-            }
-            let base = read(base_path)?;
-            let current = read(cur_path)?;
-            let opts = obs::diff::DiffOptions {
-                max_regress_pct: parse_flag(&args, "--max-regress-pct", 10.0f64)?,
-                include_timings: args.iter().any(|a| a == "--time"),
-            };
-            let report = obs::diff::diff(&base, &current, &opts);
-            print!("{}", report.render_text());
-            if report.regressed() {
-                // Verdict already printed; exit non-zero for CI.
-                return Err(String::new());
             }
             Ok(())
         }
@@ -388,7 +354,7 @@ fn run() -> Result<(), String> {
         "stats" => {
             // Live mode: fetch a `treepi.obs/v1` snapshot from a running
             // server via the STATS admin op and print it verbatim.
-            if let Some(addr) = flag_value(&args, "--addr") {
+            if let Some(addr) = flag_value(&args, "--addr")? {
                 let mut client =
                     serve::Client::connect_retry(&addr, std::time::Duration::from_secs(2))
                         .map_err(|e| format!("{addr}: {e}"))?;
@@ -453,10 +419,10 @@ fn run() -> Result<(), String> {
             };
             let seed = parse_flag(&args, "--seed", 2007u64)?;
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let graphs = if let Some(n) = flag_value(&args, "--chem") {
+            let graphs = if let Some(n) = flag_value(&args, "--chem")? {
                 let n: usize = n.parse().map_err(|_| "bad --chem count")?;
                 datagen::generate_chem(&datagen::ChemParams::sized(n), &mut rng)
-            } else if let Some(n) = flag_value(&args, "--synthetic") {
+            } else if let Some(n) = flag_value(&args, "--synthetic")? {
                 let n: usize = n.parse().map_err(|_| "bad --synthetic count")?;
                 let labels: u32 = parse_flag(&args, "--labels", 4u32)?;
                 datagen::generate_synthetic(
@@ -483,7 +449,7 @@ fn run() -> Result<(), String> {
             };
             let mut f = std::fs::File::open(idx_path).map_err(|e| e.to_string())?;
             let index = TreePiIndex::load(&mut f).map_err(|e| e.to_string())?;
-            let addr = flag_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:7878".into());
+            let addr = flag_value(&args, "--addr")?.unwrap_or_else(|| "127.0.0.1:7878".into());
             let threads = parse_flag(&args, "--threads", 0usize)?;
             let stall_us = parse_flag(&args, "--stall-threshold-us", 100_000u64)?;
             let config = serve::ServeConfig {
@@ -491,16 +457,16 @@ fn run() -> Result<(), String> {
                 queue_cap: parse_flag(&args, "--queue-cap", 1024usize)?,
                 cache_cap: parse_flag(&args, "--cache-cap", 4096usize)?,
                 max_requests: parse_flag(&args, "--max-requests", 0u64)?,
-                http_addr: flag_value(&args, "--http-addr"),
+                http_addr: flag_value(&args, "--http-addr")?,
                 stall_threshold: (stall_us > 0).then(|| std::time::Duration::from_micros(stall_us)),
                 ..serve::ServeConfig::default()
             };
-            let metrics_path = flag_value(&args, "--metrics");
-            let series_path = flag_value(&args, "--timeseries");
+            let metrics_path = flag_value(&args, "--metrics")?;
+            let series_path = flag_value(&args, "--timeseries")?;
             let interval_ms = parse_flag(&args, "--sample-interval-ms", 100u64)?;
             let slow_us = parse_flag(&args, "--slow-query-us", 0u64)?;
-            let slow_log_path = flag_value(&args, "--slow-log");
-            let access_log_path = flag_value(&args, "--access-log");
+            let slow_log_path = flag_value(&args, "--slow-log")?;
+            let access_log_path = flag_value(&args, "--access-log")?;
             // Serving telemetry is always on (the STATS admin op must see
             // live counters even without --metrics); the flag only decides
             // whether the final snapshot is written to a file.
@@ -578,7 +544,7 @@ fn run() -> Result<(), String> {
             let cfg = serve::LoadgenConfig {
                 connections: parse_flag(&args, "--connections", 4usize)?,
                 requests: parse_flag(&args, "--requests", 1000u64)?,
-                rate: flag_value(&args, "--rate")
+                rate: flag_value(&args, "--rate")?
                     .map(|v| v.parse().map_err(|_| format!("bad value for --rate: {v}")))
                     .transpose()?,
                 zipf: parse_flag(&args, "--zipf", 0.0f64)?,
@@ -586,7 +552,7 @@ fn run() -> Result<(), String> {
                 shutdown: args.iter().any(|a| a == "--shutdown"),
                 ..serve::LoadgenConfig::default()
             };
-            let metrics_path = flag_value(&args, "--metrics");
+            let metrics_path = flag_value(&args, "--metrics")?;
             let registry = metrics_registry(&metrics_path, &None);
             let report =
                 serve::loadgen::run(addr, &queries, &cfg, &registry).map_err(|e| e.to_string())?;

@@ -1,0 +1,67 @@
+//! Bad command-line input must be an error at the CLI boundary: exit 1 with
+//! a message naming what is wrong, never a panic and never a silent default.
+//! A query file containing an edgeless graph (the pipeline asserts
+//! `edge_count() > 0`) names the query; a value-taking flag given last, or
+//! followed by another `--` flag, names the flag (`query … --metrics` once
+//! exited 0 and wrote no file).
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+fn treepi(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_treepi"))
+        .args(args)
+        .output()
+        .expect("run treepi")
+}
+
+fn path_str(p: &Path) -> &str {
+    p.to_str().expect("utf-8 temp path")
+}
+
+#[test]
+fn bad_input_is_an_error_not_a_panic() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("bad_input");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (db, idx, q) = (
+        dir.join("db.gspan"),
+        dir.join("db.tpi"),
+        dir.join("q.gspan"),
+    );
+    assert!(
+        treepi(&["gen", path_str(&db), "--chem", "12", "--seed", "7"])
+            .status
+            .success()
+    );
+    assert!(treepi(&["build", path_str(&db), path_str(&idx)])
+        .status
+        .success());
+    // Query 0 is fine; query 1 is a lone vertex.
+    std::fs::write(&q, "t # 0\nv 0 0\nv 1 0\ne 0 1 0\nt # 1\nv 0 0\n").expect("write queries");
+    let (db, idx, q) = (path_str(&db), path_str(&idx), path_str(&q));
+
+    let edgeless = format!("{q}: query 1 must contain at least one edge");
+    for (args, expected) in [
+        (vec!["query", idx, q], edgeless.as_str()),
+        (vec!["gquery", db, q], &edgeless),
+        (
+            vec!["query", idx, db, "--metrics"],
+            "--metrics needs a value",
+        ),
+        (
+            vec!["query", idx, db, "--threads"],
+            "--threads needs a value",
+        ),
+        (
+            vec!["query", idx, db, "--metrics", "--stats"],
+            "--metrics needs a value",
+        ),
+        (vec!["build", db, idx, "--alpha"], "--alpha needs a value"),
+    ] {
+        let out = treepi(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(expected), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}

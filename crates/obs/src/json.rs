@@ -405,8 +405,8 @@ impl Parser<'_> {
 /// Validates the schema tag and every field shape; derived span fields
 /// (`mean_ns`, `p50_ns`, `p95_ns`) are ignored on input — they are
 /// recomputed from the histogram, so `render → parse → render` is a
-/// fixpoint. This is the input side of the metrics regression gate
-/// ([`crate::diff`]).
+/// fixpoint. `treepi prom` and the serving tests read saved snapshots
+/// through it.
 pub fn parse_metric_set(input: &str) -> Result<crate::MetricSet, ParseError> {
     fn sem(msg: String) -> ParseError {
         ParseError { at: 0, msg }

@@ -19,11 +19,10 @@
 //!   scheduling order. By convention, names under the prefixes of
 //!   [`names::EXEMPT_PREFIXES`] describe *execution shape* (worker counts,
 //!   busy time) or *arrival timing* (batching, cache hits) and are exempt;
-//!   [`MetricSet::deterministic_counters`] and the [`diff`] gate apply the
-//!   convention.
-//! - **Stable rendering.** Metric names sort lexicographically in both the
-//!   human-readable text table and the versioned JSON schema
-//!   ([`JSON_SCHEMA`]); see EXPERIMENTS.md for the schema reference.
+//!   [`MetricSet::deterministic_counters`] applies the convention.
+//! - **Stable rendering.** Metric names sort lexicographically in the
+//!   versioned JSON schema ([`JSON_SCHEMA`]); see EXPERIMENTS.md for the
+//!   schema reference.
 //!
 //! ```
 //! let registry = obs::Registry::new();
@@ -41,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
-pub mod diff;
 pub mod json;
 pub mod prom;
 pub mod series;
@@ -312,59 +310,6 @@ impl MetricSet {
             .filter(|(k, _)| !names::EXEMPT_PREFIXES.iter().any(|p| k.starts_with(p)))
             .map(|(k, v)| (k.clone(), *v))
             .collect()
-    }
-
-    /// Human-readable rendering: a counter table then a span table, both
-    /// name-sorted.
-    pub fn render_text(&self) -> String {
-        fn dur(ns: u64) -> String {
-            if ns >= 1_000_000_000 {
-                format!("{:.2}s", ns as f64 / 1e9)
-            } else if ns >= 1_000_000 {
-                format!("{:.2}ms", ns as f64 / 1e6)
-            } else if ns >= 1_000 {
-                format!("{:.2}us", ns as f64 / 1e3)
-            } else {
-                format!("{ns}ns")
-            }
-        }
-        let mut out = String::new();
-        if !self.counters.is_empty() {
-            out.push_str("counters:\n");
-            let w = self.counters.keys().map(|k| k.len()).max().unwrap_or(0);
-            for (k, v) in &self.counters {
-                out.push_str(&format!("  {k:<w$}  {v}\n"));
-            }
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("gauges:\n");
-            let w = self.gauges.keys().map(|k| k.len()).max().unwrap_or(0);
-            for (k, v) in &self.gauges {
-                out.push_str(&format!("  {k:<w$}  {v}\n"));
-            }
-        }
-        if !self.spans.is_empty() {
-            let w = self.spans.keys().map(|k| k.len()).max().unwrap_or(0).max(4);
-            out.push_str(&format!(
-                "spans:\n  {:<w$}  {:>8}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}\n",
-                "name", "count", "total", "mean", "p50", "p95", "max"
-            ));
-            for (k, s) in &self.spans {
-                out.push_str(&format!(
-                    "  {k:<w$}  {:>8}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}\n",
-                    s.count,
-                    dur(s.total_ns),
-                    dur(s.mean_ns()),
-                    dur(s.quantile_ns(0.50)),
-                    dur(s.quantile_ns(0.95)),
-                    dur(s.max_ns),
-                ));
-            }
-        }
-        if out.is_empty() {
-            out.push_str("(no metrics recorded)\n");
-        }
-        out
     }
 
     /// Stable JSON rendering (schema [`JSON_SCHEMA`]; documented with a
@@ -715,11 +660,11 @@ impl Registry {
 /// Canonical metric names shared across the pipeline layers, so treepi and
 /// the gindex baseline render directly comparable stage breakdowns.
 pub mod names {
-    /// Prefixes of the namespaces exempt from the determinism contract and
-    /// the metrics-diff gate. `engine.` and `pool.` describe execution
-    /// shape (worker counts, scheduling, pool busy/park time) and vary with
-    /// `--threads`; `serve.`, `cache.`, `loadgen.`, `series.` and `maint.`
-    /// depend on arrival timing (batch boundaries, cache hits vs. in-flight
+    /// Prefixes of the namespaces exempt from the determinism contract.
+    /// `engine.` and `pool.` describe execution shape (worker counts,
+    /// scheduling, pool busy/park time) and vary with `--threads`;
+    /// `serve.`, `cache.`, `loadgen.`, `series.` and `maint.` depend on
+    /// arrival timing (batch boundaries, cache hits vs. in-flight
     /// misses, shed decisions, sampler ring evictions, how many queued ops
     /// each apply batch happens to fold together).
     pub const EXEMPT_PREFIXES: [&str; 7] = [
@@ -797,8 +742,8 @@ pub mod names {
 
     // The serving front end (`serve.*` / `cache.*`) and the load
     // generator (`loadgen.*`). All three namespaces depend on arrival
-    // timing and are exempt from the determinism contract and the
-    // metrics-diff gate, like `engine.*` / `pool.*`.
+    // timing and are exempt from the determinism contract, like
+    // `engine.*` / `pool.*`.
 
     /// Counter: request frames decoded by the server.
     pub const SERVE_REQUESTS: &str = "serve.requests";
@@ -1048,20 +993,6 @@ mod tests {
         assert!(!det.contains_key("cache.hit"));
         assert!(!det.contains_key("loadgen.ok"));
         assert!(!det.contains_key("series.dropped"));
-    }
-
-    #[test]
-    fn text_rendering_is_stable_and_sorted() {
-        let mut m = MetricSet::new();
-        m.add("z.last", 1);
-        m.add("a.first", 2);
-        m.observe_ns("s.span", 1500);
-        let text = m.render_text();
-        let a = text.find("a.first").unwrap();
-        let z = text.find("z.last").unwrap();
-        assert!(a < z, "counters must sort by name:\n{text}");
-        assert!(text.contains("1.50us"));
-        assert_eq!(MetricSet::new().render_text(), "(no metrics recorded)\n");
     }
 
     #[test]

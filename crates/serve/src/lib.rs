@@ -36,9 +36,8 @@
 //!   JSON without waiting for shutdown.
 //!
 //! Metrics live in the `serve.*` / `cache.*` / `loadgen.*` namespaces,
-//! which are exempt from the determinism contract and the metrics-diff
-//! gate (like `engine.*` / `pool.*`): their values depend on arrival
-//! timing, not on the algorithm.
+//! which are exempt from the determinism contract (like `engine.*` /
+//! `pool.*`): their values depend on arrival timing, not on the algorithm.
 
 #![warn(missing_docs)]
 
