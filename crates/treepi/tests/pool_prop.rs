@@ -8,44 +8,13 @@
 //! fanning its prune/verify stages back into the same pool) that the
 //! random cases rarely reach.
 
+mod common;
+
+use common::{arb_connected_graph, arb_db};
 use graph_core::par::Pool;
-use graph_core::{graph_from, ELabel, Graph, GraphBuilder, VLabel, VertexId};
+use graph_core::{graph_from, Graph};
 use proptest::prelude::*;
 use treepi::{Engine, QueryOptions, TreePiIndex, TreePiParams, INTRA_PAR_THRESHOLD};
-
-/// A random connected labeled graph: random tree plus a few extra edges.
-fn arb_connected_graph(nmax: usize) -> impl Strategy<Value = Graph> {
-    (2..=nmax).prop_flat_map(move |n| {
-        let vlabels = proptest::collection::vec(0u32..3, n);
-        let parents = proptest::collection::vec((0usize..nmax, 0u32..2), n - 1);
-        let extras = proptest::collection::vec((0usize..nmax, 0usize..nmax, 0u32..2), 0..3);
-        (vlabels, parents, extras).prop_map(move |(vl, ps, ex)| {
-            let mut b = GraphBuilder::new();
-            for l in &vl {
-                b.add_vertex(VLabel(*l));
-            }
-            for (i, (p, el)) in ps.iter().enumerate() {
-                b.add_edge(
-                    VertexId((i + 1) as u32),
-                    VertexId((p % (i + 1)) as u32),
-                    ELabel(*el),
-                )
-                .expect("tree edge");
-            }
-            for (u, v, el) in ex {
-                let (u, v) = (VertexId((u % n) as u32), VertexId((v % n) as u32));
-                if u != v && !b.has_edge(u, v) {
-                    let _ = b.add_edge(u, v, ELabel(el));
-                }
-            }
-            b.build()
-        })
-    })
-}
-
-fn arb_db(graphs: usize, nmax: usize) -> impl Strategy<Value = Vec<Graph>> {
-    proptest::collection::vec(arb_connected_graph(nmax), 1..=graphs)
-}
 
 fn save_bytes(idx: &TreePiIndex) -> Vec<u8> {
     let mut out = Vec::new();
