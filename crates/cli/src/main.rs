@@ -28,7 +28,7 @@
 //!
 //! `--trace out.json` (query, build) additionally collects a trace
 //! timeline — per-query pipeline stages for `query`, build phases
-//! (`build.mine` / `mine.levelN` / `build.shrink` / `build.sigs`) for
+//! (`build.mine` / `mine.levelN` / `build.sigs`) for
 //! `build` — and writes it as Chrome trace-event JSON, loadable in
 //! `chrome://tracing` or <https://ui.perfetto.dev>.
 //!
@@ -211,11 +211,13 @@ fn run() -> Result<(), String> {
                 registry.absorb(shard);
                 index
             };
+            let stats = index.stats();
             eprintln!(
-                "indexed {n} graphs: {} features, {} center positions in {:.2?}",
-                index.feature_count(),
-                index.stats().center_positions,
-                t.elapsed()
+                "indexed {n} graphs: {} features, {} center positions in {:.2?} (mining truncated: {})",
+                stats.features,
+                stats.center_positions,
+                t.elapsed(),
+                stats.truncated
             );
             let mut f = std::fs::File::create(out_path).map_err(|e| e.to_string())?;
             index.save(&mut f).map_err(|e| e.to_string())?;
@@ -376,6 +378,7 @@ fn run() -> Result<(), String> {
             println!("graphs:            {}", index.active_count());
             println!("features:          {}", index.feature_count());
             println!("mined (pre-shrink): {}", s.mined);
+            println!("mining truncated:  {}", s.truncated);
             println!("center entries:    {}", s.center_entries);
             println!("center positions:  {}", s.center_positions);
             println!("memory estimate:   {} KiB", index.memory_estimate() / 1024);

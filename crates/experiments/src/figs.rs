@@ -21,9 +21,19 @@ fn paper_pipeline() -> QueryOptions {
     }
 }
 
-/// Build both indexes over one database (timed).
-fn build_both(db: &[Graph]) -> (TreePiIndex, f64, GIndex, f64) {
+/// Say on stderr when a TreePi build `figure` times was cut short by a
+/// mining limit: the figure then shows a smaller index than its parameters
+/// define.
+fn note_truncation(figure: &str, tp: &TreePiIndex) {
+    if tp.stats().truncated {
+        eprintln!("{figure}: TreePi mining truncated at N = {}", tp.db().len());
+    }
+}
+
+/// Build both indexes over one database (timed) for `figure`.
+fn build_both(figure: &str, db: &[Graph]) -> (TreePiIndex, f64, GIndex, f64) {
     let (tp, t_tp) = timed(|| TreePiIndex::build(db.to_vec(), TreePiParams::default()));
+    note_truncation(figure, &tp);
     let (gi, t_gi) = timed(|| GIndex::build(db.to_vec(), GIndexParams::paper_default(db.len())));
     (tp, ms(t_tp), gi, ms(t_gi))
 }
@@ -114,7 +124,7 @@ pub fn fig9(opts: &Opts) {
     let mut csv = Vec::new();
     for n in sizes {
         let db = chem_db(opts, n);
-        let (tp, t_tp, gi, t_gi) = build_both(&db);
+        let (tp, t_tp, gi, t_gi) = build_both("Figure 9", &db);
         rows.push(vec![
             n.to_string(),
             tp.feature_count().to_string(),
@@ -188,7 +198,7 @@ pub fn fig10(opts: &Opts, group: Option<&str>) {
     // Paper threshold: support 50 on 10k graphs; keep the same fraction.
     let threshold = (50 * n).div_ceil(10_000);
     let db = chem_db(opts, n);
-    let (tp, _, gi, _) = build_both(&db);
+    let (tp, _, gi, _) = build_both("Figure 10", &db);
     let m_values = [4usize, 8, 12, 16, 20, 24];
     let per_size = opts.scale.queries(1000);
     let points = measure_queries(opts, &db, &tp, &gi, &m_values, per_size, "fig10");
@@ -259,7 +269,7 @@ pub fn fig11(opts: &Opts, dataset: &str) {
         other => panic!("unknown dataset {other}; use chem|synthetic"),
     };
     println!("== Figure 11 ({dataset}): prune effectiveness on {label} ==");
-    let (tp, _, gi, _) = build_both(&db);
+    let (tp, _, gi, _) = build_both(&format!("Figure 11 ({dataset})"), &db);
     let m_values = [4usize, 8, 12, 16, 20];
     let per_size = opts.scale.queries(1000);
     let points = measure_queries(opts, &db, &tp, &gi, &m_values, per_size, "fig11");
@@ -335,7 +345,7 @@ pub fn fig_construction(opts: &Opts, dataset: &str) {
             "chem" => chem_db(opts, n),
             _ => synthetic_db(opts, n, 5).0,
         };
-        let (tp, t_tp, gi, t_gi) = build_both(&db);
+        let (tp, t_tp, gi, t_gi) = build_both(&format!("Figure {figure}"), &db);
         rows.push(vec![
             n.to_string(),
             format!("{:.2}", t_tp / 1e3),
@@ -399,6 +409,7 @@ pub fn buildscale(opts: &Opts, dataset: &str) {
         let t = ms(t);
         let bytes = save_bytes(&idx);
         let identical = if threads == 1 {
+            note_truncation(&format!("build scaling ({dataset})"), &idx);
             base_ms = t;
             base_bytes = bytes;
             true
@@ -447,7 +458,7 @@ pub fn fig_query_time(opts: &Opts, dataset: &str) {
             500,
         ),
     };
-    let (tp, _, gi, _) = build_both(&db);
+    let (tp, _, gi, _) = build_both(&format!("Figure {figure}"), &db);
     // The batch series runs on an engine at full available parallelism; the
     // sequential series reads the same index through its pinned snapshot.
     let engine = Engine::new(tp, 0);
@@ -621,6 +632,7 @@ pub fn ablate(opts: &Opts) {
             ..TreePiParams::default()
         };
         let (idx, t_build) = timed(|| TreePiIndex::build(db.clone(), params));
+        note_truncation(&format!("ablate (γ = {gamma})"), &idx);
         let mut pruned = 0usize;
         for q in &queries {
             pruned += idx.query_with(q, paper_pipeline()).stats.pruned;
@@ -660,6 +672,7 @@ pub fn classes(opts: &Opts) {
     let n = opts.scale.n(4_000);
     let db = chem_db(opts, n);
     let (tp, t_tp) = timed(|| TreePiIndex::build(db.clone(), TreePiParams::default()));
+    note_truncation("classes", &tp);
     let (gi, t_gi) = timed(|| GIndex::build(db.clone(), GIndexParams::paper_default(n)));
     let (pg, t_pg) =
         timed(|| pathgrep::PathGrep::build(db.clone(), pathgrep::PathGrepParams::default()));

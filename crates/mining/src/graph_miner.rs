@@ -370,12 +370,13 @@ mod tests {
                 beta: 1.0,
                 eta: 3,
             },
+            0.0,
             &MiningLimits::default(),
         );
         let (graphs, _) = mine_frequent_subgraphs(&db, &uniform_psi(3), &MiningLimits::default());
         // every mined tree should appear among mined subgraphs (same support)
         for t in &trees {
-            let code = canonical_code(t.tree.graph());
+            let code = canonical_code(t.canon.decode().graph());
             let m = graphs
                 .iter()
                 .find(|m| m.code == code)

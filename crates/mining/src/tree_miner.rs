@@ -1,5 +1,5 @@
-//! Level-wise frequent subtree mining (paper §4.1.3) and the shrinking
-//! step (§4.1.2).
+//! Level-wise frequent subtree mining (paper §4.1.3) with the shrinking
+//! step (§4.1.2) taken inside it.
 //!
 //! "First, all the frequent trees according to the σ function are
 //! discovered by any level wise edge-increasing graph mining method."
@@ -18,22 +18,26 @@
 //!    their occurrences and never extended (sound because σ is
 //!    non-decreasing).
 //!
-//! Because every occurrence of every frequent tree is visited, the walk
-//! that counts support also knows where each occurrence is *centered*:
-//! every [`MinedTree`] leaves the miner with its center positions per
-//! supporting graph — the index's posting list (§4.2.1), ready to store.
+//! Shrinking judges a tree on its own support and on those of its
+//! leaf-removal subtrees, which are all frequent trees of the level below —
+//! the level the miner holds when it admits the tree. So the γ test runs
+//! there, and only a tree that passes it leaves the miner, as a
+//! [`MinedTree`] carrying its center positions per supporting graph — the
+//! index's posting list (§4.2.1), ready to store. Every frequent tree,
+//! kept or not, feeds the next level.
 //!
 //! This is deliberately complete: with σ(s) = 1 for s ≤ α (the paper's
 //! completeness requirement) *every* distinct subtree up to α edges is
-//! found.
+//! found, and γ = 0 keeps them all.
 
 use crate::support::{intersect_many, SigmaFn, SupportSet};
 use graph_core::{ELabel, Graph, GraphBuilder, VLabel, VertexId};
 use rustc_hash::FxHashMap;
 use tree_core::{canonical_string, CanonString, Center, Tree};
 
-/// A mined frequent tree with its posting list: the exact support set and,
-/// rank-aligned to it, where the tree's embeddings are centered.
+/// A frequent tree the γ test kept, with its posting list: the exact
+/// support set and, rank-aligned to it, where the tree's embeddings are
+/// centered.
 ///
 /// For the graph at rank `r` of `support` the center positions are
 /// `positions[offsets[r - 1]..offsets[r]]` (from 0 for `r = 0`): ascending,
@@ -43,9 +47,7 @@ use tree_core::{canonical_string, CanonString, Center, Tree};
 /// an occurrence's center is the image of the tree's center.
 #[derive(Clone, Debug)]
 pub struct MinedTree {
-    /// The pattern.
-    pub tree: Tree,
-    /// Canonical string (index key).
+    /// Canonical string (index key); [`CanonString::decode`] gives the tree.
     pub canon: CanonString,
     /// Sorted ids of database graphs containing the pattern.
     pub support: SupportSet,
@@ -58,7 +60,7 @@ pub struct MinedTree {
 impl MinedTree {
     /// Edge size of the pattern.
     pub fn size(&self) -> usize {
-        self.tree.edge_count()
+        self.canon.edge_count()
     }
 }
 
@@ -66,10 +68,11 @@ impl MinedTree {
 /// feature tree set can fit in the memory"; these are the hard stops).
 #[derive(Clone, Copy, Debug)]
 pub struct MiningLimits {
-    /// Hard cap on the total number of patterns kept across levels. The
-    /// level-wise miner cuts in `(size, canonical string)` order — the
-    /// smallest patterns in canonical order survive — which makes the
-    /// truncated set independent of scan order and thread count.
+    /// Hard cap on the total number of frequent patterns mined across
+    /// levels. The level-wise miner cuts in `(size, canonical string)`
+    /// order — the smallest patterns in canonical order survive — before
+    /// the γ test, which makes the truncated set independent of scan order
+    /// and thread count, and the kept trees those the γ test keeps of it.
     pub max_patterns: usize,
     /// Hard cap on candidates generated per level. The level-wise miner
     /// discards a level entirely when its distinct-instance count reaches
@@ -89,7 +92,7 @@ impl Default for MiningLimits {
 /// Statistics of one mining run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MiningStats {
-    /// Patterns found per level are summed here.
+    /// Frequent patterns found (before the γ test), summed over levels.
     pub patterns: usize,
     /// Candidates generated (before support counting).
     pub candidates: usize,
@@ -120,7 +123,7 @@ fn extend_with_leaf(t: &Tree, at: VertexId, el: ELabel, leaf: VLabel) -> Tree {
 /// All leaf-removal subtrees of `t` (each with one degree-1 vertex and its
 /// edge removed), as canonical strings. These are `t`'s maximal proper
 /// subtrees; every proper subtree of `t` is contained in one of them.
-pub fn leaf_removal_canons(t: &Tree) -> Vec<CanonString> {
+fn leaf_removal_canons(t: &Tree) -> Vec<CanonString> {
     let g = t.graph();
     if g.edge_count() <= 1 {
         return Vec::new();
@@ -149,25 +152,26 @@ pub fn leaf_removal_canons(t: &Tree) -> Vec<CanonString> {
     out
 }
 
-/// Mine all σ-frequent subtrees of `db`: [`mine_frequent_trees_pool_obs`]
-/// on a 1-seat pool with metrics disabled.
+/// Mine the σ-frequent subtrees of `db` that the γ test keeps:
+/// [`mine_frequent_trees_pool_obs`] on a 1-seat pool with metrics disabled.
 /// `tests/reference` keeps an enumeration miner and an apriori miner as
 /// cross-checking oracles.
 pub fn mine_frequent_trees(
     db: &[Graph],
     sigma: &SigmaFn,
+    gamma: f64,
     limits: &MiningLimits,
 ) -> (Vec<MinedTree>, MiningStats) {
     let pool = graph_core::par::Pool::new(1);
-    mine_frequent_trees_pool_obs(db, sigma, limits, &pool, &obs::Shard::disabled())
+    mine_frequent_trees_pool_obs(db, sigma, gamma, limits, &pool, &obs::Shard::disabled())
 }
 
 /// Occurrence-list level-wise mining — the "level wise edge-increasing"
 /// method the paper prescribes — with every parallel pass (the per-level
-/// extension scans, the canonical-string pass, occurrence materialization)
-/// dispatched as seats on `pool`, so a multi-level run reuses one set of
-/// worker threads and a caller can share the pool with the rest of a build
-/// and with query serving. The canonical-string pass runs *from inside* the
+/// extension scans, the canonical-string pass, the γ test with occurrence
+/// materialization) dispatched as seats on `pool`, so a multi-level run
+/// reuses one set of worker threads and a caller can share the pool with
+/// the rest of a build and with query serving. The canonical-string pass runs *from inside* the
 /// level loop on whatever thread dispatched the build — re-entrant dispatch
 /// is safe because the pool's dispatcher claims its own job's seats.
 ///
@@ -185,6 +189,13 @@ pub fn mine_frequent_trees(
 /// thresholds growing past α this prunes the (combinatorially dominant)
 /// large-and-rare subtrees that plain enumeration would still visit.
 ///
+/// Shrinking (§4.1.2) happens as a frequent (s+1)-tree is admitted: its
+/// support and its leaf-removal subtrees' supports, read from level s, decide
+/// whether it is kept (see `gamma_keeps`; single edges always are). Only a
+/// kept tree gets center columns and leaves as a [`MinedTree`]; every
+/// frequent tree's instances feed level s+2, and only a kept tree's are
+/// materialized at the last level. `gamma = 0.0` keeps every frequent tree.
+///
 /// Exactness: every instance of a frequent (s+1)-tree restricts (by
 /// removing a leaf edge) to an instance of a frequent s-tree (σ is
 /// non-decreasing), which is present at level s, so all instances and all
@@ -199,16 +210,17 @@ pub fn mine_frequent_trees(
 /// `mine.level{s}.candidates` / `.patterns` / `.pruned_by_support` counters
 /// (distinct candidate patterns, survivors of the σ(s) filter, and the
 /// difference), and the run totals `mine.candidates` (instances generated)
-/// and `mine.patterns`. Seats additionally record `engine.mine.workers` and
+/// and `mine.patterns` (frequent patterns mined, as in [`MiningStats`]).
+/// Seats additionally record `engine.mine.workers` and
 /// `engine.mine.worker_wall` spans, which describe execution shape and vary
 /// with the pool size.
 ///
 /// # Determinism contract
 ///
-/// The output — patterns, representative trees, support sets, center
-/// columns, instance lists, [`MiningStats`], and every non-`engine.*`
-/// counter — is a pure
-/// function of `(db, sigma, limits)`, independent of the pool size and of
+/// The output — kept patterns, support sets, center columns,
+/// [`MiningStats`], and every non-`engine.*` counter — and every level's
+/// representative trees and instance lists are a pure function of
+/// `(db, sigma, gamma, limits)`, independent of the pool size and of
 /// scheduling. The construction:
 ///
 /// - **Partition by host graph.** Instance dedup is keyed on
@@ -240,10 +252,13 @@ pub fn mine_frequent_trees(
 /// whole level when the *total* distinct-instance count reaches the cap
 /// (workers early-stop on their local counts purely as an optimization, and
 /// a discarded level contributes nothing to counters), and `max_patterns`
-/// cuts in `(size, canonical string)` order — see `MiningLimits`.
+/// cuts frequent patterns in `(size, canonical string)` order before the γ
+/// test — see `MiningLimits` — so a truncated run keeps exactly the trees
+/// an untruncated one keeps of that prefix.
 pub fn mine_frequent_trees_pool_obs(
     db: &[Graph],
     sigma: &SigmaFn,
+    gamma: f64,
     limits: &MiningLimits,
     pool: &graph_core::par::Pool,
     shard: &obs::Shard,
@@ -276,6 +291,13 @@ pub fn mine_frequent_trees_pool_obs(
         tree: Tree,
         occs: Vec<Instance>,
     }
+    /// A frequent pattern of one level: its canonical string and support
+    /// (what the next level's γ test reads) and its representatives.
+    struct Pattern {
+        canon: CanonString,
+        support: SupportSet,
+        reps: Vec<Rep>,
+    }
     /// One candidate extension record. The child mapping is *not* stored:
     /// it is `parent.occs[occ].mapping + leaf`, rebuilt once for the
     /// records that survive dedup. Keeping records flat (edge sets stay
@@ -301,18 +323,20 @@ pub fn mine_frequent_trees_pool_obs(
     /// A distinct extension kind after the merge: per-worker record spans
     /// `(worker, start, end)` plus the (key-derived) child tree and canon.
     /// Occurrences are materialized from the spans only for candidates
-    /// that survive the support filter.
+    /// that survive the support filter, and need them.
     struct Group {
         key: ExtKey,
         spans: SmallVec<[(u8, u32, u32); 4]>,
         canon: Option<CanonString>,
         tree: Option<Tree>,
     }
-    /// A surviving representative before occurrence materialization.
-    struct RepBuild {
-        tree: Tree,
-        gidx: u32,
-        occs: Vec<Instance>,
+    /// A pattern admitted at a level: its range of the canon-sorted kind
+    /// order (one kind per representative, in order) and, once the γ test
+    /// keeps it, its [`MinedTree`].
+    struct Admitted {
+        pattern: Pattern,
+        kinds: std::ops::Range<usize>,
+        mined: Option<MinedTree>,
     }
 
     fn sort_occs(occs: &mut [Instance]) {
@@ -324,19 +348,14 @@ pub fn mine_frequent_trees_pool_obs(
         s.dedup();
         s
     }
-    /// The center columns `(offsets, positions)` of one pattern (see
-    /// [`MinedTree`]) with support set `support`, read off the instances of
-    /// all its representatives, which are sorted by graph: one walk down
-    /// `support`, gathering each graph's run from every representative.
-    /// Representatives number their vertices differently, so each locates its
-    /// own center; an edge center lands on the host edge between the images
-    /// of its two ends; many instances share a center, so a graph's ids are
-    /// de-duplicated.
-    fn center_columns<'a>(
-        db: &[Graph],
-        reps: impl Iterator<Item = (&'a Tree, &'a [Instance])>,
-        support: &[u32],
-    ) -> (Vec<u32>, Vec<u32>) {
+    /// A kept pattern as the miner hands it over, with its center columns
+    /// (see [`MinedTree`]) read off the instances of all its representatives,
+    /// which are sorted by graph: one walk down the support, gathering each
+    /// graph's run from every representative. Representatives number their
+    /// vertices differently, so each locates its own center; an edge center
+    /// lands on the host edge between the images of its two ends; many
+    /// instances share a center, so a graph's ids are de-duplicated.
+    fn mined_tree(db: &[Graph], p: &Pattern) -> MinedTree {
         /// A representative being read: the pattern vertices of its center
         /// (one, or the two ends of the center edge) and its instances not
         /// yet consumed.
@@ -345,23 +364,28 @@ pub fn mine_frequent_trees_pool_obs(
             v: Option<VertexId>,
             occs: &'a [Instance],
         }
-        let mut reps: SmallVec<[Unread; 2]> = reps
-            .map(|(tree, occs)| match tree_core::center(tree) {
-                Center::Vertex(u) => Unread { u, v: None, occs },
-                Center::Edge(e) => {
-                    let e = tree.graph().edge(e);
-                    Unread {
-                        u: e.u,
-                        v: Some(e.v),
-                        occs,
+        let mut reps: SmallVec<[Unread; 2]> = p
+            .reps
+            .iter()
+            .map(|rep| {
+                let occs = &rep.occs[..];
+                match tree_core::center(&rep.tree) {
+                    Center::Vertex(u) => Unread { u, v: None, occs },
+                    Center::Edge(e) => {
+                        let e = rep.tree.graph().edge(e);
+                        Unread {
+                            u: e.u,
+                            v: Some(e.v),
+                            occs,
+                        }
                     }
                 }
             })
             .collect();
-        let mut offsets = Vec::with_capacity(support.len());
+        let mut offsets = Vec::with_capacity(p.support.len());
         let mut positions = Vec::new();
         let mut ids: Vec<u32> = Vec::new();
-        for &gid in support {
+        for &gid in &p.support {
             let g = &db[gid as usize];
             ids.clear();
             for rep in reps.iter_mut() {
@@ -385,7 +409,35 @@ pub fn mine_frequent_trees_pool_obs(
         }
         debug_assert!(reps.iter().all(|rep| rep.occs.is_empty()));
         positions.shrink_to_fit();
-        (offsets, positions)
+        MinedTree {
+            canon: p.canon.clone(),
+            support: p.support.clone(),
+            offsets,
+            positions,
+        }
+    }
+    /// The shrinking step's test (paper §4.1.2) for a tree `r` of two edges
+    /// or more: keep `r` iff `|⋂ᵢ D_rᵢ| / |D_r| > γ` over its leaf-removal
+    /// (maximal proper) subtrees `rᵢ`, frequent trees that `below`, the
+    /// level under `r` in canonical order, holds. The ratio is at least 1.
+    /// `parent` is the support of one `rᵢ`, the pattern `r` was grown from:
+    /// the intersection lies within it, which often settles the test before
+    /// any subtree is encoded.
+    fn gamma_keeps(r: &Pattern, parent: &[u32], below: &[Pattern], gamma: f64) -> bool {
+        let ratio = |common: usize| common as f64 / r.support.len() as f64;
+        if ratio(parent.len()) <= gamma {
+            return false;
+        }
+        let sets: Vec<&[u32]> = leaf_removal_canons(&r.reps[0].tree)
+            .iter()
+            .map(|c| {
+                let i = below
+                    .binary_search_by(|p| p.canon.cmp(c))
+                    .expect("a frequent tree's subtrees are frequent one level down");
+                below[i].support.as_slice()
+            })
+            .collect();
+        ratio(intersect_many(&sets, usize::MAX).len()) > gamma
     }
 
     // Worker/block layout. Workers self-schedule gid-blocks off an atomic
@@ -455,48 +507,39 @@ pub fn mine_frequent_trees_pool_obs(
                 .append(&mut occs);
         }
     }
-    let mut entries: Vec<(CanonString, Tree, Vec<Instance>)> = merged
+    let mut level: Vec<Pattern> = merged
         .into_iter()
-        .map(|(canon, (tree, occs))| (canon, tree, occs))
-        .collect();
-    pool.for_each_mut(&mut entries, |(_, _, occs)| sort_occs(occs));
-
-    let t1 = sigma.threshold(1).expect("σ(1) must be finite") as usize;
-    let level1_candidates = entries.len() as u64;
-    // Surviving patterns in canon order; each holds its representatives.
-    let mut level: Vec<Vec<Rep>> = Vec::new();
-    let mut result: Vec<MinedTree> = Vec::new();
-    for (canon, tree, occs) in entries {
-        let support = sorted_support(&occs);
-        if support.len() < t1 {
-            continue;
-        }
-        let (offsets, positions) =
-            center_columns(db, std::iter::once((&tree, &occs[..])), &support);
-        result.push(MinedTree {
-            tree: tree.clone(),
+        .map(|(canon, (tree, occs))| Pattern {
             canon,
-            support,
-            offsets,
-            positions,
-        });
-        level.push(vec![Rep { tree, occs }]);
-    }
+            support: Vec::new(),
+            reps: vec![Rep { tree, occs }],
+        })
+        .collect();
+    pool.for_each_mut(&mut level, |p| {
+        sort_occs(&mut p.reps[0].occs);
+        p.support = sorted_support(&p.reps[0].occs);
+    });
+    // The frequent ones, in canon order.
+    let level1_candidates = level.len() as u64;
+    let t1 = sigma.threshold(1).expect("σ(1) must be finite") as usize;
+    level.retain(|p| p.support.len() >= t1);
     shard.add("mine.level1.candidates", level1_candidates);
     shard.add("mine.level1.patterns", level.len() as u64);
     shard.add(
         "mine.level1.pruned_by_support",
         level1_candidates - level.len() as u64,
     );
+    if level.len() >= limits.max_patterns {
+        stats.truncated = true;
+        level.truncate(limits.max_patterns);
+    }
+    // Frequent patterns mined so far, and the kept ones: every single edge.
+    let mut frequent = level.len();
+    let mut result: Vec<MinedTree> = level.iter().map(|p| mined_tree(db, p)).collect();
     drop(level1_span);
 
-    if result.len() >= limits.max_patterns {
-        stats.truncated = true;
-        result.truncate(limits.max_patterns);
-    }
-
     let mut size = 1usize;
-    while size < sigma.eta && !level.is_empty() && result.len() < limits.max_patterns {
+    while size < sigma.eta && !level.is_empty() && frequent < limits.max_patterns {
         let Some(next_threshold) = sigma.threshold(size + 1) else {
             break;
         };
@@ -527,8 +570,8 @@ pub fn mine_frequent_trees_pool_obs(
                 }
                 let (lo, hi) = block_bounds(b, db.len());
                 let seg = cands.len();
-                for (pidx, reps) in level_ref.iter().enumerate() {
-                    for (ridx, rep) in reps.iter().enumerate() {
+                for (pidx, pattern) in level_ref.iter().enumerate() {
+                    for (ridx, rep) in pattern.reps.iter().enumerate() {
                         // occs are sorted by gid: slice out this block.
                         let start = rep.occs.partition_point(|o| (o.gid as usize) < lo);
                         let end = rep.occs.partition_point(|o| (o.gid as usize) < hi);
@@ -674,7 +717,7 @@ pub fn mine_frequent_trees_pool_obs(
         // pool seat.
         pool.for_each_mut(&mut groups, |grp| {
             let (pidx, ridx, pv, el, lv) = grp.key;
-            let rep = &level_ref[pidx as usize][ridx as usize];
+            let rep = &level_ref[pidx as usize].reps[ridx as usize];
             let child = extend_with_leaf(&rep.tree, VertexId(pv), ELabel(el), VLabel(lv));
             grp.canon = Some(canonical_string(&child));
             grp.tree = Some(child);
@@ -685,13 +728,13 @@ pub fn mine_frequent_trees_pool_obs(
         let mut order: Vec<u32> = (0..groups.len() as u32).collect();
         order.sort_by(|&a, &b| groups[a as usize].canon.cmp(&groups[b as usize].canon));
 
+        // Survivors of the support filter, up to the `max_patterns` room
+        // left, are admitted; the pass below applies the γ test to them and
+        // materializes the occurrences that are needed.
+        let room = limits.max_patterns - frequent;
         let mut level_candidates = 0u64;
-        // Survivors of the support filter go to `result[level_start..]`,
-        // their representatives — rank for rank — to `next_build`; the
-        // materialization pass below fills in the occurrences and, from
-        // those, the center columns left empty here.
-        let level_start = result.len();
-        let mut next_build: Vec<Vec<RepBuild>> = Vec::new();
+        let mut level_patterns = 0usize;
+        let mut admitted: Vec<Admitted> = Vec::new();
         let mut i = 0usize;
         while i < order.len() {
             let mut j = i + 1;
@@ -714,163 +757,103 @@ pub fn mine_frequent_trees_pool_obs(
             support.sort_unstable();
             support.dedup();
             if support.len() >= next_threshold {
-                let reps: Vec<RepBuild> = order[i..j]
-                    .iter()
-                    .map(|&gi| {
-                        let grp = &mut groups[gi as usize];
-                        RepBuild {
-                            tree: grp.tree.take().expect("child tree computed per kind"),
-                            gidx: gi,
+                level_patterns += 1;
+                if admitted.len() < room {
+                    let reps: Vec<Rep> = order[i..j]
+                        .iter()
+                        .map(|&gi| Rep {
+                            tree: groups[gi as usize]
+                                .tree
+                                .take()
+                                .expect("child tree computed per kind"),
                             occs: Vec::new(),
-                        }
-                    })
-                    .collect();
-                let canon = groups[order[i] as usize]
-                    .canon
-                    .take()
-                    .expect("canon computed per kind");
-                result.push(MinedTree {
-                    tree: reps[0].tree.clone(),
-                    canon,
-                    support,
-                    offsets: Vec::new(),
-                    positions: Vec::new(),
-                });
-                next_build.push(reps);
+                        })
+                        .collect();
+                    let canon = groups[order[i] as usize]
+                        .canon
+                        .take()
+                        .expect("canon computed per kind");
+                    admitted.push(Admitted {
+                        pattern: Pattern {
+                            canon,
+                            support,
+                            reps,
+                        },
+                        kinds: i..j,
+                        mined: None,
+                    });
+                }
             }
             i = j;
         }
+        // Levels are mined in size order and admit their patterns in canon
+        // order, so the room is the deterministic (size, canon) cutoff.
+        let cut = level_patterns >= room;
+        // Whether the admitted patterns are extended to the next level.
+        let grow = !cut && size + 1 < sigma.eta && sigma.threshold(size + 2).is_some();
 
-        // Materialize the survivors' occurrence lists in parallel: rebuild
-        // each child mapping from its parent occurrence plus the new leaf,
-        // then sort by (gid, edges) — worker gid ranges interleave, so the
-        // span concatenation is not globally ordered by itself. The last
-        // level's lists are never extended, only read for their centers.
-        let mut survivors: Vec<(&mut MinedTree, &mut Vec<RepBuild>)> = result[level_start..]
-            .iter_mut()
-            .zip(&mut next_build)
-            .collect();
-        pool.for_each_mut(&mut survivors, |(mined, reps)| {
-            for rb in reps.iter_mut() {
-                let grp = &groups[rb.gidx as usize];
+        // In parallel per admitted pattern: the γ test, then its occurrence
+        // lists if they are needed — to grow the next level or for its
+        // center columns — rebuilding each child mapping from its parent
+        // occurrence plus the new leaf and sorting by (gid, edges), since
+        // worker gid ranges interleave and the span concatenation is not
+        // globally ordered by itself.
+        pool.for_each_mut(&mut admitted, |adm| {
+            let p = &mut adm.pattern;
+            let parent = groups[order[adm.kinds.start] as usize].key.0;
+            let parent = &level_ref[parent as usize].support;
+            let keep = gamma_keeps(p, parent, level_ref, gamma);
+            if !(keep || grow) {
+                return;
+            }
+            for (rep, &gi) in p.reps.iter_mut().zip(&order[adm.kinds.clone()]) {
+                let grp = &groups[gi as usize];
                 let total: usize = grp.spans.iter().map(|&(_, s, e)| (e - s) as usize).sum();
-                rb.occs.reserve_exact(total);
+                rep.occs.reserve_exact(total);
                 for &(o, s, e) in &grp.spans {
                     for c in &outs[o as usize].cands[s as usize..e as usize] {
-                        let parent =
-                            &level_ref[c.key.0 as usize][c.key.1 as usize].occs[c.occ as usize];
+                        let parent = &level_ref[c.key.0 as usize].reps[c.key.1 as usize].occs
+                            [c.occ as usize];
                         let mut mapping = parent.mapping.clone();
                         mapping.push(c.leaf);
-                        rb.occs.push(Instance {
+                        rep.occs.push(Instance {
                             gid: c.gid,
                             mapping,
                             edges: c.edges.clone(),
                         });
                     }
                 }
-                sort_occs(&mut rb.occs);
+                sort_occs(&mut rep.occs);
             }
-            (mined.offsets, mined.positions) = center_columns(
-                db,
-                reps.iter().map(|rb| (&rb.tree, &rb.occs[..])),
-                &mined.support,
-            );
+            if keep {
+                adm.mined = Some(mined_tree(db, p));
+            }
         });
         drop(outs);
-        let next: Vec<Vec<Rep>> = next_build
-            .into_iter()
-            .map(|reps| {
-                reps.into_iter()
-                    .map(|rb| Rep {
-                        tree: rb.tree,
-                        occs: rb.occs,
-                    })
-                    .collect()
-            })
-            .collect();
+        result.extend(admitted.iter_mut().filter_map(|adm| adm.mined.take()));
+        let next: Vec<Pattern> = admitted.into_iter().map(|adm| adm.pattern).collect();
         shard.add(&format!("{level_name}.candidates"), level_candidates);
-        shard.add(&format!("{level_name}.patterns"), next.len() as u64);
+        shard.add(&format!("{level_name}.patterns"), level_patterns as u64);
         shard.add(
             &format!("{level_name}.pruned_by_support"),
-            level_candidates - next.len() as u64,
+            level_candidates - level_patterns as u64,
         );
+        frequent += next.len();
         if next.is_empty() {
             break;
         }
-        if result.len() >= limits.max_patterns {
+        if cut {
             stats.truncated = true;
-            // `result` is (size, canon)-sorted by construction — levels
-            // append in size order, patterns within a level in canon order —
-            // so truncation is the deterministic (size, canon) cutoff.
-            result.truncate(limits.max_patterns);
             break;
         }
         level = next;
         size += 1;
     }
 
-    result.sort_by(|a, b| (a.size(), &a.canon).cmp(&(b.size(), &b.canon)));
-    stats.patterns = result.len();
+    stats.patterns = frequent;
     shard.add("mine.candidates", stats.candidates as u64);
     shard.add("mine.patterns", stats.patterns as u64);
     (result, stats)
-}
-
-/// Shrink a mined feature set (paper §4.1.2): remove every tree `r` with
-/// `|⋂ᵢ D_rᵢ| / |D_r| ≤ γ`, where the `rᵢ` are `r`'s proper subtrees —
-/// such an `r` adds little beyond its subtrees' intersection.
-///
-/// The intersection over all proper subtrees equals the intersection over
-/// the maximal (leaf-removal) subtrees, since every proper subtree contains
-/// no more information than some maximal one. Decisions are taken against
-/// the *input* set, so removal order does not matter. Single-edge trees are
-/// always kept (completeness).
-pub fn shrink_features(mined: Vec<MinedTree>, gamma: f64) -> Vec<MinedTree> {
-    shrink_features_pool(mined, gamma, &graph_core::par::Pool::new(1))
-}
-
-/// [`shrink_features`] with the per-tree keep/drop decisions dispatched as
-/// seats on `pool` (the same pool a build mines on). Every decision reads
-/// only the (shared, immutable) input set and the result preserves input
-/// order, so the output is identical at any pool size.
-pub fn shrink_features_pool(
-    mined: Vec<MinedTree>,
-    gamma: f64,
-    pool: &graph_core::par::Pool,
-) -> Vec<MinedTree> {
-    let mut keep: Vec<(u32, bool)> = (0..mined.len() as u32).map(|i| (i, false)).collect();
-    {
-        let by_canon: FxHashMap<&CanonString, &[u32]> = mined
-            .iter()
-            .map(|m| (&m.canon, m.support.as_slice()))
-            .collect();
-        let decide = |m: &MinedTree| -> bool {
-            if m.size() <= 1 {
-                return true;
-            }
-            let subs = leaf_removal_canons(&m.tree);
-            let sets: Vec<&[u32]> = subs
-                .iter()
-                .filter_map(|c| by_canon.get(c).copied())
-                .collect();
-            if sets.len() != subs.len() {
-                // Some subtree was not mined (only possible when mining was
-                // truncated); keep r conservatively.
-                return true;
-            }
-            let inter = intersect_many(&sets, usize::MAX);
-            let ratio = inter.len() as f64 / m.support.len() as f64;
-            ratio > gamma
-        };
-        pool.for_each_mut(&mut keep, |slot| {
-            slot.1 = decide(&mined[slot.0 as usize]);
-        });
-    }
-    let mut it = keep.iter();
-    mined
-        .into_iter()
-        .filter(|_| it.next().expect("one flag per tree").1)
-        .collect()
 }
 
 #[cfg(test)]
@@ -898,10 +881,19 @@ mod tests {
         }
     }
 
+    /// Every frequent tree: γ = 0 keeps them all.
+    fn mine_all(
+        db: &[Graph],
+        sigma: &SigmaFn,
+        limits: &MiningLimits,
+    ) -> (Vec<MinedTree>, MiningStats) {
+        mine_frequent_trees(db, sigma, 0.0, limits)
+    }
+
     #[test]
     fn level1_counts_distinct_edges() {
         let db = tiny_db();
-        let (mined, _) = mine_frequent_trees(&db, &uniform_sigma(1), &MiningLimits::default());
+        let (mined, _) = mine_all(&db, &uniform_sigma(1), &MiningLimits::default());
         // Distinct single-edge trees: (0,0,0), (0,0,1), (0,1,1)
         assert_eq!(mined.len(), 3);
         for m in &mined {
@@ -912,7 +904,8 @@ mod tests {
         let aa = mined
             .iter()
             .find(|m| {
-                let g = m.tree.graph();
+                let t = m.canon.decode();
+                let g = t.graph();
                 g.vlabel(VertexId(0)).0 == 0 && g.vlabel(VertexId(1)).0 == 0
             })
             .unwrap();
@@ -922,15 +915,15 @@ mod tests {
     #[test]
     fn supports_are_exact() {
         let db = tiny_db();
-        let (mined, _) = mine_frequent_trees(&db, &uniform_sigma(3), &MiningLimits::default());
+        let (mined, _) = mine_all(&db, &uniform_sigma(3), &MiningLimits::default());
         for m in &mined {
             let brute: Vec<u32> = db
                 .iter()
                 .enumerate()
-                .filter(|(_, g)| graph_core::is_subgraph_isomorphic(m.tree.graph(), g))
+                .filter(|(_, g)| graph_core::is_subgraph_isomorphic(m.canon.decode().graph(), g))
                 .map(|(i, _)| i as u32)
                 .collect();
-            assert_eq!(m.support, brute, "wrong support for {:?}", m.tree);
+            assert_eq!(m.support, brute, "wrong support for {:?}", m.canon);
         }
     }
 
@@ -939,7 +932,7 @@ mod tests {
         // Every subtree (up to eta edges) of every graph must be mined.
         let db = tiny_db();
         let eta = 3;
-        let (mined, _) = mine_frequent_trees(&db, &uniform_sigma(eta), &MiningLimits::default());
+        let (mined, _) = mine_all(&db, &uniform_sigma(eta), &MiningLimits::default());
         let mined_canons: rustc_hash::FxHashSet<CanonString> =
             mined.iter().map(|m| m.canon.clone()).collect();
         for g in &db {
@@ -956,13 +949,6 @@ mod tests {
     #[test]
     fn threshold_filters_rare_patterns() {
         let db = tiny_db();
-        let sigma = SigmaFn {
-            alpha: 0,
-            beta: 0.0,
-            eta: 2,
-        };
-        // σ(s) = 1 + 0 = 1 for s ≤ 2 — wait, alpha=0 means formula applies:
-        // σ(1) = 1, σ(2) = 1. Instead use beta to demand support 3:
         let sigma3 = SigmaFn {
             alpha: 0,
             beta: 2.0,
@@ -970,19 +956,18 @@ mod tests {
         };
         // σ(1) = 1 + 2*1 - 0 = 3, σ(2) = 5
         assert_eq!(sigma3.threshold(1), Some(3));
-        let (mined, _) = mine_frequent_trees(&db, &sigma3, &MiningLimits::default());
+        let (mined, _) = mine_all(&db, &sigma3, &MiningLimits::default());
         for m in &mined {
             assert!(m.support.len() >= 3);
         }
         // exactly the (0,0,l0) and (0,1,l0) edges appear in all 3 graphs
         assert_eq!(mined.len(), 2);
-        let _ = sigma;
     }
 
     #[test]
     fn eta_caps_pattern_size() {
         let db = tiny_db();
-        let (mined, _) = mine_frequent_trees(&db, &uniform_sigma(2), &MiningLimits::default());
+        let (mined, _) = mine_all(&db, &uniform_sigma(2), &MiningLimits::default());
         assert!(mined.iter().all(|m| m.size() <= 2));
     }
 
@@ -994,10 +979,13 @@ mod tests {
             graph_from(&[0, 1, 2], &[(0, 1, 0), (1, 2, 0)]),
             graph_from(&[0, 1, 2], &[(0, 1, 0), (1, 2, 0)]),
         ];
-        let (mined, _) = mine_frequent_trees(&db, &uniform_sigma(2), &MiningLimits::default());
-        let before = mined.len();
-        let shrunk = shrink_features(mined, 1.0);
-        assert!(shrunk.len() < before);
+        let limits = MiningLimits::default();
+        let (shrunk, stats) = mine_frequent_trees(&db, &uniform_sigma(2), 1.0, &limits);
+        assert!(shrunk.len() < stats.patterns);
+        assert_eq!(
+            mine_all(&db, &uniform_sigma(2), &limits).0.len(),
+            stats.patterns
+        );
         // All single-edge trees stay.
         assert!(shrunk.iter().all(|m| m.size() == 1));
     }
@@ -1010,8 +998,8 @@ mod tests {
             graph_from(&[0, 1, 2], &[(0, 1, 0), (1, 2, 0)]),
             graph_from(&[0, 1, 2, 1], &[(0, 1, 0), (2, 3, 0)]),
         ];
-        let (mined, _) = mine_frequent_trees(&db, &uniform_sigma(2), &MiningLimits::default());
-        let shrunk = shrink_features(mined, 1.5);
+        let (shrunk, _) =
+            mine_frequent_trees(&db, &uniform_sigma(2), 1.5, &MiningLimits::default());
         assert!(
             shrunk.iter().any(|m| m.size() == 2),
             "discriminative 2-edge tree should survive"
@@ -1030,7 +1018,7 @@ mod tests {
     #[test]
     fn stats_populated() {
         let db = tiny_db();
-        let (_, stats) = mine_frequent_trees(&db, &uniform_sigma(3), &MiningLimits::default());
+        let (_, stats) = mine_all(&db, &uniform_sigma(3), &MiningLimits::default());
         assert!(stats.patterns > 0);
         assert!(stats.candidates > 0);
         assert!(!stats.truncated);
@@ -1043,6 +1031,7 @@ mod tests {
         let (mined, stats) = mine_frequent_trees_pool_obs(
             &db,
             &uniform_sigma(3),
+            0.0,
             &MiningLimits::default(),
             &graph_core::par::Pool::new(1),
             &shard,
@@ -1067,7 +1056,7 @@ mod tests {
             max_patterns: 2,
             max_candidates_per_level: 1_000_000,
         };
-        let (mined, stats) = mine_frequent_trees(&db, &uniform_sigma(5), &limits);
+        let (mined, stats) = mine_all(&db, &uniform_sigma(5), &limits);
         assert!(stats.truncated);
         // The cap stops mining after the first level that crosses it, so at
         // most two levels were produced.

@@ -1,6 +1,7 @@
 //! Property tests for mining: the miner agrees with the two reference
-//! miners on arbitrary databases, supports are exact, σ thresholds are
-//! honored, and the center columns equal an exhaustive VF2 search.
+//! miners on arbitrary databases and, at any γ, with the reference shrink of
+//! their output; supports are exact, σ thresholds are honored, and the
+//! center columns equal an exhaustive VF2 search.
 
 mod reference;
 
@@ -42,11 +43,17 @@ fn arb_connected_graph(nmax: usize) -> impl Strategy<Value = Graph> {
 fn mine_on(
     db: &[Graph],
     sigma: &SigmaFn,
+    gamma: f64,
     limits: &MiningLimits,
     threads: usize,
 ) -> (Vec<MinedTree>, MiningStats) {
     let pool = graph_core::par::Pool::new(threads);
-    mine_frequent_trees_pool_obs(db, sigma, limits, &pool, &obs::Shard::disabled())
+    mine_frequent_trees_pool_obs(db, sigma, gamma, limits, &pool, &obs::Shard::disabled())
+}
+
+/// Every frequent tree (γ = 0 keeps them all), on one seat.
+fn mine_all(db: &[Graph], sigma: &SigmaFn, limits: &MiningLimits) -> (Vec<MinedTree>, MiningStats) {
+    mine_frequent_trees(db, sigma, 0.0, limits)
 }
 
 fn keyed(mined: Vec<MinedTree>) -> Vec<(tree_core::CanonString, Vec<u32>)> {
@@ -61,7 +68,8 @@ fn keyed(mined: Vec<MinedTree>) -> Vec<(tree_core::CanonString, Vec<u32>)> {
 fn assert_columns_equal_vf2(db: &[Graph], mined: &[MinedTree]) -> [bool; 2] {
     let mut kinds = [false; 2];
     for m in mined {
-        let what = format!("{:?} over {:?}", m.tree, m.support);
+        let tree = m.canon.decode();
+        let what = format!("{:?} over {:?}", m.canon, m.support);
         assert_eq!(
             m.offsets.len(),
             m.support.len(),
@@ -72,11 +80,11 @@ fn assert_columns_equal_vf2(db: &[Graph], mined: &[MinedTree]) -> [bool; 2] {
             Some(&(m.positions.len() as u32)),
             "{what}"
         );
-        kinds[matches!(tree_core::center(&m.tree), Center::Edge(_)) as usize] = true;
+        kinds[matches!(tree_core::center(&tree), Center::Edge(_)) as usize] = true;
         let mut start = 0usize;
         for (&gid, &end) in m.support.iter().zip(&m.offsets) {
             assert!(start < end as usize, "offsets strictly increase: {what}");
-            let found: Vec<u32> = center_positions(&m.tree, &db[gid as usize])
+            let found: Vec<u32> = center_positions(&tree, &db[gid as usize])
                 .into_iter()
                 .map(|p| match p {
                     CenterPos::Vertex(v) => v.0,
@@ -114,7 +122,7 @@ fn miners_agree_on_small_databases() {
             let sigma = SigmaFn { alpha, beta, eta };
             let a = reference::mine_enum(db, &sigma);
             let b = reference::mine_apriori(db, &sigma);
-            let c = keyed(mine_frequent_trees(db, &sigma, &MiningLimits::default()).0);
+            let c = keyed(mine_all(db, &sigma, &MiningLimits::default()).0);
             assert_eq!(a, b, "enum vs apriori disagree for sigma {sigma:?}");
             assert_eq!(a, c, "enum vs levelwise disagree for sigma {sigma:?}");
         }
@@ -154,7 +162,7 @@ fn columns_on_fixed_databases() {
                 ..MiningLimits::default()
             };
             for threads in [1, 2, 8] {
-                let (mined, stats) = mine_on(&db, &sigma, &limits, threads);
+                let (mined, stats) = mine_on(&db, &sigma, 0.0, &limits, threads);
                 assert_eq!(stats.truncated, cap != usize::MAX, "cap {cap}");
                 assert!(mined.len() <= cap);
                 let seen = assert_columns_equal_vf2(&db, &mined);
@@ -177,7 +185,7 @@ proptest! {
     ) {
         let sigma = SigmaFn { alpha, beta: beta as f64, eta: eta.max(alpha) };
         let a = reference::mine_enum(&db, &sigma);
-        let b = keyed(mine_frequent_trees(&db, &sigma, &MiningLimits::default()).0);
+        let b = keyed(mine_all(&db, &sigma, &MiningLimits::default()).0);
         let c = reference::mine_apriori(&db, &sigma);
         prop_assert_eq!(&a, &b, "enum vs levelwise");
         prop_assert_eq!(&a, &c, "enum vs apriori");
@@ -188,12 +196,13 @@ proptest! {
         db in proptest::collection::vec(arb_connected_graph(6), 1..6),
     ) {
         let sigma = SigmaFn { alpha: 2, beta: 1.0, eta: 3 };
-        let (mined, _) = mine_frequent_trees(&db, &sigma, &MiningLimits::default());
+        let (mined, _) = mine_all(&db, &sigma, &MiningLimits::default());
         for m in &mined {
+            let tree = m.canon.decode();
             let brute: Vec<u32> = db
                 .iter()
                 .enumerate()
-                .filter(|(_, g)| graph_core::is_subgraph_isomorphic(m.tree.graph(), g))
+                .filter(|(_, g)| graph_core::is_subgraph_isomorphic(tree.graph(), g))
                 .map(|(i, _)| i as u32)
                 .collect();
             prop_assert_eq!(&m.support, &brute);
@@ -210,9 +219,8 @@ proptest! {
     }
 
     /// The parallel miner is bit-for-bit identical to the serial miner at
-    /// any thread count: same patterns in the same order, same
-    /// representative trees, same support sets and center columns, same
-    /// stats.
+    /// any thread count: same patterns in the same order, same support sets
+    /// and center columns, same stats.
     #[test]
     fn parallel_mine_is_thread_count_invariant(
         db in proptest::collection::vec(arb_connected_graph(7), 1..8),
@@ -222,9 +230,9 @@ proptest! {
     ) {
         let sigma = SigmaFn { alpha, beta: beta as f64, eta: eta.max(alpha) };
         let limits = MiningLimits::default();
-        let (base, base_stats) = mine_on(&db, &sigma, &limits, 1);
+        let (base, base_stats) = mine_on(&db, &sigma, 0.0, &limits, 1);
         for threads in [2usize, 3, 8] {
-            let (mined, stats) = mine_on(&db, &sigma, &limits, threads);
+            let (mined, stats) = mine_on(&db, &sigma, 0.0, &limits, threads);
             prop_assert_eq!(stats, base_stats, "stats differ at threads={}", threads);
             prop_assert_eq!(mined.len(), base.len(), "pattern count differs at threads={}", threads);
             for (a, b) in base.iter().zip(&mined) {
@@ -233,10 +241,6 @@ proptest! {
                 prop_assert_eq!(
                     (&a.offsets, &a.positions), (&b.offsets, &b.positions),
                     "center columns differ at threads={}", threads
-                );
-                prop_assert_eq!(
-                    a.tree.graph(), b.tree.graph(),
-                    "representative tree differs at threads={}", threads
                 );
             }
         }
@@ -252,7 +256,7 @@ proptest! {
         eta in 2usize..4,
     ) {
         let sigma = SigmaFn { alpha, beta: 1.0, eta: eta.max(alpha) };
-        let (mined, _) = mine_on(&db, &sigma, &MiningLimits::default(), 8);
+        let (mined, _) = mine_on(&db, &sigma, 0.0, &MiningLimits::default(), 8);
 
         prop_assert_eq!(keyed(mined), reference::mine_enum(&db, &sigma));
     }
@@ -271,7 +275,7 @@ proptest! {
         let max_patterns = if cap < 4 { usize::MAX } else { cap - 3 };
         let limits = MiningLimits { max_patterns, ..MiningLimits::default() };
         for threads in [1usize, 2, 8] {
-            let (mined, _) = mine_on(&db, &sigma, &limits, threads);
+            let (mined, _) = mine_on(&db, &sigma, 0.0, &limits, threads);
             assert_columns_equal_vf2(&db, &mined);
         }
     }
@@ -288,15 +292,15 @@ proptest! {
         let sigma = SigmaFn { alpha: 2, beta: 1.0, eta: 3 };
         let full_limits = MiningLimits::default();
         let capped = MiningLimits { max_patterns: cap, ..full_limits };
-        let (serial, serial_stats) = mine_on(&db, &sigma, &capped, 1);
+        let (serial, serial_stats) = mine_on(&db, &sigma, 0.0, &capped, 1);
         for threads in [2usize, 8] {
-            let (par, par_stats) = mine_on(&db, &sigma, &capped, threads);
+            let (par, par_stats) = mine_on(&db, &sigma, 0.0, &capped, threads);
             prop_assert_eq!(par_stats, serial_stats, "threads={}", threads);
             prop_assert_eq!(keyed(par), keyed(serial.clone()), "threads={}", threads);
         }
         // The truncated result is a prefix of the untruncated one in the
         // documented (size, canon) order.
-        let (full, full_stats) = mine_on(&db, &sigma, &full_limits, 1);
+        let (full, full_stats) = mine_on(&db, &sigma, 0.0, &full_limits, 1);
         prop_assert!(!full_stats.truncated);
         prop_assert_eq!(serial.len(), full.len().min(cap));
         if full.len() > cap {
@@ -314,11 +318,13 @@ proptest! {
         gamma in 1u32..4,
     ) {
         let sigma = SigmaFn { alpha: 3, beta: 1.0, eta: 3 };
-        let (mined, _) = mine_frequent_trees(&db, &sigma, &MiningLimits::default());
+        let limits = MiningLimits::default();
+        let (mined, _) = mine_all(&db, &sigma, &limits);
         let before: std::collections::HashSet<_> =
             mined.iter().map(|m| m.canon.clone()).collect();
         let singles: Vec<_> = mined.iter().filter(|m| m.size() == 1).map(|m| m.canon.clone()).collect();
-        let kept = shrink_features(mined, gamma as f64);
+        let (kept, stats) = mine_frequent_trees(&db, &sigma, gamma as f64, &limits);
+        prop_assert_eq!(stats.patterns, mined.len(), "γ changed what was mined");
         for m in &kept {
             prop_assert!(before.contains(&m.canon), "shrinking invented a feature");
         }
@@ -326,6 +332,38 @@ proptest! {
         let kept_set: std::collections::HashSet<_> = kept.iter().map(|m| m.canon.clone()).collect();
         for c in singles {
             prop_assert!(kept_set.contains(&c), "shrinking dropped a single edge");
+        }
+    }
+
+    /// The γ test inside the miner keeps exactly what the reference shrink
+    /// keeps of the frequent trees — of all of them, or of the
+    /// (size, canon)-ordered prefix `max_patterns` cuts — at any pool size,
+    /// and the kept trees' center columns are an exhaustive search's.
+    #[test]
+    fn gamma_shrink_equals_reference(
+        db in proptest::collection::vec(arb_connected_graph(6), 1..6),
+        alpha in 1usize..3,
+        eta in 2usize..4,
+        cap in 1usize..12,
+    ) {
+        let sigma = SigmaFn { alpha, beta: 1.0, eta: eta.max(alpha) };
+        let mut frequent = reference::mine_enum(&db, &sigma);
+        frequent.sort_by(|a, b| (a.0.edge_count(), &a.0).cmp(&(b.0.edge_count(), &b.0)));
+        for max_patterns in [usize::MAX, cap] {
+            let prefix = &frequent[..frequent.len().min(max_patterns)];
+            let limits = MiningLimits { max_patterns, ..MiningLimits::default() };
+            for gamma in [0.0, 1.0, 1.5, 2.0, 3.0] {
+                let want = reference::shrink(prefix, gamma);
+                for threads in [1usize, 2, 8] {
+                    let (mined, stats) = mine_on(&db, &sigma, gamma, &limits, threads);
+                    prop_assert_eq!(stats.patterns, prefix.len());
+                    assert_columns_equal_vf2(&db, &mined);
+                    prop_assert_eq!(
+                        keyed(mined), want.clone(),
+                        "γ={} threads={} cap={}", gamma, threads, max_patterns
+                    );
+                }
+            }
         }
     }
 }

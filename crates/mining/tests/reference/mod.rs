@@ -1,11 +1,12 @@
-//! Two reference miners the occurrence-list miner is tested against. Both
-//! are exhaustive and share no code with it: one enumerates every subtree
-//! of every graph, the other generates candidates level by level and counts
-//! support by subgraph-isomorphism tests. Each returns the frequent trees as
-//! `(canonical string, support set)`, sorted.
+//! Two reference miners the occurrence-list miner is tested against, and a
+//! reference of its shrinking step. All share no code with it: one miner
+//! enumerates every subtree of every graph, the other generates candidates
+//! level by level and counts support by subgraph-isomorphism tests. Each
+//! returns the frequent trees as `(canonical string, support set)`, sorted;
+//! [`shrink`] keeps those of such a list that the γ test keeps.
 
-use graph_core::{ELabel, Graph, GraphBuilder, VLabel, VertexId};
-use mining::{intersect_many, leaf_removal_canons, SigmaFn, SupportSet};
+use graph_core::{ELabel, EdgeId, Graph, GraphBuilder, VLabel, VertexId};
+use mining::{SigmaFn, SupportSet};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::BTreeMap;
 use tree_core::{canonical_string, CanonString, Tree};
@@ -36,6 +37,61 @@ pub fn mine_enum(db: &[Graph], sigma: &SigmaFn) -> Vec<(CanonString, SupportSet)
             (support.len() >= thr).then_some((canon, support))
         })
         .collect()
+}
+
+/// The canonical strings of `t`'s leaf-removal subtrees: `t` without one
+/// edge that ends in a leaf. None for a single edge.
+fn leaf_removals(t: &Tree) -> Vec<CanonString> {
+    let g = t.graph();
+    if g.edge_count() <= 1 {
+        return Vec::new();
+    }
+    g.edge_ids()
+        .filter(|&e| {
+            let e = g.edge(e);
+            g.degree(e.u) == 1 || g.degree(e.v) == 1
+        })
+        .map(|leaf_edge| {
+            let rest: Vec<EdgeId> = g.edge_ids().filter(|&e| e != leaf_edge).collect();
+            let sub = graph_core::edge_subgraph(g, &rest);
+            canonical_string(&Tree::from_graph(sub.graph).expect("a tree minus a leaf is a tree"))
+        })
+        .collect()
+}
+
+/// The ids in every one of `sets` (at least one), ascending.
+fn intersect_all(sets: &[&SupportSet]) -> SupportSet {
+    let (first, rest) = sets.split_first().expect("at least one set");
+    first
+        .iter()
+        .filter(|gid| rest.iter().all(|s| s.contains(gid)))
+        .copied()
+        .collect()
+}
+
+/// The shrinking step (§4.1.2) over a list of frequent trees that holds
+/// every subtree of each of them, such as [`mine_enum`]'s: keep every single
+/// edge, and a larger tree `r` iff `|⋂ D_s| / |D_r| > gamma` over its
+/// leaf-removal subtrees `s`. Sorted like the miners' output.
+pub fn shrink(
+    frequent: &[(CanonString, SupportSet)],
+    gamma: f64,
+) -> Vec<(CanonString, SupportSet)> {
+    let supports: BTreeMap<&CanonString, &SupportSet> =
+        frequent.iter().map(|(c, s)| (c, s)).collect();
+    let mut kept: Vec<_> = frequent
+        .iter()
+        .filter(|(canon, support)| {
+            let subs: Vec<&SupportSet> = leaf_removals(&canon.decode())
+                .iter()
+                .map(|c| supports[c])
+                .collect();
+            subs.is_empty() || intersect_all(&subs).len() as f64 / support.len() as f64 > gamma
+        })
+        .cloned()
+        .collect();
+    kept.sort();
+    kept
 }
 
 /// Cheap per-graph summaries used to skip hopeless embedding tests.
@@ -176,16 +232,16 @@ pub fn mine_apriori(db: &[Graph], sigma: &SigmaFn) -> Vec<(CanonString, SupportS
         let mut next_level: FxHashMap<CanonString, (Tree, SupportSet)> = FxHashMap::default();
         for (canon, cand) in candidates {
             // Apriori: all maximal proper subtrees must be frequent.
-            let subs = leaf_removal_canons(&cand);
+            let subs = leaf_removals(&cand);
             let Some(sub_supports) = subs
                 .iter()
-                .map(|s| level.get(s).map(|(_, support)| support.as_slice()))
-                .collect::<Option<Vec<&[u32]>>>()
+                .map(|s| level.get(s).map(|(_, support)| support))
+                .collect::<Option<Vec<&SupportSet>>>()
             else {
                 continue;
             };
             // Exact support by embedding tests.
-            let support: SupportSet = intersect_many(&sub_supports, db.len())
+            let support: SupportSet = intersect_all(&sub_supports)
                 .into_iter()
                 .filter(|&gid| {
                     summaries[gid as usize].may_contain(cand.graph())

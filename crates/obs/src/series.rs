@@ -13,7 +13,7 @@
 //!   poll iteration and records when the configured interval has elapsed,
 //!   so sampling costs one `Instant::now` comparison per loop;
 //! - **phase-driven** — the index build records one labelled sample at each
-//!   phase boundary (`build.mine`, `build.shrink`, `build.sigs`),
+//!   phase boundary (`build.start`, `build.mine`, `build.sigs`),
 //!   bypassing `due` so short builds still produce a useful series.
 //!
 //! The ring is bounded: when full, the oldest sample is evicted and

@@ -1,8 +1,9 @@
 //! Index construction and maintenance (paper §4 "Database Preprocessing"
 //! and §7.1 "Insert/Delete Maintenance").
 //!
-//! Construction mines the σ-frequent subtrees, shrinks them by γ, and for
-//! every surviving feature keeps the **posting list** the miner hands over:
+//! Construction mines the σ-frequent subtrees, shrinking them by γ as they
+//! are found, and for every kept feature stores the **posting list** the
+//! miner hands over:
 //! its support set and, rank-aligned to it, its **center positions** in
 //! every supporting graph — the location information that prior indexes had
 //! to discard and that powers TreePi's pruning and verification.
@@ -30,7 +31,7 @@ use crate::params::TreePiParams;
 use crate::shape::{shape_of, tree_shape, ShapeFilter, Tag};
 use crate::sig::{self, VertexSig};
 use graph_core::{EdgeId, Graph, VertexId};
-use mining::{shrink_features_pool, SupportSet};
+use mining::SupportSet;
 use rustc_hash::FxHashSet;
 use tree_core::{CanonString, Center, CenterPos, SubtreeEncoder, Tree};
 
@@ -252,8 +253,8 @@ pub struct TreePiIndex {
 }
 
 impl TreePiIndex {
-    /// Build the index over `db` (paper §4: mine, with supports and center
-    /// positions → shrink → assemble) on all available cores, metrics
+    /// Build the index over `db` (paper §4: mine and shrink, with supports
+    /// and center positions → assemble) on all available cores, metrics
     /// disabled.
     pub fn build(db: Vec<Graph>, params: TreePiParams) -> Self {
         Self::build_with_threads_obs(db, params, 0, &obs::Shard::disabled())
@@ -273,23 +274,25 @@ impl TreePiIndex {
     }
 
     /// The general build, on a caller-owned worker pool: every stage
-    /// (mining levels, canonical-string passes, shrinking, signatures)
-    /// dispatches onto `pool`, so one set of worker threads is reused across
-    /// the whole build instead of re-spawning per stage. Posting lists are
-    /// not a stage: each kept tree's support set and center columns arrive
-    /// from the miner and are moved into its [`Feature`].
+    /// (mining levels with their canonical-string passes and γ tests,
+    /// signatures) dispatches onto `pool`, so one set of worker threads is
+    /// reused across the whole build instead of re-spawning per stage.
+    /// Shrinking and posting lists are not stages: the miner applies the γ
+    /// test as it admits each frequent tree, and each kept tree's support
+    /// set and center columns arrive from it and are moved into its
+    /// [`Feature`].
     ///
-    /// `shard` receives `build.mine` / `build.shrink` / `build.sigs`
-    /// stage spans, the miner's per-level candidate and pruned-by-support
-    /// counters (`mine.level{N}.*`, see
-    /// [`mining::mine_frequent_trees_pool_obs`]), and final index-shape
-    /// counters (`build.*`). Parallel workers record into
+    /// `shard` receives `build.mine` / `build.sigs` stage spans, the
+    /// miner's per-level candidate and pruned-by-support counters
+    /// (`mine.level{N}.*`, see [`mining::mine_frequent_trees_pool_obs`]),
+    /// and final index-shape counters (`build.*`, with `build.truncated`
+    /// 1 if a mining limit cut the run short). Parallel workers record into
     /// [`obs::Shard::fork`]s merged after the join, and the miner's merge is
     /// canonical, so the built index and every non-`engine.*`/non-`pool.*`
     /// counter are identical for any pool size.
     ///
     /// `sampler` receives one labelled time-series sample at every phase
-    /// boundary (mine → shrink → sigs) — heap occupancy plus the phase's
+    /// boundary (mine → sigs) — heap occupancy plus the phase's
     /// output size, so `treepi build --timeseries` shows where memory and
     /// features accrue during construction. Short builds still yield a
     /// useful series because boundary samples bypass the interval gate.
@@ -309,20 +312,17 @@ impl TreePiIndex {
         };
         sample_phase("build.start", db.len());
         let mine_span = shard.span("build.mine");
-        let (mined, mstats) =
-            mining::mine_frequent_trees_pool_obs(&db, &params.sigma, &params.limits, pool, shard);
+        let (sigma, limits) = (&params.sigma, &params.limits);
+        let (kept, mstats) =
+            mining::mine_frequent_trees_pool_obs(&db, sigma, params.gamma, limits, pool, shard);
         drop(mine_span);
-        let mined_count = mined.len();
-        sample_phase("build.mine", mined_count);
-        let shrink_span = shard.span("build.shrink");
-        let kept = shrink_features_pool(mined, params.gamma, pool);
-        drop(shrink_span);
-        sample_phase("build.shrink", kept.len());
-        shard.add("build.mined", mined_count as u64);
+        sample_phase("build.mine", kept.len());
+        shard.add("build.mined", mstats.patterns as u64);
         shard.add("build.features_kept", kept.len() as u64);
+        shard.add("build.truncated", mstats.truncated as u64);
 
-        // A buffer of their own: `collect` would reuse, and keep alive, the
-        // larger one that held every mined tree.
+        // A buffer of their own, sized exactly: `collect` would reuse the
+        // miner's, whose capacity may exceed its length.
         let mut features = Vec::with_capacity(kept.len());
         features.extend(kept.into_iter().map(Feature::from_mined));
         // Per-vertex neighborhood signatures (see `crate::sig`): a pure
@@ -344,7 +344,7 @@ impl TreePiIndex {
             idx.postings_consistent(),
             "the miner's columns are posting lists"
         );
-        (idx.mined, idx.truncated) = (mined_count, mstats.truncated);
+        (idx.mined, idx.truncated) = (mstats.patterns, mstats.truncated);
         let stats = idx.stats();
         shard.add("build.features", stats.features as u64);
         shard.add("build.center_entries", stats.center_entries as u64);

@@ -55,23 +55,24 @@ const WRITE_CEILINGS: (u64, u64) = (101, 2);
 /// still live while the result is held): the load of the `treepi gen
 /// --chem 25 --seed 7` index plus a metered batch of its first three
 /// graphs, and a metered build of `treepi gen --chem 40 --seed 11`. At one
-/// worker every value but the first run's peak repeats exactly, and each
-/// ceiling is the measured value × 1.10: 7 851, 883 985 and 131 876 for the
-/// first run; 73 923 112, 12 550 516 and 332 168 for the build, whose
-/// 642 505 allocations have 8.9 % of room (when the CLI's count of the same
-/// build was held to 1.10 × a stale baseline, it had 9.2 %). The first
-/// run's peak is sampled (see `obs::alloc`) and read 268 115–303 731 over
-/// 18 runs; its ceiling is 1.25 × the highest. A load that decodes every
-/// feature tree with a fresh encoder reads about 1.3 × the first count, a
-/// slip no timing showed.
+/// worker every value but the peaks repeats exactly, and each ceiling is
+/// the measured value × 1.10: 7 851, 883 985 and 131 876 for the first run;
+/// 453 638, 64 510 343 and 308 875 for the build (642 505, 73 923 112 and
+/// 332 168 when the miner built a posting list for every frequent tree and
+/// a separate pass shrank them). The peaks are sampled (see `obs::alloc`):
+/// the build's read 10 509 944–10 530 892 over 16 runs (12 550 516 with the
+/// separate pass) and its ceiling is 1.10 × the highest; the first run's
+/// read 268 115–303 731 over 18 runs and its ceiling is 1.25 × the highest.
+/// A load that decodes every feature tree with a fresh encoder reads about
+/// 1.3 × the first count, a slip no timing showed.
 const LOAD_AND_QUERY_CEILING: [u64; 4] = [8_636, 972_384, 379_664, 145_064];
-const BUILD_CEILING: [u64; 4] = [700_000, 81_315_424, 13_805_568, 365_385];
+const BUILD_CEILING: [u64; 4] = [499_001, 70_961_377, 11_583_981, 339_762];
 
 /// The same build at 2 and 8 workers: how the work is split moves its
-/// allocations and bytes from run to run (up to 1.105 × the one-worker
+/// allocations and bytes from run to run (up to 1.13 × the one-worker
 /// bytes allocated at 8 workers), so each ceiling is 1.25 × the one-worker
 /// value.
-const PARALLEL_BUILD_CEILING: [u64; 4] = [803_132, 92_403_890, 15_688_145, 415_210];
+const PARALLEL_BUILD_CEILING: [u64; 4] = [567_047, 80_637_928, 13_163_615, 386_093];
 
 /// What [`measure`] reads, in order.
 const COSTS: [&str; 4] = ["allocations", "bytes allocated", "peak bytes", "bytes live"];
