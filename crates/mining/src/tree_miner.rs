@@ -11,8 +11,9 @@
 //!    occurrences, one per host edge, from one database scan;
 //! 2. level s+1 = every occurrence of a frequent level-s tree extended by
 //!    one adjacent acyclic host edge, deduplicated by `(graph, edge set)`
-//!    and grouped by the child's canonical string — computed once per
-//!    extension kind, not per occurrence;
+//!    and grouped by canonical string — encoded once per extension kind,
+//!    not per occurrence, by reading one of the kind's occurrences where
+//!    it lies in its host graph (no tree is built);
 //! 3. a pattern's support is the set of graphs its occurrences lie in, so
 //!    no embedding test ever runs; patterns below σ(s+1) are dropped with
 //!    their occurrences and never extended (sound because σ is
@@ -21,19 +22,24 @@
 //! Shrinking judges a tree on its own support and on those of its
 //! leaf-removal subtrees, which are all frequent trees of the level below —
 //! the level the miner holds when it admits the tree. So the γ test runs
-//! there, and only a tree that passes it leaves the miner, as a
-//! [`MinedTree`] carrying its center positions per supporting graph — the
-//! index's posting list (§4.2.1), ready to store. Every frequent tree,
-//! kept or not, feeds the next level.
+//! there, encoding each leaf removal from the same host occurrence, and only
+//! a tree that passes it leaves the miner, as a [`MinedTree`] carrying its
+//! center positions per supporting graph — the index's posting list
+//! (§4.2.1), ready to store. Every frequent tree, kept or not, feeds the
+//! next level.
 //!
 //! This is deliberately complete: with σ(s) = 1 for s ≤ α (the paper's
 //! completeness requirement) *every* distinct subtree up to α edges is
 //! found, and γ = 0 keeps them all.
 
 use crate::support::{intersect_many, SigmaFn, SupportSet};
-use graph_core::{ELabel, Graph, GraphBuilder, VLabel, VertexId};
+use graph_core::par::Pool;
+use graph_core::{EdgeId, Graph, VertexId};
 use rustc_hash::FxHashMap;
-use tree_core::{canonical_string, CanonString, Center, Tree};
+use smallvec::SmallVec;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+use tree_core::{CanonString, Center, SubtreeEncoder};
 
 /// A frequent tree the γ test kept, with its posting list: the exact
 /// support set and, rank-aligned to it, where the tree's embeddings are
@@ -104,52 +110,71 @@ pub struct MiningStats {
     pub truncated: bool,
 }
 
-/// Extend `t` with a new leaf labeled `leaf` attached to vertex `at` via an
-/// edge labeled `el`.
-fn extend_with_leaf(t: &Tree, at: VertexId, el: ELabel, leaf: VLabel) -> Tree {
-    let g = t.graph();
-    let mut b = GraphBuilder::with_capacity(g.vertex_count() + 1, g.edge_count() + 1);
-    for v in g.vertices() {
-        b.add_vertex(g.vlabel(v));
-    }
-    for e in g.edges() {
-        b.add_edge(e.u, e.v, e.label).expect("copying a tree");
-    }
-    let nv = b.add_vertex(leaf);
-    b.add_edge(at, nv, el).expect("fresh leaf edge");
-    Tree::from_graph(b.build()).expect("adding a leaf keeps a tree a tree")
+/// Canonical tokens and center of the tree that `edges` (sorted host edge
+/// ids of an occurrence: acyclic and connected) forms in `g`, less the edge
+/// `skip` if one is given, read from `start`, a vertex the edges left reach.
+/// The center is named by its id in `g`.
+fn encode_in_host<'e>(
+    enc: &'e mut SubtreeEncoder,
+    g: &Graph,
+    edges: &[u32],
+    skip: Option<u32>,
+    start: VertexId,
+) -> (&'e [u32], Center) {
+    enc.encode(g, start, |e| {
+        Some(e.0) != skip && edges.binary_search(&e.0).is_ok()
+    })
 }
 
-/// All leaf-removal subtrees of `t` (each with one degree-1 vertex and its
-/// edge removed), as canonical strings. These are `t`'s maximal proper
-/// subtrees; every proper subtree of `t` is contained in one of them.
-fn leaf_removal_canons(t: &Tree) -> Vec<CanonString> {
-    let g = t.graph();
-    if g.edge_count() <= 1 {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for v in g.vertices() {
-        if g.degree(v) != 1 {
-            continue;
-        }
-        let mut b = GraphBuilder::with_capacity(g.vertex_count() - 1, g.edge_count() - 1);
-        let mut map = vec![VertexId(u32::MAX); g.vertex_count()];
-        for w in g.vertices() {
-            if w != v {
-                map[w.idx()] = b.add_vertex(g.vlabel(w));
+/// The leaf edges of the tree that `edges` (two or more) forms in `g`, each
+/// with its inner end. Dropping one leaves a leaf-removal subtree, one of
+/// the tree's maximal proper subtrees.
+fn leaf_edges(g: &Graph, edges: &[u32]) -> SmallVec<[(u32, VertexId); 10]> {
+    let ends: SmallVec<[VertexId; 22]> = edges
+        .iter()
+        .flat_map(|&e| {
+            let e = g.edge(EdgeId(e));
+            [e.u, e.v]
+        })
+        .collect();
+    let is_leaf = |v: VertexId| ends.iter().filter(|&&w| w == v).count() == 1;
+    edges
+        .iter()
+        .filter_map(|&e| {
+            let edge = g.edge(EdgeId(e));
+            if is_leaf(edge.u) {
+                Some((e, edge.v))
+            } else if is_leaf(edge.v) {
+                Some((e, edge.u))
+            } else {
+                None
+            }
+        })
+        .collect()
+}
+
+/// Run `f` on every item of `items` with one [`SubtreeEncoder`] per seat:
+/// up to `workers` seats of `pool` take chunks of `items` off a shared
+/// cursor, so each encoder's buffers grow once and are reused for every item
+/// the seat takes.
+fn for_each_encoding<T: Send>(
+    pool: &Pool,
+    workers: usize,
+    shard: &obs::Shard,
+    items: &mut [T],
+    f: impl Fn(&mut SubtreeEncoder, &mut T) + Sync,
+) {
+    let chunk = items.len().div_ceil(workers * 8).max(1);
+    let chunks: Vec<Mutex<&mut [T]>> = items.chunks_mut(chunk).map(Mutex::new).collect();
+    let next = AtomicUsize::new(0);
+    pool.fork_join_obs(workers.min(chunks.len()), shard, |_rank, _wshard| {
+        let mut enc = SubtreeEncoder::default();
+        while let Some(chunk) = chunks.get(next.fetch_add(1, Ordering::Relaxed)) {
+            for item in chunk.lock().expect("a chunk").iter_mut() {
+                f(&mut enc, item);
             }
         }
-        for e in g.edges() {
-            if e.u != v && e.v != v {
-                b.add_edge(map[e.u.idx()], map[e.v.idx()], e.label)
-                    .expect("copying tree edges");
-            }
-        }
-        let sub = Tree::from_graph(b.build()).expect("leaf removal keeps a tree");
-        out.push(canonical_string(&sub));
-    }
-    out
+    });
 }
 
 /// Mine the σ-frequent subtrees of `db` that the γ test keeps:
@@ -162,39 +187,46 @@ pub fn mine_frequent_trees(
     gamma: f64,
     limits: &MiningLimits,
 ) -> (Vec<MinedTree>, MiningStats) {
-    let pool = graph_core::par::Pool::new(1);
+    let pool = Pool::new(1);
     mine_frequent_trees_pool_obs(db, sigma, gamma, limits, &pool, &obs::Shard::disabled())
 }
 
 /// Occurrence-list level-wise mining — the "level wise edge-increasing"
 /// method the paper prescribes — with every parallel pass (the per-level
-/// extension scans, the canonical-string pass, the γ test with occurrence
-/// materialization) dispatched as seats on `pool`, so a multi-level run
-/// reuses one set of worker threads and a caller can share the pool with
-/// the rest of a build and with query serving. The canonical-string pass runs *from inside* the
-/// level loop on whatever thread dispatched the build — re-entrant dispatch
-/// is safe because the pool's dispatcher claims its own job's seats.
+/// extension scans, the encoding pass, the support unions, the γ test with
+/// occurrence materialization) dispatched as seats on `pool`, so a
+/// multi-level run reuses one set of worker threads and a caller can share
+/// the pool with the rest of a build and with query serving. The passes run
+/// *from inside* the level loop on whatever thread dispatched the build —
+/// re-entrant dispatch is safe because the pool's dispatcher claims its own
+/// job's seats.
 ///
 /// Level s holds every frequent s-edge tree together with **all** of its
 /// occurrence instances: `(graph, mapping)` pairs where the mapping embeds
-/// a fixed *representative* tree of the pattern. Level s+1 extends each
-/// instance by one adjacent acyclic host edge; the extension's identity is
-/// just `(attach pattern vertex, edge label, leaf label)`, so the child's
-/// canonical string is computed **once per (representative, extension
-/// kind)** and shared by every instance — canonicalization cost scales
-/// with the number of patterns, not the (much larger) number of instances.
-/// Instances are deduplicated by `(graph, edge set)`; supports fall out of
-/// the instance lists, so no embedding tests are ever run. Instances of
-/// *infrequent* patterns are dropped and never extended — with the σ(s)
-/// thresholds growing past α this prunes the (combinatorially dominant)
-/// large-and-rare subtrees that plain enumeration would still visit.
+/// a fixed *representative* numbering of the pattern's vertices. Level s+1
+/// extends each instance by one adjacent acyclic host edge; the extension's
+/// identity is just `(attach pattern vertex, edge label, leaf label)`, so
+/// every instance of one (representative, extension kind) is an occurrence
+/// of the same numbered child pattern. Its canonical string and center are
+/// therefore computed **once per kind**, by encoding one of its instances
+/// in the host graph ([`SubtreeEncoder::encode`] over the instance's edge
+/// set), and shared by every instance — canonicalization cost scales with
+/// the number of kinds, not the (much larger) number of instances, and no
+/// tree is built. Instances are deduplicated by `(graph, edge set)`;
+/// supports fall out of the instance lists, so no embedding tests are ever
+/// run. Instances of *infrequent* patterns are dropped and never extended —
+/// with the σ(s) thresholds growing past α this prunes the (combinatorially
+/// dominant) large-and-rare subtrees that plain enumeration would still
+/// visit.
 ///
 /// Shrinking (§4.1.2) happens as a frequent (s+1)-tree is admitted: its
 /// support and its leaf-removal subtrees' supports, read from level s, decide
-/// whether it is kept (see `gamma_keeps`; single edges always are). Only a
-/// kept tree gets center columns and leaves as a [`MinedTree`]; every
-/// frequent tree's instances feed level s+2, and only a kept tree's are
-/// materialized at the last level. `gamma = 0.0` keeps every frequent tree.
+/// whether it is kept (see `gamma_keeps`; single edges always are). Each
+/// leaf removal is encoded from one instance of the tree by leaving one leaf
+/// edge out, and found in level s by its tokens. Only a kept tree gets
+/// center columns and leaves as a [`MinedTree`]; every frequent tree's
+/// instances feed level s+2, and only a kept tree's are materialized at the
+/// last level. `gamma = 0.0` keeps every frequent tree.
 ///
 /// Exactness: every instance of a frequent (s+1)-tree restricts (by
 /// removing a leaf edge) to an instance of a frequent s-tree (σ is
@@ -207,11 +239,12 @@ pub fn mine_frequent_trees(
 /// `tree_core::center_positions` search finds, without the search.
 ///
 /// Metrics on `shard`: a `mine.level{s}` span per level plus
-/// `mine.level{s}.candidates` / `.patterns` / `.pruned_by_support` counters
-/// (distinct candidate patterns, survivors of the σ(s) filter, and the
-/// difference), and the run totals `mine.candidates` (instances generated)
-/// and `mine.patterns` (frequent patterns mined, as in [`MiningStats`]).
-/// Seats additionally record `engine.mine.workers` and
+/// `mine.level{s}.kinds` / `.candidates` / `.patterns` /
+/// `.pruned_by_support` counters (extension kinds encoded, which at level 1
+/// are the distinct labeled edges; the distinct candidate patterns they
+/// form; survivors of the σ(s) filter; and the difference), and the run
+/// totals `mine.candidates` (instances generated) and `mine.patterns`
+/// (frequent patterns mined, as in [`MiningStats`]). Seats additionally record `engine.mine.workers` and
 /// `engine.mine.worker_wall` spans, which describe execution shape and vary
 /// with the pool size.
 ///
@@ -219,7 +252,7 @@ pub fn mine_frequent_trees(
 ///
 /// The output — kept patterns, support sets, center columns,
 /// [`MiningStats`], and every non-`engine.*` counter — and every level's
-/// representative trees and instance lists are a pure function of
+/// representatives and instance lists are a pure function of
 /// `(db, sigma, gamma, limits)`, independent of the pool size and of
 /// scheduling. The construction:
 ///
@@ -229,10 +262,11 @@ pub fn mine_frequent_trees(
 ///   and collision-free; the total instance count is partition-independent.
 /// - **Canonical candidate identity.** An extension's *kind* is
 ///   `ExtKey = (pattern idx, rep idx, attach vertex, edge label, leaf
-///   label)`. The child tree for a kind is derived from the (shared,
-///   immutable) parent representative, so every worker computes the same
-///   child tree and canonical string for the same key — no state depends
-///   on scan order.
+///   label)`. Every instance of a kind is an occurrence of the same
+///   numbered child pattern, so the canonical string and the center (as
+///   pattern vertices) that encoding any one of them gives are the same;
+///   the miner encodes the kind's first instance in `(gid, edge set)`
+///   order. No state depends on scan order.
 /// - **Min-reduction for shared instances.** When one `(gid, edge set)`
 ///   instance is reachable via several kinds, all of them are observed by
 ///   the *same* worker (same gid), which keeps the lexicographically
@@ -242,11 +276,13 @@ pub fn mine_frequent_trees(
 ///   previous level's deterministic output).
 /// - **Canonical merge.** Each worker returns its records sorted by
 ///   `(ExtKey, gid, edge set)` plus a per-key range index; a k-way walk
-///   over those indexes merges the per-worker spans of each key. Candidates
-///   are grouped by canonical string (a stable sort, preserving `ExtKey`
-///   order among representatives), supports sorted and deduped, and
-///   occurrence lists materialized (and sorted by `(gid, edge set)`) only
-///   for candidates that survive the support filter.
+///   over those indexes merges the per-worker spans of each key into the
+///   kind list, in `ExtKey` order. Kinds are grouped by canonical string
+///   with a hash map, in kind order, so each pattern's representatives keep
+///   their `ExtKey` order; supports are unioned per pattern, and only the
+///   frequent patterns are sorted by canonical string. Occurrence lists
+///   are materialized (and sorted by `(gid, edge set)`) only for patterns
+///   that are admitted.
 ///
 /// Truncation is deterministic too: `max_candidates_per_level` discards the
 /// whole level when the *total* distinct-instance count reaches the cap
@@ -260,35 +296,36 @@ pub fn mine_frequent_trees_pool_obs(
     sigma: &SigmaFn,
     gamma: f64,
     limits: &MiningLimits,
-    pool: &graph_core::par::Pool,
+    pool: &Pool,
     shard: &obs::Shard,
 ) -> (Vec<MinedTree>, MiningStats) {
-    use smallvec::SmallVec;
     use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicUsize, Ordering};
     type Mapping = SmallVec<[u32; 11]>; // pattern vertex -> host vertex
     type EdgeSet = SmallVec<[u32; 10]>; // sorted host edge ids
     /// Identity of an extension kind: (pattern index, representative index,
     /// attach pattern vertex, edge label, leaf label). Two instances with
-    /// the same key have isomorphic children via the same parent embedding
-    /// shape, so the child tree/canon is a function of the key alone.
+    /// the same key are occurrences of the same numbered child pattern, so
+    /// its canonical string and center are a function of the key alone.
     type ExtKey = (u32, u32, u32, u32, u32);
+    /// The center of a representative as its pattern vertices: one, or the
+    /// two ends of the center edge (smaller first).
+    type CenterVertices = (u32, Option<u32>);
 
     assert!(sigma.is_monotone(), "σ(s) must be non-decreasing");
     let mut stats = MiningStats::default();
 
-    /// One instance of a representative tree in a host graph.
+    /// One instance of a representative in a host graph.
     #[derive(Clone)]
     struct Instance {
         gid: u32,
         mapping: Mapping,
         edges: EdgeSet,
     }
-    /// A representative tree with its instances, occs sorted by
-    /// `(gid, edges)`. Several representatives (different vertex
-    /// numberings) can share one canonical string.
+    /// A representative numbering of a pattern's vertices, with its center
+    /// and its instances, occs sorted by `(gid, edges)`. Several
+    /// representatives (different numberings) can share one pattern.
     struct Rep {
-        tree: Tree,
+        center: CenterVertices,
         occs: Vec<Instance>,
     }
     /// A frequent pattern of one level: its canonical string and support
@@ -321,21 +358,28 @@ pub fn mine_frequent_trees_pool_obs(
         hit_limit: bool,
     }
     /// A distinct extension kind after the merge: per-worker record spans
-    /// `(worker, start, end)` plus the (key-derived) child tree and canon.
-    /// Occurrences are materialized from the spans only for candidates
-    /// that survive the support filter, and need them.
+    /// `(worker, start, end)`, then what the encoding pass reads off its
+    /// first instance (the child's canonical string and center) and its
+    /// spans (the support). Occurrences are materialized from the spans
+    /// only for patterns that are admitted, and need them.
     struct Group {
         key: ExtKey,
-        spans: SmallVec<[(u8, u32, u32); 4]>,
-        canon: Option<CanonString>,
-        tree: Option<Tree>,
+        spans: SmallVec<[(u32, u32, u32); 4]>,
+        canon: CanonString,
+        center: CenterVertices,
+        support: SupportSet,
     }
-    /// A pattern admitted at a level: its range of the canon-sorted kind
-    /// order (one kind per representative, in order) and, once the γ test
-    /// keeps it, its [`MinedTree`].
+    /// The kinds of one canonical string, in kind order, and their union
+    /// support.
+    struct Class {
+        kinds: SmallVec<[u32; 2]>,
+        support: SupportSet,
+    }
+    /// A pattern admitted at a level: its kinds (one per representative, in
+    /// order) and, once the γ test keeps it, its [`MinedTree`].
     struct Admitted {
         pattern: Pattern,
-        kinds: std::ops::Range<usize>,
+        kinds: SmallVec<[u32; 2]>,
         mined: Option<MinedTree>,
     }
 
@@ -352,35 +396,14 @@ pub fn mine_frequent_trees_pool_obs(
     /// (see [`MinedTree`]) read off the instances of all its representatives,
     /// which are sorted by graph: one walk down the support, gathering each
     /// graph's run from every representative. Representatives number their
-    /// vertices differently, so each locates its own center; an edge center
+    /// vertices differently, so each carries its own center; an edge center
     /// lands on the host edge between the images of its two ends; many
     /// instances share a center, so a graph's ids are de-duplicated.
     fn mined_tree(db: &[Graph], p: &Pattern) -> MinedTree {
-        /// A representative being read: the pattern vertices of its center
-        /// (one, or the two ends of the center edge) and its instances not
-        /// yet consumed.
-        struct Unread<'a> {
-            u: VertexId,
-            v: Option<VertexId>,
-            occs: &'a [Instance],
-        }
-        let mut reps: SmallVec<[Unread; 2]> = p
+        let mut reps: SmallVec<[(CenterVertices, &[Instance]); 2]> = p
             .reps
             .iter()
-            .map(|rep| {
-                let occs = &rep.occs[..];
-                match tree_core::center(&rep.tree) {
-                    Center::Vertex(u) => Unread { u, v: None, occs },
-                    Center::Edge(e) => {
-                        let e = rep.tree.graph().edge(e);
-                        Unread {
-                            u: e.u,
-                            v: Some(e.v),
-                            occs,
-                        }
-                    }
-                }
-            })
+            .map(|rep| (rep.center, &rep.occs[..]))
             .collect();
         let mut offsets = Vec::with_capacity(p.support.len());
         let mut positions = Vec::new();
@@ -388,18 +411,18 @@ pub fn mine_frequent_trees_pool_obs(
         for &gid in &p.support {
             let g = &db[gid as usize];
             ids.clear();
-            for rep in reps.iter_mut() {
-                let run = rep.occs.iter().take_while(|o| o.gid == gid).count();
-                ids.extend(rep.occs[..run].iter().map(|o| match rep.v {
-                    None => o.mapping[rep.u.idx()],
+            for ((u, v), occs) in reps.iter_mut() {
+                let run = occs.iter().take_while(|o| o.gid == gid).count();
+                ids.extend(occs[..run].iter().map(|o| match *v {
+                    None => o.mapping[*u as usize],
                     Some(v) => {
-                        let (hu, hv) = (o.mapping[rep.u.idx()], o.mapping[v.idx()]);
+                        let (hu, hv) = (o.mapping[*u as usize], o.mapping[v as usize]);
                         g.edge_between(VertexId(hu), VertexId(hv))
                             .expect("an instance maps tree edges onto host edges")
                             .0
                     }
                 }));
-                rep.occs = &rep.occs[run..];
+                *occs = &occs[run..];
             }
             debug_assert!(!ids.is_empty(), "a supporting graph holds an instance");
             ids.sort_unstable();
@@ -407,7 +430,7 @@ pub fn mine_frequent_trees_pool_obs(
             positions.extend_from_slice(&ids);
             offsets.push(positions.len() as u32);
         }
-        debug_assert!(reps.iter().all(|rep| rep.occs.is_empty()));
+        debug_assert!(reps.iter().all(|(_, occs)| occs.is_empty()));
         positions.shrink_to_fit();
         MinedTree {
             canon: p.canon.clone(),
@@ -417,22 +440,33 @@ pub fn mine_frequent_trees_pool_obs(
         }
     }
     /// The shrinking step's test (paper §4.1.2) for a tree `r` of two edges
-    /// or more: keep `r` iff `|⋂ᵢ D_rᵢ| / |D_r| > γ` over its leaf-removal
-    /// (maximal proper) subtrees `rᵢ`, frequent trees that `below`, the
-    /// level under `r` in canonical order, holds. The ratio is at least 1.
-    /// `parent` is the support of one `rᵢ`, the pattern `r` was grown from:
-    /// the intersection lies within it, which often settles the test before
-    /// any subtree is encoded.
-    fn gamma_keeps(r: &Pattern, parent: &[u32], below: &[Pattern], gamma: f64) -> bool {
-        let ratio = |common: usize| common as f64 / r.support.len() as f64;
+    /// or more with `support` graphs: keep `r` iff `|⋂ᵢ D_rᵢ| / |D_r| > γ`
+    /// over its leaf-removal (maximal proper) subtrees `rᵢ`, frequent trees
+    /// that `below`, the level under `r` in canonical order, holds. The
+    /// ratio is at least 1. `parent` is the support of one `rᵢ`, the
+    /// pattern `r` was grown from: the intersection lies within it, which
+    /// often settles the test before any subtree is encoded. Otherwise each
+    /// `rᵢ` is encoded from `r`'s instance `edges` in `g`, leaving one leaf
+    /// edge out.
+    fn gamma_keeps(
+        support: usize,
+        parent: &[u32],
+        below: &[Pattern],
+        gamma: f64,
+        enc: &mut SubtreeEncoder,
+        g: &Graph,
+        edges: &[u32],
+    ) -> bool {
+        let ratio = |common: usize| common as f64 / support as f64;
         if ratio(parent.len()) <= gamma {
             return false;
         }
-        let sets: Vec<&[u32]> = leaf_removal_canons(&r.reps[0].tree)
-            .iter()
-            .map(|c| {
+        let sets: SmallVec<[&[u32]; 10]> = leaf_edges(g, edges)
+            .into_iter()
+            .map(|(leaf_edge, inner)| {
+                let (tokens, _) = encode_in_host(enc, g, edges, Some(leaf_edge), inner);
                 let i = below
-                    .binary_search_by(|p| p.canon.cmp(c))
+                    .binary_search_by(|p| p.canon.tokens().cmp(tokens))
                     .expect("a frequent tree's subtrees are frequent one level down");
                 below[i].support.as_slice()
             })
@@ -455,9 +489,11 @@ pub fn mine_frequent_trees_pool_obs(
     let outs = pool.fork_join_obs(workers, shard, |_rank, wshard| {
         let _wall = wshard.span("engine.mine.worker_wall");
         wshard.add("engine.mine.workers", 1);
-        let mut local: FxHashMap<CanonString, (Tree, Vec<Instance>)> = FxHashMap::default();
-        // (smaller label, edge label, larger label) -> canon, once per kind.
-        let mut canon_cache: FxHashMap<(u32, u32, u32), CanonString> = FxHashMap::default();
+        // (smaller label, edge label, larger label) -> canon, encoded once
+        // per kind, and the kind's instances.
+        let mut local: FxHashMap<(u32, u32, u32), (CanonString, Vec<Instance>)> =
+            FxHashMap::default();
+        let mut enc = SubtreeEncoder::default();
         loop {
             let b = next_block.fetch_add(1, Ordering::Relaxed);
             if b >= nblocks {
@@ -477,42 +513,37 @@ pub fn mine_frequent_trees_pool_obs(
                         smallvec::smallvec![edge.v.0, edge.u.0]
                     };
                     let triple = (lu.min(lv).0, edge.label.0, lu.max(lv).0);
-                    let canon = canon_cache
-                        .entry(triple)
-                        .or_insert_with(|| canonical_string(&Tree::single_edge(lu, edge.label, lv)))
-                        .clone();
-                    local
-                        .entry(canon)
-                        .or_insert_with(|| (Tree::single_edge(lu, edge.label, lv), Vec::new()))
-                        .1
-                        .push(Instance {
-                            gid,
-                            mapping,
-                            edges: smallvec::smallvec![e.0],
-                        });
+                    let (_, occs) = local.entry(triple).or_insert_with(|| {
+                        let (tokens, _) = encode_in_host(&mut enc, g, &[e.0], None, edge.u);
+                        (CanonString(tokens.to_vec()), Vec::new())
+                    });
+                    occs.push(Instance {
+                        gid,
+                        mapping,
+                        edges: smallvec::smallvec![e.0],
+                    });
                 }
             }
         }
         local
     });
-    // Canonical merge: BTreeMap orders patterns by canon; the single-edge
-    // representative tree is identical across workers by construction.
-    let mut merged: BTreeMap<CanonString, (Tree, Vec<Instance>)> = BTreeMap::new();
+    // Canonical merge: BTreeMap orders patterns by canon.
+    let mut merged: BTreeMap<CanonString, Vec<Instance>> = BTreeMap::new();
     for local in outs {
-        for (canon, (tree, mut occs)) in local {
-            merged
-                .entry(canon)
-                .or_insert_with(|| (tree, Vec::new()))
-                .1
-                .append(&mut occs);
+        for (canon, mut occs) in local.into_values() {
+            merged.entry(canon).or_default().append(&mut occs);
         }
     }
+    // A single edge is centered on itself: pattern vertices 0 and 1.
     let mut level: Vec<Pattern> = merged
         .into_iter()
-        .map(|(canon, (tree, occs))| Pattern {
+        .map(|(canon, occs)| Pattern {
             canon,
             support: Vec::new(),
-            reps: vec![Rep { tree, occs }],
+            reps: vec![Rep {
+                center: (0, Some(1)),
+                occs,
+            }],
         })
         .collect();
     pool.for_each_mut(&mut level, |p| {
@@ -523,6 +554,7 @@ pub fn mine_frequent_trees_pool_obs(
     let level1_candidates = level.len() as u64;
     let t1 = sigma.threshold(1).expect("σ(1) must be finite") as usize;
     level.retain(|p| p.support.len() >= t1);
+    shard.add("mine.level1.kinds", level1_candidates);
     shard.add("mine.level1.candidates", level1_candidates);
     shard.add("mine.level1.patterns", level.len() as u64);
     shard.add(
@@ -669,8 +701,8 @@ pub fn mine_frequent_trees_pool_obs(
         // ---- Canonical merge: k-way walk over per-worker group lists. ----
         // Only group boundaries are walked serially; record spans stay in
         // the worker vectors, and occurrences (with their rebuilt child
-        // mappings) are materialized later, in parallel, for candidates
-        // that survive the support filter only.
+        // mappings) are materialized later, in parallel, for admitted
+        // patterns only.
         let mut groups: Vec<Group> = Vec::new();
         {
             let mut idx = vec![0usize; outs.len()];
@@ -699,129 +731,179 @@ pub fn mine_frequent_trees_pool_obs(
                     groups.push(Group {
                         key,
                         spans: SmallVec::new(),
-                        canon: None,
-                        tree: None,
+                        canon: CanonString(Vec::new()),
+                        center: (0, None),
+                        support: Vec::new(),
                     });
                 }
                 groups
                     .last_mut()
                     .expect("group pushed above")
                     .spans
-                    .push((wi as u8, start, end));
+                    .push((wi as u32, start, end));
             }
         }
+        let records =
+            |&(w, s, e): &(u32, u32, u32)| &outs[w as usize].cands[s as usize..e as usize];
+        // A kind's first instance in (gid, edge set) order: spans are sorted
+        // that way and hold disjoint graphs.
+        let first_instance = |grp: &Group| {
+            grp.spans
+                .iter()
+                .map(|span| &records(span)[0])
+                .min_by_key(|c| c.gid)
+                .expect("a kind has a record")
+        };
 
-        // Child tree + canonical string once per extension kind, in
-        // parallel (the child is a pure function of the key). This pass
-        // dispatches re-entrantly when the whole build already runs on a
-        // pool seat.
-        pool.for_each_mut(&mut groups, |grp| {
-            let (pidx, ridx, pv, el, lv) = grp.key;
-            let rep = &level_ref[pidx as usize].reps[ridx as usize];
-            let child = extend_with_leaf(&rep.tree, VertexId(pv), ELabel(el), VLabel(lv));
-            grp.canon = Some(canonical_string(&child));
-            grp.tree = Some(child);
+        // Per kind, in parallel: the child's canonical string and center,
+        // encoded from its first instance in the host graph, and its support.
+        for_each_encoding(pool, workers, shard, &mut groups, |enc, grp| {
+            let first = first_instance(grp);
+            let g = &db[first.gid as usize];
+            let (tokens, center) = encode_in_host(enc, g, &first.edges, None, VertexId(first.leaf));
+            grp.canon = CanonString(tokens.to_vec());
+            // The child's mapping is the parent's plus the leaf.
+            let (pidx, ridx, ..) = grp.key;
+            let parent = &level_ref[pidx as usize].reps[ridx as usize].occs[first.occ as usize];
+            let vertex_of = |h: VertexId| {
+                parent
+                    .mapping
+                    .iter()
+                    .chain([&first.leaf])
+                    .position(|&m| m == h.0)
+                    .expect("the center lies in the instance") as u32
+            };
+            grp.center = match center {
+                Center::Vertex(v) => (vertex_of(v), None),
+                Center::Edge(e) => {
+                    let e = g.edge(e);
+                    let (a, b) = (vertex_of(e.u), vertex_of(e.v));
+                    (a.min(b), Some(a.max(b)))
+                }
+            };
+            grp.support = grp
+                .spans
+                .iter()
+                .flat_map(|span| records(span).iter().map(|c| c.gid))
+                .collect();
+            grp.support.sort_unstable();
+            grp.support.dedup();
         });
 
-        // Group kinds by canonical string. The sort is stable, so within
-        // one canon the representatives keep their ExtKey order.
-        let mut order: Vec<u32> = (0..groups.len() as u32).collect();
-        order.sort_by(|&a, &b| groups[a as usize].canon.cmp(&groups[b as usize].canon));
-
-        // Survivors of the support filter, up to the `max_patterns` room
-        // left, are admitted; the pass below applies the γ test to them and
-        // materializes the occurrences that are needed.
-        let room = limits.max_patterns - frequent;
-        let mut level_candidates = 0u64;
-        let mut level_patterns = 0usize;
-        let mut admitted: Vec<Admitted> = Vec::new();
-        let mut i = 0usize;
-        while i < order.len() {
-            let mut j = i + 1;
-            while j < order.len()
-                && groups[order[j] as usize].canon == groups[order[i] as usize].canon
-            {
-                j += 1;
-            }
-            level_candidates += 1;
-            let mut support: SupportSet = order[i..j]
-                .iter()
-                .flat_map(|&gi| {
-                    groups[gi as usize].spans.iter().flat_map(|&(o, s, e)| {
-                        outs[o as usize].cands[s as usize..e as usize]
-                            .iter()
-                            .map(|c| c.gid)
-                    })
-                })
-                .collect();
-            support.sort_unstable();
-            support.dedup();
-            if support.len() >= next_threshold {
-                level_patterns += 1;
-                if admitted.len() < room {
-                    let reps: Vec<Rep> = order[i..j]
-                        .iter()
-                        .map(|&gi| Rep {
-                            tree: groups[gi as usize]
-                                .tree
-                                .take()
-                                .expect("child tree computed per kind"),
-                            occs: Vec::new(),
-                        })
-                        .collect();
-                    let canon = groups[order[i] as usize]
-                        .canon
-                        .take()
-                        .expect("canon computed per kind");
-                    admitted.push(Admitted {
-                        pattern: Pattern {
-                            canon,
-                            support,
-                            reps,
-                        },
-                        kinds: i..j,
-                        mined: None,
+        // Group kinds by canonical string, in kind order, so each pattern's
+        // representatives keep their ExtKey order. A pattern of one kind
+        // takes that kind's support; the others union theirs in parallel.
+        let mut classes: Vec<Class> = Vec::new();
+        {
+            let mut class_of: FxHashMap<&CanonString, u32> = FxHashMap::default();
+            for (k, grp) in groups.iter().enumerate() {
+                let next = classes.len() as u32;
+                let c = *class_of.entry(&grp.canon).or_insert(next);
+                if c == next {
+                    classes.push(Class {
+                        kinds: SmallVec::new(),
+                        support: Vec::new(),
                     });
                 }
+                classes[c as usize].kinds.push(k as u32);
             }
-            i = j;
         }
+        for class in classes.iter_mut().filter(|c| c.kinds.len() == 1) {
+            class.support = std::mem::take(&mut groups[class.kinds[0] as usize].support);
+        }
+        pool.for_each_mut(&mut classes, |class| {
+            if class.kinds.len() > 1 {
+                class.support = class
+                    .kinds
+                    .iter()
+                    .flat_map(|&k| &groups[k as usize].support)
+                    .copied()
+                    .collect();
+                class.support.sort_unstable();
+                class.support.dedup();
+            }
+        });
+
+        // Survivors of the support filter, in canon order, up to the
+        // `max_patterns` room left, are admitted; the pass below applies
+        // the γ test to them and materializes the occurrences that are
+        // needed.
+        let level_kinds = groups.len() as u64;
+        let level_candidates = classes.len() as u64;
+        classes.retain(|c| c.support.len() >= next_threshold);
+        let level_patterns = classes.len();
+        classes.sort_unstable_by(|a, b| {
+            groups[a.kinds[0] as usize]
+                .canon
+                .cmp(&groups[b.kinds[0] as usize].canon)
+        });
+        let room = limits.max_patterns - frequent;
+        classes.truncate(room);
+        let mut admitted: Vec<Admitted> = classes
+            .into_iter()
+            .map(|class| Admitted {
+                pattern: Pattern {
+                    canon: std::mem::replace(
+                        &mut groups[class.kinds[0] as usize].canon,
+                        CanonString(Vec::new()),
+                    ),
+                    support: class.support,
+                    reps: class
+                        .kinds
+                        .iter()
+                        .map(|&k| Rep {
+                            center: groups[k as usize].center,
+                            occs: Vec::new(),
+                        })
+                        .collect(),
+                },
+                kinds: class.kinds,
+                mined: None,
+            })
+            .collect();
         // Levels are mined in size order and admit their patterns in canon
         // order, so the room is the deterministic (size, canon) cutoff.
         let cut = level_patterns >= room;
         // Whether the admitted patterns are extended to the next level.
         let grow = !cut && size + 1 < sigma.eta && sigma.threshold(size + 2).is_some();
 
-        // In parallel per admitted pattern: the γ test, then its occurrence
-        // lists if they are needed — to grow the next level or for its
-        // center columns — rebuilding each child mapping from its parent
-        // occurrence plus the new leaf and sorting by (gid, edges), since
-        // worker gid ranges interleave and the span concatenation is not
-        // globally ordered by itself.
-        pool.for_each_mut(&mut admitted, |adm| {
+        // In parallel per admitted pattern: the γ test on the first instance
+        // of its first kind, then its occurrence lists if they are needed —
+        // to grow the next level or for its center columns — rebuilding each
+        // child mapping from its parent occurrence plus the new leaf and
+        // sorting by (gid, edges), since worker gid ranges interleave and
+        // the span concatenation is not globally ordered by itself.
+        for_each_encoding(pool, workers, shard, &mut admitted, |enc, adm| {
             let p = &mut adm.pattern;
-            let parent = groups[order[adm.kinds.start] as usize].key.0;
-            let parent = &level_ref[parent as usize].support;
-            let keep = gamma_keeps(p, parent, level_ref, gamma);
+            let first = first_instance(&groups[adm.kinds[0] as usize]);
+            let parent = &level_ref[first.key.0 as usize].support;
+            let g = &db[first.gid as usize];
+            let keep = gamma_keeps(
+                p.support.len(),
+                parent,
+                level_ref,
+                gamma,
+                enc,
+                g,
+                &first.edges,
+            );
             if !(keep || grow) {
                 return;
             }
-            for (rep, &gi) in p.reps.iter_mut().zip(&order[adm.kinds.clone()]) {
-                let grp = &groups[gi as usize];
+            for (rep, &k) in p.reps.iter_mut().zip(&adm.kinds) {
+                let grp = &groups[k as usize];
                 let total: usize = grp.spans.iter().map(|&(_, s, e)| (e - s) as usize).sum();
                 rep.occs.reserve_exact(total);
-                for &(o, s, e) in &grp.spans {
-                    for c in &outs[o as usize].cands[s as usize..e as usize] {
-                        let parent = &level_ref[c.key.0 as usize].reps[c.key.1 as usize].occs
-                            [c.occ as usize];
-                        let mut mapping = parent.mapping.clone();
-                        mapping.push(c.leaf);
-                        rep.occs.push(Instance {
-                            gid: c.gid,
-                            mapping,
-                            edges: c.edges.clone(),
-                        });
-                    }
+                for c in grp.spans.iter().flat_map(records) {
+                    let parent =
+                        &level_ref[c.key.0 as usize].reps[c.key.1 as usize].occs[c.occ as usize];
+                    let mut mapping = parent.mapping.clone();
+                    mapping.push(c.leaf);
+                    rep.occs.push(Instance {
+                        gid: c.gid,
+                        mapping,
+                        edges: c.edges.clone(),
+                    });
                 }
                 sort_occs(&mut rep.occs);
             }
@@ -829,9 +911,11 @@ pub fn mine_frequent_trees_pool_obs(
                 adm.mined = Some(mined_tree(db, p));
             }
         });
+        drop(groups);
         drop(outs);
         result.extend(admitted.iter_mut().filter_map(|adm| adm.mined.take()));
         let next: Vec<Pattern> = admitted.into_iter().map(|adm| adm.pattern).collect();
+        shard.add(&format!("{level_name}.kinds"), level_kinds);
         shard.add(&format!("{level_name}.candidates"), level_candidates);
         shard.add(&format!("{level_name}.patterns"), level_patterns as u64);
         shard.add(
@@ -859,7 +943,8 @@ pub fn mine_frequent_trees_pool_obs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graph_core::graph_from;
+    use graph_core::{graph_from, ELabel, VLabel};
+    use tree_core::{canonical_string, Tree};
 
     /// The running-example-style database: simple labeled graphs.
     fn tiny_db() -> Vec<Graph> {
@@ -1008,11 +1093,27 @@ mod tests {
 
     #[test]
     fn leaf_removals_of_path() {
-        let t = tree_core::tree_from(&[0, 1, 2], &[(0, 1, 0), (1, 2, 0)]);
-        let subs = leaf_removal_canons(&t);
+        // The path 1 -0- 2 -1- 3 (edges 1 and 2) inside a host that goes on
+        // at both ends and closes a cycle elsewhere.
+        let g = graph_from(
+            &[0, 1, 2, 3, 0],
+            &[(0, 1, 0), (1, 2, 0), (2, 3, 1), (3, 4, 0), (4, 0, 0)],
+        );
+        let path = [1, 2];
+        let mut enc = SubtreeEncoder::default();
+        let subs: Vec<(u32, CanonString)> = leaf_edges(&g, &path)
+            .into_iter()
+            .map(|(leaf_edge, inner)| {
+                let (tokens, _) = encode_in_host(&mut enc, &g, &path, Some(leaf_edge), inner);
+                (leaf_edge, CanonString(tokens.to_vec()))
+            })
+            .collect();
         assert_eq!(subs.len(), 2);
-        // they are the 0-1 and 1-2 edges, distinct
-        assert_ne!(subs[0], subs[1]);
+        // they are the 1-2 and 2-3 edges, distinct
+        assert_ne!(subs[0].1, subs[1].1);
+        let edge =
+            |a, el, b| canonical_string(&Tree::single_edge(VLabel(a), ELabel(el), VLabel(b)));
+        assert_eq!(subs, [(1, edge(2, 1, 3)), (2, edge(1, 0, 2))]);
     }
 
     #[test]

@@ -1,14 +1,18 @@
 //! Property tests for mining: the miner agrees with the two reference
 //! miners on arbitrary databases and, at any γ, with the reference shrink of
-//! their output; supports are exact, σ thresholds are honored, and the
-//! center columns equal an exhaustive VF2 search.
+//! their output; supports are exact, σ thresholds are honored, the center
+//! columns equal an exhaustive VF2 search, and a subtree encoded where it
+//! lies in its host graph encodes as the same subtree extracted.
 
 mod reference;
 
-use graph_core::{graph_from, ELabel, Graph, GraphBuilder, VLabel, VertexId};
+use graph_core::{graph_from, ELabel, EdgeId, Graph, GraphBuilder, VLabel, VertexId};
 use mining::*;
 use proptest::prelude::*;
-use tree_core::{center_positions, Center, CenterPos};
+use std::ops::ControlFlow;
+use tree_core::{
+    canonical_string, center_positions, CanonString, Center, CenterPos, SubtreeEncoder, Tree,
+};
 
 fn arb_connected_graph(nmax: usize) -> impl Strategy<Value = Graph> {
     (2..=nmax).prop_flat_map(move |n| {
@@ -173,8 +177,100 @@ fn columns_on_fixed_databases() {
     }
 }
 
+/// More seats than a byte can number: a 300-seat pool mines a 300-graph
+/// database exactly as one seat does. The molecules are four times the
+/// default size, so that seats numbered past 255 still find graphs left to
+/// scan: a merge that kept seat numbers in a byte panicked here in five of
+/// six debug-build runs.
+#[test]
+fn three_hundred_seats_mine_what_one_seat_does() {
+    use datagen::ChemParams;
+    use rand::SeedableRng;
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
+    let params = ChemParams {
+        mean_vertices: 100.0,
+        ..ChemParams::sized(300)
+    };
+    let db = datagen::generate_chem(&params, &mut rng);
+    let sigma = SigmaFn {
+        alpha: 3,
+        beta: 2.0,
+        eta: 4,
+    };
+    let limits = MiningLimits::default();
+    let (base, base_stats) = mine_on(&db, &sigma, 1.5, &limits, 1);
+    let (wide, wide_stats) = mine_on(&db, &sigma, 1.5, &limits, 300);
+    assert_eq!(wide_stats, base_stats);
+    assert_eq!(wide.len(), base.len());
+    for (a, b) in base.iter().zip(&wide) {
+        assert_eq!(
+            (&a.canon, &a.support, &a.offsets, &a.positions),
+            (&b.canon, &b.support, &b.offsets, &b.positions)
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// What the miner's canonicalization rests on. It encodes a candidate
+    /// where its instance lies, as `SubtreeEncoder::encode(host, new leaf,
+    /// |e| e is one of the instance's edges)`, maps the center it returns
+    /// back to pattern vertices, and encodes a leaf-removal subtree by also
+    /// leaving one leaf edge out, read from that edge's inner end. For
+    /// every acyclic connected edge set of up to 5 edges: the tokens are
+    /// those of the extracted subtree, the mapped center is its center, and
+    /// the leaf-skip encodings are the reference's leaf removals.
+    #[test]
+    fn host_encoding_equals_extraction(
+        db in proptest::collection::vec(arb_connected_graph(7), 1..5),
+    ) {
+        let mut enc = SubtreeEncoder::default();
+        for g in &db {
+            let _ = graph_core::for_each_subtree_edge_subset(g, 5, |subset| {
+                let mut edges: Vec<u32> = subset.iter().map(|e| e.0).collect();
+                edges.sort_unstable();
+                let sub = graph_core::edge_subgraph(g, subset);
+                let vertex_map = sub.vertex_map;
+                let tree = Tree::from_graph(sub.graph).expect("an acyclic connected edge set");
+                let local = |h: VertexId| {
+                    let i = vertex_map.iter().position(|&v| v == h).expect("a vertex of the set");
+                    VertexId(i as u32)
+                };
+                let leaf = g.edge(*subset.last().expect("a nonempty set")).v;
+                let (tokens, center) = enc.encode(g, leaf, |e| edges.binary_search(&e.0).is_ok());
+                assert_eq!(tokens, canonical_string(&tree).tokens(), "{edges:?} in {g:?}");
+                let mapped = match center {
+                    Center::Vertex(v) => Center::Vertex(local(v)),
+                    Center::Edge(e) => {
+                        let e = g.edge(e);
+                        let local_edge = tree.graph().edge_between(local(e.u), local(e.v));
+                        Center::Edge(local_edge.expect("the center edge is in the set"))
+                    }
+                };
+                assert_eq!(mapped, tree_core::center(&tree), "{edges:?} in {g:?}");
+
+                // A single edge has no leaf removal.
+                let is_leaf = |v: VertexId| subset.len() > 1 && tree.graph().degree(local(v)) == 1;
+                let mut skips: Vec<CanonString> = Vec::new();
+                for &e in subset {
+                    let edge = g.edge(e);
+                    let inner = match (is_leaf(edge.u), is_leaf(edge.v)) {
+                        (true, _) => edge.v,
+                        (_, true) => edge.u,
+                        _ => continue,
+                    };
+                    let in_rest = |x: EdgeId| x != e && edges.binary_search(&x.0).is_ok();
+                    skips.push(CanonString(enc.encode(g, inner, in_rest).0.to_vec()));
+                }
+                let mut want = reference::leaf_removals(&tree);
+                skips.sort();
+                want.sort();
+                assert_eq!(skips, want, "{edges:?} in {g:?}");
+                ControlFlow::Continue(())
+            });
+        }
+    }
 
     #[test]
     fn three_engines_agree(

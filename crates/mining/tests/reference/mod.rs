@@ -41,7 +41,7 @@ pub fn mine_enum(db: &[Graph], sigma: &SigmaFn) -> Vec<(CanonString, SupportSet)
 
 /// The canonical strings of `t`'s leaf-removal subtrees: `t` without one
 /// edge that ends in a leaf. None for a single edge.
-fn leaf_removals(t: &Tree) -> Vec<CanonString> {
+pub fn leaf_removals(t: &Tree) -> Vec<CanonString> {
     let g = t.graph();
     if g.edge_count() <= 1 {
         return Vec::new();

@@ -38,9 +38,9 @@ fn save_bytes(idx: &TreePiIndex) -> Vec<u8> {
 ///
 /// The same builds are metered, and every deterministic counter, span
 /// count outside the timing-dependent namespaces and `mem.index.*` gauge is
-/// pinned too: mined candidates and patterns per level under σ(s) (the
-/// paper's Fig. 10), the γ test's survivors, that no mining limit cut the
-/// run short, and the heap per structure. Whole maps are compared, so a
+/// pinned too: extension kinds, mined candidates and patterns per level
+/// under σ(s) (the paper's Fig. 10), the γ test's survivors, that no mining
+/// limit cut the run short, and the heap per structure. Whole maps are compared, so a
 /// counter that appears or disappears fails as well as one that moves
 /// either way.
 #[test]
@@ -57,17 +57,19 @@ fn fixed_input_builds_the_golden_file() {
         ("mine.candidates", 41_025),
         ("mine.patterns", 4_459),
     ];
-    /// `mine.levelN.{candidates, patterns, pruned_by_support}`, N = 1..=9.
-    const LEVELS: [(u64, u64, u64); 9] = [
-        (38, 38, 0),
-        (139, 139, 0),
-        (430, 430, 0),
-        (1_080, 1_080, 0),
-        (2_399, 2_399, 0),
-        (4_874, 292, 4_582),
-        (2_913, 76, 2_837),
-        (1_355, 5, 1_350),
-        (155, 0, 155),
+    /// `mine.levelN.{kinds, candidates, patterns, pruned_by_support}`,
+    /// N = 1..=9: extension kinds encoded, distinct candidate patterns they
+    /// form, and the σ(N) filter's survivors and rejects.
+    const LEVELS: [(u64, u64, u64, u64); 9] = [
+        (38, 38, 38, 0),
+        (158, 139, 139, 0),
+        (517, 430, 430, 0),
+        (1_307, 1_080, 1_080, 0),
+        (2_875, 2_399, 2_399, 0),
+        (5_781, 4_874, 292, 4_582),
+        (3_926, 2_913, 76, 2_837),
+        (1_825, 1_355, 5, 1_350),
+        (228, 155, 0, 155),
     ];
     const INDEX_GAUGES: [(&str, u64); 7] = [
         ("mem.index.bytes", 112_424),
@@ -80,7 +82,8 @@ fn fixed_input_builds_the_golden_file() {
     ];
     let mut counters = owned(&TOTALS);
     let mut spans = owned(&[("build.mine", 1), ("build.sigs", 1)]);
-    for (n, (candidates, patterns, pruned)) in (1..).zip(LEVELS) {
+    for (n, (kinds, candidates, patterns, pruned)) in (1..).zip(LEVELS) {
+        counters.insert(format!("mine.level{n}.kinds"), kinds);
         counters.insert(format!("mine.level{n}.candidates"), candidates);
         counters.insert(format!("mine.level{n}.patterns"), patterns);
         counters.insert(format!("mine.level{n}.pruned_by_support"), pruned);
