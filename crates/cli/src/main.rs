@@ -180,7 +180,6 @@ fn run() -> Result<(), String> {
             let (Some(db_path), Some(out_path)) = (args.get(1), args.get(2)) else {
                 return Err("build needs <db.gspan> <index.tpi>".into());
             };
-            let db = read_graphs_file(db_path)?;
             let defaults = TreePiParams::default();
             let params = TreePiParams {
                 sigma: mining::SigmaFn {
@@ -191,6 +190,19 @@ fn run() -> Result<(), String> {
                 gamma: parse_flag(&args, "--gamma", defaults.gamma)?,
                 ..defaults
             };
+            // A single edge kept out of the index would leave the queries
+            // holding it with no feature to filter on: they would find no
+            // graph.
+            let sigma = params.sigma;
+            if sigma.threshold(1) != Some(1) {
+                let s1 = sigma.threshold(1).map_or("+∞".into(), |t| t.to_string());
+                return Err(format!(
+                    "--alpha {} --beta {} --eta {} sets σ(1) = {s1}; the index is complete \
+                     only with σ(1) = 1: use --alpha 1 or more, or --beta 0 with --eta 1 or more",
+                    sigma.alpha, sigma.beta, sigma.eta
+                ));
+            }
+            let db = read_graphs_file(db_path)?;
             let threads = parse_flag(&args, "--threads", 0usize)?;
             let metrics_path = flag_value(&args, "--metrics")?;
             let trace_path = flag_value(&args, "--trace")?;

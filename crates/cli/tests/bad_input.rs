@@ -3,7 +3,9 @@
 //! A query file containing an edgeless graph (the pipeline asserts
 //! `edge_count() > 0`) names the query; a value-taking flag given last, or
 //! followed by another `--` flag, names the flag (`query … --metrics` once
-//! exited 0 and wrote no file).
+//! exited 0 and wrote no file). Build parameters that set σ(1) above 1
+//! name `--alpha` and `--beta`: such an index misses single edges, and
+//! `--alpha 0` once built one that answered database graphs with nothing.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -57,6 +59,14 @@ fn bad_input_is_an_error_not_a_panic() {
             "--metrics needs a value",
         ),
         (vec!["build", db, idx, "--alpha"], "--alpha needs a value"),
+        (
+            vec!["build", db, idx, "--alpha", "0"],
+            "--alpha 0 --beta 2 --eta 10 sets σ(1) = 3",
+        ),
+        (
+            vec!["build", db, idx, "--alpha", "0", "--eta", "0"],
+            "--alpha 0 --beta 2 --eta 0 sets σ(1) = +∞",
+        ),
     ] {
         let out = treepi(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -64,4 +74,13 @@ fn bad_input_is_an_error_not_a_panic() {
         assert!(stderr.contains(expected), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
+    // α = 0 with β = 0 is σ ≡ 1 up to η: complete, so it builds.
+    let out = treepi(&[
+        "build", db, idx, "--alpha", "0", "--beta", "0", "--eta", "3",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }

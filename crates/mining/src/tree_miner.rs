@@ -10,10 +10,12 @@
 //! 1. level 1 = every distinct single-edge tree with **all** of its
 //!    occurrences, one per host edge, from one database scan;
 //! 2. level s+1 = every occurrence of a frequent level-s tree extended by
-//!    one adjacent acyclic host edge, deduplicated by `(graph, edge set)`
-//!    and grouped by canonical string — encoded once per extension kind,
-//!    not per occurrence, by reading one of the kind's occurrences where
-//!    it lies in its host graph (no tree is built);
+//!    one adjacent acyclic host edge larger than the child's other leaf
+//!    edges — so each child occurrence is generated once, from its
+//!    canonical parent, and none needs deduplicating — and grouped by
+//!    canonical string, encoded once per extension kind, not per
+//!    occurrence, by reading one of the kind's occurrences where it lies
+//!    in its host graph (no tree is built);
 //! 3. a pattern's support is the set of graphs its occurrences lie in, so
 //!    no embedding test ever runs; patterns below σ(s+1) are dropped with
 //!    their occurrences and never extended (sound because σ is
@@ -80,9 +82,10 @@ pub struct MiningLimits {
     /// the γ test, which makes the truncated set independent of scan order
     /// and thread count, and the kept trees those the γ test keeps of it.
     pub max_patterns: usize,
-    /// Hard cap on candidates generated per level. The level-wise miner
-    /// discards a level entirely when its distinct-instance count reaches
-    /// this cap (partial supports would be unsound to filter on).
+    /// Hard cap on the instances generated per level. The level-wise miner
+    /// generates each instance once and discards a level entirely when its
+    /// count reaches this cap (partial supports would be unsound to filter
+    /// on).
     pub max_candidates_per_level: usize,
 }
 
@@ -126,30 +129,21 @@ fn encode_in_host<'e>(
     })
 }
 
-/// The leaf edges of the tree that `edges` (two or more) forms in `g`, each
-/// with its inner end. Dropping one leaves a leaf-removal subtree, one of
-/// the tree's maximal proper subtrees.
-fn leaf_edges(g: &Graph, edges: &[u32]) -> SmallVec<[(u32, VertexId); 10]> {
-    let ends: SmallVec<[VertexId; 22]> = edges
+/// The leaves of the tree that `edges` forms in `g`, each with its edge, in
+/// edge order: a single edge has two, a larger tree one per leaf edge.
+/// Dropping a larger tree's leaf edge leaves a leaf-removal subtree, one of
+/// its maximal proper subtrees.
+fn leaves(g: &Graph, edges: &[u32]) -> SmallVec<[(VertexId, u32); 11]> {
+    let ends: SmallVec<[(VertexId, u32); 20]> = edges
         .iter()
         .flat_map(|&e| {
-            let e = g.edge(EdgeId(e));
-            [e.u, e.v]
+            let edge = g.edge(EdgeId(e));
+            [(edge.u, e), (edge.v, e)]
         })
         .collect();
-    let is_leaf = |v: VertexId| ends.iter().filter(|&&w| w == v).count() == 1;
-    edges
-        .iter()
-        .filter_map(|&e| {
-            let edge = g.edge(EdgeId(e));
-            if is_leaf(edge.u) {
-                Some((e, edge.v))
-            } else if is_leaf(edge.v) {
-                Some((e, edge.u))
-            } else {
-                None
-            }
-        })
+    ends.iter()
+        .filter(|(v, _)| ends.iter().filter(|(w, _)| w == v).count() == 1)
+        .copied()
         .collect()
 }
 
@@ -193,7 +187,7 @@ pub fn mine_frequent_trees(
 
 /// Occurrence-list level-wise mining — the "level wise edge-increasing"
 /// method the paper prescribes — with every parallel pass (the per-level
-/// extension scans, the encoding pass, the support unions, the γ test with
+/// extension and encoding pass, the support unions, the γ test with
 /// occurrence materialization) dispatched as seats on `pool`, so a
 /// multi-level run reuses one set of worker threads and a caller can share
 /// the pool with the rest of a build and with query serving. The passes run
@@ -204,20 +198,23 @@ pub fn mine_frequent_trees(
 /// Level s holds every frequent s-edge tree together with **all** of its
 /// occurrence instances: `(graph, mapping)` pairs where the mapping embeds
 /// a fixed *representative* numbering of the pattern's vertices. Level s+1
-/// extends each instance by one adjacent acyclic host edge; the extension's
-/// identity is just `(attach pattern vertex, edge label, leaf label)`, so
-/// every instance of one (representative, extension kind) is an occurrence
-/// of the same numbered child pattern. Its canonical string and center are
-/// therefore computed **once per kind**, by encoding one of its instances
-/// in the host graph ([`SubtreeEncoder::encode`] over the instance's edge
-/// set), and shared by every instance — canonicalization cost scales with
-/// the number of kinds, not the (much larger) number of instances, and no
-/// tree is built. Instances are deduplicated by `(graph, edge set)`;
-/// supports fall out of the instance lists, so no embedding tests are ever
-/// run. Instances of *infrequent* patterns are dropped and never extended —
-/// with the σ(s) thresholds growing past α this prunes the (combinatorially
-/// dominant) large-and-rare subtrees that plain enumeration would still
-/// visit.
+/// extends each instance by one adjacent acyclic host edge, but only from
+/// the instance's *canonical parent*: the edge must be larger than every
+/// other leaf edge of the child, so each (s+1)-edge instance is generated
+/// exactly once, from the s-edge instance its largest leaf edge leaves, and
+/// no instance needs deduplicating. The extension's identity is just
+/// `(attach pattern vertex, edge label, leaf label)`, so every instance of
+/// one (representative, extension kind) is an occurrence of the same
+/// numbered child pattern. Its canonical string and center are therefore
+/// computed **once per kind**, by encoding one of its instances in the host
+/// graph ([`SubtreeEncoder::encode`] over the instance's edge set), and
+/// shared by every instance — canonicalization cost scales with the number
+/// of kinds, not the (much larger) number of instances, and no tree is
+/// built. Supports fall out of the instance lists, so no embedding tests are
+/// ever run. Instances of *infrequent* patterns are dropped and never
+/// extended — with the σ(s) thresholds growing past α this prunes the
+/// (combinatorially dominant) large-and-rare subtrees that plain
+/// enumeration would still visit.
 ///
 /// Shrinking (§4.1.2) happens as a frequent (s+1)-tree is admitted: its
 /// support and its leaf-removal subtrees' supports, read from level s, decide
@@ -228,69 +225,61 @@ pub fn mine_frequent_trees(
 /// instances feed level s+2, and only a kept tree's are materialized at the
 /// last level. `gamma = 0.0` keeps every frequent tree.
 ///
-/// Exactness: every instance of a frequent (s+1)-tree restricts (by
-/// removing a leaf edge) to an instance of a frequent s-tree (σ is
-/// non-decreasing), which is present at level s, so all instances and all
-/// supports are complete. So are the center columns every [`MinedTree`]
-/// carries: an embedding's image is one of the pattern's instances, every
-/// isomorphism onto an instance maps the pattern's center (unique by
-/// Theorem 1) onto the instance's, and the columns are read off *all*
-/// instances of all representatives — the same positions an exhaustive
-/// `tree_core::center_positions` search finds, without the search.
+/// Exactness: removing the largest leaf edge of an instance of a frequent
+/// (s+1)-tree leaves an instance of a frequent s-tree (σ is non-decreasing),
+/// which is present at level s, so every instance of a frequent tree is
+/// generated, once, and its support is complete. An infrequent tree may be
+/// reached through fewer instances, or not at all, but never more than
+/// exist, so it stays infrequent. So are the center columns every
+/// [`MinedTree`] carries complete: an embedding's image is one of the
+/// pattern's instances, every isomorphism onto an instance maps the
+/// pattern's center (unique by Theorem 1) onto the instance's, and the
+/// columns are read off *all* instances of all representatives — the same
+/// positions an exhaustive `tree_core::center_positions` search finds,
+/// without the search.
 ///
 /// Metrics on `shard`: a `mine.level{s}` span per level plus
 /// `mine.level{s}.kinds` / `.candidates` / `.patterns` /
 /// `.pruned_by_support` counters (extension kinds encoded, which at level 1
 /// are the distinct labeled edges; the distinct candidate patterns they
-/// form; survivors of the σ(s) filter; and the difference), and the run
-/// totals `mine.candidates` (instances generated) and `mine.patterns`
-/// (frequent patterns mined, as in [`MiningStats`]). Seats additionally record `engine.mine.workers` and
-/// `engine.mine.worker_wall` spans, which describe execution shape and vary
-/// with the pool size.
+/// form, which past level 1 are those reached through canonical parents;
+/// survivors of the σ(s) filter; and the difference), and the run totals
+/// `mine.candidates` (instances generated) and `mine.patterns` (frequent
+/// patterns mined, as in [`MiningStats`]).
 ///
 /// # Determinism contract
 ///
 /// The output — kept patterns, support sets, center columns,
-/// [`MiningStats`], and every non-`engine.*` counter — and every level's
-/// representatives and instance lists are a pure function of
-/// `(db, sigma, gamma, limits)`, independent of the pool size and of
-/// scheduling. The construction:
+/// [`MiningStats`], and every counter — and every level's representatives
+/// and instance lists are a pure function of `(db, sigma, gamma, limits)`,
+/// independent of the pool size and of scheduling. The construction:
 ///
-/// - **Partition by host graph.** Instance dedup is keyed on
-///   `(gid, edge set)`, and every occurrence of a gid lives in exactly one
-///   worker's gid-blocks, so worker-local dedup sets are globally complete
-///   and collision-free; the total instance count is partition-independent.
-/// - **Canonical candidate identity.** An extension's *kind* is
-///   `ExtKey = (pattern idx, rep idx, attach vertex, edge label, leaf
-///   label)`. Every instance of a kind is an occurrence of the same
-///   numbered child pattern, so the canonical string and the center (as
-///   pattern vertices) that encoding any one of them gives are the same;
-///   the miner encodes the kind's first instance in `(gid, edge set)`
-///   order. No state depends on scan order.
-/// - **Min-reduction for shared instances.** When one `(gid, edge set)`
-///   instance is reachable via several kinds, all of them are observed by
-///   the *same* worker (same gid), which keeps the lexicographically
-///   smallest `(ExtKey, parent occurrence index, leaf vertex)` — an
-///   order-independent reduction over values that are themselves
-///   thread-count-invariant (parent occurrence lists are part of the
-///   previous level's deterministic output).
-/// - **Canonical merge.** Each worker returns its records sorted by
-///   `(ExtKey, gid, edge set)` plus a per-key range index; a k-way walk
-///   over those indexes merges the per-worker spans of each key into the
-///   kind list, in `ExtKey` order. Kinds are grouped by canonical string
-///   with a hash map, in kind order, so each pattern's representatives keep
-///   their `ExtKey` order; supports are unioned per pattern, and only the
+/// - **Canonical parent.** Which instance generates a child depends only on
+///   the child's host edge ids, so every instance comes from one place
+///   whatever the seats do.
+/// - **Per representative.** Seats take chunks of consecutive
+///   representatives; a representative's extensions are sorted by
+///   `(attach vertex, edge label, leaf label, parent occurrence, leaf)`,
+///   so each extension kind is one run, in parent-occurrence order, and is
+///   encoded from its first extension. Flattening the chunks in order gives
+///   the kinds in `(pattern, representative, kind)` order whatever the
+///   chunking, and every instance of a kind is an occurrence of the same
+///   numbered child pattern, so the canonical string and center any one of
+///   them gives are the kind's.
+/// - **Grouping.** Kinds are grouped by canonical string with a hash map,
+///   in kind order, so each pattern's representatives keep that order; a
+///   pattern's support is the union of its kinds' graphs, and only the
 ///   frequent patterns are sorted by canonical string. Occurrence lists
-///   are materialized (and sorted by `(gid, edge set)`) only for patterns
-///   that are admitted.
+///   are materialized only for patterns that are admitted, in
+///   parent-occurrence order, which is graph order.
 ///
 /// Truncation is deterministic too: `max_candidates_per_level` discards the
-/// whole level when the *total* distinct-instance count reaches the cap
-/// (workers early-stop on their local counts purely as an optimization, and
-/// a discarded level contributes nothing to counters), and `max_patterns`
-/// cuts frequent patterns in `(size, canonical string)` order before the γ
-/// test — see `MiningLimits` — so a truncated run keeps exactly the trees
-/// an untruncated one keeps of that prefix.
+/// whole level when the *total* count of instances generated reaches the
+/// cap (seats stop early once the shared count has reached it, purely as an
+/// optimization, and a discarded level contributes nothing to counters), and
+/// `max_patterns` cuts frequent patterns in `(size, canonical string)` order
+/// before the γ test — see `MiningLimits` — so a truncated run keeps exactly
+/// the trees an untruncated one keeps of that prefix.
 pub fn mine_frequent_trees_pool_obs(
     db: &[Graph],
     sigma: &SigmaFn,
@@ -299,14 +288,8 @@ pub fn mine_frequent_trees_pool_obs(
     pool: &Pool,
     shard: &obs::Shard,
 ) -> (Vec<MinedTree>, MiningStats) {
-    use std::collections::BTreeMap;
     type Mapping = SmallVec<[u32; 11]>; // pattern vertex -> host vertex
     type EdgeSet = SmallVec<[u32; 10]>; // sorted host edge ids
-    /// Identity of an extension kind: (pattern index, representative index,
-    /// attach pattern vertex, edge label, leaf label). Two instances with
-    /// the same key are occurrences of the same numbered child pattern, so
-    /// its canonical string and center are a function of the key alone.
-    type ExtKey = (u32, u32, u32, u32, u32);
     /// The center of a representative as its pattern vertices: one, or the
     /// two ends of the center edge (smaller first).
     type CenterVertices = (u32, Option<u32>);
@@ -315,15 +298,14 @@ pub fn mine_frequent_trees_pool_obs(
     let mut stats = MiningStats::default();
 
     /// One instance of a representative in a host graph.
-    #[derive(Clone)]
     struct Instance {
         gid: u32,
         mapping: Mapping,
         edges: EdgeSet,
     }
     /// A representative numbering of a pattern's vertices, with its center
-    /// and its instances, occs sorted by `(gid, edges)`. Several
-    /// representatives (different numberings) can share one pattern.
+    /// and its instances, occs sorted by gid. Several representatives
+    /// (different numberings) can share one pattern.
     struct Rep {
         center: CenterVertices,
         occs: Vec<Instance>,
@@ -335,62 +317,59 @@ pub fn mine_frequent_trees_pool_obs(
         support: SupportSet,
         reps: Vec<Rep>,
     }
-    /// One candidate extension record. The child mapping is *not* stored:
-    /// it is `parent.occs[occ].mapping + leaf`, rebuilt once for the
-    /// records that survive dedup. Keeping records flat (edge sets stay
-    /// inline in the `SmallVec`) means the hot loop never touches the heap
-    /// per candidate.
-    struct Cand {
-        gid: u32,
-        edges: EdgeSet,
-        key: ExtKey,
+    /// One extension of a parent occurrence by the host `edge` to a new
+    /// `leaf` vertex, attached at pattern vertex `attach`. The child's
+    /// mapping and edge set are the parent's plus `leaf` and `edge`, built
+    /// only for patterns that are admitted. Ordered so that a
+    /// representative's extension kinds are runs, in parent-occurrence
+    /// order.
+    #[derive(PartialEq, Eq, PartialOrd, Ord)]
+    struct Ext {
+        attach: u32,
+        elabel: u32,
+        llabel: u32,
         /// Index into the parent representative's occurrence list.
         occ: u32,
-        /// Host vertex id of the new leaf.
         leaf: u32,
+        edge: u32,
     }
-    /// One worker's extension output for a level: records deduplicated by
-    /// `(gid, edges)` and sorted by `(key, gid, edges)`, plus the record
-    /// range of each distinct key.
-    struct ExtOut {
-        cands: Vec<Cand>,
-        groups: Vec<(ExtKey, u32, u32)>,
-        hit_limit: bool,
-    }
-    /// A distinct extension kind after the merge: per-worker record spans
-    /// `(worker, start, end)`, then what the encoding pass reads off its
-    /// first instance (the child's canonical string and center) and its
-    /// spans (the support). Occurrences are materialized from the spans
-    /// only for patterns that are admitted, and need them.
-    struct Group {
-        key: ExtKey,
-        spans: SmallVec<[(u32, u32, u32); 4]>,
-        canon: CanonString,
+    /// An extension kind of `rep`, a level's `(pattern, representative)`:
+    /// its run of its chunk's extensions, the child's canonical tokens in
+    /// its chunk's arena and the child's center.
+    struct Kind {
+        rep: (u32, u32),
+        exts: std::ops::Range<usize>,
+        tokens: std::ops::Range<usize>,
         center: CenterVertices,
-        support: SupportSet,
     }
-    /// The kinds of one canonical string, in kind order, and their union
-    /// support.
+    /// A run of consecutive `(pattern, representative)` pairs of a level,
+    /// with the extensions, kinds and canonical tokens they generate.
+    struct Chunk {
+        reps: std::ops::Range<usize>,
+        exts: Vec<Ext>,
+        kinds: Vec<Kind>,
+        tokens: Vec<u32>,
+    }
+    /// The kinds of one canonical string, as `(chunk, kind)` in kind order,
+    /// and their union support.
     struct Class {
-        kinds: SmallVec<[u32; 2]>,
+        kinds: SmallVec<[(u32, u32); 2]>,
         support: SupportSet,
     }
     /// A pattern admitted at a level: its kinds (one per representative, in
     /// order) and, once the γ test keeps it, its [`MinedTree`].
     struct Admitted {
         pattern: Pattern,
-        kinds: SmallVec<[u32; 2]>,
+        kinds: SmallVec<[(u32, u32); 2]>,
         mined: Option<MinedTree>,
     }
 
-    fn sort_occs(occs: &mut [Instance]) {
-        occs.sort_unstable_by(|a, b| (a.gid, a.edges.as_slice()).cmp(&(b.gid, b.edges.as_slice())));
-    }
-    /// Support of occs sorted by gid: linear dedup.
-    fn sorted_support(occs: &[Instance]) -> SupportSet {
-        let mut s: SupportSet = occs.iter().map(|o| o.gid).collect();
-        s.dedup();
-        s
+    /// `edges` with `edge` added, in order.
+    fn with_edge(edges: &EdgeSet, edge: u32) -> EdgeSet {
+        let mut out = edges.clone();
+        let pos = out.partition_point(|&e| e < edge);
+        out.insert(pos, edge);
+        out
     }
     /// A kept pattern as the miner hands it over, with its center columns
     /// (see [`MinedTree`]) read off the instances of all its representatives,
@@ -461,10 +440,16 @@ pub fn mine_frequent_trees_pool_obs(
         if ratio(parent.len()) <= gamma {
             return false;
         }
-        let sets: SmallVec<[&[u32]; 10]> = leaf_edges(g, edges)
+        let sets: SmallVec<[&[u32]; 10]> = leaves(g, edges)
             .into_iter()
-            .map(|(leaf_edge, inner)| {
-                let (tokens, _) = encode_in_host(enc, g, edges, Some(leaf_edge), inner);
+            .map(|(leaf, leaf_edge)| {
+                let (tokens, _) = encode_in_host(
+                    enc,
+                    g,
+                    edges,
+                    Some(leaf_edge),
+                    g.edge(EdgeId(leaf_edge)).other(leaf),
+                );
                 let i = below
                     .binary_search_by(|p| p.canon.tokens().cmp(tokens))
                     .expect("a frequent tree's subtrees are frequent one level down");
@@ -474,83 +459,54 @@ pub fn mine_frequent_trees_pool_obs(
         ratio(intersect_many(&sets, usize::MAX).len()) > gamma
     }
 
-    // Worker/block layout. Workers self-schedule gid-blocks off an atomic
-    // counter; a few blocks per worker evens out per-graph skew without
-    // letting the per-block pattern sweep dominate. The block layout never
-    // affects the output (see the determinism contract above).
-    let workers = pool.parallelism().max(1).min(db.len().max(1));
-    let nblocks = (workers * 4).min(db.len()).max(1);
-    let block_len = db.len().div_ceil(nblocks).max(1);
-    let block_bounds = move |b: usize, len: usize| (b * block_len, ((b + 1) * block_len).min(len));
+    let workers = pool.parallelism().max(1);
 
     // ---- Level 1: single-edge patterns, one instance per host edge. ----
+    // One scan in (gid, edge) order: instances and supports come out sorted.
     let level1_span = shard.span("mine.level1");
-    let next_block = AtomicUsize::new(0);
-    let outs = pool.fork_join_obs(workers, shard, |_rank, wshard| {
-        let _wall = wshard.span("engine.mine.worker_wall");
-        wshard.add("engine.mine.workers", 1);
-        // (smaller label, edge label, larger label) -> canon, encoded once
-        // per kind, and the kind's instances.
-        let mut local: FxHashMap<(u32, u32, u32), (CanonString, Vec<Instance>)> =
-            FxHashMap::default();
+    let mut level: Vec<Pattern> = Vec::new();
+    {
+        // (smaller label, edge label, larger label) -> pattern, encoded once.
+        let mut pattern_of: FxHashMap<(u32, u32, u32), usize> = FxHashMap::default();
         let mut enc = SubtreeEncoder::default();
-        loop {
-            let b = next_block.fetch_add(1, Ordering::Relaxed);
-            if b >= nblocks {
-                break;
-            }
-            let (lo, hi) = block_bounds(b, db.len());
-            for (gid, g) in db.iter().enumerate().take(hi).skip(lo) {
-                let gid = gid as u32;
-                for e in g.edge_ids() {
-                    let edge = g.edge(e);
-                    let (lu, lv) = (g.vlabel(edge.u), g.vlabel(edge.v));
-                    // Orient the mapping to the representative (smaller
-                    // label first).
-                    let mapping: Mapping = if lu <= lv {
-                        smallvec::smallvec![edge.u.0, edge.v.0]
-                    } else {
-                        smallvec::smallvec![edge.v.0, edge.u.0]
-                    };
-                    let triple = (lu.min(lv).0, edge.label.0, lu.max(lv).0);
-                    let (_, occs) = local.entry(triple).or_insert_with(|| {
-                        let (tokens, _) = encode_in_host(&mut enc, g, &[e.0], None, edge.u);
-                        (CanonString(tokens.to_vec()), Vec::new())
+        for (gid, g) in (0u32..).zip(db) {
+            for e in g.edge_ids() {
+                let edge = g.edge(e);
+                let (lu, lv) = (g.vlabel(edge.u), g.vlabel(edge.v));
+                // Orient the mapping to the representative (smaller label
+                // first); a single edge is centered on itself.
+                let mapping: Mapping = if lu <= lv {
+                    smallvec::smallvec![edge.u.0, edge.v.0]
+                } else {
+                    smallvec::smallvec![edge.v.0, edge.u.0]
+                };
+                let triple = (lu.min(lv).0, edge.label.0, lu.max(lv).0);
+                let p = *pattern_of.entry(triple).or_insert_with(|| {
+                    let (tokens, _) = encode_in_host(&mut enc, g, &[e.0], None, edge.u);
+                    level.push(Pattern {
+                        canon: CanonString(tokens.to_vec()),
+                        support: Vec::new(),
+                        reps: vec![Rep {
+                            center: (0, Some(1)),
+                            occs: Vec::new(),
+                        }],
                     });
-                    occs.push(Instance {
-                        gid,
-                        mapping,
-                        edges: smallvec::smallvec![e.0],
-                    });
+                    level.len() - 1
+                });
+                let p = &mut level[p];
+                if p.support.last() != Some(&gid) {
+                    p.support.push(gid);
                 }
+                p.reps[0].occs.push(Instance {
+                    gid,
+                    mapping,
+                    edges: smallvec::smallvec![e.0],
+                });
             }
-        }
-        local
-    });
-    // Canonical merge: BTreeMap orders patterns by canon.
-    let mut merged: BTreeMap<CanonString, Vec<Instance>> = BTreeMap::new();
-    for local in outs {
-        for (canon, mut occs) in local.into_values() {
-            merged.entry(canon).or_default().append(&mut occs);
         }
     }
-    // A single edge is centered on itself: pattern vertices 0 and 1.
-    let mut level: Vec<Pattern> = merged
-        .into_iter()
-        .map(|(canon, occs)| Pattern {
-            canon,
-            support: Vec::new(),
-            reps: vec![Rep {
-                center: (0, Some(1)),
-                occs,
-            }],
-        })
-        .collect();
-    pool.for_each_mut(&mut level, |p| {
-        sort_occs(&mut p.reps[0].occs);
-        p.support = sorted_support(&p.reps[0].occs);
-    });
     // The frequent ones, in canon order.
+    level.sort_unstable_by(|a, b| a.canon.cmp(&b.canon));
     let level1_candidates = level.len() as u64;
     let t1 = sigma.threshold(1).expect("σ(1) must be finite") as usize;
     level.retain(|p| p.support.len() >= t1);
@@ -578,281 +534,192 @@ pub fn mine_frequent_trees_pool_obs(
         let next_threshold = next_threshold as usize;
         let level_name = format!("mine.level{}", size + 1);
         let _level_span = shard.span(&level_name);
-
-        // ---- Parallel extension scan over gid-blocks. ----
-        //
-        // Workers emit flat candidate records into one growable vec — no
-        // per-worker hash maps, no per-candidate heap objects (edge sets
-        // stay inline in their `SmallVec`). Each block's segment is sorted
-        // and min-reduced in place; blocks hold whole gids, so the
-        // per-segment dedup is globally exact. This shape is what lets the
-        // fan-out scale: per-instance heap churn at this volume turns into
-        // mmap/munmap traffic that serializes the build on kernel time.
         let level_ref = &level;
-        let next_block = AtomicUsize::new(0);
-        let outs = pool.fork_join_obs(workers, shard, |_rank, wshard| {
-            let _wall = wshard.span("engine.mine.worker_wall");
-            wshard.add("engine.mine.workers", 1);
-            let mut cands: Vec<Cand> = Vec::new();
-            let mut hit_limit = false;
-            'blocks: loop {
-                let b = next_block.fetch_add(1, Ordering::Relaxed);
-                if b >= nblocks {
-                    break;
+
+        // ---- Per representative, in parallel: extend and encode. ----
+        //
+        // Chunks of consecutive representatives, of about equal instance
+        // counts; each owns its extension records (flat, no heap per
+        // record) and its token arena.
+        let pairs: Vec<(u32, u32)> = (0u32..)
+            .zip(level_ref)
+            .flat_map(|(p, pattern)| (0u32..).zip(&pattern.reps).map(move |(r, _)| (p, r)))
+            .collect();
+        let rep = |(p, r): (u32, u32)| &level_ref[p as usize].reps[r as usize];
+        let instances: usize = pairs.iter().map(|&pr| rep(pr).occs.len()).sum();
+        let target = instances.div_ceil(workers * 16).max(1);
+        let mut chunks: Vec<Chunk> = Vec::new();
+        let (mut start, mut filled) = (0, 0);
+        for (i, &pr) in pairs.iter().enumerate() {
+            filled += rep(pr).occs.len();
+            if filled >= target || i + 1 == pairs.len() {
+                chunks.push(Chunk {
+                    reps: start..i + 1,
+                    exts: Vec::new(),
+                    kinds: Vec::new(),
+                    tokens: Vec::new(),
+                });
+                (start, filled) = (i + 1, 0);
+            }
+        }
+        let generated = AtomicUsize::new(0);
+        for_each_encoding(pool, workers, shard, &mut chunks, |enc, chunk| {
+            let Chunk {
+                reps,
+                exts,
+                kinds,
+                tokens,
+            } = chunk;
+            for &pr in &pairs[reps.clone()] {
+                if generated.load(Ordering::Relaxed) >= limits.max_candidates_per_level {
+                    return; // the level is doomed
                 }
-                let (lo, hi) = block_bounds(b, db.len());
-                let seg = cands.len();
-                for (pidx, pattern) in level_ref.iter().enumerate() {
-                    for (ridx, rep) in pattern.reps.iter().enumerate() {
-                        // occs are sorted by gid: slice out this block.
-                        let start = rep.occs.partition_point(|o| (o.gid as usize) < lo);
-                        let end = rep.occs.partition_point(|o| (o.gid as usize) < hi);
-                        for (oidx, occ) in rep.occs[start..end].iter().enumerate() {
-                            let g = &db[occ.gid as usize];
-                            for (pv, &hv) in occ.mapping.iter().enumerate() {
-                                for &(w, he) in g.neighbors(VertexId(hv)) {
-                                    if occ.mapping.contains(&w.0) {
-                                        continue; // cycle or already-used edge
-                                    }
-                                    let mut nedges = occ.edges.clone();
-                                    let pos = match nedges.binary_search(&he.0) {
-                                        Ok(_) => continue, // parallel guard (unreachable)
-                                        Err(p) => p,
-                                    };
-                                    nedges.insert(pos, he.0);
-                                    cands.push(Cand {
-                                        gid: occ.gid,
-                                        edges: nedges,
-                                        key: (
-                                            pidx as u32,
-                                            ridx as u32,
-                                            pv as u32,
-                                            g.edge(he).label.0,
-                                            g.vlabel(w).0,
-                                        ),
-                                        occ: (start + oidx) as u32,
-                                        leaf: w.0,
-                                    });
-                                }
+                let occs = &rep(pr).occs;
+                let first = exts.len();
+                for (occ, o) in (0u32..).zip(occs) {
+                    let g = &db[o.gid as usize];
+                    let leaves = leaves(g, &o.edges);
+                    for (attach, &hv) in (0u32..).zip(&o.mapping) {
+                        // The child's other leaf edges are the parent's, less
+                        // the one whose leaf is the attach vertex: the new
+                        // edge must be larger than all of them.
+                        let bar = leaves
+                            .iter()
+                            .filter(|&&(leaf, _)| leaf.0 != hv)
+                            .map(|&(_, e)| e)
+                            .max()
+                            .expect("a tree keeps a leaf away from any one vertex");
+                        for &(w, he) in g.neighbors(VertexId(hv)) {
+                            if he.0 > bar && !o.mapping.contains(&w.0) {
+                                exts.push(Ext {
+                                    attach,
+                                    elabel: g.edge(he).label.0,
+                                    llabel: g.vlabel(w).0,
+                                    occ,
+                                    leaf: w.0,
+                                    edge: he.0,
+                                });
                             }
                         }
                     }
                 }
-                // Min-reduce this block's segment: one record per
-                // (gid, edge set), owned by the smallest (key, occ, leaf).
-                cands[seg..].sort_unstable_by(|a, b| {
-                    (a.gid, a.edges.as_slice(), a.key, a.occ, a.leaf).cmp(&(
-                        b.gid,
-                        b.edges.as_slice(),
-                        b.key,
-                        b.occ,
-                        b.leaf,
-                    ))
-                });
-                let mut keep = seg;
-                for r in seg..cands.len() {
-                    if r == seg
-                        || cands[r].gid != cands[keep - 1].gid
-                        || cands[r].edges != cands[keep - 1].edges
-                    {
-                        cands.swap(keep, r);
-                        keep += 1;
-                    }
+                generated.fetch_add(exts.len() - first, Ordering::Relaxed);
+                exts[first..].sort_unstable();
+                // Each kind is a run; encode the child from its first
+                // extension, where it lies in its host graph.
+                let mut at = first;
+                for run in exts[first..].chunk_by(|a, b| {
+                    (a.attach, a.elabel, a.llabel) == (b.attach, b.elabel, b.llabel)
+                }) {
+                    let x = &run[0];
+                    let parent = &occs[x.occ as usize];
+                    let g = &db[parent.gid as usize];
+                    let edges = with_edge(&parent.edges, x.edge);
+                    let (child, center) = encode_in_host(enc, g, &edges, None, VertexId(x.leaf));
+                    // The child's mapping is the parent's plus the leaf.
+                    let vertex_of = |h: VertexId| {
+                        parent
+                            .mapping
+                            .iter()
+                            .chain([&x.leaf])
+                            .position(|&m| m == h.0)
+                            .expect("the center lies in the instance")
+                            as u32
+                    };
+                    let center = match center {
+                        Center::Vertex(v) => (vertex_of(v), None),
+                        Center::Edge(e) => {
+                            let e = g.edge(e);
+                            let (a, b) = (vertex_of(e.u), vertex_of(e.v));
+                            (a.min(b), Some(a.max(b)))
+                        }
+                    };
+                    kinds.push(Kind {
+                        rep: pr,
+                        exts: at..at + run.len(),
+                        tokens: tokens.len()..tokens.len() + child.len(),
+                        center,
+                    });
+                    tokens.extend_from_slice(child);
+                    at += run.len();
                 }
-                cands.truncate(keep);
-                if cands.len() >= limits.max_candidates_per_level {
-                    // The local distinct count is a lower bound on the
-                    // total, so the level is doomed; stop scanning early.
-                    hit_limit = true;
-                    break 'blocks;
-                }
-            }
-            // Re-sort by (key, gid, edges) and index the range of each
-            // distinct key, so the serial merge below only walks per-key
-            // group lists, never individual records.
-            cands.sort_unstable_by(|a, b| {
-                (a.key, a.gid, a.edges.as_slice()).cmp(&(b.key, b.gid, b.edges.as_slice()))
-            });
-            let mut groups: Vec<(ExtKey, u32, u32)> = Vec::new();
-            for (i, c) in cands.iter().enumerate() {
-                match groups.last_mut() {
-                    Some((k, _, end)) if *k == c.key => *end = (i + 1) as u32,
-                    _ => groups.push((c.key, i as u32, (i + 1) as u32)),
-                }
-            }
-            ExtOut {
-                cands,
-                groups,
-                hit_limit,
             }
         });
-
-        let total_instances: usize = outs.iter().map(|o| o.cands.len()).sum();
-        if outs.iter().any(|o| o.hit_limit) || total_instances >= limits.max_candidates_per_level {
+        let generated = generated.into_inner();
+        if generated >= limits.max_candidates_per_level {
             // A mid-level stop would leave supports under-counted, which is
             // unsound for filtering; discard the partial level entirely.
-            // (The decision depends only on the total distinct-instance
-            // count, so it is thread-count-independent.)
             stats.truncated = true;
             break;
         }
-        stats.candidates += total_instances;
-
-        // ---- Canonical merge: k-way walk over per-worker group lists. ----
-        // Only group boundaries are walked serially; record spans stay in
-        // the worker vectors, and occurrences (with their rebuilt child
-        // mappings) are materialized later, in parallel, for admitted
-        // patterns only.
-        let mut groups: Vec<Group> = Vec::new();
-        {
-            let mut idx = vec![0usize; outs.len()];
-            loop {
-                let mut best: Option<usize> = None;
-                for (w, out) in outs.iter().enumerate() {
-                    if idx[w] >= out.groups.len() {
-                        continue;
-                    }
-                    let key = out.groups[idx[w]].0;
-                    best = Some(match best {
-                        None => w,
-                        Some(bw) => {
-                            if key < outs[bw].groups[idx[bw]].0 {
-                                w
-                            } else {
-                                bw
-                            }
-                        }
-                    });
-                }
-                let Some(wi) = best else { break };
-                let (key, start, end) = outs[wi].groups[idx[wi]];
-                idx[wi] += 1;
-                if groups.last().is_none_or(|grp| grp.key != key) {
-                    groups.push(Group {
-                        key,
-                        spans: SmallVec::new(),
-                        canon: CanonString(Vec::new()),
-                        center: (0, None),
-                        support: Vec::new(),
-                    });
-                }
-                groups
-                    .last_mut()
-                    .expect("group pushed above")
-                    .spans
-                    .push((wi as u32, start, end));
-            }
-        }
-        let records =
-            |&(w, s, e): &(u32, u32, u32)| &outs[w as usize].cands[s as usize..e as usize];
-        // A kind's first instance in (gid, edge set) order: spans are sorted
-        // that way and hold disjoint graphs.
-        let first_instance = |grp: &Group| {
-            grp.spans
-                .iter()
-                .map(|span| &records(span)[0])
-                .min_by_key(|c| c.gid)
-                .expect("a kind has a record")
+        stats.candidates += generated;
+        let kind_at = |(c, k): (u32, u32)| {
+            let chunk = &chunks[c as usize];
+            (chunk, &chunk.kinds[k as usize])
+        };
+        let tokens_of = |ck| {
+            let (chunk, kind) = kind_at(ck);
+            &chunk.tokens[kind.tokens.clone()]
         };
 
-        // Per kind, in parallel: the child's canonical string and center,
-        // encoded from its first instance in the host graph, and its support.
-        for_each_encoding(pool, workers, shard, &mut groups, |enc, grp| {
-            let first = first_instance(grp);
-            let g = &db[first.gid as usize];
-            let (tokens, center) = encode_in_host(enc, g, &first.edges, None, VertexId(first.leaf));
-            grp.canon = CanonString(tokens.to_vec());
-            // The child's mapping is the parent's plus the leaf.
-            let (pidx, ridx, ..) = grp.key;
-            let parent = &level_ref[pidx as usize].reps[ridx as usize].occs[first.occ as usize];
-            let vertex_of = |h: VertexId| {
-                parent
-                    .mapping
-                    .iter()
-                    .chain([&first.leaf])
-                    .position(|&m| m == h.0)
-                    .expect("the center lies in the instance") as u32
-            };
-            grp.center = match center {
-                Center::Vertex(v) => (vertex_of(v), None),
-                Center::Edge(e) => {
-                    let e = g.edge(e);
-                    let (a, b) = (vertex_of(e.u), vertex_of(e.v));
-                    (a.min(b), Some(a.max(b)))
-                }
-            };
-            grp.support = grp
-                .spans
-                .iter()
-                .flat_map(|span| records(span).iter().map(|c| c.gid))
-                .collect();
-            grp.support.sort_unstable();
-            grp.support.dedup();
-        });
-
-        // Group kinds by canonical string, in kind order, so each pattern's
-        // representatives keep their ExtKey order. A pattern of one kind
-        // takes that kind's support; the others union theirs in parallel.
+        // Group kinds by canonical string, in kind order; a class's support
+        // is the union of its kinds' graphs.
         let mut classes: Vec<Class> = Vec::new();
-        {
-            let mut class_of: FxHashMap<&CanonString, u32> = FxHashMap::default();
-            for (k, grp) in groups.iter().enumerate() {
-                let next = classes.len() as u32;
-                let c = *class_of.entry(&grp.canon).or_insert(next);
-                if c == next {
+        let mut class_of: FxHashMap<&[u32], usize> = FxHashMap::default();
+        for (c, chunk) in (0u32..).zip(&chunks) {
+            for k in 0..chunk.kinds.len() as u32 {
+                let next = classes.len();
+                let i = *class_of.entry(tokens_of((c, k))).or_insert(next);
+                if i == next {
                     classes.push(Class {
                         kinds: SmallVec::new(),
                         support: Vec::new(),
                     });
                 }
-                classes[c as usize].kinds.push(k as u32);
+                classes[i].kinds.push((c, k));
             }
         }
-        for class in classes.iter_mut().filter(|c| c.kinds.len() == 1) {
-            class.support = std::mem::take(&mut groups[class.kinds[0] as usize].support);
-        }
+        drop(class_of);
         pool.for_each_mut(&mut classes, |class| {
-            if class.kinds.len() > 1 {
-                class.support = class
-                    .kinds
-                    .iter()
-                    .flat_map(|&k| &groups[k as usize].support)
-                    .copied()
-                    .collect();
-                class.support.sort_unstable();
-                class.support.dedup();
-            }
+            let mut last = None;
+            class.support = class
+                .kinds
+                .iter()
+                .flat_map(|&ck| {
+                    let (chunk, kind) = kind_at(ck);
+                    let occs = &rep(kind.rep).occs;
+                    chunk.exts[kind.exts.clone()]
+                        .iter()
+                        .map(|x| occs[x.occ as usize].gid)
+                })
+                .filter(|&gid| last.replace(gid) != Some(gid))
+                .collect();
+            class.support.sort_unstable();
+            class.support.dedup();
         });
 
         // Survivors of the support filter, in canon order, up to the
         // `max_patterns` room left, are admitted; the pass below applies
         // the γ test to them and materializes the occurrences that are
         // needed.
-        let level_kinds = groups.len() as u64;
+        let level_kinds: usize = chunks.iter().map(|c| c.kinds.len()).sum();
         let level_candidates = classes.len() as u64;
         classes.retain(|c| c.support.len() >= next_threshold);
         let level_patterns = classes.len();
-        classes.sort_unstable_by(|a, b| {
-            groups[a.kinds[0] as usize]
-                .canon
-                .cmp(&groups[b.kinds[0] as usize].canon)
-        });
+        classes.sort_unstable_by(|a, b| tokens_of(a.kinds[0]).cmp(tokens_of(b.kinds[0])));
         let room = limits.max_patterns - frequent;
         classes.truncate(room);
         let mut admitted: Vec<Admitted> = classes
             .into_iter()
             .map(|class| Admitted {
                 pattern: Pattern {
-                    canon: std::mem::replace(
-                        &mut groups[class.kinds[0] as usize].canon,
-                        CanonString(Vec::new()),
-                    ),
+                    canon: CanonString(tokens_of(class.kinds[0]).to_vec()),
                     support: class.support,
                     reps: class
                         .kinds
                         .iter()
-                        .map(|&k| Rep {
-                            center: groups[k as usize].center,
+                        .map(|&ck| Rep {
+                            center: kind_at(ck).1.center,
                             occs: Vec::new(),
                         })
                         .collect(),
@@ -869,53 +736,52 @@ pub fn mine_frequent_trees_pool_obs(
 
         // In parallel per admitted pattern: the γ test on the first instance
         // of its first kind, then its occurrence lists if they are needed —
-        // to grow the next level or for its center columns — rebuilding each
-        // child mapping from its parent occurrence plus the new leaf and
-        // sorting by (gid, edges), since worker gid ranges interleave and
-        // the span concatenation is not globally ordered by itself.
+        // to grow the next level or for its center columns — each child
+        // built from its parent occurrence plus the new edge and leaf.
         for_each_encoding(pool, workers, shard, &mut admitted, |enc, adm| {
             let p = &mut adm.pattern;
-            let first = first_instance(&groups[adm.kinds[0] as usize]);
-            let parent = &level_ref[first.key.0 as usize].support;
-            let g = &db[first.gid as usize];
+            let (chunk, first) = kind_at(adm.kinds[0]);
+            let x = &chunk.exts[first.exts.start];
+            let parent = &rep(first.rep).occs[x.occ as usize];
+            let g = &db[parent.gid as usize];
+            let edges = with_edge(&parent.edges, x.edge);
             let keep = gamma_keeps(
                 p.support.len(),
-                parent,
+                &level_ref[first.rep.0 as usize].support,
                 level_ref,
                 gamma,
                 enc,
                 g,
-                &first.edges,
+                &edges,
             );
             if !(keep || grow) {
                 return;
             }
-            for (rep, &k) in p.reps.iter_mut().zip(&adm.kinds) {
-                let grp = &groups[k as usize];
-                let total: usize = grp.spans.iter().map(|&(_, s, e)| (e - s) as usize).sum();
-                rep.occs.reserve_exact(total);
-                for c in grp.spans.iter().flat_map(records) {
-                    let parent =
-                        &level_ref[c.key.0 as usize].reps[c.key.1 as usize].occs[c.occ as usize];
-                    let mut mapping = parent.mapping.clone();
-                    mapping.push(c.leaf);
-                    rep.occs.push(Instance {
-                        gid: c.gid,
-                        mapping,
-                        edges: c.edges.clone(),
-                    });
-                }
-                sort_occs(&mut rep.occs);
+            for (child, &ck) in p.reps.iter_mut().zip(&adm.kinds) {
+                let (chunk, kind) = kind_at(ck);
+                let occs = &rep(kind.rep).occs;
+                child.occs = chunk.exts[kind.exts.clone()]
+                    .iter()
+                    .map(|x| {
+                        let parent = &occs[x.occ as usize];
+                        let mut mapping = parent.mapping.clone();
+                        mapping.push(x.leaf);
+                        Instance {
+                            gid: parent.gid,
+                            mapping,
+                            edges: with_edge(&parent.edges, x.edge),
+                        }
+                    })
+                    .collect();
             }
             if keep {
                 adm.mined = Some(mined_tree(db, p));
             }
         });
-        drop(groups);
-        drop(outs);
+        drop(chunks);
         result.extend(admitted.iter_mut().filter_map(|adm| adm.mined.take()));
         let next: Vec<Pattern> = admitted.into_iter().map(|adm| adm.pattern).collect();
-        shard.add(&format!("{level_name}.kinds"), level_kinds);
+        shard.add(&format!("{level_name}.kinds"), level_kinds as u64);
         shard.add(&format!("{level_name}.candidates"), level_candidates);
         shard.add(&format!("{level_name}.patterns"), level_patterns as u64);
         shard.add(
@@ -1101,9 +967,10 @@ mod tests {
         );
         let path = [1, 2];
         let mut enc = SubtreeEncoder::default();
-        let subs: Vec<(u32, CanonString)> = leaf_edges(&g, &path)
+        let subs: Vec<(u32, CanonString)> = leaves(&g, &path)
             .into_iter()
-            .map(|(leaf_edge, inner)| {
+            .map(|(leaf, leaf_edge)| {
+                let inner = g.edge(EdgeId(leaf_edge)).other(leaf);
                 let (tokens, _) = encode_in_host(&mut enc, &g, &path, Some(leaf_edge), inner);
                 (leaf_edge, CanonString(tokens.to_vec()))
             })

@@ -357,6 +357,30 @@ proptest! {
         prop_assert_eq!(keyed(mined), reference::mine_enum(&db, &sigma));
     }
 
+    /// Each instance is generated once, from its canonical parent, so no
+    /// duplicate is left to remove: with σ ≡ 1 every subtree is frequent,
+    /// and the instances generated are exactly the database's acyclic
+    /// connected edge subsets of 2..=η edges, at any pool size.
+    #[test]
+    fn each_instance_is_generated_once(
+        db in proptest::collection::vec(arb_connected_graph(7), 1..6),
+        eta in 2usize..5,
+    ) {
+        let sigma = SigmaFn { alpha: eta, beta: 1.0, eta };
+        let mut subtrees = 0;
+        for g in &db {
+            let _ = graph_core::for_each_subtree_edge_subset(g, eta, |edges| {
+                subtrees += usize::from(edges.len() >= 2);
+                ControlFlow::Continue(())
+            });
+        }
+        for threads in [1usize, 2, 8] {
+            let (_, stats) = mine_on(&db, &sigma, 0.0, &MiningLimits::default(), threads);
+            prop_assert!(!stats.truncated);
+            prop_assert_eq!(stats.candidates, subtrees, "threads={}", threads);
+        }
+    }
+
     /// The miner's center columns are the posting lists an exhaustive VF2
     /// search would produce — at any pool size, truncated or not.
     #[test]

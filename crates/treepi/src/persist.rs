@@ -43,8 +43,10 @@
 //! blank slot has none), every label at most
 //! [`graph_core::MAX_LABEL`] (canonical strings offset labels past their
 //! tags), no two features with one canonical string, a fixed δ at most
-//! `MAX_FIXED_DELTA` (every query loops over it). A file crafted past those
-//! checks can make answers wrong, but cannot make a query panic or spin.
+//! `MAX_FIXED_DELTA` (every query loops over it), and σ(1) = 1 (an index
+//! that misses a single edge of the database answers queries short). A
+//! file crafted past those checks can make answers wrong, but cannot make
+//! a query panic or spin.
 //! (The mining limits only bound a re-mine and are taken as written.)
 //!
 //! The maintenance epoch is part of the format because epoch-keyed result
@@ -263,6 +265,9 @@ impl TreePiIndex {
             beta: r.f64()?,
             eta: r.u32()? as usize,
         };
+        if sigma.threshold(1) != Some(1) {
+            return Err(bad("σ(1) is not 1, so the index would not be complete"));
+        }
         let gamma = r.f64()?;
         let delta = match (r.u8()?, r.u64()?) {
             (0, n) if n <= MAX_FIXED_DELTA as u64 => Delta::Fixed(n as usize),
@@ -629,6 +634,22 @@ mod tests {
         let idx = load(&m).unwrap();
         assert_eq!(idx.params().sigma.eta, u32::MAX as usize);
         assert_eq!(answers(&idx), answers(&sample_index()));
+    }
+
+    #[test]
+    fn rejects_sigma_one_above_one() {
+        // α is the u32 at offset 4, β the f64 at offset 8: α = 0 with β = 2
+        // sets σ(1) = 3, and single edges in fewer graphs go unindexed.
+        let mut m = saved(&sample_index());
+        m[4..8].copy_from_slice(&0u32.to_le_bytes());
+        reseal(&mut m);
+        let err = load(&m).err().expect("σ(1) = 3 accepted");
+        assert!(err.to_string().contains("σ(1) is not 1"), "{err}");
+        // With β = 0 as well, σ ≡ 1 up to η: complete again.
+        m[8..16].copy_from_slice(&0f64.to_le_bytes());
+        reseal(&mut m);
+        let idx = load(&m).expect("σ ≡ 1 refused");
+        assert_eq!(idx.params().sigma.threshold(1), Some(1));
     }
 
     #[test]
