@@ -15,6 +15,4 @@ pub mod tree_miner;
 
 pub use graph_miner::{mine_frequent_subgraphs, MinedGraph, PsiFn};
 pub use support::{intersect, intersect_into, intersect_many, SigmaFn, SupportSet};
-pub use tree_miner::{
-    mine_frequent_trees, mine_frequent_trees_pool_obs, MinedTree, MiningLimits, MiningStats,
-};
+pub use tree_miner::{mine_frequent_trees, mine_frequent_trees_pool_obs, MinedTree, MiningStats};

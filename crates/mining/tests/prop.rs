@@ -48,16 +48,15 @@ fn mine_on(
     db: &[Graph],
     sigma: &SigmaFn,
     gamma: f64,
-    limits: &MiningLimits,
     threads: usize,
 ) -> (Vec<MinedTree>, MiningStats) {
     let pool = graph_core::par::Pool::new(threads);
-    mine_frequent_trees_pool_obs(db, sigma, gamma, limits, &pool, &obs::Shard::disabled())
+    mine_frequent_trees_pool_obs(db, sigma, gamma, &pool, &obs::Shard::disabled())
 }
 
 /// Every frequent tree (γ = 0 keeps them all), on one seat.
-fn mine_all(db: &[Graph], sigma: &SigmaFn, limits: &MiningLimits) -> (Vec<MinedTree>, MiningStats) {
-    mine_frequent_trees(db, sigma, 0.0, limits)
+fn mine_all(db: &[Graph], sigma: &SigmaFn) -> (Vec<MinedTree>, MiningStats) {
+    mine_frequent_trees(db, sigma, 0.0)
 }
 
 fn keyed(mined: Vec<MinedTree>) -> Vec<(tree_core::CanonString, Vec<u32>)> {
@@ -126,7 +125,7 @@ fn miners_agree_on_small_databases() {
             let sigma = SigmaFn { alpha, beta, eta };
             let a = reference::mine_enum(db, &sigma);
             let b = reference::mine_apriori(db, &sigma);
-            let c = keyed(mine_all(db, &sigma, &MiningLimits::default()).0);
+            let c = keyed(mine_all(db, &sigma).0);
             assert_eq!(a, b, "enum vs apriori disagree for sigma {sigma:?}");
             assert_eq!(a, c, "enum vs levelwise disagree for sigma {sigma:?}");
         }
@@ -160,18 +159,11 @@ fn columns_on_fixed_databases() {
     };
     for db in [two_reps(0, 1), two_reps(1, 0), star] {
         let mut kinds = [false; 2];
-        for cap in [usize::MAX, 3, 2] {
-            let limits = MiningLimits {
-                max_patterns: cap,
-                ..MiningLimits::default()
-            };
-            for threads in [1, 2, 8] {
-                let (mined, stats) = mine_on(&db, &sigma, 0.0, &limits, threads);
-                assert_eq!(stats.truncated, cap != usize::MAX, "cap {cap}");
-                assert!(mined.len() <= cap);
-                let seen = assert_columns_equal_vf2(&db, &mined);
-                kinds = [kinds[0] | seen[0], kinds[1] | seen[1]];
-            }
+        for threads in [1, 2, 8] {
+            let (mined, stats) = mine_on(&db, &sigma, 0.0, threads);
+            assert!(!stats.truncated);
+            let seen = assert_columns_equal_vf2(&db, &mined);
+            kinds = [kinds[0] | seen[0], kinds[1] | seen[1]];
         }
         assert_eq!(kinds, [true; 2], "vertex- and edge-centered trees");
     }
@@ -197,9 +189,8 @@ fn three_hundred_seats_mine_what_one_seat_does() {
         beta: 2.0,
         eta: 4,
     };
-    let limits = MiningLimits::default();
-    let (base, base_stats) = mine_on(&db, &sigma, 1.5, &limits, 1);
-    let (wide, wide_stats) = mine_on(&db, &sigma, 1.5, &limits, 300);
+    let (base, base_stats) = mine_on(&db, &sigma, 1.5, 1);
+    let (wide, wide_stats) = mine_on(&db, &sigma, 1.5, 300);
     assert_eq!(wide_stats, base_stats);
     assert_eq!(wide.len(), base.len());
     for (a, b) in base.iter().zip(&wide) {
@@ -281,7 +272,7 @@ proptest! {
     ) {
         let sigma = SigmaFn { alpha, beta: beta as f64, eta: eta.max(alpha) };
         let a = reference::mine_enum(&db, &sigma);
-        let b = keyed(mine_all(&db, &sigma, &MiningLimits::default()).0);
+        let b = keyed(mine_all(&db, &sigma).0);
         let c = reference::mine_apriori(&db, &sigma);
         prop_assert_eq!(&a, &b, "enum vs levelwise");
         prop_assert_eq!(&a, &c, "enum vs apriori");
@@ -292,7 +283,7 @@ proptest! {
         db in proptest::collection::vec(arb_connected_graph(6), 1..6),
     ) {
         let sigma = SigmaFn { alpha: 2, beta: 1.0, eta: 3 };
-        let (mined, _) = mine_all(&db, &sigma, &MiningLimits::default());
+        let (mined, _) = mine_all(&db, &sigma);
         for m in &mined {
             let tree = m.canon.decode();
             let brute: Vec<u32> = db
@@ -325,10 +316,9 @@ proptest! {
         eta in 2usize..5,
     ) {
         let sigma = SigmaFn { alpha, beta: beta as f64, eta: eta.max(alpha) };
-        let limits = MiningLimits::default();
-        let (base, base_stats) = mine_on(&db, &sigma, 0.0, &limits, 1);
+        let (base, base_stats) = mine_on(&db, &sigma, 0.0, 1);
         for threads in [2usize, 3, 8] {
-            let (mined, stats) = mine_on(&db, &sigma, 0.0, &limits, threads);
+            let (mined, stats) = mine_on(&db, &sigma, 0.0, threads);
             prop_assert_eq!(stats, base_stats, "stats differ at threads={}", threads);
             prop_assert_eq!(mined.len(), base.len(), "pattern count differs at threads={}", threads);
             for (a, b) in base.iter().zip(&mined) {
@@ -352,7 +342,7 @@ proptest! {
         eta in 2usize..4,
     ) {
         let sigma = SigmaFn { alpha, beta: 1.0, eta: eta.max(alpha) };
-        let (mined, _) = mine_on(&db, &sigma, 0.0, &MiningLimits::default(), 8);
+        let (mined, _) = mine_on(&db, &sigma, 0.0, 8);
 
         prop_assert_eq!(keyed(mined), reference::mine_enum(&db, &sigma));
     }
@@ -375,60 +365,24 @@ proptest! {
             });
         }
         for threads in [1usize, 2, 8] {
-            let (_, stats) = mine_on(&db, &sigma, 0.0, &MiningLimits::default(), threads);
+            let (_, stats) = mine_on(&db, &sigma, 0.0, threads);
             prop_assert!(!stats.truncated);
             prop_assert_eq!(stats.candidates, subtrees, "threads={}", threads);
         }
     }
 
     /// The miner's center columns are the posting lists an exhaustive VF2
-    /// search would produce — at any pool size, truncated or not.
+    /// search would produce, at any pool size.
     #[test]
     fn columns_equal_vf2_center_positions(
         db in proptest::collection::vec(arb_connected_graph(7), 1..8),
         alpha in 1usize..4,
         eta in 2usize..5,
-        cap in 0usize..12,
     ) {
         let sigma = SigmaFn { alpha, beta: 1.0, eta: eta.max(alpha) };
-        // Every third case or so runs uncapped.
-        let max_patterns = if cap < 4 { usize::MAX } else { cap - 3 };
-        let limits = MiningLimits { max_patterns, ..MiningLimits::default() };
         for threads in [1usize, 2, 8] {
-            let (mined, _) = mine_on(&db, &sigma, 0.0, &limits, threads);
+            let (mined, _) = mine_on(&db, &sigma, 0.0, threads);
             assert_columns_equal_vf2(&db, &mined);
-        }
-    }
-
-    /// `max_patterns` truncation is deterministic under parallelism: the
-    /// cutoff is taken in (size, canonical string) order, so a truncated
-    /// parallel mine equals a truncated serial mine, and both equal the
-    /// (size, canon)-ordered prefix of the untruncated result.
-    #[test]
-    fn truncation_is_thread_count_invariant(
-        db in proptest::collection::vec(arb_connected_graph(6), 2..7),
-        cap in 1usize..12,
-    ) {
-        let sigma = SigmaFn { alpha: 2, beta: 1.0, eta: 3 };
-        let full_limits = MiningLimits::default();
-        let capped = MiningLimits { max_patterns: cap, ..full_limits };
-        let (serial, serial_stats) = mine_on(&db, &sigma, 0.0, &capped, 1);
-        for threads in [2usize, 8] {
-            let (par, par_stats) = mine_on(&db, &sigma, 0.0, &capped, threads);
-            prop_assert_eq!(par_stats, serial_stats, "threads={}", threads);
-            prop_assert_eq!(keyed(par), keyed(serial.clone()), "threads={}", threads);
-        }
-        // The truncated result is a prefix of the untruncated one in the
-        // documented (size, canon) order.
-        let (full, full_stats) = mine_on(&db, &sigma, 0.0, &full_limits, 1);
-        prop_assert!(!full_stats.truncated);
-        prop_assert_eq!(serial.len(), full.len().min(cap));
-        if full.len() > cap {
-            prop_assert!(serial_stats.truncated);
-        }
-        for (a, b) in serial.iter().zip(&full) {
-            prop_assert_eq!(&a.canon, &b.canon, "not a (size, canon) prefix");
-            prop_assert_eq!(&a.support, &b.support);
         }
     }
 
@@ -438,12 +392,11 @@ proptest! {
         gamma in 1u32..4,
     ) {
         let sigma = SigmaFn { alpha: 3, beta: 1.0, eta: 3 };
-        let limits = MiningLimits::default();
-        let (mined, _) = mine_all(&db, &sigma, &limits);
+        let (mined, _) = mine_all(&db, &sigma);
         let before: std::collections::HashSet<_> =
             mined.iter().map(|m| m.canon.clone()).collect();
         let singles: Vec<_> = mined.iter().filter(|m| m.size() == 1).map(|m| m.canon.clone()).collect();
-        let (kept, stats) = mine_frequent_trees(&db, &sigma, gamma as f64, &limits);
+        let (kept, stats) = mine_frequent_trees(&db, &sigma, gamma as f64);
         prop_assert_eq!(stats.patterns, mined.len(), "γ changed what was mined");
         for m in &kept {
             prop_assert!(before.contains(&m.canon), "shrinking invented a feature");
@@ -456,33 +409,23 @@ proptest! {
     }
 
     /// The γ test inside the miner keeps exactly what the reference shrink
-    /// keeps of the frequent trees — of all of them, or of the
-    /// (size, canon)-ordered prefix `max_patterns` cuts — at any pool size,
-    /// and the kept trees' center columns are an exhaustive search's.
+    /// keeps of the frequent trees, at any pool size, and the kept trees'
+    /// center columns are an exhaustive search's.
     #[test]
     fn gamma_shrink_equals_reference(
         db in proptest::collection::vec(arb_connected_graph(6), 1..6),
         alpha in 1usize..3,
         eta in 2usize..4,
-        cap in 1usize..12,
     ) {
         let sigma = SigmaFn { alpha, beta: 1.0, eta: eta.max(alpha) };
-        let mut frequent = reference::mine_enum(&db, &sigma);
-        frequent.sort_by(|a, b| (a.0.edge_count(), &a.0).cmp(&(b.0.edge_count(), &b.0)));
-        for max_patterns in [usize::MAX, cap] {
-            let prefix = &frequent[..frequent.len().min(max_patterns)];
-            let limits = MiningLimits { max_patterns, ..MiningLimits::default() };
-            for gamma in [0.0, 1.0, 1.5, 2.0, 3.0] {
-                let want = reference::shrink(prefix, gamma);
-                for threads in [1usize, 2, 8] {
-                    let (mined, stats) = mine_on(&db, &sigma, gamma, &limits, threads);
-                    prop_assert_eq!(stats.patterns, prefix.len());
-                    assert_columns_equal_vf2(&db, &mined);
-                    prop_assert_eq!(
-                        keyed(mined), want.clone(),
-                        "γ={} threads={} cap={}", gamma, threads, max_patterns
-                    );
-                }
+        let frequent = reference::mine_enum(&db, &sigma);
+        for gamma in [0.0, 1.0, 1.5, 2.0, 3.0] {
+            let want = reference::shrink(&frequent, gamma);
+            for threads in [1usize, 2, 8] {
+                let (mined, stats) = mine_on(&db, &sigma, gamma, threads);
+                prop_assert_eq!(stats.patterns, frequent.len());
+                assert_columns_equal_vf2(&db, &mined);
+                prop_assert_eq!(keyed(mined), want.clone(), "γ={} threads={}", gamma, threads);
             }
         }
     }

@@ -1,7 +1,7 @@
 //! TreePi configuration (paper §4.1.3 heuristics and §6.1 settings). Every
 //! field shapes the index; δ alone is stored and read by no query.
 
-use mining::{MiningLimits, SigmaFn};
+use mining::SigmaFn;
 
 /// The paper's number of randomized partition runs δ per query (§5.1).
 /// Persisted and validated in the index file, and ignored by queries: the
@@ -40,8 +40,6 @@ pub struct TreePiParams {
     /// Partition runs per query (§5.1); the paper uses δ = |q|. Persisted,
     /// ignored by queries (see [`Delta`]).
     pub delta: Delta,
-    /// Mining safety limits.
-    pub limits: MiningLimits,
 }
 
 impl Default for TreePiParams {
@@ -52,7 +50,6 @@ impl Default for TreePiParams {
             sigma: SigmaFn::paper_default(),
             gamma: 1.5,
             delta: Delta::QuerySize,
-            limits: MiningLimits::default(),
         }
     }
 }

@@ -3,11 +3,11 @@
 //! extraction) is paid once and reloaded instantly, the way the paper's
 //! motivating "search and registration systems" operate.
 //!
-//! A file holds the index's primary facts, each exactly once (version 4):
+//! A file holds the index's primary facts, each exactly once (version 5):
 //!
 //! ```text
-//! magic    "TPI4"
-//! params   α u32, β f64, η u32, γ f64, δ (tag u8, runs u64), limits 2 × u64
+//! magic    "TPI5"
+//! params   α u32, β f64, η u32, γ f64, δ (tag u8, runs u64)
 //! database |db| u32, |db| × graph, |db| × active flag u8
 //! features |F| u32, |F| × { tree graph, posting list }
 //! mining   mined u64, truncated u8
@@ -25,13 +25,13 @@
 //! or edge ids according to the center of the feature's tree; the heap
 //! keeps the same 4-byte ids, so the columns move in and out verbatim. A
 //! tree is written decoded from its feature's canonical string, so in
-//! canonical vertex order; any numbering of it (the miner's, in older
-//! files) loads to the same feature. Everything else an index holds — the sorted
-//! directory, the shape filter, the per-vertex signatures ([`crate::sig`])
-//! and the [`TreePiIndex::stats`] counters — is a function of these facts
-//! and is recomputed on load, so no two parts of a file can disagree. A
-//! removed graph's slot is the empty graph in memory and so in the file;
-//! the loader blanks inactive slots whatever the file holds there.
+//! canonical vertex order; any numbering of it loads to the same feature.
+//! Everything else an index holds — the sorted directory, the shape filter,
+//! the per-vertex signatures ([`crate::sig`]) and the [`TreePiIndex::stats`]
+//! counters — is a function of these facts and is recomputed on load, so no
+//! two parts of a file can disagree. A removed graph's slot is the empty
+//! graph in memory and so in the file; the loader blanks inactive slots
+//! whatever the file holds there.
 //!
 //! [`TreePiIndex::load`] returns an error or a sound index, never a bad
 //! one. The checksum catches accidental damage (any single changed byte,
@@ -47,7 +47,6 @@
 //! that misses a single edge of the database answers queries short). A
 //! file crafted past those checks can make answers wrong, but cannot make
 //! a query panic or spin.
-//! (The mining limits only bound a re-mine and are taken as written.)
 //!
 //! The maintenance epoch is part of the format because epoch-keyed result
 //! caches survive across save/load boundaries only if the epoch does too:
@@ -56,20 +55,21 @@
 //! maintenance applied between save and reload would be invisible to
 //! invalidation).
 //!
-//! Only version 4 loads. Files of the earlier versions (`TPI1`–`TPI3`,
-//! which stored derived data next to the facts and carried no checksum)
-//! are rejected with an error naming the version — rebuild the index file
-//! with this version.
+//! Only version 5 loads. Files of the earlier versions are rejected with an
+//! error naming the version — rebuild the index file with this version:
+//! `TPI1`–`TPI3` stored derived data next to the facts and carried no
+//! checksum, and `TPI4` stored two mining limits after δ, which the miner no
+//! longer has.
 
 use crate::index::{blank_slot, Feature, TreePiIndex};
 use crate::params::{Delta, TreePiParams, MAX_FIXED_DELTA};
 use bytes::BufMut;
 use graph_core::{ELabel, Graph, GraphBuilder, VLabel, VertexId, MAX_LABEL};
-use mining::{MiningLimits, SigmaFn};
+use mining::SigmaFn;
 use std::io::{self, Read, Write};
 use tree_core::{CanonString, SubtreeEncoder, Tree};
 
-const MAGIC: &[u8; 4] = b"TPI4";
+const MAGIC: &[u8; 4] = b"TPI5";
 
 fn bad(msg: &str) -> io::Error {
     io::Error::new(
@@ -215,8 +215,6 @@ impl TreePiIndex {
         };
         buf.put_u8(tag);
         buf.put_u64_le(runs);
-        buf.put_u64_le(p.limits.max_patterns as u64);
-        buf.put_u64_le(p.limits.max_candidates_per_level as u64);
         buf.put_u32_le(self.db().len() as u32);
         for g in self.db() {
             put_graph(&mut buf, g);
@@ -245,9 +243,13 @@ impl TreePiIndex {
         r.read_to_end(&mut data)?;
         let body = match data.split_first_chunk::<4>() {
             Some((magic, rest)) if magic == MAGIC => rest,
-            Some(([b'T', b'P', b'I', v @ b'1'..=b'3'], _)) => {
+            Some(([b'T', b'P', b'I', v @ b'1'..=b'4'], _)) => {
+                let what = match v {
+                    b'4' => "stores mining limits",
+                    _ => "stores derived data, no checksum",
+                };
                 return Err(bad(&format!(
-                    "version-{} file (stores derived data, no checksum); rebuild the index file",
+                    "version-{} file ({what}); rebuild the index file",
                     char::from(*v)
                 )));
             }
@@ -275,15 +277,10 @@ impl TreePiIndex {
             (1, 0) => Delta::QuerySize,
             _ => return Err(bad("unknown delta encoding")),
         };
-        let limits = MiningLimits {
-            max_patterns: r.u64()? as usize,
-            max_candidates_per_level: r.u64()? as usize,
-        };
         let params = TreePiParams {
             sigma,
             gamma,
             delta,
-            limits,
         };
         // A graph is at least two counts, plus its active flag.
         let n_db = r.count(9)?;
@@ -422,9 +419,9 @@ mod tests {
         let bytes = saved(&idx);
         let mut db_part = Vec::new();
         idx.db().iter().for_each(|g| put_graph(&mut db_part, g));
-        // The features follow the 57-byte head, the graphs, their active
+        // The features follow the 41-byte head, the graphs, their active
         // flags and |F|.
-        let mut at = 57 + db_part.len() + idx.db().len() + 4;
+        let mut at = 41 + db_part.len() + idx.db().len() + 4;
         let mut m = bytes.clone();
         let mut renumbered = 0;
         for f in idx.features() {
@@ -483,7 +480,7 @@ mod tests {
 
     #[test]
     fn rejects_earlier_versions() {
-        for version in ['1', '2', '3'] {
+        for version in ['1', '2', '3', '4'] {
             let mut bytes = saved(&sample_index());
             bytes[3] = version as u8;
             let err = load(&bytes).err().expect("old version accepted");
@@ -549,8 +546,8 @@ mod tests {
         let bytes = saved(&idx);
         let mut db_part = Vec::new();
         idx.db().iter().for_each(|g| put_graph(&mut db_part, g));
-        // The active flags follow the 57-byte head and the graphs.
-        let flags_at = 57 + db_part.len();
+        // The active flags follow the 41-byte head and the graphs.
+        let flags_at = 41 + db_part.len();
         assert_eq!(bytes[flags_at..flags_at + 4], [1; 4]);
         // Flagged inactive in a resealed file, the lone vertex loads blank.
         let mut m = bytes.clone();
@@ -579,9 +576,9 @@ mod tests {
         let bytes = saved(&idx);
         let mut db_part = Vec::new();
         idx.db().iter().for_each(|g| put_graph(&mut db_part, g));
-        // |F| follows the 57-byte head, the graphs and their active flags;
+        // |F| follows the 41-byte head, the graphs and their active flags;
         // mined, truncated and the epoch (17 bytes) precede the checksum.
-        let count_at = 57 + db_part.len() + idx.db().len();
+        let count_at = 41 + db_part.len() + idx.db().len();
         let n = idx.feature_count() as u32;
         assert_eq!(bytes[count_at..count_at + 4], n.to_le_bytes());
         let tail_at = bytes.len() - 8 - 17;
@@ -601,12 +598,12 @@ mod tests {
 
     #[test]
     fn bounds_labels() {
-        // Bytes 61..65 are the first vertex label of graph 0, 89..93 its
+        // Bytes 45..49 are the first vertex label of graph 0, 73..77 its
         // first edge label. A label above the bound would overflow the tag
         // offset of canonical strings (a panic in debug builds, a forged
         // tag token in release builds).
         let bytes = saved(&sample_index());
-        for at in [61, 89] {
+        for at in [45, 73] {
             let mut m = bytes.clone();
             m[at..at + 4].copy_from_slice(&MAX_LABEL.to_le_bytes());
             reseal(&mut m);
@@ -620,12 +617,12 @@ mod tests {
 
     #[test]
     fn oversized_counts_and_eta_do_not_allocate() {
-        // Byte 56 is the high byte of |db|; η is the u32 at offset 16. Both
+        // Byte 40 is the high byte of |db|; η is the u32 at offset 16. Both
         // used to reach `Vec::with_capacity` unchecked (308 GB on load,
         // 17 GB on the first query).
         let bytes = saved(&sample_index());
         let mut m = bytes.clone();
-        m[56] ^= 0xFF;
+        m[40] ^= 0xFF;
         reseal(&mut m);
         assert!(load(&m).is_err());
         let mut m = bytes.clone();

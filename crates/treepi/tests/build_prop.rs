@@ -28,24 +28,24 @@ fn save_bytes(idx: &TreePiIndex) -> Vec<u8> {
 }
 
 /// The database of `treepi gen --chem 40 --seed 11` under the paper's
-/// default parameters builds this file at every worker count: 67 886 bytes
-/// ending — as every `TPI4` file does — in the FNV-1a-64 of everything after
-/// the magic, so the pair pins every byte. Re-recorded once when feature
-/// trees began to be written in canonical vertex order (decoded from their
-/// canonical strings) instead of the miner's: the size is unchanged, and a
-/// file in the earlier order loads and re-saves to these bytes. A change
+/// default parameters builds this file at every worker count: 67 870 bytes
+/// ending — as every `TPI5` file does — in the FNV-1a-64 of everything after
+/// the magic, so the pair pins every byte. Re-recorded when feature trees
+/// began to be written in canonical vertex order (decoded from their
+/// canonical strings) instead of the miner's, with the size unchanged, and
+/// when `TPI5` dropped the two mining-limit words (16 bytes) after δ. A change
 /// that means to alter the index or its format re-records it and says so.
 ///
 /// The same builds are metered, and every deterministic counter, span
 /// count outside the timing-dependent namespaces and `mem.index.*` gauge is
 /// pinned too: extension kinds, mined candidates and patterns per level
-/// under σ(s) (the paper's Fig. 10), the γ test's survivors, that no mining
-/// limit cut the run short, and the heap per structure. Whole maps are compared, so a
+/// under σ(s) (the paper's Fig. 10), the γ test's survivors, that the miner's
+/// per-level guard discarded no level, and the heap per structure. Whole maps are compared, so a
 /// counter that appears or disappears fails as well as one that moves
 /// either way.
 #[test]
 fn fixed_input_builds_the_golden_file() {
-    const GOLDEN: (usize, u64) = (67_886, 0xc6fd_21fc_d532_ee98);
+    const GOLDEN: (usize, u64) = (67_870, 0x2f39_0685_7960_c02b);
     const TOTALS: [(&str, u64); 9] = [
         ("build.center_entries", 1_358),
         ("build.center_positions", 2_234),

@@ -78,8 +78,7 @@ fn three_frequent_trees_exist() {
         eta: 3,
     };
     assert_eq!(sigma.threshold(1), Some(3));
-    let limits = mining::MiningLimits::default();
-    let (mined, _) = mining::mine_frequent_trees(&db, &sigma, 0.0, &limits);
+    let (mined, _) = mining::mine_frequent_trees(&db, &sigma, 0.0);
     assert!(!mined.is_empty(), "no 3-frequent trees found");
     for m in &mined {
         assert!(m.support.len() >= 3);
