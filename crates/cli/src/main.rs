@@ -308,9 +308,10 @@ fn run() -> Result<(), String> {
             let t = std::time::Instant::now();
             let index = gindex::GIndex::build(db, gindex::GIndexParams::paper_default(n));
             eprintln!(
-                "gIndex over {n} graphs: {} fragments in {:.2?}",
+                "gIndex over {n} graphs: {} fragments in {:.2?} (mining truncated: {})",
                 index.fragments().len(),
-                t.elapsed()
+                t.elapsed(),
+                index.stats().truncated
             );
             let registry = metrics_registry(&metrics_path, &None);
             let pool = graph_core::par::Pool::new(threads);
