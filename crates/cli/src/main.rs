@@ -390,7 +390,7 @@ fn run() -> Result<(), String> {
             let s = index.stats();
             println!("graphs:            {}", index.active_count());
             println!("features:          {}", index.feature_count());
-            println!("mined (pre-shrink): {}", s.mined);
+            println!("mined (pre-shrink, grown under the γ bound): {}", s.mined);
             println!("mining truncated:  {}", s.truncated);
             println!("center entries:    {}", s.center_entries);
             println!("center positions:  {}", s.center_positions);

@@ -9,7 +9,7 @@
 //!
 //! 1. level 1 = every distinct single-edge tree with **all** of its
 //!    occurrences, one per host edge, from one database scan;
-//! 2. level s+1 = every occurrence of a frequent level-s tree extended by
+//! 2. level s+1 = every occurrence of a growing level-s tree extended by
 //!    one adjacent acyclic host edge larger than the child's other leaf
 //!    edges — so each child occurrence is generated once, from its
 //!    canonical parent, and none needs deduplicating — and grouped by
@@ -22,20 +22,38 @@
 //!    non-decreasing).
 //!
 //! Shrinking judges a tree on its own support and on those of its
-//! leaf-removal subtrees, which are all frequent trees of the level below —
+//! leaf-removal subtrees, which are frequent trees of the level below —
 //! the level the miner holds when it admits the tree. So the γ test runs
 //! there, encoding each leaf removal from the same host occurrence, and only
 //! a tree that passes it leaves the miner, as a [`MinedTree`] carrying its
 //! center positions per supporting graph — the index's posting list
-//! (§4.2.1), ready to store. Every frequent tree, kept or not, feeds the
-//! next level.
+//! (§4.2.1), ready to store.
+//!
+//! The same test bounds the growth. Let d be a tree of t edges that
+//! contains a tree p of s < t edges. A leaf of d lies outside p, so one
+//! leaf-removal subtree of d contains p, and the intersection the test
+//! reads lies within D_p; and |D_d| ≥ σ(t) ≥ σ(s+1). So if
+//! |D_p| / σ(s+1) ≤ γ, then |⋂ D_dᵢ| / |D_d| ≤ γ and d is not kept — both
+//! as the same `f64` division, which is correctly rounded and so monotone.
+//! A level-s pattern grows into level s+1 only if it passes this bound, and
+//! only a growing pattern's occurrences are held. Every proper subtree of a
+//! kept tree passes the bound by the same inequality, so a kept tree, its
+//! leaf removals and all their occurrences are generated and its support,
+//! test and columns are exact. A tree d that loses occurrences contains a
+//! pattern that was not extended: the first on a lost occurrence's chain of
+//! canonical parents. If that one lost occurrences too, repeat with it; the
+//! descent ends at a pattern p, not extended, whose support is exact. Then
+//! either p is infrequent, and so is d, or p fails the bound, and so does
+//! d's test on the supports counted, which lie within the true ones. The
+//! test answers "not kept" for a tree with a leaf removal the level below
+//! does not hold.
 //!
 //! This is deliberately complete: with σ(s) = 1 for s ≤ α (the paper's
 //! completeness requirement) *every* distinct subtree up to α edges is
-//! found, and γ = 0 keeps them all. Nothing inside the miner cuts the
-//! pattern set — the paper bounds it by the choice of σ — and the one guard,
-//! a per-level instance budget, discards a whole level and says so in
-//! [`MiningStats::truncated`].
+//! found, and γ = 0 — under which the bound never fails — keeps them all.
+//! Nothing inside the miner cuts the kept set — the paper bounds it by the
+//! choice of σ — and the one guard, a per-level instance budget, discards a
+//! whole level and says so in [`MiningStats::truncated`].
 
 use crate::support::{intersect_many, SigmaFn, SupportSet};
 use graph_core::par::Pool;
@@ -54,7 +72,7 @@ use tree_core::{CanonString, Center, SubtreeEncoder};
 /// `positions[offsets[r - 1]..offsets[r]]` (from 0 for `r = 0`): ascending,
 /// distinct ids of host vertices when the tree's center is a vertex, of host
 /// edges when it is an edge. They are exhaustive — the miner visits every
-/// occurrence of a frequent tree (see [`mine_frequent_trees_pool_obs`]), and
+/// occurrence of a kept tree (see [`mine_frequent_trees_pool_obs`]), and
 /// an occurrence's center is the image of the tree's center.
 #[derive(Clone, Debug)]
 pub struct MinedTree {
@@ -86,13 +104,64 @@ const MAX_INSTANCES_PER_LEVEL: usize = 20_000_000;
 /// Statistics of one mining run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MiningStats {
-    /// Frequent patterns found (before the γ test), summed over levels.
+    /// Frequent patterns mined, summed over levels: the trees σ admits
+    /// among those grown from patterns that pass the growth bound (see
+    /// [`mine_frequent_trees_pool_obs`]) — every frequent tree at γ = 0, at
+    /// most that many at any γ.
     pub patterns: usize,
     /// Candidates generated (before support counting).
     pub candidates: usize,
     /// Whether a level reached the per-level guard and was discarded, so
     /// mining stopped early.
     pub truncated: bool,
+}
+
+/// The center of a representative as its pattern vertices: one, or the
+/// two ends of the center edge (smaller first).
+type CenterVertices = (u32, Option<u32>);
+
+/// A representative numbering of a pattern's vertices, with its center and
+/// its instances. Several representatives (different numberings) can share
+/// one pattern.
+struct Rep {
+    center: CenterVertices,
+    /// The instance records, sorted by graph, each `2s + 2` words for a
+    /// pattern of `s` edges: the graph, the host vertices of pattern
+    /// vertices `0..=s`, then the sorted host edge ids (see [`parts`]).
+    occs: Vec<u32>,
+}
+
+/// A pattern of one level: its canonical string and support (what the next
+/// level's γ test reads) and its representatives.
+struct Pattern {
+    canon: CanonString,
+    support: SupportSet,
+    reps: Vec<Rep>,
+}
+
+/// An instance record's graph, mapping (pattern vertex -> host vertex) and
+/// sorted host edge ids.
+fn parts(rec: &[u32]) -> (u32, &[u32], &[u32]) {
+    let s = rec.len() / 2 - 1;
+    (rec[0], &rec[1..s + 2], &rec[s + 2..])
+}
+
+/// Instance `i` of records `stride` words long.
+fn record(occs: &[u32], stride: usize, i: u32) -> &[u32] {
+    &occs[i as usize * stride..][..stride]
+}
+
+/// Append to `out` the record of `parent` extended by the host `edge` to a
+/// new `leaf`, which becomes the next pattern vertex.
+fn push_child(out: &mut impl Extend<u32>, parent: &[u32], leaf: u32, edge: u32) {
+    let (gid, mapping, edges) = parts(parent);
+    let at = edges.partition_point(|&e| e < edge);
+    out.extend([gid]);
+    out.extend(mapping.iter().copied());
+    out.extend([leaf]);
+    out.extend(edges[..at].iter().copied());
+    out.extend([edge]);
+    out.extend(edges[at..].iter().copied());
 }
 
 /// Canonical tokens and center of the tree that `edges` (sorted host edge
@@ -127,6 +196,96 @@ fn leaves(g: &Graph, edges: &[u32]) -> SmallVec<[(VertexId, u32); 11]> {
         .filter(|(v, _)| ends.iter().filter(|(w, _)| w == v).count() == 1)
         .copied()
         .collect()
+}
+
+/// A kept pattern as the miner hands it over, with its center columns (see
+/// [`MinedTree`]) read off the instances of all its representatives, which
+/// are sorted by graph: one walk down the support, gathering each graph's
+/// run from every representative. Representatives number their vertices
+/// differently, so each carries its own center; an edge center lands on the
+/// host edge between the images of its two ends; many instances share a
+/// center, so a graph's ids are de-duplicated.
+fn mined_tree(db: &[Graph], p: &Pattern) -> MinedTree {
+    let stride = 2 * p.canon.edge_count() + 2;
+    let mut reps: SmallVec<[(CenterVertices, &[u32]); 2]> = p
+        .reps
+        .iter()
+        .map(|rep| (rep.center, &rep.occs[..]))
+        .collect();
+    let mut offsets = Vec::with_capacity(p.support.len());
+    let mut positions = Vec::new();
+    let mut ids: Vec<u32> = Vec::new();
+    for &gid in &p.support {
+        let g = &db[gid as usize];
+        ids.clear();
+        for ((u, v), occs) in reps.iter_mut() {
+            let run = occs
+                .chunks_exact(stride)
+                .take_while(|o| o[0] == gid)
+                .count();
+            let (here, rest) = occs.split_at(run * stride);
+            ids.extend(here.chunks_exact(stride).map(|o| {
+                let (_, mapping, _) = parts(o);
+                match *v {
+                    None => mapping[*u as usize],
+                    Some(v) => {
+                        let (hu, hv) = (mapping[*u as usize], mapping[v as usize]);
+                        g.edge_between(VertexId(hu), VertexId(hv))
+                            .expect("an instance maps tree edges onto host edges")
+                            .0
+                    }
+                }
+            }));
+            *occs = rest;
+        }
+        debug_assert!(!ids.is_empty(), "a supporting graph holds an instance");
+        ids.sort_unstable();
+        ids.dedup();
+        positions.extend_from_slice(&ids);
+        offsets.push(positions.len() as u32);
+    }
+    debug_assert!(reps.iter().all(|(_, occs)| occs.is_empty()));
+    positions.shrink_to_fit();
+    MinedTree {
+        canon: p.canon.clone(),
+        support: p.support.clone(),
+        offsets,
+        positions,
+    }
+}
+
+/// The shrinking step's test (paper §4.1.2) for a tree `r` of two edges or
+/// more with `support` graphs: keep `r` iff `|⋂ᵢ D_rᵢ| / |D_r| > γ` over
+/// its leaf-removal (maximal proper) subtrees `rᵢ`, which `below`, the
+/// growing patterns of the level under `r` in canonical order, must all
+/// hold — if one is missing, `r` is not kept (see the module doc). The ratio
+/// is at least 1. `parent` is the support of one `rᵢ`, the pattern `r` was
+/// grown from: the intersection lies within it, which often settles the
+/// test before any subtree is encoded. Otherwise each `rᵢ` is encoded from
+/// `r`'s instance `edges` in `g`, leaving one leaf edge out.
+fn gamma_keeps(
+    support: usize,
+    parent: &[u32],
+    below: &[Pattern],
+    gamma: f64,
+    enc: &mut SubtreeEncoder,
+    g: &Graph,
+    edges: &[u32],
+) -> bool {
+    let ratio = |common: usize| common as f64 / support as f64;
+    if ratio(parent.len()) <= gamma {
+        return false;
+    }
+    let mut sets: SmallVec<[&[u32]; 10]> = SmallVec::new();
+    for (leaf, leaf_edge) in leaves(g, edges) {
+        let inner = g.edge(EdgeId(leaf_edge)).other(leaf);
+        let (tokens, _) = encode_in_host(enc, g, edges, Some(leaf_edge), inner);
+        match below.binary_search_by(|p| p.canon.tokens().cmp(tokens)) {
+            Ok(i) => sets.push(below[i].support.as_slice()),
+            Err(_) => return false,
+        }
+    }
+    ratio(intersect_many(&sets, usize::MAX).len()) > gamma
 }
 
 /// Run `f` on every item of `items` with one [`SubtreeEncoder`] per seat:
@@ -176,57 +335,67 @@ pub fn mine_frequent_trees(
 /// re-entrant dispatch is safe because the pool's dispatcher claims its own
 /// job's seats.
 ///
-/// Level s holds every frequent s-edge tree together with **all** of its
+/// Level s holds every frequent s-edge tree that passes the growth bound
+/// `|D_p| / σ(s+1) > γ` (see the module doc) together with **all** of its
 /// occurrence instances: `(graph, mapping)` pairs where the mapping embeds
-/// a fixed *representative* numbering of the pattern's vertices. Level s+1
-/// extends each instance by one adjacent acyclic host edge, but only from
-/// the instance's *canonical parent*: the edge must be larger than every
-/// other leaf edge of the child, so each (s+1)-edge instance is generated
-/// exactly once, from the s-edge instance its largest leaf edge leaves, and
-/// no instance needs deduplicating. The extension's identity is just
-/// `(attach pattern vertex, edge label, leaf label)`, so every instance of
-/// one (representative, extension kind) is an occurrence of the same
-/// numbered child pattern. Its canonical string and center are therefore
-/// computed **once per kind**, by encoding one of its instances in the host
-/// graph ([`SubtreeEncoder::encode`] over the instance's edge set), and
-/// shared by every instance — canonicalization cost scales with the number
-/// of kinds, not the (much larger) number of instances, and no tree is
-/// built. Supports fall out of the instance lists, so no embedding tests are
-/// ever run. Instances of *infrequent* patterns are dropped and never
+/// a fixed *representative* numbering of the pattern's vertices, stored
+/// flat, one record of `2s + 2` words per instance (graph, mapping, sorted
+/// edge ids), in the style of Gaston's embedding lists (Nijssen & Kok
+/// 2004). Level s+1 extends each instance by one adjacent acyclic host
+/// edge, but only from the instance's *canonical parent*: the edge must be
+/// larger than every other leaf edge of the child, so each (s+1)-edge
+/// instance is generated exactly once, from the s-edge instance its largest
+/// leaf edge leaves, and no instance needs deduplicating. The extension's
+/// identity is just `(attach pattern vertex, edge label, leaf label)`, so
+/// every instance of one (representative, extension kind) is an occurrence
+/// of the same numbered child pattern. Its canonical string and center are
+/// therefore computed **once per kind**, by encoding one of its instances in
+/// the host graph ([`SubtreeEncoder::encode`] over the instance's edge set),
+/// and shared by every instance — canonicalization cost scales with the
+/// number of kinds, not the (much larger) number of instances, and no tree
+/// is built. Supports fall out of the instance lists, so no embedding tests
+/// are ever run. Instances of *infrequent* patterns are dropped and never
 /// extended — with the σ(s) thresholds growing past α this prunes the
 /// (combinatorially dominant) large-and-rare subtrees that plain
-/// enumeration would still visit.
+/// enumeration would still visit — and so are those of patterns that fail
+/// the growth bound, which have no kept descendant.
 ///
 /// Shrinking (§4.1.2) happens as a frequent (s+1)-tree is admitted: its
 /// support and its leaf-removal subtrees' supports, read from level s, decide
 /// whether it is kept (see `gamma_keeps`; single edges always are). Each
 /// leaf removal is encoded from one instance of the tree by leaving one leaf
-/// edge out, and found in level s by its tokens. Only a kept tree gets
-/// center columns and leaves as a [`MinedTree`]; every frequent tree's
-/// instances feed level s+2, and only a kept tree's are materialized at the
-/// last level. `gamma = 0.0` keeps every frequent tree.
+/// edge out, and found in level s by its tokens. A tree's instance records
+/// are appended, each from its parent's record and the extension's leaf and
+/// edge, only if it is kept or will grow; only a kept tree gets center
+/// columns and leaves as a [`MinedTree`], and a kept tree that will not grow
+/// frees its records right after. `gamma = 0.0` keeps and grows every
+/// frequent tree.
 ///
 /// Exactness: removing the largest leaf edge of an instance of a frequent
-/// (s+1)-tree leaves an instance of a frequent s-tree (σ is non-decreasing),
-/// which is present at level s, so every instance of a frequent tree is
-/// generated, once, and its support is complete. An infrequent tree may be
-/// reached through fewer instances, or not at all, but never more than
-/// exist, so it stays infrequent. So are the center columns every
-/// [`MinedTree`] carries complete: an embedding's image is one of the
-/// pattern's instances, every isomorphism onto an instance maps the
-/// pattern's center (unique by Theorem 1) onto the instance's, and the
-/// columns are read off *all* instances of all representatives — the same
-/// positions an exhaustive `tree_core::center_positions` search finds,
+/// (s+1)-tree leaves an instance of a frequent s-tree (σ is non-decreasing);
+/// if the (s+1)-tree is kept or grows, that s-tree passes the growth bound,
+/// so it is present at level s with all its instances. So every instance of
+/// a kept tree is generated, once, and its support is complete. Any other
+/// tree may be reached through fewer instances, or not at all, but never
+/// more than exist, and is never kept (see the module doc). So are the
+/// center columns every [`MinedTree`] carries complete: an embedding's image
+/// is one of the pattern's instances, every isomorphism onto an instance
+/// maps the pattern's center (unique by Theorem 1) onto the instance's, and
+/// the columns are read off *all* instances of all representatives — the
+/// same positions an exhaustive `tree_core::center_positions` search finds,
 /// without the search.
 ///
 /// Metrics on `shard`: a `mine.level{s}` span per level plus
 /// `mine.level{s}.kinds` / `.candidates` / `.patterns` /
-/// `.pruned_by_support` counters (extension kinds encoded, which at level 1
-/// are the distinct labeled edges; the distinct candidate patterns they
-/// form, which past level 1 are those reached through canonical parents;
-/// survivors of the σ(s) filter; and the difference), and the run totals
-/// `mine.candidates` (instances generated) and `mine.patterns` (frequent
-/// patterns mined, as in [`MiningStats`]).
+/// `.pruned_by_support` / `.kept` / `.grown` counters (extension kinds
+/// encoded, which at level 1 are the distinct labeled edges; the distinct
+/// candidate patterns they form, which past level 1 are those reached
+/// through canonical parents; survivors of the σ(s) filter and the
+/// difference; the survivors the γ test kept; and those that passed the
+/// growth bound and were extended into a level that was not discarded), and
+/// the run totals `mine.candidates` (instances generated) and
+/// `mine.patterns` (frequent patterns mined among those grown from
+/// bound-passing parents, as in [`MiningStats::patterns`]).
 ///
 /// # Determinism contract
 ///
@@ -251,14 +420,15 @@ pub fn mine_frequent_trees(
 ///   in kind order, so each pattern's representatives keep that order; a
 ///   pattern's support is the union of its kinds' graphs, and only the
 ///   frequent patterns are sorted by canonical string. Occurrence lists
-///   are materialized only for patterns that are admitted, in
+///   are materialized only for patterns that are kept or grow, in
 ///   parent-occurrence order, which is graph order.
 ///
 /// The one guard is deterministic too: a level is discarded whole when the
 /// *total* count of instances it generates reaches `MAX_INSTANCES_PER_LEVEL`
 /// (seats stop early once the shared count has reached it, purely as an
-/// optimization, and a discarded level contributes nothing to counters), so
-/// a guarded run keeps exactly the levels below it.
+/// optimization, and a discarded level contributes nothing to counters, nor
+/// to the `.grown` of the level below it), so a guarded run keeps exactly
+/// the levels below it.
 pub fn mine_frequent_trees_pool_obs(
     db: &[Graph],
     sigma: &SigmaFn,
@@ -279,41 +449,14 @@ fn mine_within(
     shard: &obs::Shard,
     budget: usize,
 ) -> (Vec<MinedTree>, MiningStats) {
-    type Mapping = SmallVec<[u32; 11]>; // pattern vertex -> host vertex
-    type EdgeSet = SmallVec<[u32; 10]>; // sorted host edge ids
-    /// The center of a representative as its pattern vertices: one, or the
-    /// two ends of the center edge (smaller first).
-    type CenterVertices = (u32, Option<u32>);
-
     assert!(sigma.is_monotone(), "σ(s) must be non-decreasing");
     let mut stats = MiningStats::default();
 
-    /// One instance of a representative in a host graph.
-    struct Instance {
-        gid: u32,
-        mapping: Mapping,
-        edges: EdgeSet,
-    }
-    /// A representative numbering of a pattern's vertices, with its center
-    /// and its instances, occs sorted by gid. Several representatives
-    /// (different numberings) can share one pattern.
-    struct Rep {
-        center: CenterVertices,
-        occs: Vec<Instance>,
-    }
-    /// A frequent pattern of one level: its canonical string and support
-    /// (what the next level's γ test reads) and its representatives.
-    struct Pattern {
-        canon: CanonString,
-        support: SupportSet,
-        reps: Vec<Rep>,
-    }
     /// One extension of a parent occurrence by the host `edge` to a new
     /// `leaf` vertex, attached at pattern vertex `attach`. The child's
-    /// mapping and edge set are the parent's plus `leaf` and `edge`, built
-    /// only for patterns that are admitted. Ordered so that a
-    /// representative's extension kinds are runs, in parent-occurrence
-    /// order.
+    /// record is the parent's plus `leaf` and `edge`, built only for
+    /// patterns that are kept or grow. Ordered so that a representative's
+    /// extension kinds are runs, in parent-occurrence order.
     #[derive(PartialEq, Eq, PartialOrd, Ord)]
     struct Ext {
         attach: u32,
@@ -348,108 +491,24 @@ fn mine_within(
         support: SupportSet,
     }
     /// A pattern admitted at a level: its kinds (one per representative, in
-    /// order) and, once the γ test keeps it, its [`MinedTree`].
+    /// order), whether it grows and, once the γ test keeps it, its
+    /// [`MinedTree`].
     struct Admitted {
         pattern: Pattern,
         kinds: SmallVec<[(u32, u32); 2]>,
+        grows: bool,
         mined: Option<MinedTree>,
     }
 
-    /// `edges` with `edge` added, in order.
-    fn with_edge(edges: &EdgeSet, edge: u32) -> EdgeSet {
-        let mut out = edges.clone();
-        let pos = out.partition_point(|&e| e < edge);
-        out.insert(pos, edge);
-        out
-    }
-    /// A kept pattern as the miner hands it over, with its center columns
-    /// (see [`MinedTree`]) read off the instances of all its representatives,
-    /// which are sorted by graph: one walk down the support, gathering each
-    /// graph's run from every representative. Representatives number their
-    /// vertices differently, so each carries its own center; an edge center
-    /// lands on the host edge between the images of its two ends; many
-    /// instances share a center, so a graph's ids are de-duplicated.
-    fn mined_tree(db: &[Graph], p: &Pattern) -> MinedTree {
-        let mut reps: SmallVec<[(CenterVertices, &[Instance]); 2]> = p
-            .reps
-            .iter()
-            .map(|rep| (rep.center, &rep.occs[..]))
-            .collect();
-        let mut offsets = Vec::with_capacity(p.support.len());
-        let mut positions = Vec::new();
-        let mut ids: Vec<u32> = Vec::new();
-        for &gid in &p.support {
-            let g = &db[gid as usize];
-            ids.clear();
-            for ((u, v), occs) in reps.iter_mut() {
-                let run = occs.iter().take_while(|o| o.gid == gid).count();
-                ids.extend(occs[..run].iter().map(|o| match *v {
-                    None => o.mapping[*u as usize],
-                    Some(v) => {
-                        let (hu, hv) = (o.mapping[*u as usize], o.mapping[v as usize]);
-                        g.edge_between(VertexId(hu), VertexId(hv))
-                            .expect("an instance maps tree edges onto host edges")
-                            .0
-                    }
-                }));
-                *occs = &occs[run..];
-            }
-            debug_assert!(!ids.is_empty(), "a supporting graph holds an instance");
-            ids.sort_unstable();
-            ids.dedup();
-            positions.extend_from_slice(&ids);
-            offsets.push(positions.len() as u32);
-        }
-        debug_assert!(reps.iter().all(|(_, occs)| occs.is_empty()));
-        positions.shrink_to_fit();
-        MinedTree {
-            canon: p.canon.clone(),
-            support: p.support.clone(),
-            offsets,
-            positions,
-        }
-    }
-    /// The shrinking step's test (paper §4.1.2) for a tree `r` of two edges
-    /// or more with `support` graphs: keep `r` iff `|⋂ᵢ D_rᵢ| / |D_r| > γ`
-    /// over its leaf-removal (maximal proper) subtrees `rᵢ`, frequent trees
-    /// that `below`, the level under `r` in canonical order, holds. The
-    /// ratio is at least 1. `parent` is the support of one `rᵢ`, the
-    /// pattern `r` was grown from: the intersection lies within it, which
-    /// often settles the test before any subtree is encoded. Otherwise each
-    /// `rᵢ` is encoded from `r`'s instance `edges` in `g`, leaving one leaf
-    /// edge out.
-    fn gamma_keeps(
-        support: usize,
-        parent: &[u32],
-        below: &[Pattern],
-        gamma: f64,
-        enc: &mut SubtreeEncoder,
-        g: &Graph,
-        edges: &[u32],
-    ) -> bool {
-        let ratio = |common: usize| common as f64 / support as f64;
-        if ratio(parent.len()) <= gamma {
-            return false;
-        }
-        let sets: SmallVec<[&[u32]; 10]> = leaves(g, edges)
-            .into_iter()
-            .map(|(leaf, leaf_edge)| {
-                let (tokens, _) = encode_in_host(
-                    enc,
-                    g,
-                    edges,
-                    Some(leaf_edge),
-                    g.edge(EdgeId(leaf_edge)).other(leaf),
-                );
-                let i = below
-                    .binary_search_by(|p| p.canon.tokens().cmp(tokens))
-                    .expect("a frequent tree's subtrees are frequent one level down");
-                below[i].support.as_slice()
-            })
-            .collect();
-        ratio(intersect_many(&sets, usize::MAX).len()) > gamma
-    }
-
+    // The growth bound: whether a level-`s` pattern with `support` graphs
+    // can have a kept descendant within η edges, as the same division the
+    // γ test makes.
+    let grows = |support: usize, s: usize| {
+        s < sigma.eta
+            && sigma
+                .threshold(s + 1)
+                .is_some_and(|t| support as f64 / t as f64 > gamma)
+    };
     let workers = pool.parallelism().max(1);
 
     // ---- Level 1: single-edge patterns, one instance per host edge. ----
@@ -466,10 +525,10 @@ fn mine_within(
                 let (lu, lv) = (g.vlabel(edge.u), g.vlabel(edge.v));
                 // Orient the mapping to the representative (smaller label
                 // first); a single edge is centered on itself.
-                let mapping: Mapping = if lu <= lv {
-                    smallvec::smallvec![edge.u.0, edge.v.0]
+                let (a, b) = if lu <= lv {
+                    (edge.u, edge.v)
                 } else {
-                    smallvec::smallvec![edge.v.0, edge.u.0]
+                    (edge.v, edge.u)
                 };
                 let triple = (lu.min(lv).0, edge.label.0, lu.max(lv).0);
                 let p = *pattern_of.entry(triple).or_insert_with(|| {
@@ -488,11 +547,7 @@ fn mine_within(
                 if p.support.last() != Some(&gid) {
                     p.support.push(gid);
                 }
-                p.reps[0].occs.push(Instance {
-                    gid,
-                    mapping,
-                    edges: smallvec::smallvec![e.0],
-                });
+                p.reps[0].occs.extend_from_slice(&[gid, a.0, b.0, e.0]);
             }
         }
     }
@@ -508,17 +563,21 @@ fn mine_within(
         "mine.level1.pruned_by_support",
         level1_candidates - level.len() as u64,
     );
+    shard.add("mine.level1.kept", level.len() as u64);
     // Frequent patterns mined so far, and the kept ones: every single edge.
     stats.patterns = level.len();
     let mut result: Vec<MinedTree> = level.iter().map(|p| mined_tree(db, p)).collect();
+    level.retain(|p| grows(p.support.len(), 1));
     drop(level1_span);
 
+    // `level` holds the growing patterns of `size` edges.
     let mut size = 1usize;
-    while size < sigma.eta && !level.is_empty() {
-        let Some(next_threshold) = sigma.threshold(size + 1) else {
-            break;
-        };
-        let next_threshold = next_threshold as usize;
+    while !level.is_empty() {
+        let next_threshold = sigma
+            .threshold(size + 1)
+            .expect("a pattern grows only into an indexed size")
+            as usize;
+        let stride = 2 * size + 2;
         let level_name = format!("mine.level{}", size + 1);
         let _level_span = shard.span(&level_name);
         let level_ref = &level;
@@ -533,12 +592,12 @@ fn mine_within(
             .flat_map(|(p, pattern)| (0u32..).zip(&pattern.reps).map(move |(r, _)| (p, r)))
             .collect();
         let rep = |(p, r): (u32, u32)| &level_ref[p as usize].reps[r as usize];
-        let instances: usize = pairs.iter().map(|&pr| rep(pr).occs.len()).sum();
+        let instances: usize = pairs.iter().map(|&pr| rep(pr).occs.len() / stride).sum();
         let target = instances.div_ceil(workers * 16).max(1);
         let mut chunks: Vec<Chunk> = Vec::new();
         let (mut start, mut filled) = (0, 0);
         for (i, &pr) in pairs.iter().enumerate() {
-            filled += rep(pr).occs.len();
+            filled += rep(pr).occs.len() / stride;
             if filled >= target || i + 1 == pairs.len() {
                 chunks.push(Chunk {
                     reps: start..i + 1,
@@ -557,16 +616,18 @@ fn mine_within(
                 kinds,
                 tokens,
             } = chunk;
+            let mut child = Vec::with_capacity(stride + 2);
             for &pr in &pairs[reps.clone()] {
                 if generated.load(Ordering::Relaxed) >= budget {
                     return; // the level is doomed
                 }
                 let occs = &rep(pr).occs;
                 let first = exts.len();
-                for (occ, o) in (0u32..).zip(occs) {
-                    let g = &db[o.gid as usize];
-                    let leaves = leaves(g, &o.edges);
-                    for (attach, &hv) in (0u32..).zip(&o.mapping) {
+                for (occ, o) in (0u32..).zip(occs.chunks_exact(stride)) {
+                    let (gid, mapping, edges) = parts(o);
+                    let g = &db[gid as usize];
+                    let leaves = leaves(g, edges);
+                    for (attach, &hv) in (0u32..).zip(mapping) {
                         // The child's other leaf edges are the parent's, less
                         // the one whose leaf is the attach vertex: the new
                         // edge must be larger than all of them.
@@ -577,7 +638,7 @@ fn mine_within(
                             .max()
                             .expect("a tree keeps a leaf away from any one vertex");
                         for &(w, he) in g.neighbors(VertexId(hv)) {
-                            if he.0 > bar && !o.mapping.contains(&w.0) {
+                            if he.0 > bar && !mapping.contains(&w.0) {
                                 exts.push(Ext {
                                     attach,
                                     elabel: g.edge(he).label.0,
@@ -599,16 +660,14 @@ fn mine_within(
                     (a.attach, a.elabel, a.llabel) == (b.attach, b.elabel, b.llabel)
                 }) {
                     let x = &run[0];
-                    let parent = &occs[x.occ as usize];
-                    let g = &db[parent.gid as usize];
-                    let edges = with_edge(&parent.edges, x.edge);
-                    let (child, center) = encode_in_host(enc, g, &edges, None, VertexId(x.leaf));
-                    // The child's mapping is the parent's plus the leaf.
+                    child.clear();
+                    push_child(&mut child, record(occs, stride, x.occ), x.leaf, x.edge);
+                    let (gid, mapping, edges) = parts(&child);
+                    let g = &db[gid as usize];
+                    let (code, center) = encode_in_host(enc, g, edges, None, VertexId(x.leaf));
                     let vertex_of = |h: VertexId| {
-                        parent
-                            .mapping
+                        mapping
                             .iter()
-                            .chain([&x.leaf])
                             .position(|&m| m == h.0)
                             .expect("the center lies in the instance")
                             as u32
@@ -624,10 +683,10 @@ fn mine_within(
                     kinds.push(Kind {
                         rep: pr,
                         exts: at..at + run.len(),
-                        tokens: tokens.len()..tokens.len() + child.len(),
+                        tokens: tokens.len()..tokens.len() + code.len(),
                         center,
                     });
-                    tokens.extend_from_slice(child);
+                    tokens.extend_from_slice(code);
                     at += run.len();
                 }
             }
@@ -677,7 +736,7 @@ fn mine_within(
                     let occs = &rep(kind.rep).occs;
                     chunk.exts[kind.exts.clone()]
                         .iter()
-                        .map(|x| occs[x.occ as usize].gid)
+                        .map(|x| occs[x.occ as usize * stride])
                 })
                 .filter(|&gid| last.replace(gid) != Some(gid))
                 .collect();
@@ -696,6 +755,7 @@ fn mine_within(
         let mut admitted: Vec<Admitted> = classes
             .into_iter()
             .map(|class| Admitted {
+                grows: grows(class.support.len(), size + 1),
                 pattern: Pattern {
                     canon: CanonString(tokens_of(class.kinds[0]).to_vec()),
                     support: class.support,
@@ -712,56 +772,57 @@ fn mine_within(
                 mined: None,
             })
             .collect();
-        // Whether the admitted patterns are extended to the next level.
-        let grow = size + 1 < sigma.eta && sigma.threshold(size + 2).is_some();
 
         // In parallel per admitted pattern: the γ test on the first instance
-        // of its first kind, then its occurrence lists if they are needed —
-        // to grow the next level or for its center columns — each child
-        // built from its parent occurrence plus the new edge and leaf.
+        // of its first kind, then its occurrence records if they are needed
+        // — to grow the next level or for its center columns — each child
+        // appended from its parent record plus the new leaf and edge.
         for_each_encoding(pool, workers, shard, &mut admitted, |enc, adm| {
             let p = &mut adm.pattern;
             let (chunk, first) = kind_at(adm.kinds[0]);
             let x = &chunk.exts[first.exts.start];
-            let parent = &rep(first.rep).occs[x.occ as usize];
-            let g = &db[parent.gid as usize];
-            let edges = with_edge(&parent.edges, x.edge);
+            let mut instance: SmallVec<[u32; 24]> = SmallVec::new();
+            let parent = record(&rep(first.rep).occs, stride, x.occ);
+            push_child(&mut instance, parent, x.leaf, x.edge);
+            let (gid, _, edges) = parts(&instance);
             let keep = gamma_keeps(
                 p.support.len(),
                 &level_ref[first.rep.0 as usize].support,
                 level_ref,
                 gamma,
                 enc,
-                g,
-                &edges,
+                &db[gid as usize],
+                edges,
             );
-            if !(keep || grow) {
+            if !(keep || adm.grows) {
                 return;
             }
             for (child, &ck) in p.reps.iter_mut().zip(&adm.kinds) {
                 let (chunk, kind) = kind_at(ck);
                 let occs = &rep(kind.rep).occs;
-                child.occs = chunk.exts[kind.exts.clone()]
-                    .iter()
-                    .map(|x| {
-                        let parent = &occs[x.occ as usize];
-                        let mut mapping = parent.mapping.clone();
-                        mapping.push(x.leaf);
-                        Instance {
-                            gid: parent.gid,
-                            mapping,
-                            edges: with_edge(&parent.edges, x.edge),
-                        }
-                    })
-                    .collect();
+                let exts = &chunk.exts[kind.exts.clone()];
+                child.occs.reserve_exact(exts.len() * (stride + 2));
+                for x in exts {
+                    push_child(&mut child.occs, record(occs, stride, x.occ), x.leaf, x.edge);
+                }
             }
             if keep {
                 adm.mined = Some(mined_tree(db, p));
+                if !adm.grows {
+                    p.reps = Vec::new();
+                }
             }
         });
         drop(chunks);
+        let before = result.len();
         result.extend(admitted.iter_mut().filter_map(|adm| adm.mined.take()));
-        let next: Vec<Pattern> = admitted.into_iter().map(|adm| adm.pattern).collect();
+        let level_kept = result.len() - before;
+        let next: Vec<Pattern> = admitted
+            .into_iter()
+            .filter(|adm| adm.grows)
+            .map(|adm| adm.pattern)
+            .collect();
+        shard.add(&format!("mine.level{size}.grown"), level.len() as u64);
         shard.add(&format!("{level_name}.kinds"), level_kinds as u64);
         shard.add(&format!("{level_name}.candidates"), level_candidates);
         shard.add(&format!("{level_name}.patterns"), level_patterns as u64);
@@ -769,13 +830,13 @@ fn mine_within(
             &format!("{level_name}.pruned_by_support"),
             level_candidates - level_patterns as u64,
         );
-        stats.patterns += next.len();
-        if next.is_empty() {
-            break;
-        }
+        shard.add(&format!("{level_name}.kept"), level_kept as u64);
+        stats.patterns += level_patterns;
         level = next;
         size += 1;
     }
+    // The last level kept was not extended, or its extension was discarded.
+    shard.add(&format!("mine.level{size}.grown"), 0);
 
     shard.add("mine.candidates", stats.candidates as u64);
     shard.add("mine.patterns", stats.patterns as u64);
@@ -948,6 +1009,36 @@ mod tests {
         let edge =
             |a, el, b| canonical_string(&Tree::single_edge(VLabel(a), ELabel(el), VLabel(b)));
         assert_eq!(subs, [(1, edge(2, 1, 3)), (2, edge(1, 0, 2))]);
+    }
+
+    /// A tree with a leaf-removal subtree the level below does not hold is
+    /// not kept: the growth bound left that subtree, or one of its own
+    /// subtrees, unextended, so no kept tree can contain it.
+    #[test]
+    fn gamma_test_answers_not_kept_for_a_missing_subtree() {
+        // The path 0 -0- 1 -0- 2 of graph 0; its first edge also lies in
+        // graph 1, its second in graph 2.
+        let g = graph_from(&[0, 1, 2], &[(0, 1, 0), (1, 2, 0)]);
+        let keeps = |held: &[u32]| {
+            let mut enc = SubtreeEncoder::default();
+            let mut below: Vec<Pattern> = held
+                .iter()
+                .map(|&e| Pattern {
+                    canon: CanonString(
+                        encode_in_host(&mut enc, &g, &[e], None, VertexId(1))
+                            .0
+                            .to_vec(),
+                    ),
+                    support: vec![0, 1 + e],
+                    reps: Vec::new(),
+                })
+                .collect();
+            below.sort_unstable_by(|a, b| a.canon.cmp(&b.canon));
+            gamma_keeps(1, &[0, 1], &below, 0.5, &mut enc, &g, &[0, 1])
+        };
+        assert!(keeps(&[0, 1]), "both subtrees held: ratio 1 > 0.5");
+        assert!(!keeps(&[0]), "the second edge missing");
+        assert!(!keeps(&[1]), "the first edge missing");
     }
 
     #[test]

@@ -201,6 +201,48 @@ fn three_hundred_seats_mine_what_one_seat_does() {
     }
 }
 
+/// The growth bound changes what is grown, not what is kept. γ = 0, where
+/// the bound never fails, mines every frequent tree of a chem fixture; the
+/// reference shrink of that list at γ > 0 is exactly what a run at that γ
+/// returns, on 1, 2 and 8 seats, with the γ = 0 run's supports and center
+/// columns — while it counts fewer frequent trees and generates fewer
+/// instances, so the bound did cut growth.
+#[test]
+fn growth_bound_keeps_what_the_reference_shrink_keeps() {
+    use rand::SeedableRng;
+    let db = datagen::generate_chem(
+        &datagen::ChemParams::sized(30),
+        &mut rand_chacha::ChaCha8Rng::seed_from_u64(7),
+    );
+    let sigma = SigmaFn {
+        alpha: 3,
+        beta: 2.0,
+        eta: 6,
+    };
+    let (all, all_stats) = mine_on(&db, &sigma, 0.0, 1);
+    assert_eq!(all_stats.patterns, all.len());
+    let frequent = keyed(all.clone());
+    let columns: std::collections::HashMap<_, _> = all
+        .iter()
+        .map(|m| (&m.canon, (&m.support, &m.offsets, &m.positions)))
+        .collect();
+    for gamma in [1.0, 1.5, 2.0, 3.0] {
+        let want = reference::shrink(&frequent, gamma);
+        assert!(want.len() < frequent.len(), "γ={gamma} drops trees");
+        for threads in [1usize, 2, 8] {
+            let (kept, stats) = mine_on(&db, &sigma, gamma, threads);
+            let what = format!("γ={gamma} threads={threads}");
+            assert!(stats.patterns < all_stats.patterns, "{what}");
+            assert!(stats.candidates < all_stats.candidates, "{what}");
+            for m in &kept {
+                let got = (&m.support, &m.offsets, &m.positions);
+                assert_eq!(columns[&m.canon], got, "{what}: {:?}", m.canon);
+            }
+            assert_eq!(keyed(kept), want, "{what}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -397,7 +439,9 @@ proptest! {
             mined.iter().map(|m| m.canon.clone()).collect();
         let singles: Vec<_> = mined.iter().filter(|m| m.size() == 1).map(|m| m.canon.clone()).collect();
         let (kept, stats) = mine_frequent_trees(&db, &sigma, gamma as f64);
-        prop_assert_eq!(stats.patterns, mined.len(), "γ changed what was mined");
+        // The growth bound leaves trees that cannot lead to a kept one
+        // unmined: at most the frequent trees are counted.
+        prop_assert!(stats.patterns <= mined.len(), "γ mined a tree that is not frequent");
         for m in &kept {
             prop_assert!(before.contains(&m.canon), "shrinking invented a feature");
         }
@@ -423,7 +467,13 @@ proptest! {
             let want = reference::shrink(&frequent, gamma);
             for threads in [1usize, 2, 8] {
                 let (mined, stats) = mine_on(&db, &sigma, gamma, threads);
-                prop_assert_eq!(stats.patterns, frequent.len());
+                // Every frequent tree at γ = 0, where the growth bound
+                // never fails; at most those at any γ.
+                if gamma == 0.0 {
+                    prop_assert_eq!(stats.patterns, frequent.len());
+                } else {
+                    prop_assert!(stats.patterns <= frequent.len());
+                }
                 assert_columns_equal_vf2(&db, &mined);
                 prop_assert_eq!(keyed(mined), want.clone(), "γ={} threads={}", gamma, threads);
             }

@@ -187,7 +187,10 @@ impl Feature {
 /// Shape of an index: what was mined, and what the posting lists hold now.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BuildStats {
-    /// Frequent trees before shrinking.
+    /// Frequent trees the miner counted before shrinking: those σ admits
+    /// among the trees grown from patterns that pass the γ growth bound
+    /// ([`mining::MiningStats::patterns`]) — all of them at γ = 0, at most
+    /// all of them otherwise.
     pub mined: usize,
     /// Features after shrinking (= index size, the paper's Figure 9 metric).
     pub features: usize,
@@ -243,9 +246,9 @@ pub struct TreePiIndex {
     /// `db[gid]`, maintained through build, §7.1 repairs, and re-mining.
     sigs: Vec<Vec<VertexSig>>,
     params: TreePiParams,
-    /// Frequent trees mined before shrinking, and whether the miner's
-    /// per-level guard cut mining short (the two build facts
-    /// [`Self::stats`] cannot recount).
+    /// Frequent trees mined before shrinking ([`BuildStats::mined`]), and
+    /// whether the miner's per-level guard cut mining short (the two build
+    /// facts [`Self::stats`] cannot recount).
     pub(crate) mined: usize,
     pub(crate) truncated: bool,
     /// Bumped by every successful [`Self::insert`] / [`Self::remove`]
@@ -287,7 +290,8 @@ impl TreePiIndex {
     /// `shard` receives `build.mine` / `build.sigs` stage spans, the
     /// miner's per-level candidate and pruned-by-support counters
     /// (`mine.level{N}.*`, see [`mining::mine_frequent_trees_pool_obs`]),
-    /// and final index-shape counters (`build.*`, with `build.truncated`
+    /// and final index-shape counters (`build.*`, with `build.mined` the
+    /// frequent trees mined as in [`BuildStats::mined`] and `build.truncated`
     /// 1 if the miner's per-level guard cut the run short). Parallel workers record into
     /// [`obs::Shard::fork`]s merged after the join, and the miner's merge is
     /// canonical, so the built index and every non-`engine.*`/non-`pool.*`

@@ -10,7 +10,7 @@
 //! params   α u32, β f64, η u32, γ f64, δ (tag u8, runs u64)
 //! database |db| u32, |db| × graph, |db| × active flag u8
 //! features |F| u32, |F| × { tree graph, posting list }
-//! mining   mined u64, truncated u8
+//! mining   mined u64 (frequent trees counted, `BuildStats::mined`), truncated u8
 //! epoch    maintenance epoch u64
 //! checksum FNV-1a 64 of every byte between the magic and here
 //!

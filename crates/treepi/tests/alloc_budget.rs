@@ -57,29 +57,38 @@ const WRITE_CEILINGS: (u64, u64) = (101, 2);
 /// graphs, and a metered build of `treepi gen --chem 40 --seed 11`. At one
 /// worker every value but the peaks repeats exactly, and each ceiling is
 /// the measured value × 1.10: 7 851, 883 985 and 131 876 for the first run;
-/// 49 114, 21 573 057 and 181 274 for the build (61 765, 34 382 131 and
-/// 309 396 when the miner generated each instance once per leaf and
-/// removed the duplicates; 453 638, 64 510 343 and 308 875 when it also
-/// built a `Tree` and a fresh encoder for every extension kind and leaf
-/// removal; 642 505, 73 923 112 and 332 168 when it also built a posting
-/// list for every frequent tree and a separate pass shrank them). The
-/// peaks are sampled (see `obs::alloc`): the build's read 5 285 747 in
-/// each of 16 runs (7 795 621 with the duplicates, 10 509 944–10 530 892
-/// with a `Tree` per kind, 12 550 516 with the separate pass) and its
-/// ceiling is 1.10 × the highest; the first run's read 268 115–303 731 over
-/// 18 runs and its ceiling is 1.25 × the highest. A load that decodes every
-/// feature tree with a fresh encoder reads about 1.3 × the first count, a
-/// slip no timing showed.
+/// 27 518, 9 135 054 and 182 175 for the build since the miner grows only
+/// patterns that pass the γ growth bound, in flat instance records (49 114,
+/// 21 573 057 and 181 274 before; 61 765, 34 382 131 and 309 396 when the
+/// miner generated each instance once per leaf and removed the duplicates;
+/// 453 638, 64 510 343 and 308 875 when it also built a `Tree` and a fresh
+/// encoder for every extension kind and leaf removal; 642 505, 73 923 112
+/// and 332 168 when it also built a posting list for every frequent tree
+/// and a separate pass shrank them). The build's live bytes rose by 901,
+/// the metric shard's 12 more counter names (`mine.level{s}.kept` and
+/// `.grown`), and their ceiling was kept at 1.10 × the old 181 274. The
+/// peaks are sampled (see `obs::alloc`): the build's read 1 864 711–
+/// 1 887 639 over 12 runs (5 285 747 in each of 16 runs before the growth
+/// bound, 7 795 621 with the duplicates, 10 509 944–10 530 892 with a
+/// `Tree` per kind, 12 550 516 with the separate pass) and its ceiling is
+/// 1.10 × the highest; the first run's read 268 115–303 731 over 18 runs
+/// and its ceiling is 1.25 × the highest. A load that decodes every feature
+/// tree with a fresh encoder reads about 1.3 × the first count, a slip no
+/// timing showed.
 const LOAD_AND_QUERY_CEILING: [u64; 4] = [8_636, 972_384, 379_664, 145_064];
-const BUILD_CEILING: [u64; 4] = [54_025, 23_730_362, 5_814_321, 199_401];
+const BUILD_CEILING: [u64; 4] = [30_270, 10_048_560, 2_076_403, 199_401];
 
 /// The same build at 2 and 8 workers: how the work is split moves its
 /// allocations and bytes from run to run, so each ceiling is 1.25 × the
-/// one-worker value. Over 16 runs of a debug build the 8-worker build read
-/// at most 57 681 allocations and 21 800 806 bytes allocated, 1.17 × and
-/// 1.01 × the one-worker values (bytes read up to 1.26 × when the miner
+/// one-worker value (the live bytes' kept at the old 1.25 × 181 274, as
+/// above). Over 12 runs of a debug build the 8-worker build read at most
+/// 33 419 allocations, 9 049 987 bytes allocated and a 1 876 024 peak,
+/// 1.21 ×, 0.99 × and 0.99 × the one-worker values (61 392, 26 966 321 and
+/// 6 607 183 were the ceilings before the growth bound; the 8-worker build
+/// then read up to 57 681 allocations and 21 800 806 bytes, 1.17 × and
+/// 1.01 × its one-worker values, and bytes up to 1.26 × when the miner
 /// removed duplicate instances and its seats kept their own spans).
-const PARALLEL_BUILD_CEILING: [u64; 4] = [61_392, 26_966_321, 6_607_183, 226_592];
+const PARALLEL_BUILD_CEILING: [u64; 4] = [34_398, 11_418_818, 2_359_549, 226_592];
 
 /// What [`measure`] reads, in order.
 const COSTS: [&str; 4] = ["allocations", "bytes allocated", "peak bytes", "bytes live"];

@@ -33,47 +33,51 @@ fn save_bytes(idx: &TreePiIndex) -> Vec<u8> {
 /// the magic, so the pair pins every byte. Re-recorded when feature trees
 /// began to be written in canonical vertex order (decoded from their
 /// canonical strings) instead of the miner's, with the size unchanged, and
-/// when `TPI5` dropped the two mining-limit words (16 bytes) after δ. A change
-/// that means to alter the index or its format re-records it and says so.
+/// when `TPI5` dropped the two mining-limit words (16 bytes) after δ, and when
+/// the miner's γ growth bound changed the `mined` word alone (4 459 → 2 645
+/// frequent trees counted, the same 418 kept). A change that means to alter
+/// the index or its format re-records it and says so.
 ///
 /// The same builds are metered, and every deterministic counter, span
 /// count outside the timing-dependent namespaces and `mem.index.*` gauge is
 /// pinned too: extension kinds, mined candidates and patterns per level
-/// under σ(s) (the paper's Fig. 10), the γ test's survivors, that the miner's
-/// per-level guard discarded no level, and the heap per structure. Whole maps are compared, so a
+/// under σ(s) (the paper's Fig. 10), the γ test's survivors and the patterns
+/// grown per level, that the miner's per-level guard discarded no level, and
+/// the heap per structure. Whole maps are compared, so a
 /// counter that appears or disappears fails as well as one that moves
 /// either way.
 #[test]
 fn fixed_input_builds_the_golden_file() {
-    const GOLDEN: (usize, u64) = (67_870, 0x2f39_0685_7960_c02b);
+    const GOLDEN: (usize, u64) = (67_870, 0x83b7_af00_3020_8b6a);
     const TOTALS: [(&str, u64); 9] = [
         ("build.center_entries", 1_358),
         ("build.center_positions", 2_234),
         ("build.features", 418),
         ("build.features_kept", 418),
-        ("build.mined", 4_459),
+        ("build.mined", 2_645),
         ("build.sig_vertices", 1_068),
         ("build.truncated", 0),
-        ("mine.candidates", 35_000),
-        ("mine.patterns", 4_459),
+        ("mine.candidates", 18_055),
+        ("mine.patterns", 2_645),
     ];
-    /// `mine.levelN.{kinds, candidates, patterns, pruned_by_support}`,
-    /// N = 1..=9: extension kinds encoded, distinct candidate patterns they
-    /// form, and the σ(N) filter's survivors and rejects. Past level 1 an
-    /// instance is generated only from its canonical parent (the one its
-    /// largest leaf edge leaves), so `.candidates` counts the patterns
-    /// reached that way: every frequent one, and the infrequent ones whose
-    /// instances have a frequent canonical parent.
-    const LEVELS: [(u64, u64, u64, u64); 9] = [
-        (38, 38, 38, 0),
-        (203, 139, 139, 0),
-        (682, 430, 430, 0),
-        (1_791, 1_080, 1_080, 0),
-        (4_037, 2_399, 2_399, 0),
-        (7_958, 4_874, 292, 4_582),
-        (3_793, 1_565, 76, 1_489),
-        (1_437, 618, 5, 613),
-        (148, 63, 0, 63),
+    /// `mine.levelN.{kinds, candidates, patterns, pruned_by_support, kept,
+    /// grown}`, N = 1..=8: extension kinds encoded, distinct candidate
+    /// patterns they form, the σ(N) filter's survivors and rejects, the
+    /// survivors the γ test kept, and those that pass the growth bound
+    /// |D_p| / σ(N+1) > γ and were extended. Past level 1 an instance is
+    /// generated only from its canonical parent (the one its largest leaf
+    /// edge leaves) of a pattern that grew, so `.candidates` counts the
+    /// patterns reached that way. Without the bound (4 459 mined) there were
+    /// 9 levels and 35 000 instances.
+    const LEVELS: [(u64, u64, u64, u64, u64, u64); 8] = [
+        (38, 38, 38, 0, 38, 34),
+        (199, 136, 136, 0, 62, 83),
+        (591, 346, 346, 0, 103, 180),
+        (1_343, 686, 686, 0, 98, 309),
+        (2_603, 1_213, 1_213, 0, 89, 93),
+        (2_178, 739, 184, 555, 23, 32),
+        (1_135, 363, 42, 321, 5, 3),
+        (166, 62, 0, 62, 0, 0),
     ];
     const INDEX_GAUGES: [(&str, u64); 7] = [
         ("mem.index.bytes", 112_424),
@@ -86,11 +90,13 @@ fn fixed_input_builds_the_golden_file() {
     ];
     let mut counters = owned(&TOTALS);
     let mut spans = owned(&[("build.mine", 1), ("build.sigs", 1)]);
-    for (n, (kinds, candidates, patterns, pruned)) in (1..).zip(LEVELS) {
+    for (n, (kinds, candidates, patterns, pruned, kept, grown)) in (1..).zip(LEVELS) {
         counters.insert(format!("mine.level{n}.kinds"), kinds);
         counters.insert(format!("mine.level{n}.candidates"), candidates);
         counters.insert(format!("mine.level{n}.patterns"), patterns);
         counters.insert(format!("mine.level{n}.pruned_by_support"), pruned);
+        counters.insert(format!("mine.level{n}.kept"), kept);
+        counters.insert(format!("mine.level{n}.grown"), grown);
         spans.insert(format!("mine.level{n}"), 1);
     }
     let expected = (counters, spans);
