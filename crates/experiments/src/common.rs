@@ -1,12 +1,12 @@
 //! Shared infrastructure for the figure-regeneration binaries: dataset
-//! construction, query workloads, timing, table/CSV output.
+//! construction, query workloads, timing, and the `Table` every figure
+//! prints and writes its CSV from.
 
 use datagen::{generate_chem, generate_synthetic, ChemParams, SyntheticParams};
 use graph_core::Graph;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// Experiment scale: `quick` keeps everything laptop-sized; `full` is the
@@ -38,7 +38,7 @@ impl Scale {
 }
 
 /// Global experiment options parsed from the command line.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Opts {
     /// Scale selector.
     pub scale: Scale,
@@ -103,36 +103,135 @@ pub fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// Write a CSV artifact (header + rows) under the output directory.
-pub fn write_csv(opts: &Opts, name: &str, header: &str, rows: &[String]) {
-    std::fs::create_dir_all(&opts.out).expect("create output directory");
-    let path: PathBuf = Path::new(&opts.out).join(name);
-    let mut f = std::fs::File::create(&path).expect("create CSV");
-    writeln!(f, "{header}").unwrap();
-    for r in rows {
-        writeln!(f, "{r}").unwrap();
-    }
-    println!("  -> wrote {}", path.display());
+/// One figure's table: the CSV it writes and the aligned view it prints,
+/// both rendered from the same cells under the CSV's column names.
+pub struct Table {
+    file: String,
+    columns: Vec<&'static str>,
+    rows: Vec<Vec<String>>,
 }
 
-/// Print an aligned table: header then rows of equal arity.
-pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for r in rows {
-        for (i, c) in r.iter().enumerate() {
-            widths[i] = widths[i].max(c.len());
+impl Table {
+    /// An empty table written to `file` under `header`, the CSV's
+    /// comma-separated column names.
+    pub fn new(file: impl Into<String>, header: &'static str) -> Self {
+        Self {
+            file: file.into(),
+            columns: header.split(',').collect(),
+            rows: Vec::new(),
         }
     }
-    let line = |cells: Vec<String>| {
-        let mut s = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            s.push_str(&format!("{:>w$}  ", c, w = widths[i]));
+
+    /// Append a row. Panics unless it has one cell per column.
+    pub fn row(&mut self, cells: Vec<String>) {
+        assert_eq!(
+            cells.len(),
+            self.columns.len(),
+            "{}: row {cells:?} does not match the header",
+            self.file
+        );
+        self.rows.push(cells);
+    }
+
+    /// The CSV record: header line, then one line per row.
+    fn csv(&self) -> String {
+        let mut s = self.columns.join(",") + "\n";
+        for r in &self.rows {
+            s += &(r.join(",") + "\n");
         }
-        println!("{}", s.trim_end());
-    };
-    line(header.iter().map(|s| s.to_string()).collect());
-    line(widths.iter().map(|w| "-".repeat(*w)).collect());
-    for r in rows {
-        line(r.clone());
+        s
+    }
+
+    /// The same cells right-aligned in columns, with a rule under the header.
+    fn aligned(&self) -> String {
+        let mut widths: Vec<usize> = self.columns.iter().map(|c| c.len()).collect();
+        for r in &self.rows {
+            for (w, c) in widths.iter_mut().zip(r) {
+                *w = (*w).max(c.chars().count());
+            }
+        }
+        let rule: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
+        let header: Vec<String> = self.columns.iter().map(|c| c.to_string()).collect();
+        let mut s = String::new();
+        for cells in [&header, &rule].into_iter().chain(&self.rows) {
+            let line: Vec<String> = cells
+                .iter()
+                .zip(&widths)
+                .map(|(c, w)| format!("{c:>w$}"))
+                .collect();
+            s += &(line.join("  ") + "\n");
+        }
+        s
+    }
+
+    /// Print the aligned table and write the CSV under the output directory.
+    pub fn emit(&self, opts: &Opts) {
+        print!("{}", self.aligned());
+        std::fs::create_dir_all(&opts.out).expect("create output directory");
+        let path = opts.out.join(&self.file);
+        std::fs::write(&path, self.csv()).expect("write CSV");
+        println!("  -> wrote {}", path.display());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sample() -> Table {
+        let mut t = Table::new("t.csv", "n,treepi_ms,dq_lo");
+        t.row(vec!["125".into(), "3.250".into(), "1".into()]);
+        t.row(vec!["2500".into(), "12.000".into(), "10".into()]);
+        t
+    }
+
+    #[test]
+    fn printed_rows_are_the_csv_cells() {
+        let t = sample();
+        let csv: Vec<Vec<String>> = t
+            .csv()
+            .lines()
+            .map(|l| l.split(',').map(String::from).collect())
+            .collect();
+        assert_eq!(csv[0], ["n", "treepi_ms", "dq_lo"]);
+        assert_eq!(csv.len(), 3);
+        let printed: Vec<Vec<String>> = t
+            .aligned()
+            .lines()
+            .map(|l| l.split_whitespace().map(String::from).collect())
+            .collect();
+        assert_eq!(printed.len(), 4);
+        assert!(printed[1].iter().all(|c| c.chars().all(|ch| ch == '-')));
+        assert_eq!(printed[0], csv[0]);
+        assert_eq!(printed[2..], csv[1..]);
+    }
+
+    #[test]
+    fn columns_are_right_aligned_to_the_widest_cell() {
+        let aligned = sample().aligned();
+        let lines: Vec<&str> = aligned.lines().collect();
+        assert_eq!(lines[0], "   n  treepi_ms  dq_lo");
+        assert_eq!(lines[1], "----  ---------  -----");
+        assert_eq!(lines[2], " 125      3.250      1");
+    }
+
+    #[test]
+    fn emit_writes_the_csv_text() {
+        let dir = std::env::temp_dir().join(format!("experiments-table-{}", std::process::id()));
+        let opts = Opts {
+            out: dir.clone(),
+            ..Opts::default()
+        };
+        let t = sample();
+        t.emit(&opts);
+        assert_eq!(std::fs::read_to_string(dir.join("t.csv")).unwrap(), t.csv());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match the header")]
+    fn a_row_of_the_wrong_arity_panics() {
+        let mut t = Table::new("t.csv", "a,b");
+        t.row(vec!["1".into()]);
     }
 }

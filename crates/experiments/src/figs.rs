@@ -1,5 +1,6 @@
 //! One function per paper figure. Each regenerates the figure's series at
-//! the selected scale, prints an aligned table, and writes a CSV artifact.
+//! the selected scale into a `Table`, whose `emit` prints it and writes its
+//! CSV from the same cells.
 //!
 //! Quick scale is ~1:8 of the paper (database sizes, query counts, and the
 //! low/high support split threshold all scale together), so the *shapes* —
@@ -39,6 +40,15 @@ fn build_both(figure: &str, db: &[Graph]) -> (TreePiIndex, f64, GIndex, f64) {
     (tp, ms(t_tp), gi, ms(t_gi))
 }
 
+/// `n` graphs of `dataset`: the AIDS surrogate for `chem`, else the
+/// synthetic family with 5 vertex labels.
+fn database(opts: &Opts, dataset: &str, n: usize) -> Vec<Graph> {
+    match dataset {
+        "chem" => chem_db(opts, n),
+        _ => synthetic_db(opts, n, 5).0,
+    }
+}
+
 /// Per-stage wall-time breakdown from the `obs` registries: one metered
 /// batch run per system, printed as a table (total / mean / p95 per
 /// pipeline stage) and written to `stages_{dataset}.csv`. gIndex reports
@@ -56,48 +66,23 @@ fn stage_breakdown(opts: &Opts, dataset: &str, tp: &Engine, gi: &GIndex, queries
         queries.len(),
         queries.first().map_or(0, |q| q.edge_count())
     );
-    let mut rows = Vec::new();
-    let mut csv = Vec::new();
-    for name in obs::names::PIPELINE_SPANS {
-        let t = tp_m.span(name).cloned().unwrap_or_default();
-        let g = gi_m.span(name).cloned().unwrap_or_default();
-        rows.push(vec![
-            name.to_string(),
-            format!("{:.2}", t.total_ns as f64 / 1e6),
-            format!("{:.1}", t.mean_ns() as f64 / 1e3),
-            format!("{:.1}", t.quantile_ns(0.50) as f64 / 1e3),
-            format!("{:.1}", t.quantile_ns(0.95) as f64 / 1e3),
-            format!("{:.2}", g.total_ns as f64 / 1e6),
-            format!("{:.1}", g.mean_ns() as f64 / 1e3),
-            format!("{:.1}", g.quantile_ns(0.50) as f64 / 1e3),
-            format!("{:.1}", g.quantile_ns(0.95) as f64 / 1e3),
-        ]);
-        csv.push(format!(
-            "{name},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3}",
-            t.total_ns as f64 / 1e6,
-            t.mean_ns() as f64 / 1e3,
-            t.quantile_ns(0.50) as f64 / 1e3,
-            t.quantile_ns(0.95) as f64 / 1e3,
-            g.total_ns as f64 / 1e6,
-            g.mean_ns() as f64 / 1e3,
-            g.quantile_ns(0.50) as f64 / 1e3,
-            g.quantile_ns(0.95) as f64 / 1e3,
-        ));
-    }
-    print_table(
-        &[
-            "stage",
-            "tp total ms",
-            "tp mean µs",
-            "tp p50 µs",
-            "tp p95 µs",
-            "gi total ms",
-            "gi mean µs",
-            "gi p50 µs",
-            "gi p95 µs",
-        ],
-        &rows,
+    let mut table = Table::new(
+        format!("stages_{dataset}.csv"),
+        "stage,treepi_total_ms,treepi_mean_us,treepi_p50_us,treepi_p95_us,gindex_total_ms,gindex_mean_us,gindex_p50_us,gindex_p95_us",
     );
+    for name in obs::names::PIPELINE_SPANS {
+        let mut cells = vec![name.to_string()];
+        for m in [&tp_m, &gi_m] {
+            let s = m.span(name).cloned().unwrap_or_default();
+            cells.extend([
+                format!("{:.3}", s.total_ns as f64 / 1e6),
+                format!("{:.3}", s.mean_ns() as f64 / 1e3),
+                format!("{:.3}", s.quantile_ns(0.50) as f64 / 1e3),
+                format!("{:.3}", s.quantile_ns(0.95) as f64 / 1e3),
+            ]);
+        }
+        table.row(cells);
+    }
     println!(
         "   funnel: {} queries, |Pq| {} -> |P'q| {} -> |Dq| {} (gIndex |Cq| {})",
         tp_m.counter(obs::names::QUERIES),
@@ -106,55 +91,30 @@ fn stage_breakdown(opts: &Opts, dataset: &str, tp: &Engine, gi: &GIndex, queries
         tp_m.counter(obs::names::ANSWERS),
         gi_m.counter(obs::names::FILTERED),
     );
-    write_csv(
-        opts,
-        &format!("stages_{dataset}.csv"),
-        "stage,treepi_total_ms,treepi_mean_us,treepi_p50_us,treepi_p95_us,gindex_total_ms,gindex_mean_us,gindex_p50_us,gindex_p95_us",
-        &csv,
-    );
+    table.emit(opts);
 }
 
-/// Figure 9: index size (number of features) as the test dataset Γ_N grows.
-pub fn fig9(opts: &Opts) {
-    println!("== Figure 9: index size vs dataset size (AIDS surrogate) ==");
-    let sizes: Vec<usize> = [1000, 2000, 4000, 8000, 16000]
-        .iter()
-        .map(|&n| opts.scale.n(n))
-        .collect();
-    let mut rows = Vec::new();
-    let mut csv = Vec::new();
-    for n in sizes {
-        let db = chem_db(opts, n);
-        let (tp, t_tp, gi, t_gi) = build_both("Figure 9", &db);
-        rows.push(vec![
+/// Figures 9 and 12(a)/13(a): both indexes built over `dataset` at each
+/// of the paper's database `sizes` (scaled), their feature counts and
+/// build times written to `file`.
+pub fn build_sweep(opts: &Opts, figure: &str, dataset: &str, sizes: &[usize], file: &str) {
+    println!("== Figure {figure}: index size and construction time vs N ({dataset}) ==");
+    let mut table = Table::new(
+        file,
+        "n,treepi_features,gindex_features,treepi_build_ms,gindex_build_ms",
+    );
+    for n in sizes.iter().map(|&n| opts.scale.n(n)) {
+        let db = database(opts, dataset, n);
+        let (tp, t_tp, gi, t_gi) = build_both(&format!("Figure {figure}"), &db);
+        table.row(vec![
             n.to_string(),
             tp.feature_count().to_string(),
             gi.feature_count().to_string(),
-            format!("{t_tp:.0}"),
-            format!("{t_gi:.0}"),
+            format!("{t_tp:.1}"),
+            format!("{t_gi:.1}"),
         ]);
-        csv.push(format!(
-            "{n},{},{},{t_tp:.1},{t_gi:.1}",
-            tp.feature_count(),
-            gi.feature_count()
-        ));
     }
-    print_table(
-        &[
-            "N",
-            "treepi features",
-            "gindex features",
-            "treepi ms",
-            "gindex ms",
-        ],
-        &rows,
-    );
-    write_csv(
-        opts,
-        "fig9.csv",
-        "n,treepi_features,gindex_features,treepi_build_ms,gindex_build_ms",
-        &csv,
-    );
+    table.emit(opts);
 }
 
 /// Per-query measurements shared by Figures 10 and 11.
@@ -212,8 +172,10 @@ pub fn fig10(opts: &Opts, group: Option<&str>) {
             "-- {name}-support queries (|Dq| {} {threshold}) --",
             if low { "<" } else { ">=" }
         );
-        let mut rows = Vec::new();
-        let mut csv = Vec::new();
+        let mut table = Table::new(
+            format!("fig10_{name}.csv"),
+            "group,m,queries,gindex_cq,treepi_ppq,actual_dq",
+        );
         for &m in &m_values {
             let sel: Vec<&QueryPoint> = points
                 .iter()
@@ -226,32 +188,16 @@ pub fn fig10(opts: &Opts, group: Option<&str>) {
             let avg = |f: fn(&QueryPoint) -> usize| {
                 sel.iter().map(|p| f(p)).sum::<usize>() as f64 / k as f64
             };
-            let (cq, ppq, dq) = (avg(|p| p.cq), avg(|p| p.ppq), avg(|p| p.dq));
-            rows.push(vec![
+            table.row(vec![
+                name.to_string(),
                 m.to_string(),
                 k.to_string(),
-                format!("{cq:.1}"),
-                format!("{ppq:.1}"),
-                format!("{dq:.1}"),
+                format!("{:.2}", avg(|p| p.cq)),
+                format!("{:.2}", avg(|p| p.ppq)),
+                format!("{:.2}", avg(|p| p.dq)),
             ]);
-            csv.push(format!("{name},{m},{k},{cq:.2},{ppq:.2},{dq:.2}"));
         }
-        print_table(
-            &[
-                "|q|",
-                "queries",
-                "gindex |Cq|",
-                "treepi |P'q|",
-                "actual |Dq|",
-            ],
-            &rows,
-        );
-        write_csv(
-            opts,
-            &format!("fig10_{name}.csv"),
-            "group,m,queries,gindex_cq,treepi_ppq,actual_dq",
-            &csv,
-        );
+        table.emit(opts);
     }
 }
 
@@ -263,11 +209,7 @@ pub fn fig11(opts: &Opts, dataset: &str) {
             chem_db(opts, opts.scale.n(10_000)),
             "Γ_10k (AIDS surrogate)".to_string(),
         ),
-        "synthetic" => {
-            let (db, name) = synthetic_db(opts, opts.scale.n(8_000), 4);
-            (db, name)
-        }
-        other => panic!("unknown dataset {other}; use chem|synthetic"),
+        _ => synthetic_db(opts, opts.scale.n(8_000), 4),
     };
     println!("== Figure 11 ({dataset}): prune effectiveness on {label} ==");
     let (tp, _, gi, _) = build_both(&format!("Figure 11 ({dataset})"), &db);
@@ -293,8 +235,10 @@ pub fn fig11(opts: &Opts, dataset: &str) {
         )
     })
     .collect();
-    let mut rows = Vec::new();
-    let mut csv = Vec::new();
+    let mut table = Table::new(
+        format!("fig11_{dataset}.csv"),
+        "dq_lo,dq_hi,queries,avg_dq,gindex_cq,treepi_ppq",
+    );
     for (lo, hi) in buckets {
         let sel: Vec<&QueryPoint> = points.iter().filter(|p| p.dq >= lo && p.dq < hi).collect();
         if sel.is_empty() {
@@ -303,79 +247,16 @@ pub fn fig11(opts: &Opts, dataset: &str) {
         let k = sel.len();
         let avg =
             |f: fn(&QueryPoint) -> usize| sel.iter().map(|p| f(p)).sum::<usize>() as f64 / k as f64;
-        let (dq, cq, ppq) = (avg(|p| p.dq), avg(|p| p.cq), avg(|p| p.ppq));
-        rows.push(vec![
-            format!("[{lo},{hi})"),
+        table.row(vec![
+            lo.to_string(),
+            hi.to_string(),
             k.to_string(),
-            format!("{dq:.1}"),
-            format!("{cq:.1}"),
-            format!("{ppq:.1}"),
+            format!("{:.2}", avg(|p| p.dq)),
+            format!("{:.2}", avg(|p| p.cq)),
+            format!("{:.2}", avg(|p| p.ppq)),
         ]);
-        csv.push(format!("{lo},{hi},{k},{dq:.2},{cq:.2},{ppq:.2}"));
     }
-    print_table(
-        &[
-            "|Dq| bucket",
-            "queries",
-            "avg |Dq|",
-            "gindex |Cq|",
-            "treepi |P'q|",
-        ],
-        &rows,
-    );
-    write_csv(
-        opts,
-        &format!("fig11_{dataset}.csv"),
-        "dq_lo,dq_hi,queries,avg_dq,gindex_cq,treepi_ppq",
-        &csv,
-    );
-}
-
-/// Figures 12(a)/13(a): index construction time vs database size.
-pub fn fig_construction(opts: &Opts, dataset: &str) {
-    let figure = if dataset == "chem" { "12(a)" } else { "13(a)" };
-    println!("== Figure {figure}: index construction time ({dataset}) ==");
-    let sizes: Vec<usize> = [2000, 4000, 6000, 8000, 10_000]
-        .iter()
-        .map(|&n| opts.scale.n(n))
-        .collect();
-    let mut rows = Vec::new();
-    let mut csv = Vec::new();
-    for n in sizes {
-        let db = match dataset {
-            "chem" => chem_db(opts, n),
-            _ => synthetic_db(opts, n, 5).0,
-        };
-        let (tp, t_tp, gi, t_gi) = build_both(&format!("Figure {figure}"), &db);
-        rows.push(vec![
-            n.to_string(),
-            format!("{:.2}", t_tp / 1e3),
-            format!("{:.2}", t_gi / 1e3),
-            tp.feature_count().to_string(),
-            gi.feature_count().to_string(),
-        ]);
-        csv.push(format!(
-            "{n},{t_tp:.1},{t_gi:.1},{},{}",
-            tp.feature_count(),
-            gi.feature_count()
-        ));
-    }
-    print_table(
-        &[
-            "N",
-            "treepi s",
-            "gindex s",
-            "treepi features",
-            "gindex features",
-        ],
-        &rows,
-    );
-    write_csv(
-        opts,
-        &format!("fig_construction_{dataset}.csv"),
-        "n,treepi_build_ms,gindex_build_ms,treepi_features,gindex_features",
-        &csv,
-    );
+    table.emit(opts);
 }
 
 /// Build scaling: TreePi construction wall time vs worker threads on one
@@ -385,17 +266,11 @@ pub fn fig_construction(opts: &Opts, dataset: &str) {
 pub fn buildscale(opts: &Opts, dataset: &str) {
     println!("== build scaling: TreePi construction vs threads ({dataset}) ==");
     let n = opts.scale.n(4000);
-    let db = match dataset {
-        "chem" => chem_db(opts, n),
-        _ => synthetic_db(opts, n, 5).0,
-    };
-    let save_bytes = |idx: &TreePiIndex| -> Vec<u8> {
-        let mut out = Vec::new();
-        idx.save(&mut out).expect("in-memory save");
-        out
-    };
-    let mut rows = Vec::new();
-    let mut csv = Vec::new();
+    let db = database(opts, dataset, n);
+    let mut table = Table::new(
+        format!("build_scaling_{dataset}.csv"),
+        "dataset,n,threads,build_ms,speedup,features",
+    );
     let mut base_ms = 0.0f64;
     let mut base_bytes: Vec<u8> = Vec::new();
     for threads in [1usize, 2, 4, 8] {
@@ -408,8 +283,9 @@ pub fn buildscale(opts: &Opts, dataset: &str) {
             )
         });
         let t = ms(t);
-        let bytes = save_bytes(&idx);
-        let identical = if threads == 1 {
+        let mut bytes = Vec::new();
+        idx.save(&mut bytes).expect("in-memory save");
+        if threads == 1 {
             note_truncation(
                 &format!("build scaling ({dataset})"),
                 "TreePi",
@@ -418,52 +294,33 @@ pub fn buildscale(opts: &Opts, dataset: &str) {
             );
             base_ms = t;
             base_bytes = bytes;
-            true
         } else {
-            bytes == base_bytes
-        };
-        assert!(identical, "parallel build diverged at {threads} threads");
-        let speedup = base_ms / t;
-        rows.push(vec![
+            assert!(
+                bytes == base_bytes,
+                "parallel build diverged at {threads} threads"
+            );
+        }
+        table.row(vec![
+            dataset.to_string(),
+            n.to_string(),
             threads.to_string(),
-            format!("{:.1}", t),
-            format!("{:.2}", speedup),
+            format!("{t:.1}"),
+            format!("{:.3}", base_ms / t),
             idx.feature_count().to_string(),
-            "yes".to_string(),
         ]);
-        csv.push(format!(
-            "{dataset},{n},{threads},{t:.1},{speedup:.3},{}",
-            idx.feature_count()
-        ));
     }
-    print_table(
-        &["threads", "build ms", "speedup", "features", "bytes=1t"],
-        &rows,
-    );
-    write_csv(
-        opts,
-        &format!("build_scaling_{dataset}.csv"),
-        "dataset,n,threads,build_ms,speedup,features",
-        &csv,
-    );
+    table.emit(opts);
 }
 
 /// Figures 12(b)/13(b): query processing time vs query edge size.
 pub fn fig_query_time(opts: &Opts, dataset: &str) {
     let figure = if dataset == "chem" { "12(b)" } else { "13(b)" };
     println!("== Figure {figure}: query processing time ({dataset}) ==");
-    let (db, m_values, paper_queries): (Vec<Graph>, Vec<usize>, usize) = match dataset {
-        "chem" => (
-            chem_db(opts, opts.scale.n(6_000)),
-            vec![4, 8, 12, 16, 20, 24],
-            1000,
-        ),
-        _ => (
-            synthetic_db(opts, opts.scale.n(8_000), 5).0,
-            vec![4, 8, 12, 16],
-            500,
-        ),
+    let (n, m_values, paper_queries) = match dataset {
+        "chem" => (6_000, vec![4, 8, 12, 16, 20, 24], 1000),
+        _ => (8_000, vec![4, 8, 12, 16], 500),
     };
+    let db = database(opts, dataset, opts.scale.n(n));
     let (tp, _, gi, _) = build_both(&format!("Figure {figure}"), &db);
     // The batch series runs on an engine at full available parallelism; the
     // sequential series reads the same index through its pinned snapshot.
@@ -471,8 +328,10 @@ pub fn fig_query_time(opts: &Opts, dataset: &str) {
     let tp = engine.pin();
     let per_size = opts.scale.queries(paper_queries);
     let mut rng = rng_for(opts, "figquery");
-    let mut rows = Vec::new();
-    let mut csv = Vec::new();
+    let mut table = Table::new(
+        format!("fig_query_{dataset}.csv"),
+        "m,treepi_ms_per_query,treepi_par_ms_per_query,gindex_ms_per_query,speedup",
+    );
     let mut breakdown_queries: Option<Vec<Graph>> = None;
     for &m in &m_values {
         let queries = extract_queries(&db, m, per_size, &mut rng);
@@ -505,31 +364,15 @@ pub fn fig_query_time(opts: &Opts, dataset: &str) {
         );
         let k = queries.len() as f64;
         let (tp_ms, par_ms, gi_ms) = (ms(t_tp) / k, ms(t_par) / k, ms(t_gi) / k);
-        rows.push(vec![
+        table.row(vec![
             m.to_string(),
-            format!("{tp_ms:.2}"),
-            format!("{par_ms:.2}"),
-            format!("{gi_ms:.2}"),
+            format!("{tp_ms:.3}"),
+            format!("{par_ms:.3}"),
+            format!("{gi_ms:.3}"),
             format!("{:.2}", gi_ms / tp_ms),
         ]);
-        csv.push(format!("{m},{tp_ms:.3},{par_ms:.3},{gi_ms:.3}"));
     }
-    print_table(
-        &[
-            "|q|",
-            "treepi ms/q",
-            "treepi par ms/q",
-            "gindex ms/q",
-            "speedup",
-        ],
-        &rows,
-    );
-    write_csv(
-        opts,
-        &format!("fig_query_{dataset}.csv"),
-        "m,treepi_ms_per_query,treepi_par_ms_per_query,gindex_ms_per_query",
-        &csv,
-    );
+    table.emit(opts);
     if let Some(queries) = &breakdown_queries {
         stage_breakdown(opts, dataset, &engine, &gi, queries);
     }
@@ -572,8 +415,10 @@ pub fn ablate(opts: &Opts) {
             },
         ),
     ];
-    let mut rows = Vec::new();
-    let mut csv = Vec::new();
+    let mut table = Table::new(
+        "ablate_pipeline.csv",
+        "config,queries,avg_pq,avg_ppq,avg_dq,ms_per_query",
+    );
     for (set, queries) in [("extracted", &queries), ("near miss", &near_miss)] {
         let mut reference: Option<Vec<usize>> = None;
         for &(name, cfg) in &configs {
@@ -594,44 +439,24 @@ pub fn ablate(opts: &Opts) {
                 None => reference = Some(answers),
                 Some(r) => assert_eq!(r, &answers, "ablation '{name}' changed {set} answers"),
             }
-            rows.push(vec![
+            table.row(vec![
                 name.to_string(),
                 set.to_string(),
-                format!("{:.1}", filtered as f64 / k),
-                format!("{:.1}", pruned as f64 / k),
-                format!("{avg_answers:.1}"),
-                format!("{:.2}", ms(t) / k),
+                format!("{:.2}", filtered as f64 / k),
+                format!("{:.2}", pruned as f64 / k),
+                format!("{avg_answers:.2}"),
+                format!("{:.3}", ms(t) / k),
             ]);
-            csv.push(format!(
-                "{name},{set},{:.2},{:.2},{avg_answers:.2},{:.3}",
-                filtered as f64 / k,
-                pruned as f64 / k,
-                ms(t) / k
-            ));
         }
     }
-    print_table(
-        &[
-            "configuration",
-            "queries",
-            "avg |Pq|",
-            "avg |P'q|",
-            "avg |Dq|",
-            "ms/query",
-        ],
-        &rows,
-    );
-    write_csv(
-        opts,
-        "ablate_pipeline.csv",
-        "config,queries,avg_pq,avg_ppq,avg_dq,ms_per_query",
-        &csv,
-    );
+    table.emit(opts);
 
     // γ sweep: index size and filtering strength trade-off (§4.1.2).
     println!("-- shrinking parameter γ sweep --");
-    let mut rows = Vec::new();
-    let mut csv = Vec::new();
+    let mut table = Table::new(
+        "ablate_gamma.csv",
+        "gamma,features,mem_kib,avg_ppq,build_ms",
+    );
     for gamma in [0.5, 1.0, 1.5, 2.0, 3.0] {
         let params = TreePiParams {
             gamma,
@@ -644,31 +469,15 @@ pub fn ablate(opts: &Opts) {
         for q in &queries {
             pruned += idx.query_with(q, paper_pipeline()).stats.pruned;
         }
-        rows.push(vec![
-            format!("{gamma:.1}"),
+        table.row(vec![
+            gamma.to_string(),
             idx.feature_count().to_string(),
-            format!("{}", idx.memory_estimate() / 1024),
-            format!("{:.1}", pruned as f64 / queries.len() as f64),
-            format!("{:.1}", ms(t_build) / 1e3),
+            (idx.memory_estimate() / 1024).to_string(),
+            format!("{:.2}", pruned as f64 / queries.len() as f64),
+            format!("{:.1}", ms(t_build)),
         ]);
-        csv.push(format!(
-            "{gamma},{},{},{:.2},{:.1}",
-            idx.feature_count(),
-            idx.memory_estimate() / 1024,
-            pruned as f64 / queries.len() as f64,
-            ms(t_build)
-        ));
     }
-    print_table(
-        &["gamma", "features", "mem KiB", "avg |P'q|", "build s"],
-        &rows,
-    );
-    write_csv(
-        opts,
-        "ablate_gamma.csv",
-        "gamma,features,mem_kib,avg_ppq,build_ms",
-        &csv,
-    );
+    table.emit(opts);
 }
 
 /// Feature-class comparison (the paper's §1 argument in one table): paths
@@ -695,8 +504,10 @@ pub fn classes(opts: &Opts) {
     );
     let per_size = opts.scale.queries(300);
     let mut rng = rng_for(opts, "classes");
-    let mut rows = Vec::new();
-    let mut csv = Vec::new();
+    let mut table = Table::new(
+        "feature_classes.csv",
+        "m,path_cand,tree_ppq,graph_cq,dq,path_ms,tree_ms,graph_ms",
+    );
     for m in [4usize, 8, 12, 16] {
         let queries = extract_queries(&db, m, per_size, &mut rng);
         let (mut f_pg, mut f_tp, mut f_gi, mut dq) = (0usize, 0usize, 0usize, 0usize);
@@ -720,46 +531,18 @@ pub fn classes(opts: &Opts) {
             dq += answers;
         }
         let k = queries.len() as f64;
-        rows.push(vec![
+        table.row(vec![
             m.to_string(),
-            format!("{:.1}", f_pg as f64 / k),
-            format!("{:.1}", f_tp as f64 / k),
-            format!("{:.1}", f_gi as f64 / k),
-            format!("{:.1}", dq as f64 / k),
-            format!("{:.2}", ms(t_pgq) / k),
-            format!("{:.2}", ms(t_tpq) / k),
-            format!("{:.2}", ms(t_giq) / k),
+            format!("{:.2}", f_pg as f64 / k),
+            format!("{:.2}", f_tp as f64 / k),
+            format!("{:.2}", f_gi as f64 / k),
+            format!("{:.2}", dq as f64 / k),
+            format!("{:.3}", ms(t_pgq) / k),
+            format!("{:.3}", ms(t_tpq) / k),
+            format!("{:.3}", ms(t_giq) / k),
         ]);
-        csv.push(format!(
-            "{m},{:.2},{:.2},{:.2},{:.2},{:.3},{:.3},{:.3}",
-            f_pg as f64 / k,
-            f_tp as f64 / k,
-            f_gi as f64 / k,
-            dq as f64 / k,
-            ms(t_pgq) / k,
-            ms(t_tpq) / k,
-            ms(t_giq) / k
-        ));
     }
-    print_table(
-        &[
-            "|q|",
-            "paths cand",
-            "trees |P'q|",
-            "graphs |Cq|",
-            "|Dq|",
-            "paths ms",
-            "trees ms",
-            "graphs ms",
-        ],
-        &rows,
-    );
-    write_csv(
-        opts,
-        "feature_classes.csv",
-        "m,path_cand,tree_ppq,graph_cq,dq,path_ms,tree_ms,graph_ms",
-        &csv,
-    );
+    table.emit(opts);
 }
 
 /// Dataset summaries (the paper's §6 dataset descriptions, recomputed for
@@ -769,55 +552,27 @@ pub fn datasets(opts: &Opts) {
     let chem = chem_db(opts, opts.scale.n(10_000));
     let (syn4, name4) = synthetic_db(opts, opts.scale.n(8_000), 4);
     let (syn40, name40) = synthetic_db(opts, opts.scale.n(8_000), 40);
-    let mut rows = Vec::new();
-    let mut csv = Vec::new();
+    let mut table = Table::new(
+        "datasets.csv",
+        "dataset,graphs,mean_v,mean_e,mean_degree,vlabels,elabels,tree_fraction,mean_cycles",
+    );
     for (name, db) in [
         ("AIDS surrogate".to_string(), &chem),
         (name4, &syn4),
         (name40, &syn40),
     ] {
         let s = graph_core::db_stats(db);
-        rows.push(vec![
-            name.clone(),
+        table.row(vec![
+            name,
             s.graphs.to_string(),
-            format!("{:.1}", s.mean_vertices),
-            format!("{:.1}", s.mean_edges),
-            format!("{:.2}", s.mean_degree),
+            format!("{:.2}", s.mean_vertices),
+            format!("{:.2}", s.mean_edges),
+            format!("{:.3}", s.mean_degree),
             s.vertex_labels.to_string(),
             s.edge_labels.to_string(),
-            format!("{:.2}", s.tree_fraction),
-            format!("{:.2}", s.mean_cycles),
+            format!("{:.3}", s.tree_fraction),
+            format!("{:.3}", s.mean_cycles),
         ]);
-        csv.push(format!(
-            "{name},{},{:.2},{:.2},{:.3},{},{},{:.3},{:.3}",
-            s.graphs,
-            s.mean_vertices,
-            s.mean_edges,
-            s.mean_degree,
-            s.vertex_labels,
-            s.edge_labels,
-            s.tree_fraction,
-            s.mean_cycles
-        ));
     }
-    print_table(
-        &[
-            "dataset",
-            "graphs",
-            "|V|",
-            "|E|",
-            "deg",
-            "vlabels",
-            "elabels",
-            "tree frac",
-            "cycles",
-        ],
-        &rows,
-    );
-    write_csv(
-        opts,
-        "datasets.csv",
-        "dataset,graphs,mean_v,mean_e,mean_degree,vlabels,elabels,tree_fraction,mean_cycles",
-        &csv,
-    );
+    table.emit(opts);
 }
