@@ -1,23 +1,14 @@
 //! `treepi` — command-line interface to the TreePi graph index.
 //!
-//! ```text
-//! treepi build  <db.gspan> <index.tpi> [--alpha A --beta B --eta E --gamma G] [--threads N] [--metrics out.json]
-//!               [--trace out.json] [--timeseries out.json] [--sample-interval-ms M]
-//! treepi query  <index.tpi> <queries.gspan> [--stats] [--threads N] [--metrics out.json] [--trace out.json]
-//! treepi gquery <db.gspan> <queries.gspan> [--threads N] [--metrics out.json]  (gIndex baseline)
-//! treepi stats  <index.tpi> | --addr HOST:PORT     (live server snapshot)
-//! treepi dbstats <db.gspan>
-//! treepi gen    <out.gspan> --chem N | --synthetic N L
-//! treepi scan   <db.gspan> <queries.gspan> [--threads N]   (index-free baseline)
-//! treepi serve  <index.tpi> [--addr HOST:PORT] [--threads N] [--max-batch N]
-//!               [--queue-cap N] [--cache-cap N] [--max-requests N] [--metrics out.json]
-//!               [--timeseries out.json] [--sample-interval-ms M] [--slow-query-us U] [--slow-log out.json]
-//!               [--http-addr HOST:PORT] [--stall-threshold-us U] [--access-log out.jsonl]
-//!               [--remine-threshold N]
-//! treepi loadgen <addr> <queries.gspan> [--connections N] [--requests N] [--rate R] [--zipf S]
-//!               [--seed N] [--shutdown] [--metrics out.json]
-//! treepi prom   <metrics.json>          (convert a saved snapshot to Prometheus text)
-//! ```
+//! Commands: `build`, `query`, `gquery` (the gIndex baseline), `stats` (of
+//! an index file, or of a live server with `--addr`), `dbstats`, `gen`,
+//! `scan` (the index-free baseline), `serve`, `loadgen` and `prom`.
+//! [`COMMANDS`] lists each command's arguments and flags once: the usage
+//! text (`treepi` without arguments) is printed from it, and a flag the
+//! command does not list is an error naming the flag and the command,
+//! before any file is read or socket bound. A value-taking flag given
+//! last, or followed by another `--` flag, is an error naming it, never a
+//! silent default.
 //!
 //! `--metrics out.json` enables the `obs` registry for the run and writes
 //! the drained counters, `mem.*` gauges, and stage-span histograms as
@@ -32,11 +23,6 @@
 //! `build` — and writes it as Chrome trace-event JSON, loadable in
 //! `chrome://tracing` or <https://ui.perfetto.dev>.
 //!
-//! `--timeseries out.json` (serve, build) records a `treepi.series/v1`
-//! time series: periodic samples of queue depth, shed count, cache hits,
-//! and live heap bytes for `serve` (every `--sample-interval-ms`, default
-//! 100), and one labelled sample per phase boundary for `build`.
-//!
 //! `--slow-query-us U` (serve) captures every query whose verify stage
 //! takes at least `U` µs into a bounded forensics ring (counted under
 //! `serve.slow_queries`); `--slow-log out.json` writes the captures as
@@ -45,7 +31,9 @@
 //! `--http-addr HOST:PORT` (serve) opens the HTTP monitoring listener on
 //! the same event loop: `GET /metrics` (live snapshot as Prometheus
 //! text), `GET /healthz` (`ok` / `degraded` / `draining`), `GET /slowz`
-//! (the current slow-query ring as Chrome trace JSON).
+//! (the current slow-query ring as Chrome trace JSON). Scraping
+//! `/metrics` (or `treepi stats --addr`) at an interval is how a serve run's
+//! levels are followed over time.
 //! `--stall-threshold-us U` tunes the event-loop stall watchdog (default
 //! 100000 µs; 0 disables it) and `--access-log out.jsonl` streams one
 //! structured JSON record per request.
@@ -59,9 +47,6 @@
 //! `prom` converts a saved `treepi.obs/v1` metrics file to the same
 //! Prometheus text `/metrics` serves — useful for pushing one-shot build
 //! or loadgen metrics through a pushgateway.
-//!
-//! A value-taking flag given last, or followed by another `--` flag, is an
-//! error naming it, never a silent default.
 //!
 //! Graph files use the gSpan transaction format (`t # i` / `v id label` /
 //! `e u v label`); see `graph_core::io`.
@@ -79,20 +64,70 @@ use treepi::{TreePiIndex, TreePiParams};
 static ALLOC: obs::alloc::TrackingAlloc<std::alloc::System> =
     obs::alloc::TrackingAlloc::new(std::alloc::System);
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  treepi build  <db.gspan> <index.tpi> [--alpha A] [--beta B] [--eta E] [--gamma G] [--threads N] [--metrics out.json] [--trace out.json] [--timeseries out.json] [--sample-interval-ms 100]\n  \
-         treepi query  <index.tpi> <queries.gspan> [--stats] [--threads N] [--metrics out.json] [--trace out.json]\n  \
-         treepi gquery <db.gspan> <queries.gspan> [--threads N] [--metrics out.json]\n  \
-         treepi stats  (<index.tpi> | --addr HOST:PORT)\n  \
-         treepi dbstats <db.gspan>\n  \
-         treepi gen    <out.gspan> (--chem N | --synthetic N L) [--seed N]\n  \
-         treepi scan   <db.gspan> <queries.gspan> [--threads N]\n  \
-         treepi serve  <index.tpi> [--addr 127.0.0.1:7878] [--threads N] [--max-batch 64] [--queue-cap 1024] [--cache-cap 4096] [--max-requests 0] [--metrics out.json] [--timeseries out.json] [--sample-interval-ms 100] [--slow-query-us 0] [--slow-log out.json] [--http-addr HOST:PORT] [--stall-threshold-us 100000] [--access-log out.jsonl] [--remine-threshold 0]\n  \
-         treepi loadgen <addr> <queries.gspan> [--connections 4] [--requests 1000] [--rate R] [--zipf 0.0] [--seed N] [--shutdown] [--metrics out.json]\n  \
-         treepi prom   <metrics.json>"
-    );
-    ExitCode::from(2)
+/// Every command with its synopsis: the positional arguments, then each
+/// flag it takes in brackets, followed by a placeholder when it takes a
+/// value (the placeholder shows the default where there is one). The usage
+/// text prints these lines and [`check_flags`] reads the flags from them.
+const COMMANDS: [(&str, &str); 10] = [
+    (
+        "build",
+        "<db.gspan> <index.tpi> [--alpha A] [--beta B] [--eta E] [--gamma G] \
+         [--threads N] [--metrics out.json] [--trace out.json]",
+    ),
+    (
+        "query",
+        "<index.tpi> <queries.gspan> [--stats] [--threads N] [--metrics out.json] \
+         [--trace out.json]",
+    ),
+    (
+        "gquery",
+        "<db.gspan> <queries.gspan> [--threads N] [--metrics out.json]",
+    ),
+    ("stats", "(<index.tpi> | --addr HOST:PORT)"),
+    ("dbstats", "<db.gspan>"),
+    (
+        "gen",
+        "<out.gspan> (--chem N | --synthetic N) [--labels 4] [--seed 2007]",
+    ),
+    ("scan", "<db.gspan> <queries.gspan> [--threads N]"),
+    (
+        "serve",
+        "<index.tpi> [--addr 127.0.0.1:7878] [--threads N] [--max-batch 64] \
+         [--queue-cap 1024] [--cache-cap 4096] [--max-requests 0] [--metrics out.json] \
+         [--slow-query-us 0] [--slow-log out.json] [--http-addr HOST:PORT] \
+         [--stall-threshold-us 100000] [--access-log out.jsonl] [--remine-threshold 0]",
+    ),
+    (
+        "loadgen",
+        "<addr> <queries.gspan> [--connections 4] [--requests 1000] [--rate R] \
+         [--zipf 0.0] [--seed 42] [--shutdown] [--metrics out.json]",
+    ),
+    ("prom", "<metrics.json>"),
+];
+
+fn usage() {
+    eprintln!("usage:");
+    for (cmd, synopsis) in COMMANDS {
+        eprintln!("  treepi {cmd:<7} {synopsis}");
+    }
+}
+
+/// Refuse any `--` argument the command's synopsis does not list, and any
+/// listed value-taking flag without its value.
+fn check_flags(cmd: &str, synopsis: &str, args: &[String]) -> Result<(), String> {
+    let words: Vec<&str> = synopsis
+        .split([' ', '[', ']', '(', ')', '|'])
+        .filter(|w| !w.is_empty())
+        .collect();
+    for arg in args.iter().filter(|a| a.starts_with("--")) {
+        let Some(i) = words.iter().position(|w| w == arg) else {
+            return Err(format!("unknown flag {arg} for {cmd}"));
+        };
+        if words.get(i + 1).is_some_and(|w| !w.starts_with("--")) {
+            flag_value(args, arg)?;
+        }
+    }
+    Ok(())
 }
 
 /// The value of flag `name`, `None` when the flag is absent.
@@ -161,20 +196,12 @@ fn write_trace(registry: &obs::Registry, path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Write a sampler's retained series to `path` as `treepi.series/v1` JSON.
-fn write_series(sampler: &obs::series::Sampler, path: &str) -> Result<(), String> {
-    std::fs::write(path, sampler.render_json()).map_err(|e| format!("{path}: {e}"))?;
-    eprintln!(
-        "wrote {} time-series samples to {path} ({} dropped by the ring)",
-        sampler.len(),
-        sampler.dropped()
-    );
-    Ok(())
-}
-
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().cloned().unwrap_or_default();
+    if let Some((_, synopsis)) = COMMANDS.iter().find(|(c, _)| *c == cmd) {
+        check_flags(&cmd, synopsis, &args)?;
+    }
     match cmd.as_str() {
         "build" => {
             let (Some(db_path), Some(out_path)) = (args.get(1), args.get(2)) else {
@@ -206,20 +233,13 @@ fn run() -> Result<(), String> {
             let threads = parse_flag(&args, "--threads", 0usize)?;
             let metrics_path = flag_value(&args, "--metrics")?;
             let trace_path = flag_value(&args, "--trace")?;
-            let series_path = flag_value(&args, "--timeseries")?;
-            let interval_ms = parse_flag(&args, "--sample-interval-ms", 100u64)?;
             let registry = metrics_registry(&metrics_path, &trace_path);
-            let sampler = if series_path.is_some() {
-                obs::series::Sampler::new(std::time::Duration::from_millis(interval_ms), 4096)
-            } else {
-                obs::series::Sampler::disabled()
-            };
             let t = std::time::Instant::now();
             let n = db.len();
             let index = {
                 let pool = graph_core::par::Pool::new(threads);
                 let shard = registry.shard();
-                let index = TreePiIndex::build_with_pool_obs(db, params, &pool, &shard, &sampler);
+                let index = TreePiIndex::build_with_pool_obs(db, params, &pool, &shard);
                 registry.absorb(shard);
                 index
             };
@@ -236,9 +256,6 @@ fn run() -> Result<(), String> {
             eprintln!("wrote {out_path}");
             if let Some(path) = &trace_path {
                 write_trace(&registry, path)?;
-            }
-            if let Some(path) = &series_path {
-                write_series(&sampler, path)?;
             }
             if let Some(path) = &metrics_path {
                 index.record_mem_gauges(&registry);
@@ -478,8 +495,6 @@ fn run() -> Result<(), String> {
                 ..serve::ServeConfig::default()
             };
             let metrics_path = flag_value(&args, "--metrics")?;
-            let series_path = flag_value(&args, "--timeseries")?;
-            let interval_ms = parse_flag(&args, "--sample-interval-ms", 100u64)?;
             let slow_us = parse_flag(&args, "--slow-query-us", 0u64)?;
             let slow_log_path = flag_value(&args, "--slow-log")?;
             let access_log_path = flag_value(&args, "--access-log")?;
@@ -488,11 +503,6 @@ fn run() -> Result<(), String> {
             // whether the final snapshot is written to a file.
             let registry = obs::Registry::new();
             let mut telemetry = serve::ServeTelemetry {
-                sampler: if series_path.is_some() {
-                    obs::series::Sampler::new(std::time::Duration::from_millis(interval_ms), 4096)
-                } else {
-                    obs::series::Sampler::disabled()
-                },
                 slow: serve::SlowQueryLog::new(
                     (slow_us > 0).then(|| std::time::Duration::from_micros(slow_us)),
                     serve::telemetry::SLOW_LOG_CAP,
@@ -533,9 +543,6 @@ fn run() -> Result<(), String> {
                     telemetry.slow.seen(),
                     telemetry.slow.len()
                 );
-            }
-            if let Some(path) = &series_path {
-                write_series(&telemetry.sampler, path)?;
             }
             if let Some(path) = &slow_log_path {
                 std::fs::write(path, telemetry.slow.render_chrome_json())

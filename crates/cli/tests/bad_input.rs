@@ -3,9 +3,11 @@
 //! A query file containing an edgeless graph (the pipeline asserts
 //! `edge_count() > 0`) names the query; a value-taking flag given last, or
 //! followed by another `--` flag, names the flag (`query … --metrics` once
-//! exited 0 and wrote no file). Build parameters that set σ(1) above 1
-//! name `--alpha` and `--beta`: such an index misses single edges, and
-//! `--alpha 0` once built one that answered database graphs with nothing.
+//! exited 0 and wrote no file). A flag the command does not take names
+//! the flag and the command (`query … --metric m.json` once exited 0 and
+//! wrote nothing). Build parameters that set σ(1) above 1 name `--alpha`
+//! and `--beta`: such an index misses single edges, and `--alpha 0` once
+//! built one that answered database graphs with nothing.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -57,6 +59,18 @@ fn bad_input_is_an_error_not_a_panic() {
         (
             vec!["query", idx, db, "--metrics", "--stats"],
             "--metrics needs a value",
+        ),
+        (
+            vec!["query", idx, q, "--metric", "m.json"],
+            "unknown flag --metric for query",
+        ),
+        (
+            vec!["build", db, idx, "--sample-interval-ms", "5"],
+            "unknown flag --sample-interval-ms for build",
+        ),
+        (
+            vec!["serve", idx, "--timeseries", "x"],
+            "unknown flag --timeseries for serve",
         ),
         (vec!["build", db, idx, "--alpha"], "--alpha needs a value"),
         (

@@ -42,7 +42,6 @@
 pub mod alloc;
 pub mod json;
 pub mod prom;
-pub mod series;
 pub mod trace;
 
 use std::cell::RefCell;
@@ -663,13 +662,12 @@ pub mod names {
     /// Prefixes of the namespaces exempt from the determinism contract.
     /// `engine.` and `pool.` describe execution shape (worker counts,
     /// scheduling, pool busy/park time) and vary with `--threads`;
-    /// `serve.`, `cache.`, `loadgen.`, `series.` and `maint.` depend on
-    /// arrival timing (batch boundaries, cache hits vs. in-flight
-    /// misses, shed decisions, sampler ring evictions, how many queued ops
-    /// each apply batch happens to fold together).
-    pub const EXEMPT_PREFIXES: [&str; 7] = [
-        "engine.", "pool.", "serve.", "cache.", "loadgen.", "series.", "maint.",
-    ];
+    /// `serve.`, `cache.`, `loadgen.` and `maint.` depend on arrival
+    /// timing (batch boundaries, cache hits vs. in-flight misses, shed
+    /// decisions, how many queued ops each apply batch happens to fold
+    /// together).
+    pub const EXEMPT_PREFIXES: [&str; 6] =
+        ["engine.", "pool.", "serve.", "cache.", "loadgen.", "maint."];
 
     /// Query partition stage: the walk for the query's feature occurrences,
     /// the greedy cover `TP_q` and `SF_q`.
@@ -756,7 +754,8 @@ pub mod names {
     pub const SERVE_BATCHES: &str = "serve.batches";
     /// Counter: queries executed inside micro-batches.
     pub const SERVE_BATCHED: &str = "serve.batched_queries";
-    /// Counter: maintenance operations (insert/remove) applied.
+    /// Counter: maintenance operations (insert/remove) accepted into the
+    /// engine's pending queue.
     pub const SERVE_MAINTENANCE: &str = "serve.maintenance";
     /// Counter: malformed frames / protocol errors answered with `E`.
     pub const SERVE_ERRORS: &str = "serve.errors";
@@ -774,6 +773,9 @@ pub mod names {
     /// Counter: HTTP monitoring requests served (`/metrics`, `/healthz`,
     /// `/slowz`, and error responses alike).
     pub const SERVE_HTTP_REQUESTS: &str = "serve.http_requests";
+    /// Counter: access-log records (and flushes) lost to writer I/O errors;
+    /// present whenever an access log is open.
+    pub const SERVE_ACCESS_LOG_WRITE_ERRORS: &str = "serve.access_log.write_errors";
     /// Counter: event-loop iterations whose non-poll work exceeded the
     /// stall threshold (watchdog trips).
     pub const SERVE_LOOP_STALLS: &str = "serve.loop.stall_count";
@@ -804,8 +806,9 @@ pub mod names {
     /// Gauge: peak depth the admission queue ever reached (≤ queue cap —
     /// the bounded-memory witness).
     pub const GAUGE_SERVE_QUEUE_PEAK: &str = "serve.queue_peak";
-    /// Gauge: admission-queue depth at the most recent snapshot/sample
-    /// (instantaneous, unlike the monotone peak above).
+    /// Gauge: admission-queue depth when a live snapshot (STATS,
+    /// `/metrics`) is taken — instantaneous, unlike the monotone peak above,
+    /// so it is not in the exit file.
     pub const GAUGE_SERVE_QUEUE_DEPTH: &str = "serve.queue_depth";
 
     /// Counter: result-cache hits (answered without touching the engine).
@@ -817,7 +820,7 @@ pub mod names {
     /// Counter: whole-cache invalidations caused by an epoch bump
     /// (§7.1 insert/remove maintenance).
     pub const CACHE_INVALIDATIONS: &str = "cache.invalidations";
-    /// Gauge: resident cache entries at shutdown.
+    /// Gauge: resident cache entries.
     pub const GAUGE_CACHE_ENTRIES: &str = "cache.entries";
 
     /// Span: client-observed request round-trip latency in the load
@@ -829,11 +832,6 @@ pub mod names {
     pub const LOADGEN_BUSY: &str = "loadgen.busy";
     /// Counter: loadgen transport/protocol errors.
     pub const LOADGEN_ERRORS: &str = "loadgen.errors";
-
-    /// Gauge: time-series samples evicted from the sampler ring
-    /// ([`crate::series::Sampler::dropped`]), surfaced live so a scrape
-    /// can see ring pressure before the series file is written.
-    pub const GAUGE_SERIES_DROPPED: &str = "series.dropped";
 
     /// Counter: §7.1 maintenance ops accepted into the engine's pending
     /// queue (insert + remove; see `treepi::Engine::queue_insert`).
@@ -981,7 +979,6 @@ mod tests {
         m.add("serve.shed", 3);
         m.add("cache.hit", 8);
         m.add("loadgen.ok", 5);
-        m.add("series.dropped", 1);
         m.add("graph.bfs", 2);
         let det = m.deterministic_counters();
         assert_eq!(det.len(), 2);
@@ -992,7 +989,6 @@ mod tests {
         assert!(!det.contains_key("serve.shed"));
         assert!(!det.contains_key("cache.hit"));
         assert!(!det.contains_key("loadgen.ok"));
-        assert!(!det.contains_key("series.dropped"));
     }
 
     #[test]

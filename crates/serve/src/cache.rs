@@ -230,17 +230,6 @@ impl QueryCache {
         self.map.insert(key, i);
         self.push_front(i);
     }
-
-    /// Record the cache counters and resident-size gauge into `registry`.
-    pub fn record_metrics(&self, registry: &obs::Registry) {
-        let s = registry.shard();
-        s.add(obs::names::CACHE_HIT, self.hits);
-        s.add(obs::names::CACHE_MISS, self.misses);
-        s.add(obs::names::CACHE_EVICTIONS, self.evictions);
-        s.add(obs::names::CACHE_INVALIDATIONS, self.invalidations);
-        registry.absorb(s);
-        registry.set_gauge(obs::names::GAUGE_CACHE_ENTRIES, self.len() as u64);
-    }
 }
 
 #[cfg(test)]

@@ -11,23 +11,21 @@
 //!   the database state it was computed against.
 //! - [`server`] — a single-threaded event loop (vendored `minipoll`,
 //!   level-triggered epoll) that admits queries into a **bounded** queue,
-//!   groups them into micro-batches under a latency budget, and runs each
-//!   batch on the engine's persistent worker pool. When the queue is
-//!   full, requests are refused with an explicit Busy response — the
+//!   dispatches whatever is queued as one micro-batch each time round,
+//!   and runs it on the engine's persistent worker pool. When the queue
+//!   is full, requests are refused with an explicit Busy response — the
 //!   server never buffers unboundedly.
 //! - [`client`] / [`loadgen`] — a blocking client and an open/closed-loop
 //!   load generator with a Zipf skew knob, reporting p50/p95/p99 from the
 //!   obs histograms.
-//! - [`telemetry`] — live observability: the `STATS` admin op snapshots
-//!   the running server's metrics as `treepi.obs/v1` JSON without pausing
-//!   the event loop, a ring-buffer sampler records queue/cache/heap time
-//!   series, a slow-query log captures per-stage forensics for queries
-//!   whose verify stage exceeds a threshold, a [`LoopWatchdog`] trips on
-//!   event-loop iterations that hold the thread past a threshold, and an
-//!   optional [`AccessLog`] writes one JSONL record per request.
-//!   Slow-consumer disconnects (write buffer over cap) are counted under
-//!   `serve.slow_consumer_drop`; oversized-frame protocol violations
-//!   under `serve.proto_error`.
+//! - [`telemetry`] — the loop's forensics: a slow-query log captures
+//!   per-stage timelines of queries whose verify stage exceeds a
+//!   threshold, a [`LoopWatchdog`] trips on event-loop iterations that
+//!   hold the thread past a threshold, and an optional [`AccessLog`]
+//!   writes one JSONL record per request. The `STATS` admin op and
+//!   `/metrics` serve the running server's metrics as one live snapshot
+//!   without pausing the loop; the same numbers reach the registry once,
+//!   at shutdown.
 //! - [`http`] — a dependency-free HTTP/1.0 GET responder riding the same
 //!   event loop as a second listener (DESIGN.md, "Monitoring surface"):
 //!   `/metrics` renders the live snapshot as Prometheus text
@@ -35,9 +33,10 @@
 //!   and `/slowz` serves the current slow-query ring as Chrome trace
 //!   JSON without waiting for shutdown.
 //!
-//! Metrics live in the `serve.*` / `cache.*` / `loadgen.*` namespaces,
-//! which are exempt from the determinism contract (like `engine.*` /
-//! `pool.*`): their values depend on arrival timing, not on the algorithm.
+//! Metrics live in the `serve.*` / `cache.*` / `maint.*` / `loadgen.*`
+//! namespaces, which are exempt from the determinism contract (like
+//! `engine.*` / `pool.*`): their values depend on arrival timing, not on
+//! the algorithm.
 
 #![warn(missing_docs)]
 

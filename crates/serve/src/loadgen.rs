@@ -118,7 +118,7 @@ pub struct Zipf {
 }
 
 impl Zipf {
-    /// Sampler over `0..n` with exponent `s ≥ 0`.
+    /// Zipf(s) draws over `0..n`, exponent `s ≥ 0`.
     pub fn new(n: usize, s: f64) -> Zipf {
         assert!(n > 0, "zipf needs a non-empty domain");
         assert!(s >= 0.0, "zipf exponent must be non-negative");

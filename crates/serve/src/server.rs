@@ -50,6 +50,16 @@
 //! enqueue-to-socket-flush), and a [`crate::telemetry::LoopWatchdog`]
 //! trips when one loop iteration holds the thread past
 //! [`ServeConfig::stall_threshold`].
+//!
+//! **One owner per number.** [`ServeReport`] holds the loop's tallies,
+//! [`QueryCache`] the cache counts, [`treepi::Engine::maint_stats`] the
+//! maintenance totals, the watchdog the stalls and the slow-query log its
+//! captures; the loop shard holds only spans and the two counters no owner
+//! keeps (`serve.stats`, `serve.slow_consumer_drop`). One function,
+//! `EventLoop::record_owned`, writes the owners' numbers as metrics: STATS
+//! and `/metrics` layer its output and the loop shard over
+//! `registry.snapshot()`, and shutdown writes it into the loop shard and
+//! absorbs that once.
 
 use crate::cache::{query_key, QueryCache};
 use crate::http;
@@ -306,20 +316,19 @@ impl Server {
 
     /// Run the event loop until a shutdown request (or `max_requests`)
     /// arrives, then drain the queue, flush responses, and return the
-    /// run's totals. Latency histograms (`serve.request`,
-    /// `serve.batch_exec`) and the `serve.*` / `cache.*` counters are
-    /// recorded into `registry`.
+    /// run's totals. The loop's spans (`serve.request`, `serve.batch_exec`,
+    /// …) and its `serve.*` / `cache.*` / `maint.*` numbers are absorbed
+    /// into `registry` once, at shutdown.
     pub fn run(self, engine: &Engine, registry: &obs::Registry) -> io::Result<ServeReport> {
         let mut telemetry = ServeTelemetry::disabled();
         self.run_with_telemetry(engine, registry, &mut telemetry)
     }
 
-    /// [`Server::run`] with live telemetry attached: `telemetry.sampler`
-    /// is ticked once per poll iteration (recording queue depth, shed
-    /// count, cache hits, and live heap bytes), and queries whose verify
-    /// stage meets the slow-query threshold are captured into
-    /// `telemetry.slow`. Both outlive the run — the caller renders them
-    /// after the server exits.
+    /// [`Server::run`] with telemetry attached: queries whose verify stage
+    /// meets the slow-query threshold are captured into `telemetry.slow`,
+    /// and every request is written to `telemetry.access` when it is set.
+    /// Both outlive the run — the caller renders them after the server
+    /// exits.
     pub fn run_with_telemetry(
         self,
         engine: &Engine,
@@ -346,26 +355,17 @@ impl Server {
         };
         let result = lp.serve(registry);
         // Fold any ops still queued at shutdown so the engine's final
-        // state reflects every acked maintenance request, then surface the
-        // run's maint.* totals alongside the cache's.
+        // state reflects every acked maintenance request, and flush the
+        // access log so its error count is final, before the loop's numbers
+        // reach the registry, once.
         lp.apply_ready();
-        lp.record_maint_metrics(registry);
-        lp.cache.record_metrics(registry);
-        registry.set_gauge(
-            obs::names::GAUGE_SERVE_QUEUE_PEAK,
-            lp.report.queue_peak as u64,
-        );
-        registry.set_gauge(
-            obs::names::GAUGE_SERIES_DROPPED,
-            lp.telemetry.sampler.dropped(),
-        );
-        lp.report.cache_hits = lp.cache.hits();
-        lp.report.stalls = lp.watchdog.stalls();
         if let Some(access) = lp.telemetry.access.as_mut() {
             access.flush();
         }
+        lp.record_owned(&lp.shard);
+        let report = lp.report();
         registry.absorb(lp.shard);
-        result.map(|()| lp.report)
+        result.map(|()| report)
     }
 }
 
@@ -394,13 +394,10 @@ impl EventLoop<'_> {
             while !self.pending.is_empty() {
                 self.run_batch(registry);
             }
-            if self.telemetry.sampler.due() {
-                self.sample_tick();
-            }
             if self.shutdown {
                 break;
             }
-            self.note_loop_stall();
+            self.watchdog.end_work();
             self.poll.poll(&mut events, None)?;
             self.watchdog.begin_work();
             for ev in &events {
@@ -419,91 +416,93 @@ impl EventLoop<'_> {
                 }
             }
         }
-        self.note_loop_stall();
+        self.watchdog.end_work();
         self.drain_writes();
         Ok(())
     }
 
-    /// Close out the current watchdog work period (called right before
-    /// blocking in `poll`), recording a trip when it stalled.
-    fn note_loop_stall(&mut self) {
-        if self.watchdog.end_work().is_some() {
-            self.shard.add(obs::names::SERVE_LOOP_STALLS, 1);
-            self.shard.set_gauge(
-                obs::names::GAUGE_SERVE_LOOP_MAX_STALL,
-                self.watchdog.max_stall().as_micros().min(u64::MAX as u128) as u64,
+    /// The run's totals: the loop's own tallies, with cache hits and
+    /// stalls read from the cache and the watchdog that count them.
+    fn report(&self) -> ServeReport {
+        ServeReport {
+            cache_hits: self.cache.hits(),
+            stalls: self.watchdog.stalls(),
+            ..self.report
+        }
+    }
+
+    /// Write every number the loop's owners hold into `out`: the
+    /// [`ServeReport`] tallies (stalls from the watchdog), the slow-query
+    /// log's captures, the access log's write errors, the cache's counts
+    /// and the engine's `maint.*` totals. The only writer of these names
+    /// (see the module doc). A `serve.*` event counter appears with its
+    /// first event; the cache and maintenance counters are always present,
+    /// and the access-log error counter whenever a log is open.
+    fn record_owned(&self, out: &obs::Shard) {
+        use obs::names as n;
+        let r = self.report();
+        for (name, v) in [
+            (n::SERVE_REQUESTS, r.requests),
+            (n::SERVE_QUERIES, r.queries),
+            (n::SERVE_BATCHED, r.served),
+            (n::SERVE_SHED, r.shed),
+            (n::SERVE_BATCHES, r.batches),
+            (n::SERVE_MAINTENANCE, r.maintenance),
+            (n::SERVE_ERRORS, r.errors),
+            (n::SERVE_PROTO_ERROR, r.proto_errors),
+            (n::SERVE_HTTP_REQUESTS, r.http_requests),
+            (n::SERVE_LOOP_STALLS, r.stalls),
+            (n::SERVE_SLOW_QUERIES, self.telemetry.slow.seen()),
+        ] {
+            if v > 0 {
+                out.add(name, v);
+            }
+        }
+        if r.stalls > 0 {
+            out.set_gauge(
+                n::GAUGE_SERVE_LOOP_MAX_STALL,
+                dur_us(self.watchdog.max_stall()),
             );
         }
-    }
-
-    /// Record one periodic time-series sample: instantaneous queue and
-    /// cache occupancy plus the run's counters so far (and live heap
-    /// bytes when the tracking allocator is installed).
-    fn sample_tick(&mut self) {
-        let mut values: Vec<(&str, u64)> = vec![
-            (
-                obs::names::GAUGE_SERVE_QUEUE_DEPTH,
-                self.pending.len() as u64,
-            ),
-            (
-                obs::names::GAUGE_SERVE_QUEUE_PEAK,
-                self.report.queue_peak as u64,
-            ),
-            (obs::names::SERVE_REQUESTS, self.report.requests),
-            (obs::names::SERVE_SHED, self.report.shed),
-            (obs::names::SERVE_LOOP_STALLS, self.watchdog.stalls()),
-            (obs::names::CACHE_HIT, self.cache.hits()),
-            (obs::names::GAUGE_CACHE_ENTRIES, self.cache.len() as u64),
-            (
-                obs::names::GAUGE_MAINT_PENDING,
-                self.engine.maint_stats().pending,
-            ),
-        ];
-        if obs::alloc::installed() {
-            values.push((obs::names::GAUGE_ALLOC_LIVE, obs::alloc::live_bytes()));
+        out.set_gauge(n::GAUGE_SERVE_QUEUE_PEAK, r.queue_peak as u64);
+        if let Some(access) = &self.telemetry.access {
+            out.add(n::SERVE_ACCESS_LOG_WRITE_ERRORS, access.write_errors());
         }
-        self.telemetry.sampler.sample(None, &values);
+        out.add(n::CACHE_HIT, self.cache.hits());
+        out.add(n::CACHE_MISS, self.cache.misses());
+        out.add(n::CACHE_EVICTIONS, self.cache.evictions());
+        out.add(n::CACHE_INVALIDATIONS, self.cache.invalidations());
+        out.set_gauge(n::GAUGE_CACHE_ENTRIES, self.cache.len() as u64);
+        let maint = self.engine.maint_stats();
+        out.add(n::MAINT_QUEUED, maint.queued);
+        out.add(n::MAINT_APPLIED, maint.applied);
+        out.add(n::MAINT_APPLY_BATCHES, maint.apply_batches);
+        out.add(n::MAINT_SNAPSHOT_SWAPS, maint.snapshot_swaps);
+        out.add(n::MAINT_REMINE_TRIGGERS, maint.remine_triggers);
+        out.add(n::MAINT_REMINES, maint.remines_completed);
+        out.set_gauge(n::GAUGE_MAINT_PENDING, maint.pending);
+        out.set_gauge(n::GAUGE_MAINT_REPAIRS, maint.repairs_since_mine);
     }
 
-    /// Assemble the live metrics snapshot served by the `STATS` op: the
-    /// registry's absorbed totals, this loop's not-yet-absorbed shard
-    /// (peeked, not drained — shutdown accounting is untouched), the live
-    /// cache counters, and on-demand occupancy gauges.
+    /// The live snapshot served by STATS and `/metrics`: the registry's
+    /// absorbed totals, the loop shard (peeked, not drained), the owners'
+    /// numbers, and the levels only a live snapshot has — queue depth and,
+    /// with the tracking allocator, heap bytes. The owners' numbers are
+    /// written whatever the registry records.
     fn live_snapshot(&self, registry: &obs::Registry) -> obs::MetricSet {
+        let owned = obs::Shard::detached(true);
+        self.record_owned(&owned);
         let mut set = registry.snapshot();
         set.merge(&self.shard.peek());
-        let mut live = obs::MetricSet::new();
-        live.add(obs::names::CACHE_HIT, self.cache.hits());
-        live.add(obs::names::CACHE_MISS, self.cache.misses());
-        live.add(obs::names::CACHE_EVICTIONS, self.cache.evictions());
-        live.add(obs::names::CACHE_INVALIDATIONS, self.cache.invalidations());
-        live.set_gauge(obs::names::GAUGE_CACHE_ENTRIES, self.cache.len() as u64);
-        live.set_gauge(
-            obs::names::GAUGE_SERVE_QUEUE_PEAK,
-            self.report.queue_peak as u64,
-        );
-        live.set_gauge(
+        set.merge(&owned.into_set());
+        set.set_gauge(
             obs::names::GAUGE_SERVE_QUEUE_DEPTH,
             self.pending.len() as u64,
         );
-        live.set_gauge(
-            obs::names::GAUGE_SERIES_DROPPED,
-            self.telemetry.sampler.dropped(),
-        );
         if obs::alloc::installed() {
-            live.set_gauge(obs::names::GAUGE_ALLOC_LIVE, obs::alloc::live_bytes());
-            live.set_gauge(obs::names::GAUGE_ALLOC_PEAK, obs::alloc::peak_bytes());
+            set.set_gauge(obs::names::GAUGE_ALLOC_LIVE, obs::alloc::live_bytes());
+            set.set_gauge(obs::names::GAUGE_ALLOC_PEAK, obs::alloc::peak_bytes());
         }
-        let maint = self.engine.maint_stats();
-        live.add(obs::names::MAINT_QUEUED, maint.queued);
-        live.add(obs::names::MAINT_APPLIED, maint.applied);
-        live.add(obs::names::MAINT_APPLY_BATCHES, maint.apply_batches);
-        live.add(obs::names::MAINT_SNAPSHOT_SWAPS, maint.snapshot_swaps);
-        live.add(obs::names::MAINT_REMINE_TRIGGERS, maint.remine_triggers);
-        live.add(obs::names::MAINT_REMINES, maint.remines_completed);
-        live.set_gauge(obs::names::GAUGE_MAINT_PENDING, maint.pending);
-        live.set_gauge(obs::names::GAUGE_MAINT_REPAIRS, maint.repairs_since_mine);
-        set.merge(&live);
         set
     }
 
@@ -536,8 +535,6 @@ impl EventLoop<'_> {
         let seq_base = self.report.served;
         self.report.batches += 1;
         self.report.served += n as u64;
-        self.shard.add(obs::names::SERVE_BATCHES, 1);
-        self.shard.add(obs::names::SERVE_BATCHED, n as u64);
         // Cache admission: results belong to the batch's pinned epoch. A
         // background re-mine may have published a newer snapshot while the
         // batch ran — then these answers are already stale and must not be
@@ -561,8 +558,8 @@ impl EventLoop<'_> {
                 .observe(obs::names::SPAN_SERVE_BATCH_WAIT, batch_wait);
             self.shard
                 .observe(obs::names::SPAN_SERVE_EXEC_SHARE, exec_share);
-            if self.telemetry.slow.is_enabled()
-                && self.telemetry.slow.record(
+            if self.telemetry.slow.is_enabled() {
+                self.telemetry.slow.record(
                     seq_base + i as u64,
                     &r.stats,
                     batch_end,
@@ -570,9 +567,7 @@ impl EventLoop<'_> {
                         ("serve.queue_wait_ns", dur_ns(queue_wait)),
                         ("serve.batch_wait_ns", dur_ns(batch_wait)),
                     ],
-                )
-            {
-                self.shard.add(obs::names::SERVE_SLOW_QUERIES, 1);
+                );
             }
             if cacheable {
                 if let Some(key) = key {
@@ -718,7 +713,6 @@ impl EventLoop<'_> {
             }
         };
         self.report.http_requests += 1;
-        self.shard.add(obs::names::SERVE_HTTP_REQUESTS, 1);
         let data = match parsed {
             http::Parse::Incomplete => unreachable!("handled above"),
             http::Parse::Bad(why) => http::response(
@@ -760,7 +754,7 @@ impl EventLoop<'_> {
                 ),
             },
         };
-        self.send_http(idx, &data);
+        self.send(idx, &data, true);
     }
 
     /// The `/healthz` verdict: `draining` once shutdown has begun,
@@ -787,25 +781,6 @@ impl EventLoop<'_> {
             dur_us(self.watchdog.max_stall()),
         );
         (status, reason, body)
-    }
-
-    /// Queue one HTTP response on `idx` and arrange for the connection
-    /// to close once it drains.
-    fn send_http(&mut self, idx: usize, data: &[u8]) {
-        let overflow = {
-            let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-                return;
-            };
-            conn.enqueue(data);
-            conn.close_after_flush = true;
-            conn.unsent() > WBUF_CAP
-        };
-        if overflow {
-            self.shard.add(obs::names::SERVE_SLOW_CONSUMER_DROP, 1);
-            self.close_conn(idx);
-        } else {
-            self.flush_conn(idx);
-        }
     }
 
     /// Decode and handle every complete frame buffered on `idx`. The
@@ -841,8 +816,6 @@ impl EventLoop<'_> {
                     // request.
                     self.report.errors += 1;
                     self.report.proto_errors += 1;
-                    self.shard.add(obs::names::SERVE_ERRORS, 1);
-                    self.shard.add(obs::names::SERVE_PROTO_ERROR, 1);
                     self.log_access(AccessRecord {
                         conn: idx,
                         tag: 0,
@@ -859,7 +832,6 @@ impl EventLoop<'_> {
                 }
                 Some((tag, Err(msg), bytes_in, _)) => {
                     self.report.errors += 1;
-                    self.shard.add(obs::names::SERVE_ERRORS, 1);
                     let bytes_out = self.respond(
                         idx,
                         Response {
@@ -881,7 +853,6 @@ impl EventLoop<'_> {
                 }
                 Some((_, Ok(req), bytes_in, recv)) => {
                     self.report.requests += 1;
-                    self.shard.add(obs::names::SERVE_REQUESTS, 1);
                     self.handle_request(idx, req, recv, bytes_in, registry);
                     if self.config.max_requests > 0
                         && self.report.requests >= self.config.max_requests
@@ -908,10 +879,8 @@ impl EventLoop<'_> {
         match req.body {
             RequestBody::Query(g) => {
                 self.report.queries += 1;
-                self.shard.add(obs::names::SERVE_QUERIES, 1);
                 if g.edge_count() == 0 {
                     self.report.errors += 1;
-                    self.shard.add(obs::names::SERVE_ERRORS, 1);
                     bytes_out = self.respond(
                         idx,
                         Response {
@@ -949,7 +918,6 @@ impl EventLoop<'_> {
                         immediate = Some(("query", "ok", Some(true)));
                     } else if self.pending.len() >= self.config.queue_cap {
                         self.report.shed += 1;
-                        self.shard.add(obs::names::SERVE_SHED, 1);
                         bytes_out = self.respond(
                             idx,
                             Response {
@@ -980,7 +948,7 @@ impl EventLoop<'_> {
                 // (with any siblings) at the next query admission or batch
                 // dispatch — see `apply_ready`.
                 let gid = self.engine.queue_insert(g);
-                self.note_maintenance();
+                self.report.maintenance += 1;
                 bytes_out = self.respond(
                     idx,
                     Response {
@@ -993,7 +961,7 @@ impl EventLoop<'_> {
             RequestBody::Remove(gid) => {
                 let was_active = self.engine.queue_remove(gid);
                 if was_active {
-                    self.note_maintenance();
+                    self.report.maintenance += 1;
                 }
                 bytes_out = self.respond(
                     idx,
@@ -1006,7 +974,7 @@ impl EventLoop<'_> {
             }
             RequestBody::Stats => {
                 // Answered inline — no queueing, no engine, no pause. The
-                // snapshot layers the loop's live state over the registry's
+                // snapshot layers the loop's numbers over the registry's
                 // absorbed totals, so mid-load counters are visible.
                 self.shard.add(obs::names::SERVE_STATS, 1);
                 let json = self.live_snapshot(registry).render_json();
@@ -1055,11 +1023,6 @@ impl EventLoop<'_> {
         }
     }
 
-    fn note_maintenance(&mut self) {
-        self.report.maintenance += 1;
-        self.shard.add(obs::names::SERVE_MAINTENANCE, 1);
-    }
-
     /// Fold every queued maintenance op into the published snapshot (the
     /// batching point: N acked ops cost one apply and one epoch) and absorb
     /// background re-mine completions. Both publication kinds re-sync the cache, so
@@ -1078,33 +1041,29 @@ impl EventLoop<'_> {
         }
     }
 
-    /// Record the engine's cumulative `maint.*` counters and gauges into
-    /// `registry` (end-of-run counterpart of the live values merged by
-    /// `live_snapshot`).
-    fn record_maint_metrics(&self, registry: &obs::Registry) {
-        let s = self.engine.maint_stats();
-        let shard = registry.shard();
-        shard.add(obs::names::MAINT_QUEUED, s.queued);
-        shard.add(obs::names::MAINT_APPLIED, s.applied);
-        shard.add(obs::names::MAINT_APPLY_BATCHES, s.apply_batches);
-        shard.add(obs::names::MAINT_SNAPSHOT_SWAPS, s.snapshot_swaps);
-        shard.add(obs::names::MAINT_REMINE_TRIGGERS, s.remine_triggers);
-        shard.add(obs::names::MAINT_REMINES, s.remines_completed);
-        registry.absorb(shard);
-        registry.set_gauge(obs::names::GAUGE_MAINT_PENDING, s.pending);
-        registry.set_gauge(obs::names::GAUGE_MAINT_REPAIRS, s.repairs_since_mine);
-    }
-
     /// Queue `resp` on connection `idx` and try to flush. Returns the
     /// encoded frame size in bytes (0 when the client is already gone).
     fn respond(&mut self, idx: usize, resp: Response) -> u64 {
         let frame = protocol::encode_response(&resp);
         debug_assert!(frame.len() <= 4 + MAX_FRAME);
+        if self.send(idx, &frame, false) {
+            frame.len() as u64
+        } else {
+            0
+        }
+    }
+
+    /// Queue `data` on connection `idx` and try to flush; with
+    /// `close_after_flush` (HTTP responses are one-shot) the connection
+    /// closes once its bytes drain. Returns false when the client is
+    /// already gone.
+    fn send(&mut self, idx: usize, data: &[u8], close_after_flush: bool) -> bool {
         let overflow = {
             let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-                return 0; // client already gone
+                return false;
             };
-            conn.enqueue(&frame);
+            conn.enqueue(data);
+            conn.close_after_flush |= close_after_flush;
             conn.unsent() > WBUF_CAP
         };
         if overflow {
@@ -1116,7 +1075,7 @@ impl EventLoop<'_> {
         } else {
             self.flush_conn(idx);
         }
-        frame.len() as u64
+        true
     }
 
     fn flush_conn(&mut self, idx: usize) {

@@ -1,19 +1,18 @@
-//! Live serving telemetry: the time-series sampler tick and the
-//! slow-query forensics log.
+//! Serving forensics that ride inside the event-loop thread (no
+//! synchronization): the [`SlowQueryLog`], the [`LoopWatchdog`] and the
+//! [`AccessLog`].
 //!
-//! Both pieces ride inside the event loop thread (no synchronization):
-//! the [`obs::series::Sampler`] is ticked once per poll iteration and
-//! records queue/cache/heap gauges when its interval elapses, and the
-//! [`SlowQueryLog`] captures the filter-funnel counters plus a
+//! The slow-query log captures the filter-funnel counters plus a
 //! reconstructed per-stage timeline for every query whose verify stage
-//! exceeded the configured threshold. The log is a bounded ring — under a
+//! exceeded the configured threshold. It is a bounded ring — under a
 //! pathological query mix it keeps the most recent captures and counts
 //! the rest — and dumps as Chrome trace-event JSON
 //! ([`SlowQueryLog::render_chrome_json`]) loadable in Perfetto, with the
-//! funnel counters attached as per-slice `args`.
+//! funnel counters attached as per-slice `args`. Each of the three owns
+//! its counts (`seen`, `stalls`, `write_errors`); the event loop reads
+//! them into its metrics and writes no copy of its own.
 
 use obs::json::escape_string;
-use obs::series::Sampler;
 use obs::trace::TraceEvent;
 use std::collections::VecDeque;
 use std::io::Write;
@@ -23,14 +22,12 @@ use treepi::QueryStats;
 /// Default capacity of the slow-query ring.
 pub const SLOW_LOG_CAP: usize = 256;
 
-/// Telemetry state owned by one server run: the periodic sampler, the
-/// slow-query log, and the optional structured access log. Construct
-/// with real settings for live observability or
-/// [`ServeTelemetry::disabled`] for the zero-overhead default.
+/// Telemetry state owned by one server run: the slow-query log and the
+/// optional structured access log. Construct with real settings for live
+/// observability or [`ServeTelemetry::disabled`] for the zero-overhead
+/// default.
 #[derive(Debug)]
 pub struct ServeTelemetry {
-    /// Periodic sampler, ticked by the event loop.
-    pub sampler: Sampler,
     /// Slow-query captures.
     pub slow: SlowQueryLog,
     /// Structured per-request JSONL access log (`None` disables it).
@@ -38,11 +35,10 @@ pub struct ServeTelemetry {
 }
 
 impl ServeTelemetry {
-    /// Telemetry that records nothing: the sampler never fires, no query
-    /// is slow enough to capture, and no access log is written.
+    /// Telemetry that records nothing: no query is slow enough to
+    /// capture, and no access log is written.
     pub fn disabled() -> Self {
         Self {
-            sampler: Sampler::disabled(),
             slow: SlowQueryLog::new(None, SLOW_LOG_CAP),
             access: None,
         }
@@ -486,7 +482,6 @@ mod tests {
     #[test]
     fn disabled_telemetry_is_inert() {
         let t = ServeTelemetry::disabled();
-        assert!(!t.sampler.is_enabled());
         assert!(!t.slow.is_enabled());
         assert!(t.access.is_none());
         // Renders a valid empty document either way.

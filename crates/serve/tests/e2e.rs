@@ -415,7 +415,7 @@ fn stats_op_returns_live_parseable_snapshot() {
 }
 
 #[test]
-fn telemetry_captures_slow_queries_and_samples_series() {
+fn telemetry_captures_slow_queries() {
     use serve::telemetry::ServeTelemetry;
 
     let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
@@ -424,8 +424,6 @@ fn telemetry_captures_slow_queries_and_samples_series() {
         let engine = Engine::new(build_index(), 2);
         let registry = obs::Registry::new();
         let mut telemetry = ServeTelemetry {
-            // Zero interval: every poll iteration samples.
-            sampler: obs::series::Sampler::new(Duration::ZERO, 8),
             // Zero threshold: every executed query is "slow". Cap 3 keeps
             // the ring bounded below the query count.
             slow: serve::SlowQueryLog::new(Some(Duration::ZERO), 3),
@@ -457,20 +455,6 @@ fn telemetry_captures_slow_queries_and_samples_series() {
         .filter(|e| e.get("ph").and_then(obs::json::Value::as_str) == Some("X"))
         .count();
     assert_eq!(slices, 3 * 5, "3 captures × (umbrella + 4 stages)");
-    // The sampler ticked (poll iterations happen even while idle) and its
-    // timestamps are monotone.
-    assert!(!telemetry.sampler.is_empty(), "sampler never fired");
-    let series = obs::json::parse(&telemetry.sampler.render_json()).expect("valid series JSON");
-    let samples = series
-        .get("samples")
-        .and_then(obs::json::Value::as_array)
-        .unwrap();
-    let mut prev = 0u64;
-    for s in samples {
-        let t = s.get("t_ns").and_then(obs::json::Value::as_u64).unwrap();
-        assert!(t >= prev, "series timestamps must be monotone");
-        prev = t;
-    }
 }
 
 /// Like [`spawn_server`], but with the HTTP monitoring listener bound on
@@ -494,7 +478,6 @@ fn spawn_http_server(
         let engine = Engine::new(build_index(), 2);
         let registry = obs::Registry::new();
         let mut telemetry = serve::ServeTelemetry {
-            sampler: obs::series::Sampler::disabled(),
             slow: serve::SlowQueryLog::new(Some(Duration::ZERO), 4),
             access: None,
         };
@@ -560,12 +543,6 @@ fn http_metrics_agree_with_the_stats_snapshot() {
         prom_value(&metrics, "serve_queries_total"),
         Some(snap.counter(obs::names::SERVE_QUERIES) as f64),
         "/metrics and STATS disagree on serve.queries"
-    );
-    // series.dropped is surfaced as a live gauge on both paths.
-    assert!(snap.gauge(obs::names::GAUGE_SERIES_DROPPED).is_some());
-    assert!(
-        prom_value(&metrics, "series_dropped").is_some(),
-        "series_dropped gauge missing from /metrics"
     );
 
     // All four decomposition histograms are exported and internally
@@ -661,7 +638,6 @@ fn access_log_writes_one_record_per_request() {
         let engine = Engine::new(build_index(), 2);
         let registry = obs::Registry::new();
         let mut telemetry = serve::ServeTelemetry {
-            sampler: obs::series::Sampler::disabled(),
             slow: serve::SlowQueryLog::new(None, 0),
             access: Some(serve::AccessLog::to_writer(Box::new(sink))),
         };
@@ -722,6 +698,115 @@ fn access_log_writes_one_record_per_request() {
         staged, 2,
         "executed queries must carry stage timings: {raw}"
     );
+}
+
+#[test]
+fn access_log_write_failures_are_counted_live() {
+    // A full disk under the access log: every write fails. Serving must
+    // carry on, and the failures must show in STATS while the server runs,
+    // not only in the exit line.
+    struct FullDisk;
+    impl std::io::Write for FullDisk {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::other("no space left on device"))
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let addr = server.local_addr().expect("local addr");
+    let handle = std::thread::spawn(move || {
+        let engine = Engine::new(build_index(), 2);
+        let registry = obs::Registry::new();
+        let mut telemetry = serve::ServeTelemetry {
+            slow: serve::SlowQueryLog::new(None, 0),
+            access: Some(serve::AccessLog::to_writer(Box::new(FullDisk))),
+        };
+        let report = server
+            .run_with_telemetry(&engine, &registry, &mut telemetry)
+            .expect("serve");
+        (report, registry.drain(), telemetry)
+    });
+    let mut client = Client::connect_retry(&addr.to_string(), Duration::from_secs(5)).unwrap();
+    let oracle = build_index();
+    for q in queries() {
+        assert_eq!(
+            expect_matches(client.query(&q).unwrap()),
+            scan_support(&oracle, &q)
+        );
+    }
+    let json = match client.stats().unwrap().body {
+        ResponseBody::Stats(json) => json,
+        other => panic!("expected stats, got {other:?}"),
+    };
+    let snap = obs::json::parse_metric_set(&json).expect("valid snapshot");
+    // One lost record per query answered before the snapshot.
+    assert_eq!(
+        snap.counter(obs::names::SERVE_ACCESS_LOG_WRITE_ERRORS),
+        queries().len() as u64
+    );
+    client.shutdown().unwrap();
+    let (report, metrics, telemetry) = handle.join().unwrap();
+    assert_eq!(report.queries, queries().len() as u64);
+    // Then the stats and shutdown records are lost too.
+    let access = telemetry.access.expect("access log survives the run");
+    assert_eq!(access.lines(), 0);
+    assert_eq!(access.write_errors(), queries().len() as u64 + 2);
+    assert_eq!(
+        metrics.counter(obs::names::SERVE_ACCESS_LOG_WRITE_ERRORS),
+        access.write_errors()
+    );
+}
+
+#[test]
+fn stats_snapshot_and_exit_metrics_agree() {
+    // Every serving number has one writer, shared by STATS and shutdown:
+    // after the client's last query, a snapshot and the registry drained
+    // at exit differ only by the requests sent after the snapshot (the
+    // shutdown). A number written twice, or an exit set merged over the
+    // registry snapshot, double-counts here.
+    let (addr, handle) = spawn_server(ServeConfig::default());
+    let mut client = Client::connect_retry(&addr.to_string(), Duration::from_secs(5)).unwrap();
+    let q = queries()[1].clone();
+    expect_matches(client.query(&q).unwrap());
+    let gid = match client.insert(&db()[0]).unwrap().body {
+        ResponseBody::Inserted(gid) => gid,
+        other => panic!("expected insert ack, got {other:?}"),
+    };
+    // The insert is folded in at this query's admission; the repeat hits.
+    assert!(expect_matches(client.query(&q).unwrap()).contains(&gid));
+    assert!(expect_matches(client.query(&q).unwrap()).contains(&gid));
+    let json = match client.stats().unwrap().body {
+        ResponseBody::Stats(json) => json,
+        other => panic!("expected stats, got {other:?}"),
+    };
+    let snap = obs::json::parse_metric_set(&json).expect("valid snapshot");
+    client.shutdown().unwrap();
+    let (report, exit, _) = handle.join().unwrap();
+    assert_eq!(report.cache_hits, 1, "{report}");
+    assert_eq!(report.maintenance, 1, "{report}");
+
+    let loop_counters = |set: &obs::MetricSet| -> std::collections::BTreeMap<String, u64> {
+        set.counters()
+            .filter(|(name, _)| {
+                ["serve.", "cache.", "maint."]
+                    .iter()
+                    .any(|p| name.starts_with(p))
+            })
+            .map(|(name, v)| (name.to_string(), v))
+            .collect()
+    };
+    let (mut at_snapshot, at_exit) = (loop_counters(&snap), loop_counters(&exit));
+    // The shutdown request came after the snapshot.
+    *at_snapshot.get_mut(obs::names::SERVE_REQUESTS).unwrap() += 1;
+    assert_eq!(at_snapshot, at_exit);
+    assert_eq!(at_exit[obs::names::SERVE_REQUESTS], report.requests);
+    assert_eq!(at_exit[obs::names::CACHE_HIT], 1);
+    assert_eq!(at_exit[obs::names::CACHE_INVALIDATIONS], 1);
+    assert_eq!(at_exit[obs::names::MAINT_APPLIED], 1);
+    assert_eq!(at_exit[obs::names::SERVE_MAINTENANCE], 1);
 }
 
 #[test]

@@ -267,7 +267,7 @@ impl TreePiIndex {
 
     /// [`Self::build_with_pool_obs`] on a pool created for this one build:
     /// `threads` workers (`0` = available parallelism, `1` = fully
-    /// sequential) shared by every stage, no time-series sampling.
+    /// sequential) shared by every stage.
     pub fn build_with_threads_obs(
         db: Vec<Graph>,
         params: TreePiParams,
@@ -275,7 +275,7 @@ impl TreePiIndex {
         shard: &obs::Shard,
     ) -> Self {
         let pool = graph_core::par::Pool::new(threads);
-        Self::build_with_pool_obs(db, params, &pool, shard, &obs::series::Sampler::disabled())
+        Self::build_with_pool_obs(db, params, &pool, shard)
     }
 
     /// The general build, on a caller-owned worker pool: every stage
@@ -296,32 +296,16 @@ impl TreePiIndex {
     /// [`obs::Shard::fork`]s merged after the join, and the miner's merge is
     /// canonical, so the built index and every non-`engine.*`/non-`pool.*`
     /// counter are identical for any pool size.
-    ///
-    /// `sampler` receives one labelled time-series sample at every phase
-    /// boundary (mine → sigs) — heap occupancy plus the phase's
-    /// output size, so `treepi build --timeseries` shows where memory and
-    /// features accrue during construction. Short builds still yield a
-    /// useful series because boundary samples bypass the interval gate.
     pub fn build_with_pool_obs(
         db: Vec<Graph>,
         params: TreePiParams,
         pool: &graph_core::par::Pool,
         shard: &obs::Shard,
-        sampler: &obs::series::Sampler,
     ) -> Self {
-        let sample_phase = |label: &str, output_size: usize| {
-            let mut values: Vec<(&str, u64)> = vec![("build.phase_output", output_size as u64)];
-            if obs::alloc::installed() {
-                values.push((obs::names::GAUGE_ALLOC_LIVE, obs::alloc::live_bytes()));
-            }
-            sampler.sample(Some(label), &values);
-        };
-        sample_phase("build.start", db.len());
         let mine_span = shard.span("build.mine");
         let (kept, mstats) =
             mining::mine_frequent_trees_pool_obs(&db, &params.sigma, params.gamma, pool, shard);
         drop(mine_span);
-        sample_phase("build.mine", kept.len());
         shard.add("build.mined", mstats.patterns as u64);
         shard.add("build.features_kept", kept.len() as u64);
         shard.add("build.truncated", mstats.truncated as u64);
@@ -341,7 +325,6 @@ impl TreePiIndex {
             sigs.iter().map(|s| s.len() as u64).sum(),
         );
 
-        sample_phase("build.sigs", sigs.len());
         let active = vec![true; db.len()];
         let mut idx = Self::assemble(params, db, active, features, sigs)
             .expect("mined canonical strings are distinct");
@@ -640,7 +623,6 @@ impl TreePiIndex {
             self.params.clone(),
             pool,
             &obs::Shard::disabled(),
-            &obs::series::Sampler::disabled(),
         );
         idx.active = self.active.clone();
         idx.maintenance_epoch = self.maintenance_epoch;

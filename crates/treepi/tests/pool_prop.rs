@@ -93,13 +93,7 @@ proptest! {
         let base_bytes = save_bytes(&base);
         for workers in [1usize, 2, 8] {
             let pool = Pool::new(workers);
-            let idx = TreePiIndex::build_with_pool_obs(
-                db.clone(),
-                TreePiParams::quick(),
-                &pool,
-                &off,
-                &obs::series::Sampler::disabled(),
-            );
+            let idx = TreePiIndex::build_with_pool_obs(db.clone(), TreePiParams::quick(), &pool, &off);
             prop_assert_eq!(
                 &save_bytes(&idx),
                 &base_bytes,
