@@ -112,19 +112,32 @@ fn usage() {
     }
 }
 
-/// Refuse any `--` argument the command's synopsis does not list, and any
-/// listed value-taking flag without its value.
+/// Refuse any `--` argument the command's synopsis does not list, any
+/// listed value-taking flag without its value, and any argument beyond the
+/// synopsis's `<…>` operands and the flags' values.
 fn check_flags(cmd: &str, synopsis: &str, args: &[String]) -> Result<(), String> {
     let words: Vec<&str> = synopsis
         .split([' ', '[', ']', '(', ')', '|'])
         .filter(|w| !w.is_empty())
         .collect();
-    for arg in args.iter().filter(|a| a.starts_with("--")) {
+    let operands = words.iter().filter(|w| w.starts_with('<')).count();
+    let (mut positional, mut rest) = (0, args.iter().skip(1));
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            positional += 1;
+            if positional > operands {
+                return Err(format!("unexpected argument {arg} for {cmd}"));
+            }
+            continue;
+        }
         let Some(i) = words.iter().position(|w| w == arg) else {
             return Err(format!("unknown flag {arg} for {cmd}"));
         };
         if words.get(i + 1).is_some_and(|w| !w.starts_with("--")) {
-            flag_value(args, arg)?;
+            match rest.next() {
+                Some(v) if !v.starts_with("--") => {}
+                _ => return Err(format!("{arg} needs a value")),
+            }
         }
     }
     Ok(())
@@ -194,6 +207,46 @@ fn write_trace(registry: &obs::Registry, path: &str) -> Result<(), String> {
         events.len()
     );
     Ok(())
+}
+
+/// The batch summary `query --stats` prints, read off the registry's
+/// `funnel.*` counters and `query.*` stage spans: mean |P_q|, |P'_q|,
+/// |D_q| and parts per query, both precisions, the missing-feature
+/// short-circuits, the mean time per query and each stage's p50/p95. A
+/// precision over an empty funnel (no candidate at all) reads 1.0: an empty
+/// candidate set admitted no false positive.
+fn funnel_summary(m: &obs::MetricSet) -> String {
+    use obs::names;
+    use std::time::Duration;
+    let queries = m.counter(names::QUERIES);
+    let mean = |name: &str| m.counter(name) as f64 / queries.max(1) as f64;
+    let precision = |candidates: &str| match m.counter(candidates) {
+        0 => 1.0,
+        n => m.counter(names::ANSWERS) as f64 / n as f64,
+    };
+    let spans = names::PIPELINE_SPANS.map(|name| (name, m.span(name).cloned().unwrap_or_default()));
+    let total_ns: u64 = spans.iter().map(|(_, s)| s.total_ns).sum();
+    let mut out = format!(
+        "{queries} queries: |Pq|={:.1} |P'q|={:.1} |Dq|={:.1} (filter precision {:.2}, \
+         prune precision {:.2})\ntime: mean {:.2?}; parts/query {:.1}; {} missing-feature \
+         short-circuits\n",
+        mean(names::FILTERED),
+        mean(names::PRUNED),
+        mean(names::ANSWERS),
+        precision(names::FILTERED),
+        precision(names::PRUNED),
+        Duration::from_nanos(total_ns / queries.max(1)),
+        mean("funnel.partition_parts"),
+        m.counter(names::MISSING_FEATURE),
+    );
+    for (name, s) in spans {
+        out += &format!(
+            "  {name:<15} p50 {:.2?} p95 {:.2?}\n",
+            Duration::from_nanos(s.quantile_ns(0.50)),
+            Duration::from_nanos(s.quantile_ns(0.95)),
+        );
+    }
+    out
 }
 
 fn run() -> Result<(), String> {
@@ -279,9 +332,14 @@ fn run() -> Result<(), String> {
             let want_stats = args.iter().any(|a| a == "--stats");
             let metrics_path = flag_value(&args, "--metrics")?;
             let trace_path = flag_value(&args, "--trace")?;
-            let registry = metrics_registry(&metrics_path, &trace_path);
+            // `--stats` reads its summary off the registry `--metrics` writes.
+            let registry = if want_stats && trace_path.is_none() {
+                obs::Registry::new()
+            } else {
+                metrics_registry(&metrics_path, &trace_path)
+            };
             let engine = treepi::Engine::new(index, threads);
-            let (results, summary, _) =
+            let (results, _) =
                 engine.query_batch_pinned(&queries, treepi::QueryOptions::default(), &registry);
             let index = engine.into_index();
             for (i, (q, r)) in queries.iter().zip(&results).enumerate() {
@@ -301,7 +359,7 @@ fn run() -> Result<(), String> {
                 }
             }
             if want_stats {
-                eprintln!("{summary}");
+                eprint!("{}", funnel_summary(&registry.snapshot()));
             }
             if let Some(path) = &trace_path {
                 write_trace(&registry, path)?;
@@ -418,6 +476,7 @@ fn run() -> Result<(), String> {
             println!("  feature strings: {} KiB", m.features_bytes / 1024);
             println!("  support sets:    {} KiB", m.supports_bytes / 1024);
             println!("  center tables:   {} KiB", m.centers_bytes / 1024);
+            println!("  signatures:      {} KiB", m.sigs_bytes / 1024);
             println!("  canon directory: {} KiB", m.trie_bytes / 1024);
             let p = index.params();
             println!(
@@ -593,7 +652,7 @@ fn run() -> Result<(), String> {
                 return Err("scan needs <db.gspan> <queries.gspan>".into());
             };
             let db = read_graphs_file(db_path)?;
-            let queries = read_graphs_file(q_path)?;
+            let queries = read_queries_file(q_path)?;
             let threads = parse_flag(&args, "--threads", 0usize)?;
             let all = graph_core::par::Pool::new(threads).ordered_map(&queries, |q| {
                 db.iter()
@@ -623,5 +682,32 @@ fn main() -> ExitCode {
             }
             ExitCode::from(1)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An empty funnel reads precision 1.0, not NaN, and the means of an
+    /// empty batch are 0.
+    #[test]
+    fn empty_funnel_summary_reads_precision_one() {
+        let mut m = obs::MetricSet::new();
+        let text = funnel_summary(&m);
+        assert!(text.starts_with("0 queries: |Pq|=0.0 "), "{text}");
+        assert!(
+            text.contains("(filter precision 1.00, prune precision 1.00)"),
+            "{text}"
+        );
+        m.add(obs::names::QUERIES, 2);
+        m.add(obs::names::FILTERED, 4);
+        m.add(obs::names::PRUNED, 4);
+        m.add(obs::names::ANSWERS, 1);
+        let text = funnel_summary(&m);
+        assert!(
+            text.contains("|Pq|=2.0 |P'q|=2.0 |Dq|=0.5 (filter precision 0.25"),
+            "{text}"
+        );
     }
 }

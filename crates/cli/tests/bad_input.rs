@@ -5,9 +5,11 @@
 //! followed by another `--` flag, names the flag (`query … --metrics` once
 //! exited 0 and wrote no file). A flag the command does not take names
 //! the flag and the command (`query … --metric m.json` once exited 0 and
-//! wrote nothing). Build parameters that set σ(1) above 1 name `--alpha`
-//! and `--beta`: such an index misses single edges, and `--alpha 0` once
-//! built one that answered database graphs with nothing.
+//! wrote nothing). An argument beyond the command's operands and its
+//! flags' values names the argument and the command (`gen out --synthetic
+//! 50 5` once ignored the `5`). Build parameters that set σ(1) above 1 name
+//! `--alpha` and `--beta`: such an index misses single edges, and `--alpha
+//! 0` once built one that answered database graphs with nothing.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -48,6 +50,7 @@ fn bad_input_is_an_error_not_a_panic() {
     for (args, expected) in [
         (vec!["query", idx, q], edgeless.as_str()),
         (vec!["gquery", db, q], &edgeless),
+        (vec!["scan", db, q], &edgeless),
         (
             vec!["query", idx, db, "--metrics"],
             "--metrics needs a value",
@@ -71,6 +74,18 @@ fn bad_input_is_an_error_not_a_panic() {
         (
             vec!["serve", idx, "--timeseries", "x"],
             "unknown flag --timeseries for serve",
+        ),
+        (
+            vec!["gen", db, "--synthetic", "50", "5", "--seed", "3"],
+            "unexpected argument 5 for gen",
+        ),
+        (
+            vec!["stats", idx, "extra"],
+            "unexpected argument extra for stats",
+        ),
+        (
+            vec!["query", idx, q, db, "--stats"],
+            &format!("unexpected argument {db} for query"),
         ),
         (vec!["build", db, idx, "--alpha"], "--alpha needs a value"),
         (

@@ -354,8 +354,7 @@ pub fn fig_query_time(opts: &Opts, dataset: &str) {
         // Parallel series: the batch engine at full available parallelism.
         let (answers_par, t_par) = timed(|| {
             let off = obs::Registry::disabled();
-            let (results, _, _) =
-                engine.query_batch_pinned(&queries, QueryOptions::default(), &off);
+            let (results, _) = engine.query_batch_pinned(&queries, QueryOptions::default(), &off);
             results.iter().map(|r| r.matches.len()).sum::<usize>()
         });
         assert_eq!(

@@ -38,7 +38,8 @@ impl GQueryStats {
     /// line up column-for-column. gIndex has no partition or CDC-prune
     /// stage, so those two spans get zero-duration observations and
     /// `funnel.pruned` equals `funnel.filtered` (every filtered candidate
-    /// reaches verification).
+    /// reaches verification). A tracing shard also gets the stages as
+    /// timeline events, run back-to-back and ending now, as TreePi's are.
     pub fn record_into(&self, shard: &obs::Shard) {
         shard.add(obs::names::QUERIES, 1);
         shard.add(obs::names::FILTERED, self.filtered as u64);
@@ -46,10 +47,21 @@ impl GQueryStats {
         shard.add(obs::names::ANSWERS, self.answers as u64);
         shard.add("gindex.enumerated", self.enumerated as u64);
         shard.add("gindex.fragments_used", self.fragments_used as u64);
-        shard.observe(obs::names::SPAN_PARTITION, Duration::ZERO);
-        shard.observe(obs::names::SPAN_FILTER, self.t_filter);
-        shard.observe(obs::names::SPAN_PRUNE, Duration::ZERO);
-        shard.observe(obs::names::SPAN_VERIFY, self.t_verify);
+        let [partition, filter, prune, verify] = obs::names::PIPELINE_SPANS;
+        let stages = [
+            (partition, Duration::ZERO),
+            (filter, self.t_filter),
+            (prune, Duration::ZERO),
+            (verify, self.t_verify),
+        ];
+        let mut start = shard.is_tracing().then(|| Instant::now() - self.total());
+        for (name, t) in stages {
+            shard.observe(name, t);
+            if let Some(at) = &mut start {
+                shard.trace_complete(name, *at, t);
+                *at += t;
+            }
+        }
     }
 }
 
@@ -272,6 +284,44 @@ mod tests {
                 m.deterministic_counters(),
                 "threads={threads}"
             );
+        }
+    }
+
+    /// A traced batch tags every pipeline-stage event with its query's
+    /// batch position, at any pool size, and the seats' wall spans with
+    /// none.
+    #[test]
+    fn traced_batch_tags_stage_events_with_batch_position() {
+        let idx = index();
+        let queries = vec![
+            graph_from(&[0, 0], &[(0, 1, 0)]),
+            graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]),
+            graph_from(&[9, 9], &[(0, 1, 0)]),
+            graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 0, 1)]),
+        ];
+        for threads in [1, 3] {
+            let reg = obs::Registry::with_tracing();
+            let pool = graph_core::par::Pool::new(threads);
+            idx.query_batch_pool_obs(&queries, &pool, &reg);
+            let events = reg.drain_trace();
+            for name in obs::names::PIPELINE_SPANS {
+                let stage: Vec<_> = events.iter().filter(|e| e.name == name).collect();
+                assert_eq!(stage.len(), queries.len(), "{name}, threads {threads}");
+                let ids: std::collections::BTreeSet<_> =
+                    stage.iter().map(|e| e.query.expect("a query id")).collect();
+                assert_eq!(
+                    ids,
+                    (0..queries.len() as u64).collect(),
+                    "{name}, threads {threads}"
+                );
+            }
+            let busy = events.iter().filter(|e| e.name == "engine.worker_busy");
+            assert_eq!(busy.count(), queries.len(), "threads {threads}");
+            let walls: Vec<_> = events
+                .iter()
+                .filter(|e| e.name == "engine.worker_wall")
+                .collect();
+            assert!(!walls.is_empty() && walls.iter().all(|e| e.query.is_none()));
         }
     }
 

@@ -2,19 +2,18 @@
 //! way compute is parallelised in the pipeline crates.
 //!
 //! Worker threads are spawned once and parked on a condvar between jobs;
-//! callers dispatch through three methods:
+//! callers dispatch through two methods:
 //!
 //! - [`Pool::ordered_map`]/[`Pool::ordered_map_obs`]: run an independent
 //!   function over every item of a slice and return results in item order
-//!   (the query engine's primitive). Seats self-schedule off a shared atomic
-//!   counter, so one slow item does not stall a statically assigned chunk.
+//!   (the one batch fan-out: TreePi's engine, gIndex batches, signatures,
+//!   the scan baseline). Seats self-schedule off a shared atomic counter,
+//!   so one slow item does not stall a statically assigned chunk.
 //! - [`Pool::fork_join_obs`]: run one closure per worker rank with a forked
 //!   [`obs::Shard`] each, joining results and merging shards in rank order
-//!   (the parallel miner's primitive — the closure does its own
-//!   self-scheduling over whatever work units it partitions).
-//! - [`Pool::for_each_mut`]: run a mutation over every element of a mutable
-//!   slice on statically chunked seats (parallel post-processing of
-//!   per-pattern data).
+//!   (the parallel miner's and the intra-query stages' primitive — the
+//!   closure does its own self-scheduling over whatever work units it
+//!   partitions).
 //!
 //! Chunking and merge order depend only on the inputs, so results (and every
 //! metric outside the `engine.*`/`pool.*` namespaces) are bit-identical
@@ -138,9 +137,9 @@ fn pool_worker(shared: Arc<PoolShared>, idx: usize) {
 ///
 /// A job is a closure run once per *seat*; seats are handed out through an
 /// atomic cursor, and the pool's entry points ([`Pool::ordered_map_obs`],
-/// [`Pool::fork_join_obs`], [`Pool::for_each_mut`]) assign work to seats by
-/// a chunking discipline that depends only on the input, so outputs are
-/// bit-identical across any worker count.
+/// [`Pool::fork_join_obs`]) assign work to seats by a discipline that
+/// depends only on the input, so outputs are bit-identical across any
+/// worker count.
 ///
 /// **Re-entrancy:** a seat body may dispatch back into the same pool. The
 /// dispatcher of every job claims that job's seats in a loop before
@@ -270,10 +269,12 @@ impl Pool {
 
     /// [`Pool::ordered_map`] with per-seat metric shards: `f` receives the
     /// item and the seat's [`obs::Shard`]; shards are absorbed into
-    /// `registry` as each seat retires. The pool itself records
-    /// `engine.workers`, per-item `engine.items`, and an `engine.worker_wall`
-    /// span per seat — all under the `engine.` namespace because they
-    /// describe execution shape, not work done (see
+    /// `registry` as each seat retires. While `f` runs on item `i`, the
+    /// shard's trace events carry query id `i` (its batch position) and an
+    /// `engine.worker_busy` span times the call. The pool itself records
+    /// `engine.workers`, per-seat `engine.items`, and an id-less
+    /// `engine.worker_wall` span per seat — all under the `engine.`
+    /// namespace because they describe execution shape, not work done (see
     /// `obs::MetricSet::deterministic_counters`).
     pub fn ordered_map_obs<T, R, F>(&self, items: &[T], registry: &obs::Registry, f: F) -> Vec<R>
     where
@@ -281,15 +282,22 @@ impl Pool {
         R: Send,
         F: Fn(&T, &obs::Shard) -> R + Sync,
     {
+        let map_one = |i: usize, shard: &obs::Shard| {
+            shard.set_trace_query(Some(i as u64));
+            let _busy = shard.span("engine.worker_busy");
+            f(&items[i], shard)
+        };
         let workers = self.parallelism.min(items.len().max(1));
         if workers <= 1 {
             let shard = registry.shard();
-            shard.add("engine.workers", 1);
-            shard.add("engine.items", items.len() as u64);
             let out = {
                 let _wall = shard.span("engine.worker_wall");
-                items.iter().map(|item| f(item, &shard)).collect()
+                let out = (0..items.len()).map(|i| map_one(i, &shard)).collect();
+                shard.set_trace_query(None);
+                out
             };
+            shard.add("engine.workers", 1);
+            shard.add("engine.items", items.len() as u64);
             registry.absorb(shard);
             return out;
         }
@@ -305,9 +313,11 @@ impl Pool {
                     if i >= items.len() {
                         break;
                     }
-                    *slots[i].lock().expect("slot") = Some(f(&items[i], &shard));
+                    let r = map_one(i, &shard);
+                    *slots[i].lock().expect("slot") = Some(r);
                     served += 1;
                 }
+                shard.set_trace_query(None);
             }
             shard.add("engine.workers", 1);
             shard.add("engine.items", served);
@@ -366,30 +376,6 @@ impl Pool {
             );
         }
         out
-    }
-
-    /// Apply `f` to every element of `items` in place, on statically
-    /// chunked seats. `f` must be independent per element.
-    pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(&mut T) + Sync,
-    {
-        let threads = self.parallelism.min(items.len().max(1));
-        if threads <= 1 {
-            for item in items {
-                f(item);
-            }
-            return;
-        }
-        let chunk = items.len().div_ceil(threads);
-        let chunks: Vec<Mutex<&mut [T]>> = items.chunks_mut(chunk).map(Mutex::new).collect();
-        self.run(chunks.len(), |seat| {
-            let mut guard = chunks[seat].lock().expect("chunk");
-            for item in guard.iter_mut() {
-                f(item);
-            }
-        });
     }
 
     /// Drain the pool's lifetime execution-shape metrics into `shard` as
@@ -506,18 +492,6 @@ mod tests {
             assert_eq!(ranks, (0..workers).collect::<Vec<_>>());
             let set = shard.into_set();
             assert_eq!(set.counter("work.sum"), (0..10).sum::<usize>() as u64);
-        }
-    }
-
-    #[test]
-    fn pool_for_each_mut_touches_every_element() {
-        for workers in [1usize, 2, 4, 9] {
-            let pool = Pool::new(workers);
-            let mut items: Vec<u64> = (0..37).collect();
-            pool.for_each_mut(&mut items, |x| *x *= 3);
-            assert_eq!(items, (0..37).map(|x| x * 3).collect::<Vec<_>>());
-            let mut empty: Vec<u64> = Vec::new();
-            pool.for_each_mut(&mut empty, |_| unreachable!());
         }
     }
 

@@ -291,7 +291,9 @@ fn gamma_keeps(
 /// Run `f` on every item of `items` with one [`SubtreeEncoder`] per seat:
 /// up to `workers` seats of `pool` take chunks of `items` off a shared
 /// cursor, so each encoder's buffers grow once and are reused for every item
-/// the seat takes.
+/// the seat takes. Every parallel pass of a level runs through it: the
+/// extension pass, the class-support union (which needs no encoder) and the
+/// admission pass.
 fn for_each_encoding<T: Send>(
     pool: &Pool,
     workers: usize,
@@ -726,7 +728,7 @@ fn mine_within(
             }
         }
         drop(class_of);
-        pool.for_each_mut(&mut classes, |class| {
+        for_each_encoding(pool, workers, shard, &mut classes, |_, class| {
             let mut last = None;
             class.support = class
                 .kinds

@@ -12,7 +12,7 @@
 //!    buffering. Per-connection read/write buffers are capped too, so
 //!    total memory is `O(max_conns · buffer caps + queue_cap · query)`.
 //! 2. **Micro-batching.** Whatever is queued when the loop comes round is
-//!    dispatched to [`treepi::Engine::query_batch_obs`], at most
+//!    dispatched to [`treepi::Engine::query_batch_pinned`], at most
 //!    [`ServeConfig::max_batch`] queries at a time. Nothing is held back to
 //!    let a batch fill: a batch executes inline on this thread, so the
 //!    queries decoded from the sockets while it ran *are* the next batch —
@@ -120,8 +120,6 @@ pub struct ServeConfig {
     /// beyond it counts a `serve.loop.stall_count` trip and flips
     /// `/healthz` to degraded. `None` disables the watchdog.
     pub stall_threshold: Option<Duration>,
-    /// Query pipeline options used for every batch.
-    pub opts: QueryOptions,
 }
 
 impl Default for ServeConfig {
@@ -134,7 +132,6 @@ impl Default for ServeConfig {
             max_requests: 0,
             http_addr: None,
             stall_threshold: Some(Duration::from_millis(100)),
-            opts: QueryOptions::default(),
         }
     }
 }
@@ -525,10 +522,8 @@ impl EventLoop<'_> {
         let dispatched = Instant::now();
         let (results, epoch) = {
             let _span = self.shard.span(obs::names::SPAN_SERVE_BATCH);
-            let (results, _, epoch) =
-                self.engine
-                    .query_batch_pinned(&graphs, self.config.opts, registry);
-            (results, epoch)
+            self.engine
+                .query_batch_pinned(&graphs, QueryOptions::default(), registry)
         };
         let batch_end = Instant::now();
         let residence = batch_end.saturating_duration_since(dispatched);

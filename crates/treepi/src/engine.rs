@@ -23,13 +23,12 @@
 
 use crate::index::TreePiIndex;
 use crate::query::{QueryOptions, QueryResult};
-use crate::workload::{summarize, WorkloadSummary};
 use graph_core::par::Pool;
 use graph_core::Graph;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rustc_hash::FxHashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -44,67 +43,6 @@ pub fn query_rng(seed: u64, i: usize) -> ChaCha8Rng {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
     ChaCha8Rng::seed_from_u64(z ^ (z >> 31))
-}
-
-/// The shared batch implementation: fan `queries` across the pool's seats,
-/// each seat pulling indices off an atomic cursor into order-indexed result
-/// slots.
-fn batch_on_pool(
-    index: &TreePiIndex,
-    queries: &[Graph],
-    opts: QueryOptions,
-    pool: &Pool,
-    registry: &obs::Registry,
-) -> (Vec<QueryResult>, WorkloadSummary) {
-    let threads = pool.parallelism();
-    // Spend the pool across queries first; only when the batch can't
-    // occupy it do queries get intra-candidate workers.
-    let intra = if queries.is_empty() || queries.len() >= threads {
-        1
-    } else {
-        threads / queries.len()
-    };
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<QueryResult>>> = queries.iter().map(|_| Mutex::new(None)).collect();
-    // One seat (a 1-worker pool, a batch of one or none) runs inline on the
-    // caller: `Pool::run` floors seats at 1 and spawns nothing for it.
-    let workers = threads.min(queries.len());
-    pool.run(workers, |_seat| {
-        let shard = registry.shard();
-        let mut served = 0u64;
-        {
-            let _wall = shard.span("engine.worker_wall");
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= queries.len() {
-                    break;
-                }
-                let r = {
-                    shard.set_trace_query(Some(i as u64));
-                    let _busy = shard.span("engine.worker_busy");
-                    index.query_with_pool_obs(&queries[i], opts, pool, intra, &shard)
-                };
-                served += 1;
-                *slots[i].lock().expect("slot") = Some(r);
-            }
-            shard.set_trace_query(None);
-        }
-        shard.add("engine.workers", 1);
-        shard.add("engine.queries", served);
-        registry.absorb(shard);
-    });
-    let results: Vec<QueryResult> = slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("slot").expect("every query ran"))
-        .collect();
-    // Batch-end delta of the pool's scheduling metrics (pool.* namespace,
-    // exempt from the determinism contract like engine.*).
-    let shard = registry.shard();
-    pool.flush_metrics(&shard);
-    registry.absorb(shard);
-    let stats: Vec<_> = results.iter().map(|r| r.stats).collect();
-    let summary = summarize(&stats);
-    (results, summary)
 }
 
 /// A queued §7.1 maintenance operation (see [`Engine::queue_insert`] /
@@ -509,60 +447,62 @@ impl Engine {
     }
 
     /// Answer a batch of containment queries on the engine's pool against a
-    /// pinned snapshot, returning per-query results in query order plus an
-    /// aggregated [`WorkloadSummary`] (tail percentiles are computed over
-    /// the merged per-query stats, so nothing is lost to per-thread
-    /// pre-aggregation).
-    ///
-    /// Results are bit-identical for any pool size. `_seed` is ignored:
-    /// kept for the ledger's replay until ROADMAP item 1.
+    /// pinned snapshot: [`Self::query_batch_pinned`] with metrics disabled.
+    /// `_seed` is ignored: kept for the ledger's replay until ROADMAP item
+    /// 1.
     pub fn query_batch(
         &self,
         queries: &[Graph],
         opts: QueryOptions,
         _seed: u64,
-    ) -> (Vec<QueryResult>, WorkloadSummary) {
-        let (results, summary, _) =
-            self.query_batch_pinned(queries, opts, &obs::Registry::disabled());
-        (results, summary)
+    ) -> (Vec<QueryResult>, u64) {
+        self.query_batch_pinned(queries, opts, &obs::Registry::disabled())
     }
 
-    /// [`Self::query_batch`] recording metrics into `registry`.
-    ///
-    /// Each seat records into its own [`obs::Shard`] — no lock is touched
-    /// on the query path — and the shards are absorbed into the registry
-    /// only when the seat retires. Pipeline spans and `funnel.*` counters
-    /// are pure functions of the per-query outcomes, so their totals are
-    /// bit-identical for any pool size. The `engine.*` namespace
-    /// (workers spawned, queries served per worker, busy vs wall time)
-    /// describes the execution shape and is explicitly excluded from the
-    /// determinism contract ([`obs::MetricSet::deterministic_counters`]).
-    /// `_seed` is ignored: kept for the ledger's replay until ROADMAP item
-    /// 1.
+    /// [`Self::query_batch_pinned`] with an ignored `_seed`: kept for the
+    /// ledger's replay until ROADMAP item 1.
     pub fn query_batch_obs(
         &self,
         queries: &[Graph],
         opts: QueryOptions,
         _seed: u64,
         registry: &obs::Registry,
-    ) -> (Vec<QueryResult>, WorkloadSummary) {
-        let (results, summary, _) = self.query_batch_pinned(queries, opts, registry);
-        (results, summary)
+    ) -> (Vec<QueryResult>, u64) {
+        self.query_batch_pinned(queries, opts, registry)
     }
 
-    /// [`Engine::query_batch_obs`] additionally reporting the epoch of the
-    /// snapshot the whole batch ran against — the consistency witness used
-    /// by the serving layer (cache admission) and the concurrency tests.
+    /// Answer a batch of containment queries against one pinned snapshot,
+    /// returning per-query results in query order and the snapshot's epoch
+    /// — the consistency witness used by the serving layer (cache
+    /// admission) and the concurrency tests.
+    ///
+    /// The batch is one [`Pool::ordered_map_obs`]: each seat records into
+    /// its own [`obs::Shard`], absorbed into `registry` when the seat
+    /// retires. Pipeline spans and `funnel.*` counters are pure functions of
+    /// the per-query outcomes, so their totals are bit-identical for any
+    /// pool size; the `engine.*` and `pool.*` namespaces describe the
+    /// execution shape and are excluded from the determinism contract
+    /// ([`obs::MetricSet::deterministic_counters`]).
     pub fn query_batch_pinned(
         &self,
         queries: &[Graph],
         opts: QueryOptions,
         registry: &obs::Registry,
-    ) -> (Vec<QueryResult>, WorkloadSummary, u64) {
+    ) -> (Vec<QueryResult>, u64) {
         let snapshot = self.pin();
-        let (results, summary) =
-            batch_on_pool(&snapshot, queries, opts, &self.shared.pool, registry);
-        (results, summary, snapshot.maintenance_epoch())
+        let pool = &self.shared.pool;
+        // Spend the pool across queries first; only when the batch can't
+        // occupy it do queries get intra-candidate workers.
+        let intra = (pool.parallelism() / queries.len().max(1)).max(1);
+        let results = pool.ordered_map_obs(queries, registry, |q, shard| {
+            snapshot.query_with_pool_obs(q, opts, pool, intra, shard)
+        });
+        // Batch-end delta of the pool's scheduling metrics (pool.* namespace,
+        // exempt from the determinism contract like engine.*).
+        let shard = registry.shard();
+        pool.flush_metrics(&shard);
+        registry.absorb(shard);
+        (results, snapshot.maintenance_epoch())
     }
 }
 
@@ -651,15 +591,17 @@ mod tests {
         TreePiIndex::build(db, TreePiParams::quick())
     }
 
-    /// One batch on a pool created for the call.
+    /// One batch on an engine (and pool) created for the call.
     fn batch(
         idx: &TreePiIndex,
         qs: &[Graph],
         threads: usize,
         registry: &obs::Registry,
-    ) -> (Vec<QueryResult>, WorkloadSummary) {
-        let pool = Pool::new(threads);
-        batch_on_pool(idx, qs, QueryOptions::default(), &pool, registry)
+    ) -> Vec<QueryResult> {
+        let engine = Engine::new(idx.clone(), threads);
+        engine
+            .query_batch_pinned(qs, QueryOptions::default(), registry)
+            .0
     }
 
     fn queries() -> Vec<Graph> {
@@ -676,22 +618,23 @@ mod tests {
     fn batch_matches_oracle() {
         let idx = index();
         let qs = queries();
-        let (results, summary) = batch(&idx, &qs, 4, &obs::Registry::disabled());
+        let results = batch(&idx, &qs, 4, &obs::Registry::disabled());
         assert_eq!(results.len(), qs.len());
-        assert_eq!(summary.queries, qs.len());
         for (q, r) in qs.iter().zip(&results) {
             assert_eq!(r.matches, scan_support(&idx, q));
         }
-        assert_eq!(summary.missing_feature, 1);
+        let missing = results.iter().filter(|r| r.stats.missing_feature);
+        assert_eq!(missing.count(), 1);
     }
 
     #[test]
     fn identical_across_thread_counts() {
         let idx = index();
         let qs = queries();
-        let (base, base_sum) = batch(&idx, &qs, 1, &obs::Registry::disabled());
+        let base = batch(&idx, &qs, 1, &obs::Registry::disabled());
         for threads in [2, 3, 8] {
-            let (r, sum) = batch(&idx, &qs, threads, &obs::Registry::disabled());
+            let r = batch(&idx, &qs, threads, &obs::Registry::disabled());
+            assert_eq!(r.len(), base.len(), "threads {threads}");
             for (i, (a, b)) in base.iter().zip(&r).enumerate() {
                 assert_eq!(
                     a.matches, b.matches,
@@ -709,9 +652,11 @@ mod tests {
                     a.stats.partition_size, b.stats.partition_size,
                     "query {i}, threads {threads}"
                 );
+                assert_eq!(
+                    a.stats.missing_feature, b.stats.missing_feature,
+                    "query {i}, threads {threads}"
+                );
             }
-            assert_eq!(sum.queries, base_sum.queries);
-            assert_eq!(sum.missing_feature, base_sum.missing_feature);
         }
     }
 
@@ -719,7 +664,7 @@ mod tests {
     fn batch_equals_sequential_queries() {
         let idx = index();
         let qs = queries();
-        let (batch, _) = batch(&idx, &qs, 8, &obs::Registry::disabled());
+        let batch = batch(&idx, &qs, 8, &obs::Registry::disabled());
         for (i, q) in qs.iter().enumerate() {
             let seq = idx.query(q);
             assert_eq!(batch[i].matches, seq.matches, "query {i}");
@@ -767,9 +712,9 @@ mod tests {
     #[test]
     fn empty_batch() {
         let idx = index();
-        let (results, summary) = batch(&idx, &[], 4, &obs::Registry::disabled());
-        assert!(results.is_empty());
-        assert_eq!(summary.queries, 0);
+        let reg = obs::Registry::new();
+        assert!(batch(&idx, &[], 4, &reg).is_empty());
+        assert_eq!(reg.drain().counter(obs::names::QUERIES), 0);
     }
 
     #[test]
@@ -778,8 +723,8 @@ mod tests {
         assert_eq!(graph_core::par::resolve_threads(3), 3);
         let idx = index();
         let qs = queries();
-        let (r0, _) = batch(&idx, &qs, 0, &obs::Registry::disabled());
-        let (r1, _) = batch(&idx, &qs, 1, &obs::Registry::disabled());
+        let r0 = batch(&idx, &qs, 0, &obs::Registry::disabled());
+        let r1 = batch(&idx, &qs, 1, &obs::Registry::disabled());
         for (a, b) in r0.iter().zip(&r1) {
             assert_eq!(a.matches, b.matches);
         }
@@ -791,7 +736,7 @@ mod tests {
         let qs = queries();
         let run = |threads: usize| {
             let reg = obs::Registry::new();
-            let (results, _) = batch(&idx, &qs, threads, &reg);
+            let results = batch(&idx, &qs, threads, &reg);
             (results, reg.drain())
         };
         let (base_r, base_m) = run(1);
@@ -835,7 +780,8 @@ mod tests {
         let qs = queries();
         let run = |opts: QueryOptions| {
             let reg = obs::Registry::new();
-            let (results, _) = batch_on_pool(&idx, &qs, opts, &Pool::new(2), &reg);
+            let engine = Engine::new(idx.clone(), 2);
+            let (results, _) = engine.query_batch_pinned(&qs, opts, &reg);
             let m = reg.drain();
             let answers: Vec<Vec<u32>> = results.into_iter().map(|r| r.matches).collect();
             (
@@ -863,7 +809,7 @@ mod tests {
         let qs = queries();
         for threads in [1usize, 3] {
             let reg = obs::Registry::with_tracing();
-            let (_, _) = batch(&idx, &qs, threads, &reg);
+            batch(&idx, &qs, threads, &reg);
             let events = reg.drain_trace();
             // Every query contributes its four pipeline stages, tagged with
             // its batch position.
@@ -897,7 +843,7 @@ mod tests {
         }
         // Non-tracing registry produces no events for the same batch.
         let reg = obs::Registry::new();
-        let _ = batch(&idx, &qs, 2, &reg);
+        batch(&idx, &qs, 2, &reg);
         assert!(reg.drain_trace().is_empty());
     }
 
@@ -905,18 +851,18 @@ mod tests {
     fn engine_reuses_pool_and_matches_transient_batches() {
         let idx = index();
         let qs = queries();
-        let (base, base_sum) = batch(&idx, &qs, 1, &obs::Registry::disabled());
+        let base = batch(&idx, &qs, 1, &obs::Registry::disabled());
         for threads in [1usize, 2, 8] {
             let engine = Engine::new(index(), threads);
             assert_eq!(engine.parallelism(), threads);
             // Several batches on the same pool: results stay identical.
             for _ in 0..3 {
-                let (r, sum) = engine.query_batch(&qs, QueryOptions::default(), 42);
+                let (r, _) = engine.query_batch(&qs, QueryOptions::default(), 42);
+                assert_eq!(r.len(), base.len(), "threads {threads}");
                 for (a, b) in base.iter().zip(&r) {
                     assert_eq!(a.matches, b.matches, "threads {threads}");
                     assert_eq!(a.stats.pruned, b.stats.pruned, "threads {threads}");
                 }
-                assert_eq!(sum.queries, base_sum.queries);
             }
             let recovered = engine.into_index();
             assert_eq!(recovered.db().len(), index().db().len());
@@ -1138,7 +1084,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut seen: Vec<(u64, Vec<u32>)> = Vec::new();
                     while !stop.load(Ordering::Relaxed) {
-                        let (r, _, epoch) = engine.query_batch_pinned(
+                        let (r, epoch) = engine.query_batch_pinned(
                             std::slice::from_ref(&q),
                             QueryOptions::default(),
                             &obs::Registry::disabled(),

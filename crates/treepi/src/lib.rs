@@ -48,7 +48,6 @@ mod shape;
 pub mod sig;
 pub mod verify;
 mod walk;
-pub mod workload;
 
 pub use directed::DirectedTreePiIndex;
 pub use engine::{query_rng, ApplyOutcome, Engine, MaintStats, RemineReport};
@@ -59,4 +58,3 @@ pub use partition::{feature_tree_partition, partition_runs_with, Part, Partition
 pub use query::{QueryOptions, QueryResult, QueryStats, SfMode, INTRA_PAR_THRESHOLD};
 pub use sig::VertexSig;
 pub use verify::scan_support;
-pub use workload::{summarize, WorkloadSummary};

@@ -25,7 +25,7 @@ fn run_metered(
 ) -> (Vec<treepi::QueryResult>, obs::MetricSet) {
     let registry = obs::Registry::new();
     let engine = Engine::new(idx.clone(), threads);
-    let (results, _, _) = engine.query_batch_pinned(queries, QueryOptions::default(), &registry);
+    let (results, _) = engine.query_batch_pinned(queries, QueryOptions::default(), &registry);
     (results, registry.drain())
 }
 

@@ -24,7 +24,7 @@ fn save_bytes(idx: &TreePiIndex) -> Vec<u8> {
 
 fn run_engine(engine: &Engine, queries: &[Graph]) -> (Vec<treepi::QueryResult>, obs::MetricSet) {
     let registry = obs::Registry::new();
-    let (results, _, _) = engine.query_batch_pinned(queries, QueryOptions::default(), &registry);
+    let (results, _) = engine.query_batch_pinned(queries, QueryOptions::default(), &registry);
     (results, registry.drain())
 }
 

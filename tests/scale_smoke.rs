@@ -6,7 +6,7 @@
 use datagen::{extract_queries, generate_chem, ChemParams};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use treepi::{scan_support, summarize, TreePiIndex, TreePiParams};
+use treepi::{scan_support, TreePiIndex, TreePiParams};
 
 #[test]
 #[ignore = "minutes-scale; run with --ignored in release mode"]
@@ -23,9 +23,8 @@ fn paper_parameters_at_scale() {
             stats.push(r.stats);
         }
     }
-    let summary = summarize(&stats);
-    assert_eq!(summary.queries, 100);
+    assert_eq!(stats.len(), 100);
     // the funnel must be meaningfully tighter than the whole database
-    assert!(summary.mean_pruned < db.len() as f64 / 2.0);
-    println!("{summary}");
+    let pruned: usize = stats.iter().map(|s| s.pruned).sum();
+    assert!(pruned * 2 < db.len() * stats.len(), "Σ|P'q| = {pruned}");
 }
