@@ -754,8 +754,8 @@ pub mod names {
     pub const SERVE_BATCHES: &str = "serve.batches";
     /// Counter: queries executed inside micro-batches.
     pub const SERVE_BATCHED: &str = "serve.batched_queries";
-    /// Counter: maintenance operations (insert/remove) accepted into the
-    /// engine's pending queue.
+    /// Counter: maintenance operations (insert/remove) applied to the
+    /// engine's index.
     pub const SERVE_MAINTENANCE: &str = "serve.maintenance";
     /// Counter: malformed frames / protocol errors answered with `E`.
     pub const SERVE_ERRORS: &str = "serve.errors";
@@ -833,28 +833,22 @@ pub mod names {
     /// Counter: loadgen transport/protocol errors.
     pub const LOADGEN_ERRORS: &str = "loadgen.errors";
 
-    /// Counter: §7.1 maintenance ops accepted into the engine's pending
-    /// queue (insert + remove; see `treepi::Engine::queue_insert`).
-    pub const MAINT_QUEUED: &str = "maint.queued";
-    /// Counter: queued ops folded into published snapshots.
+    /// Counter: §7.1 ops applied to the published snapshot (insert +
+    /// remove of an active gid; see `treepi::Engine::insert` / `remove`).
+    /// Each is applied when it arrives and publishes one snapshot.
     pub const MAINT_APPLIED: &str = "maint.applied";
-    /// Counter: apply batches — snapshot publications by `apply_pending`
-    /// (N queued ops cost one of these, not N).
-    pub const MAINT_APPLY_BATCHES: &str = "maint.apply_batches";
-    /// Counter: total snapshot publications (apply batches plus background
+    /// Counter: total snapshot publications (applied ops plus background
     /// re-mine swaps).
     pub const MAINT_SNAPSHOT_SWAPS: &str = "maint.snapshot_swaps";
     /// Counter: background re-mines triggered by accumulated repairs.
     pub const MAINT_REMINE_TRIGGERS: &str = "maint.remine_triggers";
     /// Counter: background re-mines that completed and were swapped in.
     pub const MAINT_REMINES: &str = "maint.remines_completed";
-    /// Span: latency of one apply batch (the §7.1 ops, after a copy of the
-    /// index only when a reader held it).
+    /// Span: latency of one applied §7.1 op (after a copy of the index
+    /// only when a reader held it).
     pub const SPAN_MAINT_APPLY: &str = "maint.apply";
     /// Span: wall time of one background re-mine build.
     pub const SPAN_MAINT_REMINE: &str = "maint.remine";
-    /// Gauge: ops queued but not yet applied.
-    pub const GAUGE_MAINT_PENDING: &str = "maint.pending_depth";
     /// Gauge: §7.1 ops applied since the last re-mine trigger.
     pub const GAUGE_MAINT_REPAIRS: &str = "maint.repairs_since_mine";
 }

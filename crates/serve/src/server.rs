@@ -17,21 +17,18 @@
 //!    let a batch fill: a batch executes inline on this thread, so the
 //!    queries decoded from the sockets while it ran *are* the next batch —
 //!    batches grow with load and a lone query leaves at once.
-//! 3. **Maintenance.** Insert/remove requests are *queued* on the engine
-//!    ([`treepi::Engine::queue_insert`] / `queue_remove`) and acked
-//!    immediately from its shadow view — no index change, no epoch bump,
-//!    no stall of in-flight batches. Queued ops are folded into the
-//!    published snapshot ([`treepi::Engine::apply_pending`], the
-//!    `maint.apply` span) at the next query admission and at batch
-//!    dispatch, so a run of N registration ops costs one apply and one
-//!    epoch, and read-your-writes holds: a query admitted after an op's
-//!    ack always sees it. Batches run on this thread and release their pin
-//!    before the next apply, so the apply updates the index in place; it
-//!    copies the index first only while a background re-mine holds the
-//!    snapshot. The cache compares epochs on every publication (applies
-//!    and background re-mine swaps alike) and drops its entries, so no
-//!    answer computed against an old snapshot can be served afterwards.
-//!    Queued queries observe the snapshot current at *execution* time.
+//! 3. **Maintenance.** An insert/remove request is applied when it is
+//!    decoded ([`treepi::Engine::insert`] / [`treepi::Engine::remove`],
+//!    the `maint.apply` span) and acked after, so read-your-writes holds
+//!    with no bookkeeping: a query sent after an op's ack always sees it.
+//!    Batches run on this thread and release their pin before the next
+//!    write, so the write updates the index in place; it copies the index
+//!    first only while a background re-mine holds the snapshot. Query
+//!    admission compares the cache's epoch with the engine's and drops
+//!    its entries when either kind of publication (a write or a re-mine
+//!    swap) moved it, so no answer computed against an old snapshot can be
+//!    served afterwards. Queued queries observe the snapshot current at
+//!    *execution* time.
 //!
 //! Determinism caveat: which queries share a batch depends on arrival
 //! timing, so `serve.*` / `cache.*` metrics are timing-dependent —
@@ -151,9 +148,8 @@ pub struct ServeReport {
     pub shed: u64,
     /// Micro-batches dispatched.
     pub batches: u64,
-    /// Maintenance operations (insert/remove) accepted into the engine's
-    /// pending queue (no-op removes of inactive gids excluded). Every
-    /// accepted op is applied by the time [`Server::run`] returns.
+    /// Maintenance operations (insert/remove) applied to the engine's
+    /// index (no-op removes of inactive gids excluded).
     pub maintenance: u64,
     /// Malformed frames answered with an error.
     pub errors: u64,
@@ -351,11 +347,8 @@ impl Server {
             shutdown: false,
         };
         let result = lp.serve(registry);
-        // Fold any ops still queued at shutdown so the engine's final
-        // state reflects every acked maintenance request, and flush the
-        // access log so its error count is final, before the loop's numbers
-        // reach the registry, once.
-        lp.apply_ready();
+        // Flush the access log so its error count is final before the
+        // loop's numbers reach the registry, once.
         if let Some(access) = lp.telemetry.access.as_mut() {
             access.flush();
         }
@@ -471,13 +464,10 @@ impl EventLoop<'_> {
         out.add(n::CACHE_INVALIDATIONS, self.cache.invalidations());
         out.set_gauge(n::GAUGE_CACHE_ENTRIES, self.cache.len() as u64);
         let maint = self.engine.maint_stats();
-        out.add(n::MAINT_QUEUED, maint.queued);
         out.add(n::MAINT_APPLIED, maint.applied);
-        out.add(n::MAINT_APPLY_BATCHES, maint.apply_batches);
         out.add(n::MAINT_SNAPSHOT_SWAPS, maint.snapshot_swaps);
         out.add(n::MAINT_REMINE_TRIGGERS, maint.remine_triggers);
         out.add(n::MAINT_REMINES, maint.remines_completed);
-        out.set_gauge(n::GAUGE_MAINT_PENDING, maint.pending);
         out.set_gauge(n::GAUGE_MAINT_REPAIRS, maint.repairs_since_mine);
     }
 
@@ -504,10 +494,16 @@ impl EventLoop<'_> {
     }
 
     fn run_batch(&mut self, registry: &obs::Registry) {
-        // Fold queued maintenance first: one snapshot for however many ops
-        // accumulated since the last publication, then the whole batch
-        // runs against that pinned version.
-        self.apply_ready();
+        // One `maint.remine` observation per background re-mine published
+        // since the last batch. The cache is synced with the live epoch
+        // here, past writes applied since these queries were admitted, so
+        // the check after the batch vetoes a fill only for a publication
+        // made while the batch ran.
+        for rep in self.engine.drain_remine_reports() {
+            self.shard
+                .observe(obs::names::SPAN_MAINT_REMINE, rep.duration);
+        }
+        self.cache.sync_epoch(self.engine.epoch());
         let n = self.pending.len().min(self.config.max_batch.max(1));
         let (metas, graphs): (Vec<_>, Vec<Graph>) = self
             .pending
@@ -638,13 +634,37 @@ impl EventLoop<'_> {
         }
     }
 
+    /// Close connection `idx` and drop the queries it left queued, logging
+    /// each as `dropped`: nobody is left to read their answers, and the
+    /// slot goes to the next connection accepted, which must not receive
+    /// them.
     fn close_conn(&mut self, idx: usize) {
-        if let Some(conn) = self.conns[idx].take() {
-            let _ = self.poll.deregister(&conn.stream);
-            self.free.push(idx);
-        }
-        // Pending queries from this connection still execute; their
-        // responses are silently dropped by `respond`.
+        let Some(conn) = self.conns[idx].take() else {
+            return;
+        };
+        let _ = self.poll.deregister(&conn.stream);
+        self.free.push(idx);
+        let epoch = self.engine.epoch();
+        let access = &mut self.telemetry.access;
+        self.pending.retain(|p| {
+            if p.conn != idx {
+                return true;
+            }
+            if let Some(access) = access.as_mut() {
+                access.log(&AccessRecord {
+                    conn: idx,
+                    tag: p.tag,
+                    op: "query",
+                    outcome: "dropped",
+                    bytes_in: p.bytes_in,
+                    bytes_out: 0,
+                    cache_hit: None,
+                    epoch,
+                    stages: None,
+                });
+            }
+            false
+        });
     }
 
     fn handle_readable(&mut self, idx: usize, registry: &obs::Registry) {
@@ -716,14 +736,12 @@ impl EventLoop<'_> {
                 "text/plain; charset=utf-8",
                 format!("{why}\n").as_bytes(),
             ),
-            http::Parse::Ok(req, _) if req.method != "GET" && req.method != "HEAD" => {
-                http::response(
-                    405,
-                    "Method Not Allowed",
-                    "text/plain; charset=utf-8",
-                    b"only GET is supported\n",
-                )
-            }
+            http::Parse::Ok(req, _) if req.method != "GET" => http::response(
+                405,
+                "Method Not Allowed",
+                "text/plain; charset=utf-8",
+                b"only GET is supported\n",
+            ),
             http::Parse::Ok(req, _) => match req.path.as_str() {
                 "/metrics" => http::response(
                     200,
@@ -887,18 +905,12 @@ impl EventLoop<'_> {
                     );
                     immediate = Some(("query", "error", None));
                 } else {
-                    // Read-your-writes: fold any acked-but-unapplied
-                    // maintenance before consulting the cache or queueing,
-                    // so this query observes every op acked before it.
-                    self.apply_ready();
                     let key = (self.config.cache_cap > 0).then(|| query_key(&g));
                     let mut hit_ids = None;
                     if let Some(key) = &key {
-                        // Belt and braces: the cache is synced on every
-                        // publication (apply_ready above), but admission
-                        // re-checks so a background re-mine landing between
-                        // that sync and this lookup can't serve stale
-                        // answers.
+                        // Every write and re-mine swap bumps the epoch, so
+                        // syncing here is what keeps a retired snapshot's
+                        // answer from being served.
                         self.cache.sync_epoch(self.engine.epoch());
                         hit_ids = self.cache.get(key).map(|hit| hit.to_vec());
                     }
@@ -937,12 +949,10 @@ impl EventLoop<'_> {
                 }
             }
             RequestBody::Insert(g) => {
-                // Queued, not applied: the gid comes from the engine's
-                // shadow view, the snapshot is untouched, and in-flight
-                // batches keep their pinned version. The op is folded in
-                // (with any siblings) at the next query admission or batch
-                // dispatch — see `apply_ready`.
-                let gid = self.engine.queue_insert(g);
+                let start = Instant::now();
+                let gid = self.engine.insert(g);
+                self.shard
+                    .observe(obs::names::SPAN_MAINT_APPLY, start.elapsed());
                 self.report.maintenance += 1;
                 bytes_out = self.respond(
                     idx,
@@ -954,8 +964,11 @@ impl EventLoop<'_> {
                 immediate = Some(("insert", "ok", None));
             }
             RequestBody::Remove(gid) => {
-                let was_active = self.engine.queue_remove(gid);
+                let start = Instant::now();
+                let was_active = self.engine.remove(gid);
                 if was_active {
+                    self.shard
+                        .observe(obs::names::SPAN_MAINT_APPLY, start.elapsed());
                     self.report.maintenance += 1;
                 }
                 bytes_out = self.respond(
@@ -999,7 +1012,8 @@ impl EventLoop<'_> {
             }
         }
         if let Some((op, outcome, cache_hit)) = immediate {
-            // Re-read: insert/remove bump the epoch they are served under.
+            // Read after the request: an insert or remove is logged under
+            // the epoch it published.
             let epoch = self.engine.epoch();
             self.log_access(AccessRecord {
                 conn: idx,
@@ -1015,24 +1029,6 @@ impl EventLoop<'_> {
                     ..AccessStages::default()
                 }),
             });
-        }
-    }
-
-    /// Fold every queued maintenance op into the published snapshot (the
-    /// batching point: N acked ops cost one apply and one epoch) and absorb
-    /// background re-mine completions. Both publication kinds re-sync the cache, so
-    /// an entry computed against a retired snapshot can never be served
-    /// after this returns.
-    fn apply_ready(&mut self) {
-        if let Some(out) = self.engine.apply_pending() {
-            self.shard
-                .observe(obs::names::SPAN_MAINT_APPLY, out.duration);
-            self.cache.sync_epoch(out.epoch);
-        }
-        for rep in self.engine.drain_remine_reports() {
-            self.shard
-                .observe(obs::names::SPAN_MAINT_REMINE, rep.duration);
-            self.cache.sync_epoch(rep.epoch);
         }
     }
 

@@ -154,7 +154,8 @@ pub struct AccessRecord<'a> {
     /// Operation name (`query`, `insert`, `remove`, `stats`, `shutdown`,
     /// `invalid`).
     pub op: &'a str,
-    /// Outcome (`ok`, `busy`, `error`).
+    /// Outcome (`ok`, `busy`, `error`, or `dropped` for a query whose
+    /// connection closed before it ran).
     pub outcome: &'a str,
     /// Request frame size in bytes (length prefix included).
     pub bytes_in: u64,

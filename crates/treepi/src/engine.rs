@@ -27,8 +27,6 @@ use graph_core::par::Pool;
 use graph_core::Graph;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rustc_hash::FxHashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -45,25 +43,36 @@ pub fn query_rng(seed: u64, i: usize) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(z ^ (z >> 31))
 }
 
-/// A queued §7.1 maintenance operation (see [`Engine::queue_insert`] /
-/// [`Engine::queue_remove`]).
+/// One §7.1 maintenance operation: what [`Engine::insert`] /
+/// [`Engine::remove`] apply, and what the re-mine journal replays.
 #[derive(Clone)]
-enum PendingOp {
+enum Op {
     Insert(Graph),
     Remove(u32),
 }
 
-/// Pending-write state guarded by one mutex: the op queue, the shadow view
-/// that answers "what gid will this insert get" / "is this gid active"
-/// before the ops are applied, and the background re-mine handshake.
+impl Op {
+    /// Apply to `index`; returns the id of the graph written.
+    fn apply_to(self, index: &mut TreePiIndex) -> u32 {
+        match self {
+            Op::Insert(g) => index.insert(g),
+            Op::Remove(gid) => {
+                index.remove(gid);
+                gid
+            }
+        }
+    }
+}
+
+/// Write-side state guarded by one mutex: the `maint.*` totals, the
+/// re-mine trigger and the background re-mine handshake.
 struct MaintState {
-    /// Queued ops not yet folded into a snapshot.
-    queue: Vec<PendingOp>,
-    /// Active-state overrides for queued ops (gid → active after queue).
-    overlay: FxHashMap<u32, bool>,
-    /// The gid the next queued insert receives (snapshot len + queued
-    /// inserts — [`TreePiIndex::insert`] appends, so ids are predictable).
-    next_gid: u32,
+    /// §7.1 ops applied.
+    applied: u64,
+    /// Background re-mines requested.
+    remine_triggers: u64,
+    /// Background re-mines published.
+    remines_completed: u64,
     /// §7.1 ops applied since the last re-mine (trigger accumulator).
     repairs_since_mine: u64,
     /// Snapshot handed to the re-mine thread, not yet picked up.
@@ -72,55 +81,29 @@ struct MaintState {
     remine_inflight: bool,
     /// Ops applied while a re-mine was pending/in flight — replayed onto
     /// the re-mined index before it is published.
-    journal: Vec<PendingOp>,
+    journal: Vec<Op>,
     /// Completed re-mine reports awaiting [`Engine::drain_remine_reports`].
     completed: Vec<RemineReport>,
     /// Tells the re-mine thread to exit.
     shutdown: bool,
 }
 
-/// Monotonic `maint.*` counters (lock-free reads for STATS snapshots).
-#[derive(Default)]
-struct MaintCounters {
-    queued: AtomicU64,
-    applied: AtomicU64,
-    apply_batches: AtomicU64,
-    snapshot_swaps: AtomicU64,
-    remine_triggers: AtomicU64,
-    remines_completed: AtomicU64,
-}
-
 /// State shared between the engine handle and its re-mine thread.
 struct EngineShared {
     /// The published snapshot. Readers pin it by cloning the `Arc` (the
     /// lock is held only for the pointer copy — never across a query).
-    /// [`Engine::apply_pending`] holds it for the apply, which mutates the
-    /// snapshot in place unless a pin makes it copy first; a re-mine
-    /// installs a successor built off to the side.
+    /// A write holds it for the op, which mutates the snapshot in place
+    /// unless a pin makes it copy first; a re-mine installs a successor
+    /// built off to the side.
     current: Mutex<Arc<TreePiIndex>>,
     pool: Pool,
     maint: Mutex<MaintState>,
     /// Signals the re-mine thread (new request / shutdown) and anyone in
     /// [`Engine::wait_remine_idle`] (request picked up / published).
     remine_cv: Condvar,
-    counters: MaintCounters,
     /// Re-mine trigger: re-mine after this many applied §7.1 ops
     /// (`0` = never).
     remine_threshold: u64,
-}
-
-/// What [`Engine::apply_pending`] did: the epoch of the published
-/// snapshot, how many ops it folded in, and how long the apply took
-/// (recorded as the `maint.apply` span by the serving layer).
-#[derive(Clone, Copy, Debug)]
-pub struct ApplyOutcome {
-    /// Maintenance epoch of the newly published snapshot.
-    pub epoch: u64,
-    /// Number of queued ops folded into this snapshot.
-    pub ops: usize,
-    /// Wall time of the apply, including the copy when a reader held the
-    /// snapshot.
-    pub duration: Duration,
 }
 
 /// A completed background re-mine (see [`Engine::drain_remine_reports`]).
@@ -140,20 +123,16 @@ pub struct RemineReport {
 /// surfaced as `maint.*` metrics by the serving layer.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MaintStats {
-    /// Ops accepted by [`Engine::queue_insert`] / [`Engine::queue_remove`].
-    pub queued: u64,
-    /// Ops folded into snapshots by [`Engine::apply_pending`].
+    /// Ops applied by [`Engine::insert`] / [`Engine::remove`] (removes of
+    /// inactive gids excluded).
     pub applied: u64,
-    /// Apply batches (snapshots built by `apply_pending`).
-    pub apply_batches: u64,
-    /// Total snapshot publications (apply batches + re-mine swaps).
+    /// Total snapshot publications: one per applied op and one per
+    /// published re-mine.
     pub snapshot_swaps: u64,
     /// Background re-mines triggered.
     pub remine_triggers: u64,
     /// Background re-mines published.
     pub remines_completed: u64,
-    /// Ops currently queued (gauge).
-    pub pending: u64,
     /// §7.1 ops applied since the last re-mine trigger (gauge).
     pub repairs_since_mine: u64,
 }
@@ -171,16 +150,14 @@ pub struct MaintStats {
 /// - **A pin is a fixed version.** [`Engine::query_batch`] pins the
 ///   current snapshot ([`Engine::pin`]) and runs the whole batch against
 ///   it; no later write changes what a held pin sees.
-/// - **Writes are queued, then applied in place.** [`Engine::queue_insert`]
-///   / [`Engine::queue_remove`] record the op and answer immediately from
-///   a shadow view (assigned gid / was-active), touching no index state.
-///   [`Engine::apply_pending`] folds *all* queued ops into the published
-///   snapshot under the mutex: in place when no reader holds it, which is
-///   the serving loop's case (it pins and releases on one thread), and
-///   into a copy first when one does (a batch on another thread, a
-///   pending re-mine, a caller's long-lived pin). A `pin()` issued during
-///   an apply waits for that one apply; queries already running never
-///   wait.
+/// - **A write applies when it arrives.** [`Engine::insert`] /
+///   [`Engine::remove`] apply their one op to the published snapshot under
+///   the mutex and return once it is published: in place when no reader
+///   holds the snapshot, which is the serving loop's case (it pins and
+///   releases on one thread), and into a copy first when one does (a batch
+///   on another thread, a pending re-mine, a caller's long-lived pin). A
+///   `pin()` issued during a write waits for that one op; queries already
+///   running never wait.
 /// - **Staleness-triggered re-mine.** Applied §7.1 repairs accumulate;
 ///   past `remine_threshold` a background thread re-mines the feature set
 ///   from the current snapshot on the engine's own pool
@@ -193,7 +170,7 @@ pub struct MaintStats {
 ///
 /// Every publication bumps [`TreePiIndex::maintenance_epoch`] past the
 /// previous snapshot's, so epoch-keyed result caches (the `serve` crate)
-/// keep invalidating correctly across both apply batches and re-mines.
+/// keep invalidating correctly across both writes and re-mines.
 pub struct Engine {
     shared: Arc<EngineShared>,
     remine_thread: Option<std::thread::JoinHandle<()>>,
@@ -222,14 +199,13 @@ impl Engine {
     /// dedicated thread re-mines the feature set on the engine's pool and
     /// swaps the result in (see the type-level docs).
     pub fn with_remine(index: TreePiIndex, threads: usize, remine_threshold: u64) -> Self {
-        let next_gid = index.db().len() as u32;
         let shared = Arc::new(EngineShared {
             current: Mutex::new(Arc::new(index)),
             pool: Pool::new(threads),
             maint: Mutex::new(MaintState {
-                queue: Vec::new(),
-                overlay: FxHashMap::default(),
-                next_gid,
+                applied: 0,
+                remine_triggers: 0,
+                remines_completed: 0,
                 repairs_since_mine: 0,
                 remine_request: None,
                 remine_inflight: false,
@@ -238,7 +214,6 @@ impl Engine {
                 shutdown: false,
             }),
             remine_cv: Condvar::new(),
-            counters: MaintCounters::default(),
             remine_threshold,
         });
         let remine_thread = (remine_threshold > 0).then(|| {
@@ -256,143 +231,77 @@ impl Engine {
 
     /// Pin the currently published snapshot. The returned `Arc` keeps that
     /// version alive and unchanged for as long as the caller holds it,
-    /// regardless of later applies or re-mines — holding it makes the next
-    /// apply copy the index. Waits while an apply is in progress.
+    /// regardless of later writes or re-mines — holding it makes the next
+    /// write copy the index. Waits while a write is in progress.
     pub fn pin(&self) -> Arc<TreePiIndex> {
         self.shared.current.lock().expect("engine snapshot").clone()
     }
 
-    /// Queue a §7.1 insert. Returns the gid the graph **will** occupy once
-    /// applied — assigned immediately from the shadow view, so callers can
-    /// answer before any snapshot is built. The op becomes visible to
-    /// queries after the next [`Engine::apply_pending`].
-    pub fn queue_insert(&self, g: Graph) -> u32 {
-        let mut m = self.shared.maint.lock().expect("maint state");
-        let gid = m.next_gid;
-        m.next_gid += 1;
-        m.overlay.insert(gid, true);
-        m.queue.push(PendingOp::Insert(g));
-        self.shared.counters.queued.fetch_add(1, Ordering::Relaxed);
-        gid
+    /// Insert a graph ([`TreePiIndex::insert`], §7.1) into the published
+    /// snapshot. Returns the new graph id; the op is visible to every
+    /// [`Engine::pin`] issued after this returns, under a bumped epoch, so
+    /// result caches keyed on [`Engine::epoch`] invalidate before the next
+    /// request.
+    pub fn insert(&self, g: Graph) -> u32 {
+        self.apply(Op::Insert(g)).expect("an insert always applies")
     }
 
-    /// Queue a §7.1 remove. Returns whether `gid` is active in the shadow
-    /// view (published snapshot + queued ops); inactive gids are not
-    /// queued (the op would be a no-op).
-    pub fn queue_remove(&self, gid: u32) -> bool {
-        let mut m = self.shared.maint.lock().expect("maint state");
-        let was_active = match m.overlay.get(&gid) {
-            Some(&b) => b,
-            None => self.pin().is_active(gid),
-        };
-        if !was_active {
-            return false;
-        }
-        m.overlay.insert(gid, false);
-        m.queue.push(PendingOp::Remove(gid));
-        self.shared.counters.queued.fetch_add(1, Ordering::Relaxed);
-        true
+    /// Remove graph `gid` ([`TreePiIndex::remove`], §7.1) from the
+    /// published snapshot. Returns whether the graph was active; an
+    /// inactive or out-of-range gid changes nothing — no copy, no epoch
+    /// bump, no swap.
+    pub fn remove(&self, gid: u32) -> bool {
+        self.apply(Op::Remove(gid)).is_some()
     }
 
-    /// Fold every queued op, in queue order, into the published snapshot
-    /// under the snapshot lock: in place when the engine holds the only
-    /// reference, into a copy first when a reader still pins it
-    /// (`Arc::make_mut`). Readers pinned before the apply are unaffected;
-    /// a [`Engine::pin`] issued during it waits for it and sees all queued
-    /// ops at once (never a prefix). Returns `None` when the queue was
-    /// empty.
-    pub fn apply_pending(&self) -> Option<ApplyOutcome> {
-        let mut m = self.shared.maint.lock().expect("maint state");
-        if m.queue.is_empty() {
-            return None;
-        }
-        let t0 = Instant::now();
-        let ops = std::mem::take(&mut m.queue);
-        m.overlay.clear();
-        if m.remine_request.is_some() || m.remine_inflight {
-            m.journal.extend(ops.iter().cloned());
-        }
-        let n = ops.len();
-        let epoch = {
-            let mut current = self.shared.current.lock().expect("engine snapshot");
-            let index = Arc::make_mut(&mut current);
-            for op in ops {
-                match op {
-                    PendingOp::Insert(g) => {
-                        index.insert(g);
-                    }
-                    PendingOp::Remove(gid) => {
-                        index.remove(gid);
-                    }
-                }
+    /// The one write path: apply `op` to the published snapshot under the
+    /// maint and snapshot locks (in that order, as the re-mine publish
+    /// takes them) through `Arc::make_mut`, journal it while a re-mine is
+    /// requested or running, and request a re-mine once enough repairs
+    /// have accumulated. Returns the id of the graph written, or `None`
+    /// for a remove of an inactive gid.
+    fn apply(&self, op: Op) -> Option<u32> {
+        let shared = &*self.shared;
+        let mut m = shared.maint.lock().expect("maint state");
+        let mut current = shared.current.lock().expect("engine snapshot");
+        if let Op::Remove(gid) = op {
+            if !current.is_active(gid) {
+                return None;
             }
-            debug_assert_eq!(index.db().len() as u32, m.next_gid);
-            index.maintenance_epoch()
-        };
-        m.repairs_since_mine += n as u64;
-        let c = &self.shared.counters;
-        c.applied.fetch_add(n as u64, Ordering::Relaxed);
-        c.apply_batches.fetch_add(1, Ordering::Relaxed);
-        c.snapshot_swaps.fetch_add(1, Ordering::Relaxed);
-        if self.shared.remine_threshold > 0
-            && m.repairs_since_mine >= self.shared.remine_threshold
+        }
+        if m.remine_request.is_some() || m.remine_inflight {
+            m.journal.push(op.clone());
+        }
+        let gid = op.apply_to(Arc::make_mut(&mut current));
+        m.applied += 1;
+        m.repairs_since_mine += 1;
+        if shared.remine_threshold > 0
+            && m.repairs_since_mine >= shared.remine_threshold
             && m.remine_request.is_none()
             && !m.remine_inflight
         {
-            m.remine_request = Some(self.pin());
+            m.remine_request = Some(Arc::clone(&current));
             m.repairs_since_mine = 0;
-            c.remine_triggers.fetch_add(1, Ordering::Relaxed);
-            self.shared.remine_cv.notify_all();
+            m.remine_triggers += 1;
+            shared.remine_cv.notify_all();
         }
-        Some(ApplyOutcome {
-            epoch,
-            ops: n,
-            duration: t0.elapsed(),
-        })
-    }
-
-    /// Insert a graph through the running engine: queue + apply in one
-    /// step ([`TreePiIndex::insert`], §7.1). Returns the new graph id; the
-    /// maintenance epoch is bumped so result caches keyed on
-    /// [`Engine::epoch`] invalidate before the next request. Batching
-    /// callers use [`Engine::queue_insert`] + [`Engine::apply_pending`].
-    pub fn insert(&self, g: Graph) -> u32 {
-        let gid = self.queue_insert(g);
-        self.apply_pending();
-        gid
-    }
-
-    /// Remove graph `gid` through the running engine: queue + apply in one
-    /// step ([`TreePiIndex::remove`], §7.1). Returns whether the graph was
-    /// active; on `true` the maintenance epoch is bumped.
-    pub fn remove(&self, gid: u32) -> bool {
-        let queued = self.queue_remove(gid);
-        if queued {
-            self.apply_pending();
-        }
-        queued
+        Some(gid)
     }
 
     /// The published snapshot's maintenance epoch — the cache-invalidation
-    /// version number (see [`TreePiIndex::maintenance_epoch`]). Queued but
-    /// unapplied ops are not reflected; apply first when answering on
-    /// their behalf.
+    /// version number (see [`TreePiIndex::maintenance_epoch`]).
     pub fn epoch(&self) -> u64 {
         self.pin().maintenance_epoch()
     }
 
     /// A point-in-time copy of the `maint.*` counters and gauges.
     pub fn maint_stats(&self) -> MaintStats {
-        let c = &self.shared.counters;
         let m = self.shared.maint.lock().expect("maint state");
         MaintStats {
-            queued: c.queued.load(Ordering::Relaxed),
-            applied: c.applied.load(Ordering::Relaxed),
-            apply_batches: c.apply_batches.load(Ordering::Relaxed),
-            snapshot_swaps: c.snapshot_swaps.load(Ordering::Relaxed),
-            remine_triggers: c.remine_triggers.load(Ordering::Relaxed),
-            remines_completed: c.remines_completed.load(Ordering::Relaxed),
-            pending: m.queue.len() as u64,
+            applied: m.applied,
+            snapshot_swaps: m.applied + m.remines_completed,
+            remine_triggers: m.remine_triggers,
+            remines_completed: m.remines_completed,
             repairs_since_mine: m.repairs_since_mine,
         }
     }
@@ -412,10 +321,9 @@ impl Engine {
         }
     }
 
-    /// Recover the index, dropping the pool: applies queued ops, waits for
-    /// any in-flight re-mine to publish, and unwraps the final snapshot.
+    /// Recover the index, dropping the pool: waits for any in-flight
+    /// re-mine to publish, and unwraps the final snapshot.
     pub fn into_index(mut self) -> TreePiIndex {
-        self.apply_pending();
         self.wait_remine_idle();
         self.stop_remine_thread();
         let placeholder = TreePiIndex::empty_like(self.pin().params().clone());
@@ -538,14 +446,7 @@ fn remine_loop(shared: &EngineShared) {
         let mut idx = remined;
         let replayed = m.journal.len();
         for op in m.journal.drain(..) {
-            match op {
-                PendingOp::Insert(g) => {
-                    idx.insert(g);
-                }
-                PendingOp::Remove(gid) => {
-                    idx.remove(gid);
-                }
-            }
+            op.apply_to(&mut idx);
         }
         // Publish past the live epoch: replay bumps may still trail the
         // epochs the live applies reached, and caches require monotonicity.
@@ -560,14 +461,7 @@ fn remine_loop(shared: &EngineShared) {
         });
         *cur = Arc::new(idx);
         drop(cur);
-        shared
-            .counters
-            .snapshot_swaps
-            .fetch_add(1, Ordering::Relaxed);
-        shared
-            .counters
-            .remines_completed
-            .fetch_add(1, Ordering::Relaxed);
+        m.remines_completed += 1;
         m.remine_inflight = false;
         shared.remine_cv.notify_all();
     }
@@ -579,6 +473,7 @@ mod tests {
     use crate::params::TreePiParams;
     use crate::verify::scan_support;
     use graph_core::graph_from;
+    use std::sync::atomic::Ordering;
 
     fn index() -> TreePiIndex {
         let db = vec![
@@ -929,65 +824,27 @@ mod tests {
     }
 
     #[test]
-    fn queued_ops_batch_into_one_snapshot() {
-        let engine = Engine::new(index(), 2);
-        let q = graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]);
-        let e0 = engine.epoch();
-        let g = graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]);
-        let g1 = engine.queue_insert(g.clone());
-        let g2 = engine.queue_insert(g);
-        assert_eq!(g2, g1 + 1, "gids assigned in queue order");
-        assert!(
-            engine.queue_remove(g1),
-            "queued insert visible to the shadow view"
-        );
-        assert!(!engine.queue_remove(g1), "second remove is a no-op");
-        assert_eq!(engine.maint_stats().pending, 3);
-        assert_eq!(engine.epoch(), e0, "nothing published before apply");
-
-        let out = engine.apply_pending().expect("ops queued");
-        assert_eq!(out.ops, 3);
-        assert!(out.epoch > e0);
-        let stats = engine.maint_stats();
-        assert_eq!(stats.queued, 3);
-        assert_eq!(stats.applied, 3);
-        assert_eq!(stats.apply_batches, 1, "one snapshot for three ops");
-        assert_eq!(stats.snapshot_swaps, 1);
-        assert_eq!(stats.pending, 0);
-        // Net effect visible atomically: g2 in, g1 never observable.
-        let (r, _) = engine.query_batch(std::slice::from_ref(&q), QueryOptions::default(), 1);
-        assert!(r[0].matches.contains(&g2));
-        assert!(!r[0].matches.contains(&g1));
-        assert_eq!(r[0].matches, scan_support(&engine.pin(), &q));
-        assert!(engine.apply_pending().is_none(), "queue drained");
-    }
-
-    #[test]
     fn signatures_stay_consistent_through_maintenance_and_remine() {
         // The sigs invariant (`sigs[gid] == sig::graph_sigs(&db[gid])`) must
-        // survive every §7.1 maintenance path: queued inserts/removes, the
-        // batched apply, and a background re-mine publishing mid-stream.
+        // survive every §7.1 maintenance path: inserts, removes, and a
+        // background re-mine publishing mid-stream.
         let engine = Engine::with_remine(index(), 2, 3);
         assert!(engine.pin().sigs_consistent());
-        let g1 = engine.queue_insert(graph_from(&[0, 1, 2], &[(0, 1, 0), (1, 2, 1)]));
-        let _g2 = engine.queue_insert(graph_from(&[0, 0], &[(0, 1, 0)]));
-        engine.apply_pending();
-        assert!(engine.pin().sigs_consistent(), "after batched inserts");
-        assert!(engine.queue_remove(g1));
-        engine.queue_insert(graph_from(&[1, 1, 1], &[(0, 1, 1), (1, 2, 1)]));
-        engine.apply_pending();
-        assert!(
-            engine.pin().sigs_consistent(),
-            "after remove + insert batch"
-        );
+        let g1 = engine.insert(graph_from(&[0, 1, 2], &[(0, 1, 0), (1, 2, 1)]));
+        let _g2 = engine.insert(graph_from(&[0, 0], &[(0, 1, 0)]));
+        assert!(engine.pin().sigs_consistent(), "after inserts");
+        assert!(engine.remove(g1));
+        engine.insert(graph_from(&[1, 1, 1], &[(0, 1, 1), (1, 2, 1)]));
+        assert!(engine.pin().sigs_consistent(), "after remove + insert");
         engine.wait_remine_idle();
         assert!(engine.pin().sigs_consistent(), "after background re-mine");
         assert!(engine.into_index().sigs_consistent());
     }
 
-    /// With no pin held across it, an apply mutates the published index
+    /// With no pin held across it, a write mutates the published index
     /// itself: pins before and after are the same allocation, and every
-    /// apply still counts as one batch and one swap.
+    /// applied op counts as one swap. A remove of an inactive gid changes
+    /// nothing, not even under a pin.
     #[test]
     fn apply_is_in_place_when_unpinned() {
         let q = graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]);
@@ -997,20 +854,26 @@ mod tests {
             let first = Arc::as_ptr(&engine.pin());
             let gid = engine.insert(g.clone());
             assert!(engine.remove(0));
-            engine.queue_insert(g.clone());
-            assert!(engine.queue_remove(gid));
-            engine.apply_pending().expect("ops queued");
+            assert_eq!(engine.insert(g.clone()), gid + 1, "gids are dense");
+            assert!(engine.remove(gid));
             let after = engine.pin();
             assert_eq!(Arc::as_ptr(&after), first, "{threads} workers: copied");
             let stats = engine.maint_stats();
-            assert_eq!((stats.apply_batches, stats.snapshot_swaps), (3, 3));
+            assert_eq!((stats.applied, stats.snapshot_swaps), (4, 4));
+            // Removing an inactive gid (already removed, or never
+            // assigned) while a pin is held neither copies nor publishes.
+            let epoch = after.maintenance_epoch();
+            assert!(!engine.remove(gid), "second remove of {gid}");
+            assert!(!engine.remove(u32::MAX));
+            assert!(Arc::ptr_eq(&after, &engine.pin()), "{threads} workers");
+            assert_eq!(engine.epoch(), epoch);
+            assert_eq!(engine.maint_stats(), stats);
             let (r, _) = engine.query_batch(std::slice::from_ref(&q), QueryOptions::default(), 0);
             assert_eq!(r[0].matches, scan_support(&after, &q));
             assert!(!after.is_active(0) && !after.is_active(gid));
             assert!(after.sigs_consistent() && after.postings_consistent());
-            // A pin held across the next apply makes it copy, and keeps its
+            // A pin held across the next write makes it copy, and keeps its
             // own version.
-            let epoch = after.maintenance_epoch();
             engine.insert(g.clone());
             assert!(!Arc::ptr_eq(&after, &engine.pin()));
             assert_eq!(after.maintenance_epoch(), epoch);
@@ -1103,14 +966,13 @@ mod tests {
         for round in 0..20 {
             if round % 3 == 2 {
                 if let Some(gid) = live.pop() {
-                    engine.queue_remove(gid);
+                    assert!(engine.remove(gid));
                 }
             } else {
-                live.push(engine.queue_insert(g.clone()));
+                live.push(engine.insert(g.clone()));
             }
-            if let Some(out) = engine.apply_pending() {
-                oracle.insert(out.epoch, scan_support(&engine.pin(), &q));
-            }
+            let snap = engine.pin();
+            oracle.insert(snap.maintenance_epoch(), scan_support(&snap, &q));
         }
         stop.store(true, Ordering::Relaxed);
         for r in readers {
@@ -1133,7 +995,7 @@ mod tests {
         let stats = engine.maint_stats();
         assert_eq!(stats.remine_triggers, 1);
         assert_eq!(stats.remines_completed, 1);
-        assert!(stats.snapshot_swaps >= 4, "three applies + one re-mine");
+        assert!(stats.snapshot_swaps >= 4, "three applied ops + one re-mine");
         let reports = engine.drain_remine_reports();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].epoch, engine.epoch());

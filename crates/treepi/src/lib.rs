@@ -50,7 +50,7 @@ pub mod verify;
 mod walk;
 
 pub use directed::DirectedTreePiIndex;
-pub use engine::{query_rng, ApplyOutcome, Engine, MaintStats, RemineReport};
+pub use engine::{query_rng, Engine, MaintStats, RemineReport};
 pub use filter::enumerate_query_features;
 pub use index::{BuildStats, Feature, FeatureId, IndexMemory, TreePiIndex};
 pub use params::{Delta, TreePiParams};

@@ -116,7 +116,7 @@ fn run_churn(workers: usize, seed: u64) -> bool {
     for step in 0..30u64 {
         if live.is_empty() || rng.gen_bool(0.6) {
             let gid = engine.insert(random_graph(&mut rng, 7));
-            assert_eq!(gid, expected_next, "gids assign densely in queue order");
+            assert_eq!(gid, expected_next, "gids assign densely in insert order");
             expected_next += 1;
             live.push(gid);
             assert_postings_of(&engine.pin(), gid, &format!("step {step}"));
@@ -315,7 +315,6 @@ fn background_remine_keeps_answers_exact_under_churn() {
         "threshold 4 over 40 ops must have re-mined: {stats:?}"
     );
     assert_eq!(stats.remines_completed, stats.remine_triggers);
-    assert_eq!(stats.queued, 40);
     assert_eq!(stats.applied, 40);
     let idx = engine.into_index();
     assert_eq!(idx.active_count(), live.len());
@@ -323,10 +322,8 @@ fn background_remine_keeps_answers_exact_under_churn() {
 
 /// The maintenance counters after [`deterministic_churn_counters`]'s
 /// schedule, then the funnel counters of its one query batch.
-const CHURN_COUNTS: [(&str, u64); 13] = [
-    (obs::names::MAINT_QUEUED, 24),
+const CHURN_COUNTS: [(&str, u64); 11] = [
     (obs::names::MAINT_APPLIED, 24),
-    (obs::names::MAINT_APPLY_BATCHES, 24),
     (obs::names::MAINT_SNAPSHOT_SWAPS, 27),
     (obs::names::MAINT_REMINE_TRIGGERS, 3),
     (obs::names::MAINT_REMINES, 3),
@@ -359,13 +356,12 @@ fn deterministic_churn_counters() -> obs::MetricSet {
     let mut live: Vec<u32> = Vec::new();
     for _ in 0..24 {
         if live.is_empty() || rng.gen_bool(0.5) {
-            live.push(engine.queue_insert(db[rng.gen_range(0..db.len())].clone()));
+            live.push(engine.insert(db[rng.gen_range(0..db.len())].clone()));
         } else {
             let i = rng.gen_range(0..live.len());
-            engine.queue_remove(live.swap_remove(i));
+            engine.remove(live.swap_remove(i));
         }
-        engine.apply_pending();
-        // Drain the re-mine after every apply: triggers then fire at
+        // Drain the re-mine after every write: triggers then fire at
         // exactly every `threshold` repairs, independent of wall time.
         engine.wait_remine_idle();
     }
@@ -377,9 +373,7 @@ fn deterministic_churn_counters() -> obs::MetricSet {
             out.add(name, v);
         }
     }
-    out.add(obs::names::MAINT_QUEUED, stats.queued);
     out.add(obs::names::MAINT_APPLIED, stats.applied);
-    out.add(obs::names::MAINT_APPLY_BATCHES, stats.apply_batches);
     out.add(obs::names::MAINT_SNAPSHOT_SWAPS, stats.snapshot_swaps);
     out.add(obs::names::MAINT_REMINE_TRIGGERS, stats.remine_triggers);
     out.add(obs::names::MAINT_REMINES, stats.remines_completed);

@@ -12,8 +12,8 @@
 //!
 //! A churn variant exercises the §7.1 maintenance invariant: per-vertex
 //! signatures are a pure function of the stored payload, so
-//! `sigs_consistent()` must hold after every queued insert/remove batch
-//! and after a background re-mine publishes.
+//! `sigs_consistent()` must hold after every insert and remove and after
+//! a background re-mine publishes.
 //!
 //! The verification funnel pins the exact counts of one fixed chem
 //! workload of hard queries and their near misses, under both filters, at
@@ -116,9 +116,9 @@ fn near_miss_exact_8_workers() {
     }
 }
 
-/// Churn variant: signatures track the payload exactly through queued
-/// inserts/removes, batched applies, and a low-threshold background
-/// re-mine — with oracle-exact answers after every batch.
+/// Churn variant: signatures track the payload exactly through inserts,
+/// removes and a low-threshold background re-mine — with oracle-exact
+/// answers after every write.
 fn run_churn_sigs(workers: usize, seed: u64) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let initial: Vec<Graph> = (0..6).map(|_| random_graph(&mut rng, 7)).collect();
@@ -131,14 +131,13 @@ fn run_churn_sigs(workers: usize, seed: u64) {
 
     for step in 0..20u64 {
         if live.is_empty() || rng.gen_bool(0.6) {
-            let gid = engine.queue_insert(random_graph(&mut rng, 7));
+            let gid = engine.insert(random_graph(&mut rng, 7));
             live.push(gid);
         } else {
             let i = rng.gen_range(0..live.len());
             let gid = live.swap_remove(i);
-            assert!(engine.queue_remove(gid), "step {step}: gid {gid} was live");
+            assert!(engine.remove(gid), "step {step}: gid {gid} was live");
         }
-        engine.apply_pending();
         let snapshot = engine.pin();
         assert!(
             snapshot.sigs_consistent(),
