@@ -10,6 +10,7 @@ use crate::common::*;
 use datagen::{extract_queries, perturb_labels};
 use gindex::{GIndex, GIndexParams};
 use graph_core::Graph;
+use obs::Counter;
 use treepi::{Engine, QueryOptions, SfMode, TreePiIndex, TreePiParams};
 
 /// The paper's pipeline: the default with Center Distance pruning
@@ -70,7 +71,7 @@ fn stage_breakdown(opts: &Opts, dataset: &str, tp: &Engine, gi: &GIndex, queries
         format!("stages_{dataset}.csv"),
         "stage,treepi_total_ms,treepi_mean_us,treepi_p50_us,treepi_p95_us,gindex_total_ms,gindex_mean_us,gindex_p50_us,gindex_p95_us",
     );
-    for name in obs::names::PIPELINE_SPANS {
+    for name in obs::Span::PIPELINE.map(obs::Span::name) {
         let mut cells = vec![name.to_string()];
         for m in [&tp_m, &gi_m] {
             let s = m.span(name).cloned().unwrap_or_default();
@@ -85,11 +86,11 @@ fn stage_breakdown(opts: &Opts, dataset: &str, tp: &Engine, gi: &GIndex, queries
     }
     println!(
         "   funnel: {} queries, |Pq| {} -> |P'q| {} -> |Dq| {} (gIndex |Cq| {})",
-        tp_m.counter(obs::names::QUERIES),
-        tp_m.counter(obs::names::FILTERED),
-        tp_m.counter(obs::names::PRUNED),
-        tp_m.counter(obs::names::ANSWERS),
-        gi_m.counter(obs::names::FILTERED),
+        tp_m.counter(Counter::FUNNEL_QUERIES.name()),
+        tp_m.counter(Counter::FUNNEL_FILTERED.name()),
+        tp_m.counter(Counter::FUNNEL_PRUNED.name()),
+        tp_m.counter(Counter::FUNNEL_ANSWERS.name()),
+        gi_m.counter(Counter::FUNNEL_FILTERED.name()),
     );
     table.emit(opts);
 }

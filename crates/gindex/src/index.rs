@@ -11,6 +11,7 @@
 
 use graph_core::{CanonCode, Graph};
 use mining::{intersect_many, mine_frequent_subgraphs, PsiFn, SupportSet};
+use obs::Gauge;
 use rustc_hash::FxHashMap;
 
 /// One frequent fragment in the index.
@@ -208,13 +209,13 @@ impl GIndex {
 
     /// Record the heap estimates as `mem.gindex.*` gauges.
     pub fn record_mem_gauges(&self, registry: &obs::Registry) {
-        registry.set_gauge(obs::names::GAUGE_GINDEX_TOTAL, self.heap_bytes() as u64);
+        registry.set_gauge(Gauge::MEM_GINDEX_BYTES, self.heap_bytes() as u64);
         registry.set_gauge(
-            obs::names::GAUGE_GINDEX_FRAGMENTS,
+            Gauge::MEM_GINDEX_FRAGMENTS_BYTES,
             self.fragments_heap_bytes() as u64,
         );
         registry.set_gauge(
-            obs::names::GAUGE_GINDEX_LOOKUP,
+            Gauge::MEM_GINDEX_LOOKUP_BYTES,
             self.lookup_heap_bytes() as u64,
         );
     }
@@ -266,7 +267,7 @@ mod tests {
         let r = obs::Registry::new();
         idx.record_mem_gauges(&r);
         assert_eq!(
-            r.snapshot().gauge(obs::names::GAUGE_GINDEX_TOTAL),
+            r.snapshot().gauge(Gauge::MEM_GINDEX_BYTES.name()),
             Some(idx.heap_bytes() as u64)
         );
     }

@@ -6,6 +6,7 @@
 use crate::index::GIndex;
 use graph_core::{canonical_code, edge_subgraph, for_each_connected_edge_subset, Graph};
 use mining::{intersect_many, SupportSet};
+use obs::{Counter, Span};
 use rustc_hash::FxHashSet;
 use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
@@ -41,13 +42,13 @@ impl GQueryStats {
     /// reaches verification). A tracing shard also gets the stages as
     /// timeline events, run back-to-back and ending now, as TreePi's are.
     pub fn record_into(&self, shard: &obs::Shard) {
-        shard.add(obs::names::QUERIES, 1);
-        shard.add(obs::names::FILTERED, self.filtered as u64);
-        shard.add(obs::names::PRUNED, self.filtered as u64);
-        shard.add(obs::names::ANSWERS, self.answers as u64);
-        shard.add("gindex.enumerated", self.enumerated as u64);
-        shard.add("gindex.fragments_used", self.fragments_used as u64);
-        let [partition, filter, prune, verify] = obs::names::PIPELINE_SPANS;
+        shard.add(Counter::FUNNEL_QUERIES, 1);
+        shard.add(Counter::FUNNEL_FILTERED, self.filtered as u64);
+        shard.add(Counter::FUNNEL_PRUNED, self.filtered as u64);
+        shard.add(Counter::FUNNEL_ANSWERS, self.answers as u64);
+        shard.add(Counter::GINDEX_ENUMERATED, self.enumerated as u64);
+        shard.add(Counter::GINDEX_FRAGMENTS_USED, self.fragments_used as u64);
+        let [partition, filter, prune, verify] = Span::PIPELINE;
         let stages = [
             (partition, Duration::ZERO),
             (filter, self.t_filter),
@@ -55,10 +56,10 @@ impl GQueryStats {
             (verify, self.t_verify),
         ];
         let mut start = shard.is_tracing().then(|| Instant::now() - self.total());
-        for (name, t) in stages {
-            shard.observe(name, t);
+        for (span, t) in stages {
+            shard.observe(span, t);
             if let Some(at) = &mut start {
-                shard.trace_complete(name, *at, t);
+                shard.trace_complete(span, *at, t);
                 *at += t;
             }
         }
@@ -264,13 +265,16 @@ mod tests {
             (results, reg.drain())
         };
         let (results, m) = run(1);
-        assert_eq!(m.counter(obs::names::QUERIES), queries.len() as u64);
+        assert_eq!(
+            m.counter(Counter::FUNNEL_QUERIES.name()),
+            queries.len() as u64
+        );
         let filtered: u64 = results.iter().map(|r| r.stats.filtered as u64).sum();
         let answers: u64 = results.iter().map(|r| r.stats.answers as u64).sum();
-        assert_eq!(m.counter(obs::names::FILTERED), filtered);
-        assert_eq!(m.counter(obs::names::ANSWERS), answers);
+        assert_eq!(m.counter(Counter::FUNNEL_FILTERED.name()), filtered);
+        assert_eq!(m.counter(Counter::FUNNEL_ANSWERS.name()), answers);
         // all four TreePi pipeline spans exist (partition/prune are zeros)
-        for name in obs::names::PIPELINE_SPANS {
+        for name in Span::PIPELINE.map(Span::name) {
             assert_eq!(
                 m.span(name).expect("span present").count,
                 queries.len() as u64,
@@ -304,7 +308,7 @@ mod tests {
             let pool = graph_core::par::Pool::new(threads);
             idx.query_batch_pool_obs(&queries, &pool, &reg);
             let events = reg.drain_trace();
-            for name in obs::names::PIPELINE_SPANS {
+            for name in Span::PIPELINE.map(Span::name) {
                 let stage: Vec<_> = events.iter().filter(|e| e.name == name).collect();
                 assert_eq!(stage.len(), queries.len(), "{name}, threads {threads}");
                 let ids: std::collections::BTreeSet<_> =

@@ -314,7 +314,7 @@ pub fn is_subgraph_isomorphic(p: &Graph, g: &Graph) -> bool {
 /// [`is_subgraph_isomorphic`] with the test tallied on `shard` as
 /// `graph.iso_tests` — the funnel's "full isomorphism checks paid" metric.
 pub fn is_subgraph_isomorphic_obs(p: &Graph, g: &Graph, shard: &obs::Shard) -> bool {
-    shard.add("graph.iso_tests", 1);
+    shard.add(obs::Counter::GRAPH_ISO_TESTS, 1);
     is_subgraph_isomorphic(p, g)
 }
 

@@ -20,6 +20,7 @@
 //! across worker counts. A 1-seat pool spawns no threads and runs every
 //! method inline: the serial path is the parallel path with one worker.
 
+use obs::{Counter, Span};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -284,20 +285,20 @@ impl Pool {
     {
         let map_one = |i: usize, shard: &obs::Shard| {
             shard.set_trace_query(Some(i as u64));
-            let _busy = shard.span("engine.worker_busy");
+            let _busy = shard.span(Span::ENGINE_WORKER_BUSY);
             f(&items[i], shard)
         };
         let workers = self.parallelism.min(items.len().max(1));
         if workers <= 1 {
             let shard = registry.shard();
             let out = {
-                let _wall = shard.span("engine.worker_wall");
+                let _wall = shard.span(Span::ENGINE_WORKER_WALL);
                 let out = (0..items.len()).map(|i| map_one(i, &shard)).collect();
                 shard.set_trace_query(None);
                 out
             };
-            shard.add("engine.workers", 1);
-            shard.add("engine.items", items.len() as u64);
+            shard.add(Counter::ENGINE_WORKERS, 1);
+            shard.add(Counter::ENGINE_ITEMS, items.len() as u64);
             registry.absorb(shard);
             return out;
         }
@@ -307,7 +308,7 @@ impl Pool {
             let shard = registry.shard();
             let mut served = 0u64;
             {
-                let _wall = shard.span("engine.worker_wall");
+                let _wall = shard.span(Span::ENGINE_WORKER_WALL);
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= items.len() {
@@ -319,8 +320,8 @@ impl Pool {
                 }
                 shard.set_trace_query(None);
             }
-            shard.add("engine.workers", 1);
-            shard.add("engine.items", served);
+            shard.add(Counter::ENGINE_WORKERS, 1);
+            shard.add(Counter::ENGINE_ITEMS, served);
             registry.absorb(shard);
         });
         slots
@@ -388,20 +389,23 @@ impl Pool {
     /// scheduling, not work done, and is exempt from the determinism
     /// contract ([`obs::MetricSet::deterministic_counters`]).
     pub fn flush_metrics(&self, shard: &obs::Shard) {
-        shard.add("pool.tasks", self.shared.tasks.swap(0, Ordering::Relaxed));
         shard.add(
-            "pool.steal_or_queue_wait_ns",
+            Counter::POOL_TASKS,
+            self.shared.tasks.swap(0, Ordering::Relaxed),
+        );
+        shard.add(
+            Counter::POOL_STEAL_OR_QUEUE_WAIT_NS,
             self.shared.steal_wait_ns.swap(0, Ordering::Relaxed),
         );
         for w in &self.shared.busy_ns {
             let ns = w.swap(0, Ordering::Relaxed);
-            shard.add("pool.worker_busy_ns", ns);
-            shard.observe("pool.worker_busy", Duration::from_nanos(ns));
+            shard.add(Counter::POOL_WORKER_BUSY_NS, ns);
+            shard.observe(Span::POOL_WORKER_BUSY, Duration::from_nanos(ns));
         }
         for w in &self.shared.park_ns {
             let ns = w.swap(0, Ordering::Relaxed);
-            shard.add("pool.worker_park_ns", ns);
-            shard.observe("pool.worker_park", Duration::from_nanos(ns));
+            shard.add(Counter::POOL_WORKER_PARK_NS, ns);
+            shard.observe(Span::POOL_WORKER_PARK, Duration::from_nanos(ns));
         }
     }
 }
@@ -460,13 +464,13 @@ mod tests {
             let pool = Pool::new(workers);
             let registry = obs::Registry::new();
             let out = pool.ordered_map_obs(&items, &registry, |&x, shard| {
-                shard.add("work.units", x);
+                shard.add(Counter::WALK_PROBES, x);
                 x
             });
             assert_eq!(out, items);
             let snap = registry.snapshot();
             assert_eq!(snap.counter("engine.items"), 50);
-            assert_eq!(snap.counter("work.units"), (0..50).sum::<u64>());
+            assert_eq!(snap.counter("walk.probes"), (0..50).sum::<u64>());
             assert!(snap.counter("engine.workers") >= 1);
             assert!(snap.counter("engine.workers") <= workers as u64);
         }
@@ -485,13 +489,13 @@ mod tests {
                     if i >= 10 {
                         break;
                     }
-                    w.add("work.sum", i as u64);
+                    w.add(Counter::WALK_PROBES, i as u64);
                 }
                 rank
             });
             assert_eq!(ranks, (0..workers).collect::<Vec<_>>());
             let set = shard.into_set();
-            assert_eq!(set.counter("work.sum"), (0..10).sum::<usize>() as u64);
+            assert_eq!(set.counter("walk.probes"), (0..10).sum::<usize>() as u64);
         }
     }
 

@@ -58,6 +58,7 @@
 use crate::support::{intersect_many, SigmaFn, SupportSet};
 use graph_core::par::Pool;
 use graph_core::{EdgeId, Graph, VertexId};
+use obs::{Counter, MineLevel, Span};
 use rustc_hash::FxHashMap;
 use smallvec::SmallVec;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -515,7 +516,7 @@ fn mine_within(
 
     // ---- Level 1: single-edge patterns, one instance per host edge. ----
     // One scan in (gid, edge) order: instances and supports come out sorted.
-    let level1_span = shard.span("mine.level1");
+    let level1_span = shard.span(Span::mine_level(1));
     let mut level: Vec<Pattern> = Vec::new();
     {
         // (smaller label, edge label, larger label) -> pattern, encoded once.
@@ -558,14 +559,14 @@ fn mine_within(
     let level1_candidates = level.len() as u64;
     let t1 = sigma.threshold(1).expect("σ(1) must be finite") as usize;
     level.retain(|p| p.support.len() >= t1);
-    shard.add("mine.level1.kinds", level1_candidates);
-    shard.add("mine.level1.candidates", level1_candidates);
-    shard.add("mine.level1.patterns", level.len() as u64);
+    shard.add(MineLevel::Kinds.at(1), level1_candidates);
+    shard.add(MineLevel::Candidates.at(1), level1_candidates);
+    shard.add(MineLevel::Patterns.at(1), level.len() as u64);
     shard.add(
-        "mine.level1.pruned_by_support",
+        MineLevel::PrunedBySupport.at(1),
         level1_candidates - level.len() as u64,
     );
-    shard.add("mine.level1.kept", level.len() as u64);
+    shard.add(MineLevel::Kept.at(1), level.len() as u64);
     // Frequent patterns mined so far, and the kept ones: every single edge.
     stats.patterns = level.len();
     let mut result: Vec<MinedTree> = level.iter().map(|p| mined_tree(db, p)).collect();
@@ -580,8 +581,7 @@ fn mine_within(
             .expect("a pattern grows only into an indexed size")
             as usize;
         let stride = 2 * size + 2;
-        let level_name = format!("mine.level{}", size + 1);
-        let _level_span = shard.span(&level_name);
+        let _level_span = shard.span(Span::mine_level(size + 1));
         let level_ref = &level;
 
         // ---- Per representative, in parallel: extend and encode. ----
@@ -824,24 +824,24 @@ fn mine_within(
             .filter(|adm| adm.grows)
             .map(|adm| adm.pattern)
             .collect();
-        shard.add(&format!("mine.level{size}.grown"), level.len() as u64);
-        shard.add(&format!("{level_name}.kinds"), level_kinds as u64);
-        shard.add(&format!("{level_name}.candidates"), level_candidates);
-        shard.add(&format!("{level_name}.patterns"), level_patterns as u64);
+        shard.add(MineLevel::Grown.at(size), level.len() as u64);
+        shard.add(MineLevel::Kinds.at(size + 1), level_kinds as u64);
+        shard.add(MineLevel::Candidates.at(size + 1), level_candidates);
+        shard.add(MineLevel::Patterns.at(size + 1), level_patterns as u64);
         shard.add(
-            &format!("{level_name}.pruned_by_support"),
+            MineLevel::PrunedBySupport.at(size + 1),
             level_candidates - level_patterns as u64,
         );
-        shard.add(&format!("{level_name}.kept"), level_kept as u64);
+        shard.add(MineLevel::Kept.at(size + 1), level_kept as u64);
         stats.patterns += level_patterns;
         level = next;
         size += 1;
     }
     // The last level kept was not extended, or its extension was discarded.
-    shard.add(&format!("mine.level{size}.grown"), 0);
+    shard.add(MineLevel::Grown.at(size), 0);
 
-    shard.add("mine.candidates", stats.candidates as u64);
-    shard.add("mine.patterns", stats.patterns as u64);
+    shard.add(Counter::MINE_CANDIDATES, stats.candidates as u64);
+    shard.add(Counter::MINE_PATTERNS, stats.patterns as u64);
     (result, stats)
 }
 
@@ -1071,7 +1071,7 @@ mod tests {
         assert!(set.span("mine.level2").is_some());
         // Per-level pattern counts sum to the total.
         let per_level: u64 = (1..=3)
-            .map(|s| set.counter(&format!("mine.level{s}.patterns")))
+            .map(|s| set.counter(MineLevel::Patterns.at(s).name()))
             .sum();
         assert_eq!(per_level, mined.len() as u64);
     }
@@ -1101,8 +1101,7 @@ mod tests {
                 .map(|m| (m.canon, m.support, m.offsets, m.positions))
                 .collect();
             let set = shard.into_set();
-            let counters: Vec<(String, u64)> =
-                set.counters().map(|(k, v)| (k.to_string(), v)).collect();
+            let counters: Vec<(Counter, u64)> = set.counters().collect();
             (mined, stats, counters)
         };
         // Runs stopped at η = s; the instances level s generates are the

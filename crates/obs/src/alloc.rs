@@ -228,17 +228,17 @@ pub fn reset_peak() {
 }
 
 /// Record the allocator counters as `mem.alloc.*` gauges
-/// ([`crate::names::GAUGE_ALLOC_LIVE`] and friends) into `registry`.
+/// ([`crate::Gauge::MEM_ALLOC_LIVE_BYTES`] and friends) into `registry`.
 /// A no-op when no tracking allocator is installed (the gauges would all
 /// read zero and mean nothing).
 pub fn record_gauges(registry: &crate::Registry) {
     if !installed() {
         return;
     }
-    registry.set_gauge(crate::names::GAUGE_ALLOC_LIVE, live_bytes());
-    registry.set_gauge(crate::names::GAUGE_ALLOC_PEAK, peak_bytes());
-    registry.set_gauge(crate::names::GAUGE_ALLOC_TOTAL, total_allocated_bytes());
-    registry.set_gauge(crate::names::GAUGE_ALLOC_COUNT, allocation_count());
+    registry.set_gauge(crate::Gauge::MEM_ALLOC_LIVE_BYTES, live_bytes());
+    registry.set_gauge(crate::Gauge::MEM_ALLOC_PEAK_BYTES, peak_bytes());
+    registry.set_gauge(crate::Gauge::MEM_ALLOC_TOTAL_BYTES, total_allocated_bytes());
+    registry.set_gauge(crate::Gauge::MEM_ALLOC_ALLOCATIONS, allocation_count());
 }
 
 #[cfg(test)]

@@ -402,7 +402,9 @@ impl Parser<'_> {
 /// Parse a `treepi.obs/v1` document (the output of
 /// [`crate::MetricSet::render_json`]) back into a [`crate::MetricSet`].
 ///
-/// Validates the schema tag and every field shape; derived span fields
+/// Validates the schema tag, every name against the metric catalog (a
+/// name it does not declare as that kind is an error naming it) and every
+/// field shape; derived span fields
 /// (`mean_ns`, `p50_ns`, `p95_ns`) are ignored on input — they are
 /// recomputed from the histogram, so `render → parse → render` is a
 /// fixpoint. `treepi prom` and the serving tests read saved snapshots
@@ -415,6 +417,9 @@ pub fn parse_metric_set(input: &str) -> Result<crate::MetricSet, ParseError> {
         obj.get(key)
             .and_then(Value::as_u64)
             .ok_or_else(|| sem(format!("{ctx}: missing or non-integer \"{key}\"")))
+    }
+    fn unknown(kind: &str, name: &str) -> ParseError {
+        sem(format!("{kind} \"{name}\" is not in the metric catalog"))
     }
 
     let v = parse(input)?;
@@ -431,10 +436,11 @@ pub fn parse_metric_set(input: &str) -> Result<crate::MetricSet, ParseError> {
         .and_then(Value::as_object)
         .ok_or_else(|| sem("missing \"counters\" object".to_string()))?;
     for (name, val) in counters {
+        let c = crate::Counter::from_name(name).ok_or_else(|| unknown("counter", name))?;
         let n = val
             .as_u64()
             .ok_or_else(|| sem(format!("counter \"{name}\": non-integer value")))?;
-        set.add(name, n);
+        set.add(c, n);
     }
     // "gauges" is additive to the v1 schema: absent in documents written
     // before gauges existed, so treat a missing key as empty.
@@ -443,10 +449,11 @@ pub fn parse_metric_set(input: &str) -> Result<crate::MetricSet, ParseError> {
             .as_object()
             .ok_or_else(|| sem("\"gauges\" is not an object".to_string()))?;
         for (name, val) in gauges {
+            let g = crate::Gauge::from_name(name).ok_or_else(|| unknown("gauge", name))?;
             let n = val
                 .as_u64()
                 .ok_or_else(|| sem(format!("gauge \"{name}\": non-integer value")))?;
-            set.set_gauge(name, n);
+            set.set_gauge(g, n);
         }
     }
     let spans = v
@@ -454,6 +461,7 @@ pub fn parse_metric_set(input: &str) -> Result<crate::MetricSet, ParseError> {
         .and_then(Value::as_object)
         .ok_or_else(|| sem("missing \"spans\" object".to_string()))?;
     for (name, span) in spans {
+        let s = crate::Span::from_name(name).ok_or_else(|| unknown("span", name))?;
         let ctx = format!("span \"{name}\"");
         let mut stat = crate::SpanStat {
             count: u64_field(span, "count", &ctx)?,
@@ -476,13 +484,9 @@ pub fn parse_metric_set(input: &str) -> Result<crate::MetricSet, ParseError> {
                 Some([u, c]) => (u.as_u64(), c.as_u64()),
                 _ => (None, None),
             };
-            let (upper, count) = match (upper, count) {
-                (Some(u), Some(c)) => (u, c),
-                _ => {
-                    return Err(sem(format!(
-                        "{ctx}: bucket entries must be [upper_ns, count] integer pairs"
-                    )))
-                }
+            let (Some(upper), Some(count)) = (upper, count) else {
+                let msg = format!("{ctx}: bucket entries must be [upper_ns, count] integer pairs");
+                return Err(sem(msg));
             };
             // Invert the log-linear encoding: a canonical upper bound maps
             // back to its bucket via `bucket_of` and round-trips through
@@ -504,7 +508,7 @@ pub fn parse_metric_set(input: &str) -> Result<crate::MetricSet, ParseError> {
                 "{ctx}: histogram total does not match \"count\""
             )));
         }
-        set.spans.insert(name.clone(), stat);
+        *crate::slot(&mut set.spans, s.index(), crate::Span::COUNT) = Some(Box::new(stat));
     }
     Ok(set)
 }

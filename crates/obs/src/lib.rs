@@ -14,22 +14,28 @@
 //! - **No globals.** Everything flows through explicit `&Registry` /
 //!   `&Shard` handles; a disabled handle ([`Registry::disabled`],
 //!   [`Shard::disabled`]) makes every record call a single branch.
+//! - **One catalog.** Every metric is one row of the catalog (the
+//!   `catalog` module): name, kind, deterministic or exempt, help. Records
+//!   take its typed ids ([`Counter`], [`Gauge`], [`Span`]), so a name that
+//!   is not declared does not compile, and a set is an array per kind
+//!   indexed by id.
 //! - **Deterministic aggregation.** Merging is commutative integer
 //!   addition, so counter totals are bit-identical for any thread count or
-//!   scheduling order. By convention, names under the prefixes of
-//!   [`names::EXEMPT_PREFIXES`] describe *execution shape* (worker counts,
-//!   busy time) or *arrival timing* (batching, cache hits) and are exempt;
-//!   [`MetricSet::deterministic_counters`] applies the convention.
+//!   scheduling order. The catalog marks the metrics that describe
+//!   *execution shape* (worker counts, busy time) or *arrival timing*
+//!   (batching, cache hits) exempt;
+//!   [`MetricSet::deterministic_counters`] leaves those out.
 //! - **Stable rendering.** Metric names sort lexicographically in the
 //!   versioned JSON schema ([`JSON_SCHEMA`]); see EXPERIMENTS.md for the
 //!   schema reference.
 //!
 //! ```
+//! use obs::{Counter, Span};
 //! let registry = obs::Registry::new();
 //! let shard = registry.shard();
 //! {
-//!     let _span = shard.span("query.filter");
-//!     shard.add("funnel.filtered", 42);
+//!     let _span = shard.span(Span::QUERY_FILTER);
+//!     shard.add(Counter::FUNNEL_FILTERED, 42);
 //! } // span records its elapsed time on drop
 //! registry.absorb(shard);
 //! let snap = registry.snapshot();
@@ -40,6 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
+mod catalog;
 pub mod json;
 pub mod prom;
 pub mod trace;
@@ -48,6 +55,8 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+pub use catalog::{Counter, Gauge, MineLevel, Span, MAX_LEVEL};
 
 /// Version tag embedded in every JSON rendering of a [`MetricSet`].
 pub const JSON_SCHEMA: &str = "treepi.obs/v1";
@@ -91,7 +100,7 @@ pub(crate) fn bucket_of(ns: u64) -> usize {
 /// encoding. `bucket_of(bucket_upper(i)) == i` for every valid `i`, which
 /// is what lets [`json::parse_metric_set`] invert the encoding.
 #[inline]
-pub fn bucket_upper(i: usize) -> u64 {
+pub(crate) fn bucket_upper(i: usize) -> u64 {
     if i < SUB_BUCKETS {
         return i as u64;
     }
@@ -175,27 +184,51 @@ impl SpanStat {
         }
         self.max_ns
     }
-
-    /// Minimum as reported (0 instead of the `u64::MAX` sentinel).
-    pub fn min_ns_or_zero(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min_ns
-        }
-    }
 }
 
-/// A plain, unsynchronized collection of named counters and span stats —
-/// the payload of a [`Shard`] and the aggregate held by a [`Registry`].
+/// A plain, unsynchronized collection of counters, gauges and span stats
+/// — the payload of a [`Shard`] and the aggregate held by a [`Registry`].
 ///
-/// Names sort lexicographically (BTreeMap), which is what makes text and
-/// JSON renderings stable across runs and thread counts.
+/// Each kind is a slot per catalog id (the `catalog` module), allocated on the
+/// first record, so an empty set owns no heap. Every listing and rendering
+/// is in lexicographic name order, stable across runs and thread counts.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricSet {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, u64>,
-    spans: BTreeMap<String, SpanStat>,
+    counters: Vec<Option<u64>>,
+    gauges: Vec<Option<u64>>,
+    spans: Vec<Option<Box<SpanStat>>>,
+}
+
+/// The slot of id `i` in `slots`, sized to `count` on first use.
+fn slot<T>(slots: &mut Vec<Option<T>>, i: usize, count: usize) -> &mut Option<T> {
+    if slots.is_empty() {
+        slots.resize_with(count, || None);
+    }
+    &mut slots[i]
+}
+
+/// The recorded `(id, value)` pairs of `slots` in name order.
+fn by_name<I: Copy, T>(
+    ids: impl Iterator<Item = I>,
+    slots: &[Option<T>],
+    name: fn(I) -> &'static str,
+) -> std::vec::IntoIter<(I, &T)> {
+    let mut out: Vec<_> = ids
+        .zip(slots)
+        .filter_map(|(id, v)| Some((id, v.as_ref()?)))
+        .collect();
+    out.sort_unstable_by_key(|&(id, _)| name(id));
+    out.into_iter()
+}
+
+/// One object of the JSON rendering: `"key": {` and its members, one a
+/// line, in the order given.
+fn json_object(key: &str, members: impl Iterator<Item = (&'static str, String)>) -> String {
+    let members: Vec<String> = members
+        .map(|(n, v)| format!("\n    \"{n}\": {v}"))
+        .collect();
+    let end = if members.is_empty() { "" } else { "\n  " };
+    format!("  \"{key}\": {{{}{end}}}", members.join(","))
 }
 
 impl MetricSet {
@@ -209,38 +242,23 @@ impl MetricSet {
         self.counters.is_empty() && self.gauges.is_empty() && self.spans.is_empty()
     }
 
-    /// Add `n` to counter `name` (created at 0 on first use).
-    pub fn add(&mut self, name: &str, n: u64) {
-        match self.counters.get_mut(name) {
-            Some(c) => *c += n,
-            None => {
-                self.counters.insert(name.to_string(), n);
-            }
-        }
+    /// Add `n` to counter `c` (created at 0 on first use).
+    pub fn add(&mut self, c: Counter, n: u64) {
+        *slot(&mut self.counters, c.index(), Counter::COUNT).get_or_insert(0) += n;
     }
 
-    /// Record a duration under span `name`.
-    pub fn observe_ns(&mut self, name: &str, ns: u64) {
-        match self.spans.get_mut(name) {
-            Some(s) => s.observe_ns(ns),
-            None => {
-                let mut s = SpanStat::default();
-                s.observe_ns(ns);
-                self.spans.insert(name.to_string(), s);
-            }
-        }
+    /// Record a duration under span `s`.
+    pub fn observe_ns(&mut self, s: Span, ns: u64) {
+        slot(&mut self.spans, s.index(), Span::COUNT)
+            .get_or_insert_with(Default::default)
+            .observe_ns(ns);
     }
 
-    /// Set gauge `name` to `v` — a point-in-time *level* (bytes held, peak
+    /// Set gauge `g` to `v` — a point-in-time *level* (bytes held, peak
     /// bytes, structure sizes), as opposed to a monotonically accumulating
     /// counter. Setting overwrites; merging keeps the max (see [`Self::merge`]).
-    pub fn set_gauge(&mut self, name: &str, v: u64) {
-        match self.gauges.get_mut(name) {
-            Some(g) => *g = v,
-            None => {
-                self.gauges.insert(name.to_string(), v);
-            }
-        }
+    pub fn set_gauge(&mut self, g: Gauge, v: u64) {
+        *slot(&mut self.gauges, g.index(), Gauge::COUNT) = Some(v);
     }
 
     /// Merge `other` into `self` (commutative and associative, so the merge
@@ -249,65 +267,69 @@ impl MetricSet {
     /// readings like peak memory survive shard merges as true high-water
     /// marks.
     pub fn merge(&mut self, other: &MetricSet) {
-        for (k, v) in &other.counters {
-            self.add(k, *v);
-        }
-        for (k, v) in &other.gauges {
-            match self.gauges.get_mut(k) {
-                Some(mine) => *mine = (*mine).max(*v),
-                None => {
-                    self.gauges.insert(k.clone(), *v);
-                }
+        for (c, v) in Counter::all().zip(&other.counters) {
+            if let Some(v) = v {
+                self.add(c, *v);
             }
         }
-        for (k, s) in &other.spans {
-            match self.spans.get_mut(k) {
-                Some(mine) => mine.merge(s),
-                None => {
-                    self.spans.insert(k.clone(), s.clone());
+        for (g, v) in Gauge::all().zip(&other.gauges) {
+            if let Some(v) = *v {
+                let mine = slot(&mut self.gauges, g.index(), Gauge::COUNT);
+                *mine = Some(mine.map_or(v, |m| m.max(v)));
+            }
+        }
+        for (s, stat) in Span::all().zip(&other.spans) {
+            if let Some(stat) = stat {
+                match slot(&mut self.spans, s.index(), Span::COUNT) {
+                    Some(mine) => mine.merge(stat),
+                    empty => *empty = Some(stat.clone()),
                 }
             }
         }
     }
 
-    /// Current value of counter `name` (0 if never recorded).
+    /// Current value of the counter named `name` (0 if never recorded or
+    /// not in the catalog).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        Counter::from_name(name)
+            .and_then(|c| *self.counters.get(c.index())?)
+            .unwrap_or(0)
     }
 
-    /// Current value of gauge `name`, if set.
+    /// Current value of the gauge named `name`, if set.
     pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges.get(name).copied()
+        Gauge::from_name(name).and_then(|g| *self.gauges.get(g.index())?)
     }
 
-    /// All gauges, name-sorted.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Statistics of span `name`, if recorded.
+    /// Statistics of the span named `name`, if recorded.
     pub fn span(&self, name: &str) -> Option<&SpanStat> {
-        self.spans.get(name)
+        Span::from_name(name).and_then(|s| self.spans.get(s.index())?.as_deref())
     }
 
-    /// All counters, name-sorted.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
+    /// All recorded counters, in name order.
+    pub fn counters(&self) -> impl Iterator<Item = (Counter, u64)> + '_ {
+        by_name(Counter::all(), &self.counters, Counter::name).map(|(c, v)| (c, *v))
     }
 
-    /// All spans, name-sorted.
-    pub fn spans(&self) -> impl Iterator<Item = (&str, &SpanStat)> {
-        self.spans.iter().map(|(k, v)| (k.as_str(), v))
+    /// All set gauges, in name order.
+    pub fn gauges(&self) -> impl Iterator<Item = (Gauge, u64)> + '_ {
+        by_name(Gauge::all(), &self.gauges, Gauge::name).map(|(g, v)| (g, *v))
     }
 
-    /// The counters covered by the determinism contract: everything outside
-    /// the timing-dependent namespaces of [`names::EXEMPT_PREFIXES`].
-    /// Totals here must be bit-identical at any thread count.
-    pub fn deterministic_counters(&self) -> BTreeMap<String, u64> {
-        self.counters
-            .iter()
-            .filter(|(k, _)| !names::EXEMPT_PREFIXES.iter().any(|p| k.starts_with(p)))
-            .map(|(k, v)| (k.clone(), *v))
+    /// All recorded spans, in name order.
+    pub fn spans(&self) -> impl Iterator<Item = (Span, &SpanStat)> {
+        by_name(Span::all(), &self.spans, Span::name).map(|(s, stat)| (s, &**stat))
+    }
+
+    /// The counters covered by the determinism contract (catalog rows
+    /// marked `det`). Totals here must be bit-identical at any thread
+    /// count.
+    pub fn deterministic_counters(&self) -> BTreeMap<&'static str, u64> {
+        Counter::all()
+            .zip(&self.counters)
+            .filter_map(|(c, v)| Some((c, (*v)?)))
+            .filter(|(c, _)| c.is_deterministic())
+            .map(|(c, v)| (c.name(), v))
             .collect()
     }
 
@@ -317,65 +339,34 @@ impl MetricSet {
     /// not. Histogram buckets are emitted sparsely as
     /// `[bucket_upper_ns, count]` pairs.
     pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"schema\": {},\n",
-            json::escape_string(JSON_SCHEMA)
-        ));
-        out.push_str("  \"counters\": {");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    {}: {v}", json::escape_string(k)));
-        }
-        if !self.counters.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n");
-        out.push_str("  \"gauges\": {");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    {}: {v}", json::escape_string(k)));
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n");
-        out.push_str("  \"spans\": {");
-        for (i, (k, s)) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let buckets: Vec<String> = s
-                .buckets
-                .iter()
-                .enumerate()
+        let counters = self.counters().map(|(c, v)| (c.name(), v.to_string()));
+        let gauges = self.gauges().map(|(g, v)| (g.name(), v.to_string()));
+        let spans = self.spans().map(|(span, s)| {
+            let buckets: Vec<String> = (0..)
+                .zip(&s.buckets)
                 .filter(|&(_, &c)| c > 0)
                 .map(|(b, &c)| format!("[{}, {c}]", bucket_upper(b)))
                 .collect();
-            out.push_str(&format!(
-                "\n    {}: {{\"count\": {}, \"total_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \
+            let value = format!(
+                "{{\"count\": {}, \"total_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \
                  \"mean_ns\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"buckets\": [{}]}}",
-                json::escape_string(k),
                 s.count,
                 s.total_ns,
-                s.min_ns_or_zero(),
+                s.min_ns.min(s.max_ns), // 0, not the sentinel, when empty
                 s.max_ns,
                 s.mean_ns(),
                 s.quantile_ns(0.50),
                 s.quantile_ns(0.95),
                 buckets.join(", ")
-            ));
-        }
-        if !self.spans.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("}\n}\n");
-        out
+            );
+            (span.name(), value)
+        });
+        format!(
+            "{{\n  \"schema\": \"{JSON_SCHEMA}\",\n{},\n{},\n{}\n}}\n",
+            json_object("counters", counters),
+            json_object("gauges", gauges),
+            json_object("spans", spans),
+        )
     }
 }
 
@@ -396,18 +387,8 @@ impl Shard {
     pub fn detached(enabled: bool) -> Self {
         Self {
             enabled,
-            set: RefCell::new(MetricSet::new()),
+            set: RefCell::default(),
             trace: None,
-        }
-    }
-
-    /// A shard that additionally buffers trace events (only handed out by a
-    /// tracing [`Registry`]).
-    fn traced(enabled: bool, trace: Option<trace::TraceShard>) -> Self {
-        Self {
-            enabled,
-            set: RefCell::new(MetricSet::new()),
-            trace,
         }
     }
 
@@ -426,26 +407,20 @@ impl Shard {
         }
     }
 
-    /// Record a complete trace event retroactively: `name` ran from `start`
+    /// Record a complete trace event retroactively: `span` ran from `start`
     /// for `dur`. Used by pipeline sites that measure stage durations
     /// themselves instead of holding a [`SpanGuard`]. A single branch when
     /// tracing is off.
     #[inline]
-    pub fn trace_complete(&self, name: &str, start: Instant, dur: Duration) {
+    pub fn trace_complete(&self, span: Span, start: Instant, dur: Duration) {
         if let Some(t) = &self.trace {
-            t.push(name, start, dur);
+            t.push(span.name(), start, dur);
         }
     }
 
     /// A permanently disabled shard: every record call is one branch.
     pub fn disabled() -> Self {
         Self::detached(false)
-    }
-
-    /// Whether this shard records anything.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// An empty shard with the same enablement (for handing to a helper
@@ -462,46 +437,41 @@ impl Shard {
         }
     }
 
-    /// Add `n` to counter `name`.
+    /// Add `n` to counter `c`.
     #[inline]
-    pub fn add(&self, name: &str, n: u64) {
+    pub fn add(&self, c: Counter, n: u64) {
         if self.enabled {
-            self.set.borrow_mut().add(name, n);
+            self.set.borrow_mut().add(c, n);
         }
     }
 
-    /// Set gauge `name` to `v` (see [`MetricSet::set_gauge`]).
+    /// Set gauge `g` to `v` (see [`MetricSet::set_gauge`]).
     #[inline]
-    pub fn set_gauge(&self, name: &str, v: u64) {
+    pub fn set_gauge(&self, g: Gauge, v: u64) {
         if self.enabled {
-            self.set.borrow_mut().set_gauge(name, v);
+            self.set.borrow_mut().set_gauge(g, v);
         }
     }
 
-    /// Record `d` under span `name`.
+    /// Record `d` under span `s`.
     #[inline]
-    pub fn observe(&self, name: &str, d: Duration) {
+    pub fn observe(&self, s: Span, d: Duration) {
         if self.enabled {
             self.set
                 .borrow_mut()
-                .observe_ns(name, d.as_nanos().min(u64::MAX as u128) as u64);
+                .observe_ns(s, d.as_nanos().min(u64::MAX as u128) as u64);
         }
     }
 
     /// Start an RAII span: the guard records the elapsed wall time under
-    /// `name` when dropped. Disabled shards skip even the clock read.
+    /// `s` when dropped. Disabled shards skip even the clock read.
     #[inline]
-    pub fn span<'a>(&'a self, name: &'a str) -> SpanGuard<'a> {
+    pub fn span(&self, s: Span) -> SpanGuard<'_> {
         SpanGuard {
             shard: self,
-            name,
+            span: s,
             start: self.enabled.then(Instant::now),
         }
-    }
-
-    /// Take the recorded metrics, leaving the shard empty.
-    pub fn take(&self) -> MetricSet {
-        self.set.take()
     }
 
     /// Clone the recorded metrics without draining the shard. Used by live
@@ -515,18 +485,13 @@ impl Shard {
     pub fn into_set(self) -> MetricSet {
         self.set.into_inner()
     }
-
-    /// Consume the shard, yielding metrics and the trace buffer (if any).
-    fn into_parts(self) -> (MetricSet, Option<trace::TraceShard>) {
-        (self.set.into_inner(), self.trace)
-    }
 }
 
 /// RAII span timer returned by [`Shard::span`]; records on drop.
 #[must_use = "a span guard records when dropped; binding it to _ drops it immediately"]
 pub struct SpanGuard<'a> {
     shard: &'a Shard,
-    name: &'a str,
+    span: Span,
     start: Option<Instant>,
 }
 
@@ -534,8 +499,8 @@ impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         if let Some(start) = self.start {
             let elapsed = start.elapsed();
-            self.shard.observe(self.name, elapsed);
-            self.shard.trace_complete(self.name, start, elapsed);
+            self.shard.observe(self.span, elapsed);
+            self.shard.trace_complete(self.span, start, elapsed);
         }
     }
 }
@@ -555,8 +520,7 @@ impl Registry {
     pub fn new() -> Self {
         Self {
             enabled: true,
-            agg: Mutex::new(MetricSet::new()),
-            trace: None,
+            ..Self::default()
         }
     }
 
@@ -566,40 +530,24 @@ impl Registry {
     /// merged at absorb time and exported via [`Self::drain_trace`].
     pub fn with_tracing() -> Self {
         Self {
-            enabled: true,
-            agg: Mutex::new(MetricSet::new()),
             trace: Some(trace::TraceSink::new()),
+            ..Self::new()
         }
     }
 
     /// A disabled registry: shards it hands out record nothing, absorb is a
     /// no-op, snapshots are empty.
     pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            agg: Mutex::new(MetricSet::new()),
-            trace: None,
-        }
-    }
-
-    /// Whether metrics are being collected.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Whether a trace timeline is being collected.
-    #[inline]
-    pub fn is_tracing(&self) -> bool {
-        self.trace.is_some()
+        Self::default()
     }
 
     /// A fresh shard with this registry's enablement (and, when tracing, a
     /// trace buffer on a fresh lane).
     pub fn shard(&self) -> Shard {
-        match &self.trace {
-            Some(sink) if self.enabled => Shard::traced(true, Some(sink.shard())),
-            _ => Shard::detached(self.enabled),
+        let trace = self.trace.as_ref().filter(|_| self.enabled);
+        Shard {
+            trace: trace.map(trace::TraceSink::shard),
+            ..Shard::detached(self.enabled)
         }
     }
 
@@ -607,32 +555,25 @@ impl Registry {
     /// aggregate.
     pub fn absorb(&self, shard: Shard) {
         if self.enabled {
-            let (set, shard_trace) = shard.into_parts();
+            let Shard { set, trace, .. } = shard;
+            let set = set.into_inner();
             if !set.is_empty() {
                 self.agg.lock().expect("obs registry poisoned").merge(&set);
             }
-            if let (Some(sink), Some(t)) = (&self.trace, shard_trace) {
+            if let (Some(sink), Some(t)) = (&self.trace, trace) {
                 sink.absorb(t);
             }
         }
     }
 
-    /// Add directly to an aggregate counter (takes the lock — cold paths
-    /// only; hot paths go through a shard).
-    pub fn add(&self, name: &str, n: u64) {
-        if self.enabled {
-            self.agg.lock().expect("obs registry poisoned").add(name, n);
-        }
-    }
-
     /// Set an aggregate gauge (takes the lock — cold paths only; see
     /// [`MetricSet::set_gauge`]).
-    pub fn set_gauge(&self, name: &str, v: u64) {
+    pub fn set_gauge(&self, g: Gauge, v: u64) {
         if self.enabled {
             self.agg
                 .lock()
                 .expect("obs registry poisoned")
-                .set_gauge(name, v);
+                .set_gauge(g, v);
         }
     }
 
@@ -656,203 +597,6 @@ impl Registry {
     }
 }
 
-/// Canonical metric names shared across the pipeline layers, so treepi and
-/// the gindex baseline render directly comparable stage breakdowns.
-pub mod names {
-    /// Prefixes of the namespaces exempt from the determinism contract.
-    /// `engine.` and `pool.` describe execution shape (worker counts,
-    /// scheduling, pool busy/park time) and vary with `--threads`;
-    /// `serve.`, `cache.`, `loadgen.` and `maint.` depend on arrival
-    /// timing (batch boundaries, cache hits vs. in-flight misses, shed
-    /// decisions, how many queued ops each apply batch happens to fold
-    /// together).
-    pub const EXEMPT_PREFIXES: [&str; 6] =
-        ["engine.", "pool.", "serve.", "cache.", "loadgen.", "maint."];
-
-    /// Query partition stage: the walk for the query's feature occurrences,
-    /// the greedy cover `TP_q` and `SF_q`.
-    pub const SPAN_PARTITION: &str = "query.partition";
-    /// Query filter stage (support-set intersection, Algorithm 1).
-    pub const SPAN_FILTER: &str = "query.filter";
-    /// Center-distance pruning stage (Algorithm 2; zero-duration unless
-    /// the paper's toggle turns it on).
-    pub const SPAN_PRUNE: &str = "query.prune";
-    /// Verification stage (Algorithm 3's anchored search, whose signature
-    /// gate is the only per-candidate signature check, or naive
-    /// isomorphism).
-    pub const SPAN_VERIFY: &str = "query.verify";
-    /// Within [`SPAN_PARTITION`]: enumeration of the query's indexed subtrees.
-    pub const SPAN_PARTITION_ENUMERATE: &str = "query.partition.enumerate";
-    /// The four pipeline stages in funnel order.
-    pub const PIPELINE_SPANS: [&str; 4] = [SPAN_PARTITION, SPAN_FILTER, SPAN_PRUNE, SPAN_VERIFY];
-
-    /// Queries processed.
-    pub const QUERIES: &str = "funnel.queries";
-    /// Candidates surviving the filter stage (Σ |P_q|).
-    pub const FILTERED: &str = "funnel.filtered";
-    /// Candidates surviving CDC pruning (Σ |P'_q|); equal to
-    /// [`FILTERED`] with CDC off.
-    pub const PRUNED: &str = "funnel.pruned";
-    /// Exact answers (Σ |D_q|).
-    pub const ANSWERS: &str = "funnel.answers";
-    /// Queries short-circuited by a missing feature.
-    pub const MISSING_FEATURE: &str = "funnel.missing_feature";
-    /// Edge subsets of queries the guided subtree walk visited.
-    pub const WALK_PROBES: &str = "walk.probes";
-    /// Of those, the subsets whose shape invariant may be a feature's,
-    /// canonically encoded and looked up.
-    pub const WALK_ENCODES: &str = "walk.encodes";
-    /// Of those, the subsets that are stored features.
-    pub const WALK_HITS: &str = "walk.hits";
-
-    /// Gauge: bytes currently live per the tracking allocator.
-    pub const GAUGE_ALLOC_LIVE: &str = "mem.alloc.live_bytes";
-    /// Gauge: peak live bytes per the tracking allocator.
-    pub const GAUGE_ALLOC_PEAK: &str = "mem.alloc.peak_bytes";
-    /// Gauge: cumulative bytes ever allocated.
-    pub const GAUGE_ALLOC_TOTAL: &str = "mem.alloc.total_bytes";
-    /// Gauge: cumulative allocation calls.
-    pub const GAUGE_ALLOC_COUNT: &str = "mem.alloc.allocations";
-
-    /// Gauge: total estimated heap bytes of the TreePi index.
-    pub const GAUGE_INDEX_TOTAL: &str = "mem.index.bytes";
-    /// Gauge: heap bytes of the indexed graph database.
-    pub const GAUGE_INDEX_DB: &str = "mem.index.db_bytes";
-    /// Gauge: heap bytes of the features' canonical strings.
-    pub const GAUGE_INDEX_FEATURES: &str = "mem.index.features_bytes";
-    /// Gauge: heap bytes of the per-feature support sets.
-    pub const GAUGE_INDEX_SUPPORTS: &str = "mem.index.supports_bytes";
-    /// Gauge: heap bytes of the center-position tables.
-    pub const GAUGE_INDEX_CENTERS: &str = "mem.index.centers_bytes";
-    /// Gauge: heap bytes of the per-vertex neighborhood signatures.
-    pub const GAUGE_INDEX_SIGS: &str = "mem.index.sigs_bytes";
-    /// Gauge: heap bytes of the canonical-string directory (one feature id
-    /// per feature) and the shape filter (whole 8-byte words; the name dates
-    /// from the prefix trie they replaced).
-    pub const GAUGE_INDEX_TRIE: &str = "mem.index.trie_bytes";
-
-    /// Gauge: total estimated heap bytes of the gIndex baseline.
-    pub const GAUGE_GINDEX_TOTAL: &str = "mem.gindex.bytes";
-    /// Gauge: heap bytes of the gIndex fragment set (graphs + codes).
-    pub const GAUGE_GINDEX_FRAGMENTS: &str = "mem.gindex.fragments_bytes";
-    /// Gauge: heap bytes of the gIndex code→fragment lookup map.
-    pub const GAUGE_GINDEX_LOOKUP: &str = "mem.gindex.lookup_bytes";
-
-    // The serving front end (`serve.*` / `cache.*`) and the load
-    // generator (`loadgen.*`). All three namespaces depend on arrival
-    // timing and are exempt from the determinism contract, like
-    // `engine.*` / `pool.*`.
-
-    /// Counter: request frames decoded by the server.
-    pub const SERVE_REQUESTS: &str = "serve.requests";
-    /// Counter: query requests (cache hits, queued, and shed included).
-    pub const SERVE_QUERIES: &str = "serve.queries";
-    /// Counter: queries refused with a Busy response (admission queue
-    /// full — the backpressure path).
-    pub const SERVE_SHED: &str = "serve.shed";
-    /// Counter: micro-batches dispatched to the engine.
-    pub const SERVE_BATCHES: &str = "serve.batches";
-    /// Counter: queries executed inside micro-batches.
-    pub const SERVE_BATCHED: &str = "serve.batched_queries";
-    /// Counter: maintenance operations (insert/remove) applied to the
-    /// engine's index.
-    pub const SERVE_MAINTENANCE: &str = "serve.maintenance";
-    /// Counter: malformed frames / protocol errors answered with `E`.
-    pub const SERVE_ERRORS: &str = "serve.errors";
-    /// Counter: connections dropped because the peer stopped reading and
-    /// its write buffer hit the cap (slow-consumer protection).
-    pub const SERVE_SLOW_CONSUMER_DROP: &str = "serve.slow_consumer_drop";
-    /// Counter: queries whose verify stage exceeded the `--slow-query-us`
-    /// threshold and were captured into the slow-query log.
-    pub const SERVE_SLOW_QUERIES: &str = "serve.slow_queries";
-    /// Counter: `STATS` admin snapshots served.
-    pub const SERVE_STATS: &str = "serve.stats";
-    /// Counter: connections dropped for a wire-protocol violation (an
-    /// oversized declared frame length).
-    pub const SERVE_PROTO_ERROR: &str = "serve.proto_error";
-    /// Counter: HTTP monitoring requests served (`/metrics`, `/healthz`,
-    /// `/slowz`, and error responses alike).
-    pub const SERVE_HTTP_REQUESTS: &str = "serve.http_requests";
-    /// Counter: access-log records (and flushes) lost to writer I/O errors;
-    /// present whenever an access log is open.
-    pub const SERVE_ACCESS_LOG_WRITE_ERRORS: &str = "serve.access_log.write_errors";
-    /// Counter: event-loop iterations whose non-poll work exceeded the
-    /// stall threshold (watchdog trips).
-    pub const SERVE_LOOP_STALLS: &str = "serve.loop.stall_count";
-    /// Gauge: longest observed event-loop stall, in microseconds.
-    pub const GAUGE_SERVE_LOOP_MAX_STALL: &str = "serve.loop.max_stall_us";
-    /// Span: admission-to-response latency of one served query.
-    pub const SPAN_SERVE_REQUEST: &str = "serve.request";
-    /// Span: wall time of one engine micro-batch execution.
-    pub const SPAN_SERVE_BATCH: &str = "serve.batch_exec";
-    /// Span: admission-to-dispatch wait in the bounded queue.
-    pub const SPAN_SERVE_QUEUE_WAIT: &str = "serve.queue_wait";
-    /// Span: batch residence time minus the query's own execution time —
-    /// the cost of waiting on co-batched siblings.
-    pub const SPAN_SERVE_BATCH_WAIT: &str = "serve.batch_wait";
-    /// Span: the query's own pipeline execution time inside its batch
-    /// (sum of the four stage durations).
-    pub const SPAN_SERVE_EXEC_SHARE: &str = "serve.exec_share";
-    /// Span: response-enqueued-to-socket-flushed latency.
-    pub const SPAN_SERVE_WRITE_WAIT: &str = "serve.write_wait";
-    /// The four per-request latency-decomposition histograms, in
-    /// pipeline order (queue → batch → execute → write).
-    pub const DECOMPOSITION_SPANS: [&str; 4] = [
-        SPAN_SERVE_QUEUE_WAIT,
-        SPAN_SERVE_BATCH_WAIT,
-        SPAN_SERVE_EXEC_SHARE,
-        SPAN_SERVE_WRITE_WAIT,
-    ];
-    /// Gauge: peak depth the admission queue ever reached (≤ queue cap —
-    /// the bounded-memory witness).
-    pub const GAUGE_SERVE_QUEUE_PEAK: &str = "serve.queue_peak";
-    /// Gauge: admission-queue depth when a live snapshot (STATS,
-    /// `/metrics`) is taken — instantaneous, unlike the monotone peak above,
-    /// so it is not in the exit file.
-    pub const GAUGE_SERVE_QUEUE_DEPTH: &str = "serve.queue_depth";
-
-    /// Counter: result-cache hits (answered without touching the engine).
-    pub const CACHE_HIT: &str = "cache.hit";
-    /// Counter: result-cache misses.
-    pub const CACHE_MISS: &str = "cache.miss";
-    /// Counter: entries evicted by LRU capacity pressure.
-    pub const CACHE_EVICTIONS: &str = "cache.evictions";
-    /// Counter: whole-cache invalidations caused by an epoch bump
-    /// (§7.1 insert/remove maintenance).
-    pub const CACHE_INVALIDATIONS: &str = "cache.invalidations";
-    /// Gauge: resident cache entries.
-    pub const GAUGE_CACHE_ENTRIES: &str = "cache.entries";
-
-    /// Span: client-observed request round-trip latency in the load
-    /// generator (p50/p95/p99 come from this histogram).
-    pub const SPAN_LOADGEN_REQUEST: &str = "loadgen.request";
-    /// Counter: loadgen requests answered with matches.
-    pub const LOADGEN_OK: &str = "loadgen.ok";
-    /// Counter: loadgen requests answered with Busy (shed by the server).
-    pub const LOADGEN_BUSY: &str = "loadgen.busy";
-    /// Counter: loadgen transport/protocol errors.
-    pub const LOADGEN_ERRORS: &str = "loadgen.errors";
-
-    /// Counter: §7.1 ops applied to the published snapshot (insert +
-    /// remove of an active gid; see `treepi::Engine::insert` / `remove`).
-    /// Each is applied when it arrives and publishes one snapshot.
-    pub const MAINT_APPLIED: &str = "maint.applied";
-    /// Counter: total snapshot publications (applied ops plus background
-    /// re-mine swaps).
-    pub const MAINT_SNAPSHOT_SWAPS: &str = "maint.snapshot_swaps";
-    /// Counter: background re-mines triggered by accumulated repairs.
-    pub const MAINT_REMINE_TRIGGERS: &str = "maint.remine_triggers";
-    /// Counter: background re-mines that completed and were swapped in.
-    pub const MAINT_REMINES: &str = "maint.remines_completed";
-    /// Span: latency of one applied §7.1 op (after a copy of the index
-    /// only when a reader held it).
-    pub const SPAN_MAINT_APPLY: &str = "maint.apply";
-    /// Span: wall time of one background re-mine build.
-    pub const SPAN_MAINT_REMINE: &str = "maint.remine";
-    /// Gauge: §7.1 ops applied since the last re-mine trigger.
-    pub const GAUGE_MAINT_REPAIRS: &str = "maint.repairs_since_mine";
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -860,55 +604,66 @@ mod tests {
     #[test]
     fn counters_and_spans_round_trip() {
         let r = Registry::new();
-        assert!(r.is_enabled());
         let s = r.shard();
-        s.add("a.x", 3);
-        s.add("a.x", 4);
-        s.observe("t.y", Duration::from_micros(5));
+        s.add(Counter::WALK_HITS, 3);
+        s.add(Counter::WALK_HITS, 4);
+        s.observe(Span::QUERY_VERIFY, Duration::from_micros(5));
         {
-            let _g = s.span("t.z");
+            let _g = s.span(Span::BUILD_MINE);
         }
         r.absorb(s);
         let snap = r.snapshot();
-        assert_eq!(snap.counter("a.x"), 7);
+        assert_eq!(snap.counter("walk.hits"), 7);
+        assert_eq!(snap.counter("walk.probes"), 0);
+        // A name the catalog does not declare reads as nothing.
         assert_eq!(snap.counter("missing"), 0);
-        assert_eq!(snap.span("t.y").unwrap().count, 1);
-        assert_eq!(snap.span("t.y").unwrap().total_ns, 5_000);
-        assert_eq!(snap.span("t.z").unwrap().count, 1);
+        assert_eq!(snap.gauge("missing"), None);
+        assert!(snap.span("missing").is_none());
+        assert_eq!(snap.span("query.verify").unwrap().count, 1);
+        assert_eq!(snap.span("query.verify").unwrap().total_ns, 5_000);
+        assert_eq!(snap.span("build.mine").unwrap().count, 1);
     }
 
     #[test]
     fn disabled_registry_records_nothing() {
         let r = Registry::disabled();
         let s = r.shard();
-        s.add("a", 1);
-        s.observe("b", Duration::from_secs(1));
+        s.add(Counter::FUNNEL_QUERIES, 1);
+        s.observe(Span::QUERY_FILTER, Duration::from_secs(1));
         {
-            let _g = s.span("c");
+            let _g = s.span(Span::QUERY_VERIFY);
         }
         r.absorb(s);
-        assert!(r.snapshot().is_empty());
+        r.set_gauge(Gauge::MEM_INDEX_BYTES, 1);
+        // Nothing was recorded, so no slot array was allocated.
+        let snap = r.snapshot();
+        let capacities = [
+            snap.counters.capacity(),
+            snap.gauges.capacity(),
+            snap.spans.capacity(),
+        ];
+        assert!(snap.is_empty() && capacities == [0; 3]);
         // Disabled spans never read the clock.
         let d = Shard::disabled();
-        assert!(d.span("x").start.is_none());
+        assert!(d.span(Span::QUERY_FILTER).start.is_none());
     }
 
     #[test]
     fn merge_is_order_independent() {
         let mut a = MetricSet::new();
-        a.add("c", 1);
-        a.observe_ns("s", 10);
+        a.add(Counter::FUNNEL_ANSWERS, 1);
+        a.observe_ns(Span::QUERY_FILTER, 10);
         let mut b = MetricSet::new();
-        b.add("c", 2);
-        b.add("d", 5);
-        b.observe_ns("s", 1000);
+        b.add(Counter::FUNNEL_ANSWERS, 2);
+        b.add(Counter::FUNNEL_QUERIES, 5);
+        b.observe_ns(Span::QUERY_FILTER, 1000);
         let mut ab = a.clone();
         ab.merge(&b);
         let mut ba = b.clone();
         ba.merge(&a);
         assert_eq!(ab, ba);
-        assert_eq!(ab.counter("c"), 3);
-        let s = ab.span("s").unwrap();
+        assert_eq!(ab.counter("funnel.answers"), 3);
+        let s = ab.span("query.filter").unwrap();
         assert_eq!(s.count, 2);
         assert_eq!(s.total_ns, 1010);
         assert_eq!(s.min_ns, 10);
@@ -918,14 +673,14 @@ mod tests {
     #[test]
     fn fork_and_merge_shards() {
         let parent = Shard::detached(true);
-        parent.add("x", 1);
+        parent.add(Counter::GRAPH_BFS, 1);
         let child = parent.fork();
-        child.add("x", 2);
-        child.observe("s", Duration::from_nanos(7));
+        child.add(Counter::GRAPH_BFS, 2);
+        child.observe(Span::MAINT_APPLY, Duration::from_nanos(7));
         parent.merge(child);
         let set = parent.into_set();
-        assert_eq!(set.counter("x"), 3);
-        assert_eq!(set.span("s").unwrap().count, 1);
+        assert_eq!(set.counter("graph.bfs"), 3);
+        assert_eq!(set.span("maint.apply").unwrap().count, 1);
     }
 
     #[test]
@@ -960,38 +715,55 @@ mod tests {
         // Empty span.
         assert_eq!(SpanStat::default().quantile_ns(0.5), 0);
         assert_eq!(SpanStat::default().mean_ns(), 0);
-        assert_eq!(SpanStat::default().min_ns_or_zero(), 0);
     }
 
+    /// Listings are in plain byte order of the names, so `mine.level10.*`
+    /// sorts before `mine.level2.*`; the deterministic ones leave out the
+    /// rows the catalog marks exempt.
     #[test]
-    fn deterministic_counters_exclude_engine_and_pool_namespaces() {
+    fn listings_sort_by_name_and_keep_the_contract() {
         let mut m = MetricSet::new();
-        m.add("funnel.filtered", 10);
-        m.add("engine.workers", 4);
-        m.add("pool.tasks", 9);
-        m.add("pool.worker_busy_ns", 1234);
-        m.add("serve.shed", 3);
-        m.add("cache.hit", 8);
-        m.add("loadgen.ok", 5);
-        m.add("graph.bfs", 2);
-        let det = m.deterministic_counters();
-        assert_eq!(det.len(), 2);
-        assert!(det.contains_key("funnel.filtered"));
-        assert!(det.contains_key("graph.bfs"));
-        assert!(!det.contains_key("engine.workers"));
-        assert!(!det.contains_key("pool.tasks"));
-        assert!(!det.contains_key("serve.shed"));
-        assert!(!det.contains_key("cache.hit"));
-        assert!(!det.contains_key("loadgen.ok"));
+        for (i, c) in [2, 10, 1]
+            .map(|s| MineLevel::Kinds.at(s))
+            .into_iter()
+            .enumerate()
+        {
+            m.add(c, i as u64);
+        }
+        for c in [
+            Counter::ENGINE_WORKERS,
+            Counter::CACHE_HIT,
+            Counter::GRAPH_BFS,
+        ] {
+            m.add(c, 7);
+        }
+        let names: Vec<_> = m.counters().map(|(c, _)| c.name()).collect();
+        let sorted = [
+            "cache.hit",
+            "engine.workers",
+            "graph.bfs",
+            "mine.level1.kinds",
+        ];
+        assert_eq!(names[..4], sorted);
+        assert_eq!(names[4..], ["mine.level10.kinds", "mine.level2.kinds"]);
+        let det: Vec<_> = m.deterministic_counters().into_keys().collect();
+        assert_eq!(
+            det,
+            [
+                "graph.bfs",
+                "mine.level1.kinds",
+                "mine.level10.kinds",
+                "mine.level2.kinds"
+            ]
+        );
     }
 
     #[test]
     fn json_rendering_parses_and_round_trips_values() {
         let mut m = MetricSet::new();
-        m.add("funnel.filtered", 7);
-        m.add("weird\"name\\", 1);
-        m.observe_ns("query.filter", 123);
-        m.observe_ns("query.filter", 456);
+        m.add(Counter::FUNNEL_FILTERED, 7);
+        m.observe_ns(Span::QUERY_FILTER, 123);
+        m.observe_ns(Span::QUERY_FILTER, 456);
         let text = m.render_json();
         let v = json::parse(&text).expect("render_json must emit valid JSON");
         assert_eq!(
@@ -1005,10 +777,6 @@ mod tests {
                 .and_then(json::Value::as_u64),
             Some(7)
         );
-        assert_eq!(
-            counters.get("weird\"name\\").and_then(json::Value::as_u64),
-            Some(1)
-        );
         let span = v
             .get("spans")
             .and_then(|s| s.get("query.filter"))
@@ -1018,10 +786,12 @@ mod tests {
             span.get("total_ns").and_then(json::Value::as_u64),
             Some(579)
         );
-        // Empty set still renders valid JSON with both top-level keys.
-        let v = json::parse(&MetricSet::new().render_json()).unwrap();
-        assert!(v.get("counters").is_some());
-        assert!(v.get("spans").is_some());
+        // Empty set still renders valid JSON with every top-level key.
+        let empty = MetricSet::new().render_json();
+        assert_eq!(
+            empty,
+            "{\n  \"schema\": \"treepi.obs/v1\",\n  \"counters\": {},\n  \"gauges\": {},\n  \"spans\": {}\n}\n"
+        );
     }
 
     #[test]
@@ -1138,24 +908,45 @@ mod tests {
         }
     }
 
+    fn assert_round_trips(m: &MetricSet) {
+        let parsed = json::parse_metric_set(&m.render_json()).expect("round-trip parse");
+        assert_eq!(&parsed, m);
+        // And rendering the parsed set is a fixpoint.
+        assert_eq!(parsed.render_json(), m.render_json());
+    }
+
     #[test]
     fn json_round_trips_to_equal_metric_set() {
         let mut m = MetricSet::new();
-        m.add("funnel.queries", 3);
-        m.add("engine.workers", 2);
-        m.set_gauge("mem.index.bytes", 123_456);
-        m.set_gauge("mem.alloc.peak_bytes", 9_999_999);
+        m.add(Counter::FUNNEL_QUERIES, 3);
+        m.add(Counter::ENGINE_WORKERS, 2);
+        m.set_gauge(Gauge::MEM_INDEX_BYTES, 123_456);
+        m.set_gauge(Gauge::MEM_ALLOC_PEAK_BYTES, 9_999_999);
         for ns in [0u64, 1, 500, 1_000_000, u64::MAX >> 20] {
-            m.observe_ns("query.verify", ns);
+            m.observe_ns(Span::QUERY_VERIFY, ns);
         }
-        m.observe_ns("query.filter", 42);
-        let parsed = json::parse_metric_set(&m.render_json()).expect("round-trip parse");
-        assert_eq!(parsed, m);
-        // And rendering the parsed set is a fixpoint.
-        assert_eq!(parsed.render_json(), m.render_json());
+        m.observe_ns(Span::QUERY_FILTER, 42);
+        assert_round_trips(&m);
         // Empty set round-trips too.
-        let empty = MetricSet::new();
-        assert_eq!(json::parse_metric_set(&empty.render_json()).unwrap(), empty);
+        assert_round_trips(&MetricSet::new());
+
+        // A set holding every id of every kind, the level families included.
+        let mut all = MetricSet::new();
+        for (i, c) in (1..).zip(Counter::all()) {
+            all.add(c, i);
+        }
+        for (i, g) in (1..).zip(Gauge::all()) {
+            all.set_gauge(g, i);
+        }
+        for (i, s) in (1..).zip(Span::all()) {
+            all.observe_ns(s, i);
+        }
+        for s in [1, 2, 10] {
+            all.add(MineLevel::Grown.at(s), 1);
+            all.observe_ns(Span::mine_level(s), 7);
+        }
+        assert_eq!(all.counters().count(), Counter::COUNT);
+        assert_round_trips(&all);
     }
 
     #[test]
@@ -1172,7 +963,7 @@ mod tests {
         .is_err());
         // Histogram total inconsistent with count.
         let bad = format!(
-            "{{\"schema\": \"{JSON_SCHEMA}\", \"counters\": {{}}, \"spans\": {{\"s\": \
+            "{{\"schema\": \"{JSON_SCHEMA}\", \"counters\": {{}}, \"spans\": {{\"query.filter\": \
              {{\"count\": 2, \"total_ns\": 5, \"min_ns\": 1, \"max_ns\": 4, \"buckets\": \
              [[4, 1]]}}}}}}"
         );
@@ -1181,7 +972,7 @@ mod tests {
         // not a log-linear/16 bound (that bucket's upper is 33) — old-format
         // documents must fail with a clear versioned error.
         let bad = format!(
-            "{{\"schema\": \"{JSON_SCHEMA}\", \"counters\": {{}}, \"spans\": {{\"s\": \
+            "{{\"schema\": \"{JSON_SCHEMA}\", \"counters\": {{}}, \"spans\": {{\"query.filter\": \
              {{\"count\": 1, \"total_ns\": 32, \"min_ns\": 32, \"max_ns\": 32, \"buckets\": \
              [[32, 1]]}}}}}}"
         );
@@ -1192,22 +983,31 @@ mod tests {
         );
         // Documents without a "gauges" key (pre-gauge emitters) still parse.
         let old = format!(
-            "{{\"schema\": \"{JSON_SCHEMA}\", \"counters\": {{\"c\": 1}}, \"spans\": {{}}}}"
+            "{{\"schema\": \"{JSON_SCHEMA}\", \"counters\": {{\"cache.hit\": 1}}, \"spans\": {{}}}}"
         );
         let parsed = json::parse_metric_set(&old).unwrap();
-        assert_eq!(parsed.counter("c"), 1);
+        assert_eq!(parsed.counter("cache.hit"), 1);
         assert_eq!(parsed.gauges().count(), 0);
+        // A name the catalog does not declare, or declares as another kind,
+        // is refused by name: here a retired counter and a gauge.
+        for (kind, name) in [("counters", "maint.queued"), ("counters", "cache.entries")] {
+            let doc = format!(
+                "{{\"schema\": \"{JSON_SCHEMA}\", \"{kind}\": {{\"{name}\": 1}}, \"spans\": {{}}}}"
+            );
+            let err = json::parse_metric_set(&doc).unwrap_err().to_string();
+            assert!(err.contains(name), "{err}");
+        }
     }
 
     #[test]
     fn tracing_registry_collects_span_timeline() {
         let r = Registry::with_tracing();
-        assert!(r.is_tracing());
+        assert!(r.shard().is_tracing());
         let s = r.shard();
         assert!(s.is_tracing());
         s.set_trace_query(Some(7));
         {
-            let _g = s.span("query.filter");
+            let _g = s.span(Span::QUERY_FILTER);
         }
         s.set_trace_query(None);
         // Forks never trace.
@@ -1221,38 +1021,41 @@ mod tests {
         assert_eq!(r.snapshot().span("query.filter").unwrap().count, 1);
         // Non-tracing registries yield no events and no trace shards.
         let plain = Registry::new();
-        assert!(!plain.is_tracing());
         assert!(!plain.shard().is_tracing());
         assert!(plain.drain_trace().is_empty());
     }
 
     #[test]
     fn gauges_set_overwrite_and_merge_keeps_max() {
+        let (x, y) = (Gauge::MEM_INDEX_BYTES, Gauge::CACHE_ENTRIES);
         let mut a = MetricSet::new();
-        a.set_gauge("mem.x", 10);
-        a.set_gauge("mem.x", 5); // set overwrites, even downward
-        assert_eq!(a.gauge("mem.x"), Some(5));
+        a.set_gauge(x, 10);
+        a.set_gauge(x, 5); // set overwrites, even downward
+        assert_eq!(a.gauge(x.name()), Some(5));
         let mut b = MetricSet::new();
-        b.set_gauge("mem.x", 8);
-        b.set_gauge("mem.y", 1);
+        b.set_gauge(x, 8);
+        b.set_gauge(y, 1);
         let mut ab = a.clone();
         ab.merge(&b);
         let mut ba = b.clone();
         ba.merge(&a);
         assert_eq!(ab, ba, "gauge merge must be commutative");
-        assert_eq!(ab.gauge("mem.x"), Some(8), "merge keeps the max");
-        assert_eq!(ab.gauge("mem.y"), Some(1));
-        assert_eq!(ab.gauge("mem.missing"), None);
+        assert_eq!(ab.gauge(x.name()), Some(8), "merge keeps the max");
+        assert_eq!(ab.gauge(y.name()), Some(1));
+        assert_eq!(ab.gauge("mem.index.sigs_bytes"), None);
     }
 
     #[test]
-    fn registry_add_and_drain() {
+    fn registry_absorb_and_drain() {
         let r = Registry::new();
-        r.add("direct", 2);
-        r.add("direct", 3);
-        assert_eq!(r.snapshot().counter("direct"), 5);
+        for n in [2, 3] {
+            let s = r.shard();
+            s.add(Counter::SERVE_STATS, n);
+            r.absorb(s);
+        }
+        assert_eq!(r.snapshot().counter("serve.stats"), 5);
         let drained = r.drain();
-        assert_eq!(drained.counter("direct"), 5);
+        assert_eq!(drained.counter("serve.stats"), 5);
         assert!(r.snapshot().is_empty());
     }
 
@@ -1269,14 +1072,14 @@ mod tests {
                             let shard = r.shard();
                             // Same total work split differently per config.
                             for _ in 0..(240 / workers) {
-                                shard.add("work.items", 1);
+                                shard.add(Counter::ENGINE_ITEMS, 1);
                             }
                             let _ = w;
                             r.absorb(shard);
                         });
                     }
                 });
-                r.snapshot().counter("work.items")
+                r.snapshot().counter("engine.items")
             })
             .collect();
         assert_eq!(totals, vec![240, 240, 240]);

@@ -42,7 +42,7 @@ pub struct TraceEvent {
 /// The aggregation point for trace events: defines the epoch all offsets
 /// are measured from, hands out lanes, and collects per-shard buffers.
 #[derive(Debug)]
-pub struct TraceSink {
+pub(crate) struct TraceSink {
     epoch: Instant,
     lanes: AtomicU32,
     events: Mutex<Vec<TraceEvent>>,
@@ -50,7 +50,7 @@ pub struct TraceSink {
 
 impl TraceSink {
     /// A sink whose epoch is "now".
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             epoch: Instant::now(),
             lanes: AtomicU32::new(0),
@@ -59,7 +59,7 @@ impl TraceSink {
     }
 
     /// A [`TraceShard`] on a fresh lane, sharing this sink's epoch.
-    pub fn shard(&self) -> TraceShard {
+    pub(crate) fn shard(&self) -> TraceShard {
         TraceShard {
             epoch: self.epoch,
             lane: self.lanes.fetch_add(1, Ordering::Relaxed),
@@ -69,7 +69,7 @@ impl TraceSink {
     }
 
     /// Move a shard's events into the sink.
-    pub fn absorb(&self, shard: TraceShard) {
+    pub(crate) fn absorb(&self, shard: TraceShard) {
         let mut events = shard.events.into_inner();
         if !events.is_empty() {
             self.events
@@ -81,7 +81,7 @@ impl TraceSink {
 
     /// Take the collected timeline, sorted by (start, lane, name) so the
     /// rendered file is stable regardless of worker retirement order.
-    pub fn drain(&self) -> Vec<TraceEvent> {
+    pub(crate) fn drain(&self) -> Vec<TraceEvent> {
         let mut events = std::mem::take(&mut *self.events.lock().expect("trace sink poisoned"));
         events.sort_by(|a, b| {
             (a.start_ns, a.lane, a.name.as_str()).cmp(&(b.start_ns, b.lane, b.name.as_str()))
@@ -90,16 +90,10 @@ impl TraceSink {
     }
 }
 
-impl Default for TraceSink {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// A worker-owned trace buffer: interior mutability, no synchronization.
 /// Created by [`TraceSink::shard`] and carried inside [`crate::Shard`].
 #[derive(Debug)]
-pub struct TraceShard {
+pub(crate) struct TraceShard {
     epoch: Instant,
     lane: u32,
     query: Cell<Option<u64>>,
@@ -109,13 +103,13 @@ pub struct TraceShard {
 impl TraceShard {
     /// Set (or clear) the query id attached to subsequent events.
     #[inline]
-    pub fn set_query(&self, q: Option<u64>) {
+    pub(crate) fn set_query(&self, q: Option<u64>) {
         self.query.set(q);
     }
 
     /// Append a complete event that started at `start` and ran for `dur`.
     /// Starts before the epoch clamp to offset 0.
-    pub fn push(&self, name: &str, start: Instant, dur: Duration) {
+    pub(crate) fn push(&self, name: &str, start: Instant, dur: Duration) {
         let start_ns = start
             .checked_duration_since(self.epoch)
             .unwrap_or_default()

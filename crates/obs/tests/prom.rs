@@ -1,12 +1,12 @@
 //! Prometheus encoder coverage: a golden-file rendering of a fixed
-//! [`obs::MetricSet`] plus property tests over randomly generated sets
-//! (bucket cumulativity, `+Inf` totals, sanitization round-trips).
+//! [`obs::MetricSet`] plus a property test over randomly generated spans
+//! (bucket cumulativity, `+Inf` totals).
 //!
-//! The property tests use a local splitmix64 — `obs` deliberately has no
+//! The property test uses a local splitmix64 — `obs` deliberately has no
 //! dev-dependencies (same pattern as the histogram tests in `src/lib.rs`).
 
-use obs::prom::{render, sanitize};
-use obs::MetricSet;
+use obs::prom::render;
+use obs::{Counter, Gauge, MetricSet, Span};
 
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E3779B97F4A7C15);
@@ -19,23 +19,19 @@ fn splitmix64(state: &mut u64) -> u64 {
 #[test]
 fn golden_rendering_of_a_fixed_set() {
     let mut set = MetricSet::new();
-    set.add("9weird-name.x", 1);
-    set.add("serve.queries", 42);
-    set.set_gauge("serve.queue_depth", 7);
-    set.observe_ns("serve.request", 3);
-    set.observe_ns("serve.request", 3);
-    set.observe_ns("serve.request", 7);
+    set.add(Counter::SERVE_QUERIES, 42);
+    set.set_gauge(Gauge::SERVE_QUEUE_DEPTH, 7);
+    set.observe_ns(Span::SERVE_REQUEST, 3);
+    set.observe_ns(Span::SERVE_REQUEST, 3);
+    set.observe_ns(Span::SERVE_REQUEST, 7);
     let expected = "\
-# HELP _9weird_name_x_total treepi counter 9weird-name.x
-# TYPE _9weird_name_x_total counter
-_9weird_name_x_total 1
-# HELP serve_queries_total treepi counter serve.queries
+# HELP serve_queries_total serve.queries: Query requests (cache hits, queued and shed included).
 # TYPE serve_queries_total counter
 serve_queries_total 42
-# HELP serve_queue_depth treepi gauge serve.queue_depth
+# HELP serve_queue_depth serve.queue_depth: Admission-queue depth when a live snapshot was taken.
 # TYPE serve_queue_depth gauge
 serve_queue_depth 7
-# HELP serve_request_seconds treepi span serve.request (latency histogram, seconds)
+# HELP serve_request_seconds serve.request: Admission to response of one served query.
 # TYPE serve_request_seconds histogram
 serve_request_seconds_bucket{le=\"0.000000003\"} 2
 serve_request_seconds_bucket{le=\"0.000000007\"} 3
@@ -77,10 +73,10 @@ fn histograms_are_cumulative_and_inf_matches_span_count() {
             // total_ns sum far from u64 overflow.
             let shift = 9 + splitmix64(&mut state) % 55;
             let ns = splitmix64(&mut state) >> shift;
-            set.observe_ns("t.span", ns);
+            set.observe_ns(Span::QUERY_VERIFY, ns);
         }
         let text = render(&set);
-        let buckets = bucket_samples(&text, "t_span_seconds");
+        let buckets = bucket_samples(&text, "query_verify_seconds");
         assert!(!buckets.is_empty());
         let mut prev = 0u64;
         for (le, c) in &buckets {
@@ -95,51 +91,11 @@ fn histograms_are_cumulative_and_inf_matches_span_count() {
             assert_eq!(buckets[buckets.len() - 2].1, n_obs as u64);
         }
         assert_eq!(
-            sample_value(&text, "t_span_seconds_count"),
+            sample_value(&text, "query_verify_seconds_count"),
             Some(n_obs as f64)
         );
-        let sum = sample_value(&text, "t_span_seconds_sum").unwrap();
-        let expected = set.span("t.span").unwrap().total_ns as f64 / 1e9;
+        let sum = sample_value(&text, "query_verify_seconds_sum").unwrap();
+        let expected = set.span("query.verify").unwrap().total_ns as f64 / 1e9;
         assert!((sum - expected).abs() <= expected * 1e-9 + 1e-12);
-    }
-}
-
-#[test]
-fn counters_survive_sanitization_round_trip() {
-    let mut state = 0xDEADBEEFu64;
-    for round in 0..50 {
-        let mut set = MetricSet::new();
-        let mut expected: Vec<(String, u64)> = Vec::new();
-        for i in 0..8 {
-            // Random names over a hostile alphabet (dots, dashes, digits,
-            // spaces, non-ASCII), kept collision-free by an index suffix.
-            let alphabet: Vec<char> = "ab9.-_ :μ/".chars().collect();
-            let len = (splitmix64(&mut state) % 12) as usize + 1;
-            let mut name: String = (0..len)
-                .map(|_| alphabet[(splitmix64(&mut state) as usize) % alphabet.len()])
-                .collect();
-            name.push_str(&format!(".{round}x{i}"));
-            let v = splitmix64(&mut state) % 1_000_000;
-            set.add(&name, v);
-            expected.push((name, v));
-        }
-        let text = render(&set);
-        for (name, v) in expected {
-            let mut fam = sanitize(&name);
-            if !fam.ends_with("_total") {
-                fam.push_str("_total");
-            }
-            // The sanitized family name is legal Prometheus…
-            let mut chars = fam.chars();
-            let first = chars.next().unwrap();
-            assert!(first.is_ascii_alphabetic() || first == '_' || first == ':');
-            assert!(chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'));
-            // …idempotent under re-sanitization…
-            assert_eq!(sanitize(&fam), fam);
-            // …and its sample carries the original value, with the original
-            // name recoverable from the HELP line.
-            assert_eq!(sample_value(&text, &fam), Some(v as f64), "{name:?}");
-            assert!(text.contains(&format!("# HELP {fam} treepi counter {name}")));
-        }
     }
 }

@@ -17,6 +17,7 @@
 use crate::client::Client;
 use crate::protocol::{RequestBody, ResponseBody};
 use graph_core::Graph;
+use obs::{Counter, Span};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::io;
@@ -176,7 +177,7 @@ pub fn run(
                     Ok(cl) => cl,
                     Err(_) => {
                         local.errors = my_requests;
-                        shard.add(obs::names::LOADGEN_ERRORS, my_requests);
+                        shard.add(Counter::LOADGEN_ERRORS, my_requests);
                         registry.absorb(shard);
                         fold_into(merged, &local);
                         return;
@@ -199,25 +200,25 @@ pub fn run(
                         Ok(resp) => {
                             let dt = t.elapsed();
                             local.latency.observe_ns(dt.as_nanos() as u64);
-                            shard.observe(obs::names::SPAN_LOADGEN_REQUEST, dt);
+                            shard.observe(Span::LOADGEN_REQUEST, dt);
                             match resp.body {
                                 ResponseBody::Matches(_) => {
                                     local.ok += 1;
-                                    shard.add(obs::names::LOADGEN_OK, 1);
+                                    shard.add(Counter::LOADGEN_OK, 1);
                                 }
                                 ResponseBody::Busy => {
                                     local.busy += 1;
-                                    shard.add(obs::names::LOADGEN_BUSY, 1);
+                                    shard.add(Counter::LOADGEN_BUSY, 1);
                                 }
                                 _ => {
                                     local.errors += 1;
-                                    shard.add(obs::names::LOADGEN_ERRORS, 1);
+                                    shard.add(Counter::LOADGEN_ERRORS, 1);
                                 }
                             }
                         }
                         Err(_) => {
                             local.errors += 1;
-                            shard.add(obs::names::LOADGEN_ERRORS, 1);
+                            shard.add(Counter::LOADGEN_ERRORS, 1);
                             break; // connection is gone
                         }
                     }

@@ -64,6 +64,7 @@ use crate::protocol::{self, Request, RequestBody, Response, ResponseBody, MAX_FR
 use crate::telemetry::{AccessRecord, AccessStages, LoopWatchdog, ServeTelemetry};
 use graph_core::Graph;
 use minipoll::{Events, Interest, Poll, Token};
+use obs::{Counter, Gauge, Span};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -148,9 +149,6 @@ pub struct ServeReport {
     pub shed: u64,
     /// Micro-batches dispatched.
     pub batches: u64,
-    /// Maintenance operations (insert/remove) applied to the engine's
-    /// index (no-op removes of inactive gids excluded).
-    pub maintenance: u64,
     /// Malformed frames answered with an error.
     pub errors: u64,
     /// Connections dropped for a wire-protocol violation (oversized
@@ -169,7 +167,7 @@ impl std::fmt::Display for ServeReport {
         write!(
             f,
             "requests={} queries={} cache_hits={} served={} shed={} \
-             batches={} maintenance={} errors={} proto_errors={} \
+             batches={} errors={} proto_errors={} \
              http_requests={} stalls={} queue_peak={}",
             self.requests,
             self.queries,
@@ -177,7 +175,6 @@ impl std::fmt::Display for ServeReport {
             self.served,
             self.shed,
             self.batches,
-            self.maintenance,
             self.errors,
             self.proto_errors,
             self.http_requests,
@@ -429,46 +426,47 @@ impl EventLoop<'_> {
     /// first event; the cache and maintenance counters are always present,
     /// and the access-log error counter whenever a log is open.
     fn record_owned(&self, out: &obs::Shard) {
-        use obs::names as n;
         let r = self.report();
-        for (name, v) in [
-            (n::SERVE_REQUESTS, r.requests),
-            (n::SERVE_QUERIES, r.queries),
-            (n::SERVE_BATCHED, r.served),
-            (n::SERVE_SHED, r.shed),
-            (n::SERVE_BATCHES, r.batches),
-            (n::SERVE_MAINTENANCE, r.maintenance),
-            (n::SERVE_ERRORS, r.errors),
-            (n::SERVE_PROTO_ERROR, r.proto_errors),
-            (n::SERVE_HTTP_REQUESTS, r.http_requests),
-            (n::SERVE_LOOP_STALLS, r.stalls),
-            (n::SERVE_SLOW_QUERIES, self.telemetry.slow.seen()),
+        for (c, v) in [
+            (Counter::SERVE_REQUESTS, r.requests),
+            (Counter::SERVE_QUERIES, r.queries),
+            (Counter::SERVE_BATCHED_QUERIES, r.served),
+            (Counter::SERVE_SHED, r.shed),
+            (Counter::SERVE_BATCHES, r.batches),
+            (Counter::SERVE_ERRORS, r.errors),
+            (Counter::SERVE_PROTO_ERROR, r.proto_errors),
+            (Counter::SERVE_HTTP_REQUESTS, r.http_requests),
+            (Counter::SERVE_LOOP_STALL_COUNT, r.stalls),
+            (Counter::SERVE_SLOW_QUERIES, self.telemetry.slow.seen()),
         ] {
             if v > 0 {
-                out.add(name, v);
+                out.add(c, v);
             }
         }
         if r.stalls > 0 {
             out.set_gauge(
-                n::GAUGE_SERVE_LOOP_MAX_STALL,
+                Gauge::SERVE_LOOP_MAX_STALL_US,
                 dur_us(self.watchdog.max_stall()),
             );
         }
-        out.set_gauge(n::GAUGE_SERVE_QUEUE_PEAK, r.queue_peak as u64);
+        out.set_gauge(Gauge::SERVE_QUEUE_PEAK, r.queue_peak as u64);
         if let Some(access) = &self.telemetry.access {
-            out.add(n::SERVE_ACCESS_LOG_WRITE_ERRORS, access.write_errors());
+            out.add(
+                Counter::SERVE_ACCESS_LOG_WRITE_ERRORS,
+                access.write_errors(),
+            );
         }
-        out.add(n::CACHE_HIT, self.cache.hits());
-        out.add(n::CACHE_MISS, self.cache.misses());
-        out.add(n::CACHE_EVICTIONS, self.cache.evictions());
-        out.add(n::CACHE_INVALIDATIONS, self.cache.invalidations());
-        out.set_gauge(n::GAUGE_CACHE_ENTRIES, self.cache.len() as u64);
+        out.add(Counter::CACHE_HIT, self.cache.hits());
+        out.add(Counter::CACHE_MISS, self.cache.misses());
+        out.add(Counter::CACHE_EVICTIONS, self.cache.evictions());
+        out.add(Counter::CACHE_INVALIDATIONS, self.cache.invalidations());
+        out.set_gauge(Gauge::CACHE_ENTRIES, self.cache.len() as u64);
         let maint = self.engine.maint_stats();
-        out.add(n::MAINT_APPLIED, maint.applied);
-        out.add(n::MAINT_SNAPSHOT_SWAPS, maint.snapshot_swaps);
-        out.add(n::MAINT_REMINE_TRIGGERS, maint.remine_triggers);
-        out.add(n::MAINT_REMINES, maint.remines_completed);
-        out.set_gauge(n::GAUGE_MAINT_REPAIRS, maint.repairs_since_mine);
+        out.add(Counter::MAINT_APPLIED, maint.applied);
+        out.add(Counter::MAINT_SNAPSHOT_SWAPS, maint.snapshot_swaps);
+        out.add(Counter::MAINT_REMINE_TRIGGERS, maint.remine_triggers);
+        out.add(Counter::MAINT_REMINES_COMPLETED, maint.remines_completed);
+        out.set_gauge(Gauge::MAINT_REPAIRS_SINCE_MINE, maint.repairs_since_mine);
     }
 
     /// The live snapshot served by STATS and `/metrics`: the registry's
@@ -482,13 +480,10 @@ impl EventLoop<'_> {
         let mut set = registry.snapshot();
         set.merge(&self.shard.peek());
         set.merge(&owned.into_set());
-        set.set_gauge(
-            obs::names::GAUGE_SERVE_QUEUE_DEPTH,
-            self.pending.len() as u64,
-        );
+        set.set_gauge(Gauge::SERVE_QUEUE_DEPTH, self.pending.len() as u64);
         if obs::alloc::installed() {
-            set.set_gauge(obs::names::GAUGE_ALLOC_LIVE, obs::alloc::live_bytes());
-            set.set_gauge(obs::names::GAUGE_ALLOC_PEAK, obs::alloc::peak_bytes());
+            set.set_gauge(Gauge::MEM_ALLOC_LIVE_BYTES, obs::alloc::live_bytes());
+            set.set_gauge(Gauge::MEM_ALLOC_PEAK_BYTES, obs::alloc::peak_bytes());
         }
         set
     }
@@ -500,8 +495,7 @@ impl EventLoop<'_> {
         // the check after the batch vetoes a fill only for a publication
         // made while the batch ran.
         for rep in self.engine.drain_remine_reports() {
-            self.shard
-                .observe(obs::names::SPAN_MAINT_REMINE, rep.duration);
+            self.shard.observe(Span::MAINT_REMINE, rep.duration);
         }
         self.cache.sync_epoch(self.engine.epoch());
         let n = self.pending.len().min(self.config.max_batch.max(1));
@@ -517,7 +511,7 @@ impl EventLoop<'_> {
             .unzip();
         let dispatched = Instant::now();
         let (results, epoch) = {
-            let _span = self.shard.span(obs::names::SPAN_SERVE_BATCH);
+            let _span = self.shard.span(Span::SERVE_BATCH_EXEC);
             self.engine
                 .query_batch_pinned(&graphs, QueryOptions::default(), registry)
         };
@@ -530,7 +524,8 @@ impl EventLoop<'_> {
         // background re-mine may have published a newer snapshot while the
         // batch ran — then these answers are already stale and must not be
         // cached (the sync below has moved the cache past their epoch).
-        let cacheable = !self.cache.sync_epoch(self.engine.epoch()) && epoch == self.engine.epoch();
+        let live = self.engine.epoch();
+        let cacheable = !self.cache.sync_epoch(live) && epoch == live;
         for (i, ((conn, tag, key, recv, admitted, bytes_in), r)) in
             metas.into_iter().zip(results).enumerate()
         {
@@ -543,12 +538,9 @@ impl EventLoop<'_> {
             let queue_wait = dispatched.saturating_duration_since(admitted);
             let exec_share = r.stats.total();
             let batch_wait = residence.saturating_sub(exec_share);
-            self.shard
-                .observe(obs::names::SPAN_SERVE_QUEUE_WAIT, queue_wait);
-            self.shard
-                .observe(obs::names::SPAN_SERVE_BATCH_WAIT, batch_wait);
-            self.shard
-                .observe(obs::names::SPAN_SERVE_EXEC_SHARE, exec_share);
+            self.shard.observe(Span::SERVE_QUEUE_WAIT, queue_wait);
+            self.shard.observe(Span::SERVE_BATCH_WAIT, batch_wait);
+            self.shard.observe(Span::SERVE_EXEC_SHARE, exec_share);
             if self.telemetry.slow.is_enabled() {
                 self.telemetry.slow.record(
                     seq_base + i as u64,
@@ -565,8 +557,7 @@ impl EventLoop<'_> {
                     self.cache.insert(key, r.matches.clone());
                 }
             }
-            self.shard
-                .observe(obs::names::SPAN_SERVE_REQUEST, admitted.elapsed());
+            self.shard.observe(Span::SERVE_REQUEST, admitted.elapsed());
             let bytes_out = self.respond(
                 conn,
                 Response {
@@ -820,7 +811,6 @@ impl EventLoop<'_> {
                     }
                 }
             };
-            let epoch = self.engine.epoch();
             match step {
                 None => {
                     // Oversized frame: protocol violation, drop the link —
@@ -837,7 +827,7 @@ impl EventLoop<'_> {
                         bytes_in: 0,
                         bytes_out: 0,
                         cache_hit: None,
-                        epoch,
+                        epoch: self.engine.epoch(),
                         stages: None,
                     });
                     self.close_conn(idx);
@@ -860,7 +850,7 @@ impl EventLoop<'_> {
                         bytes_in,
                         bytes_out,
                         cache_hit: None,
-                        epoch,
+                        epoch: self.engine.epoch(),
                         stages: None,
                     });
                 }
@@ -951,9 +941,7 @@ impl EventLoop<'_> {
             RequestBody::Insert(g) => {
                 let start = Instant::now();
                 let gid = self.engine.insert(g);
-                self.shard
-                    .observe(obs::names::SPAN_MAINT_APPLY, start.elapsed());
-                self.report.maintenance += 1;
+                self.shard.observe(Span::MAINT_APPLY, start.elapsed());
                 bytes_out = self.respond(
                     idx,
                     Response {
@@ -967,9 +955,7 @@ impl EventLoop<'_> {
                 let start = Instant::now();
                 let was_active = self.engine.remove(gid);
                 if was_active {
-                    self.shard
-                        .observe(obs::names::SPAN_MAINT_APPLY, start.elapsed());
-                    self.report.maintenance += 1;
+                    self.shard.observe(Span::MAINT_APPLY, start.elapsed());
                 }
                 bytes_out = self.respond(
                     idx,
@@ -984,7 +970,7 @@ impl EventLoop<'_> {
                 // Answered inline — no queueing, no engine, no pause. The
                 // snapshot layers the loop's numbers over the registry's
                 // absorbed totals, so mid-load counters are visible.
-                self.shard.add(obs::names::SERVE_STATS, 1);
+                self.shard.add(Counter::SERVE_STATS, 1);
                 let json = self.live_snapshot(registry).render_json();
                 let (body, outcome) = if json.len() <= MAX_FRAME - 5 {
                     (ResponseBody::Stats(json), "ok")
@@ -1061,7 +1047,7 @@ impl EventLoop<'_> {
             // Slow consumer: the peer stopped reading and its unsent
             // responses hit the cap. Count the drop — a silent disconnect
             // here looks like a network failure to the operator.
-            self.shard.add(obs::names::SERVE_SLOW_CONSUMER_DROP, 1);
+            self.shard.add(Counter::SERVE_SLOW_CONSUMER_DROP, 1);
             self.close_conn(idx);
         } else {
             self.flush_conn(idx);
@@ -1108,8 +1094,7 @@ impl EventLoop<'_> {
                     break;
                 }
                 conn.wmarks.pop_front();
-                self.shard
-                    .observe(obs::names::SPAN_SERVE_WRITE_WAIT, at.elapsed());
+                self.shard.observe(Span::SERVE_WRITE_WAIT, at.elapsed());
             }
         }
         if dead || done {

@@ -354,12 +354,16 @@ impl SlowQueryLog {
                 dur_ns: dur.as_nanos().min(u64::MAX as u128) as u64,
                 args,
             };
-        let mut umbrella_args = vec![
-            ("funnel.filtered".to_string(), stats.filtered as u64),
-            ("funnel.pruned".to_string(), stats.pruned as u64),
-            ("funnel.answers".to_string(), stats.answers as u64),
+        use obs::Counter;
+        let mut umbrella_args: Vec<(String, u64)> = vec![
             (
-                "funnel.missing_feature".to_string(),
+                Counter::FUNNEL_FILTERED.name().into(),
+                stats.filtered as u64,
+            ),
+            (Counter::FUNNEL_PRUNED.name().into(), stats.pruned as u64),
+            (Counter::FUNNEL_ANSWERS.name().into(), stats.answers as u64),
+            (
+                Counter::FUNNEL_MISSING_FEATURE.name().into(),
                 stats.missing_feature as u64,
             ),
         ];
@@ -371,8 +375,8 @@ impl SlowQueryLog {
             umbrella_args,
         )];
         let mut start = query_start;
-        for (name, t) in stats.stages() {
-            capture.push(slice(name, start, t, Vec::new()));
+        for (span, t) in stats.stages() {
+            capture.push(slice(span.name(), start, t, Vec::new()));
             start += t;
         }
         self.ring.push_back(capture);
@@ -450,7 +454,7 @@ mod tests {
             .filter(|e| e.get("ph").and_then(obs::json::Value::as_str) == Some("X"))
             .collect();
         // Umbrella + 4 stages.
-        assert_eq!(slices.len(), 1 + obs::names::PIPELINE_SPANS.len());
+        assert_eq!(slices.len(), 1 + obs::Span::PIPELINE.len());
         let umbrella = slices
             .iter()
             .find(|s| s.get("name").and_then(obs::json::Value::as_str) == Some("serve.slow_query"))
@@ -470,7 +474,7 @@ mod tests {
             Some(7)
         );
         // Stage slices tile the umbrella: verify ends where it ends.
-        for name in obs::names::PIPELINE_SPANS {
+        for name in obs::Span::PIPELINE.map(obs::Span::name) {
             assert!(
                 slices
                     .iter()

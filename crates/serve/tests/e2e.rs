@@ -1,6 +1,7 @@
 //! End-to-end serving tests: a real server thread, real sockets.
 
 use graph_core::{graph_from, Graph};
+use obs::{Counter, Gauge, Span};
 use serve::protocol::{decode_response, encode_request, Request, RequestBody, ResponseBody};
 use serve::{Client, LoadgenConfig, ServeConfig, ServeReport, Server};
 use std::net::SocketAddr;
@@ -182,12 +183,12 @@ fn cache_hits_repeats_and_maintenance_invalidates() {
     let (report, metrics, engine) = handle.join().unwrap();
     // Three repeats hit; the renumbered isomorph does not.
     assert!(report.cache_hits >= 3, "repeats must hit: {report}");
-    assert_eq!(report.maintenance, 2);
+    assert_eq!(engine.maint_stats().applied, 2);
     // The post-churn database agrees with the last answer.
     assert_eq!(scan_support(&engine.pin(), &q), first);
-    assert!(metrics.counter(obs::names::CACHE_HIT) >= 3);
-    assert_eq!(metrics.counter(obs::names::CACHE_INVALIDATIONS), 2);
-    assert_eq!(metrics.counter(obs::names::SERVE_MAINTENANCE), 2);
+    assert!(metrics.counter(Counter::CACHE_HIT.name()) >= 3);
+    assert_eq!(metrics.counter(Counter::CACHE_INVALIDATIONS.name()), 2);
+    assert_eq!(metrics.counter(Counter::MAINT_APPLIED.name()), 2);
 }
 
 /// A write decoded after a query's admission but before its batch: the
@@ -286,7 +287,7 @@ fn assert_loop_stays_responsive(heavy: &Graph) {
     client.shutdown().unwrap();
     let (report, metrics, _) = handle.join().unwrap();
     assert_eq!(report.stalls, 0, "{report}");
-    assert_eq!(metrics.counter(obs::names::SERVE_LOOP_STALLS), 0);
+    assert_eq!(metrics.counter(Counter::SERVE_LOOP_STALL_COUNT.name()), 0);
 }
 
 #[test]
@@ -469,7 +470,7 @@ fn overload_sheds_with_busy_and_the_queue_stays_bounded() {
         "admission queue exceeded its bound: {report}"
     );
     assert_eq!(
-        metrics.counter(obs::names::SERVE_SHED) as usize,
+        metrics.counter(Counter::SERVE_SHED.name()) as usize,
         FLOOD - CAP
     );
 }
@@ -505,8 +506,8 @@ fn loadgen_drives_the_server_and_reports_latency() {
         "zipf repeats never hit the cache: {server_report}"
     );
     let m = registry.drain();
-    assert_eq!(m.counter(obs::names::LOADGEN_OK), 60);
-    let span = m.span(obs::names::SPAN_LOADGEN_REQUEST).expect("span");
+    assert_eq!(m.counter(Counter::LOADGEN_OK.name()), 60);
+    let span = m.span(Span::LOADGEN_REQUEST.name()).expect("span");
     assert_eq!(span.count, 60);
 }
 
@@ -528,19 +529,19 @@ fn stats_op_returns_live_parseable_snapshot() {
     // Live serve counters — recorded in the loop's shard, which is only
     // absorbed at shutdown: a snapshot built from the registry alone
     // would show zeros here.
-    assert_eq!(snap.counter(obs::names::SERVE_QUERIES), 6);
-    assert!(snap.counter(obs::names::CACHE_HIT) >= 1);
-    assert_eq!(snap.counter(obs::names::SERVE_STATS), 1);
+    assert_eq!(snap.counter(Counter::SERVE_QUERIES.name()), 6);
+    assert!(snap.counter(Counter::CACHE_HIT.name()) >= 1);
+    assert_eq!(snap.counter(Counter::SERVE_STATS.name()), 1);
     assert!(
-        snap.gauge(obs::names::GAUGE_SERVE_QUEUE_PEAK).is_some(),
+        snap.gauge(Gauge::SERVE_QUEUE_PEAK.name()).is_some(),
         "queue peak gauge missing"
     );
     assert!(
-        snap.gauge(obs::names::GAUGE_SERVE_QUEUE_DEPTH).is_some(),
+        snap.gauge(Gauge::SERVE_QUEUE_DEPTH.name()).is_some(),
         "queue depth gauge missing"
     );
     // Pipeline spans from executed batches are visible mid-run too.
-    assert!(snap.span(obs::names::SPAN_VERIFY).is_some());
+    assert!(snap.span(Span::QUERY_VERIFY.name()).is_some());
 
     // The server keeps serving after a snapshot.
     let again = expect_matches(client.query(&repeat).unwrap());
@@ -549,7 +550,7 @@ fn stats_op_returns_live_parseable_snapshot() {
     let (report, metrics, _) = handle.join().unwrap();
     assert_eq!(report.requests, 9); // 7 queries + stats + shutdown
                                     // The final drained metrics also carry the stats-op counter.
-    assert_eq!(metrics.counter(obs::names::SERVE_STATS), 1);
+    assert_eq!(metrics.counter(Counter::SERVE_STATS.name()), 1);
 }
 
 #[test]
@@ -582,7 +583,7 @@ fn telemetry_captures_slow_queries() {
     // Every executed query tripped the zero threshold; the ring kept 3.
     assert_eq!(telemetry.slow.seen(), 5);
     assert_eq!(telemetry.slow.len(), 3);
-    assert_eq!(metrics.counter(obs::names::SERVE_SLOW_QUERIES), 5);
+    assert_eq!(metrics.counter(Counter::SERVE_SLOW_QUERIES.name()), 5);
     let doc = telemetry.slow.render_chrome_json();
     let v = obs::json::parse(&doc).expect("slow log renders valid Chrome JSON");
     let slices = v
@@ -679,7 +680,7 @@ fn http_metrics_agree_with_the_stats_snapshot() {
     assert_eq!(status, 200, "{metrics}");
     assert_eq!(
         prom_value(&metrics, "serve_queries_total"),
-        Some(snap.counter(obs::names::SERVE_QUERIES) as f64),
+        Some(snap.counter(Counter::SERVE_QUERIES.name()) as f64),
         "/metrics and STATS disagree on serve.queries"
     );
 
@@ -688,8 +689,9 @@ fn http_metrics_agree_with_the_stats_snapshot() {
     // quiescent between the snapshot and the scrape, so they also agree
     // with STATS exactly; write_wait keeps moving (the STATS response
     // itself is flushed in between), so it only gets the ≥ bound.
-    for name in obs::names::DECOMPOSITION_SPANS {
-        let fam = format!("{}_seconds", obs::prom::sanitize(name));
+    for id in Span::DECOMPOSITION {
+        let name = id.name();
+        let fam = format!("{}_seconds", name.replace('.', "_"));
         let inf = prom_inf_bucket(&metrics, &fam)
             .unwrap_or_else(|| panic!("{fam} has no +Inf bucket:\n{metrics}"));
         let count = prom_value(&metrics, &format!("{fam}_count")).expect("count sample");
@@ -697,7 +699,7 @@ fn http_metrics_agree_with_the_stats_snapshot() {
         let span = snap
             .span(name)
             .unwrap_or_else(|| panic!("{name} missing from STATS snapshot"));
-        if name == obs::names::SPAN_SERVE_WRITE_WAIT {
+        if id == Span::SERVE_WRITE_WAIT {
             assert!(inf >= span.count as f64, "{fam} went backwards");
         } else {
             assert_eq!(inf, span.count as f64, "{fam} disagrees with STATS");
@@ -927,7 +929,7 @@ fn access_log_write_failures_are_counted_live() {
     let snap = obs::json::parse_metric_set(&json).expect("valid snapshot");
     // One lost record per query answered before the snapshot.
     assert_eq!(
-        snap.counter(obs::names::SERVE_ACCESS_LOG_WRITE_ERRORS),
+        snap.counter(Counter::SERVE_ACCESS_LOG_WRITE_ERRORS.name()),
         queries().len() as u64
     );
     client.shutdown().unwrap();
@@ -938,7 +940,7 @@ fn access_log_write_failures_are_counted_live() {
     assert_eq!(access.lines(), 0);
     assert_eq!(access.write_errors(), queries().len() as u64 + 2);
     assert_eq!(
-        metrics.counter(obs::names::SERVE_ACCESS_LOG_WRITE_ERRORS),
+        metrics.counter(Counter::SERVE_ACCESS_LOG_WRITE_ERRORS.name()),
         access.write_errors()
     );
 }
@@ -967,29 +969,28 @@ fn stats_snapshot_and_exit_metrics_agree() {
     };
     let snap = obs::json::parse_metric_set(&json).expect("valid snapshot");
     client.shutdown().unwrap();
-    let (report, exit, _) = handle.join().unwrap();
+    let (report, exit, engine) = handle.join().unwrap();
     assert_eq!(report.cache_hits, 1, "{report}");
-    assert_eq!(report.maintenance, 1, "{report}");
+    assert_eq!(engine.maint_stats().applied, 1, "{report}");
 
-    let loop_counters = |set: &obs::MetricSet| -> std::collections::BTreeMap<String, u64> {
+    let loop_counters = |set: &obs::MetricSet| -> std::collections::BTreeMap<&str, u64> {
         set.counters()
+            .map(|(c, v)| (c.name(), v))
             .filter(|(name, _)| {
                 ["serve.", "cache.", "maint."]
                     .iter()
                     .any(|p| name.starts_with(p))
             })
-            .map(|(name, v)| (name.to_string(), v))
             .collect()
     };
     let (mut at_snapshot, at_exit) = (loop_counters(&snap), loop_counters(&exit));
     // The shutdown request came after the snapshot.
-    *at_snapshot.get_mut(obs::names::SERVE_REQUESTS).unwrap() += 1;
+    *at_snapshot.get_mut(Counter::SERVE_REQUESTS.name()).unwrap() += 1;
     assert_eq!(at_snapshot, at_exit);
-    assert_eq!(at_exit[obs::names::SERVE_REQUESTS], report.requests);
-    assert_eq!(at_exit[obs::names::CACHE_HIT], 1);
-    assert_eq!(at_exit[obs::names::CACHE_INVALIDATIONS], 1);
-    assert_eq!(at_exit[obs::names::MAINT_APPLIED], 1);
-    assert_eq!(at_exit[obs::names::SERVE_MAINTENANCE], 1);
+    assert_eq!(at_exit[Counter::SERVE_REQUESTS.name()], report.requests);
+    assert_eq!(at_exit[Counter::CACHE_HIT.name()], 1);
+    assert_eq!(at_exit[Counter::CACHE_INVALIDATIONS.name()], 1);
+    assert_eq!(at_exit[Counter::MAINT_APPLIED.name()], 1);
 }
 
 #[test]
@@ -1116,7 +1117,7 @@ fn concurrent_maintenance_never_tears_or_blocks_queries() {
     assert_eq!(served, 60, "every concurrent query must be answered");
 
     client.shutdown().unwrap();
-    let (report, metrics, engine) = handle.join().unwrap();
+    let (_, metrics, engine) = handle.join().unwrap();
     engine.wait_remine_idle();
 
     // maint.* counters reconcile with the ops actually sent.
@@ -1133,11 +1134,8 @@ fn concurrent_maintenance_never_tears_or_blocks_queries() {
         OPS as u64 + stats.remines_completed,
         "{stats:?}"
     );
-    assert_eq!(report.maintenance, OPS as u64);
-    assert_eq!(metrics.counter(obs::names::MAINT_APPLIED), OPS as u64);
-    let span = metrics
-        .span(obs::names::SPAN_MAINT_APPLY)
-        .expect("apply span");
+    assert_eq!(metrics.counter(Counter::MAINT_APPLIED.name()), OPS as u64);
+    let span = metrics.span(Span::MAINT_APPLY.name()).expect("apply span");
     assert_eq!(span.count, OPS as u64);
 
     // The final database agrees with the last prefix oracle.

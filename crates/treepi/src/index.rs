@@ -32,6 +32,7 @@ use crate::shape::{shape_of, tree_shape, ShapeFilter, Tag};
 use crate::sig::{self, VertexSig};
 use graph_core::{EdgeId, Graph, VertexId};
 use mining::SupportSet;
+use obs::{Counter, Gauge, Span};
 use rustc_hash::FxHashSet;
 use tree_core::{CanonString, Center, CenterPos, SubtreeEncoder, Tree};
 
@@ -302,13 +303,13 @@ impl TreePiIndex {
         pool: &graph_core::par::Pool,
         shard: &obs::Shard,
     ) -> Self {
-        let mine_span = shard.span("build.mine");
+        let mine_span = shard.span(Span::BUILD_MINE);
         let (kept, mstats) =
             mining::mine_frequent_trees_pool_obs(&db, &params.sigma, params.gamma, pool, shard);
         drop(mine_span);
-        shard.add("build.mined", mstats.patterns as u64);
-        shard.add("build.features_kept", kept.len() as u64);
-        shard.add("build.truncated", mstats.truncated as u64);
+        shard.add(Counter::BUILD_MINED, mstats.patterns as u64);
+        shard.add(Counter::BUILD_FEATURES_KEPT, kept.len() as u64);
+        shard.add(Counter::BUILD_TRUNCATED, mstats.truncated as u64);
 
         // A buffer of their own, sized exactly: `collect` would reuse the
         // miner's, whose capacity may exceed its length.
@@ -317,11 +318,11 @@ impl TreePiIndex {
         // Per-vertex neighborhood signatures (see `crate::sig`): a pure
         // function of each graph, placed back in gid order, so the result
         // is identical at any pool size.
-        let sigs_span = shard.span("build.sigs");
+        let sigs_span = shard.span(Span::BUILD_SIGS);
         let sigs = pool.ordered_map(&db, sig::graph_sigs);
         drop(sigs_span);
         shard.add(
-            "build.sig_vertices",
+            Counter::BUILD_SIG_VERTICES,
             sigs.iter().map(|s| s.len() as u64).sum(),
         );
 
@@ -334,9 +335,12 @@ impl TreePiIndex {
         );
         (idx.mined, idx.truncated) = (mstats.patterns, mstats.truncated);
         let stats = idx.stats();
-        shard.add("build.features", stats.features as u64);
-        shard.add("build.center_entries", stats.center_entries as u64);
-        shard.add("build.center_positions", stats.center_positions as u64);
+        shard.add(Counter::BUILD_FEATURES, stats.features as u64);
+        shard.add(Counter::BUILD_CENTER_ENTRIES, stats.center_entries as u64);
+        shard.add(
+            Counter::BUILD_CENTER_POSITIONS,
+            stats.center_positions as u64,
+        );
         release_freed_heap();
         idx
     }
@@ -700,13 +704,13 @@ impl TreePiIndex {
     /// Record [`Self::memory_breakdown`] as `mem.index.*` gauges.
     pub fn record_mem_gauges(&self, registry: &obs::Registry) {
         let m = self.memory_breakdown();
-        registry.set_gauge(obs::names::GAUGE_INDEX_TOTAL, m.total() as u64);
-        registry.set_gauge(obs::names::GAUGE_INDEX_DB, m.db_bytes as u64);
-        registry.set_gauge(obs::names::GAUGE_INDEX_FEATURES, m.features_bytes as u64);
-        registry.set_gauge(obs::names::GAUGE_INDEX_SUPPORTS, m.supports_bytes as u64);
-        registry.set_gauge(obs::names::GAUGE_INDEX_CENTERS, m.centers_bytes as u64);
-        registry.set_gauge(obs::names::GAUGE_INDEX_SIGS, m.sigs_bytes as u64);
-        registry.set_gauge(obs::names::GAUGE_INDEX_TRIE, m.trie_bytes as u64);
+        registry.set_gauge(Gauge::MEM_INDEX_BYTES, m.total() as u64);
+        registry.set_gauge(Gauge::MEM_INDEX_DB_BYTES, m.db_bytes as u64);
+        registry.set_gauge(Gauge::MEM_INDEX_FEATURES_BYTES, m.features_bytes as u64);
+        registry.set_gauge(Gauge::MEM_INDEX_SUPPORTS_BYTES, m.supports_bytes as u64);
+        registry.set_gauge(Gauge::MEM_INDEX_CENTERS_BYTES, m.centers_bytes as u64);
+        registry.set_gauge(Gauge::MEM_INDEX_SIGS_BYTES, m.sigs_bytes as u64);
+        registry.set_gauge(Gauge::MEM_INDEX_TRIE_BYTES, m.trie_bytes as u64);
     }
 }
 
@@ -1192,11 +1196,11 @@ mod tests {
         idx.record_mem_gauges(&r);
         let snap = r.snapshot();
         assert_eq!(
-            snap.gauge(obs::names::GAUGE_INDEX_TOTAL),
+            snap.gauge(obs::Gauge::MEM_INDEX_BYTES.name()),
             Some(m.total() as u64)
         );
         assert_eq!(
-            snap.gauge(obs::names::GAUGE_INDEX_TRIE),
+            snap.gauge(obs::Gauge::MEM_INDEX_TRIE_BYTES.name()),
             Some(m.trie_bytes as u64)
         );
         // One id per feature, 12 bits per feature and per distinct proper

@@ -108,7 +108,7 @@ fn satisfies_cdc_obs<'a>(
     scratch: &mut CdcScratch<'a>,
     shard: &obs::Shard,
 ) -> bool {
-    shard.add("prune.cdc_tests", 1);
+    shard.add(obs::Counter::PRUNE_CDC_TESTS, 1);
     let g = &index.db()[gid as usize];
     let hsigs = index.vertex_sigs(gid);
     let CdcScratch {
@@ -131,7 +131,7 @@ fn satisfies_cdc_obs<'a>(
                 .filter(|&cp| sig::center_compatible(qsigs, hsigs, &p.center_reps_in_q, cp, g)),
         );
         if positions.len() == start {
-            shard.add("prune.center_sig_kills", 1);
+            shard.add(obs::Counter::PRUNE_CENTER_SIG_KILLS, 1);
             return false;
         }
         ends.push(positions.len());
@@ -182,7 +182,7 @@ fn satisfies_cdc_obs<'a>(
     }
 
     let ok = backtrack(order, 0, &of_part, dq, g, oracle, assigned);
-    shard.add("graph.bfs", oracle.bfs_runs());
+    shard.add(obs::Counter::GRAPH_BFS, oracle.bfs_runs());
     ok
 }
 

@@ -113,12 +113,12 @@ pub struct QueryStats {
 }
 
 impl QueryStats {
-    /// The pipeline stages in funnel order, as `(span name, time)` pairs —
-    /// [`obs::names::PIPELINE_SPANS`] with this query's clocks. Every
+    /// The pipeline stages in funnel order, as `(span, time)` pairs —
+    /// [`obs::Span::PIPELINE`] with this query's clocks. Every
     /// per-stage report (the total, metrics, traces, the server's
     /// slow-query capture) iterates this one list.
-    pub fn stages(&self) -> [(&'static str, Duration); 4] {
-        let [partition, filter, prune, verify] = obs::names::PIPELINE_SPANS;
+    pub fn stages(&self) -> [(obs::Span, Duration); 4] {
+        let [partition, filter, prune, verify] = obs::Span::PIPELINE;
         [
             (partition, self.t_partition),
             (filter, self.t_filter),
@@ -147,23 +147,24 @@ impl QueryStats {
     /// previous one ended, without instrumenting the hot `query_impl`
     /// internals.
     fn record_into(&self, shard: &obs::Shard, end: Instant) {
-        shard.add(obs::names::QUERIES, 1);
-        shard.add(obs::names::FILTERED, self.filtered as u64);
-        shard.add(obs::names::PRUNED, self.pruned as u64);
-        shard.add(obs::names::ANSWERS, self.answers as u64);
-        shard.add(obs::names::MISSING_FEATURE, self.missing_feature as u64);
-        shard.add("funnel.partition_parts", self.partition_size as u64);
-        shard.add("funnel.sf_features", self.sf_size as u64);
-        shard.add(obs::names::WALK_PROBES, self.walk_probes as u64);
-        shard.add(obs::names::WALK_ENCODES, self.walk_encodes as u64);
-        shard.add(obs::names::WALK_HITS, self.walk_hits as u64);
-        shard.observe(obs::names::SPAN_PARTITION_ENUMERATE, self.t_enumerate);
+        use obs::Counter;
+        shard.add(Counter::FUNNEL_QUERIES, 1);
+        shard.add(Counter::FUNNEL_FILTERED, self.filtered as u64);
+        shard.add(Counter::FUNNEL_PRUNED, self.pruned as u64);
+        shard.add(Counter::FUNNEL_ANSWERS, self.answers as u64);
+        shard.add(Counter::FUNNEL_MISSING_FEATURE, self.missing_feature as u64);
+        shard.add(Counter::FUNNEL_PARTITION_PARTS, self.partition_size as u64);
+        shard.add(Counter::FUNNEL_SF_FEATURES, self.sf_size as u64);
+        shard.add(Counter::WALK_PROBES, self.walk_probes as u64);
+        shard.add(Counter::WALK_ENCODES, self.walk_encodes as u64);
+        shard.add(Counter::WALK_HITS, self.walk_hits as u64);
+        shard.observe(obs::Span::QUERY_PARTITION_ENUMERATE, self.t_enumerate);
         let tracing = shard.is_tracing();
         let mut start = end - self.total();
-        for (name, t) in self.stages() {
-            shard.observe(name, t);
+        for (span, t) in self.stages() {
+            shard.observe(span, t);
             if tracing {
-                shard.trace_complete(name, start, t);
+                shard.trace_complete(span, start, t);
                 start += t;
             }
         }

@@ -67,7 +67,7 @@ fn verify_anchored_obs<'q>(
     scratch: &mut VerifyScratch<'q>,
     shard: &obs::Shard,
 ) -> bool {
-    shard.add("verify.tests", 1);
+    shard.add(obs::Counter::VERIFY_TESTS, 1);
     let g = &index.db()[gid as usize];
     let hsigs = index.vertex_sigs(gid);
     let VerifyScratch {
@@ -87,7 +87,7 @@ fn verify_anchored_obs<'q>(
             .filter(|&c| compatible(p, c))
             .count();
         if n == 0 {
-            shard.add("verify.center_sig_kills", 1);
+            shard.add(obs::Counter::VERIFY_CENTER_SIG_KILLS, 1);
             return false;
         }
         counts.push(n);

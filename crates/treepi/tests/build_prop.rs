@@ -12,9 +12,11 @@
 
 mod common;
 
-use common::{arb_db, deterministic_span_counts, owned};
+use common::{arb_db, deterministic_span_counts};
 use graph_core::Graph;
+use obs::Gauge;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use treepi::{TreePiIndex, TreePiParams};
 
 fn build(db: Vec<Graph>, threads: usize) -> TreePiIndex {
@@ -79,25 +81,25 @@ fn fixed_input_builds_the_golden_file() {
         (1_135, 363, 42, 321, 5, 3),
         (166, 62, 0, 62, 0, 0),
     ];
-    const INDEX_GAUGES: [(&str, u64); 7] = [
-        ("mem.index.bytes", 112_424),
-        ("mem.index.centers_bytes", 14_368),
-        ("mem.index.db_bytes", 39_040),
-        ("mem.index.features_bytes", 32_816),
-        ("mem.index.sigs_bytes", 18_048),
-        ("mem.index.supports_bytes", 5_432),
-        ("mem.index.trie_bytes", 2_720),
+    const INDEX_GAUGES: [(Gauge, u64); 7] = [
+        (Gauge::MEM_INDEX_BYTES, 112_424),
+        (Gauge::MEM_INDEX_CENTERS_BYTES, 14_368),
+        (Gauge::MEM_INDEX_DB_BYTES, 39_040),
+        (Gauge::MEM_INDEX_FEATURES_BYTES, 32_816),
+        (Gauge::MEM_INDEX_SIGS_BYTES, 18_048),
+        (Gauge::MEM_INDEX_SUPPORTS_BYTES, 5_432),
+        (Gauge::MEM_INDEX_TRIE_BYTES, 2_720),
     ];
-    let mut counters = owned(&TOTALS);
-    let mut spans = owned(&[("build.mine", 1), ("build.sigs", 1)]);
+    let mut counters = BTreeMap::from(TOTALS);
+    let mut spans = BTreeMap::from([("build.mine", 1), ("build.sigs", 1)]);
     for (n, (kinds, candidates, patterns, pruned, kept, grown)) in (1..).zip(LEVELS) {
-        counters.insert(format!("mine.level{n}.kinds"), kinds);
-        counters.insert(format!("mine.level{n}.candidates"), candidates);
-        counters.insert(format!("mine.level{n}.patterns"), patterns);
-        counters.insert(format!("mine.level{n}.pruned_by_support"), pruned);
-        counters.insert(format!("mine.level{n}.kept"), kept);
-        counters.insert(format!("mine.level{n}.grown"), grown);
-        spans.insert(format!("mine.level{n}"), 1);
+        use obs::MineLevel::*;
+        let fields = [Kinds, Candidates, Patterns, PrunedBySupport, Kept, Grown];
+        let values = [kinds, candidates, patterns, pruned, kept, grown];
+        for (field, v) in fields.into_iter().zip(values) {
+            counters.insert(field.at(n).name(), v);
+        }
+        spans.insert(obs::Span::mine_level(n).name(), 1);
     }
     let expected = (counters, spans);
 

@@ -27,6 +27,7 @@
 
 use datagen::{extract_queries, generate_chem, ChemParams};
 use graph_core::{ELabel, Graph, GraphBuilder, VLabel, VertexId};
+use obs::Counter;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use tree_core::CanonString;
@@ -322,18 +323,18 @@ fn background_remine_keeps_answers_exact_under_churn() {
 
 /// The maintenance counters after [`deterministic_churn_counters`]'s
 /// schedule, then the funnel counters of its one query batch.
-const CHURN_COUNTS: [(&str, u64); 11] = [
-    (obs::names::MAINT_APPLIED, 24),
-    (obs::names::MAINT_SNAPSHOT_SWAPS, 27),
-    (obs::names::MAINT_REMINE_TRIGGERS, 3),
-    (obs::names::MAINT_REMINES, 3),
-    (obs::names::QUERIES, 20),
-    (obs::names::FILTERED, 41),
-    (obs::names::PRUNED, 41),
-    (obs::names::ANSWERS, 33),
-    ("funnel.partition_parts", 62),
-    ("funnel.sf_features", 149),
-    (obs::names::MISSING_FEATURE, 0),
+const CHURN_COUNTS: [(Counter, u64); 11] = [
+    (Counter::MAINT_APPLIED, 24),
+    (Counter::MAINT_SNAPSHOT_SWAPS, 27),
+    (Counter::MAINT_REMINE_TRIGGERS, 3),
+    (Counter::MAINT_REMINES_COMPLETED, 3),
+    (Counter::FUNNEL_QUERIES, 20),
+    (Counter::FUNNEL_FILTERED, 41),
+    (Counter::FUNNEL_PRUNED, 41),
+    (Counter::FUNNEL_ANSWERS, 33),
+    (Counter::FUNNEL_PARTITION_PARTS, 62),
+    (Counter::FUNNEL_SF_FEATURES, 149),
+    (Counter::FUNNEL_MISSING_FEATURE, 0),
 ];
 
 /// Deterministic engine-level churn on 60 chem graphs: 24 seeded ops
@@ -368,21 +369,21 @@ fn deterministic_churn_counters() -> obs::MetricSet {
     engine.query_batch_obs(&qs, QueryOptions::default(), 9, &registry);
     let stats = engine.maint_stats();
     let mut out = obs::MetricSet::new();
-    for (name, v) in registry.drain().counters() {
-        if name.starts_with("funnel.") {
-            out.add(name, v);
+    for (c, v) in registry.drain().counters() {
+        if c.name().starts_with("funnel.") {
+            out.add(c, v);
         }
     }
-    out.add(obs::names::MAINT_APPLIED, stats.applied);
-    out.add(obs::names::MAINT_SNAPSHOT_SWAPS, stats.snapshot_swaps);
-    out.add(obs::names::MAINT_REMINE_TRIGGERS, stats.remine_triggers);
-    out.add(obs::names::MAINT_REMINES, stats.remines_completed);
+    out.add(Counter::MAINT_APPLIED, stats.applied);
+    out.add(Counter::MAINT_SNAPSHOT_SWAPS, stats.snapshot_swaps);
+    out.add(Counter::MAINT_REMINE_TRIGGERS, stats.remine_triggers);
+    out.add(Counter::MAINT_REMINES_COMPLETED, stats.remines_completed);
     out
 }
 
 #[test]
 fn churn_counts_are_pinned() {
     let m = deterministic_churn_counters();
-    let got = CHURN_COUNTS.map(|(name, _)| (name, m.counter(name)));
+    let got = CHURN_COUNTS.map(|(c, _)| (c, m.counter(c.name())));
     assert_eq!(got, CHURN_COUNTS);
 }

@@ -22,6 +22,7 @@
 
 use datagen::{extract_queries, generate_chem, perturb_labels, ChemParams};
 use graph_core::{ELabel, Graph, GraphBuilder, VLabel, VertexId};
+use obs::Counter;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use treepi::{scan_support, Engine, QueryOptions, SfMode, TreePiIndex, TreePiParams};
@@ -199,19 +200,17 @@ fn hard_workload(db: &[Graph]) -> Vec<Graph> {
     qs
 }
 
-const CENTER_SIG_KILLS: &str = "verify.center_sig_kills";
-
 /// The funnel counts of [`hard_workload`] on 60 chem graphs, summed over
 /// one batch with the full filter and one with `SfMode::PartitionOnly`.
-const FUNNEL_COUNTS: [(&str, u64); 8] = [
-    (obs::names::QUERIES, 208),
-    (obs::names::FILTERED, 588),
-    (obs::names::PRUNED, 588),
-    (obs::names::ANSWERS, 342),
-    ("funnel.partition_parts", 892),
-    ("funnel.sf_features", 1652),
-    (obs::names::MISSING_FEATURE, 6),
-    (CENTER_SIG_KILLS, 52),
+const FUNNEL_COUNTS: [(Counter, u64); 8] = [
+    (Counter::FUNNEL_QUERIES, 208),
+    (Counter::FUNNEL_FILTERED, 588),
+    (Counter::FUNNEL_PRUNED, 588),
+    (Counter::FUNNEL_ANSWERS, 342),
+    (Counter::FUNNEL_PARTITION_PARTS, 892),
+    (Counter::FUNNEL_SF_FEATURES, 1652),
+    (Counter::FUNNEL_MISSING_FEATURE, 6),
+    (Counter::VERIFY_CENTER_SIG_KILLS, 52),
 ];
 
 #[test]
@@ -231,12 +230,12 @@ fn verify_funnel_counts_are_pinned() {
             engine.query_batch_obs(&qs, opts, 9, &registry);
             let m = registry.drain();
             assert!(
-                m.counter(CENTER_SIG_KILLS) > 0,
+                m.counter(Counter::VERIFY_CENTER_SIG_KILLS.name()) > 0,
                 "{sf_mode:?} at {workers} workers: the signature gate rejected nothing"
             );
             total.merge(&m);
         }
-        let got = FUNNEL_COUNTS.map(|(name, _)| (name, total.counter(name)));
+        let got = FUNNEL_COUNTS.map(|(c, _)| (c, total.counter(c.name())));
         assert_eq!(got, FUNNEL_COUNTS, "{workers} workers");
     }
 }
