@@ -1,46 +1,20 @@
 //! Property tests for the gIndex baseline: exactness against the scan and
 //! candidate-set soundness on arbitrary databases.
 
-use gindex::{GIndex, GIndexParams};
-use graph_core::{ELabel, Graph, GraphBuilder, VLabel, VertexId};
-use proptest::prelude::*;
+#[path = "../../graph-core/tests/support/arb.rs"]
+mod arb;
 
-fn arb_connected_graph(nmax: usize) -> impl Strategy<Value = Graph> {
-    (2..=nmax).prop_flat_map(move |n| {
-        let vlabels = proptest::collection::vec(0u32..3, n);
-        let parents = proptest::collection::vec((0usize..nmax, 0u32..2), n - 1);
-        let extras = proptest::collection::vec((0usize..nmax, 0usize..nmax, 0u32..2), 0..2);
-        (vlabels, parents, extras).prop_map(move |(vl, ps, ex)| {
-            let mut b = GraphBuilder::new();
-            for l in &vl {
-                b.add_vertex(VLabel(*l));
-            }
-            for (i, (p, el)) in ps.iter().enumerate() {
-                b.add_edge(
-                    VertexId((i + 1) as u32),
-                    VertexId((p % (i + 1)) as u32),
-                    ELabel(*el),
-                )
-                .expect("tree edge");
-            }
-            for (u, v, el) in ex {
-                let (u, v) = (VertexId((u % n) as u32), VertexId((v % n) as u32));
-                if u != v && !b.has_edge(u, v) {
-                    let _ = b.add_edge(u, v, ELabel(el));
-                }
-            }
-            b.build()
-        })
-    })
-}
+use arb::arb_connected_graph;
+use gindex::{GIndex, GIndexParams};
+use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn queries_are_exact(
-        db in proptest::collection::vec(arb_connected_graph(6), 1..6),
-        q in arb_connected_graph(4),
+        db in proptest::collection::vec(arb_connected_graph(6, 2), 1..6),
+        q in arb_connected_graph(4, 2),
     ) {
         let idx = GIndex::build(db.clone(), GIndexParams::quick(db.len()));
         let truth: Vec<u32> = db
@@ -55,7 +29,7 @@ proptest! {
 
     #[test]
     fn fragment_supports_are_exact(
-        db in proptest::collection::vec(arb_connected_graph(5), 1..5),
+        db in proptest::collection::vec(arb_connected_graph(5, 2), 1..5),
     ) {
         let idx = GIndex::build(db.clone(), GIndexParams::quick(db.len()));
         for f in idx.fragments() {

@@ -6,42 +6,17 @@
 
 mod reference;
 
-use graph_core::{graph_from, ELabel, EdgeId, Graph, GraphBuilder, VLabel, VertexId};
+#[path = "../../graph-core/tests/support/arb.rs"]
+mod arb;
+
+use arb::arb_connected_graph;
+use graph_core::{graph_from, EdgeId, Graph, VertexId};
 use mining::*;
 use proptest::prelude::*;
 use std::ops::ControlFlow;
 use tree_core::{
     canonical_string, center_positions, CanonString, Center, CenterPos, SubtreeEncoder, Tree,
 };
-
-fn arb_connected_graph(nmax: usize) -> impl Strategy<Value = Graph> {
-    (2..=nmax).prop_flat_map(move |n| {
-        let vlabels = proptest::collection::vec(0u32..3, n);
-        let parents = proptest::collection::vec((0usize..nmax, 0u32..2), n - 1);
-        let extras = proptest::collection::vec((0usize..nmax, 0usize..nmax, 0u32..2), 0..2);
-        (vlabels, parents, extras).prop_map(move |(vl, ps, ex)| {
-            let mut b = GraphBuilder::new();
-            for l in &vl {
-                b.add_vertex(VLabel(*l));
-            }
-            for (i, (p, el)) in ps.iter().enumerate() {
-                b.add_edge(
-                    VertexId((i + 1) as u32),
-                    VertexId((p % (i + 1)) as u32),
-                    ELabel(*el),
-                )
-                .expect("tree edge");
-            }
-            for (u, v, el) in ex {
-                let (u, v) = (VertexId((u % n) as u32), VertexId((v % n) as u32));
-                if u != v && !b.has_edge(u, v) {
-                    let _ = b.add_edge(u, v, ELabel(el));
-                }
-            }
-            b.build()
-        })
-    })
-}
 
 /// The general miner on an `n`-seat pool, metrics disabled.
 fn mine_on(
@@ -256,7 +231,7 @@ proptest! {
     /// the leaf-skip encodings are the reference's leaf removals.
     #[test]
     fn host_encoding_equals_extraction(
-        db in proptest::collection::vec(arb_connected_graph(7), 1..5),
+        db in proptest::collection::vec(arb_connected_graph(7, 2), 1..5),
     ) {
         let mut enc = SubtreeEncoder::default();
         for g in &db {
@@ -307,7 +282,7 @@ proptest! {
 
     #[test]
     fn three_engines_agree(
-        db in proptest::collection::vec(arb_connected_graph(6), 1..6),
+        db in proptest::collection::vec(arb_connected_graph(6, 2), 1..6),
         alpha in 1usize..3,
         beta in 1u32..3,
         eta in 2usize..4,
@@ -322,7 +297,7 @@ proptest! {
 
     #[test]
     fn supports_are_exact_and_thresholds_hold(
-        db in proptest::collection::vec(arb_connected_graph(6), 1..6),
+        db in proptest::collection::vec(arb_connected_graph(6, 2), 1..6),
     ) {
         let sigma = SigmaFn { alpha: 2, beta: 1.0, eta: 3 };
         let (mined, _) = mine_all(&db, &sigma);
@@ -352,7 +327,7 @@ proptest! {
     /// and center columns, same stats.
     #[test]
     fn parallel_mine_is_thread_count_invariant(
-        db in proptest::collection::vec(arb_connected_graph(7), 1..8),
+        db in proptest::collection::vec(arb_connected_graph(7, 2), 1..8),
         alpha in 1usize..3,
         beta in 1u32..3,
         eta in 2usize..5,
@@ -379,7 +354,7 @@ proptest! {
     /// machinery), so the merge can't silently drop or duplicate anything.
     #[test]
     fn parallel_mine_matches_bruteforce_oracle(
-        db in proptest::collection::vec(arb_connected_graph(6), 1..6),
+        db in proptest::collection::vec(arb_connected_graph(6, 2), 1..6),
         alpha in 1usize..3,
         eta in 2usize..4,
     ) {
@@ -395,7 +370,7 @@ proptest! {
     /// connected edge subsets of 2..=η edges, at any pool size.
     #[test]
     fn each_instance_is_generated_once(
-        db in proptest::collection::vec(arb_connected_graph(7), 1..6),
+        db in proptest::collection::vec(arb_connected_graph(7, 2), 1..6),
         eta in 2usize..5,
     ) {
         let sigma = SigmaFn { alpha: eta, beta: 1.0, eta };
@@ -417,7 +392,7 @@ proptest! {
     /// search would produce, at any pool size.
     #[test]
     fn columns_equal_vf2_center_positions(
-        db in proptest::collection::vec(arb_connected_graph(7), 1..8),
+        db in proptest::collection::vec(arb_connected_graph(7, 2), 1..8),
         alpha in 1usize..4,
         eta in 2usize..5,
     ) {
@@ -430,7 +405,7 @@ proptest! {
 
     #[test]
     fn shrinking_is_a_subset_and_keeps_edges(
-        db in proptest::collection::vec(arb_connected_graph(6), 1..6),
+        db in proptest::collection::vec(arb_connected_graph(6, 2), 1..6),
         gamma in 1u32..4,
     ) {
         let sigma = SigmaFn { alpha: 3, beta: 1.0, eta: 3 };
@@ -457,7 +432,7 @@ proptest! {
     /// center columns are an exhaustive search's.
     #[test]
     fn gamma_shrink_equals_reference(
-        db in proptest::collection::vec(arb_connected_graph(6), 1..6),
+        db in proptest::collection::vec(arb_connected_graph(6, 2), 1..6),
         alpha in 1usize..3,
         eta in 2usize..4,
     ) {

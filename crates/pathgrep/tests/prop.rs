@@ -1,46 +1,21 @@
 //! Property tests for the path index: queries are exact against a
 //! brute-force scan, and candidate sets always contain the answers.
 
-use graph_core::{ELabel, Graph, GraphBuilder, VLabel, VertexId};
+#[path = "../../graph-core/tests/support/arb.rs"]
+mod arb;
+
+use arb::arb_connected_graph;
+use graph_core::{GraphBuilder, VertexId};
 use pathgrep::{label_paths, PathGrep, PathGrepParams};
 use proptest::prelude::*;
-
-fn arb_connected_graph(nmax: usize) -> impl Strategy<Value = Graph> {
-    (2..=nmax).prop_flat_map(move |n| {
-        let vlabels = proptest::collection::vec(0u32..3, n);
-        let parents = proptest::collection::vec((0usize..nmax, 0u32..2), n - 1);
-        let extras = proptest::collection::vec((0usize..nmax, 0usize..nmax, 0u32..2), 0..3);
-        (vlabels, parents, extras).prop_map(move |(vl, ps, ex)| {
-            let mut b = GraphBuilder::new();
-            for l in &vl {
-                b.add_vertex(VLabel(*l));
-            }
-            for (i, (p, el)) in ps.iter().enumerate() {
-                b.add_edge(
-                    VertexId((i + 1) as u32),
-                    VertexId((p % (i + 1)) as u32),
-                    ELabel(*el),
-                )
-                .expect("tree edge");
-            }
-            for (u, v, el) in ex {
-                let (u, v) = (VertexId((u % n) as u32), VertexId((v % n) as u32));
-                if u != v && !b.has_edge(u, v) {
-                    let _ = b.add_edge(u, v, ELabel(el));
-                }
-            }
-            b.build()
-        })
-    })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
     fn queries_are_exact(
-        db in proptest::collection::vec(arb_connected_graph(6), 1..8),
-        q in arb_connected_graph(5),
+        db in proptest::collection::vec(arb_connected_graph(6, 3), 1..8),
+        q in arb_connected_graph(5, 3),
     ) {
         let idx = PathGrep::build(db.clone(), PathGrepParams::default());
         let truth: Vec<u32> = db
@@ -56,8 +31,8 @@ proptest! {
 
     #[test]
     fn candidates_contain_truth(
-        db in proptest::collection::vec(arb_connected_graph(6), 1..8),
-        q in arb_connected_graph(4),
+        db in proptest::collection::vec(arb_connected_graph(6, 3), 1..8),
+        q in arb_connected_graph(4, 3),
     ) {
         let idx = PathGrep::build(db.clone(), PathGrepParams { max_len: 3 });
         let (cands, _) = idx.candidates(&q);
@@ -69,7 +44,7 @@ proptest! {
     }
 
     #[test]
-    fn path_keys_are_isomorphism_invariant(g in arb_connected_graph(6), seed in any::<u64>()) {
+    fn path_keys_are_isomorphism_invariant(g in arb_connected_graph(6, 3), seed in any::<u64>()) {
         use rand::seq::SliceRandom;
         use rand::SeedableRng;
         // permute vertices; label paths must be identical

@@ -37,7 +37,7 @@ proptest! {
     #[test]
     fn engine_is_pool_size_invariant_and_matches_sequential(
         db in arb_db(8, 7),
-        queries in proptest::collection::vec(arb_connected_graph(5), 1..=6),
+        queries in proptest::collection::vec(arb_connected_graph(5, 3), 1..=6),
     ) {
         let idx = TreePiIndex::build(db, TreePiParams::quick());
 

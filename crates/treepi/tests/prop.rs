@@ -43,10 +43,10 @@ fn disjoint_union(gs: &[&Graph], isolated: &[u32]) -> Graph {
 fn arb_query(nmax: usize) -> impl Strategy<Value = Graph> {
     let isolated = proptest::collection::vec(0u32..3, 1..=2);
     (
-        arb_connected_graph(nmax),
+        arb_connected_graph(nmax, 3),
         0u32..4,
         isolated,
-        arb_connected_graph(3),
+        arb_connected_graph(3, 3),
     )
         .prop_map(|(g, shape, isolated, second)| match shape {
             0 | 1 => g,
@@ -190,7 +190,7 @@ proptest! {
     #[test]
     fn partitions_cover_queries_exactly_once(
         db in arb_db(6, 6),
-        q in arb_connected_graph(6),
+        q in arb_connected_graph(6, 3),
     ) {
         let idx = TreePiIndex::build(db.clone(), TreePiParams::quick());
         // The database graphs hold every feature: their occurrences overlap.
@@ -266,7 +266,7 @@ proptest! {
     #[test]
     fn insert_remove_preserve_exactness(
         db in arb_db(5, 6),
-        extra in arb_connected_graph(6),
+        extra in arb_connected_graph(6, 3),
         q in arb_query(4),
     ) {
         let mut idx = TreePiIndex::build(db, TreePiParams::quick());
