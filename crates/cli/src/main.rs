@@ -210,8 +210,8 @@ fn write_trace(registry: &obs::Registry, path: &str) -> Result<(), String> {
 }
 
 /// The batch summary `query --stats` prints, read off the registry's
-/// `funnel.*` counters and `query.*` stage spans: mean |P_q|, |P'_q|,
-/// |D_q| and parts per query, both precisions, the missing-feature
+/// `funnel.*` counters and `query.*` stage spans: mean |P_q|, |D_q| and
+/// parts per query, the filter's precision, the missing-feature
 /// short-circuits, the mean time per query and each stage's p50/p95. A
 /// precision over an empty funnel (no candidate at all) reads 1.0: an empty
 /// candidate set admitted no false positive.
@@ -221,21 +221,17 @@ fn funnel_summary(m: &obs::MetricSet) -> String {
     let count = |c: Counter| m.counter(c.name());
     let queries = count(Counter::FUNNEL_QUERIES);
     let mean = |c| count(c) as f64 / queries.max(1) as f64;
-    let precision = |candidates| match count(candidates) {
+    let precision = match count(Counter::FUNNEL_FILTERED) {
         0 => 1.0,
         n => count(Counter::FUNNEL_ANSWERS) as f64 / n as f64,
     };
     let spans = Span::PIPELINE.map(|s| (s.name(), m.span(s.name()).cloned().unwrap_or_default()));
     let total_ns: u64 = spans.iter().map(|(_, s)| s.total_ns).sum();
     let mut out = format!(
-        "{queries} queries: |Pq|={:.1} |P'q|={:.1} |Dq|={:.1} (filter precision {:.2}, \
-         prune precision {:.2})\ntime: mean {:.2?}; parts/query {:.1}; {} missing-feature \
-         short-circuits\n",
+        "{queries} queries: |Pq|={:.1} |Dq|={:.1} (filter precision {precision:.2})\n\
+         time: mean {:.2?}; parts/query {:.1}; {} missing-feature short-circuits\n",
         mean(Counter::FUNNEL_FILTERED),
-        mean(Counter::FUNNEL_PRUNED),
         mean(Counter::FUNNEL_ANSWERS),
-        precision(Counter::FUNNEL_FILTERED),
-        precision(Counter::FUNNEL_PRUNED),
         Duration::from_nanos(total_ns / queries.max(1)),
         mean(Counter::FUNNEL_PARTITION_PARTS),
         count(Counter::FUNNEL_MISSING_FEATURE),
@@ -348,20 +344,18 @@ fn run() -> Result<(), String> {
                 metrics_registry(&metrics_path, &trace_path)
             };
             let engine = treepi::Engine::new(index, threads);
-            let (results, _) =
-                engine.query_batch_pinned(&queries, treepi::QueryOptions::default(), &registry);
+            let (results, _) = engine.query_batch_pinned(&queries, &registry);
             let index = engine.into_index();
             for (i, (q, r)) in queries.iter().zip(&results).enumerate() {
                 let ids: Vec<String> = r.matches.iter().map(|g| g.to_string()).collect();
                 println!("q{i}: {}", ids.join(" "));
                 if want_stats {
                     eprintln!(
-                        "  |q|={} parts={} |SFq|={} |Pq|={} |P'q|={} |Dq|={} time={:.2?}",
+                        "  |q|={} parts={} |SFq|={} |Pq|={} |Dq|={} time={:.2?}",
                         q.edge_count(),
                         r.stats.partition_size,
                         r.stats.sf_size,
                         r.stats.filtered,
-                        r.stats.pruned,
                         r.stats.answers,
                         r.stats.total()
                     );
@@ -705,17 +699,13 @@ mod tests {
         let mut m = obs::MetricSet::new();
         let text = funnel_summary(&m);
         assert!(text.starts_with("0 queries: |Pq|=0.0 "), "{text}");
-        assert!(
-            text.contains("(filter precision 1.00, prune precision 1.00)"),
-            "{text}"
-        );
+        assert!(text.contains("(filter precision 1.00)\n"), "{text}");
         m.add(obs::Counter::FUNNEL_QUERIES, 2);
         m.add(obs::Counter::FUNNEL_FILTERED, 4);
-        m.add(obs::Counter::FUNNEL_PRUNED, 4);
         m.add(obs::Counter::FUNNEL_ANSWERS, 1);
         let text = funnel_summary(&m);
         assert!(
-            text.contains("|Pq|=2.0 |P'q|=2.0 |Dq|=0.5 (filter precision 0.25"),
+            text.contains("|Pq|=2.0 |Dq|=0.5 (filter precision 0.25)"),
             "{text}"
         );
     }

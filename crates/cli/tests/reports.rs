@@ -77,18 +77,28 @@ fn query_stats_summary_agrees_with_the_per_query_lines() {
     let out = treepi(&["query", &idx, &q, "--stats", "--threads", "2"]);
     let stdout = String::from_utf8(out.stdout).expect("utf-8");
     let stderr = String::from_utf8(out.stderr).expect("utf-8");
-    let answers: Vec<f64> = stderr
-        .lines()
-        .filter(|l| l.starts_with("  |q|="))
-        .map(|l| number_after(l, "|Dq|="))
-        .collect();
-    assert_eq!(answers.len(), 3, "{stderr}");
+    let column = |key: &str| -> Vec<f64> {
+        stderr
+            .lines()
+            .filter(|l| l.starts_with("  |q|="))
+            .map(|l| number_after(l, key))
+            .collect()
+    };
+    assert_eq!(column("|Dq|=").len(), 3, "{stderr}");
     assert_eq!(stdout.lines().count(), 3, "{stdout}");
     let summary = stderr
         .lines()
         .find(|l| l.contains(" queries: "))
         .unwrap_or_else(|| panic!("no summary in {stderr}"));
     assert!(summary.starts_with("3 queries: "), "{summary}");
-    let mean = answers.iter().sum::<f64>() / answers.len() as f64;
-    assert_eq!(number_after(summary, "|Dq|="), (mean * 10.0).round() / 10.0);
+    for key in ["|Pq|=", "|Dq|="] {
+        let values = column(key);
+        let mean = values.iter().sum::<f64>() / values.len() as f64;
+        assert_eq!(number_after(summary, key), (mean * 10.0).round() / 10.0);
+    }
+    // The served pipeline has no prune stage to report.
+    assert!(
+        !stderr.contains("|P'q|") && !stderr.contains("prune"),
+        "{stderr}"
+    );
 }

@@ -7,21 +7,12 @@
 //! who wins, by what factor, where curves cross — remain comparable.
 
 use crate::common::*;
+use crate::pipeline::{Funnel, Variant};
 use datagen::{extract_queries, perturb_labels};
 use gindex::{GIndex, GIndexParams};
 use graph_core::Graph;
 use obs::Counter;
-use treepi::{Engine, QueryOptions, SfMode, TreePiIndex, TreePiParams};
-
-/// The paper's pipeline: the default with Center Distance pruning
-/// (Algorithm 2) on, so a reported `|P'_q|` is the candidate count after
-/// it. The default leaves it off; timing columns run the default.
-fn paper_pipeline() -> QueryOptions {
-    QueryOptions {
-        use_cdc: true,
-        ..QueryOptions::default()
-    }
-}
+use treepi::{Engine, TreePiIndex, TreePiParams};
 
 /// Say on stderr when a `system` build over `n` graphs that `figure` times
 /// was cut short by its miner's per-level guard: the figure then shows a
@@ -53,11 +44,11 @@ fn database(opts: &Opts, dataset: &str, n: usize) -> Vec<Graph> {
 /// Per-stage wall-time breakdown from the `obs` registries: one metered
 /// batch run per system, printed as a table (total / mean / p95 per
 /// pipeline stage) and written to `stages_{dataset}.csv`. gIndex reports
-/// under the same span names; its partition and prune rows are zero by
-/// construction — that empty cell *is* the comparison the paper makes.
+/// under the same span names; its partition row is zero by construction —
+/// that empty cell *is* the comparison the paper makes.
 fn stage_breakdown(opts: &Opts, dataset: &str, tp: &Engine, gi: &GIndex, queries: &[Graph]) {
     let tp_reg = obs::Registry::new();
-    let _ = tp.query_batch_pinned(queries, QueryOptions::default(), &tp_reg);
+    let _ = tp.query_batch_pinned(queries, &tp_reg);
     let tp_m = tp_reg.drain();
     let gi_reg = obs::Registry::new();
     let _ = gi.query_batch_pool_obs(queries, tp.pool(), &gi_reg);
@@ -85,10 +76,9 @@ fn stage_breakdown(opts: &Opts, dataset: &str, tp: &Engine, gi: &GIndex, queries
         table.row(cells);
     }
     println!(
-        "   funnel: {} queries, |Pq| {} -> |P'q| {} -> |Dq| {} (gIndex |Cq| {})",
+        "   funnel: {} queries, |Pq| {} -> |Dq| {} (gIndex |Cq| {})",
         tp_m.counter(Counter::FUNNEL_QUERIES.name()),
         tp_m.counter(Counter::FUNNEL_FILTERED.name()),
-        tp_m.counter(Counter::FUNNEL_PRUNED.name()),
         tp_m.counter(Counter::FUNNEL_ANSWERS.name()),
         gi_m.counter(Counter::FUNNEL_FILTERED.name()),
     );
@@ -123,7 +113,7 @@ struct QueryPoint {
     m: usize,
     dq: usize,  // |D_q| (truth)
     cq: usize,  // |C_q| (gIndex candidates)
-    ppq: usize, // |P'_q| (TreePi pruned candidates)
+    ppq: usize, // |P'_q| (TreePi candidates after Algorithm 2)
 }
 
 fn measure_queries(
@@ -139,13 +129,13 @@ fn measure_queries(
     let mut points = Vec::new();
     for &m in m_values {
         for q in extract_queries(db, m, per_size, &mut rng) {
-            let r = tp.query_with(&q, paper_pipeline());
+            let f = Funnel::of(tp, &q, Variant::PAPER);
             let (cands, _) = gi.candidates(&q);
             points.push(QueryPoint {
                 m,
-                dq: r.stats.answers,
+                dq: f.answers,
                 cq: cands.len(),
-                ppq: r.stats.pruned,
+                ppq: f.pruned,
             });
         }
     }
@@ -355,7 +345,7 @@ pub fn fig_query_time(opts: &Opts, dataset: &str) {
         // Parallel series: the batch engine at full available parallelism.
         let (answers_par, t_par) = timed(|| {
             let off = obs::Registry::disabled();
-            let (results, _) = engine.query_batch_pinned(&queries, QueryOptions::default(), &off);
+            let (results, _) = engine.query_batch_pinned(&queries, &off);
             results.iter().map(|r| r.matches.len()).sum::<usize>()
         });
         assert_eq!(
@@ -397,22 +387,23 @@ pub fn ablate(opts: &Opts) {
         .map(|q| perturb_labels(q, &mut rng))
         .collect();
 
-    let configs: Vec<(&str, QueryOptions)> = vec![
-        ("default", QueryOptions::default()),
-        ("paper pipeline (CDC on)", paper_pipeline()),
+    // `None` is the served pipeline; the rest combine the stage functions.
+    let configs: [(&str, Option<Variant>); 4] = [
+        ("default", None),
+        ("paper pipeline (CDC on)", Some(Variant::PAPER)),
         (
             "naive verification",
-            QueryOptions {
-                use_reconstruction: false,
-                ..QueryOptions::default()
-            },
+            Some(Variant {
+                vf2: true,
+                ..Variant::default()
+            }),
         ),
         (
             "SF = partition only",
-            QueryOptions {
-                sf_mode: SfMode::PartitionOnly,
-                ..QueryOptions::default()
-            },
+            Some(Variant {
+                partition_sf: true,
+                ..Variant::default()
+            }),
         ),
     ];
     let mut table = Table::new(
@@ -421,32 +412,29 @@ pub fn ablate(opts: &Opts) {
     );
     for (set, queries) in [("extracted", &queries), ("near miss", &near_miss)] {
         let mut reference: Option<Vec<usize>> = None;
-        for &(name, cfg) in &configs {
-            let mut filtered = 0usize;
-            let mut pruned = 0usize;
-            let mut answers: Vec<usize> = Vec::new();
-            let (_, t) = timed(|| {
-                for q in queries {
-                    let r = tp.query_with(q, cfg);
-                    filtered += r.stats.filtered;
-                    pruned += r.stats.pruned;
-                    answers.push(r.stats.answers);
-                }
+        for &(name, variant) in &configs {
+            let (funnels, t) = timed(|| {
+                let funnel = |q| match variant {
+                    None => Funnel::from(&tp.query(q).stats),
+                    Some(v) => Funnel::of(&tp, q, v),
+                };
+                queries.iter().map(funnel).collect::<Vec<Funnel>>()
             });
+            let answers: Vec<usize> = funnels.iter().map(|f| f.answers).collect();
             let k = queries.len() as f64;
-            let avg_answers = answers.iter().sum::<usize>() as f64 / k;
+            let avg = |f: fn(&Funnel) -> usize| funnels.iter().map(f).sum::<usize>() as f64 / k;
+            table.row(vec![
+                name.to_string(),
+                set.to_string(),
+                format!("{:.2}", avg(|f| f.filtered)),
+                format!("{:.2}", avg(|f| f.pruned)),
+                format!("{:.2}", avg(|f| f.answers)),
+                format!("{:.3}", ms(t) / k),
+            ]);
             match &reference {
                 None => reference = Some(answers),
                 Some(r) => assert_eq!(r, &answers, "ablation '{name}' changed {set} answers"),
             }
-            table.row(vec![
-                name.to_string(),
-                set.to_string(),
-                format!("{:.2}", filtered as f64 / k),
-                format!("{:.2}", pruned as f64 / k),
-                format!("{avg_answers:.2}"),
-                format!("{:.3}", ms(t) / k),
-            ]);
         }
     }
     table.emit(opts);
@@ -465,10 +453,10 @@ pub fn ablate(opts: &Opts) {
         let (idx, t_build) = timed(|| TreePiIndex::build(db.clone(), params));
         let figure = format!("ablate (γ = {gamma})");
         note_truncation(&figure, "TreePi", idx.stats().truncated, db.len());
-        let mut pruned = 0usize;
-        for q in &queries {
-            pruned += idx.query_with(q, paper_pipeline()).stats.pruned;
-        }
+        let pruned: usize = queries
+            .iter()
+            .map(|q| Funnel::of(&idx, q, Variant::PAPER).pruned)
+            .sum();
         table.row(vec![
             gamma.to_string(),
             idx.feature_count().to_string(),
@@ -519,8 +507,8 @@ pub fn classes(opts: &Opts) {
             f_pg += r.stats.filtered;
             t_pgq += t;
             let answers = r.matches.len();
-            // |P'q| after Algorithm 2; the timed default query runs without.
-            f_tp += tp.query_with(q, paper_pipeline()).stats.pruned;
+            // |P'q| after Algorithm 2; the timed served query runs without.
+            f_tp += Funnel::of(&tp, q, Variant::PAPER).pruned;
             let (r, t) = timed(|| tp.query(q));
             t_tpq += t;
             assert_eq!(r.matches.len(), answers);

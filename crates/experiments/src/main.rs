@@ -28,6 +28,7 @@
 
 mod common;
 mod figs;
+mod pipeline;
 
 use common::{Opts, Scale};
 

@@ -36,23 +36,20 @@ impl GQueryStats {
 
     /// Record this query's funnel counters and stage timings into `shard`,
     /// under the **same names** TreePi uses so cross-system metric files
-    /// line up column-for-column. gIndex has no partition or CDC-prune
-    /// stage, so those two spans get zero-duration observations and
-    /// `funnel.pruned` equals `funnel.filtered` (every filtered candidate
-    /// reaches verification). A tracing shard also gets the stages as
-    /// timeline events, run back-to-back and ending now, as TreePi's are.
+    /// line up column-for-column. gIndex has no partition stage, so that
+    /// span gets zero-duration observations. A tracing shard also gets the
+    /// stages as timeline events, run back-to-back and ending now, as
+    /// TreePi's are.
     pub fn record_into(&self, shard: &obs::Shard) {
         shard.add(Counter::FUNNEL_QUERIES, 1);
         shard.add(Counter::FUNNEL_FILTERED, self.filtered as u64);
-        shard.add(Counter::FUNNEL_PRUNED, self.filtered as u64);
         shard.add(Counter::FUNNEL_ANSWERS, self.answers as u64);
         shard.add(Counter::GINDEX_ENUMERATED, self.enumerated as u64);
         shard.add(Counter::GINDEX_FRAGMENTS_USED, self.fragments_used as u64);
-        let [partition, filter, prune, verify] = Span::PIPELINE;
+        let [partition, filter, verify] = Span::PIPELINE;
         let stages = [
             (partition, Duration::ZERO),
             (filter, self.t_filter),
-            (prune, Duration::ZERO),
             (verify, self.t_verify),
         ];
         let mut start = shard.is_tracing().then(|| Instant::now() - self.total());
@@ -273,7 +270,7 @@ mod tests {
         let answers: u64 = results.iter().map(|r| r.stats.answers as u64).sum();
         assert_eq!(m.counter(Counter::FUNNEL_FILTERED.name()), filtered);
         assert_eq!(m.counter(Counter::FUNNEL_ANSWERS.name()), answers);
-        // all four TreePi pipeline spans exist (partition/prune are zeros)
+        // all three TreePi pipeline spans exist (partition is zeros)
         for name in Span::PIPELINE.map(Span::name) {
             assert_eq!(
                 m.span(name).expect("span present").count,

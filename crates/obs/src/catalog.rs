@@ -9,7 +9,11 @@
 //! its totals depend on execution shape (`engine.*`, `pool.*`: workers,
 //! busy and park time) or arrival timing (`serve.*`, `cache.*`,
 //! `loadgen.*`, `maint.*`), and `det` when they are a pure function of the
-//! input, bit-identical at any worker count.
+//! input, bit-identical at any worker count. The input is what the
+//! pipeline executed: in a served run the `funnel.*`, `walk.*`,
+//! `verify.tests` and `query.*` counts cover only the queries that missed
+//! the result cache, so which requests repeat — arrival timing again —
+//! moves them, while each executed query's share stays fixed.
 
 #[derive(Clone, Copy, Debug)]
 struct Entry {
@@ -115,7 +119,6 @@ catalog! {
     Counter {
         FUNNEL_QUERIES "funnel.queries" det "Queries processed.";
         FUNNEL_FILTERED "funnel.filtered" det "Candidates surviving the support filter (sum of |P_q|).";
-        FUNNEL_PRUNED "funnel.pruned" det "Candidates surviving center-distance pruning (sum of |P'_q|); funnel.filtered with CDC off.";
         FUNNEL_ANSWERS "funnel.answers" det "Exact answers (sum of |D_q|).";
         FUNNEL_MISSING_FEATURE "funnel.missing_feature" det "Queries short-circuited by a missing feature.";
         FUNNEL_PARTITION_PARTS "funnel.partition_parts" det "Parts of the queries' covers TP_q.";
@@ -200,7 +203,6 @@ catalog! {
     Span {
         QUERY_PARTITION "query.partition" det "Query partition stage: the walk, the cover TP_q and SF_q.";
         QUERY_FILTER "query.filter" det "Query filter stage: support-set intersection (Algorithm 1).";
-        QUERY_PRUNE "query.prune" det "Center-distance pruning stage (Algorithm 2); zero unless turned on.";
         QUERY_VERIFY "query.verify" det "Verification stage: the anchored search (Algorithm 3).";
         QUERY_PARTITION_ENUMERATE "query.partition.enumerate" det "Within the partition stage: enumerating the query's indexed subtrees.";
         BUILD_MINE "build.mine" det "Mining the feature trees and their posting lists.";
@@ -258,11 +260,10 @@ impl MineLevel {
 }
 
 impl Span {
-    /// The four query pipeline stages in funnel order.
-    pub const PIPELINE: [Span; 4] = [
+    /// The three query pipeline stages in funnel order.
+    pub const PIPELINE: [Span; 3] = [
         Span::QUERY_PARTITION,
         Span::QUERY_FILTER,
-        Span::QUERY_PRUNE,
         Span::QUERY_VERIFY,
     ];
 

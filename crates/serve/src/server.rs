@@ -34,7 +34,12 @@
 //! timing, so `serve.*` / `cache.*` metrics are timing-dependent —
 //! exempted namespaces. The *answers* and per-query counts are not:
 //! every query is answered against the current database regardless of
-//! batch shape.
+//! batch shape. The pipeline's `det` totals (`funnel.*`, `walk.*`,
+//! `verify.tests`, the `query.*` span counts) are sums over the queries
+//! the engine executed, though, and a cache hit executes nothing: which
+//! requests hit depends on arrival timing, so in a served run those totals
+//! repeat only when the set of executed queries does. `funnel.queries`
+//! equals [`ServeReport::served`].
 //!
 //! **Monitoring surface.** An optional second listener
 //! ([`ServeConfig::http_addr`]) rides the same poll loop and answers
@@ -69,7 +74,7 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
-use treepi::{Engine, QueryOptions};
+use treepi::Engine;
 
 const LISTENER: Token = Token(0);
 /// Token of the optional HTTP monitoring listener.
@@ -512,8 +517,7 @@ impl EventLoop<'_> {
         let dispatched = Instant::now();
         let (results, epoch) = {
             let _span = self.shard.span(Span::SERVE_BATCH_EXEC);
-            self.engine
-                .query_batch_pinned(&graphs, QueryOptions::default(), registry)
+            self.engine.query_batch_pinned(&graphs, registry)
         };
         let batch_end = Instant::now();
         let residence = batch_end.saturating_duration_since(dispatched);

@@ -360,7 +360,6 @@ impl SlowQueryLog {
                 Counter::FUNNEL_FILTERED.name().into(),
                 stats.filtered as u64,
             ),
-            (Counter::FUNNEL_PRUNED.name().into(), stats.pruned as u64),
             (Counter::FUNNEL_ANSWERS.name().into(), stats.answers as u64),
             (
                 Counter::FUNNEL_MISSING_FEATURE.name().into(),
@@ -400,12 +399,10 @@ mod tests {
             partition_size: 2,
             sf_size: 3,
             filtered: 17,
-            pruned: 9,
             answers: 4,
             missing_feature: false,
             t_partition: Duration::from_micros(10),
             t_filter: Duration::from_micros(20),
-            t_prune: Duration::from_micros(5),
             t_verify: Duration::from_micros(500),
             ..QueryStats::default()
         }
@@ -453,7 +450,7 @@ mod tests {
             .iter()
             .filter(|e| e.get("ph").and_then(obs::json::Value::as_str) == Some("X"))
             .collect();
-        // Umbrella + 4 stages.
+        // Umbrella + 3 stages.
         assert_eq!(slices.len(), 1 + obs::Span::PIPELINE.len());
         let umbrella = slices
             .iter()
@@ -465,10 +462,7 @@ mod tests {
                 .and_then(obs::json::Value::as_u64),
             Some(17)
         );
-        assert_eq!(
-            args.get("funnel.pruned").and_then(obs::json::Value::as_u64),
-            Some(9)
-        );
+        assert_eq!(args.get("funnel.pruned"), None);
         assert_eq!(
             args.get("query").and_then(obs::json::Value::as_u64),
             Some(7)

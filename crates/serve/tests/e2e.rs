@@ -183,6 +183,16 @@ fn cache_hits_repeats_and_maintenance_invalidates() {
     let (report, metrics, engine) = handle.join().unwrap();
     // Three repeats hit; the renumbered isomorph does not.
     assert!(report.cache_hits >= 3, "repeats must hit: {report}");
+    // The pipeline's counts cover the executed queries only, not the hits.
+    assert_eq!(report.served + report.cache_hits, 7, "{report}");
+    assert_eq!(
+        metrics.counter(Counter::FUNNEL_QUERIES.name()),
+        report.served
+    );
+    for span in Span::PIPELINE {
+        let count = metrics.span(span.name()).map(|s| s.count);
+        assert_eq!(count, Some(report.served), "{}", span.name());
+    }
     assert_eq!(engine.maint_stats().applied, 2);
     // The post-churn database agrees with the last answer.
     assert_eq!(scan_support(&engine.pin(), &q), first);
@@ -593,7 +603,8 @@ fn telemetry_captures_slow_queries() {
         .iter()
         .filter(|e| e.get("ph").and_then(obs::json::Value::as_str) == Some("X"))
         .count();
-    assert_eq!(slices, 3 * 5, "3 captures × (umbrella + 4 stages)");
+    let per_capture = 1 + Span::PIPELINE.len();
+    assert_eq!(slices, 3 * per_capture, "3 captures × (umbrella + stages)");
 }
 
 /// Like [`spawn_server`], but with the HTTP monitoring listener bound on

@@ -16,7 +16,7 @@
 
 use crate::index::TreePiIndex;
 use crate::params::TreePiParams;
-use crate::query::{QueryOptions, QueryResult};
+use crate::query::QueryResult;
 use graph_core::digraph::DiGraph;
 
 /// TreePi index over a directed graph database.
@@ -44,11 +44,6 @@ impl DirectedTreePiIndex {
     /// `q` is a directed subgraph.
     pub fn query(&self, q: &DiGraph) -> QueryResult {
         self.inner.query(&q.encode())
-    }
-
-    /// [`Self::query`] with ablation switches.
-    pub fn query_with(&self, q: &DiGraph, opts: QueryOptions) -> QueryResult {
-        self.inner.query_with(&q.encode(), opts)
     }
 
     /// Insert a digraph (maintenance, §7.1 applied to §7.2).

@@ -6,9 +6,9 @@
 //!
 //! The determinism contract (see DESIGN.md, "Parallel query engine"): a
 //! query's result is a function of the query and the pinned snapshot
-//! alone. The pipeline draws no random number, and its parallel stages
-//! (verify, and CDC prune when on) chunk candidates contiguously and
-//! concatenate chunk results in order. So batch results are bit-identical
+//! alone. The pipeline draws no random number, and its parallel stage
+//! (verify) chunks candidates contiguously and concatenates chunk results
+//! in order. So batch results are bit-identical
 //! for any pool size, including 1, by construction — verified by unit
 //! tests here, property tests in `tests/prop.rs` and `tests/pool_prop.rs`
 //! (which also pin equality against a plain sequential loop of single
@@ -22,7 +22,7 @@
 //! dispatch re-entrantly into the same pool.
 
 use crate::index::TreePiIndex;
-use crate::query::{QueryOptions, QueryResult};
+use crate::query::QueryResult;
 use graph_core::par::Pool;
 use graph_core::Graph;
 use rand::SeedableRng;
@@ -42,6 +42,12 @@ pub fn query_rng(seed: u64, i: usize) -> ChaCha8Rng {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
     ChaCha8Rng::seed_from_u64(z ^ (z >> 31))
 }
+
+/// Kept for the ledger's replay until ROADMAP item 1: [`Engine::query_batch`]
+/// and [`Engine::query_batch_obs`] take one and ignore it. The query
+/// pipeline has no options.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct QueryOptions;
 
 /// One §7.1 maintenance operation: what [`Engine::insert`] /
 /// [`Engine::remove`] apply, and what the re-mine journal replays.
@@ -356,27 +362,27 @@ impl Engine {
 
     /// Answer a batch of containment queries on the engine's pool against a
     /// pinned snapshot: [`Self::query_batch_pinned`] with metrics disabled.
-    /// `_seed` is ignored: kept for the ledger's replay until ROADMAP item
-    /// 1.
+    /// `_opts` and `_seed` are ignored: kept for the ledger's replay until
+    /// ROADMAP item 1.
     pub fn query_batch(
         &self,
         queries: &[Graph],
-        opts: QueryOptions,
+        _opts: QueryOptions,
         _seed: u64,
     ) -> (Vec<QueryResult>, u64) {
-        self.query_batch_pinned(queries, opts, &obs::Registry::disabled())
+        self.query_batch_pinned(queries, &obs::Registry::disabled())
     }
 
-    /// [`Self::query_batch_pinned`] with an ignored `_seed`: kept for the
-    /// ledger's replay until ROADMAP item 1.
+    /// [`Self::query_batch_pinned`] with an ignored `_opts` and `_seed`:
+    /// kept for the ledger's replay until ROADMAP item 1.
     pub fn query_batch_obs(
         &self,
         queries: &[Graph],
-        opts: QueryOptions,
+        _opts: QueryOptions,
         _seed: u64,
         registry: &obs::Registry,
     ) -> (Vec<QueryResult>, u64) {
-        self.query_batch_pinned(queries, opts, registry)
+        self.query_batch_pinned(queries, registry)
     }
 
     /// Answer a batch of containment queries against one pinned snapshot,
@@ -394,7 +400,6 @@ impl Engine {
     pub fn query_batch_pinned(
         &self,
         queries: &[Graph],
-        opts: QueryOptions,
         registry: &obs::Registry,
     ) -> (Vec<QueryResult>, u64) {
         let snapshot = self.pin();
@@ -403,7 +408,7 @@ impl Engine {
         // occupy it do queries get intra-candidate workers.
         let intra = (pool.parallelism() / queries.len().max(1)).max(1);
         let results = pool.ordered_map_obs(queries, registry, |q, shard| {
-            snapshot.query_with_pool_obs(q, opts, pool, intra, shard)
+            snapshot.query_with_pool_obs(q, pool, intra, shard)
         });
         // Batch-end delta of the pool's scheduling metrics (pool.* namespace,
         // exempt from the determinism contract like engine.*).
@@ -494,9 +499,7 @@ mod tests {
         registry: &obs::Registry,
     ) -> Vec<QueryResult> {
         let engine = Engine::new(idx.clone(), threads);
-        engine
-            .query_batch_pinned(qs, QueryOptions::default(), registry)
-            .0
+        engine.query_batch_pinned(qs, registry).0
     }
 
     fn queries() -> Vec<Graph> {
@@ -540,10 +543,6 @@ mod tests {
                     "query {i}, threads {threads}"
                 );
                 assert_eq!(
-                    a.stats.pruned, b.stats.pruned,
-                    "query {i}, threads {threads}"
-                );
-                assert_eq!(
                     a.stats.partition_size, b.stats.partition_size,
                     "query {i}, threads {threads}"
                 );
@@ -563,7 +562,7 @@ mod tests {
         for (i, q) in qs.iter().enumerate() {
             let seq = idx.query(q);
             assert_eq!(batch[i].matches, seq.matches, "query {i}");
-            assert_eq!(batch[i].stats.pruned, seq.stats.pruned, "query {i}");
+            assert_eq!(batch[i].stats.filtered, seq.stats.filtered, "query {i}");
             assert_eq!(
                 batch[i].stats.partition_size, seq.stats.partition_size,
                 "query {i}"
@@ -586,17 +585,13 @@ mod tests {
         let key = |r: &QueryResult| {
             let s = &r.stats;
             let counts = (s.partition_size, s.sf_size, s.filtered);
-            (
-                r.matches.clone(),
-                counts,
-                (s.pruned, s.answers, s.missing_feature),
-            )
+            (r.matches.clone(), counts, (s.answers, s.missing_feature))
         };
         let mut base = None;
         for threads in [1usize, 2, 8] {
             let engine = Engine::new(idx.clone(), threads);
             for seed in [7, 2007] {
-                let (r, _) = engine.query_batch(&qs, QueryOptions::default(), seed);
+                let (r, _) = engine.query_batch(&qs, QueryOptions, seed);
                 let got: Vec<_> = r.iter().map(key).collect();
                 let want = base.get_or_insert_with(|| got.clone());
                 assert_eq!(&got, want, "threads {threads}, seed {seed}");
@@ -641,9 +636,8 @@ mod tests {
             qs.len() as u64
         );
         type Field = fn(&crate::QueryStats) -> usize;
-        let fields: [(obs::Counter, Field); 7] = [
+        let fields: [(obs::Counter, Field); 6] = [
             (obs::Counter::FUNNEL_FILTERED, |s| s.filtered),
-            (obs::Counter::FUNNEL_PRUNED, |s| s.pruned),
             (obs::Counter::FUNNEL_ANSWERS, |s| s.answers),
             (obs::Counter::FUNNEL_MISSING_FEATURE, |s| {
                 usize::from(s.missing_feature)
@@ -659,7 +653,7 @@ mod tests {
         // The `[9, 9]` query takes the missing-feature short-circuit.
         let missing = obs::Counter::FUNNEL_MISSING_FEATURE.name();
         assert_eq!(base_m.counter(missing), 1);
-        // All four pipeline spans observed once per query.
+        // All three pipeline spans observed once per query.
         for id in obs::Span::PIPELINE {
             let span = base_m.span(id.name()).expect("pipeline span present");
             assert_eq!(span.count, qs.len() as u64, "{}", id.name());
@@ -675,36 +669,17 @@ mod tests {
         }
     }
 
-    /// Algorithm 2 runs only when asked for: a default batch makes no CDC
-    /// test and no distance-oracle BFS, the same batch with `use_cdc` makes
-    /// both, and the answers agree.
+    /// The engine runs no Algorithm 2: a batch makes no CDC test and no
+    /// distance-oracle BFS.
     #[test]
-    fn cdc_runs_only_under_its_toggle() {
+    fn batches_run_no_center_distance_pruning() {
         let idx = index();
-        let qs = queries();
-        let run = |opts: QueryOptions| {
-            let reg = obs::Registry::new();
-            let engine = Engine::new(idx.clone(), 2);
-            let (results, _) = engine.query_batch_pinned(&qs, opts, &reg);
-            let m = reg.drain();
-            let answers: Vec<Vec<u32>> = results.into_iter().map(|r| r.matches).collect();
-            (
-                answers,
-                m.counter("prune.cdc_tests"),
-                m.counter("graph.bfs"),
-            )
-        };
-        let (default_answers, tests, bfs) = run(QueryOptions::default());
-        assert_eq!((tests, bfs), (0, 0), "CDC ran by default");
-        let (cdc_answers, tests, bfs) = run(QueryOptions {
-            use_cdc: true,
-            ..QueryOptions::default()
-        });
-        assert!(
-            tests > 0 && bfs > 0,
-            "CDC on: {tests} tests, {bfs} BFS runs"
-        );
-        assert_eq!(default_answers, cdc_answers);
+        let reg = obs::Registry::new();
+        let results = batch(&idx, &queries(), 2, &reg);
+        assert!(results.iter().any(|r| r.stats.filtered > 0));
+        let m = reg.drain();
+        assert_eq!(m.counter(obs::Counter::PRUNE_CDC_TESTS.name()), 0);
+        assert_eq!(m.counter(obs::Counter::GRAPH_BFS.name()), 0);
     }
 
     #[test]
@@ -715,7 +690,7 @@ mod tests {
             let reg = obs::Registry::with_tracing();
             batch(&idx, &qs, threads, &reg);
             let events = reg.drain_trace();
-            // Every query contributes its four pipeline stages, tagged with
+            // Every query contributes its three pipeline stages, tagged with
             // its batch position.
             for name in obs::Span::PIPELINE.map(obs::Span::name) {
                 let ids: std::collections::BTreeSet<u64> = events
@@ -764,11 +739,11 @@ mod tests {
             assert_eq!(engine.parallelism(), threads);
             // Several batches on the same pool: results stay identical.
             for _ in 0..3 {
-                let (r, _) = engine.query_batch(&qs, QueryOptions::default(), 42);
+                let (r, _) = engine.query_batch_pinned(&qs, &obs::Registry::disabled());
                 assert_eq!(r.len(), base.len(), "threads {threads}");
                 for (a, b) in base.iter().zip(&r) {
                     assert_eq!(a.matches, b.matches, "threads {threads}");
-                    assert_eq!(a.stats.pruned, b.stats.pruned, "threads {threads}");
+                    assert_eq!(a.stats.filtered, b.stats.filtered, "threads {threads}");
                 }
             }
             let recovered = engine.into_index();
@@ -780,7 +755,7 @@ mod tests {
     fn engine_obs_flushes_pool_metrics() {
         let engine = Engine::new(index(), 2);
         let reg = obs::Registry::new();
-        let (_, _) = engine.query_batch_obs(&queries(), QueryOptions::default(), 7, &reg);
+        let (_, _) = engine.query_batch_obs(&queries(), QueryOptions, 7, &reg);
         let m = reg.drain();
         assert!(m.counter("pool.tasks") >= 1, "batch dispatch counted");
         // pool.* is outside the determinism contract.
@@ -791,14 +766,16 @@ mod tests {
     fn engine_maintenance_bumps_epoch_and_changes_answers() {
         let engine = Engine::new(index(), 2);
         let q = graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]);
-        let (before, _) = engine.query_batch(std::slice::from_ref(&q), QueryOptions::default(), 9);
+        let (before, _) =
+            engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Registry::disabled());
         let e0 = engine.epoch();
 
         // A cache keyed on the epoch would hold `before`; the insert must
         // bump the epoch AND the fresh answer must include the new graph.
         let gid = engine.insert(graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]));
         assert!(engine.epoch() > e0, "insert must bump the epoch");
-        let (after, _) = engine.query_batch(std::slice::from_ref(&q), QueryOptions::default(), 9);
+        let (after, _) =
+            engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Registry::disabled());
         assert!(after[0].matches.contains(&gid));
         assert_ne!(before[0].matches, after[0].matches);
         assert_eq!(after[0].matches, scan_support(&engine.pin(), &q));
@@ -808,7 +785,7 @@ mod tests {
         assert!(engine.remove(gid));
         assert!(engine.epoch() > e1, "remove must bump the epoch");
         let (reverted, _) =
-            engine.query_batch(std::slice::from_ref(&q), QueryOptions::default(), 9);
+            engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Registry::disabled());
         assert_eq!(reverted[0].matches, before[0].matches);
     }
 
@@ -821,12 +798,14 @@ mod tests {
         // support intersection, not a stale MissingFeature short-circuit.
         let engine = Engine::new(index(), 2);
         let q = graph_from(&[7, 7], &[(0, 1, 3)]);
-        let (miss, _) = engine.query_batch(std::slice::from_ref(&q), QueryOptions::default(), 3);
+        let (miss, _) =
+            engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Registry::disabled());
         assert!(miss[0].matches.is_empty());
         assert!(miss[0].stats.missing_feature, "edge unknown before insert");
 
         let gid = engine.insert(graph_from(&[7, 7, 0], &[(0, 1, 3), (1, 2, 0)]));
-        let (hit, _) = engine.query_batch(std::slice::from_ref(&q), QueryOptions::default(), 3);
+        let (hit, _) =
+            engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Registry::disabled());
         assert!(
             !hit[0].stats.missing_feature,
             "novel edge must be a feature after the insert"
@@ -880,7 +859,8 @@ mod tests {
             assert!(Arc::ptr_eq(&after, &engine.pin()), "{threads} workers");
             assert_eq!(engine.epoch(), epoch);
             assert_eq!(engine.maint_stats(), stats);
-            let (r, _) = engine.query_batch(std::slice::from_ref(&q), QueryOptions::default(), 0);
+            let (r, _) =
+                engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Registry::disabled());
             assert_eq!(r[0].matches, scan_support(&after, &q));
             assert!(!after.is_active(0) && !after.is_active(gid));
             assert!(after.sigs_consistent() && after.postings_consistent());
@@ -907,7 +887,7 @@ mod tests {
                 let pin = engine.pin();
                 let answer = scan_support(&pin, &q);
                 let (r, _) =
-                    engine.query_batch(std::slice::from_ref(&q), QueryOptions::default(), 0);
+                    engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Registry::disabled());
                 assert_eq!(r[0].matches, answer, "step {step}, {threads} workers");
                 // Odd steps hold their pin across every later write, even
                 // steps release it before this step's write.
@@ -961,7 +941,6 @@ mod tests {
                     while !stop.load(Ordering::Relaxed) {
                         let (r, epoch) = engine.query_batch_pinned(
                             std::slice::from_ref(&q),
-                            QueryOptions::default(),
                             &obs::Registry::disabled(),
                         );
                         seen.push((epoch, r[0].matches.clone()));
@@ -1017,7 +996,8 @@ mod tests {
         let snap = engine.pin();
         assert!(!snap.is_active(0));
         assert!(snap.is_active(a) && snap.is_active(b));
-        let (r, _) = engine.query_batch(std::slice::from_ref(&q), QueryOptions::default(), 5);
+        let (r, _) =
+            engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Registry::disabled());
         assert_eq!(r[0].matches, scan_support(&snap, &q));
         assert!(r[0].matches.contains(&a) && r[0].matches.contains(&b));
         // And it equals a fresh build over the survivors feature-for-feature
@@ -1052,7 +1032,8 @@ mod tests {
                 );
             }
             assert!(!expected.contains(&gids[0]));
-            let (r, _) = engine.query_batch(std::slice::from_ref(&q), QueryOptions::default(), 3);
+            let (r, _) =
+                engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Registry::disabled());
             assert_eq!(r[0].matches, expected);
         }
     }

@@ -14,11 +14,13 @@
 //!    gated by vertex signatures ([`sig`]) — not a search of the whole
 //!    candidate graph.
 //!
-//! The paper's Center Distance Constraint pruning ([`prune`], Algorithm 2)
-//! shrinks `P_q` to `P'_q` between stages 2 and 3 when
-//! [`QueryOptions::use_cdc`] is on, the paper's toggle. It is off by
-//! default: the search rejects the same candidates for less than the
-//! pruning costs.
+//! The pipeline has no options: [`TreePiIndex::query`] and the batch
+//! [`Engine`] run exactly these three stages. The paper's Center Distance
+//! Constraint pruning ([`prune`], Algorithm 2), which shrinks `P_q` to
+//! `P'_q` between stages 2 and 3, is not one of them: the anchored search
+//! rejects the same candidates for less than the pruning costs. Its
+//! `|P'_q|` (Figures 10–11) and the other ablations are measured by
+//! `crates/experiments` from the public stage functions.
 //!
 //! ```
 //! use graph_core::graph_from;
@@ -50,11 +52,11 @@ pub mod verify;
 mod walk;
 
 pub use directed::DirectedTreePiIndex;
-pub use engine::{query_rng, Engine, MaintStats, RemineReport};
+pub use engine::{query_rng, Engine, MaintStats, QueryOptions, RemineReport};
 pub use filter::enumerate_query_features;
 pub use index::{BuildStats, Feature, FeatureId, IndexMemory, TreePiIndex};
 pub use params::{Delta, TreePiParams};
 pub use partition::{feature_tree_partition, partition_runs_with, Part, PartitionRuns};
-pub use query::{QueryOptions, QueryResult, QueryStats, SfMode, INTRA_PAR_THRESHOLD};
+pub use query::{QueryResult, QueryStats, INTRA_PAR_THRESHOLD};
 pub use sig::VertexSig;
 pub use verify::scan_support;

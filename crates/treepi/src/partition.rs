@@ -52,9 +52,10 @@ pub enum PartitionRuns {
     MissingFeature(CanonString),
 }
 
-/// `TP_q` and `SF_q` of `q`: one walk of `q`, then [`cover`]. `SF_q` holds
-/// the parts' features and those of `q`'s single edges (the
-/// [`crate::SfMode::PartitionOnly`] filter set).
+/// `TP_q` and a filter set of `q`: one walk of `q`, then [`cover`]. The
+/// filter set holds only the parts' features and those of `q`'s single
+/// edges — weaker than the full `SF_q` the query pipeline filters on
+/// ([`crate::enumerate_query_features`]), an ablation point.
 pub fn feature_tree_partition(q: &Graph, index: &TreePiIndex) -> PartitionRuns {
     partition(q, index, true)
 }
@@ -129,8 +130,8 @@ pub(crate) fn cover(q: &Graph, found: &QueryFeatures) -> Vec<Part> {
     parts
 }
 
-/// The [`crate::SfMode::PartitionOnly`] filter set: the features of
-/// `parts` and of every single edge in `found`, ascending.
+/// The partition-only filter set: the features of `parts` and of every
+/// single edge in `found`, ascending.
 pub(crate) fn partition_features(found: &QueryFeatures, parts: &[Part]) -> Vec<FeatureId> {
     let edges = found.hits().filter(|h| h.0.len() == 1).map(|h| h.1);
     let mut sf: Vec<FeatureId> = parts.iter().map(|p| p.feature).chain(edges).collect();

@@ -22,11 +22,12 @@
 //! incompatible — both sound, for the same reason the distance constraint
 //! is.
 //!
-//! The query pipeline runs this stage only under
-//! [`crate::QueryOptions::use_cdc`], which is off by default: verification
-//! rejects every candidate it would, for less than the stage costs
-//! (DESIGN.md, substitution 7). It stays as the paper's toggle, and
-//! Figures 10–11 report `|P'_q|` with it on.
+//! The query pipeline does not run this stage: verification rejects every
+//! candidate it would, for less than the stage costs (DESIGN.md,
+//! substitution 7). It stays public for two callers that combine the stage
+//! functions themselves: `crates/experiments`, whose Figures 10–11, γ
+//! sweep, feature-class table and `ablate` report the paper's `|P'_q|`
+//! with it, and the ledger's replay (until ROADMAP item 1).
 
 use crate::index::TreePiIndex;
 use crate::partition::Part;
@@ -186,31 +187,13 @@ fn satisfies_cdc_obs<'a>(
     ok
 }
 
-/// Algorithm 2: reduce the filtered set `P_q` to `P'_q` — the serial inner
-/// loop, over precomputed query signatures, recording per-candidate CDC
-/// metrics into `shard`.
-pub(crate) fn center_prune_obs(
-    index: &TreePiIndex,
-    qsigs: &[VertexSig],
-    pq: &[u32],
-    parts: &[Part],
-    dq: &[Vec<u32>],
-    shard: &obs::Shard,
-) -> Vec<u32> {
-    let mut scratch = CdcScratch::default();
-    pq.iter()
-        .copied()
-        .filter(|&gid| satisfies_cdc_obs(index, qsigs, gid, parts, dq, &mut scratch, shard))
-        .collect()
-}
-
-/// Algorithm 2's serial loop split into up to `threads` seats on `pool`. Each
-/// candidate's CDC test is independent (every seat owns its scratch and
-/// distance oracle), so the set is chunked contiguously and the
-/// per-chunk results concatenated in chunk order; each seat records into a
-/// [`obs::Shard::fork`] of `shard`, merged back in rank order. The output
-/// and every merged counter are therefore identical for any `threads` and
-/// pool size.
+/// Algorithm 2: reduce the filtered set `P_q` to `P'_q`, split into up to
+/// `threads` seats on `pool`. Each candidate's CDC test is independent
+/// (every seat owns its scratch and distance oracle), so the set is chunked
+/// contiguously and the per-chunk results concatenated in chunk order; each
+/// seat records into a [`obs::Shard::fork`] of `shard`, merged back in rank
+/// order. The output and every merged counter are therefore identical for
+/// any `threads` and pool size.
 #[allow(clippy::too_many_arguments)]
 pub fn center_prune_pool_obs(
     index: &TreePiIndex,
@@ -231,7 +214,12 @@ pub fn center_prune_pool_obs(
     let chunk_size = pq.len().div_ceil(threads.clamp(1, pq.len()));
     let chunks: Vec<&[u32]> = pq.chunks(chunk_size).collect();
     pool.fork_join_obs(chunks.len(), shard, |rank, worker| {
-        center_prune_obs(index, &qsigs, chunks[rank], parts, dq, worker)
+        let mut scratch = CdcScratch::default();
+        chunks[rank]
+            .iter()
+            .copied()
+            .filter(|&gid| satisfies_cdc_obs(index, &qsigs, gid, parts, dq, &mut scratch, worker))
+            .collect::<Vec<u32>>()
     })
     .into_iter()
     .flatten()
@@ -253,8 +241,8 @@ mod tests {
         parts: &[Part],
         dq: &[Vec<u32>],
     ) -> Vec<u32> {
-        let off = obs::Shard::disabled();
-        center_prune_obs(idx, &sig::graph_sigs(q), pq, parts, dq, &off)
+        let (pool, off) = (graph_core::par::Pool::new(1), obs::Shard::disabled());
+        center_prune_pool_obs(idx, q, pq, parts, dq, &pool, 1, &off)
     }
 
     /// Figure 7's scenario in miniature: the query is two labeled edges at

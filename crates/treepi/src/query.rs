@@ -1,75 +1,36 @@
-//! The full TreePi query pipeline (paper §3, "Query Processing"):
-//! partition → filter → verify from the stored centers, with per-stage
-//! statistics (the quantities plotted in Figures 10–13). The partition
-//! stage walks the query once for every occurrence of a stored feature:
-//! their features are the filter set `SF_q`, and a greedy cover by the
-//! largest of them is `TP_q` ([`crate::partition`]). Nothing on the path
-//! draws a random number, so a query's answer and statistics are functions
-//! of the query and the index alone. Each filter survivor gets one test,
-//! the anchored search of [`crate::verify`]; its vertex-signature gate is
-//! the funnel's only per-candidate signature check.
+//! The TreePi query pipeline (paper §3, "Query Processing"): partition →
+//! filter → verify from the stored centers, with per-stage statistics (the
+//! quantities plotted in Figures 10–13). The partition stage walks the
+//! query once for every occurrence of a stored feature: their features are
+//! the filter set `SF_q`, and a greedy cover by the largest of them is
+//! `TP_q` ([`crate::partition`]). Nothing on the path draws a random
+//! number, so a query's answer and statistics are functions of the query
+//! and the index alone. Each filter survivor gets one test, the anchored
+//! search of [`crate::verify`]; its vertex-signature gate is the funnel's
+//! only per-candidate signature check.
 //!
-//! Center-distance pruning (Algorithm 2) is the paper's toggle,
-//! [`QueryOptions::use_cdc`], off by default: with verification one
-//! anchored search of ≈ 1 µs per candidate, the few candidates CDC rejects
-//! save far less search time than the distance oracles cost (DESIGN.md,
-//! substitution 7). With it on, it runs between the filter and
-//! verification, as in the paper.
+//! The pipeline has no options. Center-distance pruning (Algorithm 2,
+//! [`crate::prune`]) does not run here: with verification one anchored
+//! search of ≈ 1 µs per candidate, the few candidates it rejects save far
+//! less search time than its distance oracles cost (DESIGN.md,
+//! substitution 7). The paper's `|P'_q|` (Figures 10–11) and the other
+//! ablations — `SF_q` from the partition alone, naive VF2 verification —
+//! are measured by `crates/experiments`, which combines the public stage
+//! functions.
 
 use crate::filter::filter;
 use crate::index::TreePiIndex;
-use crate::partition::{cover, partition_features};
-use crate::prune::{center_prune_pool_obs, query_center_distances};
+use crate::partition::cover;
 use crate::verify::verify_all_pool_obs;
 use crate::walk::{QueryFeatures, WalkCounts};
 use graph_core::par::Pool;
 use graph_core::Graph;
 use std::time::{Duration, Instant};
 
-/// Minimum candidate-set size before a query's verify stage (and prune,
-/// with CDC on) is split across workers. Measured, not derived: with
-/// verification the only stage to split, 32 beats 64 and ties 16; see
+/// Minimum candidate-set size before a query's verify stage is split
+/// across workers. Measured, not derived: 32 beats 64 and ties 16; see
 /// DESIGN.md ("Parallel query engine") for the numbers.
 pub const INTRA_PAR_THRESHOLD: usize = 32;
-
-/// How the filter set `SF_q` is assembled.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SfMode {
-    /// Enumerate every indexed subtree of `q` (paper §1) — the default and
-    /// strongest filter.
-    FullEnumeration,
-    /// Only `TP_q`'s features and those of `q`'s single edges (weaker; an
-    /// ablation point).
-    PartitionOnly,
-}
-
-/// Ablation switches (used by the `ablate` experiment; the defaults are the
-/// fastest exact pipeline, which is the paper's with Algorithm 2 off).
-#[derive(Clone, Copy, Debug)]
-pub struct QueryOptions {
-    /// Filter-set construction policy.
-    pub sf_mode: SfMode,
-    /// Apply Center Distance Constraint pruning (Algorithm 2) before
-    /// verification. Off by default: it only narrows what verification
-    /// would reject anyway, and costs more than the searches it saves.
-    /// On reproduces the paper's `|P'_q|` (Figures 10–11).
-    pub use_cdc: bool,
-    /// Verify from the stored centers (Algorithm 3: one search per
-    /// candidate, pinned at the root part's stored positions; see
-    /// [`crate::verify`]). Off = naive VF2 subgraph isomorphism of the
-    /// whole query per candidate, like gIndex.
-    pub use_reconstruction: bool,
-}
-
-impl Default for QueryOptions {
-    fn default() -> Self {
-        Self {
-            sf_mode: SfMode::FullEnumeration,
-            use_cdc: false,
-            use_reconstruction: true,
-        }
-    }
-}
 
 /// Per-query statistics.
 #[derive(Clone, Copy, Debug, Default)]
@@ -78,12 +39,9 @@ pub struct QueryStats {
     pub partition_size: usize,
     /// Distinct features in the filter set `SF_q`.
     pub sf_size: usize,
-    /// `|P_q|` — candidates after filtering (gIndex's `|C_q|` analogue).
+    /// `|P_q|` — candidates after filtering (gIndex's `|C_q|` analogue):
+    /// the candidates verification searches.
     pub filtered: usize,
-    /// `|P'_q|` — candidates after Center Distance pruning: the
-    /// candidates verification searches. With [`QueryOptions::use_cdc`] off
-    /// (the default) nothing is pruned and `pruned == filtered`.
-    pub pruned: usize,
     /// `|D_q|` — the exact answer count.
     pub answers: usize,
     /// The query contained an edge that is not a feature (empty support
@@ -101,13 +59,10 @@ pub struct QueryStats {
     /// the cover.
     pub t_partition: Duration,
     /// Of `t_partition`, enumerating the query's indexed subtrees: the
-    /// walk `TP_q` is covered from and `SF_q` (under
-    /// [`SfMode::FullEnumeration`]) is.
+    /// walk `TP_q` is covered from and `SF_q` is.
     pub t_enumerate: Duration,
     /// Time in the filter stage.
     pub t_filter: Duration,
-    /// Time in the prune stage; zero with [`QueryOptions::use_cdc`] off.
-    pub t_prune: Duration,
     /// Time in the verify stage.
     pub t_verify: Duration,
 }
@@ -117,12 +72,11 @@ impl QueryStats {
     /// [`obs::Span::PIPELINE`] with this query's clocks. Every
     /// per-stage report (the total, metrics, traces, the server's
     /// slow-query capture) iterates this one list.
-    pub fn stages(&self) -> [(obs::Span, Duration); 4] {
-        let [partition, filter, prune, verify] = obs::Span::PIPELINE;
+    pub fn stages(&self) -> [(obs::Span, Duration); 3] {
+        let [partition, filter, verify] = obs::Span::PIPELINE;
         [
             (partition, self.t_partition),
             (filter, self.t_filter),
-            (prune, self.t_prune),
             (verify, self.t_verify),
         ]
     }
@@ -150,7 +104,6 @@ impl QueryStats {
         use obs::Counter;
         shard.add(Counter::FUNNEL_QUERIES, 1);
         shard.add(Counter::FUNNEL_FILTERED, self.filtered as u64);
-        shard.add(Counter::FUNNEL_PRUNED, self.pruned as u64);
         shard.add(Counter::FUNNEL_ANSWERS, self.answers as u64);
         shard.add(Counter::FUNNEL_MISSING_FEATURE, self.missing_feature as u64);
         shard.add(Counter::FUNNEL_PARTITION_PARTS, self.partition_size as u64);
@@ -184,23 +137,16 @@ impl TreePiIndex {
     /// Answer the containment query `q` (paper §3): all active database
     /// graphs of which `q` is a subgraph.
     pub fn query(&self, q: &Graph) -> QueryResult {
-        self.query_with(q, QueryOptions::default())
+        self.query_with_pool_obs(q, &Pool::new(1), 1, &obs::Shard::disabled())
     }
 
-    /// [`Self::query`] with ablation switches: [`Self::query_with_pool_obs`]
-    /// on a 1-seat pool (no threads, every stage inline) with metrics
-    /// disabled.
-    pub fn query_with(&self, q: &Graph, opts: QueryOptions) -> QueryResult {
-        self.query_with_pool_obs(q, opts, &Pool::new(1), 1, &obs::Shard::disabled())
-    }
-
-    /// The general query: when a stage's candidate set reaches
-    /// [`INTRA_PAR_THRESHOLD`], verification (and CDC pruning, if on) is
-    /// split into up to `intra` chunks dispatched as seats on `pool`.
-    /// Safe to call from inside a pool seat — the batch engine does exactly
-    /// that — because [`Pool::run`] lets the dispatcher claim its own job's
-    /// seats. Results are identical at any `intra`/pool size: candidates
-    /// are chunked in order and chunk results concatenated in order.
+    /// [`Self::query`] on `pool`: when the filter keeps
+    /// [`INTRA_PAR_THRESHOLD`] candidates or more, verification is split
+    /// into up to `intra` chunks dispatched as seats on `pool`. Safe to call
+    /// from inside a pool seat — the batch engine does exactly that —
+    /// because [`Pool::run`] lets the dispatcher claim its own job's seats.
+    /// Results are identical at any `intra`/pool size: candidates are
+    /// chunked in order and chunk results concatenated in order.
     ///
     /// Stage spans and funnel counters are recorded into `shard`; each is
     /// a pure function of the query outcome, so batch totals are
@@ -209,24 +155,16 @@ impl TreePiIndex {
     pub fn query_with_pool_obs(
         &self,
         q: &Graph,
-        opts: QueryOptions,
         pool: &Pool,
         intra: usize,
         shard: &obs::Shard,
     ) -> QueryResult {
-        let r = self.query_impl(q, opts, pool, intra, shard);
+        let r = self.query_impl(q, pool, intra, shard);
         r.stats.record_into(shard, Instant::now());
         r
     }
 
-    fn query_impl(
-        &self,
-        q: &Graph,
-        opts: QueryOptions,
-        pool: &Pool,
-        intra: usize,
-        shard: &obs::Shard,
-    ) -> QueryResult {
+    fn query_impl(&self, q: &Graph, pool: &Pool, intra: usize, shard: &obs::Shard) -> QueryResult {
         assert!(q.edge_count() > 0, "queries must have at least one edge");
         let mut stats = QueryStats::default();
 
@@ -253,7 +191,6 @@ impl TreePiIndex {
             stats.partition_size = 1;
             stats.sf_size = 1;
             stats.filtered = matches.len();
-            stats.pruned = matches.len();
             stats.answers = matches.len();
             return QueryResult { matches, stats };
         }
@@ -275,10 +212,7 @@ impl TreePiIndex {
             };
         };
         let parts = cover(q, &found);
-        let sf = match opts.sf_mode {
-            SfMode::FullEnumeration => found.features(),
-            SfMode::PartitionOnly => partition_features(&found, &parts),
-        };
+        let sf = found.features();
         stats.t_partition = t.elapsed();
         stats.partition_size = parts.len();
         stats.sf_size = sf.len();
@@ -289,58 +223,14 @@ impl TreePiIndex {
         stats.t_filter = t.elapsed();
         stats.filtered = pq.len();
 
-        // Intra-query parallelism only pays off on large candidate sets.
-        let budget = intra.max(1);
-        let stage_threads = |candidates: usize| {
-            if candidates >= INTRA_PAR_THRESHOLD {
-                budget
-            } else {
-                1
-            }
-        };
-
-        // ---- Prune (Algorithm 2; the paper's toggle, off by default) ----
-        let pruned = if opts.use_cdc {
-            let t = Instant::now();
-            let dq = query_center_distances(q, &parts);
-            let kept = center_prune_pool_obs(
-                self,
-                q,
-                &pq,
-                &parts,
-                &dq,
-                pool,
-                stage_threads(pq.len()),
-                shard,
-            );
-            stats.t_prune = t.elapsed();
-            kept
-        } else {
-            pq
-        };
-        stats.pruned = pruned.len();
-
-        // ---- Verify (Algorithm 3) ----
+        // ---- Verify (Algorithm 3); split only on large candidate sets ----
         let t = Instant::now();
-        let matches = if opts.use_reconstruction {
-            verify_all_pool_obs(
-                self,
-                q,
-                &pruned,
-                &parts,
-                &[],
-                pool,
-                stage_threads(pruned.len()),
-                shard,
-            )
+        let threads = if pq.len() >= INTRA_PAR_THRESHOLD {
+            intra.max(1)
         } else {
-            pruned
-                .into_iter()
-                .filter(|&gid| {
-                    graph_core::is_subgraph_isomorphic_obs(q, &self.db()[gid as usize], shard)
-                })
-                .collect()
+            1
         };
+        let matches = verify_all_pool_obs(self, q, &pq, &parts, &[], pool, threads, shard);
         stats.t_verify = t.elapsed();
         stats.answers = matches.len();
 
@@ -379,9 +269,8 @@ mod tests {
             let s = &r.stats;
             assert!(s.partition_size >= 1);
             assert!(s.sf_size >= 1);
-            // the funnel only narrows; nothing is pruned with CDC off
-            assert_eq!(s.filtered, s.pruned);
-            assert!(s.pruned >= s.answers);
+            // the funnel only narrows
+            assert!(s.filtered >= s.answers);
             assert_eq!(s.answers, r.matches.len());
             assert!(!s.missing_feature);
         }
@@ -413,51 +302,6 @@ mod tests {
         assert!(r.matches.is_empty());
         assert!(r.stats.missing_feature);
         assert_eq!(r.stats.filtered, 0);
-    }
-
-    #[test]
-    fn ablations_preserve_correctness() {
-        let idx = index();
-        let q = graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 0, 1)]);
-        let truth = scan_support(&idx, &q);
-        for (cdc, recon) in [(true, true), (true, false), (false, true), (false, false)] {
-            let r = idx.query_with(
-                &q,
-                QueryOptions {
-                    use_cdc: cdc,
-                    use_reconstruction: recon,
-                    ..QueryOptions::default()
-                },
-            );
-            assert_eq!(r.matches, truth, "cdc={cdc} recon={recon}");
-        }
-    }
-
-    #[test]
-    fn cdc_prunes_at_least_as_hard_as_filter() {
-        let idx = index();
-        let queries = [
-            graph_from(&[0, 0], &[(0, 1, 0)]),
-            graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 0, 1)]),
-            graph_from(&[0, 1, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 0, 0)]),
-        ];
-        for (i, q) in queries.iter().enumerate() {
-            let with = idx.query_with(
-                q,
-                QueryOptions {
-                    use_cdc: true,
-                    ..QueryOptions::default()
-                },
-            );
-            let without = idx.query(q);
-            assert_eq!(with.matches, without.matches, "query {i}");
-            assert_eq!(with.stats.filtered, without.stats.filtered, "query {i}");
-            assert!(with.stats.pruned <= without.stats.pruned, "query {i}");
-            assert!(with.stats.pruned >= with.stats.answers, "query {i}");
-            // Off (the default) prunes nothing and takes no prune time.
-            assert_eq!(without.stats.pruned, without.stats.filtered, "query {i}");
-            assert_eq!(without.stats.t_prune, Duration::ZERO, "query {i}");
-        }
     }
 
     /// A tree-shaped query far deeper than the thread's stack could recurse

@@ -23,7 +23,7 @@
 //! Two consumers read them: the anchored search of [`crate::verify`]
 //! (its per-part count of compatible stored positions, via
 //! [`center_compatible`], and its per-vertex feasibility rule) and CDC
-//! pruning ([`crate::prune`], the paper's toggle).
+//! pruning ([`crate::prune`], which the query pipeline does not run).
 //!
 //! Signatures are a pure function of the stored graph payload — the index
 //! keeps `sigs[gid] == graph_sigs(&db[gid])` as an invariant across

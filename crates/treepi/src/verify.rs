@@ -124,14 +124,14 @@ fn verify_anchored_obs<'q>(
     false
 }
 
-/// Verify every graph in `pruned`, returning the exact answer set:
+/// Verify every graph in `candidates`, returning the exact answer set:
 /// [`verify_all_pool_obs`] as one inline chunk with metrics disabled.
-pub fn verify_all(index: &TreePiIndex, q: &Graph, pruned: &[u32], parts: &[Part]) -> Vec<u32> {
+pub fn verify_all(index: &TreePiIndex, q: &Graph, candidates: &[u32], parts: &[Part]) -> Vec<u32> {
     let pool = graph_core::par::Pool::new(1);
     verify_all_pool_obs(
         index,
         q,
-        pruned,
+        candidates,
         parts,
         &[],
         &pool,
@@ -154,18 +154,20 @@ pub fn verify_all(index: &TreePiIndex, q: &Graph, pruned: &[u32], parts: &[Part]
 pub fn verify_all_pool_obs(
     index: &TreePiIndex,
     q: &Graph,
-    pruned: &[u32],
+    candidates: &[u32],
     parts: &[Part],
     _dq: &[Vec<u32>],
     pool: &graph_core::par::Pool,
     threads: usize,
     shard: &obs::Shard,
 ) -> Vec<u32> {
-    if pruned.is_empty() {
+    if candidates.is_empty() {
         return Vec::new();
     }
-    let chunk_size = pruned.len().div_ceil(threads.clamp(1, pruned.len()));
-    let chunks: Vec<&[u32]> = pruned.chunks(chunk_size).collect();
+    let chunk_size = candidates
+        .len()
+        .div_ceil(threads.clamp(1, candidates.len()));
+    let chunks: Vec<&[u32]> = candidates.chunks(chunk_size).collect();
     pool.fork_join_obs(chunks.len(), shard, |rank, worker| {
         let mut scratch = VerifyScratch::for_query(q, parts.len());
         chunks[rank]
@@ -223,12 +225,14 @@ mod tests {
             PartitionRuns::Ok { min_partition, sf } => {
                 let pq = crate::filter::filter(idx, &sf);
                 let dq = query_center_distances(q, &min_partition);
-                let pruned = crate::prune::center_prune_obs(
+                let pruned = crate::prune::center_prune_pool_obs(
                     idx,
-                    &crate::sig::graph_sigs(q),
+                    q,
                     &pq,
                     &min_partition,
                     &dq,
+                    &graph_core::par::Pool::new(1),
+                    1,
                     &obs::Shard::disabled(),
                 );
                 verify_all(idx, q, &pruned, &min_partition)

@@ -20,7 +20,7 @@ use obs::alloc::{
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use treepi::{Engine, QueryOptions, TreePiIndex, TreePiParams};
+use treepi::{Engine, TreePiIndex, TreePiParams};
 
 #[global_allocator]
 static ALLOC: TrackingAlloc<std::alloc::System> = TrackingAlloc::new(std::alloc::System);
@@ -105,7 +105,7 @@ fn queries_stay_within_their_allocation_budget() {
     let engine = Engine::new(TreePiIndex::build(db, TreePiParams::default()), 1);
     for ((edges, ceiling), queries) in CEILINGS.into_iter().zip(&pools) {
         let before = allocation_count();
-        let (results, _) = engine.query_batch(queries, QueryOptions::default(), 7);
+        let (results, _) = engine.query_batch_pinned(queries, &obs::Registry::disabled());
         let per_query = (allocation_count() - before) / queries.len() as u64;
         assert!(results.iter().all(|r| !r.matches.is_empty()));
         assert!(
@@ -140,7 +140,7 @@ fn queries_stay_within_their_allocation_budget() {
         let index = TreePiIndex::load(&mut file.as_slice()).expect("load");
         let engine = Engine::new(index, 1);
         let registry = obs::Registry::new();
-        let (results, _) = engine.query_batch_obs(&queries, QueryOptions::default(), 7, &registry);
+        let (results, _) = engine.query_batch_pinned(&queries, &registry);
         (engine, results)
     });
     assert!(results.iter().all(|r| !r.matches.is_empty()));

@@ -31,7 +31,7 @@ use obs::Counter;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use tree_core::CanonString;
-use treepi::{scan_support, Engine, FeatureId, QueryOptions, TreePiIndex, TreePiParams};
+use treepi::{scan_support, Engine, FeatureId, TreePiIndex, TreePiParams};
 
 /// Random connected labeled graph: a random tree plus a few extra edges
 /// (same shape as the proptest generator in `prop.rs`, but driven by a
@@ -134,7 +134,7 @@ fn run_churn(workers: usize, seed: u64) -> bool {
             "step {step}, {workers} workers: posting lists out of step"
         );
         assert_directory(&snapshot, &format!("step {step}, {workers} workers"));
-        let (results, _) = engine.query_batch(&queries, QueryOptions::default(), 0);
+        let (results, _) = engine.query_batch_pinned(&queries, &obs::Registry::disabled());
         for (q, r) in queries.iter().zip(&results) {
             assert_eq!(
                 r.matches,
@@ -302,7 +302,8 @@ fn background_remine_keeps_answers_exact_under_churn() {
         let q = random_graph(&mut rng, 4);
         let snapshot = engine.pin();
         assert!(snapshot.postings_consistent(), "step {step}");
-        let (results, _) = engine.query_batch(std::slice::from_ref(&q), QueryOptions::default(), 0);
+        let (results, _) =
+            engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Registry::disabled());
         assert_eq!(
             results[0].matches,
             scan_support(&snapshot, &q),
@@ -323,14 +324,13 @@ fn background_remine_keeps_answers_exact_under_churn() {
 
 /// The maintenance counters after [`deterministic_churn_counters`]'s
 /// schedule, then the funnel counters of its one query batch.
-const CHURN_COUNTS: [(Counter, u64); 11] = [
+const CHURN_COUNTS: [(Counter, u64); 10] = [
     (Counter::MAINT_APPLIED, 24),
     (Counter::MAINT_SNAPSHOT_SWAPS, 27),
     (Counter::MAINT_REMINE_TRIGGERS, 3),
     (Counter::MAINT_REMINES_COMPLETED, 3),
     (Counter::FUNNEL_QUERIES, 20),
     (Counter::FUNNEL_FILTERED, 41),
-    (Counter::FUNNEL_PRUNED, 41),
     (Counter::FUNNEL_ANSWERS, 33),
     (Counter::FUNNEL_PARTITION_PARTS, 62),
     (Counter::FUNNEL_SF_FEATURES, 149),
@@ -366,7 +366,7 @@ fn deterministic_churn_counters() -> obs::MetricSet {
         // exactly every `threshold` repairs, independent of wall time.
         engine.wait_remine_idle();
     }
-    engine.query_batch_obs(&qs, QueryOptions::default(), 9, &registry);
+    engine.query_batch_pinned(&qs, &registry);
     let stats = engine.maint_stats();
     let mut out = obs::MetricSet::new();
     for (c, v) in registry.drain().counters() {

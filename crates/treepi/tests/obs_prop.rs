@@ -18,7 +18,7 @@ use graph_core::Graph;
 use obs::{Counter, Gauge, Span};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use treepi::{Engine, QueryOptions, TreePiIndex, TreePiParams};
+use treepi::{Engine, TreePiIndex, TreePiParams};
 
 fn run_metered(
     idx: &TreePiIndex,
@@ -27,7 +27,7 @@ fn run_metered(
 ) -> (Vec<treepi::QueryResult>, obs::MetricSet) {
     let registry = obs::Registry::new();
     let engine = Engine::new(idx.clone(), threads);
-    let (results, _) = engine.query_batch_pinned(queries, QueryOptions::default(), &registry);
+    let (results, _) = engine.query_batch_pinned(queries, &registry);
     (results, registry.drain())
 }
 
@@ -40,12 +40,11 @@ fn run_metered(
 /// constants and say why.
 #[test]
 fn fixed_query_batch_counts_are_pinned() {
-    const COUNTERS: [(&str, u64); 11] = [
+    const COUNTERS: [(&str, u64); 10] = [
         ("funnel.answers", 3),
         ("funnel.filtered", 3),
         ("funnel.missing_feature", 0),
         ("funnel.partition_parts", 55),
-        ("funnel.pruned", 3),
         ("funnel.queries", 3),
         ("funnel.sf_features", 99),
         ("verify.tests", 3),
@@ -53,11 +52,10 @@ fn fixed_query_batch_counts_are_pinned() {
         ("walk.hits", 178),
         ("walk.probes", 787),
     ];
-    const SPANS: [(&str, u64); 5] = [
+    const SPANS: [(&str, u64); 4] = [
         ("query.filter", 3),
         ("query.partition", 3),
         ("query.partition.enumerate", 3),
-        ("query.prune", 3),
         ("query.verify", 3),
     ];
     const INDEX_GAUGES: [(Gauge, u64); 7] = [
@@ -104,7 +102,6 @@ proptest! {
             results.iter().map(|r| f(&r.stats) as u64).sum()
         };
         prop_assert_eq!(base.counter(Counter::FUNNEL_FILTERED.name()), sums(|s| s.filtered));
-        prop_assert_eq!(base.counter(Counter::FUNNEL_PRUNED.name()), sums(|s| s.pruned));
         prop_assert_eq!(base.counter(Counter::FUNNEL_ANSWERS.name()), sums(|s| s.answers));
         prop_assert_eq!(base.counter(Counter::WALK_PROBES.name()), sums(|s| s.walk_probes));
         prop_assert_eq!(base.counter(Counter::WALK_ENCODES.name()), sums(|s| s.walk_encodes));
@@ -112,7 +109,7 @@ proptest! {
         let missing: u64 = results.iter().filter(|r| r.stats.missing_feature).count() as u64;
         prop_assert_eq!(base.counter(Counter::FUNNEL_MISSING_FEATURE.name()), missing);
 
-        // All four pipeline spans, and the partition stage's walk, are
+        // All three pipeline spans, and the partition stage's walk, are
         // observed exactly once per query, even for short-circuited queries.
         let walk = Span::QUERY_PARTITION_ENUMERATE;
         for id in Span::PIPELINE.into_iter().chain([walk]) {
@@ -173,12 +170,12 @@ proptest! {
     ) {
         let idx = TreePiIndex::build(db, TreePiParams::quick());
         let (plain, _) =
-            Engine::new(idx.clone(), 2).query_batch(&queries, QueryOptions::default(), 0);
+            Engine::new(idx.clone(), 2).query_batch_pinned(&queries, &obs::Registry::disabled());
         let (metered, _) = run_metered(&idx, &queries, 2);
         for (a, b) in plain.iter().zip(&metered) {
             prop_assert_eq!(&a.matches, &b.matches);
             prop_assert_eq!(a.stats.filtered, b.stats.filtered);
-            prop_assert_eq!(a.stats.pruned, b.stats.pruned);
+            prop_assert_eq!(a.stats.answers, b.stats.answers);
             prop_assert_eq!(a.stats.partition_size, b.stats.partition_size);
         }
     }

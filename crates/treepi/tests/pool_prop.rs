@@ -5,7 +5,7 @@
 //! against a plain sequential loop of single queries; index builds
 //! dispatched onto a pool must serialize to the same bytes at any pool size. A deterministic
 //! re-entrancy test drives the nested-dispatch path (a pool-run query
-//! fanning its prune/verify stages back into the same pool) that the
+//! fanning its verify stage back into the same pool) that the
 //! random cases rarely reach.
 
 mod common;
@@ -14,7 +14,7 @@ use common::{arb_connected_graph, arb_db};
 use graph_core::par::Pool;
 use graph_core::{graph_from, Graph};
 use proptest::prelude::*;
-use treepi::{Engine, QueryOptions, TreePiIndex, TreePiParams, INTRA_PAR_THRESHOLD};
+use treepi::{Engine, TreePiIndex, TreePiParams, INTRA_PAR_THRESHOLD};
 
 fn save_bytes(idx: &TreePiIndex) -> Vec<u8> {
     let mut out = Vec::new();
@@ -24,7 +24,7 @@ fn save_bytes(idx: &TreePiIndex) -> Vec<u8> {
 
 fn run_engine(engine: &Engine, queries: &[Graph]) -> (Vec<treepi::QueryResult>, obs::MetricSet) {
     let registry = obs::Registry::new();
-    let (results, _) = engine.query_batch_pinned(queries, QueryOptions::default(), &registry);
+    let (results, _) = engine.query_batch_pinned(queries, &registry);
     (results, registry.drain())
 }
 
@@ -44,13 +44,12 @@ proptest! {
         // Reference: one query at a time, no batch engine involved. Matches
         // and stats come from the plain entry point; the same loop on a
         // recording shard yields the reference counters.
-        let opts = QueryOptions::default();
-        let seq: Vec<treepi::QueryResult> = queries.iter().map(|q| idx.query_with(q, opts)).collect();
+        let seq: Vec<treepi::QueryResult> = queries.iter().map(|q| idx.query(q)).collect();
         let seq_registry = obs::Registry::new();
         let shard = seq_registry.shard();
         let inline = Pool::new(1);
         for q in &queries {
-            idx.query_with_pool_obs(q, opts, &inline, 1, &shard);
+            idx.query_with_pool_obs(q, &inline, 1, &shard);
         }
         seq_registry.absorb(shard);
         let seq_det = seq_registry.drain().deterministic_counters();
@@ -60,7 +59,6 @@ proptest! {
         for (a, b) in seq.iter().zip(&base) {
             prop_assert_eq!(&a.matches, &b.matches);
             prop_assert_eq!(a.stats.filtered, b.stats.filtered);
-            prop_assert_eq!(a.stats.pruned, b.stats.pruned);
             prop_assert_eq!(a.stats.answers, b.stats.answers);
             prop_assert_eq!(a.stats.partition_size, b.stats.partition_size);
         }
@@ -73,7 +71,7 @@ proptest! {
             for (a, b) in base.iter().zip(&results) {
                 prop_assert_eq!(&a.matches, &b.matches);
                 prop_assert_eq!(a.stats.filtered, b.stats.filtered);
-                prop_assert_eq!(a.stats.pruned, b.stats.pruned);
+                prop_assert_eq!(a.stats.answers, b.stats.answers);
             }
             prop_assert_eq!(
                 &metrics.deterministic_counters(),
@@ -106,7 +104,7 @@ proptest! {
 
 /// One database where a 3-cycle query has well over [`INTRA_PAR_THRESHOLD`]
 /// candidates, batched twice on an 8-worker engine: the batch fans out over
-/// pool seats AND each query's prune/verify stages dispatch back into the
+/// pool seats AND each query's verify stage dispatches back into the
 /// same pool from inside a seat (re-entrant nesting). Must complete (no
 /// deadlock) and agree with a 1-worker engine.
 #[test]
@@ -126,18 +124,18 @@ fn reentrant_stage_dispatch_is_deterministic() {
     let idx = TreePiIndex::build(db, TreePiParams::quick());
 
     let serial = Engine::new(idx, 1);
-    let (base, _) = serial.query_batch(&queries, QueryOptions::default(), 7);
+    let (base, _) = serial.query_batch_pinned(&queries, &obs::Registry::disabled());
     // Sanity: the filter stage really produces an intra-parallel workload.
     assert!(base[0].stats.filtered >= INTRA_PAR_THRESHOLD);
     assert_eq!(base[0].stats.answers, INTRA_PAR_THRESHOLD + 8);
 
     let engine = Engine::new(serial.into_index(), 8);
     for round in 0..3 {
-        let (results, _) = engine.query_batch(&queries, QueryOptions::default(), 7);
+        let (results, _) = engine.query_batch_pinned(&queries, &obs::Registry::disabled());
         for (a, b) in base.iter().zip(&results) {
             assert_eq!(a.matches, b.matches, "round {round}");
             assert_eq!(a.stats.filtered, b.stats.filtered);
-            assert_eq!(a.stats.pruned, b.stats.pruned);
+            assert_eq!(a.stats.answers, b.stats.answers);
         }
     }
 }

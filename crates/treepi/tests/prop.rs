@@ -1,7 +1,9 @@
 //! Property tests for the index: on arbitrary databases and queries, the
-//! pipeline is exact (equals the brute-force scan), verification from the
-//! stored centers is VF2 on every candidate, the candidate funnel only
-//! narrows, and partitions are well-formed covers.
+//! pipeline is exact (equals the brute-force scan), and so is every
+//! pipeline the public stage functions form (either filter set, with or
+//! without center-distance pruning, anchored or VF2 verification);
+//! verification from the stored centers is VF2 on every candidate, the
+//! candidate funnel only narrows, and partitions are well-formed covers.
 
 mod common;
 
@@ -11,10 +13,11 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use tree_core::{canonical_string, Center, Tree};
-use treepi::verify::verify_all;
+use treepi::prune::{center_prune_pool_obs, query_center_distances};
+use treepi::verify::{verify_all, verify_all_pool_obs};
 use treepi::{
-    feature_tree_partition, scan_support, Engine, PartitionRuns, QueryOptions, SfMode, TreePiIndex,
-    TreePiParams,
+    enumerate_query_features, feature_tree_partition, scan_support, Engine, PartitionRuns,
+    TreePiIndex, TreePiParams,
 };
 
 /// `gs` side by side, then one isolated vertex per label in `isolated`.
@@ -57,8 +60,8 @@ fn arb_query(nmax: usize) -> impl Strategy<Value = Graph> {
 
 /// Verification from the stored centers against VF2 of the whole query on
 /// every survivor of the filter (the partition's `SF_q`, the weaker one),
-/// so candidates CDC would have pruned are decided too: `(verify, vf2)`, or
-/// `None` when a query edge is no feature.
+/// so candidates center-distance pruning would have rejected are decided
+/// too: `(verify, vf2)`, or `None` when a query edge is no feature.
 fn anchored_and_vf2(idx: &TreePiIndex, q: &Graph) -> Option<(Vec<u32>, Vec<u32>)> {
     let PartitionRuns::Ok { min_partition, sf } = feature_tree_partition(q, idx) else {
         return None;
@@ -121,6 +124,90 @@ fn anchored_verify_is_vf2_on_molecules() {
     }
 }
 
+/// `sub` holds only elements of `set` (both ascending).
+fn is_subset(sub: &[u32], set: &[u32]) -> bool {
+    sub.iter().all(|x| set.binary_search(x).is_ok())
+}
+
+/// Every pipeline the stage functions form on `q`: the full `SF_q` or the
+/// partition's, center-distance pruning (Algorithm 2) on or off,
+/// verification anchored at the stored centers or VF2 of the whole query.
+/// Each must answer like the scan, with filtered ⊇ pruned ⊇ answers.
+/// Returns the candidates the anchored search's signature gate rejected
+/// behind the partition-only filter.
+fn check_stage_combinations(idx: &TreePiIndex, q: &Graph) -> Result<u64, TestCaseError> {
+    let pool = graph_core::par::Pool::new(1);
+    let off = obs::Shard::disabled();
+    let truth = scan_support(idx, q);
+    let PartitionRuns::Ok {
+        min_partition: parts,
+        sf,
+    } = feature_tree_partition(q, idx)
+    else {
+        prop_assert!(truth.is_empty());
+        prop_assert!(enumerate_query_features(idx, q).is_none());
+        return Ok(0);
+    };
+    let full = enumerate_query_features(idx, q).expect("every edge is a feature");
+    let dq = query_center_distances(q, &parts);
+    let mut partition_only_kills = 0;
+    for (partition_only, sf) in [(false, full), (true, sf)] {
+        let filtered = treepi::filter::filter(idx, &sf);
+        let cdc = center_prune_pool_obs(idx, q, &filtered, &parts, &dq, &pool, 1, &off);
+        prop_assert!(is_subset(&cdc, &filtered), "{:?} ⊄ {:?}", cdc, filtered);
+        for (pruned, survivors) in [(false, &filtered), (true, &cdc)] {
+            let case = format!("partition_only={partition_only} cdc={pruned}");
+            prop_assert!(is_subset(&truth, survivors), "{}", case);
+            let registry = obs::Registry::new();
+            let shard = registry.shard();
+            let anchored = verify_all_pool_obs(idx, q, survivors, &parts, &[], &pool, 1, &shard);
+            registry.absorb(shard);
+            if partition_only && !pruned {
+                partition_only_kills += registry.drain().counter("verify.center_sig_kills");
+            }
+            let vf2: Vec<u32> = survivors
+                .iter()
+                .copied()
+                .filter(|&gid| graph_core::is_subgraph_isomorphic(q, &idx.db()[gid as usize]))
+                .collect();
+            prop_assert_eq!(&anchored, &truth, "anchored, {}", case);
+            prop_assert_eq!(&vf2, &truth, "vf2, {}", case);
+        }
+    }
+    Ok(partition_only_kills)
+}
+
+/// [`check_stage_combinations`] on arbitrary databases and queries, then
+/// on molecules with a label-perturbed near miss of each query — the
+/// traffic the anchored search's signature gate exists for — where the
+/// gate must reject some candidate of the partition-only filter, so it is
+/// exercised where the filter is weakest.
+#[test]
+fn every_stage_combination_is_exact() {
+    let name = concat!(module_path!(), "::every_stage_combination_is_exact");
+    proptest::run_proptest(name, &ProptestConfig::with_cases(24), |rng| {
+        let idx = TreePiIndex::build(arb_db(6, 6).generate(rng), TreePiParams::quick());
+        check_stage_combinations(&idx, &arb_query(5).generate(rng)).map(drop)
+    });
+
+    let mut rng = ChaCha8Rng::seed_from_u64(47);
+    let db = datagen::generate_chem(&datagen::ChemParams::sized(30), &mut rng);
+    let idx = TreePiIndex::build(db.clone(), TreePiParams::default());
+    let mut kills = 0;
+    for m in [4, 8] {
+        for q in datagen::extract_queries(&db, m, 8, &mut rng) {
+            let near_miss = datagen::perturb_labels(&q, &mut rng);
+            for q in [q, near_miss] {
+                kills += check_stage_combinations(&idx, &q).expect("exact on molecules");
+            }
+        }
+    }
+    assert!(
+        kills > 0,
+        "the signature gate rejected no partition-only candidate"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -130,10 +217,16 @@ proptest! {
         q in arb_query(5),
     ) {
         let idx = TreePiIndex::build(db, TreePiParams::quick());
+        let wall = std::time::Instant::now();
         let r = idx.query(&q);
+        let wall = wall.elapsed();
         prop_assert_eq!(&r.matches, &scan_support(&idx, &q));
-        prop_assert!(r.stats.filtered >= r.stats.pruned);
-        prop_assert!(r.stats.pruned >= r.stats.answers);
+        // The funnel narrows, and the stage clocks nest: the walk inside
+        // partition, the three stages inside the call.
+        let s = &r.stats;
+        prop_assert!(s.filtered >= s.answers);
+        prop_assert!(s.t_enumerate <= s.t_partition, "{:?}", s);
+        prop_assert!(s.total() <= wall, "{:?} in {:?}", s, wall);
     }
 
     #[test]
@@ -146,44 +239,6 @@ proptest! {
         let idx = TreePiIndex::build(db, params);
         if let Some((got, want)) = anchored_and_vf2(&idx, &q) {
             prop_assert_eq!(got, want);
-        }
-    }
-
-    #[test]
-    fn every_ablation_is_exact(
-        db in arb_db(6, 6),
-        q in arb_query(5),
-    ) {
-        let idx = TreePiIndex::build(db, TreePiParams::quick());
-        let truth = scan_support(&idx, &q);
-        for sf in [SfMode::FullEnumeration, SfMode::PartitionOnly] {
-            for cdc in [true, false] {
-                for recon in [true, false] {
-                    let wall = std::time::Instant::now();
-                    let r = idx.query_with(
-                        &q,
-                        QueryOptions {
-                            sf_mode: sf,
-                            use_cdc: cdc,
-                            use_reconstruction: recon,
-                        },
-                    );
-                    let wall = wall.elapsed();
-                    // The stage clocks nest: the walk inside partition,
-                    // the four stages inside the call.
-                    let s = &r.stats;
-                    prop_assert!(s.t_enumerate <= s.t_partition, "{:?}", s);
-                    prop_assert!(s.total() <= wall, "{:?} in {:?}", s, wall);
-                    prop_assert_eq!(
-                        &r.matches,
-                        &truth,
-                        "sf={:?} cdc={} recon={}",
-                        sf,
-                        cdc,
-                        recon
-                    );
-                }
-            }
         }
     }
 
@@ -238,12 +293,11 @@ proptest! {
         queries in proptest::collection::vec(arb_query(5), 1..=6),
     ) {
         let idx = TreePiIndex::build(db, TreePiParams::quick());
-        let opts = QueryOptions::default();
         // Sequential ground truth: one query at a time.
-        let seq: Vec<_> = queries.iter().map(|q| idx.query_with(q, opts)).collect();
+        let seq: Vec<_> = queries.iter().map(|q| idx.query(q)).collect();
         for threads in [1usize, 2, 8] {
             let engine = Engine::new(idx.clone(), threads);
-            let (batch, _) = engine.query_batch(&queries, opts, 0);
+            let (batch, _) = engine.query_batch_pinned(&queries, &obs::Registry::disabled());
             prop_assert_eq!(batch.len(), queries.len());
             for (i, (b, s)) in batch.iter().zip(&seq).enumerate() {
                 prop_assert_eq!(&b.matches, &s.matches, "matches, query {} threads {}", i, threads);
@@ -252,8 +306,8 @@ proptest! {
                     "candidate count |Pq|, query {} threads {}", i, threads
                 );
                 prop_assert_eq!(
-                    b.stats.pruned, s.stats.pruned,
-                    "pruned count |P'q|, query {} threads {}", i, threads
+                    b.stats.answers, s.stats.answers,
+                    "answer count |Dq|, query {} threads {}", i, threads
                 );
                 prop_assert_eq!(
                     b.stats.partition_size, s.stats.partition_size,

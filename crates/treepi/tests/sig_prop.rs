@@ -7,8 +7,8 @@
 //! query. Every schedule batches random queries plus a label-perturbed
 //! near miss of each, and demands answers equal to the brute-force
 //! [`scan_support`] oracle, a funnel that only narrows
-//! (`filtered == pruned >= answers`, CDC being off), and at least one
-//! center-gate kill (`verify.center_sig_kills`), so the gate is exercised.
+//! (`filtered >= answers`), and at least one center-gate kill
+//! (`verify.center_sig_kills`), so the gate is exercised.
 //!
 //! A churn variant exercises the §7.1 maintenance invariant: per-vertex
 //! signatures are a pure function of the stored payload, so
@@ -16,16 +16,18 @@
 //! a background re-mine publishes.
 //!
 //! The verification funnel pins the exact counts of one fixed chem
-//! workload of hard queries and their near misses, under both filters, at
-//! 1 and 8 workers: any change to what the filter passes, the gate kills
-//! or the search answers shows as a changed count, up or down.
+//! workload of hard queries and their near misses at 1 and 8 workers: any
+//! change to what the filter passes, the gate kills or the search answers
+//! shows as a changed count, up or down. (The gate on the weaker
+//! partition-only filter is exercised by `prop.rs`'s
+//! `every_stage_combination_is_exact`.)
 
 use datagen::{extract_queries, generate_chem, perturb_labels, ChemParams};
 use graph_core::{ELabel, Graph, GraphBuilder, VLabel, VertexId};
 use obs::Counter;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use treepi::{scan_support, Engine, QueryOptions, SfMode, TreePiIndex, TreePiParams};
+use treepi::{scan_support, Engine, TreePiIndex, TreePiParams};
 
 /// Random connected labeled graph (same shape as `churn_prop.rs`): a
 /// random tree plus a few extra edges, replayable from the seed alone.
@@ -72,7 +74,7 @@ fn run_near_miss(workers: usize, seed: u64) {
         .collect();
     queries.extend(near_miss);
     let registry = obs::Registry::new();
-    let (results, _) = engine.query_batch_obs(&queries, QueryOptions::default(), 0, &registry);
+    let (results, _) = engine.query_batch_pinned(&queries, &registry);
     let snapshot = engine.pin();
     for (i, (q, r)) in queries.iter().zip(&results).enumerate() {
         assert_eq!(
@@ -82,10 +84,9 @@ fn run_near_miss(workers: usize, seed: u64) {
         );
         let s = &r.stats;
         assert!(
-            s.filtered == s.pruned && s.pruned >= s.answers,
-            "query {i}: funnel does not narrow (filtered {} pruned {} answers {})",
+            s.filtered >= s.answers,
+            "query {i}: funnel does not narrow (filtered {} answers {})",
             s.filtered,
-            s.pruned,
             s.answers
         );
     }
@@ -145,7 +146,8 @@ fn run_churn_sigs(workers: usize, seed: u64) {
             "step {step}, {workers} workers: sigs diverged from payload"
         );
         let q = random_graph(&mut rng, 4);
-        let (results, _) = engine.query_batch(std::slice::from_ref(&q), QueryOptions::default(), 0);
+        let (results, _) =
+            engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Registry::disabled());
         assert_eq!(
             results[0].matches,
             scan_support(&snapshot, &q),
@@ -200,17 +202,15 @@ fn hard_workload(db: &[Graph]) -> Vec<Graph> {
     qs
 }
 
-/// The funnel counts of [`hard_workload`] on 60 chem graphs, summed over
-/// one batch with the full filter and one with `SfMode::PartitionOnly`.
-const FUNNEL_COUNTS: [(Counter, u64); 8] = [
-    (Counter::FUNNEL_QUERIES, 208),
-    (Counter::FUNNEL_FILTERED, 588),
-    (Counter::FUNNEL_PRUNED, 588),
-    (Counter::FUNNEL_ANSWERS, 342),
-    (Counter::FUNNEL_PARTITION_PARTS, 892),
-    (Counter::FUNNEL_SF_FEATURES, 1652),
-    (Counter::FUNNEL_MISSING_FEATURE, 6),
-    (Counter::VERIFY_CENTER_SIG_KILLS, 52),
+/// The funnel counts of [`hard_workload`] on 60 chem graphs.
+const FUNNEL_COUNTS: [(Counter, u64); 7] = [
+    (Counter::FUNNEL_QUERIES, 104),
+    (Counter::FUNNEL_FILTERED, 261),
+    (Counter::FUNNEL_ANSWERS, 171),
+    (Counter::FUNNEL_PARTITION_PARTS, 446),
+    (Counter::FUNNEL_SF_FEATURES, 1026),
+    (Counter::FUNNEL_MISSING_FEATURE, 3),
+    (Counter::VERIFY_CENTER_SIG_KILLS, 5),
 ];
 
 #[test]
@@ -220,22 +220,10 @@ fn verify_funnel_counts_are_pinned() {
     let index = TreePiIndex::build(db, TreePiParams::default());
     for workers in [1, 8] {
         let engine = Engine::new(index.clone(), workers);
-        let mut total = obs::MetricSet::new();
-        for sf_mode in [SfMode::FullEnumeration, SfMode::PartitionOnly] {
-            let opts = QueryOptions {
-                sf_mode,
-                ..QueryOptions::default()
-            };
-            let registry = obs::Registry::new();
-            engine.query_batch_obs(&qs, opts, 9, &registry);
-            let m = registry.drain();
-            assert!(
-                m.counter(Counter::VERIFY_CENTER_SIG_KILLS.name()) > 0,
-                "{sf_mode:?} at {workers} workers: the signature gate rejected nothing"
-            );
-            total.merge(&m);
-        }
-        let got = FUNNEL_COUNTS.map(|(c, _)| (c, total.counter(c.name())));
+        let registry = obs::Registry::new();
+        engine.query_batch_pinned(&qs, &registry);
+        let m = registry.drain();
+        let got = FUNNEL_COUNTS.map(|(c, _)| (c, m.counter(c.name())));
         assert_eq!(got, FUNNEL_COUNTS, "{workers} workers");
     }
 }

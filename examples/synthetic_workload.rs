@@ -1,6 +1,8 @@
 //! TreePi vs gIndex head-to-head on a synthetic dataset (the paper's §6.2
 //! setup, scaled down): build both indexes over `D1kI10T20S100L4`-style
-//! data and compare index sizes, candidate-set sizes, and query times.
+//! data and compare index sizes, candidate-set sizes (TreePi's `|Pq|`, the
+//! candidates its anchored search tests, against gIndex's `|Cq|`), and
+//! query times.
 //!
 //! ```sh
 //! cargo run --release --example synthetic_workload -- [n_graphs] [labels]
@@ -49,15 +51,15 @@ fn main() {
 
     println!(
         "{:>4} {:>10} {:>10} {:>8} {:>12} {:>12}",
-        "|q|", "searched (TP)", "|Cq| (gI)", "|Dq|", "treepi", "gindex"
+        "|q|", "|Pq| (TP)", "|Cq| (gI)", "|Dq|", "treepi", "gindex"
     );
     for m in [4, 6, 8, 10] {
         let queries = extract_queries(&db, m, 20, &mut rng);
-        let (mut ppq, mut dq_t) = (0usize, 0usize);
+        let (mut pq, mut dq_t) = (0usize, 0usize);
         let t = Instant::now();
         for q in &queries {
             let r = tp.query(q);
-            ppq += r.stats.pruned;
+            pq += r.stats.filtered;
             dq_t += r.stats.answers;
         }
         let t_tpq = t.elapsed() / queries.len() as u32;
@@ -74,7 +76,7 @@ fn main() {
         println!(
             "{:>4} {:>10} {:>10} {:>8} {:>12.2?} {:>12.2?}",
             m,
-            ppq / k,
+            pq / k,
             cq / k,
             dq_t / k,
             t_tpq,

@@ -25,6 +25,6 @@ fn paper_parameters_at_scale() {
     }
     assert_eq!(stats.len(), 100);
     // the funnel must be meaningfully tighter than the whole database
-    let pruned: usize = stats.iter().map(|s| s.pruned).sum();
-    assert!(pruned * 2 < db.len() * stats.len(), "Σ|P'q| = {pruned}");
+    let filtered: usize = stats.iter().map(|s| s.filtered).sum();
+    assert!(filtered * 2 < db.len() * stats.len(), "Σ|Pq| = {filtered}");
 }

@@ -22,8 +22,7 @@ fn treepi_answers_equal_brute_force_on_chem() {
             let got = idx.query(&q);
             let truth = scan_support(&idx, &q);
             assert_eq!(got.matches, truth, "query size {m}");
-            assert!(got.stats.filtered >= got.stats.pruned);
-            assert!(got.stats.pruned >= got.stats.answers);
+            assert!(got.stats.filtered >= got.stats.answers);
         }
     }
 }
