@@ -4,16 +4,14 @@
 //! γ sweep and `classes` — a filter set from the partition alone, and naive
 //! VF2 verification. The served pipeline (walk → filter on the full `SF_q`
 //! → anchored verify) has no options; this module is the variants' only
-//! consumer. A variant on the full `SF_q` walks the query twice (partition,
-//! filter set), so its time per query includes a walk the engine does not.
+//! consumer. Every variant walks the query once, as the engine does: the
+//! walk yields `TP_q` and both filter sets.
 
 use graph_core::par::Pool;
 use graph_core::Graph;
 use treepi::prune::{center_prune_pool_obs, query_center_distances};
 use treepi::verify::verify_all;
-use treepi::{
-    enumerate_query_features, feature_tree_partition, PartitionRuns, QueryStats, TreePiIndex,
-};
+use treepi::{feature_tree_partition, PartitionRuns, QueryStats, TreePiIndex};
 
 /// One pipeline variant: which stages replace or join the served ones.
 #[derive(Clone, Copy, Debug, Default)]
@@ -79,15 +77,12 @@ impl Funnel {
         let PartitionRuns::Ok {
             min_partition: parts,
             sf,
+            full_sf,
         } = feature_tree_partition(q, index)
         else {
             return Funnel::default();
         };
-        let sf = if variant.partition_sf {
-            sf
-        } else {
-            enumerate_query_features(index, q).expect("every edge of q is a feature")
-        };
+        let sf = if variant.partition_sf { sf } else { full_sf };
         let filtered = treepi::filter::filter(index, &sf);
         let pruned = if variant.cdc {
             let dq = query_center_distances(q, &parts);

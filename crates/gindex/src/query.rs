@@ -2,6 +2,11 @@
 //! intersect their support sets (candidate set `C_q`), then verify with
 //! **naive** subgraph isomorphism — no location information exists to do
 //! better, which is precisely the gap TreePi closes.
+//!
+//! A query only computes: its counts and stage times come back as
+//! [`GQueryStats`], and a batch seat records them
+//! ([`GQueryStats::record_into`]), as TreePi's engine does with its
+//! `QueryStats`.
 
 use crate::index::GIndex;
 use graph_core::{canonical_code, edge_subgraph, for_each_connected_edge_subset, Graph};
@@ -36,16 +41,20 @@ impl GQueryStats {
 
     /// Record this query's funnel counters and stage timings into `shard`,
     /// under the **same names** TreePi uses so cross-system metric files
-    /// line up column-for-column. gIndex has no partition stage, so that
-    /// span gets zero-duration observations. A tracing shard also gets the
-    /// stages as timeline events, run back-to-back and ending now, as
-    /// TreePi's are.
+    /// line up column-for-column. Every candidate costs one full
+    /// isomorphism test, so `graph.iso_tests` is `filtered` (recorded when
+    /// nonzero). gIndex has no partition stage, so that span gets
+    /// zero-duration observations. A tracing shard also gets the stages as
+    /// timeline events, run back-to-back and ending now, as TreePi's are.
     pub fn record_into(&self, shard: &obs::Shard) {
         shard.add(Counter::FUNNEL_QUERIES, 1);
         shard.add(Counter::FUNNEL_FILTERED, self.filtered as u64);
         shard.add(Counter::FUNNEL_ANSWERS, self.answers as u64);
         shard.add(Counter::GINDEX_ENUMERATED, self.enumerated as u64);
         shard.add(Counter::GINDEX_FRAGMENTS_USED, self.fragments_used as u64);
+        if self.filtered > 0 {
+            shard.add(Counter::GRAPH_ISO_TESTS, self.filtered as u64);
+        }
         let [partition, filter, verify] = Span::PIPELINE;
         let stages = [
             (partition, Duration::ZERO),
@@ -135,27 +144,18 @@ impl GIndex {
         (candidates, stats)
     }
 
-    /// Full gIndex query: filter then naive verification.
+    /// Full gIndex query: filter then naive verification, one
+    /// isomorphism test per candidate.
     pub fn query(&self, q: &Graph) -> GQueryResult {
-        self.query_obs(q, &obs::Shard::disabled())
-    }
-
-    /// [`Self::query`] recording stage spans and funnel counters into
-    /// `shard` (see [`GQueryStats::record_into`]). The per-candidate
-    /// isomorphism tests are counted as `graph.iso_tests`.
-    pub fn query_obs(&self, q: &Graph, shard: &obs::Shard) -> GQueryResult {
         assert!(q.edge_count() > 0, "queries must have at least one edge");
         let (candidates, mut stats) = self.candidates(q);
         let t = Instant::now();
         let matches: Vec<u32> = candidates
             .into_iter()
-            .filter(|&gid| {
-                graph_core::is_subgraph_isomorphic_obs(q, &self.db()[gid as usize], shard)
-            })
+            .filter(|&gid| graph_core::is_subgraph_isomorphic(q, &self.db()[gid as usize]))
             .collect();
         stats.t_verify = t.elapsed();
         stats.answers = matches.len();
-        stats.record_into(shard);
         GQueryResult { matches, stats }
     }
 
@@ -164,16 +164,21 @@ impl GIndex {
     /// distribution on a caller-owned worker pool. gIndex queries consume
     /// no randomness, so results are trivially identical at any pool size;
     /// queries are self-scheduled off a shared counter and returned in
-    /// query order. Metrics go to `registry`: per-seat shards merged at
-    /// batch end (`engine.*` describes execution shape; everything else is
-    /// pool-size invariant, exactly as for TreePi).
+    /// query order. Metrics go to `registry`: each seat records every
+    /// query it ran ([`GQueryStats::record_into`]) into its own shard,
+    /// absorbed as the seat retires, so the deterministic totals are
+    /// pool-size invariant, exactly as for TreePi.
     pub fn query_batch_pool_obs(
         &self,
         queries: &[Graph],
         pool: &graph_core::par::Pool,
         registry: &obs::Registry,
     ) -> Vec<GQueryResult> {
-        pool.ordered_map_obs(queries, registry, |q, shard| self.query_obs(q, shard))
+        pool.ordered_map_obs(queries, registry, |q, shard| {
+            let r = self.query(q);
+            r.stats.record_into(shard);
+            r
+        })
     }
 }
 
@@ -270,6 +275,8 @@ mod tests {
         let answers: u64 = results.iter().map(|r| r.stats.answers as u64).sum();
         assert_eq!(m.counter(Counter::FUNNEL_FILTERED.name()), filtered);
         assert_eq!(m.counter(Counter::FUNNEL_ANSWERS.name()), answers);
+        // one full isomorphism test per candidate
+        assert_eq!(m.counter(Counter::GRAPH_ISO_TESTS.name()), filtered);
         // all three TreePi pipeline spans exist (partition is zeros)
         for name in Span::PIPELINE.map(Span::name) {
             assert_eq!(
@@ -289,8 +296,7 @@ mod tests {
     }
 
     /// A traced batch tags every pipeline-stage event with its query's
-    /// batch position, at any pool size, and the seats' wall spans with
-    /// none.
+    /// batch position, at any pool size, on one lane per seat.
     #[test]
     fn traced_batch_tags_stage_events_with_batch_position() {
         let idx = index();
@@ -316,13 +322,13 @@ mod tests {
                     "{name}, threads {threads}"
                 );
             }
-            let busy = events.iter().filter(|e| e.name == "engine.worker_busy");
-            assert_eq!(busy.count(), queries.len(), "threads {threads}");
-            let walls: Vec<_> = events
-                .iter()
-                .filter(|e| e.name == "engine.worker_wall")
-                .collect();
-            assert!(!walls.is_empty() && walls.iter().all(|e| e.query.is_none()));
+            // One lane per seat that ran: at most one per worker.
+            let lanes: std::collections::BTreeSet<_> = events.iter().map(|e| e.lane).collect();
+            assert!(
+                !lanes.is_empty() && lanes.len() <= threads,
+                "threads {threads}"
+            );
+            assert!(events.iter().all(|e| e.query.is_some()));
         }
     }
 

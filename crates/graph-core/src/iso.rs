@@ -311,13 +311,6 @@ pub fn is_subgraph_isomorphic(p: &Graph, g: &Graph) -> bool {
     find_embedding(p, g).is_some()
 }
 
-/// [`is_subgraph_isomorphic`] with the test tallied on `shard` as
-/// `graph.iso_tests` — the funnel's "full isomorphism checks paid" metric.
-pub fn is_subgraph_isomorphic_obs(p: &Graph, g: &Graph, shard: &obs::Shard) -> bool {
-    shard.add(obs::Counter::GRAPH_ISO_TESTS, 1);
-    is_subgraph_isomorphic(p, g)
-}
-
 /// One embedding of `p` into `g`, if any.
 pub fn find_embedding(p: &Graph, g: &Graph) -> Option<Embedding> {
     let mut result = None;

@@ -36,7 +36,7 @@ pub use graph::{
 };
 pub use iso::{
     all_embeddings, find_embedding, for_each_embedding, for_each_embedding_pinned, is_isomorphic,
-    is_subgraph_isomorphic, is_subgraph_isomorphic_obs, Embedding, MatchScratch, PreparedPattern,
+    is_subgraph_isomorphic, Embedding, MatchScratch, PreparedPattern,
 };
 pub use par::resolve_threads;
 pub use stats::{component_count, db_stats, edge_label_histogram, vertex_label_histogram, DbStats};

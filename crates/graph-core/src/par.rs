@@ -7,27 +7,27 @@
 //! - [`Pool::ordered_map`]/[`Pool::ordered_map_obs`]: run an independent
 //!   function over every item of a slice and return results in item order
 //!   (the one batch fan-out: TreePi's engine, gIndex batches, signatures,
-//!   the scan baseline). Seats self-schedule off a shared atomic counter,
-//!   so one slow item does not stall a statically assigned chunk.
-//! - [`Pool::fork_join_obs`]: run one closure per worker rank with a forked
-//!   [`obs::Shard`] each, joining results and merging shards in rank order
-//!   (the parallel miner's and the intra-query stages' primitive — the
-//!   closure does its own self-scheduling over whatever work units it
-//!   partitions).
+//!   the scan baseline, and the split of a large candidate set by
+//!   verification and by center-distance pruning). Seats self-schedule off
+//!   a shared atomic counter, so one slow item does not stall a statically
+//!   assigned chunk.
+//! - [`Pool::run`]: run one closure per seat (the miner's passes, which do
+//!   their own self-scheduling over chunks of a level).
 //!
-//! Chunking and merge order depend only on the inputs, so results (and every
-//! metric outside the `engine.*`/`pool.*` namespaces) are bit-identical
-//! across worker counts. A 1-seat pool spawns no threads and runs every
-//! method inline: the serial path is the parallel path with one worker.
+//! The pool only schedules: it records no metric of its own. A batch's
+//! metrics are what its seats record, each seat into its own shard (the
+//! engine records one `QueryStats` per query there). Chunking and result
+//! order depend only on the inputs, so results and every deterministic
+//! metric are bit-identical across worker counts. A 1-seat pool spawns no
+//! threads and runs every method inline: the serial path is the parallel
+//! path with one worker.
 
-use obs::{Counter, Span};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// Resolve a `threads` argument: `0` means all available parallelism.
 pub fn resolve_threads(threads: usize) -> usize {
@@ -99,14 +99,9 @@ struct PoolShared {
     queue: Mutex<JobQueue>,
     /// Parked workers wait here; signalled on every dispatch and shutdown.
     available: Condvar,
-    // Lifetime counters drained by `Pool::flush_metrics`.
-    tasks: AtomicU64,
-    steal_wait_ns: AtomicU64,
-    busy_ns: Vec<AtomicU64>,
-    park_ns: Vec<AtomicU64>,
 }
 
-fn pool_worker(shared: Arc<PoolShared>, idx: usize) {
+fn pool_worker(shared: Arc<PoolShared>) {
     loop {
         let job = {
             let mut q = shared.queue.lock().expect("pool queue");
@@ -120,15 +115,10 @@ fn pool_worker(shared: Arc<PoolShared>, idx: usize) {
                 if q.shutdown {
                     return;
                 }
-                let parked = Instant::now();
                 q = shared.available.wait(q).expect("pool park");
-                shared.park_ns[idx]
-                    .fetch_add(parked.elapsed().as_nanos() as u64, Ordering::Relaxed);
             }
         };
-        let busy = Instant::now();
         while job.claim_and_run() {}
-        shared.busy_ns[idx].fetch_add(busy.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 }
 
@@ -137,10 +127,9 @@ fn pool_worker(shared: Arc<PoolShared>, idx: usize) {
 /// itself acting as the final worker.
 ///
 /// A job is a closure run once per *seat*; seats are handed out through an
-/// atomic cursor, and the pool's entry points ([`Pool::ordered_map_obs`],
-/// [`Pool::fork_join_obs`]) assign work to seats by a discipline that
-/// depends only on the input, so outputs are bit-identical across any
-/// worker count.
+/// atomic cursor, and [`Pool::ordered_map_obs`] assigns items to seats by
+/// a discipline that depends only on the input (results land in item
+/// order), so outputs are bit-identical across any worker count.
 ///
 /// **Re-entrancy:** a seat body may dispatch back into the same pool. The
 /// dispatcher of every job claims that job's seats in a loop before
@@ -170,17 +159,13 @@ impl Pool {
                 shutdown: false,
             }),
             available: Condvar::new(),
-            tasks: AtomicU64::new(0),
-            steal_wait_ns: AtomicU64::new(0),
-            busy_ns: (0..background).map(|_| AtomicU64::new(0)).collect(),
-            park_ns: (0..background).map(|_| AtomicU64::new(0)).collect(),
         });
         let handles = (0..background)
             .map(|idx| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("treepi-pool-{idx}"))
-                    .spawn(move || pool_worker(shared, idx))
+                    .spawn(move || pool_worker(shared))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -205,7 +190,6 @@ impl Pool {
         F: Fn(usize) + Sync,
     {
         let seats = seats.max(1);
-        self.shared.tasks.fetch_add(1, Ordering::Relaxed);
         if seats == 1 || self.handles.is_empty() {
             for seat in 0..seats {
                 f(seat);
@@ -240,15 +224,9 @@ impl Pool {
         // worker being free, which is what makes nested dispatch safe.
         while job.claim_and_run() {}
         let mut state = job.state.lock().expect("pool job state");
-        if state.finished < seats {
-            // Remaining seats were stolen by workers; wait for them.
-            let wait = Instant::now();
-            while state.finished < seats {
-                state = job.done.wait(state).expect("pool job wait");
-            }
-            self.shared
-                .steal_wait_ns
-                .fetch_add(wait.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        // Remaining seats were taken by workers; wait for them.
+        while state.finished < seats {
+            state = job.done.wait(state).expect("pool job wait");
         }
         if let Some(payload) = state.panic.take() {
             drop(state);
@@ -269,14 +247,11 @@ impl Pool {
     }
 
     /// [`Pool::ordered_map`] with per-seat metric shards: `f` receives the
-    /// item and the seat's [`obs::Shard`]; shards are absorbed into
-    /// `registry` as each seat retires. While `f` runs on item `i`, the
-    /// shard's trace events carry query id `i` (its batch position) and an
-    /// `engine.worker_busy` span times the call. The pool itself records
-    /// `engine.workers`, per-seat `engine.items`, and an id-less
-    /// `engine.worker_wall` span per seat — all under the `engine.`
-    /// namespace because they describe execution shape, not work done (see
-    /// `obs::MetricSet::deterministic_counters`).
+    /// item and the seat's [`obs::Shard`], one shard (and, when tracing, one
+    /// trace lane) per seat, absorbed into `registry` as the seat retires.
+    /// While `f` runs on item `i`, the shard's trace events carry query id
+    /// `i` (its batch position). The pool records nothing itself: what a
+    /// seat records is what `f` records.
     pub fn ordered_map_obs<T, R, F>(&self, items: &[T], registry: &obs::Registry, f: F) -> Vec<R>
     where
         T: Sync,
@@ -285,20 +260,12 @@ impl Pool {
     {
         let map_one = |i: usize, shard: &obs::Shard| {
             shard.set_trace_query(Some(i as u64));
-            let _busy = shard.span(Span::ENGINE_WORKER_BUSY);
             f(&items[i], shard)
         };
         let workers = self.parallelism.min(items.len().max(1));
         if workers <= 1 {
             let shard = registry.shard();
-            let out = {
-                let _wall = shard.span(Span::ENGINE_WORKER_WALL);
-                let out = (0..items.len()).map(|i| map_one(i, &shard)).collect();
-                shard.set_trace_query(None);
-                out
-            };
-            shard.add(Counter::ENGINE_WORKERS, 1);
-            shard.add(Counter::ENGINE_ITEMS, items.len() as u64);
+            let out = (0..items.len()).map(|i| map_one(i, &shard)).collect();
             registry.absorb(shard);
             return out;
         }
@@ -306,107 +273,20 @@ impl Pool {
         let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
         self.run(workers, |_seat| {
             let shard = registry.shard();
-            let mut served = 0u64;
-            {
-                let _wall = shard.span(Span::ENGINE_WORKER_WALL);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let r = map_one(i, &shard);
-                    *slots[i].lock().expect("slot") = Some(r);
-                    served += 1;
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= items.len() {
+                    break;
                 }
-                shard.set_trace_query(None);
+                let r = map_one(i, &shard);
+                *slots[i].lock().expect("slot") = Some(r);
             }
-            shard.add(Counter::ENGINE_WORKERS, 1);
-            shard.add(Counter::ENGINE_ITEMS, served);
             registry.absorb(shard);
         });
         slots
             .into_iter()
             .map(|slot| slot.into_inner().expect("slot").expect("every item mapped"))
             .collect()
-    }
-
-    /// Run `f(rank, shard)` once per rank in `0..workers` and return the
-    /// results in rank order. Each rank records into a [`obs::Shard::fork`]
-    /// of `shard`; forks are merged back in rank order after the join, so
-    /// counter totals are independent of scheduling. Seats beyond the pool's
-    /// parallelism are legal (they queue); `workers <= 1` runs inline on
-    /// `shard` itself.
-    ///
-    /// `f` receives only its rank: work distribution (an atomic chunk
-    /// counter, a precomputed partition, …) is the caller's business.
-    pub fn fork_join_obs<R, F>(&self, workers: usize, shard: &obs::Shard, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, &obs::Shard) -> R + Sync,
-    {
-        if workers <= 1 {
-            return vec![f(0, shard)];
-        }
-        // `obs::Shard` is `Send` but not `Sync`, so each rank's fork is
-        // parked in a mutex for the claiming thread to take and return.
-        let forks: Vec<Mutex<Option<obs::Shard>>> = (0..workers)
-            .map(|_| Mutex::new(Some(shard.fork())))
-            .collect();
-        let slots: Vec<Mutex<Option<R>>> = (0..workers).map(|_| Mutex::new(None)).collect();
-        self.run(workers, |rank| {
-            let worker = forks[rank]
-                .lock()
-                .expect("fork slot")
-                .take()
-                .expect("fork claimed once");
-            let r = f(rank, &worker);
-            *forks[rank].lock().expect("fork slot") = Some(worker);
-            *slots[rank].lock().expect("result slot") = Some(r);
-        });
-        let mut out = Vec::with_capacity(workers);
-        for (fork, slot) in forks.into_iter().zip(slots) {
-            let worker = fork
-                .into_inner()
-                .expect("fork slot")
-                .expect("fork returned");
-            shard.merge(worker);
-            out.push(
-                slot.into_inner()
-                    .expect("result slot")
-                    .expect("every rank ran"),
-            );
-        }
-        out
-    }
-
-    /// Drain the pool's lifetime execution-shape metrics into `shard` as
-    /// `pool.*` entries (reset to zero afterwards, so batch-end flushes
-    /// yield per-batch deltas): `pool.tasks` jobs dispatched,
-    /// `pool.steal_or_queue_wait_ns` dispatcher time spent waiting on
-    /// seats stolen by workers, and per-worker busy/park time (totals as
-    /// counters, per-worker samples as `pool.worker_busy`/`pool.worker_park`
-    /// histograms). Like `engine.*`, the `pool.*` namespace describes
-    /// scheduling, not work done, and is exempt from the determinism
-    /// contract ([`obs::MetricSet::deterministic_counters`]).
-    pub fn flush_metrics(&self, shard: &obs::Shard) {
-        shard.add(
-            Counter::POOL_TASKS,
-            self.shared.tasks.swap(0, Ordering::Relaxed),
-        );
-        shard.add(
-            Counter::POOL_STEAL_OR_QUEUE_WAIT_NS,
-            self.shared.steal_wait_ns.swap(0, Ordering::Relaxed),
-        );
-        for w in &self.shared.busy_ns {
-            let ns = w.swap(0, Ordering::Relaxed);
-            shard.add(Counter::POOL_WORKER_BUSY_NS, ns);
-            shard.observe(Span::POOL_WORKER_BUSY, Duration::from_nanos(ns));
-        }
-        for w in &self.shared.park_ns {
-            let ns = w.swap(0, Ordering::Relaxed);
-            shard.add(Counter::POOL_WORKER_PARK_NS, ns);
-            shard.observe(Span::POOL_WORKER_PARK, Duration::from_nanos(ns));
-        }
     }
 }
 
@@ -434,6 +314,9 @@ impl std::fmt::Debug for Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::{Counter, Span};
+    use std::collections::BTreeSet;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn zero_resolves_to_available() {
@@ -457,45 +340,31 @@ mod tests {
         }
     }
 
+    /// Every item is mapped once; what the seats record adds up, and a
+    /// traced batch has one lane per seat that ran, each event tagged with
+    /// its item's position.
     #[test]
     fn pool_ordered_map_obs_accounts_for_every_item() {
         let items: Vec<u64> = (0..50).collect();
         for workers in [1usize, 3, 8] {
             let pool = Pool::new(workers);
-            let registry = obs::Registry::new();
+            let registry = obs::Registry::with_tracing();
             let out = pool.ordered_map_obs(&items, &registry, |&x, shard| {
                 shard.add(Counter::WALK_PROBES, x);
+                shard.trace_complete(Span::QUERY_FILTER, Instant::now(), Duration::ZERO);
                 x
             });
             assert_eq!(out, items);
-            let snap = registry.snapshot();
-            assert_eq!(snap.counter("engine.items"), 50);
-            assert_eq!(snap.counter("walk.probes"), (0..50).sum::<u64>());
-            assert!(snap.counter("engine.workers") >= 1);
-            assert!(snap.counter("engine.workers") <= workers as u64);
-        }
-    }
-
-    #[test]
-    fn pool_fork_join_returns_in_rank_order_and_merges_shards() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        for workers in [1usize, 2, 5] {
-            let pool = Pool::new(2);
-            let shard = obs::Shard::detached(true);
-            let next = AtomicUsize::new(0);
-            let ranks = pool.fork_join_obs(workers, &shard, |rank, w| {
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= 10 {
-                        break;
-                    }
-                    w.add(Counter::WALK_PROBES, i as u64);
-                }
-                rank
-            });
-            assert_eq!(ranks, (0..workers).collect::<Vec<_>>());
-            let set = shard.into_set();
-            assert_eq!(set.counter("walk.probes"), (0..10).sum::<usize>() as u64);
+            assert_eq!(
+                registry.snapshot().counter("walk.probes"),
+                (0..50).sum::<u64>()
+            );
+            let events = registry.drain_trace();
+            let ids: Vec<u64> = events.iter().filter_map(|e| e.query).collect();
+            assert_eq!(ids.len(), items.len());
+            assert_eq!(ids.iter().collect::<BTreeSet<_>>().len(), items.len());
+            let lanes: BTreeSet<u32> = events.iter().map(|e| e.lane).collect();
+            assert!(!lanes.is_empty() && lanes.len() <= workers);
         }
     }
 
@@ -546,21 +415,6 @@ mod tests {
             assert_eq!(out, expect);
             assert_eq!(total.load(Ordering::Relaxed), outer.len() as u64 * 5);
         }
-    }
-
-    #[test]
-    fn pool_flush_metrics_drains_to_deltas() {
-        let pool = Pool::new(3);
-        let items: Vec<u32> = (0..64).collect();
-        let _ = pool.ordered_map(&items, |&x| x);
-        let shard = obs::Shard::detached(true);
-        pool.flush_metrics(&shard);
-        let set = shard.into_set();
-        assert!(set.counter("pool.tasks") >= 1);
-        // A second flush with no work in between reports zero tasks.
-        let shard = obs::Shard::detached(true);
-        pool.flush_metrics(&shard);
-        assert_eq!(shard.into_set().counter("pool.tasks"), 0);
     }
 
     #[test]

@@ -298,14 +298,13 @@ fn gamma_keeps(
 fn for_each_encoding<T: Send>(
     pool: &Pool,
     workers: usize,
-    shard: &obs::Shard,
     items: &mut [T],
     f: impl Fn(&mut SubtreeEncoder, &mut T) + Sync,
 ) {
     let chunk = items.len().div_ceil(workers * 8).max(1);
     let chunks: Vec<Mutex<&mut [T]>> = items.chunks_mut(chunk).map(Mutex::new).collect();
     let next = AtomicUsize::new(0);
-    pool.fork_join_obs(workers.min(chunks.len()), shard, |_rank, _wshard| {
+    pool.run(workers.min(chunks.len()), |_seat| {
         let mut enc = SubtreeEncoder::default();
         while let Some(chunk) = chunks.get(next.fetch_add(1, Ordering::Relaxed)) {
             for item in chunk.lock().expect("a chunk").iter_mut() {
@@ -611,7 +610,7 @@ fn mine_within(
             }
         }
         let generated = AtomicUsize::new(0);
-        for_each_encoding(pool, workers, shard, &mut chunks, |enc, chunk| {
+        for_each_encoding(pool, workers, &mut chunks, |enc, chunk| {
             let Chunk {
                 reps,
                 exts,
@@ -728,7 +727,7 @@ fn mine_within(
             }
         }
         drop(class_of);
-        for_each_encoding(pool, workers, shard, &mut classes, |_, class| {
+        for_each_encoding(pool, workers, &mut classes, |_, class| {
             let mut last = None;
             class.support = class
                 .kinds
@@ -779,7 +778,7 @@ fn mine_within(
         // of its first kind, then its occurrence records if they are needed
         // — to grow the next level or for its center columns — each child
         // appended from its parent record plus the new leaf and edge.
-        for_each_encoding(pool, workers, shard, &mut admitted, |enc, adm| {
+        for_each_encoding(pool, workers, &mut admitted, |enc, adm| {
             let p = &mut adm.pattern;
             let (chunk, first) = kind_at(adm.kinds[0]);
             let x = &chunk.exts[first.exts.start];

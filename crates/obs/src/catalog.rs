@@ -6,14 +6,16 @@
 //! [`Span`]; records take ids, so an undeclared name or the wrong kind does
 //! not compile. The miner's per-level metrics are families indexed by
 //! level, [`Span::mine_level`] and [`MineLevel::at`]. A row is `exempt` when
-//! its totals depend on execution shape (`engine.*`, `pool.*`: workers,
-//! busy and park time) or arrival timing (`serve.*`, `cache.*`,
-//! `loadgen.*`, `maint.*`), and `det` when they are a pure function of the
-//! input, bit-identical at any worker count. The input is what the
-//! pipeline executed: in a served run the `funnel.*`, `walk.*`,
-//! `verify.tests` and `query.*` counts cover only the queries that missed
-//! the result cache, so which requests repeat — arrival timing again —
-//! moves them, while each executed query's share stays fixed.
+//! its totals depend on arrival timing (`serve.*`, `cache.*`, `loadgen.*`,
+//! `maint.*`), and `det` when they are a pure function of the input,
+//! bit-identical at any worker count. Nothing records how work was
+//! scheduled: the worker pool records no metric, and a query's counts and
+//! stage times are recorded once, from its `QueryStats`, by the batch seat
+//! that ran it. The input is what the pipeline executed: in a served run
+//! the `funnel.*`, `walk.*`, `verify.*` and `query.*` counts cover only the
+//! queries that missed the result cache, so which requests repeat —
+//! arrival timing again — moves them, while each executed query's share
+//! stays fixed.
 
 #[derive(Clone, Copy, Debug)]
 struct Entry {
@@ -143,12 +145,6 @@ catalog! {
         BUILD_CENTER_POSITIONS "build.center_positions" det "Center positions stored in the built index.";
         MINE_CANDIDATES "mine.candidates" det "Candidate patterns the tree miner formed, over all levels.";
         MINE_PATTERNS "mine.patterns" det "Frequent patterns the tree miner found, over all levels.";
-        ENGINE_WORKERS "engine.workers" exempt "Pool seats that took part in a batch.";
-        ENGINE_ITEMS "engine.items" exempt "Batch items mapped, summed over seats.";
-        POOL_TASKS "pool.tasks" exempt "Jobs the pool dispatched.";
-        POOL_STEAL_OR_QUEUE_WAIT_NS "pool.steal_or_queue_wait_ns" exempt "Nanoseconds the dispatcher waited on seats taken by workers.";
-        POOL_WORKER_BUSY_NS "pool.worker_busy_ns" exempt "Nanoseconds pool workers ran jobs.";
-        POOL_WORKER_PARK_NS "pool.worker_park_ns" exempt "Nanoseconds pool workers were parked.";
         SERVE_REQUESTS "serve.requests" exempt "Request frames decoded.";
         SERVE_QUERIES "serve.queries" exempt "Query requests (cache hits, queued and shed included).";
         SERVE_SHED "serve.shed" exempt "Queries refused with Busy: the admission queue was full.";
@@ -207,10 +203,6 @@ catalog! {
         QUERY_PARTITION_ENUMERATE "query.partition.enumerate" det "Within the partition stage: enumerating the query's indexed subtrees.";
         BUILD_MINE "build.mine" det "Mining the feature trees and their posting lists.";
         BUILD_SIGS "build.sigs" det "Computing the per-vertex neighborhood signatures.";
-        ENGINE_WORKER_BUSY "engine.worker_busy" exempt "One batch item mapped by a pool seat.";
-        ENGINE_WORKER_WALL "engine.worker_wall" exempt "One pool seat's part of a batch.";
-        POOL_WORKER_BUSY "pool.worker_busy" exempt "One pool worker's busy time since the last flush.";
-        POOL_WORKER_PARK "pool.worker_park" exempt "One pool worker's parked time since the last flush.";
         SERVE_REQUEST "serve.request" exempt "Admission to response of one served query.";
         SERVE_BATCH_EXEC "serve.batch_exec" exempt "One engine micro-batch.";
         SERVE_QUEUE_WAIT "serve.queue_wait" exempt "Admission to dispatch in the bounded queue.";
@@ -305,11 +297,11 @@ mod tests {
         assert!(rows().all(|e| !e.help.is_empty() && !e.help.contains(['\n', '\\'])));
     }
 
-    /// A metric is exempt exactly when it lies in an execution-shape or
-    /// arrival-timing namespace.
+    /// A metric is exempt exactly when it lies in an arrival-timing
+    /// namespace.
     #[test]
     fn determinism_flags_follow_the_namespaces() {
-        let exempt = ["engine.", "pool.", "serve.", "cache.", "loadgen.", "maint."];
+        let exempt = ["serve.", "cache.", "loadgen.", "maint."];
         for e in rows() {
             let want = !exempt.iter().any(|p| e.name.starts_with(p));
             assert_eq!(e.deterministic, want, "{}", e.name);

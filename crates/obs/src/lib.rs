@@ -22,8 +22,7 @@
 //! - **Deterministic aggregation.** Merging is commutative integer
 //!   addition, so counter totals are bit-identical for any thread count or
 //!   scheduling order. The catalog marks the metrics that describe
-//!   *execution shape* (worker counts, busy time) or *arrival timing*
-//!   (batching, cache hits) exempt;
+//!   *arrival timing* (batching, cache hits) exempt;
 //!   [`MetricSet::deterministic_counters`] leaves those out.
 //! - **Stable rendering.** Metric names sort lexicographically in the
 //!   versioned JSON schema ([`JSON_SCHEMA`]); see EXPERIMENTS.md for the
@@ -382,8 +381,8 @@ pub struct Shard {
 }
 
 impl Shard {
-    /// A free-standing shard, not tied to a registry. Enabled shards can be
-    /// merged into another shard ([`Shard::merge`]) or absorbed later.
+    /// A free-standing shard, not tied to a registry. An enabled one's
+    /// metrics are read with [`Shard::into_set`] or absorbed later.
     pub fn detached(enabled: bool) -> Self {
         Self {
             enabled,
@@ -421,20 +420,6 @@ impl Shard {
     /// A permanently disabled shard: every record call is one branch.
     pub fn disabled() -> Self {
         Self::detached(false)
-    }
-
-    /// An empty shard with the same enablement (for handing to a helper
-    /// thread; merge it back with [`Shard::merge`]). Forks never trace —
-    /// the per-query timeline belongs to the worker that owns the query.
-    pub fn fork(&self) -> Shard {
-        Shard::detached(self.enabled)
-    }
-
-    /// Merge a forked shard's metrics into this one.
-    pub fn merge(&self, child: Shard) {
-        if self.enabled {
-            self.set.borrow_mut().merge(&child.set.into_inner());
-        }
     }
 
     /// Add `n` to counter `c`.
@@ -671,19 +656,6 @@ mod tests {
     }
 
     #[test]
-    fn fork_and_merge_shards() {
-        let parent = Shard::detached(true);
-        parent.add(Counter::GRAPH_BFS, 1);
-        let child = parent.fork();
-        child.add(Counter::GRAPH_BFS, 2);
-        child.observe(Span::MAINT_APPLY, Duration::from_nanos(7));
-        parent.merge(child);
-        let set = parent.into_set();
-        assert_eq!(set.counter("graph.bfs"), 3);
-        assert_eq!(set.span("maint.apply").unwrap().count, 1);
-    }
-
-    #[test]
     fn histogram_buckets_and_quantiles() {
         // Values below SUB_BUCKETS are their own bucket (exact).
         assert_eq!(bucket_of(0), 0);
@@ -730,20 +702,11 @@ mod tests {
         {
             m.add(c, i as u64);
         }
-        for c in [
-            Counter::ENGINE_WORKERS,
-            Counter::CACHE_HIT,
-            Counter::GRAPH_BFS,
-        ] {
+        for c in [Counter::CACHE_MISS, Counter::CACHE_HIT, Counter::GRAPH_BFS] {
             m.add(c, 7);
         }
         let names: Vec<_> = m.counters().map(|(c, _)| c.name()).collect();
-        let sorted = [
-            "cache.hit",
-            "engine.workers",
-            "graph.bfs",
-            "mine.level1.kinds",
-        ];
+        let sorted = ["cache.hit", "cache.miss", "graph.bfs", "mine.level1.kinds"];
         assert_eq!(names[..4], sorted);
         assert_eq!(names[4..], ["mine.level10.kinds", "mine.level2.kinds"]);
         let det: Vec<_> = m.deterministic_counters().into_keys().collect();
@@ -919,7 +882,7 @@ mod tests {
     fn json_round_trips_to_equal_metric_set() {
         let mut m = MetricSet::new();
         m.add(Counter::FUNNEL_QUERIES, 3);
-        m.add(Counter::ENGINE_WORKERS, 2);
+        m.add(Counter::CACHE_HIT, 2);
         m.set_gauge(Gauge::MEM_INDEX_BYTES, 123_456);
         m.set_gauge(Gauge::MEM_ALLOC_PEAK_BYTES, 9_999_999);
         for ns in [0u64, 1, 500, 1_000_000, u64::MAX >> 20] {
@@ -1010,8 +973,6 @@ mod tests {
             let _g = s.span(Span::QUERY_FILTER);
         }
         s.set_trace_query(None);
-        // Forks never trace.
-        assert!(!s.fork().is_tracing());
         r.absorb(s);
         let events = r.drain_trace();
         assert_eq!(events.len(), 1);
@@ -1072,14 +1033,14 @@ mod tests {
                             let shard = r.shard();
                             // Same total work split differently per config.
                             for _ in 0..(240 / workers) {
-                                shard.add(Counter::ENGINE_ITEMS, 1);
+                                shard.add(Counter::FUNNEL_QUERIES, 1);
                             }
                             let _ = w;
                             r.absorb(shard);
                         });
                     }
                 });
-                r.snapshot().counter("engine.items")
+                r.snapshot().counter("funnel.queries")
             })
             .collect();
         assert_eq!(totals, vec![240, 240, 240]);

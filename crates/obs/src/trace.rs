@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 /// One complete (begin + duration) event on the trace timeline.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Stage or span name (e.g. `query.filter`, `engine.worker_busy`).
+    /// Stage or span name (e.g. `query.filter`, `serve.batch_exec`).
     pub name: String,
     /// Batch position of the query being processed, when one is in scope.
     pub query: Option<u64>,
@@ -201,7 +201,7 @@ mod tests {
         b.set_query(Some(1));
         b.push("query.verify", t0, Duration::from_nanos(1500));
         b.set_query(None);
-        b.push("engine.worker_wall", t0, Duration::from_micros(9));
+        b.push("serve.batch_exec", t0, Duration::from_micros(9));
         sink.absorb(a);
         sink.absorb(b);
         sink.drain()
@@ -216,11 +216,8 @@ mod tests {
         let filter = events.iter().find(|e| e.name == "query.filter").unwrap();
         assert_eq!(filter.query, Some(0));
         assert_eq!(filter.dur_ns, 5_000);
-        let wall = events
-            .iter()
-            .find(|e| e.name == "engine.worker_wall")
-            .unwrap();
-        assert_eq!(wall.query, None);
+        let batch = events.iter().find(|e| e.name == "serve.batch_exec");
+        assert_eq!(batch.unwrap().query, None);
     }
 
     #[test]

@@ -153,19 +153,23 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         }
         ResponseBody::Stats(json) => {
             p.push(b'S');
-            let cap = MAX_FRAME - 5;
-            let json = if json.len() > cap { &json[..cap] } else { json };
-            p.extend_from_slice(json.as_bytes());
+            put_text(&mut p, json);
         }
         ResponseBody::ShuttingDown => p.push(b'X'),
         ResponseBody::Error(msg) => {
             p.push(b'E');
-            let cap = MAX_FRAME - 5;
-            let msg = if msg.len() > cap { &msg[..cap] } else { msg };
-            p.extend_from_slice(msg.as_bytes());
+            put_text(&mut p, msg);
         }
     }
     encode_frame(p)
+}
+
+/// Append as much of `text` as fits the payload `p` within [`MAX_FRAME`],
+/// cut at a char boundary so the body stays utf8. An error message can
+/// echo a whole request line, so it can be longer than a frame.
+fn put_text(p: &mut Vec<u8>, text: &str) {
+    let cap = MAX_FRAME - p.len();
+    p.extend_from_slice(&text.as_bytes()[..text.floor_char_boundary(cap)]);
 }
 
 fn parse_one_graph(body: &[u8]) -> Result<Graph, String> {
@@ -320,6 +324,26 @@ mod tests {
             let frame = encode_response(resp);
             let (payload, _) = take_frame(&frame).unwrap().expect("complete frame");
             assert_eq!(&decode_response(payload).unwrap(), resp);
+        }
+    }
+
+    /// An over-long text body is cut to fit the frame at a char boundary,
+    /// even when a multi-byte char straddles the cap.
+    #[test]
+    fn long_text_bodies_are_cut_at_a_char_boundary() {
+        let cap = MAX_FRAME - 5;
+        let head = "a".repeat(cap - 1);
+        let text = format!("{head}ébc");
+        let bodies = [ResponseBody::Error, ResponseBody::Stats];
+        for body in bodies {
+            let frame = encode_response(&Response {
+                tag: 1,
+                body: body(text.clone()),
+            });
+            let (payload, used) = take_frame(&frame).unwrap().expect("complete frame");
+            assert_eq!(used, frame.len());
+            assert_eq!(payload.len(), MAX_FRAME - 1);
+            assert_eq!(decode_response(payload).unwrap().body, body(head.clone()));
         }
     }
 

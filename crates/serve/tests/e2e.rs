@@ -140,6 +140,54 @@ fn oversized_label_is_refused_and_the_connection_survives() {
     assert_eq!(report.errors, 4);
 }
 
+/// A one-line query body that fills a whole frame is malformed, and the
+/// error echoes the line, so its message is longer than a frame; with a
+/// two-byte char straddling the cut, the reply is still an error, and the
+/// connection then answers a normal query.
+#[test]
+fn frame_filling_malformed_line_is_answered_with_an_error() {
+    use std::io::Write;
+    let (addr, handle) = spawn_server(ServeConfig::default());
+    let mut s = std::net::TcpStream::connect(addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    // The message is "line 1: malformed: " (19 bytes) and the line; the
+    // reply's body holds MAX_FRAME - 5 bytes of it, so byte MAX_FRAME - 24
+    // of the line is where it is cut.
+    let body_len = serve::protocol::MAX_FRAME - 5;
+    let cut = body_len - 19;
+    let line = format!(
+        "z{}é{}",
+        "a".repeat(cut - 2),
+        "a".repeat(body_len - cut - 1)
+    );
+    assert_eq!(line.len(), body_len);
+    assert!(!line.is_char_boundary(cut));
+    let mut frame = ((5 + body_len) as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&7u32.to_le_bytes());
+    frame.push(b'Q');
+    frame.extend_from_slice(line.as_bytes());
+    s.write_all(&frame).expect("send the frame");
+    let reply = read_response(&mut s).expect("an answer to the long line");
+    assert_eq!(reply.tag, 7);
+    match reply.body {
+        ResponseBody::Error(msg) => {
+            assert!(msg.starts_with("line 1: malformed: zaaa"), "{}", &msg[..40]);
+            assert_eq!(msg.len(), cut - 1 + 19);
+        }
+        other => panic!("expected an error, got {other:?}"),
+    }
+    let q = &queries()[1];
+    send_query(&mut s, 8, q);
+    let answer = read_response(&mut s).expect("an answer to the next query");
+    assert_eq!(answer.tag, 8);
+    assert_eq!(expect_matches(answer), scan_support(&build_index(), q));
+    let mut client = Client::connect_retry(&addr.to_string(), Duration::from_secs(5)).unwrap();
+    client.shutdown().unwrap();
+    let (report, _, _) = handle.join().unwrap();
+    assert_eq!(report.errors, 1);
+}
+
 #[test]
 fn cache_hits_repeats_and_maintenance_invalidates() {
     let (addr, handle) = spawn_server(ServeConfig::default());

@@ -390,13 +390,14 @@ impl Engine {
     /// — the consistency witness used by the serving layer (cache
     /// admission) and the concurrency tests.
     ///
-    /// The batch is one [`Pool::ordered_map_obs`]: each seat records into
-    /// its own [`obs::Shard`], absorbed into `registry` when the seat
-    /// retires. Pipeline spans and `funnel.*` counters are pure functions of
-    /// the per-query outcomes, so their totals are bit-identical for any
-    /// pool size; the `engine.*` and `pool.*` namespaces describe the
-    /// execution shape and are excluded from the determinism contract
-    /// ([`obs::MetricSet::deterministic_counters`]).
+    /// The batch is one [`Pool::ordered_map_obs`]: each seat runs its
+    /// queries and records each one's [`QueryStats`](crate::QueryStats)
+    /// into its own [`obs::Shard`]
+    /// ([`QueryStats::record_into`](crate::QueryStats::record_into)), absorbed into
+    /// `registry` when the seat retires. That is the only recording: the
+    /// pipeline and the pool record nothing. Pipeline spans and `funnel.*`
+    /// counters are pure functions of the per-query outcomes, so their
+    /// totals are bit-identical for any pool size.
     pub fn query_batch_pinned(
         &self,
         queries: &[Graph],
@@ -408,13 +409,10 @@ impl Engine {
         // occupy it do queries get intra-candidate workers.
         let intra = (pool.parallelism() / queries.len().max(1)).max(1);
         let results = pool.ordered_map_obs(queries, registry, |q, shard| {
-            snapshot.query_with_pool_obs(q, pool, intra, shard)
+            let r = snapshot.query_with_pool(q, pool, intra);
+            r.stats.record_into(shard, Instant::now());
+            r
         });
-        // Batch-end delta of the pool's scheduling metrics (pool.* namespace,
-        // exempt from the determinism contract like engine.*).
-        let shard = registry.shard();
-        pool.flush_metrics(&shard);
-        registry.absorb(shard);
         (results, snapshot.maintenance_epoch())
     }
 }
@@ -636,7 +634,7 @@ mod tests {
             qs.len() as u64
         );
         type Field = fn(&crate::QueryStats) -> usize;
-        let fields: [(obs::Counter, Field); 6] = [
+        let fields: [(obs::Counter, Field); 7] = [
             (obs::Counter::FUNNEL_FILTERED, |s| s.filtered),
             (obs::Counter::FUNNEL_ANSWERS, |s| s.answers),
             (obs::Counter::FUNNEL_MISSING_FEATURE, |s| {
@@ -645,6 +643,7 @@ mod tests {
             (obs::Counter::WALK_PROBES, |s| s.walk_probes),
             (obs::Counter::WALK_ENCODES, |s| s.walk_encodes),
             (obs::Counter::WALK_HITS, |s| s.walk_hits),
+            (obs::Counter::VERIFY_TESTS, |s| s.verify_tests),
         ];
         for (id, field) in fields {
             let total: u64 = base_r.iter().map(|r| field(&r.stats) as u64).sum();
@@ -658,7 +657,7 @@ mod tests {
             let span = base_m.span(id.name()).expect("pipeline span present");
             assert_eq!(span.count, qs.len() as u64, "{}", id.name());
         }
-        // Everything outside engine.* is bit-identical at any thread count.
+        // Every deterministic counter is bit-identical at any thread count.
         for threads in [2, 8] {
             let (_, m) = run(threads);
             assert_eq!(
@@ -704,18 +703,15 @@ mod tests {
                     "{name} missing queries (threads={threads})"
                 );
             }
-            // Worker spans are present and the wall span carries no query id.
-            assert!(events.iter().any(|e| e.name == "engine.worker_busy"));
-            let wall = events
-                .iter()
-                .find(|e| e.name == "engine.worker_wall")
-                .expect("wall span traced");
-            assert_eq!(wall.query, None);
-            // Stage events nest inside the batch: no start beyond the wall end.
-            let wall_end = wall.start_ns + wall.dur_ns;
-            for e in &events {
-                assert!(e.start_ns <= wall_end.max(e.start_ns));
-            }
+            // Every slice is a stage of one query, on one lane per seat
+            // that ran.
+            assert_eq!(events.len(), qs.len() * obs::Span::PIPELINE.len());
+            assert!(events.iter().all(|e| e.query.is_some()));
+            let lanes: std::collections::BTreeSet<u32> = events.iter().map(|e| e.lane).collect();
+            assert!(
+                !lanes.is_empty() && lanes.len() <= threads,
+                "threads={threads}"
+            );
             // Metrics unaffected by tracing.
             let m = reg.drain();
             assert_eq!(
@@ -749,17 +745,6 @@ mod tests {
             let recovered = engine.into_index();
             assert_eq!(recovered.db().len(), index().db().len());
         }
-    }
-
-    #[test]
-    fn engine_obs_flushes_pool_metrics() {
-        let engine = Engine::new(index(), 2);
-        let reg = obs::Registry::new();
-        let (_, _) = engine.query_batch_obs(&queries(), QueryOptions, 7, &reg);
-        let m = reg.drain();
-        assert!(m.counter("pool.tasks") >= 1, "batch dispatch counted");
-        // pool.* is outside the determinism contract.
-        assert!(!m.deterministic_counters().contains_key("pool.tasks"));
     }
 
     #[test]

@@ -293,10 +293,10 @@ impl TreePiIndex {
     /// (`mine.level{N}.*`, see [`mining::mine_frequent_trees_pool_obs`]),
     /// and final index-shape counters (`build.*`, with `build.mined` the
     /// frequent trees mined as in [`BuildStats::mined`] and `build.truncated`
-    /// 1 if the miner's per-level guard cut the run short). Parallel workers record into
-    /// [`obs::Shard::fork`]s merged after the join, and the miner's merge is
-    /// canonical, so the built index and every non-`engine.*`/non-`pool.*`
-    /// counter are identical for any pool size.
+    /// 1 if the miner's per-level guard cut the run short). Parallel
+    /// passes record nothing themselves, and the miner's merge is
+    /// canonical, so the built index and every counter are identical for
+    /// any pool size.
     pub fn build_with_pool_obs(
         db: Vec<Graph>,
         params: TreePiParams,

@@ -36,33 +36,36 @@ pub struct Part {
     pub center_reps_in_q: SmallVec<[VertexId; 2]>,
 }
 
-/// A query's partition `TP_q` and filter set `SF_q`, or the missing feature
-/// that proves the support is empty.
+/// A query's partition `TP_q` and filter sets, or the missing feature that
+/// proves the support is empty.
 pub enum PartitionRuns {
-    /// `(TP_q, SF_q)`.
+    /// `TP_q` and, from the same walk, the two filter sets.
     Ok {
         /// `TP_q`, the greedy cover (named for the smallest of the paper's
         /// δ random partitions, which it replaces).
         min_partition: Vec<Part>,
         /// `TP_q`'s features and those of `q`'s single edges, ascending.
         sf: Vec<FeatureId>,
+        /// Every feature occurring in `q`, ascending: the full `SF_q` the
+        /// query pipeline filters on ([`crate::enumerate_query_features`]).
+        full_sf: Vec<FeatureId>,
     },
     /// Some query edge is not a feature: empty support, no verification
     /// needed.
     MissingFeature(CanonString),
 }
 
-/// `TP_q` and a filter set of `q`: one walk of `q`, then [`cover`]. The
-/// filter set holds only the parts' features and those of `q`'s single
-/// edges — weaker than the full `SF_q` the query pipeline filters on
-/// ([`crate::enumerate_query_features`]), an ablation point.
+/// `TP_q` and the filter sets of `q`: one walk of `q`, then [`cover`]. The
+/// partition-only set `sf` holds only the parts' features and those of
+/// `q`'s single edges — weaker than the full `SF_q` the query pipeline
+/// filters on, an ablation point; `full_sf` is that full `SF_q`.
 pub fn feature_tree_partition(q: &Graph, index: &TreePiIndex) -> PartitionRuns {
     partition(q, index, true)
 }
 
 /// Kept for the ledger's replay until ROADMAP item 1:
-/// [`feature_tree_partition`] with `sf` left empty unless `collect_sf`;
-/// `delta` and `rng` are ignored.
+/// [`feature_tree_partition`] with both filter sets left empty unless
+/// `collect_sf`; `delta` and `rng` are ignored.
 pub fn partition_runs_with<R: Rng>(
     q: &Graph,
     index: &TreePiIndex,
@@ -77,12 +80,16 @@ fn partition(q: &Graph, index: &TreePiIndex, collect_sf: bool) -> PartitionRuns 
     match QueryFeatures::walk(index, q, &mut WalkCounts::default()) {
         Ok(found) => {
             let min_partition = cover(q, &found);
-            let sf = if collect_sf {
-                partition_features(&found, &min_partition)
+            let (sf, full_sf) = if collect_sf {
+                (partition_features(&found, &min_partition), found.features())
             } else {
-                Vec::new()
+                Default::default()
             };
-            PartitionRuns::Ok { min_partition, sf }
+            PartitionRuns::Ok {
+                min_partition,
+                sf,
+                full_sf,
+            }
         }
         Err(e) => PartitionRuns::MissingFeature(missing_feature(q, e)),
     }
@@ -282,8 +289,14 @@ mod tests {
         let idx = index();
         let q = graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 0, 1)]);
         match feature_tree_partition(&q, &idx) {
-            PartitionRuns::Ok { min_partition, sf } => {
+            PartitionRuns::Ok {
+                min_partition,
+                sf,
+                full_sf,
+            } => {
                 check_partition(&q, &idx, &min_partition);
+                // the full SF_q holds the partition-only set
+                assert!(sf.iter().all(|f| full_sf.binary_search(f).is_ok()));
                 assert!(!sf.is_empty());
                 // sf is sorted and deduped
                 let mut s = sf.clone();
@@ -307,11 +320,12 @@ mod tests {
         let PartitionRuns::Ok {
             min_partition: parts,
             sf,
+            full_sf,
         } = partition_runs_with(&q, &idx, 7, &mut rand::thread_rng(), false)
         else {
             panic!("unexpected missing feature");
         };
-        assert!(sf.is_empty());
+        assert!(sf.is_empty() && full_sf.is_empty());
         let edges = |ps: &[Part]| ps.iter().map(|p| p.q_edges.clone()).collect::<Vec<_>>();
         assert_eq!(edges(&parts), edges(&min_partition(&q, &idx)));
     }

@@ -79,11 +79,17 @@ fn pos_distance(g: &Graph, oracle: &mut DistanceOracle<'_>, a: CenterPos, b: Cen
     best
 }
 
-/// Seat-local CDC state, reused across every candidate of a chunk: one
-/// distance oracle [`DistanceOracle::reset`] per graph, and each part's
-/// signature-compatible positions collected once per candidate.
+/// Chunk-local CDC state, reused across every candidate of a chunk: one
+/// distance oracle [`DistanceOracle::reset`] per graph, each part's
+/// signature-compatible positions collected once per candidate, and the
+/// chunk's counts.
 #[derive(Default)]
 struct CdcScratch<'a> {
+    /// Candidates refused for a part without a compatible stored center
+    /// (`prune.center_sig_kills`).
+    center_sig_kills: u64,
+    /// BFS runs the distance oracle performed (`graph.bfs`).
+    bfs: u64,
     oracle: Option<DistanceOracle<'a>>,
     /// Compatible positions of every part, back to back; part `i`'s are
     /// `positions[ends[i - 1]..ends[i]]`.
@@ -96,23 +102,23 @@ struct CdcScratch<'a> {
 /// Whether graph `gid` admits an assignment of stored center positions to
 /// the parts that satisfies all Center Distance Constraints (Algorithm 2's
 /// per-graph test), with candidate positions signature-gated against the
-/// query's vertex signatures `qsigs`. Records `prune.cdc_tests` and the BFS
-/// runs its distance oracle performed (`graph.bfs`) into `shard`. Both
-/// counts depend only on the candidate and the partition, never on which
-/// worker runs the test, so batch totals stay thread-count invariant.
-fn satisfies_cdc_obs<'a>(
+/// query's vertex signatures `qsigs`. Counts its signature kill and the
+/// BFS runs its distance oracle performed in the scratch. Both counts
+/// depend only on the candidate and the partition, never on which worker
+/// runs the test, so batch totals stay thread-count invariant.
+fn satisfies_cdc<'a>(
     index: &'a TreePiIndex,
     qsigs: &[VertexSig],
     gid: u32,
     parts: &[Part],
     dq: &[Vec<u32>],
     scratch: &mut CdcScratch<'a>,
-    shard: &obs::Shard,
 ) -> bool {
-    shard.add(obs::Counter::PRUNE_CDC_TESTS, 1);
     let g = &index.db()[gid as usize];
     let hsigs = index.vertex_sigs(gid);
     let CdcScratch {
+        center_sig_kills,
+        bfs,
         oracle,
         positions,
         ends,
@@ -132,7 +138,7 @@ fn satisfies_cdc_obs<'a>(
                 .filter(|&cp| sig::center_compatible(qsigs, hsigs, &p.center_reps_in_q, cp, g)),
         );
         if positions.len() == start {
-            shard.add(obs::Counter::PRUNE_CENTER_SIG_KILLS, 1);
+            *center_sig_kills += 1;
             return false;
         }
         ends.push(positions.len());
@@ -183,17 +189,19 @@ fn satisfies_cdc_obs<'a>(
     }
 
     let ok = backtrack(order, 0, &of_part, dq, g, oracle, assigned);
-    shard.add(obs::Counter::GRAPH_BFS, oracle.bfs_runs());
+    *bfs += oracle.bfs_runs();
     ok
 }
 
 /// Algorithm 2: reduce the filtered set `P_q` to `P'_q`, split into up to
-/// `threads` seats on `pool`. Each candidate's CDC test is independent
-/// (every seat owns its scratch and distance oracle), so the set is chunked
-/// contiguously and the per-chunk results concatenated in chunk order; each
-/// seat records into a [`obs::Shard::fork`] of `shard`, merged back in rank
-/// order. The output and every merged counter are therefore identical for
-/// any `threads` and pool size.
+/// `threads` chunks mapped on `pool`. Each candidate's CDC test is
+/// independent (every chunk owns its scratch and distance oracle), so the
+/// set is chunked contiguously and the per-chunk results concatenated in
+/// chunk order; the chunks' counts are summed and recorded into `shard`:
+/// `prune.cdc_tests` (one per candidate), `prune.center_sig_kills` when
+/// nonzero, and `graph.bfs` when a candidate reached the distance search.
+/// The output and every counter are therefore identical for any `threads`
+/// and pool size.
 #[allow(clippy::too_many_arguments)]
 pub fn center_prune_pool_obs(
     index: &TreePiIndex,
@@ -213,17 +221,24 @@ pub fn center_prune_pool_obs(
     let qsigs = sig::graph_sigs(q);
     let chunk_size = pq.len().div_ceil(threads.clamp(1, pq.len()));
     let chunks: Vec<&[u32]> = pq.chunks(chunk_size).collect();
-    pool.fork_join_obs(chunks.len(), shard, |rank, worker| {
+    let pruned = pool.ordered_map(&chunks, |chunk| {
         let mut scratch = CdcScratch::default();
-        chunks[rank]
+        let kept: Vec<u32> = chunk
             .iter()
             .copied()
-            .filter(|&gid| satisfies_cdc_obs(index, &qsigs, gid, parts, dq, &mut scratch, worker))
-            .collect::<Vec<u32>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+            .filter(|&gid| satisfies_cdc(index, &qsigs, gid, parts, dq, &mut scratch))
+            .collect();
+        (kept, scratch.center_sig_kills, scratch.bfs)
+    });
+    let kills: u64 = pruned.iter().map(|c| c.1).sum();
+    shard.add(obs::Counter::PRUNE_CDC_TESTS, pq.len() as u64);
+    if kills > 0 {
+        shard.add(obs::Counter::PRUNE_CENTER_SIG_KILLS, kills);
+    }
+    if kills < pq.len() as u64 {
+        shard.add(obs::Counter::GRAPH_BFS, pruned.iter().map(|c| c.2).sum());
+    }
+    pruned.into_iter().flat_map(|c| c.0).collect()
 }
 
 #[cfg(test)]
@@ -278,7 +293,10 @@ mod tests {
         );
         // With η = 1 only single-edge features exist, so every partition
         // consists of the two query edges.
-        let PartitionRuns::Ok { min_partition, sf } = feature_tree_partition(&q, &idx) else {
+        let PartitionRuns::Ok {
+            min_partition, sf, ..
+        } = feature_tree_partition(&q, &idx)
+        else {
             panic!("all query edges are features");
         };
         assert_eq!(min_partition.len(), 2);
@@ -309,7 +327,10 @@ mod tests {
             .filter(|(_, g)| graph_core::is_subgraph_isomorphic(&q, g))
             .map(|(i, _)| i as u32)
             .collect();
-        let PartitionRuns::Ok { min_partition, sf } = feature_tree_partition(&q, &idx) else {
+        let PartitionRuns::Ok {
+            min_partition, sf, ..
+        } = feature_tree_partition(&q, &idx)
+        else {
             panic!()
         };
         let pq = crate::filter::filter(&idx, &sf);
@@ -326,6 +347,15 @@ mod tests {
             let got = center_prune_pool_obs(&idx, &q, cands, &min_partition, &dq, &pool, 8, &off);
             assert_eq!(got, want);
         }
+        // So do its counts, one chunk or one candidate per chunk.
+        let counts = |threads| {
+            let shard = obs::Shard::detached(true);
+            center_prune_pool_obs(&idx, &q, &pq, &min_partition, &dq, &pool, threads, &shard);
+            shard.into_set().deterministic_counters()
+        };
+        let one = counts(1);
+        assert_eq!(one["prune.cdc_tests"], pq.len() as u64);
+        assert_eq!(counts(pq.len()), one);
     }
 
     #[test]

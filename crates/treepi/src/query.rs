@@ -9,6 +9,11 @@
 //! search of [`crate::verify`]; its vertex-signature gate is the funnel's
 //! only per-candidate signature check.
 //!
+//! The pipeline only computes: every count and stage time of a query comes
+//! back in its [`QueryStats`], and nothing on the path records a metric.
+//! The batch engine's seat records each query once
+//! ([`QueryStats::record_into`]), into the seat's own shard.
+//!
 //! The pipeline has no options. Center-distance pruning (Algorithm 2,
 //! [`crate::prune`]) does not run here: with verification one anchored
 //! search of ≈ 1 µs per candidate, the few candidates it rejects save far
@@ -21,7 +26,7 @@
 use crate::filter::filter;
 use crate::index::TreePiIndex;
 use crate::partition::cover;
-use crate::verify::verify_all_pool_obs;
+use crate::verify::verify_counted;
 use crate::walk::{QueryFeatures, WalkCounts};
 use graph_core::par::Pool;
 use graph_core::Graph;
@@ -55,6 +60,12 @@ pub struct QueryStats {
     pub walk_encodes: usize,
     /// Of those, the subsets that are features: occurrences found.
     pub walk_hits: usize,
+    /// Candidates the anchored search tested: `filtered`, unless the
+    /// feature-tree shortcut answered without verifying.
+    pub verify_tests: usize,
+    /// Of those, candidates refused before any search because a part had
+    /// no signature-compatible stored center.
+    pub verify_center_sig_kills: usize,
     /// Time in the partition stage: the feature-tree shortcut, the walk and
     /// the cover.
     pub t_partition: Duration,
@@ -88,19 +99,21 @@ impl QueryStats {
 
     /// Record this query's funnel counters and stage timings into `shard`,
     /// and, if it is tracing, the stages as timeline events ending at
-    /// `end`, the instant the query finished.
+    /// `end`, the instant the query finished. This is the one place a
+    /// query is recorded: the batch engine's seat calls it after each
+    /// query it runs.
     ///
     /// Every pipeline span ([`QueryStats::stages`]) and the partition
     /// stage's enumeration are observed unconditionally —
     /// short-circuited queries (feature-tree shortcut, missing feature)
     /// contribute zero-duration observations — so a metrics snapshot always
-    /// carries the full stage breakdown. Everything recorded
-    /// here is a pure function of the query outcome, so batch totals are
-    /// bit-identical at any thread count. The stages run back-to-back, so
-    /// the first starts `total()` before `end` and each starts where the
-    /// previous one ended, without instrumenting the hot `query_impl`
-    /// internals.
-    fn record_into(&self, shard: &obs::Shard, end: Instant) {
+    /// carries the full stage breakdown. The `verify.*` counters are
+    /// recorded only when nonzero. Everything recorded here is a pure
+    /// function of the query outcome, so batch totals are bit-identical at
+    /// any thread count. The stages run back-to-back, so the first starts
+    /// `total()` before `end` and each starts where the previous one ended,
+    /// without instrumenting the pipeline itself.
+    pub fn record_into(&self, shard: &obs::Shard, end: Instant) {
         use obs::Counter;
         shard.add(Counter::FUNNEL_QUERIES, 1);
         shard.add(Counter::FUNNEL_FILTERED, self.filtered as u64);
@@ -111,6 +124,17 @@ impl QueryStats {
         shard.add(Counter::WALK_PROBES, self.walk_probes as u64);
         shard.add(Counter::WALK_ENCODES, self.walk_encodes as u64);
         shard.add(Counter::WALK_HITS, self.walk_hits as u64);
+        for (id, n) in [
+            (Counter::VERIFY_TESTS, self.verify_tests),
+            (
+                Counter::VERIFY_CENTER_SIG_KILLS,
+                self.verify_center_sig_kills,
+            ),
+        ] {
+            if n > 0 {
+                shard.add(id, n as u64);
+            }
+        }
         shard.observe(obs::Span::QUERY_PARTITION_ENUMERATE, self.t_enumerate);
         let tracing = shard.is_tracing();
         let mut start = end - self.total();
@@ -137,7 +161,7 @@ impl TreePiIndex {
     /// Answer the containment query `q` (paper §3): all active database
     /// graphs of which `q` is a subgraph.
     pub fn query(&self, q: &Graph) -> QueryResult {
-        self.query_with_pool_obs(q, &Pool::new(1), 1, &obs::Shard::disabled())
+        self.query_with_pool(q, &Pool::new(1), 1)
     }
 
     /// [`Self::query`] on `pool`: when the filter keeps
@@ -145,26 +169,10 @@ impl TreePiIndex {
     /// into up to `intra` chunks dispatched as seats on `pool`. Safe to call
     /// from inside a pool seat — the batch engine does exactly that —
     /// because [`Pool::run`] lets the dispatcher claim its own job's seats.
-    /// Results are identical at any `intra`/pool size: candidates are
-    /// chunked in order and chunk results concatenated in order.
-    ///
-    /// Stage spans and funnel counters are recorded into `shard`; each is
-    /// a pure function of the query outcome, so batch totals are
-    /// bit-identical at any thread count. With a
-    /// disabled shard every record is a single predicted branch.
-    pub fn query_with_pool_obs(
-        &self,
-        q: &Graph,
-        pool: &Pool,
-        intra: usize,
-        shard: &obs::Shard,
-    ) -> QueryResult {
-        let r = self.query_impl(q, pool, intra, shard);
-        r.stats.record_into(shard, Instant::now());
-        r
-    }
-
-    fn query_impl(&self, q: &Graph, pool: &Pool, intra: usize, shard: &obs::Shard) -> QueryResult {
+    /// Results and counts are identical at any `intra`/pool size:
+    /// candidates are chunked in order and chunk results concatenated in
+    /// order. Nothing is recorded; see [`QueryStats::record_into`].
+    pub fn query_with_pool(&self, q: &Graph, pool: &Pool, intra: usize) -> QueryResult {
         assert!(q.edge_count() > 0, "queries must have at least one edge");
         let mut stats = QueryStats::default();
 
@@ -230,9 +238,11 @@ impl TreePiIndex {
         } else {
             1
         };
-        let matches = verify_all_pool_obs(self, q, &pq, &parts, &[], pool, threads, shard);
+        let (matches, kills) = verify_counted(self, q, &pq, &parts, pool, threads);
         stats.t_verify = t.elapsed();
         stats.answers = matches.len();
+        stats.verify_tests = pq.len();
+        stats.verify_center_sig_kills = kills;
 
         QueryResult { matches, stats }
     }

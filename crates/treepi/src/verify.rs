@@ -35,6 +35,9 @@ use std::ops::ControlFlow;
 /// Caller-owned verification scratch, reused across every candidate a
 /// seat verifies.
 struct VerifyScratch<'q> {
+    /// Candidates refused because a part had no signature-compatible
+    /// stored center (`verify.center_sig_kills`).
+    center_sig_kills: usize,
     /// Signatures of the query's vertices, computed once per seat.
     qsigs: Vec<VertexSig>,
     /// Per-part count of signature-compatible stored positions.
@@ -48,6 +51,7 @@ struct VerifyScratch<'q> {
 impl<'q> VerifyScratch<'q> {
     fn for_query(q: &'q Graph, parts: usize) -> Self {
         Self {
+            center_sig_kills: 0,
             qsigs: sig::graph_sigs(q),
             counts: Vec::with_capacity(parts),
             plans: (0..parts).map(|_| None).collect(),
@@ -57,20 +61,19 @@ impl<'q> VerifyScratch<'q> {
 }
 
 /// Is `q` subgraph isomorphic to graph `gid`? The anchored search of the
-/// module docs, rooted at the most selective part of `parts`; records
-/// `verify.tests` and `verify.center_sig_kills`.
-fn verify_anchored_obs<'q>(
+/// module docs, rooted at the most selective part of `parts`; a gate kill
+/// is counted in the scratch.
+fn verify_anchored<'q>(
     index: &TreePiIndex,
     q: &'q Graph,
     gid: u32,
     parts: &[Part],
     scratch: &mut VerifyScratch<'q>,
-    shard: &obs::Shard,
 ) -> bool {
-    shard.add(obs::Counter::VERIFY_TESTS, 1);
     let g = &index.db()[gid as usize];
     let hsigs = index.vertex_sigs(gid);
     let VerifyScratch {
+        center_sig_kills,
         qsigs,
         counts,
         plans,
@@ -87,7 +90,7 @@ fn verify_anchored_obs<'q>(
             .filter(|&c| compatible(p, c))
             .count();
         if n == 0 {
-            shard.add(obs::Counter::VERIFY_CENTER_SIG_KILLS, 1);
+            *center_sig_kills += 1;
             return false;
         }
         counts.push(n);
@@ -125,30 +128,58 @@ fn verify_anchored_obs<'q>(
 }
 
 /// Verify every graph in `candidates`, returning the exact answer set:
-/// [`verify_all_pool_obs`] as one inline chunk with metrics disabled.
+/// [`verify_counted`] as one inline chunk.
 pub fn verify_all(index: &TreePiIndex, q: &Graph, candidates: &[u32], parts: &[Part]) -> Vec<u32> {
-    let pool = graph_core::par::Pool::new(1);
-    verify_all_pool_obs(
+    verify_counted(
         index,
         q,
         candidates,
         parts,
-        &[],
-        &pool,
+        &graph_core::par::Pool::new(1),
         1,
-        &obs::Shard::disabled(),
     )
+    .0
 }
 
 /// The general verifier: candidates are chunked contiguously into up to
-/// `threads` seats on `pool`, each with its own scratch, and chunk results
-/// concatenate in rank order. Records `verify.tests` per candidate; seats
-/// record into [`obs::Shard::fork`]s merged in rank order, so the output
-/// and every merged counter are identical for any `threads` and pool size.
+/// `threads` chunks mapped on `pool`, each with its own scratch, and chunk
+/// results concatenate in chunk order. Returns the answers and the
+/// `verify.center_sig_kills` count; every candidate is one `verify.tests`.
+/// Both are identical for any `threads` and pool size, and nothing is
+/// recorded: the caller puts them in its `QueryStats`.
+pub(crate) fn verify_counted(
+    index: &TreePiIndex,
+    q: &Graph,
+    candidates: &[u32],
+    parts: &[Part],
+    pool: &graph_core::par::Pool,
+    threads: usize,
+) -> (Vec<u32>, usize) {
+    if candidates.is_empty() {
+        return (Vec::new(), 0);
+    }
+    let chunk_size = candidates
+        .len()
+        .div_ceil(threads.clamp(1, candidates.len()));
+    let chunks: Vec<&[u32]> = candidates.chunks(chunk_size).collect();
+    let verified = pool.ordered_map(&chunks, |chunk| {
+        let mut scratch = VerifyScratch::for_query(q, parts.len());
+        let answers: Vec<u32> = chunk
+            .iter()
+            .copied()
+            .filter(|&gid| verify_anchored(index, q, gid, parts, &mut scratch))
+            .collect();
+        (answers, scratch.center_sig_kills)
+    });
+    let kills = verified.iter().map(|(_, kills)| kills).sum();
+    (verified.into_iter().flat_map(|(a, _)| a).collect(), kills)
+}
+
+/// [`verify_counted`] recording its counts into `shard`: `verify.tests`
+/// (one per candidate) and `verify.center_sig_kills`, each when nonzero.
 ///
 /// `_dq` (the query's center distances) is unused: the anchored search
-/// needs no distance, and the query pipeline passes `&[]`. It stays until
-/// ROADMAP item 1's `benchmark` PR
+/// needs no distance. It stays, like the shard, until ROADMAP item 1
 /// deletes the ledger's replay, which calls this function by name.
 #[allow(clippy::too_many_arguments)]
 pub fn verify_all_pool_obs(
@@ -161,24 +192,16 @@ pub fn verify_all_pool_obs(
     threads: usize,
     shard: &obs::Shard,
 ) -> Vec<u32> {
-    if candidates.is_empty() {
-        return Vec::new();
+    let (answers, kills) = verify_counted(index, q, candidates, parts, pool, threads);
+    for (id, n) in [
+        (obs::Counter::VERIFY_TESTS, candidates.len()),
+        (obs::Counter::VERIFY_CENTER_SIG_KILLS, kills),
+    ] {
+        if n > 0 {
+            shard.add(id, n as u64);
+        }
     }
-    let chunk_size = candidates
-        .len()
-        .div_ceil(threads.clamp(1, candidates.len()));
-    let chunks: Vec<&[u32]> = candidates.chunks(chunk_size).collect();
-    pool.fork_join_obs(chunks.len(), shard, |rank, worker| {
-        let mut scratch = VerifyScratch::for_query(q, parts.len());
-        chunks[rank]
-            .iter()
-            .copied()
-            .filter(|&gid| verify_anchored_obs(index, q, gid, parts, &mut scratch, worker))
-            .collect::<Vec<u32>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    answers
 }
 
 /// Brute-force oracle: scan the whole database with VF2 (what a system
@@ -222,7 +245,9 @@ mod tests {
     fn run_query(q: &Graph, idx: &TreePiIndex) -> Vec<u32> {
         match feature_tree_partition(q, idx) {
             PartitionRuns::MissingFeature(_) => Vec::new(),
-            PartitionRuns::Ok { min_partition, sf } => {
+            PartitionRuns::Ok {
+                min_partition, sf, ..
+            } => {
                 let pq = crate::filter::filter(idx, &sf);
                 let dq = query_center_distances(q, &min_partition);
                 let pruned = crate::prune::center_prune_pool_obs(

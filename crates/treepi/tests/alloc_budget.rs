@@ -56,7 +56,10 @@ const WRITE_CEILINGS: (u64, u64) = (101, 2);
 /// --chem 25 --seed 7` index plus a metered batch of its first three
 /// graphs, and a metered build of `treepi gen --chem 40 --seed 11`. At one
 /// worker every value but the peaks repeats exactly, and each ceiling is
-/// the measured value × 1.10: 7 851, 883 985 and 131 876 for the first run;
+/// the measured value × 1.10: 7 807 and 806 157 for the first run since
+/// each query is recorded once, by the engine's batch seat, and the pool
+/// records nothing (7 812 and 833 541 before, under ceilings of 8 636 and
+/// 972 384 set at 7 851 and 883 985), and 131 876 live bytes (131 692 now);
 /// 27 518, 9 135 054 and 182 175 for the build since the miner grows only
 /// patterns that pass the γ growth bound, in flat instance records (49 114,
 /// 21 573 057 and 181 274 before; 61 765, 34 382 131 and 309 396 when the
@@ -75,7 +78,7 @@ const WRITE_CEILINGS: (u64, u64) = (101, 2);
 /// and its ceiling is 1.25 × the highest. A load that decodes every feature
 /// tree with a fresh encoder reads about 1.3 × the first count, a slip no
 /// timing showed.
-const LOAD_AND_QUERY_CEILING: [u64; 4] = [8_636, 972_384, 379_664, 145_064];
+const LOAD_AND_QUERY_CEILING: [u64; 4] = [8_588, 886_773, 379_664, 145_064];
 const BUILD_CEILING: [u64; 4] = [30_270, 10_048_560, 2_076_403, 199_401];
 
 /// The same build at 2 and 8 workers: how the work is split moves its

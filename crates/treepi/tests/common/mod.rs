@@ -38,8 +38,8 @@ pub fn chem40_db() -> Vec<Graph> {
     datagen::generate_chem(&datagen::ChemParams::sized(40), &mut rng)
 }
 
-/// Counts of the spans the catalog marks deterministic (`engine.*` and
-/// `pool.*` worker histograms describe execution shape).
+/// Counts of the spans the catalog marks deterministic (the `serve.*`,
+/// `loadgen.*` and `maint.*` ones follow arrival timing).
 pub fn deterministic_span_counts(m: &obs::MetricSet) -> BTreeMap<&'static str, u64> {
     m.spans()
         .filter(|(span, _)| span.is_deterministic())

@@ -1,15 +1,14 @@
 //! Property tests for the metrics layer: on arbitrary databases and query
 //! batches, the `obs` funnel counters must reconcile **exactly** with the
-//! per-query `QueryStats` the engine returns, and every counter outside the
-//! `engine.*` / `pool.*` namespaces must be bit-identical at 1, 2, and 8
-//! threads.
+//! per-query `QueryStats` the engine returns, and every deterministic
+//! counter must be bit-identical at 1, 2, and 8 threads.
 //!
 //! These are the two invariants the whole observability design rests on:
-//! shard-per-thread recording loses nothing (counters are integers merged
-//! commutatively), and instrumentation never observes the execution shape
-//! it is not supposed to (scheduling shows up only under `engine.*` and
-//! `pool.*`). One fixed batch pins the counts themselves, so a change that
-//! moves them at every thread count alike is seen too.
+//! shard-per-seat recording loses nothing (counters are integers merged
+//! commutatively), and a query is recorded once, from its `QueryStats`, so
+//! nothing observes the execution shape. One fixed batch pins the counts
+//! themselves, so a change that moves them at every thread count alike is
+//! seen too.
 
 mod common;
 
@@ -106,6 +105,11 @@ proptest! {
         prop_assert_eq!(base.counter(Counter::WALK_PROBES.name()), sums(|s| s.walk_probes));
         prop_assert_eq!(base.counter(Counter::WALK_ENCODES.name()), sums(|s| s.walk_encodes));
         prop_assert_eq!(base.counter(Counter::WALK_HITS.name()), sums(|s| s.walk_hits));
+        prop_assert_eq!(base.counter(Counter::VERIFY_TESTS.name()), sums(|s| s.verify_tests));
+        prop_assert_eq!(
+            base.counter(Counter::VERIFY_CENTER_SIG_KILLS.name()),
+            sums(|s| s.verify_center_sig_kills)
+        );
         let missing: u64 = results.iter().filter(|r| r.stats.missing_feature).count() as u64;
         prop_assert_eq!(base.counter(Counter::FUNNEL_MISSING_FEATURE.name()), missing);
 
@@ -117,7 +121,7 @@ proptest! {
             prop_assert_eq!(span.count, queries.len() as u64);
         }
 
-        // Thread-count invariance of everything outside `engine.*`.
+        // Thread-count invariance of every deterministic counter.
         let base_det = base.deterministic_counters();
         for threads in [2usize, 8] {
             let (results_t, m) = run_metered(&idx, &queries, threads);
@@ -128,10 +132,9 @@ proptest! {
         }
     }
 
-    /// Build-path counter reconciliation: every counter outside `engine.*`
-    /// (`mine.level{N}.*`, `mine.*` totals, `build.*`) and every
-    /// non-`engine.*` span count must match exactly between a serial and a
-    /// parallel build — the parallel miner's canonical merge may not change
+    /// Build-path counter reconciliation: every deterministic counter
+    /// (`mine.level{N}.*`, `mine.*` totals, `build.*`) and deterministic
+    /// span count must match exactly between a serial and a parallel build — the parallel miner's canonical merge may not change
     /// what the instrumentation observes.
     #[test]
     fn build_counters_reconcile_across_thread_counts(db in arb_db(10, 8)) {

@@ -14,6 +14,7 @@ use common::{arb_connected_graph, arb_db};
 use graph_core::par::Pool;
 use graph_core::{graph_from, Graph};
 use proptest::prelude::*;
+use std::time::Instant;
 use treepi::{Engine, TreePiIndex, TreePiParams, INTRA_PAR_THRESHOLD};
 
 fn save_bytes(idx: &TreePiIndex) -> Vec<u8> {
@@ -41,15 +42,13 @@ proptest! {
     ) {
         let idx = TreePiIndex::build(db, TreePiParams::quick());
 
-        // Reference: one query at a time, no batch engine involved. Matches
-        // and stats come from the plain entry point; the same loop on a
-        // recording shard yields the reference counters.
+        // Reference: one query at a time, no batch engine involved, each
+        // query's stats recorded by hand as the engine's seat records them.
         let seq: Vec<treepi::QueryResult> = queries.iter().map(|q| idx.query(q)).collect();
         let seq_registry = obs::Registry::new();
         let shard = seq_registry.shard();
-        let inline = Pool::new(1);
-        for q in &queries {
-            idx.query_with_pool_obs(q, &inline, 1, &shard);
+        for r in &seq {
+            r.stats.record_into(&shard, Instant::now());
         }
         seq_registry.absorb(shard);
         let seq_det = seq_registry.drain().deterministic_counters();
