@@ -480,7 +480,7 @@ fn run() -> Result<(), String> {
             println!("  support sets:    {} KiB", m.supports_bytes / 1024);
             println!("  center tables:   {} KiB", m.centers_bytes / 1024);
             println!("  signatures:      {} KiB", m.sigs_bytes / 1024);
-            println!("  canon directory: {} KiB", m.trie_bytes / 1024);
+            println!("  directory+shapes: {} KiB", m.trie_bytes / 1024);
             let p = index.params();
             println!(
                 "params:            alpha={} beta={} eta={} gamma={}",

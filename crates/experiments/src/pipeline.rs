@@ -52,9 +52,9 @@ pub struct Funnel {
 impl From<&QueryStats> for Funnel {
     fn from(s: &QueryStats) -> Funnel {
         Funnel {
-            filtered: s.filtered,
-            pruned: s.filtered,
-            answers: s.answers,
+            filtered: s.filtered as usize,
+            pruned: s.filtered as usize,
+            answers: s.answers as usize,
         }
     }
 }

@@ -184,7 +184,7 @@ catalog! {
         MEM_INDEX_SUPPORTS_BYTES "mem.index.supports_bytes" det "Heap bytes of the per-feature support sets.";
         MEM_INDEX_CENTERS_BYTES "mem.index.centers_bytes" det "Heap bytes of the center-position tables.";
         MEM_INDEX_SIGS_BYTES "mem.index.sigs_bytes" det "Heap bytes of the per-vertex neighborhood signatures.";
-        MEM_INDEX_TRIE_BYTES "mem.index.trie_bytes" det "Heap bytes of the canonical-string directory and the shape filter.";
+        MEM_INDEX_TRIE_BYTES "mem.index.trie_bytes" det "Heap bytes of the canonical-string hash directory (4 bytes per slot, a power of two at most 3/4 full) and the shape filter.";
         MEM_GINDEX_BYTES "mem.gindex.bytes" det "Estimated heap bytes of the gIndex baseline.";
         MEM_GINDEX_FRAGMENTS_BYTES "mem.gindex.fragments_bytes" det "Heap bytes of the gIndex fragments (graphs and codes).";
         MEM_GINDEX_LOOKUP_BYTES "mem.gindex.lookup_bytes" det "Heap bytes of the gIndex code-to-fragment map.";

@@ -16,7 +16,9 @@
 //!    [`ServeConfig::max_batch`] queries at a time. Nothing is held back to
 //!    let a batch fill: a batch executes inline on this thread, so the
 //!    queries decoded from the sockets while it ran *are* the next batch —
-//!    batches grow with load and a lone query leaves at once.
+//!    batches grow with load and a lone query leaves at once. Queries of
+//!    one batch with the same cache key run once, and every request among
+//!    them gets that run's answer.
 //! 3. **Maintenance.** An insert/remove request is applied when it is
 //!    decoded ([`treepi::Engine::insert`] / [`treepi::Engine::remove`],
 //!    the `maint.apply` span) and acked after, so read-your-writes holds
@@ -36,10 +38,11 @@
 //! every query is answered against the current database regardless of
 //! batch shape. The pipeline's `det` totals (`funnel.*`, `walk.*`,
 //! `verify.tests`, the `query.*` span counts) are sums over the queries
-//! the engine executed, though, and a cache hit executes nothing: which
-//! requests hit depends on arrival timing, so in a served run those totals
-//! repeat only when the set of executed queries does. `funnel.queries`
-//! equals [`ServeReport::served`].
+//! the engine executed, though, and neither a cache hit nor a query that
+//! shares its batch with an identical one executes: which requests do
+//! depends on arrival timing, so in a served run those totals repeat only
+//! when the set of executed queries does. `funnel.queries` is
+//! [`ServeReport::served`] less the queries that shared a run.
 //!
 //! **Monitoring surface.** An optional second listener
 //! ([`ServeConfig::http_addr`]) rides the same poll loop and answers
@@ -70,7 +73,7 @@ use crate::telemetry::{AccessRecord, AccessStages, LoopWatchdog, ServeTelemetry}
 use graph_core::Graph;
 use minipoll::{Events, Interest, Poll, Token};
 use obs::{Counter, Gauge, Span};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
@@ -148,7 +151,8 @@ pub struct ServeReport {
     pub queries: u64,
     /// Queries answered from the result cache.
     pub cache_hits: u64,
-    /// Queries executed inside micro-batches.
+    /// Queries answered by micro-batches, each of several identical ones in
+    /// one batch included (the engine runs those once).
     pub served: u64,
     /// Queries refused with `Busy` (admission queue full).
     pub shed: u64,
@@ -514,10 +518,31 @@ impl EventLoop<'_> {
                 )
             })
             .unzip();
+        // One run per distinct cache key: `run_of[i]` is the run that
+        // answers request `i`, runs numbered by first request, and `users`
+        // counts the requests each run answers.
+        let mut run_of = Vec::with_capacity(n);
+        let mut users: Vec<usize> = Vec::with_capacity(n);
+        let mut runs: Vec<Graph> = Vec::with_capacity(n);
+        {
+            let mut first: HashMap<&[u32], usize> = HashMap::with_capacity(n);
+            for (g, (_, _, key, ..)) in graphs.into_iter().zip(&metas) {
+                let fresh = runs.len();
+                let run = key
+                    .as_deref()
+                    .map_or(fresh, |key| *first.entry(key).or_insert(fresh));
+                if run == fresh {
+                    runs.push(g);
+                    users.push(0);
+                }
+                users[run] += 1;
+                run_of.push(run);
+            }
+        }
         let dispatched = Instant::now();
-        let (results, epoch) = {
+        let (mut results, epoch) = {
             let _span = self.shard.span(Span::SERVE_BATCH_EXEC);
-            self.engine.query_batch_pinned(&graphs, registry)
+            self.engine.query_batch_pinned(&runs, registry)
         };
         let batch_end = Instant::now();
         let residence = batch_end.saturating_duration_since(dispatched);
@@ -530,9 +555,17 @@ impl EventLoop<'_> {
         // cached (the sync below has moved the cache past their epoch).
         let live = self.engine.epoch();
         let cacheable = !self.cache.sync_epoch(live) && epoch == live;
-        for (i, ((conn, tag, key, recv, admitted, bytes_in), r)) in
-            metas.into_iter().zip(results).enumerate()
+        for (i, ((conn, tag, key, recv, admitted, bytes_in), run)) in
+            metas.into_iter().zip(run_of).enumerate()
         {
+            // The run's last request takes its answer, the others copy it.
+            users[run] -= 1;
+            let r = &mut results[run];
+            let matches = if users[run] == 0 {
+                std::mem::take(&mut r.matches)
+            } else {
+                r.matches.clone()
+            };
             // Latency decomposition. Admission→dispatch is queue wait, the
             // query's own stage total is its execution share, and the rest
             // of its batch residence is time spent waiting on co-batched
@@ -558,7 +591,7 @@ impl EventLoop<'_> {
             }
             if cacheable {
                 if let Some(key) = key {
-                    self.cache.insert(key, r.matches.clone());
+                    self.cache.insert(key, matches.clone());
                 }
             }
             self.shard.observe(Span::SERVE_REQUEST, admitted.elapsed());
@@ -566,7 +599,7 @@ impl EventLoop<'_> {
                 conn,
                 Response {
                     tag,
-                    body: ResponseBody::Matches(r.matches),
+                    body: ResponseBody::Matches(matches),
                 },
             );
             self.log_access(AccessRecord {

@@ -298,6 +298,44 @@ fn a_batch_after_a_write_fills_the_cache() {
     assert_eq!(report.cache_hits, 1, "the repeat must hit: {report}");
 }
 
+/// Identical queries pipelined in one segment share a batch: every one
+/// gets the scan oracle's answer and is accounted for, while the engine
+/// runs each distinct query once.
+#[test]
+fn identical_queries_in_one_batch_run_once() {
+    use std::io::Write;
+    let (addr, handle) = spawn_server(ServeConfig::default());
+    let mut s = std::net::TcpStream::connect(addr).expect("connect");
+    let (a, b) = (&queries()[1], &queries()[2]);
+    let sent = [a, a, b, a, b, a];
+    let frames: Vec<u8> = (0u32..)
+        .zip(sent)
+        .flat_map(|(tag, q)| {
+            let body = RequestBody::Query(q.clone());
+            encode_request(&Request { tag, body })
+        })
+        .collect();
+    s.write_all(&frames).expect("send");
+    let oracle = build_index();
+    for _ in 0..sent.len() {
+        let r = read_response(&mut s).expect("answer");
+        let q = sent[r.tag as usize];
+        assert_eq!(expect_matches(r), scan_support(&oracle, q));
+    }
+
+    let mut client = Client::connect_retry(&addr.to_string(), Duration::from_secs(5)).unwrap();
+    client.shutdown().unwrap();
+    let (report, metrics, _) = handle.join().unwrap();
+    assert_eq!(report.batches, 1, "one segment, one batch: {report}");
+    assert_eq!(report.served, sent.len() as u64, "{report}");
+    assert_eq!(report.cache_hits, 0, "{report}");
+    assert_eq!(metrics.counter(Counter::FUNNEL_QUERIES.name()), 2);
+    for span in [Span::SERVE_REQUEST, Span::SERVE_EXEC_SHARE] {
+        let count = metrics.span(span.name()).map(|s| s.count);
+        assert_eq!(count, Some(sent.len() as u64), "{}", span.name());
+    }
+}
+
 /// Send `heavy` on connection A, then one of the fixture's queries on
 /// connection B: B is answered within its 2 s read timeout while A's query
 /// is in the loop (read timeouts turn a frozen loop into a failure, not a

@@ -6,20 +6,23 @@
 //!
 //! The determinism contract (see DESIGN.md, "Parallel query engine"): a
 //! query's result is a function of the query and the pinned snapshot
-//! alone. The pipeline draws no random number, and its parallel stage
-//! (verify) chunks candidates contiguously and concatenates chunk results
-//! in order. So batch results are bit-identical
-//! for any pool size, including 1, by construction — verified by unit
-//! tests here, property tests in `tests/prop.rs` and `tests/pool_prop.rs`
-//! (which also pin equality against a plain sequential loop of single
-//! queries).
+//! alone. The pipeline draws no random number, and its two parallel
+//! stages are order-free: the walk puts the occurrences its seats find in
+//! one total order and sums their counts, and verify chunks candidates
+//! contiguously and concatenates chunk results in order. So batch results
+//! are bit-identical for any pool size, including 1, by construction —
+//! verified by unit tests here and in `walk.rs`, property tests in
+//! `tests/prop.rs` and `tests/pool_prop.rs` (which also pin equality
+//! against a plain sequential loop of single queries).
 //!
 //! Scheduling is work-stealing-lite: seats pull the next query index from
 //! a shared atomic counter, so long-running queries don't stall a statically
 //! assigned chunk. When the batch is smaller than the pool, leftover
-//! workers are instead spent *inside* queries (intra-query candidate
-//! parallelism, [`crate::query::INTRA_PAR_THRESHOLD`]) — those stages
-//! dispatch re-entrantly into the same pool.
+//! workers (`intra > 1`) are instead spent *inside* queries: the walk
+//! shares its growing seeds out over them (`WALK_SPLIT_SEEDS` or more, in
+//! `query.rs`), and verification its candidates
+//! ([`crate::query::INTRA_PAR_THRESHOLD`] or more) — those stages dispatch
+//! re-entrantly into the same pool.
 
 use crate::index::TreePiIndex;
 use crate::query::QueryResult;
@@ -406,7 +409,7 @@ impl Engine {
         let snapshot = self.pin();
         let pool = &self.shared.pool;
         // Spend the pool across queries first; only when the batch can't
-        // occupy it do queries get intra-candidate workers.
+        // occupy it do queries get workers for their walk and verify.
         let intra = (pool.parallelism() / queries.len().max(1)).max(1);
         let results = pool.ordered_map_obs(queries, registry, |q, shard| {
             let r = snapshot.query_with_pool(q, pool, intra);
@@ -633,12 +636,12 @@ mod tests {
             base_m.counter(obs::Counter::FUNNEL_QUERIES.name()),
             qs.len() as u64
         );
-        type Field = fn(&crate::QueryStats) -> usize;
+        type Field = fn(&crate::QueryStats) -> u32;
         let fields: [(obs::Counter, Field); 7] = [
             (obs::Counter::FUNNEL_FILTERED, |s| s.filtered),
             (obs::Counter::FUNNEL_ANSWERS, |s| s.answers),
             (obs::Counter::FUNNEL_MISSING_FEATURE, |s| {
-                usize::from(s.missing_feature)
+                u32::from(s.missing_feature)
             }),
             (obs::Counter::WALK_PROBES, |s| s.walk_probes),
             (obs::Counter::WALK_ENCODES, |s| s.walk_encodes),
@@ -646,7 +649,7 @@ mod tests {
             (obs::Counter::VERIFY_TESTS, |s| s.verify_tests),
         ];
         for (id, field) in fields {
-            let total: u64 = base_r.iter().map(|r| field(&r.stats) as u64).sum();
+            let total: u64 = base_r.iter().map(|r| u64::from(field(&r.stats))).sum();
             assert_eq!(base_m.counter(id.name()), total, "{}", id.name());
         }
         // The `[9, 9]` query takes the missing-feature short-circuit.

@@ -18,7 +18,8 @@ use mining::{intersect_many, SupportSet};
 /// edge the database contains).
 pub fn enumerate_query_features(index: &TreePiIndex, q: &Graph) -> Option<Vec<FeatureId>> {
     use crate::walk::{QueryFeatures, WalkCounts};
-    let found = QueryFeatures::walk(index, q, &mut WalkCounts::default()).ok()?;
+    let pool = graph_core::par::Pool::new(1);
+    let found = QueryFeatures::walk(index, q, &pool, 1, &mut WalkCounts::default()).ok()?;
     Some(found.features())
 }
 

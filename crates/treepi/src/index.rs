@@ -16,9 +16,10 @@
 //!
 //! Features are found by canonical string. The paper keeps a prefix tree
 //! for that (§4.2.2); the only question ever asked here is exact match, so
-//! the directory is a permutation of the feature ids sorted by the strings
-//! the features already own, searched by bisection
-//! ([`TreePiIndex::feature_by_canon`]) — no key is stored a second time.
+//! the directory is an open-addressed hash table of feature ids, keyed by a
+//! fixed hash of the strings the features already own
+//! ([`TreePiIndex::feature_by_canon`]): one probe finds the slot, one token
+//! compare confirms the hit, and no key is stored a second time.
 //!
 //! Beside the directory sits a Bloom filter of **shapes** ([`crate::shape`]):
 //! the shape invariant of every stored feature, and of every proper subtree
@@ -30,11 +31,12 @@
 use crate::params::TreePiParams;
 use crate::shape::{shape_of, tree_shape, ShapeFilter, Tag};
 use crate::sig::{self, VertexSig};
+use graph_core::par::Pool;
 use graph_core::{EdgeId, Graph, VertexId};
 use mining::SupportSet;
 use obs::{Counter, Gauge, Span};
 use rustc_hash::FxHashSet;
-use tree_core::{CanonString, Center, CenterPos, SubtreeEncoder, Tree};
+use tree_core::{CanonString, CenterPos, SubtreeEncoder, Tree};
 
 /// Identifier of a feature tree inside a [`TreePiIndex`]: its position in
 /// [`TreePiIndex::features`].
@@ -229,9 +231,8 @@ pub struct TreePiIndex {
     db: Vec<Graph>,
     active: Vec<bool>,
     features: Vec<Feature>,
-    /// The directory: every feature id once, strictly increasing by
-    /// `features[id].canon`.
-    by_canon: Vec<FeatureId>,
+    /// The directory: every feature id once, hashed by `features[id].canon`.
+    directory: Directory,
     /// The shapes of the stored features, tagged [`Tag::Feature`], and of
     /// every proper subtree (one edge or more) of one, tagged [`Tag::Grow`]:
     /// what [`Self::may_be_feature`] and [`Self::may_grow`] ask. A function
@@ -275,7 +276,7 @@ impl TreePiIndex {
         threads: usize,
         shard: &obs::Shard,
     ) -> Self {
-        let pool = graph_core::par::Pool::new(threads);
+        let pool = Pool::new(threads);
         Self::build_with_pool_obs(db, params, &pool, shard)
     }
 
@@ -300,7 +301,7 @@ impl TreePiIndex {
     pub fn build_with_pool_obs(
         db: Vec<Graph>,
         params: TreePiParams,
-        pool: &graph_core::par::Pool,
+        pool: &Pool,
         shard: &obs::Shard,
     ) -> Self {
         let mine_span = shard.span(Span::BUILD_MINE);
@@ -357,18 +358,13 @@ impl TreePiIndex {
         features: Vec<Feature>,
         sigs: Vec<Vec<VertexSig>>,
     ) -> Result<Self, &'static str> {
-        let canon = |fid: &FeatureId| &features[fid.idx()].canon;
-        let mut by_canon: Vec<FeatureId> = (0..features.len() as u32).map(FeatureId).collect();
-        by_canon.sort_unstable_by_key(canon);
-        if by_canon.windows(2).any(|w| canon(&w[0]) == canon(&w[1])) {
-            return Err("two features share a canonical string");
-        }
+        let directory = Directory::of(&features)?;
         let shapes = shape_filter(&features, MAX_CLOSURE);
         Ok(Self {
             db,
             active,
             features,
-            by_canon,
+            directory,
             shapes,
             sigs,
             params,
@@ -438,13 +434,7 @@ impl TreePiIndex {
     /// [`Self::feature_by_canon`] for canonical tokens still in their
     /// encoder's buffer.
     pub(crate) fn feature_by_tokens(&self, tokens: &[u32]) -> Option<FeatureId> {
-        self.token_rank(tokens).ok().map(|rank| self.by_canon[rank])
-    }
-
-    /// Rank of `tokens` in the directory, or where they would be spliced in.
-    fn token_rank(&self, tokens: &[u32]) -> Result<usize, usize> {
-        self.by_canon
-            .binary_search_by(|fid| self.features[fid.idx()].canon.tokens().cmp(tokens))
+        self.directory.get(&self.features, tokens)
     }
 
     /// Can a tree with this shape be grown into a stored feature, i.e. may
@@ -510,17 +500,19 @@ impl TreePiIndex {
                 .all(|(g, s)| sig::graph_sigs(g) == *s)
     }
 
-    /// Is the directory a permutation of the feature ids, strictly
-    /// increasing by canonical string — so that [`Self::feature_by_canon`]
-    /// finds every feature and nothing else? Exposed for tests.
+    /// Does the directory hold every feature id once, in a table sized for
+    /// the feature count, where [`Self::feature_by_canon`] finds each
+    /// feature under its own id? Exposed for tests.
     pub fn directory_consistent(&self) -> bool {
-        let canon = |fid: &FeatureId| self.features.get(fid.idx()).map(|f| &f.canon);
-        self.by_canon.len() == self.features.len()
-            && self.by_canon.iter().all(|fid| canon(fid).is_some())
+        let slots = &self.directory.slots;
+        let held = slots.iter().filter(|&&fid| fid != VACANT).count();
+        slots.len() == Directory::slots_for(self.features.len())
+            && held == self.features.len()
             && self
-                .by_canon
-                .windows(2)
-                .all(|w| canon(&w[0]) < canon(&w[1]))
+                .features
+                .iter()
+                .enumerate()
+                .all(|(i, f)| self.feature_by_canon(&f.canon) == Some(FeatureId(i as u32)))
     }
 
     /// Is every posting list well formed — supports strictly increasing and
@@ -545,36 +537,31 @@ impl TreePiIndex {
     pub fn insert(&mut self, g: Graph) -> u32 {
         let gid = self.db.len() as u32;
         // Register novel single-edge trees as fresh (so far empty) features,
-        // each spliced into the directory at its rank and its shape into the
-        // filter: after this every edge of `g` is a feature, which is what
-        // the walk expects of a graph. Each edge is encoded and looked up
-        // where it lies; a novel one keeps the tokens as its string.
+        // each added to the directory and its shape to the filter: after
+        // this every edge of `g` is a feature, which is what the walk
+        // expects of a graph. Each edge is encoded and looked up where it
+        // lies; a novel one keeps the tokens as its string.
         let mut enc = SubtreeEncoder::default();
         for e in g.edge_ids() {
             let (u, v) = (g.edge(e).u, g.edge(e).v);
             let (tokens, _) = enc.encode(&g, u, |x| x == e);
-            let Err(rank) = self.token_rank(tokens) else {
+            if self.feature_by_tokens(tokens).is_some() {
                 continue;
-            };
+            }
             let canon = CanonString(tokens.to_vec());
-            let fid = FeatureId(self.features.len() as u32);
-            self.by_canon.insert(rank, fid);
+            self.features.push(Feature::new(canon));
+            self.directory.add(&self.features);
             self.shapes
                 .insert(Tag::Feature, shape_of(&g, [u, v], |x| x == e));
-            self.features.push(Feature::new(canon));
         }
-        // Every occurrence of a feature in `g`, as (feature, center id): a
-        // center is a function of the occurrence, and occurrences sharing
-        // one collapse. A feature's kind of center is its occurrences'.
-        let mut hits: Vec<(FeatureId, u32)> = Vec::new();
+        // Every occurrence of a feature in `g`, as (feature, center id), by
+        // a walk on one seat: a center is a function of the occurrence, and
+        // occurrences sharing one collapse. A feature's kind of center is
+        // its occurrences'.
         let counts = &mut crate::walk::WalkCounts::default();
-        crate::walk::walk_features(self, &g, counts, |fid, _, center| {
-            hits.push(match center {
-                Center::Vertex(v) => (fid, v.0),
-                Center::Edge(e) => (fid, e.0),
-            })
-        })
-        .expect("every edge of the graph is a feature by now");
+        let mut hits: Vec<(FeatureId, u32)> =
+            crate::walk::walk_features(self, &g, &Pool::new(1), 1, counts)
+                .expect("every edge of the graph is a feature by now");
         hits.sort_unstable();
         hits.dedup();
         for run in hits.chunk_by(|a, b| a.0 == b.0) {
@@ -621,7 +608,7 @@ impl TreePiIndex {
     /// The maintenance epoch carries over unchanged; the caller advances
     /// it when publishing the result (an epoch that moved backwards would
     /// break cache invalidation).
-    pub fn remine_with_pool(&self, pool: &graph_core::par::Pool) -> Self {
+    pub fn remine_with_pool(&self, pool: &Pool) -> Self {
         let mut idx = Self::build_with_pool_obs(
             self.db.clone(),
             self.params.clone(),
@@ -682,7 +669,8 @@ impl TreePiIndex {
             supports_bytes,
             centers_bytes,
             sigs_bytes,
-            trie_bytes: self.by_canon.len() * size_of::<FeatureId>() + self.shapes.heap_bytes(),
+            trie_bytes: self.directory.slots.len() * size_of::<FeatureId>()
+                + self.shapes.heap_bytes(),
         }
     }
 
@@ -730,10 +718,11 @@ pub struct IndexMemory {
     pub centers_bytes: usize,
     /// Per-vertex neighborhood signatures ([`crate::sig`]).
     pub sigs_bytes: usize,
-    /// The canonical-string directory, one feature id per feature, and the
-    /// shape filter, 12 bits per feature and per distinct proper subtree of
-    /// one, in whole 8-byte words (the name predates both — a prefix trie
-    /// used to stand here).
+    /// The canonical-string directory, one 4-byte slot per feature and
+    /// empty slots up to the least power of two at most three quarters
+    /// full, and the shape filter, 12 bits per feature and per distinct
+    /// proper subtree of one, in whole 8-byte words (the name predates both
+    /// — a prefix trie used to stand here).
     pub trie_bytes: usize,
 }
 
@@ -747,6 +736,89 @@ impl IndexMemory {
             + self.sigs_bytes
             + self.trie_bytes
     }
+}
+
+/// What an empty slot of the [`Directory`] holds.
+const VACANT: FeatureId = FeatureId(u32::MAX);
+
+/// The canonical-string directory: an open-addressed table of feature ids
+/// with linear probing, keyed by [`canon_hash`] of each feature's string.
+/// The table has [`Directory::slots_for`] the feature count slots, so at
+/// least a quarter of them are [`VACANT`] and every probe sequence ends. Its
+/// layout is a function of the features in id order: build, load and §7.1
+/// maintenance produce the same table for the same features.
+#[derive(Clone)]
+struct Directory {
+    slots: Vec<FeatureId>,
+}
+
+impl Directory {
+    /// The directory of `features`; fails if two share a canonical string.
+    fn of(features: &[Feature]) -> Result<Self, &'static str> {
+        let mut dir = Self {
+            slots: vec![VACANT; Self::slots_for(features.len())],
+        };
+        for (i, f) in features.iter().enumerate() {
+            let slot = dir
+                .find(features, f.canon.tokens())
+                .map_err(|_| "two features share a canonical string")?;
+            dir.slots[slot] = FeatureId(i as u32);
+        }
+        Ok(dir)
+    }
+
+    /// Slots for `n` features: the least power of two that `n` fills to
+    /// three quarters at most.
+    fn slots_for(n: usize) -> usize {
+        (4 * n).div_ceil(3).next_power_of_two()
+    }
+
+    /// The feature whose string is `tokens`, if held.
+    fn get(&self, features: &[Feature], tokens: &[u32]) -> Option<FeatureId> {
+        self.find(features, tokens).err()
+    }
+
+    /// `Err(fid)` if `tokens` is feature `fid`'s string, else `Ok` of the
+    /// vacant slot that ends the probe sequence.
+    fn find(&self, features: &[Feature], tokens: &[u32]) -> Result<usize, FeatureId> {
+        let mask = self.slots.len() - 1;
+        let mut slot = canon_hash(tokens) as usize & mask;
+        loop {
+            let fid = self.slots[slot];
+            if fid == VACANT {
+                return Ok(slot);
+            }
+            if features[fid.idx()].canon.tokens() == tokens {
+                return Err(fid);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Hold the last of `features`, whose string no other one has; grows
+    /// the table, rehashing every feature, when the count calls for it.
+    fn add(&mut self, features: &[Feature]) {
+        if self.slots.len() < Self::slots_for(features.len()) {
+            *self = Self::of(features).expect("distinct canonical strings");
+            return;
+        }
+        let last = features.last().expect("a feature to add");
+        let slot = self
+            .find(features, last.canon.tokens())
+            .expect("a string not held yet");
+        self.slots[slot] = FeatureId(features.len() as u32 - 1);
+    }
+}
+
+/// A fixed hash of canonical tokens (FxHash's step, then a fold of the
+/// high half into the low bits the table reads): the same on every run and
+/// every machine, so a table's layout is too.
+fn canon_hash(tokens: &[u32]) -> u64 {
+    const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+    let h = tokens.iter().fold(tokens.len() as u64, |h, &t| {
+        (h.rotate_left(5) ^ u64::from(t)).wrapping_mul(K)
+    });
+    h ^ (h >> 32)
 }
 
 /// What the slot of a removed graph holds: the empty graph, which owns no
@@ -941,14 +1013,52 @@ mod tests {
         assert_eq!(centers, [true; 2], "both kinds of center are exercised");
     }
 
+    /// The directory finds what a linear scan of the features finds, on
+    /// every stored string and on near misses of each (its proper prefix,
+    /// an extension, every one-token change): after a build, after §7.1
+    /// inserts of novel edges have grown its table, and after a load. A
+    /// grown table is the one a fresh directory of the same features is.
     #[test]
-    fn directory_lookup_round_trips() {
+    fn directory_lookup_equals_a_linear_scan() {
+        let assert_scan = |idx: &TreePiIndex, what: &str| {
+            assert!(idx.directory_consistent(), "{what}");
+            let scan = |t: &[u32]| {
+                let at = idx.features().iter().position(|f| f.canon.tokens() == t);
+                at.map(|i| FeatureId(i as u32))
+            };
+            for f in idx.features() {
+                let t = f.canon.tokens();
+                let mut near = vec![t.to_vec(), t[..t.len() - 1].to_vec(), [t, &t[..1]].concat()];
+                near.extend((0..t.len()).map(|i| {
+                    let mut p = t.to_vec();
+                    p[i] ^= 1;
+                    p
+                }));
+                for p in near {
+                    assert_eq!(idx.feature_by_tokens(&p), scan(&p), "{what}: {p:?}");
+                }
+            }
+        };
         let mut idx = quick_index();
-        idx.insert(graph_from(&[5, 6], &[(0, 1, 2)]));
-        assert!(idx.directory_consistent());
-        for (i, f) in idx.features().iter().enumerate() {
-            assert_eq!(idx.feature_by_canon(&f.canon), Some(FeatureId(i as u32)));
+        assert_scan(&idx, "built");
+        let slots = idx.directory.slots.len();
+        // Forty novel edges, one graph each, and a path of three more.
+        for l in 0..40 {
+            idx.insert(graph_from(&[10 + l, 11 + l], &[(0, 1, 3)]));
         }
+        idx.insert(graph_from(
+            &[7, 8, 9, 7],
+            &[(0, 1, 4), (1, 2, 4), (2, 3, 4)],
+        ));
+        assert!(idx.directory.slots.len() >= 8 * slots, "the table grew");
+        assert_scan(&idx, "grown");
+        let fresh = Directory::of(idx.features()).expect("distinct strings");
+        assert_eq!(idx.directory.slots, fresh.slots);
+        let mut file = Vec::new();
+        idx.save(&mut file).expect("in-memory write");
+        let loaded = TreePiIndex::load(&mut file.as_slice()).expect("own file");
+        assert_scan(&loaded, "loaded");
+        assert_eq!(loaded.directory.slots, idx.directory.slots);
     }
 
     #[test]
@@ -1126,10 +1236,10 @@ mod tests {
             TreePiParams::quick(),
         );
         assert_eq!(remined.feature_count(), fresh.feature_count());
-        let by_canon: rustc_hash::FxHashMap<&CanonString, &Feature> =
+        let fresh_features: rustc_hash::FxHashMap<&CanonString, &Feature> =
             fresh.features().iter().map(|f| (&f.canon, f)).collect();
         for f in remined.features() {
-            let fresh_f = by_canon.get(&f.canon).expect("feature mined in both");
+            let fresh_f = fresh_features.get(&f.canon).expect("feature mined in both");
             let mapped: Vec<u32> = fresh_f.support.iter().map(|&g| g + 1).collect();
             assert_eq!(f.support, mapped, "support mismatch for {:?}", f.canon);
         }
@@ -1203,14 +1313,15 @@ mod tests {
             snap.gauge(obs::Gauge::MEM_INDEX_TRIE_BYTES.name()),
             Some(m.trie_bytes as u64)
         );
-        // One id per feature, 12 bits per feature and per distinct proper
-        // subtree of one, in whole words.
+        // A power-of-two table of ids at most three quarters full, 12 bits
+        // per feature and per distinct proper subtree of one, in whole
+        // words.
         let closure = derive_closure(&trees(&idx), MAX_CLOSURE).expect("derived");
         let bits = 12 * (idx.feature_count() + closure.len());
-        assert_eq!(
-            m.trie_bytes,
-            4 * idx.feature_count() + 8 * bits.div_ceil(64)
-        );
+        let slots = Directory::slots_for(idx.feature_count());
+        assert!(slots.is_power_of_two() && 4 * idx.feature_count() <= 3 * slots);
+        assert!(slots < 2 * (4 * idx.feature_count()).div_ceil(3));
+        assert_eq!(m.trie_bytes, 4 * slots + 8 * bits.div_ceil(64));
     }
 
     /// By brute force: every proper subtree of a feature may grow, every

@@ -19,6 +19,7 @@
 
 use crate::index::{FeatureId, TreePiIndex};
 use crate::walk::{QueryFeatures, WalkCounts};
+use graph_core::par::Pool;
 use graph_core::{EdgeId, Graph, VertexId};
 use rand::Rng;
 use smallvec::SmallVec;
@@ -77,7 +78,8 @@ pub fn partition_runs_with<R: Rng>(
 }
 
 fn partition(q: &Graph, index: &TreePiIndex, collect_sf: bool) -> PartitionRuns {
-    match QueryFeatures::walk(index, q, &mut WalkCounts::default()) {
+    let counts = &mut WalkCounts::default();
+    match QueryFeatures::walk(index, q, &Pool::new(1), 1, counts) {
         Ok(found) => {
             let min_partition = cover(q, &found);
             let (sf, full_sf) = if collect_sf {

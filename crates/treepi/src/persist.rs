@@ -26,7 +26,7 @@
 //! keeps the same 4-byte ids, so the columns move in and out verbatim. A
 //! tree is written decoded from its feature's canonical string, so in
 //! canonical vertex order; any numbering of it loads to the same feature.
-//! Everything else an index holds — the sorted directory, the shape filter,
+//! Everything else an index holds — the hash directory, the shape filter,
 //! the per-vertex signatures ([`crate::sig`]) and the [`TreePiIndex::stats`]
 //! counters — is a function of these facts and is recomputed on load, so no
 //! two parts of a file can disagree. A removed graph's slot is the empty

@@ -37,35 +37,47 @@ use std::time::{Duration, Instant};
 /// DESIGN.md ("Parallel query engine") for the numbers.
 pub const INTRA_PAR_THRESHOLD: usize = 32;
 
+/// Minimum count of growing seeds before a query's walk is shared out over
+/// workers ([`crate::walk`]). Below it, posting the pool job costs more
+/// than the second seat saves; measured, see DESIGN.md ("Parallel query
+/// engine").
+pub(crate) const WALK_SPLIT_SEEDS: usize = 16;
+
 /// Per-query statistics.
+///
+/// The counts are `u32`: each is bounded by the query's edges, the
+/// features or the database graphs, all numbered by `u32` ids, but for the
+/// walk's, which saturate. That keeps the record at 104 bytes, where
+/// callers that keep one per query (the ledger's direct workloads do) would
+/// keep 144 with `usize` counts.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct QueryStats {
     /// Parts in the partition `TP_q`.
-    pub partition_size: usize,
+    pub partition_size: u32,
     /// Distinct features in the filter set `SF_q`.
-    pub sf_size: usize,
+    pub sf_size: u32,
     /// `|P_q|` — candidates after filtering (gIndex's `|C_q|` analogue):
     /// the candidates verification searches.
-    pub filtered: usize,
+    pub filtered: u32,
     /// `|D_q|` — the exact answer count.
-    pub answers: usize,
+    pub answers: u32,
     /// The query contained an edge that is not a feature (empty support
     /// proven without touching the database).
     pub missing_feature: bool,
     /// Edge subsets of the query the walk visited (zero when the query is
     /// itself a feature tree).
-    pub walk_probes: usize,
+    pub walk_probes: u32,
     /// Of those, the subsets whose shape may be a feature's: canonically
     /// encoded and looked up.
-    pub walk_encodes: usize,
+    pub walk_encodes: u32,
     /// Of those, the subsets that are features: occurrences found.
-    pub walk_hits: usize,
+    pub walk_hits: u32,
     /// Candidates the anchored search tested: `filtered`, unless the
     /// feature-tree shortcut answered without verifying.
-    pub verify_tests: usize,
+    pub verify_tests: u32,
     /// Of those, candidates refused before any search because a part had
     /// no signature-compatible stored center.
-    pub verify_center_sig_kills: usize,
+    pub verify_center_sig_kills: u32,
     /// Time in the partition stage: the feature-tree shortcut, the walk and
     /// the cover.
     pub t_partition: Duration,
@@ -116,14 +128,14 @@ impl QueryStats {
     pub fn record_into(&self, shard: &obs::Shard, end: Instant) {
         use obs::Counter;
         shard.add(Counter::FUNNEL_QUERIES, 1);
-        shard.add(Counter::FUNNEL_FILTERED, self.filtered as u64);
-        shard.add(Counter::FUNNEL_ANSWERS, self.answers as u64);
-        shard.add(Counter::FUNNEL_MISSING_FEATURE, self.missing_feature as u64);
-        shard.add(Counter::FUNNEL_PARTITION_PARTS, self.partition_size as u64);
-        shard.add(Counter::FUNNEL_SF_FEATURES, self.sf_size as u64);
-        shard.add(Counter::WALK_PROBES, self.walk_probes as u64);
-        shard.add(Counter::WALK_ENCODES, self.walk_encodes as u64);
-        shard.add(Counter::WALK_HITS, self.walk_hits as u64);
+        shard.add(Counter::FUNNEL_FILTERED, self.filtered.into());
+        shard.add(Counter::FUNNEL_ANSWERS, self.answers.into());
+        shard.add(Counter::FUNNEL_MISSING_FEATURE, self.missing_feature.into());
+        shard.add(Counter::FUNNEL_PARTITION_PARTS, self.partition_size.into());
+        shard.add(Counter::FUNNEL_SF_FEATURES, self.sf_size.into());
+        shard.add(Counter::WALK_PROBES, self.walk_probes.into());
+        shard.add(Counter::WALK_ENCODES, self.walk_encodes.into());
+        shard.add(Counter::WALK_HITS, self.walk_hits.into());
         for (id, n) in [
             (Counter::VERIFY_TESTS, self.verify_tests),
             (
@@ -132,7 +144,7 @@ impl QueryStats {
             ),
         ] {
             if n > 0 {
-                shard.add(id, n as u64);
+                shard.add(id, n.into());
             }
         }
         shard.observe(obs::Span::QUERY_PARTITION_ENUMERATE, self.t_enumerate);
@@ -164,14 +176,16 @@ impl TreePiIndex {
         self.query_with_pool(q, &Pool::new(1), 1)
     }
 
-    /// [`Self::query`] on `pool`: when the filter keeps
-    /// [`INTRA_PAR_THRESHOLD`] candidates or more, verification is split
-    /// into up to `intra` chunks dispatched as seats on `pool`. Safe to call
-    /// from inside a pool seat — the batch engine does exactly that —
-    /// because [`Pool::run`] lets the dispatcher claim its own job's seats.
-    /// Results and counts are identical at any `intra`/pool size:
-    /// candidates are chunked in order and chunk results concatenated in
-    /// order. Nothing is recorded; see [`QueryStats::record_into`].
+    /// [`Self::query`] on `pool`, with up to `intra` seats of it for each
+    /// stage that splits: the walk shares its growing seeds out over them
+    /// when it has `WALK_SPLIT_SEEDS` (16) or more, and verification splits
+    /// when the filter keeps [`INTRA_PAR_THRESHOLD`] candidates or more.
+    /// Safe to call from inside a pool seat — the batch engine does exactly
+    /// that — because [`Pool::run`] lets the dispatcher claim its own job's
+    /// seats. Results and counts are identical at any `intra`/pool size:
+    /// the walk's hits are put in one total order and its counts summed,
+    /// and candidates are chunked in order and chunk results concatenated
+    /// in order. Nothing is recorded; see [`QueryStats::record_into`].
     pub fn query_with_pool(&self, q: &Graph, pool: &Pool, intra: usize) -> QueryResult {
         assert!(q.edge_count() > 0, "queries must have at least one edge");
         let mut stats = QueryStats::default();
@@ -198,8 +212,8 @@ impl TreePiIndex {
             stats.t_partition = t.elapsed();
             stats.partition_size = 1;
             stats.sf_size = 1;
-            stats.filtered = matches.len();
-            stats.answers = matches.len();
+            stats.filtered = count(matches.len());
+            stats.answers = count(matches.len());
             return QueryResult { matches, stats };
         }
 
@@ -207,10 +221,10 @@ impl TreePiIndex {
         // the cover TP_q and the filter set both read it. ----
         let t_enumerate = Instant::now();
         let mut walk = WalkCounts::default();
-        let found = QueryFeatures::walk(self, q, &mut walk);
+        let found = QueryFeatures::walk(self, q, pool, intra, &mut walk);
         stats.t_enumerate = t_enumerate.elapsed();
         (stats.walk_probes, stats.walk_encodes, stats.walk_hits) =
-            (walk.probes, walk.encodes, walk.hits);
+            (count(walk.probes), count(walk.encodes), count(walk.hits));
         let Ok(found) = found else {
             stats.t_partition = t.elapsed();
             stats.missing_feature = true;
@@ -222,14 +236,14 @@ impl TreePiIndex {
         let parts = cover(q, &found);
         let sf = found.features();
         stats.t_partition = t.elapsed();
-        stats.partition_size = parts.len();
-        stats.sf_size = sf.len();
+        stats.partition_size = count(parts.len());
+        stats.sf_size = count(sf.len());
 
         // ---- Filter (Algorithm 1) ----
         let t = Instant::now();
         let pq = filter(self, &sf);
         stats.t_filter = t.elapsed();
-        stats.filtered = pq.len();
+        stats.filtered = count(pq.len());
 
         // ---- Verify (Algorithm 3); split only on large candidate sets ----
         let t = Instant::now();
@@ -240,12 +254,17 @@ impl TreePiIndex {
         };
         let (matches, kills) = verify_counted(self, q, &pq, &parts, pool, threads);
         stats.t_verify = t.elapsed();
-        stats.answers = matches.len();
-        stats.verify_tests = pq.len();
-        stats.verify_center_sig_kills = kills;
+        stats.answers = count(matches.len());
+        stats.verify_tests = count(pq.len());
+        stats.verify_center_sig_kills = count(kills);
 
         QueryResult { matches, stats }
     }
+}
+
+/// `n` as a [`QueryStats`] count, saturating.
+fn count(n: usize) -> u32 {
+    u32::try_from(n).unwrap_or(u32::MAX)
 }
 
 #[cfg(test)]
@@ -281,7 +300,7 @@ mod tests {
             assert!(s.sf_size >= 1);
             // the funnel only narrows
             assert!(s.filtered >= s.answers);
-            assert_eq!(s.answers, r.matches.len());
+            assert_eq!(s.answers as usize, r.matches.len());
             assert!(!s.missing_feature);
         }
     }
@@ -302,6 +321,12 @@ mod tests {
         let r = idx.query(&q);
         assert_eq!(r.matches, [1]);
         assert_eq!(r.stats.partition_size, 1);
+    }
+
+    /// The record callers keep per query stays as small as the doc says.
+    #[test]
+    fn query_stats_are_104_bytes() {
+        assert_eq!(std::mem::size_of::<QueryStats>(), 104);
     }
 
     #[test]

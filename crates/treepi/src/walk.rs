@@ -17,12 +17,25 @@
 //! Both "may it grow?" and "may it be a feature?" are put to the subset's
 //! shape ([`crate::shape`]), which the walk keeps as edges come and go, two
 //! vertex terms per edge. Only a subset whose shape may be a feature's is
-//! canonically encoded; the exact directory lookup then confirms the hit or
-//! drops it, and the encoder yields a hit's center.
+//! canonically encoded; the directory's hash lookup then confirms the hit
+//! or drops it, and the encoder yields a hit's center.
+//!
+//! Every subset is reached from one *seed*, its smallest edge, and grows
+//! only through edges above it, so the seeds are independent: once every
+//! single edge has been checked, the seeds that may grow are handed out
+//! one at a time, from an atomic cursor, to the seats of a [`Pool::run`]
+//! job. Each seat collects its own occurrences and counts, and they are
+//! merged; a query's are then put in one total order (most edges first,
+//! then edge set) and the counts summed, so what the walk returns is the
+//! same at any seat count. With one seat the job runs inline.
 
 use crate::index::{FeatureId, TreePiIndex};
+use crate::query::WALK_SPLIT_SEEDS;
 use crate::shape::{edge_term, vertex_term};
+use graph_core::par::Pool;
 use graph_core::{EdgeId, Graph, VertexId};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use tree_core::{Center, SubtreeEncoder};
 
 /// What walks did: subsets visited, subsets canonically encoded, and
@@ -34,6 +47,45 @@ pub(crate) struct WalkCounts {
     pub(crate) hits: usize,
 }
 
+impl std::ops::AddAssign for WalkCounts {
+    fn add_assign(&mut self, other: Self) {
+        self.probes += other.probes;
+        self.encodes += other.encodes;
+        self.hits += other.hits;
+    }
+}
+
+/// Where a walk puts the occurrences it finds.
+pub(crate) trait Occurrences: Default + Send {
+    /// Add the occurrence of `feature` on `subset` (in the order the walk
+    /// grew it), centered at `center` by its id in the graph.
+    fn push(&mut self, subset: &[EdgeId], feature: FeatureId, center: Center);
+    /// Take over `other`'s occurrences, in no particular order.
+    fn append(&mut self, other: Self);
+}
+
+/// §7.1 `insert`'s occurrences: (feature, center id), the center a vertex
+/// or an edge id according to the feature's kind of center.
+impl Occurrences for Vec<(FeatureId, u32)> {
+    fn push(&mut self, _: &[EdgeId], feature: FeatureId, center: Center) {
+        Vec::push(
+            self,
+            match center {
+                Center::Vertex(v) => (feature, v.0),
+                Center::Edge(e) => (feature, e.0),
+            },
+        );
+    }
+
+    fn append(&mut self, mut other: Self) {
+        if self.is_empty() {
+            *self = other;
+        } else {
+            Vec::append(self, &mut other);
+        }
+    }
+}
+
 /// One level of the walk: where the subset in `Walk::current` is in trying
 /// its frontier, which is `Walk::frontier[start..]` while the level is the
 /// deepest one.
@@ -42,11 +94,13 @@ struct Level {
     next: usize,
 }
 
-struct Walk<'a, V> {
+/// One seat's walk: the state of the subset being grown, and what the
+/// seat has found so far.
+struct Walk<'a, O> {
     index: &'a TreePiIndex,
     g: &'a Graph,
-    visit: V,
-    counts: &'a mut WalkCounts,
+    counts: WalkCounts,
+    found: O,
     enc: SubtreeEncoder,
     /// The subset, in the order it was grown, and its vertices likewise.
     current: Vec<EdgeId>,
@@ -66,7 +120,26 @@ struct Walk<'a, V> {
     levels: Vec<Level>,
 }
 
-impl<V: FnMut(FeatureId, &[EdgeId], Center)> Walk<'_, V> {
+impl<'a, O: Occurrences> Walk<'a, O> {
+    fn new(index: &'a TreePiIndex, g: &'a Graph) -> Self {
+        Self {
+            index,
+            g,
+            counts: WalkCounts::default(),
+            found: O::default(),
+            enc: SubtreeEncoder::default(),
+            current: Vec::new(),
+            vertices: Vec::new(),
+            in_set: vec![false; g.edge_count()],
+            degree: vec![0; g.vertex_count()],
+            neighbours: vec![0; g.vertex_count()],
+            shape: 0,
+            excluded: vec![false; g.edge_count()],
+            frontier: Vec::new(),
+            levels: Vec::new(),
+        }
+    }
+
     /// Add edge `e`, and whichever of its ends is new, to the subset.
     fn push(&mut self, e: EdgeId) {
         let edge = self.g.edge(e);
@@ -127,7 +200,7 @@ impl<V: FnMut(FeatureId, &[EdgeId], Center)> Walk<'_, V> {
             if let Some(fid) = self.index.feature_by_tokens(tokens) {
                 self.counts.hits += 1;
                 found = true;
-                (self.visit)(fid, &self.current, center);
+                self.found.push(&self.current, fid, center);
             }
         }
         let grows =
@@ -184,53 +257,6 @@ impl<V: FnMut(FeatureId, &[EdgeId], Center)> Walk<'_, V> {
     }
 }
 
-/// Call `visit(feature, edges, center)` for every connected acyclic edge
-/// subset of `g` — up to the index's η edges — that is a stored feature:
-/// `edges` in the order the walk added them, `center` the subset's center by
-/// its id in `g`. Each subset is visited once, in no order a caller should
-/// rely on. What the walk did is added to `counts`.
-///
-/// Stops with `Err(e)` at a single edge `e` of `g` that is not a feature
-/// (σ(1) = 1 indexes every edge the database contains, so no database graph
-/// contains `g`); all single edges are checked before anything is grown.
-pub(crate) fn walk_features(
-    index: &TreePiIndex,
-    g: &Graph,
-    counts: &mut WalkCounts,
-    visit: impl FnMut(FeatureId, &[EdgeId], Center),
-) -> Result<(), EdgeId> {
-    let mut walk = Walk {
-        index,
-        g,
-        visit,
-        counts,
-        enc: SubtreeEncoder::default(),
-        current: Vec::new(),
-        vertices: Vec::new(),
-        in_set: vec![false; g.edge_count()],
-        degree: vec![0; g.vertex_count()],
-        neighbours: vec![0; g.vertex_count()],
-        shape: 0,
-        excluded: vec![false; g.edge_count()],
-        frontier: Vec::new(),
-        levels: Vec::new(),
-    };
-    let mut grows = Vec::with_capacity(g.edge_count());
-    for e in g.edge_ids() {
-        walk.push(e);
-        let (found, may_grow) = walk.probe();
-        walk.pop();
-        if !found {
-            return Err(e);
-        }
-        grows.push(may_grow);
-    }
-    for (seed, _) in g.edge_ids().zip(grows).filter(|&(_, grows)| grows) {
-        walk.grow_from(seed);
-    }
-    Ok(())
-}
-
 /// One occurrence of a stored feature in the query: its edge set is
 /// `QueryFeatures::edges[start..end]`.
 struct Hit {
@@ -241,7 +267,9 @@ struct Hit {
 }
 
 /// The occurrences of stored features in one query graph, largest first:
-/// what `TP_q` is covered from ([`crate::partition`]) and `SF_q` is read off.
+/// what `TP_q` is covered from ([`crate::partition`]) and `SF_q` is read
+/// off.
+#[derive(Default)]
 pub(crate) struct QueryFeatures {
     /// The occurrences' edge sets, each ascending, end to end.
     edges: Vec<EdgeId>,
@@ -249,33 +277,93 @@ pub(crate) struct QueryFeatures {
     hits: Vec<Hit>,
 }
 
+/// Every connected acyclic edge subset of `g` — up to the index's η edges
+/// — that is a stored feature, with its center by its id in `g`, in no
+/// order a caller should rely on. The seeds that may grow are shared out
+/// over `seats` seats of `pool` when there are [`WALK_SPLIT_SEEDS`] of them
+/// or more; which occurrences are found does not depend on it. What the
+/// walk did is added to `counts`.
+///
+/// `Err(e)` is a single edge `e` of `g` that is not a feature (σ(1) = 1
+/// indexes every edge the database contains, so no database graph
+/// contains `g`); all single edges are checked, in id order, before
+/// anything is grown.
+pub(crate) fn walk_features<O: Occurrences>(
+    index: &TreePiIndex,
+    g: &Graph,
+    pool: &Pool,
+    seats: usize,
+    counts: &mut WalkCounts,
+) -> Result<O, EdgeId> {
+    let mut first = Walk::<O>::new(index, g);
+    let mut seeds = Vec::with_capacity(g.edge_count());
+    for e in g.edge_ids() {
+        first.push(e);
+        let (found, grows) = first.probe();
+        first.pop();
+        if !found {
+            *counts += first.counts;
+            return Err(e);
+        }
+        if grows {
+            seeds.push(e);
+        }
+    }
+    let seats = if seeds.len() >= WALK_SPLIT_SEEDS {
+        seats.clamp(1, seeds.len())
+    } else {
+        1
+    };
+    // The first seat to take a seed carries on with the walk that checked
+    // the single edges; any other seat starts its own. A seat's finds are
+    // merged when it has no seed left to take.
+    let next = AtomicUsize::new(0);
+    let first = Mutex::new(Some(first));
+    let merged = Mutex::new((O::default(), WalkCounts::default()));
+    let merge = |walk: Walk<O>| {
+        let mut merged = merged.lock().expect("merged walks");
+        merged.0.append(walk.found);
+        merged.1 += walk.counts;
+    };
+    pool.run(seats, |_| {
+        let mut walk = None;
+        while let Some(&seed) = seeds.get(next.fetch_add(1, Ordering::Relaxed)) {
+            walk.get_or_insert_with(|| {
+                let first = first.lock().expect("first walk").take();
+                first.unwrap_or_else(|| Walk::new(index, g))
+            })
+            .grow_from(seed);
+        }
+        if let Some(walk) = walk {
+            merge(walk);
+        }
+    });
+    if let Some(walk) = first.into_inner().expect("first walk") {
+        merge(walk);
+    }
+    let (found, walked) = merged.into_inner().expect("merged walks");
+    *counts += walked;
+    Ok(found)
+}
+
 impl QueryFeatures {
-    /// Walk `q`, adding what the walk did to `counts`. `Err` is an edge of
-    /// `q` that is not a feature, which proves `q`'s support empty.
+    /// The occurrences of stored features in `q` ([`walk_features`]),
+    /// largest first, the same at any seat count.
     pub(crate) fn walk(
         index: &TreePiIndex,
         q: &Graph,
+        pool: &Pool,
+        seats: usize,
         counts: &mut WalkCounts,
     ) -> Result<Self, EdgeId> {
-        let (mut edges, mut hits) = (Vec::new(), Vec::new());
-        walk_features(index, q, counts, |feature, subset, center| {
-            let start = edges.len();
-            edges.extend_from_slice(subset);
-            edges[start..].sort_unstable();
-            let end = edges.len();
-            hits.push(Hit {
-                start,
-                end,
-                feature,
-                center,
-            });
-        })?;
+        let mut found: Self = walk_features(index, q, pool, seats, counts)?;
         // The walk reaches each edge set once, so the order is total.
-        hits.sort_unstable_by(|a, b| {
+        let edges = &found.edges;
+        found.hits.sort_unstable_by(|a, b| {
             let (ea, eb) = (&edges[a.start..a.end], &edges[b.start..b.end]);
             eb.len().cmp(&ea.len()).then_with(|| ea.cmp(eb))
         });
-        Ok(Self { edges, hits })
+        Ok(found)
     }
 
     /// Every occurrence as `(edge set ascending, feature, center by its id
@@ -292,6 +380,34 @@ impl QueryFeatures {
         sf.sort_unstable();
         sf.dedup();
         sf
+    }
+}
+
+impl Occurrences for QueryFeatures {
+    fn push(&mut self, subset: &[EdgeId], feature: FeatureId, center: Center) {
+        let start = self.edges.len();
+        self.edges.extend_from_slice(subset);
+        self.edges[start..].sort_unstable();
+        self.hits.push(Hit {
+            start,
+            end: self.edges.len(),
+            feature,
+            center,
+        });
+    }
+
+    fn append(&mut self, mut other: Self) {
+        if self.hits.is_empty() {
+            *self = other;
+            return;
+        }
+        let shift = self.edges.len();
+        self.edges.append(&mut other.edges);
+        self.hits.extend(other.hits.into_iter().map(|h| Hit {
+            start: h.start + shift,
+            end: h.end + shift,
+            ..h
+        }));
     }
 }
 
@@ -321,28 +437,31 @@ mod tests {
         crate::shape::shape_of(g, vertices, |e| subset.contains(&e))
     }
 
-    /// What the walk reports, ascending by edge set.
-    fn walked(index: &TreePiIndex, g: &Graph) -> Result<Vec<Hit>, EdgeId> {
-        let mut hits: Vec<Hit> = Vec::new();
-        walk_features(
-            index,
-            g,
-            &mut WalkCounts::default(),
-            |fid, edges, center| {
-                let mut edges = edges.to_vec();
-                edges.sort_unstable();
-                hits.push((edges, fid, center));
-            },
-        )?;
-        hits.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(hits)
+    /// What a walk of `g` on `seats` seats of `pool` returns — its hits in
+    /// order, or the missing edge — and what it did.
+    fn walk_on(
+        index: &TreePiIndex,
+        g: &Graph,
+        pool: &Pool,
+        seats: usize,
+    ) -> (Result<Vec<Hit>, EdgeId>, WalkCounts) {
+        let mut counts = WalkCounts::default();
+        let found = QueryFeatures::walk(index, g, pool, seats, &mut counts);
+        let hits = found.map(|f| f.hits().map(|(e, f, c)| (e.to_vec(), f, c)).collect());
+        (hits, counts)
     }
 
     /// What a walk of `g` did.
     fn counted(index: &TreePiIndex, g: &Graph) -> WalkCounts {
-        let mut counts = WalkCounts::default();
-        let _ = walk_features(index, g, &mut counts, |_, _, _| {});
-        counts
+        walk_on(index, g, &Pool::new(1), 1).1
+    }
+
+    /// How many edges of `g` the walk grows from: single edges whose
+    /// shape may grow into a feature.
+    fn growing_seeds(index: &TreePiIndex, g: &Graph) -> usize {
+        let grows = |e: EdgeId| index.may_grow(tree_invariant(g, &[e]));
+        let eta = index.params().sigma.eta;
+        g.edge_ids().filter(|&e| eta > 1 && grows(e)).count()
     }
 
     /// The same by exhaustion: every subtree of `g` up to η edges, extracted,
@@ -374,26 +493,38 @@ mod tests {
         missing.map_or(Ok(hits), Err)
     }
 
-    /// Walk ≡ exhaustion on `g`, and the table built from the walk holds
-    /// the exhaustive list, centers included, largest occurrence first.
+    /// Walk ≡ exhaustion on `g`: the walk's hit list is the exhaustive
+    /// list, centers included, largest occurrence first, and its features
+    /// are the distinct ones of that list.
     fn assert_walk_exact(index: &TreePiIndex, g: &Graph, what: &str) {
-        let want = exhaustive(index, g);
-        assert_eq!(walked(index, g), want, "{what}");
-        match (
-            QueryFeatures::walk(index, g, &mut WalkCounts::default()),
+        let mut want = exhaustive(index, g);
+        if let Ok(want) = &mut want {
+            want.sort_by(|a, b| b.0.len().cmp(&a.0.len()).then_with(|| a.0.cmp(&b.0)));
+        }
+        let pool = Pool::new(1);
+        assert_eq!(walk_on(index, g, &pool, 1).0, want, "{what}");
+        if let (Ok(found), Ok(want)) = (
+            QueryFeatures::walk(index, g, &pool, 1, &mut WalkCounts::default()),
             want,
         ) {
-            (Ok(table), Ok(mut want)) => {
-                let got: Vec<Hit> = table.hits().map(|(e, f, c)| (e.to_vec(), f, c)).collect();
-                want.sort_by(|a, b| b.0.len().cmp(&a.0.len()).then_with(|| a.0.cmp(&b.0)));
-                assert_eq!(got, want, "{what}");
-                let mut sf: Vec<FeatureId> = want.iter().map(|h| h.1).collect();
-                sf.sort_unstable();
-                sf.dedup();
-                assert_eq!(table.features(), sf, "{what}");
-            }
-            (Err(e), Err(want)) => assert_eq!(e, want, "{what}"),
-            _ => panic!("{what}: walk and exhaustion disagree on the missing edge"),
+            let mut sf: Vec<FeatureId> = want.iter().map(|h| h.1).collect();
+            sf.sort_unstable();
+            sf.dedup();
+            assert_eq!(found.features(), sf, "{what}");
+        }
+    }
+
+    /// A walk split over 2 and 8 seats returns what one seat does: the
+    /// hits in order with their centers, the counts, and the missing edge.
+    fn assert_seat_invariant(index: &TreePiIndex, g: &Graph, what: &str) {
+        let one = walk_on(index, g, &Pool::new(1), 1);
+        for seats in [2, 8] {
+            let pool = Pool::new(seats);
+            assert_eq!(
+                walk_on(index, g, &pool, seats),
+                one,
+                "{what}, {seats} seats"
+            );
         }
     }
 
@@ -425,6 +556,40 @@ mod tests {
 
     fn arb_db(graphs: usize, nmax: usize) -> impl Strategy<Value = Vec<Graph>> {
         proptest::collection::vec(arb_connected_graph(nmax, 3), 2..=graphs)
+    }
+
+    /// `g` with one more vertex, labeled `label`, hung off vertex 0 by an
+    /// edge labeled `elabel`.
+    fn with_pendant(g: &Graph, label: u32, elabel: u32) -> Graph {
+        let mut b = GraphBuilder::new();
+        for v in g.vertices() {
+            b.add_vertex(g.vlabel(v));
+        }
+        for e in g.edges() {
+            b.add_edge(e.u, e.v, e.label).expect("a copied edge");
+        }
+        let x = b.add_vertex(VLabel(label));
+        b.add_edge(VertexId(0), x, ELabel(elabel))
+            .expect("a new vertex");
+        b.build()
+    }
+
+    /// `graphs` side by side, over and over, until there are `edges` edges.
+    fn side_by_side(graphs: &[Graph], edges: usize) -> Graph {
+        let mut b = GraphBuilder::new();
+        let mut added = 0;
+        for g in graphs.iter().cycle() {
+            if added >= edges {
+                break;
+            }
+            let ids: Vec<VertexId> = g.vertices().map(|v| b.add_vertex(g.vlabel(v))).collect();
+            for e in g.edges() {
+                b.add_edge(ids[e.u.idx()], ids[e.v.idx()], e.label)
+                    .expect("a copied edge");
+            }
+            added += g.edge_count();
+        }
+        b.build()
     }
 
     /// Both parameter sets shrink by γ = 1.5, so the feature set is not
@@ -467,8 +632,47 @@ mod tests {
         assert_walk_exact(&idx, &idx.db()[3], "a whole molecule");
     }
 
+    /// Split over seats, the walk of a molecule query returns what one
+    /// seat's does, and so does that of a query with a bond no molecule
+    /// has; some of the walks have seeds enough to be split.
+    #[test]
+    fn split_walk_equals_one_seat_on_molecules() {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
+        let db = datagen::generate_chem(&datagen::ChemParams::sized(40), &mut rng);
+        let mut queries = datagen::extract_queries(&db, 16, 6, &mut rng);
+        queries.extend(datagen::extract_queries(&db, 4, 4, &mut rng));
+        let idx = TreePiIndex::build(db, TreePiParams::default());
+        queries.push(with_pendant(&queries[0], 99, 0));
+        queries.extend(idx.db()[..4].iter().cloned());
+        let splits = |q: &&Graph| growing_seeds(&idx, q) >= WALK_SPLIT_SEEDS;
+        assert!(queries.iter().filter(splits).count() >= 6, "precondition");
+        for q in &queries {
+            assert_seat_invariant(&idx, q, "molecule");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Split over seats, the walk of an arbitrary graph returns what
+        /// one seat's does — also under the filter that holds everything,
+        /// where every edge is a seed, so the database graphs side by side
+        /// always split.
+        #[test]
+        fn split_walk_equals_one_seat(
+            db in arb_db(8, 8),
+            q in arb_connected_graph(12, 4),
+        ) {
+            let idx = TreePiIndex::build(db.clone(), TreePiParams::quick());
+            let all = side_by_side(&db, 3 * WALK_SPLIT_SEEDS);
+            let everything = idx.clone().with_colliding_shapes();
+            prop_assert!(growing_seeds(&everything, &all) >= WALK_SPLIT_SEEDS);
+            for index in [&idx, &everything] {
+                for g in [&q, &all, &with_pendant(&all, 0, 7)] {
+                    assert_seat_invariant(index, g, "arbitrary graph");
+                }
+            }
+        }
 
         #[test]
         fn walk_finds_exactly_the_stored_features(

@@ -6,7 +6,10 @@
 //! dispatched onto a pool must serialize to the same bytes at any pool size. A deterministic
 //! re-entrancy test drives the nested-dispatch path (a pool-run query
 //! fanning its verify stage back into the same pool) that the
-//! random cases rarely reach.
+//! random cases rarely reach. One-query batches leave the engine's workers
+//! idle, so it spends them inside the query: molecule queries large enough
+//! to share their walk out over those workers must agree, count for count,
+//! with a one-worker engine.
 
 mod common;
 
@@ -21,6 +24,21 @@ fn save_bytes(idx: &TreePiIndex) -> Vec<u8> {
     let mut out = Vec::new();
     idx.save(&mut out).expect("in-memory save");
     out
+}
+
+/// `got` answers as `want` does, with every count of its statistics equal.
+fn assert_same_query(got: &treepi::QueryResult, want: &treepi::QueryResult, what: &str) {
+    let counts = |r: &treepi::QueryResult| {
+        let s = &r.stats;
+        (
+            [s.partition_size, s.sf_size, s.filtered, s.answers],
+            [s.walk_probes, s.walk_encodes, s.walk_hits],
+            [s.verify_tests, s.verify_center_sig_kills],
+            s.missing_feature,
+        )
+    };
+    assert_eq!(got.matches, want.matches, "{what}");
+    assert_eq!(counts(got), counts(want), "{what}");
 }
 
 fn run_engine(engine: &Engine, queries: &[Graph]) -> (Vec<treepi::QueryResult>, obs::MetricSet) {
@@ -78,6 +96,11 @@ proptest! {
                 "workers={}",
                 workers
             );
+            // One query per batch: the workers go inside the query.
+            for (q, want) in queries.iter().zip(&seq) {
+                let (got, _) = run_engine(&engine, std::slice::from_ref(q));
+                assert_same_query(&got[0], want, &format!("alone, workers={workers}"));
+            }
         }
     }
 
@@ -99,6 +122,33 @@ proptest! {
             );
         }
     }
+}
+
+/// Molecule queries of 16 and 20 edges, one per batch, on engines of 1, 2
+/// and 8 workers: each walk has seeds enough to be shared out over the idle
+/// workers, and every answer and count equals a plain query's, as do the
+/// batch totals of the deterministic counters.
+#[test]
+fn single_query_batches_split_the_walk_and_agree() {
+    use rand::SeedableRng;
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
+    let db = datagen::generate_chem(&datagen::ChemParams::sized(60), &mut rng);
+    let mut queries = datagen::extract_queries(&db, 16, 8, &mut rng);
+    queries.extend(datagen::extract_queries(&db, 20, 8, &mut rng));
+    let idx = TreePiIndex::build(db, TreePiParams::default());
+    let want: Vec<treepi::QueryResult> = queries.iter().map(|q| idx.query(q)).collect();
+    let mut engine = Engine::new(idx, 1);
+    let mut totals = Vec::new();
+    for workers in [1usize, 2, 8] {
+        engine = Engine::new(engine.into_index(), workers);
+        let registry = obs::Registry::new();
+        for (q, want) in queries.iter().zip(&want) {
+            let (got, _) = engine.query_batch_pinned(std::slice::from_ref(q), &registry);
+            assert_same_query(&got[0], want, &format!("workers={workers}"));
+        }
+        totals.push(registry.drain().deterministic_counters());
+    }
+    assert!(totals.windows(2).all(|w| w[0] == w[1]), "{totals:?}");
 }
 
 /// One database where a 3-cycle query has well over [`INTRA_PAR_THRESHOLD`]
@@ -125,8 +175,8 @@ fn reentrant_stage_dispatch_is_deterministic() {
     let serial = Engine::new(idx, 1);
     let (base, _) = serial.query_batch_pinned(&queries, &obs::Registry::disabled());
     // Sanity: the filter stage really produces an intra-parallel workload.
-    assert!(base[0].stats.filtered >= INTRA_PAR_THRESHOLD);
-    assert_eq!(base[0].stats.answers, INTRA_PAR_THRESHOLD + 8);
+    assert!(base[0].stats.filtered as usize >= INTRA_PAR_THRESHOLD);
+    assert_eq!(base[0].stats.answers as usize, INTRA_PAR_THRESHOLD + 8);
 
     let engine = Engine::new(serial.into_index(), 8);
     for round in 0..3 {

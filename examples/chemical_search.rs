@@ -48,8 +48,8 @@ fn main() {
         let t = Instant::now();
         for q in &queries {
             let r = index.query(q);
-            pq += r.stats.filtered;
-            dq += r.stats.answers;
+            pq += r.stats.filtered as usize;
+            dq += r.stats.answers as usize;
         }
         let t_index = t.elapsed() / queries.len() as u32;
 

@@ -59,8 +59,8 @@ fn main() {
         let t = Instant::now();
         for q in &queries {
             let r = tp.query(q);
-            pq += r.stats.filtered;
-            dq_t += r.stats.answers;
+            pq += r.stats.filtered as usize;
+            dq_t += r.stats.answers as usize;
         }
         let t_tpq = t.elapsed() / queries.len() as u32;
         let (mut cq, mut dq_g) = (0usize, 0usize);

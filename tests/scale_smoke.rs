@@ -25,6 +25,6 @@ fn paper_parameters_at_scale() {
     }
     assert_eq!(stats.len(), 100);
     // the funnel must be meaningfully tighter than the whole database
-    let filtered: usize = stats.iter().map(|s| s.filtered).sum();
+    let filtered: usize = stats.iter().map(|s| s.filtered as usize).sum();
     assert!(filtered * 2 < db.len() * stats.len(), "Σ|Pq| = {filtered}");
 }
