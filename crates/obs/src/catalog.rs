@@ -156,6 +156,7 @@ catalog! {
         SERVE_STATS "serve.stats" exempt "STATS snapshots served.";
         SERVE_PROTO_ERROR "serve.proto_error" exempt "Connections dropped for an oversized declared frame length.";
         SERVE_HTTP_REQUESTS "serve.http_requests" exempt "HTTP monitoring requests served.";
+        SERVE_CONNS_REFUSED "serve.conns_refused" exempt "Accepted connections dropped at once: max_conns open, or socket setup failed.";
         SERVE_ACCESS_LOG_WRITE_ERRORS "serve.access_log.write_errors" exempt "Access-log records and flushes lost to write errors.";
         SERVE_LOOP_STALL_COUNT "serve.loop.stall_count" exempt "Event-loop iterations whose work exceeded the stall threshold.";
         CACHE_HIT "cache.hit" exempt "Queries answered from the result cache.";

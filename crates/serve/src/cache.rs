@@ -99,11 +99,6 @@ impl QueryCache {
         self.map.is_empty()
     }
 
-    /// The epoch the resident entries were computed under.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Cache hits so far.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -301,7 +296,7 @@ mod tests {
         assert!(!c.sync_epoch(7), "same epoch is a no-op");
         assert!(c.sync_epoch(8), "bump invalidates");
         assert!(c.is_empty());
-        assert_eq!(c.epoch(), 8);
+        assert!(!c.sync_epoch(8), "the cache is at the new epoch");
         assert_eq!(c.invalidations(), 1);
         // Empty-cache epoch moves don't count as invalidations.
         assert!(!c.sync_epoch(9));

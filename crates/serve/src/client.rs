@@ -10,7 +10,9 @@ use std::time::{Duration, Instant};
 ///
 /// [`Client::request`] is strict request-response; [`Client::send`] /
 /// [`Client::recv`] are split out for pipelining tests (responses are
-/// correlated by tag, not order — see [`crate::protocol`]).
+/// correlated by tag, not order — see [`crate::protocol`]). Read every
+/// answer before closing the write side: the server closes a connection
+/// at end of file and drops the queries it still holds queued.
 pub struct Client {
     stream: TcpStream,
     next_tag: u32,

@@ -9,34 +9,25 @@
 //!   invalidated wholesale whenever the index's maintenance epoch
 //!   moves (§7.1 insert/remove), so a cached answer can never outlive
 //!   the database state it was computed against.
-//! - [`server`] — a single-threaded event loop (vendored `minipoll`,
-//!   level-triggered epoll) that admits queries into a **bounded** queue,
-//!   dispatches whatever is queued as one micro-batch each time round,
-//!   and runs it on the engine's persistent worker pool. When the queue
-//!   is full, requests are refused with an explicit Busy response — the
-//!   server never buffers unboundedly.
+//! - [`server`] — the socket shell: one thread, the vendored `minipoll`
+//!   selector, and a sans-I/O core that admits queries into a **bounded**
+//!   queue, runs whatever is queued as one micro-batch on the engine's
+//!   persistent worker pool, and refuses with an explicit Busy response
+//!   when the queue is full. A seeded simulation drives the same core
+//!   with virtual clients and a virtual clock.
 //! - [`client`] / [`loadgen`] — a blocking client and an open/closed-loop
 //!   load generator with a Zipf skew knob, reporting p50/p95/p99 from the
 //!   obs histograms.
-//! - [`telemetry`] — the loop's forensics: a slow-query log captures
-//!   per-stage timelines of queries whose verify stage exceeds a
-//!   threshold, a [`LoopWatchdog`] trips on event-loop iterations that
-//!   hold the thread past a threshold, and an optional [`AccessLog`]
-//!   writes one JSONL record per request. The `STATS` admin op and
-//!   `/metrics` serve the running server's metrics as one live snapshot
-//!   without pausing the loop; the same numbers reach the registry once,
-//!   at shutdown.
-//! - [`http`] — a dependency-free HTTP/1.0 GET responder riding the same
-//!   event loop as a second listener (DESIGN.md, "Monitoring surface"):
-//!   `/metrics` renders the live snapshot as Prometheus text
-//!   (`obs::prom`), `/healthz` reports `ok` / `degraded` / `draining`,
-//!   and `/slowz` serves the current slow-query ring as Chrome trace
-//!   JSON without waiting for shutdown.
+//! - [`telemetry`] — the loop's forensics: a slow-query log of per-stage
+//!   timelines, a [`LoopWatchdog`] for iterations that hold the thread,
+//!   and an optional JSONL [`AccessLog`]. The `STATS` op and `/metrics`
+//!   serve one live snapshot without pausing the loop.
+//! - [`http`] — a dependency-free HTTP/1.0 GET responder on the same loop
+//!   (DESIGN.md, "Monitoring surface"): `/metrics`, `/healthz`, `/slowz`.
 //!
 //! Metrics live in the `serve.*` / `cache.*` / `maint.*` / `loadgen.*`
-//! namespaces, which are exempt from the determinism contract (like
-//! `engine.*` / `pool.*`): their values depend on arrival timing, not on
-//! the algorithm.
+//! namespaces, exempt from the determinism contract: their values depend
+//! on arrival timing, not on the algorithm.
 
 #![warn(missing_docs)]
 
@@ -44,6 +35,7 @@ pub mod cache;
 pub mod client;
 pub mod http;
 pub mod loadgen;
+mod machine;
 pub mod protocol;
 pub mod server;
 pub mod telemetry;

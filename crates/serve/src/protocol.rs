@@ -28,6 +28,12 @@
 //! | `S`    | utf8 `treepi.obs/v1` JSON       | live metrics snapshot  |
 //! | `X`    | empty                           | shutdown acknowledged  |
 //! | `E`    | utf8 message                    | protocol/query error   |
+//!
+//! **End of file closes the connection.** When a connection's read side
+//! ends — a client's `shutdown(Write)` included — the server writes what
+//! the socket takes at once and closes it, as Redis and memcached do:
+//! answers already written reach the client, and its queued queries are
+//! dropped, never answered to it nor to the next client in its slot.
 
 use graph_core::io::{parse_graphs, write_graphs};
 use graph_core::Graph;
@@ -370,19 +376,101 @@ mod tests {
         assert!(take_frame(&buf).is_err());
     }
 
+    /// Seeded byte mutation over every parser a peer's bytes reach —
+    /// `take_frame`, `decode_request` (and `graph_core::io::parse_graphs`
+    /// under it), `decode_response` and `http::parse_request`: each input
+    /// is `Ok` or `Err`, never a panic, and every query that decodes is
+    /// answered exactly. The fixed inputs are hand-picked malformed cases.
     #[test]
-    fn garbage_decodes_to_errors_not_panics() {
-        assert!(decode_request(&[]).is_err());
-        assert!(decode_request(&[1, 2, 3, 4]).is_err());
-        assert!(decode_request(&[0, 0, 0, 0, b'Z']).is_err());
-        assert!(decode_request(&[0, 0, 0, 0, b'Q', 0xFF, 0xFE]).is_err());
-        assert!(decode_request(&[0, 0, 0, 0, b'R']).is_err());
+    fn mutated_inputs_decode_or_fail_and_decoded_queries_answer_exactly() {
+        use crate::http::{self, Parse, MAX_HEAD};
+        use graph_core::io::parse_graphs;
+        use rand::{Rng, SeedableRng};
+        use treepi::{scan_support, TreePiIndex, TreePiParams};
+
+        let two_graphs = [
+            &[0, 0, 0, 0, b'Q'][..],
+            write_graphs(&[sample(), sample()]).as_bytes(),
+        ]
+        .concat();
+        let fixed: [&[u8]; 6] = [
+            &[],
+            &[1, 2, 3, 4],
+            &[0, 0, 0, 0, b'Z'],
+            &[0, 0, 0, 0, b'Q', 0xFF, 0xFE],
+            &[0, 0, 0, 0, b'R'],
+            &two_graphs,
+        ];
+        for payload in fixed {
+            assert!(decode_request(payload).is_err(), "{payload:?}");
+        }
         assert!(decode_response(&[0, 0, 0, 0, b'M', 9, 0, 0, 0]).is_err());
-        // A frame claiming 2 graphs is rejected.
-        let g = sample();
-        let text = write_graphs(&[g.clone(), g]);
-        let mut p = vec![0, 0, 0, 0, b'Q'];
-        p.extend_from_slice(text.as_bytes());
-        assert!(decode_request(&p).is_err());
+        let huge = vec![b'a'; MAX_HEAD + 1];
+        for head in [&b"GARBAGE\r\n\r\n"[..], b"GET /x NOTHTTP\r\n\r\n", &huge] {
+            assert!(matches!(http::parse_request(head), Parse::Bad(_)));
+        }
+
+        let db = vec![
+            graph_from(&[0, 0, 1, 1], &[(0, 1, 0), (1, 2, 0), (2, 0, 1), (2, 3, 0)]),
+            graph_from(&[0, 1, 0, 1], &[(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 0, 0)]),
+            sample(),
+        ];
+        let index = TreePiIndex::build(db.clone(), TreePiParams::quick());
+        let mut seeds: Vec<Vec<u8>> = db
+            .iter()
+            .flat_map(|g| {
+                let req = |body| encode_request(&Request { tag: 3, body })[4..].to_vec();
+                [
+                    req(RequestBody::Query(g.clone())),
+                    req(RequestBody::Insert(g.clone())),
+                ]
+            })
+            .collect();
+        seeds.push(encode_request(&Request {
+            tag: 1,
+            body: RequestBody::Remove(2),
+        }));
+        seeds.push(encode_response(&Response {
+            tag: 2,
+            body: ResponseBody::Matches(vec![1, 5]),
+        }));
+        seeds.push(b"GET /metrics HTTP/1.0\r\nHost: x\r\n\r\n".to_vec());
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(51);
+        let (mut decoded, mut answered) = (0, 0);
+        for _ in 0..50_000 {
+            let mut bytes = seeds[rng.gen_range(0..seeds.len())].clone();
+            for _ in 0..rng.gen_range(1..=4) {
+                let at = rng.gen_range(0..=bytes.len());
+                match rng.gen_range(0..4) {
+                    0 if at < bytes.len() => bytes[at] ^= 1u8 << rng.gen_range(0..8u32),
+                    1 => bytes.insert(at, b" 0123456789tve\n#Q"[rng.gen_range(0..17usize)]),
+                    2 if at < bytes.len() => drop(bytes.remove(at)),
+                    _ => bytes.truncate(at),
+                }
+            }
+            let _ = (
+                take_frame(&bytes),
+                decode_response(&bytes),
+                http::parse_request(&bytes),
+            );
+            if let Ok(text) = std::str::from_utf8(&bytes) {
+                let _ = parse_graphs(text);
+            }
+            if let Ok(Request {
+                body: RequestBody::Query(q),
+                ..
+            }) = decode_request(&bytes)
+            {
+                decoded += 1;
+                if q.edge_count() > 0 {
+                    answered += 1;
+                    assert_eq!(index.query(&q).matches, scan_support(&index, &q), "{q:?}");
+                }
+            }
+        }
+        assert!(
+            decoded > 500 && answered > 200,
+            "{decoded} decoded, {answered} answered"
+        );
     }
 }

@@ -83,32 +83,28 @@ impl LoopWatchdog {
         }
     }
 
-    /// A permanently disabled watchdog.
-    pub fn disabled() -> Self {
-        Self::new(None)
-    }
-
-    /// Mark the start of a work period (call right after `poll` returns).
+    /// Mark the start of a work period at `now` (call right after `poll`
+    /// returns).
     #[inline]
-    pub fn begin_work(&mut self) {
+    pub fn begin_work(&mut self, now: Instant) {
         if self.threshold.is_some() {
-            self.work_start = Some(Instant::now());
+            self.work_start = Some(now);
         }
     }
 
-    /// Mark the end of a work period (call right before re-entering
-    /// `poll`). Returns the period's duration when it tripped the
-    /// threshold.
+    /// Mark the end of a work period at `now` (call right before
+    /// re-entering `poll`). Returns the period's duration when it tripped
+    /// the threshold.
     #[inline]
-    pub fn end_work(&mut self) -> Option<Duration> {
+    pub fn end_work(&mut self, now: Instant) -> Option<Duration> {
         let threshold = self.threshold?;
-        let gap = self.work_start.take()?.elapsed();
+        let gap = now.saturating_duration_since(self.work_start.take()?);
         if gap < threshold {
             return None;
         }
         self.stalls += 1;
         self.max_stall = self.max_stall.max(gap);
-        self.last_stall = Some(Instant::now());
+        self.last_stall = Some(now);
         Some(gap)
     }
 
@@ -520,25 +516,33 @@ mod tests {
 
     #[test]
     fn watchdog_trips_only_at_or_beyond_threshold() {
+        let t0 = Instant::now();
         let mut wd = LoopWatchdog::new(Some(Duration::ZERO));
-        assert_eq!(wd.end_work(), None, "no work period started yet");
-        wd.begin_work();
+        assert_eq!(wd.end_work(t0), None, "no work period started yet");
+        wd.begin_work(t0);
         // Threshold zero: any work period is a stall.
-        assert!(wd.end_work().is_some());
+        assert!(wd.end_work(t0).is_some());
         assert_eq!(wd.stalls(), 1);
-        assert!(wd.degraded(Instant::now()));
+        assert!(wd.degraded(t0));
         // A stall ages out of the degraded window.
-        assert!(!wd.degraded(Instant::now() + LoopWatchdog::DEGRADED_WINDOW));
+        assert!(!wd.degraded(t0 + LoopWatchdog::DEGRADED_WINDOW));
 
-        let mut calm = LoopWatchdog::new(Some(Duration::from_secs(3600)));
-        calm.begin_work();
-        assert_eq!(calm.end_work(), None, "an hour has not elapsed");
+        let hour = Duration::from_secs(3600);
+        let mut calm = LoopWatchdog::new(Some(hour));
+        calm.begin_work(t0);
+        assert_eq!(
+            calm.end_work(t0 + hour / 2),
+            None,
+            "an hour has not elapsed"
+        );
         assert_eq!(calm.stalls(), 0);
-        assert!(!calm.degraded(Instant::now()));
+        calm.begin_work(t0);
+        assert_eq!(calm.end_work(t0 + hour), Some(hour), "an hour is a stall");
+        assert_eq!(calm.max_stall(), hour);
 
-        let mut off = LoopWatchdog::disabled();
-        off.begin_work();
-        assert_eq!(off.end_work(), None);
+        let mut off = LoopWatchdog::new(None);
+        off.begin_work(t0);
+        assert_eq!(off.end_work(t0 + hour), None);
         assert_eq!(off.max_stall(), Duration::ZERO);
     }
 
