@@ -55,8 +55,8 @@ pub(crate) const READ_QUANTUM: usize = 256 << 10;
 /// The read space [`Machine::read_space`] offers per call.
 const READ_CHUNK: usize = 16 << 10;
 const TEXT: &str = "text/plain; charset=utf-8";
-/// A connection whose client stops reading is dropped once this many
-/// unsent response bytes pile up.
+/// A connection whose client stops reading is dropped once a flush
+/// leaves more than this many response bytes unsent.
 pub(crate) const WBUF_CAP: usize = 8 << 20;
 
 fn dur_ns(d: Duration) -> u64 {
@@ -239,8 +239,9 @@ impl<'e> Machine<'e> {
         conn.map_or(&[], |c| &c.wbuf[c.wpos..])
     }
 
-    /// The shell wrote the first `n` bytes of [`Machine::unsent`] of
-    /// `idx` to its client.
+    /// The shell's flush of `idx` wrote the first `n` bytes of
+    /// [`Machine::unsent`] and the socket took no more. A flush that
+    /// leaves over [`WBUF_CAP`] unsent drops the connection.
     pub(crate) fn wrote(&mut self, idx: usize, n: usize) {
         let now = (self.clock)();
         let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
@@ -258,7 +259,13 @@ impl<'e> Machine<'e> {
             self.shard
                 .observe(Span::SERVE_WRITE_WAIT, now.saturating_duration_since(at));
         }
-        if conn.unsent() == 0 {
+        if conn.unsent() > WBUF_CAP {
+            // Slow consumer: the peer stopped reading and what the socket
+            // refused hit the cap. Count the drop — a silent disconnect
+            // here looks like a network failure to the operator.
+            self.shard.add(Counter::SERVE_SLOW_CONSUMER_DROP, 1);
+            self.close(idx);
+        } else if conn.unsent() == 0 {
             conn.wbuf.clear();
             conn.wpos = 0;
             if conn.close_after_flush {
@@ -785,15 +792,7 @@ impl<'e> Machine<'e> {
             conn.wmarks.push_back((conn.wtotal, now));
         }
         conn.close_after_flush |= close_after_flush;
-        if conn.unsent() > WBUF_CAP {
-            // Slow consumer: the peer stopped reading and its unsent
-            // responses hit the cap. Count the drop — a silent disconnect
-            // here looks like a network failure to the operator.
-            self.shard.add(Counter::SERVE_SLOW_CONSUMER_DROP, 1);
-            self.close(idx);
-        } else {
-            self.touch(idx);
-        }
+        self.touch(idx);
         true
     }
 }

@@ -10,8 +10,9 @@
 //!   of the database, as of the step that answered it;
 //! - every request frame decoded gets exactly one response, carrying its
 //!   tag, on its own connection — unless that connection closed first;
-//! - buffers stay within `READ_QUANTUM` / `MAX_FRAME` / `WBUF_CAP`, the
-//!   queue within `queue_cap`, and the core closes no connection unasked;
+//! - buffers stay within `READ_QUANTUM` / `MAX_FRAME`, a flush leaves at
+//!   most `WBUF_CAP` unsent, the queue stays within `queue_cap`, and the
+//!   core closes no connection unasked;
 //! - [`ServeReport`] equals the simulation's own tallies.
 //!
 //! A failure names its `(seed, step)`; `run_seed` replays the seed. The
@@ -144,9 +145,8 @@ impl Sim<'_> {
 
     fn connect(&mut self, http: bool) -> usize {
         let full = self.open().len() >= self.core.config.max_conns;
-        let idx = self
-            .core
-            .open([ConnKind::Wire, ConnKind::Http][http as usize]);
+        let kind = [ConnKind::Wire, ConnKind::Http][http as usize];
+        let idx = self.core.open(kind);
         assert_eq!(idx.is_none(), full, "refused iff max_conns open");
         self.tally.conns_refused += full as u64;
         self.clients.push(Client {
@@ -346,17 +346,22 @@ impl Sim<'_> {
     }
 
     /// The shell writes up to `n` of `c`'s unsent bytes, as far as the
-    /// client's window takes them.
+    /// client's window takes them; over `WBUF_CAP` left unsent, the core
+    /// drops the connection.
     fn flush(&mut self, c: usize, n: usize) {
         let Some(idx) = self.clients[c].idx else {
             return;
         };
         let window = self.clients[c].window.unwrap_or(usize::MAX);
-        let n = n.min(window).min(self.core.unsent(idx).len());
+        let unsent = self.core.unsent(idx).len();
+        let n = n.min(window).min(unsent);
         if let Some(w) = &mut self.clients[c].window {
             *w -= n;
         }
+        let left = unsent - n;
+        self.clients[c].ended |= left > WBUF_CAP; // a slow consumer
         self.core.wrote(idx, n);
+        assert!(left <= WBUF_CAP || !self.core.is_open(idx), "kept");
         self.settle();
     }
 
@@ -447,7 +452,6 @@ impl Sim<'_> {
             };
             let rbuf = conn.rbuf.len();
             assert!(conn.rlen < rcap && rbuf < rcap + READ_CHUNK, "read buffer");
-            assert!(conn.unsent() <= WBUF_CAP, "write buffer");
         }
         let open = self.core.conns.len() - self.core.free.len();
         assert_eq!(open, self.open().len(), "open connections");
@@ -520,20 +524,14 @@ fn run(config: ServeConfig, seats: usize, full: bool, drive: impl FnOnce(&mut Si
     }
     sim.end_work();
     let (records, dropped, writes, digest) = (sim.records, sim.dropped, sim.writes, sim.digest);
-    let tally = sim.tally;
     let report = sim.core.finish();
-    assert_eq!(report, tally, "the exit report against the tallies");
+    assert_eq!(report, sim.tally, "the exit report against the tallies");
     let exit = registry.drain();
     let ours = |set: &obs::MetricSet| -> BTreeMap<&str, u64> {
-        let ours = |n: &&str| {
-            ["serve.", "cache.", "maint."]
-                .iter()
-                .any(|p| n.starts_with(p))
-        };
-        set.counters()
-            .map(|(c, v)| (c.name(), v))
-            .filter(|(n, _)| ours(n))
-            .collect()
+        let prefixes = ["serve.", "cache.", "maint."];
+        let ours = |n: &str| prefixes.iter().any(|p| n.starts_with(p));
+        let named = set.counters().map(|(c, v)| (c.name(), v));
+        named.filter(|c| ours(c.0)).collect()
     };
     if let Some(snapshot) = snapshot {
         for gauge in [Gauge::SERVE_QUEUE_PEAK, Gauge::SERVE_QUEUE_DEPTH] {
@@ -715,14 +713,6 @@ fn quiet() -> ServeConfig {
     }
 }
 
-fn matches(sim: &Sim, c: usize, tag: u32) -> Option<Vec<u32>> {
-    let r = sim.clients[c].got.iter().find(|r| r.tag == tag)?;
-    match &r.body {
-        ResponseBody::Matches(ids) => Some(ids.clone()),
-        _ => None,
-    }
-}
-
 #[test]
 fn two_slots_refuse_a_third_client_and_count_it() {
     let config = ServeConfig {
@@ -790,7 +780,8 @@ fn identical_queries_in_one_batch_run_once() {
 
 /// A write decoded after a query's admission but before its batch: the
 /// batch runs on the written snapshot and fills the cache, so a repeat is
-/// answered at once. Each write is logged under the epoch it published.
+/// answered at once, until a remove empties it. Each write is logged
+/// under the epoch it published.
 #[test]
 fn a_batch_after_a_write_fills_the_cache() {
     let g = graphs();
@@ -799,22 +790,54 @@ fn a_batch_after_a_write_fills_the_cache() {
         sim.send(c, RequestBody::Query(g[5].clone()));
         sim.deliver_all(c, usize::MAX);
         sim.turn(Duration::ZERO);
-        let q = sim.send(c, RequestBody::Query(g[1].clone()));
+        // Checked against the model as of the batch: gid 5 among the matches.
+        sim.send(c, RequestBody::Query(g[1].clone()));
         sim.send(c, RequestBody::Insert(g[1].clone()));
         sim.deliver_all(c, usize::MAX);
         sim.turn(Duration::ZERO);
-        assert!(matches(sim, c, q).unwrap().contains(&5), "ran first");
         let repeat = sim.send(c, RequestBody::Query(g[1].clone()));
         sim.deliver_all(c, usize::MAX);
-        assert_eq!(matches(sim, c, repeat), matches(sim, c, q), "missed");
+        let last = sim.clients[c].got.last().map(|r| r.tag);
+        assert_eq!(last, Some(repeat), "a hit is answered at once");
         sim.send(c, RequestBody::Remove(5));
+        sim.send(c, RequestBody::Query(g[1].clone()));
         sim.deliver_all(c, usize::MAX);
     });
-    assert_eq!(out.report.cache_hits, 1);
+    // Two epoch moves found the cache filled; hits never reach the pipeline.
+    assert_eq!((out.report.cache_hits, out.report.served), (1, 3));
+    assert_eq!(out.exit.counter(Counter::CACHE_INVALIDATIONS.name()), 2);
+    assert_eq!(out.exit.counter(Counter::FUNNEL_QUERIES.name()), 3);
+    for span in Span::PIPELINE {
+        let count = out.exit.span(span.name()).map(|s| s.count);
+        assert_eq!(count, Some(3), "{span:?}");
+    }
     let epoch = |op: &str| {
         let op = format!("\"op\": \"{op}\"");
         let line = out.log.lines().find(|l| l.contains(&op))?;
         obs::json::parse(line).ok()?.get("epoch")?.as_u64()
     };
     assert_eq!((epoch("insert"), epoch("remove")), (Some(1), Some(2)));
+}
+
+/// The write cap judges what a flush leaves unsent: a client that reads
+/// answers piled up past `WBUF_CAP` by one burst of requests keeps its
+/// connection, one that reads nothing is dropped and counted.
+#[test]
+fn only_a_client_that_stops_reading_is_dropped_at_the_write_cap() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0);
+    let out = run(quiet(), 1, false, |sim| {
+        for window in [None, Some(0)] {
+            let c = sim.connect(false);
+            sim.clients[c].window = window;
+            for _ in 0..9 {
+                long_line(sim, c, &mut rng); // answered by a frame-sized error
+            }
+            sim.deliver_all(c, READ_CHUNK);
+            assert!(sim.core.unsent(sim.clients[c].idx.unwrap()).len() > WBUF_CAP);
+            sim.flush(c, usize::MAX);
+            assert_eq!(sim.clients[c].idx.is_some(), window.is_none());
+        }
+    });
+    let drops = Counter::SERVE_SLOW_CONSUMER_DROP.name();
+    assert_eq!(out.exit.counter(drops), 1);
 }

@@ -276,9 +276,10 @@ impl Shell<'_> {
     }
 
     /// Read `idx` straight into the core's buffer, up to [`READ_QUANTUM`]
-    /// bytes. At end of file (or a read error) the answers already queued
-    /// are written as far as the socket takes them, and the core closes
-    /// the connection.
+    /// bytes, flushing each chunk's answers before the next read so the
+    /// write cap judges what the socket refused. At end of file (or a read
+    /// error) the answers already queued are written as far as the socket
+    /// takes them, and the core closes the connection.
     fn read(&mut self, idx: usize) {
         let mut taken = 0;
         while taken < READ_QUANTUM {
@@ -290,6 +291,7 @@ impl Shell<'_> {
                 Ok(n) if n > 0 => {
                     taken += n;
                     self.core.received(idx, n);
+                    self.flush(idx);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -302,25 +304,26 @@ impl Shell<'_> {
         }
     }
 
-    /// Write the core's unsent bytes for `idx` until the socket would block.
+    /// Write the core's unsent bytes for `idx` until the socket would
+    /// block, then tell the core how many it took.
     fn flush(&mut self, idx: usize) {
-        let Some((stream, _)) = self.streams.get_mut(idx).and_then(Option::as_mut) else {
+        let stream = self.streams.get_mut(idx).and_then(Option::as_mut);
+        let (Some((stream, _)), out @ [_, ..]) = (stream, self.core.unsent(idx)) else {
             return;
         };
-        loop {
-            let out = self.core.unsent(idx);
-            if out.is_empty() {
-                return;
-            }
-            match stream.write(out) {
-                Ok(0) => break,
-                Ok(n) => self.core.wrote(idx, n),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+        let (mut n, mut open) = (0, true);
+        while open && n < out.len() {
+            match stream.write(&out[n..]) {
+                Ok(k) if k > 0 => n += k,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => break,
+                _ => open = false,
             }
         }
-        self.core.close(idx);
+        self.core.wrote(idx, n);
+        if !open {
+            self.core.close(idx);
+        }
     }
 
     /// Flush `idx`, then drop its socket if the core closed it, or keep

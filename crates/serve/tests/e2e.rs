@@ -178,11 +178,8 @@ fn loadgen_drives_the_server_and_reports_latency() {
     assert_eq!(report.latency.count, 60);
     assert!(report.throughput() > 0.0);
     assert!(report.latency.quantile_ns(0.99) >= report.latency.quantile_ns(0.50));
-    let rendered = report.to_string();
-    assert!(
-        rendered.contains("p50=") && rendered.contains("p99="),
-        "{rendered}"
-    );
+    let shown = report.to_string();
+    assert!(shown.contains("p50=") && shown.contains("p99="), "{shown}");
 
     let (server_report, _, _) = handle.join().unwrap();
     assert_eq!(server_report.queries, 60);
@@ -204,12 +201,8 @@ fn http_request(addr: &SocketAddr, method: &str, path: &str) -> (u16, String) {
     let mut raw = String::new();
     s.read_to_string(&mut raw).expect("read response");
     let (head, body) = raw.split_once("\r\n\r\n").expect("response has a head");
-    let status = head
-        .split(' ')
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .expect("status code");
-    (status, body.to_string())
+    let status = head.split(' ').nth(1).and_then(|c| c.parse().ok());
+    (status.expect("status code"), body.to_string())
 }
 
 /// Value of a single-sample line (`name 42`) in Prometheus text.
@@ -217,15 +210,6 @@ fn prom_value(text: &str, name: &str) -> Option<f64> {
     text.lines()
         .find(|l| l.split(' ').next() == Some(name))
         .and_then(|l| l.split(' ').nth(1))
-        .and_then(|v| v.parse().ok())
-}
-
-/// The `+Inf` bucket count of a histogram family in Prometheus text.
-fn prom_inf_bucket(text: &str, family: &str) -> Option<f64> {
-    let prefix = format!("{family}_bucket{{le=\"+Inf\"}}");
-    text.lines()
-        .find(|l| l.starts_with(prefix.as_str()))
-        .and_then(|l| l.rsplit(' ').next())
         .and_then(|v| v.parse().ok())
 }
 
@@ -247,9 +231,8 @@ fn answers_and_http_monitoring_over_real_sockets() {
     }
     // Quiescent now: every query is answered, so the STATS snapshot and
     // the /metrics scrape that follows must agree on request counters.
-    let json = match client.stats().unwrap().body {
-        ResponseBody::Stats(json) => json,
-        other => panic!("expected stats, got {other:?}"),
+    let ResponseBody::Stats(json) = client.stats().unwrap().body else {
+        panic!("expected stats")
     };
     let snap = obs::json::parse_metric_set(&json).expect("valid snapshot");
 
@@ -269,13 +252,11 @@ fn answers_and_http_monitoring_over_real_sockets() {
     for id in Span::DECOMPOSITION {
         let name = id.name();
         let fam = format!("{}_seconds", name.replace('.', "_"));
-        let inf = prom_inf_bucket(&metrics, &fam)
+        let inf = prom_value(&metrics, &format!("{fam}_bucket{{le=\"+Inf\"}}"))
             .unwrap_or_else(|| panic!("{fam} has no +Inf bucket:\n{metrics}"));
         let count = prom_value(&metrics, &format!("{fam}_count")).expect("count sample");
         assert_eq!(inf, count, "{fam}: +Inf bucket must equal _count");
-        let span = snap
-            .span(name)
-            .unwrap_or_else(|| panic!("{name} missing from STATS snapshot"));
+        let span = snap.span(name).expect("every decomposition span in STATS");
         if id == Span::SERVE_WRITE_WAIT {
             assert!(inf >= span.count as f64, "{fam} went backwards");
         } else {
@@ -324,10 +305,7 @@ fn open_loop_rate_paces_the_run() {
     let report = serve::loadgen::run(&addr.to_string(), &queries(), &cfg, &registry).unwrap();
     assert_eq!(report.ok, 10);
     let elapsed = report.elapsed;
-    assert!(
-        elapsed >= Duration::from_millis(40),
-        "too fast: {elapsed:?}"
-    );
+    assert!(elapsed >= Duration::from_millis(40), "{elapsed:?}");
     handle.join().unwrap();
 }
 
