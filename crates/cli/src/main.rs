@@ -344,7 +344,9 @@ fn run() -> Result<(), String> {
                 metrics_registry(&metrics_path, &trace_path)
             };
             let engine = treepi::Engine::new(index, threads);
-            let (results, _) = engine.query_batch_pinned(&queries, &registry);
+            let shard = registry.shard();
+            let (results, _) = engine.query_batch_pinned(&queries, &shard);
+            registry.absorb(shard);
             let index = engine.into_index();
             for (i, (q, r)) in queries.iter().zip(&results).enumerate() {
                 let ids: Vec<String> = r.matches.iter().map(|g| g.to_string()).collect();
@@ -393,7 +395,9 @@ fn run() -> Result<(), String> {
             );
             let registry = metrics_registry(&metrics_path, &None);
             let pool = graph_core::par::Pool::new(threads);
-            let results = index.query_batch_pool_obs(&queries, &pool, &registry);
+            let shard = registry.shard();
+            let results = index.query_batch_pool_obs(&queries, &pool, &shard);
+            registry.absorb(shard);
             for (i, r) in results.iter().enumerate() {
                 let ids: Vec<String> = r.matches.iter().map(|g| g.to_string()).collect();
                 println!("q{i}: {}", ids.join(" "));

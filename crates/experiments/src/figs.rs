@@ -41,18 +41,18 @@ fn database(opts: &Opts, dataset: &str, n: usize) -> Vec<Graph> {
     }
 }
 
-/// Per-stage wall-time breakdown from the `obs` registries: one metered
+/// Per-stage wall-time breakdown from one `obs` shard per system: one metered
 /// batch run per system, printed as a table (total / mean / p95 per
 /// pipeline stage) and written to `stages_{dataset}.csv`. gIndex reports
 /// under the same span names; its partition row is zero by construction —
 /// that empty cell *is* the comparison the paper makes.
 fn stage_breakdown(opts: &Opts, dataset: &str, tp: &Engine, gi: &GIndex, queries: &[Graph]) {
-    let tp_reg = obs::Registry::new();
-    let _ = tp.query_batch_pinned(queries, &tp_reg);
-    let tp_m = tp_reg.drain();
-    let gi_reg = obs::Registry::new();
-    let _ = gi.query_batch_pool_obs(queries, tp.pool(), &gi_reg);
-    let gi_m = gi_reg.drain();
+    let tp_shard = obs::Shard::detached(true);
+    let _ = tp.query_batch_pinned(queries, &tp_shard);
+    let tp_m = tp_shard.into_set();
+    let gi_shard = obs::Shard::detached(true);
+    let _ = gi.query_batch_pool_obs(queries, tp.pool(), &gi_shard);
+    let gi_m = gi_shard.into_set();
     println!(
         "-- stage breakdown over {} queries of size {} (obs spans, both systems) --",
         queries.len(),
@@ -344,7 +344,7 @@ pub fn fig_query_time(opts: &Opts, dataset: &str) {
         assert_eq!(answers_tp, answers_gi, "systems disagree at m={m}");
         // Parallel series: the batch engine at full available parallelism.
         let (answers_par, t_par) = timed(|| {
-            let off = obs::Registry::disabled();
+            let off = obs::Shard::disabled();
             let (results, _) = engine.query_batch_pinned(&queries, &off);
             results.iter().map(|r| r.matches.len()).sum::<usize>()
         });

@@ -4,9 +4,9 @@
 //! better, which is precisely the gap TreePi closes.
 //!
 //! A query only computes: its counts and stage times come back as
-//! [`GQueryStats`], and a batch seat records them
-//! ([`GQueryStats::record_into`]), as TreePi's engine does with its
-//! `QueryStats`.
+//! [`GQueryStats`], and a batch records them into its caller's shard once
+//! its pool map returns ([`GIndex::query_batch_pool_obs`]), as TreePi's
+//! engine does with its `QueryStats`.
 
 use crate::index::GIndex;
 use graph_core::{canonical_code, edge_subgraph, for_each_connected_edge_subset, Graph};
@@ -34,19 +34,13 @@ pub struct GQueryStats {
 }
 
 impl GQueryStats {
-    /// Total processing time.
-    pub fn total(&self) -> Duration {
-        self.t_filter + self.t_verify
-    }
-
     /// Record this query's funnel counters and stage timings into `shard`,
     /// under the **same names** TreePi uses so cross-system metric files
     /// line up column-for-column. Every candidate costs one full
     /// isomorphism test, so `graph.iso_tests` is `filtered` (recorded when
-    /// nonzero). gIndex has no partition stage, so that span gets
-    /// zero-duration observations. A tracing shard also gets the stages as
-    /// timeline events, run back-to-back and ending now, as TreePi's are.
-    pub fn record_into(&self, shard: &obs::Shard) {
+    /// nonzero); the absent partition stage observes zero. Given `end`, the
+    /// query's finish, the stages are traced as TreePi's are.
+    fn record_into(&self, shard: &obs::Shard, query: u64, end: Option<Instant>) {
         shard.add(Counter::FUNNEL_QUERIES, 1);
         shard.add(Counter::FUNNEL_FILTERED, self.filtered as u64);
         shard.add(Counter::FUNNEL_ANSWERS, self.answers as u64);
@@ -61,12 +55,12 @@ impl GQueryStats {
             (filter, self.t_filter),
             (verify, self.t_verify),
         ];
-        let mut start = shard.is_tracing().then(|| Instant::now() - self.total());
         for (span, t) in stages {
             shard.observe(span, t);
-            if let Some(at) = &mut start {
-                shard.trace_complete(span, *at, t);
-                *at += t;
+        }
+        if let Some(end) = end {
+            for (span, start, t) in obs::trace::stages_ending_at(&stages, end) {
+                shard.trace_complete(span, Some(query), start, t);
             }
         }
     }
@@ -159,26 +153,28 @@ impl GIndex {
         GQueryResult { matches, stats }
     }
 
-    /// Batch entry point mirroring `treepi::Engine::query_batch_obs` so
+    /// Batch entry point mirroring `treepi::Engine::query_batch_pinned` so
     /// cross-system comparisons run both sides with the same work
-    /// distribution on a caller-owned worker pool. gIndex queries consume
-    /// no randomness, so results are trivially identical at any pool size;
-    /// queries are self-scheduled off a shared counter and returned in
-    /// query order. Metrics go to `registry`: each seat records every
-    /// query it ran ([`GQueryStats::record_into`]) into its own shard,
-    /// absorbed as the seat retires, so the deterministic totals are
-    /// pool-size invariant, exactly as for TreePi.
+    /// distribution on a caller-owned worker pool; results come back in
+    /// query order, identical at any pool size. Once the map returns, this
+    /// thread records every query into the caller's `shard`, so the
+    /// deterministic totals are pool-size invariant, as for TreePi.
     pub fn query_batch_pool_obs(
         &self,
         queries: &[Graph],
         pool: &graph_core::par::Pool,
-        registry: &obs::Registry,
+        shard: &obs::Shard,
     ) -> Vec<GQueryResult> {
-        pool.ordered_map_obs(queries, registry, |q, shard| {
-            let r = self.query(q);
-            r.stats.record_into(shard);
-            r
-        })
+        let (results, ends): (Vec<GQueryResult>, Vec<Instant>) = if shard.is_tracing() {
+            let timed = pool.ordered_map(queries, |q| (self.query(q), Instant::now()));
+            timed.into_iter().unzip()
+        } else {
+            (pool.ordered_map(queries, |q| self.query(q)), Vec::new())
+        };
+        for (i, r) in results.iter().enumerate() {
+            r.stats.record_into(shard, i as u64, ends.get(i).copied());
+        }
+        results
     }
 }
 
@@ -261,10 +257,10 @@ mod tests {
             graph_from(&[9, 9], &[(0, 1, 0)]),
         ];
         let run = |threads: usize| {
-            let reg = obs::Registry::new();
+            let shard = obs::Shard::detached(true);
             let pool = graph_core::par::Pool::new(threads);
-            let results = idx.query_batch_pool_obs(&queries, &pool, &reg);
-            (results, reg.drain())
+            let results = idx.query_batch_pool_obs(&queries, &pool, &shard);
+            (results, shard.into_set())
         };
         let (results, m) = run(1);
         assert_eq!(
@@ -296,7 +292,8 @@ mod tests {
     }
 
     /// A traced batch tags every pipeline-stage event with its query's
-    /// batch position, at any pool size, on one lane per seat.
+    /// batch position, at any pool size, on the caller's lane, each
+    /// query's stages laid end to end.
     #[test]
     fn traced_batch_tags_stage_events_with_batch_position() {
         let idx = index();
@@ -309,26 +306,27 @@ mod tests {
         for threads in [1, 3] {
             let reg = obs::Registry::with_tracing();
             let pool = graph_core::par::Pool::new(threads);
-            idx.query_batch_pool_obs(&queries, &pool, &reg);
+            let shard = reg.shard();
+            idx.query_batch_pool_obs(&queries, &pool, &shard);
+            reg.absorb(shard);
             let events = reg.drain_trace();
-            for name in Span::PIPELINE.map(Span::name) {
-                let stage: Vec<_> = events.iter().filter(|e| e.name == name).collect();
-                assert_eq!(stage.len(), queries.len(), "{name}, threads {threads}");
-                let ids: std::collections::BTreeSet<_> =
-                    stage.iter().map(|e| e.query.expect("a query id")).collect();
-                assert_eq!(
-                    ids,
-                    (0..queries.len() as u64).collect(),
-                    "{name}, threads {threads}"
-                );
+            assert_eq!(events.len(), queries.len() * Span::PIPELINE.len());
+            assert!(events.iter().all(|e| e.lane == events[0].lane));
+            for q in 0..queries.len() as u64 {
+                let stages: Vec<_> = Span::PIPELINE
+                    .iter()
+                    .map(|span| {
+                        let e = events
+                            .iter()
+                            .find(|e| e.query == Some(q) && e.name == span.name());
+                        let e = e.expect("stage traced");
+                        (e.start_ns, e.start_ns + e.dur_ns)
+                    })
+                    .collect();
+                for w in stages.windows(2) {
+                    assert_eq!(w[0].1, w[1].0, "query {q}, threads {threads}");
+                }
             }
-            // One lane per seat that ran: at most one per worker.
-            let lanes: std::collections::BTreeSet<_> = events.iter().map(|e| e.lane).collect();
-            assert!(
-                !lanes.is_empty() && lanes.len() <= threads,
-                "threads {threads}"
-            );
-            assert!(events.iter().all(|e| e.query.is_some()));
         }
     }
 
@@ -344,7 +342,7 @@ mod tests {
         let seq: Vec<Vec<u32>> = queries.iter().map(|q| idx.query(q).matches).collect();
         for threads in [1, 2, 8] {
             let pool = graph_core::par::Pool::new(threads);
-            let batch = idx.query_batch_pool_obs(&queries, &pool, &obs::Registry::disabled());
+            let batch = idx.query_batch_pool_obs(&queries, &pool, &obs::Shard::disabled());
             assert_eq!(batch.len(), queries.len());
             for (i, r) in batch.iter().enumerate() {
                 assert_eq!(r.matches, seq[i], "query {i}, threads {threads}");

@@ -4,21 +4,21 @@
 //! Worker threads are spawned once and parked on a condvar between jobs;
 //! callers dispatch through two methods:
 //!
-//! - [`Pool::ordered_map`]/[`Pool::ordered_map_obs`]: run an independent
-//!   function over every item of a slice and return results in item order
-//!   (the one batch fan-out: TreePi's engine, gIndex batches, signatures,
-//!   the scan baseline, and the split of a large candidate set by
-//!   verification and by center-distance pruning). Seats self-schedule off
-//!   a shared atomic counter, so one slow item does not stall a statically
-//!   assigned chunk.
+//! - [`Pool::ordered_map`]: run an independent function over every item
+//!   of a slice and return results in item order (the one batch fan-out:
+//!   TreePi's engine, gIndex batches, signatures, the scan baseline, and
+//!   the split of a large candidate set by verification and by
+//!   center-distance pruning). Seats self-schedule off a shared atomic
+//!   counter, so one slow item does not stall a statically assigned chunk.
 //! - [`Pool::run`]: run one closure per seat (the miner's passes, which do
 //!   their own self-scheduling over chunks of a level).
 //!
-//! The pool only schedules: it records no metric of its own. A batch's
-//! metrics are what its seats record, each seat into its own shard (the
-//! engine records one `QueryStats` per query there). Chunking and result
-//! order depend only on the inputs, so results and every deterministic
-//! metric are bit-identical across worker counts. A 1-seat pool spawns no
+//! The pool only schedules and knows nothing of metrics: a metered batch
+//! returns each item's record from its seat, and the dispatching thread
+//! records them into its own shard once the map returns (the engine
+//! records one `QueryStats` per query). Chunking and result order depend
+//! only on the inputs, so results and every deterministic metric are
+//! bit-identical across worker counts. A 1-seat pool spawns no
 //! threads and runs every method inline: the serial path is the parallel
 //! path with one worker.
 
@@ -127,7 +127,7 @@ fn pool_worker(shared: Arc<PoolShared>) {
 /// itself acting as the final worker.
 ///
 /// A job is a closure run once per *seat*; seats are handed out through an
-/// atomic cursor, and [`Pool::ordered_map_obs`] assigns items to seats by
+/// atomic cursor, and [`Pool::ordered_map`] assigns items to seats by
 /// a discipline that depends only on the input (results land in item
 /// order), so outputs are bit-identical across any worker count.
 ///
@@ -243,45 +243,19 @@ impl Pool {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        self.ordered_map_obs(items, &obs::Registry::disabled(), |item, _| f(item))
-    }
-
-    /// [`Pool::ordered_map`] with per-seat metric shards: `f` receives the
-    /// item and the seat's [`obs::Shard`], one shard (and, when tracing, one
-    /// trace lane) per seat, absorbed into `registry` as the seat retires.
-    /// While `f` runs on item `i`, the shard's trace events carry query id
-    /// `i` (its batch position). The pool records nothing itself: what a
-    /// seat records is what `f` records.
-    pub fn ordered_map_obs<T, R, F>(&self, items: &[T], registry: &obs::Registry, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T, &obs::Shard) -> R + Sync,
-    {
-        let map_one = |i: usize, shard: &obs::Shard| {
-            shard.set_trace_query(Some(i as u64));
-            f(&items[i], shard)
-        };
         let workers = self.parallelism.min(items.len().max(1));
         if workers <= 1 {
-            let shard = registry.shard();
-            let out = (0..items.len()).map(|i| map_one(i, &shard)).collect();
-            registry.absorb(shard);
-            return out;
+            return items.iter().map(f).collect();
         }
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-        self.run(workers, |_seat| {
-            let shard = registry.shard();
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = map_one(i, &shard);
-                *slots[i].lock().expect("slot") = Some(r);
+        self.run(workers, |_seat| loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break;
             }
-            registry.absorb(shard);
+            let r = f(&items[i]);
+            *slots[i].lock().expect("slot") = Some(r);
         });
         slots
             .into_iter()
@@ -314,9 +288,6 @@ impl std::fmt::Debug for Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::{Counter, Span};
-    use std::collections::BTreeSet;
-    use std::time::{Duration, Instant};
 
     #[test]
     fn zero_resolves_to_available() {
@@ -337,34 +308,6 @@ mod tests {
             }
             let empty: Vec<u32> = Vec::new();
             assert!(pool.ordered_map(&empty, |&x| x).is_empty());
-        }
-    }
-
-    /// Every item is mapped once; what the seats record adds up, and a
-    /// traced batch has one lane per seat that ran, each event tagged with
-    /// its item's position.
-    #[test]
-    fn pool_ordered_map_obs_accounts_for_every_item() {
-        let items: Vec<u64> = (0..50).collect();
-        for workers in [1usize, 3, 8] {
-            let pool = Pool::new(workers);
-            let registry = obs::Registry::with_tracing();
-            let out = pool.ordered_map_obs(&items, &registry, |&x, shard| {
-                shard.add(Counter::WALK_PROBES, x);
-                shard.trace_complete(Span::QUERY_FILTER, Instant::now(), Duration::ZERO);
-                x
-            });
-            assert_eq!(out, items);
-            assert_eq!(
-                registry.snapshot().counter("walk.probes"),
-                (0..50).sum::<u64>()
-            );
-            let events = registry.drain_trace();
-            let ids: Vec<u64> = events.iter().filter_map(|e| e.query).collect();
-            assert_eq!(ids.len(), items.len());
-            assert_eq!(ids.iter().collect::<BTreeSet<_>>().len(), items.len());
-            let lanes: BTreeSet<u32> = events.iter().map(|e| e.lane).collect();
-            assert!(!lanes.is_empty() && lanes.len() <= workers);
         }
     }
 

@@ -10,8 +10,8 @@
 //! `maint.*`), and `det` when they are a pure function of the input,
 //! bit-identical at any worker count. Nothing records how work was
 //! scheduled: the worker pool records no metric, and a query's counts and
-//! stage times are recorded once, from its `QueryStats`, by the batch seat
-//! that ran it. The input is what the pipeline executed: in a served run
+//! stage times are recorded once, from its `QueryStats`, into the shard of
+//! the thread that dispatched its batch. The input is what the pipeline executed: in a served run
 //! the `funnel.*`, `walk.*`, `verify.*` and `query.*` counts cover only the
 //! queries that missed the result cache, so which requests repeat —
 //! arrival timing again — moves them, while each executed query's share

@@ -8,9 +8,12 @@
 //!
 //! Design constraints (see DESIGN.md, "Observability"):
 //!
-//! - **No locks on the fast path.** Work records into a worker-owned
-//!   [`Shard`] (interior mutability, `!Sync`); shards are merged into the
-//!   registry's aggregate once, at batch end ([`Registry::absorb`]).
+//! - **No locks on the fast path.** Work records into a [`Shard`] owned by
+//!   one thread (interior mutability, `!Sync`): a command's, the server
+//!   loop's, a build's. A query batch records into its caller's shard once
+//!   the batch returns; the worker pool forks no shard. A shard is merged
+//!   into the registry's aggregate once, by its owner
+//!   ([`Registry::absorb`]).
 //! - **No globals.** Everything flows through explicit `&Registry` /
 //!   `&Shard` handles; a disabled handle ([`Registry::disabled`],
 //!   [`Shard::disabled`]) makes every record call a single branch.
@@ -261,7 +264,7 @@ impl MetricSet {
     }
 
     /// Merge `other` into `self` (commutative and associative, so the merge
-    /// order of per-worker shards cannot change any total). Counters and
+    /// order of shards cannot change any total). Counters and
     /// span histograms add; gauges keep the **max** of both sides, so level
     /// readings like peak memory survive shard merges as true high-water
     /// marks.
@@ -369,10 +372,10 @@ impl MetricSet {
     }
 }
 
-/// A worker-owned metric shard: interior mutability, no synchronization,
-/// `!Sync` by construction. Create one per worker from
-/// [`Registry::shard`] (or free-standing via [`Shard::detached`]), record
-/// into it lock-free, and hand it back with [`Registry::absorb`].
+/// A thread-owned metric shard: interior mutability, no synchronization,
+/// `!Sync` by construction. Create one per owner from [`Registry::shard`]
+/// (or free-standing via [`Shard::detached`]), record into it lock-free,
+/// and hand it back with [`Registry::absorb`].
 #[derive(Debug)]
 pub struct Shard {
     enabled: bool,
@@ -397,23 +400,14 @@ impl Shard {
         self.trace.is_some()
     }
 
-    /// Attach `q` (a query's batch position) to subsequently traced events;
-    /// `None` detaches. A single branch when tracing is off.
+    /// Record a complete trace event retroactively: `span` of the query at
+    /// batch position `query` (if any) ran from `start` for `dur`, as a
+    /// query's record traces its stages ([`trace::stages_ending_at`]). A
+    /// single branch when tracing is off.
     #[inline]
-    pub fn set_trace_query(&self, q: Option<u64>) {
+    pub fn trace_complete(&self, span: Span, query: Option<u64>, start: Instant, dur: Duration) {
         if let Some(t) = &self.trace {
-            t.set_query(q);
-        }
-    }
-
-    /// Record a complete trace event retroactively: `span` ran from `start`
-    /// for `dur`. Used by pipeline sites that measure stage durations
-    /// themselves instead of holding a [`SpanGuard`]. A single branch when
-    /// tracing is off.
-    #[inline]
-    pub fn trace_complete(&self, span: Span, start: Instant, dur: Duration) {
-        if let Some(t) = &self.trace {
-            t.push(span.name(), start, dur);
+            t.push(span.name(), query, start, dur);
         }
     }
 
@@ -485,14 +479,14 @@ impl Drop for SpanGuard<'_> {
         if let Some(start) = self.start {
             let elapsed = start.elapsed();
             self.shard.observe(self.span, elapsed);
-            self.shard.trace_complete(self.span, start, elapsed);
+            self.shard.trace_complete(self.span, None, start, elapsed);
         }
     }
 }
 
 /// The thread-safe aggregation point: hands out [`Shard`]s and merges them
 /// back. The only lock is taken in [`Registry::absorb`]/[`Registry::snapshot`]
-/// — once per worker per batch, never per event.
+/// — once per shard, never per event.
 #[derive(Debug, Default)]
 pub struct Registry {
     enabled: bool,
@@ -509,10 +503,9 @@ impl Registry {
         }
     }
 
-    /// An enabled registry that additionally collects a trace timeline:
-    /// shards it hands out buffer begin/end events for every span (and the
-    /// retroactive pipeline-stage records, [`Shard::trace_complete`]),
-    /// merged at absorb time and exported via [`Self::drain_trace`].
+    /// An enabled registry that also collects a trace timeline: shards it
+    /// hands out buffer an event for every span and [`Shard::trace_complete`]
+    /// record, merged at absorb time and taken by [`Self::drain_trace`].
     pub fn with_tracing() -> Self {
         Self {
             trace: Some(trace::TraceSink::new()),
@@ -537,13 +530,16 @@ impl Registry {
     }
 
     /// Merge a shard's metrics (and trace events, if any) into the
-    /// aggregate.
+    /// aggregate. An empty aggregate takes the shard's set as it is.
     pub fn absorb(&self, shard: Shard) {
         if self.enabled {
             let Shard { set, trace, .. } = shard;
             let set = set.into_inner();
-            if !set.is_empty() {
-                self.agg.lock().expect("obs registry poisoned").merge(&set);
+            let mut agg = self.agg.lock().expect("obs registry poisoned");
+            if agg.is_empty() {
+                *agg = set;
+            } else {
+                agg.merge(&set);
             }
             if let (Some(sink), Some(t)) = (&self.trace, trace) {
                 sink.absorb(t);
@@ -968,16 +964,17 @@ mod tests {
         assert!(r.shard().is_tracing());
         let s = r.shard();
         assert!(s.is_tracing());
-        s.set_trace_query(Some(7));
         {
             let _g = s.span(Span::QUERY_FILTER);
         }
-        s.set_trace_query(None);
+        s.trace_complete(Span::QUERY_VERIFY, Some(7), Instant::now(), Duration::ZERO);
         r.absorb(s);
         let events = r.drain_trace();
-        assert_eq!(events.len(), 1);
+        assert_eq!(events.len(), 2);
         assert_eq!(events[0].name, "query.filter");
-        assert_eq!(events[0].query, Some(7));
+        assert_eq!(events[0].query, None);
+        assert_eq!(events[1].name, "query.verify");
+        assert_eq!(events[1].query, Some(7));
         // Metrics flow unchanged alongside the trace.
         assert_eq!(r.snapshot().span("query.filter").unwrap().count, 1);
         // Non-tracing registries yield no events and no trace shards.

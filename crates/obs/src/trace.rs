@@ -1,21 +1,21 @@
-//! Per-query trace timeline: begin/end events collected alongside the
-//! span statistics and exported as Chrome trace-event JSON, so a whole
-//! batch's parallel execution can be inspected visually in
+//! Per-query trace timeline: complete events collected alongside the span
+//! statistics and exported as Chrome trace-event JSON, loadable in
 //! `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
 //!
-//! Tracing shares the shard-per-worker architecture of the metric layer:
-//! a [`TraceSink`] (owned by a tracing [`crate::Registry`]) defines the
-//! trace epoch and hands each shard a [`TraceShard`] — an unsynchronized
-//! event buffer plus a *lane* id that becomes the Chrome `tid`. Workers
-//! append complete events lock-free; [`crate::Registry::absorb`] moves
-//! them into the sink, and [`crate::Registry::drain_trace`] yields the
-//! merged timeline sorted by start offset.
-//!
-//! When tracing is not enabled (the default), every trace call in the
-//! pipeline is a single branch on an `Option` that is `None` — the same
-//! cost model as disabled metric shards.
+//! A [`TraceSink`] (owned by a tracing [`crate::Registry`]) defines the
+//! epoch and hands each shard a [`TraceShard`]: an unsynchronized buffer
+//! plus a *lane*, the Chrome `tid`. [`crate::Registry::absorb`] moves a
+//! shard's events into the sink. A query batch records into its caller's
+//! shard, so its events share the caller's lane, each tagged with its
+//! query's batch position; the stages are laid end to end before the
+//! query's finish ([`stages_ending_at`]), and [`render_chrome_json`] gives
+//! queries that overlap rows of their own. When tracing is off, every
+//! trace call is one branch on a `None`.
 
-use std::cell::{Cell, RefCell};
+use crate::json::escape_string;
+use crate::Span;
+use std::cell::RefCell;
+use std::cmp::Reverse;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -63,7 +63,6 @@ impl TraceSink {
         TraceShard {
             epoch: self.epoch,
             lane: self.lanes.fetch_add(1, Ordering::Relaxed),
-            query: Cell::new(None),
             events: RefCell::new(Vec::new()),
         }
     }
@@ -96,20 +95,14 @@ impl TraceSink {
 pub(crate) struct TraceShard {
     epoch: Instant,
     lane: u32,
-    query: Cell<Option<u64>>,
     events: RefCell<Vec<TraceEvent>>,
 }
 
 impl TraceShard {
-    /// Set (or clear) the query id attached to subsequent events.
-    #[inline]
-    pub(crate) fn set_query(&self, q: Option<u64>) {
-        self.query.set(q);
-    }
-
-    /// Append a complete event that started at `start` and ran for `dur`.
-    /// Starts before the epoch clamp to offset 0.
-    pub(crate) fn push(&self, name: &str, start: Instant, dur: Duration) {
+    /// Append a complete event of query `query` (a batch position, when one
+    /// is in scope) that started at `start` and ran for `dur`. Starts
+    /// before the epoch clamp to offset 0.
+    pub(crate) fn push(&self, name: &str, query: Option<u64>, start: Instant, dur: Duration) {
         let start_ns = start
             .checked_duration_since(self.epoch)
             .unwrap_or_default()
@@ -117,7 +110,7 @@ impl TraceShard {
             .min(u64::MAX as u128) as u64;
         self.events.borrow_mut().push(TraceEvent {
             name: name.to_string(),
-            query: self.query.get(),
+            query,
             lane: self.lane,
             start_ns,
             dur_ns: dur.as_nanos().min(u64::MAX as u128) as u64,
@@ -126,64 +119,87 @@ impl TraceShard {
     }
 }
 
+/// Lay a query's `stages` end to end so that the last ends at `end`, the
+/// instant the query finished: each stage's `(span, start, duration)`. A
+/// query's stages run back to back, so no clock is read in the pipeline.
+pub fn stages_ending_at(
+    stages: &[(Span, Duration)],
+    end: Instant,
+) -> impl Iterator<Item = (Span, Instant, Duration)> + '_ {
+    let mut at = end
+        .checked_sub(stages.iter().map(|&(_, t)| t).sum())
+        .unwrap_or(end);
+    stages.iter().map(move |&(span, t)| {
+        at += t;
+        (span, at - t, t)
+    })
+}
+
+/// A row of a lane: its tid and its open slices' `(end, query)`, innermost last.
+type Row = (u32, Vec<(u64, Option<u64>)>);
+
 /// Render events as Chrome trace-event JSON (the "JSON Array Format" with
 /// a `traceEvents` wrapper object, loadable by `chrome://tracing` and
-/// Perfetto). Each event is a complete (`"ph": "X"`) slice; timestamps are
-/// microseconds with sub-microsecond precision preserved as fractions.
-/// Lanes appear as thread ids under one process, with `thread_name`
-/// metadata records so the viewer labels them `lane-N`.
+/// Perfetto): complete (`"ph": "X"`) slices, timestamps in microseconds
+/// with sub-microsecond fractions, lanes as thread ids labelled `lane-N`.
+///
+/// Slices on one thread must nest, so a lane's slices are laid in start
+/// order, each on the first row where it lies after or within the
+/// innermost open slice (of the same query, when both have one). A slice
+/// no row takes opens a row: a fresh tid above every lane, `lane-N.k`.
 pub fn render_chrome_json(events: &[TraceEvent]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"displayTimeUnit\": \"ns\",\n  \"traceEvents\": [");
-    let mut first = true;
-    let mut push_record = |record: String, first: &mut bool| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push_str("\n    ");
-        out.push_str(&record);
+    let stop = |e: &TraceEvent| e.start_ns.saturating_add(e.dur_ns);
+    let mut order: Vec<&TraceEvent> = events.iter().collect();
+    order.sort_by_key(|e| (e.lane, e.start_ns, Reverse(stop(e))));
+    let mut fresh_tid = events.iter().map(|e| e.lane + 1).max().unwrap_or(0);
+    let thread = |tid, name: String| {
+        format!(
+            "{{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": 1, \"tid\": {tid}, \
+             \"args\": {{\"name\": \"{name}\"}}}}"
+        )
     };
-    let mut lanes: Vec<u32> = events.iter().map(|e| e.lane).collect();
-    lanes.sort_unstable();
-    lanes.dedup();
-    for lane in lanes {
-        push_record(
-            format!(
-                "{{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": 1, \"tid\": {lane}, \
-                 \"args\": {{\"name\": \"lane-{lane}\"}}}}"
-            ),
-            &mut first,
-        );
-    }
-    for e in events {
-        let mut fields: Vec<String> = Vec::with_capacity(1 + e.args.len());
-        if let Some(q) = e.query {
-            fields.push(format!("\"query\": {q}"));
+    let (mut records, mut slices) = (Vec::new(), Vec::new());
+    let mut rows: Vec<Row> = Vec::new();
+    for (i, e) in order.iter().enumerate() {
+        if i == 0 || order[i - 1].lane != e.lane {
+            records.push(thread(e.lane, format!("lane-{}", e.lane)));
+            rows = vec![(e.lane, Vec::new())];
         }
-        for (k, v) in &e.args {
-            fields.push(format!("{}: {v}", crate::json::escape_string(k)));
-        }
-        let args = format!("{{{}}}", fields.join(", "));
-        push_record(
-            format!(
-                "{{\"ph\": \"X\", \"name\": {}, \"cat\": \"treepi\", \"pid\": 1, \"tid\": {}, \
-                 \"ts\": {}.{:03}, \"dur\": {}.{:03}, \"args\": {args}}}",
-                crate::json::escape_string(&e.name),
-                e.lane,
-                e.start_ns / 1_000,
-                e.start_ns % 1_000,
-                e.dur_ns / 1_000,
-                e.dur_ns % 1_000,
-            ),
-            &mut first,
-        );
+        let fits = |(_, open): &mut Row| {
+            open.retain(|&(until, _)| until > e.start_ns);
+            open.last().is_none_or(|&(until, q)| {
+                until >= stop(e) && (q.is_none() || e.query.is_none() || q == e.query)
+            })
+        };
+        let row = rows.iter_mut().position(fits).unwrap_or_else(|| {
+            records.push(thread(fresh_tid, format!("lane-{}.{}", e.lane, rows.len())));
+            rows.push((fresh_tid, Vec::new()));
+            fresh_tid += 1;
+            rows.len() - 1
+        });
+        rows[row].1.push((stop(e), e.query));
+        let query = e.query.map(|q| format!("\"query\": {q}"));
+        let args = e
+            .args
+            .iter()
+            .map(|(k, v)| format!("{}: {v}", escape_string(k)));
+        slices.push(format!(
+            "{{\"ph\": \"X\", \"name\": {}, \"cat\": \"treepi\", \"pid\": 1, \"tid\": {}, \
+             \"ts\": {}.{:03}, \"dur\": {}.{:03}, \"args\": {{{}}}}}",
+            escape_string(&e.name),
+            rows[row].0,
+            e.start_ns / 1_000,
+            e.start_ns % 1_000,
+            e.dur_ns / 1_000,
+            e.dur_ns % 1_000,
+            query.into_iter().chain(args).collect::<Vec<_>>().join(", "),
+        ));
     }
-    if !first {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
+    records.append(&mut slices);
+    let end = if records.is_empty() { "" } else { "\n  " };
+    let records: Vec<String> = records.iter().map(|r| format!("\n    {r}")).collect();
+    let records = records.join(",");
+    format!("{{\n  \"displayTimeUnit\": \"ns\",\n  \"traceEvents\": [{records}{end}]\n}}\n")
 }
 
 #[cfg(test)]
@@ -196,12 +212,9 @@ mod tests {
         let a = sink.shard();
         let b = sink.shard();
         let t0 = Instant::now();
-        a.set_query(Some(0));
-        a.push("query.filter", t0, Duration::from_micros(5));
-        b.set_query(Some(1));
-        b.push("query.verify", t0, Duration::from_nanos(1500));
-        b.set_query(None);
-        b.push("serve.batch_exec", t0, Duration::from_micros(9));
+        a.push("query.filter", Some(0), t0, Duration::from_micros(5));
+        b.push("query.verify", Some(1), t0, Duration::from_nanos(1500));
+        b.push("serve.batch_exec", None, t0, Duration::from_micros(9));
         sink.absorb(a);
         sink.absorb(b);
         sink.drain()
@@ -220,13 +233,94 @@ mod tests {
         assert_eq!(batch.unwrap().query, None);
     }
 
+    /// The X slices of a rendered trace as `(tid, query, start, end)`, in
+    /// nanoseconds; panics unless every thread's slices nest, none partly
+    /// overlapping another.
+    fn nested_slices(text: &str) -> Vec<(u64, Option<u64>, u64, u64)> {
+        let v = json::parse(text).expect("valid JSON");
+        let records = v.get("traceEvents").and_then(json::Value::as_array);
+        let mut slices: Vec<_> = records
+            .expect("traceEvents array")
+            .iter()
+            .filter(|r| r.get("ph").and_then(json::Value::as_str) == Some("X"))
+            .map(|r| {
+                let ns = |key| (r.get(key).and_then(json::Value::as_f64).unwrap() * 1e3).round();
+                let tid = r.get("tid").and_then(json::Value::as_u64).unwrap();
+                let query = r.get("args").and_then(|a| a.get("query")?.as_u64());
+                let start = ns("ts") as u64;
+                (tid, query, start, start + ns("dur") as u64)
+            })
+            .collect();
+        slices.sort_by_key(|&(tid, _, start, end)| (tid, start, std::cmp::Reverse(end)));
+        let mut open: Vec<(u64, u64)> = Vec::new();
+        for &(tid, _, start, end) in &slices {
+            open.retain(|&(t, until)| t == tid && until > start);
+            if let Some(&(_, until)) = open.last() {
+                assert!(
+                    end <= until,
+                    "tid {tid}: slice {start}..{end} ends past {until}"
+                );
+            }
+            open.push((tid, end));
+        }
+        slices
+    }
+
+    /// Two slow-query captures of one batch both end at the batch's end on
+    /// lane 0: query 0 ran 0–10 µs and query 1 3–10 µs, so query 0's
+    /// partition stage partly overlaps query 1's umbrella. Each query gets
+    /// a row of the lane, and every row nests.
+    #[test]
+    fn overlapping_captures_of_one_batch_get_rows_that_nest() {
+        let slice = |name: &str, query, start_ns, dur_ns| TraceEvent {
+            name: name.to_string(),
+            query: Some(query),
+            lane: 0,
+            start_ns,
+            dur_ns,
+            args: Vec::new(),
+        };
+        let events = [
+            slice("serve.slow_query", 0, 0, 10_000),
+            slice("query.partition", 0, 0, 4_000),
+            slice("query.filter", 0, 4_000, 1_000),
+            slice("query.verify", 0, 5_000, 5_000),
+            slice("serve.slow_query", 1, 3_000, 7_000),
+            slice("query.partition", 1, 3_000, 3_000),
+            slice("query.filter", 1, 6_000, 1_000),
+            slice("query.verify", 1, 7_000, 3_000),
+        ];
+        let text = render_chrome_json(&events);
+        let slices = nested_slices(&text);
+        assert_eq!(slices.len(), events.len());
+        let rows: std::collections::BTreeSet<_> = slices.iter().map(|&(t, q, ..)| (t, q)).collect();
+        assert_eq!(
+            rows.into_iter().collect::<Vec<_>>(),
+            [(0, Some(0)), (1, Some(1))]
+        );
+        assert!(text.contains("\"tid\": 1, \"args\": {\"name\": \"lane-0.1\"}"));
+    }
+
+    /// Stages laid end to end finish at the instant given, in order.
+    #[test]
+    fn stages_end_at_the_finish_instant() {
+        let end = Instant::now() + Duration::from_secs(1);
+        let [p, f, v] = Span::PIPELINE;
+        let ms = Duration::from_millis;
+        let stages = [(p, ms(3)), (f, ms(1)), (v, ms(5))];
+        let laid: Vec<_> = stages_ending_at(&stages, end).collect();
+        assert_eq!(laid[0], (p, end - ms(9), ms(3)));
+        assert_eq!(laid[1], (f, end - ms(6), ms(1)));
+        assert_eq!(laid[2], (v, end - ms(5), ms(5)));
+    }
+
     #[test]
     fn pre_epoch_starts_clamp_to_zero() {
         let shard = TraceSink::new().shard();
         let Some(long_ago) = Instant::now().checked_sub(Duration::from_secs(3600)) else {
             return; // monotonic clock too young to test against
         };
-        shard.push("x", long_ago, Duration::from_nanos(7));
+        shard.push("x", None, long_ago, Duration::from_nanos(7));
         let e = shard.events.into_inner().pop().unwrap();
         assert_eq!(e.start_ns, 0);
         assert_eq!(e.dur_ns, 7);
@@ -312,8 +406,8 @@ mod tests {
         let sink = TraceSink::new();
         let s = sink.shard();
         let t0 = Instant::now();
-        s.push("b", t0 + Duration::from_micros(10), Duration::ZERO);
-        s.push("a", t0, Duration::ZERO);
+        s.push("b", None, t0 + Duration::from_micros(10), Duration::ZERO);
+        s.push("a", None, t0, Duration::ZERO);
         sink.absorb(s);
         let events = sink.drain();
         assert_eq!(events.len(), 2);

@@ -15,8 +15,9 @@
 //!   query)`.
 //! - **Micro-batching.** Whatever is queued when the shell comes round
 //!   runs as one [`treepi::Engine::query_batch_pinned`] call of at most
-//!   [`ServeConfig::max_batch`] queries; nothing waits for a batch to
-//!   fill. Queries of one batch with the same cache key run once.
+//!   [`ServeConfig::max_batch`] queries, recorded into the loop shard;
+//!   nothing waits for a batch to fill. Queries of one batch with the same
+//!   cache key run once.
 //! - **Maintenance.** An insert or remove applies when it is decoded and
 //!   is acked after, so a query sent after the ack sees it; admission
 //!   drops the cache whenever the engine's epoch moved.
@@ -449,7 +450,7 @@ impl<'e> Machine<'e> {
         let dispatched = (self.clock)();
         let (mut results, epoch) = {
             let _span = self.shard.span(Span::SERVE_BATCH_EXEC);
-            self.engine.query_batch_pinned(&runs, self.registry)
+            self.engine.query_batch_pinned(&runs, &self.shard)
         };
         let batch_end = (self.clock)();
         let residence = batch_end.saturating_duration_since(dispatched);
@@ -527,17 +528,19 @@ impl<'e> Machine<'e> {
     /// Log a request that got no response: a dropped query, or a frame
     /// that broke the protocol.
     fn log_unanswered(&mut self, conn: usize, tag: u32, op: &str, outcome: &str, bytes_in: u64) {
-        self.log_access(AccessRecord {
-            conn,
-            tag,
-            op,
-            outcome,
-            bytes_in,
-            bytes_out: 0,
-            cache_hit: None,
-            epoch: self.engine.epoch(),
-            stages: None,
-        });
+        if self.telemetry.access.is_some() {
+            self.log_access(AccessRecord {
+                conn,
+                tag,
+                op,
+                outcome,
+                bytes_in,
+                bytes_out: 0,
+                cache_hit: None,
+                epoch: self.engine.epoch(),
+                stages: None,
+            });
+        }
     }
 
     /// Parse and answer one HTTP monitoring request buffered on `idx`.
@@ -583,7 +586,9 @@ impl<'e> Machine<'e> {
 
     fn answer_http(&mut self, idx: usize, status: u16, reason: &str, ctype: &str, body: Vec<u8>) {
         self.report.http_requests += 1;
-        self.send(idx, &http::response(status, reason, ctype, &body), true);
+        self.send(idx, true, |w| {
+            w.extend(http::response(status, reason, ctype, &body))
+        });
     }
 
     /// The `/healthz` verdict: `draining` once shutdown has begun,
@@ -745,55 +750,56 @@ impl<'e> Machine<'e> {
         };
         let cache_hit = matches!(body, ResponseBody::Matches(_)).then_some(true);
         let bytes_out = self.respond(idx, tag, body);
-        // Read after the request: an insert or remove is logged under the
-        // epoch it published.
-        let epoch = self.engine.epoch();
-        let admit = (self.clock)().saturating_duration_since(recv);
-        self.log_access(AccessRecord {
-            conn: idx,
-            tag,
-            op,
-            outcome,
-            bytes_in,
-            bytes_out,
-            cache_hit,
-            epoch,
-            stages: Some(AccessStages {
-                admit_us: dur_us(admit),
-                ..AccessStages::default()
-            }),
-        });
-    }
-
-    /// Queue the response `body` to request `tag` on connection `idx`.
-    /// Returns the encoded frame size in bytes (0 when the client is
-    /// already gone).
-    fn respond(&mut self, idx: usize, tag: u32, body: ResponseBody) -> u64 {
-        let frame = protocol::encode_response(&Response { tag, body });
-        debug_assert!(frame.len() <= 4 + MAX_FRAME);
-        if self.send(idx, &frame, false) {
-            frame.len() as u64
-        } else {
-            0
+        if self.telemetry.access.is_some() {
+            // Read after the request: an insert or remove is logged under the
+            // epoch it published.
+            let epoch = self.engine.epoch();
+            let admit = (self.clock)().saturating_duration_since(recv);
+            self.log_access(AccessRecord {
+                conn: idx,
+                tag,
+                op,
+                outcome,
+                bytes_in,
+                bytes_out,
+                cache_hit,
+                epoch,
+                stages: Some(AccessStages {
+                    admit_us: dur_us(admit),
+                    ..AccessStages::default()
+                }),
+            });
         }
     }
 
-    /// Queue `data` on connection `idx`; with `close_after_flush` (HTTP
-    /// responses are one-shot) the connection closes once its bytes
-    /// drain. Returns false when the client is already gone.
-    fn send(&mut self, idx: usize, data: &[u8], close_after_flush: bool) -> bool {
+    /// Queue the response `body` to request `tag` on connection `idx`,
+    /// encoded straight into its write buffer. Returns the frame size in
+    /// bytes (0 when the client is already gone).
+    fn respond(&mut self, idx: usize, tag: u32, body: ResponseBody) -> u64 {
+        self.send(idx, false, |wbuf| {
+            protocol::encode_response(&Response { tag, body }, wbuf)
+        })
+    }
+
+    /// Queue what `write` appends to connection `idx`'s write buffer; with
+    /// `close` (HTTP responses are one-shot) the connection closes once its
+    /// bytes drain. Returns the bytes queued (0 when the client is already
+    /// gone, and `write` is not called).
+    fn send(&mut self, idx: usize, close: bool, write: impl FnOnce(&mut Vec<u8>)) -> u64 {
         let now = (self.clock)();
         let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-            return false;
+            return 0;
         };
-        conn.wbuf.extend_from_slice(data);
-        conn.wtotal += data.len() as u64;
+        let before = conn.wbuf.len();
+        write(&mut conn.wbuf);
+        let n = (conn.wbuf.len() - before) as u64;
+        conn.wtotal += n;
         if conn.wmarks.len() < WMARK_CAP {
             conn.wmarks.push_back((conn.wtotal, now));
         }
-        conn.close_after_flush |= close_after_flush;
+        conn.close_after_flush |= close;
         self.touch(idx);
-        true
+        n
     }
 }
 

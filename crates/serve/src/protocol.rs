@@ -105,17 +105,16 @@ fn get_u32(buf: &[u8], at: usize) -> Option<u32> {
         .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
 }
 
-fn encode_frame(payload: Vec<u8>) -> Vec<u8> {
-    assert!(payload.len() <= MAX_FRAME, "frame exceeds MAX_FRAME");
-    let mut out = Vec::with_capacity(4 + payload.len());
-    put_u32(&mut out, payload.len() as u32);
-    out.extend_from_slice(&payload);
-    out
+/// Set the length prefix of the frame that starts at `out[frame]`.
+fn end_frame(out: &mut [u8], frame: usize) {
+    let len = out.len() - frame - 4;
+    assert!(len <= MAX_FRAME, "frame exceeds MAX_FRAME");
+    out[frame..frame + 4].copy_from_slice(&(len as u32).to_le_bytes());
 }
 
 /// Encode a request as one frame (length prefix included).
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut p = Vec::new();
+    let mut p = vec![0; 4]; // the payload length, set by `end_frame`
     put_u32(&mut p, req.tag);
     match &req.body {
         RequestBody::Query(g) => {
@@ -133,49 +132,52 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         RequestBody::Stats => p.push(b'S'),
         RequestBody::Shutdown => p.push(b'X'),
     }
-    encode_frame(p)
+    end_frame(&mut p, 0);
+    p
 }
 
-/// Encode a response as one frame (length prefix included).
-pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut p = Vec::new();
-    put_u32(&mut p, resp.tag);
+/// Append a response to `out` as one frame (length prefix included):
+/// the server encodes straight into a connection's write buffer.
+pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
+    let frame = out.len();
+    put_u32(out, 0); // the payload length, set by `end_frame`
+    put_u32(out, resp.tag);
     match &resp.body {
         ResponseBody::Matches(ids) => {
-            p.push(b'M');
-            put_u32(&mut p, ids.len() as u32);
+            out.push(b'M');
+            put_u32(out, ids.len() as u32);
             for id in ids {
-                put_u32(&mut p, *id);
+                put_u32(out, *id);
             }
         }
-        ResponseBody::Busy => p.push(b'B'),
+        ResponseBody::Busy => out.push(b'B'),
         ResponseBody::Inserted(gid) => {
-            p.push(b'I');
-            put_u32(&mut p, *gid);
+            out.push(b'I');
+            put_u32(out, *gid);
         }
         ResponseBody::Removed(was_active) => {
-            p.push(b'R');
-            p.push(*was_active as u8);
+            out.push(b'R');
+            out.push(*was_active as u8);
         }
         ResponseBody::Stats(json) => {
-            p.push(b'S');
-            put_text(&mut p, json);
+            out.push(b'S');
+            put_text(out, frame + 4, json);
         }
-        ResponseBody::ShuttingDown => p.push(b'X'),
+        ResponseBody::ShuttingDown => out.push(b'X'),
         ResponseBody::Error(msg) => {
-            p.push(b'E');
-            put_text(&mut p, msg);
+            out.push(b'E');
+            put_text(out, frame + 4, msg);
         }
     }
-    encode_frame(p)
+    end_frame(out, frame);
 }
 
-/// Append as much of `text` as fits the payload `p` within [`MAX_FRAME`],
-/// cut at a char boundary so the body stays utf8. An error message can
-/// echo a whole request line, so it can be longer than a frame.
-fn put_text(p: &mut Vec<u8>, text: &str) {
-    let cap = MAX_FRAME - p.len();
-    p.extend_from_slice(&text.as_bytes()[..text.floor_char_boundary(cap)]);
+/// Append as much of `text` as fits the payload starting at `out[payload]`
+/// within [`MAX_FRAME`], cut at a char boundary so the body stays utf8. An
+/// error message can echo a whole request line, so it can outgrow a frame.
+fn put_text(out: &mut Vec<u8>, payload: usize, text: &str) {
+    let cap = MAX_FRAME - (out.len() - payload);
+    out.extend_from_slice(&text.as_bytes()[..text.floor_char_boundary(cap)]);
 }
 
 fn parse_one_graph(body: &[u8]) -> Result<Graph, String> {
@@ -326,11 +328,18 @@ mod tests {
                 body: ResponseBody::Stats("{\"schema\": \"treepi.obs/v1\"}".into()),
             },
         ];
+        // Appended one after another to one buffer, each frame decodes.
+        let mut buf = Vec::new();
         for resp in &resps {
-            let frame = encode_response(resp);
-            let (payload, _) = take_frame(&frame).unwrap().expect("complete frame");
-            assert_eq!(&decode_response(payload).unwrap(), resp);
+            encode_response(resp, &mut buf);
         }
+        let mut rest = &buf[..];
+        for resp in &resps {
+            let (payload, used) = take_frame(rest).unwrap().expect("complete frame");
+            assert_eq!(&decode_response(payload).unwrap(), resp);
+            rest = &rest[used..];
+        }
+        assert!(rest.is_empty());
     }
 
     /// An over-long text body is cut to fit the frame at a char boundary,
@@ -342,11 +351,15 @@ mod tests {
         let text = format!("{head}ébc");
         let bodies = [ResponseBody::Error, ResponseBody::Stats];
         for body in bodies {
-            let frame = encode_response(&Response {
+            // After another frame in the buffer: the cap is the payload's.
+            let mut frame = b"earlier".to_vec();
+            let resp = Response {
                 tag: 1,
                 body: body(text.clone()),
-            });
-            let (payload, used) = take_frame(&frame).unwrap().expect("complete frame");
+            };
+            encode_response(&resp, &mut frame);
+            let frame = &frame[7..];
+            let (payload, used) = take_frame(frame).unwrap().expect("complete frame");
             assert_eq!(used, frame.len());
             assert_eq!(payload.len(), MAX_FRAME - 1);
             assert_eq!(decode_response(payload).unwrap().body, body(head.clone()));
@@ -430,10 +443,10 @@ mod tests {
             tag: 1,
             body: RequestBody::Remove(2),
         }));
-        seeds.push(encode_response(&Response {
-            tag: 2,
-            body: ResponseBody::Matches(vec![1, 5]),
-        }));
+        let mut answer = Vec::new();
+        let body = ResponseBody::Matches(vec![1, 5]);
+        encode_response(&Response { tag: 2, body }, &mut answer);
+        seeds.push(answer);
         seeds.push(b"GET /metrics HTTP/1.0\r\nHost: x\r\n\r\n".to_vec());
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(51);
         let (mut decoded, mut answered) = (0, 0);

@@ -332,9 +332,7 @@ impl SlowQueryLog {
         if self.ring.len() == self.cap {
             self.ring.pop_front();
         }
-        // The stages run back-to-back and end at `end`: the first starts
-        // `total()` before it, each where the previous one ended.
-        let query_start = end - stats.total();
+        let timeline: Vec<_> = obs::trace::stages_ending_at(&stats.stages(), end).collect();
         let off = |at: Instant| {
             at.checked_duration_since(self.epoch)
                 .unwrap_or_default()
@@ -351,30 +349,29 @@ impl SlowQueryLog {
                 args,
             };
         use obs::Counter;
-        let mut umbrella_args: Vec<(String, u64)> = vec![
+        let funnel = [
+            (Counter::FUNNEL_FILTERED, stats.filtered),
+            (Counter::FUNNEL_ANSWERS, stats.answers),
             (
-                Counter::FUNNEL_FILTERED.name().into(),
-                stats.filtered as u64,
-            ),
-            (Counter::FUNNEL_ANSWERS.name().into(), stats.answers as u64),
-            (
-                Counter::FUNNEL_MISSING_FEATURE.name().into(),
-                stats.missing_feature as u64,
+                Counter::FUNNEL_MISSING_FEATURE,
+                stats.missing_feature.into(),
             ),
         ];
-        umbrella_args.extend(extra_args.iter().map(|&(k, v)| (k.to_string(), v)));
-        let mut capture = vec![slice(
+        let funnel = funnel.map(|(c, n)| (c.name().to_string(), u64::from(n)));
+        let extra = extra_args.iter().map(|&(k, v)| (k.to_string(), v));
+        let umbrella_args = funnel.into_iter().chain(extra).collect();
+        // The umbrella spans the stages, laid end to end before `end`.
+        let umbrella = slice(
             "serve.slow_query",
-            query_start,
+            timeline[0].1,
             stats.total(),
             umbrella_args,
-        )];
-        let mut start = query_start;
-        for (span, t) in stats.stages() {
-            capture.push(slice(span.name(), start, t, Vec::new()));
-            start += t;
-        }
-        self.ring.push_back(capture);
+        );
+        let stages = timeline
+            .into_iter()
+            .map(|(span, start, t)| slice(span.name(), start, t, vec![]));
+        self.ring
+            .push_back(std::iter::once(umbrella).chain(stages).collect());
         true
     }
 

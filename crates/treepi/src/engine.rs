@@ -1,8 +1,8 @@
 //! Parallel batch query engine on a persistent worker pool.
 //!
 //! [`Engine`] is the long-lived serving front: an index plus one
-//! [`graph_core::par::Pool`] whose workers are spawned once and reused
-//! across every batch ([`Engine::query_batch`]).
+//! [`graph_core::par::Pool`] reused across every batch, each recorded into
+//! its caller's metric shard ([`Engine::query_batch_pinned`]).
 //!
 //! The determinism contract (see DESIGN.md, "Parallel query engine"): a
 //! query's result is a function of the query and the pinned snapshot
@@ -300,7 +300,8 @@ impl Engine {
     /// The published snapshot's maintenance epoch — the cache-invalidation
     /// version number (see [`TreePiIndex::maintenance_epoch`]).
     pub fn epoch(&self) -> u64 {
-        self.pin().maintenance_epoch()
+        let current = self.shared.current.lock();
+        current.expect("engine snapshot").maintenance_epoch()
     }
 
     /// A point-in-time copy of the `maint.*` counters and gauges.
@@ -373,11 +374,12 @@ impl Engine {
         _opts: QueryOptions,
         _seed: u64,
     ) -> (Vec<QueryResult>, u64) {
-        self.query_batch_pinned(queries, &obs::Registry::disabled())
+        self.query_batch_pinned(queries, &obs::Shard::disabled())
     }
 
-    /// [`Self::query_batch_pinned`] with an ignored `_opts` and `_seed`:
-    /// kept for the ledger's replay until ROADMAP item 1.
+    /// [`Self::query_batch_pinned`] into a shard of `registry`, with an
+    /// ignored `_opts` and `_seed`: kept for the ledger's replay until
+    /// ROADMAP item 1.
     pub fn query_batch_obs(
         &self,
         queries: &[Graph],
@@ -385,7 +387,10 @@ impl Engine {
         _seed: u64,
         registry: &obs::Registry,
     ) -> (Vec<QueryResult>, u64) {
-        self.query_batch_pinned(queries, registry)
+        let shard = registry.shard();
+        let out = self.query_batch_pinned(queries, &shard);
+        registry.absorb(shard);
+        out
     }
 
     /// Answer a batch of containment queries against one pinned snapshot,
@@ -393,29 +398,32 @@ impl Engine {
     /// — the consistency witness used by the serving layer (cache
     /// admission) and the concurrency tests.
     ///
-    /// The batch is one [`Pool::ordered_map_obs`]: each seat runs its
-    /// queries and records each one's [`QueryStats`](crate::QueryStats)
-    /// into its own [`obs::Shard`]
-    /// ([`QueryStats::record_into`](crate::QueryStats::record_into)), absorbed into
-    /// `registry` when the seat retires. That is the only recording: the
-    /// pipeline and the pool record nothing. Pipeline spans and `funnel.*`
-    /// counters are pure functions of the per-query outcomes, so their
-    /// totals are bit-identical for any pool size.
+    /// The batch is one [`Pool::ordered_map`] whose seats return each
+    /// result (and its finish instant when `shard` traces); this thread then
+    /// records every query into `shard`, the caller's own
+    /// ([`QueryStats::record_into`](crate::QueryStats::record_into)), the
+    /// only recording. Those records are pure functions of the per-query
+    /// outcomes, so their totals are bit-identical for any pool size.
     pub fn query_batch_pinned(
         &self,
         queries: &[Graph],
-        registry: &obs::Registry,
+        shard: &obs::Shard,
     ) -> (Vec<QueryResult>, u64) {
         let snapshot = self.pin();
         let pool = &self.shared.pool;
         // Spend the pool across queries first; only when the batch can't
         // occupy it do queries get workers for their walk and verify.
         let intra = (pool.parallelism() / queries.len().max(1)).max(1);
-        let results = pool.ordered_map_obs(queries, registry, |q, shard| {
-            let r = snapshot.query_with_pool(q, pool, intra);
-            r.stats.record_into(shard, Instant::now());
-            r
-        });
+        let run = |q: &Graph| snapshot.query_with_pool(q, pool, intra);
+        let (results, ends): (Vec<QueryResult>, Vec<Instant>) = if shard.is_tracing() {
+            let timed = pool.ordered_map(queries, |q| (run(q), Instant::now()));
+            timed.into_iter().unzip()
+        } else {
+            (pool.ordered_map(queries, run), Vec::new())
+        };
+        for (i, r) in results.iter().enumerate() {
+            r.stats.record_into(shard, i as u64, ends.get(i).copied());
+        }
         (results, snapshot.maintenance_epoch())
     }
 }
@@ -492,7 +500,8 @@ mod tests {
         TreePiIndex::build(db, TreePiParams::quick())
     }
 
-    /// One batch on an engine (and pool) created for the call.
+    /// One batch on an engine (and pool) created for the call, recorded
+    /// into a shard of `registry`.
     fn batch(
         idx: &TreePiIndex,
         qs: &[Graph],
@@ -500,7 +509,10 @@ mod tests {
         registry: &obs::Registry,
     ) -> Vec<QueryResult> {
         let engine = Engine::new(idx.clone(), threads);
-        engine.query_batch_pinned(qs, registry).0
+        let shard = registry.shard();
+        let results = engine.query_batch_pinned(qs, &shard).0;
+        registry.absorb(shard);
+        results
     }
 
     fn queries() -> Vec<Graph> {
@@ -692,29 +704,26 @@ mod tests {
             let reg = obs::Registry::with_tracing();
             batch(&idx, &qs, threads, &reg);
             let events = reg.drain_trace();
-            // Every query contributes its three pipeline stages, tagged with
-            // its batch position.
-            for name in obs::Span::PIPELINE.map(obs::Span::name) {
-                let ids: std::collections::BTreeSet<u64> = events
-                    .iter()
-                    .filter(|e| e.name == name)
-                    .filter_map(|e| e.query)
-                    .collect();
-                assert_eq!(
-                    ids,
-                    (0..qs.len() as u64).collect(),
-                    "{name} missing queries (threads={threads})"
-                );
-            }
-            // Every slice is a stage of one query, on one lane per seat
-            // that ran.
+            // Every slice is a stage of one query, on the caller's lane.
             assert_eq!(events.len(), qs.len() * obs::Span::PIPELINE.len());
-            assert!(events.iter().all(|e| e.query.is_some()));
-            let lanes: std::collections::BTreeSet<u32> = events.iter().map(|e| e.lane).collect();
-            assert!(
-                !lanes.is_empty() && lanes.len() <= threads,
-                "threads={threads}"
-            );
+            assert!(events.iter().all(|e| e.lane == events[0].lane));
+            // Each query contributes its three pipeline stages, tagged with
+            // its batch position and laid end to end.
+            for q in 0..qs.len() as u64 {
+                let stages: Vec<_> = obs::Span::PIPELINE
+                    .map(|span| {
+                        let mut of = events
+                            .iter()
+                            .filter(|e| e.query == Some(q) && e.name == span.name());
+                        let e = of.next().expect("stage traced");
+                        assert!(of.next().is_none(), "{} twice for query {q}", span.name());
+                        (e.start_ns, e.start_ns + e.dur_ns)
+                    })
+                    .into();
+                for w in stages.windows(2) {
+                    assert_eq!(w[0].1, w[1].0, "query {q}, threads={threads}");
+                }
+            }
             // Metrics unaffected by tracing.
             let m = reg.drain();
             assert_eq!(
@@ -738,7 +747,7 @@ mod tests {
             assert_eq!(engine.parallelism(), threads);
             // Several batches on the same pool: results stay identical.
             for _ in 0..3 {
-                let (r, _) = engine.query_batch_pinned(&qs, &obs::Registry::disabled());
+                let (r, _) = engine.query_batch_pinned(&qs, &obs::Shard::disabled());
                 assert_eq!(r.len(), base.len(), "threads {threads}");
                 for (a, b) in base.iter().zip(&r) {
                     assert_eq!(a.matches, b.matches, "threads {threads}");
@@ -755,7 +764,7 @@ mod tests {
         let engine = Engine::new(index(), 2);
         let q = graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]);
         let (before, _) =
-            engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Registry::disabled());
+            engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Shard::disabled());
         let e0 = engine.epoch();
 
         // A cache keyed on the epoch would hold `before`; the insert must
@@ -763,7 +772,7 @@ mod tests {
         let gid = engine.insert(graph_from(&[0, 0, 1], &[(0, 1, 0), (1, 2, 0)]));
         assert!(engine.epoch() > e0, "insert must bump the epoch");
         let (after, _) =
-            engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Registry::disabled());
+            engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Shard::disabled());
         assert!(after[0].matches.contains(&gid));
         assert_ne!(before[0].matches, after[0].matches);
         assert_eq!(after[0].matches, scan_support(&engine.pin(), &q));
@@ -773,7 +782,7 @@ mod tests {
         assert!(engine.remove(gid));
         assert!(engine.epoch() > e1, "remove must bump the epoch");
         let (reverted, _) =
-            engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Registry::disabled());
+            engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Shard::disabled());
         assert_eq!(reverted[0].matches, before[0].matches);
     }
 
@@ -787,13 +796,12 @@ mod tests {
         let engine = Engine::new(index(), 2);
         let q = graph_from(&[7, 7], &[(0, 1, 3)]);
         let (miss, _) =
-            engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Registry::disabled());
+            engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Shard::disabled());
         assert!(miss[0].matches.is_empty());
         assert!(miss[0].stats.missing_feature, "edge unknown before insert");
 
         let gid = engine.insert(graph_from(&[7, 7, 0], &[(0, 1, 3), (1, 2, 0)]));
-        let (hit, _) =
-            engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Registry::disabled());
+        let (hit, _) = engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Shard::disabled());
         assert!(
             !hit[0].stats.missing_feature,
             "novel edge must be a feature after the insert"
@@ -848,7 +856,7 @@ mod tests {
             assert_eq!(engine.epoch(), epoch);
             assert_eq!(engine.maint_stats(), stats);
             let (r, _) =
-                engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Registry::disabled());
+                engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Shard::disabled());
             assert_eq!(r[0].matches, scan_support(&after, &q));
             assert!(!after.is_active(0) && !after.is_active(gid));
             assert!(after.sigs_consistent() && after.postings_consistent());
@@ -875,7 +883,7 @@ mod tests {
                 let pin = engine.pin();
                 let answer = scan_support(&pin, &q);
                 let (r, _) =
-                    engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Registry::disabled());
+                    engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Shard::disabled());
                 assert_eq!(r[0].matches, answer, "step {step}, {threads} workers");
                 // Odd steps hold their pin across every later write, even
                 // steps release it before this step's write.
@@ -927,10 +935,8 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut seen: Vec<(u64, Vec<u32>)> = Vec::new();
                     while !stop.load(Ordering::Relaxed) {
-                        let (r, epoch) = engine.query_batch_pinned(
-                            std::slice::from_ref(&q),
-                            &obs::Registry::disabled(),
-                        );
+                        let (r, epoch) = engine
+                            .query_batch_pinned(std::slice::from_ref(&q), &obs::Shard::disabled());
                         seen.push((epoch, r[0].matches.clone()));
                     }
                     seen
@@ -984,8 +990,7 @@ mod tests {
         let snap = engine.pin();
         assert!(!snap.is_active(0));
         assert!(snap.is_active(a) && snap.is_active(b));
-        let (r, _) =
-            engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Registry::disabled());
+        let (r, _) = engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Shard::disabled());
         assert_eq!(r[0].matches, scan_support(&snap, &q));
         assert!(r[0].matches.contains(&a) && r[0].matches.contains(&b));
         // And it equals a fresh build over the survivors feature-for-feature
@@ -1021,7 +1026,7 @@ mod tests {
             }
             assert!(!expected.contains(&gids[0]));
             let (r, _) =
-                engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Registry::disabled());
+                engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Shard::disabled());
             assert_eq!(r[0].matches, expected);
         }
     }

@@ -11,8 +11,8 @@
 //!
 //! The pipeline only computes: every count and stage time of a query comes
 //! back in its [`QueryStats`], and nothing on the path records a metric.
-//! The batch engine's seat records each query once
-//! ([`QueryStats::record_into`]), into the seat's own shard.
+//! The batch engine records each query once ([`QueryStats::record_into`]),
+//! into its caller's shard after the batch returns.
 //!
 //! The pipeline has no options. Center-distance pruning (Algorithm 2,
 //! [`crate::prune`]) does not run here: with verification one anchored
@@ -110,10 +110,10 @@ impl QueryStats {
     }
 
     /// Record this query's funnel counters and stage timings into `shard`,
-    /// and, if it is tracing, the stages as timeline events ending at
-    /// `end`, the instant the query finished. This is the one place a
-    /// query is recorded: the batch engine's seat calls it after each
-    /// query it runs.
+    /// and, given `end` (the instant it finished; read only when the shard
+    /// traces), its stages as timeline events tagged with `query`, its
+    /// batch position. This is the one place a query is recorded: the
+    /// batch engine calls it for each query once its batch returns.
     ///
     /// Every pipeline span ([`QueryStats::stages`]) and the partition
     /// stage's enumeration are observed unconditionally —
@@ -122,10 +122,9 @@ impl QueryStats {
     /// carries the full stage breakdown. The `verify.*` counters are
     /// recorded only when nonzero. Everything recorded here is a pure
     /// function of the query outcome, so batch totals are bit-identical at
-    /// any thread count. The stages run back-to-back, so the first starts
-    /// `total()` before `end` and each starts where the previous one ended,
-    /// without instrumenting the pipeline itself.
-    pub fn record_into(&self, shard: &obs::Shard, end: Instant) {
+    /// any thread count. The stages are traced end to end before `end`
+    /// ([`obs::trace::stages_ending_at`]).
+    pub fn record_into(&self, shard: &obs::Shard, query: u64, end: Option<Instant>) {
         use obs::Counter;
         shard.add(Counter::FUNNEL_QUERIES, 1);
         shard.add(Counter::FUNNEL_FILTERED, self.filtered.into());
@@ -148,13 +147,13 @@ impl QueryStats {
             }
         }
         shard.observe(obs::Span::QUERY_PARTITION_ENUMERATE, self.t_enumerate);
-        let tracing = shard.is_tracing();
-        let mut start = end - self.total();
-        for (span, t) in self.stages() {
+        let stages = self.stages();
+        for (span, t) in stages {
             shard.observe(span, t);
-            if tracing {
-                shard.trace_complete(span, start, t);
-                start += t;
+        }
+        if let Some(end) = end {
+            for (span, start, t) in obs::trace::stages_ending_at(&stages, end) {
+                shard.trace_complete(span, Some(query), start, t);
             }
         }
     }

@@ -8,6 +8,9 @@
 //! allocator (it holds one test, so nothing else allocates while it counts)
 //! and holds allocations per 4-edge and per 16-edge query, and per insert
 //! and per remove through an engine nobody pins, under committed ceilings.
+//! A one-query batch recorded into a warm enabled shard must allocate
+//! exactly as much as one recorded into a disabled shard (6 more when the
+//! pool forked a shard per batch and boxed its span histograms).
 //! One index load with a query batch, and one build at 1, 2 and 8 workers,
 //! are held on allocations, bytes allocated, peak and bytes left live.
 
@@ -56,10 +59,13 @@ const WRITE_CEILINGS: (u64, u64) = (101, 2);
 /// --chem 25 --seed 7` index plus a metered batch of its first three
 /// graphs, and a metered build of `treepi gen --chem 40 --seed 11`. At one
 /// worker every value but the peaks repeats exactly, and each ceiling is
-/// the measured value × 1.10: 7 807 and 806 157 for the first run since
-/// each query is recorded once, by the engine's batch seat, and the pool
-/// records nothing (7 812 and 833 541 before, under ceilings of 8 636 and
-/// 972 384 set at 7 851 and 883 985), and 131 876 live bytes (131 692 now);
+/// the measured value × 1.10: 7 801 and 779 640 for the first run since
+/// the batch records into the command's shard and the registry's empty
+/// aggregate takes that shard's set whole instead of copying it (7 807 and
+/// 807 072 before; 7 807 and 806 157 when each query was first recorded
+/// once, by the engine's batch seat; 7 812 and 833 541 before that, under
+/// ceilings of 8 636 and 972 384 set at 7 851 and 883 985), and 131 876
+/// live bytes (132 308 now, the ceiling kept);
 /// 27 518, 9 135 054 and 182 175 for the build since the miner grows only
 /// patterns that pass the γ growth bound, in flat instance records (49 114,
 /// 21 573 057 and 181 274 before; 61 765, 34 382 131 and 309 396 when the
@@ -75,10 +81,11 @@ const WRITE_CEILINGS: (u64, u64) = (101, 2);
 /// bound, 7 795 621 with the duplicates, 10 509 944–10 530 892 with a
 /// `Tree` per kind, 12 550 516 with the separate pass) and its ceiling is
 /// 1.10 × the highest; the first run's read 268 115–303 731 over 18 runs
-/// and its ceiling is 1.25 × the highest. A load that decodes every feature
+/// (277 355–305 323 over 6 runs now) and its ceiling is 1.25 × the highest
+/// of the 18. A load that decodes every feature
 /// tree with a fresh encoder reads about 1.3 × the first count, a slip no
 /// timing showed.
-const LOAD_AND_QUERY_CEILING: [u64; 4] = [8_588, 886_773, 379_664, 145_064];
+const LOAD_AND_QUERY_CEILING: [u64; 4] = [8_581, 857_604, 379_664, 145_064];
 const BUILD_CEILING: [u64; 4] = [30_270, 10_048_560, 2_076_403, 199_401];
 
 /// The same build at 2 and 8 workers: how the work is split moves its
@@ -108,7 +115,7 @@ fn queries_stay_within_their_allocation_budget() {
     let engine = Engine::new(TreePiIndex::build(db, TreePiParams::default()), 1);
     for ((edges, ceiling), queries) in CEILINGS.into_iter().zip(&pools) {
         let before = allocation_count();
-        let (results, _) = engine.query_batch_pinned(queries, &obs::Registry::disabled());
+        let (results, _) = engine.query_batch_pinned(queries, &obs::Shard::disabled());
         let per_query = (allocation_count() - before) / queries.len() as u64;
         assert!(results.iter().all(|r| !r.matches.is_empty()));
         assert!(
@@ -116,6 +123,19 @@ fn queries_stay_within_their_allocation_budget() {
             "{per_query} allocations per {edges}-edge query, ceiling {ceiling}"
         );
     }
+
+    // A one-query batch recorded into a warm enabled shard allocates no
+    // more than one recorded nowhere: the batch forks no shard of its own.
+    let one = std::slice::from_ref(&pools[1][0]);
+    let allocations = |shard: &obs::Shard| {
+        let before = allocation_count();
+        engine.query_batch_pinned(one, shard);
+        allocation_count() - before
+    };
+    let enabled = obs::Shard::detached(true);
+    allocations(&enabled); // the shard's slots, allocated once
+    let (on, off) = (allocations(&enabled), allocations(&obs::Shard::disabled()));
+    assert_eq!(on, off, "enabled {on} allocations, disabled {off}");
 
     let (insert_ceiling, remove_ceiling) = WRITE_CEILINGS;
     let mut gids = Vec::with_capacity(WRITES);
@@ -143,7 +163,9 @@ fn queries_stay_within_their_allocation_budget() {
         let index = TreePiIndex::load(&mut file.as_slice()).expect("load");
         let engine = Engine::new(index, 1);
         let registry = obs::Registry::new();
-        let (results, _) = engine.query_batch_pinned(&queries, &registry);
+        let shard = registry.shard();
+        let (results, _) = engine.query_batch_pinned(&queries, &shard);
+        registry.absorb(shard);
         (engine, results)
     });
     assert!(results.iter().all(|r| !r.matches.is_empty()));

@@ -134,7 +134,7 @@ fn run_churn(workers: usize, seed: u64) -> bool {
             "step {step}, {workers} workers: posting lists out of step"
         );
         assert_directory(&snapshot, &format!("step {step}, {workers} workers"));
-        let (results, _) = engine.query_batch_pinned(&queries, &obs::Registry::disabled());
+        let (results, _) = engine.query_batch_pinned(&queries, &obs::Shard::disabled());
         for (q, r) in queries.iter().zip(&results) {
             assert_eq!(
                 r.matches,
@@ -303,7 +303,7 @@ fn background_remine_keeps_answers_exact_under_churn() {
         let snapshot = engine.pin();
         assert!(snapshot.postings_consistent(), "step {step}");
         let (results, _) =
-            engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Registry::disabled());
+            engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Shard::disabled());
         assert_eq!(
             results[0].matches,
             scan_support(&snapshot, &q),
@@ -347,7 +347,7 @@ fn deterministic_churn_counters() -> obs::MetricSet {
     let mut qs = extract_queries(&db, 4, 12, &mut fixture_rng(3 + 4));
     qs.extend(extract_queries(&db, 8, 8, &mut fixture_rng(3 + 8)));
 
-    let registry = obs::Registry::new();
+    let shard = obs::Shard::detached(true);
     let engine = Engine::with_remine(
         TreePiIndex::build(db.clone(), TreePiParams::default()),
         2,
@@ -366,10 +366,10 @@ fn deterministic_churn_counters() -> obs::MetricSet {
         // exactly every `threshold` repairs, independent of wall time.
         engine.wait_remine_idle();
     }
-    engine.query_batch_pinned(&qs, &registry);
+    engine.query_batch_pinned(&qs, &shard);
     let stats = engine.maint_stats();
     let mut out = obs::MetricSet::new();
-    for (c, v) in registry.drain().counters() {
+    for (c, v) in shard.into_set().counters() {
         if c.name().starts_with("funnel.") {
             out.add(c, v);
         }

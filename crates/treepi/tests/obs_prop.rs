@@ -24,10 +24,10 @@ fn run_metered(
     queries: &[Graph],
     threads: usize,
 ) -> (Vec<treepi::QueryResult>, obs::MetricSet) {
-    let registry = obs::Registry::new();
+    let shard = obs::Shard::detached(true);
     let engine = Engine::new(idx.clone(), threads);
-    let (results, _) = engine.query_batch_pinned(queries, &registry);
-    (results, registry.drain())
+    let (results, _) = engine.query_batch_pinned(queries, &shard);
+    (results, shard.into_set())
 }
 
 /// The database of `treepi gen --chem 25 --seed 7`, built under the paper's
@@ -176,7 +176,7 @@ proptest! {
     ) {
         let idx = TreePiIndex::build(db, TreePiParams::quick());
         let (plain, _) =
-            Engine::new(idx.clone(), 2).query_batch_pinned(&queries, &obs::Registry::disabled());
+            Engine::new(idx.clone(), 2).query_batch_pinned(&queries, &obs::Shard::disabled());
         let (metered, _) = run_metered(&idx, &queries, 2);
         for (a, b) in plain.iter().zip(&metered) {
             prop_assert_eq!(&a.matches, &b.matches);

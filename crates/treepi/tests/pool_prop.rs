@@ -17,7 +17,6 @@ use common::{arb_connected_graph, arb_db};
 use graph_core::par::Pool;
 use graph_core::{graph_from, Graph};
 use proptest::prelude::*;
-use std::time::Instant;
 use treepi::{Engine, TreePiIndex, TreePiParams, INTRA_PAR_THRESHOLD};
 
 fn save_bytes(idx: &TreePiIndex) -> Vec<u8> {
@@ -42,9 +41,9 @@ fn assert_same_query(got: &treepi::QueryResult, want: &treepi::QueryResult, what
 }
 
 fn run_engine(engine: &Engine, queries: &[Graph]) -> (Vec<treepi::QueryResult>, obs::MetricSet) {
-    let registry = obs::Registry::new();
-    let (results, _) = engine.query_batch_pinned(queries, &registry);
-    (results, registry.drain())
+    let shard = obs::Shard::detached(true);
+    let (results, _) = engine.query_batch_pinned(queries, &shard);
+    (results, shard.into_set())
 }
 
 proptest! {
@@ -63,13 +62,11 @@ proptest! {
         // Reference: one query at a time, no batch engine involved, each
         // query's stats recorded by hand as the engine's seat records them.
         let seq: Vec<treepi::QueryResult> = queries.iter().map(|q| idx.query(q)).collect();
-        let seq_registry = obs::Registry::new();
-        let shard = seq_registry.shard();
-        for r in &seq {
-            r.stats.record_into(&shard, Instant::now());
+        let shard = obs::Shard::detached(true);
+        for (i, r) in seq.iter().enumerate() {
+            r.stats.record_into(&shard, i as u64, None);
         }
-        seq_registry.absorb(shard);
-        let seq_det = seq_registry.drain().deterministic_counters();
+        let seq_det = shard.into_set().deterministic_counters();
 
         let mut engine = Engine::new(idx, 1);
         let (base, base_metrics) = run_engine(&engine, &queries);
@@ -141,12 +138,12 @@ fn single_query_batches_split_the_walk_and_agree() {
     let mut totals = Vec::new();
     for workers in [1usize, 2, 8] {
         engine = Engine::new(engine.into_index(), workers);
-        let registry = obs::Registry::new();
+        let shard = obs::Shard::detached(true);
         for (q, want) in queries.iter().zip(&want) {
-            let (got, _) = engine.query_batch_pinned(std::slice::from_ref(q), &registry);
+            let (got, _) = engine.query_batch_pinned(std::slice::from_ref(q), &shard);
             assert_same_query(&got[0], want, &format!("workers={workers}"));
         }
-        totals.push(registry.drain().deterministic_counters());
+        totals.push(shard.into_set().deterministic_counters());
     }
     assert!(totals.windows(2).all(|w| w[0] == w[1]), "{totals:?}");
 }
@@ -173,14 +170,14 @@ fn reentrant_stage_dispatch_is_deterministic() {
     let idx = TreePiIndex::build(db, TreePiParams::quick());
 
     let serial = Engine::new(idx, 1);
-    let (base, _) = serial.query_batch_pinned(&queries, &obs::Registry::disabled());
+    let (base, _) = serial.query_batch_pinned(&queries, &obs::Shard::disabled());
     // Sanity: the filter stage really produces an intra-parallel workload.
     assert!(base[0].stats.filtered as usize >= INTRA_PAR_THRESHOLD);
     assert_eq!(base[0].stats.answers as usize, INTRA_PAR_THRESHOLD + 8);
 
     let engine = Engine::new(serial.into_index(), 8);
     for round in 0..3 {
-        let (results, _) = engine.query_batch_pinned(&queries, &obs::Registry::disabled());
+        let (results, _) = engine.query_batch_pinned(&queries, &obs::Shard::disabled());
         for (a, b) in base.iter().zip(&results) {
             assert_eq!(a.matches, b.matches, "round {round}");
             assert_eq!(a.stats.filtered, b.stats.filtered);

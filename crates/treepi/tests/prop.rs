@@ -331,7 +331,7 @@ proptest! {
         let seq: Vec<_> = queries.iter().map(|q| idx.query(q)).collect();
         for threads in [1usize, 2, 8] {
             let engine = Engine::new(idx.clone(), threads);
-            let (batch, _) = engine.query_batch_pinned(&queries, &obs::Registry::disabled());
+            let (batch, _) = engine.query_batch_pinned(&queries, &obs::Shard::disabled());
             prop_assert_eq!(batch.len(), queries.len());
             for (i, (b, s)) in batch.iter().zip(&seq).enumerate() {
                 prop_assert_eq!(&b.matches, &s.matches, "matches, query {} threads {}", i, threads);

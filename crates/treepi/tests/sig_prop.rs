@@ -73,8 +73,8 @@ fn run_near_miss(workers: usize, seed: u64) {
         .map(|q| perturb_labels(q, &mut rng))
         .collect();
     queries.extend(near_miss);
-    let registry = obs::Registry::new();
-    let (results, _) = engine.query_batch_pinned(&queries, &registry);
+    let shard = obs::Shard::detached(true);
+    let (results, _) = engine.query_batch_pinned(&queries, &shard);
     let snapshot = engine.pin();
     for (i, (q, r)) in queries.iter().zip(&results).enumerate() {
         assert_eq!(
@@ -90,7 +90,7 @@ fn run_near_miss(workers: usize, seed: u64) {
             s.answers
         );
     }
-    let kills = registry.drain().counter("verify.center_sig_kills");
+    let kills = shard.into_set().counter("verify.center_sig_kills");
     assert!(
         kills > 0,
         "seed {seed}, {workers} workers: the signature gate rejected nothing"
@@ -147,7 +147,7 @@ fn run_churn_sigs(workers: usize, seed: u64) {
         );
         let q = random_graph(&mut rng, 4);
         let (results, _) =
-            engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Registry::disabled());
+            engine.query_batch_pinned(std::slice::from_ref(&q), &obs::Shard::disabled());
         assert_eq!(
             results[0].matches,
             scan_support(&snapshot, &q),
@@ -220,9 +220,9 @@ fn verify_funnel_counts_are_pinned() {
     let index = TreePiIndex::build(db, TreePiParams::default());
     for workers in [1, 8] {
         let engine = Engine::new(index.clone(), workers);
-        let registry = obs::Registry::new();
-        engine.query_batch_pinned(&qs, &registry);
-        let m = registry.drain();
+        let shard = obs::Shard::detached(true);
+        engine.query_batch_pinned(&qs, &shard);
+        let m = shard.into_set();
         let got = FUNNEL_COUNTS.map(|(c, _)| (c, m.counter(c.name())));
         assert_eq!(got, FUNNEL_COUNTS, "{workers} workers");
     }
