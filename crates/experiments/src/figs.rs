@@ -330,23 +330,19 @@ pub fn fig_query_time(opts: &Opts, dataset: &str) {
         // per-stage split is most pronounced.
         breakdown_queries = Some(queries.clone());
         let (answers_tp, t_tp) = timed(|| {
-            queries
-                .iter()
-                .map(|q| tp.query(q).matches.len())
-                .sum::<usize>()
+            let answers = queries.iter().map(|q| tp.query(q).matches);
+            answers.collect::<Vec<_>>()
         });
         let (answers_gi, t_gi) = timed(|| {
-            queries
-                .iter()
-                .map(|q| gi.query(q).matches.len())
-                .sum::<usize>()
+            let answers = queries.iter().map(|q| gi.query(q).matches);
+            answers.collect::<Vec<_>>()
         });
         assert_eq!(answers_tp, answers_gi, "systems disagree at m={m}");
         // Parallel series: the batch engine at full available parallelism.
         let (answers_par, t_par) = timed(|| {
             let off = obs::Shard::disabled();
             let (results, _) = engine.query_batch_pinned(&queries, &off);
-            results.iter().map(|r| r.matches.len()).sum::<usize>()
+            results.into_iter().map(|r| r.matches).collect::<Vec<_>>()
         });
         assert_eq!(
             answers_tp, answers_par,

@@ -38,9 +38,10 @@ impl GQueryStats {
     /// under the **same names** TreePi uses so cross-system metric files
     /// line up column-for-column. Every candidate costs one full
     /// isomorphism test, so `graph.iso_tests` is `filtered` (recorded when
-    /// nonzero); the absent partition stage observes zero. Given `end`, the
-    /// query's finish, the stages are traced as TreePi's are.
-    fn record_into(&self, shard: &obs::Shard, query: u64, end: Option<Instant>) {
+    /// nonzero); the absent partition stage observes zero. When the shard
+    /// traces, the stages are traced as TreePi's are, ending at `end`, the
+    /// query's finish.
+    fn record_into(&self, shard: &obs::Shard, query: u64, end: Instant) {
         shard.add(Counter::FUNNEL_QUERIES, 1);
         shard.add(Counter::FUNNEL_FILTERED, self.filtered as u64);
         shard.add(Counter::FUNNEL_ANSWERS, self.answers as u64);
@@ -58,7 +59,7 @@ impl GQueryStats {
         for (span, t) in stages {
             shard.observe(span, t);
         }
-        if let Some(end) = end {
+        if shard.is_tracing() {
             for (span, start, t) in obs::trace::stages_ending_at(&stages, end) {
                 shard.trace_complete(span, Some(query), start, t);
             }
@@ -73,6 +74,8 @@ pub struct GQueryResult {
     pub matches: Vec<u32>,
     /// Stage statistics.
     pub stats: GQueryStats,
+    /// The instant the query returned: where its traced stages end.
+    pub finished: Instant,
 }
 
 impl GIndex {
@@ -86,9 +89,10 @@ impl GIndex {
         let mut any_missing_edge = false;
         let mut enumerated = 0usize;
 
-        // Enumerate connected edge subsets, pruning at subsets that are not
-        // frequent fragments (apriori: all connected subgraphs of a frequent
-        // fragment are frequent, so no indexed fragment is missed).
+        // Enumerate connected edge subsets, growing only frequent
+        // fragments. The index holds every frequent fragment up to maxL and
+        // ψ is non-decreasing, so no superset of a non-fragment is one
+        // (Apriori): the prune loses no fragment.
         let _ = for_each_connected_edge_subset(q, max_l, |edges| {
             enumerated += 1;
             let sub = edge_subgraph(q, edges);
@@ -98,22 +102,15 @@ impl GIndex {
                     if f.discriminative {
                         used.insert(code);
                     }
-                    ControlFlow::Continue(())
+                    ControlFlow::Continue(true)
                 }
-                None => {
-                    if edges.len() == 1 {
-                        // A single query edge unseen in the whole database:
-                        // the support is provably empty.
-                        any_missing_edge = true;
-                        return ControlFlow::Break(());
-                    }
-                    // Not frequent ⟹ no frequent superset: prune by
-                    // reporting "stop extending this subset". Our
-                    // enumerator has no skip-subtree signal, so we simply
-                    // continue; the code check keeps correctness, only
-                    // costing extra enumeration.
-                    ControlFlow::Continue(())
+                // A single query edge unseen in the whole database: the
+                // support is provably empty.
+                None if edges.len() == 1 => {
+                    any_missing_edge = true;
+                    ControlFlow::Break(())
                 }
+                None => ControlFlow::Continue(false),
             }
         });
         stats.enumerated = enumerated;
@@ -150,7 +147,11 @@ impl GIndex {
             .collect();
         stats.t_verify = t.elapsed();
         stats.answers = matches.len();
-        GQueryResult { matches, stats }
+        GQueryResult {
+            matches,
+            stats,
+            finished: Instant::now(),
+        }
     }
 
     /// Batch entry point mirroring `treepi::Engine::query_batch_pinned` so
@@ -165,14 +166,9 @@ impl GIndex {
         pool: &graph_core::par::Pool,
         shard: &obs::Shard,
     ) -> Vec<GQueryResult> {
-        let (results, ends): (Vec<GQueryResult>, Vec<Instant>) = if shard.is_tracing() {
-            let timed = pool.ordered_map(queries, |q| (self.query(q), Instant::now()));
-            timed.into_iter().unzip()
-        } else {
-            (pool.ordered_map(queries, |q| self.query(q)), Vec::new())
-        };
+        let results = pool.ordered_map(queries, |q| self.query(q));
         for (i, r) in results.iter().enumerate() {
-            r.stats.record_into(shard, i as u64, ends.get(i).copied());
+            r.stats.record_into(shard, i as u64, r.finished);
         }
         results
     }

@@ -146,251 +146,127 @@ pub fn random_connected_edge_subgraph<R: Rng>(
     Some(chosen)
 }
 
-/// Enumerate every connected edge subset of `g` with `1..=max_edges` edges,
-/// each exactly once, invoking `f` with the subset (edges in discovery
-/// order). Return `Break` from `f` to stop.
+/// Enumerate the connected edge subsets of `g` with `1..=max_edges` edges,
+/// each at most once, showing `f` each subset (edges in discovery order).
+/// `f` answers `Continue(true)` to grow the subset further,
+/// `Continue(false)` to skip every subset grown from it, and `Break` to
+/// stop. Answering `true` throughout visits every connected subset.
 ///
 /// Uses the standard seed-and-forbid scheme: subsets are rooted at their
 /// minimum edge id; extension edges below the seed are forbidden, and each
-/// frontier edge is either taken or permanently excluded, so no subset is
-/// produced twice.
+/// frontier edge is either taken or excluded for the rest of its branch, so
+/// no subset is produced twice. A subset is grown from its prefixes, each
+/// connected, so a property that every connected subset of a passing subset
+/// also passes (a frequent fragment, an acyclic subset) prunes soundly:
+/// answering `false` where it fails loses no subset where it holds.
 pub fn for_each_connected_edge_subset<F>(g: &Graph, max_edges: usize, mut f: F) -> ControlFlow<()>
 where
-    F: FnMut(&[EdgeId]) -> ControlFlow<()>,
+    F: FnMut(&[EdgeId]) -> ControlFlow<(), bool>,
 {
-    if max_edges == 0 {
-        return ControlFlow::Continue(());
-    }
     let ecount = g.edge_count();
-    let mut current: Vec<EdgeId> = Vec::with_capacity(max_edges.min(ecount));
-    let mut in_set = vec![false; ecount];
-    let mut excluded = vec![false; ecount];
-
-    // Frontier edges adjacent to `current`, deduped, not in set/excluded,
-    // id > seed.
-    fn frontier_of(
-        g: &Graph,
-        current: &[EdgeId],
-        seed: EdgeId,
-        in_set: &[bool],
-        excluded: &[bool],
-    ) -> Vec<EdgeId> {
-        let mut fr = Vec::new();
-        for &eid in current {
-            let e = g.edge(eid);
-            for v in [e.u, e.v] {
-                for &(_, ne) in g.neighbors(v) {
-                    if ne > seed && !in_set[ne.idx()] && !excluded[ne.idx()] {
-                        fr.push(ne);
-                    }
-                }
-            }
+    let mut grow = Grow {
+        g,
+        max_edges,
+        current: Vec::with_capacity(max_edges.min(ecount)),
+        in_set: vec![false; ecount],
+        excluded: vec![false; ecount],
+    };
+    if max_edges > 0 {
+        for seed in g.edge_ids() {
+            grow.take(seed, seed, &mut f)?;
         }
-        fr.sort_unstable();
-        fr.dedup();
-        fr
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn recurse<F>(
-        g: &Graph,
-        seed: EdgeId,
-        max_edges: usize,
-        current: &mut Vec<EdgeId>,
-        in_set: &mut Vec<bool>,
-        excluded: &mut Vec<bool>,
-        f: &mut F,
-    ) -> ControlFlow<()>
-    where
-        F: FnMut(&[EdgeId]) -> ControlFlow<()>,
-    {
-        f(current)?;
-        if current.len() == max_edges {
-            return ControlFlow::Continue(());
-        }
-        let fr = frontier_of(g, current, seed, in_set, excluded);
-        // Binary branching over the frontier in order: each edge is either
-        // excluded for the rest of this subtree or taken.
-        fn branch<F>(
-            g: &Graph,
-            seed: EdgeId,
-            max_edges: usize,
-            fr: &[EdgeId],
-            current: &mut Vec<EdgeId>,
-            in_set: &mut Vec<bool>,
-            excluded: &mut Vec<bool>,
-            f: &mut F,
-        ) -> ControlFlow<()>
-        where
-            F: FnMut(&[EdgeId]) -> ControlFlow<()>,
-        {
-            for (i, &e) in fr.iter().enumerate() {
-                // Take e, with fr[..i] excluded.
-                for &x in &fr[..i] {
-                    excluded[x.idx()] = true;
-                }
-                in_set[e.idx()] = true;
-                current.push(e);
-                let r = recurse(g, seed, max_edges, current, in_set, excluded, f);
-                current.pop();
-                in_set[e.idx()] = false;
-                for &x in &fr[..i] {
-                    excluded[x.idx()] = false;
-                }
-                r?;
-            }
-            ControlFlow::Continue(())
-        }
-        branch(g, seed, max_edges, &fr, current, in_set, excluded, f)
-    }
-
-    for s in 0..ecount as u32 {
-        let seed = EdgeId(s);
-        current.push(seed);
-        in_set[seed.idx()] = true;
-        let r = recurse(
-            g,
-            seed,
-            max_edges,
-            &mut current,
-            &mut in_set,
-            &mut excluded,
-            &mut f,
-        );
-        current.pop();
-        in_set[seed.idx()] = false;
-        r?;
     }
     ControlFlow::Continue(())
 }
 
+/// The state of one [`for_each_connected_edge_subset`] search.
+struct Grow<'g> {
+    g: &'g Graph,
+    max_edges: usize,
+    current: Vec<EdgeId>,
+    in_set: Vec<bool>,
+    excluded: Vec<bool>,
+}
+
+impl Grow<'_> {
+    /// Add `e` to the subset, show it to `f` and grow it as `f` answers.
+    fn take<F>(&mut self, seed: EdgeId, e: EdgeId, f: &mut F) -> ControlFlow<()>
+    where
+        F: FnMut(&[EdgeId]) -> ControlFlow<(), bool>,
+    {
+        self.current.push(e);
+        self.in_set[e.idx()] = true;
+        let r = match f(&self.current) {
+            ControlFlow::Continue(true) if self.current.len() < self.max_edges => {
+                self.extend(seed, f)
+            }
+            r => r.map_continue(|_| ()),
+        };
+        self.current.pop();
+        self.in_set[e.idx()] = false;
+        r
+    }
+
+    /// Binary branching over the subset's frontier (edges above `seed`
+    /// touching it, neither in it nor excluded) in id order: each edge is
+    /// taken with the earlier ones excluded.
+    fn extend<F>(&mut self, seed: EdgeId, f: &mut F) -> ControlFlow<()>
+    where
+        F: FnMut(&[EdgeId]) -> ControlFlow<(), bool>,
+    {
+        let g = self.g;
+        let mut fr: Vec<EdgeId> = self
+            .current
+            .iter()
+            .flat_map(|&eid| [g.edge(eid).u, g.edge(eid).v])
+            .flat_map(|v| g.neighbors(v).iter().map(|&(_, ne)| ne))
+            .filter(|&ne| ne > seed && !self.in_set[ne.idx()] && !self.excluded[ne.idx()])
+            .collect();
+        fr.sort_unstable();
+        fr.dedup();
+        let r = fr.iter().try_for_each(|&e| {
+            let r = self.take(seed, e, f);
+            self.excluded[e.idx()] = true;
+            r
+        });
+        for e in &fr {
+            self.excluded[e.idx()] = false;
+        }
+        r
+    }
+}
+
 /// Enumerate connected **acyclic** edge subsets (subtrees) of `g` with
-/// `1..=max_edges` edges, each exactly once.
-///
-/// Same scheme as [`for_each_connected_edge_subset`], but an extension edge
-/// whose endpoints are both already spanned would close a cycle and is
-/// skipped. §7.1 of the paper uses this to find the feature subtrees of a
-/// deleted graph.
+/// `1..=max_edges` edges, each exactly once: [`for_each_connected_edge_subset`]
+/// growing only acyclic subsets. Every connected subset of a tree is a tree,
+/// so stopping at the first cycle loses no subtree. §7.1 of the paper uses
+/// this to find the feature subtrees of a deleted graph.
 pub fn for_each_subtree_edge_subset<F>(g: &Graph, max_edges: usize, mut f: F) -> ControlFlow<()>
 where
     F: FnMut(&[EdgeId]) -> ControlFlow<()>,
 {
-    // Reuse the generic enumerator, filtering cyclic subsets is wasteful;
-    // instead track the spanned vertex set and only extend acyclically.
-    if max_edges == 0 {
-        return ControlFlow::Continue(());
-    }
-    let ecount = g.edge_count();
-    let mut in_vertices = vec![false; g.vertex_count()];
-    let mut in_set = vec![false; ecount];
-    let mut excluded = vec![false; ecount];
-    let mut current: Vec<EdgeId> = Vec::with_capacity(max_edges.min(ecount));
-
-    #[allow(clippy::too_many_arguments)]
-    fn recurse<F>(
-        g: &Graph,
-        seed: EdgeId,
-        max_edges: usize,
-        current: &mut Vec<EdgeId>,
-        in_vertices: &mut Vec<bool>,
-        in_set: &mut Vec<bool>,
-        excluded: &mut Vec<bool>,
-        f: &mut F,
-    ) -> ControlFlow<()>
-    where
-        F: FnMut(&[EdgeId]) -> ControlFlow<()>,
-    {
-        f(current)?;
-        if current.len() == max_edges {
-            return ControlFlow::Continue(());
+    // The vertices of the subset shown last, in the order they joined it.
+    let mut spanned: Vec<VertexId> = Vec::new();
+    let mut in_tree = vec![false; g.vertex_count()];
+    for_each_connected_edge_subset(g, max_edges, |edges| {
+        // A subset's prefix less its last edge was a tree, shown earlier,
+        // whose vertices are the first `edges.len()` of `spanned`.
+        let keep = if edges.len() == 1 { 0 } else { edges.len() };
+        for v in spanned.drain(keep..) {
+            in_tree[v.idx()] = false;
         }
-        // Acyclic frontier: edges with exactly one endpoint spanned.
-        let mut fr = Vec::new();
-        for &eid in current.iter() {
-            let e = g.edge(eid);
-            for v in [e.u, e.v] {
-                for &(w, ne) in g.neighbors(v) {
-                    if ne > seed
-                        && !in_set[ne.idx()]
-                        && !excluded[ne.idx()]
-                        && !in_vertices[w.idx()]
-                    {
-                        fr.push(ne);
-                    }
-                }
+        let e = g.edge(edges[edges.len() - 1]);
+        if in_tree[e.u.idx()] && in_tree[e.v.idx()] {
+            return ControlFlow::Continue(false); // the edge closes a cycle
+        }
+        for v in [e.u, e.v] {
+            if !std::mem::replace(&mut in_tree[v.idx()], true) {
+                spanned.push(v);
             }
         }
-        fr.sort_unstable();
-        fr.dedup();
-        for (i, &e) in fr.iter().enumerate() {
-            for &x in &fr[..i] {
-                excluded[x.idx()] = true;
-            }
-            let edge = g.edge(e);
-            // One endpoint is new by construction; find it. (Both spanned
-            // can happen if an earlier branch added the other endpoint —
-            // then the edge closes a cycle, skip it.)
-            let new_v = if !in_vertices[edge.u.idx()] {
-                Some(edge.u)
-            } else if !in_vertices[edge.v.idx()] {
-                Some(edge.v)
-            } else {
-                None
-            };
-            if let Some(nv) = new_v {
-                in_set[e.idx()] = true;
-                in_vertices[nv.idx()] = true;
-                current.push(e);
-                let r = recurse(
-                    g,
-                    seed,
-                    max_edges,
-                    current,
-                    in_vertices,
-                    in_set,
-                    excluded,
-                    f,
-                );
-                current.pop();
-                in_vertices[nv.idx()] = false;
-                in_set[e.idx()] = false;
-                for &x in &fr[..i] {
-                    excluded[x.idx()] = false;
-                }
-                r?;
-            } else {
-                for &x in &fr[..i] {
-                    excluded[x.idx()] = false;
-                }
-            }
-        }
-        ControlFlow::Continue(())
-    }
-
-    for s in 0..ecount as u32 {
-        let seed = EdgeId(s);
-        let e = g.edge(seed);
-        current.push(seed);
-        in_set[seed.idx()] = true;
-        in_vertices[e.u.idx()] = true;
-        in_vertices[e.v.idx()] = true;
-        let r = recurse(
-            g,
-            seed,
-            max_edges,
-            &mut current,
-            &mut in_vertices,
-            &mut in_set,
-            &mut excluded,
-            &mut f,
-        );
-        current.pop();
-        in_set[seed.idx()] = false;
-        in_vertices[e.u.idx()] = false;
-        in_vertices[e.v.idx()] = false;
-        r?;
-    }
-    ControlFlow::Continue(())
+        f(edges)?;
+        ControlFlow::Continue(true)
+    })
 }
 
 #[cfg(test)]
@@ -447,7 +323,7 @@ mod tests {
         let mut n = 0;
         let _ = for_each_connected_edge_subset(&tri, 3, |_| {
             n += 1;
-            ControlFlow::Continue(())
+            ControlFlow::Continue(true)
         });
         // connected edge subsets of a triangle: 3 single edges, 3 pairs,
         // 1 full triangle = 7
@@ -460,7 +336,7 @@ mod tests {
         let mut n = 0;
         let _ = for_each_connected_edge_subset(&tri, 1, |_| {
             n += 1;
-            ControlFlow::Continue(())
+            ControlFlow::Continue(true)
         });
         assert_eq!(n, 3);
     }
@@ -473,7 +349,7 @@ mod tests {
         let (mut connected, mut subtrees) = (0, 0);
         let _ = for_each_connected_edge_subset(&tri, usize::MAX, |_| {
             connected += 1;
-            ControlFlow::Continue(())
+            ControlFlow::Continue(true)
         });
         let _ = for_each_subtree_edge_subset(&tri, usize::MAX, |_| {
             subtrees += 1;
@@ -493,7 +369,7 @@ mod tests {
             assert!(seen.insert(key), "duplicate subset {s:?}");
             // connectivity check
             assert_eq!(edge_components(&g, s).len(), 1);
-            ControlFlow::Continue(())
+            ControlFlow::Continue(true)
         });
         // count: all connected edge subsets of the 4-edge graph
         // Exhaustive check: all 2^4-1 nonempty subsets, keep connected ones.
@@ -525,7 +401,7 @@ mod tests {
             if edge_subgraph(&g, s).graph.is_tree() {
                 brute += 1;
             }
-            ControlFlow::Continue(())
+            ControlFlow::Continue(true)
         });
         assert_eq!(seen.len(), brute);
     }
@@ -539,10 +415,48 @@ mod tests {
             if n == 3 {
                 ControlFlow::Break(())
             } else {
-                ControlFlow::Continue(())
+                ControlFlow::Continue(true)
             }
         });
         assert_eq!(r, ControlFlow::Break(()));
         assert_eq!(n, 3);
+    }
+
+    /// Answering `false` at one subset skips exactly the subsets grown from
+    /// it, those whose discovery order starts with its own, and nothing
+    /// else: the subset itself is still shown, every other branch is grown.
+    #[test]
+    fn do_not_extend_stops_exactly_that_branch() {
+        // A triangle with a tail at each corner and a chord-free square
+        // hanging off it: cycles, branching and long paths.
+        let g = graph_from(
+            &[0; 7],
+            &[
+                (0, 1, 0),
+                (1, 2, 0),
+                (2, 0, 0),
+                (0, 3, 0),
+                (1, 4, 0),
+                (2, 5, 0),
+                (5, 6, 0),
+            ],
+        );
+        let shown = |stop: Option<&[EdgeId]>| {
+            let mut seen = Vec::new();
+            let _ = for_each_connected_edge_subset(&g, 5, |s| {
+                seen.push(s.to_vec());
+                ControlFlow::Continue(stop != Some(s))
+            });
+            seen
+        };
+        let all = shown(None);
+        let mut skipped_any = false;
+        for stop in &all {
+            let below = |t: &Vec<EdgeId>| t.len() > stop.len() && t.starts_with(stop);
+            let expected: Vec<_> = all.iter().filter(|t| !below(t)).cloned().collect();
+            skipped_any |= expected.len() < all.len();
+            assert_eq!(shown(Some(stop)), expected, "stopped at {stop:?}");
+        }
+        assert!(skipped_any);
     }
 }

@@ -118,7 +118,7 @@ proptest! {
             let mut k: Vec<u32> = s.iter().map(|e| e.0).collect();
             k.sort_unstable();
             assert!(enumerated.insert(k));
-            std::ops::ControlFlow::Continue(())
+            std::ops::ControlFlow::Continue(true)
         });
         // brute force over all subsets (edge count is small)
         let m = g.edge_count();
@@ -131,6 +131,31 @@ proptest! {
             }
         }
         prop_assert_eq!(enumerated.len(), brute);
+    }
+
+    #[test]
+    fn subtree_enumeration_matches_bruteforce(g in arb_graph(6), max in 1usize..6) {
+        let m = g.edge_count();
+        prop_assume!(m <= 12);
+        let mut shown = 0usize;
+        let mut enumerated = std::collections::BTreeSet::new();
+        let _ = for_each_subtree_edge_subset(&g, max, |s| {
+            let mut k: Vec<u32> = s.iter().map(|e| e.0).collect();
+            k.sort_unstable();
+            enumerated.insert(k);
+            shown += 1;
+            std::ops::ControlFlow::Continue(())
+        });
+        let brute: std::collections::BTreeSet<Vec<u32>> = (1u32..(1 << m))
+            .map(|mask| (0..m as u32).filter(|i| mask & (1 << i) != 0).collect::<Vec<u32>>())
+            .filter(|s| s.len() <= max)
+            .filter(|s| {
+                let ids: Vec<EdgeId> = s.iter().map(|&i| EdgeId(i)).collect();
+                edge_subgraph(&g, &ids).graph.is_tree()
+            })
+            .collect();
+        prop_assert_eq!(shown, brute.len());
+        prop_assert_eq!(enumerated, brute);
     }
 
     #[test]

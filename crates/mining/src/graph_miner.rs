@@ -379,7 +379,7 @@ mod tests {
                 let sub = graph_core::edge_subgraph(g, edges);
                 let code = canonical_code(&sub.graph);
                 assert!(codes.contains(&code), "missing subgraph {:?}", sub.graph);
-                std::ops::ControlFlow::Continue(())
+                std::ops::ControlFlow::Continue(true)
             });
         }
     }

@@ -266,10 +266,10 @@ mod tests {
         slices
     }
 
-    /// Two slow-query captures of one batch both end at the batch's end on
-    /// lane 0: query 0 ran 0–10 µs and query 1 3–10 µs, so query 0's
-    /// partition stage partly overlaps query 1's umbrella. Each query gets
-    /// a row of the lane, and every row nests.
+    /// Two slow-query captures of one batch overlap on lane 0, as queries
+    /// run side by side do: query 0 ran 0–10 µs and query 1 3–10 µs, so
+    /// query 0's partition stage partly overlaps query 1's umbrella. Each
+    /// query gets a row of the lane, and every row nests.
     #[test]
     fn overlapping_captures_of_one_batch_get_rows_that_nest() {
         let slice = |name: &str, query, start_ns, dur_ns| TraceEvent {

@@ -407,14 +407,10 @@ impl<'e> Machine<'e> {
     /// Run one micro-batch of at most `max_batch` queued queries and queue
     /// their answers.
     pub(crate) fn run_batch(&mut self) {
-        // One `maint.remine` span per re-mine published since the last
-        // batch. Syncing the cache here, past the writes applied since these
-        // queries were admitted, leaves the check after the batch to veto a
-        // fill only for a publication made while the batch ran.
+        // One `maint.remine` span per re-mine published since the last batch.
         for rep in self.engine.drain_remine_reports() {
             self.shard.observe(Span::MAINT_REMINE, rep.duration);
         }
-        self.cache.sync_epoch(self.engine.epoch());
         let n = self.pending.len().min(self.config.max_batch.max(1));
         let (metas, graphs): (Vec<_>, Vec<Graph>) = self
             .pending
@@ -452,15 +448,15 @@ impl<'e> Machine<'e> {
             let _span = self.shard.span(Span::SERVE_BATCH_EXEC);
             self.engine.query_batch_pinned(&runs, &self.shard)
         };
-        let batch_end = (self.clock)();
-        let residence = batch_end.saturating_duration_since(dispatched);
+        let residence = (self.clock)().saturating_duration_since(dispatched);
         let seq_base = self.report.served;
         self.report.batches += 1;
         self.report.served += n as u64;
-        // Results belong to the batch's pinned epoch; a re-mine published
-        // while the batch ran makes them stale, and they are not cached.
-        let live = self.engine.epoch();
-        let cacheable = !self.cache.sync_epoch(live) && epoch == live;
+        // Results belong to the batch's pinned epoch, at or past the
+        // cache's (read later, on this thread): syncing to it empties the
+        // cache of older answers before these fill it. A publication made
+        // while the batch ran is caught by the next admission's sync.
+        self.cache.sync_epoch(epoch);
         for (i, ((conn, tag, key, recv, admitted, bytes_in), run)) in
             metas.into_iter().zip(run_of).enumerate()
         {
@@ -485,17 +481,15 @@ impl<'e> Machine<'e> {
                 self.telemetry.slow.record(
                     seq_base + i as u64,
                     &r.stats,
-                    batch_end,
+                    r.finished,
                     &[
                         ("serve.queue_wait_ns", dur_ns(queue_wait)),
                         ("serve.batch_wait_ns", dur_ns(batch_wait)),
                     ],
                 );
             }
-            if cacheable {
-                if let Some(key) = key {
-                    self.cache.insert(key, matches.clone());
-                }
+            if let Some(key) = key {
+                self.cache.insert(key, matches.clone());
             }
             let request = (self.clock)().saturating_duration_since(admitted);
             self.shard.observe(Span::SERVE_REQUEST, request);

@@ -25,7 +25,7 @@ use graph_core::graph_from;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::{Arc, Mutex, OnceLock};
 use treepi::{scan_support, TreePiIndex, TreePiParams};
 
@@ -461,11 +461,12 @@ impl Sim<'_> {
 }
 
 /// A finished run: the report, the metrics absorbed at exit, the access
-/// log, and the digest of every answer.
+/// log, the slow-query log's Chrome trace, and the digest of every answer.
 struct Outcome {
     report: ServeReport,
     exit: obs::MetricSet,
     log: String,
+    slow: String,
     digest: u64,
 }
 
@@ -564,6 +565,7 @@ fn run(config: ServeConfig, seats: usize, full: bool, drive: impl FnOnce(&mut Si
         report,
         exit,
         log,
+        slow: trace,
         digest,
     }
 }
@@ -817,6 +819,34 @@ fn a_batch_after_a_write_fills_the_cache() {
         obs::json::parse(line).ok()?.get("epoch")?.as_u64()
     };
     assert_eq!((epoch("insert"), epoch("remove")), (Some(1), Some(2)));
+}
+
+/// Two distinct queries of one batch on a one-worker engine run one after
+/// the other, so their `/slowz` captures end at different instants, each
+/// where its own query finished.
+#[test]
+fn slow_captures_of_one_batch_end_where_each_query_ended() {
+    let g = graphs();
+    let out = run(quiet(), 1, false, |sim| {
+        let c = sim.connect(false);
+        // Past the log's epoch, so no capture is clipped at its start.
+        sim.turn(Duration::from_secs(1));
+        sim.send(c, RequestBody::Query(g[1].clone()));
+        sim.send(c, RequestBody::Query(g[3].clone()));
+        sim.deliver_all(c, usize::MAX);
+        sim.turn(Duration::ZERO);
+    });
+    assert_eq!((out.report.batches, out.report.served), (1, 2));
+    let trace = obs::json::parse(&out.slow).expect("Chrome trace JSON");
+    let events = trace.get("traceEvents").and_then(|e| e.as_array());
+    let ns = |e: &obs::json::Value, k: &str| (e.get(k).unwrap().as_f64().unwrap() * 1e3) as u64;
+    let ends: BTreeSet<u64> = events
+        .unwrap()
+        .iter()
+        .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some("serve.slow_query"))
+        .map(|e| ns(e, "ts") + ns(e, "dur"))
+        .collect();
+    assert_eq!(ends.len(), 2, "umbrella ends {ends:?}");
 }
 
 /// The write cap judges what a flush leaves unsent: a client that reads

@@ -399,8 +399,8 @@ impl Engine {
     /// admission) and the concurrency tests.
     ///
     /// The batch is one [`Pool::ordered_map`] whose seats return each
-    /// result (and its finish instant when `shard` traces); this thread then
-    /// records every query into `shard`, the caller's own
+    /// result with its finish instant; this thread then records every query
+    /// into `shard`, the caller's own
     /// ([`QueryStats::record_into`](crate::QueryStats::record_into)), the
     /// only recording. Those records are pure functions of the per-query
     /// outcomes, so their totals are bit-identical for any pool size.
@@ -414,15 +414,9 @@ impl Engine {
         // Spend the pool across queries first; only when the batch can't
         // occupy it do queries get workers for their walk and verify.
         let intra = (pool.parallelism() / queries.len().max(1)).max(1);
-        let run = |q: &Graph| snapshot.query_with_pool(q, pool, intra);
-        let (results, ends): (Vec<QueryResult>, Vec<Instant>) = if shard.is_tracing() {
-            let timed = pool.ordered_map(queries, |q| (run(q), Instant::now()));
-            timed.into_iter().unzip()
-        } else {
-            (pool.ordered_map(queries, run), Vec::new())
-        };
+        let results = pool.ordered_map(queries, |q| snapshot.query_with_pool(q, pool, intra));
         for (i, r) in results.iter().enumerate() {
-            r.stats.record_into(shard, i as u64, ends.get(i).copied());
+            r.stats.record_into(shard, i as u64, r.finished);
         }
         (results, snapshot.maintenance_epoch())
     }

@@ -110,10 +110,11 @@ impl QueryStats {
     }
 
     /// Record this query's funnel counters and stage timings into `shard`,
-    /// and, given `end` (the instant it finished; read only when the shard
-    /// traces), its stages as timeline events tagged with `query`, its
-    /// batch position. This is the one place a query is recorded: the
-    /// batch engine calls it for each query once its batch returns.
+    /// and, when the shard traces, its stages as timeline events tagged
+    /// with `query`, its batch position, ending at `end`, the instant it
+    /// finished ([`QueryResult::finished`]). This is the one place a query
+    /// is recorded: the batch engine calls it for each query once its
+    /// batch returns.
     ///
     /// Every pipeline span ([`QueryStats::stages`]) and the partition
     /// stage's enumeration are observed unconditionally —
@@ -124,7 +125,7 @@ impl QueryStats {
     /// function of the query outcome, so batch totals are bit-identical at
     /// any thread count. The stages are traced end to end before `end`
     /// ([`obs::trace::stages_ending_at`]).
-    pub fn record_into(&self, shard: &obs::Shard, query: u64, end: Option<Instant>) {
+    pub fn record_into(&self, shard: &obs::Shard, query: u64, end: Instant) {
         use obs::Counter;
         shard.add(Counter::FUNNEL_QUERIES, 1);
         shard.add(Counter::FUNNEL_FILTERED, self.filtered.into());
@@ -151,7 +152,7 @@ impl QueryStats {
         for (span, t) in stages {
             shard.observe(span, t);
         }
-        if let Some(end) = end {
+        if shard.is_tracing() {
             for (span, start, t) in obs::trace::stages_ending_at(&stages, end) {
                 shard.trace_complete(span, Some(query), start, t);
             }
@@ -166,6 +167,8 @@ pub struct QueryResult {
     pub matches: Vec<u32>,
     /// Stage statistics.
     pub stats: QueryStats,
+    /// The instant the query returned: where its traced stages end.
+    pub finished: Instant,
 }
 
 impl TreePiIndex {
@@ -186,6 +189,16 @@ impl TreePiIndex {
     /// and candidates are chunked in order and chunk results concatenated
     /// in order. Nothing is recorded; see [`QueryStats::record_into`].
     pub fn query_with_pool(&self, q: &Graph, pool: &Pool, intra: usize) -> QueryResult {
+        let (matches, stats) = self.answer(q, pool, intra);
+        QueryResult {
+            matches,
+            stats,
+            finished: Instant::now(),
+        }
+    }
+
+    /// The matches and statistics of [`Self::query_with_pool`].
+    fn answer(&self, q: &Graph, pool: &Pool, intra: usize) -> (Vec<u32>, QueryStats) {
         assert!(q.edge_count() > 0, "queries must have at least one edge");
         let mut stats = QueryStats::default();
 
@@ -213,7 +226,7 @@ impl TreePiIndex {
             stats.sf_size = 1;
             stats.filtered = count(matches.len());
             stats.answers = count(matches.len());
-            return QueryResult { matches, stats };
+            return (matches, stats);
         }
 
         // ---- Partition: one walk finds every feature occurrence in q;
@@ -227,10 +240,7 @@ impl TreePiIndex {
         let Ok(found) = found else {
             stats.t_partition = t.elapsed();
             stats.missing_feature = true;
-            return QueryResult {
-                matches: Vec::new(),
-                stats,
-            };
+            return (Vec::new(), stats);
         };
         let parts = cover(q, &found);
         let sf = found.features();
@@ -256,8 +266,7 @@ impl TreePiIndex {
         stats.answers = count(matches.len());
         stats.verify_tests = count(pq.len());
         stats.verify_center_sig_kills = count(kills);
-
-        QueryResult { matches, stats }
+        (matches, stats)
     }
 }
 

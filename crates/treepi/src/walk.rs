@@ -6,13 +6,15 @@
 //! graph arrives. [`walk_features`] answers it once for both.
 //!
 //! The walk grows connected acyclic edge subsets by the seed-and-forbid
-//! scheme of [`graph_core::for_each_subtree_edge_subset`], so each subset is
-//! reached at most once, and along the way every ancestor of a subset is a
-//! subtree of it. A subset is therefore extended only while it may be a
-//! *proper subtree of some stored feature* ([`TreePiIndex::may_grow`]): an
-//! occurrence of a feature has nothing but such subsets above it, so none is
-//! lost, and everywhere else the walk stops after one step instead of
-//! enumerating every subtree up to η edges.
+//! scheme of the connected enumerator,
+//! [`graph_core::for_each_connected_edge_subset`], taking only edges with
+//! one end outside the subset, so each subset is reached at most once, and
+//! along the way every ancestor of a subset is a subtree of it. A subset is
+//! therefore extended only while it may be a *proper subtree of some stored
+//! feature* ([`TreePiIndex::may_grow`]): an occurrence of a feature has
+//! nothing but such subsets above it, so none is lost, and everywhere else
+//! the walk stops after one step instead of enumerating every subtree up to
+//! η edges.
 //!
 //! Both "may it grow?" and "may it be a feature?" are put to the subset's
 //! shape ([`crate::shape`]), which the walk keeps as edges come and go, two

@@ -10,7 +10,8 @@
 //! and per remove through an engine nobody pins, under committed ceilings.
 //! A one-query batch recorded into a warm enabled shard must allocate
 //! exactly as much as one recorded into a disabled shard (6 more when the
-//! pool forked a shard per batch and boxed its span histograms).
+//! pool forked a shard per batch and boxed its span histograms), and on a
+//! 2-worker engine at most `SECOND_SEAT` more.
 //! One index load with a query batch, and one build at 1, 2 and 8 workers,
 //! are held on allocations, bytes allocated, peak and bytes left live.
 
@@ -52,6 +53,16 @@ const CEILINGS: [(usize, u64); 2] = [(4, 84), (16, 124)];
 /// queued op, 1. When every apply cloned the index first they were 5 985
 /// and 5 576 on this fixture.
 const WRITE_CEILINGS: (u64, u64) = (101, 2);
+
+/// Allocations a warm one-query batch may add on a 2-worker engine over a
+/// 1-worker one: a 16-edge query has over `WALK_SPLIT_SEEDS` growing seeds,
+/// so its walk is shared with the idle worker, whose seat, if it takes a
+/// seed before the dispatching seat has taken them all, builds its own walk
+/// scratch (per-graph marks, subset and frontier stacks, encoder buffers,
+/// its finds). Measured 25–35 more over 200 calls when the worker joins, 0
+/// or 1 when it does not, and 0 or 1 at any time with the split turned off;
+/// this is 1.25 × 35.
+const SECOND_SEAT: u64 = 44;
 
 /// What each of two fixed CLI runs may cost at one worker, as
 /// (allocations, bytes allocated, rise of the live level's peak, bytes
@@ -112,7 +123,8 @@ fn queries_stay_within_their_allocation_budget() {
     let db = generate_chem(&ChemParams::sized(60), &mut rng);
     let pools = CEILINGS.map(|(edges, _)| extract_queries(&db, edges, 100, &mut rng));
     let copies: Vec<Graph> = db[..WRITES].to_vec();
-    let engine = Engine::new(TreePiIndex::build(db, TreePiParams::default()), 1);
+    let index = TreePiIndex::build(db, TreePiParams::default());
+    let engine = Engine::new(index.clone(), 1);
     for ((edges, ceiling), queries) in CEILINGS.into_iter().zip(&pools) {
         let before = allocation_count();
         let (results, _) = engine.query_batch_pinned(queries, &obs::Shard::disabled());
@@ -127,15 +139,26 @@ fn queries_stay_within_their_allocation_budget() {
     // A one-query batch recorded into a warm enabled shard allocates no
     // more than one recorded nowhere: the batch forks no shard of its own.
     let one = std::slice::from_ref(&pools[1][0]);
-    let allocations = |shard: &obs::Shard| {
+    let allocations = |engine: &Engine, shard: &obs::Shard| {
         let before = allocation_count();
         engine.query_batch_pinned(one, shard);
         allocation_count() - before
     };
     let enabled = obs::Shard::detached(true);
-    allocations(&enabled); // the shard's slots, allocated once
-    let (on, off) = (allocations(&enabled), allocations(&obs::Shard::disabled()));
+    allocations(&engine, &enabled); // the shard's slots, allocated once
+    let off = allocations(&engine, &obs::Shard::disabled());
+    let on = allocations(&engine, &enabled);
     assert_eq!(on, off, "enabled {on} allocations, disabled {off}");
+    let two = Engine::new(index, 2);
+    allocations(&two, &enabled); // the worker's first run
+    for _ in 0..20 {
+        let n = allocations(&two, &enabled);
+        assert!(
+            n <= off + SECOND_SEAT,
+            "{n} allocations at 2 workers, {off} at 1"
+        );
+    }
+    drop(two);
 
     let (insert_ceiling, remove_ceiling) = WRITE_CEILINGS;
     let mut gids = Vec::with_capacity(WRITES);

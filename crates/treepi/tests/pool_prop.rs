@@ -64,7 +64,7 @@ proptest! {
         let seq: Vec<treepi::QueryResult> = queries.iter().map(|q| idx.query(q)).collect();
         let shard = obs::Shard::detached(true);
         for (i, r) in seq.iter().enumerate() {
-            r.stats.record_into(&shard, i as u64, None);
+            r.stats.record_into(&shard, i as u64, r.finished);
         }
         let seq_det = shard.into_set().deterministic_counters();
 
